@@ -3,11 +3,11 @@
 //! of Figs. 8/12; the `figures` binary prints the full sweeps).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hermit_core::{BatchOptions, Database, RangePredicate};
-use hermit_storage::TidScheme;
+use hermit_core::{BatchOptions, Database, DurabilityConfig, RangePredicate};
+use hermit_storage::{ColumnDef, RowLoc, Schema, TidScheme, Value};
 use hermit_workloads::synthetic::cols;
 use hermit_workloads::{build_synthetic, CorrelationKind, QueryGen, SyntheticConfig};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn setup(kind: CorrelationKind, scheme: TidScheme) -> (Database, Database, SyntheticConfig) {
     let cfg = SyntheticConfig { tuples: 100_000, correlation: kind, ..Default::default() };
@@ -120,5 +120,88 @@ fn bench_batched(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_range, bench_point, bench_batched);
+/// Requests per second of `readers` threads, each materializing 200 random
+/// rows per request through `Database::fetch_rows` for `window`.
+fn cold_fetch_rate(db: &Database, locs: &[RowLoc], readers: usize, window: Duration) -> f64 {
+    let start = Instant::now();
+    let requests: u64 = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..readers)
+            .map(|r| {
+                s.spawn(move || {
+                    let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ r as u64;
+                    let mut batch = Vec::with_capacity(200);
+                    let mut done = 0u64;
+                    while start.elapsed() < window {
+                        batch.clear();
+                        for _ in 0..200 {
+                            state = state
+                                .wrapping_mul(6364136223846793005)
+                                .wrapping_add(1442695040888963407);
+                            batch.push(locs[(state >> 33) as usize % locs.len()]);
+                        }
+                        let (rows, unreadable) = db.fetch_rows(&batch, None);
+                        assert_eq!(unreadable, 0);
+                        std::hint::black_box(rows);
+                        done += 1;
+                    }
+                    done
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("cold_fetch reader panicked")).sum()
+    });
+    requests as f64 / start.elapsed().as_secs_f64()
+}
+
+/// The §7.8 disk regime in isolation: a file-backed heap five times the
+/// buffer pool (the server's default pool configuration, scaled down), 200
+/// random rows per request, so ≈ 4 of 5 page visits miss. One reader vs
+/// two: a miss holds no lock across its store read, so the second reader
+/// must add throughput (ratio > 1 on two cores). A ratio well below 1 —
+/// 0.37 before the miss path was rebuilt — means page loads are queueing
+/// on a lock again. Timed by hand rather than through `Bencher::iter`: the
+/// figure of merit is aggregate throughput across threads.
+fn bench_cold_fetch(c: &mut Criterion) {
+    let group = c.benchmark_group("cold_fetch");
+    let quick = std::env::args().any(|a| a == "--quick");
+    let (rows, window) = if quick {
+        (60_000, Duration::from_millis(400))
+    } else {
+        (300_000, Duration::from_secs(2))
+    };
+    let schema = Schema::new(vec![
+        ColumnDef::int("pk"),
+        ColumnDef::float("host"),
+        ColumnDef::float("target"),
+        ColumnDef::float("payload"),
+    ]);
+    let dir = std::env::temp_dir().join(format!("hermit-bench-cold-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // 36-byte records: 226 rows per 8 KiB page.
+    let heap_pages = rows / 226 + 1;
+    let config = DurabilityConfig {
+        pool_pages: heap_pages / 5,
+        wal_sync_every: usize::MAX,
+        ..Default::default()
+    };
+    let db = Database::create_durable(schema, 0, &dir, &config).expect("create cold_fetch db");
+    let locs: Vec<RowLoc> = (0..rows)
+        .map(|i| {
+            let m = i as f64;
+            let row =
+                [Value::Int(i as i64), Value::Float(2.0 * m), Value::Float(m), Value::Float(0.5)];
+            db.insert(&row).expect("load cold_fetch row").as_loc()
+        })
+        .collect();
+    let one = cold_fetch_rate(&db, &locs, 1, window);
+    let two = cold_fetch_rate(&db, &locs, 2, window);
+    eprintln!("bench cold_fetch/readers_1  {one:>10.0} req/s  ({rows} rows, pool {} of {heap_pages} pages)", config.pool_pages);
+    eprintln!("bench cold_fetch/readers_2  {two:>10.0} req/s");
+    eprintln!("bench cold_fetch/scaling_2_over_1  {:.2}", two / one);
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+    group.finish();
+}
+
+criterion_group!(benches, bench_range, bench_point, bench_batched, bench_cold_fetch);
 criterion_main!(benches);

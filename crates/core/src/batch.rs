@@ -341,18 +341,21 @@ impl Database {
         let filtering = view.is_filtering();
         let pk_col = self.pk_col();
         result.rows.reserve(locs.len());
-        self.heap().for_each_row_batch(locs, &mut scratch.order, |i, row| match row {
-            None => result.unresolved += 1,
-            Some(row) => {
-                if filtering && row.value(pk_col).as_i64().is_some_and(|pk| !view.visible_pk(pk)) {
-                    // Invisible to this snapshot: skip silently.
-                } else if recheck.iter().all(|p| p.matches(row.f64(p.column))) {
-                    result.rows.push(locs[i]);
-                } else {
-                    result.false_positives += 1;
+        result.unreadable +=
+            self.heap().for_each_row_batch(locs, &mut scratch.order, |i, row| match row {
+                None => result.unresolved += 1,
+                Some(row) => {
+                    if filtering
+                        && row.value(pk_col).as_i64().is_some_and(|pk| !view.visible_pk(pk))
+                    {
+                        // Invisible to this snapshot: skip silently.
+                    } else if recheck.iter().all(|p| p.matches(row.f64(p.column))) {
+                        result.rows.push(locs[i]);
+                    } else {
+                        result.false_positives += 1;
+                    }
                 }
-            }
-        });
+            });
         result.breakdown.base_table += t3.elapsed();
     }
 }

@@ -92,6 +92,14 @@ impl Heap {
         }
     }
 
+    /// Number of columns per row.
+    pub fn width(&self) -> usize {
+        match self {
+            Heap::Mem(t) => t.read().schema().width(),
+            Heap::Paged(t) => t.schema().width(),
+        }
+    }
+
     fn insert(&self, row: &[Value]) -> hermit_storage::Result<RowLoc> {
         match self {
             Heap::Mem(t) => t.write().insert(row),
@@ -109,10 +117,15 @@ impl Heap {
 
     /// Visit one row under a single heap access; every predicate column is
     /// read from the same visit (one page pin on the paged substrate).
-    /// `None` for deleted/unresolvable rows.
-    pub fn with_row<T>(&self, loc: RowLoc, f: impl FnOnce(Option<RowRef<'_>>) -> T) -> T {
+    /// `None` for deleted/unresolvable rows; an error when the row's page
+    /// cannot be read (paged substrate only) — which is *not* a deleted row.
+    pub fn with_row<T>(
+        &self,
+        loc: RowLoc,
+        f: impl FnOnce(Option<RowRef<'_>>) -> T,
+    ) -> hermit_storage::Result<T> {
         match self {
-            Heap::Mem(t) => t.read().with_row(loc, f),
+            Heap::Mem(t) => Ok(t.read().with_row(loc, f)),
             Heap::Paged(t) => t.with_row(loc, f),
         }
     }
@@ -123,14 +136,22 @@ impl Heap {
     /// in input order under one read-latch acquisition. `f` gets each
     /// candidate's index into `locs` and its row view, and must not
     /// re-enter the heap.
+    ///
+    /// Returns the number of heap pages that could not be read (always 0 in
+    /// memory); their candidates were not visited, so a non-zero count means
+    /// the caller's answer is incomplete — see
+    /// [`PagedTable::for_each_row_batch`].
     pub fn for_each_row_batch(
         &self,
         locs: &[RowLoc],
         order: &mut Vec<u32>,
         f: impl FnMut(usize, Option<RowRef<'_>>),
-    ) {
+    ) -> usize {
         match self {
-            Heap::Mem(t) => t.read().for_each_row_batch(locs, f),
+            Heap::Mem(t) => {
+                t.read().for_each_row_batch(locs, f);
+                0
+            }
             Heap::Paged(t) => t.for_each_row_batch(locs, order, f),
         }
     }
@@ -166,9 +187,13 @@ impl Heap {
     /// substrate (one pool access per page); on the in-memory substrate the
     /// read latch is held for the duration of the scan (writers wait, other
     /// readers proceed). This is the seq-scan access path of the planner.
-    pub fn for_each_live_row(&self, f: impl FnMut(RowLoc, RowRef<'_>) -> bool) -> bool {
+    /// The paged scan stops with an error at the first unreadable page.
+    pub fn for_each_live_row(
+        &self,
+        f: impl FnMut(RowLoc, RowRef<'_>) -> bool,
+    ) -> hermit_storage::Result<bool> {
         match self {
-            Heap::Mem(t) => t.read().for_each_live_row(f),
+            Heap::Mem(t) => Ok(t.read().for_each_live_row(f)),
             Heap::Paged(t) => t.for_each_live_row(f),
         }
     }
@@ -211,6 +236,20 @@ impl MemoryReport {
     pub fn total(&self) -> usize {
         self.table + self.existing_indexes + self.new_indexes
     }
+}
+
+/// I/O-side counters of the paged substrate (see
+/// [`Database::pool_io_counters`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PoolIoCounters {
+    /// Buffer-pool misses whose page-store read failed.
+    pub read_errors: u64,
+    /// Page reads the store served. Can exceed the pool's misses: two
+    /// threads missing on one page both read it, and a load whose image
+    /// went stale in flight reads again.
+    pub store_reads: u64,
+    /// Page writes the store accepted (allocations, evictions, flushes).
+    pub store_writes: u64,
 }
 
 /// A single-table database with Hermit support.
@@ -699,6 +738,24 @@ impl Database {
             Heap::Paged(t) => {
                 let stats = t.pool().stats();
                 Some((stats.hits(), stats.misses(), stats.evictions()))
+            }
+        }
+    }
+
+    /// The paged substrate's I/O-side counters, next to
+    /// [`pool_counters`](Self::pool_counters): failed page loads and the
+    /// page store's own read/write counts. `None` for the in-memory heap.
+    pub fn pool_io_counters(&self) -> Option<PoolIoCounters> {
+        match &self.heap {
+            Heap::Mem(_) => None,
+            Heap::Paged(t) => {
+                let pool = t.pool();
+                let io = pool.store().stats();
+                Some(PoolIoCounters {
+                    read_errors: pool.stats().read_errors(),
+                    store_reads: io.reads(),
+                    store_writes: io.writes(),
+                })
             }
         }
     }

@@ -65,6 +65,11 @@ pub struct QueryResult {
     pub false_positives: usize,
     /// Candidates whose tid did not resolve (deleted tuples etc.).
     pub unresolved: usize,
+    /// Heap pages that could not be read while validating or materializing
+    /// (an I/O error, not a deleted row — their candidates are in none of
+    /// the other counts). Non-zero means `rows` may be missing matches: the
+    /// result is an error to report, not an answer.
+    pub unreadable: usize,
     /// Per-phase wall-clock time.
     pub breakdown: LookupBreakdown,
     /// Materialized projection, aligned with `rows` — present only when the
@@ -155,26 +160,54 @@ impl Database {
 
     /// Apply a plan's limit and projection to a validated result.
     ///
-    /// Projection rows are fetched page-grouped through
-    /// [`crate::Heap::for_each_row_batch`] — each heap page pinned once —
-    /// but `projected` stays aligned with `rows` order.
+    /// Projection rows come from [`fetch_rows`](Self::fetch_rows) — each
+    /// heap page pinned once — and `projected` stays aligned with `rows`
+    /// order (a row deleted since validation projects as NULLs).
     pub(crate) fn finish_plan(&self, plan: &QueryPlan, result: &mut QueryResult) {
         if let Some(n) = plan.limit {
             result.rows.truncate(n);
         }
         if let Some(cols) = &plan.projection {
             let t = Instant::now();
-            let mut projected = vec![Vec::new(); result.rows.len()];
-            let mut order = Vec::new();
-            self.heap().for_each_row_batch(&result.rows, &mut order, |i, row| {
-                projected[i] = match row {
-                    Some(row) => cols.iter().map(|&c| row.value(c)).collect(),
-                    None => vec![Value::Null; cols.len()],
-                };
-            });
-            result.projected = Some(projected);
+            let (fetched, unreadable) = self.fetch_rows(&result.rows, Some(cols));
+            result.unreadable += unreadable;
+            result.projected = Some(
+                fetched
+                    .into_iter()
+                    .map(|row| row.unwrap_or_else(|| vec![Value::Null; cols.len()]))
+                    .collect(),
+            );
             result.breakdown.base_table += t.elapsed();
         }
+    }
+
+    /// Materialize the rows at `locs` — the columns in `cols`, or every
+    /// column when `None` — visiting the heap grouped by page
+    /// ([`crate::Heap::for_each_row_batch`]): one page pin per distinct
+    /// page instead of one lock + lookup + fetch per row. The output is
+    /// aligned with `locs`; `None` marks a row that no longer exists
+    /// (deleted since the caller validated it). The second value is the
+    /// number of pages that could not be read — when non-zero some `None`s
+    /// are I/O errors rather than deletions, and the caller must report an
+    /// error instead of the rows.
+    ///
+    /// The one materializer behind query projections and the server's
+    /// full-row responses.
+    pub fn fetch_rows(
+        &self,
+        locs: &[RowLoc],
+        cols: Option<&[ColumnId]>,
+    ) -> (Vec<Option<Vec<Value>>>, usize) {
+        let width = self.heap().width();
+        let mut fetched = vec![None; locs.len()];
+        let mut order = Vec::new();
+        let unreadable = self.heap().for_each_row_batch(locs, &mut order, |i, row| {
+            fetched[i] = row.map(|row| match cols {
+                Some(cols) => cols.iter().map(|&c| row.value(c)).collect(),
+                None => (0..width).map(|c| row.value(c)).collect(),
+            });
+        });
+        (fetched, unreadable)
     }
 
     /// Execute a range lookup on an indexed column, dispatching to the
@@ -305,7 +338,7 @@ impl Database {
         let pk_col = self.pk_col();
         let rows = &mut result.rows;
         if limit > 0 {
-            self.heap().for_each_live_row(|loc, row| {
+            let scanned = self.heap().for_each_live_row(|loc, row| {
                 if filtering && row.value(pk_col).as_i64().is_some_and(|pk| !view.visible_pk(pk)) {
                     return true; // invisible to this snapshot; keep scanning
                 }
@@ -314,6 +347,8 @@ impl Database {
                 }
                 rows.len() < limit
             });
+            // The scan stops at the first page it cannot read.
+            result.unreadable += usize::from(scanned.is_err());
         }
         result.breakdown.base_table += t.elapsed();
     }
@@ -360,7 +395,7 @@ impl Database {
         // so extra conjuncts never resolve the page twice.
         let t3 = Instant::now();
         for loc in locs {
-            self.heap().with_row(loc, |row| match row {
+            let visited = self.heap().with_row(loc, |row| match row {
                 None => result.unresolved += 1,
                 Some(row) => {
                     if recheck.iter().all(|p| p.matches(row.f64(p.column))) {
@@ -370,6 +405,7 @@ impl Database {
                     }
                 }
             });
+            result.unreadable += usize::from(visited.is_err());
         }
         result.breakdown.base_table += t3.elapsed();
     }
@@ -399,10 +435,11 @@ impl Database {
         let t3 = Instant::now();
         let filtering = view.is_filtering();
         let pk_col = self.pk_col();
-        // 0 = unresolved, 1 = match, 2 = false positive, 3 = invisible.
-        let mut verdicts = vec![0u8; locs.len()];
+        // 0 = unresolved, 1 = match, 2 = false positive, 3 = invisible,
+        // 4 = never visited (its page was unreadable).
+        let mut verdicts = vec![4u8; locs.len()];
         let mut order = Vec::new();
-        self.heap().for_each_row_batch(&locs, &mut order, |i, row| {
+        result.unreadable += self.heap().for_each_row_batch(&locs, &mut order, |i, row| {
             verdicts[i] = match row {
                 None => 0,
                 Some(row) => {
@@ -420,10 +457,10 @@ impl Database {
         });
         for (i, &loc) in locs.iter().enumerate() {
             match verdicts[i] {
+                0 => result.unresolved += 1,
                 1 => result.rows.push(loc),
                 2 => result.false_positives += 1,
-                3 => {}
-                _ => result.unresolved += 1,
+                _ => {}
             }
         }
         result.breakdown.base_table += t3.elapsed();

@@ -59,7 +59,7 @@ pub use batch::BatchOptions;
 pub use breakdown::{InsertBreakdown, LookupBreakdown, Phase};
 pub use composite::{CompositeIndex, CompositeIndexes};
 pub use correlation::{discover_correlations, CorrelationReport, DiscoveryConfig};
-pub use database::{Database, Heap, MemoryReport};
+pub use database::{Database, Heap, MemoryReport, PoolIoCounters};
 pub use error::CoreError;
 pub use executor::{QueryResult, RangePredicate};
 pub use hermit_txn::{TxnCounters, TxnError};

@@ -110,7 +110,10 @@ pub(crate) fn snapshot_name(target: ColumnId, epoch: u64) -> String {
 pub struct DurabilityConfig {
     /// Buffer-pool capacity in pages.
     pub pool_pages: usize,
-    /// Buffer-pool shards.
+    /// Buffer-pool shards (clamped to `pool_pages`: every shard needs a
+    /// frame). Hits on pages of different shards do not share a lock, which
+    /// is what lets connections reading a cached working set run side by
+    /// side; one shard gives fully deterministic clock replacement instead.
     pub pool_shards: usize,
     /// Commit batch: the WAL fsyncs automatically after this many appended
     /// records (1 = every statement durable, at one fsync per statement).
@@ -118,9 +121,17 @@ pub struct DurabilityConfig {
     pub wal_sync_every: usize,
 }
 
+impl DurabilityConfig {
+    /// The buffer pool this configuration describes, over `store`.
+    fn open_pool(&self, store: Arc<dyn PageStore>) -> Arc<BufferPool> {
+        let shards = self.pool_shards.min(self.pool_pages);
+        Arc::new(BufferPool::new_sharded(store, self.pool_pages, shards))
+    }
+}
+
 impl Default for DurabilityConfig {
     fn default() -> Self {
-        DurabilityConfig { pool_pages: 1024, pool_shards: 1, wal_sync_every: 64 }
+        DurabilityConfig { pool_pages: 1024, pool_shards: 16, wal_sync_every: 64 }
     }
 }
 
@@ -307,8 +318,7 @@ impl Database {
     ) -> Result<Database, CoreError> {
         std::fs::create_dir_all(dir).map_err(StorageError::from)?;
         let store = Arc::new(FilePageStore::create(&dir.join(PAGES_FILE))?);
-        let pool = Arc::new(BufferPool::new_sharded(store, config.pool_pages, config.pool_shards));
-        let table = PagedTable::new(schema, pool);
+        let table = PagedTable::new(schema, config.open_pool(store));
         let mut db = Database::new_paged(table, pk_col);
         db.durability = Some(Durability {
             dir: dir.to_path_buf(),
@@ -519,7 +529,7 @@ impl Database {
     ) -> Result<Database, CoreError> {
         let catalog = Catalog::read(&dir.join(CATALOG_FILE))?;
         store.reserve(catalog.next_page);
-        let pool = Arc::new(BufferPool::new_sharded(store, config.pool_pages, config.pool_shards));
+        let pool = config.open_pool(store);
         let page_ids: Vec<u64> = catalog.pages.iter().map(|e| e.page).collect();
         let (table, observed) = PagedTable::reopen(catalog.schema.clone(), pool, page_ids)?;
 
@@ -764,7 +774,7 @@ impl Database {
                     }
                 }
                 true
-            });
+            })?;
             if ghosts.is_empty() {
                 break;
             }

@@ -111,7 +111,7 @@ impl PageStore for FaultyPageStore {
         self.inner.allocate()
     }
 
-    fn read(&self, id: PageId) -> hermit_storage::Result<Page> {
+    fn read_into(&self, id: PageId, page: &mut Page) -> hermit_storage::Result<()> {
         let nth = self.reads.fetch_add(1, Ordering::SeqCst);
         if self.fail_reads.load(Ordering::SeqCst) {
             return Err(self.eio("read"));
@@ -119,7 +119,7 @@ impl PageStore for FaultyPageStore {
         if let Some(FaultKind::Eio) = self.plan.lock().decide(FaultOp::Read, nth) {
             return Err(self.eio("read"));
         }
-        self.inner.read(id)
+        self.inner.read_into(id, page)
     }
 
     fn write(&self, id: PageId, page: &Page) -> hermit_storage::Result<()> {
@@ -142,12 +142,12 @@ impl PageStore for FaultyPageStore {
                 // First `keep` bytes of the new image land; the rest keeps
                 // whatever the device held before (zeros for a fresh page).
                 let keep = keep.min(PAGE_SIZE);
-                let mut bytes = match self.inner.read(id) {
-                    Ok(old) => *old.as_bytes(),
-                    Err(_) => [0u8; PAGE_SIZE],
-                };
-                bytes[..keep].copy_from_slice(&page.as_bytes()[..keep]);
-                self.inner.write(id, &Page::from_bytes(&bytes))
+                let mut torn = Page::zeroed();
+                if self.inner.read_into(id, &mut torn).is_err() {
+                    torn.as_bytes_mut().fill(0);
+                }
+                torn.as_bytes_mut()[..keep].copy_from_slice(&page.as_bytes()[..keep]);
+                self.inner.write(id, &torn)
             }
             None => self.inner.write(id, page),
         }
@@ -196,6 +196,12 @@ mod tests {
     use crate::plan::PlannedFault;
     use hermit_storage::paged::SimulatedPageStore;
 
+    fn read(store: &FaultyPageStore, id: PageId) -> hermit_storage::Result<Page> {
+        let mut page = Page::zeroed();
+        store.read_into(id, &mut page)?;
+        Ok(page)
+    }
+
     fn page_of(byte: u8) -> Page {
         let mut p = Page::new(16);
         p.insert(&[byte; 16]).unwrap();
@@ -207,7 +213,7 @@ mod tests {
         let store = FaultyPageStore::new(Arc::new(SimulatedPageStore::new()));
         let id = store.allocate();
         store.write(id, &page_of(7)).unwrap();
-        assert_eq!(store.read(id).unwrap().get(0).unwrap(), &[7u8; 16]);
+        assert_eq!(read(&store, id).unwrap().get(0).unwrap(), &[7u8; 16]);
         store.sync().unwrap();
         assert_eq!(store.injected(), 0);
     }
@@ -227,10 +233,10 @@ mod tests {
         store.write(id, &page_of(3)).unwrap();
         store.sync().unwrap();
         store.set_lying(false);
-        assert_eq!(store.read(id).unwrap().get(0).unwrap(), &[1u8; 16], "lying write dropped");
+        assert_eq!(read(&store, id).unwrap().get(0).unwrap(), &[1u8; 16], "lying write dropped");
 
         store.set_fail_reads(true);
-        assert!(store.read(id).is_err());
+        assert!(read(&store, id).is_err());
         store.set_fail_reads(false);
         assert!(store.injected() >= 4);
     }
@@ -245,8 +251,8 @@ mod tests {
         store.drop_page(a);
         store.write(a, &page_of(9)).unwrap();
         store.write(b, &page_of(9)).unwrap();
-        assert_eq!(store.read(a).unwrap().get(0).unwrap(), &[1u8; 16]);
-        assert_eq!(store.read(b).unwrap().get(0).unwrap(), &[9u8; 16]);
+        assert_eq!(read(&store, a).unwrap().get(0).unwrap(), &[1u8; 16]);
+        assert_eq!(read(&store, b).unwrap().get(0).unwrap(), &[9u8; 16]);
     }
 
     #[test]
@@ -269,7 +275,7 @@ mod tests {
                                         // the previous device content, byte for byte.
         let mut expected = *old.as_bytes();
         expected[..KEEP].copy_from_slice(&new.as_bytes()[..KEEP]);
-        assert_eq!(store.read(id).unwrap().as_bytes(), &expected);
+        assert_eq!(read(&store, id).unwrap().as_bytes(), &expected);
         assert_eq!(store.injected(), 1);
     }
 }

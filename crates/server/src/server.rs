@@ -416,14 +416,29 @@ fn handle_request(inner: &Arc<Inner>, request: Request, txn: &mut Option<u64>) -
                 }
             }
             // Materialize: the projection when the query carried one, full
-            // rows otherwise. A row deleted between validation and fetch is
+            // rows otherwise, fetched page-grouped by the executor's own
+            // materializer. A row deleted between validation and fetch is
             // skipped, exactly like any other dead candidate.
+            let mut unreadable = result.unreadable;
             let rows: Vec<Vec<hermit_storage::Value>> = match result.projected {
                 Some(projected) => projected,
                 None => {
-                    result.rows.iter().filter_map(|&loc| db.db().heap().get(loc).ok()).collect()
+                    let (fetched, failed) = db.db().fetch_rows(&result.rows, None);
+                    unreadable += failed;
+                    fetched.into_iter().flatten().collect()
                 }
             };
+            // A heap page that could not be read is not a deleted row: the
+            // answer may be missing matches, so it is an error, not a
+            // shorter result.
+            if unreadable > 0 {
+                return Response::Error {
+                    code: ErrorCode::Storage,
+                    message: format!(
+                        "{unreadable} heap page(s) could not be read; result discarded"
+                    ),
+                };
+            }
             if rows.len() > max_rows_per_response() {
                 return Response::Error {
                     code: ErrorCode::BadRequest,
@@ -562,6 +577,13 @@ fn render_stats(inner: &Arc<Inner>) -> String {
         let total = hits + misses;
         let rate = if total == 0 { 1.0 } else { hits as f64 / total as f64 };
         let _ = writeln!(out, "hermit_pool_hit_rate {rate:.6}");
+    }
+    if let Some(io) = db.pool_io_counters() {
+        let _ = writeln!(out, "hermit_pool_read_errors {}", io.read_errors);
+        // Racing loads of one page, and re-reads of an image that went
+        // stale in flight, make store reads >= pool misses legal.
+        let _ = writeln!(out, "hermit_store_reads {}", io.store_reads);
+        let _ = writeln!(out, "hermit_store_writes {}", io.store_writes);
     }
     if let Some(depth) = db.wal_depth() {
         let _ = writeln!(out, "hermit_wal_uncommitted {depth}");

@@ -5,18 +5,60 @@
 //! pool exposes the same knob (capacity in pages) plus hit/miss counters so
 //! the benchmark harness can report the breakdown.
 //!
+//! # Access
+//!
+//! Pages are visited *in place*: [`BufferPool::read`] and
+//! [`BufferPool::write`] run a caller closure against the cached frame under
+//! the page's shard lock and return whatever the closure extracts. Nothing
+//! is copied out, no guard escapes, and the closure must not re-enter the
+//! pool — which is what keeps the pool trivially deadlock-free.
+//!
+//! # Sharding
+//!
 //! The pool is split into independent *shards* — inner pools keyed by
 //! `page_id % shards`, each behind its own mutex with its own clock hand —
-//! so concurrent readers touching different pages do not serialize on a
-//! single lock. [`BufferPool::new`] builds a single-shard pool (fully
-//! deterministic replacement, the right default for the small pools the
-//! experiments configure); [`BufferPool::new_sharded`] spreads the capacity
-//! across N shards for parallel execution paths.
+//! so hits on different pages do not queue on one lock.
+//! [`BufferPool::new`] builds a single-shard pool (fully deterministic
+//! replacement, the right default for the small pools the experiments
+//! configure); [`BufferPool::new_sharded`] spreads the capacity across N
+//! shards for concurrent serving.
+//!
+//! # The miss path: pin → unlocked I/O → publish
+//!
+//! A shard lock is never held across a store *read*. A miss
+//!
+//! 1. under the shard lock picks a frame — a free one, else the clock
+//!    victim, written back first if dirty — unmaps it and takes its 8 KiB
+//!    buffer, leaving the slot marked as loading;
+//! 2. **unlocks** and issues one [`PageStore::read_into`] straight into that
+//!    recycled buffer, on the calling thread (fault hooks are thread-local);
+//!    readers missing on other pages of the shard do the same concurrently,
+//!    and hits proceed;
+//! 3. relocks and publishes the frame.
+//!
+//! [`BufferPool::allocate`] and write-misses take the same path, so in
+//! steady state a miss neither allocates nor frees memory: buffers only
+//! move between slots and loading threads.
+//!
+//! Two races are closed at publish time. **Duplicate loads:** two threads
+//! may miss on the same page and both read it; whoever relocks second finds
+//! the page mapped, returns its reserved frame to the free list and uses
+//! the winner's. (Store reads can therefore exceed pool misses' worth of
+//! *installs*; [`IoStats`](super::io::IoStats) shows the difference.)
+//! **Stale installs:** between a loader's read and its publish the page can
+//! be loaded by someone else, modified, and written back (evicted dirty, or
+//! flushed and then evicted) — the loader's image is then older than the
+//! store's. Every write-back bumps the shard's *write epoch*; a loader
+//! whose epoch moved while it was reading discards the image and reads
+//! again.
+//!
+//! Victim write-back stays under the shard lock: the victim must not be
+//! re-readable from the store before its newest image is there.
 
 use super::io::PageStore;
 use super::page::{Page, PageId};
 use crate::Result;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -31,6 +73,7 @@ pub struct PoolStats {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
+    read_errors: AtomicU64,
 }
 
 impl PoolStats {
@@ -49,11 +92,18 @@ impl PoolStats {
         self.evictions.load(Ordering::Relaxed)
     }
 
+    /// Misses whose store read failed (the page stayed unloaded and the
+    /// caller got the error).
+    pub fn read_errors(&self) -> u64 {
+        self.read_errors.load(Ordering::Relaxed)
+    }
+
     /// Reset all counters.
     pub fn reset(&self) {
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
         self.evictions.store(0, Ordering::Relaxed);
+        self.read_errors.store(0, Ordering::Relaxed);
     }
 }
 
@@ -64,25 +114,61 @@ struct Frame {
     dirty: bool,
 }
 
+/// One frame slot of a shard.
+enum Slot {
+    /// Unoccupied and listed in [`PoolInner::free`]. Keeps its last
+    /// occupant's buffer (none before first use) for the next load to fill.
+    Free(Option<Page>),
+    /// Reserved by a load in progress: the buffer is out with the loading
+    /// thread, which publishes or releases the slot under the shard lock.
+    Loading,
+    /// Holds a mapped page.
+    Resident(Frame),
+}
+
 struct PoolInner {
-    frames: Vec<Option<Frame>>,
-    /// page id → frame index
+    slots: Vec<Slot>,
+    /// page id → slot index, for [`Slot::Resident`] slots only
     map: HashMap<PageId, usize>,
-    /// Unoccupied frame indices; popping one is O(1), replacing the linear
-    /// scan a fill used to pay per install.
+    /// Indices of [`Slot::Free`] slots; popping one is O(1).
     free: Vec<usize>,
     clock_hand: usize,
+    /// Bumped for every page image this shard writes back to the store; a
+    /// load that observes it move between its read and its publish may hold
+    /// a stale image and reads again (see the module docs).
+    write_epoch: u64,
 }
 
 impl PoolInner {
     fn with_capacity(capacity: usize) -> Self {
         PoolInner {
-            frames: (0..capacity).map(|_| None).collect(),
+            slots: (0..capacity).map(|_| Slot::Free(None)).collect(),
             map: HashMap::with_capacity(capacity),
-            // Reverse order so frames are handed out 0, 1, 2, … — the same
-            // fill order the old linear scan produced.
+            // Reverse order so frames are handed out 0, 1, 2, ….
             free: (0..capacity).rev().collect(),
             clock_hand: 0,
+            write_epoch: 0,
+        }
+    }
+
+    /// Map `id` to the reserved slot `idx`, now holding `page`.
+    fn publish(&mut self, idx: usize, id: PageId, page: Page) {
+        self.slots[idx] =
+            Slot::Resident(Frame { page_id: id, page, referenced: true, dirty: false });
+        self.map.insert(id, idx);
+    }
+
+    /// Give the reserved slot `idx` back unmapped, keeping `page` as its
+    /// buffer.
+    fn release(&mut self, idx: usize, page: Page) {
+        self.slots[idx] = Slot::Free(Some(page));
+        self.free.push(idx);
+    }
+
+    fn frame_mut(&mut self, idx: usize) -> &mut Frame {
+        match &mut self.slots[idx] {
+            Slot::Resident(frame) => frame,
+            _ => unreachable!("the page map only names resident slots"),
         }
     }
 }
@@ -137,58 +223,58 @@ impl BufferPool {
         &self.store
     }
 
+    /// `(resident, free)` frame counts summed across shards. The remainder
+    /// up to [`capacity`](Self::capacity) is out with loads in progress, so
+    /// on a quiescent pool the two add up to the capacity — a load that
+    /// failed or lost a duplicate-load race must have returned its frame.
+    pub fn frame_counts(&self) -> (usize, usize) {
+        self.shards.iter().fold((0, 0), |(resident, free), shard| {
+            let inner = shard.lock();
+            (resident + inner.map.len(), free + inner.free.len())
+        })
+    }
+
     #[inline]
     fn shard(&self, id: PageId) -> &Mutex<PoolInner> {
         &self.shards[(id % self.shards.len() as u64) as usize]
     }
 
     /// Allocate a fresh page in the store and install an empty page image in
-    /// the pool.
+    /// the pool. The image is formatted in a recycled frame and persisted
+    /// with the shard unlocked, so a later miss can re-read it.
     pub fn allocate(&self, record_width: u16) -> Result<PageId> {
         let id = self.store.allocate();
-        let page = Page::new(record_width);
-        // Persist immediately so a later miss can re-read it.
-        self.store.write(id, &page)?;
-        let mut inner = self.shard(id).lock();
-        self.install(&mut inner, id, page)?;
-        Ok(id)
+        let shard = self.shard(id);
+        let (inner, idx, mut page) = self.reserve(shard, shard.lock())?;
+        drop(inner);
+        page.format(record_width);
+        let written = self.store.write(id, &page);
+        let mut inner = shard.lock();
+        match written {
+            Ok(()) => inner.publish(idx, id, page),
+            Err(_) => inner.release(idx, page),
+        }
+        written.map(|()| id)
     }
 
-    /// Read a page through the pool, copying the result out.
-    ///
-    /// A copying API (rather than returning guards) keeps the pool trivially
-    /// deadlock-free; the per-fetch copy is the same order of magnitude as
-    /// the page-miss cost we are modeling and is charged to both hits and
-    /// misses uniformly. Batch callers amortize the lock + map lookup by
-    /// extracting many values under one `f`.
+    /// Visit a page through the pool: `f` runs against the cached frame
+    /// under the page's shard lock and its result is returned. On a miss the
+    /// page is loaded first, with the lock *released* for the store read
+    /// (see the module docs). `f` must not re-enter the pool. Batch callers
+    /// amortize the lock + map lookup by extracting many values under one
+    /// `f`.
     pub fn read<T>(&self, id: PageId, f: impl FnOnce(&Page) -> T) -> Result<T> {
-        let mut inner = self.shard(id).lock();
-        if let Some(&frame_idx) = inner.map.get(&id) {
-            self.stats.hits.fetch_add(1, Ordering::Relaxed);
-            let frame = inner.frames[frame_idx].as_mut().expect("mapped frame exists");
-            frame.referenced = true;
-            return Ok(f(&frame.page));
-        }
-        self.stats.misses.fetch_add(1, Ordering::Relaxed);
-        let page = self.store.read(id)?;
-        let frame_idx = self.install(&mut inner, id, page)?;
-        let frame = inner.frames[frame_idx].as_ref().expect("installed frame exists");
+        let (mut inner, idx) = self.fetch(id)?;
+        let frame = inner.frame_mut(idx);
+        frame.referenced = true;
         Ok(f(&frame.page))
     }
 
     /// Mutate a page through the pool; the frame is marked dirty and written
     /// back on eviction or [`flush`](Self::flush).
     pub fn write<T>(&self, id: PageId, f: impl FnOnce(&mut Page) -> T) -> Result<T> {
-        let mut inner = self.shard(id).lock();
-        let frame_idx = if let Some(&idx) = inner.map.get(&id) {
-            self.stats.hits.fetch_add(1, Ordering::Relaxed);
-            idx
-        } else {
-            self.stats.misses.fetch_add(1, Ordering::Relaxed);
-            let page = self.store.read(id)?;
-            self.install(&mut inner, id, page)?
-        };
-        let frame = inner.frames[frame_idx].as_mut().expect("frame exists");
+        let (mut inner, idx) = self.fetch(id)?;
+        let frame = inner.frame_mut(idx);
         frame.referenced = true;
         frame.dirty = true;
         Ok(f(&mut frame.page))
@@ -199,13 +285,7 @@ impl BufferPool {
     /// written pages could still sit in the OS page cache at a crash).
     pub fn flush(&self) -> Result<()> {
         for shard in &self.shards {
-            let mut inner = shard.lock();
-            for frame in inner.frames.iter_mut().flatten() {
-                if frame.dirty {
-                    self.store.write(frame.page_id, &frame.page)?;
-                    frame.dirty = false;
-                }
-            }
+            self.write_back_dirty(&mut shard.lock())?;
         }
         self.store.sync()
     }
@@ -213,52 +293,134 @@ impl BufferPool {
     /// Drop every cached frame (writing dirty ones back). Used by benchmarks
     /// to start from a cold cache.
     pub fn clear(&self) -> Result<()> {
-        self.flush()?;
         for shard in &self.shards {
             let mut inner = shard.lock();
-            let capacity = inner.frames.len();
-            for frame in inner.frames.iter_mut() {
-                *frame = None;
-            }
+            self.write_back_dirty(&mut inner)?;
+            let inner = &mut *inner;
             inner.map.clear();
             inner.free.clear();
-            inner.free.extend((0..capacity).rev());
             inner.clock_hand = 0;
+            // Slots out with a load stay out; everything else is free again,
+            // handed out 0, 1, 2, … like a new pool.
+            for (idx, slot) in inner.slots.iter_mut().enumerate().rev() {
+                *slot = match std::mem::replace(slot, Slot::Loading) {
+                    Slot::Resident(frame) => Slot::Free(Some(frame.page)),
+                    other => other,
+                };
+                if matches!(slot, Slot::Free(_)) {
+                    inner.free.push(idx);
+                }
+            }
+        }
+        self.store.sync()
+    }
+
+    /// Write every dirty frame of one shard back to the store.
+    fn write_back_dirty(&self, inner: &mut PoolInner) -> Result<()> {
+        for slot in inner.slots.iter_mut() {
+            if let Slot::Resident(frame) = slot {
+                if frame.dirty {
+                    self.store.write(frame.page_id, &frame.page)?;
+                    frame.dirty = false;
+                    inner.write_epoch += 1;
+                }
+            }
         }
         Ok(())
     }
 
-    /// Install `page` into a frame of `inner`, evicting via the clock
-    /// algorithm if necessary. Returns the frame index.
-    fn install(&self, inner: &mut PoolInner, id: PageId, page: Page) -> Result<usize> {
-        // Fast path: a free frame off the stack.
-        if let Some(idx) = inner.free.pop() {
-            inner.frames[idx] = Some(Frame { page_id: id, page, referenced: true, dirty: false });
-            inner.map.insert(id, idx);
-            return Ok(idx);
+    /// Lock `id`'s shard and return it with the index of the resident slot
+    /// holding `id`, loading the page first if it is not cached.
+    fn fetch(&self, id: PageId) -> Result<(MutexGuard<'_, PoolInner>, usize)> {
+        let shard = self.shard(id);
+        let inner = shard.lock();
+        if let Some(&idx) = inner.map.get(&id) {
+            self.stats.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok((inner, idx));
         }
-        // Clock sweep: clear reference bits until a victim is found. Bounded
-        // by two full sweeps.
-        let cap = inner.frames.len();
+        self.stats.misses.fetch_add(1, Ordering::Relaxed);
+        let (mut inner, idx, mut page) = self.reserve(shard, inner)?;
+        loop {
+            let epoch = inner.write_epoch;
+            drop(inner);
+            let loaded = self.store.read_into(id, &mut page);
+            inner = shard.lock();
+            if let Err(e) = loaded {
+                self.stats.read_errors.fetch_add(1, Ordering::Relaxed);
+                inner.release(idx, page);
+                return Err(e);
+            }
+            if let Some(&winner) = inner.map.get(&id) {
+                // Lost a duplicate-load race: the winner's frame may already
+                // carry writes this image lacks.
+                inner.release(idx, page);
+                return Ok((inner, winner));
+            }
+            if inner.write_epoch == epoch {
+                inner.publish(idx, id, page);
+                return Ok((inner, idx));
+            }
+            // The shard wrote pages back while this one was being read — it
+            // may have been among them. Read again.
+        }
+    }
+
+    /// Take one frame of the locked shard out of circulation for a load:
+    /// returns the guard, the slot index (now [`Slot::Loading`]) and the
+    /// slot's recycled buffer. When every frame of the shard is out with
+    /// another load, waits for one to come back — each is held for one
+    /// store access, and none of their holders waits on this thread.
+    fn reserve<'a>(
+        &self,
+        shard: &'a Mutex<PoolInner>,
+        mut inner: MutexGuard<'a, PoolInner>,
+    ) -> Result<(MutexGuard<'a, PoolInner>, usize, Page)> {
+        loop {
+            if let Some((idx, page)) = self.try_reserve(&mut inner)? {
+                return Ok((inner, idx, page));
+            }
+            drop(inner);
+            std::thread::yield_now();
+            inner = shard.lock();
+        }
+    }
+
+    /// [`reserve`](Self::reserve) without the wait: a free slot if there is
+    /// one, else the clock victim — written back first if dirty, then
+    /// unmapped. `None` when no slot is free or resident.
+    fn try_reserve(&self, inner: &mut PoolInner) -> Result<Option<(usize, Page)>> {
+        if let Some(idx) = inner.free.pop() {
+            let Slot::Free(buffer) = std::mem::replace(&mut inner.slots[idx], Slot::Loading) else {
+                unreachable!("the free list only names free slots");
+            };
+            return Ok(Some((idx, buffer.unwrap_or_else(Page::zeroed))));
+        }
+        // Clock sweep: clear reference bits until a victim is found. One
+        // sweep clears every bit, so two always reach a resident frame if
+        // the shard has any.
+        let cap = inner.slots.len();
         for _ in 0..2 * cap {
             let idx = inner.clock_hand;
-            inner.clock_hand = (inner.clock_hand + 1) % cap;
-            let frame = inner.frames[idx].as_mut().expect("no free frames at this point");
+            inner.clock_hand = (idx + 1) % cap;
+            let Slot::Resident(frame) = &mut inner.slots[idx] else { continue };
             if frame.referenced {
                 frame.referenced = false;
                 continue;
             }
-            // Victim found.
             if frame.dirty {
                 self.store.write(frame.page_id, &frame.page)?;
+                frame.dirty = false;
+                inner.write_epoch += 1;
             }
-            inner.map.remove(&frame.page_id);
+            let Slot::Resident(victim) = std::mem::replace(&mut inner.slots[idx], Slot::Loading)
+            else {
+                unreachable!("slot {idx} was resident a moment ago, under the same lock");
+            };
+            inner.map.remove(&victim.page_id);
             self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-            inner.frames[idx] = Some(Frame { page_id: id, page, referenced: true, dirty: false });
-            inner.map.insert(id, idx);
-            return Ok(idx);
+            return Ok(Some((idx, victim.page)));
         }
-        unreachable!("clock sweep always finds a victim within two sweeps");
+        Ok(None)
     }
 }
 
@@ -329,7 +491,8 @@ mod tests {
         p.write(id, |page| page.insert(&99u64.to_le_bytes()).unwrap()).unwrap();
         p.flush().unwrap();
         // Bypass the pool: the store must have the data.
-        let raw = store.read(id).unwrap();
+        let mut raw = Page::zeroed();
+        store.read_into(id, &mut raw).unwrap();
         assert_eq!(raw.get(0).unwrap(), &99u64.to_le_bytes());
     }
 
@@ -349,7 +512,8 @@ mod tests {
             // must write it back (the old behavior lost the row entirely).
         };
         let store = FilePageStore::open(&path).unwrap();
-        let page = store.read(id).unwrap();
+        let mut page = Page::zeroed();
+        store.read_into(id, &mut page).unwrap();
         assert_eq!(
             page.get(0).unwrap(),
             &4_2u64.to_le_bytes(),
@@ -389,7 +553,7 @@ mod tests {
         assert_eq!(p.capacity(), 10);
         assert_eq!(p.shard_count(), 4);
         // 10 frames over 4 shards → 3 + 3 + 2 + 2.
-        let sizes: Vec<usize> = p.shards.iter().map(|s| s.lock().frames.len()).collect();
+        let sizes: Vec<usize> = p.shards.iter().map(|s| s.lock().slots.len()).collect();
         assert_eq!(sizes.iter().sum::<usize>(), 10);
         assert!(sizes.iter().all(|&s| s == 2 || s == 3));
     }
@@ -504,5 +668,218 @@ mod tests {
         });
         // 32 pages through 16 frames: plenty of concurrent churn.
         assert!(p.stats().evictions() > 0);
+    }
+    /// A store whose reads rendezvous: each `read_into` waits (bounded) until
+    /// `parties` reads are inside the store at once, then all proceed.
+    /// `met` records whether the rendezvous ever completed.
+    struct GatedStore {
+        inner: SimulatedPageStore,
+        parties: usize,
+        inside: std::sync::Mutex<usize>,
+        arrived: std::sync::Condvar,
+        met: std::sync::atomic::AtomicBool,
+    }
+
+    impl GatedStore {
+        fn new(parties: usize) -> Self {
+            GatedStore {
+                inner: SimulatedPageStore::new(),
+                parties,
+                inside: std::sync::Mutex::new(0),
+                arrived: std::sync::Condvar::new(),
+                met: std::sync::atomic::AtomicBool::new(false),
+            }
+        }
+
+        fn met(&self) -> bool {
+            self.met.load(Ordering::SeqCst)
+        }
+    }
+
+    impl PageStore for GatedStore {
+        fn allocate(&self) -> PageId {
+            self.inner.allocate()
+        }
+
+        fn read_into(&self, id: PageId, page: &mut Page) -> Result<()> {
+            let mut inside = self.inside.lock().unwrap();
+            *inside += 1;
+            self.arrived.notify_all();
+            let deadline = std::time::Duration::from_secs(5);
+            let (guard, _) =
+                self.arrived.wait_timeout_while(inside, deadline, |n| *n < self.parties).unwrap();
+            if *guard >= self.parties {
+                self.met.store(true, Ordering::SeqCst);
+            }
+            drop(guard);
+            self.inner.read_into(id, page)
+        }
+
+        fn write(&self, id: PageId, page: &Page) -> Result<()> {
+            self.inner.write(id, page)
+        }
+
+        fn page_count(&self) -> u64 {
+            self.inner.page_count()
+        }
+
+        fn stats(&self) -> &crate::paged::io::IoStats {
+            self.inner.stats()
+        }
+    }
+
+    fn counter(page: &Page) -> u64 {
+        u64::from_le_bytes(page.get(0).unwrap().try_into().unwrap())
+    }
+
+    #[test]
+    fn cold_readers_of_different_pages_overlap_inside_the_store() {
+        // One shard, so both pages share a lock: the rendezvous can only
+        // complete if that lock is released for the store read. Holding it
+        // across the read (the old design) leaves the second reader queued
+        // on the mutex and the first alone in the store until the timeout.
+        let store = Arc::new(GatedStore::new(2));
+        let p = BufferPool::new(store.clone(), 4);
+        let a = p.allocate(8).unwrap();
+        let b = p.allocate(8).unwrap();
+        p.write(a, |page| page.insert(&1u64.to_le_bytes()).unwrap()).unwrap();
+        p.write(b, |page| page.insert(&2u64.to_le_bytes()).unwrap()).unwrap();
+        p.clear().unwrap();
+        let (va, vb) = std::thread::scope(|s| {
+            let ra = s.spawn(|| p.read(a, counter).unwrap());
+            let rb = s.spawn(|| p.read(b, counter).unwrap());
+            (ra.join().unwrap(), rb.join().unwrap())
+        });
+        assert_eq!((va, vb), (1, 2));
+        assert!(store.met(), "two cold readers were never inside the store together");
+        assert_eq!(p.frame_counts(), (2, 2));
+    }
+
+    #[test]
+    fn racing_loads_of_one_page_map_exactly_one_frame() {
+        const READERS: usize = 4;
+        let store = Arc::new(GatedStore::new(READERS));
+        let p = BufferPool::new(store.clone(), 6);
+        let id = p.allocate(8).unwrap();
+        p.write(id, |page| page.insert(&77u64.to_le_bytes()).unwrap()).unwrap();
+        p.clear().unwrap();
+        p.stats().reset();
+        store.stats().reset();
+        std::thread::scope(|s| {
+            for _ in 0..READERS {
+                s.spawn(|| assert_eq!(p.read(id, counter).unwrap(), 77));
+            }
+        });
+        // Every reader missed and read the page (the gate holds them all
+        // inside the store at once); one image was published, and the
+        // losers' reserved frames went back to the free list.
+        assert!(store.met());
+        assert_eq!(p.stats().misses(), READERS as u64);
+        assert_eq!(store.stats().reads(), READERS as u64);
+        assert_eq!(p.frame_counts(), (1, 5), "one mapped frame, the rest free again");
+        p.stats().reset();
+        assert_eq!(p.read(id, counter).unwrap(), 77);
+        assert_eq!((p.stats().hits(), p.stats().misses()), (1, 0));
+    }
+
+    #[test]
+    fn stale_images_are_never_installed_over_written_back_pages() {
+        // Writers bump per-page counters through a pool far smaller than
+        // the page set, over a store slow enough that loads overlap
+        // evictions and flushes. Each `write` is atomic under its shard
+        // lock, so the only way to lose an increment is to install an image
+        // read before another thread's newer one was written back.
+        use std::time::Duration;
+        const PAGES: usize = 8;
+        const WRITERS: usize = 3;
+        const ROUNDS: usize = 400;
+        for (frames, shards) in [(2, 1), (3, 1), (4, 2)] {
+            let store = Arc::new(SimulatedPageStore::with_latency(
+                Duration::from_micros(20),
+                Duration::from_micros(5),
+            ));
+            let p = BufferPool::new_sharded(store, frames, shards);
+            let ids: Vec<PageId> = (0..PAGES).map(|_| p.allocate(8).unwrap()).collect();
+            for &id in &ids {
+                p.write(id, |page| page.insert(&0u64.to_le_bytes()).unwrap()).unwrap();
+            }
+            let issued: Vec<AtomicU64> = (0..PAGES).map(|_| AtomicU64::new(0)).collect();
+            let done = std::sync::atomic::AtomicBool::new(false);
+            std::thread::scope(|s| {
+                let writers: Vec<_> = (0..WRITERS)
+                    .map(|w| {
+                        let (p, ids, issued) = (&p, &ids, &issued);
+                        s.spawn(move || {
+                            let mut x = 0x9E37_79B9u64 + w as u64;
+                            for _ in 0..ROUNDS {
+                                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                                let k = (x >> 33) as usize % PAGES;
+                                p.write(ids[k], |page| {
+                                    let next = counter(page) + 1;
+                                    page.update(0, &next.to_le_bytes()).unwrap();
+                                })
+                                .unwrap();
+                                issued[k].fetch_add(1, Ordering::Relaxed);
+                            }
+                        })
+                    })
+                    .collect();
+                // Readers force evictions; a flusher cleans frames so that
+                // they are later evicted *without* a write-back.
+                for r in 0..2usize {
+                    let (p, ids, done) = (&p, &ids, &done);
+                    s.spawn(move || {
+                        let mut k = r;
+                        while !done.load(Ordering::Acquire) {
+                            p.read(ids[k % PAGES], counter).unwrap();
+                            k += 3;
+                        }
+                    });
+                }
+                {
+                    let (p, done) = (&p, &done);
+                    s.spawn(move || {
+                        while !done.load(Ordering::Acquire) {
+                            p.flush().unwrap();
+                            std::thread::yield_now();
+                        }
+                    });
+                }
+                // Release the readers and the flusher before unwrapping: a
+                // writer that panicked must fail the test, not hang it.
+                let outcomes: Vec<_> = writers.into_iter().map(|w| w.join()).collect();
+                done.store(true, Ordering::Release);
+                for outcome in outcomes {
+                    outcome.expect("writer panicked");
+                }
+            });
+            for (k, &id) in ids.iter().enumerate() {
+                assert_eq!(
+                    p.read(id, counter).unwrap(),
+                    issued[k].load(Ordering::Relaxed),
+                    "{frames} frames / {shards} shard(s): page {k} lost increments"
+                );
+            }
+            let (resident, free) = p.frame_counts();
+            assert_eq!(resident + free, frames, "a frame leaked out of the pool");
+        }
+    }
+
+    #[test]
+    fn failed_load_returns_its_frame() {
+        let store = Arc::new(SimulatedPageStore::new());
+        let p = BufferPool::new(store.clone(), 2);
+        let id = p.allocate(8).unwrap();
+        p.clear().unwrap();
+        // A page id the store never wrote: every load fails.
+        let ghost = store.allocate();
+        for _ in 0..5 {
+            assert!(p.read(ghost, |_| ()).is_err());
+            assert!(p.write(ghost, |_| ()).is_err());
+        }
+        assert_eq!(p.stats().read_errors(), 10);
+        assert_eq!(p.frame_counts(), (0, 2), "failed loads must hand their frames back");
+        p.read(id, |_| ()).unwrap();
+        assert_eq!(p.frame_counts(), (1, 1));
     }
 }

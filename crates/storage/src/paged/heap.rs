@@ -260,27 +260,27 @@ impl PagedTable {
     }
 
     /// Visit one row under a single page access. The callback receives
-    /// `None` if the row is deleted or its page unreadable; otherwise a
-    /// [`RowRef`] from which any number of cells can be decoded without
-    /// further pool traffic.
-    pub fn with_row<T>(&self, loc: RowLoc, f: impl FnOnce(Option<RowRef<'_>>) -> T) -> T {
-        let mut f = Some(f);
-        let result = self.pool.read(loc.block as PageId, |page| {
-            let f = f.take().expect("pool read callback runs at most once");
+    /// `None` if the row is deleted; otherwise a [`RowRef`] from which any
+    /// number of cells can be decoded without further pool traffic. A page
+    /// that cannot be read is an error, never a `None`: whether the row
+    /// exists is unknown, and the caller must not treat it as deleted.
+    pub fn with_row<T>(&self, loc: RowLoc, f: impl FnOnce(Option<RowRef<'_>>) -> T) -> Result<T> {
+        self.pool.read(loc.block as PageId, |page| {
             f(page.get(loc.offset as u16).ok().map(|bytes| RowRef::Encoded { bytes }))
-        });
-        match result {
-            Ok(t) => t,
-            // The page itself was unreadable; the row is as good as gone.
-            Err(_) => (f.take().expect("callback not yet consumed"))(None),
-        }
+        })
     }
 
     /// Visit a set of candidate rows grouped by page: candidates are sorted
     /// by `(page, slot)` through the reusable `order` scratch buffer, each
     /// page is pinned once, and all of its candidates are visited under that
     /// single pool access. `f` receives the candidate's index into `locs`
-    /// plus its row view (`None` when deleted/unreadable).
+    /// plus its row view (`None` when deleted).
+    ///
+    /// Returns the number of pages that could not be read. Their candidates
+    /// are **not** visited: an unreadable page says nothing about whether
+    /// its rows exist, so a caller that gets a non-zero count holds an
+    /// incomplete answer and must report an error rather than a shorter
+    /// result.
     ///
     /// Visitation order is page order, not `locs` order — callers that care
     /// about the original position use the index argument.
@@ -293,13 +293,14 @@ impl PagedTable {
         locs: &[RowLoc],
         order: &mut Vec<u32>,
         mut f: impl FnMut(usize, Option<RowRef<'_>>),
-    ) {
+    ) -> usize {
         order.clear();
         order.extend(0..locs.len() as u32);
         order.sort_unstable_by_key(|&i| {
             let loc = locs[i as usize];
             (loc.block, loc.offset)
         });
+        let mut unreadable = 0usize;
         let mut start = 0usize;
         while start < order.len() {
             let pid = locs[order[start] as usize].block as PageId;
@@ -316,13 +317,10 @@ impl PagedTable {
                     f(i as usize, row);
                 }
             });
-            if visited.is_err() {
-                for &i in run {
-                    f(i as usize, None);
-                }
-            }
+            unreadable += usize::from(visited.is_err());
             start = end;
         }
+        unreadable
     }
 
     /// Tombstone a row. The old row is decoded under the same page access
@@ -369,29 +367,25 @@ impl PagedTable {
     /// Stream every live row through a [`RowRef`] visitor, page by page in
     /// allocation order: each heap page is pinned once and all of its live
     /// rows are visited under that single pool access. The visitor returns
-    /// `false` to stop early (a `LIMIT`ed sequential scan); the final
-    /// return value reports whether the scan ran to completion.
+    /// `false` to stop early (a `LIMIT`ed sequential scan); the `Ok` value
+    /// reports whether the scan ran to completion.
     ///
-    /// Unreadable pages are skipped — their rows are as good as gone, the
-    /// same stance [`with_row`](Self::with_row) takes. `f` runs while the
-    /// page is pinned, so it must not re-enter the buffer pool.
-    pub fn for_each_live_row(&self, mut f: impl FnMut(RowLoc, RowRef<'_>) -> bool) -> bool {
+    /// The scan stops with the error at the first page that cannot be read
+    /// — skipping it would silently drop its rows from the answer. `f` runs
+    /// while the page is pinned, so it must not re-enter the buffer pool.
+    pub fn for_each_live_row(&self, mut f: impl FnMut(RowLoc, RowRef<'_>) -> bool) -> Result<bool> {
         let pages = self.pages.lock().clone();
         for pid in pages {
-            let mut keep_going = true;
-            let _ = self.pool.read(pid, |page| {
-                for (slot, bytes) in page.iter() {
-                    if !f(RowLoc::new(pid as u32, slot as u32), RowRef::Encoded { bytes }) {
-                        keep_going = false;
-                        break;
-                    }
-                }
-            });
+            let keep_going = self.pool.read(pid, |page| {
+                page.iter().all(|(slot, bytes)| {
+                    f(RowLoc::new(pid as u32, slot as u32), RowRef::Encoded { bytes })
+                })
+            })?;
             if !keep_going {
-                return false;
+                return Ok(false);
             }
         }
-        true
+        Ok(true)
     }
 
     /// Project two numeric columns over all live rows (Algorithm 1's
@@ -515,15 +509,17 @@ mod tests {
         let t = make_table(8);
         let loc = t.insert(&row(3, 1.5, Some(9.0))).unwrap();
         t.pool().stats().reset();
-        let (a, b) = t.with_row(loc, |r| {
-            let r = r.expect("row is live");
-            (r.f64(1), r.f64(2))
-        });
+        let (a, b) = t
+            .with_row(loc, |r| {
+                let r = r.expect("row is live");
+                (r.f64(1), r.f64(2))
+            })
+            .unwrap();
         assert_eq!((a, b), (Some(1.5), Some(9.0)));
         assert_eq!(t.pool().stats().hits() + t.pool().stats().misses(), 1, "one page access");
         // Deleted rows come back as None.
         t.delete(loc).unwrap();
-        assert!(t.with_row(loc, |r| r.is_none()));
+        assert!(t.with_row(loc, |r| r.is_none()).unwrap());
     }
 
     #[test]
@@ -540,9 +536,10 @@ mod tests {
         t.pool().stats().reset();
         let mut got: Vec<Option<Option<f64>>> = vec![None; cand.len()];
         let mut order = Vec::new();
-        t.for_each_row_batch(&cand, &mut order, |i, r| {
+        let unreadable = t.for_each_row_batch(&cand, &mut order, |i, r| {
             got[i] = Some(r.expect("all rows live").f64(1));
         });
+        assert_eq!(unreadable, 0);
         let accesses = t.pool().stats().hits() + t.pool().stats().misses();
         assert!(
             accesses <= pages as u64,
@@ -566,7 +563,7 @@ mod tests {
             seen.push(r.f64(0).unwrap() as i64);
             true
         });
-        assert!(complete);
+        assert!(complete.unwrap());
         assert_eq!(seen.len(), n - 1);
         assert!(!seen.contains(&7));
         let accesses = t.pool().stats().hits() + t.pool().stats().misses();
@@ -577,7 +574,7 @@ mod tests {
             count += 1;
             count < 10
         });
-        assert!(!complete);
+        assert!(!complete.unwrap());
         assert_eq!(count, 10);
     }
 

@@ -4,8 +4,10 @@
 //! We abstract the backing device behind [`PageStore`] with two
 //! implementations:
 //!
-//! * [`FilePageStore`] — a real file; reads/writes are real syscalls, so on
-//!   a machine with a real disk the cost structure is genuine.
+//! * [`FilePageStore`] — a real file; every read/write is one positional
+//!   syscall (`pread`/`pwrite`) on a shared descriptor, so concurrent
+//!   callers never queue behind a file cursor, and on a machine with a real
+//!   disk the cost structure is genuine.
 //! * [`SimulatedPageStore`] — an in-memory store that charges a configurable
 //!   busy-wait latency per access, so the "storage fetch dominates" regime
 //!   of Fig. 24 reproduces deterministically even on a RAM-backed CI box.
@@ -18,7 +20,7 @@ use crate::fault::{fault_point, injected_error, FaultAction};
 use crate::Result;
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -61,8 +63,11 @@ pub trait PageStore: Send + Sync {
     /// Allocate a fresh page id.
     fn allocate(&self) -> PageId;
 
-    /// Read a page. Errors if the page was never written.
-    fn read(&self, id: PageId) -> Result<Page>;
+    /// Read page `id` into `page`, overwriting the whole image — the caller
+    /// supplies the buffer (the buffer pool hands in a recycled frame), so a
+    /// read allocates nothing. Errors if the page was never written; `page`
+    /// then holds unspecified bytes and must not be used as a page image.
+    fn read_into(&self, id: PageId, page: &mut Page) -> Result<()>;
 
     /// Write a page.
     fn write(&self, id: PageId, page: &Page) -> Result<()>;
@@ -105,8 +110,12 @@ pub trait PageStore: Send + Sync {
 }
 
 /// A [`PageStore`] backed by a real file.
+///
+/// All I/O is positional (`read_exact_at` / `write_all_at`), which needs no
+/// cursor and therefore no lock: any number of threads read and write
+/// different pages through the one descriptor at once.
 pub struct FilePageStore {
-    file: Mutex<File>,
+    file: File,
     path: PathBuf,
     next_page: AtomicU64,
     stats: IoStats,
@@ -137,7 +146,7 @@ impl FilePageStore {
         #[allow(clippy::suspicious_open_options)]
         let file = OpenOptions::new().read(true).write(true).create(true).open(path)?;
         Ok(FilePageStore {
-            file: Mutex::new(file),
+            file,
             path: path.to_path_buf(),
             next_page: AtomicU64::new(0),
             stats: IoStats::default(),
@@ -152,7 +161,7 @@ impl FilePageStore {
         let file = OpenOptions::new().read(true).write(true).open(path)?;
         let pages = file.metadata()?.len() / PAGE_SIZE as u64;
         Ok(FilePageStore {
-            file: Mutex::new(file),
+            file,
             path: path.to_path_buf(),
             next_page: AtomicU64::new(pages),
             stats: IoStats::default(),
@@ -165,7 +174,7 @@ impl PageStore for FilePageStore {
         self.next_page.fetch_add(1, Ordering::Relaxed)
     }
 
-    fn read(&self, id: PageId) -> Result<Page> {
+    fn read_into(&self, id: PageId, page: &mut Page) -> Result<()> {
         if id >= self.next_page.load(Ordering::Relaxed) {
             return Err(StorageError::PageNotFound { page: id });
         }
@@ -174,12 +183,9 @@ impl PageStore for FilePageStore {
         if fault_point("page.read") == FaultAction::Error {
             return Err(StorageError::Io(injected_error("page.read")));
         }
-        let mut file = self.file.lock();
-        file.seek(SeekFrom::Start(id * PAGE_SIZE as u64))?;
-        let mut buf = [0u8; PAGE_SIZE];
-        file.read_exact(&mut buf)?;
+        self.file.read_exact_at(page.as_bytes_mut(), id * PAGE_SIZE as u64)?;
         self.stats.record_read();
-        Ok(Page::from_bytes(&buf))
+        Ok(())
     }
 
     fn write(&self, id: PageId, page: &Page) -> Result<()> {
@@ -197,9 +203,7 @@ impl PageStore for FilePageStore {
             }
             FaultAction::Continue => {}
         }
-        let mut file = self.file.lock();
-        file.seek(SeekFrom::Start(id * PAGE_SIZE as u64))?;
-        file.write_all(page.as_bytes())?;
+        self.file.write_all_at(page.as_bytes(), id * PAGE_SIZE as u64)?;
         self.stats.record_write();
         Ok(())
     }
@@ -219,7 +223,7 @@ impl PageStore for FilePageStore {
             FaultAction::Skip => return Ok(()),
             FaultAction::Continue => {}
         }
-        self.file.lock().sync_all()?;
+        self.file.sync_all()?;
         Ok(())
     }
 
@@ -284,17 +288,17 @@ impl PageStore for SimulatedPageStore {
         (pages.len() - 1) as PageId
     }
 
-    fn read(&self, id: PageId) -> Result<Page> {
+    fn read_into(&self, id: PageId, page: &mut Page) -> Result<()> {
         let pages = self.pages.lock();
-        let page = pages
+        let stored = pages
             .get(id as usize)
             .and_then(|p| p.as_ref())
             .ok_or(StorageError::PageNotFound { page: id })?;
-        let copy = (**page).clone();
+        page.as_bytes_mut().copy_from_slice(stored.as_bytes());
         drop(pages);
         Self::charge(self.read_latency);
         self.stats.record_read();
-        Ok(copy)
+        Ok(())
     }
 
     fn write(&self, id: PageId, page: &Page) -> Result<()> {
@@ -327,12 +331,18 @@ impl PageStore for SimulatedPageStore {
 mod tests {
     use super::*;
 
+    fn read(store: &dyn PageStore, id: PageId) -> Result<Page> {
+        let mut page = Page::zeroed();
+        store.read_into(id, &mut page)?;
+        Ok(page)
+    }
+
     fn roundtrip(store: &dyn PageStore) {
         let id = store.allocate();
         let mut p = Page::new(8);
         p.insert(&42u64.to_le_bytes()).unwrap();
         store.write(id, &p).unwrap();
-        let q = store.read(id).unwrap();
+        let q = read(store, id).unwrap();
         assert_eq!(q.get(0).unwrap(), &42u64.to_le_bytes());
         assert_eq!(store.stats().reads(), 1);
         assert_eq!(store.stats().writes(), 1);
@@ -375,7 +385,7 @@ mod tests {
         let store = FilePageStore::open(&path).unwrap();
         assert_eq!(store.page_count(), 3);
         for i in 0..3u64 {
-            let p = store.read(i).unwrap();
+            let p = read(&store, i).unwrap();
             assert_eq!(p.get(0).unwrap(), &i.to_le_bytes());
         }
         // A torn trailing page (crash mid-write) is rounded off…
@@ -394,10 +404,10 @@ mod tests {
     #[test]
     fn unallocated_reads_fail() {
         let store = SimulatedPageStore::new();
-        assert!(matches!(store.read(0), Err(StorageError::PageNotFound { page: 0 })));
+        assert!(matches!(read(&store, 0), Err(StorageError::PageNotFound { page: 0 })));
         let id = store.allocate();
         // Allocated but never written also fails.
-        assert!(store.read(id).is_err());
+        assert!(read(&store, id).is_err());
     }
 
     #[test]
@@ -407,7 +417,7 @@ mod tests {
         store.write(id, &Page::new(8)).unwrap();
         let start = Instant::now();
         for _ in 0..10 {
-            store.read(id).unwrap();
+            read(&store, id).unwrap();
         }
         assert!(start.elapsed() >= Duration::from_micros(2000));
     }
@@ -417,7 +427,7 @@ mod tests {
         let store = SimulatedPageStore::new();
         let id = store.allocate();
         store.write(id, &Page::new(8)).unwrap();
-        store.read(id).unwrap();
+        read(&store, id).unwrap();
         store.stats().reset();
         assert_eq!(store.stats().reads(), 0);
         assert_eq!(store.stats().writes(), 0);

@@ -46,14 +46,30 @@ impl std::fmt::Debug for Page {
 impl Page {
     /// A zeroed page formatted for records of `record_width` bytes.
     pub fn new(record_width: u16) -> Self {
+        let mut page = Page::zeroed();
+        page.format(record_width);
+        page
+    }
+
+    /// An all-zero page image: a buffer for [`PageStore::read_into`] to
+    /// fill, not a formatted page (it holds no records of any width).
+    ///
+    /// [`PageStore::read_into`]: super::io::PageStore::read_into
+    pub fn zeroed() -> Self {
+        Page { buf: Box::new([0u8; PAGE_SIZE]) }
+    }
+
+    /// Reformat this buffer in place as an empty page of `record_width`-byte
+    /// records — [`new`](Self::new) without the allocation, for recycled
+    /// buffer-pool frames.
+    pub fn format(&mut self, record_width: u16) {
         assert!(record_width > 0, "record width must be positive");
         assert!(
             (record_width as usize) <= PAGE_SIZE - HEADER_BYTES - 8,
             "record too wide for a page"
         );
-        let mut buf = Box::new([0u8; PAGE_SIZE]);
-        buf[0..2].copy_from_slice(&record_width.to_le_bytes());
-        Page { buf }
+        self.buf.fill(0);
+        self.buf[0..2].copy_from_slice(&record_width.to_le_bytes());
     }
 
     /// Rehydrate a page from raw bytes (as read from a store).
@@ -64,6 +80,12 @@ impl Page {
     /// Raw bytes (for writing to a store).
     pub fn as_bytes(&self) -> &[u8; PAGE_SIZE] {
         &self.buf
+    }
+
+    /// Raw bytes, writable: what a [`PageStore`](super::io::PageStore)
+    /// reads a page image into.
+    pub fn as_bytes_mut(&mut self) -> &mut [u8; PAGE_SIZE] {
+        &mut self.buf
     }
 
     /// Width of each record in bytes.
@@ -224,6 +246,18 @@ mod tests {
         p.update(s, &9u64.to_le_bytes()).unwrap();
         assert_eq!(p.get(s).unwrap(), &9u64.to_le_bytes());
         assert!(p.update(5, &0u64.to_le_bytes()).is_err());
+    }
+
+    #[test]
+    fn format_recycles_a_used_buffer_into_an_empty_page() {
+        let mut p = Page::new(24);
+        for i in 0..10u8 {
+            p.insert(&[i; 24]).unwrap();
+        }
+        p.delete(3).unwrap();
+        p.format(16);
+        assert_eq!(p.as_bytes(), Page::new(16).as_bytes(), "no trace of the old image");
+        assert_eq!(p.insert(&[1u8; 16]).unwrap(), 0);
     }
 
     #[test]

@@ -77,25 +77,47 @@ impl From<io::Error> for RecoveryError {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected). Table built once, lazily. Public: the
-/// WAL frames, the catalog body, and the catalog's per-page content checks
-/// all use it.
+/// CRC-32 (IEEE 802.3, reflected), slice-by-8: eight table lookups fold
+/// eight input bytes per step instead of one, with the same polynomial and
+/// bit-identical output to the byte-at-a-time form. Tables built once,
+/// lazily. Public: the WAL frames, the wire frames, the catalog body, and
+/// the catalog's per-page content checks all use it — the last of these
+/// over the whole heap at every checkpoint and reopen.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, slot) in t.iter_mut().enumerate() {
+    static TABLES: std::sync::OnceLock<[[u32; 256]; 8]> = std::sync::OnceLock::new();
+    let t = TABLES.get_or_init(|| {
+        let mut t = [[0u32; 256]; 8];
+        for (i, slot) in t[0].iter_mut().enumerate() {
             let mut c = i as u32;
             for _ in 0..8 {
                 c = if c & 1 == 1 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             }
             *slot = c;
         }
+        // t[k][i] = CRC state after byte `i` followed by `k` zero bytes.
+        for k in 1..8 {
+            for i in 0..256 {
+                let prev = t[k - 1][i];
+                t[k][i] = t[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            }
+        }
         t
     });
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][c[4] as usize]
+            ^ t[2][c[5] as usize]
+            ^ t[1][c[6] as usize]
+            ^ t[0][c[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -455,5 +477,37 @@ mod tests {
         // IEEE CRC-32 of "123456789" is the classic check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The byte-at-a-time form `crc32` replaced, kept as its reference.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 == 1 { 0xEDB8_8320 ^ (crc >> 1) } else { crc >> 1 };
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_slice_by_8_is_bit_identical_to_the_byte_loop() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 56) as u8
+        };
+        // Every length around the 8-byte stride, at every alignment of the
+        // tail…
+        let short: Vec<u8> = (0..64).map(|_| next()).collect();
+        for len in 0..=64 {
+            assert_eq!(crc32(&short[..len]), crc32_bytewise(&short[..len]), "length {len}");
+        }
+        // …and whole pages, the size the checkpoint path feeds it.
+        for round in 0..4 {
+            let page: Vec<u8> = (0..8192).map(|_| next()).collect();
+            assert_eq!(crc32(&page), crc32_bytewise(&page), "8 KiB page {round}");
+        }
     }
 }

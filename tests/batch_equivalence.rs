@@ -250,3 +250,37 @@ fn parallel_batch_matches_sequential_on_paged_substrate() {
         }
     }
 }
+
+#[test]
+fn fetch_rows_matches_per_row_get_across_a_delete() {
+    // The page-grouped materializer behind projections and the server's
+    // full-row responses must hand back what one `Heap::get` per row did:
+    // same rows, same (validation) order, and a row deleted between
+    // validation and fetch simply absent.
+    let dbs = [
+        ("mem", mem_hermit(TidScheme::Logical, 5_000, 50)),
+        ("paged", paged_hermit(5_000, 50, 8, 2)),
+    ];
+    for (name, db) in &dbs {
+        let validated = db.lookup_range(RangePredicate::range(TARGET, 1_000.0, 1_999.0), None);
+        assert_eq!(validated.rows.len(), 1_000, "{name}");
+        // Deleted after validation: pk == target, so pk 1500 is in range.
+        db.delete_by_pk(1_500).unwrap();
+
+        let per_row: Vec<Vec<Value>> =
+            validated.rows.iter().filter_map(|&loc| db.heap().get(loc).ok()).collect();
+        let (fetched, unreadable) = db.fetch_rows(&validated.rows, None);
+        assert_eq!(unreadable, 0, "{name}");
+        assert_eq!(fetched.len(), validated.rows.len(), "{name}: aligned with the input");
+        assert_eq!(fetched.iter().filter(|r| r.is_none()).count(), 1, "{name}: one dead row");
+        let grouped: Vec<Vec<Value>> = fetched.into_iter().flatten().collect();
+        assert_eq!(grouped.len(), 999, "{name}");
+        assert_eq!(grouped, per_row, "{name}: full rows, order preserved");
+
+        // A projection is the same rows cut down to the chosen columns.
+        let (projected, _) = db.fetch_rows(&validated.rows, Some(&[TARGET, 0]));
+        let projected: Vec<Vec<Value>> = projected.into_iter().flatten().collect();
+        let cut: Vec<Vec<Value>> = per_row.iter().map(|r| vec![r[TARGET], r[0]]).collect();
+        assert_eq!(projected, cut, "{name}: projection");
+    }
+}

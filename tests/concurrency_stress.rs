@@ -253,3 +253,123 @@ fn snapshot_taken_during_concurrent_reads_is_consistent() {
     let restored = TrsTree::restore_from(snapshot_bytes.as_slice()).unwrap();
     restored.check_invariants().unwrap();
 }
+
+#[test]
+fn cold_readers_and_writers_share_a_tiny_file_backed_pool() {
+    // The buffer pool's miss path end to end: a real page file read with
+    // positional I/O from several threads at once, a pool (6 frames over
+    // 3 shards) far smaller than the heap so nearly every page visit is a
+    // load into a recycled frame, writers dirtying the tail pages those
+    // loads evict, and a flusher cleaning frames underneath everyone.
+    // Readers of the static rows must always get the exact answer; at the
+    // end the heap must hold exactly what the writers left.
+    use hermit::core::{Database, Query};
+    use hermit::storage::paged::{BufferPool, FilePageStore, PagedTable};
+    use hermit::storage::{ColumnDef, Schema, Value};
+    use std::sync::atomic::AtomicBool;
+
+    const STATIC_ROWS: i64 = 6_000;
+    const PER_WRITER: i64 = 2_000;
+    let dir = std::env::temp_dir().join(format!("hermit-cold-stress-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = Arc::new(FilePageStore::create(&dir.join("pages.db")).unwrap());
+    let pool = Arc::new(BufferPool::new_sharded(store, 6, 3));
+    let schema = Schema::new(vec![
+        ColumnDef::int("pk"),
+        ColumnDef::float("host"),
+        ColumnDef::float("target"),
+    ]);
+    let mut db = Database::new_paged(PagedTable::new(schema, Arc::clone(&pool)), 0);
+    let row =
+        |pk: i64| vec![Value::Int(pk), Value::Float(2.0 * pk as f64), Value::Float(pk as f64)];
+    // Multiplicative shuffle: consecutive targets land on different pages.
+    for i in 0..STATIC_ROWS {
+        db.insert(&row((i * 1_031) % STATIC_ROWS)).unwrap();
+    }
+    db.create_baseline_index(1, true).unwrap();
+    db.create_hermit_index(2, 1).unwrap();
+    let db = Arc::new(db);
+    let done = AtomicBool::new(false);
+
+    crossbeam::thread::scope(|s| {
+        let writers: Vec<_> = (0..2i64)
+            .map(|w| {
+                let db = Arc::clone(&db);
+                s.spawn(move |_| {
+                    let base = 100_000 * (w + 1);
+                    for i in 0..PER_WRITER {
+                        db.insert(&row(base + i)).unwrap();
+                        if i % 3 == 2 {
+                            db.delete_by_pk(base + i - 1).unwrap();
+                        }
+                    }
+                })
+            })
+            .collect();
+        for r in 0..2i64 {
+            let (db, done) = (Arc::clone(&db), &done);
+            s.spawn(move |_| {
+                let mut lo = 37 * (r + 1);
+                let mut queries = 0;
+                while queries < 40 || !done.load(Ordering::Acquire) {
+                    queries += 1;
+                    let q = Query::new().range(2, lo as f64, (lo + 199) as f64);
+                    let result = db.execute(&q);
+                    assert_eq!(result.unreadable, 0);
+                    let (rows, unreadable) = db.fetch_rows(&result.rows, None);
+                    assert_eq!(unreadable, 0);
+                    let mut pks: Vec<i64> =
+                        rows.into_iter().flatten().map(|r| r[0].as_i64().unwrap()).collect();
+                    pks.sort_unstable();
+                    assert_eq!(pks, (lo..lo + 200).collect::<Vec<_>>(), "reader {r} at {lo}");
+                    lo = (lo + 211) % (STATIC_ROWS - 200);
+                }
+            });
+        }
+        {
+            let (pool, done) = (Arc::clone(&pool), &done);
+            s.spawn(move |_| {
+                while !done.load(Ordering::Acquire) {
+                    pool.flush().unwrap();
+                    std::thread::yield_now();
+                }
+            });
+        }
+        // Stop the readers and the flusher before looking at the writers'
+        // outcomes: a writer that panicked must fail the test, not leave
+        // the others spinning on `done` forever.
+        let outcomes: Vec<_> = writers.into_iter().map(|w| w.join()).collect();
+        done.store(true, Ordering::Release);
+        for outcome in outcomes {
+            outcome.expect("writer panicked");
+        }
+    })
+    .unwrap();
+
+    let mut expected: Vec<i64> = (0..STATIC_ROWS).collect();
+    for w in 0..2i64 {
+        let base = 100_000 * (w + 1);
+        // Each i ≡ 2 (mod 3) deleted its predecessor.
+        expected.extend(
+            (0..PER_WRITER).filter(|i| i % 3 != 1 || i + 1 == PER_WRITER).map(|i| base + i),
+        );
+    }
+    let everything = db.execute(&Query::new().range(0, -1.0, 1.0e9));
+    let (rows, unreadable) = db.fetch_rows(&everything.rows, None);
+    assert_eq!(unreadable, 0);
+    let mut pks: Vec<i64> = rows.into_iter().flatten().map(|r| r[0].as_i64().unwrap()).collect();
+    pks.sort_unstable();
+    let missing: Vec<_> = expected.iter().filter(|k| pks.binary_search(k).is_err()).collect();
+    let extra: Vec<_> = pks.iter().filter(|k| expected.binary_search(k).is_err()).collect();
+    assert!(
+        missing.is_empty() && extra.is_empty(),
+        "the heap must hold exactly what the writers left: missing {missing:?}, extra {extra:?}"
+    );
+    assert_eq!(db.len(), expected.len());
+    let (resident, free) = pool.frame_counts();
+    assert_eq!(resident + free, pool.capacity(), "a frame leaked out of the pool");
+    drop(db);
+    drop(pool);
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -9,10 +9,16 @@
 //! * **Seeded fault plans are replayable**: the same `u64` seed produces
 //!   the same injected-fault schedule through the same workload, so any
 //!   failure found by a seeded run can be handed around as one number.
+//! * **An unreadable page is not a deleted row**: while heap reads fail,
+//!   every access path reports an error instead of a shorter answer; once
+//!   the device heals the exact rows come back and no buffer-pool frame has
+//!   gone missing.
 
 use hermit::core::recovery::{DurabilityConfig, WAL_FILE};
 use hermit::core::{Database, Query, RangePredicate};
+use hermit::core::{Heap, SharedDatabase};
 use hermit::fault::{mangle_file, FaultPlan, FaultRates, FaultyPageStore};
+use hermit::server::{ClientError, ErrorCode, HermitClient, HermitServer, ServerConfig};
 use hermit::storage::paged::{BufferPool, PagedTable, SimulatedPageStore};
 use hermit::storage::{ColumnDef, Schema, Value};
 use proptest::prelude::*;
@@ -118,4 +124,82 @@ fn seeded_fault_plan_replays_identically() {
 
     let (outcomes_c, _, _) = run(43);
     assert_ne!(outcomes_a, outcomes_c, "different seeds should explore different schedules");
+}
+
+/// Poisoned heap reads must surface as errors on every access path — the
+/// executor's batched validation, the legacy per-row tail, the seq scan,
+/// the materializer, and the server's response — never as missing rows.
+#[test]
+fn unreadable_pages_are_errors_not_deleted_rows() {
+    const ROWS: i64 = 4_000; // ≈ 14 heap pages of 27-byte records
+    const FRAMES: usize = 4;
+    let store = Arc::new(FaultyPageStore::new(Arc::new(SimulatedPageStore::new())));
+    let pool = Arc::new(BufferPool::new_sharded(Arc::<FaultyPageStore>::clone(&store), FRAMES, 2));
+    let mut db = Database::new_paged(PagedTable::new(schema(), Arc::clone(&pool)), 0);
+    for i in 0..ROWS {
+        // Scatter targets over the heap so a range touches many pages.
+        db.insert(&row(i, ((i * 7) % ROWS) as f64)).unwrap();
+    }
+    db.create_baseline_index(1, true).unwrap();
+    db.create_hermit_index(2, 1).unwrap();
+    pool.flush().unwrap();
+
+    let indexed = Query::new().range(2, 100.0, 699.0);
+    let scanned = Query::new().range(0, 100.0, 699.0); // pk is unindexed: seq scan
+    let projected = Query::new().range(2, 100.0, 699.0).select([0, 2]);
+    let healthy = db.execute(&indexed);
+    assert_eq!((healthy.rows.len(), healthy.unreadable), (600, 0));
+    let want_rows: Vec<Vec<Value>> =
+        db.fetch_rows(&healthy.rows, None).0.into_iter().flatten().collect();
+    assert_eq!(want_rows.len(), 600);
+
+    let shared = SharedDatabase::new(db);
+    let server =
+        HermitServer::start(shared.clone(), None, ServerConfig::default(), "127.0.0.1:0").unwrap();
+    let mut client = HermitClient::connect(server.local_addr()).unwrap();
+    assert_eq!(client.query(&indexed).unwrap(), want_rows);
+
+    // --- Poisoned: 4 frames cannot hold a 600-row answer's pages, so every
+    // path has to go to the (failing) store.
+    store.set_fail_reads(true);
+    let db = shared.db();
+    let poisoned = db.execute(&indexed);
+    assert!(poisoned.unreadable > 0, "validation must notice the failed page loads");
+    assert!(poisoned.rows.len() < 600);
+    assert_eq!(poisoned.unresolved, 0, "an unreadable page is not an unresolved (deleted) row");
+    assert!(db.lookup_range(RangePredicate::range(2, 100.0, 699.0), None).unreadable > 0);
+    assert!(db.execute(&scanned).unreadable > 0, "the seq scan must not skip unreadable pages");
+    assert!(db.fetch_rows(&healthy.rows, None).1 > 0);
+    for q in [&indexed, &scanned, &projected] {
+        match client.query(q) {
+            Err(ClientError::Server { code: ErrorCode::Storage, .. }) => {}
+            other => panic!("poisoned reads must answer ErrorCode::Storage, got {other:?}"),
+        }
+    }
+    let stats = client.stats().unwrap();
+    let read_errors: u64 = stats
+        .lines()
+        .find_map(|l| l.strip_prefix("hermit_pool_read_errors "))
+        .expect("hermit_pool_read_errors exported")
+        .parse()
+        .unwrap();
+    assert!(read_errors > 0);
+    assert!(stats.contains("\nhermit_store_reads "), "{stats}");
+    assert!(stats.contains("\nhermit_store_writes "), "{stats}");
+
+    // --- Healed: the exact rows again, in the same order, over the wire
+    // and in process.
+    store.set_fail_reads(false);
+    let healed = db.execute(&indexed);
+    assert_eq!((healed.rows.clone(), healed.unreadable), (healthy.rows.clone(), 0));
+    assert_eq!(db.execute(&scanned).rows.len(), 600);
+    assert_eq!(client.query(&indexed).unwrap(), want_rows);
+
+    // No frame leaked: every failed load handed its frame back, so the
+    // quiescent pool still accounts for its whole capacity.
+    let Heap::Paged(table) = db.heap() else { panic!("paged database") };
+    let (resident, free) = table.pool().frame_counts();
+    assert_eq!(resident + free, FRAMES);
+    client.shutdown().unwrap();
+    server.wait();
 }
