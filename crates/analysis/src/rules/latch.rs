@@ -40,9 +40,10 @@ pub(crate) const IO_CALLS: &[&str] = &[
     "append",
     "append_txn_commit",
     "append_txn_abort",
+    "make_durable",
     "log_insert",
     "log_delete",
-    "log_txn_begin",
+    "log_txn",
     "log_txn_commit",
     "log_txn_abort",
 ];

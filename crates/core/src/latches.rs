@@ -44,9 +44,20 @@
 //!   [`LATCH_NESTING_EDGES`].
 //!
 //! Latches *internal* to one component (buffer-pool shards, the
-//! `ConcurrentTrsTree` node latches, the transaction-table mutex, the page
-//! store's file lock) are leaves: they are acquired last, never nest with
-//! each other across components, and are not part of this declaration.
+//! `ConcurrentTrsTree` node latches, the transaction-table mutex) are
+//! leaves: they are acquired last, never nest with each other across
+//! components, and are not part of this declaration.
+//!
+//! One leaf reaches the device on purpose, and the edge is declared here
+//! rather than allow-listed: a **buffer-pool shard lock → WAL-tail fsync**.
+//! A shard lock is held across the write-back of a dirty victim, and —
+//! WAL before data — across [`WalTail::make_durable`] just before it. The
+//! tail is a file handle and atomics and takes no latch, least of all the
+//! WAL guard, so the edge ends at the device and cannot close a cycle: a
+//! statement holding the WAL guard may wait for a shard lock whose holder
+//! is in that fsync, but the holder never waits for the guard.
+//!
+//! [`WalTail::make_durable`]: hermit_storage::wal::WalTail::make_durable
 //!
 //! # Runtime witness and the observed-edge export
 //!

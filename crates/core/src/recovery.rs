@@ -12,8 +12,11 @@
 //!   snapshot v2 format, now written with its own fsync + rename), and a
 //!   versioned [`Catalog`] written atomically as the commit point.
 //! * A CRC-framed logical WAL ([`hermit_storage::wal`]) captures DML after
-//!   the checkpoint; [`Database::wal_commit`] (and the automatic every-N
-//!   commit batch) is the fsync boundary.
+//!   the checkpoint. The log is **forced at commit**: every auto-commit
+//!   statement batch and every transaction commit is an fsync boundary
+//!   ([`Database::wal_commit`] forces one early); records inside an open
+//!   transaction are written, not fsynced. **WAL before data** makes that
+//!   safe: the buffer pool forces the log before it writes a page back.
 //! * [`Database::open`] reattaches: pages via [`FilePageStore::open`], the
 //!   heap via `PagedTable::reopen` (live rows and `ColumnStats` recomputed
 //!   by scan), the primary index and baseline B+-trees rebuilt from one
@@ -26,25 +29,55 @@
 //! # Commit points and crash windows
 //!
 //! ```text
-//! ... DML ... ──fsync──> wal commit ──...──> checkpoint (catalog rename)
+//! auto-commit DML ──(every wal_sync_every-th)── fsync ──┐
+//! begin · DML · DML ── write each ── commit ─── fsync ──┴─...─> checkpoint
+//!             ▲                                              (catalog rename)
+//!             └ a page written back first forces the log up to here
 //! ```
 //!
-//! * Crash before a WAL commit: statements since the last commit are lost
-//!   (bounded by `wal_sync_every`); everything earlier replays.
-//! * Crash during checkpoint: the catalog rename is the atomic commit
-//!   point. Before it, recovery sees the old catalog + old-epoch WAL and
-//!   recovers the pre-checkpoint state; after it, the new catalog ignores
-//!   the old-epoch WAL (its effects are inside the checkpoint) — the epoch
-//!   fence is what makes "rename, then reset WAL" safe.
-//! * The buffer pool *steals*: evictions (and the pool's drop-flush) may
-//!   push post-checkpoint page states to the file at any time. Recovery
-//!   therefore replays the WAL **idempotently** — per primary key the log
+//! * **Force at commit.** The log owes durability at commit points and
+//!   nowhere else. An auto-commit statement is its own commit unit, forced
+//!   once per `wal_sync_every` statements. A transaction's only durability
+//!   point is its `TxnCommit` record, which is always forced — and that one
+//!   fsync covers every record the transaction wrote. `TxnBegin`,
+//!   `TxnInsert`, `TxnDelete` and `TxnAbort` are appended and handed to the
+//!   file with one `write` *before* the change they describe is applied, in
+//!   every `wal_sync_every` mode, and never fsync on their own.
+//! * Crash before a commit point: auto-commit statements since the last
+//!   force are lost (bounded by `wal_sync_every`) and a transaction whose
+//!   commit record was not forced recovers as a loser; everything earlier
+//!   replays.
+//! * **WAL before data.** The buffer pool *steals*: evictions (and the
+//!   pool's drop-flush) may push post-checkpoint page states to the file at
+//!   any time. Before it writes a dirty page back, the pool makes the log
+//!   durable up to everything handed to its file
+//!   ([`WalTail::make_durable`]). A transaction's change is applied only
+//!   after its record is in the file, so no page carrying an uncommitted
+//!   change reaches the device ahead of the record recovery needs to undo
+//!   it. The fsync the in-transaction records no longer pay eagerly is paid
+//!   here, and only when a dirty page actually leaves while the log has
+//!   unsynced records: two atomic loads otherwise.
+//! * Recovery replays the WAL **idempotently** — per primary key the log
 //!   alternates insert/delete, so applying each record only when the
 //!   recovered heap does not already reflect it converges on the logged
-//!   final state no matter how far the pages ran ahead. The flip side of
-//!   redo-only recovery with steal: a statement that was *not* yet
-//!   WAL-committed can still survive a crash if its page happened to be
-//!   flushed (phantom durability); there is no undo pass to remove it.
+//!   final state no matter how far the pages ran ahead — and then undoes
+//!   the losers (see [`crate::txn`]).
+//! * Phantom durability is left for auto-commit statements only. They are
+//!   logged *after* they are applied (a redo-only record of a complete
+//!   statement), so one whose record was still buffered at the crash
+//!   survives if its page happened to be written back. That is a complete,
+//!   never-acknowledged-as-durable statement outliving the crash; nothing
+//!   needs undoing.
+//! * During checkpoint: the catalog rename is the atomic commit point.
+//!   Before it, recovery sees the old catalog + old-epoch WAL and recovers
+//!   the pre-checkpoint state; after it, the new catalog ignores the
+//!   old-epoch WAL (its effects are inside the checkpoint) — the epoch
+//!   fence is what makes "rename, then reset WAL" safe.
+//! * **Recovery does not leak pages.** Pages allocated after the checkpoint
+//!   sit behind the catalog's watermark, and the catalog lists none of
+//!   them. [`Database::open`] sets the store's watermark to exactly the
+//!   catalog's and truncates `pages.db` there: what those pages held is
+//!   regenerated from the WAL into freshly allocated ones.
 //! * A page write that never reached the device despite the catalog
 //!   claiming it (a lying device / dropped write) is detected on open by
 //!   the catalog's per-page live counts **and content CRCs** whenever the
@@ -56,12 +89,11 @@
 //!
 //! # What is covered, and what is not
 //!
-//! Covered: single-statement durability for insert/delete on the paged
+//! Covered: durability of auto-commit insert/delete and of multi-statement
+//! transactions (redo, then undo of losers — [`crate::txn`]) on the paged
 //! substrate, index reconstruction (primary, baseline, Hermit,
 //! `ColumnStats`), torn-tail WAL recovery, torn-checkpoint detection.
-//! Not covered: multi-statement transactions (every statement is its own
-//! commit unit), undo of uncommitted statements (see phantom durability
-//! above), DDL logging (index definitions become durable at the next
+//! Not covered: DDL logging (index definitions become durable at the next
 //! checkpoint, not through the WAL), and composite indexes (they are
 //! in-memory-substrate only, which the catalog reflects by never recording
 //! any). The in-memory substrate itself is rejected with a typed
@@ -82,7 +114,7 @@ use crate::latches::{self, LatchedMutex, LatchedRwLock, Witnessed};
 use hermit_btree::{BPlusTree, HashPrimaryIndex};
 use hermit_storage::paged::{BufferPool, FilePageStore, PageStore, PagedTable};
 use hermit_storage::recovery::{write_file_atomic, BaselineDef, Catalog, HermitDef, PageEntry};
-use hermit_storage::wal::{read_wal, WalRecord, WalWriter};
+use hermit_storage::wal::{read_wal, WalRecord, WalTail, WalWriter};
 use hermit_storage::{ColumnId, F64Key, RowLoc, Schema, StorageError, Tid, TidScheme, Value};
 use hermit_trs::{ConcurrentTrsTree, TrsParams, TrsTree};
 use parking_lot::RwLockReadGuard;
@@ -115,9 +147,12 @@ pub struct DurabilityConfig {
     /// is what lets connections reading a cached working set run side by
     /// side; one shard gives fully deterministic clock replacement instead.
     pub pool_shards: usize,
-    /// Commit batch: the WAL fsyncs automatically after this many appended
-    /// records (1 = every statement durable, at one fsync per statement).
-    /// [`Database::wal_commit`] forces the boundary early.
+    /// Commit batch of auto-commit statements: the WAL fsyncs once this
+    /// many records are pending (1 = every auto-commit statement and every
+    /// commit durable before it is acknowledged). A transaction commit
+    /// always fsyncs, whatever the batch; the statements *inside* a
+    /// transaction never do on their own — their durability point is the
+    /// commit. [`Database::wal_commit`] forces the boundary early.
     pub wal_sync_every: usize,
 }
 
@@ -144,6 +179,9 @@ pub(crate) struct Durability {
     /// statement-atomic.
     quiesce: LatchedRwLock<()>,
     wal: LatchedMutex<WalWriter>,
+    /// The writer's shared tail, kept beside the guard so the metrics
+    /// exporter reads positions and counters without taking it.
+    tail: Arc<WalTail>,
     /// Epoch of the current catalog/WAL pairing.
     epoch: AtomicU64,
     sync_every: usize,
@@ -189,22 +227,24 @@ impl Durability {
         self.wal.lock()
     }
 
+    /// Log an applied auto-commit insert (log-last; see
+    /// [`log_statement`](Self::log_statement)).
     pub(crate) fn log_insert(
         &self,
         wal: &mut WalWriter,
         row: &[Value],
     ) -> hermit_storage::Result<()> {
-        self.log(wal, &WalRecord::Insert { row: row.to_vec() })
+        self.log_statement(wal, &WalRecord::Insert { row: row.to_vec() })
     }
 
+    /// Log an applied auto-commit delete.
     pub(crate) fn log_delete(&self, wal: &mut WalWriter, pk: i64) -> hermit_storage::Result<()> {
-        self.log(wal, &WalRecord::Delete { pk })
+        self.log_statement(wal, &WalRecord::Delete { pk })
     }
 
-    /// Append one record, fsyncing when the commit batch fills. Shared by
-    /// the auto-commit log-last paths and the transactional log-first
-    /// paths (see [`crate::txn`]).
-    pub(crate) fn log(&self, wal: &mut WalWriter, rec: &WalRecord) -> hermit_storage::Result<()> {
+    /// Append the record of an auto-commit statement — its own commit unit
+    /// — and fsync when the commit batch (`wal_sync_every`) fills.
+    fn log_statement(&self, wal: &mut WalWriter, rec: &WalRecord) -> hermit_storage::Result<()> {
         let result = wal.append(rec).map_err(wal_err).and_then(|pending| {
             if pending >= self.sync_every {
                 wal.commit().map_err(wal_err)
@@ -215,11 +255,26 @@ impl Durability {
         self.absorb_log_failure(result)
     }
 
-    /// Append the `TxnCommit` record for `txn` and **force** the fsync
-    /// boundary regardless of the commit batch: a positive commit
-    /// acknowledgement must survive a crash. Routed through
-    /// [`WalWriter::append_txn_commit`] so the `wal.txn_commit` fault site
-    /// fires.
+    /// Append a record of an open transaction (`TxnBegin`, `TxnInsert`,
+    /// `TxnDelete`) and hand it to the file, **before** the change it
+    /// describes is applied (see [`crate::txn`]). Never an fsync: nothing is
+    /// owed for the record until its transaction's commit record is forced,
+    /// and if a page carrying the change is written back first, the buffer
+    /// pool's barrier forces the log up to here ([`WalTail::make_durable`]).
+    pub(crate) fn log_txn(
+        &self,
+        wal: &mut WalWriter,
+        rec: &WalRecord,
+    ) -> hermit_storage::Result<()> {
+        let result = wal.append(rec).map_err(wal_err).and_then(|_| wal.flush().map_err(wal_err));
+        self.absorb_log_failure(result)
+    }
+
+    /// Append the `TxnCommit` record for `txn` and **force** the log
+    /// regardless of the commit batch: a positive commit acknowledgement
+    /// must survive a crash, and this one fsync covers every record the
+    /// transaction wrote. Routed through [`WalWriter::append_txn_commit`] so
+    /// the `wal.txn_commit` fault site fires.
     pub(crate) fn log_txn_commit(
         &self,
         wal: &mut WalWriter,
@@ -230,23 +285,18 @@ impl Durability {
         self.absorb_log_failure(result)
     }
 
-    /// Append the `TxnAbort` record for `txn` on the normal commit batch —
-    /// abort durability is an optimization, not a correctness requirement
-    /// (recovery rolls losers back without it). Routed through
-    /// [`WalWriter::append_txn_abort`] so the `wal.txn_abort` fault site
-    /// fires.
+    /// Append the `TxnAbort` record for `txn` and hand it to the file, like
+    /// any other record of the transaction: abort durability is an
+    /// optimization, not a correctness requirement (recovery rolls losers
+    /// back without it). Routed through [`WalWriter::append_txn_abort`] so
+    /// the `wal.txn_abort` fault site fires.
     pub(crate) fn log_txn_abort(
         &self,
         wal: &mut WalWriter,
         txn: u64,
     ) -> hermit_storage::Result<()> {
-        let result = wal.append_txn_abort(txn).map_err(wal_err).and_then(|pending| {
-            if pending >= self.sync_every {
-                wal.commit().map_err(wal_err)
-            } else {
-                Ok(())
-            }
-        });
+        let result =
+            wal.append_txn_abort(txn).map_err(wal_err).and_then(|_| wal.flush().map_err(wal_err));
         self.absorb_log_failure(result)
     }
 
@@ -320,16 +370,33 @@ impl Database {
         let store = Arc::new(FilePageStore::create(&dir.join(PAGES_FILE))?);
         let table = PagedTable::new(schema, config.open_pool(store));
         let mut db = Database::new_paged(table, pk_col);
-        db.durability = Some(Durability {
+        db.attach_durability(dir, WalWriter::create(&dir.join(WAL_FILE), 0)?, config);
+        db.checkpoint(dir)?;
+        Ok(db)
+    }
+
+    /// Start logging into `writer` and put the buffer pool's write-backs
+    /// behind that log.
+    fn attach_durability(&mut self, dir: &Path, writer: WalWriter, config: &DurabilityConfig) {
+        if let Heap::Paged(table) = &self.heap {
+            table.pool().attach_wal(Arc::clone(writer.tail()));
+        }
+        self.durability = Some(Durability {
             dir: dir.to_path_buf(),
             quiesce: LatchedRwLock::new(latches::level(10), ()),
-            wal: LatchedMutex::new(latches::level(20), WalWriter::create(&dir.join(WAL_FILE), 0)?),
-            epoch: AtomicU64::new(0),
+            tail: Arc::clone(writer.tail()),
+            epoch: AtomicU64::new(writer.epoch()),
+            wal: LatchedMutex::new(latches::level(20), writer),
             sync_every: config.wal_sync_every.max(1),
             wal_poisoned: AtomicBool::new(false),
         });
-        db.checkpoint(dir)?;
-        Ok(db)
+    }
+
+    /// The log's end-of-log positions and counters (records, fsyncs, fsyncs
+    /// forced by page write-back); `None` for non-durable databases. Reading
+    /// them takes no latch.
+    pub fn wal_tail(&self) -> Option<&Arc<WalTail>> {
+        self.durability.as_ref().map(|d| &d.tail)
     }
 
     /// The durability directory this database checkpoints into, if any.
@@ -470,13 +537,10 @@ impl Database {
                 // reset fails, the live writer would keep logging into a
                 // generation recovery ignores — poison instead, so every
                 // later statement is rejected before it applies.
-                let mut wal = d.wal.lock();
-                match WalWriter::create(&dir.join(WAL_FILE), epoch) {
-                    Ok(fresh) => {
-                        // Discard, don't drop: a poisoned old writer can
-                        // still hold buffered frames, and a drop-flush
-                        // would land them inside the just-truncated file.
-                        std::mem::replace(&mut *wal, fresh).discard();
+                // `reset` drops whatever a poisoned writer still buffers;
+                // flushed, those frames would land in the new generation.
+                match d.wal.lock().reset(epoch) {
+                    Ok(()) => {
                         d.epoch.store(epoch, Ordering::Release);
                         d.wal_poisoned.store(false, Ordering::Release);
                     }
@@ -520,15 +584,19 @@ impl Database {
 
     /// [`open`](Database::open) with an injected page store (recovery tests
     /// substitute fault-injecting stores). The store must present the same
-    /// pages `dir/pages.db` holds; its allocation watermark is raised to
-    /// the catalog's via [`PageStore::reserve`].
+    /// pages `dir/pages.db` holds; its allocation watermark is set to the
+    /// catalog's via [`PageStore::reset_watermark`].
     pub fn open_with_store(
         dir: &Path,
         store: Arc<dyn PageStore>,
         config: &DurabilityConfig,
     ) -> Result<Database, CoreError> {
         let catalog = Catalog::read(&dir.join(CATALOG_FILE))?;
-        store.reserve(catalog.next_page);
+        // Pages behind the catalog's watermark were allocated after the
+        // checkpoint: the catalog lists none of them, so the heap cannot
+        // reach them, and every row they held is in the WAL or was never
+        // acknowledged. Give them back, or each crash leaks them.
+        store.reset_watermark(catalog.next_page)?;
         let pool = config.open_pool(store);
         let page_ids: Vec<u64> = catalog.pages.iter().map(|e| e.page).collect();
         let (table, observed) = PagedTable::reopen(catalog.schema.clone(), pool, page_ids)?;
@@ -707,14 +775,7 @@ impl Database {
             None => WalWriter::create(&wal_path, catalog.wal_epoch)?,
         };
 
-        db.durability = Some(Durability {
-            dir: dir.to_path_buf(),
-            quiesce: LatchedRwLock::new(latches::level(10), ()),
-            wal: LatchedMutex::new(latches::level(20), writer),
-            epoch: AtomicU64::new(catalog.wal_epoch),
-            sync_every: config.wal_sync_every.max(1),
-            wal_poisoned: AtomicBool::new(false),
-        });
+        db.attach_durability(dir, writer, config);
         Ok(db)
     }
 

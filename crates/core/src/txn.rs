@@ -7,6 +7,9 @@
 //!
 //! # Write protocol
 //!
+//! Two textbook rules carry it: **force the log at commit**, and **WAL
+//! before data**.
+//!
 //! Transactional DML inverts the auto-commit ordering: it is **logged
 //! before it is applied**. Auto-commit statements log last because the WAL
 //! is a redo-only log of applied statements — a failed statement must leave
@@ -16,6 +19,18 @@
 //! loser's effect (via buffer-pool steal) that recovery cannot see to roll
 //! back.
 //!
+//! "Logged" means *handed to the log file* — appended and written with one
+//! `write`, in every `wal_sync_every` mode — not fsynced. A record inside an
+//! open transaction owes nobody durability: the transaction's one
+//! durability point is its commit record, and the fsync that forces it
+//! covers everything the transaction wrote before. What the record must do
+//! is reach the device *before the page it describes*, and that is enforced
+//! where pages leave: the buffer pool forces the log up to its written
+//! position before any write-back (`WalTail::make_durable`). So a
+//! transaction of N statements costs N + 2 writes and **one** fsync, plus
+//! one fsync for each of its dirty pages a steal pushes out early.
+//!
+//! * **Begin** — log `TxnBegin`.
 //! * **Insert** — lock the pk (first-writer-wins), log `TxnInsert`, apply
 //!   physically. The row is physically present but invisible to every other
 //!   reader until commit (see [`hermit_txn::ReadView`]).
@@ -28,14 +43,14 @@
 //!   record lands — undoing the loser then needs the bytes from the log.
 //! * **Delete of the txn's own insert** — applied (and logged) immediately:
 //!   no other reader ever saw the row.
-//! * **Commit** — apply + log the deferred deletes, then append
-//!   `TxnCommit` and **force the fsync boundary** (a positive commit
-//!   acknowledgement survives a crash regardless of `wal_sync_every`).
+//! * **Commit** — log + apply the deferred deletes, then append
+//!   `TxnCommit` and **force the log** (a positive commit acknowledgement
+//!   survives a crash regardless of `wal_sync_every`).
 //! * **Rollback** — apply the undo list in reverse (idempotent
-//!   delete-if-present / insert-if-absent compensations), then append
-//!   `TxnAbort` on the normal commit batch. Rollback never requires a
-//!   healthy WAL: the in-memory rollback always completes, because recovery
-//!   reaches the same state without the abort record.
+//!   delete-if-present / insert-if-absent compensations), then log
+//!   `TxnAbort`, unforced. Rollback never requires a healthy WAL: the
+//!   in-memory rollback always completes, because recovery reaches the same
+//!   state without the abort record.
 //!
 //! # Recovery: redo-then-undo (ARIES-lite)
 //!
@@ -102,8 +117,8 @@ impl Database {
 
     /// Open a transaction and return its id.
     ///
-    /// On a durable database the `TxnBegin` record is appended under the
-    /// quiesce + WAL guards; a WAL failure closes the id again and
+    /// On a durable database the `TxnBegin` record is written (not fsynced)
+    /// under the quiesce + WAL guards; a WAL failure closes the id again and
     /// propagates, so a transaction the caller never learned about cannot
     /// linger open.
     pub fn begin(&self) -> Result<u64, CoreError> {
@@ -116,7 +131,7 @@ impl Database {
         };
         let txn = self.txns.begin();
         if let Some((d, _quiesce, wal)) = statement.as_mut() {
-            if let Err(e) = d.log(wal, &WalRecord::TxnBegin { txn }) {
+            if let Err(e) = d.log_txn(wal, &WalRecord::TxnBegin { txn }) {
                 let _ = self.txns.start_abort(txn);
                 let _ = self.txns.finish_abort(txn);
                 return Err(e.into());
@@ -131,8 +146,8 @@ impl Database {
     /// including one this same transaction holds a pending delete on — is
     /// rejected as [`StorageError::WriteConflict`] (re-inserting a deleted
     /// key becomes possible only after the deleting transaction commits).
-    /// The `TxnInsert` record is logged *before* the physical apply; see
-    /// the module docs for why.
+    /// The `TxnInsert` record is in the log file *before* the physical
+    /// apply, and is not fsynced; see the module docs for why.
     pub fn insert_txn(&self, txn: u64, row: &[Value]) -> Result<Tid, CoreError> {
         let mut statement = match &self.durability {
             Some(d) => {
@@ -157,14 +172,14 @@ impl Database {
         }
         self.txns.note_insert(txn, pk)?;
         if let Some((d, _quiesce, wal)) = statement.as_mut() {
-            if let Err(e) = d.log(wal, &WalRecord::TxnInsert { txn, row: row.to_vec() }) {
+            if let Err(e) = d.log_txn(wal, &WalRecord::TxnInsert { txn, row: row.to_vec() }) {
                 // Nothing was applied: unwind the lock and undo entry so
                 // the failed statement leaves no trace.
                 self.txns.forget_insert(txn, pk);
                 return Err(e.into());
             }
         }
-        // Apply after the record is down, under the exclusive side of the
+        // Apply after the record is in the file, under the exclusive side of the
         // visibility latch: a query that froze its view before this
         // statement locked the pk would not filter the row, so the physical
         // apply must wait until that query has drained. If the apply itself
@@ -218,7 +233,7 @@ impl Database {
                     // On failure the WAL is poisoned: commit is impossible
                     // and rollback (which removes this row anyway) is the
                     // only exit, so the flipped lock needs no unwinding.
-                    d.log(wal, &WalRecord::TxnDelete { txn, pk, row: row.clone() })?;
+                    d.log_txn(wal, &WalRecord::TxnDelete { txn, pk, row: row.clone() })?;
                 }
                 let pre = self.apply_delete(pk)?;
                 self.txns.note_applied_delete(txn, pk, pre)?;
@@ -259,7 +274,7 @@ impl Database {
         let pending = self.txns.start_commit(txn)?;
         for (pk, row) in pending {
             if let Some((d, _quiesce, wal)) = statement.as_mut() {
-                d.log(wal, &WalRecord::TxnDelete { txn, pk, row: row.clone() })?;
+                d.log_txn(wal, &WalRecord::TxnDelete { txn, pk, row: row.clone() })?;
             }
             // The pk is locked by this txn, so the row is still live.
             let pre = self.apply_delete(pk)?;

@@ -12,7 +12,7 @@
 //! * **planned faults** — EIO / dropped / torn writes at exact operation
 //!   ordinals or from a seeded schedule, via [`FaultPlan`].
 //!
-//! All toggles compose; the wrapper forwards `file_path`/`reserve`/`stats`
+//! All toggles compose; the wrapper forwards `file_path`/`reset_watermark`/`stats`
 //! so the checkpoint machinery treats it exactly like the inner store.
 
 use crate::plan::{FaultKind, FaultOp, FaultPlan};
@@ -185,8 +185,8 @@ impl PageStore for FaultyPageStore {
         self.inner.file_path()
     }
 
-    fn reserve(&self, pages: u64) {
-        self.inner.reserve(pages)
+    fn reset_watermark(&self, pages: u64) -> hermit_storage::Result<()> {
+        self.inner.reset_watermark(pages)
     }
 }
 

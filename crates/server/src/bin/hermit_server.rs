@@ -13,8 +13,11 @@
 //!   `target` routed through it.
 //! * `--mem-rows N` — in-memory demo mode (the default, with N=100000):
 //!   synthetic `pk/host/target` rows with `host = 2·target`, same indexes.
-//! * `--wal-sync-every N` — WAL commit batch (1 = every statement durable
-//!   before it is acknowledged); durable mode only.
+//! * `--wal-sync-every N` — WAL commit batch: fsync once per N auto-commit
+//!   statements (1 = every auto-commit statement and every commit durable
+//!   before it is acknowledged). A transaction commit always fsyncs; the
+//!   statements inside a transaction never do on their own. Durable mode
+//!   only.
 //!
 //! Prints `listening on ADDR` once serving (scripts bind port 0 and parse
 //! the line), then blocks until a client sends `Shutdown`.

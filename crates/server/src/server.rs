@@ -588,6 +588,11 @@ fn render_stats(inner: &Arc<Inner>) -> String {
     if let Some(depth) = db.wal_depth() {
         let _ = writeln!(out, "hermit_wal_uncommitted {depth}");
     }
+    if let Some(tail) = db.wal_tail() {
+        let _ = writeln!(out, "hermit_wal_records {}", tail.records());
+        let _ = writeln!(out, "hermit_wal_fsyncs {}", tail.fsyncs());
+        let _ = writeln!(out, "hermit_wal_barrier_fsyncs {}", tail.barrier_fsyncs());
+    }
 
     let txn = db.txn_counters();
     let _ = writeln!(out, "hermit_txn_begins {}", txn.begins);

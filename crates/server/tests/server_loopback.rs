@@ -401,6 +401,28 @@ fn graceful_shutdown_checkpoints_durable_state() {
     for pk in 50..60 {
         c.insert(row_for(pk)).unwrap();
     }
+    // The exporter's log accounting, at `wal_sync_every` 1: an fsync per
+    // auto-commit statement and per commit, none inside a transaction.
+    let wal_stat = |stats: &str, name: &str| -> u64 {
+        let line = stats.lines().find_map(|l| l.strip_prefix(name)).expect(name);
+        line.trim().parse().unwrap()
+    };
+    let before = c.stats().unwrap();
+    c.begin().unwrap();
+    c.insert(row_for(100)).unwrap();
+    c.insert(row_for(101)).unwrap();
+    c.rollback().unwrap();
+    c.insert(row_for(60)).unwrap();
+    c.delete(60).unwrap();
+    let after = c.stats().unwrap();
+    let delta = |name| wal_stat(&after, name) - wal_stat(&before, name);
+    assert_eq!(delta("hermit_wal_records "), 6, "begin + 2 inserts + abort, insert, delete");
+    assert_eq!(delta("hermit_wal_fsyncs "), 2, "only the two auto-commit statements fsync");
+    assert_eq!(
+        wal_stat(&after, "hermit_wal_barrier_fsyncs "),
+        0,
+        "pages left behind a durable log"
+    );
     c.shutdown().unwrap();
     server.wait();
 

@@ -54,14 +54,26 @@
 //!
 //! Victim write-back stays under the shard lock: the victim must not be
 //! re-readable from the store before its newest image is there.
+//!
+//! # WAL before data
+//!
+//! A pool under a durable database is given the log's [`WalTail`]
+//! ([`BufferPool::attach_wal`]). Every write-back of a dirty frame — steal
+//! or [`flush`](BufferPool::flush) — first makes the log durable up to the
+//! position handed to its file, so a page carrying a transaction's
+//! uncommitted change cannot reach the device ahead of the record recovery
+//! needs to undo it. With nothing pending that is two atomic loads;
+//! otherwise one log fsync, taken under the shard lock that is about to
+//! write a page anyway.
 
 use super::io::PageStore;
 use super::page::{Page, PageId};
+use crate::wal::WalTail;
 use crate::Result;
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Hit/miss/eviction counters for a buffer pool.
 ///
@@ -179,6 +191,8 @@ pub struct BufferPool {
     shards: Vec<Mutex<PoolInner>>,
     capacity: usize,
     stats: PoolStats,
+    /// The log whose records describe this pool's pages, once attached.
+    wal: OnceLock<Arc<WalTail>>,
 }
 
 impl BufferPool {
@@ -200,7 +214,23 @@ impl BufferPool {
         let shards = (0..shards)
             .map(|i| Mutex::new(PoolInner::with_capacity(base + usize::from(i < extra))))
             .collect();
-        BufferPool { store, shards, capacity, stats: PoolStats::default() }
+        BufferPool { store, shards, capacity, stats: PoolStats::default(), wal: OnceLock::new() }
+    }
+
+    /// Put this pool's write-backs behind `tail`'s log (see the module
+    /// docs). A pool serves one log for its whole life; a second call is
+    /// ignored.
+    pub fn attach_wal(&self, tail: Arc<WalTail>) {
+        let _ = self.wal.set(tail);
+    }
+
+    /// The WAL rule: before a dirty page goes to the store, the log is
+    /// durable up to everything handed to its file.
+    fn wal_before_data(&self) -> Result<()> {
+        match self.wal.get() {
+            Some(tail) => Ok(tail.make_durable()?),
+            None => Ok(()),
+        }
     }
 
     /// Pool capacity in pages (summed across shards).
@@ -320,6 +350,7 @@ impl BufferPool {
         for slot in inner.slots.iter_mut() {
             if let Slot::Resident(frame) = slot {
                 if frame.dirty {
+                    self.wal_before_data()?;
                     self.store.write(frame.page_id, &frame.page)?;
                     frame.dirty = false;
                     inner.write_epoch += 1;
@@ -408,6 +439,7 @@ impl BufferPool {
                 continue;
             }
             if frame.dirty {
+                self.wal_before_data()?;
                 self.store.write(frame.page_id, &frame.page)?;
                 frame.dirty = false;
                 inner.write_epoch += 1;
@@ -726,6 +758,10 @@ mod tests {
         fn stats(&self) -> &crate::paged::io::IoStats {
             self.inner.stats()
         }
+
+        fn reset_watermark(&self, pages: u64) -> Result<()> {
+            self.inner.reset_watermark(pages)
+        }
     }
 
     fn counter(page: &Page) -> u64 {
@@ -863,6 +899,34 @@ mod tests {
             let (resident, free) = p.frame_counts();
             assert_eq!(resident + free, frames, "a frame leaked out of the pool");
         }
+    }
+
+    #[test]
+    fn write_back_forces_the_attached_log_first() {
+        use crate::wal::{WalRecord, WalWriter};
+        let dir = std::env::temp_dir().join(format!("hermit-pool-wal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut wal = WalWriter::create(&dir.join("wal.log"), 0).unwrap();
+        let tail = Arc::clone(wal.tail());
+        let p = pool(1);
+        p.attach_wal(Arc::clone(&tail));
+        let a = p.allocate(8).unwrap();
+
+        // A record in the file but not fsynced, and the page it describes.
+        wal.append(&WalRecord::Delete { pk: 1 }).unwrap();
+        wal.flush().unwrap();
+        p.write(a, |page| page.insert(&1u64.to_le_bytes()).unwrap()).unwrap();
+        assert!(tail.durable() < tail.written());
+        // Stealing the only frame writes the page back: log first.
+        let b = p.allocate(8).unwrap();
+        assert_eq!(tail.durable(), tail.written());
+        assert_eq!(tail.barrier_fsyncs(), 1);
+
+        // A dirty page with nothing pending in the log costs no fsync.
+        p.write(b, |page| page.insert(&2u64.to_le_bytes()).unwrap()).unwrap();
+        p.flush().unwrap();
+        assert_eq!(tail.fsyncs(), 1);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -98,15 +98,17 @@ pub trait PageStore: Send + Sync {
         None
     }
 
-    /// Raise the allocation watermark to at least `pages`.
+    /// Set the allocation watermark to exactly `pages` and give back the
+    /// space behind it.
     ///
-    /// Recovery calls this with the catalog's watermark so future
-    /// allocations never collide with page ids a torn checkpoint may
-    /// already have handed out, even when the backing file is shorter than
-    /// the catalog remembers. Default no-op; wrapper stores should forward.
-    fn reserve(&self, pages: u64) {
-        let _ = pages;
-    }
+    /// Recovery calls this with the catalog's watermark. A page the catalog
+    /// does not list is unreachable — whatever the crashed process wrote
+    /// there is regenerated from the WAL into newly allocated pages — so
+    /// leaving it allocated would leak it for good. A store shorter than
+    /// `pages` keeps its length: the catalog wins, and the next allocation
+    /// still cannot collide with an id the checkpoint handed out. Wrapper
+    /// stores must forward.
+    fn reset_watermark(&self, pages: u64) -> Result<()>;
 }
 
 /// A [`PageStore`] backed by a real file.
@@ -231,8 +233,13 @@ impl PageStore for FilePageStore {
         Some(&self.path)
     }
 
-    fn reserve(&self, pages: u64) {
-        self.next_page.fetch_max(pages, Ordering::Relaxed);
+    fn reset_watermark(&self, pages: u64) -> Result<()> {
+        let len = pages * PAGE_SIZE as u64;
+        if self.file.metadata()?.len() > len {
+            self.file.set_len(len)?;
+        }
+        self.next_page.store(pages, Ordering::Relaxed);
+        Ok(())
     }
 }
 
@@ -319,11 +326,9 @@ impl PageStore for SimulatedPageStore {
         &self.stats
     }
 
-    fn reserve(&self, pages: u64) {
-        let mut slots = self.pages.lock();
-        if slots.len() < pages as usize {
-            slots.resize_with(pages as usize, || None);
-        }
+    fn reset_watermark(&self, pages: u64) -> Result<()> {
+        self.pages.lock().resize_with(pages as usize, || None);
+        Ok(())
     }
 }
 
@@ -393,11 +398,17 @@ mod tests {
         f.set_len(3 * PAGE_SIZE as u64 + 100).unwrap();
         let store = FilePageStore::open(&path).unwrap();
         assert_eq!(store.page_count(), 3, "partial trailing page must not count");
-        // …and `reserve` can push the watermark past the file (catalog wins).
-        store.reserve(10);
+        // …`reset_watermark` can push the watermark past the file (catalog
+        // wins) without growing it…
+        store.reset_watermark(10).unwrap();
         assert_eq!(store.page_count(), 10);
-        store.reserve(5);
-        assert_eq!(store.page_count(), 10, "reserve never lowers the watermark");
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 3 * PAGE_SIZE as u64 + 100);
+        // …and pulls it back, returning the pages behind it to the file system.
+        store.reset_watermark(2).unwrap();
+        assert_eq!(store.page_count(), 2);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 2 * PAGE_SIZE as u64);
+        assert!(matches!(read(&store, 2), Err(StorageError::PageNotFound { page: 2 })));
+        assert_eq!(store.allocate(), 2, "a reclaimed id is handed out again");
         std::fs::remove_dir_all(&dir).ok();
     }
 

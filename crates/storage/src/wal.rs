@@ -22,10 +22,18 @@
 //!   point and appends from there. Everything before the tear replays
 //!   normally — a torn tail is data loss bounded by the last fsync, never
 //!   an error.
-//! * **Group commit.** Appends are buffered; [`WalWriter::commit`] flushes
-//!   and fsyncs. The database fsyncs every N appends (the commit batch) and
-//!   at checkpoints; the durability contract is "everything up to the last
-//!   commit survives".
+//! * **Force at commit, WAL before data.** Appends are buffered in user
+//!   space. [`WalWriter::flush`] hands the buffer to the file with one
+//!   `write` (it then survives `kill -9`, not a power cut);
+//!   [`WalWriter::commit`] flushes and fsyncs — the durability point. The
+//!   database commits every auto-commit statement batch and every
+//!   transaction commit; the records *inside* a transaction are only
+//!   flushed, because nothing is owed for them until the commit record.
+//!   What makes that safe with a stealing buffer pool is the [`WalTail`]:
+//!   the positions "handed to the file" and "known durable", shared with
+//!   the pool, whose write-back first forces the log up to the written
+//!   position ([`WalTail::make_durable`]). A page therefore never reaches
+//!   the device ahead of the record recovery needs to undo it.
 //!
 //! Format (little-endian):
 //!
@@ -58,7 +66,9 @@ use crate::recovery::{crc32, sync_dir, RecoveryError};
 use crate::value::Value;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"HMWL";
 const VERSION: u32 = 1;
@@ -245,11 +255,95 @@ fn decode_payload(payload: &[u8]) -> Result<WalRecord, RecoveryError> {
     }
 }
 
-/// Appender over a WAL file. Writes are buffered; [`commit`](Self::commit)
-/// is the durability point.
+/// The end of the log as the rest of the engine sees it: how far the log has
+/// been handed to the file, and how far it is known durable.
+///
+/// Shared (`Arc`) between the [`WalWriter`] and the buffer pool. Both
+/// positions count bytes over the life of the writer and never go back — a
+/// generation reset continues them — so a reader needs no lock: it is a file
+/// handle and atomics. The counters beside them feed the metrics exporter.
+#[derive(Debug)]
+pub struct WalTail {
+    file: Arc<File>,
+    /// Bytes handed to the file. Advanced by the writer, under its guard.
+    written: AtomicU64,
+    /// Bytes known to be on the device: `durable <= written`.
+    durable: AtomicU64,
+    records: AtomicU64,
+    fsyncs: AtomicU64,
+    barrier_fsyncs: AtomicU64,
+}
+
+impl WalTail {
+    /// Position up to which the log has been handed to the file.
+    pub fn written(&self) -> u64 {
+        self.written.load(Ordering::Acquire)
+    }
+
+    /// Position up to which the log is known to be on the device.
+    pub fn durable(&self) -> u64 {
+        self.durable.load(Ordering::Acquire)
+    }
+
+    /// Records appended so far.
+    pub fn records(&self) -> u64 {
+        self.records.load(Ordering::Relaxed)
+    }
+
+    /// Log fsyncs so far: commits plus write-back barriers.
+    pub fn fsyncs(&self) -> u64 {
+        self.fsyncs.load(Ordering::Relaxed)
+    }
+
+    /// The share of [`fsyncs`](Self::fsyncs) forced by page write-back.
+    pub fn barrier_fsyncs(&self) -> u64 {
+        self.barrier_fsyncs.load(Ordering::Relaxed)
+    }
+
+    /// `target` bytes are on the device. `fetch_max`, because a commit and a
+    /// barrier may finish out of order; Release pairs with the Acquire in
+    /// [`durable`](Self::durable).
+    fn note_durable(&self, target: u64) {
+        self.durable.fetch_max(target, Ordering::Release);
+        self.fsyncs.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The WAL-before-data barrier: make everything handed to the file so
+    /// far durable. The buffer pool calls this before it writes a dirty page
+    /// back; with nothing pending it is two atomic loads.
+    ///
+    /// A transaction's record is written before its change is applied, so
+    /// the position read here covers every such change the page carries.
+    pub fn make_durable(&self) -> std::io::Result<()> {
+        let target = self.written();
+        if self.durable() >= target {
+            return Ok(());
+        }
+        match fault_point("wal.barrier") {
+            FaultAction::Error => return Err(std::io::Error::other(injected_error("wal.barrier"))),
+            // Lying fsync: the page goes out believing the log is down.
+            FaultAction::Skip => return Ok(()),
+            FaultAction::Continue => {}
+        }
+        self.file.sync_data()?;
+        self.note_durable(target);
+        self.barrier_fsyncs.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+}
+
+/// Appender over a WAL file. Appends are buffered in user space;
+/// [`flush`](Self::flush) hands them to the file and
+/// [`commit`](Self::commit) is the durability point.
 pub struct WalWriter {
-    out: BufWriter<File>,
+    out: BufWriter<Arc<File>>,
+    tail: Arc<WalTail>,
+    /// Directory holding the log, fsynced with each new generation.
+    dir: PathBuf,
     epoch: u64,
+    /// Bytes appended so far, buffered ones included — what
+    /// [`WalTail::written`] becomes at the next flush.
+    appended: u64,
     uncommitted: usize,
     scratch: Vec<u8>,
 }
@@ -259,25 +353,12 @@ impl WalWriter {
     /// the header, fsyncs file and directory. After this returns, a reader
     /// sees an empty log of the given epoch.
     pub fn create(path: &Path, epoch: u64) -> Result<Self, RecoveryError> {
-        // Crash/fault site *before* the truncating open: a snapshot here
-        // models a crash between "new catalog renamed" and "WAL reset" —
-        // the stale-epoch WAL the epoch fence exists for.
-        if fault_point("wal.reset") == FaultAction::Error {
-            return Err(RecoveryError::Io(std::io::Error::other(injected_error("wal.reset"))));
-        }
-        let mut file =
-            OpenOptions::new().read(true).write(true).create(true).truncate(true).open(path)?;
-        // Site between truncation and the header write: a snapshot here is
-        // a header-torn (empty) WAL, which recovery must treat as benign.
-        if fault_point("wal.header") == FaultAction::Error {
-            return Err(RecoveryError::Io(std::io::Error::other(injected_error("wal.header"))));
-        }
-        file.write_all(MAGIC)?;
-        file.write_all(&VERSION.to_le_bytes())?;
-        file.write_all(&epoch.to_le_bytes())?;
-        file.sync_all()?;
-        sync_dir(path.parent().unwrap_or_else(|| Path::new(".")));
-        Ok(WalWriter { out: BufWriter::new(file), epoch, uncommitted: 0, scratch: Vec::new() })
+        // No `truncate` here: `reset` does it, behind the `wal.reset` site.
+        #[allow(clippy::suspicious_open_options)]
+        let file = OpenOptions::new().read(true).write(true).create(true).open(path)?;
+        let mut writer = Self::over(file, path, epoch, 0);
+        writer.reset(epoch)?;
+        Ok(writer)
     }
 
     /// Reopen an existing WAL for appending after recovery: the file is
@@ -294,12 +375,76 @@ impl WalWriter {
         file.set_len(valid_len)?;
         file.sync_all()?;
         file.seek(SeekFrom::Start(valid_len))?;
-        Ok(WalWriter { out: BufWriter::new(file), epoch, uncommitted: 0, scratch: Vec::new() })
+        Ok(Self::over(file, path, epoch, valid_len))
+    }
+
+    /// A writer over `file` (at `path`), which holds `len` durable bytes and
+    /// whose cursor sits behind them.
+    fn over(file: File, path: &Path, epoch: u64, len: u64) -> Self {
+        let file = Arc::new(file);
+        let tail = Arc::new(WalTail {
+            file: Arc::clone(&file),
+            written: AtomicU64::new(len),
+            durable: AtomicU64::new(len),
+            records: AtomicU64::new(0),
+            fsyncs: AtomicU64::new(0),
+            barrier_fsyncs: AtomicU64::new(0),
+        });
+        WalWriter {
+            out: BufWriter::new(file),
+            tail,
+            dir: path.parent().unwrap_or_else(|| Path::new(".")).to_path_buf(),
+            epoch,
+            appended: len,
+            uncommitted: 0,
+            scratch: Vec::new(),
+        }
+    }
+
+    /// Start a new log generation in place: truncate the file and write the
+    /// header for `epoch`, file and directory fsynced. The [`WalTail`] — every holder's view of
+    /// the positions and counters — carries over.
+    ///
+    /// Frames still buffered are **dropped**, not flushed: they belong to
+    /// the generation being abandoned (a checkpoint already contains their
+    /// effects), and in the new one they would replay a second time.
+    pub fn reset(&mut self, epoch: u64) -> Result<(), RecoveryError> {
+        let mut file = Arc::clone(&self.tail.file);
+        drop(std::mem::replace(&mut self.out, BufWriter::new(Arc::clone(&file))).into_parts());
+        self.uncommitted = 0;
+        // Crash/fault site *before* the truncation: a snapshot here models a
+        // crash between "new catalog renamed" and "WAL reset" — the
+        // stale-epoch WAL the epoch fence exists for.
+        if fault_point("wal.reset") == FaultAction::Error {
+            return Err(RecoveryError::Io(std::io::Error::other(injected_error("wal.reset"))));
+        }
+        file.set_len(0)?;
+        file.seek(SeekFrom::Start(0))?;
+        // Site between truncation and the header write: a snapshot here is
+        // a header-torn (empty) WAL, which recovery must treat as benign.
+        if fault_point("wal.header") == FaultAction::Error {
+            return Err(RecoveryError::Io(std::io::Error::other(injected_error("wal.header"))));
+        }
+        file.write_all(MAGIC)?;
+        file.write_all(&VERSION.to_le_bytes())?;
+        file.write_all(&epoch.to_le_bytes())?;
+        file.sync_all()?;
+        sync_dir(&self.dir);
+        self.epoch = epoch;
+        self.appended += HEADER_LEN;
+        self.tail.written.store(self.appended, Ordering::Release);
+        self.tail.durable.fetch_max(self.appended, Ordering::Release);
+        Ok(())
     }
 
     /// The epoch this log belongs to.
     pub fn epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// The shared end-of-log positions and counters.
+    pub fn tail(&self) -> &Arc<WalTail> {
+        &self.tail
     }
 
     /// Append one record (buffered — not durable until
@@ -326,8 +471,10 @@ impl WalWriter {
             self.out.write_all(&scratch)?;
             Ok(())
         })();
+        self.appended += 8 + scratch.len() as u64;
         self.scratch = scratch;
         res?;
+        self.tail.records.fetch_add(1, Ordering::Relaxed);
         self.uncommitted += 1;
         Ok(self.uncommitted)
     }
@@ -376,6 +523,15 @@ impl WalWriter {
         self.append(&WalRecord::TxnAbort { txn })
     }
 
+    /// Hand every buffered frame to the file (one `write`). The frames then
+    /// survive the process (`kill -9`) and are covered by the next fsync —
+    /// this writer's or the buffer pool's barrier — but are not yet durable.
+    pub fn flush(&mut self) -> Result<(), RecoveryError> {
+        self.out.flush()?;
+        self.tail.written.store(self.appended, Ordering::Release);
+        Ok(())
+    }
+
     /// Flush buffered frames and fsync: everything appended so far is now
     /// durable (the commit-batch boundary).
     pub fn commit(&mut self) -> Result<(), RecoveryError> {
@@ -392,8 +548,9 @@ impl WalWriter {
             }
             FaultAction::Continue => {}
         }
-        self.out.flush()?;
-        self.out.get_ref().sync_data()?;
+        self.flush()?;
+        self.tail.file.sync_data()?;
+        self.tail.note_durable(self.appended);
         self.uncommitted = 0;
         Ok(())
     }
@@ -401,16 +558,6 @@ impl WalWriter {
     /// Records appended since the last commit.
     pub fn uncommitted(&self) -> usize {
         self.uncommitted
-    }
-
-    /// Consume the writer, **dropping** any buffered-but-uncommitted
-    /// frames instead of flushing them. Used when a log generation is
-    /// being abandoned (checkpoint reset): letting the `BufWriter` drop
-    /// normally would flush stale bytes at its old offset into a file that
-    /// has since been truncated and restarted under a new epoch.
-    pub fn discard(self) {
-        let (file, _pending) = self.out.into_parts();
-        drop(file);
     }
 }
 
@@ -659,6 +806,47 @@ mod tests {
         // The begin landed; the lying commit-record append left the log
         // showing an open (loser) transaction.
         assert_eq!(replay.records, vec![WalRecord::TxnBegin { txn: 1 }]);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn tail_tracks_written_and_durable_across_a_reset() {
+        let path = tmp("tail.wal");
+        let mut w = WalWriter::create(&path, 1).unwrap();
+        let tail = Arc::clone(w.tail());
+        assert_eq!((tail.written(), tail.durable()), (HEADER_LEN, HEADER_LEN));
+        tail.make_durable().unwrap();
+        assert_eq!(tail.fsyncs(), 0, "nothing pending: the barrier is a comparison");
+
+        // Buffered: not even written. Flushed: written, not durable.
+        w.append(&WalRecord::Delete { pk: 1 }).unwrap();
+        assert_eq!(tail.written(), HEADER_LEN);
+        w.flush().unwrap();
+        let one = HEADER_LEN + 8 + 9;
+        assert_eq!((tail.written(), tail.durable()), (one, HEADER_LEN));
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), one);
+
+        // The barrier pays the fsync the flush did not.
+        tail.make_durable().unwrap();
+        assert_eq!(tail.durable(), one);
+        assert_eq!((tail.fsyncs(), tail.barrier_fsyncs()), (1, 1));
+
+        w.append(&WalRecord::Delete { pk: 2 }).unwrap();
+        w.commit().unwrap();
+        assert_eq!((tail.written(), tail.durable()), (one + 17, one + 17));
+        assert_eq!((tail.records(), tail.fsyncs(), tail.barrier_fsyncs()), (2, 2, 1));
+
+        // A new generation drops what is buffered, restarts the file, and
+        // keeps positions and counters going for whoever holds the tail.
+        w.append(&WalRecord::Delete { pk: 3 }).unwrap();
+        w.reset(2).unwrap();
+        assert_eq!(w.uncommitted(), 0);
+        assert!(tail.written() > one + 17 && tail.durable() == tail.written());
+        assert_eq!(tail.records(), 3);
+        w.append(&WalRecord::Delete { pk: 4 }).unwrap();
+        w.commit().unwrap();
+        let replay = read_wal(&path).unwrap();
+        assert_eq!((replay.epoch, replay.records), (2, vec![WalRecord::Delete { pk: 4 }]));
         std::fs::remove_file(&path).ok();
     }
 

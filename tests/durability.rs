@@ -16,15 +16,26 @@
 //!   drops the data) is detected at open and reported as corruption rather
 //!   than serving wrong rows.
 //! * **Typed rejection**: the in-memory substrate cannot checkpoint.
+//! * **Force at commit**: the log is fsynced once per auto-commit statement
+//!   batch and once per transaction commit, and nowhere else — counted
+//!   exactly.
+//! * **WAL before data**: a page carrying an open transaction's rows is
+//!   never on the device ahead of the records that undo them, so a
+//!   `kill -9` taken at any instant of a steal recovers without the loser.
+//! * **No leak**: pages a crashed run allocated behind the catalog's
+//!   watermark are given back at open.
 
 use hermit::core::recovery::{DurabilityConfig, PAGES_FILE, WAL_FILE};
 use hermit::core::shared::SharedDatabase;
+use hermit::core::Heap;
 use hermit::core::{BatchOptions, CoreError, Database, PlanKind, Query, RangePredicate};
 use hermit::fault::FaultyPageStore;
-use hermit::storage::paged::{PageId, PageStore};
-use hermit::storage::{ColumnDef, Schema, TidScheme, Value};
-use std::collections::BTreeSet;
+use hermit::storage::paged::{PageId, PageStore, PAGE_SIZE};
+use hermit::storage::{install_fault_hook, ColumnDef, FaultAction, Schema, TidScheme, Value};
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
+use std::rc::Rc;
 use std::sync::Arc;
 
 fn schema() -> Schema {
@@ -426,4 +437,259 @@ fn live_checkpoint_under_concurrent_writers_loses_nothing() {
         assert_eq!(r.rows.len(), 1, "writer {w}'s first row missing after recovery");
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `(records, fsyncs, barrier fsyncs)` of the database's log so far.
+fn wal_counts(db: &Database) -> (u64, u64, u64) {
+    let tail = db.wal_tail().expect("durable database");
+    (tail.records(), tail.fsyncs(), tail.barrier_fsyncs())
+}
+
+/// Run `f` and return what it added to the log's counters.
+fn wal_delta(db: &Database, f: impl FnOnce()) -> (u64, u64, u64) {
+    let (r0, f0, b0) = wal_counts(db);
+    f();
+    let (r1, f1, b1) = wal_counts(db);
+    (r1 - r0, f1 - f0, b1 - b0)
+}
+
+/// Force-log-at-commit, counted: the fsyncs are owed by auto-commit
+/// statements and commit records only. The counts repeat exactly.
+#[test]
+fn log_is_forced_at_commit_points_and_nowhere_else() {
+    let dir = fresh_dir("force-1");
+    let every_statement = DurabilityConfig { wal_sync_every: 1, ..Default::default() };
+    let db = Database::create_durable(schema(), 0, &dir, &every_statement).unwrap();
+
+    let committed = wal_delta(&db, || {
+        let t = db.begin().unwrap();
+        for i in 0..4i64 {
+            db.insert_txn(t, &row(i, i as f64)).unwrap();
+        }
+        db.commit_txn(t).unwrap();
+    });
+    assert_eq!(committed, (6, 1, 0), "begin + 4 inserts + commit: six records, one fsync");
+
+    let auto = wal_delta(&db, || {
+        for i in 10..14i64 {
+            db.insert(&row(i, i as f64)).unwrap();
+        }
+    });
+    assert_eq!(auto, (4, 4, 0), "auto-commit statements keep one fsync each");
+
+    let rolled_back = wal_delta(&db, || {
+        let t = db.begin().unwrap();
+        db.insert_txn(t, &row(20, 20.0)).unwrap();
+        db.insert_txn(t, &row(21, 21.0)).unwrap();
+        db.rollback_txn(t).unwrap();
+    });
+    assert_eq!(rolled_back, (4, 0, 0), "a rolled-back transaction owes no fsync");
+    assert_eq!(db.wal_depth(), Some(4), "its records are written, not yet durable");
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+
+    let dir = fresh_dir("force-64");
+    let batched = DurabilityConfig { wal_sync_every: 64, ..Default::default() };
+    let db = Database::create_durable(schema(), 0, &dir, &batched).unwrap();
+    let first_63 = wal_delta(&db, || {
+        for i in 0..63i64 {
+            db.insert(&row(i, i as f64)).unwrap();
+        }
+    });
+    assert_eq!(first_63, (63, 0, 0));
+    let the_64th = wal_delta(&db, || {
+        db.insert(&row(63, 63.0)).unwrap();
+    });
+    assert_eq!(the_64th, (1, 1, 0), "the batch fills at the 64th record");
+    // A commit forces whatever the batch is, and covers the whole transaction.
+    let committed = wal_delta(&db, || {
+        let t = db.begin().unwrap();
+        db.insert_txn(t, &row(100, 100.0)).unwrap();
+        db.commit_txn(t).unwrap();
+    });
+    assert_eq!(committed, (3, 1, 0));
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A `kill -9` image: the site it was taken at, the log's durable position
+/// at that instant, and the copied directory.
+type CrashImage = (&'static str, u64, PathBuf);
+
+/// The WAL rule under a steal. A transaction inserts into the checkpoint's
+/// half-full last page; reading other pages through a three-frame pool
+/// pushes that page out while the transaction is still open. At every I/O
+/// site on the way a `kill -9` image is taken (the directory is copied with
+/// the database alive), and each image must recover without the loser's
+/// rows and without a torn-checkpoint error — at `wal_sync_every` 1 and 64.
+#[test]
+fn stolen_page_never_outruns_the_records_that_undo_it() {
+    for sync_every in [1usize, 64] {
+        let dir = fresh_dir(&format!("steal-{sync_every}"));
+        let config = DurabilityConfig { pool_pages: 3, pool_shards: 1, wal_sync_every: sync_every };
+        // Four full pages and a half-full fifth.
+        let per_page = PAGE_SIZE / (3 * 9);
+        let rows = (4 * per_page + per_page / 2) as i64;
+        let db = Database::create_durable(schema(), 0, &dir, &config).unwrap();
+        for i in 0..rows {
+            db.insert(&row(i, i as f64)).unwrap();
+        }
+        db.checkpoint(&dir).unwrap();
+        drop(db);
+
+        let db = Database::open(&dir, &config).unwrap();
+        let Heap::Paged(table) = db.heap() else { panic!("paged database") };
+        let pages = table.pages();
+        let last_page = *pages.last().unwrap();
+        let tail = Arc::clone(db.wal_tail().unwrap());
+
+        // From here on, every instrumented I/O but a page read leaves an
+        // image behind, with the log's durable position at that instant.
+        let seen: Rc<RefCell<Vec<CrashImage>>> = Rc::default();
+        let hook = {
+            let (seen, tail, dir) = (Rc::clone(&seen), Arc::clone(&tail), dir.clone());
+            install_fault_hook(move |site| {
+                if site != "page.read" {
+                    let mut seen = seen.borrow_mut();
+                    let image = fresh_dir(&format!("steal-{sync_every}-image-{}", seen.len()));
+                    copy_dir(&dir, &image);
+                    seen.push((site, tail.durable(), image));
+                }
+                FaultAction::Continue
+            })
+        };
+
+        let t = db.begin().unwrap();
+        let loser_pks: Vec<i64> = (0..5).map(|i| 1_000_000 + i).collect();
+        for &pk in &loser_pks {
+            db.insert_txn(t, &row(pk, 9_000.0 + pk as f64)).unwrap();
+            assert_eq!(db.primary().get(pk).unwrap().block as PageId, last_page);
+        }
+        // Everything the dirty page carries is logged up to here.
+        let logged_to = tail.written();
+        assert!(tail.durable() < logged_to, "in-transaction records must not fsync on their own");
+
+        // Two rounds over the other pages: the clock sweeps the dirty page out.
+        for _ in 0..2 {
+            for (k, _) in pages.iter().enumerate().take(4) {
+                let loc = db.primary().get((k * per_page) as i64).unwrap();
+                db.heap().get(loc).unwrap();
+            }
+        }
+        drop(hook);
+        // The sites fire before their I/O, so the image that holds the
+        // stolen page itself is the one taken now.
+        let image = fresh_dir(&format!("steal-{sync_every}-image-final"));
+        copy_dir(&dir, &image);
+        seen.borrow_mut().push(("the end of the steal", tail.durable(), image));
+
+        let seen = seen.take();
+        let steals: Vec<u64> =
+            seen.iter().filter(|(site, ..)| *site == "page.write").map(|s| s.1).collect();
+        assert!(!steals.is_empty(), "sync_every {sync_every}: the dirty page was never stolen");
+        for durable in steals {
+            assert!(
+                durable >= logged_to,
+                "sync_every {sync_every}: page written with the log durable to {durable}, \
+                 its records end at {logged_to}"
+            );
+        }
+        assert!(tail.barrier_fsyncs() >= 1, "the steal must have forced the log");
+        assert!(seen.iter().any(|(site, ..)| *site == "wal.barrier"));
+
+        for (site, _, image) in &seen {
+            let back = Database::open(image, &config).unwrap_or_else(|e| {
+                panic!("sync_every {sync_every}: image at {site} does not recover: {e}")
+            });
+            assert_eq!(back.len(), rows as usize, "sync_every {sync_every}: image at {site}");
+            for &pk in &loser_pks {
+                assert!(back.primary().get(pk).is_none(), "loser row {pk} survived at {site}");
+            }
+            drop(back);
+            std::fs::remove_dir_all(image).ok();
+        }
+        db.rollback_txn(t).unwrap();
+        assert_eq!(db.len(), rows as usize);
+        drop(db);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// One cycle of insert-heavy DML: ≈ 10 pages of inserts, deletes of old
+/// and new rows, a committed and a rolled-back transaction. Applies the
+/// same statements to `model`.
+fn churn(db: &Database, model: &mut BTreeMap<i64, Vec<Value>>, cycle: i64) {
+    let base = 10_000 * (cycle + 1);
+    for i in 0..3_000i64 {
+        let r = row(base + i, (base + i) as f64);
+        db.insert(&r).unwrap();
+        model.insert(base + i, r);
+    }
+    for pk in (base..base + 3_000).step_by(9) {
+        db.delete_by_pk(pk).unwrap();
+        model.remove(&pk);
+    }
+    let t = db.begin().unwrap();
+    for i in 0..40i64 {
+        let r = row(base + 5_000 + i, 0.5 + (base + i) as f64);
+        db.insert_txn(t, &r).unwrap();
+        model.insert(base + 5_000 + i, r);
+    }
+    db.delete_by_pk_txn(t, base + 1).unwrap();
+    model.remove(&(base + 1));
+    db.commit_txn(t).unwrap();
+    let t = db.begin().unwrap();
+    db.insert_txn(t, &row(base + 9_000, 1.0)).unwrap();
+    db.rollback_txn(t).unwrap();
+    db.wal_commit().unwrap();
+}
+
+fn all_rows(db: &Database) -> BTreeMap<i64, Vec<Value>> {
+    let all = db.execute(&Query::filter(RangePredicate::range(0, -1.0e15, 1.0e15)));
+    rows_of(db, &all).into_iter().map(|r| (r[0].as_i64().unwrap(), r)).collect()
+}
+
+/// Three crash → recover → checkpoint cycles through a pool small enough
+/// to steal must end with a page file no larger (to within one page) than
+/// an uncrashed run of the same statements: recovery regenerates what sat
+/// behind the catalog's watermark instead of orphaning it.
+#[test]
+fn recovery_does_not_leak_the_pages_behind_the_watermark() {
+    let config = DurabilityConfig { pool_pages: 8, pool_shards: 1, wal_sync_every: 64 };
+    let pages_len = |dir: &Path| std::fs::metadata(dir.join(PAGES_FILE)).unwrap().len();
+
+    let clean = fresh_dir("leak-clean");
+    let db = Database::create_durable(schema(), 0, &clean, &config).unwrap();
+    let mut model = BTreeMap::new();
+    for cycle in 0..3 {
+        churn(&db, &mut model, cycle);
+        db.checkpoint(&clean).unwrap();
+    }
+    assert_eq!(all_rows(&db), model);
+    drop(db);
+    let clean_len = pages_len(&clean);
+
+    let mut dir = fresh_dir("leak-crash-0");
+    let mut db = Database::create_durable(schema(), 0, &dir, &config).unwrap();
+    let mut model = BTreeMap::new();
+    for cycle in 0..3 {
+        churn(&db, &mut model, cycle);
+        // kill -9: what the files hold now is all that survives.
+        let image = fresh_dir(&format!("leak-crash-{}", cycle + 1));
+        copy_dir(&dir, &image);
+        drop(db);
+        std::fs::remove_dir_all(&dir).ok();
+        dir = image;
+        db = Database::open(&dir, &config).unwrap();
+        assert_eq!(all_rows(&db), model, "cycle {cycle}: recovered rows differ from the oracle");
+        db.checkpoint(&dir).unwrap();
+    }
+    drop(db);
+    let crashed_len = pages_len(&dir);
+    assert!(
+        crashed_len.abs_diff(clean_len) <= PAGE_SIZE as u64,
+        "three crashes left pages.db at {crashed_len} bytes, an uncrashed run at {clean_len}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&clean).ok();
 }

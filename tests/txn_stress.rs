@@ -66,6 +66,20 @@ fn result_pks(db: &Database, r: &QueryResult) -> Vec<i64> {
     pks
 }
 
+/// Join the writers, raise `done` for the readers that spin on it, and only
+/// then look at the writers' outcomes: a writer that panicked must fail the
+/// test, not leave the readers waiting for a flag nobody will set.
+fn release_readers_then_unwrap(
+    writers: Vec<crossbeam::thread::ScopedJoinHandle<'_, ()>>,
+    done: &AtomicBool,
+) {
+    let outcomes: Vec<_> = writers.into_iter().map(|w| w.join()).collect();
+    done.store(true, Ordering::Relaxed);
+    for outcome in outcomes {
+        outcome.expect("writer panicked");
+    }
+}
+
 /// Writers commit or roll back whole 8-row transactions in a sentinel
 /// target band while readers count the band: every snapshot must contain a
 /// whole number of transactions (8·k rows), and the final state must be
@@ -82,9 +96,10 @@ fn committed_transactions_publish_atomically_to_readers() {
     let band_query = Query::new().range(2, BAND, BAND + 100_000.0);
 
     crossbeam::thread::scope(|s| {
+        let mut writers = Vec::new();
         for w in 0..WRITERS {
             let shared = shared.clone();
-            s.spawn(move |_| {
+            writers.push(s.spawn(move |_| {
                 for j in 0..TXNS_PER_WRITER {
                     let txn = shared.begin().unwrap();
                     let base = (w * TXNS_PER_WRITER + j) * ROWS_PER_TXN;
@@ -108,7 +123,7 @@ fn committed_transactions_publish_atomically_to_readers() {
                         shared.rollback(txn).unwrap();
                     }
                 }
-            });
+            }));
         }
         for r in 0..2 {
             let shared = shared.clone();
@@ -126,27 +141,7 @@ fn committed_transactions_publish_atomically_to_readers() {
                 }
             });
         }
-        // Writer spawns above run to completion when the scope joins; flag
-        // the readers once every writer thread has finished. crossbeam
-        // scopes join in drop order, so emulate "writers done" by spawning
-        // a watcher that begins after the writers were spawned — simplest
-        // correct form: writers signal via a countdown.
-        let shared2 = shared.clone();
-        let done = &done;
-        s.spawn(move |_| {
-            // Wait until every transaction has been begun and closed.
-            let expected_begins = (WRITERS * TXNS_PER_WRITER) as u64;
-            let deadline = Instant::now() + Duration::from_secs(60);
-            loop {
-                let c = shared2.txn_counters();
-                if c.begins == expected_begins && c.active == 0 {
-                    break;
-                }
-                assert!(Instant::now() < deadline, "writers stalled: {c:?}");
-                std::thread::yield_now();
-            }
-            done.store(true, Ordering::Relaxed);
-        });
+        release_readers_then_unwrap(writers, &done);
     })
     .unwrap();
 
@@ -192,10 +187,11 @@ fn contended_read_modify_write_loses_no_updates() {
     let span_query = Query::new().range(2, 0.0, REPL_BAND + CONTESTED as f64);
 
     crossbeam::thread::scope(|s| {
+        let mut writers = Vec::new();
         for t in 0..4usize {
             let shared = shared.clone();
             let winners = &winners;
-            s.spawn(move |_| {
+            writers.push(s.spawn(move |_| {
                 for i in 0..CONTESTED {
                     let pk = (i + t as i64 * 64) % CONTESTED;
                     let txn = shared.begin().unwrap();
@@ -227,7 +223,7 @@ fn contended_read_modify_write_loses_no_updates() {
                         Err(e) => panic!("unexpected delete error: {e}"),
                     }
                 }
-            });
+            }));
         }
         {
             let shared = shared.clone();
@@ -244,18 +240,7 @@ fn contended_read_modify_write_loses_no_updates() {
                 }
             });
         }
-        {
-            let shared = shared.clone();
-            let done = &done;
-            s.spawn(move |_| {
-                let deadline = Instant::now() + Duration::from_secs(60);
-                while shared.txn_counters().commits < CONTESTED as u64 {
-                    assert!(Instant::now() < deadline, "stalled: {:?}", shared.txn_counters());
-                    std::thread::yield_now();
-                }
-                done.store(true, Ordering::Relaxed);
-            });
-        }
+        release_readers_then_unwrap(writers, &done);
     })
     .unwrap();
 
