@@ -27,11 +27,12 @@
 //! on every substrate and tid scheme.
 
 use crate::database::Database;
-use crate::executor::{QueryResult, RangePredicate};
+use crate::executor::{finish_plan, QueryResult, RangePredicate};
 use crate::index::SecondaryIndex;
 use crate::plan::{AccessPath, QueryPlan};
 use crate::query::Query;
-use hermit_storage::{F64Key, RowLoc, Tid, TidScheme};
+use crate::rows::BlockWriter;
+use hermit_storage::{ColumnId, F64Key, RowLoc, Tid, TidScheme};
 use hermit_trs::{LookupScratch, TrsLookup};
 use hermit_txn::ReadView;
 use std::time::Instant;
@@ -161,6 +162,7 @@ impl Database {
         let _vis = self.txns.read_visibility();
         let view = self.txns.read_view(None);
         let mut result = QueryResult::default();
+        let projection = plan.projection.as_deref();
         scratch.candidates.clear();
         scratch.recheck.clear();
         scratch.recheck.extend_from_slice(&plan.recheck);
@@ -194,13 +196,12 @@ impl Database {
             AccessPath::SeqScan => {
                 // The scan is already sequential in page order; the scalar
                 // scan path *is* the batched scan path.
-                self.run_scan_into(&scratch.recheck, plan.limit, &view, &mut result);
-                self.finish_plan(plan, &mut result);
+                self.run_scan_into(&scratch.recheck, plan.limit, projection, &view, &mut result);
                 return result;
             }
         }
-        self.batched_resolve_validate(scratch, &view, &mut result);
-        self.finish_plan(plan, &mut result);
+        self.batched_resolve_validate(scratch, projection, &view, &mut result);
+        finish_plan(plan, &mut result);
         result
     }
 
@@ -229,7 +230,7 @@ impl Database {
             }
             None => return result,
         }
-        self.batched_resolve_validate(scratch, &ReadView::unfiltered(), &mut result);
+        self.batched_resolve_validate(scratch, None, &ReadView::unfiltered(), &mut result);
         result
     }
 
@@ -303,13 +304,15 @@ impl Database {
 
     /// Phases 3–4 of the batched pipeline: primary-index resolution into
     /// `scratch.locs`, then page-ordered base-table validation of every
-    /// `scratch.recheck` conjunct. Rows invisible to the snapshot `view`
-    /// are skipped silently — neither matches nor false positives — same
-    /// as the scalar snapshot tail.
+    /// `scratch.recheck` conjunct, writing a matching row's `projection`
+    /// cells under the same page visit. Rows invisible to the snapshot
+    /// `view` are skipped silently — neither matches nor false positives,
+    /// and no cells — same as the scalar snapshot tail.
     // hermit-lint: hot-path
     fn batched_resolve_validate(
         &self,
         scratch: &mut BatchScratch,
+        projection: Option<&[ColumnId]>,
         view: &ReadView,
         result: &mut QueryResult,
     ) {
@@ -341,6 +344,11 @@ impl Database {
         let filtering = view.is_filtering();
         let pk_col = self.pk_col();
         result.rows.reserve(locs.len());
+        // Sized for every candidate before the pass: the visitor runs under
+        // a pool shard lock. Matches land at consecutive slots, in the page
+        // order `rows` gets them in.
+        let mut writer =
+            projection.map(|cols| BlockWriter::new(cols, self.heap().width(), locs.len()));
         result.unreadable +=
             self.heap().for_each_row_batch(locs, &mut scratch.order, |i, row| match row {
                 None => result.unresolved += 1,
@@ -350,12 +358,16 @@ impl Database {
                     {
                         // Invisible to this snapshot: skip silently.
                     } else if recheck.iter().all(|p| p.matches(row.f64(p.column))) {
+                        if let Some(writer) = &mut writer {
+                            writer.emit(result.rows.len(), &row);
+                        }
                         result.rows.push(locs[i]);
                     } else {
                         result.false_positives += 1;
                     }
                 }
             });
+        result.projected = writer.map(|w| w.finish(result.rows.len()));
         result.breakdown.base_table += t3.elapsed();
     }
 }

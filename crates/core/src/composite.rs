@@ -22,7 +22,7 @@ use crate::breakdown::LookupBreakdown;
 use crate::database::{Database, Heap};
 use crate::executor::{QueryResult, RangePredicate};
 use hermit_btree::BPlusTree;
-use hermit_storage::{ColumnId, F64Key, StorageError, Tid, TidScheme};
+use hermit_storage::{ColumnId, F64Key, Tid, TidScheme};
 use hermit_trs::{TrsParams, TrsTree};
 use std::time::Instant;
 
@@ -367,26 +367,22 @@ fn finish(
             locs
         }
     };
+    // One heap visit per candidate reads both conjuncts. A row that is
+    // gone is unresolved; a page that cannot be read is `unreadable` — an
+    // error for the caller to report, never a shorter answer.
     let t = Instant::now();
     for loc in locs {
-        let value_ok = if validate_value {
-            match db.heap().value_f64(loc, value_pred.column) {
-                Ok(v) => value_pred.matches(v),
-                Err(_) => {
-                    result.unresolved += 1;
-                    continue;
-                }
-            }
-        } else {
-            true
-        };
-        let leading_ok = leading_pred.is_none_or(|p| {
-            db.heap().value_f64(loc, p.column).map(|v| p.matches(v)).unwrap_or(false)
+        let visited = db.heap().with_row(loc, |row| {
+            row.map(|row| {
+                (!validate_value || value_pred.matches(row.f64(value_pred.column)))
+                    && leading_pred.is_none_or(|p| p.matches(row.f64(p.column)))
+            })
         });
-        if value_ok && leading_ok {
-            result.rows.push(loc);
-        } else {
-            result.false_positives += 1;
+        match visited {
+            Ok(Some(true)) => result.rows.push(loc),
+            Ok(Some(false)) => result.false_positives += 1,
+            Ok(None) => result.unresolved += 1,
+            Err(_) => result.unreadable += 1,
         }
     }
     result.breakdown.base_table += t.elapsed();
@@ -437,9 +433,9 @@ pub(crate) fn build_composite_trs(
     Ok(TrsTree::build(params, (lo, hi), pairs))
 }
 
-/// Visit `(a, b, tid)` for every live row, skipping NULLs. Split out at
-/// heap level so [`Database`]-owned composite creation can run while the
-/// database is mutably borrowed.
+/// Visit `(a, b, tid)` for every live row, skipping NULLs — one pass over
+/// either substrate. Split out at heap level so [`Database`]-owned composite
+/// creation can run while the database is mutably borrowed.
 pub(crate) fn for_each_heap_pair(
     heap: &Heap,
     scheme: TidScheme,
@@ -448,28 +444,20 @@ pub(crate) fn for_each_heap_pair(
     b: ColumnId,
     mut f: impl FnMut(f64, f64, Tid),
 ) -> hermit_storage::Result<()> {
-    match heap {
-        Heap::Mem(table) => {
-            let table = table.read();
-            let ca = table.column(a)?;
-            let cb = table.column(b)?;
-            let cpk = table.column(pk_col)?;
-            for loc in table.scan() {
-                let i = loc.index();
-                if let (Some(x), Some(y)) = (ca.get_f64(i), cb.get_f64(i)) {
-                    let tid = match scheme {
-                        TidScheme::Physical => Tid::from_loc(loc),
-                        TidScheme::Logical => Tid::from_pk(cpk.get_f64(i).unwrap_or(0.0) as i64),
-                    };
-                    f(x, y, tid);
-                }
-            }
-            Ok(())
+    let schema = heap.schema();
+    schema.column(a)?;
+    schema.column(b)?;
+    heap.for_each_live_row(|loc, row| {
+        if let (Some(x), Some(y)) = (row.f64(a), row.f64(b)) {
+            let tid = match scheme {
+                TidScheme::Physical => Tid::from_loc(loc),
+                TidScheme::Logical => Tid::from_pk(row.value(pk_col).as_i64().unwrap_or(0)),
+            };
+            f(x, y, tid);
         }
-        Heap::Paged(_) => Err(StorageError::Io(
-            "composite indexes are implemented for the in-memory substrate".into(),
-        )),
-    }
+        true
+    })?;
+    Ok(())
 }
 
 #[cfg(test)]

@@ -640,6 +640,19 @@ impl Database {
         Ok(())
     }
 
+    /// A database *owns* composite indexes only on the in-memory substrate:
+    /// the checkpoint catalog records none, so a durable database would lose
+    /// them at the next restart. (A standalone [`CompositeIndexes`] registry
+    /// can be built over either substrate; keeping it is its owner's job.)
+    fn require_mem_heap_for_composites(&self) -> hermit_storage::Result<()> {
+        match self.heap {
+            Heap::Mem(_) => Ok(()),
+            Heap::Paged(_) => Err(StorageError::Io(
+                "composite indexes are implemented for the in-memory substrate".into(),
+            )),
+        }
+    }
+
     /// Create a composite baseline B+-tree on `(leading, value)`,
     /// bulk-loaded from the current table contents and owned by this
     /// database: subsequent inserts maintain it and the query planner can
@@ -649,6 +662,7 @@ impl Database {
         leading: ColumnId,
         value: ColumnId,
     ) -> Result<usize, CoreError> {
+        self.require_mem_heap_for_composites()?;
         let tree = build_composite_tree(&self.heap, self.scheme, self.pk_col, leading, value)?;
         Ok(self.composites.get_mut().push_baseline(tree, leading, value))
     }
@@ -664,6 +678,7 @@ impl Database {
         target: ColumnId,
         host: ColumnId,
     ) -> Result<usize, CoreError> {
+        self.require_mem_heap_for_composites()?;
         if self.composites.read().companion_baseline(leading, host).is_none() {
             return Err(CoreError::MissingCompositeHost { leading, host });
         }

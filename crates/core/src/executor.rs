@@ -16,12 +16,21 @@
 //! index → (primary index) → base table; the results are exact, but the
 //! paper's harness still fetches the tuples, because that is what a real
 //! query does and it is where the time goes at high selectivity.
+//!
+//! **Projection is emitted during validation.** The tuple phase 4 fetches
+//! to re-check the predicate *is* the answer, so a plan that carries a
+//! projection has each matching row's cells written into a
+//! [`RowBlock`] inside the validation visitor, while the row's page is
+//! pinned: one page visit per candidate, and no row can change between
+//! being validated and being returned. [`Database::fetch_rows`] is not on
+//! the query path; it serves callers that hold only row locations.
 
 use crate::breakdown::LookupBreakdown;
 use crate::database::Database;
 use crate::index::SecondaryIndex;
 use crate::plan::{AccessPath, QueryPlan};
 use crate::query::Query;
+use crate::rows::{BlockWriter, RowBlock};
 use hermit_storage::{ColumnId, F64Key, RowLoc, Tid, TidScheme, Value};
 use hermit_txn::ReadView;
 use std::time::Instant;
@@ -65,16 +74,17 @@ pub struct QueryResult {
     pub false_positives: usize,
     /// Candidates whose tid did not resolve (deleted tuples etc.).
     pub unresolved: usize,
-    /// Heap pages that could not be read while validating or materializing
-    /// (an I/O error, not a deleted row — their candidates are in none of
-    /// the other counts). Non-zero means `rows` may be missing matches: the
-    /// result is an error to report, not an answer.
+    /// Heap pages that could not be read while validating (an I/O error,
+    /// not a deleted row — their candidates are in none of the other
+    /// counts). Non-zero means `rows` and `projected` may be missing
+    /// matches: the result is an error to report, not an answer.
     pub unreadable: usize,
     /// Per-phase wall-clock time.
     pub breakdown: LookupBreakdown,
     /// Materialized projection, aligned with `rows` — present only when the
-    /// executed [`Query`] carried a `select`.
-    pub projected: Option<Vec<Vec<Value>>>,
+    /// executed [`Query`] carried a `select`. Written during validation,
+    /// under the same page visit that matched the row.
+    pub projected: Option<RowBlock>,
 }
 
 impl QueryResult {
@@ -123,18 +133,23 @@ impl Database {
     /// view (the shared body of auto-commit and transactional reads).
     pub(crate) fn execute_plan_view(&self, plan: &QueryPlan, view: &ReadView) -> QueryResult {
         let mut result = QueryResult::default();
-        match &plan.access {
+        let projection = plan.projection.as_deref();
+        let candidates = match &plan.access {
             AccessPath::Hermit { pred, host } => {
                 let Some(SecondaryIndex::Hermit { trs, .. }) = self.index(pred.column) else {
                     return result; // index dropped since planning
                 };
-                self.run_hermit(trs, *host, *pred, &plan.recheck, Some(view), &mut result);
+                let Some(candidates) = self.hermit_candidates(trs, *host, *pred, &mut result)
+                else {
+                    return result;
+                };
+                candidates
             }
             AccessPath::Baseline { pred } => {
                 let Some(SecondaryIndex::Baseline(tree)) = self.index(pred.column) else {
                     return result;
                 };
-                self.run_baseline(&tree.read(), *pred, &plan.recheck, Some(view), &mut result);
+                self.baseline_candidates(&tree.read(), *pred, &mut result)
             }
             AccessPath::CompositeBaseline { index, leading, value }
             | AccessPath::CompositeHermit { index, leading, value, .. } => {
@@ -148,37 +163,16 @@ impl Database {
                 ) {
                     return result;
                 }
-                self.resolve_and_validate_view(candidates, &plan.recheck, view, &mut result);
+                candidates
             }
             AccessPath::SeqScan => {
-                self.run_scan_into(&plan.recheck, plan.limit, view, &mut result);
+                self.run_scan_into(&plan.recheck, plan.limit, projection, view, &mut result);
+                return result;
             }
-        }
-        self.finish_plan(plan, &mut result);
+        };
+        self.resolve_and_validate_view(candidates, &plan.recheck, projection, view, &mut result);
+        finish_plan(plan, &mut result);
         result
-    }
-
-    /// Apply a plan's limit and projection to a validated result.
-    ///
-    /// Projection rows come from [`fetch_rows`](Self::fetch_rows) — each
-    /// heap page pinned once — and `projected` stays aligned with `rows`
-    /// order (a row deleted since validation projects as NULLs).
-    pub(crate) fn finish_plan(&self, plan: &QueryPlan, result: &mut QueryResult) {
-        if let Some(n) = plan.limit {
-            result.rows.truncate(n);
-        }
-        if let Some(cols) = &plan.projection {
-            let t = Instant::now();
-            let (fetched, unreadable) = self.fetch_rows(&result.rows, Some(cols));
-            result.unreadable += unreadable;
-            result.projected = Some(
-                fetched
-                    .into_iter()
-                    .map(|row| row.unwrap_or_else(|| vec![Value::Null; cols.len()]))
-                    .collect(),
-            );
-            result.breakdown.base_table += t.elapsed();
-        }
     }
 
     /// Materialize the rows at `locs` — the columns in `cols`, or every
@@ -191,8 +185,9 @@ impl Database {
     /// are I/O errors rather than deletions, and the caller must report an
     /// error instead of the rows.
     ///
-    /// The one materializer behind query projections and the server's
-    /// full-row responses.
+    /// For callers that hold only row locations (a test oracle, a bench
+    /// probe). A query's own rows come out of validation itself
+    /// ([`QueryResult::projected`]), never through here.
     pub fn fetch_rows(
         &self,
         locs: &[RowLoc],
@@ -224,11 +219,14 @@ impl Database {
         match self.index(pred.column) {
             Some(SecondaryIndex::Hermit { trs, host }) => {
                 let recheck: Vec<RangePredicate> = std::iter::once(pred).chain(extra).collect();
-                self.run_hermit(trs, *host, pred, &recheck, None, &mut result);
+                if let Some(candidates) = self.hermit_candidates(trs, *host, pred, &mut result) {
+                    self.resolve_and_validate(candidates, &recheck, &mut result);
+                }
             }
             Some(SecondaryIndex::Baseline(tree)) => {
                 let recheck: Vec<RangePredicate> = extra.into_iter().collect();
-                self.run_baseline(&tree.read(), pred, &recheck, None, &mut result);
+                let candidates = self.baseline_candidates(&tree.read(), pred, &mut result);
+                self.resolve_and_validate(candidates, &recheck, &mut result);
             }
             None => {}
         }
@@ -240,21 +238,17 @@ impl Database {
         self.lookup_range(RangePredicate::point(column, v), None)
     }
 
-    /// Phases 1–4 of the Hermit route: TRS-Tree translation, host-index
-    /// probes, then the resolve+validate tail with `recheck` (which must
-    /// include `pred` itself — Hermit candidates are approximate).
-    /// `Some(view)` takes the snapshot tail (single heap read-session,
-    /// visibility-filtered); `None` is the legacy per-candidate tail kept
-    /// for [`lookup_range`](Self::lookup_range).
-    fn run_hermit(
+    /// Phases 1–2 of the Hermit route: TRS-Tree translation, then host-index
+    /// probes. The candidates are approximate, so the tail that validates
+    /// them must re-check `pred` itself. `None` when the host index has
+    /// dropped out from under the TRS-Tree — treated as no results.
+    fn hermit_candidates(
         &self,
         trs: &hermit_trs::ConcurrentTrsTree,
         host: ColumnId,
         pred: RangePredicate,
-        recheck: &[RangePredicate],
-        view: Option<&ReadView>,
         result: &mut QueryResult,
-    ) {
+    ) -> Option<Vec<Tid>> {
         // Phase 1: TRS-Tree search (under the tree's read latch).
         let t0 = Instant::now();
         let approx = trs.lookup(pred.lb, pred.ub);
@@ -264,8 +258,7 @@ impl Database {
         // with the outlier tids (which skip the host index entirely, §4.3).
         let t1 = Instant::now();
         let Some(SecondaryIndex::Baseline(host_tree)) = self.index(host) else {
-            // Host index dropped out from under us — treat as no results.
-            return;
+            return None;
         };
         let host_tree = host_tree.read();
         let had_outliers = !approx.tids.is_empty();
@@ -284,51 +277,40 @@ impl Database {
             candidates.dedup();
         }
         result.breakdown.host_index += t1.elapsed();
-
-        // Phase 3 + 4: resolve and validate.
-        match view {
-            Some(view) => self.resolve_and_validate_view(candidates, recheck, view, result),
-            None => self.resolve_and_validate(candidates, recheck, result),
-        }
+        Some(candidates)
     }
 
-    /// Baseline pipeline: exact index range scan, then the resolve+validate
-    /// tail with the residual conjuncts only (`view` as in `run_hermit`).
-    fn run_baseline(
+    /// Phase 2 of the baseline pipeline: an exact index range scan (charged
+    /// to the host-index phase so the breakdown figures line up across
+    /// methods). The hits are exact on `pred`, so the tail validates only
+    /// the residual conjuncts — but it fetches the tuples either way (a real
+    /// query returns rows, not tids).
+    fn baseline_candidates(
         &self,
         tree: &hermit_btree::BPlusTree<F64Key, Tid>,
         pred: RangePredicate,
-        recheck: &[RangePredicate],
-        view: Option<&ReadView>,
         result: &mut QueryResult,
-    ) {
-        // Secondary-index search (charged to the host-index phase so the
-        // breakdown figures line up across methods).
+    ) -> Vec<Tid> {
         let t0 = Instant::now();
         let mut candidates: Vec<Tid> = Vec::new();
         tree.for_each_in_range(&F64Key(pred.lb), &F64Key(pred.ub), |_, tid| {
             candidates.push(*tid);
         });
         result.breakdown.host_index += t0.elapsed();
-
-        // The baseline's index hits are exact on `pred`; validation is only
-        // needed for the residual conjuncts, but the tuples are fetched
-        // either way (a real query returns rows, not tids).
-        match view {
-            Some(view) => self.resolve_and_validate_view(candidates, recheck, view, result),
-            None => self.resolve_and_validate(candidates, recheck, result),
-        }
+        candidates
     }
 
     /// The scan fallback: stream every live heap row, validating all
-    /// conjuncts in-scan. Exact (no false positives, nothing unresolved),
-    /// and the only path that honors `limit` by stopping early. Rows the
-    /// snapshot `view` cannot see are skipped before predicate evaluation
-    /// and do not count toward the limit.
+    /// conjuncts in-scan and writing a matching row's `projection` cells
+    /// under the same page visit. Exact (no false positives, nothing
+    /// unresolved), and the only path that honors `limit` by stopping
+    /// early. Rows the snapshot `view` cannot see are skipped before
+    /// predicate evaluation and do not count toward the limit.
     pub(crate) fn run_scan_into(
         &self,
         checks: &[RangePredicate],
         limit: Option<usize>,
+        projection: Option<&[ColumnId]>,
         view: &ReadView,
         result: &mut QueryResult,
     ) {
@@ -336,6 +318,10 @@ impl Database {
         let limit = limit.unwrap_or(usize::MAX);
         let filtering = view.is_filtering();
         let pk_col = self.pk_col();
+        // No more rows than the limit or the table; a row inserted while
+        // the scan runs is the one case that grows the block.
+        let mut writer = projection
+            .map(|cols| BlockWriter::new(cols, self.heap().width(), limit.min(self.heap().len())));
         let rows = &mut result.rows;
         if limit > 0 {
             let scanned = self.heap().for_each_live_row(|loc, row| {
@@ -343,6 +329,9 @@ impl Database {
                     return true; // invisible to this snapshot; keep scanning
                 }
                 if checks.iter().all(|p| p.matches(row.f64(p.column))) {
+                    if let Some(writer) = &mut writer {
+                        writer.emit(rows.len(), &row);
+                    }
                     rows.push(loc);
                 }
                 rows.len() < limit
@@ -350,6 +339,7 @@ impl Database {
             // The scan stops at the first page it cannot read.
             result.unreadable += usize::from(scanned.is_err());
         }
+        result.projected = writer.map(|w| w.finish(result.rows.len()));
         result.breakdown.base_table += t.elapsed();
     }
 
@@ -417,16 +407,23 @@ impl Database {
     /// round-trip per candidate, which is what lets concurrent snapshot
     /// readers scale past the per-row latch churn of the legacy tail.
     ///
+    /// With a `projection`, a matching row's cells are written at its
+    /// candidate's slot of a block sized before the pass (the visitor runs
+    /// under a pool shard lock and must not allocate), and the slots of the
+    /// candidates that did not match are squeezed out afterwards.
+    ///
     /// Rows invisible to `view` (another transaction's uncommitted insert,
     /// or a row the owner has pending-deleted) are skipped silently: they
-    /// count as neither matches nor false positives, exactly as if the
-    /// write had never happened. Verdicts are buffered per candidate index
-    /// so `rows` keeps candidate order — bit-identical to the legacy tail
-    /// when nothing is filtered.
+    /// count as neither matches nor false positives and contribute no
+    /// cells, exactly as if the write had never happened. Verdicts are
+    /// buffered per candidate index so `rows` and `projected` keep
+    /// candidate order — bit-identical to the legacy tail when nothing is
+    /// filtered.
     fn resolve_and_validate_view(
         &self,
         candidates: Vec<Tid>,
         recheck: &[RangePredicate],
+        projection: Option<&[ColumnId]>,
         view: &ReadView,
         result: &mut QueryResult,
     ) {
@@ -435,6 +432,8 @@ impl Database {
         let t3 = Instant::now();
         let filtering = view.is_filtering();
         let pk_col = self.pk_col();
+        let mut writer =
+            projection.map(|cols| BlockWriter::new(cols, self.heap().width(), locs.len()));
         // 0 = unresolved, 1 = match, 2 = false positive, 3 = invisible,
         // 4 = never visited (its page was unreadable).
         let mut verdicts = vec![4u8; locs.len()];
@@ -448,6 +447,9 @@ impl Database {
                     {
                         3
                     } else if recheck.iter().all(|p| p.matches(row.f64(p.column))) {
+                        if let Some(writer) = &mut writer {
+                            writer.emit(i, &row);
+                        }
                         1
                     } else {
                         2
@@ -463,7 +465,21 @@ impl Database {
                 _ => {}
             }
         }
+        result.projected = writer.map(|w| {
+            w.finish_compacted(verdicts.iter().enumerate().filter(|(_, &v)| v == 1).map(|(i, _)| i))
+        });
         result.breakdown.base_table += t3.elapsed();
+    }
+}
+
+/// Apply a plan's limit to a validated result: `rows` and the projected
+/// block are truncated together, so they stay aligned.
+pub(crate) fn finish_plan(plan: &QueryPlan, result: &mut QueryResult) {
+    if let Some(n) = plan.limit {
+        result.rows.truncate(n);
+        if let Some(block) = &mut result.projected {
+            block.truncate(n);
+        }
     }
 }
 

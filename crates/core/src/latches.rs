@@ -37,10 +37,10 @@
 //! * **Composite reorganization** (`SharedDatabase::maintenance_pass`):
 //!   registry (write) → heap (read) — the rebuild scans the base table
 //!   under the registry latch so a racing insert cannot be erased.
-//! * **Query execution** (`Executor`): per-index (read) → heap (read)
-//!   while validating candidates; primary and heap fetches otherwise
-//!   happen after the index guard is released (candidate locs are copied
-//!   out), which is why `(40, 50)` and `(50, 60)` are *not* declared in
+//! * **Query execution** (`Executor`): one latch at a time. Candidate
+//!   tids are copied out of the per-index guard, locations out of the
+//!   primary guard, and only then is the heap visited — which is why
+//!   `(40, 50)`, `(40, 60)` and `(50, 60)` are *not* declared in
 //!   [`LATCH_NESTING_EDGES`].
 //!
 //! Latches *internal* to one component (buffer-pool shards, the
@@ -190,15 +190,17 @@ pub const LATCH_NESTING_EDGES: &[(u32, u32)] = &[
     (20, 40),
     (20, 50),
     (30, 60), // composite reorganization: heap scan under the registry latch
-    (40, 60), // query validation: heap re-check under the tree latch
               // Absent on purpose, per the reconciliation test:
               // * (10, 60) / (20, 60) — the durable substrate is paged, and the
               //   paged heap has no rank-60 latch (the buffer pool's shard locks
               //   are leaves); the in-memory heap latch never sits under the
               //   durability brackets because the mem substrate cannot checkpoint.
-              // * (40, 50) / (50, 60) — the executor copies candidate locs out of
-              //   each index guard before taking the next latch, so primary and
-              //   heap acquisitions never nest under another data latch.
+              // * (40, 50) / (40, 60) / (50, 60) — both executors copy candidates
+              //   out of each index guard before taking the next latch, so
+              //   primary and heap acquisitions never nest under another data
+              //   latch, and a tree's writers never wait out a query's heap
+              //   validation. (The scalar baseline path used to keep its tree
+              //   latch across validation and was the one (40, 60) edge.)
 ];
 
 // ---------------------------------------------------------------------

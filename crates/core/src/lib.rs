@@ -32,7 +32,8 @@
 //! [`QueryPlan`] (EXPLAIN via `Display`) choosing among the Hermit route, a
 //! baseline index, a composite box scan, or a sequential-scan fallback;
 //! [`Database::execute`] and [`Database::execute_batch`] run plans through
-//! the scalar and vectorized pipelines respectively.
+//! the scalar and vectorized pipelines respectively. A projection comes
+//! back as a [`RowBlock`] written during base-table validation ([`rows`]).
 //!
 //! [`txn`] adds multi-statement transactions on top: snapshot-isolation
 //! reads, first-writer-wins write locks, WAL commit records, and loser
@@ -52,6 +53,7 @@ pub mod metrics;
 pub mod plan;
 pub mod query;
 pub mod recovery;
+pub mod rows;
 pub mod shared;
 pub mod txn;
 
@@ -68,4 +70,5 @@ pub use metrics::{LatencyHistogram, PlanLatencies};
 pub use plan::{AccessPath, PlanKind, QueryPlan};
 pub use query::Query;
 pub use recovery::DurabilityConfig;
+pub use rows::RowBlock;
 pub use shared::{MaintenanceConfig, MaintenanceWorker, SharedDatabase};

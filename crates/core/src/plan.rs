@@ -501,11 +501,10 @@ impl Database {
         }
         mentioned.sort_unstable();
         mentioned.dedup();
+        let schema = self.heap().schema();
         let labels = mentioned
             .into_iter()
-            .filter_map(|cid| {
-                self.heap().schema().column(cid).ok().map(|def| (cid, def.name.clone()))
-            })
+            .filter_map(|cid| schema.column(cid).ok().map(|def| (cid, def.name.clone())))
             .collect();
 
         QueryPlan {

@@ -27,6 +27,12 @@
 //! into phase-4 base-table validation, generalizing the old single `extra`
 //! predicate. The `seq scan` node is the fallback that makes queries over
 //! unindexed columns return correct rows instead of silently nothing.
+//!
+//! A projection is emitted during phase 4 as well: the row that passes
+//! validation has its selected cells written into the result's
+//! [`crate::RowBlock`] under the same page visit (see [`crate::rows`]), on
+//! every plan node above. There is no separate materialization pass, and
+//! [`crate::Database::fetch_rows`] is no longer on the query path.
 
 use crate::executor::RangePredicate;
 use hermit_storage::ColumnId;
@@ -77,9 +83,10 @@ impl Query {
         self
     }
 
-    /// Project the result to these columns: `execute` materializes one
-    /// `Vec<Value>` per qualifying row into
-    /// [`crate::QueryResult::projected`].
+    /// Project the result to these columns: `execute` writes each
+    /// qualifying row's cells, in this order, into
+    /// [`crate::QueryResult::projected`] while validating the row. A column
+    /// the table does not have reads as NULL.
     pub fn select(mut self, columns: impl IntoIterator<Item = ColumnId>) -> Self {
         self.projection = Some(columns.into_iter().collect());
         self

@@ -24,11 +24,12 @@
 //! ([`retry_seed`](ClientConfig::retry_seed)) so a failing schedule is
 //! replayable.
 
-use crate::proto::{read_frame, send_request, ErrorCode, ProtoError, Request, Response};
+use crate::proto::{read_frame_into, send_request, ErrorCode, ProtoError, Request, Response};
 use hermit_core::Query;
 use hermit_storage::Value;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -110,12 +111,19 @@ pub type ClientResult<T> = Result<T, ClientError>;
 
 /// One connection to a `hermit-server`.
 pub struct HermitClient {
-    stream: TcpStream,
+    /// The connection, read through one buffer for its whole life (a
+    /// response's header and payload then cost one `read` between them) and
+    /// written to directly. Replaced as a whole on reconnect, so bytes
+    /// buffered from a dead connection never reach the next one.
+    conn: BufReader<TcpStream>,
     peer: SocketAddr,
     config: ClientConfig,
     rng: StdRng,
     retries_done: u64,
+    /// The request frame being sent.
     scratch: Vec<u8>,
+    /// The response payload being read.
+    payload: Vec<u8>,
 }
 
 impl HermitClient {
@@ -134,12 +142,13 @@ impl HermitClient {
             match Self::dial(peer, &config) {
                 Ok(stream) => {
                     return Ok(HermitClient {
-                        stream,
+                        conn: BufReader::new(stream),
                         peer,
                         rng: StdRng::seed_from_u64(config.retry_seed),
                         config,
                         retries_done: 0,
                         scratch: Vec::new(),
+                        payload: Vec::new(),
                     });
                 }
                 Err(e) => last_err = Some(e),
@@ -162,7 +171,7 @@ impl HermitClient {
 
     /// Set a read timeout so a hung server cannot park the client forever.
     pub fn set_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        self.stream.set_read_timeout(timeout)
+        self.conn.get_ref().set_read_timeout(timeout)
     }
 
     /// Retries performed so far across all idempotent requests (0 when
@@ -174,9 +183,11 @@ impl HermitClient {
     /// Issue one request and read its response frame. No retry — mutating
     /// requests go through here directly.
     pub fn call(&mut self, request: &Request) -> ClientResult<Response> {
-        send_request(&mut self.stream, request, &mut self.scratch)?;
-        let payload = read_frame(&mut self.stream)?.ok_or(ProtoError::Truncated)?;
-        Ok(Response::decode(&payload)?)
+        send_request(self.conn.get_mut(), request, &mut self.scratch)?;
+        if !read_frame_into(&mut self.conn, &mut self.payload)? {
+            return Err(ProtoError::Truncated.into());
+        }
+        Ok(Response::decode(&self.payload)?)
     }
 
     /// [`call`](Self::call) wrapped in the retry loop: safe only for
@@ -203,7 +214,7 @@ impl HermitClient {
             // is fine — the next `call` fails retryably and the loop
             // either tries again or returns that error.
             if let Ok(stream) = Self::dial(self.peer, &self.config) {
-                self.stream = stream;
+                self.conn = BufReader::new(stream);
             }
         }
     }

@@ -15,6 +15,12 @@
 //! corrupt frame there is no way to resynchronize a byte stream, so the
 //! server sends one typed error and closes.
 //!
+//! A frame is built in one buffer with the header's eight bytes reserved at
+//! its front, so sending it is one CRC pass and one `write`; it is read
+//! into a payload buffer the connection reuses ([`read_frame_into`]), and
+//! both sides read through one buffered reader per connection, so the
+//! header and a small payload cost one `read` between them.
+//!
 //! # Messages
 //!
 //! | tag  | request                      | tag  | response                   |
@@ -37,13 +43,21 @@
 //! for logs and tests). A connection that drops mid-transaction is rolled
 //! back by the server.
 //!
-//! Cells use the WAL's encoding (`0` NULL, `1` i64, `2` f64; 9 bytes each);
-//! queries serialize their conjuncts, projection, and limit exactly as the
-//! [`hermit_core::Query`] builder holds them.
+//! A cell on the wire is the storage cell image: the nine bytes of
+//! [`hermit_storage::encode_cell`] (`0` NULL, `1` i64, `2` f64, body
+//! little-endian), the same bytes a heap page and a WAL record hold. That
+//! codec lives next to [`Value`] in `hermit_storage` and this module only
+//! calls it. It is why a `Rows` payload — `0x81 | count u32 | count ×
+//! (width u16 | width × cell)` — can be written straight from a
+//! [`RowBlock`], whose cells were copied off the pinned page during
+//! validation ([`encode_rows`]); `Response::Rows(..).encode()` produces the
+//! same bytes from boxed values. Queries serialize their conjuncts,
+//! projection, and limit exactly as the [`hermit_core::Query`] builder
+//! holds them.
 
-use hermit_core::{Query, RangePredicate};
+use hermit_core::{Query, RangePredicate, RowBlock};
 use hermit_storage::recovery::crc32;
-use hermit_storage::Value;
+use hermit_storage::{decode_cell, encode_cell, Value, CELL_BYTES};
 use std::io::{Read, Write};
 
 /// Maximum frame payload in bytes. Large enough for a ~28 k-row result of
@@ -272,23 +286,6 @@ pub enum Response {
 // ---------------------------------------------------------------------------
 // payload primitives
 
-fn put_cell(out: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => {
-            out.push(0);
-            out.extend_from_slice(&[0u8; 8]);
-        }
-        Value::Int(i) => {
-            out.push(1);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::Float(f) => {
-            out.push(2);
-            out.extend_from_slice(&f.to_le_bytes());
-        }
-    }
-}
-
 struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -337,14 +334,7 @@ impl<'a> Cursor<'a> {
     }
 
     fn cell(&mut self) -> Result<Value, ProtoError> {
-        let tag = self.u8()?;
-        let body: [u8; 8] = self.fixed()?;
-        match tag {
-            0 => Ok(Value::Null),
-            1 => Ok(Value::Int(i64::from_le_bytes(body))),
-            2 => Ok(Value::Float(f64::from_le_bytes(body))),
-            _ => Err(ProtoError::Malformed("bad cell tag")),
-        }
+        decode_cell(&self.fixed::<CELL_BYTES>()?).map_err(|_| ProtoError::Malformed("bad cell tag"))
     }
 
     fn string(&mut self) -> Result<String, ProtoError> {
@@ -370,7 +360,7 @@ fn put_string(out: &mut Vec<u8>, s: &str) {
 fn put_row(out: &mut Vec<u8>, row: &[Value]) {
     out.extend_from_slice(&(row.len() as u16).to_le_bytes());
     for v in row {
-        put_cell(out, v);
+        out.extend_from_slice(&encode_cell(v));
     }
 }
 
@@ -445,6 +435,11 @@ impl Request {
     /// Serialize into a payload (no frame header).
     pub fn encode(&self, out: &mut Vec<u8>) {
         out.clear();
+        self.put(out);
+    }
+
+    /// Append the payload to `out`.
+    fn put(&self, out: &mut Vec<u8>) {
         match self {
             Request::Query(q) => {
                 out.push(0x01);
@@ -496,6 +491,11 @@ impl Response {
     /// Serialize into a payload (no frame header).
     pub fn encode(&self, out: &mut Vec<u8>) {
         out.clear();
+        self.put(out);
+    }
+
+    /// Append the payload to `out`.
+    fn put(&self, out: &mut Vec<u8>) {
         match self {
             Response::Rows(rows) => {
                 out.push(0x81);
@@ -566,74 +566,137 @@ impl Response {
     }
 }
 
+/// Append the `Rows` payload for `block` to `out` — byte for byte what
+/// `Response::Rows(block.to_rows()).encode()` produces, from the cell
+/// images the block already holds instead of from decoded values.
+pub fn encode_rows(block: &RowBlock, out: &mut Vec<u8>) {
+    let width = (block.cells_per_row() as u16).to_le_bytes();
+    out.reserve(5 + 2 * block.len() + block.as_bytes().len());
+    out.push(0x81);
+    out.extend_from_slice(&(block.len() as u32).to_le_bytes());
+    if block.cells_per_row() == 0 {
+        // Rows without cells: the block has no bytes to chunk.
+        for _ in 0..block.len() {
+            out.extend_from_slice(&width);
+        }
+        return;
+    }
+    for cells in block.as_bytes().chunks_exact(block.cells_per_row() * CELL_BYTES) {
+        out.extend_from_slice(&width);
+        out.extend_from_slice(cells);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // framing
 
-/// Wrap an already-encoded payload in a frame (length + CRC) and write it.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtoError> {
+/// Bytes of frame header: `len u32 | crc32 u32`.
+const FRAME_HEADER: usize = 8;
+
+/// Build a frame in `frame` and write it: the header's bytes are reserved
+/// at the front, `put` appends the payload behind them, then one pass over
+/// the payload for its CRC and one `write` for the lot.
+fn send_framed(
+    w: &mut impl Write,
+    frame: &mut Vec<u8>,
+    put: impl FnOnce(&mut Vec<u8>),
+) -> Result<(), ProtoError> {
+    frame.clear();
+    frame.extend_from_slice(&[0u8; FRAME_HEADER]);
+    put(frame);
+    let Some((head, payload)) = frame.split_first_chunk_mut::<FRAME_HEADER>() else {
+        return Err(ProtoError::Malformed("frame buffer lacks its header"));
+    };
     debug_assert!(payload.len() <= MAX_FRAME, "encoder produced an oversized frame");
-    let mut frame = Vec::with_capacity(8 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(payload).to_le_bytes());
-    frame.extend_from_slice(payload);
-    w.write_all(&frame)?;
+    let (len, crc) = head.split_at_mut(4);
+    len.copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    crc.copy_from_slice(&crc32(payload).to_le_bytes());
+    w.write_all(frame)?;
     w.flush()?;
     Ok(())
 }
 
-/// Read one frame and return its verified payload.
+/// Wrap an already-encoded payload in a frame (length + CRC) and write it —
+/// for a caller that holds a bare payload. The request and response senders
+/// below encode behind the reserved header instead and copy nothing.
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtoError> {
+    let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
+    send_framed(w, &mut frame, |f| f.extend_from_slice(payload))
+}
+
+/// Read one frame into `payload` (its previous contents are replaced, its
+/// allocation reused). Give it a buffered reader that lives as long as the
+/// connection: the header and a small payload then cost one `read`.
 ///
-/// * `Ok(Some(payload))` — a complete, CRC-valid frame.
-/// * `Ok(None)` — the peer closed the stream *at a frame boundary* (the
+/// * `Ok(true)` — a complete, CRC-valid frame is in `payload`.
+/// * `Ok(false)` — the peer closed the stream *at a frame boundary* (the
 ///   clean-disconnect case; a reader loop exits silently).
 /// * `Err(Truncated)` — the stream ended inside a frame (mid-frame
 ///   disconnect).
 /// * `Err(Oversized | CrcMismatch | Io)` — the stream can no longer be
 ///   trusted; the caller must close it.
-pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, ProtoError> {
-    let mut head = [0u8; 8];
+pub fn read_frame_into(r: &mut impl Read, payload: &mut Vec<u8>) -> Result<bool, ProtoError> {
+    let mut head = [0u8; FRAME_HEADER];
     // Distinguish "closed before any byte" (clean EOF) from "closed inside
     // the header" (truncation): read the first byte separately.
     let (first, rest) = head.split_at_mut(1);
-    match r.read(first) {
-        Ok(0) => return Ok(None),
-        Ok(_) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => return read_frame(r),
-        Err(e) => return Err(e.into()),
+    loop {
+        match r.read(first) {
+            Ok(0) => return Ok(false),
+            Ok(_) => break,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
     }
     r.read_exact(rest)?;
     let [l0, l1, l2, l3, c0, c1, c2, c3] = head;
     let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
     let crc = u32::from_le_bytes([c0, c1, c2, c3]);
+    // Before the buffer grows: a four-byte length must not buy a 4 GiB one.
     if len > MAX_FRAME {
         return Err(ProtoError::Oversized { declared: len });
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    if crc32(&payload) != crc {
+    payload.clear();
+    payload.resize(len, 0);
+    r.read_exact(payload)?;
+    if crc32(payload) != crc {
         return Err(ProtoError::CrcMismatch);
     }
-    Ok(Some(payload))
+    Ok(true)
 }
 
-/// Encode + frame a request into `scratch` and write it.
+/// [`read_frame_into`] a fresh buffer: `Ok(None)` is the clean EOF.
+pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, ProtoError> {
+    let mut payload = Vec::new();
+    Ok(read_frame_into(r, &mut payload)?.then_some(payload))
+}
+
+/// Encode + frame a request in `scratch` and write it.
 pub fn send_request(
     w: &mut impl Write,
     req: &Request,
     scratch: &mut Vec<u8>,
 ) -> Result<(), ProtoError> {
-    req.encode(scratch);
-    write_frame(w, scratch)
+    send_framed(w, scratch, |f| req.put(f))
 }
 
-/// Encode + frame a response into `scratch` and write it.
+/// Encode + frame a response in `scratch` and write it.
 pub fn send_response(
     w: &mut impl Write,
     resp: &Response,
     scratch: &mut Vec<u8>,
 ) -> Result<(), ProtoError> {
-    resp.encode(scratch);
-    write_frame(w, scratch)
+    send_framed(w, scratch, |f| resp.put(f))
+}
+
+/// Frame a `Rows` response in `scratch` straight from `block`
+/// ([`encode_rows`]) and write it.
+pub fn send_rows(
+    w: &mut impl Write,
+    block: &RowBlock,
+    scratch: &mut Vec<u8>,
+) -> Result<(), ProtoError> {
+    send_framed(w, scratch, |f| encode_rows(block, f))
 }
 
 #[cfg(test)]

@@ -12,7 +12,13 @@
 //! * one thread per connection running request frames through the engine —
 //!   queries via the cost-based planner (plan once, execute, record the
 //!   latency under the plan's [`PlanKind`](hermit_core::PlanKind) histogram), DML via the same
-//!   concurrent write path every in-process thread uses;
+//!   concurrent write path every in-process thread uses. A query's rows are
+//!   written by the executor's validate stage, as cell images, while each
+//!   row's page is pinned ([`hermit_core::RowBlock`]); the `Rows` frame is
+//!   built from that block, so the handler never goes back to the heap and
+//!   never boxes a row. Requests are read through one buffered reader per
+//!   connection into a reused payload buffer, and every response leaves in
+//!   one `write` on a `TCP_NODELAY` socket;
 //! * a per-query deadline ([`ServerConfig::query_deadline`]): the engine
 //!   has no mid-plan cancellation points, so the deadline is enforced at
 //!   completion — an over-deadline result is discarded and reported as
@@ -36,13 +42,13 @@
 //! round-trip with no extra dependency.
 
 use crate::proto::{
-    read_frame, send_response, ErrorCode, ProtoError, Request, Response, MAX_FRAME,
+    read_frame_into, send_response, send_rows, ErrorCode, ProtoError, Request, Response, MAX_FRAME,
 };
 use hermit_core::shared::{MaintenanceWorker, SharedDatabase};
-use hermit_core::{CoreError, PlanLatencies, SecondaryIndex};
+use hermit_core::{CoreError, PlanLatencies, Query, RowBlock, SecondaryIndex};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::io::BufWriter;
+use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -227,9 +233,8 @@ fn admit(inner: &Arc<Inner>, stream: TcpStream) {
         // One typed response, then close: the client learns *why* instead
         // of seeing a bare RST.
         let mut scratch = Vec::new();
-        let mut w = BufWriter::new(&stream);
         let _ = send_response(
-            &mut w,
+            &mut &stream,
             &Response::Error {
                 code: ErrorCode::Capacity,
                 message: format!("server at max_connections={}", inner.config.max_connections),
@@ -276,17 +281,19 @@ fn serve_requests(inner: &Arc<Inner>, stream: &TcpStream, txn: &mut Option<u64>)
     // Idle reaping: a read that exceeds the configured timeout surfaces as
     // `ProtoError::TimedOut` below.
     let _ = stream.set_read_timeout(inner.config.read_timeout);
-    let mut reader = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let mut writer = BufWriter::new(stream);
+    // A response is one `write` of a whole frame: nothing for Nagle to wait for.
+    let _ = stream.set_nodelay(true);
+    // One buffered reader, one request buffer and one response buffer for
+    // the life of the connection.
+    let mut reader = BufReader::new(stream);
+    let mut writer = stream;
+    let mut payload = Vec::new();
     let mut scratch = Vec::new();
     loop {
-        let payload = match read_frame(&mut reader) {
-            Ok(Some(p)) => p,
+        match read_frame_into(&mut reader, &mut payload) {
+            Ok(true) => {}
             // Clean disconnect at a frame boundary.
-            Ok(None) => return,
+            Ok(false) => return,
             // Mid-frame disconnect: nothing was applied for the torn
             // request (decode never ran), nothing to answer — close.
             Err(ProtoError::Truncated) => return,
@@ -346,11 +353,16 @@ fn serve_requests(inner: &Arc<Inner>, stream: &TcpStream, txn: &mut Option<u64>)
             return;
         }
         let shutdown = request == Request::Shutdown;
-        let response = handle_request(inner, request, txn);
-        if matches!(response, Response::Error { .. }) {
-            inner.metrics.errors.fetch_add(1, Ordering::Relaxed);
-        }
-        if send_response(&mut writer, &response, &mut scratch).is_err() {
+        let sent = match handle_request(inner, request, txn) {
+            Reply::Rows(block) => send_rows(&mut writer, &block, &mut scratch),
+            Reply::Message(response) => {
+                if matches!(response, Response::Error { .. }) {
+                    inner.metrics.errors.fetch_add(1, Ordering::Relaxed);
+                }
+                send_response(&mut writer, &response, &mut scratch)
+            }
+        };
+        if sent.is_err() {
             return;
         }
         if shutdown {
@@ -390,67 +402,22 @@ fn storage_error(e: hermit_storage::StorageError) -> Response {
     Response::Error { code, message: e.to_string() }
 }
 
-fn handle_request(inner: &Arc<Inner>, request: Request, txn: &mut Option<u64>) -> Response {
+/// What a request handler hands the connection loop to put on the wire: a
+/// query's rows stay the block of cell images validation wrote, every other
+/// answer is a [`Response`] value.
+enum Reply {
+    Rows(RowBlock),
+    Message(Response),
+}
+
+fn handle_request(inner: &Arc<Inner>, request: Request, txn: &mut Option<u64>) -> Reply {
     let db = &inner.db;
-    match request {
+    Reply::Message(match request {
         Request::Query(query) => {
-            let plan = db.db().plan(&query);
-            let kind = plan.kind();
-            let t0 = Instant::now();
-            let result = match *txn {
-                Some(t) => db.execute_for_txn(&query, t),
-                None => db.db().execute_plan(&plan),
-            };
-            let elapsed = t0.elapsed();
-            inner.metrics.query_latency.record(kind, elapsed);
-            if let Some(deadline) = inner.config.query_deadline {
-                if elapsed > deadline {
-                    inner.metrics.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                    return Response::Error {
-                        code: ErrorCode::DeadlineExceeded,
-                        message: format!(
-                            "query finished in {:?}, past the {:?} deadline; result discarded",
-                            elapsed, deadline
-                        ),
-                    };
-                }
+            return match run_query(inner, query, *txn) {
+                Ok(block) => Reply::Rows(block),
+                Err(error) => Reply::Message(error),
             }
-            // Materialize: the projection when the query carried one, full
-            // rows otherwise, fetched page-grouped by the executor's own
-            // materializer. A row deleted between validation and fetch is
-            // skipped, exactly like any other dead candidate.
-            let mut unreadable = result.unreadable;
-            let rows: Vec<Vec<hermit_storage::Value>> = match result.projected {
-                Some(projected) => projected,
-                None => {
-                    let (fetched, failed) = db.db().fetch_rows(&result.rows, None);
-                    unreadable += failed;
-                    fetched.into_iter().flatten().collect()
-                }
-            };
-            // A heap page that could not be read is not a deleted row: the
-            // answer may be missing matches, so it is an error, not a
-            // shorter result.
-            if unreadable > 0 {
-                return Response::Error {
-                    code: ErrorCode::Storage,
-                    message: format!(
-                        "{unreadable} heap page(s) could not be read; result discarded"
-                    ),
-                };
-            }
-            if rows.len() > max_rows_per_response() {
-                return Response::Error {
-                    code: ErrorCode::BadRequest,
-                    message: format!(
-                        "result of {} rows exceeds the per-response cap of {}; add a limit \
-                         or a projection",
-                        rows.len(),
-                        max_rows_per_response()
-                    ),
-                };
-            }
-            Response::Rows(rows)
         }
         Request::Insert(row) => match *txn {
             Some(t) => match db.insert_txn(t, &row) {
@@ -472,21 +439,17 @@ fn handle_request(inner: &Arc<Inner>, request: Request, txn: &mut Option<u64>) -
                 Err(e) => storage_error(e),
             },
         },
-        Request::Begin => {
-            if txn.is_some() {
-                return Response::Error {
-                    code: ErrorCode::BadRequest,
-                    message: "a transaction is already open on this connection".into(),
-                };
+        Request::Begin if txn.is_some() => Response::Error {
+            code: ErrorCode::BadRequest,
+            message: "a transaction is already open on this connection".into(),
+        },
+        Request::Begin => match db.begin() {
+            Ok(t) => {
+                *txn = Some(t);
+                Response::TxnBegun { txn: t }
             }
-            match db.begin() {
-                Ok(t) => {
-                    *txn = Some(t);
-                    Response::TxnBegun { txn: t }
-                }
-                Err(e) => core_error(e),
-            }
-        }
+            Err(e) => core_error(e),
+        },
         Request::Commit => match txn.take() {
             None => Response::Error {
                 code: ErrorCode::BadRequest,
@@ -527,7 +490,69 @@ fn handle_request(inner: &Arc<Inner>, request: Request, txn: &mut Option<u64>) -
         },
         Request::Stats => Response::Stats(render_stats(inner)),
         Request::Shutdown => Response::Ok,
+    })
+}
+
+/// Plan and execute one query; the rows come back as the executor wrote
+/// them during validation, or a typed error takes their place.
+fn run_query(inner: &Arc<Inner>, query: Query, txn: Option<u64>) -> Result<RowBlock, Response> {
+    let db = &inner.db;
+    // The wire contract answers a query without `select` with whole rows:
+    // that is a projection of every column, and planning it as one is what
+    // has validation write the rows out.
+    let query = match query.projection() {
+        Some(_) => query,
+        None => {
+            let width = db.db().heap().width();
+            query.select(0..width)
+        }
+    };
+    let plan = db.db().plan(&query);
+    let kind = plan.kind();
+    let t0 = Instant::now();
+    let result = match txn {
+        Some(t) => db.execute_for_txn(&query, t),
+        None => db.db().execute_plan(&plan),
+    };
+    let elapsed = t0.elapsed();
+    inner.metrics.query_latency.record(kind, elapsed);
+    if let Some(deadline) = inner.config.query_deadline {
+        if elapsed > deadline {
+            inner.metrics.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+            return Err(Response::Error {
+                code: ErrorCode::DeadlineExceeded,
+                message: format!(
+                    "query finished in {:?}, past the {:?} deadline; result discarded",
+                    elapsed, deadline
+                ),
+            });
+        }
     }
+    // A heap page that could not be read is not a deleted row: the block
+    // may be missing matches, so it is an error, never a partial answer.
+    if result.unreadable > 0 {
+        return Err(Response::Error {
+            code: ErrorCode::Storage,
+            message: format!(
+                "{} heap page(s) could not be read; result discarded",
+                result.unreadable
+            ),
+        });
+    }
+    // No block only when an index was dropped under the plan: no rows.
+    let block = result.projected.unwrap_or_default();
+    if block.len() > max_rows_per_response() {
+        return Err(Response::Error {
+            code: ErrorCode::BadRequest,
+            message: format!(
+                "result of {} rows exceeds the per-response cap of {}; add a limit \
+                 or a projection",
+                block.len(),
+                max_rows_per_response()
+            ),
+        });
+    }
+    Ok(block)
 }
 
 /// Rows a single `Rows` response may carry, derived from the frame cap

@@ -246,3 +246,92 @@ fn random_bytes_never_panic_the_decoders() {
         let _ = Response::decode(&payload);
     }
 }
+
+/// The `Rows` payload written from a `RowBlock` — the cell images the
+/// executor copied off the pinned pages — is byte for byte the payload the
+/// boxed encoder produces from the same rows decoded, so no client can tell
+/// which one the server used. Whole rows and projections (reordered,
+/// repeated and out-of-range columns, the empty `select`), NULLs and `Int`s,
+/// a `LIMIT`, an empty answer; both substrates. A persistent buffered reader
+/// then takes the frames back off one stream, one after the other.
+#[test]
+fn rows_frame_built_from_a_block_is_byte_identical_to_the_boxed_encoder() {
+    use hermit_core::Database;
+    use hermit_server::proto::{encode_rows, read_frame_into, send_response, send_rows};
+    use hermit_storage::paged::{BufferPool, PagedTable, SimulatedPageStore};
+    use hermit_storage::{ColumnDef, Schema, TidScheme};
+    use std::sync::Arc;
+
+    let schema = || {
+        Schema::new(vec![
+            ColumnDef::int("pk"),
+            ColumnDef::float("host"),
+            ColumnDef::float("target"),
+            ColumnDef::float_null("maybe"),
+            ColumnDef::int("tag"),
+        ])
+    };
+    let fill = |db: &mut Database| {
+        for i in 0..2_000i64 {
+            let m = ((i * 7) % 2_000) as f64;
+            let maybe = if i % 3 == 0 { Value::Null } else { Value::Float(-m) };
+            db.insert(&[
+                Value::Int(i),
+                Value::Float(2.0 * m),
+                Value::Float(m),
+                maybe,
+                Value::Int(-i),
+            ])
+            .unwrap();
+        }
+        db.create_baseline_index(1, true).unwrap();
+        db.create_hermit_index(2, 1).unwrap();
+    };
+    let mut mem = Database::new(schema(), 0, TidScheme::Logical);
+    fill(&mut mem);
+    let pool = Arc::new(BufferPool::new(Arc::new(SimulatedPageStore::new()), 4));
+    let mut paged = Database::new_paged(PagedTable::new(schema(), pool), 0);
+    fill(&mut paged);
+
+    let mut wire = Vec::new();
+    let mut expected = Vec::new();
+    let mut scratch = Vec::new();
+    for db in [&mem, &paged] {
+        for base in [
+            Query::new().range(2, 100.0, 399.0),
+            Query::new().range(2, 100.0, 399.0).limit(7),
+            Query::new().range(0, 10.0, 40.0), // pk is unindexed: the scan
+            Query::new().range(2, 5_000.0, 6_000.0), // empty answer
+        ] {
+            for cols in [vec![0, 1, 2, 3, 4], vec![4, 3, 3, 0], vec![3, 17], vec![]] {
+                let result = db.execute(&base.clone().select(cols));
+                let block = result.projected.expect("a projection was asked for");
+                let rows = block.to_rows();
+                assert_eq!(rows.len(), result.rows.len());
+
+                let mut from_block = Vec::new();
+                encode_rows(&block, &mut from_block);
+                let mut boxed = Vec::new();
+                Response::Rows(rows.clone()).encode(&mut boxed);
+                assert_eq!(from_block, boxed, "payload bytes");
+
+                // And framed: the same bytes on the wire either way.
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                send_rows(&mut a, &block, &mut scratch).unwrap();
+                send_response(&mut b, &Response::Rows(rows.clone()), &mut scratch).unwrap();
+                assert_eq!(a, b, "frame bytes");
+                wire.extend_from_slice(&a);
+                expected.push(Response::Rows(rows));
+            }
+        }
+    }
+    assert!(expected.iter().any(|r| matches!(r, Response::Rows(rows) if rows.len() == 300)));
+
+    let mut reader = std::io::BufReader::new(wire.as_slice());
+    let mut payload = Vec::new();
+    for want in &expected {
+        assert!(read_frame_into(&mut reader, &mut payload).unwrap());
+        assert_eq!(&Response::decode(&payload).unwrap(), want);
+    }
+    assert!(!read_frame_into(&mut reader, &mut payload).unwrap(), "clean EOF after the last frame");
+}

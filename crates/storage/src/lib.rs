@@ -47,7 +47,7 @@ pub use schema::{ColumnDef, ColumnId, ColumnType, Schema};
 pub use stats::ColumnStats;
 pub use table::{RowLoc, Table};
 pub use tid::{Tid, TidScheme};
-pub use value::{F64Key, Value};
+pub use value::{decode_cell, decode_cells, encode_cell, BadCellTag, F64Key, Value, CELL_BYTES};
 pub use wal::{WalRecord, WalReplay, WalWriter};
 
 /// Convenience result alias used across the storage crate.

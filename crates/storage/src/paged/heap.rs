@@ -4,8 +4,9 @@
 //! serialized into 8 KiB pages behind a buffer pool. Row locations reuse
 //! [`RowLoc`]: `block` is the page id, `offset` is the slot.
 //!
-//! Serialization: each cell is 9 bytes — a tag byte (0 = NULL, 1 = Int,
-//! 2 = Float) followed by 8 payload bytes little-endian.
+//! Serialization: a record is its cells back to back, each the 9-byte image
+//! of [`crate::value::encode_cell`] — the same bytes the WAL logs and the
+//! wire protocol ships, so a record is copied out of a pinned page as is.
 
 use super::buffer_pool::BufferPool;
 use super::page::PageId;
@@ -14,12 +15,10 @@ use crate::error::StorageError;
 use crate::schema::{ColumnId, Schema};
 use crate::stats::ColumnStats;
 use crate::table::RowLoc;
-use crate::value::Value;
+use crate::value::{self, encode_cell, Value, CELL_BYTES};
 use crate::Result;
 use parking_lot::Mutex;
 use std::sync::Arc;
-
-const CELL_BYTES: usize = 9;
 
 fn encode_row(schema: &Schema, row: &[Value], buf: &mut Vec<u8>) -> Result<()> {
     if row.len() != schema.width() {
@@ -27,34 +26,29 @@ fn encode_row(schema: &Schema, row: &[Value], buf: &mut Vec<u8>) -> Result<()> {
     }
     buf.clear();
     for (cid, v) in row.iter().enumerate() {
-        let def = schema.column(cid)?;
-        match v {
-            Value::Null => {
-                if !def.nullable {
-                    return Err(StorageError::UnexpectedNull { column: cid });
-                }
-                buf.push(0);
-                buf.extend_from_slice(&[0u8; 8]);
-            }
-            Value::Int(x) => {
-                buf.push(1);
-                buf.extend_from_slice(&x.to_le_bytes());
-            }
-            Value::Float(x) => {
-                buf.push(2);
-                buf.extend_from_slice(&x.to_le_bytes());
-            }
+        if v.is_null() && !schema.column(cid)?.nullable {
+            return Err(StorageError::UnexpectedNull { column: cid });
         }
+        buf.extend_from_slice(&encode_cell(v));
     }
     Ok(())
 }
 
+/// Decode the cell at the front of `bytes`. A tag the codec does not know
+/// reads as a float, as it always has here: a page is CRC-checked as a
+/// whole, so a bad tag is not corruption this layer can report. (Spelled as
+/// a `match` on the codec's result and inlined: `unwrap_or` with the
+/// fallback built eagerly made every `RowRef` read, and with it
+/// `Database::open`'s heap pass, twice as slow.)
+#[inline]
 fn decode_cell(bytes: &[u8]) -> Value {
-    let payload: [u8; 8] = bytes[1..9].try_into().expect("cell is 9 bytes");
-    match bytes[0] {
-        0 => Value::Null,
-        1 => Value::Int(i64::from_le_bytes(payload)),
-        _ => Value::Float(f64::from_le_bytes(payload)),
+    let cell: &[u8; CELL_BYTES] = bytes[..CELL_BYTES].try_into().expect("cell is 9 bytes");
+    match value::decode_cell(cell) {
+        Ok(v) => v,
+        Err(_) => {
+            let [_, body @ ..] = *cell;
+            Value::Float(f64::from_le_bytes(body))
+        }
     }
 }
 

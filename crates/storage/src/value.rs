@@ -69,6 +69,51 @@ impl Value {
     }
 }
 
+/// Bytes in one encoded cell: a tag byte plus an 8-byte little-endian body.
+pub const CELL_BYTES: usize = 9;
+
+/// A cell image whose tag byte names no [`Value`] variant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BadCellTag(pub u8);
+
+/// The one cell codec: `0` NULL (zero body) | `1` i64 | `2` f64, body
+/// little-endian. A heap record, a WAL row and a `Rows` frame on the wire
+/// are all runs of exactly these nine bytes, which is what lets a row's
+/// image go from a pinned page into a response without being decoded.
+#[inline]
+pub fn encode_cell(v: &Value) -> [u8; CELL_BYTES] {
+    let (tag, body) = match *v {
+        Value::Null => (0, [0u8; 8]),
+        Value::Int(x) => (1, x.to_le_bytes()),
+        Value::Float(x) => (2, x.to_le_bytes()),
+    };
+    let mut cell = [tag; CELL_BYTES];
+    cell[1..].copy_from_slice(&body);
+    cell
+}
+
+/// Strict inverse of [`encode_cell`]: an unknown tag is an error, for the
+/// caller to map onto its own (the WAL's torn record, the wire's malformed
+/// payload). A NULL's body is not inspected.
+#[inline]
+pub fn decode_cell(cell: &[u8; CELL_BYTES]) -> Result<Value, BadCellTag> {
+    let [tag, body @ ..] = *cell;
+    match tag {
+        0 => Ok(Value::Null),
+        1 => Ok(Value::Int(i64::from_le_bytes(body))),
+        2 => Ok(Value::Float(f64::from_le_bytes(body))),
+        _ => Err(BadCellTag(tag)),
+    }
+}
+
+/// [`decode_cell`] over a run of cell images, in order. Bytes past the last
+/// whole cell are ignored; callers that care check the length first.
+pub fn decode_cells(cells: &[u8]) -> impl Iterator<Item = Result<Value, BadCellTag>> + '_ {
+    cells
+        .chunks_exact(CELL_BYTES)
+        .map(|cell| decode_cell(cell.try_into().expect("chunks_exact yields whole cells")))
+}
+
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -197,6 +242,16 @@ mod tests {
         };
         assert_eq!(h(F64Key(0.0)), h(F64Key(-0.0)));
         assert_eq!(F64Key(0.0), F64Key(-0.0).clone());
+    }
+
+    #[test]
+    fn cell_codec_roundtrips_and_rejects_unknown_tags() {
+        for v in [Value::Null, Value::Int(-7), Value::Int(i64::MAX), Value::Float(-0.5)] {
+            assert_eq!(decode_cell(&encode_cell(&v)), Ok(v));
+        }
+        assert_eq!(encode_cell(&Value::Null), [0u8; CELL_BYTES], "a zeroed cell is NULL");
+        assert_eq!(encode_cell(&Value::Int(1)), [1, 1, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(decode_cell(&[3, 0, 0, 0, 0, 0, 0, 0, 0]), Err(BadCellTag(3)));
     }
 
     #[test]

@@ -49,8 +49,8 @@
 //!          kind u8 = 7 (txn abort):  txn u64
 //! ```
 //!
-//! Cell encoding matches the paged heap's: tag 0 = NULL, 1 = Int, 2 = Float,
-//! with an 8-byte little-endian body.
+//! A cell is the 9-byte image of [`crate::value::encode_cell`], the codec the
+//! paged heap and the wire protocol share.
 //!
 //! Kinds 3–7 carry multi-statement transactions (the `hermit_txn`
 //! subsystem). A txn-delete record carries the **full pre-image row**, not
@@ -63,7 +63,7 @@
 
 use crate::fault::{fault_point, injected_error, FaultAction};
 use crate::recovery::{crc32, sync_dir, RecoveryError};
-use crate::value::Value;
+use crate::value::{self, encode_cell, Value, CELL_BYTES};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -129,46 +129,24 @@ pub enum WalRecord {
 fn encode_cells(row: &[Value], buf: &mut Vec<u8>) {
     buf.extend_from_slice(&(row.len() as u16).to_le_bytes());
     for v in row {
-        match v {
-            Value::Null => {
-                buf.push(0);
-                buf.extend_from_slice(&[0u8; 8]);
-            }
-            Value::Int(x) => {
-                buf.push(1);
-                buf.extend_from_slice(&x.to_le_bytes());
-            }
-            Value::Float(x) => {
-                buf.push(2);
-                buf.extend_from_slice(&x.to_le_bytes());
-            }
-        }
+        buf.extend_from_slice(&encode_cell(v));
     }
 }
 
-/// Decode `width u16 | width × (tag u8 | body u64)` starting at `payload[at]`;
-/// the cells must consume the payload exactly.
+/// Decode `width u16 | width × cell` starting at `payload[at]`; the cells
+/// must consume the payload exactly.
 fn decode_cells(payload: &[u8], at: usize) -> Result<Vec<Value>, RecoveryError> {
     if payload.len() < at + 2 {
         return Err(RecoveryError::Corrupt("short row record"));
     }
     let width = u16::from_le_bytes(payload[at..at + 2].try_into().unwrap()) as usize;
-    let base = at + 2;
-    if payload.len() != base + width * 9 {
+    let cells = &payload[at + 2..];
+    if cells.len() != width * CELL_BYTES {
         return Err(RecoveryError::Corrupt("row record length mismatch"));
     }
-    let mut row = Vec::with_capacity(width);
-    for c in 0..width {
-        let cell = &payload[base + c * 9..base + (c + 1) * 9];
-        let body: [u8; 8] = cell[1..9].try_into().unwrap();
-        row.push(match cell[0] {
-            0 => Value::Null,
-            1 => Value::Int(i64::from_le_bytes(body)),
-            2 => Value::Float(f64::from_le_bytes(body)),
-            _ => return Err(RecoveryError::Corrupt("bad cell tag")),
-        });
-    }
-    Ok(row)
+    value::decode_cells(cells)
+        .map(|cell| cell.map_err(|_| RecoveryError::Corrupt("bad cell tag")))
+        .collect()
 }
 
 fn encode_payload(rec: &WalRecord, buf: &mut Vec<u8>) {

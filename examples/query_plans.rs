@@ -87,7 +87,7 @@ fn main() {
     let plan = db.plan(&q);
     print!("{plan}");
     let r = db.execute_plan(&plan);
-    for row in r.projected.as_deref().unwrap_or_default() {
+    for row in r.projected.iter().flat_map(|block| block.iter()) {
         println!("--> {row:?}");
     }
 }

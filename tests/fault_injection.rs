@@ -10,12 +10,12 @@
 //!   the same injected-fault schedule through the same workload, so any
 //!   failure found by a seeded run can be handed around as one number.
 //! * **An unreadable page is not a deleted row**: while heap reads fail,
-//!   every access path reports an error instead of a shorter answer; once
-//!   the device heals the exact rows come back and no buffer-pool frame has
-//!   gone missing.
+//!   every access path — the composite box routes included — reports an
+//!   error instead of a shorter answer; once the device heals the exact
+//!   rows come back and no buffer-pool frame has gone missing.
 
 use hermit::core::recovery::{DurabilityConfig, WAL_FILE};
-use hermit::core::{Database, Query, RangePredicate};
+use hermit::core::{CompositeIndexes, Database, Query, RangePredicate};
 use hermit::core::{Heap, SharedDatabase};
 use hermit::fault::{mangle_file, FaultPlan, FaultRates, FaultyPageStore};
 use hermit::server::{ClientError, ErrorCode, HermitClient, HermitServer, ServerConfig};
@@ -170,6 +170,13 @@ fn unreadable_pages_are_errors_not_deleted_rows() {
     assert!(db.lookup_range(RangePredicate::range(2, 100.0, 699.0), None).unreadable > 0);
     assert!(db.execute(&scanned).unreadable > 0, "the seq scan must not skip unreadable pages");
     assert!(db.fetch_rows(&healthy.rows, None).1 > 0);
+    // The single pass that validates and writes the rows out: the block it
+    // leaves is partial, `unreadable` says so, and the server sends the
+    // typed error in its place — never the rows it did manage to read.
+    let partial = db.execute(&projected);
+    assert!(partial.unreadable > 0 && partial.unresolved == 0);
+    assert!(partial.projected.is_some_and(|block| block.len() == partial.rows.len()));
+    assert!(partial.rows.len() < 600);
     for q in [&indexed, &scanned, &projected] {
         match client.query(q) {
             Err(ClientError::Server { code: ErrorCode::Storage, .. }) => {}
@@ -194,6 +201,8 @@ fn unreadable_pages_are_errors_not_deleted_rows() {
     assert_eq!((healed.rows.clone(), healed.unreadable), (healthy.rows.clone(), 0));
     assert_eq!(db.execute(&scanned).rows.len(), 600);
     assert_eq!(client.query(&indexed).unwrap(), want_rows);
+    let want_cut: Vec<Vec<Value>> = want_rows.iter().map(|r| vec![r[0], r[2]]).collect();
+    assert_eq!(client.query(&projected).unwrap(), want_cut);
 
     // No frame leaked: every failed load handed its frame back, so the
     // quiescent pool still accounts for its whole capacity.
@@ -202,4 +211,56 @@ fn unreadable_pages_are_errors_not_deleted_rows() {
     assert_eq!(resident + free, FRAMES);
     client.shutdown().unwrap();
     server.wait();
+}
+
+/// The composite box routes validate at the base table too. A page that
+/// cannot be read there used to come back as `unresolved` (the value
+/// conjunct) or as a false positive (the leading conjunct) — an I/O error
+/// turned into a shorter answer. It is `unreadable`, like every other tail,
+/// and each candidate costs one page visit, not one per conjunct.
+#[test]
+fn composite_routes_report_unreadable_pages_not_shorter_answers() {
+    const ROWS: i64 = 4_000;
+    const FRAMES: usize = 4;
+    let store = Arc::new(FaultyPageStore::new(Arc::new(SimulatedPageStore::new())));
+    let pool = Arc::new(BufferPool::new_sharded(Arc::<FaultyPageStore>::clone(&store), FRAMES, 2));
+    let db = Database::new_paged(PagedTable::new(schema(), Arc::clone(&pool)), 0);
+    for i in 0..ROWS {
+        db.insert(&row(i, ((i * 7) % ROWS) as f64)).unwrap();
+    }
+    // A registry of its own over the paged heap: (pk, target) directly, and
+    // target -> host through the (pk, host) companion.
+    let mut composites = CompositeIndexes::new();
+    composites.create_baseline(&db, 0, 1).unwrap();
+    let direct = composites.create_baseline(&db, 0, 2).unwrap();
+    let hermit = composites.create_hermit(&db, 0, 2, 1, Default::default()).unwrap();
+    pool.flush().unwrap();
+
+    let leading = RangePredicate::range(0, 0.0, ROWS as f64);
+    let value = RangePredicate::range(2, 100.0, 699.0);
+    for idx in [direct, hermit] {
+        let healthy = composites.lookup_box(&db, idx, leading, value);
+        assert_eq!((healthy.rows.len(), healthy.unreadable, healthy.unresolved), (600, 0, 0));
+        let candidates = healthy.rows.len() + healthy.false_positives;
+
+        let before = pool.stats().hits() + pool.stats().misses();
+        composites.lookup_box(&db, idx, leading, value);
+        let visits = pool.stats().hits() + pool.stats().misses() - before;
+        assert_eq!(visits, candidates as u64, "one page visit per candidate");
+
+        store.set_fail_reads(true);
+        let poisoned = composites.lookup_box(&db, idx, leading, value);
+        store.set_fail_reads(false);
+        assert!(poisoned.unreadable > 0, "index {idx}: the failed loads must be reported");
+        assert_eq!(poisoned.unresolved, 0, "index {idx}: an unreadable page is not a deleted row");
+        assert_eq!(
+            poisoned.rows.len() + poisoned.false_positives + poisoned.unreadable,
+            candidates,
+            "index {idx}: every candidate is a match, a false positive or unreadable"
+        );
+        assert!(poisoned.false_positives <= healthy.false_positives, "index {idx}");
+
+        let healed = composites.lookup_box(&db, idx, leading, value);
+        assert_eq!((healed.rows, healed.unreadable), (healthy.rows, 0));
+    }
 }

@@ -261,10 +261,10 @@ fn limit_truncates_and_projection_materializes() {
     let q = Query::new().range(SP, 650.0, 700.0).select([TIME, SP]).limit(7);
     let r = db.execute(&q);
     assert_eq!(r.rows.len(), 7);
-    let projected = r.projected.as_deref().expect("projection materialized");
-    assert_eq!(projected.len(), 7);
+    let projected = r.projected.as_ref().expect("projection materialized");
+    assert_eq!((projected.len(), projected.cells_per_row()), (7, 2));
     let full_sorted = sorted(&full.rows);
-    for (loc, row) in r.rows.iter().zip(projected) {
+    for (loc, row) in r.rows.iter().zip(projected.iter()) {
         assert!(full_sorted.binary_search(loc).is_ok(), "limited rows are a subset");
         assert_eq!(row.len(), 2);
         let Value::Int(t) = row[0] else { panic!("projected time must be Int") };
