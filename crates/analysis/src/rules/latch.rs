@@ -22,6 +22,16 @@
 //! acquiring a latch that ranks at-or-above a held one is `latch-order`,
 //! and a call that reaches the device (`sync_all`, WAL `append`, …) while
 //! a non-`io_safe` latch is held is `latch-hold-io`.
+//!
+//! One device call is stricter than the rest: the **commit wait**
+//! (`wait_durable`, `COMMIT_WAIT_CALLS`) parks on the log's fsync, and
+//! may be entered under the quiesce latch only. The WAL guard is `io_safe`
+//! for the `write` it brackets, never for a commit fsync — every other
+//! statement would queue behind the device — and the transaction manager's
+//! visibility latch (`read_visibility()` / `write_visibility()`; it lives in
+//! `hermit_txn`, outside the ranked hierarchy, so it is tracked here for
+//! this rule alone) would stall every reader. Either one held across a
+//! commit wait is `latch-hold-io` too.
 
 use crate::diag::{Diagnostic, RuleId};
 use crate::lexer::{Token, TokenKind};
@@ -40,13 +50,71 @@ pub(crate) const IO_CALLS: &[&str] = &[
     "append",
     "append_txn_commit",
     "append_txn_abort",
+    "commit_point",
     "make_durable",
-    "log_insert",
-    "log_delete",
+    "wait_durable",
     "log_txn",
-    "log_txn_commit",
     "log_txn_abort",
+    "commit_auto",
+    "force_commit",
 ];
+
+/// The commit wait: [`IO_CALLS`] members that park on the log's fsync. Only
+/// the quiesce latch may be held across one (see the module docs).
+pub(crate) const COMMIT_WAIT_CALLS: &[&str] = &["wait_durable"];
+
+/// Rank of the WAL guard in `LATCH_HIERARCHY`.
+const WAL_GUARD_RANK: u32 = 20;
+
+/// Guard-returning methods of the transaction manager's visibility latch.
+const VISIBILITY_METHODS: &[&str] = &["read_visibility", "write_visibility"];
+
+/// A tracked hold of the visibility latch (not a ranked [`Acquisition`]).
+pub(crate) struct VisibilityHold {
+    /// The acquiring method, for messages.
+    pub(crate) via: String,
+    pub(crate) pos: usize,
+    /// Exclusive end of the guard's tracked lifetime.
+    pub(crate) scope_end: usize,
+}
+
+/// Scan one function's effective tokens for visibility-latch acquisitions,
+/// with the same guard-lifetime heuristic as [`find_acquisitions`].
+pub(crate) fn find_visibility_holds(tokens: &[Token], eff: &[usize]) -> Vec<VisibilityHold> {
+    let tok = |p: usize| -> &Token { &tokens[eff[p]] };
+    let mut holds = Vec::new();
+    for p in 0..eff.len().saturating_sub(3) {
+        let m = tok(p + 1);
+        if tok(p).is_punct(".")
+            && m.kind == TokenKind::Ident
+            && VISIBILITY_METHODS.contains(&m.text.as_str())
+            && tok(p + 2).is_punct("(")
+            && tok(p + 3).is_punct(")")
+        {
+            let scope_end = guard_scope_end(eff, tokens, p, p + 3);
+            holds.push(VisibilityHold { via: m.text.clone(), pos: p + 1, scope_end });
+        }
+    }
+    holds
+}
+
+/// What forbids a commit wait at effective position `p`: the WAL guard or
+/// the visibility latch, held there. `(via, latch name)`.
+pub(crate) fn commit_wait_blocker(
+    acqs: &[Acquisition],
+    vis: &[VisibilityHold],
+    p: usize,
+) -> Option<(String, &'static str)> {
+    let spans = |pos: usize, end: usize| p > pos && p < end;
+    acqs.iter()
+        .find(|a| a.level.rank == WAL_GUARD_RANK && spans(a.pos, a.scope_end))
+        .map(|a| (a.via.clone(), a.level.name))
+        .or_else(|| {
+            vis.iter()
+                .find(|v| spans(v.pos, v.scope_end))
+                .map(|v| (v.via.clone(), "txn-visibility"))
+        })
+}
 
 /// One recognized latch acquisition inside a function.
 pub(crate) struct Acquisition {
@@ -156,7 +224,9 @@ pub fn check_function(file: &str, tokens: &[Token], func: &Func, out: &mut Vec<D
         }
     }
 
-    // --- Pass 3: non-io_safe guards held across device calls. ---
+    // --- Pass 3: non-io_safe guards held across device calls, and the WAL
+    // guard or the visibility latch held across a commit wait. ---
+    let vis = find_visibility_holds(tokens, &eff);
     for p in 0..eff.len() {
         let t = tok(p);
         if t.kind != TokenKind::Ident
@@ -180,6 +250,22 @@ pub fn check_function(file: &str, tokens: &[Token], func: &Func, out: &mut Vec<D
                         "fn `{}` calls `{}` while holding `{}` ({}); only the quiesce latch and \
                          the WAL guard may be held across durability I/O",
                         func.name, t.text, a.via, a.level.name
+                    ),
+                    chain: Vec::new(),
+                    allowed: None,
+                });
+            }
+        }
+        if COMMIT_WAIT_CALLS.contains(&t.text.as_str()) {
+            if let Some((via, latch)) = commit_wait_blocker(&acqs, &vis, p) {
+                out.push(Diagnostic {
+                    file: file.to_string(),
+                    line: t.line,
+                    rule: RuleId::LatchHoldIo,
+                    message: format!(
+                        "fn `{}` parks in `{}` while holding `{via}` ({latch}); a commit wait \
+                         may be entered under the quiesce latch only",
+                        func.name, t.text
                     ),
                     chain: Vec::new(),
                     allowed: None,

@@ -7,7 +7,8 @@
 //!
 //! * `acquires` — latch ranks the body acquires directly;
 //! * `does_io` — whether the body itself calls into the durability layer
-//!   (`rules::latch::IO_CALLS`);
+//!   (`rules::latch::IO_CALLS`), and whether one of those calls is a commit
+//!   wait (`rules::latch::COMMIT_WAIT_CALLS`);
 //! * per call site, the set of latches **provably held** at that point
 //!   (an acquisition whose tracked guard scope spans the call — the same
 //!   under-approximating lifetime heuristic the intraprocedural rule
@@ -32,8 +33,10 @@
 //!   intraprocedural rule already judges, and double-reporting them would
 //!   force every legal nesting to carry an allow.
 //! * **`latch-hold-io-ip`** — a non-`io_safe` latch held across a call
-//!   that transitively performs durability I/O. Direct I/O calls are the
-//!   intraprocedural `latch-hold-io`'s business and are skipped here.
+//!   that transitively performs durability I/O, or the WAL guard / the
+//!   visibility latch held across a call that transitively parks in a
+//!   commit wait. Direct I/O calls are the intraprocedural
+//!   `latch-hold-io`'s business and are skipped here.
 //!
 //! Both print the offending call chain (`a -> b -> c`), reconstructed by
 //! BFS through resolved edges, so the diagnostic names the path a
@@ -56,6 +59,10 @@ pub struct Summary {
     pub local_io: bool,
     /// I/O here or anywhere below.
     pub reaches_io: bool,
+    /// A commit wait in this function's own body.
+    pub local_commit_wait: bool,
+    /// A commit wait here or anywhere below.
+    pub reaches_commit_wait: bool,
 }
 
 /// Summaries for every node of a [`CallGraph`], propagated to fixpoint.
@@ -148,10 +155,12 @@ pub fn compute(graph: &CallGraph) -> Summaries {
                 && !(p > 0 && ctx.tokens[eff[p - 1]].is_ident("fn"))
             {
                 summary.local_io = true;
+                summary.local_commit_wait |= latch::COMMIT_WAIT_CALLS.contains(&t.text.as_str());
             }
         }
         summary.reaches_acquire = summary.local_acquires.clone();
         summary.reaches_io = summary.local_io;
+        summary.reaches_commit_wait = summary.local_commit_wait;
     }
 
     // Successor lists over resolved edges.
@@ -167,7 +176,7 @@ pub fn compute(graph: &CallGraph) -> Summaries {
         changed = false;
         for v in 0..n {
             for &w in &succ[v] {
-                let (add_acq, add_io): (Vec<u32>, bool) = {
+                let (add_acq, add_io, add_wait): (Vec<u32>, bool, bool) = {
                     let sw = &per_fn[w];
                     (
                         sw.reaches_acquire
@@ -175,6 +184,7 @@ pub fn compute(graph: &CallGraph) -> Summaries {
                             .copied()
                             .collect(),
                         sw.reaches_io && !per_fn[v].reaches_io,
+                        sw.reaches_commit_wait && !per_fn[v].reaches_commit_wait,
                     )
                 };
                 if !add_acq.is_empty() {
@@ -185,6 +195,10 @@ pub fn compute(graph: &CallGraph) -> Summaries {
                     per_fn[v].reaches_io = true;
                     changed = true;
                 }
+                if add_wait {
+                    per_fn[v].reaches_commit_wait = true;
+                    changed = true;
+                }
             }
         }
     }
@@ -193,16 +207,18 @@ pub fn compute(graph: &CallGraph) -> Summaries {
     // invariant explicit and mutation-testable).
     {
         use std::collections::HashMap;
-        let mut by_scc: HashMap<usize, (BTreeSet<u32>, bool)> = HashMap::new();
+        let mut by_scc: HashMap<usize, (BTreeSet<u32>, bool, bool)> = HashMap::new();
         for v in 0..n {
             let e = by_scc.entry(scc_id[v]).or_default();
             e.0.extend(per_fn[v].reaches_acquire.iter().copied());
             e.1 |= per_fn[v].reaches_io;
+            e.2 |= per_fn[v].reaches_commit_wait;
         }
         for v in 0..n {
             let e = &by_scc[&scc_id[v]];
             per_fn[v].reaches_acquire = e.0.clone();
             per_fn[v].reaches_io = e.1;
+            per_fn[v].reaches_commit_wait = e.2;
         }
     }
 
@@ -262,9 +278,40 @@ pub fn check(graph: &CallGraph, summaries: &Summaries, out: &mut Vec<Diagnostic>
         let func = &ctx.funcs[func_idx];
         let eff = latch::effective_indices(&ctx.tokens, func);
         let acqs: Vec<Acquisition> = latch::find_acquisitions(&ctx.tokens, &eff);
+        let vis = latch::find_visibility_holds(&ctx.tokens, &eff);
 
         for call in &node.calls {
             let Some(callee) = call.callee else { continue };
+            let callee_sum = &summaries.per_fn[callee];
+
+            // --- latch-hold-io-ip, commit-wait half ---
+            // Direct commit waits belong to `latch-hold-io`.
+            if !latch::COMMIT_WAIT_CALLS.contains(&call.name.as_str())
+                && callee_sum.reaches_commit_wait
+            {
+                if let Some((via, latch_name)) =
+                    latch::commit_wait_blocker(&acqs, &vis, call.eff_pos)
+                {
+                    let chain = chain_to(graph, summaries, callee, &|s| s.local_commit_wait);
+                    let mut full = vec![node.display.clone()];
+                    full.extend(chain.iter().cloned());
+                    out.push(Diagnostic {
+                        file: node.file.clone(),
+                        line: call.line,
+                        rule: RuleId::LatchHoldIoIp,
+                        message: format!(
+                            "{} parks in a commit wait while `{via}` ({latch_name}) is held at \
+                             the call to `{}`; a commit wait may be entered under the quiesce \
+                             latch only",
+                            full.join(" -> "),
+                            call.name
+                        ),
+                        chain: full,
+                        allowed: None,
+                    });
+                }
+            }
+
             // Latches provably held at this call site.
             let held: Vec<&Acquisition> = acqs
                 .iter()
@@ -273,7 +320,6 @@ pub fn check(graph: &CallGraph, summaries: &Summaries, out: &mut Vec<Diagnostic>
             if held.is_empty() {
                 continue;
             }
-            let callee_sum = &summaries.per_fn[callee];
 
             // --- latch-order-ip ---
             // Skip call sites that *are* latch acquisitions (read/write/

@@ -45,6 +45,29 @@ fn latch_hold_io_fires_only_on_non_io_safe_guards() {
 }
 
 #[test]
+fn commit_wait_fires_under_the_wal_guard_and_the_visibility_latch_only() {
+    let ws =
+        synthetic(&[("crates/core/src/fixture.rs", include_str!("fixtures/latch_commit_wait.rs"))]);
+    let diags = analyze(&ws);
+    let direct = of_rule(&diags, RuleId::LatchHoldIo);
+    assert_eq!(direct.len(), 2, "{direct:?}");
+    assert!(direct
+        .iter()
+        .any(|d| d.message.contains("wait_under_wal_guard") && d.message.contains("wal-guard")));
+    assert!(direct.iter().any(
+        |d| d.message.contains("wait_under_visibility") && d.message.contains("txn-visibility")
+    ));
+    assert!(!mentions(&direct, "wait_under_quiesce_only"));
+    assert!(!mentions(&direct, "write_release_wait_publish"));
+
+    let far = of_rule(&diags, RuleId::LatchHoldIoIp);
+    assert_eq!(far.len(), 2, "{far:?}");
+    assert!(mentions(&far, "Db::far_wait_under_wal_guard -> Db::finish_statement -> Db::park"));
+    assert!(mentions(&far, "Db::far_wait_under_visibility -> Db::finish_statement -> Db::park"));
+    assert!(!mentions(&far, "far_wait_after_release"));
+}
+
+#[test]
 fn latch_rules_do_not_run_outside_core() {
     // The same bad source under a non-core path is out of scope.
     let ws = synthetic(&[("crates/trs/src/fixture.rs", include_str!("fixtures/latch_order.rs"))]);
@@ -279,6 +302,24 @@ fn seeded_top(db: &Database) {
     t.len();
 }
 ";
+
+/// Mutation: putting the commit wait back under the WAL guard — the shape
+/// `Statement::commit_auto` exists to rule out — fails the lint.
+#[test]
+fn waiting_for_the_fsync_under_the_wal_guard_fails_the_lint() {
+    let mut ws = Workspace::load(&repo_root()).unwrap();
+    let recovery = ws.file_mut("crates/core/src/recovery.rs").expect("recovery.rs");
+    let released = "drop(wal);\n        match d.absorb_log_failure(owed)?";
+    assert!(recovery.contains(released), "commit_auto should release the guard before the wait");
+    *recovery = recovery
+        .replace(
+            "let Statement { d, mut wal, quiesce: _quiesce } = self;",
+            "let d = self.d; let mut wal = d.wal.lock();",
+        )
+        .replace(released, "match d.absorb_log_failure(owed)?");
+    let got = of_rule(&analyze(&ws), RuleId::LatchHoldIo);
+    assert!(mentions(&got, "fn `commit_auto` parks in `wait_durable`"), "got {got:?}");
+}
 
 /// Mutation: seeding a cross-function inversion into the real workspace
 /// must fail the lint with the full chain in the diagnostic — the static

@@ -3,10 +3,13 @@
 //! of Figs. 8/12; the `figures` binary prints the full sweeps).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use hermit_core::shared::SharedDatabase;
 use hermit_core::{BatchOptions, Database, DurabilityConfig, RangePredicate};
 use hermit_storage::{ColumnDef, RowLoc, Schema, TidScheme, Value};
 use hermit_workloads::synthetic::cols;
 use hermit_workloads::{build_synthetic, CorrelationKind, QueryGen, SyntheticConfig};
+use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn setup(kind: CorrelationKind, scheme: TidScheme) -> (Database, Database, SyntheticConfig) {
@@ -203,5 +206,83 @@ fn bench_cold_fetch(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_range, bench_point, bench_batched, bench_cold_fetch);
+/// Auto-commit inserts per second from `committers` threads through one
+/// `SharedDatabase` for `window`, every insert its own commit point.
+fn commit_rate(
+    db: &SharedDatabase,
+    next_pk: &AtomicI64,
+    committers: usize,
+    window: Duration,
+) -> f64 {
+    let start = Instant::now();
+    let commits: u64 = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..committers)
+            .map(|_| {
+                s.spawn(move || {
+                    let mut done = 0u64;
+                    while start.elapsed() < window {
+                        let pk = next_pk.fetch_add(1, Ordering::Relaxed);
+                        let m = pk as f64;
+                        let row = [Value::Int(pk), Value::Float(2.0 * m), Value::Float(m)];
+                        db.insert(&row).expect("commit_scaling insert");
+                        done += 1;
+                    }
+                    done
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("commit_scaling committer panicked")).sum()
+    });
+    commits as f64 / start.elapsed().as_secs_f64()
+}
+
+/// The write path's contention in isolation: 1/2/4/8 committers of
+/// auto-commit inserts on a file-backed database at `wal_sync_every = 1`,
+/// no socket. A commit point waits for its fsync with nothing held, so a
+/// second committer's apply + `write` overlap the first one's fsync and
+/// committers parked behind one fsync share the next: the rate must grow
+/// with the committers. With the fsync paid under the WAL guard it could
+/// not (`scaling_4_over_1` ≈ 1). Timed by hand for the same reason as
+/// `cold_fetch`; the ratio depends on the device's fsync, so it is printed,
+/// not gated.
+fn bench_commit_scaling(c: &mut Criterion) {
+    let group = c.benchmark_group("commit_scaling");
+    let quick = std::env::args().any(|a| a == "--quick");
+    let window = if quick { Duration::from_millis(400) } else { Duration::from_secs(2) };
+    let schema = Schema::new(vec![
+        ColumnDef::int("pk"),
+        ColumnDef::float("host"),
+        ColumnDef::float("target"),
+    ]);
+    let dir = std::env::temp_dir().join(format!("hermit-bench-commit-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = DurabilityConfig { wal_sync_every: 1, ..Default::default() };
+    let db = Database::create_durable(schema, 0, &dir, &config).expect("create commit_scaling db");
+    let db = SharedDatabase::new(db);
+    let tail = Arc::clone(db.db().wal_tail().expect("durable database"));
+    let next_pk = AtomicI64::new(0);
+    let mut rates = Vec::new();
+    for committers in [1usize, 2, 4, 8] {
+        let (fsyncs, waits) = (tail.fsyncs(), tail.commit_waits());
+        let rate = commit_rate(&db, &next_pk, committers, window);
+        let cohort = (tail.commit_waits() - waits) as f64 / (tail.fsyncs() - fsyncs).max(1) as f64;
+        eprintln!(
+            "bench commit/committers_{committers}  {rate:>10.0} commits/s  ({cohort:.2} commits per fsync)"
+        );
+        rates.push(rate);
+    }
+    eprintln!("bench commit/scaling_4_over_1  {:.2}", rates[2] / rates[0]);
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_range,
+    bench_point,
+    bench_batched,
+    bench_cold_fetch,
+    bench_commit_scaling
+);
 criterion_main!(benches);

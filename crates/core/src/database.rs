@@ -46,6 +46,7 @@ use crate::index::SecondaryIndex;
 use crate::latches::{self, LatchedRwLock, Witnessed};
 use hermit_btree::{BPlusTree, HashPrimaryIndex};
 use hermit_storage::paged::PagedTable;
+use hermit_storage::wal::WalRecord;
 use hermit_storage::{
     ColumnId, ColumnStats, F64Key, RowLoc, RowRef, Schema, StorageError, Table, Tid, TidScheme,
     Value,
@@ -421,13 +422,7 @@ impl Database {
         // apply order and log order identical across threads (same-pk
         // races would otherwise replay in the wrong order). See
         // `crate::recovery`.
-        let mut statement = match &self.durability {
-            Some(d) => {
-                d.check_writable()?;
-                Some((d, d.quiesce_read(), d.wal_guard()))
-            }
-            None => None,
-        };
+        let statement = self.durability.as_ref().map(|d| d.statement()).transpose()?;
         let pk = row
             .get(self.pk_col)
             .and_then(|v| v.as_i64())
@@ -439,10 +434,10 @@ impl Database {
         let tid = self.apply_insert(row, pk, breakdown)?;
 
         // Log last: the WAL is a redo log of *applied* statements, so a
-        // failed insert never leaves a record to replay. Durable only as of
-        // the next commit-batch fsync / checkpoint.
-        if let Some((d, _quiesce, wal)) = statement.as_mut() {
-            d.log_insert(wal, row)?;
+        // failed insert never leaves a record to replay. At a commit point
+        // the guard is released before the wait for the fsync.
+        if let Some(statement) = statement {
+            statement.commit_auto(&WalRecord::Insert { row: row.to_vec() })?;
         }
         Ok(tid)
     }
@@ -507,17 +502,11 @@ impl Database {
     /// concurrent reader that still finds the stale tid simply fails tid
     /// resolution / validation, exactly like any other dead candidate.
     pub fn delete_by_pk(&self, pk: i64) -> hermit_storage::Result<()> {
-        let mut statement = match &self.durability {
-            Some(d) => {
-                d.check_writable()?;
-                Some((d, d.quiesce_read(), d.wal_guard()))
-            }
-            None => None,
-        };
+        let statement = self.durability.as_ref().map(|d| d.statement()).transpose()?;
         self.txns.check_unlocked(pk).map_err(|_| StorageError::WriteConflict { pk })?;
         self.apply_delete(pk)?;
-        if let Some((d, _quiesce, wal)) = statement.as_mut() {
-            d.log_delete(wal, pk)?;
+        if let Some(statement) = statement {
+            statement.commit_auto(&WalRecord::Delete { pk })?;
         }
         Ok(())
     }

@@ -13,8 +13,8 @@
 //!
 //! | rank | latch | acquired via | held across I/O? |
 //! |-----:|-------|--------------|------------------|
-//! | 10 | durability quiesce | `quiesce_read()`, `quiesce.read()`, `quiesce.write()` | yes |
-//! | 20 | WAL guard | `wal_guard()`, `wal.lock()` | yes |
+//! | 10 | durability quiesce | `quiesce.read()`, `quiesce.write()` | yes — the commit wait included |
+//! | 20 | WAL guard | `wal_guard()`, `wal.lock()` | across the `write`, never across a commit fsync |
 //! | 30 | composite-index registry | `composites()`, `composites_mut()`, `composites.read()`, `composites.write()` | no |
 //! | 40 | per-index latch | `tree.read()`, `tree.write()`, `host_tree.read()` | no |
 //! | 50 | primary index | `primary()`, `primary.read()`, `primary.write()` | no |
@@ -24,13 +24,23 @@
 //! strictly greater than *r*. The load-bearing nestings, for the record:
 //!
 //! * **DML** (`Database::insert_timed`, `delete_by_pk`, the `_txn`
-//!   variants): quiesce (read) → WAL guard, both held across the heap
-//!   apply + WAL append; the apply step then takes heap / primary /
-//!   per-index / registry latches transiently. The WAL guard sits *above*
-//!   the data latches deliberately — apply order and log order must be the
-//!   same total order (see `Durability::wal_guard` in
+//!   variants): quiesce (read) → WAL guard (`Durability::statement`), both
+//!   held across the heap apply + WAL append; the apply step then takes
+//!   heap / primary / per-index / registry latches transiently. The WAL
+//!   guard sits *above* the data latches deliberately — apply order and log
+//!   order must be the same total order (see `Durability::wal_guard` in
 //!   [`crate::recovery`]), so the guard is taken before the first heap
 //!   mutation, not at append time.
+//! * **The commit wait** (`Durability::wait_durable`, reached from
+//!   `Statement::commit_auto` / `force_commit` and `Database::wal_commit`):
+//!   a commit point appends and `write`s under the WAL guard, **releases
+//!   the guard**, and parks on its log position holding the quiesce latch
+//!   alone — so a checkpoint's `reset` cannot run under a parked waiter,
+//!   and nobody queues behind the fsync for the guard. A transaction commit
+//!   takes the transaction manager's visibility latch only *after* the
+//!   wait. `hermit-lint` flags `wait_durable` (directly or through calls)
+//!   under the WAL guard or a visibility guard, and debug builds assert it
+//!   at the call ([`assert_holding_at_most`]).
 //! * **Checkpoint** (`Database::checkpoint`): quiesce (write) → WAL guard
 //!   — the same top-of-hierarchy order as DML, which is exactly why the
 //!   two cannot deadlock.
@@ -52,10 +62,13 @@
 //! rather than allow-listed: a **buffer-pool shard lock → WAL-tail fsync**.
 //! A shard lock is held across the write-back of a dirty victim, and —
 //! WAL before data — across [`WalTail::make_durable`] just before it. The
-//! tail is a file handle and atomics and takes no latch, least of all the
-//! WAL guard, so the edge ends at the device and cannot close a cycle: a
-//! statement holding the WAL guard may wait for a shard lock whose holder
-//! is in that fsync, but the holder never waits for the guard.
+//! tail is a file handle, atomics and the fsync's own leader/follower
+//! state, and takes no latch, least of all the WAL guard, so the edge ends
+//! at the device and cannot close a cycle: a statement holding the WAL
+//! guard may wait for a shard lock whose holder is in that fsync — or
+//! parked behind the commit point that leads it, which holds no latch
+//! another thread can be waiting for but the quiesce read side — and the
+//! holder never waits for the guard.
 //!
 //! [`WalTail::make_durable`]: hermit_storage::wal::WalTail::make_durable
 //!
@@ -104,6 +117,8 @@ pub struct LatchLevel {
     /// guard exist precisely to bracket durable statements. Holding a data
     /// latch (heap, indexes) across device I/O stalls every reader behind
     /// an fsync and is flagged by `hermit-lint`'s `latch-hold-io` rule.
+    /// The same rule holds the WAL guard to one exception: it brackets the
+    /// log's `write`, never the commit wait (`wait_durable`).
     pub io_safe: bool,
 }
 
@@ -114,7 +129,7 @@ pub const LATCH_HIERARCHY: &[LatchLevel] = &[
         rank: 10,
         name: "durability-quiesce",
         receivers: &["quiesce"],
-        methods: &["quiesce_read"],
+        methods: &[],
         io_safe: true,
     },
     LatchLevel {
@@ -326,6 +341,27 @@ pub fn witness_violations() -> u64 {
     #[cfg(not(debug_assertions))]
     {
         0
+    }
+}
+
+/// Debug builds: panic if this thread holds a latch ranked past `rank`
+/// (deeper in the hierarchy). The commit wait calls it with the quiesce
+/// latch's rank: parking on an fsync with the WAL guard (or any data latch)
+/// held would stall every other statement behind the device. No-op in
+/// release builds.
+pub fn assert_holding_at_most(rank: u32, what: &str) {
+    #[cfg(debug_assertions)]
+    witness::HELD.with(|h| {
+        let held = h.borrow();
+        assert!(
+            held.iter().all(|&r| r <= rank),
+            "latch witness: {what} entered while holding ranks {held:?}; nothing ranked past \
+             {rank} may be held there"
+        );
+    });
+    #[cfg(not(debug_assertions))]
+    {
+        let _ = (rank, what);
     }
 }
 

@@ -29,24 +29,66 @@
 //! # Commit points and crash windows
 //!
 //! ```text
-//! auto-commit DML ──(every wal_sync_every-th)── fsync ──┐
-//! begin · DML · DML ── write each ── commit ─── fsync ──┴─...─> checkpoint
-//!             ▲                                              (catalog rename)
-//!             └ a page written back first forces the log up to here
+//!                 under the WAL guard          nothing held but quiesce
+//!               ┌─────────────────────┐      ┌────────────────────────────┐
+//! auto-commit:  apply · append · write ─────▶ wait_durable(pos) ─▶ ack
+//! commit_txn:   append TxnDelete…TxnCommit · write
+//!                                      ─────▶ wait_durable(pos) ─▶ apply deferred
+//!                                                                  deletes · publish ─▶ ack
+//!                                             first arrival leads one fsync
+//!                                             for everyone at or below it
 //! ```
 //!
-//! * **Force at commit.** The log owes durability at commit points and
-//!   nowhere else. An auto-commit statement is its own commit unit, forced
-//!   once per `wal_sync_every` statements. A transaction's only durability
-//!   point is its `TxnCommit` record, which is always forced — and that one
-//!   fsync covers every record the transaction wrote. `TxnBegin`,
-//!   `TxnInsert`, `TxnDelete` and `TxnAbort` are appended and handed to the
-//!   file with one `write` *before* the change they describe is applied, in
-//!   every `wal_sync_every` mode, and never fsync on their own.
+//! * **A commit point is a position to wait on.** The log owes durability
+//!   at commit points and nowhere else: an auto-commit statement is its own
+//!   commit unit, forced once per `wal_sync_every` statements; a
+//!   transaction's only durability point is its `TxnCommit` record, always
+//!   forced, and the fsync that covers it covers every record the
+//!   transaction wrote. At a commit point the statement appends and
+//!   `write`s under the WAL guard, **releases the guard**, and parks in
+//!   [`WalTail::wait_durable`] on the position it wrote
+//!   (`Statement::commit_auto`, `Statement::force_commit`). Whoever
+//!   finds no fsync in flight leads one `sync_data` covering everything
+//!   written by then and wakes every waiter at or below it; the rest lead
+//!   the next. So the guard is held across the apply and the `write` (tens
+//!   of microseconds), never across the device: while one committer waits,
+//!   others append — a statement inside a transaction, which owes no fsync,
+//!   does not queue behind anyone's — and committers that pile up behind
+//!   one fsync share the next. The waiter keeps the quiesce latch, so a
+//!   checkpoint cannot reset the log under it (and positions are monotone
+//!   across generations: one from an abandoned generation is durable the
+//!   moment anyone looks).
+//! * **A transaction commits log → wait → apply + publish.** The deferred
+//!   deletes are logged with the commit record, not applied with it: their
+//!   pks are locked by the transaction, so nobody can write them before the
+//!   apply. The wait holds neither the guard nor the transaction manager's
+//!   visibility latch; only afterwards does `commit_txn` take the
+//!   visibility latch (exclusive) to apply the deletes and release the
+//!   locks in one step. Readers therefore never stall for an fsync, and
+//!   still see a commit whole or not at all.
+//! * **Nobody is acknowledged by a failed fsync.** An error goes to the
+//!   leader *and* to every follower parked at or below the leader's target;
+//!   each of them poisons the WAL (see below). A `commit_txn` that fails
+//!   here has applied nothing: it parks its deferred deletes again and
+//!   leaves the transaction open with a sound undo list.
+//! * `TxnBegin`, `TxnInsert`, `TxnDelete` and `TxnAbort` are appended and
+//!   handed to the file with one `write` *before* the change they describe
+//!   is applied, in every `wal_sync_every` mode, and never fsync on their
+//!   own.
+//! * **The fsync moves no file size.** The log file is kept `set_len`-
+//!   extended 1 MiB past the log, so `write` + `fdatasync` commit no inode
+//!   change, and a concurrent `write` does not stall behind the other
+//!   committer's journal commit (on ext4 that stall is why releasing the
+//!   guard alone bought almost nothing). The reserve reads as zeros;
+//!   recovery treats an all-zero remainder as a clean end and anything else
+//!   after the last good frame as a tear. A checkpoint's reset truncates to
+//!   the bare header.
 //! * Crash before a commit point: auto-commit statements since the last
 //!   force are lost (bounded by `wal_sync_every`) and a transaction whose
 //!   commit record was not forced recovers as a loser; everything earlier
-//!   replays.
+//!   replays. Crash between a transaction's durable commit record and the
+//!   apply of its deferred deletes: recovery redoes the `TxnDelete` records
+//!   — the same state the apply would have produced.
 //! * **WAL before data.** The buffer pool *steals*: evictions (and the
 //!   pool's drop-flush) may push post-checkpoint page states to the file at
 //!   any time. Before it writes a dirty page back, the pool makes the log
@@ -56,7 +98,8 @@
 //!   change reaches the device ahead of the record recovery needs to undo
 //!   it. The fsync the in-transaction records no longer pay eagerly is paid
 //!   here, and only when a dirty page actually leaves while the log has
-//!   unsynced records: two atomic loads otherwise.
+//!   unsynced records: two atomic loads otherwise. The barrier joins the
+//!   same fsync rounds as the commit points — one function fsyncs the log.
 //! * Recovery replays the WAL **idempotently** — per primary key the log
 //!   alternates insert/delete, so applying each record only when the
 //!   recovered heap does not already reflect it converges on the logged
@@ -174,9 +217,9 @@ impl Default for DurabilityConfig {
 pub(crate) struct Durability {
     dir: PathBuf,
     /// Checkpoint quiescence: DML holds the read side across heap apply +
-    /// WAL append; `checkpoint` holds the write side across flush →
-    /// snapshots → catalog → WAL reset, so the cut it takes is
-    /// statement-atomic.
+    /// WAL append + the commit wait; `checkpoint` holds the write side
+    /// across flush → snapshots → catalog → WAL reset, so the cut it takes
+    /// is statement-atomic.
     quiesce: LatchedRwLock<()>,
     wal: LatchedMutex<WalWriter>,
     /// The writer's shared tail, kept beside the guard so the metrics
@@ -199,10 +242,6 @@ fn wal_err(e: hermit_storage::RecoveryError) -> StorageError {
 }
 
 impl Durability {
-    pub(crate) fn quiesce_read(&self) -> Witnessed<RwLockReadGuard<'_, ()>> {
-        self.quiesce.read()
-    }
-
     /// Reject DML up front while the WAL is poisoned (checked *before* the
     /// heap apply, so a rejected statement really did nothing).
     pub(crate) fn check_writable(&self) -> hermit_storage::Result<()> {
@@ -222,97 +261,153 @@ impl Durability {
     /// threads racing on the same pk could apply in one order and log in
     /// the other, and replay would reconstruct a state contradicting
     /// acknowledged statements. Durable DML is therefore serialized per
-    /// database — the honest cost of a single serial redo log.
+    /// database — the honest cost of a single serial redo log — but only
+    /// across the apply and the `write`: the guard is released before the
+    /// statement waits for its fsync (see [`Statement`]).
     pub(crate) fn wal_guard(&self) -> Witnessed<parking_lot::MutexGuard<'_, WalWriter>> {
         self.wal.lock()
     }
 
-    /// Log an applied auto-commit insert (log-last; see
-    /// [`log_statement`](Self::log_statement)).
-    pub(crate) fn log_insert(
+    /// Bracket one durable statement: the quiesce latch (shared side), then
+    /// the WAL guard. No poison check — rollback must get through.
+    pub(crate) fn statement_unchecked(&self) -> Statement<'_> {
+        let quiesce = self.quiesce.read();
+        let wal = self.wal_guard();
+        Statement { d: self, wal, quiesce }
+    }
+
+    /// [`statement_unchecked`](Self::statement_unchecked) behind
+    /// [`check_writable`](Self::check_writable).
+    pub(crate) fn statement(&self) -> hermit_storage::Result<Statement<'_>> {
+        self.check_writable()?;
+        Ok(self.statement_unchecked())
+    }
+
+    /// The commit wait (see [`WalTail::wait_durable`]): park until the log
+    /// is durable up to `pos`. The caller holds the quiesce latch and
+    /// nothing else — debug builds check that against the latch witness —
+    /// so other statements append, and readers read, while this one waits.
+    /// The quiesce latch stays, so a checkpoint's `reset` can never run
+    /// under a parked waiter.
+    fn wait_durable(&self, pos: u64) -> hermit_storage::Result<()> {
+        latches::assert_holding_at_most(10, "the commit wait");
+        self.absorb_log_failure(self.tail.wait_durable(pos).map_err(|e| wal_err(e.into())))
+    }
+
+    /// A commit point outside any statement (`wal_commit`, a checkpoint's
+    /// drain): write what is buffered under the guard, wait for it without.
+    /// Does not poison — the caller decides what a failure means.
+    fn force_log(&self) -> hermit_storage::Result<()> {
+        let pos = self.wal.lock().commit_point().map_err(wal_err)?;
+        self.tail.wait_durable(pos).map_err(|e| wal_err(e.into()))
+    }
+
+    /// Mark the log unusable until the next successful checkpoint.
+    pub(crate) fn poison(&self) {
+        self.wal_poisoned.store(true, Ordering::Release);
+    }
+
+    /// Poison the WAL on an append/fsync failure and report the split
+    /// state honestly: the write is applied in memory but unlogged, so it
+    /// becomes durable only at the next successful checkpoint.
+    fn absorb_log_failure<T>(
         &self,
-        wal: &mut WalWriter,
-        row: &[Value],
-    ) -> hermit_storage::Result<()> {
-        self.log_statement(wal, &WalRecord::Insert { row: row.to_vec() })
+        result: hermit_storage::Result<T>,
+    ) -> hermit_storage::Result<T> {
+        result.map_err(|e| {
+            self.poison();
+            StorageError::Io(format!(
+                "statement applied in memory but could not be logged ({e}); it becomes \
+                 durable only at the next successful checkpoint, and further DML is \
+                 rejected until then"
+            ))
+        })
     }
+}
 
-    /// Log an applied auto-commit delete.
-    pub(crate) fn log_delete(&self, wal: &mut WalWriter, pk: i64) -> hermit_storage::Result<()> {
-        self.log_statement(wal, &WalRecord::Delete { pk })
-    }
+/// One durable statement's hold on the log: the quiesce latch (shared) and
+/// the WAL guard, taken by [`Durability::statement`] before the first heap
+/// mutation.
+///
+/// The two methods that end a commit unit — [`commit_auto`](Self::commit_auto)
+/// and [`force_commit`](Self::force_commit) — consume the statement: they
+/// append and `write` under the guard, **drop the guard**, and only then
+/// wait for the fsync. A statement therefore cannot wait on the device
+/// while another one needs the guard; the type leaves no way to write that.
+pub(crate) struct Statement<'a> {
+    d: &'a Durability,
+    wal: Witnessed<parking_lot::MutexGuard<'a, WalWriter>>,
+    quiesce: Witnessed<RwLockReadGuard<'a, ()>>,
+}
 
-    /// Append the record of an auto-commit statement — its own commit unit
-    /// — and fsync when the commit batch (`wal_sync_every`) fills.
-    fn log_statement(&self, wal: &mut WalWriter, rec: &WalRecord) -> hermit_storage::Result<()> {
-        let result = wal.append(rec).map_err(wal_err).and_then(|pending| {
-            if pending >= self.sync_every {
-                wal.commit().map_err(wal_err)
-            } else {
-                Ok(())
-            }
-        });
-        self.absorb_log_failure(result)
-    }
-
+impl<'a> Statement<'a> {
     /// Append a record of an open transaction (`TxnBegin`, `TxnInsert`,
     /// `TxnDelete`) and hand it to the file, **before** the change it
     /// describes is applied (see [`crate::txn`]). Never an fsync: nothing is
     /// owed for the record until its transaction's commit record is forced,
     /// and if a page carrying the change is written back first, the buffer
     /// pool's barrier forces the log up to here ([`WalTail::make_durable`]).
-    pub(crate) fn log_txn(
-        &self,
-        wal: &mut WalWriter,
-        rec: &WalRecord,
-    ) -> hermit_storage::Result<()> {
+    pub(crate) fn log_txn(&mut self, rec: &WalRecord) -> hermit_storage::Result<()> {
+        let wal = &mut *self.wal;
         let result = wal.append(rec).map_err(wal_err).and_then(|_| wal.flush().map_err(wal_err));
-        self.absorb_log_failure(result)
-    }
-
-    /// Append the `TxnCommit` record for `txn` and **force** the log
-    /// regardless of the commit batch: a positive commit acknowledgement
-    /// must survive a crash, and this one fsync covers every record the
-    /// transaction wrote. Routed through [`WalWriter::append_txn_commit`] so
-    /// the `wal.txn_commit` fault site fires.
-    pub(crate) fn log_txn_commit(
-        &self,
-        wal: &mut WalWriter,
-        txn: u64,
-    ) -> hermit_storage::Result<()> {
-        let result =
-            wal.append_txn_commit(txn).map_err(wal_err).and_then(|_| wal.commit().map_err(wal_err));
-        self.absorb_log_failure(result)
+        self.d.absorb_log_failure(result)
     }
 
     /// Append the `TxnAbort` record for `txn` and hand it to the file, like
     /// any other record of the transaction: abort durability is an
     /// optimization, not a correctness requirement (recovery rolls losers
     /// back without it). Routed through [`WalWriter::append_txn_abort`] so
-    /// the `wal.txn_abort` fault site fires.
-    pub(crate) fn log_txn_abort(
-        &self,
-        wal: &mut WalWriter,
-        txn: u64,
-    ) -> hermit_storage::Result<()> {
+    /// the `wal.txn_abort` fault site fires. Behind a poisoned WAL there is
+    /// nothing to append to, and nothing is lost by not trying.
+    pub(crate) fn log_txn_abort(&mut self, txn: u64) -> hermit_storage::Result<()> {
+        if self.d.check_writable().is_err() {
+            return Ok(());
+        }
+        let wal = &mut *self.wal;
         let result =
             wal.append_txn_abort(txn).map_err(wal_err).and_then(|_| wal.flush().map_err(wal_err));
-        self.absorb_log_failure(result)
+        self.d.absorb_log_failure(result)
     }
 
-    /// Poison the WAL on an append/fsync failure and report the split
-    /// state honestly: the write is applied in memory but unlogged, so it
-    /// becomes durable only at the next successful checkpoint.
-    fn absorb_log_failure(&self, result: hermit_storage::Result<()>) -> hermit_storage::Result<()> {
-        if let Err(e) = result {
-            self.wal_poisoned.store(true, Ordering::Release);
-            return Err(StorageError::Io(format!(
-                "statement applied in memory but could not be logged ({e}); it becomes \
-                 durable only at the next successful checkpoint, and further DML is \
-                 rejected until then"
-            )));
+    /// Log an applied auto-commit statement (log-last: the WAL is a redo log
+    /// of *applied* statements) — its own commit unit. When the commit batch
+    /// (`wal_sync_every`) fills, the batch is written, the guard released,
+    /// and the statement waits for the fsync that covers it.
+    pub(crate) fn commit_auto(self, rec: &WalRecord) -> hermit_storage::Result<()> {
+        let Statement { d, mut wal, quiesce: _quiesce } = self;
+        let owed = wal.append(rec).map_err(wal_err).and_then(|pending| {
+            if pending >= d.sync_every {
+                wal.commit_point().map(Some).map_err(wal_err)
+            } else {
+                Ok(None)
+            }
+        });
+        drop(wal);
+        match d.absorb_log_failure(owed)? {
+            Some(pos) => d.wait_durable(pos),
+            None => Ok(()),
         }
-        Ok(())
+    }
+
+    /// Append the `TxnCommit` record for `txn`, write it, release the guard
+    /// and **wait until it is durable**, regardless of the commit batch: a
+    /// positive commit acknowledgement must survive a crash, and the fsync
+    /// that covers the record covers everything the transaction wrote.
+    /// Routed through [`WalWriter::append_txn_commit`] so the
+    /// `wal.txn_commit` fault site fires. Hands back the quiesce latch,
+    /// which the caller keeps while it publishes the commit.
+    pub(crate) fn force_commit(
+        self,
+        txn: u64,
+    ) -> hermit_storage::Result<Witnessed<RwLockReadGuard<'a, ()>>> {
+        let Statement { d, mut wal, quiesce } = self;
+        let owed = wal
+            .append_txn_commit(txn)
+            .map_err(wal_err)
+            .and_then(|_| wal.commit_point().map_err(wal_err));
+        drop(wal);
+        d.wait_durable(d.absorb_log_failure(owed)?)?;
+        Ok(quiesce)
     }
 }
 
@@ -406,10 +501,13 @@ impl Database {
 
     /// Force the WAL commit-batch boundary: everything appended so far is
     /// fsynced and will survive a crash. No-op for non-durable databases.
+    /// A commit point like any other: written under the guard, waited for
+    /// without it.
     pub fn wal_commit(&self) -> hermit_storage::Result<()> {
         if let Some(d) = &self.durability {
             d.check_writable()?;
-            d.wal.lock().commit().map_err(wal_err)?;
+            let _quiesce = d.quiesce.read();
+            d.force_log()?;
         }
         Ok(())
     }
@@ -480,7 +578,7 @@ impl Database {
         // truth, and a successful reset below un-poisons).
         if let Some(d) = &self.durability {
             if !d.wal_poisoned.load(Ordering::Acquire) {
-                d.wal.lock().commit().map_err(wal_err)?;
+                d.force_log()?;
             }
         }
 

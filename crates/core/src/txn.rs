@@ -27,8 +27,9 @@
 //! is reach the device *before the page it describes*, and that is enforced
 //! where pages leave: the buffer pool forces the log up to its written
 //! position before any write-back (`WalTail::make_durable`). So a
-//! transaction of N statements costs N + 2 writes and **one** fsync, plus
-//! one fsync for each of its dirty pages a steal pushes out early.
+//! transaction of N statements costs N + 2 writes and **at most one**
+//! fsync — its commit may ride another committer's — plus one fsync for
+//! each of its dirty pages a steal pushes out early.
 //!
 //! * **Begin** — log `TxnBegin`.
 //! * **Insert** — lock the pk (first-writer-wins), log `TxnInsert`, apply
@@ -36,16 +37,27 @@
 //!   reader until commit (see [`hermit_txn::ReadView`]).
 //! * **Delete of a pre-existing row** — *deferred*: the pk is locked and
 //!   the pre-image parked, but the row stays physically present (and
-//!   visible to other snapshots) until commit, when it is logged as
-//!   `TxnDelete` (carrying the full pre-image) and applied under the same
-//!   WAL guard as the commit record. The pre-image rides in the record
-//!   because the pool may steal the tombstoned page before the commit
-//!   record lands — undoing the loser then needs the bytes from the log.
+//!   visible to other snapshots) until commit. The pre-image rides in the
+//!   `TxnDelete` record because the pool may steal the tombstoned page
+//!   before any commit or abort record lands — undoing a loser then needs
+//!   the bytes from the log.
 //! * **Delete of the txn's own insert** — applied (and logged) immediately:
 //!   no other reader ever saw the row.
-//! * **Commit** — log + apply the deferred deletes, then append
-//!   `TxnCommit` and **force the log** (a positive commit acknowledgement
-//!   survives a crash regardless of `wal_sync_every`).
+//! * **Commit** — *log → wait → apply + publish*, log-first like every
+//!   other transactional statement. Under the WAL guard: append a
+//!   `TxnDelete` (with pre-image) per deferred delete and the `TxnCommit`
+//!   record, and write them. Then the guard is released and the commit
+//!   **waits until the record is durable** (`WalTail::wait_durable`; a
+//!   positive commit acknowledgement survives a crash regardless of
+//!   `wal_sync_every`) holding neither the guard nor the visibility latch —
+//!   other statements append and readers read during the fsync. Only then,
+//!   under the exclusive visibility latch, are the deferred deletes applied
+//!   and the locks released. Nobody can write those pks in between: the
+//!   transaction holds their locks until the last step. A crash after the
+//!   commit record is durable and before the apply recovers as committed —
+//!   redo applies the logged deletes. A failed append or wait applies
+//!   nothing, parks the deferred deletes again and leaves the transaction
+//!   open.
 //! * **Rollback** — apply the undo list in reverse (idempotent
 //!   delete-if-present / insert-if-absent compensations), then log
 //!   `TxnAbort`, unforced. Rollback never requires a healthy WAL: the
@@ -79,11 +91,12 @@
 //! whole execution while transactional physical applies and commit/abort
 //! publication hold the exclusive side, so a reader observes every
 //! transaction all-or-nothing — never a row applied after its freeze, never
-//! a half-published commit. (Auto-commit DML is already atomic per
-//! statement and skips the latch; its rows may appear between two queries
-//! but never mid-validation of one.) Writers conflict first-writer-wins
-//! per pk — no lock
-//! queues, hence no deadlocks; losers get
+//! a half-published commit. The exclusive side is never held across an
+//! fsync: a commit waits for its record *before* it takes the latch.
+//! (Auto-commit DML is already atomic per statement and skips the latch;
+//! its rows may appear between two queries but never mid-validation of
+//! one.) Writers conflict first-writer-wins per pk — no lock queues, hence
+//! no deadlocks; losers get
 //! [`StorageError::WriteConflict`] and may retry. On a non-durable
 //! database the duplicate-pk pre-checks are best-effort (there is no WAL
 //! guard serializing them); on a durable database every write path holds
@@ -122,16 +135,10 @@ impl Database {
     /// propagates, so a transaction the caller never learned about cannot
     /// linger open.
     pub fn begin(&self) -> Result<u64, CoreError> {
-        let mut statement = match &self.durability {
-            Some(d) => {
-                d.check_writable()?;
-                Some((d, d.quiesce_read(), d.wal_guard()))
-            }
-            None => None,
-        };
+        let mut statement = self.durability.as_ref().map(|d| d.statement()).transpose()?;
         let txn = self.txns.begin();
-        if let Some((d, _quiesce, wal)) = statement.as_mut() {
-            if let Err(e) = d.log_txn(wal, &WalRecord::TxnBegin { txn }) {
+        if let Some(statement) = statement.as_mut() {
+            if let Err(e) = statement.log_txn(&WalRecord::TxnBegin { txn }) {
                 let _ = self.txns.start_abort(txn);
                 let _ = self.txns.finish_abort(txn);
                 return Err(e.into());
@@ -149,13 +156,7 @@ impl Database {
     /// The `TxnInsert` record is in the log file *before* the physical
     /// apply, and is not fsynced; see the module docs for why.
     pub fn insert_txn(&self, txn: u64, row: &[Value]) -> Result<Tid, CoreError> {
-        let mut statement = match &self.durability {
-            Some(d) => {
-                d.check_writable()?;
-                Some((d, d.quiesce_read(), d.wal_guard()))
-            }
-            None => None,
-        };
+        let mut statement = self.durability.as_ref().map(|d| d.statement()).transpose()?;
         let pk = row
             .get(self.pk_col)
             .and_then(|v| v.as_i64())
@@ -171,8 +172,8 @@ impl Database {
             return Err(StorageError::WriteConflict { pk }.into());
         }
         self.txns.note_insert(txn, pk)?;
-        if let Some((d, _quiesce, wal)) = statement.as_mut() {
-            if let Err(e) = d.log_txn(wal, &WalRecord::TxnInsert { txn, row: row.to_vec() }) {
+        if let Some(statement) = statement.as_mut() {
+            if let Err(e) = statement.log_txn(&WalRecord::TxnInsert { txn, row: row.to_vec() }) {
                 // Nothing was applied: unwind the lock and undo entry so
                 // the failed statement leaves no trace.
                 self.txns.forget_insert(txn, pk);
@@ -200,13 +201,7 @@ impl Database {
     /// transaction already deleted reports
     /// [`StorageError::PkNotFound`].
     pub fn delete_by_pk_txn(&self, txn: u64, pk: i64) -> Result<(), CoreError> {
-        let mut statement = match &self.durability {
-            Some(d) => {
-                d.check_writable()?;
-                Some((d, d.quiesce_read(), d.wal_guard()))
-            }
-            None => None,
-        };
+        let mut statement = self.durability.as_ref().map(|d| d.statement()).transpose()?;
         if !self.txns.is_open(txn) {
             return Err(CoreError::UnknownTxn { txn });
         }
@@ -229,11 +224,11 @@ impl Database {
                 // before any commit/abort record lands).
                 let loc = self.primary.read().get(pk).ok_or(StorageError::PkNotFound { pk })?;
                 let row = self.heap.get(loc)?;
-                if let Some((d, _quiesce, wal)) = statement.as_mut() {
+                if let Some(statement) = statement.as_mut() {
                     // On failure the WAL is poisoned: commit is impossible
                     // and rollback (which removes this row anyway) is the
                     // only exit, so the flipped lock needs no unwinding.
-                    d.log_txn(wal, &WalRecord::TxnDelete { txn, pk, row: row.clone() })?;
+                    statement.log_txn(&WalRecord::TxnDelete { txn, pk, row: row.clone() })?;
                 }
                 let pre = self.apply_delete(pk)?;
                 self.txns.note_applied_delete(txn, pk, pre)?;
@@ -251,19 +246,42 @@ impl Database {
         Ok(())
     }
 
-    /// Commit transaction `txn`: apply + log the deferred deletes, append
-    /// the `TxnCommit` record, and **force the WAL fsync boundary** so the
-    /// acknowledgement survives a crash. Locks release and the visibility
-    /// watermark advances only after the commit record is durable.
+    /// Commit transaction `txn`: log → wait → apply + publish.
     ///
-    /// On failure the transaction stays open with a sound undo list — the
-    /// caller should [`rollback_txn`](Self::rollback_txn) (which works even
-    /// behind a poisoned WAL) or disconnect and let recovery roll it back.
+    /// 1. Under the WAL guard, append the deferred deletes' `TxnDelete`
+    ///    records (with pre-images) and the `TxnCommit` record, and write
+    ///    them. The pks are locked by the transaction, so nobody can write
+    ///    them between this and step 3.
+    /// 2. Release the guard and **wait until the commit record is durable**
+    ///    — holding neither the guard nor the visibility latch, so other
+    ///    statements append, and readers read, during the fsync.
+    /// 3. Under the exclusive visibility latch, apply the deferred deletes,
+    ///    release the locks and advance the visibility watermark: a reader
+    ///    sees the whole commit or none of it.
+    ///
+    /// A failure in steps 1–2 leaves the transaction open with a sound undo
+    /// list and its deferred deletes parked again, nothing of them applied
+    /// — the caller should [`rollback_txn`](Self::rollback_txn) (which works
+    /// even behind a poisoned WAL) or disconnect and let recovery roll it
+    /// back.
     pub fn commit_txn(&self, txn: u64) -> Result<(), CoreError> {
-        let mut statement = match &self.durability {
-            Some(d) => {
-                d.check_writable()?;
-                Some((d, d.quiesce_read(), d.wal_guard()))
+        let statement = self.durability.as_ref().map(|d| d.statement()).transpose()?;
+        let pending = self.txns.start_commit(txn)?;
+        let _quiesce = match statement {
+            Some(mut statement) => {
+                let logged = pending
+                    .iter()
+                    .try_for_each(|&(pk, ref row)| {
+                        statement.log_txn(&WalRecord::TxnDelete { txn, pk, row: row.clone() })
+                    })
+                    .and_then(|()| statement.force_commit(txn));
+                match logged {
+                    Ok(quiesce) => Some(quiesce),
+                    Err(e) => {
+                        self.txns.restore_pending(txn, pending);
+                        return Err(e.into());
+                    }
+                }
             }
             None => None,
         };
@@ -271,17 +289,17 @@ impl Database {
         // must see the whole commit (deferred deletes applied, locks gone)
         // or none of it, never a half-committed transaction.
         let _vis = self.txns.write_visibility();
-        let pending = self.txns.start_commit(txn)?;
-        for (pk, row) in pending {
-            if let Some((d, _quiesce, wal)) = statement.as_mut() {
-                d.log_txn(wal, &WalRecord::TxnDelete { txn, pk, row: row.clone() })?;
-            }
-            // The pk is locked by this txn, so the row is still live.
-            let pre = self.apply_delete(pk)?;
+        for (pk, _) in pending {
+            // The pk is locked by this txn, so the row is still live. The
+            // commit record is already durable: if the heap refuses now, the
+            // log and the memory image disagree until a restart replays the
+            // log, so stop accepting statements.
+            let pre = self.apply_delete(pk).inspect_err(|_| {
+                if let Some(d) = &self.durability {
+                    d.poison();
+                }
+            })?;
             self.txns.note_applied_delete(txn, pk, pre)?;
-        }
-        if let Some((d, _quiesce, wal)) = statement.as_mut() {
-            d.log_txn_commit(wal, txn)?;
         }
         self.txns.finish_commit(txn)?;
         Ok(())
@@ -296,16 +314,13 @@ impl Database {
     /// recovery rolls the loser back regardless. A WAL failure while
     /// logging the abort record is reported *after* the rollback finished.
     pub fn rollback_txn(&self, txn: u64) -> Result<(), CoreError> {
-        let mut statement = self.durability.as_ref().map(|d| (d, d.quiesce_read(), d.wal_guard()));
+        let mut statement = self.durability.as_ref().map(|d| d.statement_unchecked());
         // Exclusive visibility latch across undo + publication, for the
         // same all-or-nothing reason as commit.
         let _vis = self.txns.write_visibility();
         let undo = self.txns.start_abort(txn)?;
         self.apply_undo(&undo)?;
-        let logged = match statement.as_mut() {
-            Some((d, _quiesce, wal)) if d.check_writable().is_ok() => d.log_txn_abort(wal, txn),
-            _ => Ok(()),
-        };
+        let logged = statement.as_mut().map_or(Ok(()), |statement| statement.log_txn_abort(txn));
         drop(statement);
         self.txns.finish_abort(txn)?;
         logged?;

@@ -521,6 +521,7 @@ mod tests {
             "wal.header",
             "wal.append",
             "wal.commit",
+            "wal.reserve",
             "wal.txn_commit",
             "wal.txn_abort",
             "atomic.write",

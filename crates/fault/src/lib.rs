@@ -46,6 +46,12 @@ pub use store::FaultyPageStore;
 ///   crate's tests) runs the canonical workload and checks every site the
 ///   schedule passes through is declared here.
 ///
+/// `wal.commit` is the log's one commit-path fsync: it fires once per
+/// *leader* round of [`WalTail::wait_durable`](hermit_storage::wal::WalTail::wait_durable),
+/// after the round's records were written — in the explorer's single thread,
+/// once per commit point. `wal.reserve` fires before each `set_len` that
+/// extends the log file ahead of its logical end (the first write of every
+/// log generation, then once per reserved MiB).
 /// `wal.reopen` fires on the recovery path (torn-tail truncation), which
 /// the canonical create-from-scratch workload never takes; it is exercised
 /// by the durability suite's reopen cases instead. `wal.barrier` fires only
@@ -64,6 +70,7 @@ pub const CRASH_MATRIX_SITES: &[&str] = &[
     "wal.commit",
     "wal.header",
     "wal.reopen",
+    "wal.reserve",
     "wal.reset",
     "wal.txn_abort",
     "wal.txn_commit",

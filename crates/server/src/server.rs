@@ -616,6 +616,9 @@ fn render_stats(inner: &Arc<Inner>) -> String {
     if let Some(tail) = db.wal_tail() {
         let _ = writeln!(out, "hermit_wal_records {}", tail.records());
         let _ = writeln!(out, "hermit_wal_fsyncs {}", tail.fsyncs());
+        // Commit points that waited for an fsync; over `hermit_wal_fsyncs`
+        // it is the mean cohort one fsync served.
+        let _ = writeln!(out, "hermit_wal_commit_waits {}", tail.commit_waits());
         let _ = writeln!(out, "hermit_wal_barrier_fsyncs {}", tail.barrier_fsyncs());
     }
 

@@ -418,6 +418,7 @@ fn graceful_shutdown_checkpoints_durable_state() {
     let delta = |name| wal_stat(&after, name) - wal_stat(&before, name);
     assert_eq!(delta("hermit_wal_records "), 6, "begin + 2 inserts + abort, insert, delete");
     assert_eq!(delta("hermit_wal_fsyncs "), 2, "only the two auto-commit statements fsync");
+    assert_eq!(delta("hermit_wal_commit_waits "), 2, "and each waited once, alone");
     assert_eq!(
         wal_stat(&after, "hermit_wal_barrier_fsyncs "),
         0,

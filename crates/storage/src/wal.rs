@@ -22,18 +22,38 @@
 //!   point and appends from there. Everything before the tear replays
 //!   normally — a torn tail is data loss bounded by the last fsync, never
 //!   an error.
-//! * **Force at commit, WAL before data.** Appends are buffered in user
-//!   space. [`WalWriter::flush`] hands the buffer to the file with one
-//!   `write` (it then survives `kill -9`, not a power cut);
-//!   [`WalWriter::commit`] flushes and fsyncs — the durability point. The
-//!   database commits every auto-commit statement batch and every
-//!   transaction commit; the records *inside* a transaction are only
-//!   flushed, because nothing is owed for them until the commit record.
-//!   What makes that safe with a stealing buffer pool is the [`WalTail`]:
-//!   the positions "handed to the file" and "known durable", shared with
-//!   the pool, whose write-back first forces the log up to the written
-//!   position ([`WalTail::make_durable`]). A page therefore never reaches
-//!   the device ahead of the record recovery needs to undo it.
+//! * **The file is reserved ahead of the log.** [`WalWriter::flush`] keeps
+//!   the file `set_len`-extended [`RESERVE_BYTES`] past the logical end, so
+//!   an ordinary `write` + `fdatasync` changes no file size: the fsync
+//!   commits no inode update, and a concurrent `write` needs no journal
+//!   handle and so does not stall behind the other committer's journal
+//!   commit. The reserve reads as zeros, which gives the reader its second
+//!   rule: **an all-zero remainder is a clean end** (`torn_tail = false`,
+//!   `valid_len` = the logical end, which [`WalWriter::open_append`]
+//!   truncates to), while anything non-zero after the last good frame —
+//!   a partial frame followed by zeros included — is still a tear. No
+//!   record can be mistaken for reserve: every frame starts with a
+//!   non-zero length. [`WalWriter::reset`] truncates to the bare header,
+//!   so a freshly checkpointed directory carries no reserve.
+//! * **Force at commit, WAL before data, one fsync site.** Appends are
+//!   buffered in user space. [`WalWriter::flush`] hands the buffer to the
+//!   file with one `write` (it then survives `kill -9`, not a power cut).
+//!   Durability is a *position to wait on*, not an fsync to hold a lock
+//!   across: a commit point flushes under the writer's guard, releases the
+//!   guard, and parks in [`WalTail::wait_durable`] on the position it
+//!   wrote. The first arrival leads one `sync_data` covering everything
+//!   written by then and wakes every waiter at or below it; whoever is not
+//!   covered leads the next. That function is the log's only commit-path
+//!   fsync — [`WalWriter::commit`] (flush, then wait) and the buffer pool's
+//!   barrier [`WalTail::make_durable`] are calls to it. The database
+//!   commits every auto-commit statement batch and every transaction
+//!   commit; the records *inside* a transaction are only flushed, because
+//!   nothing is owed for them until the commit record. What makes that
+//!   safe with a stealing buffer pool is the [`WalTail`]: the positions
+//!   "handed to the file" and "known durable", shared with the pool, whose
+//!   write-back first forces the log up to the written position. A page
+//!   therefore never reaches the device ahead of the record recovery needs
+//!   to undo it.
 //!
 //! Format (little-endian):
 //!
@@ -68,7 +88,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 const MAGIC: &[u8; 4] = b"HMWL";
 const VERSION: u32 = 1;
@@ -76,6 +96,11 @@ const HEADER_LEN: u64 = 16;
 /// Upper bound on a frame payload; anything larger is treated as a tear
 /// (a corrupted length would otherwise ask the reader to swallow gigabytes).
 const MAX_PAYLOAD: usize = 1 << 20;
+/// How far past the logical end [`WalWriter::flush`] keeps the file
+/// extended (see the module docs). A constant, not a knob: it only has to
+/// make file-size changes rare next to fsyncs, and 1 MiB is ≈ 30 K
+/// three-column records.
+pub const RESERVE_BYTES: u64 = 1 << 20;
 
 /// One logical DML record.
 #[derive(Debug, Clone, PartialEq)]
@@ -234,7 +259,8 @@ fn decode_payload(payload: &[u8]) -> Result<WalRecord, RecoveryError> {
 }
 
 /// The end of the log as the rest of the engine sees it: how far the log has
-/// been handed to the file, and how far it is known durable.
+/// been handed to the file, how far it is known durable, and the one place
+/// that moves the second up to the first ([`wait_durable`](Self::wait_durable)).
 ///
 /// Shared (`Arc`) between the [`WalWriter`] and the buffer pool. Both
 /// positions count bytes over the life of the writer and never go back — a
@@ -247,9 +273,29 @@ pub struct WalTail {
     written: AtomicU64,
     /// Bytes known to be on the device: `durable <= written`.
     durable: AtomicU64,
+    /// Who is fsyncing, and how the last rounds ended.
+    rounds: Mutex<SyncRounds>,
+    /// Signalled at the end of every round.
+    round_over: Condvar,
     records: AtomicU64,
     fsyncs: AtomicU64,
     barrier_fsyncs: AtomicU64,
+    commit_waits: AtomicU64,
+}
+
+/// Leader/follower state of the log's fsync. A *round* is one leader's
+/// `sync_data`; at most one is in flight.
+#[derive(Debug, Default)]
+struct SyncRounds {
+    /// A leader is inside round number `finished`.
+    leading: bool,
+    /// Followers parked behind it.
+    parked: usize,
+    /// Rounds finished so far, failed ones included.
+    finished: u64,
+    /// The last failed round: its number, the position it was to cover and
+    /// the error, for the followers that were parked behind it.
+    failed: Option<(u64, u64, String)>,
 }
 
 impl WalTail {
@@ -268,22 +314,51 @@ impl WalTail {
         self.records.load(Ordering::Relaxed)
     }
 
-    /// Log fsyncs so far: commits plus write-back barriers.
+    /// Log fsyncs so far: one per leader round, whoever it served.
     pub fn fsyncs(&self) -> u64 {
         self.fsyncs.load(Ordering::Relaxed)
     }
 
-    /// The share of [`fsyncs`](Self::fsyncs) forced by page write-back.
+    /// The share of [`fsyncs`](Self::fsyncs) led by page write-back.
     pub fn barrier_fsyncs(&self) -> u64 {
         self.barrier_fsyncs.load(Ordering::Relaxed)
     }
 
-    /// `target` bytes are on the device. `fetch_max`, because a commit and a
-    /// barrier may finish out of order; Release pairs with the Acquire in
-    /// [`durable`](Self::durable).
-    fn note_durable(&self, target: u64) {
-        self.durable.fetch_max(target, Ordering::Release);
-        self.fsyncs.fetch_add(1, Ordering::Relaxed);
+    /// Commit points that had to wait in [`wait_durable`](Self::wait_durable)
+    /// — their position was not yet durable when they asked. Over
+    /// [`fsyncs`](Self::fsyncs) it is the mean cohort one fsync released.
+    pub fn commit_waits(&self) -> u64 {
+        self.commit_waits.load(Ordering::Relaxed)
+    }
+
+    /// Waiters parked behind the fsync in flight, right now.
+    pub fn parked(&self) -> usize {
+        self.rounds().parked
+    }
+
+    fn rounds(&self) -> MutexGuard<'_, SyncRounds> {
+        // Every update of `SyncRounds` is a plain store: a panic elsewhere
+        // on a thread holding it leaves it valid.
+        self.rounds.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The commit wait: return once the log is durable up to `pos`, a
+    /// position the caller has already handed to the file (`pos <=
+    /// written()`).
+    ///
+    /// Call it holding **nothing another committer needs** — not the
+    /// writer's guard, not a visibility latch. Whoever finds no fsync in
+    /// flight leads one `sync_data` covering [`written`](Self::written) and
+    /// wakes every waiter at or below that position; the others park, and
+    /// the ones the round did not cover lead the next. An fsync error goes
+    /// to the leader *and* to every follower parked at or below its target:
+    /// none of them may acknowledge.
+    pub fn wait_durable(&self, pos: u64) -> std::io::Result<()> {
+        if self.durable() >= pos {
+            return Ok(());
+        }
+        self.commit_waits.fetch_add(1, Ordering::Relaxed);
+        self.sync_to(pos).map(|_led| ())
     }
 
     /// The WAL-before-data barrier: make everything handed to the file so
@@ -292,6 +367,8 @@ impl WalTail {
     ///
     /// A transaction's record is written before its change is applied, so
     /// the position read here covers every such change the page carries.
+    /// The barrier joins the same rounds as the commit points, so it may be
+    /// served by a commit's fsync (and then counts no barrier fsync).
     pub fn make_durable(&self) -> std::io::Result<()> {
         let target = self.written();
         if self.durable() >= target {
@@ -303,16 +380,79 @@ impl WalTail {
             FaultAction::Skip => return Ok(()),
             FaultAction::Continue => {}
         }
-        self.file.sync_data()?;
-        self.note_durable(target);
-        self.barrier_fsyncs.fetch_add(1, Ordering::Relaxed);
+        if self.sync_to(target)? {
+            self.barrier_fsyncs.fetch_add(1, Ordering::Relaxed);
+        }
         Ok(())
+    }
+
+    /// Make the log durable up to `pos`, as a follower if a round that
+    /// covers it is in flight and as the leader of a new one otherwise.
+    /// Returns whether this call led an fsync.
+    fn sync_to(&self, pos: u64) -> std::io::Result<bool> {
+        let mut rounds = self.rounds();
+        while rounds.leading {
+            let parked_behind = rounds.finished;
+            rounds.parked += 1;
+            while rounds.finished == parked_behind {
+                rounds = self.round_over.wait(rounds).unwrap_or_else(PoisonError::into_inner);
+            }
+            rounds.parked -= 1;
+            if self.durable() >= pos {
+                return Ok(false);
+            }
+            if let Some((round, target, error)) = &rounds.failed {
+                if *round == parked_behind && pos <= *target {
+                    return Err(std::io::Error::other(error.clone()));
+                }
+            }
+        }
+        if self.durable() >= pos {
+            return Ok(false);
+        }
+        rounds.leading = true;
+        drop(rounds);
+
+        // Everything written by now rides along, not just `pos`.
+        let target = self.written();
+        debug_assert!(target >= pos, "waiting on a position that was never flushed");
+        let synced = self.sync_file();
+        let mut rounds = self.rounds();
+        rounds.leading = false;
+        match &synced {
+            // `fetch_max` inside: a reset may have moved `durable` past us.
+            Ok(()) => self.note_durable(target),
+            Err(e) => rounds.failed = Some((rounds.finished, target, e.to_string())),
+        }
+        rounds.finished += 1;
+        drop(rounds);
+        self.round_over.notify_all();
+        synced.map(|()| true)
+    }
+
+    /// The log's one commit-path fsync, behind the `wal.commit` site.
+    fn sync_file(&self) -> std::io::Result<()> {
+        match fault_point("wal.commit") {
+            FaultAction::Error => Err(std::io::Error::other(injected_error("wal.commit"))),
+            // Lying fsync: the whole cohort is told its records are down.
+            FaultAction::Skip => Ok(()),
+            FaultAction::Continue => self.file.sync_data(),
+        }
+    }
+
+    /// `target` bytes are on the device. Release pairs with the Acquire in
+    /// [`durable`](Self::durable).
+    fn note_durable(&self, target: u64) {
+        self.durable.fetch_max(target, Ordering::Release);
+        self.fsyncs.fetch_add(1, Ordering::Relaxed);
     }
 }
 
 /// Appender over a WAL file. Appends are buffered in user space;
-/// [`flush`](Self::flush) hands them to the file and
-/// [`commit`](Self::commit) is the durability point.
+/// [`flush`](Self::flush) hands them to the file; durability is then a
+/// position to wait on ([`commit_point`](Self::commit_point) +
+/// [`WalTail::wait_durable`]), or [`commit`](Self::commit) for a caller that
+/// shares the writer with nobody.
 pub struct WalWriter {
     out: BufWriter<Arc<File>>,
     tail: Arc<WalTail>,
@@ -322,6 +462,10 @@ pub struct WalWriter {
     /// Bytes appended so far, buffered ones included — what
     /// [`WalTail::written`] becomes at the next flush.
     appended: u64,
+    /// The same end as an offset into the current generation's file.
+    file_end: u64,
+    /// Length the file is known to have: never below what was flushed.
+    reserved: u64,
     uncommitted: usize,
     scratch: Vec<u8>,
 }
@@ -340,8 +484,9 @@ impl WalWriter {
     }
 
     /// Reopen an existing WAL for appending after recovery: the file is
-    /// truncated to `valid_len` (discarding a torn tail, so fresh appends
-    /// never land after garbage) and the writer positions itself there.
+    /// truncated to `valid_len` (discarding a torn tail or the crashed
+    /// writer's reserve, so fresh appends never land after garbage) and the
+    /// writer positions itself there.
     pub fn open_append(path: &Path, epoch: u64, valid_len: u64) -> Result<Self, RecoveryError> {
         // Site before the truncating reopen: a crash here leaves the torn
         // tail on disk for the *next* recovery to discard again — the
@@ -364,9 +509,12 @@ impl WalWriter {
             file: Arc::clone(&file),
             written: AtomicU64::new(len),
             durable: AtomicU64::new(len),
+            rounds: Mutex::default(),
+            round_over: Condvar::new(),
             records: AtomicU64::new(0),
             fsyncs: AtomicU64::new(0),
             barrier_fsyncs: AtomicU64::new(0),
+            commit_waits: AtomicU64::new(0),
         });
         WalWriter {
             out: BufWriter::new(file),
@@ -374,14 +522,17 @@ impl WalWriter {
             dir: path.parent().unwrap_or_else(|| Path::new(".")).to_path_buf(),
             epoch,
             appended: len,
+            file_end: len,
+            reserved: len,
             uncommitted: 0,
             scratch: Vec::new(),
         }
     }
 
-    /// Start a new log generation in place: truncate the file and write the
-    /// header for `epoch`, file and directory fsynced. The [`WalTail`] — every holder's view of
-    /// the positions and counters — carries over.
+    /// Start a new log generation in place: truncate the file — reserve
+    /// included — and write the header for `epoch`, file and directory
+    /// fsynced. The [`WalTail`] — every holder's view of the positions and
+    /// counters — carries over.
     ///
     /// Frames still buffered are **dropped**, not flushed: they belong to
     /// the generation being abandoned (a checkpoint already contains their
@@ -409,6 +560,8 @@ impl WalWriter {
         file.sync_all()?;
         sync_dir(&self.dir);
         self.epoch = epoch;
+        self.file_end = HEADER_LEN;
+        self.reserved = HEADER_LEN;
         self.appended += HEADER_LEN;
         self.tail.written.store(self.appended, Ordering::Release);
         self.tail.durable.fetch_max(self.appended, Ordering::Release);
@@ -450,6 +603,7 @@ impl WalWriter {
             Ok(())
         })();
         self.appended += 8 + scratch.len() as u64;
+        self.file_end += 8 + scratch.len() as u64;
         self.scratch = scratch;
         res?;
         self.tail.records.fetch_add(1, Ordering::Relaxed);
@@ -503,33 +657,49 @@ impl WalWriter {
 
     /// Hand every buffered frame to the file (one `write`). The frames then
     /// survive the process (`kill -9`) and are covered by the next fsync —
-    /// this writer's or the buffer pool's barrier — but are not yet durable.
+    /// a commit point's or the buffer pool's barrier — but are not yet
+    /// durable. When the frames would pass the end of the file, the file is
+    /// first extended [`RESERVE_BYTES`] past them, so the writes and fsyncs
+    /// up to there change no file size.
     pub fn flush(&mut self) -> Result<(), RecoveryError> {
+        if self.file_end > self.reserved {
+            match fault_point("wal.reserve") {
+                FaultAction::Error => {
+                    return Err(RecoveryError::Io(std::io::Error::other(injected_error(
+                        "wal.reserve",
+                    ))));
+                }
+                // A reserve that never happened: the `write` grows the file.
+                FaultAction::Skip => {}
+                FaultAction::Continue => {
+                    let reserved = self.file_end + RESERVE_BYTES;
+                    self.tail.file.set_len(reserved)?;
+                    self.reserved = reserved;
+                }
+            }
+        }
         self.out.flush()?;
         self.tail.written.store(self.appended, Ordering::Release);
         Ok(())
     }
 
-    /// Flush buffered frames and fsync: everything appended so far is now
-    /// durable (the commit-batch boundary).
-    pub fn commit(&mut self) -> Result<(), RecoveryError> {
-        match fault_point("wal.commit") {
-            FaultAction::Error => {
-                return Err(RecoveryError::Io(std::io::Error::other(injected_error("wal.commit"))));
-            }
-            FaultAction::Skip => {
-                // Lying fsync: acknowledge durability without flushing or
-                // syncing — the buffered frames stay in user space and die
-                // with the process.
-                self.uncommitted = 0;
-                return Ok(());
-            }
-            FaultAction::Continue => {}
-        }
+    /// Close the commit batch: flush, and return the position whose
+    /// durability acknowledges everything appended so far. The caller
+    /// releases whatever guards the writer and then waits on it with
+    /// [`WalTail::wait_durable`].
+    pub fn commit_point(&mut self) -> Result<u64, RecoveryError> {
         self.flush()?;
-        self.tail.file.sync_data()?;
-        self.tail.note_durable(self.appended);
         self.uncommitted = 0;
+        Ok(self.appended)
+    }
+
+    /// Flush buffered frames and wait until they are durable: a
+    /// [`commit_point`](Self::commit_point) and its wait in one call, for a
+    /// caller that shares the writer with nobody (it holds `&mut self`
+    /// across the fsync).
+    pub fn commit(&mut self) -> Result<(), RecoveryError> {
+        let pos = self.commit_point()?;
+        self.tail.wait_durable(pos)?;
         Ok(())
     }
 
@@ -546,11 +716,29 @@ pub struct WalReplay {
     pub epoch: u64,
     /// All complete, CRC-valid records, in append order.
     pub records: Vec<WalRecord>,
-    /// File length up to and including the last valid frame. Appending must
-    /// resume here (see [`WalWriter::open_append`]).
+    /// The log's logical end: file offset just past the last valid frame.
+    /// Appending must resume here (see [`WalWriter::open_append`]).
     pub valid_len: u64,
-    /// Whether a torn/corrupt tail was discarded after `valid_len`.
+    /// Whether a torn/corrupt tail was discarded after `valid_len`. The
+    /// writer's all-zero reserve is not one.
     pub torn_tail: bool,
+}
+
+/// Decode the frame at `bytes[pos..]` into `records`; its length on disk, or
+/// `None` when no complete, CRC-valid, well-formed frame starts there.
+fn frame_at(bytes: &[u8], pos: usize, records: &mut Vec<WalRecord>) -> Option<usize> {
+    let head = bytes.get(pos..pos + 8)?;
+    let len = u32::from_le_bytes(head[..4].try_into().unwrap()) as usize;
+    let crc = u32::from_le_bytes(head[4..8].try_into().unwrap());
+    if len > MAX_PAYLOAD {
+        return None;
+    }
+    let payload = bytes.get(pos + 8..pos + 8 + len)?;
+    if crc32(payload) != crc {
+        return None;
+    }
+    records.push(decode_payload(payload).ok()?);
+    Some(8 + len)
 }
 
 /// Read a WAL file, tolerating a torn tail (see module docs). Errors are
@@ -573,33 +761,13 @@ pub fn read_wal(path: &Path) -> Result<WalReplay, RecoveryError> {
     let epoch = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
     let mut records = Vec::new();
     let mut pos = HEADER_LEN as usize;
-    let mut torn_tail = false;
-    while pos < bytes.len() {
-        let Some(head) = bytes.get(pos..pos + 8) else {
-            torn_tail = true;
-            break;
-        };
-        let len = u32::from_le_bytes(head[..4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(head[4..8].try_into().unwrap());
-        if len > MAX_PAYLOAD {
-            torn_tail = true;
-            break;
-        }
-        let Some(payload) = bytes.get(pos + 8..pos + 8 + len) else {
-            torn_tail = true;
-            break;
-        };
-        if crc32(payload) != crc {
-            torn_tail = true;
-            break;
-        }
-        let Ok(rec) = decode_payload(payload) else {
-            torn_tail = true;
-            break;
-        };
-        records.push(rec);
-        pos += 8 + len;
+    while let Some(len) = frame_at(&bytes, pos, &mut records) {
+        pos += len;
     }
+    // Whatever follows the last good frame is the writer's zero reserve (a
+    // clean end) or it is a tear — a partial frame in front of the reserve
+    // included.
+    let torn_tail = bytes[pos..].iter().any(|&b| b != 0);
     Ok(WalReplay { epoch, records, valid_len: pos as u64, torn_tail })
 }
 
@@ -647,24 +815,136 @@ mod tests {
             w.append(rec).unwrap();
         }
         w.commit().unwrap();
-        let full = std::fs::metadata(&path).unwrap().len();
         let clean = read_wal(&path).unwrap();
+        // The file is longer than the log by the reserve; the tears that
+        // matter are cuts of the *log*.
+        let end = clean.valid_len;
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), end + RESERVE_BYTES);
+        let bytes = std::fs::read(&path).unwrap();
         // Chop bytes off the end: every truncation point must recover the
         // longest prefix of complete records, never error.
-        for cut in 1..(full - HEADER_LEN) {
-            let bytes = std::fs::read(&path).unwrap();
+        for cut in 1..(end - HEADER_LEN) {
             let torn_path = tmp("torn-cut.wal");
-            std::fs::write(&torn_path, &bytes[..(full - cut) as usize]).unwrap();
+            std::fs::write(&torn_path, &bytes[..(end - cut) as usize]).unwrap();
             let replay = read_wal(&torn_path).unwrap();
-            assert!(replay.records.len() < clean.records.len() || !replay.torn_tail);
+            assert!(replay.records.len() < clean.records.len());
             assert_eq!(
                 replay.records,
                 clean.records[..replay.records.len()],
                 "cut {cut}: surviving prefix must match"
             );
-            assert!(replay.valid_len <= full - cut);
+            assert!(replay.valid_len <= end - cut);
+            assert_eq!(replay.torn_tail, replay.valid_len < end - cut, "cut {cut}");
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    /// The three-record log of [`sample_records`], reserve and all.
+    fn reserved_log(name: &str) -> (std::path::PathBuf, Vec<u8>, u64) {
+        let path = tmp(name);
+        let mut w = WalWriter::create(&path, 1).unwrap();
+        for rec in &sample_records() {
+            w.append(rec).unwrap();
+        }
+        w.commit().unwrap();
+        let end = read_wal(&path).unwrap().valid_len;
+        (path.clone(), std::fs::read(&path).unwrap(), end)
+    }
+
+    #[test]
+    fn zero_tail_is_a_clean_end() {
+        let (path, bytes, end) = reserved_log("zero-tail.wal");
+        assert!(bytes.len() as u64 > end && bytes[end as usize..].iter().all(|&b| b == 0));
+        let replay = read_wal(&path).unwrap();
+        assert_eq!(replay.records, sample_records());
+        assert_eq!(replay.valid_len, end);
+        assert!(!replay.torn_tail, "the reserve is not a tear");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn partial_frame_followed_by_zeros_is_a_tear() {
+        let (path, mut bytes, end) = reserved_log("partial-then-zeros.wal");
+        // Blank the back half of the last frame: what a power cut leaves of a
+        // `write` that only partly reached the device, in front of the reserve.
+        let last = end as usize - (8 + 1 + 2 + 3 * CELL_BYTES);
+        bytes[last + 12..end as usize].fill(0);
+        std::fs::write(&path, &bytes).unwrap();
+        let replay = read_wal(&path).unwrap();
+        assert!(replay.torn_tail);
+        assert_eq!(replay.records, sample_records()[..2]);
+        assert_eq!(replay.valid_len as usize, last);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn non_zero_bytes_after_eight_zero_bytes_are_a_tear() {
+        let (path, mut bytes, end) = reserved_log("zeros-then-garbage.wal");
+        // A zero frame header, then something: not reserve.
+        bytes[end as usize + 8] = 0x5A;
+        std::fs::write(&path, &bytes).unwrap();
+        let replay = read_wal(&path).unwrap();
+        assert!(replay.torn_tail);
+        assert_eq!((replay.records, replay.valid_len), (sample_records(), end));
+        // And far into the reserve just the same.
+        bytes[end as usize + 8] = 0;
+        *bytes.last_mut().unwrap() = 1;
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(read_wal(&path).unwrap().torn_tail);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn truncation_inside_the_reserve_never_errors() {
+        let (path, bytes, end) = reserved_log("cut-reserve.wal");
+        // Every length from the logical end to the end of the reserve: near
+        // the log byte by byte, then in strides.
+        let near = end..end + 64;
+        let far = (end + 64..=bytes.len() as u64).step_by(4093);
+        for len in near.chain(far) {
+            std::fs::write(&path, &bytes[..len as usize]).unwrap();
+            let replay = read_wal(&path).unwrap();
+            assert_eq!((replay.records.len(), replay.valid_len), (3, end), "length {len}");
+            assert!(!replay.torn_tail, "length {len}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn kill_image_with_a_reserve_reopens_at_the_logical_end() {
+        let path = tmp("kill-image.wal");
+        let mut w = WalWriter::create(&path, 4).unwrap();
+        w.append(&WalRecord::Delete { pk: 1 }).unwrap();
+        w.commit().unwrap(); // acknowledged
+        w.append(&WalRecord::Delete { pk: 2 }).unwrap();
+        w.flush().unwrap(); // written, never acknowledged: kill -9 keeps it
+        w.append(&WalRecord::Delete { pk: 3 }).unwrap(); // buffered: dies with the process
+        let image = tmp("kill-image-copy.wal");
+        std::fs::copy(&path, &image).unwrap();
+        drop(w);
+
+        let two = HEADER_LEN + 2 * 17;
+        assert_eq!(std::fs::metadata(&image).unwrap().len(), HEADER_LEN + 17 + RESERVE_BYTES);
+        let replay = read_wal(&image).unwrap();
+        assert_eq!(replay.records, vec![WalRecord::Delete { pk: 1 }, WalRecord::Delete { pk: 2 }]);
+        assert_eq!((replay.valid_len, replay.torn_tail), (two, false));
+
+        let mut w = WalWriter::open_append(&image, replay.epoch, replay.valid_len).unwrap();
+        assert_eq!(std::fs::metadata(&image).unwrap().len(), two, "the old reserve is cut off");
+        w.append(&WalRecord::Delete { pk: 4 }).unwrap();
+        w.commit().unwrap();
+        let replay = read_wal(&image).unwrap();
+        assert_eq!(
+            replay.records,
+            vec![
+                WalRecord::Delete { pk: 1 },
+                WalRecord::Delete { pk: 2 },
+                WalRecord::Delete { pk: 4 }
+            ]
+        );
+        assert_eq!((replay.valid_len, replay.torn_tail), (two + 17, false));
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&image).ok();
     }
 
     #[test]
@@ -802,7 +1082,8 @@ mod tests {
         w.flush().unwrap();
         let one = HEADER_LEN + 8 + 9;
         assert_eq!((tail.written(), tail.durable()), (one, HEADER_LEN));
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), one);
+        assert_eq!(read_wal(&path).unwrap().valid_len, one);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), one + RESERVE_BYTES);
 
         // The barrier pays the fsync the flush did not.
         tail.make_durable().unwrap();
@@ -813,18 +1094,119 @@ mod tests {
         w.commit().unwrap();
         assert_eq!((tail.written(), tail.durable()), (one + 17, one + 17));
         assert_eq!((tail.records(), tail.fsyncs(), tail.barrier_fsyncs()), (2, 2, 1));
+        assert_eq!(tail.commit_waits(), 1, "the barrier is not a commit point");
 
         // A new generation drops what is buffered, restarts the file, and
         // keeps positions and counters going for whoever holds the tail.
         w.append(&WalRecord::Delete { pk: 3 }).unwrap();
         w.reset(2).unwrap();
         assert_eq!(w.uncommitted(), 0);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), HEADER_LEN, "no reserve survives");
         assert!(tail.written() > one + 17 && tail.durable() == tail.written());
         assert_eq!(tail.records(), 3);
         w.append(&WalRecord::Delete { pk: 4 }).unwrap();
         w.commit().unwrap();
         let replay = read_wal(&path).unwrap();
         assert_eq!((replay.epoch, replay.records), (2, vec![WalRecord::Delete { pk: 4 }]));
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Spin (yielding) until `cond` holds; false after five seconds, so a
+    /// broken property fails its test instead of hanging it.
+    fn eventually(cond: impl Fn() -> bool) -> bool {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while !cond() {
+            if std::time::Instant::now() > deadline {
+                return false;
+            }
+            std::thread::yield_now();
+        }
+        true
+    }
+
+    #[test]
+    fn one_fsync_serves_everyone_at_or_below_its_target() {
+        let path = tmp("cohort.wal");
+        let mut w = WalWriter::create(&path, 1).unwrap();
+        let tail = Arc::clone(w.tail());
+        w.append(&WalRecord::Delete { pk: 1 }).unwrap();
+        let first = w.commit_point().unwrap();
+        w.append(&WalRecord::Delete { pk: 2 }).unwrap();
+        let second = w.commit_point().unwrap();
+        std::thread::scope(|s| {
+            let leader = s.spawn(|| {
+                // Held inside the fsync until the follower has parked.
+                let gate = Arc::clone(&tail);
+                let _hook = crate::fault::install_fault_hook(move |site| {
+                    assert_eq!(site, "wal.commit");
+                    assert!(eventually(|| gate.parked() == 1), "nobody parked behind the leader");
+                    FaultAction::Continue
+                });
+                tail.wait_durable(first)
+            });
+            assert!(eventually(|| tail.rounds().leading));
+            let follower = s.spawn(|| tail.wait_durable(second));
+            leader.join().unwrap().unwrap();
+            follower.join().unwrap().unwrap();
+        });
+        // The leader's target was everything written, not just its own record.
+        assert_eq!(tail.durable(), second);
+        assert_eq!((tail.fsyncs(), tail.commit_waits(), tail.parked()), (1, 2, 0));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_failed_fsync_fails_its_cohort_and_nobody_above_it() {
+        let path = tmp("cohort-error.wal");
+        let mut w = WalWriter::create(&path, 1).unwrap();
+        let tail = Arc::clone(w.tail());
+        w.append(&WalRecord::Delete { pk: 1 }).unwrap();
+        let covered = w.commit_point().unwrap();
+        std::thread::scope(|s| {
+            let leader = s.spawn(|| {
+                let gate = Arc::clone(&tail);
+                let _hook = crate::fault::install_fault_hook(move |_| {
+                    assert!(eventually(|| gate.parked() == 2), "the cohort never formed");
+                    FaultAction::Error
+                });
+                tail.wait_durable(covered)
+            });
+            assert!(eventually(|| tail.rounds().leading));
+            // Written after the leader read its target: not its to fail.
+            w.append(&WalRecord::Delete { pk: 2 }).unwrap();
+            let above = w.commit_point().unwrap();
+            let follower = s.spawn(|| tail.wait_durable(covered));
+            let tail_ref = &tail;
+            let latecomer = s.spawn(move || tail_ref.wait_durable(above));
+
+            let led = leader.join().unwrap().unwrap_err();
+            let followed = follower.join().unwrap().unwrap_err();
+            assert!(led.to_string().contains("wal.commit"), "{led}");
+            assert!(followed.to_string().contains("wal.commit"), "{followed}");
+            // The latecomer led the next round itself, and that one was real.
+            latecomer.join().unwrap().unwrap();
+            assert_eq!(tail.durable(), above);
+        });
+        assert_eq!((tail.fsyncs(), tail.commit_waits()), (1, 3));
+        // The failure is not sticky: the barrier and later commits go on.
+        tail.make_durable().unwrap();
+        w.append(&WalRecord::Delete { pk: 3 }).unwrap();
+        w.commit().unwrap();
+        assert_eq!(read_wal(&path).unwrap().records.len(), 3);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_lying_fsync_acknowledges_without_syncing() {
+        let path = tmp("cohort-lie.wal");
+        let mut w = WalWriter::create(&path, 1).unwrap();
+        let _hook = crate::fault::install_fault_hook(|site| match site {
+            "wal.commit" => FaultAction::Skip,
+            _ => FaultAction::Continue,
+        });
+        w.append(&WalRecord::Delete { pk: 1 }).unwrap();
+        w.commit().unwrap();
+        assert_eq!(w.tail().durable(), w.tail().written());
         std::fs::remove_file(&path).ok();
     }
 

@@ -363,6 +363,15 @@ impl TxnManager {
         Ok(std::mem::take(&mut t.pending))
     }
 
+    /// Park the deferred deletes [`start_commit`](Self::start_commit) took
+    /// again: the commit could not be logged, nothing was applied, and the
+    /// transaction stays open exactly as it was.
+    pub fn restore_pending(&self, txn: u64, pending: Vec<(i64, Vec<Value>)>) {
+        if let Some(t) = self.state.lock().open.get_mut(&txn) {
+            t.pending = pending;
+        }
+    }
+
     /// Finish a commit: release locks, close the txn, bump the watermark.
     pub fn finish_commit(&self, txn: u64) -> Result<(), TxnError> {
         let mut s = self.state.lock();

@@ -24,6 +24,10 @@
 //!   `kill -9` taken at any instant of a steal recovers without the loser.
 //! * **No leak**: pages a crashed run allocated behind the catalog's
 //!   watermark are given back at open.
+//! * **A commit waits with nothing held**: with one committer inside its
+//!   fsync, other statements append and readers read; committers share
+//!   fsyncs; a failed fsync acknowledges nobody; the log file's reserve is
+//!   invisible to recovery.
 
 use hermit::core::recovery::{DurabilityConfig, PAGES_FILE, WAL_FILE};
 use hermit::core::shared::SharedDatabase;
@@ -31,12 +35,17 @@ use hermit::core::Heap;
 use hermit::core::{BatchOptions, CoreError, Database, PlanKind, Query, RangePredicate};
 use hermit::fault::FaultyPageStore;
 use hermit::storage::paged::{PageId, PageStore, PAGE_SIZE};
-use hermit::storage::{install_fault_hook, ColumnDef, FaultAction, Schema, TidScheme, Value};
+use hermit::storage::wal::read_wal;
+use hermit::storage::{
+    install_fault_hook, ColumnDef, FaultAction, FaultHookGuard, Schema, TidScheme, Value,
+};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn schema() -> Schema {
     Schema::new(vec![ColumnDef::int("pk"), ColumnDef::float("host"), ColumnDef::float("target")])
@@ -208,10 +217,12 @@ fn torn_wal_tail_recovers_to_last_complete_record() {
     let config = DurabilityConfig { wal_sync_every: 1, ..Default::default() };
     let db = build(&dir, &config);
     db.checkpoint(&dir).unwrap();
+    // The log's logical end after each insert (the file itself is reserved
+    // ahead of it).
     let mut wal_len_after = Vec::new();
     for i in 0..10i64 {
         db.insert(&row(400_000 + i, 5_000.0 + i as f64)).unwrap();
-        wal_len_after.push(std::fs::metadata(dir.join(WAL_FILE)).unwrap().len());
+        wal_len_after.push(read_wal(&dir.join(WAL_FILE)).unwrap().valid_len);
     }
     let base_len = db.len();
     // `kill -9` now: capture the durable state before drop can flush the
@@ -692,4 +703,326 @@ fn recovery_does_not_leak_the_pages_behind_the_watermark() {
     );
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&clean).ok();
+}
+
+// ---------------------------------------------------------------------
+// The commit wait: leader/follower group commit over a reserved log
+// ---------------------------------------------------------------------
+
+/// Spin (yielding) until `cond` holds; false after five seconds, so a
+/// broken property fails its test instead of hanging it.
+fn eventually(cond: impl Fn() -> bool) -> bool {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !cond() {
+        if Instant::now() > deadline {
+            return false;
+        }
+        std::thread::yield_now();
+    }
+    true
+}
+
+/// A gate that holds its thread inside the log's fsync (the `wal.commit`
+/// site) until the rest of the test has done what it must be able to do
+/// meanwhile — or five seconds have passed, and `met` stays false.
+#[derive(Default)]
+struct FsyncGate {
+    entered: AtomicBool,
+    done: AtomicBool,
+    met: AtomicBool,
+}
+
+impl FsyncGate {
+    fn install(self: &Arc<Self>) -> FaultHookGuard {
+        let gate = Arc::clone(self);
+        install_fault_hook(move |site| {
+            if site == "wal.commit" && !gate.entered.swap(true, Ordering::SeqCst) {
+                let met = eventually(|| gate.done.load(Ordering::SeqCst));
+                gate.met.store(met, Ordering::SeqCst);
+            }
+            FaultAction::Continue
+        })
+    }
+}
+
+/// With one committer inside its fsync, another connection's statement can
+/// take the WAL guard, append and apply. (When the fsync was paid under the
+/// guard, the second statement queued behind the device.)
+#[test]
+fn a_committer_inside_its_fsync_does_not_hold_the_wal_guard() {
+    let dir = fresh_dir("gate-guard");
+    let config = DurabilityConfig { wal_sync_every: 1, ..Default::default() };
+    let db = Database::create_durable(schema(), 0, &dir, &config).unwrap();
+    let other = db.begin().unwrap();
+    let gate = Arc::new(FsyncGate::default());
+    std::thread::scope(|s| {
+        let committer = s.spawn(|| {
+            let _hook = gate.install();
+            db.insert(&row(1, 1.0))
+        });
+        assert!(eventually(|| gate.entered.load(Ordering::SeqCst)), "no fsync was ever led");
+        db.insert_txn(other, &row(2, 2.0)).unwrap();
+        gate.done.store(true, Ordering::SeqCst);
+        committer.join().unwrap().unwrap();
+    });
+    assert!(
+        gate.met.load(Ordering::SeqCst),
+        "a statement that owes no fsync waited out another committer's"
+    );
+    db.rollback_txn(other).unwrap();
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// While a `commit_txn` waits for its commit record to become durable, a
+/// query runs — and sees none of the commit: publication comes after the
+/// wait, whole. (When the fsync was paid under the exclusive visibility
+/// latch, every reader stalled for it.)
+#[test]
+fn readers_do_not_wait_out_a_commit() {
+    let dir = fresh_dir("gate-vis");
+    let config = DurabilityConfig { wal_sync_every: 1, ..Default::default() };
+    let db = Database::create_durable(schema(), 0, &dir, &config).unwrap();
+    for pk in 0..10i64 {
+        db.insert(&row(pk, pk as f64)).unwrap();
+    }
+    let everything = Query::filter(RangePredicate::range(0, -1.0, 1.0e6));
+    let pks = |db: &Database| -> Vec<i64> {
+        let mut pks: Vec<i64> =
+            rows_of(db, &db.execute(&everything)).iter().map(|r| r[0].as_i64().unwrap()).collect();
+        pks.sort_unstable();
+        pks
+    };
+    let gate = Arc::new(FsyncGate::default());
+    std::thread::scope(|s| {
+        let committer = s.spawn(|| {
+            let t = db.begin().unwrap();
+            db.insert_txn(t, &row(100, 100.0)).unwrap();
+            db.delete_by_pk_txn(t, 3).unwrap();
+            let _hook = gate.install();
+            db.commit_txn(t)
+        });
+        assert!(eventually(|| gate.entered.load(Ordering::SeqCst)), "no fsync was ever led");
+        assert_eq!(pks(&db), (0..10).collect::<Vec<i64>>(), "a commit shows whole, or not at all");
+        gate.done.store(true, Ordering::SeqCst);
+        committer.join().unwrap().unwrap();
+    });
+    assert!(gate.met.load(Ordering::SeqCst), "a reader waited out a commit's fsync");
+    let after: Vec<i64> = (0..10).filter(|&pk| pk != 3).chain([100]).collect();
+    assert_eq!(pks(&db), after);
+    drop(db);
+    let back = Database::open(&dir, &config).unwrap();
+    assert_eq!(pks(&back), after);
+    drop(back);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Four committers at `wal_sync_every = 1`: a commit point waits at most
+/// once, fsyncs are shared, and an acknowledgement means what it says — a
+/// `kill -9` image taken right after an ack holds every row acknowledged
+/// before it.
+#[test]
+fn four_committers_share_fsyncs_and_every_ack_is_in_the_image() {
+    const THREADS: i64 = 4;
+    const PER_THREAD: i64 = 500;
+    let dir = fresh_dir("cohort");
+    let config = DurabilityConfig { wal_sync_every: 1, ..Default::default() };
+    let db = Database::create_durable(schema(), 0, &dir, &config).unwrap();
+    let tail = Arc::clone(db.wal_tail().unwrap());
+    let (f0, w0) = (tail.fsyncs(), tail.commit_waits());
+
+    // (image directory, pks acknowledged before the copy began)
+    let images: Vec<(PathBuf, Vec<i64>)> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (db, dir, tail) = (&db, &dir, Arc::clone(&tail));
+                s.spawn(move || {
+                    // A leader lingers (briefly, bounded) for company, so that
+                    // cohorts form on any device, however fast its fsync.
+                    let _hook = install_fault_hook(move |site| {
+                        if site == "wal.commit" {
+                            let until = Instant::now() + Duration::from_micros(500);
+                            while tail.parked() == 0 && Instant::now() < until {
+                                std::thread::yield_now();
+                            }
+                        }
+                        FaultAction::Continue
+                    });
+                    let mut acked = Vec::new();
+                    let mut images = Vec::new();
+                    for i in 0..PER_THREAD {
+                        let pk = t * PER_THREAD + i;
+                        db.insert(&row(pk, pk as f64)).unwrap();
+                        acked.push(pk);
+                        if i % 100 == 99 {
+                            let image = fresh_dir(&format!("cohort-image-{t}-{i}"));
+                            copy_dir(dir, &image);
+                            images.push((image, acked.clone()));
+                        }
+                    }
+                    images
+                })
+            })
+            .collect();
+        workers.into_iter().flat_map(|w| w.join().unwrap()).collect()
+    });
+
+    let (fsyncs, waits) = (tail.fsyncs() - f0, tail.commit_waits() - w0);
+    let commit_points = (THREADS * PER_THREAD) as u64;
+    assert!(waits <= commit_points, "{waits} waits for {commit_points} commit points");
+    assert!(fsyncs < waits, "{fsyncs} fsyncs released {waits} waiters: no cohort ever formed");
+    assert_eq!(tail.barrier_fsyncs(), 0);
+    assert_eq!(db.len(), (THREADS * PER_THREAD) as usize);
+    drop(db);
+    for (image, acked) in &images {
+        let back = Database::open(image, &config).unwrap();
+        for pk in acked {
+            assert!(back.primary().get(*pk).is_some(), "acknowledged row {pk} is not in its image");
+        }
+        drop(back);
+        std::fs::remove_dir_all(image).ok();
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A commit point racing a checkpoint: the wait holds the quiesce latch, so
+/// the log is never reset under it, and a position from the abandoned
+/// generation is already durable when anyone looks — nobody waits forever.
+#[test]
+fn a_commit_racing_a_checkpoint_never_waits_on_the_abandoned_generation() {
+    let dir = fresh_dir("race-ckpt");
+    let config = DurabilityConfig { wal_sync_every: 1, ..Default::default() };
+    let shared = SharedDatabase::new(Database::create_durable(schema(), 0, &dir, &config).unwrap());
+    let (finished, outcome) = std::sync::mpsc::channel();
+    let racers = shared.clone();
+    // Detached on purpose: if the property breaks, the racers hang, and
+    // the test must still fail.
+    std::thread::spawn(move || {
+        let writing = AtomicBool::new(true);
+        let checkpoints = std::thread::scope(|s| {
+            let writers: Vec<_> = (0..2i64)
+                .map(|w| {
+                    let racers = &racers;
+                    s.spawn(move || {
+                        for i in 0..300i64 {
+                            racers.insert(&row(w * 1_000 + i, i as f64)).unwrap();
+                            if i % 10 == 9 {
+                                let t = racers.begin().unwrap();
+                                racers.insert_txn(t, &row(w * 1_000 + 500 + i, 0.5)).unwrap();
+                                racers.commit(t).unwrap();
+                            }
+                        }
+                    })
+                })
+                .collect();
+            let checkpointer = s.spawn(|| {
+                let mut taken = 0u32;
+                while writing.load(Ordering::SeqCst) {
+                    match racers.checkpoint() {
+                        Ok(()) => taken += 1,
+                        Err(CoreError::OpenTransactions { .. }) => {}
+                        Err(e) => panic!("checkpoint failed: {e}"),
+                    }
+                }
+                taken
+            });
+            for w in writers {
+                w.join().unwrap();
+            }
+            writing.store(false, Ordering::SeqCst);
+            checkpointer.join().unwrap()
+        });
+        let _ = finished.send(checkpoints);
+    });
+    let checkpoints = outcome
+        .recv_timeout(Duration::from_secs(60))
+        .expect("a commit point never came back from its wait across a checkpoint");
+    assert!(checkpoints > 0, "no checkpoint ran beside the writers");
+    let tail = Arc::clone(shared.db().wal_tail().unwrap());
+    assert_eq!(tail.durable(), tail.written());
+    let len = shared.db().len();
+    assert_eq!(len, 2 * 330);
+    drop(shared);
+    let back = Database::open(&dir, &config).unwrap();
+    assert_eq!(back.len(), len);
+    drop(back);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A commit whose fsync fails acknowledges nothing, applies nothing, and
+/// leaves the transaction open exactly as it was — deferred deletes parked
+/// again — so rollback restores the pre-transaction state.
+#[test]
+fn a_failed_commit_wait_leaves_the_transaction_open_and_sound() {
+    let dir = fresh_dir("commit-fails");
+    let config = DurabilityConfig { wal_sync_every: 1, ..Default::default() };
+    let db = Database::create_durable(schema(), 0, &dir, &config).unwrap();
+    for pk in 0..5i64 {
+        db.insert(&row(pk, pk as f64)).unwrap();
+    }
+    let t = db.begin().unwrap();
+    db.insert_txn(t, &row(50, 50.0)).unwrap();
+    db.delete_by_pk_txn(t, 2).unwrap();
+
+    let hook = install_fault_hook(|site| match site {
+        "wal.commit" => FaultAction::Error,
+        _ => FaultAction::Continue,
+    });
+    let err = db.commit_txn(t).unwrap_err();
+    drop(hook);
+    assert!(err.to_string().contains("wal.commit"), "{err}");
+
+    assert_eq!(db.txn_active(), 1, "the transaction stays open");
+    let point = |m: f64| Query::filter(RangePredicate::point(2, m));
+    assert_eq!(db.execute(&point(2.0)).rows.len(), 1, "the deferred delete was not applied");
+    assert!(db.execute_for_txn(&point(2.0), t).rows.is_empty(), "and is still pending");
+    assert!(db.execute(&point(50.0)).rows.is_empty(), "nothing was published");
+    assert!(db.insert(&row(60, 60.0)).is_err(), "the log is poisoned until a checkpoint");
+
+    db.rollback_txn(t).unwrap();
+    assert_eq!(db.len(), 5);
+    assert_eq!(db.execute(&point(2.0)).rows.len(), 1);
+    db.checkpoint(&dir).unwrap();
+    db.insert(&row(60, 60.0)).unwrap();
+    drop(db);
+    let back = Database::open(&dir, &config).unwrap();
+    assert_eq!(back.len(), 6);
+    assert!(back.primary().get(50).is_none() && back.primary().get(2).is_some());
+    drop(back);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The log file is kept 1 MiB ahead of the log. Recovery must not notice —
+/// a `kill -9` image replays exactly what was written and appends at the
+/// logical end — and a checkpoint leaves the bare 16-byte header.
+#[test]
+fn the_reserve_is_invisible_to_recovery_and_gone_after_a_checkpoint() {
+    let dir = fresh_dir("reserve");
+    let config = DurabilityConfig { wal_sync_every: 1, ..Default::default() };
+    let wal_len = |dir: &Path| std::fs::metadata(dir.join(WAL_FILE)).unwrap().len();
+    let db = Database::create_durable(schema(), 0, &dir, &config).unwrap();
+    assert_eq!(wal_len(&dir), 16, "a fresh directory carries no reserve");
+    for pk in 0..10i64 {
+        db.insert(&row(pk, pk as f64)).unwrap();
+    }
+    let logical = read_wal(&dir.join(WAL_FILE)).unwrap().valid_len;
+    assert_eq!(logical, 16 + 10 * (8 + 1 + 2 + 3 * 9));
+    assert!(wal_len(&dir) > logical + (1 << 19), "the log file should be reserved ahead");
+
+    let image = fresh_dir("reserve-image");
+    copy_dir(&dir, &image);
+    let back = Database::open(&image, &config).unwrap();
+    assert_eq!(back.len(), 10);
+    assert_eq!(wal_len(&image), logical, "reopening cuts the crashed writer's reserve off");
+    back.insert(&row(10, 10.0)).unwrap();
+    let replay = read_wal(&image.join(WAL_FILE)).unwrap();
+    assert_eq!((replay.records.len(), replay.torn_tail), (11, false));
+    drop(back);
+    assert_eq!(Database::open(&image, &config).unwrap().len(), 11);
+    std::fs::remove_dir_all(&image).ok();
+
+    db.checkpoint(&dir).unwrap();
+    assert_eq!(wal_len(&dir), 16, "after a checkpoint the log is its header");
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
 }
