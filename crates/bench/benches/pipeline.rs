@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hermit_core::shared::SharedDatabase;
 use hermit_core::{BatchOptions, Database, DurabilityConfig, RangePredicate};
 use hermit_storage::{ColumnDef, RowLoc, Schema, TidScheme, Value};
-use hermit_workloads::synthetic::cols;
+use hermit_workloads::synthetic::{cols, served_table};
 use hermit_workloads::{build_synthetic, CorrelationKind, QueryGen, SyntheticConfig};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
@@ -277,12 +277,64 @@ fn bench_commit_scaling(c: &mut Criterion) {
     group.finish();
 }
 
+/// The end-to-end benchmark's set-up, phase by phase: `hermit_bench`'s
+/// `setup.rs` sequence over its Synthetic table — load into a durable
+/// database, build the host B+-tree, build the Hermit index, checkpoint —
+/// then the server's restart, `Database::open` of the directory. Prints
+/// seconds per phase and `setup/total_s`, their sum. 1.2 M static rows
+/// (`read-cold`'s table), 60 K with `--quick`. Each index build is one pass
+/// over the heap plus a sort (B+-tree) or linear-time fitting (TRS-Tree),
+/// so after the load, which inserts row by row, every phase should stay a
+/// fraction of a second per million rows.
+fn bench_setup_phases(c: &mut Criterion) {
+    let group = c.benchmark_group("setup_phases");
+    let quick = std::env::args().any(|a| a == "--quick");
+    let rows = served_table(1, if quick { 60_000 } else { 1_200_000 });
+    let schema = Schema::new(vec![
+        ColumnDef::int("pk"),
+        ColumnDef::float("host"),
+        ColumnDef::float("target"),
+        ColumnDef::float("payload"),
+    ]);
+    let dir = std::env::temp_dir().join(format!("hermit-bench-setup-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // As the benchmark loads: the WAL tail unsynced, the checkpoint makes it durable.
+    let config = DurabilityConfig { wal_sync_every: usize::MAX, ..Default::default() };
+    let mut phases: Vec<(&str, f64)> = Vec::new();
+    let mut timed = |phase, f: &mut dyn FnMut()| {
+        let start = Instant::now();
+        f();
+        phases.push((phase, start.elapsed().as_secs_f64()));
+    };
+    let mut db = Database::create_durable(schema, 0, &dir, &config).expect("create setup db");
+    timed("load", &mut || {
+        for row in &rows {
+            db.insert(row).expect("load setup row");
+        }
+    });
+    timed("host_index", &mut || db.create_baseline_index(1, true).expect("host index"));
+    timed("hermit_index", &mut || db.create_hermit_index(2, 1).expect("hermit index"));
+    timed("checkpoint", &mut || db.checkpoint(&dir).expect("checkpoint"));
+    drop(db);
+    let mut back = None;
+    timed("open", &mut || back = Some(Database::open(&dir, &DurabilityConfig::default())));
+    assert_eq!(back.expect("open ran").expect("open").len(), rows.len());
+    for (phase, seconds) in &phases {
+        let label = format!("setup/{phase}_s");
+        eprintln!("bench {label:<24} {seconds:>7.3}  ({} rows)", rows.len());
+    }
+    eprintln!("bench setup/total_s  {:.3}", phases.iter().map(|(_, s)| s).sum::<f64>());
+    let _ = std::fs::remove_dir_all(&dir);
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_range,
     bench_point,
     bench_batched,
     bench_cold_fetch,
-    bench_commit_scaling
+    bench_commit_scaling,
+    bench_setup_phases
 );
 criterion_main!(benches);

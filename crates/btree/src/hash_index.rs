@@ -37,9 +37,9 @@ impl HashPrimaryIndex {
         self.map.is_empty()
     }
 
-    /// Register (or move) a primary key.
-    pub fn insert(&mut self, pk: i64, loc: RowLoc) {
-        self.map.insert(pk, loc);
+    /// Register (or move) a primary key; returns its previous location.
+    pub fn insert(&mut self, pk: i64, loc: RowLoc) -> Option<RowLoc> {
+        self.map.insert(pk, loc)
     }
 
     /// Resolve a primary key to its row location.
@@ -81,8 +81,8 @@ mod tests {
     #[test]
     fn reinsert_moves_key() {
         let mut idx = HashPrimaryIndex::new();
-        idx.insert(7, RowLoc::new(0, 0));
-        idx.insert(7, RowLoc::new(9, 9));
+        assert_eq!(idx.insert(7, RowLoc::new(0, 0)), None);
+        assert_eq!(idx.insert(7, RowLoc::new(9, 9)), Some(RowLoc::new(0, 0)));
         assert_eq!(idx.get(7), Some(RowLoc::new(9, 9)));
         assert_eq!(idx.len(), 1);
     }

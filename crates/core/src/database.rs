@@ -199,17 +199,6 @@ impl Heap {
         }
     }
 
-    fn project_pairs(
-        &self,
-        target: ColumnId,
-        host: ColumnId,
-    ) -> hermit_storage::Result<Vec<(f64, f64, RowLoc)>> {
-        match self {
-            Heap::Mem(t) => t.read().project_pairs(target, host),
-            Heap::Paged(t) => t.project_pairs(target, host),
-        }
-    }
-
     /// Heap bytes (in-memory) or buffered bytes (paged heaps report zero —
     /// their storage lives on the device, which is the point of §7.8).
     pub fn memory_bytes(&self) -> usize {
@@ -387,6 +376,15 @@ impl Database {
         }
     }
 
+    /// The tid of the live row `row` at `loc` (an index build's scan):
+    /// the pk is read from the row only under logical pointers.
+    fn row_tid(&self, loc: RowLoc, row: &RowRef<'_>) -> Tid {
+        match self.scheme {
+            TidScheme::Logical => Tid::from_pk(row.value(self.pk_col).as_i64().unwrap_or(0)),
+            TidScheme::Physical => Tid::from_loc(loc),
+        }
+    }
+
     /// Resolve a tid to a row location (the primary-index hop under logical
     /// pointers).
     pub fn resolve(&self, tid: Tid) -> Option<RowLoc> {
@@ -550,31 +548,20 @@ impl Database {
         col: ColumnId,
         existing: bool,
     ) -> hermit_storage::Result<()> {
-        // Bulk load: project (key, tid) sorted by key.
+        // An unknown column is a typed error, not an empty index.
+        self.heap.stats(col)?;
+        // Bulk load: project (key, tid) in one pass over the heap, no row
+        // boxed. Sorting the pairs is the stable sort by key whenever scan
+        // order has tids ascending, as it always does under physical
+        // pointers.
         let mut entries: Vec<(F64Key, Tid)> = Vec::with_capacity(self.heap.len());
-        match &self.heap {
-            Heap::Mem(t) => {
-                let t = t.read();
-                let keys = t.column(col)?;
-                let pks = t.column(self.pk_col)?;
-                for loc in t.scan() {
-                    let idx = loc.index();
-                    if let Some(k) = keys.get_f64(idx) {
-                        let pk = pks.get_f64(idx).unwrap_or(0.0) as i64;
-                        entries.push((F64Key(k), self.make_tid(pk, loc)));
-                    }
-                }
+        self.heap.for_each_live_row(|loc, row| {
+            if let Some(k) = row.f64(col) {
+                entries.push((F64Key(k), self.row_tid(loc, &row)));
             }
-            Heap::Paged(t) => {
-                for (loc, row) in t.scan()? {
-                    if let Some(k) = row[col].as_f64() {
-                        let pk = row[self.pk_col].as_i64().unwrap_or(0);
-                        entries.push((F64Key(k), self.make_tid(pk, loc)));
-                    }
-                }
-            }
-        }
-        entries.sort_by_key(|a| a.0);
+            true
+        })?;
+        entries.sort_unstable();
         let tree = BPlusTree::bulk_load(entries);
         self.secondary.insert(col, SecondaryIndex::baseline(tree));
         if existing && !self.existing.contains(&col) {
@@ -604,26 +591,9 @@ impl Database {
         host: ColumnId,
     ) -> Result<(), CoreError> {
         self.require_host_index(target, host)?;
-        let pairs = self.project_tid_pairs(target, host)?;
         let range = self.heap.stats(target)?.range().unwrap_or((0.0, 0.0));
+        let pairs = self.project_tid_pairs(target, host)?;
         let trs = TrsTree::build(self.trs_params, range, pairs);
-        self.secondary
-            .insert(target, SecondaryIndex::Hermit { trs: ConcurrentTrsTree::new(trs), host });
-        Ok(())
-    }
-
-    /// Multi-threaded variant of [`create_hermit_index`](Self::create_hermit_index) (Appendix D.2 /
-    /// Fig. 21); enforces the same host-index precondition.
-    pub fn create_hermit_index_parallel(
-        &mut self,
-        target: ColumnId,
-        host: ColumnId,
-        threads: usize,
-    ) -> Result<(), CoreError> {
-        self.require_host_index(target, host)?;
-        let pairs = self.project_tid_pairs(target, host)?;
-        let range = self.heap.stats(target)?.range().unwrap_or((0.0, 0.0));
-        let trs = hermit_trs::build_parallel(self.trs_params, range, pairs, threads);
         self.secondary
             .insert(target, SecondaryIndex::Hermit { trs: ConcurrentTrsTree::new(trs), host });
         Ok(())
@@ -708,28 +678,22 @@ impl Database {
         }
     }
 
-    /// Project `(target, host, tid)` pairs for TRS-Tree construction,
-    /// converting row locations to the database's tid scheme.
+    /// Project `(target, host, tid)` pairs for TRS-Tree construction
+    /// (Algorithm 1's temporary table) in one pass over the heap, skipping
+    /// rows where either side is NULL. The caller has checked both columns.
     fn project_tid_pairs(
         &self,
         target: ColumnId,
         host: ColumnId,
     ) -> hermit_storage::Result<Vec<(f64, f64, Tid)>> {
-        let raw = self.heap.project_pairs(target, host)?;
-        match self.scheme {
-            TidScheme::Physical => {
-                Ok(raw.into_iter().map(|(m, n, loc)| (m, n, Tid::from_loc(loc))).collect())
+        let mut pairs = Vec::with_capacity(self.heap.len());
+        self.heap.for_each_live_row(|loc, row| {
+            if let (Some(m), Some(n)) = (row.f64(target), row.f64(host)) {
+                pairs.push((m, n, self.row_tid(loc, &row)));
             }
-            TidScheme::Logical => {
-                // Need the pk per row; fetch through the heap.
-                let mut out = Vec::with_capacity(raw.len());
-                for (m, n, loc) in raw {
-                    let pk = self.heap.value_f64(loc, self.pk_col)?.unwrap_or(0.0) as i64;
-                    out.push((m, n, Tid::from_pk(pk)));
-                }
-                Ok(out)
-            }
-        }
+            true
+        })?;
+        Ok(pairs)
     }
 
     /// Buffer-pool counters of the paged substrate — `(hits, misses,
@@ -885,11 +849,6 @@ mod tests {
             db.create_hermit_index(2, 1),
             Err(CoreError::MissingHostIndex { target: 2, host: 1 }),
             "missing host index must be a typed error, not a panic"
-        );
-        // The parallel builder enforces the same precondition.
-        assert_eq!(
-            db.create_hermit_index_parallel(2, 1, 4),
-            Err(CoreError::MissingHostIndex { target: 2, host: 1 })
         );
         // A Hermit index on the host does not satisfy it either.
         db.create_baseline_index(1, true).unwrap();

@@ -124,7 +124,11 @@
 //! * A page write that never reached the device despite the catalog
 //!   claiming it (a lying device / dropped write) is detected on open by
 //!   the catalog's per-page live counts **and content CRCs** whenever the
-//!   WAL shows no post-checkpoint DML, and reported as
+//!   WAL shows no post-checkpoint DML — no frame at all: the first
+//!   statement of a generation hands a marker frame to the log file before
+//!   it applies, so a page that legitimately ran ahead always has one beside
+//!   it, even while the statements it carries sit in the writer's buffer —
+//!   and reported as
 //!   [`CoreError::Recovery`] rather than silently serving stale rows. (With
 //!   post-checkpoint DML in the log, legitimate run-ahead pages are
 //!   indistinguishable from dropped writes at page granularity, so the
@@ -277,10 +281,18 @@ impl Durability {
     }
 
     /// [`statement_unchecked`](Self::statement_unchecked) behind
-    /// [`check_writable`](Self::check_writable).
+    /// [`check_writable`](Self::check_writable). The first statement of a
+    /// log generation also marks the log file
+    /// ([`WalWriter::mark_generation`]) before it applies anything; if that
+    /// fails, the statement is rejected and the WAL poisoned.
     pub(crate) fn statement(&self) -> hermit_storage::Result<Statement<'_>> {
         self.check_writable()?;
-        Ok(self.statement_unchecked())
+        let mut statement = self.statement_unchecked();
+        statement.wal.mark_generation().map_err(|e| {
+            self.poison();
+            wal_err(e)
+        })?;
+        Ok(statement)
     }
 
     /// The commit wait (see [`WalTail::wait_durable`]): park until the log
@@ -723,13 +735,15 @@ impl Database {
 
         // Torn-checkpoint detection. The durable pages may legitimately run
         // *ahead* of the catalog — post-checkpoint DML reaches the file
-        // through evictions and pool flushes — but every such statement
-        // also appended a WAL record under the same quiesce latch. So when
-        // the same-epoch WAL is empty and untorn (no post-checkpoint DML
-        // evidence at all), the pages must match the catalog exactly; a
-        // mismatch means a write the checkpoint claimed durable never
-        // reached the device (a lying disk / dropped write).
-        let quiescent = replay.as_ref().is_some_and(|r| r.records.is_empty() && !r.torn_tail);
+        // through evictions and pool flushes — but the first statement of
+        // the generation handed a frame to the log file before it applied
+        // (its record, or the generation marker while an auto-commit record
+        // sat in the writer's buffer), and the pool forces the log before
+        // any write-back. So when the same-epoch WAL holds no frame at all
+        // (no post-checkpoint DML evidence), the pages must match the
+        // catalog exactly; a mismatch means a write the checkpoint claimed
+        // durable never reached the device (a lying disk / dropped write).
+        let quiescent = replay.as_ref().is_some_and(|r| r.is_untouched());
         if quiescent {
             for (entry, &(live, crc)) in catalog.pages.iter().zip(&observed) {
                 if entry.live_rows != live || entry.crc != crc {
@@ -919,10 +933,9 @@ impl Database {
             let mut ghosts: Vec<RowLoc> = Vec::new();
             self.heap.for_each_live_row(|loc, row| {
                 let pk = row.value(pk_col).as_i64().unwrap_or(0);
-                if let Some(old) = primary.get(pk) {
+                if let Some(old) = primary.insert(pk, loc) {
                     ghosts.push(old);
                 }
-                primary.insert(pk, loc);
                 let tid = match scheme {
                     TidScheme::Physical => Tid::from_loc(loc),
                     TidScheme::Logical => Tid::from_pk(pk),
@@ -948,7 +961,9 @@ impl Database {
         self.primary = LatchedRwLock::new(latches::level(50), primary);
         for (slot, def) in catalog.baselines.iter().enumerate() {
             let mut e = std::mem::take(&mut entries[slot]);
-            e.sort_by_key(|entry| entry.0);
+            // The pass above has tids ascending under physical pointers, so
+            // this is the stable sort by key there.
+            e.sort_unstable();
             self.secondary.insert(def.column, SecondaryIndex::baseline(BPlusTree::bulk_load(e)));
             if def.existing && !self.existing.contains(&def.column) {
                 self.existing.push(def.column);

@@ -35,6 +35,12 @@
 //!   record can be mistaken for reserve: every frame starts with a
 //!   non-zero length. [`WalWriter::reset`] truncates to the bare header,
 //!   so a freshly checkpointed directory carries no reserve.
+//! * **The first statement of a generation marks the file.**
+//!   [`WalWriter::mark_generation`] hands a marker frame (kind 8, replayed
+//!   as nothing) to the file before that statement applies, so a log with
+//!   no frame at all ([`WalReplay::is_untouched`]) proves no statement ran
+//!   since the checkpoint — what recovery's torn-checkpoint check needs,
+//!   even while an auto-commit record still sits in the writer's buffer.
 //! * **Force at commit, WAL before data, one fsync site.** Appends are
 //!   buffered in user space. [`WalWriter::flush`] hands the buffer to the
 //!   file with one `write` (it then survives `kill -9`, not a power cut).
@@ -67,6 +73,7 @@
 //!          kind u8 = 5 (txn delete): txn u64 | pk i64 | width u16 | width × cell
 //!          kind u8 = 6 (txn commit): txn u64
 //!          kind u8 = 7 (txn abort):  txn u64
+//!          kind u8 = 8 (generation marker): nothing — replayed as nothing
 //! ```
 //!
 //! A cell is the 9-byte image of [`crate::value::encode_cell`], the codec the
@@ -79,7 +86,9 @@
 //! the row when it rolls the loser back — the heap alone can no longer
 //! produce it. An old reader treats any of these kinds as a torn tail
 //! (bad record kind), so the version stays 1 and downgrade is safe up to
-//! losing the post-checkpoint txn suffix.
+//! losing the post-checkpoint txn suffix. Kind 8 heads every generation
+//! that saw a statement, so an older reader stops there: downgrade after
+//! a checkpoint, or lose the generation's whole log.
 
 use crate::fault::{fault_point, injected_error, FaultAction};
 use crate::recovery::{crc32, sync_dir, RecoveryError};
@@ -101,6 +110,9 @@ const MAX_PAYLOAD: usize = 1 << 20;
 /// make file-size changes rare next to fsyncs, and 1 MiB is ≈ 30 K
 /// three-column records.
 pub const RESERVE_BYTES: u64 = 1 << 20;
+/// Payload of the generation marker ([`WalWriter::mark_generation`]): a
+/// frame kind with no body, replayed as nothing.
+const MARKER: [u8; 1] = [8];
 
 /// One logical DML record.
 #[derive(Debug, Clone, PartialEq)]
@@ -582,33 +594,55 @@ impl WalWriter {
     /// [`commit`](Self::commit)). Returns the number of records appended
     /// since the last commit.
     pub fn append(&mut self, rec: &WalRecord) -> Result<usize, RecoveryError> {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        encode_payload(rec, &mut scratch);
+        let buffered = self.append_frame(&scratch);
+        self.scratch = scratch;
+        if buffered? {
+            self.tail.records.fetch_add(1, Ordering::Relaxed);
+        }
+        self.uncommitted += 1;
+        Ok(self.uncommitted)
+    }
+
+    /// Buffer one frame around `payload`, behind the `wal.append` site.
+    /// `Ok(false)` is a silently dropped append (a `Skip` fault): the caller
+    /// is told the frame is in the log, but no bytes were written.
+    fn append_frame(&mut self, payload: &[u8]) -> Result<bool, RecoveryError> {
         match fault_point("wal.append") {
             FaultAction::Error => {
                 return Err(RecoveryError::Io(std::io::Error::other(injected_error("wal.append"))));
             }
-            FaultAction::Skip => {
-                // Silently-dropped append: the caller is told the record is
-                // in the log, but no bytes were written.
-                self.uncommitted += 1;
-                return Ok(self.uncommitted);
-            }
+            FaultAction::Skip => return Ok(false),
             FaultAction::Continue => {}
         }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        encode_payload(rec, &mut scratch);
         let res = (|| -> Result<(), RecoveryError> {
-            self.out.write_all(&(scratch.len() as u32).to_le_bytes())?;
-            self.out.write_all(&crc32(&scratch).to_le_bytes())?;
-            self.out.write_all(&scratch)?;
+            self.out.write_all(&(payload.len() as u32).to_le_bytes())?;
+            self.out.write_all(&crc32(payload).to_le_bytes())?;
+            self.out.write_all(payload)?;
             Ok(())
         })();
-        self.appended += 8 + scratch.len() as u64;
-        self.file_end += 8 + scratch.len() as u64;
-        self.scratch = scratch;
-        res?;
-        self.tail.records.fetch_add(1, Ordering::Relaxed);
-        self.uncommitted += 1;
-        Ok(self.uncommitted)
+        self.appended += 8 + payload.len() as u64;
+        self.file_end += 8 + payload.len() as u64;
+        res.map(|()| true)
+    }
+
+    /// Put evidence that this log generation saw a statement into the file
+    /// before the statement applies: a marker frame, replayed as nothing,
+    /// appended and [flushed](Self::flush). A no-op once the generation
+    /// holds a frame. It is what lets recovery tell pages that ran ahead of
+    /// the checkpoint from pages a lying device dropped: an auto-commit
+    /// statement logs *after* it applies, and between commit points its
+    /// record sits in this writer's buffer, where neither the file nor the
+    /// buffer pool's barrier can see it. The marker is flushed, so the
+    /// barrier forces it before the first page of the generation goes
+    /// back. It counts as no record and owes no commit.
+    pub fn mark_generation(&mut self) -> Result<(), RecoveryError> {
+        if self.file_end > HEADER_LEN {
+            return Ok(());
+        }
+        self.append_frame(&MARKER)?;
+        self.flush()
     }
 
     /// Append a [`WalRecord::TxnCommit`] for `txn`, behind its own
@@ -724,8 +758,17 @@ pub struct WalReplay {
     pub torn_tail: bool,
 }
 
-/// Decode the frame at `bytes[pos..]` into `records`; its length on disk, or
-/// `None` when no complete, CRC-valid, well-formed frame starts there.
+impl WalReplay {
+    /// Nothing follows the header — no record, no generation marker, no
+    /// tear: no statement ever ran in this generation.
+    pub fn is_untouched(&self) -> bool {
+        self.valid_len == HEADER_LEN && !self.torn_tail
+    }
+}
+
+/// Decode the frame at `bytes[pos..]` into `records` (a generation marker
+/// adds none); its length on disk, or `None` when no complete, CRC-valid,
+/// well-formed frame starts there.
 fn frame_at(bytes: &[u8], pos: usize, records: &mut Vec<WalRecord>) -> Option<usize> {
     let head = bytes.get(pos..pos + 8)?;
     let len = u32::from_le_bytes(head[..4].try_into().unwrap()) as usize;
@@ -737,7 +780,9 @@ fn frame_at(bytes: &[u8], pos: usize, records: &mut Vec<WalRecord>) -> Option<us
     if crc32(payload) != crc {
         return None;
     }
-    records.push(decode_payload(payload).ok()?);
+    if payload != MARKER {
+        records.push(decode_payload(payload).ok()?);
+    }
     Some(8 + len)
 }
 
@@ -1108,6 +1153,36 @@ mod tests {
         w.commit().unwrap();
         let replay = read_wal(&path).unwrap();
         assert_eq!((replay.epoch, replay.records), (2, vec![WalRecord::Delete { pk: 4 }]));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_generation_is_marked_once_and_the_marker_replays_as_nothing() {
+        let path = tmp("marker.wal");
+        let mut w = WalWriter::create(&path, 1).unwrap();
+        let tail = Arc::clone(w.tail());
+        assert!(read_wal(&path).unwrap().is_untouched());
+
+        w.mark_generation().unwrap();
+        let marked = HEADER_LEN + 8 + 1;
+        assert_eq!(tail.written(), marked, "the marker is handed to the file at once");
+        let replay = read_wal(&path).unwrap();
+        assert_eq!((replay.records.len(), replay.valid_len), (0, marked));
+        assert!(!replay.is_untouched() && !replay.torn_tail);
+        assert_eq!((tail.records(), w.uncommitted()), (0, 0), "no record, no commit owed");
+
+        w.append(&WalRecord::Delete { pk: 1 }).unwrap();
+        w.mark_generation().unwrap();
+        w.commit().unwrap();
+        let replay = read_wal(&path).unwrap();
+        assert_eq!(replay.records, vec![WalRecord::Delete { pk: 1 }]);
+        assert_eq!(replay.valid_len, marked + 17, "one marker per generation");
+
+        // A new generation is unmarked until its first statement.
+        w.reset(2).unwrap();
+        assert!(read_wal(&path).unwrap().is_untouched());
+        w.mark_generation().unwrap();
+        assert_eq!(read_wal(&path).unwrap().valid_len, marked);
         std::fs::remove_file(&path).ok();
     }
 

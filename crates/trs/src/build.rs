@@ -12,6 +12,15 @@
 //! * **Multi-threaded construction** — the top-down scheme has no cross-node
 //!   dependencies, so sub-problems fan out to worker threads; see
 //!   [`build_parallel`].
+//!
+//! Construction is linear per tree level — the paper's "fast curve
+//! fitting". No step sorts a node's pairs: the trimmed refit and both
+//! residual quantiles (a leaf's ε widening, the split lookahead's median)
+//! *select* their order statistic, and the trimmed refit keeps exactly
+//! the pairs a stable sort by residual would have put first, ties at the
+//! cut taken in pair order ([`compute_and_validate`]). Each node is fitted
+//! once: the split decision hands its fit to the leaf it builds, and a
+//! split hands every child the bucket and fit its lookahead already made.
 
 use crate::node::{LeafData, Node, NodeId, NodeKind, TrsTree, ValueRange};
 use crate::params::TrsParams;
@@ -19,6 +28,7 @@ use hermit_stats::sampling;
 use hermit_stats::LinearModel;
 use hermit_storage::Tid;
 use rand::Rng;
+use std::cmp::Ordering;
 use std::collections::VecDeque;
 
 /// One `(target, host, tid)` tuple, the unit of TRS-Tree construction.
@@ -45,8 +55,23 @@ pub fn derive_eps(params: &TrsParams, beta: f64, range: &ValueRange, n: usize) -
     eps.max(MIN_EPS)
 }
 
-/// Fit a node's model and partition its pairs into covered / outliers.
-/// Returns `(model, eps, outlier_count)`.
+/// A node's validated fit: its model, ε, and how many of its pairs fall
+/// outside the ε-band.
+#[derive(Debug, Clone, Copy)]
+struct Fit {
+    model: LinearModel,
+    eps: f64,
+    outliers: usize,
+}
+
+impl Fit {
+    /// More outliers than a leaf over `n` pairs may buffer.
+    fn overflows(&self, params: &TrsParams, n: usize) -> bool {
+        self.outliers as f64 > params.outlier_ratio * n as f64
+    }
+}
+
+/// Fit a node's model and count the pairs outside its ε-band.
 ///
 /// Plain OLS is fragile against extreme outliers: a single wild host value
 /// drags the fit (or, on tiny leaves, explodes β and therefore ε until the
@@ -55,34 +80,66 @@ pub fn derive_eps(params: &TrsParams, beta: f64, range: &ValueRange, n: usize) -
 /// `1 − outlier_ratio` fraction, and keep whichever model classifies fewer
 /// pairs as outliers. Perfectly-correlated data is untouched (zero
 /// outliers short-circuits).
-fn compute_and_validate(
-    params: &TrsParams,
-    range: &ValueRange,
-    pairs: &[Pair],
-) -> (LinearModel, f64, usize) {
+///
+/// The ranking is a selection, not a sort ([`best_by_residual`]): the
+/// refit sees exactly the pairs a stable sort by residual would have put
+/// first — ties at the cut broken by pair order — and sums them in pair
+/// order, so the round costs O(n).
+fn compute_and_validate(params: &TrsParams, range: &ValueRange, pairs: &[Pair]) -> Fit {
     let model = LinearModel::fit_iter(pairs.iter().map(|(m, n, _)| (*m, *n)));
     let eps = derive_eps(params, model.beta, range, pairs.len());
     let outliers = pairs.iter().filter(|(m, n, _)| model.residual(*m, *n) > eps).count();
+    let first = Fit { model, eps, outliers };
     if outliers == 0 || pairs.len() < 4 {
-        return (model, eps, outliers);
+        return first;
     }
 
-    // Trimmed refit: order by residual under the first model, keep the
-    // best (1 − outlier_ratio) share, refit on those inliers.
     let keep =
         ((pairs.len() as f64 * (1.0 - params.outlier_ratio)).ceil() as usize).clamp(2, pairs.len());
-    let mut by_residual: Vec<&Pair> = pairs.iter().collect();
-    by_residual.sort_by(|a, b| model.residual(a.0, a.1).total_cmp(&model.residual(b.0, b.1)));
-    let refit = LinearModel::fit_iter(by_residual[..keep].iter().map(|p| (p.0, p.1)));
+    let inliers = best_by_residual(pairs, |p| model.residual(p.0, p.1), keep);
+    let refit = LinearModel::fit_iter(inliers.map(|p| (p.0, p.1)));
     let refit_eps = derive_eps(params, refit.beta, range, pairs.len());
     let refit_outliers =
         pairs.iter().filter(|(m, n, _)| refit.residual(*m, *n) > refit_eps).count();
 
     if refit_outliers < outliers {
-        (refit, refit_eps, refit_outliers)
+        Fit { model: refit, eps: refit_eps, outliers: refit_outliers }
     } else {
-        (model, eps, outliers)
+        first
     }
+}
+
+/// The `keep` items (`1 ≤ keep ≤ items.len()`) a stable sort by `residual`
+/// would put first, in item order, found in O(n): select the `keep`-th
+/// smallest residual (the cut), then take every item below the cut and, in
+/// item order, as many items *at* the cut as the count still needs.
+/// Residuals compare by [`f64::total_cmp`], as the sort did.
+fn best_by_residual<'a, T>(
+    items: &'a [T],
+    residual: impl Fn(&T) -> f64 + 'a,
+    keep: usize,
+) -> impl Iterator<Item = &'a T> + 'a {
+    let mut residuals: Vec<f64> = items.iter().map(&residual).collect();
+    let (below_cut, &mut cut, _) = residuals.select_nth_unstable_by(keep - 1, f64::total_cmp);
+    // Everything after the cut's slot is ≥ the cut, so only the slots before
+    // it can hold residuals strictly below.
+    let below = below_cut.iter().filter(|r| r.total_cmp(&cut).is_lt()).count();
+    let mut ties = keep - below;
+    items.iter().filter(move |item| match residual(item).total_cmp(&cut) {
+        Ordering::Less => true,
+        Ordering::Equal if ties > 0 => {
+            ties -= 1;
+            true
+        }
+        _ => false,
+    })
+}
+
+/// The `k`-th smallest (0-based) residual of `pairs` under `model` — the
+/// value a sort would put at index `k`, by selection.
+fn residual_rank(model: &LinearModel, pairs: &[Pair], k: usize) -> f64 {
+    let mut residuals: Vec<f64> = pairs.iter().map(|(m, n, _)| model.residual(*m, *n)).collect();
+    *residuals.select_nth_unstable_by(k, f64::total_cmp).1
 }
 
 /// Appendix D.2 pre-check: fit on a sample; `true` means "already failing —
@@ -117,23 +174,25 @@ fn sample_says_split(
 /// `(1 − outlier_ratio)` residual quantile when the derived ε would
 /// overflow the buffer; correctness is unaffected (wider bands mean more
 /// false positives, which base-table validation removes).
+///
+/// `fit` is the node's [`compute_and_validate`] result when the split
+/// decision already computed it.
 fn make_leaf(
     params: &TrsParams,
     kind: crate::OutlierBufferKind,
     range: ValueRange,
     pairs: &[Pair],
+    fit: Option<Fit>,
 ) -> Node {
-    let (model, mut eps, outliers) = compute_and_validate(params, &range, pairs);
-    if !pairs.is_empty() && outliers as f64 > params.outlier_ratio * pairs.len() as f64 {
-        let mut residuals: Vec<f64> =
-            pairs.iter().map(|(m, n, _)| model.residual(*m, *n)).collect();
-        residuals.sort_by(f64::total_cmp);
+    let fit = fit.unwrap_or_else(|| compute_and_validate(params, &range, pairs));
+    let (model, mut eps) = (fit.model, fit.eps);
+    if fit.overflows(params, pairs.len()) {
         let keep = (((1.0 - params.outlier_ratio) * pairs.len() as f64).ceil() as usize)
             .clamp(1, pairs.len());
         // 1.5× slack over the bulk spread covers the tail of well-behaved
         // measurement noise (≈98.6% of a Gaussian) while points beyond it —
         // genuine outliers — still land in the buffer.
-        eps = eps.max(residuals[keep - 1] * 1.5);
+        eps = eps.max(residual_rank(&model, pairs, keep - 1) * 1.5);
     }
     let mut leaf = LeafData::new(model, eps, pairs.len(), kind);
     for (m, n, tid) in pairs {
@@ -161,59 +220,77 @@ fn median_abs_residual(model: &LinearModel, pairs: &[Pair]) -> f64 {
     if pairs.is_empty() {
         return 0.0;
     }
-    let mut residuals: Vec<f64> = pairs.iter().map(|(m, n, _)| model.residual(*m, *n)).collect();
-    residuals.sort_by(f64::total_cmp);
-    residuals[residuals.len() / 2]
+    residual_rank(model, pairs, pairs.len() / 2)
 }
 
-/// Decide whether a node over `range` with `pairs` should split.
-fn should_split(
+/// What construction does with one node.
+enum Decision {
+    /// Keep it whole, as a leaf — with its fit when deciding already paid
+    /// for one.
+    Leaf(Option<Fit>),
+    /// Split it: one `(bucket, fit)` per equal-width child, exactly as the
+    /// lookahead partitioned and fitted them (no fit for an empty bucket).
+    Split(Vec<(Vec<Pair>, Option<Fit>)>),
+}
+
+/// Decide whether a node over `range` with `pairs` splits. `known` is the
+/// node's fit when its parent's lookahead already computed it.
+fn decide(
     params: &TrsParams,
     rng: &mut impl Rng,
     depth: usize,
     range: &ValueRange,
     pairs: &[Pair],
-) -> bool {
+    known: Option<Fit>,
+) -> Decision {
     if depth >= params.max_height || range.width() <= 0.0 {
-        return false;
+        return Decision::Leaf(known);
     }
     // A node with fewer pairs than fanout cannot meaningfully split.
     if pairs.len() <= params.node_fanout {
-        return false;
+        return Decision::Leaf(known);
     }
     if let Some(fraction) = params.sampling_fraction {
         // Appendix D.2 fast path: if even the sample validates, skip the
         // full fit and keep the node whole.
         if !sample_says_split(params, rng, range, pairs, fraction) && pairs.len() >= 200 {
-            return false;
+            return Decision::Leaf(known);
         }
     }
-    let (model, _, outliers) = compute_and_validate(params, range, pairs);
-    if outliers as f64 <= params.outlier_ratio * pairs.len() as f64 {
-        return false;
+    let fit = known.unwrap_or_else(|| compute_and_validate(params, range, pairs));
+    if !fit.overflows(params, pairs.len()) {
+        return Decision::Leaf(Some(fit));
     }
     // One-level lookahead: fit the would-be children and require a real
     // residual improvement before paying for the split (see
     // SPLIT_IMPROVEMENT_FACTOR).
-    let parent_cost = median_abs_residual(&model, pairs);
+    let parent_cost = median_abs_residual(&fit.model, pairs);
     if parent_cost <= 0.0 {
-        return false;
+        return Decision::Leaf(Some(fit));
     }
     let subs = range.split(params.node_fanout);
-    let buckets = split_table(&subs, range, pairs.to_vec());
     let mut weighted_child_cost = 0.0;
-    for (sub, bucket) in subs.iter().zip(&buckets) {
-        if bucket.is_empty() {
-            continue;
-        }
-        // Children must be fitted with the same trimmed-robust procedure
-        // as real nodes: with raw OLS, a couple of wild outliers in a
-        // small bucket drag the child fit so badly that the lookahead
-        // wrongly concludes splitting cannot help.
-        let (child_model, _, _) = compute_and_validate(params, sub, bucket);
-        weighted_child_cost += median_abs_residual(&child_model, bucket) * bucket.len() as f64;
+    let children: Vec<(Vec<Pair>, Option<Fit>)> = split_table(&subs, range, pairs.to_vec())
+        .into_iter()
+        .zip(&subs)
+        .map(|(bucket, sub)| {
+            if bucket.is_empty() {
+                return (bucket, None);
+            }
+            // Children must be fitted with the same trimmed-robust procedure
+            // as real nodes: with raw OLS, a couple of wild outliers in a
+            // small bucket drag the child fit so badly that the lookahead
+            // wrongly concludes splitting cannot help.
+            let child = compute_and_validate(params, sub, &bucket);
+            weighted_child_cost += median_abs_residual(&child.model, &bucket) * bucket.len() as f64;
+            (bucket, Some(child))
+        })
+        .collect();
+    if weighted_child_cost / (pairs.len() as f64) < parent_cost * SPLIT_IMPROVEMENT_FACTOR {
+        Decision::Split(children)
+    } else {
+        Decision::Leaf(Some(fit))
     }
-    weighted_child_cost / (pairs.len() as f64) < parent_cost * SPLIT_IMPROVEMENT_FACTOR
 }
 
 /// Partition `pairs` into per-child buckets for `subs` (equal-width ranges).
@@ -254,9 +331,10 @@ impl TrsTree {
         };
         let mut rng = sampling::seeded_rng(params.seed);
 
-        // FIFO work list of (node slot, depth, pairs). Node slots are
-        // pre-allocated so parents can reference children by id before the
-        // children are finalized.
+        // FIFO work list of (node slot, depth, pairs, the node's fit if its
+        // parent's lookahead made one). Node slots are pre-allocated so
+        // parents can reference children by id before the children are
+        // finalized.
         tree.arena.push(Node {
             range: root_range,
             kind: NodeKind::Leaf(LeafData::new(
@@ -266,32 +344,34 @@ impl TrsTree {
                 buffer_kind,
             )),
         });
-        let mut queue: VecDeque<(NodeId, usize, Vec<Pair>)> = VecDeque::new();
-        queue.push_back((0, 1, pairs));
+        let mut queue: VecDeque<(NodeId, usize, Vec<Pair>, Option<Fit>)> = VecDeque::new();
+        queue.push_back((0, 1, pairs, None));
 
-        while let Some((slot, depth, node_pairs)) = queue.pop_front() {
+        while let Some((slot, depth, node_pairs, known)) = queue.pop_front() {
             let range = tree.arena[slot as usize].range;
-            if should_split(&tree.params, &mut rng, depth, &range, &node_pairs) {
-                let subs = range.split(tree.params.node_fanout);
-                let buckets = split_table(&subs, &range, node_pairs);
-                let mut children = Vec::with_capacity(subs.len());
-                for (sub, bucket) in subs.into_iter().zip(buckets) {
-                    let child = tree.alloc(Node {
-                        range: sub,
-                        kind: NodeKind::Leaf(LeafData::new(
-                            LinearModel::constant(0.0),
-                            MIN_EPS,
-                            0,
-                            buffer_kind,
-                        )),
-                    });
-                    queue.push_back((child, depth + 1, bucket));
-                    children.push(child);
+            match decide(&tree.params, &mut rng, depth, &range, &node_pairs, known) {
+                Decision::Split(buckets) => {
+                    let subs = range.split(tree.params.node_fanout);
+                    let mut children = Vec::with_capacity(subs.len());
+                    for (sub, (bucket, fit)) in subs.into_iter().zip(buckets) {
+                        let child = tree.alloc(Node {
+                            range: sub,
+                            kind: NodeKind::Leaf(LeafData::new(
+                                LinearModel::constant(0.0),
+                                MIN_EPS,
+                                0,
+                                buffer_kind,
+                            )),
+                        });
+                        queue.push_back((child, depth + 1, bucket, fit));
+                        children.push(child);
+                    }
+                    tree.arena[slot as usize].kind = NodeKind::Internal { children };
                 }
-                tree.arena[slot as usize].kind = NodeKind::Internal { children };
-            } else {
-                tree.arena[slot as usize] =
-                    make_leaf(&tree.params, buffer_kind, range, &node_pairs);
+                Decision::Leaf(fit) => {
+                    tree.arena[slot as usize] =
+                        make_leaf(&tree.params, buffer_kind, range, &node_pairs, fit);
+                }
             }
         }
         tree
@@ -324,7 +404,7 @@ pub fn build_parallel(
     let root_wants_split = {
         let sample: Vec<Pair> =
             sampling::sample_fraction(&mut rng, &pairs, 0.02, 2_000).into_iter().copied().collect();
-        should_split(&params, &mut rng, 1, &root_range, &sample)
+        matches!(decide(&params, &mut rng, 1, &root_range, &sample, None), Decision::Split(_))
     };
     // If the root doesn't split, there is nothing to parallelize.
     if !root_wants_split {
@@ -396,6 +476,8 @@ pub fn build_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TrsTreeStats;
+    use proptest::prelude::*;
 
     fn linear_pairs(n: usize) -> Vec<Pair> {
         (0..n)
@@ -557,6 +639,125 @@ mod tests {
         let pairs = linear_pairs(5_000);
         let par = build_parallel(TrsParams::default(), (0.0, 4_999.0), pairs, 4);
         assert_eq!(par.stats().leaves, 1);
+    }
+
+    /// Trees the sort-based construction built (every refit sorted its
+    /// node's residuals, every leaf was fitted twice), pinned: selecting
+    /// instead of sorting and fitting each node once must build them
+    /// unchanged — splits, trimmed refits in many nodes, sampling included.
+    #[test]
+    fn built_trees_match_the_sort_based_construction() {
+        let stats = |leaves, internals, height, outliers, covered, memory_bytes| TrsTreeStats {
+            leaves,
+            internals,
+            height,
+            outliers,
+            covered,
+            memory_bytes,
+        };
+        let mut noisy = linear_pairs(10_000);
+        for i in (0..noisy.len()).step_by(50) {
+            noisy[i].1 += 1.0e6;
+        }
+        let mut wild = sigmoid_pairs(50_000);
+        for i in (0..wild.len()).step_by(37) {
+            wild[i].1 = (i % 1000) as f64 * 7.0;
+        }
+        let sampled = TrsParams::default().with_sampling();
+        let cases = [
+            (
+                TrsTree::build(TrsParams::default(), (-10.0, 10.0), sigmoid_pairs(50_000)),
+                stats(512, 73, 4, 0, 50_000, 182_544),
+            ),
+            (
+                TrsTree::build(sampled, (-10.0, 10.0), sigmoid_pairs(40_000)),
+                stats(456, 65, 4, 70, 40_000, 177_168),
+            ),
+            (
+                TrsTree::build(TrsParams::default(), (0.0, 9_999.0), noisy),
+                stats(1, 0, 1, 200, 10_000, 4_656),
+            ),
+            (
+                TrsTree::build(TrsParams::default(), (-10.0, 10.0), wild),
+                stats(204, 29, 5, 1_696, 50_000, 101_264),
+            ),
+        ];
+        for (i, (tree, want)) in cases.iter().enumerate() {
+            assert_eq!(tree.stats(), *want, "case {i}");
+            tree.check_invariants().unwrap();
+        }
+    }
+
+    /// A stable sort of `residuals`; its first `keep` indices, back in
+    /// index order — what the sort-based trimmed refit summed.
+    fn stable_prefix(residuals: &[f64], keep: usize) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..residuals.len()).collect();
+        order.sort_by(|&a, &b| residuals[a].total_cmp(&residuals[b]));
+        let mut kept = order[..keep].to_vec();
+        kept.sort_unstable();
+        kept
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Residuals from five levels, so ties at the cut are the rule; the
+        /// smallest (`keep` = 1, 2), largest (`keep` = n) and a random cut.
+        #[test]
+        fn selection_keeps_the_stable_sort_prefix(
+            levels in proptest::collection::vec(0u8..5, 1..80usize),
+            pick in 0usize..1_000,
+        ) {
+            let residuals: Vec<f64> = levels.iter().map(|&l| f64::from(l) * 0.25).collect();
+            let n = residuals.len();
+            let items: Vec<usize> = (0..n).collect();
+            for keep in [1, 2.min(n), n, 1 + pick % n] {
+                let got: Vec<usize> =
+                    best_by_residual(&items, |&i| residuals[i], keep).copied().collect();
+                prop_assert_eq!(got, stable_prefix(&residuals, keep), "keep {} of {:?}", keep, levels);
+            }
+        }
+
+        /// Pairs on a 6 × 6 grid — duplicate pairs, and equal residuals
+        /// from different pairs — ranked under their own OLS fit, as
+        /// `compute_and_validate` ranks them.
+        #[test]
+        fn trimmed_refit_takes_the_pairs_the_sort_took(
+            cells in proptest::collection::vec((0u8..6, 0u8..6), 4..120usize),
+        ) {
+            let pairs: Vec<Pair> = cells
+                .iter()
+                .enumerate()
+                .map(|(i, &(m, n))| (f64::from(m), f64::from(n), Tid(i as u64)))
+                .collect();
+            let model = LinearModel::fit_iter(pairs.iter().map(|p| (p.0, p.1)));
+            let residuals: Vec<f64> = pairs.iter().map(|p| model.residual(p.0, p.1)).collect();
+            let keep = ((pairs.len() as f64 * 0.9).ceil() as usize).clamp(2, pairs.len());
+            let got: Vec<usize> = best_by_residual(&pairs, |p| model.residual(p.0, p.1), keep)
+                .map(|p| p.2 .0 as usize)
+                .collect();
+            prop_assert_eq!(got, stable_prefix(&residuals, keep));
+        }
+    }
+
+    #[test]
+    fn all_equal_residuals_keep_the_first_items_in_order() {
+        let items: Vec<u32> = (0..10).collect();
+        for keep in [1, 2, 7, 10] {
+            let got: Vec<u32> = best_by_residual(&items, |_| 3.5, keep).copied().collect();
+            assert_eq!(got, (0..keep as u32).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn residual_rank_is_the_sorted_order_statistic() {
+        let pairs = sigmoid_pairs(1_001);
+        let model = LinearModel::fit_iter(pairs.iter().map(|p| (p.0, p.1)));
+        let mut sorted: Vec<f64> = pairs.iter().map(|p| model.residual(p.0, p.1)).collect();
+        sorted.sort_by(f64::total_cmp);
+        for k in [0, 1, 500, 900, 1_000] {
+            assert_eq!(residual_rank(&model, &pairs, k).to_bits(), sorted[k].to_bits(), "k = {k}");
+        }
     }
 
     #[test]

@@ -151,6 +151,50 @@ pub fn build_synthetic(config: &SyntheticConfig, scheme: TidScheme) -> Database 
     db
 }
 
+/// The Synthetic table as the end-to-end benchmark serves it: the
+/// `(pk, host, target, payload)` rows `hermit_bench` loads for `rows`
+/// static targets under `seed`, in load order. (Its `gen.rs`, restated —
+/// the benchmark directory is frozen and a binary.) `host = 2·target + 3`
+/// except every hundredth pk, whose host is uniform over twice the target
+/// domain; the targets are `0..rows` plus one anchor per 8 targets of two
+/// churn regions of `rows / 8` each, shuffled so that heap order is
+/// uncorrelated with `target`.
+pub fn served_table(seed: u64, rows: usize) -> Vec<[Value; 4]> {
+    fn mix(mut z: u64) -> u64 {
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+    let domain = rows + 2 * (rows / 8).max(200);
+    let mut order: Vec<u32> =
+        (0..rows).chain((rows..domain).step_by(8)).map(|t| t as u32).collect();
+    // Fisher–Yates under SplitMix64, as the benchmark shuffles.
+    let mut state = seed ^ 0x5EED_0DA7A;
+    for i in (1..order.len()).rev() {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        order.swap(i, ((mix(state) as u128 * (i as u128 + 1)) >> 64) as usize);
+    }
+    order
+        .iter()
+        .enumerate()
+        .map(|(pk, &target)| {
+            let pk = pk as i64;
+            let host = if pk % 100 == 99 {
+                let h = mix(seed ^ (pk as u64).wrapping_mul(0xA24B_AED4_963E_E407));
+                3.0 + (h >> 11) as f64 / (1u64 << 53) as f64 * 2.0 * domain as f64
+            } else {
+                2.0 * f64::from(target) + 3.0
+            };
+            [
+                Value::Int(pk),
+                Value::Float(host),
+                Value::Float(f64::from(target)),
+                Value::Float((pk % 1000) as f64),
+            ]
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -37,7 +37,7 @@ use hermit::fault::FaultyPageStore;
 use hermit::storage::paged::{PageId, PageStore, PAGE_SIZE};
 use hermit::storage::wal::read_wal;
 use hermit::storage::{
-    install_fault_hook, ColumnDef, FaultAction, FaultHookGuard, Schema, TidScheme, Value,
+    install_fault_hook, ColumnDef, FaultAction, FaultHookGuard, RowLoc, Schema, TidScheme, Value,
 };
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -626,6 +626,65 @@ fn stolen_page_never_outruns_the_records_that_undo_it() {
     }
 }
 
+/// A steal from under auto-commit statements whose records are still in the
+/// log writer's user-space buffer. At `wal_sync_every` 64 three inserts after
+/// a checkpoint are applied but neither written nor forced; reading four
+/// other pages through a four-frame pool pushes their page out. A `kill -9`
+/// image of that moment holds a page that disagrees with the catalog, and
+/// the first statement of the generation must have left evidence in the log
+/// file for it — or `open` takes the directory for a torn checkpoint and
+/// refuses it. (Phantom durability: the three never-forced rows survive
+/// with their page.)
+#[test]
+fn a_page_stolen_under_buffered_auto_commit_records_reopens() {
+    let schema = Schema::new(vec![
+        ColumnDef::int("pk"),
+        ColumnDef::float("host"),
+        ColumnDef::float("target"),
+        ColumnDef::float("payload"),
+    ]);
+    let row = |pk: i64| {
+        let m = pk as f64;
+        [Value::Int(pk), Value::Float(2.0 * m), Value::Float(m), Value::Float(0.5)]
+    };
+    for sync_every in [1usize, 64] {
+        let dir = fresh_dir(&format!("phantom-{sync_every}"));
+        let config = DurabilityConfig { pool_pages: 4, pool_shards: 1, wal_sync_every: sync_every };
+        let db = Database::create_durable(schema.clone(), 0, &dir, &config).unwrap();
+        for pk in 0..1_000 {
+            db.insert(&row(pk)).unwrap();
+        }
+        db.checkpoint(&dir).unwrap();
+        let Heap::Paged(table) = db.heap() else { panic!("paged database") };
+        let pages = table.pages();
+        assert_eq!(pages.len(), 5, "four full pages and a partial fifth");
+        for pk in 1_000..1_003 {
+            db.insert(&row(pk)).unwrap();
+            assert_eq!(db.primary().get(pk).unwrap().block as PageId, pages[4]);
+        }
+        let evictions = table.pool().stats().evictions();
+        for &page in &pages[..4] {
+            db.heap().get(RowLoc::new(page as u32, 0)).unwrap();
+        }
+        assert!(table.pool().stats().evictions() > evictions, "nothing was stolen");
+
+        let image = fresh_dir(&format!("phantom-{sync_every}-image"));
+        copy_dir(&dir, &image);
+        drop(db);
+        let back = Database::open(&image, &config).unwrap_or_else(|e| {
+            panic!("sync_every {sync_every}: the kill image does not open: {e}")
+        });
+        assert_eq!(back.len(), 1_003, "sync_every {sync_every}");
+        for pk in 1_000..1_003 {
+            let hit = back.execute(&Query::filter(RangePredicate::point(0, pk as f64)));
+            assert_eq!(hit.rows.len(), 1, "sync_every {sync_every}: pk {pk}");
+        }
+        drop(back);
+        std::fs::remove_dir_all(&image).ok();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 /// One cycle of insert-heavy DML: ≈ 10 pages of inserts, deletes of old
 /// and new rows, a committed and a rolled-back transaction. Applies the
 /// same statements to `model`.
@@ -1006,7 +1065,8 @@ fn the_reserve_is_invisible_to_recovery_and_gone_after_a_checkpoint() {
         db.insert(&row(pk, pk as f64)).unwrap();
     }
     let logical = read_wal(&dir.join(WAL_FILE)).unwrap().valid_len;
-    assert_eq!(logical, 16 + 10 * (8 + 1 + 2 + 3 * 9));
+    // The header, the generation's marker frame, ten insert frames.
+    assert_eq!(logical, 16 + (8 + 1) + 10 * (8 + 1 + 2 + 3 * 9));
     assert!(wal_len(&dir) > logical + (1 << 19), "the log file should be reserved ahead");
 
     let image = fresh_dir("reserve-image");
