@@ -45,7 +45,7 @@ use crate::error::CoreError;
 use crate::index::SecondaryIndex;
 use crate::latches::{self, LatchedRwLock, Witnessed};
 use hermit_btree::{BPlusTree, HashPrimaryIndex};
-use hermit_storage::paged::PagedTable;
+use hermit_storage::paged::{PagedTable, PAGE_SIZE};
 use hermit_storage::wal::WalRecord;
 use hermit_storage::{
     ColumnId, ColumnStats, F64Key, RowLoc, RowRef, Schema, StorageError, Table, Tid, TidScheme,
@@ -707,6 +707,15 @@ impl Database {
                 let stats = t.pool().stats();
                 Some((stats.hits(), stats.misses(), stats.evictions()))
             }
+        }
+    }
+
+    /// Bytes of page images the buffer pool holds (resident frames × page
+    /// size). `None` for the in-memory heap, which has no pool.
+    pub fn pool_bytes(&self) -> Option<usize> {
+        match &self.heap {
+            Heap::Mem(_) => None,
+            Heap::Paged(t) => Some(t.pool().frame_counts().0 * PAGE_SIZE),
         }
     }
 

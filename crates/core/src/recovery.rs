@@ -19,12 +19,12 @@
 //!   safe: the buffer pool forces the log before it writes a page back.
 //! * [`Database::open`] reattaches: pages via [`FilePageStore::open`], the
 //!   heap via `PagedTable::reopen` (live rows and `ColumnStats` recomputed
-//!   by scan), the primary index and baseline B+-trees rebuilt from one
-//!   heap scan, Hermit indexes restored from their epoch-named snapshots
-//!   (or rebuilt from the heap when a snapshot is missing/torn), and the
-//!   WAL replayed through the ordinary DML path — so every index is
-//!   maintained by construction. A torn WAL tail is truncated, never an
-//!   error.
+//!   by scan), each baseline B+-tree and then the primary index rebuilt by
+//!   a heap scan of its own, Hermit indexes restored from their
+//!   epoch-named snapshots (or rebuilt from the heap when a snapshot is
+//!   missing/torn), and the WAL replayed through the ordinary DML path —
+//!   so every index is maintained by construction. A torn WAL tail is
+//!   truncated, never an error.
 //!
 //! # Commit points and crash windows
 //!
@@ -158,11 +158,11 @@ use crate::database::{Database, Heap};
 use crate::error::CoreError;
 use crate::index::SecondaryIndex;
 use crate::latches::{self, LatchedMutex, LatchedRwLock, Witnessed};
-use hermit_btree::{BPlusTree, HashPrimaryIndex};
+use hermit_btree::HashPrimaryIndex;
 use hermit_storage::paged::{BufferPool, FilePageStore, PageStore, PagedTable};
 use hermit_storage::recovery::{write_file_atomic, BaselineDef, Catalog, HermitDef, PageEntry};
 use hermit_storage::wal::{read_wal, WalRecord, WalTail, WalWriter};
-use hermit_storage::{ColumnId, F64Key, RowLoc, Schema, StorageError, Tid, TidScheme, Value};
+use hermit_storage::{ColumnId, RowLoc, Schema, StorageError, Tid, TidScheme, Value};
 use hermit_trs::{ConcurrentTrsTree, TrsParams, TrsTree};
 use parking_lot::RwLockReadGuard;
 use std::path::{Path, PathBuf};
@@ -909,20 +909,23 @@ impl Database {
         }
     }
 
-    /// Rebuild the in-memory side from the recovered heap: primary index
-    /// and every baseline B+-tree from **one** heap scan; Hermit indexes
-    /// from their epoch-named snapshots, falling back to a fresh build from
-    /// the heap (with the catalog's recorded parameters) when a snapshot is
-    /// missing or torn.
+    /// Rebuild the in-memory side from the recovered heap, one structure
+    /// per heap pass so that a restarted server's peak memory is its steady
+    /// state: first each baseline B+-tree (its `(key, tid)` buffer presized
+    /// to the heap, sorted, bulk-loaded and dropped before the next pass
+    /// starts — [`create_baseline_index`](Database::create_baseline_index)),
+    /// then the primary index, sized to the heap so every recovered key
+    /// lands in its compact base tier ([`HashPrimaryIndex`]). No sort
+    /// buffer is ever resident beside another one or beside the primary
+    /// index. Hermit indexes come from their epoch-named snapshots, falling
+    /// back to a fresh build from the heap (with the catalog's recorded
+    /// parameters) when a snapshot is missing or torn.
     fn rebuild_indexes(&mut self, catalog: &Catalog, dir: &Path) -> Result<(), CoreError> {
         let pk_col = self.pk_col;
-        let scheme = self.scheme;
-        let base_cols: Vec<ColumnId> = catalog.baselines.iter().map(|b| b.column).collect();
-        let mut primary;
-        let mut entries: Vec<Vec<(F64Key, Tid)>>;
         loop {
-            primary = HashPrimaryIndex::with_capacity(self.heap.len());
-            entries = vec![Vec::new(); base_cols.len()];
+            for def in &catalog.baselines {
+                self.create_baseline_index(def.column, def.existing)?;
+            }
             // Because the pool steals at page granularity, a lost delete
             // tombstone (page never flushed) can coexist with a flushed
             // re-insert of the same pk: two live heap rows for one key.
@@ -930,43 +933,28 @@ impl Database {
             // version; the earlier is a ghost whose tombstone the crash
             // ate. Tombstone it now, or replay's per-pk idempotence would
             // leave it live forever.
+            let mut primary = HashPrimaryIndex::with_capacity(self.heap.len());
             let mut ghosts: Vec<RowLoc> = Vec::new();
             self.heap.for_each_live_row(|loc, row| {
                 let pk = row.value(pk_col).as_i64().unwrap_or(0);
                 if let Some(old) = primary.insert(pk, loc) {
                     ghosts.push(old);
                 }
-                let tid = match scheme {
-                    TidScheme::Physical => Tid::from_loc(loc),
-                    TidScheme::Logical => Tid::from_pk(pk),
-                };
-                for (slot, &col) in base_cols.iter().enumerate() {
-                    if let Some(k) = row.f64(col) {
-                        entries[slot].push((F64Key(k), tid));
-                    }
-                }
                 true
             })?;
             if ghosts.is_empty() {
+                self.primary = LatchedRwLock::new(latches::level(50), primary);
                 break;
             }
             // Rare path: drop the ghosts (fixing live counts and stats),
-            // then rebuild from the now-clean heap — the pass-1 entries
-            // still reference the ghost rows.
+            // then redo both passes over the now-clean heap — the trees
+            // built so far (the only secondary indexes yet) hold the ghost
+            // rows; cleared first, so no old tree is resident beside its
+            // rebuild.
+            self.secondary.clear();
             let Heap::Paged(table) = &self.heap else { unreachable!("recovery is paged-only") };
             for loc in ghosts {
                 table.delete(loc)?;
-            }
-        }
-        self.primary = LatchedRwLock::new(latches::level(50), primary);
-        for (slot, def) in catalog.baselines.iter().enumerate() {
-            let mut e = std::mem::take(&mut entries[slot]);
-            // The pass above has tids ascending under physical pointers, so
-            // this is the stable sort by key there.
-            e.sort_unstable();
-            self.secondary.insert(def.column, SecondaryIndex::baseline(BPlusTree::bulk_load(e)));
-            if def.existing && !self.existing.contains(&def.column) {
-                self.existing.push(def.column);
             }
         }
         for def in &catalog.hermits {
@@ -999,6 +987,9 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Query, RangePredicate};
+    use hermit_storage::ColumnDef;
+    use std::collections::BTreeMap;
 
     #[test]
     fn params_blob_roundtrip() {
@@ -1017,5 +1008,95 @@ mod tests {
         let mut bad = encode_params(&TrsParams::default());
         bad[0] = 0; // node_fanout = 0 fails validation
         assert_eq!(decode_params(&bad), None);
+    }
+
+    fn tier_row(pk: i64, m: f64) -> Vec<Value> {
+        vec![Value::Int(pk), Value::Float(2.0 * m), Value::Float(m)]
+    }
+
+    /// `db` holds exactly `model` (pk → target): through the primary index,
+    /// and through the Hermit and baseline routes, which resolve their tids
+    /// through the primary index under logical pointers.
+    fn assert_holds(db: &Database, model: &BTreeMap<i64, f64>, step: &str) {
+        assert_eq!(db.len(), model.len(), "{step}");
+        for pk in -1..=600 {
+            let want = model.get(&pk).map(|&m| tier_row(pk, m));
+            let got = db.primary().get(pk).map(|loc| db.heap().get(loc).unwrap());
+            assert_eq!(got, want, "{step}: pk {pk}");
+        }
+        for (col, lo, hi) in [(2, 40.0, 120.0), (1, 80.0, 240.0)] {
+            let scale = if col == 1 { 2.0 } else { 1.0 };
+            let want: Vec<i64> = model
+                .iter()
+                .filter(|(_, &m)| (lo..=hi).contains(&(m * scale)))
+                .map(|(&pk, _)| pk)
+                .collect();
+            let result = db.execute(&Query::filter(RangePredicate::range(col, lo, hi)));
+            let mut got: Vec<i64> = result
+                .rows
+                .iter()
+                .map(|&loc| db.heap().get(loc).unwrap()[0].as_i64().unwrap())
+                .collect();
+            got.sort_unstable();
+            assert_eq!(got, want, "{step}: column {col} range");
+        }
+    }
+
+    /// Reopen → delete and re-insert base keys → checkpoint → reopen, on
+    /// both tid schemes: the reopened keys fill the primary index's base
+    /// tier, a base key that is deleted and comes back lands in the delta
+    /// (as does a new key), and the next reopen sizes the base to the rows
+    /// then live. The database matches a model after every step.
+    #[test]
+    fn primary_tiers_round_trip_through_reopen_and_checkpoint() {
+        for scheme in [TidScheme::Physical, TidScheme::Logical] {
+            let dir = std::env::temp_dir()
+                .join(format!("hermit-tiers-{scheme:?}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let config = DurabilityConfig::default();
+            let schema = Schema::new(vec![
+                ColumnDef::int("pk"),
+                ColumnDef::float("host"),
+                ColumnDef::float("target"),
+            ]);
+            let mut db = Database::create_durable(schema, 0, &dir, &config).unwrap();
+            db.scheme = scheme;
+            let mut model = BTreeMap::new();
+            for pk in 0..500i64 {
+                db.insert(&tier_row(pk, pk as f64)).unwrap();
+                model.insert(pk, pk as f64);
+            }
+            db.create_baseline_index(1, true).unwrap();
+            db.create_hermit_index(2, 1).unwrap();
+            db.checkpoint(&dir).unwrap();
+            drop(db);
+
+            let db = Database::open(&dir, &config).unwrap();
+            assert_eq!(db.scheme(), scheme);
+            assert_eq!(db.primary().tier_lens(), (500, 0));
+            assert_holds(&db, &model, "reopened");
+            for pk in (0..100i64).step_by(2) {
+                db.delete_by_pk(pk).unwrap();
+                model.remove(&pk);
+                if pk % 4 == 0 {
+                    db.insert(&tier_row(pk, pk as f64 + 0.25)).unwrap();
+                    model.insert(pk, pk as f64 + 0.25);
+                }
+            }
+            for pk in 500..520i64 {
+                db.insert(&tier_row(pk, pk as f64 - 450.0)).unwrap();
+                model.insert(pk, pk as f64 - 450.0);
+            }
+            assert_eq!(db.primary().tier_lens(), (450, 45));
+            assert_holds(&db, &model, "after churn");
+            db.checkpoint(&dir).unwrap();
+            drop(db);
+
+            let db = Database::open(&dir, &config).unwrap();
+            assert_eq!(db.primary().tier_lens(), (model.len(), 0));
+            assert_holds(&db, &model, "reopened after the checkpoint");
+            drop(db);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }

@@ -60,9 +60,9 @@ use hermit_storage::recovery::crc32;
 use hermit_storage::{decode_cell, encode_cell, Value, CELL_BYTES};
 use std::io::{Read, Write};
 
-/// Maximum frame payload in bytes. Large enough for a ~28 k-row result of
-/// 3-column rows; small enough that a hostile length prefix cannot OOM the
-/// peer.
+/// Maximum frame payload in bytes. Large enough for a 36 157-row result of
+/// 3-column rows ([`max_rows_per_frame`]); small enough that a hostile
+/// length prefix cannot OOM the peer.
 pub const MAX_FRAME: usize = 1 << 20;
 
 /// Typed protocol failure. Everything a malformed peer can provoke lands
@@ -585,6 +585,13 @@ pub fn encode_rows(block: &RowBlock, out: &mut Vec<u8>) {
         out.extend_from_slice(&width);
         out.extend_from_slice(cells);
     }
+}
+
+/// Rows of `cells` cells each that one `Rows` frame can carry: the
+/// [`encode_rows`] payload is a 5-byte head, then per row a 2-byte width and
+/// `CELL_BYTES` per cell, and must fit [`MAX_FRAME`].
+pub fn max_rows_per_frame(cells: usize) -> usize {
+    (MAX_FRAME - 5) / (2 + cells * CELL_BYTES)
 }
 
 // ---------------------------------------------------------------------------

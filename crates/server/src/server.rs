@@ -6,7 +6,9 @@
 //! traffic; [`hermit_core::shared`] made the engine servable from many
 //! threads, and this module makes it reachable from other *processes*:
 //!
-//! * an accept loop on a [`std::net::TcpListener`], admission-bounded by
+//! * an accept loop blocked in [`std::net::TcpListener::accept`] (an idle
+//!   server sleeps; a stop wakes it with one loopback connect),
+//!   admission-bounded by
 //!   [`ServerConfig::max_connections`] (a connection over the limit gets a
 //!   typed [`ErrorCode::Capacity`] response, never a silent hang);
 //! * one thread per connection running request frames through the engine —
@@ -33,7 +35,8 @@
 //!   databases so a clean stop never needs WAL replay.
 //!
 //! The `Stats` request renders every observability counter the engine
-//! keeps — buffer-pool hits/misses, reorganization passes / queue depth /
+//! keeps — buffer-pool hits/misses, memory by structure and the primary
+//! index's keys per tier, reorganization passes / queue depth /
 //! outlier share, WAL tail depth, transaction counters
 //! (begins/commits/aborts/conflicts + the active gauge), worker sweeps,
 //! admission counters, and
@@ -42,14 +45,15 @@
 //! round-trip with no extra dependency.
 
 use crate::proto::{
-    read_frame_into, send_response, send_rows, ErrorCode, ProtoError, Request, Response, MAX_FRAME,
+    max_rows_per_frame, read_frame_into, send_response, send_rows, ErrorCode, ProtoError, Request,
+    Response,
 };
 use hermit_core::shared::{MaintenanceWorker, SharedDatabase};
 use hermit_core::{CoreError, PlanLatencies, Query, RowBlock, SecondaryIndex};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::BufReader;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -115,6 +119,9 @@ struct Inner {
     config: ServerConfig,
     metrics: ServerMetrics,
     stop: AtomicBool,
+    /// Where [`request_stop`](Inner::request_stop) connects to wake the
+    /// accept loop: the listener's address, loopback if it is unspecified.
+    wake_addr: SocketAddr,
     /// Live connection sockets by id, so shutdown can force-close readers
     /// blocked in `read_frame`.
     conns: Mutex<HashMap<u64, TcpStream>>,
@@ -146,14 +153,19 @@ impl HermitServer {
     ) -> std::io::Result<HermitServer> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        // Poll accept so the loop can observe the stop flag without needing
-        // a wakeup connection.
-        listener.set_nonblocking(true)?;
+        let mut wake_addr = local;
+        if local.ip().is_unspecified() {
+            wake_addr.set_ip(match local {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let inner = Arc::new(Inner {
             db,
             config,
             metrics: ServerMetrics::default(),
             stop: AtomicBool::new(false),
+            wake_addr,
             conns: Mutex::new(HashMap::new()),
             next_conn: AtomicU64::new(0),
             worker: Mutex::new(worker),
@@ -188,7 +200,7 @@ impl HermitServer {
     /// Request graceful shutdown and block until the drain (connections,
     /// worker, final checkpoint) completes.
     pub fn stop(mut self) {
-        self.inner.stop.store(true, Ordering::Release);
+        self.inner.request_stop();
         self.join_accept();
     }
 
@@ -207,21 +219,40 @@ impl HermitServer {
 
 impl Drop for HermitServer {
     fn drop(&mut self) {
-        self.inner.stop.store(true, Ordering::Release);
-        self.join_accept();
+        if self.accept.is_some() {
+            self.inner.request_stop();
+            self.join_accept();
+        }
     }
 }
 
+impl Inner {
+    /// Raise the stop flag and wake the accept loop out of `accept` with one
+    /// loopback connect, which the loop drops unadmitted.
+    fn request_stop(&self) {
+        self.stop.store(true, Ordering::Release);
+        // Refused once the listener is gone, i.e. once the loop has exited.
+        let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
+    }
+}
+
+/// Accept until the stop flag is up, then drain. The listener blocks, so an
+/// idle server sleeps here; whoever raises the flag connects once to wake
+/// it, and that connection (like any other arriving after the flag) is
+/// closed without being admitted or counted.
 fn accept_loop(inner: Arc<Inner>, listener: TcpListener) {
-    while !inner.stop.load(Ordering::Acquire) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if inner.stop.load(Ordering::Acquire) {
+            break;
+        }
+        match accepted {
             Ok((stream, _peer)) => admit(&inner, stream),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
+            // Out of descriptors and the like: back off rather than spin.
             Err(_) => std::thread::sleep(Duration::from_millis(1)),
         }
     }
+    drop(listener);
     drain(&inner);
 }
 
@@ -275,9 +306,6 @@ fn serve_connection(inner: &Arc<Inner>, stream: &TcpStream) {
 /// The request loop proper; `txn` is the connection's implicit open
 /// transaction (see the protocol docs in [`crate::proto`]).
 fn serve_requests(inner: &Arc<Inner>, stream: &TcpStream, txn: &mut Option<u64>) {
-    // Blocking reads on the connection socket (the listener's nonblocking
-    // flag is inherited on some platforms — undo it).
-    let _ = stream.set_nonblocking(false);
     // Idle reaping: a read that exceeds the configured timeout surfaces as
     // `ProtoError::TimedOut` below.
     let _ = stream.set_read_timeout(inner.config.read_timeout);
@@ -366,9 +394,9 @@ fn serve_requests(inner: &Arc<Inner>, stream: &TcpStream, txn: &mut Option<u64>)
             return;
         }
         if shutdown {
-            // Raise the flag after the ack is on the wire; the accept loop
-            // notices within its poll interval and runs the drain.
-            inner.stop.store(true, Ordering::Release);
+            // Raise the flag after the ack is on the wire; the woken accept
+            // loop runs the drain.
+            inner.request_stop();
             return;
         }
     }
@@ -541,25 +569,19 @@ fn run_query(inner: &Arc<Inner>, query: Query, txn: Option<u64>) -> Result<RowBl
     }
     // No block only when an index was dropped under the plan: no rows.
     let block = result.projected.unwrap_or_default();
-    if block.len() > max_rows_per_response() {
+    // The cap is the frame's, for this answer's row width.
+    let cap = max_rows_per_frame(block.cells_per_row());
+    if block.len() > cap {
         return Err(Response::Error {
             code: ErrorCode::BadRequest,
             message: format!(
-                "result of {} rows exceeds the per-response cap of {}; add a limit \
+                "result of {} rows exceeds the per-response cap of {cap}; add a limit \
                  or a projection",
                 block.len(),
-                max_rows_per_response()
             ),
         });
     }
     Ok(block)
-}
-
-/// Rows a single `Rows` response may carry, derived from the frame cap
-/// (3 bytes of row header + 9 per cell; budget for one wide-ish row shape).
-fn max_rows_per_response() -> usize {
-    // Conservative: assume rows up to 16 cells (147 wire bytes each).
-    (MAX_FRAME - 16) / (2 + 16 * 9)
 }
 
 /// Render every engine + serving counter as a stable text report: one
@@ -595,6 +617,26 @@ fn render_stats(inner: &Arc<Inner>) -> String {
     );
 
     let _ = writeln!(out, "hermit_rows {}", db.len());
+    // Memory by structure: with the binary and the connection buffers,
+    // these parts are the server's resident set.
+    if let Some(bytes) = db.pool_bytes() {
+        let _ = writeln!(out, "hermit_memory_bytes{{part=\"pool\"}} {bytes}");
+    }
+    let (primary_bytes, (base_keys, delta_keys)) = {
+        let primary = db.primary();
+        (primary.memory_bytes(), primary.tier_lens())
+    };
+    let _ = writeln!(out, "hermit_memory_bytes{{part=\"primary\"}} {primary_bytes}");
+    for col in db.indexed_columns() {
+        if let Some(index) = db.index(col) {
+            let part = if index.is_hermit() { "hermit" } else { "baseline" };
+            let bytes = index.memory_bytes();
+            let _ =
+                writeln!(out, "hermit_memory_bytes{{part=\"{part}\",column=\"{col}\"}} {bytes}");
+        }
+    }
+    let _ = writeln!(out, "hermit_primary_keys{{tier=\"base\"}} {base_keys}");
+    let _ = writeln!(out, "hermit_primary_keys{{tier=\"delta\"}} {delta_keys}");
     if let Some((hits, misses, evictions)) = db.pool_counters() {
         let _ = writeln!(out, "hermit_pool_hits {hits}");
         let _ = writeln!(out, "hermit_pool_misses {misses}");

@@ -7,7 +7,8 @@
 //! against the in-process [`SharedDatabase`] oracle — and every
 //! robustness case the wire can throw: mid-frame disconnects, hostile
 //! lengths, CRC damage, structural garbage, admission overload, query
-//! deadlines, and graceful shutdown with a final checkpoint.
+//! deadlines, graceful shutdown with a final checkpoint, the per-response
+//! row cap, and the memory exporter of a reopened database.
 
 use hermit_core::shared::{MaintenanceConfig, MaintenanceWorker, SharedDatabase};
 use hermit_core::{Database, DurabilityConfig, Query};
@@ -441,6 +442,83 @@ fn graceful_shutdown_checkpoints_durable_state() {
     assert_eq!(pks, (0..49).chain(50..60).collect::<Vec<i64>>());
     assert_eq!(reopened.wal_depth(), Some(0), "clean stop leaves nothing unreplayed");
     drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The per-response row cap is the frame's, for the answer's own row
+/// width: 8 000 rows of one cell fit one frame, 8 000 rows of 16 cells do
+/// not (7 181 do), and the connection stays usable after the refusal.
+#[test]
+fn the_row_cap_follows_the_row_width() {
+    const ROWS: i64 = 8_000;
+    let columns = std::iter::once(ColumnDef::int("pk"))
+        .chain((1..16).map(|c| ColumnDef::float(format!("c{c}"))))
+        .collect();
+    let db = Database::new(Schema::new(columns), 0, TidScheme::Physical);
+    for pk in 0..ROWS {
+        let row: Vec<Value> = std::iter::once(Value::Int(pk))
+            .chain((1..16).map(|c| Value::Float((pk * c) as f64)))
+            .collect();
+        db.insert(&row).unwrap();
+    }
+    let server =
+        HermitServer::start(SharedDatabase::new(db), None, ServerConfig::default(), "127.0.0.1:0")
+            .unwrap();
+    let mut c = connect(&server);
+    let every_row = Query::new().range(1, -1.0, 1.0e12);
+    let pks = c.query(&every_row.clone().select([0])).unwrap();
+    assert_eq!(tcp_pks(&pks), (0..ROWS).collect::<Vec<_>>());
+    match c.query(&every_row.clone()) {
+        Err(ClientError::Server { code: ErrorCode::BadRequest, message }) => {
+            assert!(message.contains("cap of 7181"), "{message}");
+        }
+        other => panic!("a 16-cell answer of {ROWS} rows must not fit a frame: {other:?}"),
+    }
+    assert_eq!(c.query(&every_row.limit(7_181)).unwrap().len(), 7_181);
+    server.stop();
+}
+
+/// A reopened database's primary keys sit in the base tier and the keys
+/// written since in the delta; the exporter shows both, and the memory of
+/// every structure, the primary's at under 19 B per reopened key.
+#[test]
+fn a_reopened_server_reports_memory_by_structure() {
+    let dir = std::env::temp_dir().join(format!("hermit-server-memory-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = DurabilityConfig::default();
+    let mut db = Database::create_durable(schema(), 0, &dir, &config).unwrap();
+    for pk in 0..SEED_ROWS {
+        db.insert(&row_for(pk)).unwrap();
+    }
+    db.create_baseline_index(1, true).unwrap();
+    db.create_hermit_index(2, 1).unwrap();
+    db.checkpoint(&dir).unwrap();
+    drop(db);
+
+    let server = HermitServer::start(
+        SharedDatabase::new(Database::open(&dir, &config).unwrap()),
+        None,
+        ServerConfig::default(),
+        "127.0.0.1:0",
+    )
+    .unwrap();
+    let mut c = connect(&server);
+    c.insert(row_for(SEED_ROWS)).unwrap();
+    c.delete(0).unwrap();
+    let stats = c.stats().unwrap();
+    let metric = |name: &str| -> usize {
+        let line = stats.lines().find_map(|l| l.strip_prefix(name)).expect(name);
+        line.trim().parse().unwrap()
+    };
+    assert_eq!(metric("hermit_primary_keys{tier=\"base\"}"), SEED_ROWS as usize - 1);
+    assert_eq!(metric("hermit_primary_keys{tier=\"delta\"}"), 1);
+    let primary = metric("hermit_memory_bytes{part=\"primary\"}");
+    assert_eq!(primary, server.db().db().primary().memory_bytes());
+    assert!(primary <= 19 * SEED_ROWS as usize + 4_096, "{primary} B for {SEED_ROWS} keys");
+    assert!(metric("hermit_memory_bytes{part=\"baseline\",column=\"1\"}") > 0);
+    assert!(metric("hermit_memory_bytes{part=\"hermit\",column=\"2\"}") > 0);
+    assert!(metric("hermit_memory_bytes{part=\"pool\"}") > 0);
+    server.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -14,7 +14,9 @@
 //!
 //! Lookups only ever see a consistent tree: they acquire the read side of
 //! the same latch, which the worker holds exclusively only for the short
-//! install-and-replay step.
+//! install-and-replay step. While the flag is up they also return the
+//! side buffer's inserts, so a write acknowledged mid-reorganization is
+//! found by the next lookup, not only after the replay.
 
 use crate::maintain::ReorgKind;
 use crate::node::TrsTree;
@@ -52,12 +54,15 @@ impl ConcurrentTrsTree {
 
     /// Range lookup (Algorithm 2) under the read latch.
     pub fn lookup(&self, lb: f64, ub: f64) -> TrsLookup {
-        self.tree.read().lookup(lb, ub)
+        let tree = self.tree.read();
+        let mut out = tree.lookup(lb, ub);
+        self.collect_diverted(lb, ub, &mut out.tids);
+        out
     }
 
     /// Point lookup under the read latch.
     pub fn lookup_point(&self, m: f64) -> TrsLookup {
-        self.tree.read().lookup_point(m)
+        self.lookup(m, m)
     }
 
     /// Scratch-reusing range lookup under the read latch (the vectorized
@@ -69,7 +74,29 @@ impl ConcurrentTrsTree {
         scratch: &mut crate::LookupScratch,
         out: &mut TrsLookup,
     ) {
-        self.tree.read().lookup_into(lb, ub, scratch, out)
+        let tree = self.tree.read();
+        tree.lookup_into(lb, ub, scratch, out);
+        self.collect_diverted(lb, ub, &mut out.tids);
+    }
+
+    /// Add the tids of inserts in `[lb, ub]` that a reorganization in
+    /// flight diverted to the side buffer: they are not in the tree yet,
+    /// but their writers were already acknowledged, so a lookup hands them
+    /// out like outliers (validation drops any deleted since). Call with
+    /// the tree latch held — the buffer is replayed into the tree, and
+    /// emptied, only under the write latch, so every insert is seen in
+    /// exactly one of the two places.
+    fn collect_diverted(&self, lb: f64, ub: f64, tids: &mut Vec<Tid>) {
+        if !self.reorganizing.load(Ordering::Acquire) {
+            return;
+        }
+        for op in self.side_buffer.lock().iter() {
+            if let SideOp::Insert { m, tid, .. } = *op {
+                if m >= lb && m <= ub {
+                    tids.push(tid);
+                }
+            }
+        }
     }
 
     /// The tree's parameters (copied out from under the latch).
@@ -433,6 +460,26 @@ mod tests {
             in_band || buffered == 3_000,
             "concurrent inserts lost across reorganization (buffered = {buffered}, in_band = {in_band})"
         );
+    }
+
+    /// An insert diverted by a reorganization in flight is found by every
+    /// lookup form at once, not only after the side buffer is replayed.
+    #[test]
+    fn a_diverted_insert_is_found_before_the_replay() {
+        let tree = ConcurrentTrsTree::new(TrsTree::build(
+            TrsParams::default(),
+            (-10.0, 10.0),
+            sigmoid_pairs(2_000),
+        ));
+        tree.begin_reorg();
+        tree.insert(5.0, 9.0e8, Tid(42));
+        assert!(tree.lookup_point(5.0).tids.contains(&Tid(42)));
+        let mut out = TrsLookup::default();
+        tree.lookup_into(4.0, 6.0, &mut crate::LookupScratch::default(), &mut out);
+        assert!(out.tids.contains(&Tid(42)));
+        assert!(!tree.lookup(6.0, 7.0).tids.contains(&Tid(42)), "only inside the predicate");
+        tree.finish_reorg(&mut tree.tree.write());
+        assert!(tree.lookup_point(5.0).tids.contains(&Tid(42)), "replayed into the tree");
     }
 
     #[test]

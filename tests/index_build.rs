@@ -7,7 +7,8 @@
 //! * a baseline B+-tree bulk-loaded over a heap with deletes holds exactly
 //!   the `(key, tid)` entries an oracle reads back through `Heap::get`;
 //! * the host tree `Database::open` rebuilds equals a fresh
-//!   `create_baseline_index` over the same recovered heap.
+//!   `create_baseline_index` over the same recovered heap;
+//! * the primary index `Database::open` rebuilds costs under 19 B a key.
 
 use hermit::core::{Database, DurabilityConfig, Heap, SecondaryIndex};
 use hermit::storage::paged::{BufferPool, PagedTable, SimulatedPageStore};
@@ -151,6 +152,31 @@ fn the_host_tree_open_rebuilds_equals_a_fresh_bulk_load() {
     back.create_baseline_index(HOST, true).unwrap();
     assert_eq!(entries(&back, HOST), rebuilt);
     assert_eq!(rebuilt.len(), back.len(), "every live row is in the host tree");
+    drop(back);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `Database::open` sizes the primary index to the recovered heap: every
+/// key sits in the compact base tier, at under 19 B per key.
+#[test]
+fn a_reopened_primary_index_costs_under_19_bytes_a_key() {
+    let dir = std::env::temp_dir().join(format!("hermit-primary-size-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = DurabilityConfig::default();
+    let mut db = Database::create_durable(schema(), 0, &dir, &config).unwrap();
+    load_with_deletes(&db);
+    db.create_baseline_index(HOST, true).unwrap();
+    db.checkpoint(&dir).unwrap();
+    drop(db);
+
+    let back = Database::open(&dir, &config).unwrap();
+    let n = back.len();
+    assert_eq!(n, 2_400);
+    let primary = back.primary();
+    assert_eq!(primary.tier_lens(), (n, 0), "every recovered key is in the base");
+    let bytes = primary.memory_bytes();
+    assert!(bytes <= 19 * n + 4_096, "{bytes} B for {n} keys");
+    drop(primary);
     drop(back);
     std::fs::remove_dir_all(&dir).ok();
 }
