@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hermit_core::shared::SharedDatabase;
-use hermit_core::{BatchOptions, Database, DurabilityConfig, RangePredicate};
+use hermit_core::{Database, DurabilityConfig, RangePredicate};
 use hermit_storage::{ColumnDef, RowLoc, Schema, TidScheme, Value};
 use hermit_workloads::synthetic::{cols, served_table};
 use hermit_workloads::{build_synthetic, CorrelationKind, QueryGen, SyntheticConfig};
@@ -67,7 +67,9 @@ fn bench_point(c: &mut Criterion) {
             b.iter(|| {
                 let p = points[i % points.len()];
                 i += 1;
-                std::hint::black_box(hermit.lookup_point(cols::COL_C, p))
+                std::hint::black_box(
+                    hermit.lookup_range(RangePredicate::point(cols::COL_C, p), None),
+                )
             })
         });
         group.bench_function(BenchmarkId::new("baseline", scheme.label()), |b| {
@@ -75,48 +77,9 @@ fn bench_point(c: &mut Criterion) {
             b.iter(|| {
                 let p = points[i % points.len()];
                 i += 1;
-                std::hint::black_box(baseline.lookup_point(cols::COL_C, p))
-            })
-        });
-    }
-    group.finish();
-}
-
-/// Scalar vs batched executor over the same 256-query workload: one
-/// iteration = the whole batch, so the two rows compare directly. The
-/// batched path reuses TRS/candidate scratch across queries and validates
-/// candidates in page order (`Database::lookup_batch`).
-fn bench_batched(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pipeline_range_0.05pct_x256");
-    group.sample_size(10).measurement_time(Duration::from_secs(2));
-    for scheme in [TidScheme::Logical, TidScheme::Physical] {
-        let (hermit, _baseline, cfg) = setup(CorrelationKind::Sigmoid, scheme);
-        let mut gen = QueryGen::new(cfg.target_domain(), 0xBE7E);
-        let preds: Vec<RangePredicate> = gen
-            .ranges(0.0005, 256)
-            .into_iter()
-            .map(|(lb, ub)| RangePredicate::range(cols::COL_C, lb, ub))
-            .collect();
-        group.bench_function(BenchmarkId::new("scalar", scheme.label()), |b| {
-            b.iter(|| {
-                let mut rows = 0usize;
-                for &p in &preds {
-                    rows += hermit.lookup_range(p, None).rows.len();
-                }
-                rows
-            })
-        });
-        group.bench_function(BenchmarkId::new("batched", scheme.label()), |b| {
-            b.iter(|| hermit.lookup_batch(&preds).iter().map(|r| r.rows.len()).sum::<usize>())
-        });
-        group.bench_function(BenchmarkId::new("batched_mt4", scheme.label()), |b| {
-            let opts = BatchOptions::with_threads(4);
-            b.iter(|| {
-                hermit
-                    .lookup_batch_with(&preds, None, &opts)
-                    .iter()
-                    .map(|r| r.rows.len())
-                    .sum::<usize>()
+                std::hint::black_box(
+                    baseline.lookup_range(RangePredicate::point(cols::COL_C, p), None),
+                )
             })
         });
     }
@@ -332,7 +295,6 @@ criterion_group!(
     benches,
     bench_range,
     bench_point,
-    bench_batched,
     bench_cold_fetch,
     bench_commit_scaling,
     bench_setup_phases

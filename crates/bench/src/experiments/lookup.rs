@@ -3,7 +3,7 @@
 //! breakdowns (Figs. 14–15).
 
 use crate::harness::{self, measure_ops, Scale};
-use hermit_core::{BatchOptions, Database, LookupBreakdown, RangePredicate};
+use hermit_core::{Database, LookupBreakdown, RangePredicate};
 use hermit_storage::TidScheme;
 use hermit_workloads::synthetic::cols;
 use hermit_workloads::{build_synthetic, CorrelationKind, QueryGen, SyntheticConfig};
@@ -54,48 +54,6 @@ pub fn fig08_09_synth_range(scale: Scale, sigmoid: bool) {
                 ("hermit", harness::fmt_ops(h)),
                 ("baseline", harness::fmt_ops(b)),
                 ("hermit/baseline", format!("{:.2}", h / b)),
-            ]);
-        }
-    }
-}
-
-/// `batched`: scalar vs batched vs parallel-batched executor throughput on
-/// the synthetic range workload. The batched path is the tentpole's
-/// vectorized pipeline (`Database::lookup_batch`): reused TRS/candidate
-/// scratch across queries plus page-ordered base-table validation, with the
-/// scalar executor kept as the oracle.
-pub fn batched_exec(scale: Scale) {
-    harness::section("batched", "Batched vs scalar lookup throughput (Synthetic-Linear)");
-    let cfg = synth_cfg(scale, false, 200_000);
-    for scheme in [TidScheme::Logical, TidScheme::Physical] {
-        let (hermit, _baseline) = build_pair(&cfg, scheme);
-        for &sel in &[0.0001, 0.001] {
-            let mut gen = QueryGen::new(cfg.target_domain(), 0xF1B47);
-            let preds: Vec<RangePredicate> = gen
-                .ranges(sel, 256)
-                .into_iter()
-                .map(|(lb, ub)| RangePredicate::range(cols::COL_C, lb, ub))
-                .collect();
-            let scalar = measure_ops(|i| {
-                let r = hermit.lookup_range(preds[i % preds.len()], None);
-                std::hint::black_box(r.rows.len());
-            });
-            // One batched op = the whole 256-query batch; convert back to
-            // queries/second for an apples-to-apples row.
-            let batched = measure_ops(|_| {
-                std::hint::black_box(hermit.lookup_batch(&preds).len());
-            }) * preds.len() as f64;
-            let opts = BatchOptions::with_threads(4);
-            let batched_mt = measure_ops(|_| {
-                std::hint::black_box(hermit.lookup_batch_with(&preds, None, &opts).len());
-            }) * preds.len() as f64;
-            harness::row(&[
-                ("scheme", scheme.label().into()),
-                ("selectivity", format!("{:.3}%", sel * 100.0)),
-                ("scalar", harness::fmt_ops(scalar)),
-                ("batched", harness::fmt_ops(batched)),
-                ("batched_mt4", harness::fmt_ops(batched_mt)),
-                ("batched/scalar", format!("{:.2}", batched / scalar)),
             ]);
         }
     }
@@ -156,7 +114,10 @@ pub fn fig12_13_point_lookup(scale: Scale, sigmoid: bool) {
             let points = gen.points(1024);
             let run = |db: &Database| {
                 measure_ops(|i| {
-                    let r = db.lookup_point(cols::COL_C, points[i % points.len()]);
+                    let r = db.lookup_range(
+                        RangePredicate::point(cols::COL_C, points[i % points.len()]),
+                        None,
+                    );
                     std::hint::black_box(r.rows.len());
                 })
             };
@@ -189,7 +150,7 @@ pub fn fig14_15_point_breakdown(scale: Scale, hermit_side: bool) {
             let mut gen = QueryGen::new(cfg.target_domain(), 0xF1614);
             let mut acc = LookupBreakdown::default();
             for p in gen.points(512) {
-                let r = db.lookup_point(cols::COL_C, p);
+                let r = db.lookup_range(RangePredicate::point(cols::COL_C, p), None);
                 acc.merge(&r.breakdown);
             }
             print_breakdown("tuples", scheme, tuples.to_string(), &acc);

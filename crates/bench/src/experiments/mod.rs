@@ -14,7 +14,6 @@
 //! | `fig25` | correlation-type taxonomy | [`correlation_types`] |
 //! | `table1` | ML model training times | [`correlation_types`] |
 //! | `fig27_30` | Correlation Maps comparison | [`cm_compare`] |
-//! | `batched` | scalar vs batched executor (this repo's extension) | [`lookup`] |
 
 pub mod cm_compare;
 pub mod construction;
@@ -32,7 +31,7 @@ use crate::harness::Scale;
 pub const ALL: &[&str] = &[
     "fig04", "fig05", "fig06", "fig07", "fig08", "fig09", "fig10", "fig11", "fig12", "fig13",
     "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "fig20", "fig21", "fig22", "fig23",
-    "fig24", "fig25", "table1", "fig27_30", "batched",
+    "fig24", "fig25", "table1", "fig27_30",
 ];
 
 /// Dispatch an experiment by id. Returns false for unknown ids.
@@ -62,7 +61,6 @@ pub fn run(id: &str, scale: Scale) -> bool {
         "fig25" => correlation_types::fig25_correlation_types(scale),
         "table1" => correlation_types::table1_ml_training(scale),
         "fig27_30" => cm_compare::fig27_30_cm_comparison(scale),
-        "batched" => lookup::batched_exec(scale),
         _ => return false,
     }
     true

@@ -1,33 +1,22 @@
-//! Batched, page-locality-aware query execution.
+//! The query pipeline. Every plan — alone or in a batch — runs through one
+//! per-plan function with reusable scratch buffers: a scalar query is a
+//! batch of one. Each phase of §5.2 / Fig. 3 is written once:
 //!
-//! [`Database::lookup_batch`] runs many range/point predicates through the
-//! same four-phase pipeline as [`Database::lookup_range`], but amortizes
-//! everything the scalar path pays per query:
+//! * **phases 1–2**, one candidate function per route: `gather_hermit`
+//!   (TRS-Tree translation, then host-index probes), `gather_baseline`, and
+//!   the composite box scan of [`crate::CompositeIndexes`];
+//! * **phases 3–4**, one tail, `batched_resolve_validate`: primary-index
+//!   resolution under logical pointers, then validation in page order
+//!   through [`crate::Heap::for_each_row_batch`] — each heap page pinned
+//!   once per query, its candidates validated and their projection written
+//!   under that one access. So an index plan's rows come back in ascending
+//!   [`RowLoc`] order, the order the seq scan emits them in too.
 //!
-//! * **TRS traversal scratch** — the BFS queue and the approximate-result
-//!   buffers ([`hermit_trs::LookupScratch`] / [`hermit_trs::TrsLookup`])
-//!   are reused across predicates instead of allocated per lookup.
-//! * **Candidate buffers** — the tid and row-location vectors grow once and
-//!   are recycled for every subsequent predicate.
-//! * **Base-table locality** — validation fetches candidates *in page
-//!   order* through [`crate::Heap::for_each_row_batch`]: each heap page is pinned
-//!   once per query and every candidate on it is validated under that
-//!   single buffer-pool access, instead of one pool lock + frame lookup per
-//!   value.
-//! * **Point probes** — exact-match predicates probe the B+-tree with the
-//!   allocation-free [`hermit_btree::BPlusTree::for_each_eq`].
-//!
-//! With [`BatchOptions::threads`] > 1 the predicates are partitioned across
-//! scoped worker threads (`crossbeam::thread::scope`), each with its own
-//! scratch, and the per-thread [`QueryResult`] partials are stitched back
-//! in input order — results are bit-identical to the sequential path.
-//!
-//! The scalar path stays as the oracle: `tests/batch_equivalence.rs` proves
-//! both paths return identical rows, false-positive and unresolved counts
-//! on every substrate and tid scheme.
+//! Across a batch the TRS traversal scratch, the candidate and location
+//! vectors and the page-sort permutation are reused, not reallocated.
 
 use crate::database::Database;
-use crate::executor::{finish_plan, QueryResult, RangePredicate};
+use crate::executor::{QueryResult, RangePredicate};
 use crate::index::SecondaryIndex;
 use crate::plan::{AccessPath, QueryPlan};
 use crate::query::Query;
@@ -37,30 +26,13 @@ use hermit_trs::{LookupScratch, TrsLookup};
 use hermit_txn::ReadView;
 use std::time::Instant;
 
-/// Knobs for a batched lookup.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchOptions {
-    /// Worker threads validating predicates in parallel. `1` (the default)
-    /// runs everything on the calling thread.
-    pub threads: usize,
-}
+/// Options of a batched execution. It has none: a batch runs on the calling
+/// thread, one query after another, with one reused set of scratch buffers.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BatchOptions {}
 
-impl Default for BatchOptions {
-    fn default() -> Self {
-        BatchOptions { threads: 1 }
-    }
-}
-
-impl BatchOptions {
-    /// Options with `threads` parallel workers.
-    pub fn with_threads(threads: usize) -> Self {
-        BatchOptions { threads }
-    }
-}
-
-/// Reusable per-worker buffers for the batched pipeline. One instance
-/// serves any number of sequential [`Database::lookup_batch`] predicates;
-/// parallel workers each own one.
+/// Reusable buffers for the pipeline. One instance serves any number of
+/// sequential queries.
 #[derive(Debug, Default)]
 pub(crate) struct BatchScratch {
     /// TRS-Tree BFS queue (phase 1).
@@ -68,179 +40,99 @@ pub(crate) struct BatchScratch {
     /// TRS approximate result: host ranges + outlier tids (phase 1).
     approx: TrsLookup,
     /// Candidate tuple ids (phase 2).
-    candidates: Vec<Tid>,
+    pub(crate) candidates: Vec<Tid>,
     /// Resolved row locations (phase 3).
     locs: Vec<RowLoc>,
     /// Page-sort permutation for locality-aware validation (phase 4).
     order: Vec<u32>,
-    /// Conjuncts re-checked at the base table (phase 4).
-    recheck: Vec<RangePredicate>,
 }
 
 impl Database {
-    /// Execute a batch of range predicates with reused scratch buffers and
-    /// page-ordered base-table validation. Returns one [`QueryResult`] per
-    /// predicate, in input order, with the same row *set* and
-    /// false-positive/unresolved counts as running
-    /// [`lookup_range`](Self::lookup_range) on each. Within one result the
-    /// order of `rows` is unspecified: the paged substrate emits them in
-    /// page order (that is the point), the scalar path in candidate order.
-    pub fn lookup_batch(&self, preds: &[RangePredicate]) -> Vec<QueryResult> {
-        self.lookup_batch_with(preds, None, &BatchOptions::default())
-    }
-
-    /// [`lookup_batch`](Self::lookup_batch) with an optional shared `extra`
-    /// conjunct (validated at the base table, as in the Stock workload's
-    /// `TIME BETWEEN ? AND ?`) and explicit [`BatchOptions`].
-    pub fn lookup_batch_with(
-        &self,
-        preds: &[RangePredicate],
-        extra: Option<RangePredicate>,
-        opts: &BatchOptions,
-    ) -> Vec<QueryResult> {
-        self.run_partitioned(preds, opts, |p, scratch| self.lookup_one(*p, extra, scratch))
-    }
-
     /// Plan every [`Query`] with the cost-based planner and execute the
-    /// batch through the vectorized pipeline: per-worker scratch reuse,
-    /// page-ordered base-table validation, optional thread partitioning —
-    /// the batched counterpart of [`Database::execute`]. Results come back
-    /// in input order with the same row *set* and false-positive/unresolved
-    /// counts as executing each query's plan on the scalar path. The one
-    /// caveat is `limit`: which qualifying rows survive truncation is
-    /// path-dependent (the scalar pipeline validates in candidate order,
-    /// this one in page order), exactly like an unordered SQL `LIMIT`.
+    /// batch with one reused set of scratch buffers. Results come back in input
+    /// order, each exactly what [`Database::execute`] returns for its query.
     pub fn execute_batch(&self, queries: &[Query], opts: &BatchOptions) -> Vec<QueryResult> {
         let plans: Vec<QueryPlan> = queries.iter().map(|q| self.plan(q)).collect();
         self.execute_plans(&plans, opts)
     }
 
-    /// Execute pre-built plans through the vectorized pipeline (plan once,
-    /// execute many).
-    pub fn execute_plans(&self, plans: &[QueryPlan], opts: &BatchOptions) -> Vec<QueryResult> {
-        self.run_partitioned(plans, opts, |plan, scratch| self.execute_one_plan(plan, scratch))
+    /// Execute pre-built plans with one reused set of scratch buffers (plan
+    /// once, execute many). Each plan reads as an auto-commit reader, like
+    /// [`Database::execute_plan`].
+    pub fn execute_plans(&self, plans: &[QueryPlan], _opts: &BatchOptions) -> Vec<QueryResult> {
+        let mut scratch = BatchScratch::default();
+        plans.iter().map(|plan| self.run_plan(plan, None, &mut scratch)).collect()
     }
 
-    /// Shared batch driver: run `one` over every item with reused
-    /// per-worker scratch, partitioning contiguous chunks across scoped
-    /// threads when [`BatchOptions::threads`] > 1. Chunk results
-    /// concatenate back into input order.
-    fn run_partitioned<T: Sync>(
+    /// One plan through the pipeline, reusing `scratch` — the per-plan
+    /// function behind every entry point. Reads as transaction `txn`, or as
+    /// an auto-commit reader when `None` (see [`crate::txn`]).
+    pub(crate) fn run_plan(
         &self,
-        items: &[T],
-        opts: &BatchOptions,
-        one: impl Fn(&T, &mut BatchScratch) -> QueryResult + Sync,
-    ) -> Vec<QueryResult> {
-        let threads = opts.threads.clamp(1, items.len().max(1));
-        if threads == 1 {
-            let mut scratch = BatchScratch::default();
-            return items.iter().map(|item| one(item, &mut scratch)).collect();
-        }
-        let chunk = items.len().div_ceil(threads);
-        let one = &one;
-        let partials: Vec<Vec<QueryResult>> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = items
-                .chunks(chunk)
-                .map(|chunk_items| {
-                    scope.spawn(move |_| {
-                        let mut scratch = BatchScratch::default();
-                        chunk_items.iter().map(|item| one(item, &mut scratch)).collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("batch worker panicked")).collect()
-        })
-        .expect("scoped batch execution");
-        partials.into_iter().flatten().collect()
-    }
-
-    /// One plan through the batched pipeline, reusing `scratch`. Reads take
-    /// an auto-commit snapshot view, like [`Database::execute_plan`] — with
-    /// no open transactions the view is a lock-free no-op.
-    fn execute_one_plan(&self, plan: &QueryPlan, scratch: &mut BatchScratch) -> QueryResult {
-        // Shared visibility latch per plan, like `Database::execute_plan`.
+        plan: &QueryPlan,
+        txn: Option<u64>,
+        scratch: &mut BatchScratch,
+    ) -> QueryResult {
+        // Shared visibility latch for the whole execution (see
+        // `crate::txn`): the frozen view stays in lockstep with the heap
+        // until the last row is validated.
         let _vis = self.txns.read_visibility();
-        let view = self.txns.read_view(None);
+        let view = self.txns.read_view(txn);
         let mut result = QueryResult::default();
         let projection = plan.projection.as_deref();
         scratch.candidates.clear();
-        scratch.recheck.clear();
-        scratch.recheck.extend_from_slice(&plan.recheck);
-        match &plan.access {
-            AccessPath::Hermit { pred, host } => {
-                let Some(SecondaryIndex::Hermit { trs, .. }) = self.index(pred.column) else {
-                    return result; // index dropped since planning
-                };
-                if !self.gather_hermit(trs, *host, *pred, scratch, &mut result) {
-                    return result;
+        let gathered = match &plan.access {
+            AccessPath::Hermit { pred, host } => match self.index(pred.column) {
+                Some(SecondaryIndex::Hermit { trs, .. }) => {
+                    self.gather_hermit(trs, *host, *pred, scratch, &mut result)
                 }
-            }
-            AccessPath::Baseline { pred } => {
-                let Some(SecondaryIndex::Baseline(tree)) = self.index(pred.column) else {
-                    return result;
-                };
-                self.gather_baseline(&tree.read(), *pred, scratch, &mut result);
-            }
+                _ => false, // index dropped since planning
+            },
+            AccessPath::Baseline { pred } => match self.index(pred.column) {
+                Some(SecondaryIndex::Baseline(tree)) => {
+                    self.gather_baseline(&tree.read(), *pred, scratch, &mut result);
+                    true
+                }
+                _ => false,
+            },
             AccessPath::CompositeBaseline { index, leading, value }
             | AccessPath::CompositeHermit { index, leading, value, .. } => {
-                if !self.composites().gather_box_candidates(
+                self.composites().gather_box_candidates(
                     *index,
                     *leading,
                     *value,
                     &mut result.breakdown,
                     &mut scratch.candidates,
-                ) {
-                    return result;
-                }
+                )
             }
             AccessPath::SeqScan => {
-                // The scan is already sequential in page order; the scalar
-                // scan path *is* the batched scan path.
-                self.run_scan_into(&scratch.recheck, plan.limit, projection, &view, &mut result);
+                self.run_scan_into(&plan.recheck, plan.limit, projection, &view, &mut result);
                 return result;
             }
-        }
-        self.batched_resolve_validate(scratch, projection, &view, &mut result);
-        finish_plan(plan, &mut result);
-        result
-    }
-
-    /// One predicate through the batched pipeline (legacy surface, index
-    /// paths only), reusing `scratch`.
-    fn lookup_one(
-        &self,
-        pred: RangePredicate,
-        extra: Option<RangePredicate>,
-        scratch: &mut BatchScratch,
-    ) -> QueryResult {
-        let mut result = QueryResult::default();
-        scratch.candidates.clear();
-        scratch.recheck.clear();
-        match self.index(pred.column) {
-            Some(SecondaryIndex::Hermit { trs, host }) => {
-                scratch.recheck.push(pred);
-                scratch.recheck.extend(extra);
-                if !self.gather_hermit(trs, *host, pred, scratch, &mut result) {
-                    return result;
+        };
+        if gathered {
+            self.batched_resolve_validate(scratch, &plan.recheck, projection, &view, &mut result);
+            // Rows are in heap order, so a limit keeps the lowest locations;
+            // `rows` and the block are cut together and stay aligned.
+            if let Some(n) = plan.limit {
+                result.rows.truncate(n);
+                if let Some(block) = &mut result.projected {
+                    block.truncate(n);
                 }
             }
-            Some(SecondaryIndex::Baseline(tree)) => {
-                scratch.recheck.extend(extra);
-                self.gather_baseline(&tree.read(), pred, scratch, &mut result);
-            }
-            None => return result,
         }
-        self.batched_resolve_validate(scratch, None, &ReadView::unfiltered(), &mut result);
         result
     }
 
-    /// Phases 1–2 of the Hermit route into `scratch.candidates`. Returns
-    /// `false` when the host index has dropped out from under the TRS-Tree.
+    /// Phases 1–2 of the Hermit route into `scratch.candidates`. The
+    /// candidates are approximate, so the plan re-checks `pred` at the base
+    /// table. Returns `false` when the host index has dropped out from under
+    /// the TRS-Tree — no results.
     // hermit-lint: hot-path
     fn gather_hermit(
         &self,
         trs: &hermit_trs::ConcurrentTrsTree,
-        host: hermit_storage::ColumnId,
+        host: ColumnId,
         pred: RangePredicate,
         scratch: &mut BatchScratch,
         result: &mut QueryResult,
@@ -269,9 +161,10 @@ impl Database {
                     .for_each_in_range(&F64Key(lo), &F64Key(hi), |_, tid| candidates.push(*tid));
             }
         }
-        drop(host_tree); // release before resolution/validation, like the scalar path
-                         // The unioned ranges are disjoint, so duplicates only arise between
-                         // outlier tids and range results.
+        // Release the tree latch before resolution and validation.
+        drop(host_tree);
+        // The unioned ranges are disjoint, so duplicates only arise between
+        // outlier tids and range results.
         if had_outliers {
             candidates.sort_unstable();
             candidates.dedup();
@@ -280,8 +173,11 @@ impl Database {
         true
     }
 
-    /// Phase 2 of the baseline path into `scratch.candidates`; point
-    /// predicates take the allocation-free equality probe.
+    /// Phase 2 of the baseline route into `scratch.candidates`: an exact
+    /// index range scan, charged to the host-index phase so the breakdown
+    /// figures line up across methods. The hits are exact on `pred`, so the
+    /// plan re-checks only the residual conjuncts — but the tuples are
+    /// fetched either way (a real query returns rows, not tids).
     // hermit-lint: hot-path
     fn gather_baseline(
         &self,
@@ -302,16 +198,19 @@ impl Database {
         result.breakdown.host_index += t0.elapsed();
     }
 
-    /// Phases 3–4 of the batched pipeline: primary-index resolution into
-    /// `scratch.locs`, then page-ordered base-table validation of every
-    /// `scratch.recheck` conjunct, writing a matching row's `projection`
-    /// cells under the same page visit. Rows invisible to the snapshot
-    /// `view` are skipped silently — neither matches nor false positives,
-    /// and no cells — same as the scalar snapshot tail.
+    /// Phases 3–4, the one tail of every index route: resolve
+    /// `scratch.candidates` (logical pointers only), then validate every
+    /// `recheck` conjunct in page order, writing a match's `projection`
+    /// cells under the same page visit. Rows land in ascending location
+    /// order. A tid that no longer resolves, or a row that is gone, is
+    /// `unresolved`; a row invisible to `view` is skipped silently (no
+    /// match, no false positive, no cells); a page that cannot be read
+    /// counts in `unreadable` and its candidates in nothing else.
     // hermit-lint: hot-path
-    fn batched_resolve_validate(
+    pub(crate) fn batched_resolve_validate(
         &self,
         scratch: &mut BatchScratch,
+        recheck: &[RangePredicate],
         projection: Option<&[ColumnId]>,
         view: &ReadView,
         result: &mut QueryResult,
@@ -340,13 +239,12 @@ impl Database {
         // access, with every recheck column read from the same row view.
         let t3 = Instant::now();
         let locs = &scratch.locs;
-        let recheck = &scratch.recheck;
         let filtering = view.is_filtering();
         let pk_col = self.pk_col();
         result.rows.reserve(locs.len());
         // Sized for every candidate before the pass: the visitor runs under
-        // a pool shard lock. Matches land at consecutive slots, in the page
-        // order `rows` gets them in.
+        // a pool shard lock and must not allocate. Matches land at
+        // consecutive slots, in the order `rows` gets them in.
         let mut writer =
             projection.map(|cols| BlockWriter::new(cols, self.heap().width(), locs.len()));
         result.unreadable +=
@@ -404,16 +302,28 @@ mod tests {
         db
     }
 
-    fn sorted_rows(r: &QueryResult) -> Vec<RowLoc> {
-        let mut rows = r.rows.clone();
-        rows.sort_unstable();
+    /// Brute-force reference: every live row matching all of `preds`, in
+    /// heap order.
+    fn reference(db: &Database, preds: &[RangePredicate]) -> Vec<RowLoc> {
+        let mut rows = Vec::new();
+        db.heap()
+            .for_each_live_row(|loc, row| {
+                if preds.iter().all(|p| row.f64(p.column).is_some_and(|v| v >= p.lb && v <= p.ub)) {
+                    rows.push(loc);
+                }
+                true
+            })
+            .unwrap();
         rows
     }
 
-    fn assert_equivalent(scalar: &QueryResult, batched: &QueryResult, ctx: &str) {
-        assert_eq!(sorted_rows(scalar), sorted_rows(batched), "{ctx}: rows");
-        assert_eq!(scalar.false_positives, batched.false_positives, "{ctx}: false positives");
-        assert_eq!(scalar.unresolved, batched.unresolved, "{ctx}: unresolved");
+    fn batch(db: &Database, queries: &[Query]) -> Vec<QueryResult> {
+        db.execute_batch(queries, &BatchOptions::default())
+    }
+
+    fn assert_exact(db: &Database, r: &QueryResult, preds: &[RangePredicate], ctx: &str) {
+        assert_eq!(r.rows, reference(db, preds), "{ctx}: rows, in heap order");
+        assert_eq!((r.unresolved, r.unreadable), (0, 0), "{ctx}: counts");
     }
 
     #[test]
@@ -424,11 +334,11 @@ mod tests {
                 .iter()
                 .map(|&(lb, ub)| RangePredicate::range(2, lb, ub))
                 .collect();
-            let batched = db.lookup_batch(&preds);
+            let queries: Vec<Query> = preds.iter().map(|&p| Query::filter(p)).collect();
+            let batched = batch(&db, &queries);
             assert_eq!(batched.len(), preds.len());
             for (pred, b) in preds.iter().zip(&batched) {
-                let s = db.lookup_range(*pred, None);
-                assert_equivalent(&s, b, &format!("{scheme:?} [{}, {}]", pred.lb, pred.ub));
+                assert_exact(&db, b, &[*pred], &format!("{scheme:?} [{}, {}]", pred.lb, pred.ub));
             }
         }
     }
@@ -440,30 +350,16 @@ mod tests {
             .iter()
             .map(|&v| RangePredicate::point(2, v))
             .collect();
-        for (pred, b) in preds.iter().zip(db.lookup_batch(&preds)) {
-            let s = db.lookup_range(*pred, None);
-            assert_equivalent(&s, &b, &format!("point {}", pred.lb));
-        }
-    }
-
-    #[test]
-    fn parallel_batch_preserves_input_order() {
-        let db = hermit_db(TidScheme::Logical, 8_000, 0);
-        let preds: Vec<RangePredicate> = (0..64)
-            .map(|i| RangePredicate::range(2, i as f64 * 100.0, i as f64 * 100.0 + 49.0))
-            .collect();
-        let sequential = db.lookup_batch(&preds);
-        let parallel = db.lookup_batch_with(&preds, None, &BatchOptions::with_threads(4));
-        assert_eq!(sequential.len(), parallel.len());
-        for (i, (s, p)) in sequential.iter().zip(&parallel).enumerate() {
-            assert_equivalent(s, p, &format!("pred {i}"));
+        let queries: Vec<Query> = preds.iter().map(|&p| Query::filter(p)).collect();
+        for (pred, b) in preds.iter().zip(batch(&db, &queries)) {
+            assert_exact(&db, &b, &[*pred], &format!("point {}", pred.lb));
         }
     }
 
     #[test]
     fn batch_on_unindexed_column_is_empty() {
         let db = Database::new(schema(), 0, TidScheme::Physical);
-        let results = db.lookup_batch(&[RangePredicate::range(3, 0.0, 10.0)]);
+        let results = batch(&db, &[Query::new().range(3, 0.0, 10.0)]);
         assert_eq!(results.len(), 1);
         assert!(results[0].rows.is_empty());
     }
@@ -471,19 +367,17 @@ mod tests {
     #[test]
     fn empty_batch_is_empty() {
         let db = hermit_db(TidScheme::Physical, 100, 0);
-        assert!(db.lookup_batch(&[]).is_empty());
-        assert!(db.lookup_batch_with(&[], None, &BatchOptions::with_threads(8)).is_empty());
+        assert!(batch(&db, &[]).is_empty());
     }
 
     #[test]
     fn batch_with_extra_conjunct() {
         let db = hermit_db(TidScheme::Physical, 10_000, 0);
         // other = 10 * target; constrain other ∈ [1500, 1590] → target ∈ [150, 159].
-        let preds = [RangePredicate::range(2, 100.0, 199.0)];
-        let extra = Some(RangePredicate::range(3, 1_500.0, 1_590.0));
-        let b = &db.lookup_batch_with(&preds, extra, &BatchOptions::default())[0];
-        let s = db.lookup_range(preds[0], extra);
-        assert_equivalent(&s, b, "extra conjunct");
+        let preds =
+            [RangePredicate::range(2, 100.0, 199.0), RangePredicate::range(3, 1_500.0, 1_590.0)];
+        let b = &batch(&db, &[Query::new().and(preds[0]).and(preds[1])])[0];
+        assert_exact(&db, b, &preds, "extra conjunct");
         assert!(b.false_positives >= 90);
     }
 }

@@ -18,6 +18,7 @@
 //! exactly what a conventional RDBMS does with a composite B+-tree when
 //! the leading predicate is the more selective one.
 
+use crate::batch::BatchScratch;
 use crate::breakdown::LookupBreakdown;
 use crate::database::{Database, Heap};
 use crate::executor::{QueryResult, RangePredicate};
@@ -235,9 +236,9 @@ impl CompositeIndexes {
     ///
     /// Returns `false` when `idx` does not exist or a Hermit index's
     /// companion baseline is missing — the caller treats that as an empty
-    /// candidate set. The planner and both executors (scalar
-    /// [`Database::execute_plan`], batched [`Database::execute_plans`])
-    /// share this path.
+    /// candidate set. This is the composite route's one candidate phase:
+    /// planned box queries and [`lookup_box`](Self::lookup_box) both
+    /// gather through it.
     pub(crate) fn gather_box_candidates(
         &self,
         idx: usize,
@@ -285,13 +286,14 @@ impl CompositeIndexes {
     }
 
     /// Execute a box query — `leading ∈ [l.lb, l.ub] AND value ∈ [v.lb,
-    /// v.ub]` — against the composite index at `idx`.
+    /// v.ub]` — against the composite index at `idx`, over `db`'s heap.
     ///
     /// The baseline path answers from the composite tree directly; the
     /// Hermit path translates the value predicate through the TRS-Tree,
     /// probes the companion `(leading, host)` baseline with the box, and
-    /// validates at the base table (the three-phase pipeline in composite
-    /// form).
+    /// re-checks both conjuncts at the base table. Either way the
+    /// candidates go through the executor's one validation tail, reading as
+    /// an auto-commit reader of `db`.
     pub fn lookup_box(
         &self,
         db: &Database,
@@ -300,18 +302,24 @@ impl CompositeIndexes {
         value_pred: RangePredicate,
     ) -> QueryResult {
         let mut result = QueryResult::default();
-        let mut candidates: Vec<Tid> = Vec::new();
+        let mut scratch = BatchScratch::default();
         if !self.gather_box_candidates(
             idx,
             leading_pred,
             value_pred,
             &mut result.breakdown,
-            &mut candidates,
+            &mut scratch.candidates,
         ) {
             return result;
         }
-        let validate_value = self.indexes.get(idx).map(CompositeIndex::is_hermit).unwrap_or(false);
-        finish(db, candidates, value_pred, Some(leading_pred), validate_value, &mut result);
+        // The same recheck rule as the planner's composite paths: a box
+        // scan is exact, a translated one is not.
+        let both = [leading_pred, value_pred];
+        let recheck: &[RangePredicate] =
+            if self.indexes.get(idx).is_some_and(CompositeIndex::is_hermit) { &both } else { &[] };
+        let _vis = db.txns.read_visibility();
+        let view = db.txns.read_view(None);
+        db.batched_resolve_validate(&mut scratch, recheck, None, &view, &mut result);
         result
     }
 
@@ -336,56 +344,6 @@ fn scan_box(
             f(*tid);
         }
     });
-}
-
-/// Shared tail: resolve tids and validate both predicates at the base
-/// table. Mirrors the single-column executor's phases 3–4.
-fn finish(
-    db: &Database,
-    candidates: Vec<Tid>,
-    value_pred: RangePredicate,
-    leading_pred: Option<RangePredicate>,
-    validate_value: bool,
-    result: &mut QueryResult,
-) {
-    let locs: Vec<hermit_storage::RowLoc> = match db.scheme() {
-        TidScheme::Physical => candidates.into_iter().map(|t| t.as_loc()).collect(),
-        TidScheme::Logical => {
-            let t = Instant::now();
-            let primary = db.primary();
-            let locs = candidates
-                .into_iter()
-                .filter_map(|tid| {
-                    let loc = primary.get(tid.as_pk());
-                    if loc.is_none() {
-                        result.unresolved += 1;
-                    }
-                    loc
-                })
-                .collect();
-            result.breakdown.primary_index += t.elapsed();
-            locs
-        }
-    };
-    // One heap visit per candidate reads both conjuncts. A row that is
-    // gone is unresolved; a page that cannot be read is `unreadable` — an
-    // error for the caller to report, never a shorter answer.
-    let t = Instant::now();
-    for loc in locs {
-        let visited = db.heap().with_row(loc, |row| {
-            row.map(|row| {
-                (!validate_value || value_pred.matches(row.f64(value_pred.column)))
-                    && leading_pred.is_none_or(|p| p.matches(row.f64(p.column)))
-            })
-        });
-        match visited {
-            Ok(Some(true)) => result.rows.push(loc),
-            Ok(Some(false)) => result.false_positives += 1,
-            Ok(None) => result.unresolved += 1,
-            Err(_) => result.unreadable += 1,
-        }
-    }
-    result.breakdown.base_table += t.elapsed();
 }
 
 /// Bulk-load a composite `(leading, value)` B+-tree from a heap. Shared by

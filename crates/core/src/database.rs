@@ -116,27 +116,12 @@ impl Heap {
         }
     }
 
-    /// Visit one row under a single heap access; every predicate column is
-    /// read from the same visit (one page pin on the paged substrate).
-    /// `None` for deleted/unresolvable rows; an error when the row's page
-    /// cannot be read (paged substrate only) — which is *not* a deleted row.
-    pub fn with_row<T>(
-        &self,
-        loc: RowLoc,
-        f: impl FnOnce(Option<RowRef<'_>>) -> T,
-    ) -> hermit_storage::Result<T> {
-        match self {
-            Heap::Mem(t) => Ok(t.read().with_row(loc, f)),
-            Heap::Paged(t) => t.with_row(loc, f),
-        }
-    }
-
-    /// Batched row visitation for validation: on the paged substrate the
-    /// candidates are visited grouped by page (each page pinned once, sorted
-    /// through the reusable `order` buffer); the in-memory substrate visits
-    /// in input order under one read-latch acquisition. `f` gets each
-    /// candidate's index into `locs` and its row view, and must not
-    /// re-enter the heap.
+    /// Batched row visitation for validation: the candidates are visited
+    /// in ascending [`RowLoc`] order, sorted through the reusable `order`
+    /// buffer — on the paged substrate each page is pinned once, in memory
+    /// one read-latch acquisition covers the batch. `f` gets each
+    /// candidate's index into `locs` and its row view (`None` for a deleted
+    /// row), and must not re-enter the heap.
     ///
     /// Returns the number of heap pages that could not be read (always 0 in
     /// memory); their candidates were not visited, so a non-zero count means
@@ -150,7 +135,7 @@ impl Heap {
     ) -> usize {
         match self {
             Heap::Mem(t) => {
-                t.read().for_each_row_batch(locs, f);
+                t.read().for_each_row_batch(locs, order, f);
                 0
             }
             Heap::Paged(t) => t.for_each_row_batch(locs, order, f),

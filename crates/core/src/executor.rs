@@ -1,7 +1,7 @@
-//! Query execution: the three-phase Hermit lookup and the baseline lookup,
-//! both with per-phase timing (§5.2, Fig. 3).
+//! Query execution entry points: the Hermit lookup and the baseline lookup
+//! of §5.2 / Fig. 3, with per-phase timing.
 //!
-//! **Hermit path** (target column carries a TRS-Tree):
+//! **Hermit route** (target column carries a TRS-Tree):
 //!
 //! 1. *TRS-Tree lookup* — translate the target predicate into host-column
 //!    ranges plus outlier tids.
@@ -12,26 +12,30 @@
 //! 4. *Base-table validation* — fetch each candidate and re-check the
 //!    original predicate, discarding false positives.
 //!
-//! **Baseline path** (target column carries a complete B+-tree): secondary
+//! **Baseline route** (target column carries a complete B+-tree): secondary
 //! index → (primary index) → base table; the results are exact, but the
 //! paper's harness still fetches the tuples, because that is what a real
 //! query does and it is where the time goes at high selectivity.
+//!
+//! Every entry point — [`Database::execute`], [`Database::execute_plan`],
+//! [`Database::execute_for_txn`], [`Database::lookup_range`] and
+//! [`Database::execute_batch`] — runs the one pipeline of [`crate::batch`].
 //!
 //! **Projection is emitted during validation.** The tuple phase 4 fetches
 //! to re-check the predicate *is* the answer, so a plan that carries a
 //! projection has each matching row's cells written into a
 //! [`RowBlock`] inside the validation visitor, while the row's page is
-//! pinned: one page visit per candidate, and no row can change between
+//! pinned: one page visit per candidate page, and no row can change between
 //! being validated and being returned. [`Database::fetch_rows`] is not on
 //! the query path; it serves callers that hold only row locations.
 
+use crate::batch::BatchScratch;
 use crate::breakdown::LookupBreakdown;
 use crate::database::Database;
-use crate::index::SecondaryIndex;
-use crate::plan::{AccessPath, QueryPlan};
+use crate::plan::QueryPlan;
 use crate::query::Query;
 use crate::rows::{BlockWriter, RowBlock};
-use hermit_storage::{ColumnId, F64Key, RowLoc, Tid, TidScheme, Value};
+use hermit_storage::{ColumnId, RowLoc, Value};
 use hermit_txn::ReadView;
 use std::time::Instant;
 
@@ -67,7 +71,7 @@ impl RangePredicate {
 /// Result of a range/point lookup.
 #[derive(Debug, Clone, Default)]
 pub struct QueryResult {
-    /// Row locations of qualifying tuples.
+    /// Row locations of qualifying tuples, in ascending order.
     pub rows: Vec<RowLoc>,
     /// Candidates fetched that failed validation (Hermit's approximation
     /// cost; always 0 for the baseline and the seq scan). Feeds Fig. 17.
@@ -100,11 +104,11 @@ impl QueryResult {
 }
 
 impl Database {
-    /// Plan and execute a [`Query`] through the scalar pipeline.
+    /// Plan and execute a [`Query`].
     ///
     /// The planner picks the driving access path (Hermit route, baseline
     /// B+-tree, composite box, or seq scan); every other conjunct is
-    /// validated at the base table. Unlike the legacy
+    /// validated at the base table. Unlike
     /// [`lookup_range`](Self::lookup_range), a query over an unindexed
     /// column returns its rows via the scan plan instead of nothing.
     pub fn execute(&self, query: &Query) -> QueryResult {
@@ -112,67 +116,17 @@ impl Database {
         self.execute_plan(&plan)
     }
 
-    /// Execute an already-built [`QueryPlan`] through the scalar pipeline
-    /// (plan once with [`plan`](Self::plan), execute many times).
+    /// Execute an already-built [`QueryPlan`] (plan once with
+    /// [`plan`](Self::plan), execute many times) as a batch of one.
     ///
     /// Reads are snapshot-filtered as an auto-commit reader: another
     /// transaction's uncommitted inserts are invisible and its pending
     /// deletes still visible (see [`crate::txn`]). With no open
     /// transactions the view is a lock-free no-op.
-    /// [`execute_for_txn`](Self::execute_for_txn) reads *as* a transaction
-    /// instead.
+    /// [`execute_plan_for_txn`](Self::execute_plan_for_txn) reads *as* a
+    /// transaction instead.
     pub fn execute_plan(&self, plan: &QueryPlan) -> QueryResult {
-        // Shared visibility latch for the whole execution (see
-        // `crate::txn`): the frozen view stays in lockstep with the heap
-        // until the last row is validated.
-        let _vis = self.txns.read_visibility();
-        self.execute_plan_view(plan, &self.txns.read_view(None))
-    }
-
-    /// [`execute_plan`](Self::execute_plan) with an explicit visibility
-    /// view (the shared body of auto-commit and transactional reads).
-    pub(crate) fn execute_plan_view(&self, plan: &QueryPlan, view: &ReadView) -> QueryResult {
-        let mut result = QueryResult::default();
-        let projection = plan.projection.as_deref();
-        let candidates = match &plan.access {
-            AccessPath::Hermit { pred, host } => {
-                let Some(SecondaryIndex::Hermit { trs, .. }) = self.index(pred.column) else {
-                    return result; // index dropped since planning
-                };
-                let Some(candidates) = self.hermit_candidates(trs, *host, *pred, &mut result)
-                else {
-                    return result;
-                };
-                candidates
-            }
-            AccessPath::Baseline { pred } => {
-                let Some(SecondaryIndex::Baseline(tree)) = self.index(pred.column) else {
-                    return result;
-                };
-                self.baseline_candidates(&tree.read(), *pred, &mut result)
-            }
-            AccessPath::CompositeBaseline { index, leading, value }
-            | AccessPath::CompositeHermit { index, leading, value, .. } => {
-                let mut candidates = Vec::new();
-                if !self.composites().gather_box_candidates(
-                    *index,
-                    *leading,
-                    *value,
-                    &mut result.breakdown,
-                    &mut candidates,
-                ) {
-                    return result;
-                }
-                candidates
-            }
-            AccessPath::SeqScan => {
-                self.run_scan_into(&plan.recheck, plan.limit, projection, view, &mut result);
-                return result;
-            }
-        };
-        self.resolve_and_validate_view(candidates, &plan.recheck, projection, view, &mut result);
-        finish_plan(plan, &mut result);
-        result
+        self.run_plan(plan, None, &mut BatchScratch::default())
     }
 
     /// Materialize the rows at `locs` — the columns in `cols`, or every
@@ -205,99 +159,18 @@ impl Database {
         (fetched, unreadable)
     }
 
-    /// Execute a range lookup on an indexed column, dispatching to the
-    /// Hermit or baseline pipeline based on the index kind.
+    /// Execute a range lookup through `pred`'s own index — the Hermit route
+    /// or the baseline B+-tree, whichever the column carries — as an
+    /// auto-commit reader, like [`execute_plan`](Self::execute_plan).
     ///
-    /// This is the legacy single-predicate surface, kept as the scalar
-    /// oracle for the equivalence suites: it *forces* the index access path
-    /// (no planner, no scan fallback — an unindexed column still returns an
-    /// empty result). `extra` is an optional second predicate validated at
-    /// the base table (the Stock workload's `TIME BETWEEN ? AND ?`
-    /// conjunct); [`Query`] generalizes it to arbitrary conjunctions.
+    /// The *forced-index* entry the paper's figures need (they compare
+    /// Hermit with a complete B+-tree; the planner would send a wide range
+    /// to a seq scan). A column without a routable index returns an empty
+    /// result. `extra` is a second conjunct validated at the base table
+    /// (the Stock workload's `TIME BETWEEN ? AND ?`).
     pub fn lookup_range(&self, pred: RangePredicate, extra: Option<RangePredicate>) -> QueryResult {
-        let mut result = QueryResult::default();
-        match self.index(pred.column) {
-            Some(SecondaryIndex::Hermit { trs, host }) => {
-                let recheck: Vec<RangePredicate> = std::iter::once(pred).chain(extra).collect();
-                if let Some(candidates) = self.hermit_candidates(trs, *host, pred, &mut result) {
-                    self.resolve_and_validate(candidates, &recheck, &mut result);
-                }
-            }
-            Some(SecondaryIndex::Baseline(tree)) => {
-                let recheck: Vec<RangePredicate> = extra.into_iter().collect();
-                let candidates = self.baseline_candidates(&tree.read(), pred, &mut result);
-                self.resolve_and_validate(candidates, &recheck, &mut result);
-            }
-            None => {}
-        }
-        result
-    }
-
-    /// Point-lookup convenience wrapper.
-    pub fn lookup_point(&self, column: ColumnId, v: f64) -> QueryResult {
-        self.lookup_range(RangePredicate::point(column, v), None)
-    }
-
-    /// Phases 1–2 of the Hermit route: TRS-Tree translation, then host-index
-    /// probes. The candidates are approximate, so the tail that validates
-    /// them must re-check `pred` itself. `None` when the host index has
-    /// dropped out from under the TRS-Tree — treated as no results.
-    fn hermit_candidates(
-        &self,
-        trs: &hermit_trs::ConcurrentTrsTree,
-        host: ColumnId,
-        pred: RangePredicate,
-        result: &mut QueryResult,
-    ) -> Option<Vec<Tid>> {
-        // Phase 1: TRS-Tree search (under the tree's read latch).
-        let t0 = Instant::now();
-        let approx = trs.lookup(pred.lb, pred.ub);
-        result.breakdown.trs_tree += t0.elapsed();
-
-        // Phase 2: host-index search over the translated ranges, unioned
-        // with the outlier tids (which skip the host index entirely, §4.3).
-        let t1 = Instant::now();
-        let Some(SecondaryIndex::Baseline(host_tree)) = self.index(host) else {
-            return None;
-        };
-        let host_tree = host_tree.read();
-        let had_outliers = !approx.tids.is_empty();
-        let mut candidates: Vec<Tid> = approx.tids;
-        for (lo, hi) in &approx.ranges {
-            host_tree.for_each_in_range(&F64Key(*lo), &F64Key(*hi), |_, tid| {
-                candidates.push(*tid);
-            });
-        }
-        drop(host_tree);
-        // The unioned ranges are disjoint, so host probes cannot repeat a
-        // tuple among themselves — duplicates only arise between outlier
-        // tids and range results. Dedupe only when outliers were returned.
-        if had_outliers {
-            candidates.sort_unstable();
-            candidates.dedup();
-        }
-        result.breakdown.host_index += t1.elapsed();
-        Some(candidates)
-    }
-
-    /// Phase 2 of the baseline pipeline: an exact index range scan (charged
-    /// to the host-index phase so the breakdown figures line up across
-    /// methods). The hits are exact on `pred`, so the tail validates only
-    /// the residual conjuncts — but it fetches the tuples either way (a real
-    /// query returns rows, not tids).
-    fn baseline_candidates(
-        &self,
-        tree: &hermit_btree::BPlusTree<F64Key, Tid>,
-        pred: RangePredicate,
-        result: &mut QueryResult,
-    ) -> Vec<Tid> {
-        let t0 = Instant::now();
-        let mut candidates: Vec<Tid> = Vec::new();
-        tree.for_each_in_range(&F64Key(pred.lb), &F64Key(pred.ub), |_, tid| {
-            candidates.push(*tid);
-        });
-        result.breakdown.host_index += t0.elapsed();
-        candidates
+        self.index_plan(pred, extra)
+            .map_or_else(QueryResult::default, |plan| self.execute_plan(&plan))
     }
 
     /// The scan fallback: stream every live heap row, validating all
@@ -342,151 +215,12 @@ impl Database {
         result.projected = writer.map(|w| w.finish(result.rows.len()));
         result.breakdown.base_table += t.elapsed();
     }
-
-    /// Phase 3 alone: resolve candidate tids to row locations. The logical
-    /// scheme pays the primary-index hop (one read-latch acquisition for
-    /// the whole candidate set); the physical scheme is a reinterpret.
-    fn resolve_candidates(&self, candidates: Vec<Tid>, result: &mut QueryResult) -> Vec<RowLoc> {
-        match self.scheme() {
-            TidScheme::Physical => candidates.into_iter().map(|t| t.as_loc()).collect(),
-            TidScheme::Logical => {
-                let t2 = Instant::now();
-                let primary = self.primary();
-                let resolved: Vec<RowLoc> = candidates
-                    .into_iter()
-                    .filter_map(|t| {
-                        let loc = primary.get(t.as_pk());
-                        if loc.is_none() {
-                            result.unresolved += 1;
-                        }
-                        loc
-                    })
-                    .collect();
-                result.breakdown.primary_index += t2.elapsed();
-                resolved
-            }
-        }
-    }
-
-    /// Legacy tail of the index pipelines: primary-index resolution
-    /// (logical pointers) and one base-table fetch per candidate,
-    /// validating every `recheck` conjunct. Kept unfiltered as the scalar
-    /// oracle behind [`lookup_range`](Self::lookup_range).
-    fn resolve_and_validate(
-        &self,
-        candidates: Vec<Tid>,
-        recheck: &[RangePredicate],
-        result: &mut QueryResult,
-    ) {
-        let locs = self.resolve_candidates(candidates, result);
-
-        // Phase 4: base-table fetch + validation. One heap visit per
-        // candidate: every recheck column is read from the same row view,
-        // so extra conjuncts never resolve the page twice.
-        let t3 = Instant::now();
-        for loc in locs {
-            let visited = self.heap().with_row(loc, |row| match row {
-                None => result.unresolved += 1,
-                Some(row) => {
-                    if recheck.iter().all(|p| p.matches(row.f64(p.column))) {
-                        result.rows.push(loc);
-                    } else {
-                        result.false_positives += 1;
-                    }
-                }
-            });
-            result.unreadable += usize::from(visited.is_err());
-        }
-        result.breakdown.base_table += t3.elapsed();
-    }
-
-    /// Snapshot tail of the index pipelines: phase 3 via
-    /// [`resolve_candidates`](Self::resolve_candidates), then one batched
-    /// heap read-session for phase 4 — each heap page is pinned once
-    /// ([`crate::Heap::for_each_row_batch`]) instead of one latch
-    /// round-trip per candidate, which is what lets concurrent snapshot
-    /// readers scale past the per-row latch churn of the legacy tail.
-    ///
-    /// With a `projection`, a matching row's cells are written at its
-    /// candidate's slot of a block sized before the pass (the visitor runs
-    /// under a pool shard lock and must not allocate), and the slots of the
-    /// candidates that did not match are squeezed out afterwards.
-    ///
-    /// Rows invisible to `view` (another transaction's uncommitted insert,
-    /// or a row the owner has pending-deleted) are skipped silently: they
-    /// count as neither matches nor false positives and contribute no
-    /// cells, exactly as if the write had never happened. Verdicts are
-    /// buffered per candidate index so `rows` and `projected` keep
-    /// candidate order — bit-identical to the legacy tail when nothing is
-    /// filtered.
-    fn resolve_and_validate_view(
-        &self,
-        candidates: Vec<Tid>,
-        recheck: &[RangePredicate],
-        projection: Option<&[ColumnId]>,
-        view: &ReadView,
-        result: &mut QueryResult,
-    ) {
-        let locs = self.resolve_candidates(candidates, result);
-
-        let t3 = Instant::now();
-        let filtering = view.is_filtering();
-        let pk_col = self.pk_col();
-        let mut writer =
-            projection.map(|cols| BlockWriter::new(cols, self.heap().width(), locs.len()));
-        // 0 = unresolved, 1 = match, 2 = false positive, 3 = invisible,
-        // 4 = never visited (its page was unreadable).
-        let mut verdicts = vec![4u8; locs.len()];
-        let mut order = Vec::new();
-        result.unreadable += self.heap().for_each_row_batch(&locs, &mut order, |i, row| {
-            verdicts[i] = match row {
-                None => 0,
-                Some(row) => {
-                    if filtering
-                        && row.value(pk_col).as_i64().is_some_and(|pk| !view.visible_pk(pk))
-                    {
-                        3
-                    } else if recheck.iter().all(|p| p.matches(row.f64(p.column))) {
-                        if let Some(writer) = &mut writer {
-                            writer.emit(i, &row);
-                        }
-                        1
-                    } else {
-                        2
-                    }
-                }
-            };
-        });
-        for (i, &loc) in locs.iter().enumerate() {
-            match verdicts[i] {
-                0 => result.unresolved += 1,
-                1 => result.rows.push(loc),
-                2 => result.false_positives += 1,
-                _ => {}
-            }
-        }
-        result.projected = writer.map(|w| {
-            w.finish_compacted(verdicts.iter().enumerate().filter(|(_, &v)| v == 1).map(|(i, _)| i))
-        });
-        result.breakdown.base_table += t3.elapsed();
-    }
-}
-
-/// Apply a plan's limit to a validated result: `rows` and the projected
-/// block are truncated together, so they stay aligned.
-pub(crate) fn finish_plan(plan: &QueryPlan, result: &mut QueryResult) {
-    if let Some(n) = plan.limit {
-        result.rows.truncate(n);
-        if let Some(block) = &mut result.projected {
-            block.truncate(n);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hermit_storage::{ColumnDef, Schema, Value};
+    use hermit_storage::{ColumnDef, Schema, TidScheme, Value};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -586,11 +320,11 @@ mod tests {
         // find them via its outlier buffers.
         let db = hermit_db(TidScheme::Physical, 10_000, 50);
         for probe in [0.0, 50.0, 4_950.0] {
-            let r = db.lookup_point(2, probe);
+            let r = db.lookup_range(RangePredicate::point(2, probe), None);
             assert_eq!(r.rows.len(), 1, "outlier row at target={probe} must be found");
         }
         // Normal rows still work.
-        let r = db.lookup_point(2, 123.0);
+        let r = db.lookup_range(RangePredicate::point(2, 123.0), None);
         assert_eq!(r.rows.len(), 1);
     }
 

@@ -210,12 +210,11 @@ pub const LATCH_NESTING_EDGES: &[(u32, u32)] = &[
               //   paged heap has no rank-60 latch (the buffer pool's shard locks
               //   are leaves); the in-memory heap latch never sits under the
               //   durability brackets because the mem substrate cannot checkpoint.
-              // * (40, 50) / (40, 60) / (50, 60) — both executors copy candidates
+              // * (40, 50) / (40, 60) / (50, 60) — the executor copies candidates
               //   out of each index guard before taking the next latch, so
               //   primary and heap acquisitions never nest under another data
               //   latch, and a tree's writers never wait out a query's heap
-              //   validation. (The scalar baseline path used to keep its tree
-              //   latch across validation and was the one (40, 60) edge.)
+              //   validation.
 ];
 
 // ---------------------------------------------------------------------

@@ -30,10 +30,11 @@
 //! [`query`] and [`plan`] form the unified query surface: a declarative
 //! [`Query`] of arbitrary conjuncts is turned into an inspectable, costed
 //! [`QueryPlan`] (EXPLAIN via `Display`) choosing among the Hermit route, a
-//! baseline index, a composite box scan, or a sequential-scan fallback;
+//! baseline index, a composite box scan, or a sequential-scan fallback.
 //! [`Database::execute`] and [`Database::execute_batch`] run plans through
-//! the scalar and vectorized pipelines respectively. A projection comes
-//! back as a [`RowBlock`] written during base-table validation ([`rows`]).
+//! one pipeline ([`batch`]): a single query is a batch of one. A projection
+//! comes back as a [`RowBlock`] written during base-table validation
+//! ([`rows`]).
 //!
 //! [`txn`] adds multi-statement transactions on top: snapshot-isolation
 //! reads, first-writer-wins write locks, WAL commit records, and loser

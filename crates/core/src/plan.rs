@@ -91,8 +91,8 @@ pub enum AccessPath {
     SeqScan,
 }
 
-/// Coarse plan classification, used by the bench-smoke plan counters and
-/// regression guards.
+/// Coarse plan classification: the server's per-kind latency histograms
+/// and the benchmark's plan counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlanKind {
     /// TRS-Tree route (single-column or composite).
@@ -134,8 +134,8 @@ impl PlanKind {
 /// An executable, inspectable query plan.
 ///
 /// Produced by [`Database::plan`]; executed by [`Database::execute_plan`]
-/// (scalar) or [`Database::execute_plans`] (vectorized). The `Display`
-/// impl renders the stable EXPLAIN format.
+/// (a batch of one) or [`Database::execute_plans`]. The `Display` impl
+/// renders the stable EXPLAIN format.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryPlan {
     /// The chosen driving access path.
@@ -322,6 +322,30 @@ impl Database {
     /// support, cost them from column statistics, and return the cheapest
     /// as an executable [`QueryPlan`].
     pub fn plan(&self, query: &Query) -> QueryPlan {
+        self.plan_among(query, false).expect("seq scan is always a candidate")
+    }
+
+    /// The plan that forces `pred`'s own single-column index — the Hermit
+    /// route or the baseline B+-tree, whichever its column carries — with
+    /// `extra` as a residual conjunct: the plan behind
+    /// [`lookup_range`](Database::lookup_range). `None` when the column has
+    /// no routable index.
+    pub(crate) fn index_plan(
+        &self,
+        pred: RangePredicate,
+        extra: Option<RangePredicate>,
+    ) -> Option<QueryPlan> {
+        let query = extra.into_iter().fold(Query::filter(pred), Query::and);
+        self.plan_among(&query, true)
+    }
+
+    /// Enumerate and cost `query`'s access paths and build the cheapest
+    /// into a plan. With `forced_index` the only path enumerated is the
+    /// first conjunct's single-column index, so the planner and
+    /// [`index_plan`](Self::index_plan) share that branch — and its recheck
+    /// rule: a Hermit route re-checks its driving conjunct, a baseline
+    /// index only the residuals.
+    fn plan_among(&self, query: &Query, forced_index: bool) -> Option<QueryPlan> {
         let n = self.len();
         let nf = n as f64;
         let conjuncts = query.conjuncts();
@@ -369,7 +393,8 @@ impl Database {
 
         // Single-column index paths, one per conjunct whose column is
         // indexed.
-        for (i, pred) in conjuncts.iter().enumerate() {
+        let driving = if forced_index { &conjuncts[..1] } else { conjuncts };
+        for (i, pred) in driving.iter().enumerate() {
             match self.index(pred.column) {
                 Some(SecondaryIndex::Baseline(_)) => {
                     let cand = sels[i] * nf;
@@ -400,84 +425,88 @@ impl Database {
             }
         }
 
-        // Composite box paths: ordered conjunct pairs matching a registered
-        // (leading, value) composite index. One read-latch acquisition
+        // In a free choice, composite box paths and the scan compete too.
+        // Composite paths are ordered conjunct pairs matching a registered
+        // (leading, value) composite index; one read-latch acquisition
         // covers the whole enumeration.
-        let composites = self.composites();
-        for (i, lead) in conjuncts.iter().enumerate() {
-            for (j, val) in conjuncts.iter().enumerate() {
-                if i == j {
-                    continue;
-                }
-                for idx in 0..composites.len() {
-                    let Some(ci) = composites.get(idx) else { continue };
-                    let lead_sel = sels[i];
-                    match ci {
-                        CompositeIndex::Baseline { leading, value, .. }
-                            if *leading == lead.column && *value == val.column =>
-                        {
-                            let cand = lead_sel * sels[j] * nf;
-                            paths.push(Candidate {
-                                access: AccessPath::CompositeBaseline {
-                                    index: idx,
-                                    leading: *lead,
-                                    value: *val,
-                                },
-                                // The box scan filters both keys exactly
-                                // in-index, so only the residual conjuncts
-                                // need phase-4 validation.
-                                recheck: residual(&[i, j]),
-                                cost: COST_PROBE
-                                    + lead_sel * nf * COST_ENTRY
-                                    + cand * COST_CANDIDATE,
-                                candidates: cand,
-                            });
+        let composites = (!forced_index).then(|| self.composites());
+        if let Some(composites) = &composites {
+            for (i, lead) in conjuncts.iter().enumerate() {
+                for (j, val) in conjuncts.iter().enumerate() {
+                    if i == j {
+                        continue;
+                    }
+                    for idx in 0..composites.len() {
+                        let Some(ci) = composites.get(idx) else { continue };
+                        let lead_sel = sels[i];
+                        match ci {
+                            CompositeIndex::Baseline { leading, value, .. }
+                                if *leading == lead.column && *value == val.column =>
+                            {
+                                let cand = lead_sel * sels[j] * nf;
+                                paths.push(Candidate {
+                                    access: AccessPath::CompositeBaseline {
+                                        index: idx,
+                                        leading: *lead,
+                                        value: *val,
+                                    },
+                                    // The box scan filters both keys exactly
+                                    // in-index, so only the residual conjuncts
+                                    // need phase-4 validation.
+                                    recheck: residual(&[i, j]),
+                                    cost: COST_PROBE
+                                        + lead_sel * nf * COST_ENTRY
+                                        + cand * COST_CANDIDATE,
+                                    candidates: cand,
+                                });
+                            }
+                            CompositeIndex::Hermit { trs, leading, target, host }
+                                if *leading == lead.column
+                                    && *target == val.column
+                                    && composites.companion_baseline(*leading, *host).is_some() =>
+                            {
+                                let vsel = (sels[j]
+                                    + trs_inflation(trs.params().error_bound, *host))
+                                .min(1.0);
+                                let cand = lead_sel * vsel * nf;
+                                // Both box conjuncts must be re-checked: the
+                                // value conjunct was translated approximately,
+                                // and the TRS-Tree's outlier tids join the
+                                // candidate set *without* passing through the
+                                // box scan, so even the leading conjunct can be
+                                // violated by an outlier row.
+                                let mut recheck = vec![*lead, *val];
+                                recheck.extend(residual(&[i, j]));
+                                paths.push(Candidate {
+                                    access: AccessPath::CompositeHermit {
+                                        index: idx,
+                                        leading: *lead,
+                                        value: *val,
+                                        host: *host,
+                                    },
+                                    recheck,
+                                    cost: COST_TRS
+                                        + COST_PROBE
+                                        + lead_sel * nf * COST_ENTRY
+                                        + cand * COST_CANDIDATE,
+                                    candidates: cand,
+                                });
+                            }
+                            _ => {}
                         }
-                        CompositeIndex::Hermit { trs, leading, target, host }
-                            if *leading == lead.column
-                                && *target == val.column
-                                && composites.companion_baseline(*leading, *host).is_some() =>
-                        {
-                            let vsel =
-                                (sels[j] + trs_inflation(trs.params().error_bound, *host)).min(1.0);
-                            let cand = lead_sel * vsel * nf;
-                            // Both box conjuncts must be re-checked: the
-                            // value conjunct was translated approximately,
-                            // and the TRS-Tree's outlier tids join the
-                            // candidate set *without* passing through the
-                            // box scan, so even the leading conjunct can be
-                            // violated by an outlier row.
-                            let mut recheck = vec![*lead, *val];
-                            recheck.extend(residual(&[i, j]));
-                            paths.push(Candidate {
-                                access: AccessPath::CompositeHermit {
-                                    index: idx,
-                                    leading: *lead,
-                                    value: *val,
-                                    host: *host,
-                                },
-                                recheck,
-                                cost: COST_TRS
-                                    + COST_PROBE
-                                    + lead_sel * nf * COST_ENTRY
-                                    + cand * COST_CANDIDATE,
-                                candidates: cand,
-                            });
-                        }
-                        _ => {}
                     }
                 }
             }
-        }
 
-        // The fallback that is always available: scan the heap, validate
-        // everything in-scan.
-        paths.push(Candidate {
-            access: AccessPath::SeqScan,
-            recheck: conjuncts.to_vec(),
-            cost: nf * COST_SEQ_ROW,
-            candidates: nf,
-        });
+            // The fallback that is always available: scan the heap, validate
+            // everything in-scan.
+            paths.push(Candidate {
+                access: AccessPath::SeqScan,
+                recheck: conjuncts.to_vec(),
+                cost: nf * COST_SEQ_ROW,
+                candidates: nf,
+            });
+        }
 
         // Cheapest wins; earlier enumeration order breaks ties (indexes
         // before composites before the scan).
@@ -485,8 +514,7 @@ impl Database {
             .into_iter()
             .enumerate()
             .min_by(|(ia, a), (ib, b)| a.cost.total_cmp(&b.cost).then(ia.cmp(ib)))
-            .map(|(_, c)| c)
-            .expect("seq scan is always a candidate");
+            .map(|(_, c)| c)?;
 
         // Column labels for EXPLAIN: every column the plan mentions.
         let mut mentioned: Vec<ColumnId> = conjuncts.iter().map(|p| p.column).collect();
@@ -507,7 +535,7 @@ impl Database {
             .filter_map(|cid| schema.column(cid).ok().map(|def| (cid, def.name.clone())))
             .collect();
 
-        QueryPlan {
+        Some(QueryPlan {
             access: best.access,
             recheck: best.recheck,
             limit: query.limit_rows(),
@@ -518,7 +546,7 @@ impl Database {
             heap_rows: n,
             scheme: self.scheme(),
             labels,
-        }
+        })
     }
 }
 

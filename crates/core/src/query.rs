@@ -5,9 +5,10 @@
 //! columns, plus an optional projection and row limit — the shape of every
 //! lookup in the paper (`SELECT ... WHERE a BETWEEN ? AND ? AND b BETWEEN
 //! ? AND ?`). [`crate::Database::execute`] plans it with the cost-based
-//! planner ([`crate::plan`]) and funnels the chosen access path into the
-//! scalar pipeline; [`crate::Database::execute_batch`] funnels batches into
-//! the vectorized pipeline. Both return the same [`crate::QueryResult`]s.
+//! planner ([`crate::plan`]) and runs the chosen access path through the
+//! query pipeline ([`crate::batch`]) as a batch of one;
+//! [`crate::Database::execute_batch`] runs many through the same pipeline.
+//! Both return the same [`crate::QueryResult`] for the same query.
 //!
 //! # Plan nodes vs the paper's Fig. 3 phases
 //!
@@ -92,9 +93,10 @@ impl Query {
         self
     }
 
-    /// Return at most `n` rows. Which rows survive is plan- and
-    /// substrate-dependent (there is no ORDER BY), exactly like a bare SQL
-    /// `LIMIT`.
+    /// Return at most `n` rows: the `n` lowest row locations of the
+    /// unlimited answer. Every plan emits its rows in ascending location
+    /// (heap) order on both substrates, so which rows survive does not
+    /// depend on the plan, the substrate or the entry point.
     pub fn limit(mut self, n: usize) -> Self {
         self.limit = Some(n);
         self

@@ -75,8 +75,8 @@ impl RowBlock {
 
 /// Fills a [`RowBlock`] from inside a heap visitor. The block is sized for
 /// every candidate before the pass, so [`emit`](Self::emit) — which runs
-/// under the visited page's pool shard lock — never allocates; the slots of
-/// candidates that did not match are squeezed out afterwards.
+/// under the visited page's pool shard lock — never allocates; matches are
+/// written at consecutive slots and the unused tail is cut off at the end.
 pub(crate) struct BlockWriter<'p> {
     cols: &'p [ColumnId],
     /// `cols` is `0..heap width`: rows are copied whole.
@@ -112,26 +112,11 @@ impl<'p> BlockWriter<'p> {
         row.write_cells(cols, &mut self.block.bytes[slot * stride..end]);
     }
 
-    /// The block of the first `rows` slots, for a pass that emitted at
-    /// consecutive slots.
+    /// The block of the first `rows` slots.
     pub(crate) fn finish(mut self, rows: usize) -> RowBlock {
         self.block.rows = rows;
         self.block.bytes.truncate(rows * self.cols.len() * CELL_BYTES);
         self.block
-    }
-
-    /// The block of the slots in `keep` (ascending), moved up in that order,
-    /// for a pass that emitted each match at its candidate's own slot.
-    pub(crate) fn finish_compacted(mut self, keep: impl Iterator<Item = usize>) -> RowBlock {
-        let stride = self.cols.len() * CELL_BYTES;
-        let mut rows = 0;
-        for slot in keep {
-            if slot != rows {
-                self.block.bytes.copy_within(slot * stride..(slot + 1) * stride, rows * stride);
-            }
-            rows += 1;
-        }
-        self.finish(rows)
     }
 }
 
@@ -145,24 +130,23 @@ mod tests {
     }
 
     #[test]
-    fn compaction_keeps_slot_order_and_decodes_back() {
+    fn whole_rows_at_consecutive_slots_decode_back() {
         let rows: Vec<Vec<Value>> = (0..5i64)
             .map(|i| vec![Value::Int(i), Value::Float(i as f64 * 0.5), Value::Null])
             .collect();
         let cols = [0, 1, 2];
         let mut w = BlockWriter::new(&cols, 3, rows.len());
         assert!(w.whole_row);
-        // Emitted out of order, as a page-ordered pass does.
-        for i in [3usize, 0, 4, 1] {
-            w.emit(i, &RowRef::Encoded { bytes: &record(&rows[i]) });
+        // Four matches of five candidates, written where a validation pass
+        // writes them: at the next free slot.
+        let kept = [&rows[0], &rows[1], &rows[3], &rows[4]];
+        for (slot, row) in kept.iter().enumerate() {
+            w.emit(slot, &RowRef::Encoded { bytes: &record(row) });
         }
-        let block = w.finish_compacted([0usize, 1, 3, 4].into_iter());
+        let block = w.finish(kept.len());
         assert_eq!(block.len(), 4);
         assert_eq!(block.cells_per_row(), 3);
-        assert_eq!(
-            block.to_rows(),
-            vec![rows[0].clone(), rows[1].clone(), rows[3].clone(), rows[4].clone()]
-        );
+        assert_eq!(block.to_rows(), kept.map(|r| r.clone()).to_vec());
         assert_eq!(block.as_bytes().len(), 4 * 3 * CELL_BYTES);
     }
 

@@ -117,12 +117,12 @@ impl SharedDatabase {
         &self.inner
     }
 
-    /// Plan and execute a query through the scalar pipeline.
+    /// Plan and execute a query (a batch of one).
     pub fn execute(&self, query: &Query) -> QueryResult {
         self.inner.execute(query)
     }
 
-    /// Plan and execute a batch of queries through the vectorized pipeline.
+    /// Plan and execute a batch of queries with one reused scratch.
     pub fn execute_batch(&self, queries: &[Query], opts: &BatchOptions) -> Vec<QueryResult> {
         self.inner.execute_batch(queries, opts)
     }

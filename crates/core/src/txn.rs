@@ -102,10 +102,12 @@
 //! guard serializing them); on a durable database every write path holds
 //! the WAL guard, which makes them exact.
 
+use crate::batch::BatchScratch;
 use crate::breakdown::InsertBreakdown;
 use crate::database::Database;
 use crate::error::CoreError;
 use crate::executor::QueryResult;
+use crate::plan::QueryPlan;
 use crate::query::Query;
 use hermit_storage::wal::WalRecord;
 use hermit_storage::{StorageError, Tid, Value};
@@ -327,17 +329,18 @@ impl Database {
         Ok(())
     }
 
-    /// Plan and execute a query as transaction `txn`: the read view is
+    /// Plan and execute a query as transaction `txn`; see
+    /// [`execute_plan_for_txn`](Self::execute_plan_for_txn).
+    pub fn execute_for_txn(&self, query: &Query, txn: u64) -> QueryResult {
+        self.execute_plan_for_txn(&self.plan(query), txn)
+    }
+
+    /// Execute an already-built plan as transaction `txn`: the read view is
     /// frozen with `txn` as the owner, so the transaction sees its own
     /// uncommitted writes (inserts visible, pending deletes gone) on top of
     /// the same snapshot rules every other reader gets.
-    pub fn execute_for_txn(&self, query: &Query, txn: u64) -> QueryResult {
-        let plan = self.plan(query);
-        // Shared visibility latch for the whole execution: the frozen view
-        // stays in lockstep with the heap until the last row is validated.
-        let _vis = self.txns.read_visibility();
-        let view = self.txns.read_view(Some(txn));
-        self.execute_plan_view(&plan, &view)
+    pub fn execute_plan_for_txn(&self, plan: &QueryPlan, txn: u64) -> QueryResult {
+        self.run_plan(plan, Some(txn), &mut BatchScratch::default())
     }
 
     /// Apply an undo list in reverse order. Both compensations are

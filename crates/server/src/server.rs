@@ -535,11 +535,12 @@ fn run_query(inner: &Arc<Inner>, query: Query, txn: Option<u64>) -> Result<RowBl
             query.select(0..width)
         }
     };
+    // Planned once: the plan executed is the plan whose kind is recorded.
     let plan = db.db().plan(&query);
     let kind = plan.kind();
     let t0 = Instant::now();
     let result = match txn {
-        Some(t) => db.execute_for_txn(&query, t),
+        Some(t) => db.db().execute_plan_for_txn(&plan, t),
         None => db.db().execute_plan(&plan),
     };
     let elapsed = t0.elapsed();

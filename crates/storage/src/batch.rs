@@ -12,8 +12,8 @@ use crate::schema::ColumnId;
 use crate::table::Table;
 use crate::value::{encode_cell, Value, CELL_BYTES};
 
-/// A borrowed view of one live row, valid only inside a batch/`with_row`
-/// visitor callback.
+/// A borrowed view of one live row, valid only inside a heap visitor
+/// callback (a batch or a scan).
 ///
 /// Both substrates are represented: the in-memory columnar heap hands out
 /// `(table, row index)` pairs, the paged heap hands out the row's encoded

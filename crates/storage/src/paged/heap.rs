@@ -253,17 +253,6 @@ impl PagedTable {
         Ok(self.value(loc, cid)?.as_f64())
     }
 
-    /// Visit one row under a single page access. The callback receives
-    /// `None` if the row is deleted; otherwise a [`RowRef`] from which any
-    /// number of cells can be decoded without further pool traffic. A page
-    /// that cannot be read is an error, never a `None`: whether the row
-    /// exists is unknown, and the caller must not treat it as deleted.
-    pub fn with_row<T>(&self, loc: RowLoc, f: impl FnOnce(Option<RowRef<'_>>) -> T) -> Result<T> {
-        self.pool.read(loc.block as PageId, |page| {
-            f(page.get(loc.offset as u16).ok().map(|bytes| RowRef::Encoded { bytes }))
-        })
-    }
-
     /// Visit a set of candidate rows grouped by page: candidates are sorted
     /// by `(page, slot)` through the reusable `order` scratch buffer, each
     /// page is pinned once, and all of its candidates are visited under that
@@ -276,8 +265,8 @@ impl PagedTable {
     /// incomplete answer and must report an error rather than a shorter
     /// result.
     ///
-    /// Visitation order is page order, not `locs` order — callers that care
-    /// about the original position use the index argument.
+    /// Visitation order is ascending [`RowLoc`] order, not `locs` order —
+    /// callers that care about the original position use the index argument.
     ///
     /// `f` runs while the row's page is pinned (its pool shard locked), so
     /// it must not re-enter the buffer pool; read everything needed through
@@ -499,21 +488,24 @@ mod tests {
     }
 
     #[test]
-    fn with_row_reads_both_columns_in_one_visit() {
+    fn a_one_row_batch_reads_both_columns_in_one_visit() {
         let t = make_table(8);
         let loc = t.insert(&row(3, 1.5, Some(9.0))).unwrap();
+        let mut order = Vec::new();
+        let mut read = |t: &PagedTable| {
+            let mut seen = None;
+            let unreadable = t.for_each_row_batch(&[loc], &mut order, |_, r| {
+                seen = Some(r.map(|r| (r.f64(1), r.f64(2))));
+            });
+            assert_eq!(unreadable, 0);
+            seen.expect("the candidate was visited")
+        };
         t.pool().stats().reset();
-        let (a, b) = t
-            .with_row(loc, |r| {
-                let r = r.expect("row is live");
-                (r.f64(1), r.f64(2))
-            })
-            .unwrap();
-        assert_eq!((a, b), (Some(1.5), Some(9.0)));
+        assert_eq!(read(&t), Some((Some(1.5), Some(9.0))));
         assert_eq!(t.pool().stats().hits() + t.pool().stats().misses(), 1, "one page access");
         // Deleted rows come back as None.
         t.delete(loc).unwrap();
-        assert!(t.with_row(loc, |r| r.is_none()).unwrap());
+        assert_eq!(read(&t), None);
     }
 
     #[test]

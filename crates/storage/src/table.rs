@@ -188,32 +188,25 @@ impl Table {
         Ok(self.columns[cid].get_f64(idx))
     }
 
-    /// Visit one row through a [`RowRef`], so several cells can be read
-    /// under a single liveness check. `None` for deleted/out-of-range rows.
-    #[inline]
-    pub fn with_row<T>(&self, loc: RowLoc, f: impl FnOnce(Option<RowRef<'_>>) -> T) -> T {
-        match self.check_live(loc) {
-            Ok(idx) => f(Some(RowRef::Columnar { table: self, idx })),
-            Err(_) => f(None),
-        }
-    }
-
-    /// Batched counterpart of [`with_row`](Self::with_row): visit every
-    /// candidate in `locs`, passing its index and row view to `f`.
-    ///
-    /// The in-memory heap has no pages to group by, so candidates are
-    /// visited in input order; the signature mirrors
-    /// [`crate::paged::PagedTable::for_each_row_batch`] so the executor can
-    /// drive either substrate through one code path.
+    /// Visit every candidate in `locs`, passing its index and row view
+    /// (`None` for a deleted or out-of-range row) to `f`, in ascending
+    /// [`RowLoc`] order — sorted through the reusable `order` buffer, the
+    /// order [`crate::paged::PagedTable::for_each_row_batch`] visits in, so
+    /// the executor drives either substrate through one code path and gets
+    /// the same row order from both.
     pub fn for_each_row_batch(
         &self,
         locs: &[RowLoc],
+        order: &mut Vec<u32>,
         mut f: impl FnMut(usize, Option<RowRef<'_>>),
     ) {
-        for (i, &loc) in locs.iter().enumerate() {
-            match self.check_live(loc) {
-                Ok(idx) => f(i, Some(RowRef::Columnar { table: self, idx })),
-                Err(_) => f(i, None),
+        order.clear();
+        order.extend(0..locs.len() as u32);
+        order.sort_unstable_by_key(|&i| locs[i as usize]);
+        for &i in order.iter() {
+            match self.check_live(locs[i as usize]) {
+                Ok(idx) => f(i as usize, Some(RowRef::Columnar { table: self, idx })),
+                Err(_) => f(i as usize, None),
             }
         }
     }

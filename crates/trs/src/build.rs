@@ -18,7 +18,7 @@
 //! residual quantiles (a leaf's ε widening, the split lookahead's median)
 //! *select* their order statistic, and the trimmed refit keeps exactly
 //! the pairs a stable sort by residual would have put first, ties at the
-//! cut taken in pair order ([`compute_and_validate`]). Each node is fitted
+//! cut taken in pair order (`compute_and_validate`). Each node is fitted
 //! once: the split decision hands its fit to the leaf it builds, and a
 //! split hands every child the bucket and fit its lookahead already made.
 

@@ -1,15 +1,19 @@
-//! Equivalence suite: the batched executor (`Database::lookup_batch`) must
-//! return exactly the rows, false-positive counts, and unresolved counts of
-//! the scalar oracle (`Database::lookup_range`) — across both tuple-id
-//! schemes, both storage substrates, outliers, deletions, out-of-domain
-//! predicates, extra conjuncts, and parallel validation.
+//! Equivalence suite: every query the pipeline answers — alone or in a
+//! batch, through the planner or through the forced-index `lookup_range` —
+//! must return exactly the rows of a brute-force filter over the live heap,
+//! in heap order, across both tuple-id schemes, both storage substrates,
+//! outliers, deletions, out-of-domain predicates and extra conjuncts; and a
+//! batch must answer each query exactly as a batch of one does.
 
-use hermit::core::{BatchOptions, Database, QueryResult, RangePredicate};
+use hermit::core::{
+    BatchOptions, Database, PlanKind, Query, QueryResult, RangePredicate, SecondaryIndex,
+};
 use hermit::storage::paged::{BufferPool, PagedTable, SimulatedPageStore};
-use hermit::storage::{ColumnDef, RowLoc, Schema, TidScheme, Value};
+use hermit::storage::{ColumnDef, F64Key, RowLoc, Schema, TidScheme, Value};
 use hermit::trs::TrsParams;
 use std::sync::Arc;
 
+const HOST: usize = 1;
 const TARGET: usize = 2;
 const OTHER: usize = 3;
 
@@ -41,8 +45,8 @@ fn insert_rows(db: &mut Database, n: usize, noise_every: usize) {
 fn mem_hermit(scheme: TidScheme, n: usize, noise_every: usize) -> Database {
     let mut db = Database::new(schema(), 0, scheme);
     insert_rows(&mut db, n, noise_every);
-    db.create_baseline_index(1, true).unwrap();
-    db.create_hermit_index(TARGET, 1).unwrap();
+    db.create_baseline_index(HOST, true).unwrap();
+    db.create_hermit_index(TARGET, HOST).unwrap();
     db
 }
 
@@ -61,24 +65,60 @@ fn paged_hermit(n: usize, noise_every: usize, pool_pages: usize, shards: usize) 
     let table = PagedTable::new(schema(), pool);
     let mut db = Database::new_paged(table, 0);
     insert_rows(&mut db, n, noise_every);
-    db.create_baseline_index(1, true).unwrap();
-    db.create_hermit_index(TARGET, 1).unwrap();
+    db.create_baseline_index(HOST, true).unwrap();
+    db.create_hermit_index(TARGET, HOST).unwrap();
     db
 }
 
-fn sorted_rows(r: &QueryResult) -> Vec<RowLoc> {
-    let mut rows = r.rows.clone();
-    rows.sort_unstable();
+/// The independent reference: every live row matching all of `preds`, in
+/// heap order, by a brute-force pass over the heap — no index, no planner,
+/// no executor.
+fn reference(db: &Database, preds: &[RangePredicate]) -> Vec<RowLoc> {
+    let mut rows = Vec::new();
+    db.heap()
+        .for_each_live_row(|loc, row| {
+            let matches = preds.iter().all(|p| {
+                let v = row.value(p.column).as_f64();
+                v.is_some_and(|v| v >= p.lb && v <= p.ub)
+            });
+            if matches {
+                rows.push(loc);
+            }
+            true
+        })
+        .unwrap();
     rows
 }
 
-fn assert_equivalent(scalar: &QueryResult, batched: &QueryResult, ctx: &str) {
-    assert_eq!(sorted_rows(scalar), sorted_rows(batched), "{ctx}: row sets differ");
-    assert_eq!(
-        scalar.false_positives, batched.false_positives,
-        "{ctx}: false-positive counts differ"
-    );
-    assert_eq!(scalar.unresolved, batched.unresolved, "{ctx}: unresolved counts differ");
+/// `got` is the reference answer: the same rows in the same (heap) order,
+/// and nothing unresolved or unreadable.
+fn assert_exact(db: &Database, got: &QueryResult, preds: &[RangePredicate], ctx: &str) {
+    assert_eq!(got.rows, reference(db, preds), "{ctx}: rows");
+    assert_eq!((got.unresolved, got.unreadable), (0, 0), "{ctx}: unresolved / unreadable");
+}
+
+fn counts(r: &QueryResult) -> (usize, usize, usize) {
+    (r.false_positives, r.unresolved, r.unreadable)
+}
+
+/// Run `preds` as one batch of single-conjunct queries, check every answer
+/// against the reference, and check that the forced-index entry
+/// (`lookup_range`) answers each the same way — rows and counts. Every
+/// query must plan onto `kind`, so the batch exercises that index route.
+fn check_batch(db: &Database, preds: &[RangePredicate], kind: PlanKind, ctx: &str) {
+    let queries: Vec<Query> = preds.iter().map(|&p| Query::filter(p)).collect();
+    let batched = db.execute_batch(&queries, &BatchOptions::default());
+    assert_eq!(batched.len(), preds.len());
+    for ((pred, q), b) in preds.iter().zip(&queries).zip(&batched) {
+        let ctx = format!("{ctx} [{}, {}]", pred.lb, pred.ub);
+        assert_eq!(db.plan(q).kind(), kind, "{ctx}: plan");
+        assert_exact(db, b, &[*pred], &ctx);
+        let forced = db.lookup_range(*pred, None);
+        assert_eq!((&forced.rows, counts(&forced)), (&b.rows, counts(b)), "{ctx}: lookup_range");
+        if kind == PlanKind::Baseline {
+            assert_eq!(b.false_positives, 0, "{ctx}: an exact index has no false positives");
+        }
+    }
 }
 
 /// The predicate mix every test drives: dense ranges, ranges crossing
@@ -104,13 +144,7 @@ fn predicate_mix(n: usize) -> Vec<RangePredicate> {
 fn hermit_batch_matches_scalar_both_schemes() {
     for scheme in [TidScheme::Logical, TidScheme::Physical] {
         let db = mem_hermit(scheme, 10_000, 50);
-        let preds = predicate_mix(10_000);
-        let batched = db.lookup_batch(&preds);
-        assert_eq!(batched.len(), preds.len());
-        for (pred, b) in preds.iter().zip(&batched) {
-            let s = db.lookup_range(*pred, None);
-            assert_equivalent(&s, b, &format!("{scheme:?} [{}, {}]", pred.lb, pred.ub));
-        }
+        check_batch(&db, &predicate_mix(10_000), PlanKind::Hermit, &format!("{scheme:?}"));
     }
 }
 
@@ -118,11 +152,8 @@ fn hermit_batch_matches_scalar_both_schemes() {
 fn baseline_batch_matches_scalar_both_schemes() {
     for scheme in [TidScheme::Logical, TidScheme::Physical] {
         let db = mem_baseline(scheme, 10_000);
-        let preds = predicate_mix(10_000);
-        for (pred, b) in preds.iter().zip(db.lookup_batch(&preds)) {
-            let s = db.lookup_range(*pred, None);
-            assert_equivalent(&s, &b, &format!("baseline {scheme:?} [{}, {}]", pred.lb, pred.ub));
-        }
+        let ctx = format!("baseline {scheme:?}");
+        check_batch(&db, &predicate_mix(10_000), PlanKind::Baseline, &ctx);
     }
 }
 
@@ -133,13 +164,11 @@ fn batch_survives_deletions() {
         for pk in (0..2_000).step_by(3) {
             db.delete_by_pk(pk).unwrap();
         }
-        let preds = predicate_mix(2_000);
-        for (pred, b) in preds.iter().zip(db.lookup_batch(&preds)) {
-            let s = db.lookup_range(*pred, None);
-            assert_equivalent(&s, &b, &format!("deletions {scheme:?} [{}, {}]", pred.lb, pred.ub));
-        }
-        // Deleted rows must be gone from both paths.
-        let r = &db.lookup_batch(&[RangePredicate::range(TARGET, 0.0, 8.0)])[0];
+        let ctx = format!("deletions {scheme:?}");
+        check_batch(&db, &predicate_mix(2_000), PlanKind::Hermit, &ctx);
+        // Deleted rows must be gone.
+        let q = Query::new().range(TARGET, 0.0, 8.0);
+        let r = &db.execute_batch(&[q], &BatchOptions::default())[0];
         assert_eq!(r.rows.len(), 6, "targets 1,2,4,5,7,8 survive");
     }
 }
@@ -149,24 +178,33 @@ fn batch_with_inflated_error_bound_counts_false_positives() {
     let mut db = Database::new(schema(), 0, TidScheme::Physical);
     insert_rows(&mut db, 10_000, 0);
     db.set_trs_params(TrsParams::with_error_bound(5_000.0));
-    db.create_baseline_index(1, true).unwrap();
-    db.create_hermit_index(TARGET, 1).unwrap();
+    db.create_baseline_index(HOST, true).unwrap();
+    db.create_hermit_index(TARGET, HOST).unwrap();
     let pred = RangePredicate::range(TARGET, 1_000.0, 1_009.0);
-    let s = db.lookup_range(pred, None);
-    let b = &db.lookup_batch(&[pred])[0];
-    assert_equivalent(&s, b, "inflated error bound");
-    assert!(b.false_positives > 0, "wide bands must produce validated-away candidates");
+    // Bands this wide make the planner prefer a scan, so the Hermit route
+    // is taken through the forced-index entry.
+    let forced = db.lookup_range(pred, None);
+    assert_exact(&db, &forced, &[pred], "inflated error bound, forced index");
+    assert!(forced.false_positives > 0, "wide bands must produce validated-away candidates");
+    let planned = &db.execute_batch(&[Query::filter(pred)], &BatchOptions::default())[0];
+    assert_exact(&db, planned, &[pred], "inflated error bound, planned");
 }
 
 #[test]
 fn batch_extra_conjunct_matches_scalar() {
     for scheme in [TidScheme::Logical, TidScheme::Physical] {
         let db = mem_hermit(scheme, 10_000, 97);
-        let extra = Some(RangePredicate::range(OTHER, 1_500.0, 1_590.0));
-        let preds = [RangePredicate::range(TARGET, 100.0, 199.0)];
-        let b = &db.lookup_batch_with(&preds, extra, &BatchOptions::default())[0];
-        let s = db.lookup_range(preds[0], extra);
-        assert_equivalent(&s, b, &format!("extra conjunct {scheme:?}"));
+        let preds = [
+            RangePredicate::range(TARGET, 100.0, 199.0),
+            RangePredicate::range(OTHER, 1_500.0, 1_590.0),
+        ];
+        let q = Query::new().and(preds[0]).and(preds[1]);
+        assert_eq!(db.plan(&q).kind(), PlanKind::Hermit, "{scheme:?}");
+        let b = &db.execute_batch(&[q], &BatchOptions::default())[0];
+        assert_exact(&db, b, &preds, &format!("extra conjunct {scheme:?}"));
+        let forced = db.lookup_range(preds[0], Some(preds[1]));
+        assert_eq!((&forced.rows, counts(&forced)), (&b.rows, counts(b)), "{scheme:?}");
+        assert!(b.false_positives >= 90, "rows failing the extra conjunct count as FPs");
     }
 }
 
@@ -174,49 +212,50 @@ fn batch_extra_conjunct_matches_scalar() {
 fn paged_batch_matches_scalar_under_pool_churn() {
     // 12-page pool over a ~140-page heap: validation constantly evicts.
     let db = paged_hermit(40_000, 50, 12, 4);
-    let preds = predicate_mix(40_000);
-    let batched = db.lookup_batch(&preds);
-    for (pred, b) in preds.iter().zip(&batched) {
-        let s = db.lookup_range(*pred, None);
-        assert_equivalent(&s, b, &format!("paged [{}, {}]", pred.lb, pred.ub));
-    }
+    check_batch(&db, &predicate_mix(40_000), PlanKind::Hermit, "paged");
 }
 
 #[test]
 fn paged_batch_reduces_pool_traffic() {
-    // Hot pool: every page resident. The scalar path pays one pool access
-    // per candidate per column; the batched path pins each page once.
+    // Hot pool: every page resident. Validation pins each page that holds
+    // a candidate exactly once, however many candidates it holds.
     let db = paged_hermit(20_000, 0, 256, 4);
     let pred = RangePredicate::range(TARGET, 5_000.0, 5_999.0);
-    let pool_accesses = |db: &Database| {
-        let hermit::core::Heap::Paged(t) = db.heap() else { unreachable!() };
-        t.pool().stats().hits() + t.pool().stats().misses()
-    };
-    let stats_reset = |db: &Database| {
-        let hermit::core::Heap::Paged(t) = db.heap() else { unreachable!() };
-        t.pool().stats().reset();
-    };
+    let hermit::core::Heap::Paged(t) = db.heap() else { unreachable!() };
 
-    stats_reset(&db);
-    let s = db.lookup_range(pred, None);
-    let scalar_accesses = pool_accesses(&db);
+    // The candidate pages, gathered by hand from the public index API: the
+    // TRS-Tree's host ranges probed on the host B+-tree, plus its outliers.
+    let Some(SecondaryIndex::Hermit { trs, .. }) = db.index(TARGET) else { unreachable!() };
+    let Some(SecondaryIndex::Baseline(host)) = db.index(HOST) else { unreachable!() };
+    let approx = trs.lookup(pred.lb, pred.ub);
+    let mut tids = approx.tids.clone();
+    for &(lo, hi) in &approx.ranges {
+        host.read().for_each_in_range(&F64Key(lo), &F64Key(hi), |_, tid| tids.push(*tid));
+    }
+    let mut pages: Vec<u32> = tids.iter().map(|tid| tid.as_loc().block).collect();
+    pages.sort_unstable();
+    pages.dedup();
 
-    stats_reset(&db);
-    let b = &db.lookup_batch(&[pred])[0];
-    let batched_accesses = pool_accesses(&db);
+    db.lookup_range(pred, None); // warm
+    t.pool().stats().reset();
+    let r = db.lookup_range(pred, None);
+    let accesses = t.pool().stats().hits() + t.pool().stats().misses();
 
-    assert_equivalent(&s, b, "hot-pool range");
-    assert_eq!(s.rows.len(), 1_000);
+    assert_exact(&db, &r, &[pred], "hot-pool range");
+    assert_eq!(r.rows.len(), 1_000);
     assert!(
-        batched_accesses * 10 <= scalar_accesses,
-        "page-grouped validation should collapse pool traffic: scalar {scalar_accesses} vs batched {batched_accesses}"
+        tids.len() >= 1_000 && pages.len() < 100,
+        "{} candidates on {} pages",
+        tids.len(),
+        pages.len()
     );
+    assert_eq!(accesses, pages.len() as u64, "one pool access per distinct candidate page");
 }
 
 #[test]
 fn scalar_extra_conjunct_is_single_fetch() {
-    // The scalar path reads both predicate columns from one heap visit;
-    // with an extra conjunct the pool traffic must not double.
+    // Validation reads both predicate columns from one heap visit; with an
+    // extra conjunct the pool traffic must not double.
     let db = paged_hermit(20_000, 0, 256, 1);
     let pred = RangePredicate::range(TARGET, 1_000.0, 1_499.0);
     let extra = Some(RangePredicate::range(OTHER, 0.0, f64::MAX));
@@ -236,18 +275,51 @@ fn scalar_extra_conjunct_is_single_fetch() {
 }
 
 #[test]
-fn parallel_batch_matches_sequential_on_paged_substrate() {
-    let db = paged_hermit(30_000, 100, 64, 8);
-    let preds: Vec<RangePredicate> = (0..48)
-        .map(|i| RangePredicate::range(TARGET, i as f64 * 600.0, i as f64 * 600.0 + 299.0))
-        .collect();
-    let sequential = db.lookup_batch(&preds);
-    for threads in [2, 4, 7] {
-        let parallel = db.lookup_batch_with(&preds, None, &BatchOptions::with_threads(threads));
-        assert_eq!(sequential.len(), parallel.len());
-        for (i, (s, p)) in sequential.iter().zip(&parallel).enumerate() {
-            assert_equivalent(s, p, &format!("threads={threads} pred {i}"));
+fn a_batch_of_n_equals_n_batches_of_one() {
+    // Queries that leave scratch in very different states run back to
+    // back: an inverted range, an out-of-domain one and a scan over the
+    // unindexed column sit between index routes with many candidates, so
+    // anything one query leaves behind would show up in the next.
+    let queries = |n: usize| {
+        let hi = n as f64;
+        vec![
+            Query::new().range(TARGET, 100.0, 899.0),
+            Query::new().range(TARGET, 900.0, 100.0),
+            Query::new().range(HOST, 400.0, 1_000.0).select([0, TARGET]),
+            Query::new().range(TARGET, hi * 2.0, hi * 3.0),
+            Query::new().point(TARGET, 250.0),
+            Query::new().range(OTHER, 20_000.0, 20_990.0),
+            Query::new().range(TARGET, 5.0, 2_000.0).range(OTHER, 0.0, 9_000.0).limit(40),
+            Query::new().range(TARGET, 300.0, 310.0).select([OTHER]),
+        ]
+    };
+    let dbs = [
+        ("mem/logical", mem_hermit(TidScheme::Logical, 6_000, 50)),
+        ("mem/physical", mem_hermit(TidScheme::Physical, 6_000, 50)),
+        ("paged", paged_hermit(6_000, 50, 8, 2)),
+    ];
+    for (name, db) in &dbs {
+        let queries = queries(6_000);
+        let kinds: Vec<PlanKind> = queries.iter().map(|q| db.plan(q).kind()).collect();
+        for kind in [PlanKind::Hermit, PlanKind::Baseline, PlanKind::Scan] {
+            assert!(kinds.contains(&kind), "{name}: no {kind:?} plan in the batch");
         }
+        let together = db.execute_batch(&queries, &BatchOptions::default());
+        assert_eq!(together.len(), queries.len());
+        for (i, (q, t)) in queries.iter().zip(&together).enumerate() {
+            let alone = &db.execute_batch(std::slice::from_ref(q), &BatchOptions::default())[0];
+            let ctx = format!("{name} query {i} ({:?})", kinds[i]);
+            assert_eq!(t.rows, alone.rows, "{ctx}: rows");
+            assert_eq!(
+                counts(t),
+                counts(alone),
+                "{ctx}: false positives / unresolved / unreadable"
+            );
+            assert_eq!(t.projected, alone.projected, "{ctx}: projected cells");
+            let single = db.execute(q);
+            assert_eq!((&single.rows, counts(&single)), (&t.rows, counts(t)), "{ctx}: execute");
+        }
+        assert!(together[0].rows.len() == 800 && together[2].rows.len() > 250, "{name}");
     }
 }
 

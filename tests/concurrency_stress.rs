@@ -161,11 +161,11 @@ fn delete_heavy_workload_with_reorg() {
 
 #[test]
 fn parallel_batched_lookups_through_sharded_pool() {
-    // Many client threads drive parallel batched lookups against one paged
-    // database (sharded buffer pool, pool far smaller than the heap so
-    // validation churns through evictions on every query). Every result
-    // must match a scalar lookup computed up front.
-    use hermit::core::{BatchOptions, Database, RangePredicate};
+    // Many client threads drive batched lookups against one paged database
+    // (sharded buffer pool, pool far smaller than the heap so validation
+    // churns through evictions on every query). Every result must match
+    // the same query executed alone, up front.
+    use hermit::core::{BatchOptions, Database, Query};
     use hermit::storage::paged::{BufferPool, PagedTable, SimulatedPageStore};
     use hermit::storage::{ColumnDef, Schema, Value};
 
@@ -186,14 +186,13 @@ fn parallel_batched_lookups_through_sharded_pool() {
     db.create_hermit_index(2, 1).unwrap();
     let db = Arc::new(db);
 
-    let preds: Vec<RangePredicate> = (0..32)
-        .map(|i| RangePredicate::range(2, i as f64 * 900.0, i as f64 * 900.0 + 449.0))
+    let queries: Vec<Query> = (0..32)
+        .map(|i| Query::new().range(2, i as f64 * 900.0, i as f64 * 900.0 + 449.0))
         .collect();
-    let expected: Vec<(Vec<_>, usize)> = preds
+    let expected: Vec<(Vec<_>, usize)> = queries
         .iter()
-        .map(|&p| {
-            let mut r = db.lookup_range(p, None);
-            r.rows.sort_unstable();
+        .map(|q| {
+            let r = db.execute(q);
             (r.rows, r.false_positives)
         })
         .collect();
@@ -201,19 +200,16 @@ fn parallel_batched_lookups_through_sharded_pool() {
     crossbeam::thread::scope(|s| {
         for t in 0..4 {
             let db = Arc::clone(&db);
-            let preds = &preds;
+            let queries = &queries;
             let expected = &expected;
             s.spawn(move |_| {
-                let opts = BatchOptions::with_threads(1 + t % 3);
                 for round in 0..8 {
-                    let results = db.lookup_batch_with(preds, None, &opts);
+                    let results = db.execute_batch(queries, &BatchOptions::default());
                     for (i, r) in results.iter().enumerate() {
-                        let mut rows = r.rows.clone();
-                        rows.sort_unstable();
                         assert_eq!(
-                            (rows, r.false_positives),
+                            (r.rows.clone(), r.false_positives),
                             expected[i].clone(),
-                            "client {t} round {round} pred {i} diverged under contention"
+                            "client {t} round {round} query {i} diverged under contention"
                         );
                     }
                 }

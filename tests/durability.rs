@@ -101,21 +101,18 @@ fn snapshot_results(db: &Database) -> Vec<Vec<Vec<Value>>> {
     queries().iter().map(|q| rows_of(db, &db.execute(q))).collect()
 }
 
-/// Assert `db` answers every query shape — scalar and batched, single- and
-/// multi-threaded — exactly as `expected` (captured pre-crash).
+/// Assert `db` answers every query shape — one at a time and as one batch —
+/// exactly as `expected` (captured pre-crash).
 fn assert_matches_oracle(db: &Database, expected: &[Vec<Vec<Value>>], ctx: &str) {
     let qs = queries();
     for (q, want) in qs.iter().zip(expected) {
         let got = rows_of(db, &db.execute(q));
         assert_eq!(&got, want, "{ctx}: scalar result diverged for {q:?}");
     }
-    for threads in [1, 3] {
-        let opts = BatchOptions::with_threads(threads);
-        let batched = db.execute_batch(&qs, &opts);
-        for ((q, want), r) in qs.iter().zip(expected).zip(&batched) {
-            let got = rows_of(db, r);
-            assert_eq!(&got, want, "{ctx}: batched({threads}) result diverged for {q:?}");
-        }
+    let batched = db.execute_batch(&qs, &BatchOptions::default());
+    for ((q, want), r) in qs.iter().zip(expected).zip(&batched) {
+        let got = rows_of(db, r);
+        assert_eq!(&got, want, "{ctx}: batched result diverged for {q:?}");
     }
 }
 

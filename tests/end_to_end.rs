@@ -58,7 +58,7 @@ fn synthetic_hermit_matches_scan_all_configs() {
                 assert_eq!(got.rows.len(), want, "{kind:?}/{scheme:?} on [{lb}, {ub}]");
             }
             for p in gen.points(20) {
-                let got = db.lookup_point(cols::COL_C, p);
+                let got = db.lookup_range(RangePredicate::point(cols::COL_C, p), None);
                 let want = scan_count(&db, cols::COL_C, p, p, None);
                 assert_eq!(got.rows.len(), want, "{kind:?}/{scheme:?} point {p}");
             }

@@ -216,8 +216,8 @@ fn unreadable_pages_are_errors_not_deleted_rows() {
 /// The composite box routes validate at the base table too. A page that
 /// cannot be read there used to come back as `unresolved` (the value
 /// conjunct) or as a false positive (the leading conjunct) — an I/O error
-/// turned into a shorter answer. It is `unreadable`, like every other tail,
-/// and each candidate costs one page visit, not one per conjunct.
+/// turned into a shorter answer. It is `unreadable`, as on every route, and
+/// the candidates cost one page visit per page, not one per conjunct.
 #[test]
 fn composite_routes_report_unreadable_pages_not_shorter_answers() {
     const ROWS: i64 = 4_000;
@@ -246,18 +246,23 @@ fn composite_routes_report_unreadable_pages_not_shorter_answers() {
         let before = pool.stats().hits() + pool.stats().misses();
         composites.lookup_box(&db, idx, leading, value);
         let visits = pool.stats().hits() + pool.stats().misses() - before;
-        assert_eq!(visits, candidates as u64, "one page visit per candidate");
+        let mut pages: Vec<u32> = healthy.rows.iter().map(|loc| loc.block).collect();
+        pages.dedup(); // rows come back in heap order
+        assert!(visits <= candidates as u64, "index {idx}: at most one visit per candidate");
+        assert!(visits >= pages.len() as u64, "index {idx}: every page with a match visited");
 
         store.set_fail_reads(true);
         let poisoned = composites.lookup_box(&db, idx, leading, value);
         store.set_fail_reads(false);
         assert!(poisoned.unreadable > 0, "index {idx}: the failed loads must be reported");
         assert_eq!(poisoned.unresolved, 0, "index {idx}: an unreadable page is not a deleted row");
-        assert_eq!(
-            poisoned.rows.len() + poisoned.false_positives + poisoned.unreadable,
-            candidates,
-            "index {idx}: every candidate is a match, a false positive or unreadable"
+        // Every candidate is a match, a false positive, or on an unreadable
+        // page — and each unreadable page hides at least one candidate.
+        assert!(
+            poisoned.rows.len() + poisoned.false_positives + poisoned.unreadable <= candidates,
+            "index {idx}: an unreadable page holds candidates, never an extra count"
         );
+        assert!(poisoned.rows.len() + poisoned.false_positives < candidates, "index {idx}");
         assert!(poisoned.false_positives <= healthy.false_positives, "index {idx}");
 
         let healed = composites.lookup_box(&db, idx, leading, value);

@@ -110,8 +110,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Rows from `execute` match the oracle exactly; `execute_batch`
-    /// (sequential and 3-threaded) matches `execute` on rows *and*
-    /// false-positive/unresolved counts, for every substrate and scheme.
+    /// matches `execute` on rows, in order, *and* false-positive/unresolved
+    /// counts, for every substrate and scheme.
     #[test]
     fn planner_execution_matches_full_scan_oracle(
         kind in 0u8..3,
@@ -139,16 +139,10 @@ proptest! {
             db.plan(&q).kind()
         );
 
-        for threads in [1usize, 3] {
-            let batched =
-                &db.execute_batch(std::slice::from_ref(&q), &BatchOptions::with_threads(threads))[0];
-            prop_assert_eq!(sorted(&batched.rows), expect.clone(), "batched rows (t={})", threads);
-            prop_assert_eq!(
-                batched.false_positives, scalar.false_positives,
-                "false positives (t={})", threads
-            );
-            prop_assert_eq!(batched.unresolved, scalar.unresolved, "unresolved (t={})", threads);
-        }
+        let batched = &db.execute_batch(std::slice::from_ref(&q), &BatchOptions::default())[0];
+        prop_assert_eq!(&batched.rows, &scalar.rows, "batched rows");
+        prop_assert_eq!(batched.false_positives, scalar.false_positives, "false positives");
+        prop_assert_eq!(batched.unresolved, scalar.unresolved, "unresolved");
     }
 
     /// Queries touching only the unindexed column take the scan plan and
@@ -168,8 +162,8 @@ proptest! {
         let r = db.execute_plan(&plan);
         prop_assert_eq!(sorted(&r.rows), expect.clone());
         prop_assert_eq!(r.false_positives, 0);
-        // And the legacy surface still silently returns nothing — that
-        // contract belongs to the wrappers alone now.
+        // And the forced-index entry returns nothing — that contract
+        // belongs to `lookup_range` alone.
         prop_assert!(db.lookup_range(pred, None).rows.is_empty());
         if !expect.is_empty() {
             prop_assert!(!r.rows.is_empty(), "scan fallback must surface the rows");

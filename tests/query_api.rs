@@ -1,6 +1,6 @@
 //! Integration tests for the unified Query API: the cost-based planner,
-//! the stable EXPLAIN format, the seq-scan fallback, and scalar/batched
-//! executor agreement.
+//! the stable EXPLAIN format, the seq-scan fallback, `LIMIT` order, and
+//! agreement between one query and a batch.
 //!
 //! The EXPLAIN assertions pin the exact `Display` output for all four plan
 //! shapes (hermit route, index range scan, composite box scan, seq scan) —
@@ -130,9 +130,8 @@ fn unindexed_column_scans_instead_of_silent_empty() {
     for scheme in [TidScheme::Physical, TidScheme::Logical] {
         let db = stock_db(scheme, 5_000);
         let pred = RangePredicate::range(VOL, 1_000_000.0, 1_010_000.0);
-        // The legacy surface stays the oracle for its old contract: no
-        // index, no rows.
-        assert!(db.lookup_range(pred, None).rows.is_empty(), "legacy contract preserved");
+        // The forced-index entry keeps its contract: no index, no rows.
+        assert!(db.lookup_range(pred, None).rows.is_empty(), "forced-index contract preserved");
         // The Query surface returns the actual rows via the scan plan.
         let r = db.execute(&Query::filter(pred));
         let expect = oracle_rows(&db, 5_000, &[pred]);
@@ -194,15 +193,13 @@ fn execute_batch_matches_execute_across_plan_shapes() {
             Query::new().range(VOL, 1_000_000.0, 1_020_000.0),
             Query::new().range(SP, 9.0e8, 9.1e8), // out of domain
         ];
-        for threads in [1usize, 3] {
-            let batched = db.execute_batch(&queries, &BatchOptions::with_threads(threads));
-            assert_eq!(batched.len(), queries.len());
-            for (q, b) in queries.iter().zip(&batched) {
-                let s = db.execute(q);
-                assert_eq!(sorted(&s.rows), sorted(&b.rows), "{scheme:?} t{threads} {q:?}");
-                assert_eq!(s.false_positives, b.false_positives, "{scheme:?} t{threads} {q:?}");
-                assert_eq!(s.unresolved, b.unresolved, "{scheme:?} t{threads} {q:?}");
-            }
+        let batched = db.execute_batch(&queries, &BatchOptions::default());
+        assert_eq!(batched.len(), queries.len());
+        for (q, b) in queries.iter().zip(&batched) {
+            let s = db.execute(q);
+            assert_eq!(s.rows, b.rows, "{scheme:?} {q:?}");
+            assert_eq!(s.false_positives, b.false_positives, "{scheme:?} {q:?}");
+            assert_eq!(s.unresolved, b.unresolved, "{scheme:?} {q:?}");
         }
     }
 }
@@ -260,26 +257,98 @@ fn limit_truncates_and_projection_materializes() {
 
     let q = Query::new().range(SP, 650.0, 700.0).select([TIME, SP]).limit(7);
     let r = db.execute(&q);
-    assert_eq!(r.rows.len(), 7);
+    assert_eq!(r.rows, full.rows[..7], "the limit keeps the lowest row locations");
     let projected = r.projected.as_ref().expect("projection materialized");
     assert_eq!((projected.len(), projected.cells_per_row()), (7, 2));
-    let full_sorted = sorted(&full.rows);
     for (loc, row) in r.rows.iter().zip(projected.iter()) {
-        assert!(full_sorted.binary_search(loc).is_ok(), "limited rows are a subset");
+        assert_eq!(row[0], db.heap().get(*loc).unwrap()[TIME], "aligned with the locations");
         assert_eq!(row.len(), 2);
         let Value::Int(t) = row[0] else { panic!("projected time must be Int") };
         let (_, sp, _) = stock_row(t as usize);
         assert_eq!(row[1], Value::Float(sp), "projection reads the right cells");
     }
 
-    // Limit on the scan plan stops the scan early but still returns
-    // correct (prefix) rows.
+    // Limit on the scan plan stops the scan early, at the same prefix.
     let q = Query::new().range(VOL, 1_000_000.0, 1_050_000.0).limit(5);
     let r = db.execute(&q);
-    assert_eq!(r.rows.len(), 5);
     let oracle = oracle_rows(&db, 5_000, &[RangePredicate::range(VOL, 1_000_000.0, 1_050_000.0)]);
-    for loc in &r.rows {
-        assert!(oracle.binary_search(loc).is_ok());
+    assert_eq!(r.rows, oracle[..5]);
+}
+
+/// Paged twin of [`stock_db`] (physical tids only, no composite indexes:
+/// the paged substrate supports neither).
+fn paged_stock_db(days: usize) -> Database {
+    use hermit::storage::paged::{BufferPool, PagedTable, SimulatedPageStore};
+    let schema = Schema::new(vec![
+        ColumnDef::int("time"),
+        ColumnDef::float("dj"),
+        ColumnDef::float("sp"),
+        ColumnDef::float("vol"),
+    ]);
+    let pool = std::sync::Arc::new(BufferPool::new_sharded(
+        std::sync::Arc::new(SimulatedPageStore::new()),
+        16,
+        2,
+    ));
+    let mut db = Database::new_paged(PagedTable::new(schema, pool), TIME);
+    for t in 0..days {
+        let (dj, sp, vol) = stock_row(t);
+        db.insert(&[Value::Int(t as i64), Value::Float(dj), Value::Float(sp), Value::Float(vol)])
+            .unwrap();
+    }
+    db.create_baseline_index(DJ, true).unwrap();
+    db.create_hermit_index(SP, DJ).unwrap();
+    db
+}
+
+/// `LIMIT n` keeps the `n` lowest row locations of the unlimited answer —
+/// on every plan shape, substrate and tid scheme, through `execute` and
+/// `execute_batch` alike — because every plan emits rows in heap order.
+#[test]
+fn limit_keeps_the_lowest_row_locations_on_every_plan() {
+    const DAYS: usize = 8_000;
+    let dbs = [
+        ("mem/physical", stock_db(TidScheme::Physical, DAYS)),
+        ("mem/logical", stock_db(TidScheme::Logical, DAYS)),
+        ("paged", paged_stock_db(DAYS)),
+    ];
+    for (name, db) in &dbs {
+        // Deletions leave holes the answer must skip, not count.
+        for pk in (0..DAYS as i64).step_by(7) {
+            db.delete_by_pk(pk).unwrap();
+        }
+        let mut kinds = Vec::new();
+        for base in [
+            Query::new().range(SP, 650.0, 720.0),
+            Query::new().range(DJ, 5_000.0, 5_400.0),
+            Query::new().range(TIME, 2_000.0, 6_000.0).range(SP, 650.0, 720.0),
+            Query::new().range(TIME, 2_000.0, 6_000.0).range(DJ, 4_000.0, 5_000.0),
+            Query::new().range(VOL, 1_000_000.0, 1_030_000.0),
+        ] {
+            let full = db.execute(&base);
+            let kind = db.plan(&base).kind();
+            kinds.push(kind);
+            assert!(full.rows.windows(2).all(|w| w[0] < w[1]), "{name} {kind:?}: heap order");
+            assert!(full.rows.len() > 40, "{name} {kind:?}: {} rows", full.rows.len());
+            for n in [0, 1, 13, full.rows.len(), full.rows.len() + 5] {
+                let q = base.clone().limit(n).select([TIME]);
+                let want = &full.rows[..n.min(full.rows.len())];
+                let alone = db.execute(&q);
+                let batched = &db.execute_batch(&[q.clone(), q], &BatchOptions::default())[1];
+                for (how, r) in [("execute", &alone), ("execute_batch", batched)] {
+                    let ctx = format!("{name} {kind:?} limit {n} {how}");
+                    assert_eq!(r.rows, want, "{ctx}");
+                    let cells = r.projected.as_ref().expect("projected").to_rows();
+                    let times: Vec<Vec<Value>> =
+                        want.iter().map(|&loc| vec![db.heap().get(loc).unwrap()[TIME]]).collect();
+                    assert_eq!(cells, times, "{ctx}: cells follow the rows");
+                }
+            }
+        }
+        for kind in [PlanKind::Hermit, PlanKind::Baseline, PlanKind::Scan] {
+            assert!(kinds.contains(&kind), "{name}: no {kind:?} plan");
+        }
+        assert_eq!(kinds.contains(&PlanKind::Composite), !name.starts_with("paged"), "{name}");
     }
 }
 

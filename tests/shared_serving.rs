@@ -150,11 +150,11 @@ fn run_stress(substrate: Substrate, scheme: TidScheme) {
                     let q = &panel[(i + r) % panel.len()];
                     // Results under churn are a consistent snapshot of each
                     // structure at probe time; validation guarantees no
-                    // false positives, so executing must never panic and
-                    // the batched path must stay runnable too.
+                    // false positives, so executing must never panic, alone
+                    // or in a batch.
                     let _ = shared.execute(q);
                     if i % 16 == 0 {
-                        let _ = shared.execute_batch(panel, &BatchOptions::with_threads(2));
+                        let _ = shared.execute_batch(panel, &BatchOptions::default());
                     }
                 }
             });
@@ -184,16 +184,16 @@ fn run_stress(substrate: Substrate, scheme: TidScheme) {
     }
     assert_eq!(shared.db().len(), oracle.len(), "live row counts diverged");
 
-    // Every panel query agrees with the oracle, on both the scalar and the
-    // vectorized executors.
-    let batched = shared.db().execute_batch(&panel, &BatchOptions::with_threads(3));
+    // Every panel query agrees with the oracle, executed alone and as one
+    // batch.
+    let batched = shared.db().execute_batch(&panel, &BatchOptions::default());
     for (i, q) in panel.iter().enumerate() {
         let want = result_pks(&oracle, &oracle.execute(q));
         assert!(!want.is_empty(), "panel query {i} must select something");
         let got_scalar = result_pks(shared.db(), &shared.execute(q));
-        assert_eq!(got_scalar, want, "scalar executor diverged from oracle on panel query {i}");
+        assert_eq!(got_scalar, want, "execute diverged from oracle on panel query {i}");
         let got_batched = result_pks(shared.db(), &batched[i]);
-        assert_eq!(got_batched, want, "batched executor diverged from oracle on panel query {i}");
+        assert_eq!(got_batched, want, "execute_batch diverged from oracle on panel query {i}");
     }
 
     // Spot-check membership semantics: deleted seed pks are gone, inserted

@@ -156,9 +156,8 @@ fn committed_transactions_publish_atomically_to_readers() {
     expected.sort_unstable();
     let got = result_pks(shared.db(), &shared.execute(&band_query));
     assert_eq!(got, expected, "final band contents diverged from the committed-txn oracle");
-    let batched = &shared
-        .db()
-        .execute_batch(std::slice::from_ref(&band_query), &BatchOptions::with_threads(2))[0];
+    let batched =
+        &shared.db().execute_batch(std::slice::from_ref(&band_query), &BatchOptions::default())[0];
     assert_eq!(result_pks(shared.db(), batched), expected, "batched executor diverged");
 
     let c = shared.txn_counters();
@@ -350,7 +349,7 @@ fn abort_restores_exact_state_across_all_index_kinds() {
             "{}: abort failed to restore the panel state",
             if with_composite { "mem" } else { "paged" }
         );
-        let batched = db.execute_batch(&panel, &BatchOptions::with_threads(2));
+        let batched = db.execute_batch(&panel, &BatchOptions::default());
         for (i, r) in batched.iter().enumerate() {
             assert_eq!(
                 result_pks(&db, r),
