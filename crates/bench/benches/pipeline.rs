@@ -119,6 +119,48 @@ fn cold_fetch_rate(db: &Database, locs: &[RowLoc], readers: usize, window: Durat
     requests as f64 / start.elapsed().as_secs_f64()
 }
 
+/// One reader's µs per 200-row request and the pool's hit share over
+/// `window`, each row drawn from `hot` with probability `hot_share` and
+/// from all of `locs` otherwise. The pool is warmed on the same mix for one
+/// window first, so the share is the steady state's.
+fn cold_fetch_profile(
+    db: &Database,
+    locs: &[RowLoc],
+    hot: &[RowLoc],
+    hot_share: f64,
+    window: Duration,
+) -> (f64, f64) {
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let mut next = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    let mut batch = Vec::with_capacity(200);
+    let mut run = || {
+        let start = Instant::now();
+        let mut requests = 0u64;
+        while start.elapsed() < window {
+            batch.clear();
+            for _ in 0..200 {
+                let from =
+                    if (next() as f64) < hot_share * (1u64 << 31) as f64 { hot } else { locs };
+                batch.push(from[next() as usize % from.len()]);
+            }
+            let (rows, unreadable) = db.fetch_rows(&batch, None);
+            assert_eq!(unreadable, 0);
+            std::hint::black_box(rows);
+            requests += 1;
+        }
+        start.elapsed().as_secs_f64() * 1e6 / requests as f64
+    };
+    run();
+    let (hits, misses, _) = db.pool_counters().expect("a paged database");
+    let us = run();
+    let (hits_after, misses_after, _) = db.pool_counters().expect("a paged database");
+    let (hits, misses) = (hits_after - hits, misses_after - misses);
+    (us, hits as f64 / (hits + misses).max(1) as f64)
+}
+
 /// The §7.8 disk regime in isolation: a file-backed heap five times the
 /// buffer pool (the server's default pool configuration, scaled down), 200
 /// random rows per request, so ≈ 4 of 5 page visits miss. One reader vs
@@ -127,6 +169,12 @@ fn cold_fetch_rate(db: &Database, locs: &[RowLoc], readers: usize, window: Durat
 /// 0.37 before the miss path was rebuilt — means page loads are queueing
 /// on a lock again. Timed by hand rather than through `Bencher::iter`: the
 /// figure of merit is aggregate throughput across threads.
+///
+/// Then one reader's µs per request and pool hit share, under uniform
+/// access and with 90 % of the rows drawn from 15 % of the pages: a cold
+/// row alone on its page is read through rather than loaded unless the
+/// pool's doorkeeper has seen its page miss recently, so hot pages are
+/// installed and cold ones no longer evict them.
 fn bench_cold_fetch(c: &mut Criterion) {
     let group = c.benchmark_group("cold_fetch");
     let quick = std::env::args().any(|a| a == "--quick");
@@ -164,6 +212,13 @@ fn bench_cold_fetch(c: &mut Criterion) {
     eprintln!("bench cold_fetch/readers_1  {one:>10.0} req/s  ({rows} rows, pool {} of {heap_pages} pages)", config.pool_pages);
     eprintln!("bench cold_fetch/readers_2  {two:>10.0} req/s");
     eprintln!("bench cold_fetch/scaling_2_over_1  {:.2}", two / one);
+    let hot = &locs[..locs.len() * 15 / 100];
+    for (label, hot_share) in [("uniform", 0.0), ("hot_pages", 0.9)] {
+        let (us, hit_share) = cold_fetch_profile(&db, &locs, hot, hot_share, window);
+        eprintln!(
+            "bench cold_fetch/{label:<9}  {us:>8.1} µs/request  pool hit share {hit_share:.3}"
+        );
+    }
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
     group.finish();

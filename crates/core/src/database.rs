@@ -219,9 +219,12 @@ impl MemoryReport {
 pub struct PoolIoCounters {
     /// Buffer-pool misses whose page-store read failed.
     pub read_errors: u64,
-    /// Page reads the store served. Can exceed the pool's misses: two
-    /// threads missing on one page both read it, and a load whose image
-    /// went stale in flight reads again.
+    /// Buffer-pool misses served by reading one record through, with no
+    /// page installed (`PoolStats::read_through`).
+    pub read_through: u64,
+    /// Reads the store served, whole pages and records. Can exceed the
+    /// pool's misses: two threads missing on one page both read it, and a
+    /// read whose image went stale in flight is read again as a page.
     pub store_reads: u64,
     /// Page writes the store accepted (allocations, evictions, flushes).
     pub store_writes: u64,
@@ -696,11 +699,12 @@ impl Database {
     }
 
     /// Bytes of page images the buffer pool holds (resident frames × page
-    /// size). `None` for the in-memory heap, which has no pool.
+    /// size), plus the heap's page summary that lets the pool read a cold
+    /// record through. `None` for the in-memory heap, which has no pool.
     pub fn pool_bytes(&self) -> Option<usize> {
         match &self.heap {
             Heap::Mem(_) => None,
-            Heap::Paged(t) => Some(t.pool().frame_counts().0 * PAGE_SIZE),
+            Heap::Paged(t) => Some(t.pool().frame_counts().0 * PAGE_SIZE + t.summary_bytes()),
         }
     }
 
@@ -715,6 +719,7 @@ impl Database {
                 let io = pool.store().stats();
                 Some(PoolIoCounters {
                     read_errors: pool.stats().read_errors(),
+                    read_through: pool.stats().read_through(),
                     store_reads: io.reads(),
                     store_writes: io.writes(),
                 })

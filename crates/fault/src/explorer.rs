@@ -94,6 +94,12 @@ enum Stmt {
     Commit,
     /// Full checkpoint.
     Checkpoint,
+    /// A point query on the host index that must find exactly one row, on
+    /// a page the one-frame pool does not hold. The buffer pool reads the
+    /// record through (`page.read_range`) unless the page holds a
+    /// tombstone, and loads the page (`page.read`) if it does. Changes
+    /// nothing.
+    ColdRead(f64),
     /// A whole multi-statement transaction — begin, the ops, then commit
     /// (`commit: true`) or rollback (`commit: false`). Modeled as ONE
     /// workload statement because that is exactly the atomicity contract:
@@ -165,6 +171,20 @@ fn statements() -> Vec<Stmt> {
     // A second committed transaction right at the tail, so `wal.txn_commit`
     // is also exercised as the final durable record before the drop-flush.
     s.push(Stmt::Txn { ops: vec![TxnOp::Insert(402, 244.0, 122.0)], commit: true });
+    // A transaction that overflows the first heap page: allocating the
+    // second steals the first from the one-frame pool while the transaction
+    // is open (`wal.barrier`). Then one row of each page, alone: the first
+    // page holds tombstones and is loaded back, which pushes the second
+    // out; the second holds none, and its row is read through.
+    let ops = (0..240i64)
+        .map(|i| {
+            let m = (600 + i) as f64;
+            TxnOp::Insert(1_000 + i, 2.0 * m, m)
+        })
+        .collect();
+    s.push(Stmt::Txn { ops, commit: true });
+    s.push(Stmt::ColdRead(2.0 * 13.0)); // pk 3, first page
+    s.push(Stmt::ColdRead(2.0 * 839.0)); // pk 1 239, second page
     s.push(Stmt::Commit);
     s
 }
@@ -303,6 +323,10 @@ fn run_workload(
             Stmt::Checkpoint => {
                 db.checkpoint(dir).expect("checkpoint");
             }
+            Stmt::ColdRead(host) => {
+                let found = db.execute(&Query::filter(RangePredicate::point(1, *host)));
+                assert_eq!((found.rows.len(), found.unreadable), (1, 0), "cold read");
+            }
             Stmt::Txn { ops, commit } => {
                 let t = db.begin().expect("begin");
                 for op in ops {
@@ -408,7 +432,8 @@ fn verify_snapshot(
 pub fn explore(root: &Path, budget: Option<usize>) -> ExplorerReport {
     let _ = std::fs::remove_dir_all(root);
     std::fs::create_dir_all(root).expect("create explorer root");
-    let config = DurabilityConfig { wal_sync_every: 1, ..Default::default() };
+    // One frame: the workload's second heap page pushes the first out.
+    let config = DurabilityConfig { wal_sync_every: 1, pool_pages: 1, pool_shards: 1 };
 
     // Pass 1: count the sites and learn each statement's site window.
     let work = root.join("count");
@@ -528,6 +553,8 @@ mod tests {
             "atomic.rename",
             "page.write",
             "page.sync",
+            "page.read_range",
+            "wal.barrier",
         ] {
             assert!(
                 report.site_names.contains_key(site),

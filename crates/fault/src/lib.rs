@@ -56,13 +56,17 @@ pub use store::FaultyPageStore;
 /// the canonical create-from-scratch workload never takes; it is exercised
 /// by the durability suite's reopen cases instead. `wal.barrier` fires only
 /// when a page is written back while the log holds written-but-unsynced
-/// records; the canonical workload fits one heap page and never steals, so
-/// the durability suite's steal test (a crash image at every site of a
-/// steal inside an open transaction) covers it instead.
+/// records: the canonical workload runs on a one-frame pool and ends with a
+/// transaction that overflows its first heap page, which steals that page
+/// once (the durability suite's steal test takes a crash image at every
+/// site of such a steal). `page.read_range` is a buffer-pool miss that
+/// reads one record instead of a page; the workload's last statements read
+/// one such row.
 pub const CRASH_MATRIX_SITES: &[&str] = &[
     "atomic.rename",
     "atomic.write",
     "page.read",
+    "page.read_range",
     "page.sync",
     "page.write",
     "wal.append",

@@ -104,6 +104,19 @@ impl FaultyPageStore {
         self.inject();
         StorageError::Io(format!("injected {what} fault"))
     }
+
+    /// The faults a read can meet, whole page or record range alike: they
+    /// share one ordinal in the plan.
+    fn read_fault(&self) -> hermit_storage::Result<()> {
+        let nth = self.reads.fetch_add(1, Ordering::SeqCst);
+        if self.fail_reads.load(Ordering::SeqCst) {
+            return Err(self.eio("read"));
+        }
+        if let Some(FaultKind::Eio) = self.plan.lock().decide(FaultOp::Read, nth) {
+            return Err(self.eio("read"));
+        }
+        Ok(())
+    }
 }
 
 impl PageStore for FaultyPageStore {
@@ -112,14 +125,13 @@ impl PageStore for FaultyPageStore {
     }
 
     fn read_into(&self, id: PageId, page: &mut Page) -> hermit_storage::Result<()> {
-        let nth = self.reads.fetch_add(1, Ordering::SeqCst);
-        if self.fail_reads.load(Ordering::SeqCst) {
-            return Err(self.eio("read"));
-        }
-        if let Some(FaultKind::Eio) = self.plan.lock().decide(FaultOp::Read, nth) {
-            return Err(self.eio("read"));
-        }
+        self.read_fault()?;
         self.inner.read_into(id, page)
+    }
+
+    fn read_range(&self, id: PageId, offset: usize, buf: &mut [u8]) -> hermit_storage::Result<()> {
+        self.read_fault()?;
+        self.inner.read_range(id, offset, buf)
     }
 
     fn write(&self, id: PageId, page: &Page) -> hermit_storage::Result<()> {
@@ -237,8 +249,16 @@ mod tests {
 
         store.set_fail_reads(true);
         assert!(read(&store, id).is_err());
+        assert!(record(&store, id).is_err(), "a record read is a read");
         store.set_fail_reads(false);
-        assert!(store.injected() >= 4);
+        assert_eq!(record(&store, id).unwrap(), [1u8; 16]);
+        assert!(store.injected() >= 5);
+    }
+
+    fn record(store: &FaultyPageStore, id: PageId) -> hermit_storage::Result<[u8; 16]> {
+        let mut bytes = [0u8; 16];
+        store.read_range(id, Page::slot_offset(16, 0), &mut bytes)?;
+        Ok(bytes)
     }
 
     #[test]
@@ -253,6 +273,27 @@ mod tests {
         store.write(b, &page_of(9)).unwrap();
         assert_eq!(read(&store, a).unwrap().get(0).unwrap(), &[1u8; 16]);
         assert_eq!(read(&store, b).unwrap().get(0).unwrap(), &[9u8; 16]);
+        // A record read sees what a page read sees: the dropped write never landed.
+        assert_eq!(record(&store, a).unwrap(), [1u8; 16]);
+        assert_eq!(record(&store, b).unwrap(), [9u8; 16]);
+    }
+
+    #[test]
+    fn planned_read_faults_count_record_reads() {
+        let store = FaultyPageStore::with_plan(
+            Arc::new(SimulatedPageStore::new()),
+            FaultPlan::explicit(vec![PlannedFault {
+                op: FaultOp::Read,
+                nth: 1,
+                kind: FaultKind::Eio,
+            }]),
+        );
+        let id = store.allocate();
+        store.write(id, &page_of(4)).unwrap();
+        assert!(read(&store, id).is_ok()); // read 0
+        assert!(record(&store, id).is_err(), "read 1 is planned to fail");
+        assert_eq!(record(&store, id).unwrap(), [4u8; 16]);
+        assert_eq!(store.injected(), 1);
     }
 
     #[test]

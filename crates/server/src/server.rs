@@ -648,6 +648,9 @@ fn render_stats(inner: &Arc<Inner>) -> String {
     }
     if let Some(io) = db.pool_io_counters() {
         let _ = writeln!(out, "hermit_pool_read_errors {}", io.read_errors);
+        // Misses that read one record and installed nothing; they are
+        // counted in hermit_pool_misses too.
+        let _ = writeln!(out, "hermit_pool_read_through {}", io.read_through);
         // Racing loads of one page, and re-reads of an image that went
         // stale in flight, make store reads >= pool misses legal.
         let _ = writeln!(out, "hermit_store_reads {}", io.store_reads);

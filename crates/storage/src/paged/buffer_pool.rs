@@ -25,7 +25,8 @@
 //!
 //! # The miss path: pin → unlocked I/O → publish
 //!
-//! A shard lock is never held across a store *read*. A miss
+//! A shard lock is never held across a store *read*. An admitted miss (see
+//! [below](#admission-load-the-page-or-read-the-record-through))
 //!
 //! 1. under the shard lock picks a frame — a free one, else the clock
 //!    victim, written back first if dirty — unmaps it and takes its 8 KiB
@@ -54,6 +55,40 @@
 //!
 //! Victim write-back stays under the shard lock: the victim must not be
 //! re-readable from the store before its newest image is there.
+//!
+//! # Admission: load the page, or read the record through
+//!
+//! On a heap far larger than the pool, under access with no locality, most
+//! loaded pages are evicted before anyone visits them again — and a load
+//! copies 8 KiB to validate one record of a few dozen bytes. So a miss of
+//! [`BufferPool::read_record`] (a visit that wants one record) is only
+//! *admitted* — loaded and installed as above — when its shard has a free
+//! frame, or when the same page missed since the shard's doorkeeper was
+//! last cleared: one bit per page, cleared every time the shard has missed
+//! as many times as it has frames (TinyLFU's doorkeeper). Every other such
+//! miss is a **read-through**: one [`PageStore::read_range`] of the
+//! record's bytes into the caller's buffer, installing and evicting
+//! nothing. It still counts as a miss ([`PoolStats::misses`] means "not
+//! served from a frame"), and [`PoolStats::read_through`] counts it again.
+//! [`read`](BufferPool::read), [`write`](BufferPool::write) and
+//! [`allocate`](BufferPool::allocate) always install.
+//!
+//! A read-through is correct by the write epoch that guards loads:
+//!
+//! 1. under the shard lock it finds the page unmapped and records the
+//!    epoch. An unmapped page's newest image is in the store — a dirty
+//!    frame leaves the pool only through a write-back under the same lock;
+//! 2. unlocked, it asks the caller where the record is (the caller's
+//!    liveness summary, read now, is at least as new as that image) and
+//!    reads the bytes;
+//! 3. relocks. If the page is still unmapped and the epoch has not moved,
+//!    no frame of this page was written in between: a write dirties a
+//!    frame, and that frame is either still mapped or was written back,
+//!    moving the epoch. So the bytes are the page's current record. If
+//!    not, they are discarded and the visit takes the frame path.
+//!
+//! The caller declines (and the visit takes the frame path) whenever the
+//! record's liveness cannot be read off its summary.
 //!
 //! # WAL before data
 //!
@@ -84,6 +119,7 @@ use std::sync::{Arc, OnceLock};
 pub struct PoolStats {
     hits: AtomicU64,
     misses: AtomicU64,
+    read_through: AtomicU64,
     evictions: AtomicU64,
     read_errors: AtomicU64,
 }
@@ -94,9 +130,16 @@ impl PoolStats {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Lookups that had to read from the store.
+    /// Lookups not served from a frame: they had to read from the store,
+    /// a whole page or (a [read-through](Self::read_through)) one record.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
+    }
+
+    /// Misses served by a read-through: the record's bytes alone, with
+    /// nothing installed or evicted (see the module docs).
+    pub fn read_through(&self) -> u64 {
+        self.read_through.load(Ordering::Relaxed)
     }
 
     /// Pages evicted to make room.
@@ -114,6 +157,7 @@ impl PoolStats {
     pub fn reset(&self) {
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
+        self.read_through.store(0, Ordering::Relaxed);
         self.evictions.store(0, Ordering::Relaxed);
         self.read_errors.store(0, Ordering::Relaxed);
     }
@@ -149,6 +193,15 @@ struct PoolInner {
     /// load that observes it move between its read and its publish may hold
     /// a stale image and reads again (see the module docs).
     write_epoch: u64,
+    /// The admission doorkeeper: bit `p % bits` is set by a miss on the
+    /// shard's `p`-th page, and every bit is cleared each time the shard
+    /// has missed as many times as it has frames. One word per frame, so
+    /// exactly one bit per page while the shard's share of the heap is at
+    /// most 64 × its frames; past that, pages share bits and a few more
+    /// misses are admitted than the rule says.
+    doorkeeper: Vec<u64>,
+    /// Misses since the doorkeeper was last cleared.
+    window_misses: usize,
 }
 
 impl PoolInner {
@@ -160,7 +213,25 @@ impl PoolInner {
             free: (0..capacity).rev().collect(),
             clock_hand: 0,
             write_epoch: 0,
+            doorkeeper: vec![0; capacity],
+            window_misses: 0,
         }
+    }
+
+    /// Count a miss on the shard's `local`-th page and decide whether it is
+    /// admitted: a free frame admits any miss, the doorkeeper a page that
+    /// already missed since its last clear.
+    fn admit(&mut self, local: u64) -> bool {
+        if self.window_misses == self.slots.len() {
+            self.doorkeeper.fill(0);
+            self.window_misses = 0;
+        }
+        self.window_misses += 1;
+        let bit = local % (64 * self.doorkeeper.len() as u64);
+        let (word, mask) = ((bit / 64) as usize, 1u64 << (bit % 64));
+        let seen = self.doorkeeper[word] & mask != 0;
+        self.doorkeeper[word] |= mask;
+        seen || !self.free.is_empty()
     }
 
     /// Map `id` to the reserved slot `idx`, now holding `page`.
@@ -183,6 +254,15 @@ impl PoolInner {
             _ => unreachable!("the page map only names resident slots"),
         }
     }
+}
+
+/// How [`BufferPool::read_record`] served a visit.
+#[derive(Debug, PartialEq, Eq)]
+pub enum RecordRead<T> {
+    /// The page was visited in a frame; the closure's result.
+    Page(T),
+    /// A read-through: the record's bytes are in the caller's buffer.
+    ReadThrough,
 }
 
 /// Sharded clock-replacement buffer pool.
@@ -269,6 +349,12 @@ impl BufferPool {
         &self.shards[(id % self.shards.len() as u64) as usize]
     }
 
+    /// `id`'s index among its shard's pages (`id / shards`).
+    #[inline]
+    fn shard_page(&self, id: PageId) -> u64 {
+        id / self.shards.len() as u64
+    }
+
     /// Allocate a fresh page in the store and install an empty page image in
     /// the pool. The image is formatted in a recycled frame and persisted
     /// with the shard unlocked, so a later miss can re-read it.
@@ -330,6 +416,8 @@ impl BufferPool {
             inner.map.clear();
             inner.free.clear();
             inner.clock_hand = 0;
+            inner.doorkeeper.fill(0);
+            inner.window_misses = 0;
             // Slots out with a load stay out; everything else is free again,
             // handed out 0, 1, 2, … like a new pool.
             for (idx, slot) in inner.slots.iter_mut().enumerate().rev() {
@@ -360,16 +448,81 @@ impl BufferPool {
         Ok(())
     }
 
+    /// Visit one record of page `id`, whose byte offset in the page
+    /// `locate` gives, or `None` when the page must be seen whole. A hit or
+    /// an admitted miss runs `f` against the frame, as [`read`](Self::read)
+    /// does. Any other miss is a *read-through*: `locate` is asked — after
+    /// the page was found unmapped, so whatever it consults is at least as
+    /// new as the store's image — and the record's bytes are read into
+    /// `record` with the shard unlocked, installing and evicting nothing.
+    /// The bytes are kept only if the page is still unmapped and the shard
+    /// wrote nothing back meanwhile; otherwise, or when `locate` declines,
+    /// the visit takes the frame path after all (see the module docs).
+    pub fn read_record<T>(
+        &self,
+        id: PageId,
+        record: &mut [u8],
+        locate: impl FnOnce() -> Option<usize>,
+        f: impl FnOnce(&Page) -> T,
+    ) -> Result<RecordRead<T>> {
+        let shard = self.shard(id);
+        let mut inner = shard.lock();
+        if inner.map.contains_key(&id) {
+            self.stats.hits.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.stats.misses.fetch_add(1, Ordering::Relaxed);
+            if !inner.admit(self.shard_page(id)) {
+                let epoch = inner.write_epoch;
+                drop(inner);
+                let read = locate().map(|offset| self.store.read_range(id, offset, record));
+                inner = shard.lock();
+                let fresh = inner.write_epoch == epoch && !inner.map.contains_key(&id);
+                match read {
+                    Some(Err(e)) => {
+                        self.stats.read_errors.fetch_add(1, Ordering::Relaxed);
+                        return Err(e);
+                    }
+                    Some(Ok(())) if fresh => {
+                        self.stats.read_through.fetch_add(1, Ordering::Relaxed);
+                        return Ok(RecordRead::ReadThrough);
+                    }
+                    // Declined, or the bytes may be stale: the frame path.
+                    _ => {}
+                }
+            }
+        }
+        let (mut inner, idx) = match inner.map.get(&id).copied() {
+            Some(idx) => (inner, idx),
+            None => self.load(shard, inner, id)?,
+        };
+        let frame = inner.frame_mut(idx);
+        frame.referenced = true;
+        Ok(RecordRead::Page(f(&frame.page)))
+    }
+
     /// Lock `id`'s shard and return it with the index of the resident slot
     /// holding `id`, loading the page first if it is not cached.
     fn fetch(&self, id: PageId) -> Result<(MutexGuard<'_, PoolInner>, usize)> {
         let shard = self.shard(id);
-        let inner = shard.lock();
+        let mut inner = shard.lock();
         if let Some(&idx) = inner.map.get(&id) {
             self.stats.hits.fetch_add(1, Ordering::Relaxed);
             return Ok((inner, idx));
         }
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
+        // Every miss counts toward the doorkeeper; this one is loaded anyway.
+        inner.admit(self.shard_page(id));
+        self.load(shard, inner, id)
+    }
+
+    /// Load `id`, which the locked shard does not map, into a reserved
+    /// frame: read with the shard unlocked, then publish (module docs).
+    fn load<'a>(
+        &self,
+        shard: &'a Mutex<PoolInner>,
+        inner: MutexGuard<'a, PoolInner>,
+        id: PageId,
+    ) -> Result<(MutexGuard<'a, PoolInner>, usize)> {
         let (mut inner, idx, mut page) = self.reserve(shard, inner)?;
         loop {
             let epoch = inner.write_epoch;
@@ -701,15 +854,42 @@ mod tests {
         // 32 pages through 16 frames: plenty of concurrent churn.
         assert!(p.stats().evictions() > 0);
     }
+    /// A flag one thread raises and another waits for — at most 5 s, so a
+    /// broken handshake fails a test instead of hanging it.
+    #[derive(Default)]
+    struct Signal {
+        raised: std::sync::Mutex<bool>,
+        cv: std::sync::Condvar,
+    }
+
+    impl Signal {
+        fn raise(&self) {
+            *self.raised.lock().unwrap() = true;
+            self.cv.notify_all();
+        }
+
+        /// Whether the flag was raised in time.
+        fn wait(&self) -> bool {
+            let raised = self.raised.lock().unwrap();
+            let deadline = std::time::Duration::from_secs(5);
+            *self.cv.wait_timeout_while(raised, deadline, |r| !*r).unwrap().0
+        }
+    }
+
     /// A store whose reads rendezvous: each `read_into` waits (bounded) until
     /// `parties` reads are inside the store at once, then all proceed.
-    /// `met` records whether the rendezvous ever completed.
+    /// `met` records whether the rendezvous ever completed. With
+    /// `pause_ranges` set, a `read_range` that has read its bytes raises
+    /// `range_read` and waits for `resume` before it returns.
     struct GatedStore {
         inner: SimulatedPageStore,
         parties: usize,
         inside: std::sync::Mutex<usize>,
         arrived: std::sync::Condvar,
         met: std::sync::atomic::AtomicBool,
+        pause_ranges: std::sync::atomic::AtomicBool,
+        range_read: Signal,
+        resume: Signal,
     }
 
     impl GatedStore {
@@ -720,6 +900,9 @@ mod tests {
                 inside: std::sync::Mutex::new(0),
                 arrived: std::sync::Condvar::new(),
                 met: std::sync::atomic::AtomicBool::new(false),
+                pause_ranges: std::sync::atomic::AtomicBool::new(false),
+                range_read: Signal::default(),
+                resume: Signal::default(),
             }
         }
 
@@ -745,6 +928,15 @@ mod tests {
             }
             drop(guard);
             self.inner.read_into(id, page)
+        }
+
+        fn read_range(&self, id: PageId, offset: usize, buf: &mut [u8]) -> Result<()> {
+            self.inner.read_range(id, offset, buf)?;
+            if self.pause_ranges.load(Ordering::SeqCst) {
+                self.range_read.raise();
+                self.resume.wait();
+            }
+            Ok(())
         }
 
         fn write(&self, id: PageId, page: &Page) -> Result<()> {
@@ -945,5 +1137,167 @@ mod tests {
         assert_eq!(p.frame_counts(), (0, 2), "failed loads must hand their frames back");
         p.read(id, |_| ()).unwrap();
         assert_eq!(p.frame_counts(), (1, 1));
+    }
+
+    /// `n` pages, page `i` holding `i` in slot 0.
+    fn pages_of(p: &BufferPool, n: u64) -> Vec<PageId> {
+        (0..n)
+            .map(|i| {
+                let id = p.allocate(8).unwrap();
+                p.write(id, |page| page.insert(&i.to_le_bytes()).unwrap()).unwrap();
+                id
+            })
+            .collect()
+    }
+
+    /// Slot 0 of `id` as a one-record visit: its value, and whether it was
+    /// read through.
+    fn record_of(p: &BufferPool, id: PageId) -> (u64, bool) {
+        let mut bytes = [0u8; 8];
+        match p.read_record(id, &mut bytes, || Some(Page::slot_offset(8, 0)), counter).unwrap() {
+            RecordRead::Page(v) => (v, false),
+            RecordRead::ReadThrough => (u64::from_le_bytes(bytes), true),
+        }
+    }
+
+    #[test]
+    fn a_read_through_installs_and_evicts_nothing() {
+        let p = pool(2);
+        let ids = pages_of(&p, 4); // the last two are resident
+        p.stats().reset();
+        assert_eq!(record_of(&p, ids[0]), (0, true));
+        assert_eq!(record_of(&p, ids[1]), (1, true));
+        let s = p.stats();
+        assert_eq!((s.misses(), s.read_through(), s.evictions()), (2, 2, 0));
+        assert_eq!(p.frame_counts(), (2, 0));
+        for &id in &ids[2..] {
+            p.read(id, |_| ()).unwrap();
+        }
+        assert_eq!(p.stats().hits(), 2, "the resident pages stayed");
+    }
+
+    #[test]
+    fn a_page_missed_twice_inside_the_window_is_installed() {
+        let p = pool(2);
+        let ids = pages_of(&p, 4);
+        p.stats().reset();
+        assert_eq!(record_of(&p, ids[0]), (0, true));
+        assert_eq!(record_of(&p, ids[0]), (0, false), "the second miss is admitted");
+        assert_eq!((p.stats().evictions(), p.stats().read_through()), (1, 1));
+        assert_eq!(record_of(&p, ids[0]), (0, false));
+        assert_eq!(p.stats().hits(), 1, "and installed");
+        assert_eq!(p.frame_counts(), (2, 0));
+
+        // The window is as many misses as the shard has frames: a page
+        // that misses again only after two other misses reads through again.
+        let p = pool(2);
+        let ids = pages_of(&p, 4);
+        assert_eq!(record_of(&p, ids[0]), (0, true));
+        assert_eq!(record_of(&p, ids[1]), (1, true));
+        assert_eq!(record_of(&p, ids[0]), (0, true));
+        assert_eq!(p.stats().read_through(), 3);
+    }
+
+    #[test]
+    fn a_shard_with_a_free_frame_always_installs() {
+        let p = sharded(4, 2);
+        let ids = pages_of(&p, 4);
+        p.clear().unwrap();
+        p.stats().reset();
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(record_of(&p, id), (i as u64, false));
+        }
+        assert_eq!((p.stats().misses(), p.stats().read_through()), (4, 0));
+        assert_eq!(p.frame_counts(), (4, 0));
+    }
+
+    #[test]
+    fn a_declined_or_failed_read_through_takes_no_frame_of_its_own() {
+        let store = Arc::new(SimulatedPageStore::new());
+        let p = BufferPool::new(store.clone(), 1);
+        let ids = pages_of(&p, 2);
+        // Declined: the page is loaded after all.
+        let mut bytes = [0u8; 8];
+        let got = p.read_record(ids[0], &mut bytes, || None, counter).unwrap();
+        assert_eq!((got, p.stats().read_through()), (RecordRead::Page(0), 0));
+        // Failed: the error, counted, and the frame still where it was.
+        let ghost = store.allocate();
+        let offset = || Some(Page::slot_offset(8, 0));
+        assert!(p.read_record(ghost, &mut bytes, offset, counter).is_err());
+        assert_eq!(p.stats().read_errors(), 1);
+        assert_eq!(p.frame_counts(), (1, 0));
+        assert_eq!(record_of(&p, ids[0]), (0, false), "still resident");
+    }
+
+    #[test]
+    fn a_read_through_racing_a_write_back_of_its_page_keeps_no_stale_bytes() {
+        // A read-through of a page that, while its bytes are in flight, is
+        // loaded, changed, written back and evicted again: an insert of the
+        // slot it reads (so the bytes it read are zeros), or a delete that a
+        // reader sees before the read-through returns. Either way the page
+        // is unmapped when the read-through relocks, and only the moved
+        // write epoch tells it the bytes are stale.
+        for delete in [false, true] {
+            let store = Arc::new(GatedStore::new(1));
+            let p = BufferPool::new(store.clone(), 1);
+            let ids = pages_of(&p, 2);
+            let (page, other) = (ids[0], ids[1]);
+            // Clean frames: only the race writes pages back.
+            p.flush().unwrap();
+            // The heap's summary of `page`: slot count, and a tombstone.
+            let count = std::sync::atomic::AtomicU16::new(1);
+            let tombstone = std::sync::atomic::AtomicBool::new(false);
+            let slot = if delete { 0 } else { 1 };
+            let (checked, written) = (Signal::default(), Signal::default());
+            store.pause_ranges.store(true, Ordering::SeqCst);
+            let got = std::thread::scope(|s| {
+                let reader = s.spawn(|| {
+                    let mut bytes = [0u8; 8];
+                    let locate = || {
+                        checked.raise();
+                        written.wait();
+                        let live = !tombstone.load(Ordering::SeqCst)
+                            && slot < count.load(Ordering::SeqCst);
+                        live.then(|| Page::slot_offset(8, slot))
+                    };
+                    let visit = |page: &Page| page.get(slot).ok().map(|_| counter_at(page, slot));
+                    match p.read_record(page, &mut bytes, locate, visit).unwrap() {
+                        RecordRead::Page(v) => v,
+                        RecordRead::ReadThrough => Some(u64::from_le_bytes(bytes)),
+                    }
+                });
+                assert!(checked.wait(), "the reader found the page unmapped");
+                if !delete {
+                    p.write(page, |pg| {
+                        pg.insert(&42u64.to_le_bytes()).unwrap();
+                        count.store(pg.count(), Ordering::SeqCst);
+                    })
+                    .unwrap();
+                }
+                written.raise();
+                assert!(store.range_read.wait(), "the reader read through");
+                if delete {
+                    p.write(page, |pg| {
+                        pg.delete(0).unwrap();
+                        tombstone.store(true, Ordering::SeqCst);
+                    })
+                    .unwrap();
+                    assert!(p.read(page, |pg| pg.get(0).is_err()).unwrap(), "a reader saw it go");
+                }
+                p.flush().unwrap();
+                p.read(other, |_| ()).unwrap(); // evicts `page`
+                store.resume.raise();
+                reader.join().unwrap()
+            });
+            let want = if delete { None } else { Some(42) };
+            assert_eq!(got, want, "delete {delete}: the post-image, never stale bytes");
+            assert_eq!(p.stats().read_through(), 0, "delete {delete}: the bytes were discarded");
+            let (resident, free) = p.frame_counts();
+            assert_eq!(resident + free, 1);
+        }
+    }
+
+    fn counter_at(page: &Page, slot: u16) -> u64 {
+        u64::from_le_bytes(page.get(slot).unwrap().try_into().unwrap())
     }
 }

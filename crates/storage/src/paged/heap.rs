@@ -7,9 +7,26 @@
 //! Serialization: a record is its cells back to back, each the 9-byte image
 //! of [`crate::value::encode_cell`] — the same bytes the WAL logs and the
 //! wire protocol ships, so a record is copied out of a pinned page as is.
+//!
+//! # The page summary
+//!
+//! A candidate alone on its page is validated through
+//! [`BufferPool::read_record`], which may read just its record's bytes
+//! from the store instead of loading the page (a read-through). Those bytes
+//! carry no liveness — the slot count and the tombstones sit in the page
+//! header — so the table keeps, per heap page, the slot count and one bit
+//! saying whether any slot is tombstoned: four bytes, readable without a
+//! lock. A read-through is taken only for a slot below the count on a page
+//! with no tombstone; a page with a tombstone, or one the summary does not
+//! know, is loaded. The summary is written inside the `pool.write`
+//! closures of [`insert`](PagedTable::insert) and
+//! [`delete_returning`](PagedTable::delete_returning), under the page's
+//! shard lock, so any write-back of the page comes after it and the pool
+//! reads it only after finding the page unmapped; [`reopen`](PagedTable::reopen)'s
+//! scan rebuilds it.
 
-use super::buffer_pool::BufferPool;
-use super::page::PageId;
+use super::buffer_pool::{BufferPool, RecordRead};
+use super::page::{Page, PageId};
 use crate::batch::RowRef;
 use crate::error::StorageError;
 use crate::schema::{ColumnId, Schema};
@@ -18,7 +35,8 @@ use crate::table::RowLoc;
 use crate::value::{self, encode_cell, Value, CELL_BYTES};
 use crate::Result;
 use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Arc, OnceLock};
 
 fn encode_row(schema: &Schema, row: &[Value], buf: &mut Vec<u8>) -> Result<()> {
     if row.len() != schema.width() {
@@ -67,11 +85,80 @@ pub(crate) fn decode_cell_at(bytes: &[u8], cid: usize) -> Value {
     decode_cell(&bytes[start..])
 }
 
+/// Entries in the first segment of a [`PageSummaries`]; segment `k` holds
+/// `SEGMENT_BASE << k`.
+const SEGMENT_BASE: usize = 1024;
+/// Enough segments for every `u32` page id a [`RowLoc`] can name.
+const SEGMENTS: usize = 23;
+/// A summary entry's flags; its low 16 bits are the page's slot count.
+const KNOWN: u32 = 1 << 31;
+const TOMBSTONE: u32 = 1 << 16;
+
+/// The per-page summary (see the module docs), indexed by page id in
+/// segments that double in size, each allocated on first use and never
+/// moved — so a reader needs no lock. Writers store with `Release`, under
+/// the page's shard lock; a read-through loads with `Acquire` after taking
+/// and dropping that lock, so it sees every write made before it took it.
+struct PageSummaries {
+    /// `SEGMENTS` slots.
+    segments: Box<[OnceLock<Box<[AtomicU32]>>]>,
+}
+
+impl PageSummaries {
+    fn new() -> Self {
+        PageSummaries { segments: (0..SEGMENTS).map(|_| OnceLock::new()).collect() }
+    }
+
+    /// Segment and index of page `pid`'s entry.
+    fn position(pid: PageId) -> Option<(usize, usize)> {
+        let pid = usize::try_from(pid).ok()?;
+        let k = (pid / SEGMENT_BASE + 1).ilog2() as usize;
+        (k < SEGMENTS).then(|| (k, pid - SEGMENT_BASE * ((1 << k) - 1)))
+    }
+
+    fn entry(&self, pid: PageId) -> Option<&AtomicU32> {
+        let (k, i) = Self::position(pid)?;
+        self.segments[k].get().map(|segment| &segment[i])
+    }
+
+    /// Record `pid`'s slot count after a write to it, keeping its tombstone
+    /// bit (`tombstone` sets it). Called under the page's frame.
+    fn note(&self, pid: PageId, count: u16, tombstone: bool) {
+        let Some((k, i)) = Self::position(pid) else { return };
+        let segment = self.segments[k]
+            .get_or_init(|| (0..SEGMENT_BASE << k).map(|_| AtomicU32::new(0)).collect());
+        let old = segment[i].load(Ordering::Relaxed);
+        let flag = if tombstone { TOMBSTONE } else { old & TOMBSTONE };
+        segment[i].store(KNOWN | flag | u32::from(count), Ordering::Release);
+    }
+
+    /// Mark `pid` as holding a tombstone.
+    fn note_delete(&self, pid: PageId) {
+        if let Some(entry) = self.entry(pid) {
+            entry.fetch_or(TOMBSTONE, Ordering::Release);
+        }
+    }
+
+    /// True when the summary alone shows `slot` of `pid` to be a live
+    /// record: a known page with no tombstone and more slots than `slot`.
+    fn is_live(&self, pid: PageId, slot: u16) -> bool {
+        self.entry(pid)
+            .map(|e| e.load(Ordering::Acquire))
+            .is_some_and(|s| s & (KNOWN | TOMBSTONE) == KNOWN && u32::from(slot) < s & 0xFFFF)
+    }
+
+    fn memory_bytes(&self) -> usize {
+        let entries: usize = self.segments.iter().filter_map(|s| s.get()).map(|s| s.len()).sum();
+        entries * std::mem::size_of::<AtomicU32>()
+    }
+}
+
 /// A table heap stored in pages behind a buffer pool.
 pub struct PagedTable {
     schema: Schema,
     pool: Arc<BufferPool>,
     pages: Mutex<Vec<PageId>>,
+    summaries: PageSummaries,
     stats: Mutex<Vec<ColumnStats>>,
     live_rows: Mutex<usize>,
     record_width: u16,
@@ -86,6 +173,7 @@ impl PagedTable {
             schema,
             pool,
             pages: Mutex::new(Vec::new()),
+            summaries: PageSummaries::new(),
             stats: Mutex::new(stats),
             live_rows: Mutex::new(0),
             record_width,
@@ -110,6 +198,7 @@ impl PagedTable {
         let mut stats: Vec<ColumnStats> =
             schema.columns().iter().map(|_| ColumnStats::default()).collect();
         let mut observed = Vec::with_capacity(page_ids.len());
+        let summaries = PageSummaries::new();
         for &pid in &page_ids {
             let entry = pool.read(pid, |page| {
                 if page.record_width() != record_width {
@@ -125,6 +214,7 @@ impl PagedTable {
                     }
                     count += 1;
                 }
+                summaries.note(pid, page.count(), count < u32::from(page.count()));
                 Ok((count, crate::recovery::crc32(page.as_bytes())))
             })??;
             observed.push(entry);
@@ -134,6 +224,7 @@ impl PagedTable {
             schema,
             pool,
             pages: Mutex::new(page_ids),
+            summaries,
             stats: Mutex::new(stats),
             live_rows: Mutex::new(live),
             record_width,
@@ -212,15 +303,23 @@ impl PagedTable {
         let mut pages = self.pages.lock();
         // Try the last page first.
         if let Some(&last) = pages.last() {
-            let slot = self.pool.write(last, |page| page.insert(&encoded))?;
+            let slot = self.pool.write(last, |page| self.insert_into(last, page, &encoded))?;
             if let Ok(slot) = slot {
                 return self.finish_insert(row, last, slot);
             }
         }
         let new_page = self.pool.allocate(self.record_width)?;
         pages.push(new_page);
-        let slot = self.pool.write(new_page, |page| page.insert(&encoded))??;
+        let slot =
+            self.pool.write(new_page, |page| self.insert_into(new_page, page, &encoded))??;
         self.finish_insert(row, new_page, slot)
+    }
+
+    /// Append `record` to page `pid`, pinned for writing, and summarize it.
+    fn insert_into(&self, pid: PageId, page: &mut Page, record: &[u8]) -> Result<u16> {
+        let slot = page.insert(record)?;
+        self.summaries.note(pid, page.count(), false);
+        Ok(slot)
     }
 
     fn finish_insert(&self, row: &[Value], page: PageId, slot: u16) -> Result<RowLoc> {
@@ -268,6 +367,10 @@ impl PagedTable {
     /// Visitation order is ascending [`RowLoc`] order, not `locs` order —
     /// callers that care about the original position use the index argument.
     ///
+    /// A candidate alone on its page goes through
+    /// [`BufferPool::read_record`], so a cold one may cost one read of its
+    /// record rather than a load of its page (see the module docs).
+    ///
     /// `f` runs while the row's page is pinned (its pool shard locked), so
     /// it must not re-enter the buffer pool; read everything needed through
     /// the provided [`RowRef`].
@@ -283,6 +386,7 @@ impl PagedTable {
             let loc = locs[i as usize];
             (loc.block, loc.offset)
         });
+        let mut record = Vec::new();
         let mut unreadable = 0usize;
         let mut start = 0usize;
         while start < order.len() {
@@ -291,19 +395,43 @@ impl PagedTable {
             while end < order.len() && locs[order[end] as usize].block as PageId == pid {
                 end += 1;
             }
-            let run = &order[start..end];
-            let visited = self.pool.read(pid, |page| {
-                for &i in run {
-                    let loc = locs[i as usize];
-                    let row =
-                        page.get(loc.offset as u16).ok().map(|bytes| RowRef::Encoded { bytes });
-                    f(i as usize, row);
-                }
-            });
+            let visited = match order[start..end] {
+                [i] => self.visit_record(pid, locs[i as usize].offset as u16, &mut record, |row| {
+                    f(i as usize, row)
+                }),
+                ref run => self.pool.read(pid, |page| {
+                    for &i in run {
+                        let loc = locs[i as usize];
+                        let row =
+                            page.get(loc.offset as u16).ok().map(|bytes| RowRef::Encoded { bytes });
+                        f(i as usize, row);
+                    }
+                }),
+            };
             unreadable += usize::from(visited.is_err());
             start = end;
         }
         unreadable
+    }
+
+    /// Visit `slot` of page `pid` through [`BufferPool::read_record`],
+    /// reading through into `record` when the summary shows the slot live.
+    fn visit_record(
+        &self,
+        pid: PageId,
+        slot: u16,
+        record: &mut Vec<u8>,
+        mut f: impl FnMut(Option<RowRef<'_>>),
+    ) -> Result<()> {
+        record.resize(self.record_width as usize, 0);
+        let locate = || {
+            self.summaries.is_live(pid, slot).then(|| Page::slot_offset(self.record_width, slot))
+        };
+        let visit = |page: &Page| f(page.get(slot).ok().map(|bytes| RowRef::Encoded { bytes }));
+        if self.pool.read_record(pid, record, locate, visit)? == RecordRead::ReadThrough {
+            f(Some(RowRef::Encoded { bytes: record }));
+        }
+        Ok(())
     }
 
     /// Tombstone a row. The old row is decoded under the same page access
@@ -318,9 +446,12 @@ impl PagedTable {
     /// observe a row they then fail to delete.
     pub fn delete_returning(&self, loc: RowLoc) -> Result<Vec<Value>> {
         let width = self.schema.width();
-        let row = self.pool.write(loc.block as PageId, |page| {
+        let pid = loc.block as PageId;
+        let row = self.pool.write(pid, |page| {
             let old = page.get(loc.offset as u16).map(|b| decode_row(b, width))?;
-            page.delete(loc.offset as u16).map(|()| old)
+            page.delete(loc.offset as u16)?;
+            self.summaries.note_delete(pid);
+            Ok::<_, StorageError>(old)
         })??;
         {
             let mut stats = self.stats.lock();
@@ -396,6 +527,11 @@ impl PagedTable {
         Ok(out)
     }
 
+    /// Bytes the page summary holds (see the module docs).
+    pub fn summary_bytes(&self) -> usize {
+        self.summaries.memory_bytes()
+    }
+
     /// Column statistics (same contract as [`crate::Table::stats`]).
     pub fn stats(&self, cid: ColumnId) -> Result<ColumnStats> {
         self.schema.column(cid)?;
@@ -406,7 +542,7 @@ impl PagedTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::paged::io::SimulatedPageStore;
+    use crate::paged::io::{PageStore, SimulatedPageStore};
     use crate::schema::ColumnDef;
 
     fn make_table(pool_pages: usize) -> PagedTable {
@@ -644,6 +780,78 @@ mod tests {
         });
         assert_eq!(t.len(), threads * per_thread);
         assert_eq!(t.scan().unwrap().len(), threads * per_thread);
+    }
+
+    /// One candidate alone: its first column, or `None` when deleted.
+    fn validate_one(t: &PagedTable, loc: RowLoc) -> Option<i64> {
+        let mut seen = None;
+        let unreadable = t.for_each_row_batch(&[loc], &mut Vec::new(), |_, r| {
+            seen = Some(r.and_then(|r| r.value(0).as_i64()));
+        });
+        assert_eq!(unreadable, 0);
+        seen.expect("the candidate was visited")
+    }
+
+    /// Delete a row, flush, push its page out of a two-frame pool, and
+    /// validate it alone — it must stay deleted; a live row of a clean cold
+    /// page comes back through a read-through. Then the same over a table
+    /// reopened from the store, whose summary the reopen scan rebuilt.
+    fn deleted_rows_stay_deleted_through_read_throughs(store: Arc<dyn PageStore>) {
+        let schema = Schema::new(vec![ColumnDef::int("pk"), ColumnDef::float("a")]);
+        let pool = Arc::new(BufferPool::new(Arc::clone(&store), 2));
+        let t = PagedTable::new(schema.clone(), Arc::clone(&pool));
+        let locs: Vec<RowLoc> = (0..3_000)
+            .map(|i| t.insert(&[Value::Int(i), Value::Float(i as f64)]).unwrap())
+            .collect();
+        let pages = &t.pages();
+        assert!(pages.len() >= 6, "{} pages", pages.len());
+        let on_page =
+            |k: usize| locs.iter().copied().filter(move |l| l.block as PageId == pages[k]);
+        let (victim, neighbour) = {
+            let mut first = on_page(0);
+            (first.next().unwrap(), first.next().unwrap())
+        };
+        let cold = on_page(3).nth(5).unwrap();
+        t.delete(victim).unwrap();
+        pool.flush().unwrap();
+        let evict = |t: &PagedTable| {
+            for k in [4, 5] {
+                t.get(on_page(k).next().unwrap()).unwrap();
+            }
+        };
+
+        evict(&t);
+        let read_through = pool.stats().read_through();
+        assert_eq!(validate_one(&t, victim), None, "a deleted row came back");
+        assert_eq!(validate_one(&t, cold), Some(cold_pk(&locs, cold)));
+        assert_eq!(pool.stats().read_through(), read_through + 1, "the live row read through");
+        assert_eq!(validate_one(&t, neighbour), Some(1));
+        evict(&t);
+        assert_eq!(validate_one(&t, victim), None, "a deleted row came back");
+
+        let pool = Arc::new(BufferPool::new(store, 2));
+        let (r, _) = PagedTable::reopen(schema, Arc::clone(&pool), t.pages()).unwrap();
+        evict(&r);
+        assert_eq!(validate_one(&r, victim), None, "a deleted row came back after reopen");
+        evict(&r);
+        assert_eq!(validate_one(&r, cold), Some(cold_pk(&locs, cold)));
+        assert!(pool.stats().read_through() > 0, "reopened: the live row read through");
+    }
+
+    fn cold_pk(locs: &[RowLoc], loc: RowLoc) -> i64 {
+        locs.iter().position(|&l| l == loc).unwrap() as i64
+    }
+
+    #[test]
+    fn deleted_rows_stay_deleted_through_read_throughs_on_both_stores() {
+        deleted_rows_stay_deleted_through_read_throughs(Arc::new(SimulatedPageStore::new()));
+        let dir = std::env::temp_dir().join(format!("hermit-heap-rt-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("pages.db");
+        let _ = std::fs::remove_file(&path);
+        let store = Arc::new(crate::paged::io::FilePageStore::create(&path).unwrap());
+        deleted_rows_stay_deleted_through_read_throughs(store);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

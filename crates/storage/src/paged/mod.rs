@@ -15,7 +15,8 @@
 //!   with a simulated per-miss latency ([`io::SimulatedPageStore`]) so the
 //!   disk experiment is reproducible on any machine.
 //! * [`buffer_pool::BufferPool`] — a clock-replacement buffer pool with hit
-//!   and miss accounting.
+//!   and miss accounting, whose one-record visits read a cold record
+//!   through instead of loading its page unless a doorkeeper admits it.
 //! * [`heap::PagedTable`] — a slotted table heap storing fixed-width numeric
 //!   rows across pages.
 
@@ -24,7 +25,7 @@ pub mod heap;
 pub mod io;
 pub mod page;
 
-pub use buffer_pool::{BufferPool, PoolStats};
+pub use buffer_pool::{BufferPool, PoolStats, RecordRead};
 pub use heap::PagedTable;
 pub use io::{FilePageStore, IoStats, PageStore, SimulatedPageStore};
 pub use page::{Page, PageId, PAGE_SIZE};

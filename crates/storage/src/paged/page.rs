@@ -106,22 +106,29 @@ impl Page {
 
     /// Maximum number of records this page can hold.
     pub fn capacity(&self) -> u16 {
-        let w = self.record_width() as usize;
+        Self::capacity_for(self.record_width())
+    }
+
+    #[inline]
+    fn capacity_for(record_width: u16) -> u16 {
         // Solve: HEADER + ceil(cap/8) + cap*w <= PAGE_SIZE. Use the
         // conservative bound with a full byte per 8 records.
         let usable = PAGE_SIZE - HEADER_BYTES;
         // cap*(w + 1/8) <= usable  →  cap <= usable*8/(8w+1)
-        ((usable * 8) / (8 * w + 1)) as u16
+        ((usable * 8) / (8 * record_width as usize + 1)) as u16
     }
 
+    /// Byte offset of `slot`'s record in a page of `record_width`-byte
+    /// records — where a read of that one record starts, without the page.
     #[inline]
-    fn bitmap_bytes(&self) -> usize {
-        (self.capacity() as usize).div_ceil(8)
+    pub fn slot_offset(record_width: u16, slot: u16) -> usize {
+        let bitmap_bytes = (Self::capacity_for(record_width) as usize).div_ceil(8);
+        HEADER_BYTES + bitmap_bytes + slot as usize * record_width as usize
     }
 
     #[inline]
     fn record_offset(&self, slot: u16) -> usize {
-        HEADER_BYTES + self.bitmap_bytes() + slot as usize * self.record_width() as usize
+        Self::slot_offset(self.record_width(), slot)
     }
 
     /// True if the slot holds a tombstoned record.
@@ -258,6 +265,20 @@ mod tests {
         p.format(16);
         assert_eq!(p.as_bytes(), Page::new(16).as_bytes(), "no trace of the old image");
         assert_eq!(p.insert(&[1u8; 16]).unwrap(), 0);
+    }
+
+    #[test]
+    fn slot_offset_locates_a_record_without_the_page() {
+        for w in [8u16, 27, 36, 200] {
+            let mut p = Page::new(w);
+            for i in 0..5u8 {
+                p.insert(&vec![i + 1; w as usize]).unwrap();
+            }
+            for slot in 0..5u16 {
+                let off = Page::slot_offset(w, slot);
+                assert_eq!(&p.as_bytes()[off..off + w as usize], p.get(slot).unwrap());
+            }
+        }
     }
 
     #[test]

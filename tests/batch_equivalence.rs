@@ -26,12 +26,15 @@ fn schema() -> Schema {
     ])
 }
 
-/// Rows with target = i, host = 2i except every `noise_every`-th row, whose
-/// wild host value forces the TRS-Tree's outlier buffers.
-fn insert_rows(db: &mut Database, n: usize, noise_every: usize) {
-    for i in 0..n {
+/// Rows with pk = target = i, host = 2i except every `noise_every`-th row,
+/// whose wild host value forces the TRS-Tree's outlier buffers. Inserted so
+/// that consecutive targets sit `stride` rows apart in the heap (`stride`
+/// coprime to `n`; 1 inserts them in target order).
+fn insert_rows(db: &mut Database, n: usize, noise_every: usize, stride: usize) {
+    for j in 0..n {
+        let i = j * stride % n;
         let m = i as f64;
-        let host = if noise_every > 0 && i % noise_every == 0 { -5.0e6 } else { 2.0 * m };
+        let host = if noise_every > 0 && i.is_multiple_of(noise_every) { -5.0e6 } else { 2.0 * m };
         db.insert(&[
             Value::Int(i as i64),
             Value::Float(host),
@@ -44,7 +47,7 @@ fn insert_rows(db: &mut Database, n: usize, noise_every: usize) {
 
 fn mem_hermit(scheme: TidScheme, n: usize, noise_every: usize) -> Database {
     let mut db = Database::new(schema(), 0, scheme);
-    insert_rows(&mut db, n, noise_every);
+    insert_rows(&mut db, n, noise_every, 1);
     db.create_baseline_index(HOST, true).unwrap();
     db.create_hermit_index(TARGET, HOST).unwrap();
     db
@@ -52,7 +55,7 @@ fn mem_hermit(scheme: TidScheme, n: usize, noise_every: usize) -> Database {
 
 fn mem_baseline(scheme: TidScheme, n: usize) -> Database {
     let mut db = Database::new(schema(), 0, scheme);
-    insert_rows(&mut db, n, 0);
+    insert_rows(&mut db, n, 0, 1);
     db.create_baseline_index(TARGET, false).unwrap();
     db
 }
@@ -64,7 +67,7 @@ fn paged_hermit(n: usize, noise_every: usize, pool_pages: usize, shards: usize) 
     let pool = Arc::new(BufferPool::new_sharded(store, pool_pages, shards));
     let table = PagedTable::new(schema(), pool);
     let mut db = Database::new_paged(table, 0);
-    insert_rows(&mut db, n, noise_every);
+    insert_rows(&mut db, n, noise_every, 1);
     db.create_baseline_index(HOST, true).unwrap();
     db.create_hermit_index(TARGET, HOST).unwrap();
     db
@@ -176,7 +179,7 @@ fn batch_survives_deletions() {
 #[test]
 fn batch_with_inflated_error_bound_counts_false_positives() {
     let mut db = Database::new(schema(), 0, TidScheme::Physical);
-    insert_rows(&mut db, 10_000, 0);
+    insert_rows(&mut db, 10_000, 0, 1);
     db.set_trs_params(TrsParams::with_error_bound(5_000.0));
     db.create_baseline_index(HOST, true).unwrap();
     db.create_hermit_index(TARGET, HOST).unwrap();
@@ -213,6 +216,26 @@ fn paged_batch_matches_scalar_under_pool_churn() {
     // 12-page pool over a ~140-page heap: validation constantly evicts.
     let db = paged_hermit(40_000, 50, 12, 4);
     check_batch(&db, &predicate_mix(40_000), PlanKind::Hermit, "paged");
+}
+
+#[test]
+fn paged_batch_matches_the_reference_when_cold_rows_are_read_through() {
+    // Consecutive targets 401 rows apart in the heap — more than a page
+    // holds — behind a four-frame pool: most candidates are alone on a page
+    // the pool does not hold, and such a miss reads the record, not the page.
+    const N: usize = 10_000;
+    let pool = Arc::new(BufferPool::new_sharded(Arc::new(SimulatedPageStore::new()), 4, 2));
+    let mut db = Database::new_paged(PagedTable::new(schema(), Arc::clone(&pool)), 0);
+    insert_rows(&mut db, N, 50, 401);
+    db.create_baseline_index(HOST, true).unwrap();
+    db.create_hermit_index(TARGET, HOST).unwrap();
+    // Tombstones on a few pages: their candidates take the frame path.
+    for pk in (0..40).step_by(3) {
+        db.delete_by_pk(pk).unwrap();
+    }
+    pool.stats().reset();
+    check_batch(&db, &predicate_mix(N), PlanKind::Hermit, "read-through");
+    assert!(pool.stats().read_through() > 20, "{} read-throughs", pool.stats().read_through());
 }
 
 #[test]

@@ -551,13 +551,14 @@ fn stolen_page_never_outruns_the_records_that_undo_it() {
         let last_page = *pages.last().unwrap();
         let tail = Arc::clone(db.wal_tail().unwrap());
 
-        // From here on, every instrumented I/O but a page read leaves an
-        // image behind, with the log's durable position at that instant.
+        // From here on, every instrumented I/O but a page or record read
+        // leaves an image behind, with the log's durable position at that
+        // instant.
         let seen: Rc<RefCell<Vec<CrashImage>>> = Rc::default();
         let hook = {
             let (seen, tail, dir) = (Rc::clone(&seen), Arc::clone(&tail), dir.clone());
             install_fault_hook(move |site| {
-                if site != "page.read" {
+                if !matches!(site, "page.read" | "page.read_range") {
                     let mut seen = seen.borrow_mut();
                     let image = fresh_dir(&format!("steal-{sync_every}-image-{}", seen.len()));
                     copy_dir(&dir, &image);

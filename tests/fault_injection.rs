@@ -209,6 +209,36 @@ fn unreadable_pages_are_errors_not_deleted_rows() {
     let Heap::Paged(table) = db.heap() else { panic!("paged database") };
     let (resident, free) = table.pool().frame_counts();
     assert_eq!(resident + free, FRAMES);
+
+    // --- Poisoned with the pool full: seven rows on seven pages (host is
+    // indexed exactly, and consecutive targets sit 1 143 rows apart), so
+    // each cold candidate is alone on its page and its miss reads the
+    // record through. A failed read-through takes no frame and evicts
+    // nothing — a failed load would have evicted a victim and freed its
+    // frame — and it is an unreadable page all the same. (The healthy
+    // answer comes from the big one: running this query first would teach
+    // the doorkeeper its pages, and their next miss would be admitted.)
+    let scattered = Query::new().range(1, 200.0, 212.0);
+    let host_in = |r: &&Vec<Value>| r[1].as_f64().is_some_and(|h| (200.0..=212.0).contains(&h));
+    let want_scattered: Vec<Vec<Value>> = want_rows.iter().filter(host_in).cloned().collect();
+    assert_eq!(want_scattered.len(), 7);
+    assert_eq!(pool.frame_counts(), (FRAMES, 0), "the pool is full");
+    let (evictions, read_errors) = (pool.stats().evictions(), pool.stats().read_errors());
+    store.set_fail_reads(true);
+    let poisoned = db.execute(&scattered);
+    assert!(poisoned.unreadable > 0, "the failed read-throughs must be reported");
+    assert_eq!(poisoned.unresolved, 0, "an unreadable page is not a deleted row");
+    assert!(poisoned.rows.len() < 7);
+    match client.query(&scattered) {
+        Err(ClientError::Server { code: ErrorCode::Storage, .. }) => {}
+        other => panic!("poisoned read-throughs must answer ErrorCode::Storage, got {other:?}"),
+    }
+    assert!(pool.stats().read_errors() > read_errors);
+    assert_eq!(pool.stats().evictions(), evictions, "no load was attempted");
+    assert_eq!(pool.frame_counts(), (FRAMES, 0), "no frame taken or leaked");
+    store.set_fail_reads(false);
+    assert_eq!(client.query(&scattered).unwrap(), want_scattered);
+    assert!(pool.stats().read_through() > 0);
     client.shutdown().unwrap();
     server.wait();
 }

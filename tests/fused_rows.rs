@@ -226,24 +226,30 @@ fn an_invisible_row_contributes_neither_a_location_nor_cells() {
 /// One page visit per candidate: a warm 100-row range that returns whole
 /// rows touches each candidate's page once, not once to validate it and once
 /// more to copy it out.
-#[test]
-fn a_warm_range_visits_each_candidate_page_once() {
+/// A 40 K-row narrow table behind `frames` pool frames, whose consecutive
+/// targets sit 401 rows apart in the heap — more than a page holds — so a
+/// 100-row range is 100 rows on 100 different pages.
+fn scattered_db(frames: usize) -> (Database, Arc<BufferPool>) {
     const ROWS: i64 = 40_000;
-    let pool = Arc::new(BufferPool::new_sharded(Arc::new(SimulatedPageStore::new()), 512, 4));
+    let pool = Arc::new(BufferPool::new_sharded(Arc::new(SimulatedPageStore::new()), frames, 4));
     let narrow = Schema::new(vec![
         ColumnDef::int("pk"),
         ColumnDef::float("host"),
         ColumnDef::float("target"),
     ]);
     let mut db = Database::new_paged(PagedTable::new(narrow, Arc::clone(&pool)), 0);
-    // Consecutive targets sit 401 rows apart in the heap — more than a page
-    // holds — so a 100-row range is 100 rows on 100 different pages.
     for i in 0..ROWS {
         let m = ((i * 401) % ROWS) as f64;
         db.insert(&[Value::Int(i), Value::Float(2.0 * m), Value::Float(m)]).unwrap();
     }
     db.create_baseline_index(1, true).unwrap();
     db.create_hermit_index(2, 1).unwrap();
+    (db, pool)
+}
+
+#[test]
+fn a_warm_range_visits_each_candidate_page_once() {
+    let (db, pool) = scattered_db(512);
     let Heap::Paged(table) = db.heap() else { panic!("paged database") };
     assert!(table.page_count() < 512, "the whole heap stays resident");
 
@@ -269,4 +275,31 @@ fn a_warm_range_visits_each_candidate_page_once() {
          must share one visit"
     );
     assert!(visits >= pages.len() as u64, "every page that holds a match was visited");
+}
+
+/// The same range over a four-frame pool: nearly every candidate is alone
+/// on a page the pool does not hold, so its miss reads the record through
+/// instead of loading the page — and the cells emitted from those bytes are
+/// the cells a later fetch reads, in one visit per candidate all the same.
+#[test]
+fn a_cold_range_reads_its_rows_through_and_emits_the_same_cells() {
+    let (db, pool) = scattered_db(4);
+    let base = Query::new().range(2, 20_000.0, 20_099.0);
+    assert_eq!(db.plan(&base).kind(), PlanKind::Hermit);
+    let plain = db.execute(&base);
+    assert_eq!(plain.rows.len(), 100);
+    let stats = pool.stats();
+    let visits = || stats.hits() + stats.misses();
+    let (start, read_through) = (visits(), stats.read_through());
+    let whole = db.execute(&base.clone().select([0, 1, 2]));
+    let candidates = (plain.rows.len() + plain.false_positives) as u64;
+    assert!(visits() - start <= candidates + 1, "one visit per candidate");
+    assert!(stats.read_through() - read_through > 50, "the cold candidates read through");
+    assert_fused_matches(&db, "cold whole rows", &whole, &plain, &[0, 1, 2]);
+    for cols in projections() {
+        let q = base.clone().select(cols.clone());
+        assert_fused_matches(&db, &format!("cold select {cols:?}"), &db.execute(&q), &plain, &cols);
+        let batched = &db.execute_batch(&[q], &BatchOptions::default())[0];
+        assert_fused_matches(&db, &format!("cold batched {cols:?}"), batched, &plain, &cols);
+    }
 }
