@@ -304,13 +304,14 @@ fn seeded_top(db: &Database) {
 ";
 
 /// Mutation: putting the commit wait back under the WAL guard — the shape
-/// `Statement::commit_auto` exists to rule out — fails the lint.
+/// `Statement::commit_auto` and `commit_staged` exist to rule out — fails
+/// the lint.
 #[test]
 fn waiting_for_the_fsync_under_the_wal_guard_fails_the_lint() {
     let mut ws = Workspace::load(&repo_root()).unwrap();
     let recovery = ws.file_mut("crates/core/src/recovery.rs").expect("recovery.rs");
     let released = "drop(wal);\n        match d.absorb_log_failure(owed)?";
-    assert!(recovery.contains(released), "commit_auto should release the guard before the wait");
+    assert!(recovery.contains(released), "commit_with should release the guard before the wait");
     *recovery = recovery
         .replace(
             "let Statement { d, mut wal, quiesce: _quiesce } = self;",
@@ -318,7 +319,7 @@ fn waiting_for_the_fsync_under_the_wal_guard_fails_the_lint() {
         )
         .replace(released, "match d.absorb_log_failure(owed)?");
     let got = of_rule(&analyze(&ws), RuleId::LatchHoldIo);
-    assert!(mentions(&got, "fn `commit_auto` parks in `wait_durable`"), "got {got:?}");
+    assert!(mentions(&got, "fn `commit_with` parks in `wait_durable`"), "got {got:?}");
 }
 
 /// Mutation: seeding a cross-function inversion into the real workspace

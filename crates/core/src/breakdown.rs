@@ -6,7 +6,7 @@
 //! [`InsertBreakdown`] through every insert, accumulating nanoseconds per
 //! phase.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Lookup pipeline phases (Fig. 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -125,6 +125,29 @@ impl InsertBreakdown {
             self.existing_indexes.as_secs_f64() / total,
             self.new_indexes.as_secs_f64() / total,
         )
+    }
+}
+
+/// The insert path's view of an optional [`InsertBreakdown`]: with none to
+/// fill, it reads no clock — an insert pays for its phase timing only when
+/// someone asked for it (`Database::insert_timed`).
+pub(crate) struct InsertTimer<'a>(pub(crate) Option<&'a mut InsertBreakdown>);
+
+impl InsertTimer<'_> {
+    /// The start of a phase: the time, if it is being recorded.
+    pub(crate) fn start(&self) -> Option<Instant> {
+        self.0.is_some().then(Instant::now)
+    }
+
+    /// Charge the time since `start` to the phase `phase` picks.
+    pub(crate) fn charge(
+        &mut self,
+        start: Option<Instant>,
+        phase: impl FnOnce(&mut InsertBreakdown) -> &mut Duration,
+    ) {
+        if let (Some(breakdown), Some(start)) = (self.0.as_deref_mut(), start) {
+            *phase(breakdown) += start.elapsed();
+        }
     }
 }
 

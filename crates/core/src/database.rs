@@ -38,13 +38,14 @@
 //! `&mut self`: the index *registry* itself is not latched, which keeps
 //! every per-query lookup latch-free. Build the schema first, then share.
 
-use crate::breakdown::InsertBreakdown;
+use crate::breakdown::{InsertBreakdown, InsertTimer};
 use crate::composite::{build_composite_tree, build_composite_trs, CompositeIndexes};
 use crate::correlation::{discover_correlations, DiscoveryConfig};
 use crate::error::CoreError;
 use crate::index::SecondaryIndex;
 use crate::latches::{self, LatchedRwLock, Witnessed};
 use hermit_btree::{BPlusTree, HashPrimaryIndex};
+use hermit_storage::paged::heap::encode_row;
 use hermit_storage::paged::{PagedTable, PAGE_SIZE};
 use hermit_storage::wal::WalRecord;
 use hermit_storage::{
@@ -55,7 +56,6 @@ use hermit_trs::{ConcurrentTrsTree, PairSource, TrsParams, TrsTree};
 use hermit_txn::TxnManager;
 use parking_lot::RwLockReadGuard;
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 /// The table heap backing a database: in-memory or paged.
 ///
@@ -101,10 +101,27 @@ impl Heap {
         }
     }
 
-    fn insert(&self, row: &[Value]) -> hermit_storage::Result<RowLoc> {
+    /// Insert `row`. A paged heap stores `encoded`, the record
+    /// [`encode_row`](Self::encode_row) wrote for it, when the caller has
+    /// one, and encodes the row itself otherwise.
+    fn insert(&self, row: &[Value], encoded: Option<&[u8]>) -> hermit_storage::Result<RowLoc> {
+        match (self, encoded) {
+            (Heap::Mem(t), _) => t.write().insert(row),
+            (Heap::Paged(t), Some(encoded)) => t.insert_encoded(row, encoded),
+            (Heap::Paged(t), None) => t.insert(row),
+        }
+    }
+
+    /// Append `row`'s paged record to `out`, checked against the schema
+    /// ([`hermit_storage::paged::heap::encode_row`]).
+    pub(crate) fn encode_row(
+        &self,
+        row: &[Value],
+        out: &mut Vec<u8>,
+    ) -> hermit_storage::Result<()> {
         match self {
-            Heap::Mem(t) => t.write().insert(row),
-            Heap::Paged(t) => t.insert(row),
+            Heap::Mem(t) => encode_row(t.read().schema(), row, out),
+            Heap::Paged(t) => t.encode_row(row, out),
         }
     }
 
@@ -243,6 +260,9 @@ pub struct Database {
     /// Composite `(leading, value)` secondary indexes, maintained on insert
     /// and visible to the query planner.
     pub(crate) composites: LatchedRwLock<CompositeIndexes>,
+    /// Whether `composites` holds an index. Registration takes `&mut self`,
+    /// so DML reads this without the registry's latch.
+    pub(crate) has_composites: bool,
     /// Columns whose indexes existed before the experiment began; their
     /// maintenance cost is charged to "existing indexes" in breakdowns.
     pub(crate) existing: Vec<ColumnId>,
@@ -268,6 +288,7 @@ impl Database {
             primary: LatchedRwLock::new(latches::level(50), HashPrimaryIndex::new()),
             secondary: BTreeMap::new(),
             composites: LatchedRwLock::new(latches::level(30), CompositeIndexes::new()),
+            has_composites: false,
             existing: Vec::new(),
             trs_params: TrsParams::default(),
             durability: None,
@@ -276,15 +297,17 @@ impl Database {
     }
 
     /// Paged (disk-backed) database; always physical pointers, like
-    /// PostgreSQL.
+    /// PostgreSQL. Its primary index keeps ascending keys in a run
+    /// ([`HashPrimaryIndex::with_run`]).
     pub fn new_paged(table: PagedTable, pk_col: ColumnId) -> Self {
         Database {
             heap: Heap::Paged(table),
             scheme: TidScheme::Physical,
             pk_col,
-            primary: LatchedRwLock::new(latches::level(50), HashPrimaryIndex::new()),
+            primary: LatchedRwLock::new(latches::level(50), HashPrimaryIndex::with_run()),
             secondary: BTreeMap::new(),
             composites: LatchedRwLock::new(latches::level(30), CompositeIndexes::new()),
+            has_composites: false,
             existing: Vec::new(),
             trs_params: TrsParams::default(),
             durability: None,
@@ -388,10 +411,11 @@ impl Database {
     /// writers may run concurrently with each other and with readers (see
     /// the module docs and [`crate::shared`]).
     pub fn insert(&self, row: &[Value]) -> hermit_storage::Result<Tid> {
-        self.insert_timed(row, &mut InsertBreakdown::default())
+        self.insert_with(row, InsertTimer(None))
     }
 
-    /// Insert with per-phase timing (Fig. 22's harness).
+    /// Insert with per-phase timing (Fig. 22's harness); [`insert`](Self::insert)
+    /// reads no clock.
     ///
     /// The tuple lands in the base table first and in the indexes second —
     /// the real-RDBMS ordering the Appendix-B reorganization scan relies on
@@ -401,6 +425,11 @@ impl Database {
         row: &[Value],
         breakdown: &mut InsertBreakdown,
     ) -> hermit_storage::Result<Tid> {
+        self.insert_with(row, InsertTimer(Some(breakdown)))
+    }
+
+    // hermit-lint: hot-path
+    fn insert_with(&self, row: &[Value], timer: InsertTimer<'_>) -> hermit_storage::Result<Tid> {
         // Durable databases: refuse up front while the WAL is poisoned,
         // then hold the quiesce latch (shared side) and the WAL guard
         // across heap apply + WAL append. The quiesce latch keeps a live
@@ -417,36 +446,42 @@ impl Database {
         // dirtied is off limits to auto-commit writers too.
         self.txns.check_unlocked(pk).map_err(|_| StorageError::WriteConflict { pk })?;
 
-        let tid = self.apply_insert(row, pk, breakdown)?;
-
+        let Some(mut statement) = statement else {
+            return self.apply_insert(row, None, pk, timer);
+        };
+        // The row is encoded once, into its log record, and checked against
+        // the schema on the way; the heap stores the same cells.
+        statement.stage_insert(None, row.len(), |out| self.heap.encode_row(row, out))?;
+        let tid = self.apply_insert(row, Some(statement.staged_cells()), pk, timer)?;
         // Log last: the WAL is a redo log of *applied* statements, so a
         // failed insert never leaves a record to replay. At a commit point
         // the guard is released before the wait for the fsync.
-        if let Some(statement) = statement {
-            statement.commit_auto(&WalRecord::Insert { row: row.to_vec() })?;
-        }
+        statement.commit_staged()?;
         Ok(tid)
     }
 
     /// Physically apply an insert: heap, primary index, secondary and
     /// composite index maintenance. No conflict check, no WAL — the shared
     /// apply step of auto-commit inserts, transactional inserts, recovery
-    /// replay, and rollback compensation.
+    /// replay, and rollback compensation. `encoded` is the row's record when
+    /// the caller already encoded it (see [`Heap::insert`]).
+    // hermit-lint: hot-path
     pub(crate) fn apply_insert(
         &self,
         row: &[Value],
+        encoded: Option<&[u8]>,
         pk: i64,
-        breakdown: &mut InsertBreakdown,
+        mut timer: InsertTimer<'_>,
     ) -> hermit_storage::Result<Tid> {
-        let t0 = Instant::now();
-        let loc = self.heap.insert(row)?;
+        let t0 = timer.start();
+        let loc = self.heap.insert(row, encoded)?;
         self.primary.write().insert(pk, loc);
-        breakdown.table += t0.elapsed();
+        timer.charge(t0, |b| &mut b.table);
         let tid = self.make_tid(pk, loc);
 
         // Maintain secondary indexes, charging existing vs new separately.
         for (&col, index) in self.secondary.iter() {
-            let t1 = Instant::now();
+            let t1 = timer.start();
             match index {
                 SecondaryIndex::Baseline(tree) => {
                     if let Some(key) = row[col].as_f64() {
@@ -459,21 +494,20 @@ impl Database {
                     }
                 }
             }
-            let d = t1.elapsed();
-            if self.existing.contains(&col) {
-                breakdown.existing_indexes += d;
-            } else {
-                breakdown.new_indexes += d;
-            }
+            timer.charge(t1, |b| {
+                if self.existing.contains(&col) {
+                    &mut b.existing_indexes
+                } else {
+                    &mut b.new_indexes
+                }
+            });
         }
 
-        // Maintain database-owned composite indexes (charged as new). The
-        // registry's shape only changes under `&mut self`, so the
-        // read-check before the write latch cannot race a registration.
-        if !self.composites.read().is_empty() {
-            let t2 = Instant::now();
+        // Maintain database-owned composite indexes (charged as new).
+        if self.has_composites {
+            let t2 = timer.start();
             self.composites.write().maintain_insert(row, tid);
-            breakdown.new_indexes += t2.elapsed();
+            timer.charge(t2, |b| &mut b.new_indexes);
         }
         Ok(tid)
     }
@@ -521,7 +555,7 @@ impl Database {
                 }
             }
         }
-        if !self.composites.read().is_empty() {
+        if self.has_composites {
             self.composites.write().maintain_delete(&row, tid);
         }
         Ok(row)
@@ -611,6 +645,7 @@ impl Database {
     ) -> Result<usize, CoreError> {
         self.require_mem_heap_for_composites()?;
         let tree = build_composite_tree(&self.heap, self.scheme, self.pk_col, leading, value)?;
+        self.has_composites = true;
         Ok(self.composites.get_mut().push_baseline(tree, leading, value))
     }
 
@@ -637,6 +672,7 @@ impl Database {
             host,
             self.trs_params,
         )?;
+        self.has_composites = true;
         Ok(self.composites.get_mut().push_hermit(trs, leading, target, host))
     }
 

@@ -23,10 +23,11 @@
 //! A thread holding a latch of rank *r* may only acquire latches of rank
 //! strictly greater than *r*. The load-bearing nestings, for the record:
 //!
-//! * **DML** (`Database::insert_timed`, `delete_by_pk`, the `_txn`
+//! * **DML** (`Database::insert`, `delete_by_pk`, the `_txn`
 //!   variants): quiesce (read) → WAL guard (`Durability::statement`), both
 //!   held across the heap apply + WAL append; the apply step then takes
-//!   heap / primary / per-index / registry latches transiently. The WAL
+//!   heap / primary / per-index latches transiently, and the registry latch
+//!   only on a database that owns a composite index. The WAL
 //!   guard sits *above* the data latches deliberately — apply order and log
 //!   order must be the same total order (see `Durability::wal_guard` in
 //!   [`crate::recovery`]), so the guard is taken before the first heap
@@ -198,14 +199,16 @@ pub fn level(rank: u32) -> &'static LatchLevel {
 /// fiction). Keep this list sorted.
 pub const LATCH_NESTING_EDGES: &[(u32, u32)] = &[
     (10, 20), // DML + checkpoint: quiesce, then the WAL guard
-    (10, 30), // durable DML: registry probe under quiesce + WAL guard
     (10, 40), // durable DML: per-index maintenance under quiesce + WAL guard
     (10, 50), // durable DML: primary-index maintenance under the brackets
-    (20, 30), // same apply steps, seen from under the WAL guard
-    (20, 40),
+    (20, 40), // same apply steps, seen from under the WAL guard
     (20, 50),
     (30, 60), // composite reorganization: heap scan under the registry latch
               // Absent on purpose, per the reconciliation test:
+              // * (10, 30) / (20, 30) — DML learns whether the registry holds
+              //   an index from a flag set under `&mut self`, not by probing
+              //   it, and a durable database can own no composite index (its
+              //   heap is paged), so durable DML never takes the registry.
               // * (10, 60) / (20, 60) — the durable substrate is paged, and the
               //   paged heap has no rank-60 latch (the buffer pool's shard locks
               //   are leaves); the in-memory heap latch never sits under the

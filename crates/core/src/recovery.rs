@@ -341,8 +341,9 @@ impl Durability {
 /// the WAL guard, taken by [`Durability::statement`] before the first heap
 /// mutation.
 ///
-/// The two methods that end a commit unit — [`commit_auto`](Self::commit_auto)
-/// and [`force_commit`](Self::force_commit) — consume the statement: they
+/// The methods that end a commit unit — [`commit_auto`](Self::commit_auto),
+/// [`commit_staged`](Self::commit_staged) and
+/// [`force_commit`](Self::force_commit) — consume the statement: they
 /// append and `write` under the guard, **drop the guard**, and only then
 /// wait for the fsync. A statement therefore cannot wait on the device
 /// while another one needs the guard; the type leaves no way to write that.
@@ -353,15 +354,48 @@ pub(crate) struct Statement<'a> {
 }
 
 impl<'a> Statement<'a> {
-    /// Append a record of an open transaction (`TxnBegin`, `TxnInsert`,
-    /// `TxnDelete`) and hand it to the file, **before** the change it
-    /// describes is applied (see [`crate::txn`]). Never an fsync: nothing is
-    /// owed for the record until its transaction's commit record is forced,
-    /// and if a page carrying the change is written back first, the buffer
-    /// pool's barrier forces the log up to here ([`WalTail::make_durable`]).
+    /// Encode an inserted row once, as the cells of its log record —
+    /// [`WalRecord::Insert`], or [`WalRecord::TxnInsert`] of `txn` — staged
+    /// in the WAL writer's frame buffer ([`WalWriter::stage_insert`]).
+    /// `encode` writes the cells and rejects a row that does not fit the
+    /// schema, before anything is applied or logged. The heap stores
+    /// [`staged_cells`](Self::staged_cells); [`commit_staged`](Self::commit_staged)
+    /// or [`log_staged`](Self::log_staged) logs them.
+    pub(crate) fn stage_insert(
+        &mut self,
+        txn: Option<u64>,
+        width: usize,
+        encode: impl FnOnce(&mut Vec<u8>) -> hermit_storage::Result<()>,
+    ) -> hermit_storage::Result<()> {
+        self.wal.stage_insert(txn, width, encode)
+    }
+
+    /// The cells [`stage_insert`](Self::stage_insert) encoded.
+    pub(crate) fn staged_cells(&self) -> &[u8] {
+        self.wal.staged_cells()
+    }
+
+    /// Append a record of an open transaction (`TxnBegin`, `TxnDelete`) and
+    /// hand it to the file, **before** the change it describes is applied
+    /// (see [`crate::txn`]). Never an fsync: nothing is owed for the record
+    /// until its transaction's commit record is forced, and if a page
+    /// carrying the change is written back first, the buffer pool's barrier
+    /// forces the log up to here ([`WalTail::make_durable`]).
     pub(crate) fn log_txn(&mut self, rec: &WalRecord) -> hermit_storage::Result<()> {
+        self.log_with(|wal| wal.append(rec))
+    }
+
+    /// [`log_txn`](Self::log_txn) for the staged `TxnInsert` record.
+    pub(crate) fn log_staged(&mut self) -> hermit_storage::Result<()> {
+        self.log_with(WalWriter::append_staged)
+    }
+
+    fn log_with(
+        &mut self,
+        append: impl FnOnce(&mut WalWriter) -> Result<usize, hermit_storage::RecoveryError>,
+    ) -> hermit_storage::Result<()> {
         let wal = &mut *self.wal;
-        let result = wal.append(rec).map_err(wal_err).and_then(|_| wal.flush().map_err(wal_err));
+        let result = append(wal).map_err(wal_err).and_then(|_| wal.flush().map_err(wal_err));
         self.d.absorb_log_failure(result)
     }
 
@@ -375,10 +409,7 @@ impl<'a> Statement<'a> {
         if self.d.check_writable().is_err() {
             return Ok(());
         }
-        let wal = &mut *self.wal;
-        let result =
-            wal.append_txn_abort(txn).map_err(wal_err).and_then(|_| wal.flush().map_err(wal_err));
-        self.d.absorb_log_failure(result)
+        self.log_with(|wal| wal.append_txn_abort(txn))
     }
 
     /// Log an applied auto-commit statement (log-last: the WAL is a redo log
@@ -386,8 +417,20 @@ impl<'a> Statement<'a> {
     /// (`wal_sync_every`) fills, the batch is written, the guard released,
     /// and the statement waits for the fsync that covers it.
     pub(crate) fn commit_auto(self, rec: &WalRecord) -> hermit_storage::Result<()> {
+        self.commit_with(|wal| wal.append(rec))
+    }
+
+    /// [`commit_auto`](Self::commit_auto) for the staged `Insert` record.
+    pub(crate) fn commit_staged(self) -> hermit_storage::Result<()> {
+        self.commit_with(WalWriter::append_staged)
+    }
+
+    fn commit_with(
+        self,
+        append: impl FnOnce(&mut WalWriter) -> Result<usize, hermit_storage::RecoveryError>,
+    ) -> hermit_storage::Result<()> {
         let Statement { d, mut wal, quiesce: _quiesce } = self;
-        let owed = wal.append(rec).map_err(wal_err).and_then(|pending| {
+        let owed = append(&mut wal).map_err(wal_err).and_then(|pending| {
             if pending >= d.sync_every {
                 wal.commit_point().map(Some).map_err(wal_err)
             } else {

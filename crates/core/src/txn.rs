@@ -103,7 +103,7 @@
 //! the WAL guard, which makes them exact.
 
 use crate::batch::BatchScratch;
-use crate::breakdown::InsertBreakdown;
+use crate::breakdown::InsertTimer;
 use crate::database::Database;
 use crate::error::CoreError;
 use crate::executor::QueryResult;
@@ -163,6 +163,15 @@ impl Database {
             .get(self.pk_col)
             .and_then(|v| v.as_i64())
             .ok_or(StorageError::TypeMismatch { column: self.pk_col, expected: "Int" })?;
+        // Encoded once — into the `TxnInsert` record on a durable database —
+        // and the heap copies those cells; a row that does not fit the
+        // schema is refused here, before it is locked or logged.
+        let mut unlogged = Vec::new();
+        match statement.as_mut() {
+            Some(statement) => statement
+                .stage_insert(Some(txn), row.len(), |out| self.heap.encode_row(row, out))?,
+            None => self.heap.encode_row(row, &mut unlogged)?,
+        }
         if !self.txns.is_open(txn) {
             return Err(CoreError::UnknownTxn { txn });
         }
@@ -175,7 +184,7 @@ impl Database {
         }
         self.txns.note_insert(txn, pk)?;
         if let Some(statement) = statement.as_mut() {
-            if let Err(e) = statement.log_txn(&WalRecord::TxnInsert { txn, row: row.to_vec() }) {
+            if let Err(e) = statement.log_staged() {
                 // Nothing was applied: unwind the lock and undo entry so
                 // the failed statement leaves no trace.
                 self.txns.forget_insert(txn, pk);
@@ -190,7 +199,8 @@ impl Database {
         // a no-op for a row that never landed, and recovery's redo-then-undo
         // converges on the same rolled-back state.
         let _vis = self.txns.write_visibility();
-        let tid = self.apply_insert(row, pk, &mut InsertBreakdown::default())?;
+        let encoded = statement.as_ref().map_or(&unlogged[..], |s| s.staged_cells());
+        let tid = self.apply_insert(row, Some(encoded), pk, InsertTimer(None))?;
         Ok(tid)
     }
 
@@ -357,7 +367,7 @@ impl Database {
                 }
                 Undo::Delete { pk, row } => {
                     if self.primary.read().get(*pk).is_none() {
-                        self.apply_insert(row, *pk, &mut InsertBreakdown::default())?;
+                        self.apply_insert(row, None, *pk, InsertTimer(None))?;
                     }
                 }
             }

@@ -29,6 +29,7 @@ pub mod batch;
 pub mod column;
 pub mod error;
 pub mod fault;
+pub mod hash;
 pub mod paged;
 pub mod recovery;
 pub mod schema;

@@ -103,10 +103,10 @@
 
 use super::io::PageStore;
 use super::page::{Page, PageId};
+use crate::hash::IntMap;
 use crate::wal::WalTail;
 use crate::Result;
 use parking_lot::{Mutex, MutexGuard};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -185,7 +185,7 @@ enum Slot {
 struct PoolInner {
     slots: Vec<Slot>,
     /// page id → slot index, for [`Slot::Resident`] slots only
-    map: HashMap<PageId, usize>,
+    map: IntMap<PageId, usize>,
     /// Indices of [`Slot::Free`] slots; popping one is O(1).
     free: Vec<usize>,
     clock_hand: usize,
@@ -208,7 +208,7 @@ impl PoolInner {
     fn with_capacity(capacity: usize) -> Self {
         PoolInner {
             slots: (0..capacity).map(|_| Slot::Free(None)).collect(),
-            map: HashMap::with_capacity(capacity),
+            map: IntMap::with_capacity_and_hasher(capacity, Default::default()),
             // Reverse order so frames are handed out 0, 1, 2, ….
             free: (0..capacity).rev().collect(),
             clock_hand: 0,

@@ -35,19 +35,21 @@ use crate::table::RowLoc;
 use crate::value::{self, encode_cell, Value, CELL_BYTES};
 use crate::Result;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-fn encode_row(schema: &Schema, row: &[Value], buf: &mut Vec<u8>) -> Result<()> {
+/// Append `row`'s record — its cells in schema order — to `out`, after
+/// checking it against `schema` (arity, and no NULL in a non-nullable
+/// column). On an error `out` may hold a partial record.
+pub fn encode_row(schema: &Schema, row: &[Value], out: &mut Vec<u8>) -> Result<()> {
     if row.len() != schema.width() {
         return Err(StorageError::ArityMismatch { got: row.len(), expected: schema.width() });
     }
-    buf.clear();
     for (cid, v) in row.iter().enumerate() {
         if v.is_null() && !schema.column(cid)?.nullable {
             return Err(StorageError::UnexpectedNull { column: cid });
         }
-        buf.extend_from_slice(&encode_cell(v));
+        out.extend_from_slice(&encode_cell(v));
     }
     Ok(())
 }
@@ -160,7 +162,7 @@ pub struct PagedTable {
     pages: Mutex<Vec<PageId>>,
     summaries: PageSummaries,
     stats: Mutex<Vec<ColumnStats>>,
-    live_rows: Mutex<usize>,
+    live_rows: AtomicUsize,
     record_width: u16,
 }
 
@@ -175,7 +177,7 @@ impl PagedTable {
             pages: Mutex::new(Vec::new()),
             summaries: PageSummaries::new(),
             stats: Mutex::new(stats),
-            live_rows: Mutex::new(0),
+            live_rows: AtomicUsize::new(0),
             record_width,
         }
     }
@@ -226,7 +228,7 @@ impl PagedTable {
             pages: Mutex::new(page_ids),
             summaries,
             stats: Mutex::new(stats),
-            live_rows: Mutex::new(live),
+            live_rows: AtomicUsize::new(live),
             record_width,
         };
         Ok((table, observed))
@@ -244,7 +246,7 @@ impl PagedTable {
 
     /// Live row count.
     pub fn len(&self) -> usize {
-        *self.live_rows.lock()
+        self.live_rows.load(Ordering::Relaxed)
     }
 
     /// True if no live rows.
@@ -291,19 +293,42 @@ impl PagedTable {
         Ok(entries)
     }
 
+    /// Append `row`'s record to `out`, checked against the table's schema
+    /// (see [`encode_row`]) — the bytes [`insert_encoded`](Self::insert_encoded)
+    /// stores, which a durable database encodes once for the heap and its
+    /// log alike.
+    pub fn encode_row(&self, row: &[Value], out: &mut Vec<u8>) -> Result<()> {
+        encode_row(&self.schema, row, out)
+    }
+
     /// Insert a row, appending a page when the last one fills.
+    pub fn insert(&self, row: &[Value]) -> Result<RowLoc> {
+        let mut encoded = Vec::with_capacity(self.record_width as usize);
+        self.encode_row(row, &mut encoded)?;
+        self.insert_encoded(row, &encoded)
+    }
+
+    /// Insert `row`, whose record [`encode_row`](Self::encode_row) already
+    /// wrote as `encoded`.
     ///
     /// The page-directory lock is held across the slot write — including
     /// the write into a freshly allocated page. Releasing it before that
     /// write (as this method once did) let concurrent writers fill the new
     /// page first and the "empty" insert fail with `PageFull`.
-    pub fn insert(&self, row: &[Value]) -> Result<RowLoc> {
-        let mut encoded = Vec::with_capacity(self.record_width as usize);
-        encode_row(&self.schema, row, &mut encoded)?;
+    // hermit-lint: hot-path
+    pub fn insert_encoded(&self, row: &[Value], encoded: &[u8]) -> Result<RowLoc> {
+        if encoded.len() != usize::from(self.record_width) {
+            // hermit-lint: allow(hot-alloc) the message of a refused record, never paid by an insert that lands
+            return Err(StorageError::Io(format!(
+                "a {}-byte record for {}-byte slots",
+                encoded.len(),
+                self.record_width
+            )));
+        }
         let mut pages = self.pages.lock();
         // Try the last page first.
         if let Some(&last) = pages.last() {
-            let slot = self.pool.write(last, |page| self.insert_into(last, page, &encoded))?;
+            let slot = self.pool.write(last, |page| self.insert_into(last, page, encoded))?;
             if let Ok(slot) = slot {
                 return self.finish_insert(row, last, slot);
             }
@@ -311,7 +336,7 @@ impl PagedTable {
         let new_page = self.pool.allocate(self.record_width)?;
         pages.push(new_page);
         let slot =
-            self.pool.write(new_page, |page| self.insert_into(new_page, page, &encoded))??;
+            self.pool.write(new_page, |page| self.insert_into(new_page, page, encoded))??;
         self.finish_insert(row, new_page, slot)
     }
 
@@ -327,7 +352,7 @@ impl PagedTable {
         for (cid, v) in row.iter().enumerate() {
             stats[cid].observe(v);
         }
-        *self.live_rows.lock() += 1;
+        self.live_rows.fetch_add(1, Ordering::Relaxed);
         Ok(RowLoc::new(page as u32, slot as u32))
     }
 
@@ -459,7 +484,7 @@ impl PagedTable {
                 stats[cid].observe_delete(v);
             }
         }
-        *self.live_rows.lock() -= 1;
+        self.live_rows.fetch_sub(1, Ordering::Relaxed);
         Ok(row)
     }
 
@@ -566,6 +591,34 @@ mod tests {
         assert_eq!(t.get(l).unwrap(), row(1, 2.5, None));
         assert_eq!(t.value(l, 1).unwrap(), Value::Float(2.5));
         assert_eq!(t.value_f64(l, 2).unwrap(), None);
+    }
+
+    /// A record encoded once is stored as `insert` would have stored the
+    /// row; a record of the wrong width, or a row the schema refuses, is an
+    /// error that leaves the table as it was.
+    #[test]
+    fn an_encoded_insert_stores_what_insert_would() {
+        let t = make_table(8);
+        let mut encoded = Vec::new();
+        t.encode_row(&row(1, 2.5, None), &mut encoded).unwrap();
+        let a = t.insert_encoded(&row(1, 2.5, None), &encoded).unwrap();
+        let b = t.insert(&row(1, 2.5, None)).unwrap();
+        let bytes = |loc: RowLoc| {
+            t.pool().read(loc.block as PageId, |p| p.get(loc.offset as u16).unwrap().to_vec())
+        };
+        assert_eq!(bytes(a).unwrap(), bytes(b).unwrap());
+        assert_eq!(t.get(a).unwrap(), row(1, 2.5, None));
+        assert!(t.insert_encoded(&row(2, 1.0, None), &encoded[1..]).is_err());
+        let mut refused = Vec::new();
+        assert_eq!(
+            t.encode_row(&[Value::Int(3), Value::Null, Value::Null], &mut refused),
+            Err(StorageError::UnexpectedNull { column: 1 })
+        );
+        assert!(matches!(
+            t.encode_row(&[Value::Int(3)], &mut refused),
+            Err(StorageError::ArityMismatch { got: 1, expected: 3 })
+        ));
+        assert_eq!((t.len(), t.stats(0).unwrap().non_null_count()), (2, 2));
     }
 
     #[test]

@@ -163,8 +163,21 @@ pub enum WalRecord {
     },
 }
 
-fn encode_cells(row: &[Value], buf: &mut Vec<u8>) {
-    buf.extend_from_slice(&(row.len() as u16).to_le_bytes());
+/// Start an insert payload in `buf`: kind 1, or kind 4 of `txn`, then the
+/// row's width. The cells follow.
+fn insert_header(txn: Option<u64>, width: usize, buf: &mut Vec<u8>) {
+    buf.clear();
+    match txn {
+        None => buf.push(1),
+        Some(txn) => {
+            buf.push(4);
+            buf.extend_from_slice(&txn.to_le_bytes());
+        }
+    }
+    buf.extend_from_slice(&(width as u16).to_le_bytes());
+}
+
+fn push_cells(row: &[Value], buf: &mut Vec<u8>) {
     for v in row {
         buf.extend_from_slice(&encode_cell(v));
     }
@@ -190,8 +203,8 @@ fn encode_payload(rec: &WalRecord, buf: &mut Vec<u8>) {
     buf.clear();
     match rec {
         WalRecord::Insert { row } => {
-            buf.push(1);
-            encode_cells(row, buf);
+            insert_header(None, row.len(), buf);
+            push_cells(row, buf);
         }
         WalRecord::Delete { pk } => {
             buf.push(2);
@@ -202,15 +215,15 @@ fn encode_payload(rec: &WalRecord, buf: &mut Vec<u8>) {
             buf.extend_from_slice(&txn.to_le_bytes());
         }
         WalRecord::TxnInsert { txn, row } => {
-            buf.push(4);
-            buf.extend_from_slice(&txn.to_le_bytes());
-            encode_cells(row, buf);
+            insert_header(Some(*txn), row.len(), buf);
+            push_cells(row, buf);
         }
         WalRecord::TxnDelete { txn, pk, row } => {
             buf.push(5);
             buf.extend_from_slice(&txn.to_le_bytes());
             buf.extend_from_slice(&pk.to_le_bytes());
-            encode_cells(row, buf);
+            buf.extend_from_slice(&(row.len() as u16).to_le_bytes());
+            push_cells(row, buf);
         }
         WalRecord::TxnCommit { txn } => {
             buf.push(6);
@@ -479,7 +492,11 @@ pub struct WalWriter {
     /// Length the file is known to have: never below what was flushed.
     reserved: u64,
     uncommitted: usize,
+    /// The payload of the next frame: encoded by [`append`](Self::append),
+    /// or staged by [`stage_insert`](Self::stage_insert).
     scratch: Vec<u8>,
+    /// Where the cells of a staged insert start in `scratch`.
+    staged_cells: usize,
 }
 
 impl WalWriter {
@@ -538,6 +555,7 @@ impl WalWriter {
             reserved: len,
             uncommitted: 0,
             scratch: Vec::new(),
+            staged_cells: 0,
         }
     }
 
@@ -594,8 +612,51 @@ impl WalWriter {
     /// [`commit`](Self::commit)). Returns the number of records appended
     /// since the last commit.
     pub fn append(&mut self, rec: &WalRecord) -> Result<usize, RecoveryError> {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        encode_payload(rec, &mut scratch);
+        encode_payload(rec, &mut self.scratch);
+        self.staged_cells = self.scratch.len();
+        self.append_staged()
+    }
+
+    /// Encode an insert record — [`WalRecord::Insert`], or
+    /// [`WalRecord::TxnInsert`] of `txn` — without appending it: the header
+    /// for a `width`-cell row, then whatever `cells` writes, which must be
+    /// the row's cells in schema order (as the paged heap's `encode_row`
+    /// writes them). An error from `cells` is returned and nothing is
+    /// staged.
+    ///
+    /// The record waits in the writer's frame buffer, where
+    /// [`staged_cells`](Self::staged_cells) shows it — the one encoding of
+    /// the row a durable insert makes: the heap stores these bytes, and
+    /// [`append_staged`](Self::append_staged) logs them. The next
+    /// `stage_insert` or [`append`](Self::append) replaces it.
+    // hermit-lint: hot-path
+    pub fn stage_insert<E>(
+        &mut self,
+        txn: Option<u64>,
+        width: usize,
+        cells: impl FnOnce(&mut Vec<u8>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        insert_header(txn, width, &mut self.scratch);
+        self.staged_cells = self.scratch.len();
+        let encoded = cells(&mut self.scratch);
+        if encoded.is_err() {
+            self.scratch.clear();
+            self.staged_cells = 0;
+        }
+        encoded
+    }
+
+    /// The cells of the insert record [`stage_insert`](Self::stage_insert)
+    /// staged (still there after [`append_staged`](Self::append_staged));
+    /// empty when the buffer holds another kind of record.
+    pub fn staged_cells(&self) -> &[u8] {
+        &self.scratch[self.staged_cells..]
+    }
+
+    /// Append the staged record, like [`append`](Self::append).
+    // hermit-lint: hot-path
+    pub fn append_staged(&mut self) -> Result<usize, RecoveryError> {
+        let scratch = std::mem::take(&mut self.scratch);
         let buffered = self.append_frame(&scratch);
         self.scratch = scratch;
         if buffered? {
@@ -1296,5 +1357,49 @@ mod tests {
         std::fs::write(&path, b"HM").unwrap();
         assert!(matches!(read_wal(&path), Err(RecoveryError::Corrupt(_))));
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A staged insert is the record `append` would have written, byte for
+    /// byte, for both kinds; its cells stay readable after the append; a
+    /// staging the encoder rejects leaves nothing to append.
+    #[test]
+    fn a_staged_insert_logs_the_bytes_append_would() {
+        let row = vec![Value::Int(-7), Value::Float(2.5), Value::Null];
+        let cells: Vec<u8> = row.iter().flat_map(encode_cell).collect();
+        let (staged, appended) = (tmp("staged.wal"), tmp("appended.wal"));
+        let mut by_stage = WalWriter::create(&staged, 1).unwrap();
+        let mut by_append = WalWriter::create(&appended, 1).unwrap();
+        for txn in [None, Some(9)] {
+            by_stage
+                .stage_insert(txn, row.len(), |out| {
+                    out.extend_from_slice(&cells);
+                    Ok::<_, ()>(())
+                })
+                .unwrap();
+            assert_eq!(by_stage.staged_cells(), cells);
+            assert_eq!(by_stage.append_staged().unwrap(), by_stage.uncommitted());
+            assert_eq!(by_stage.staged_cells(), cells, "the heap reads the cells after the append");
+            let rec = match txn {
+                None => WalRecord::Insert { row: row.clone() },
+                Some(txn) => WalRecord::TxnInsert { txn, row: row.clone() },
+            };
+            by_append.append(&rec).unwrap();
+        }
+        assert_eq!(by_stage.stage_insert(None, 3, |_| Err("no such row")), Err("no such row"));
+        assert!(by_stage.staged_cells().is_empty());
+        by_stage.append(&WalRecord::Delete { pk: 4 }).unwrap();
+        assert!(by_stage.staged_cells().is_empty(), "a delete record has no cells");
+        by_append.append(&WalRecord::Delete { pk: 4 }).unwrap();
+        by_stage.commit().unwrap();
+        by_append.commit().unwrap();
+        let log = |path: &Path| {
+            let replay = read_wal(path).unwrap();
+            let bytes = std::fs::read(path).unwrap();
+            (bytes[..replay.valid_len as usize].to_vec(), replay.records)
+        };
+        assert_eq!(log(&staged), log(&appended));
+        assert_eq!(log(&staged).1.len(), 3);
+        std::fs::remove_file(&staged).ok();
+        std::fs::remove_file(&appended).ok();
     }
 }

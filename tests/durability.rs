@@ -145,6 +145,57 @@ fn mem_substrate_rejected_with_typed_error() {
     shared.wal_commit().unwrap(); // no-op, not an error
 }
 
+/// A durable insert encodes its row once, into its log record, and the
+/// schema check comes with the encoding: a row the schema refuses is
+/// refused before anything is applied, locked or logged, on the auto-commit
+/// and the transactional path alike. (A transactional insert used to log
+/// its record first; the refused row's record then made replay fail, and
+/// the database could not reopen.)
+#[test]
+fn a_refused_row_is_neither_applied_nor_logged_and_the_database_reopens() {
+    let dir = fresh_dir("refused");
+    let config = DurabilityConfig::default();
+    let db = Database::create_durable(schema(), 0, &dir, &config).unwrap();
+    db.insert(&row(1, 1.0)).unwrap();
+    let records = db.wal_tail().unwrap().records();
+    refuse_then_insert(&db);
+    // Begin, two inserts, commit: nothing for the refused rows.
+    assert_eq!(db.wal_tail().unwrap().records(), records + 4);
+    let expected = all_rows(&db);
+    assert_eq!(expected.keys().copied().collect::<Vec<_>>(), [1, 2, 3]);
+    drop(db);
+    let back = Database::open(&dir, &config).unwrap();
+    assert_eq!(all_rows(&back), expected);
+    std::fs::remove_dir_all(&dir).ok();
+
+    // A database without a log refuses the same rows before locking them.
+    let mem = Database::new(schema(), 0, TidScheme::Logical);
+    mem.insert(&row(1, 1.0)).unwrap();
+    refuse_then_insert(&mem);
+    assert_eq!(all_rows(&mem).keys().copied().collect::<Vec<_>>(), [1, 2, 3]);
+}
+
+/// Offer rows the schema refuses — a NULL in a non-nullable column, a row
+/// one cell short — on the auto-commit and the transactional path, then
+/// insert and commit keys 2 and 3 in the same transaction.
+fn refuse_then_insert(db: &Database) {
+    let refused = [
+        vec![Value::Int(2), Value::Null, Value::Float(2.0)],
+        vec![Value::Int(3), Value::Float(6.0)],
+    ];
+    for bad in &refused {
+        assert!(db.insert(bad).is_err(), "{bad:?}");
+    }
+    let txn = db.begin().unwrap();
+    for bad in &refused {
+        assert!(db.insert_txn(txn, bad).is_err(), "{bad:?}");
+    }
+    // The refused rows' keys were never locked.
+    db.insert_txn(txn, &row(2, 2.0)).unwrap();
+    db.insert_txn(txn, &row(3, 3.0)).unwrap();
+    db.commit_txn(txn).unwrap();
+}
+
 #[test]
 fn checkpoint_only_restart_matches_oracle() {
     let dir = fresh_dir("ckpt");
