@@ -20,7 +20,6 @@ pub const FORBID_ROSTER: &[&str] = &[
     "crates/analysis/src/lib.rs",
     "crates/bench/src/lib.rs",
     "crates/btree/src/lib.rs",
-    "crates/cm/src/lib.rs",
     "crates/core/src/lib.rs",
     "crates/fault/src/lib.rs",
     "crates/server/src/lib.rs",

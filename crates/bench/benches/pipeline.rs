@@ -2,7 +2,8 @@
 //! lookups through the full Database executor (the Criterion counterpart
 //! of Figs. 8/12; the `figures` binary prints the full sweeps).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, BenchmarkId, Criterion};
+use hermit_bench::harness::{proc_status_bytes, reset_peak_rss};
 use hermit_core::shared::SharedDatabase;
 use hermit_core::{Database, DurabilityConfig, RangePredicate};
 use hermit_storage::{ColumnDef, RowLoc, Schema, TidScheme, Value};
@@ -299,7 +300,12 @@ fn bench_commit_scaling(c: &mut Criterion) {
 /// `setup.rs` sequence over its Synthetic table — load into a durable
 /// database, build the host B+-tree, build the Hermit index, checkpoint —
 /// then the server's restart, `Database::open` of the directory. Prints
-/// seconds per phase and `setup/total_s`, their sum. 1.2 M static rows
+/// seconds per phase and `setup/total_s`, their sum, and on Linux each
+/// phase's resident-set peak, `setup/<phase>_hwm_mb`, with its rise over
+/// the phase's start. `open` runs in a process of its own, as a server's
+/// restart does; its rise is over the resident set it leaves (a build
+/// buffer resident beside what is built from it shows there), and
+/// `setup/open_parts_mb` itemizes what it leaves. 1.2 M static rows
 /// (`read-cold`'s table), 60 K with `--quick`. Each index build is one pass
 /// over the heap plus a sort (B+-tree) or linear-time fitting (TRS-Tree),
 /// so after the load, which inserts row by row, every phase should stay a
@@ -318,11 +324,16 @@ fn bench_setup_phases(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
     // As the benchmark loads: the WAL tail unsynced, the checkpoint makes it durable.
     let config = DurabilityConfig { wal_sync_every: usize::MAX, ..Default::default() };
-    let mut phases: Vec<(&str, f64)> = Vec::new();
+    // Per phase: seconds, and the resident set at its start and its peak
+    // (`VmHWM` after a reset to `VmRSS`), where `/proc` tells them.
+    type Memory = Option<(u64, u64)>;
+    let mut phases: Vec<(&str, f64, Memory)> = Vec::new();
     let mut timed = |phase, f: &mut dyn FnMut()| {
+        let rss = reset_peak_rss().then(|| proc_status_bytes("VmRSS:")).flatten();
         let start = Instant::now();
         f();
-        phases.push((phase, start.elapsed().as_secs_f64()));
+        let seconds = start.elapsed().as_secs_f64();
+        phases.push((phase, seconds, rss.zip(proc_status_bytes("VmHWM:"))));
     };
     let mut db = Database::create_durable(schema, 0, &dir, &config).expect("create setup db");
     timed("load", &mut || {
@@ -334,16 +345,60 @@ fn bench_setup_phases(c: &mut Criterion) {
     timed("hermit_index", &mut || db.create_hermit_index(2, 1).expect("hermit index"));
     timed("checkpoint", &mut || db.checkpoint(&dir).expect("checkpoint"));
     drop(db);
-    let mut back = None;
-    timed("open", &mut || back = Some(Database::open(&dir, &DurabilityConfig::default())));
-    assert_eq!(back.expect("open ran").expect("open").len(), rows.len());
-    for (phase, seconds) in &phases {
+    // The restart runs in a process of its own, as a server's does: here,
+    // memory the phases above freed would hide its peak.
+    let child = std::process::Command::new(std::env::current_exe().expect("bench binary"))
+        .env(OPEN_DIR_ENV, &dir)
+        .output()
+        .expect("run the open phase");
+    let report = String::from_utf8_lossy(&child.stdout);
+    let fields: Vec<f64> = report.split_whitespace().filter_map(|f| f.parse().ok()).collect();
+    let [seconds, hwm, rss, len, primary, pool, secondary] = fields[..] else {
+        panic!("open phase: {report:?}")
+    };
+    assert_eq!(len as usize, rows.len());
+    // For `open`: the peak, and how far it rose above what stays resident.
+    phases.push(("open", seconds, (hwm > 0.0).then_some((rss as u64, hwm as u64))));
+    let mib = |bytes: u64| bytes as f64 / (1 << 20) as f64;
+    for (phase, seconds, memory) in &phases {
         let label = format!("setup/{phase}_s");
         eprintln!("bench {label:<24} {seconds:>7.3}  ({} rows)", rows.len());
+        if let Some((rss, hwm)) = memory {
+            let label = format!("setup/{phase}_hwm_mb");
+            let rise = mib(hwm.saturating_sub(*rss));
+            let what = if *phase == "open" { "its resident set after" } else { "its start" };
+            eprintln!("bench {label:<24} {:>7.1}  (+{rise:.1} over {what})", mib(*hwm));
+        }
     }
-    eprintln!("bench setup/total_s  {:.3}", phases.iter().map(|(_, s)| s).sum::<f64>());
+    eprintln!("bench setup/total_s  {:.3}", phases.iter().map(|(_, s, _)| s).sum::<f64>());
+    let [primary, pool, secondary] = [primary, pool, secondary].map(|b| mib(b as u64));
+    eprintln!(
+        "bench setup/open_parts_mb  primary {primary:.2} / pool {pool:.2} / \
+         secondary indexes {secondary:.2}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
     group.finish();
+}
+
+/// Names the directory the bench binary, started by `bench_setup_phases`,
+/// opens in a process of its own.
+const OPEN_DIR_ENV: &str = "HERMIT_BENCH_OPEN_DIR";
+
+/// The restart of `bench_setup_phases`: open `dir` and print seconds,
+/// `VmHWM` and `VmRSS` right after (bytes, 0 where `/proc` is missing), the
+/// rows opened, and the bytes of the primary index, the buffer pool and
+/// the secondary indexes (`stats`' `hermit_memory_bytes` parts).
+fn report_open(dir: &std::path::Path) {
+    let start = Instant::now();
+    let db = Database::open(dir, &DurabilityConfig::default()).expect("open setup db");
+    let seconds = start.elapsed().as_secs_f64();
+    let field = |name| proc_status_bytes(name).unwrap_or(0);
+    let (hwm, rss) = (field("VmHWM:"), field("VmRSS:"));
+    let primary = db.primary().memory_bytes();
+    let pool = db.pool_bytes().unwrap_or(0);
+    let secondary: usize =
+        db.indexed_columns().iter().filter_map(|&c| db.index(c)).map(|i| i.memory_bytes()).sum();
+    println!("{seconds} {hwm} {rss} {} {primary} {pool} {secondary}", db.len());
 }
 
 criterion_group!(
@@ -354,4 +409,13 @@ criterion_group!(
     bench_commit_scaling,
     bench_setup_phases
 );
-criterion_main!(benches);
+fn main() {
+    if let Some(dir) = std::env::var_os(OPEN_DIR_ENV) {
+        return report_open(std::path::Path::new(&dir));
+    }
+    // `cargo test` runs bench targets with `--test`; skip the measurement.
+    if std::env::args().any(|a| a == "--test") {
+        return;
+    }
+    benches();
+}

@@ -2,8 +2,8 @@
 //! Baseline across injected-noise fractions and CM bucket granularities,
 //! for both correlation functions.
 
+use crate::cm::{CmParams, CorrelationMap};
 use crate::harness::{self, measure_ops, Scale};
-use hermit_cm::{CmParams, CorrelationMap};
 use hermit_core::{Database, RangePredicate};
 use hermit_storage::{F64Key, RowLoc, Tid, TidScheme};
 use hermit_workloads::synthetic::cols;

@@ -51,6 +51,23 @@ pub fn measure_ops(op: impl FnMut(usize)) -> f64 {
     measure_ops_with(Duration::from_millis(300), 20, 10_000, op)
 }
 
+/// A `kB` field of `/proc/self/status` (`VmRSS:`, `VmHWM:`), in bytes;
+/// `None` where the file or the field does not exist (off Linux).
+pub fn proc_status_bytes(field: &str) -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix(field))?;
+    let kb: u64 = line.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(kb * 1024)
+}
+
+/// Reset the process's resident-set peak (`VmHWM`) to its resident set
+/// (`VmRSS`), by writing `5` to `/proc/self/clear_refs`, so the next
+/// reading of `VmHWM` is the peak since now. False where that is not
+/// supported.
+pub fn reset_peak_rss() -> bool {
+    std::fs::write("/proc/self/clear_refs", "5").is_ok()
+}
+
 /// Print a section header the way the harness output is organized.
 pub fn section(id: &str, title: &str) {
     println!("\n=== {id}: {title} ===");

@@ -1,4 +1,4 @@
-//! Hash-based primary index.
+//! Primary index: primary key → row location.
 //!
 //! Under the logical-pointer scheme (§5.1), every secondary-index lookup —
 //! baseline or Hermit — must resolve primary keys to row locations through
@@ -7,54 +7,60 @@
 //! the primary index doubles as a host index (the paper notes a primary
 //! index can serve as the host index).
 //!
-//! # Two tiers
+//! # Runs and outliers
 //!
-//! A reopened database knows how many keys it is about to index before the
-//! first one arrives: recovery sizes the index to the recovered heap with
-//! [`HashPrimaryIndex::with_capacity`]. Those keys go to the **base** tier,
-//! one flat table of 16-byte `(key, location)` slots that is allocated once,
-//! kept at most 85 % full and never grown: linear probing from a SplitMix64
-//! hash of the key, and a tombstone on remove. It costs 18.8 B per key where
-//! a `HashMap` pays 28.8 B at 1.24 M keys (power-of-two buckets, each with a
-//! control byte, at most 7/8 full).
+//! An index made by [`HashPrimaryIndex::new`] is that hash map. An index
+//! made by [`HashPrimaryIndex::with_runs`] is for a paged heap, whose rows
+//! are fixed-width and appended: there, a load that inserts keys 0, 1, 2, …
+//! puts key `k` in the `k`-th slot, so a row's location is a function of its
+//! key. The index stores that function instead of the keys, in the spirit
+//! of the paper's own remedy (§4: a model of a correlation plus an outlier
+//! buffer). A **run** is `(first key, first slot, length)`, a stretch of
+//! consecutive keys in consecutive slots, where a slot is numbered
+//! `block × slots per page + offset`. A lookup is a binary search over the
+//! runs and one division. Each run key has a liveness bit, so a removed key
+//! costs a cleared bit and no lookup reads a page: 1.24 M keys cost ≈ 0.15
+//! MiB.
 //!
-//! Keys that arrive once the base has taken as many keys as it was sized
-//! for go to the **delta** tier, a `HashMap`. A tombstone is never reused,
-//! so it keeps its share of that budget, and a removed base key that comes
-//! back lands in the delta.
+//! Only the last run grows. A key past every run extends it when its slot
+//! is as far past the run's first slot as the key is past its first key;
+//! the keys in between, at most 192 of them (a new run costs as many
+//! bytes as they cost bits), take cleared bits, so a heap that reopens
+//! with tombstones keeps one run. A key past every run that does not fit
+//! starts a new run, and a last run shorter than 16 keys gives its keys to
+//! the outliers first, so streams that interleave in the heap do not leave
+//! a run per key, and the runs stay few. Any other key — a
+//! re-insert, an out-of-order insert, a live key that moves — is an
+//! **outlier**, kept in a `HashMap`. A key is live in at most one of the
+//! two.
 //!
-//! A database that was never reopened sizes no base, so its keys go to
-//! the delta — or, in an index made by [`HashPrimaryIndex::with_run`], to
-//! the **run** tier while each is one more than the last (a bulk load, an
-//! auto-increment client): a `Vec` of locations indexed by `pk − first`,
-//! 8 B per key, where the reserved `EMPTY` location marks a key that is
-//! not indexed. A run key is found with one subtraction and one load, and
-//! stored with a push; any other key goes to the delta. A scattering hash
-//! makes every insert of an ascending load store to a random bucket of a
-//! table that outgrows the caches, and a hash that keeps sixteen ascending
-//! keys in one bucket window made random lookups up to 1.5 × slower once
-//! the table filled; the run needs neither. Only a paged database takes a
-//! run. Its tids are physical, so no secondary lookup resolves through this
-//! index; an in-memory database under logical tids is how the paper's
-//! experiments measure a hash primary index (§5.1, Figs. 10 and 14), and a
-//! run would take that cost out of them. A key is live in at most one tier.
+//! Only a paged database takes runs. Its tids are physical, so no secondary
+//! lookup resolves through this index; an in-memory database under logical
+//! tids is how the paper's experiments measure a hash primary index (§5.1,
+//! Figs. 10 and 14), and runs would take that cost out of them.
 
-use hermit_storage::hash::mix;
 use hermit_storage::RowLoc;
 use std::collections::HashMap;
 
-/// Location of a base slot that never held a key: probing stops here.
-const EMPTY: RowLoc = RowLoc { block: u32::MAX, offset: u32::MAX };
-/// Location of a base slot whose key was removed: probing continues past it.
-const TOMBSTONE: RowLoc = RowLoc { block: u32::MAX, offset: u32::MAX - 1 };
-
-/// One base slot; its state is in `loc` ([`EMPTY`], [`TOMBSTONE`], or the
-/// key's row location).
+/// A stretch of consecutive keys in consecutive slots.
 #[derive(Debug, Clone, Copy)]
-struct Slot {
-    key: i64,
-    loc: RowLoc,
+struct Run {
+    /// The run's first key.
+    first_pk: i64,
+    /// Slot number of the first key's row.
+    first_slot: u64,
+    /// Index of the first key's liveness bit; the run's bits end where the
+    /// next run's begin.
+    bit: usize,
 }
+
+/// A gap of this many keys inside a run costs as many bits as a new run
+/// costs bytes; a longer gap starts a new run.
+const MAX_GAP: u64 = 8 * std::mem::size_of::<Run>() as u64;
+
+/// A last run shorter than this, which the next key past it cannot extend,
+/// moves its keys to the outliers.
+const MIN_RUN: usize = 16;
 
 /// Control bytes a `HashMap` allocates beyond one per bucket (one SIMD
 /// group, mirrored for probes that wrap).
@@ -63,55 +69,35 @@ const MAP_GROUP_BYTES: usize = 16;
 /// Primary index: primary key → row location.
 #[derive(Debug, Default, Clone)]
 pub struct HashPrimaryIndex {
-    /// The base tier's slots, at least `budget / 0.85` of them.
-    slots: Vec<Slot>,
-    /// Keys the base may ever take.
-    budget: usize,
-    /// Base slots that ever took a key (live ones and tombstones).
-    filled: usize,
-    /// Live keys in the base.
-    base_len: usize,
-    /// Whether a base-less index keeps a run.
-    takes_run: bool,
-    /// The run tier: `run[i]` is the location of key `run_start + i`
-    /// (wrapping), or [`EMPTY`]. Only a base-less index has one.
-    run: Vec<RowLoc>,
-    /// The key of `run[0]`.
-    run_start: i64,
-    /// Live keys in the run.
+    /// Slots per heap page; 0 for an index that keeps no runs.
+    slots_per_page: u64,
+    /// Runs in key order; their key ranges are disjoint.
+    runs: Vec<Run>,
+    /// One bit per key a run spans, set while the key is live there.
+    live: Vec<u64>,
+    /// Bits in `live`.
+    bits: usize,
+    /// Live keys in the runs.
     run_len: usize,
-    /// The delta tier.
-    delta: HashMap<i64, RowLoc>,
+    /// Keys outside the runs.
+    outliers: HashMap<i64, RowLoc>,
 }
 
 impl HashPrimaryIndex {
-    /// Empty index.
+    /// Empty index without runs: a hash map.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Empty index whose ascending keys go to the run tier (see the module
-    /// docs).
-    pub fn with_run() -> Self {
-        HashPrimaryIndex { takes_run: true, ..Self::default() }
-    }
-
-    /// Empty index whose base tier takes the first `cap` keys; later keys
-    /// go to the delta.
-    pub fn with_capacity(cap: usize) -> Self {
-        // ⌈cap / 0.85⌉ slots: more than `cap`, so a probe always meets an
-        // empty slot.
-        let slots = cap.saturating_mul(20).div_ceil(17);
-        HashPrimaryIndex {
-            slots: vec![Slot { key: 0, loc: EMPTY }; slots],
-            budget: cap,
-            ..Self::default()
-        }
+    /// Empty index that keeps runs over a heap with `slots_per_page` slots
+    /// a page (see the module docs).
+    pub fn with_runs(slots_per_page: u16) -> Self {
+        HashPrimaryIndex { slots_per_page: u64::from(slots_per_page), ..Self::default() }
     }
 
     /// Number of indexed keys.
     pub fn len(&self) -> usize {
-        self.base_len + self.run_len + self.delta.len()
+        self.run_len + self.outliers.len()
     }
 
     /// True if no keys are indexed.
@@ -119,170 +105,154 @@ impl HashPrimaryIndex {
         self.len() == 0
     }
 
-    /// Live keys in the base tier and outside it, in the run and delta
-    /// tiers (see the module docs).
+    /// Live keys in the runs and in the outliers (see the module docs).
     pub fn tier_lens(&self) -> (usize, usize) {
-        (self.base_len, self.run_len + self.delta.len())
+        (self.run_len, self.outliers.len())
     }
 
-    /// Walk `pk`'s probe sequence: `Ok` with its live slot, or `Err` with
-    /// the empty slot that ends the sequence. `None` without a base.
+    /// The run whose range holds `pk`, and `pk`'s bit.
     #[inline]
-    fn probe(&self, pk: i64) -> Option<Result<usize, usize>> {
-        let n = self.slots.len();
-        if n == 0 {
-            return None;
+    fn run_bit(&self, pk: i64) -> Option<(usize, usize)> {
+        let i = self.runs.partition_point(|r| r.first_pk <= pk).checked_sub(1)?;
+        let run = self.runs[i];
+        let end = self.runs.get(i + 1).map_or(self.bits, |r| r.bit);
+        let bit = usize::try_from(pk.abs_diff(run.first_pk)).ok()?.checked_add(run.bit)?;
+        (bit < end).then_some((i, bit))
+    }
+
+    #[inline]
+    fn is_live(&self, bit: usize) -> bool {
+        self.live[bit / 64] >> (bit % 64) & 1 == 1
+    }
+
+    /// The location of run `i`'s key at `bit`.
+    #[inline]
+    fn loc(&self, i: usize, bit: usize) -> RowLoc {
+        let run = self.runs[i];
+        let slot = run.first_slot + (bit - run.bit) as u64;
+        RowLoc::new((slot / self.slots_per_page) as u32, (slot % self.slots_per_page) as u32)
+    }
+
+    /// Take `pk` out of its run if it is live there; returns its location.
+    fn take_from_run(&mut self, pk: i64) -> Option<RowLoc> {
+        let (i, bit) = self.run_bit(pk).filter(|&(_, bit)| self.is_live(bit))?;
+        self.live[bit / 64] &= !(1 << (bit % 64));
+        self.run_len -= 1;
+        Some(self.loc(i, bit))
+    }
+
+    fn remove_outlier(&mut self, pk: i64) -> Option<RowLoc> {
+        if self.outliers.is_empty() {
+            None
+        } else {
+            self.outliers.remove(&pk)
         }
-        let mut i = ((u128::from(mix(pk as u64)) * n as u128) >> 64) as usize;
-        loop {
-            let slot = self.slots[i];
-            if slot.loc == EMPTY {
-                return Some(Err(i));
-            }
-            if slot.key == pk && slot.loc != TOMBSTONE {
-                return Some(Ok(i));
-            }
-            i = if i + 1 == n { 0 } else { i + 1 };
-        }
-    }
-
-    /// `pk`'s live base slot.
-    #[inline]
-    fn find(&self, pk: i64) -> Option<usize> {
-        if self.base_len == 0 {
-            return None;
-        }
-        self.probe(pk)?.ok()
-    }
-
-    /// `pk`'s index in the run, if the run covers it.
-    #[inline]
-    fn run_index(&self, pk: i64) -> Option<usize> {
-        let i = usize::try_from(pk.wrapping_sub(self.run_start) as u64).ok()?;
-        (i < self.run.len()).then_some(i)
-    }
-
-    /// `pk`'s live run entry.
-    #[inline]
-    fn run_entry(&self, pk: i64) -> Option<usize> {
-        self.run_index(pk).filter(|&i| self.run[i] != EMPTY)
     }
 
     /// Register (or move) a primary key; returns its previous location.
     pub fn insert(&mut self, pk: i64, loc: RowLoc) -> Option<RowLoc> {
-        // The two reserved locations cannot sit in a base slot or the run;
-        // a heap never hands them out, and the delta holds them if one does.
-        let storable = loc != EMPTY && loc != TOMBSTONE;
-        if self.takes_run && self.slots.is_empty() {
-            return self.insert_run(pk, loc, storable);
+        if let Some(old) = self.take_from_run(pk) {
+            self.outliers.insert(pk, loc);
+            return Some(old);
         }
-        match self.probe(pk) {
-            Some(Ok(i)) if storable => return Some(std::mem::replace(&mut self.slots[i].loc, loc)),
-            Some(Ok(i)) => {
-                let old = self.tombstone(i);
-                self.delta.insert(pk, loc);
-                return Some(old);
-            }
-            Some(Err(i))
-                if storable
-                    && self.filled < self.budget
-                    && (self.delta.is_empty() || !self.delta.contains_key(&pk)) =>
-            {
-                self.slots[i] = Slot { key: pk, loc };
-                self.filled += 1;
-                self.base_len += 1;
-                return None;
-            }
-            _ => {}
+        if self.extend_runs(pk, loc) {
+            return self.remove_outlier(pk);
         }
-        self.delta.insert(pk, loc)
+        self.outliers.insert(pk, loc)
     }
 
-    /// [`insert`](Self::insert) into a base-less index with a run: the run
-    /// takes a key it covers or one that extends it, the delta any other key
-    /// and any reserved location.
-    fn insert_run(&mut self, pk: i64, loc: RowLoc, storable: bool) -> Option<RowLoc> {
-        if self.run.is_empty() {
-            self.run_start = pk;
+    /// Store `pk` at `loc` in the runs if `pk` lies past every run: in the
+    /// last run if `loc` continues it, else in a new one (see the module
+    /// docs). False if `pk` belongs with the outliers.
+    fn extend_runs(&mut self, pk: i64, loc: RowLoc) -> bool {
+        let per_page = self.slots_per_page;
+        if per_page == 0 || u64::from(loc.offset) >= per_page {
+            return false;
         }
-        let i = match self.run_index(pk) {
-            Some(i) => i,
-            None if storable && pk.wrapping_sub(self.run_start) as u64 == self.run.len() as u64 => {
-                self.run.push(EMPTY);
-                self.run.len() - 1
+        let slot = u64::from(loc.block) * per_page + u64::from(loc.offset);
+        while let Some(&last) = self.runs.last() {
+            let len = self.bits - last.bit;
+            let past = i128::from(pk) - i128::from(last.first_pk);
+            if past < len as i128 {
+                return false;
             }
-            None => return self.delta.insert(pk, loc),
-        };
-        // `pk` is in the run's range: live in the run, in the delta under a
-        // reserved location, or in neither.
-        let old = std::mem::replace(&mut self.run[i], EMPTY);
-        let old = if old != EMPTY {
-            self.run_len -= 1;
-            Some(old)
-        } else if self.delta.is_empty() {
-            None
-        } else {
-            self.delta.remove(&pk)
-        };
-        if storable {
-            self.run[i] = loc;
-            self.run_len += 1;
-        } else {
-            self.delta.insert(pk, loc);
+            let gap = (past - len as i128) as u64;
+            if i128::from(slot) - i128::from(last.first_slot) == past && gap <= MAX_GAP {
+                for _ in 0..gap {
+                    self.push_bit(false);
+                }
+                self.push_bit(true);
+                return true;
+            }
+            if len >= MIN_RUN {
+                break;
+            }
+            self.demote_last_run();
         }
-        old
+        self.runs.push(Run { first_pk: pk, first_slot: slot, bit: self.bits });
+        self.push_bit(true);
+        true
+    }
+
+    fn push_bit(&mut self, live: bool) {
+        if self.bits.is_multiple_of(64) {
+            self.live.push(0);
+        }
+        if live {
+            self.live[self.bits / 64] |= 1 << (self.bits % 64);
+            self.run_len += 1;
+        }
+        self.bits += 1;
+    }
+
+    /// Move the last run's live keys to the outliers and drop the run.
+    fn demote_last_run(&mut self) {
+        let i = self.runs.len() - 1;
+        let run = self.runs[i];
+        for bit in run.bit..self.bits {
+            if self.is_live(bit) {
+                let pk = run.first_pk + (bit - run.bit) as i64;
+                self.outliers.insert(pk, self.loc(i, bit));
+                self.run_len -= 1;
+            }
+        }
+        self.runs.pop();
+        self.bits = run.bit;
+        self.live.truncate(self.bits.div_ceil(64));
+        if let Some(word) = self.live.last_mut().filter(|_| !self.bits.is_multiple_of(64)) {
+            *word &= (1 << (self.bits % 64)) - 1;
+        }
     }
 
     /// Resolve a primary key to its row location.
     #[inline]
     pub fn get(&self, pk: i64) -> Option<RowLoc> {
-        if let Some(i) = self.find(pk) {
-            return Some(self.slots[i].loc);
-        }
-        match self.run_entry(pk) {
-            Some(i) => Some(self.run[i]),
-            None if self.delta.is_empty() => None,
-            None => self.delta.get(&pk).copied(),
+        match self.run_bit(pk) {
+            Some((i, bit)) if self.is_live(bit) => Some(self.loc(i, bit)),
+            _ if self.outliers.is_empty() => None,
+            _ => self.outliers.get(&pk).copied(),
         }
     }
 
     /// Remove a primary key; returns its old location.
     pub fn remove(&mut self, pk: i64) -> Option<RowLoc> {
-        if let Some(i) = self.find(pk) {
-            return Some(self.tombstone(i));
-        }
-        match self.run_entry(pk) {
-            Some(i) => {
-                self.run_len -= 1;
-                Some(std::mem::replace(&mut self.run[i], EMPTY))
-            }
-            None if self.delta.is_empty() => None,
-            None => self.delta.remove(&pk),
-        }
+        self.take_from_run(pk).or_else(|| self.remove_outlier(pk))
     }
 
-    /// Turn the live base slot `i` into a tombstone; returns its location.
-    fn tombstone(&mut self, i: usize) -> RowLoc {
-        self.base_len -= 1;
-        std::mem::replace(&mut self.slots[i].loc, TOMBSTONE)
-    }
-
-    /// Bytes allocated: the base's slots, the run's locations, plus the
-    /// delta's table as the standard library lays it out — a power-of-two bucket count (all but
-    /// one usable below 8 buckets, 7/8 from there), one `(key, location)`
-    /// entry and one control byte per bucket, and one trailing group of
-    /// control bytes.
+    /// Bytes allocated: the runs and their bits, plus the outliers' table
+    /// as the standard library lays it out — a power-of-two bucket count
+    /// (all but one usable below 8 buckets, 7/8 from there), one `(key,
+    /// location)` entry and one control byte per bucket, and one trailing
+    /// group of control bytes.
     pub fn memory_bytes(&self) -> usize {
         let entry = std::mem::size_of::<(i64, RowLoc)>();
-        let cap = self.delta.capacity();
-        let delta = match cap {
+        let cap = self.outliers.capacity();
+        let outliers = match cap {
             0 => 0,
             1..=7 => (cap + 1) * (entry + 1) + MAP_GROUP_BYTES,
             _ => cap / 7 * 8 * (entry + 1) + MAP_GROUP_BYTES,
         };
-        self.slots.capacity() * std::mem::size_of::<Slot>()
-            + self.run.capacity() * std::mem::size_of::<RowLoc>()
-            + delta
+        self.runs.capacity() * std::mem::size_of::<Run>() + self.live.capacity() * 8 + outliers
     }
 }
 
@@ -290,25 +260,36 @@ impl HashPrimaryIndex {
 mod tests {
     use super::*;
 
+    /// Slots per page of the run-keeping indexes below.
+    const PER_PAGE: u16 = 100;
+
+    /// Slot number `n` as a location on `PER_PAGE`-slot pages.
+    fn at(n: u64) -> RowLoc {
+        let per_page = u64::from(PER_PAGE);
+        RowLoc::new((n / per_page) as u32, (n % per_page) as u32)
+    }
+
     #[test]
     fn insert_get_remove() {
-        let mut idx = HashPrimaryIndex::new();
-        idx.insert(1, RowLoc::new(0, 5));
-        idx.insert(2, RowLoc::new(1, 0));
-        assert_eq!(idx.get(1), Some(RowLoc::new(0, 5)));
-        assert_eq!(idx.get(3), None);
-        assert_eq!(idx.remove(1), Some(RowLoc::new(0, 5)));
-        assert_eq!(idx.get(1), None);
-        assert_eq!(idx.len(), 1);
+        for mut idx in [HashPrimaryIndex::new(), HashPrimaryIndex::with_runs(PER_PAGE)] {
+            idx.insert(1, RowLoc::new(0, 5));
+            idx.insert(2, RowLoc::new(1, 0));
+            assert_eq!(idx.get(1), Some(RowLoc::new(0, 5)));
+            assert_eq!(idx.get(3), None);
+            assert_eq!(idx.remove(1), Some(RowLoc::new(0, 5)));
+            assert_eq!(idx.get(1), None);
+            assert_eq!(idx.len(), 1);
+        }
     }
 
     #[test]
     fn reinsert_moves_key() {
-        let mut idx = HashPrimaryIndex::new();
-        assert_eq!(idx.insert(7, RowLoc::new(0, 0)), None);
-        assert_eq!(idx.insert(7, RowLoc::new(9, 9)), Some(RowLoc::new(0, 0)));
-        assert_eq!(idx.get(7), Some(RowLoc::new(9, 9)));
-        assert_eq!(idx.len(), 1);
+        for mut idx in [HashPrimaryIndex::new(), HashPrimaryIndex::with_runs(PER_PAGE)] {
+            assert_eq!(idx.insert(7, RowLoc::new(0, 0)), None);
+            assert_eq!(idx.insert(7, RowLoc::new(9, 9)), Some(RowLoc::new(0, 0)));
+            assert_eq!(idx.get(7), Some(RowLoc::new(9, 9)));
+            assert_eq!(idx.len(), 1);
+        }
     }
 
     #[test]
@@ -320,91 +301,36 @@ mod tests {
         assert!(idx.memory_bytes() >= 10_000 * 16);
     }
 
-    /// The report is what is allocated: 16 B per base slot at ≤ 85 % load,
-    /// 8 B per run key, and the delta's power-of-two table with its control
+    /// The report is what is allocated: a run's entry and one bit per key
+    /// it spans, and the outliers' power-of-two table with its control
     /// bytes.
     #[test]
     fn memory_bytes_counts_what_is_allocated() {
         assert_eq!(HashPrimaryIndex::new().memory_bytes(), 0);
-        let base = HashPrimaryIndex::with_capacity(1_000);
-        assert_eq!(base.memory_bytes(), 1_177 * 16);
-        assert!(base.memory_bytes() <= 19 * 1_000);
-        let mut run = HashPrimaryIndex::with_run();
+        let mut run = HashPrimaryIndex::with_runs(PER_PAGE);
         for pk in 0..1_000 {
-            run.insert(pk, RowLoc::from_index(pk as usize));
+            run.insert(pk, at(pk as u64));
         }
-        assert_eq!(run.tier_lens(), (0, 1_000));
-        assert_eq!(run.memory_bytes(), 1_024 * 8);
-        // Descending keys: the first starts a run, the rest go to the delta.
-        // 999 keys at 7/8 load need 1 142 buckets; the table has 2 048.
-        let mut delta = HashPrimaryIndex::with_run();
+        assert_eq!(run.tier_lens(), (1_000, 0));
+        assert_eq!(run.memory_bytes(), 4 * 24 + 16 * 8, "one run, 1 000 bits in 16 words");
+        // Descending keys: the first starts a run, and every later key lies
+        // below it. 999 keys at 7/8 load need 1 142 buckets; the table has
+        // 2 048.
+        let mut outliers = HashPrimaryIndex::with_runs(PER_PAGE);
         for pk in (0..1_000).rev() {
-            delta.insert(pk, RowLoc::from_index(pk as usize));
+            outliers.insert(pk, at(999 - pk as u64));
         }
-        assert_eq!(delta.memory_bytes(), 2_048 * 17 + 16 + 4 * 8);
-        // Without a run, the same keys ascending all go to the delta.
+        assert_eq!(outliers.tier_lens(), (1, 999));
+        assert_eq!(outliers.memory_bytes(), 2_048 * 17 + 16 + 4 * 24 + 4 * 8);
+        // Without runs, the same keys ascending all go to the hash.
         let mut hashed = HashPrimaryIndex::new();
         for pk in 0..1_000 {
-            hashed.insert(pk, RowLoc::from_index(pk as usize));
+            hashed.insert(pk, at(pk as u64));
         }
         assert_eq!(hashed.memory_bytes(), 2_048 * 17 + 16);
         let mut small = HashPrimaryIndex::new();
         small.insert(1, RowLoc::new(0, 1));
         assert_eq!(small.memory_bytes(), 4 * 17 + 16);
-    }
-
-    /// Without a base, mostly ascending keys — runs of successors broken by
-    /// jumps, moves, removes, re-inserts and reserved locations — against a
-    /// `HashMap`. The first stored key and its successors land in the run,
-    /// and nothing else does.
-    #[test]
-    fn the_run_agrees_with_a_hash_map() {
-        for first in [0i64, -5, i64::MAX - 300] {
-            let mut idx = HashPrimaryIndex::with_run();
-            let mut model: HashMap<i64, RowLoc> = HashMap::new();
-            let mut rng = Rng(first as u64);
-            // The run covers `start..next` once a location was stored.
-            let (mut start, mut next) = (None, first);
-            for step in 0..20_000u32 {
-                let pk = match rng.below(8) {
-                    0 => next.wrapping_sub(rng.below(400) as i64),
-                    1 => next.wrapping_add(1 + rng.below(3) as i64),
-                    _ => next,
-                };
-                let loc = match rng.below(64) {
-                    0 => EMPTY,
-                    1 => TOMBSTONE,
-                    _ => RowLoc::new(rng.below(1 << 20) as u32, step),
-                };
-                if rng.below(4) == 0 {
-                    assert_eq!(idx.remove(pk), model.remove(&pk), "remove {pk}");
-                } else {
-                    assert_eq!(idx.insert(pk, loc), model.insert(pk, loc), "insert {pk}");
-                    // A stored location at the run's end extends it.
-                    if loc != EMPTY && loc != TOMBSTONE && (start.is_none() || pk == next) {
-                        start.get_or_insert(pk);
-                        next = pk.wrapping_add(1);
-                    }
-                }
-                assert_eq!(idx.get(pk), model.get(&pk).copied(), "get {pk}");
-            }
-            assert_eq!(idx.len(), model.len());
-            assert_eq!(idx.tier_lens(), (0, model.len()));
-            let start = start.expect("a location was stored");
-            let run = model
-                .iter()
-                .filter(|(&pk, &loc)| {
-                    (pk.wrapping_sub(start) as u64) < next.wrapping_sub(start) as u64
-                        && loc != EMPTY
-                        && loc != TOMBSTONE
-                })
-                .count();
-            assert_eq!(idx.run_len, run, "first {first}");
-            assert!(idx.run_len > model.len() / 2, "{} of {}", idx.run_len, model.len());
-            for (&pk, &loc) in &model {
-                assert_eq!(idx.get(pk), Some(loc), "final get {pk}");
-            }
-        }
     }
 
     /// SplitMix64's generator, for reproducible random operations.
@@ -413,92 +339,125 @@ mod tests {
     impl Rng {
         fn below(&mut self, n: u64) -> u64 {
             self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            mix(self.0) % n
+            hermit_storage::hash::mix(self.0) % n
         }
     }
 
-    /// Random inserts, moves and removes against a `HashMap`, over bases
-    /// presized for 0, 1, 100 and 4 000 keys. Tier membership follows the
-    /// rule of the module docs: a new key goes to the base while fewer than
-    /// `cap` keys ever entered it, otherwise to the delta.
+    /// A heap's appends: keys from ascending streams that jump ahead, with
+    /// deletes and re-inserts of older keys, each new row in the next slot
+    /// — the way a paged database drives its primary index — against a
+    /// `HashMap`, for one stream and for two interleaved ones.
     #[test]
-    fn two_tiers_agree_with_a_hash_map() {
-        for cap in [0usize, 1, 100, 4_000] {
-            let mut idx = HashPrimaryIndex::with_capacity(cap);
+    fn the_run_agrees_with_a_hash_map() {
+        for (streams, first) in [(1u64, 0i64), (1, i64::MAX - 100_000), (2, -5), (2, 1 << 40)] {
+            let mut idx = HashPrimaryIndex::with_runs(PER_PAGE);
             let mut model: HashMap<i64, RowLoc> = HashMap::new();
-            let mut in_base: HashMap<i64, bool> = HashMap::new();
-            let mut entered_base = 0;
-            // The fill: `cap` distinct keys, then one of them again — a
-            // duplicate returns the location it displaces (what recovery
-            // reads as a ghost row), and stays in the base.
-            for pk in 0..cap as i64 {
-                assert_eq!(idx.insert(pk * 3, RowLoc::from_index(pk as usize)), None);
-                model.insert(pk * 3, RowLoc::from_index(pk as usize));
-                in_base.insert(pk * 3, true);
-                entered_base += 1;
-            }
-            if cap > 0 {
-                let old = idx.insert(0, RowLoc::new(7, 7));
-                assert_eq!(old, Some(RowLoc::from_index(0)), "a duplicate returns its old row");
-                model.insert(0, RowLoc::new(7, 7));
-                assert_eq!(idx.tier_lens(), (cap, 0));
-            }
-            // The base is full: a new key goes to the delta, and so does a
-            // removed base key that comes back.
-            assert_eq!(idx.insert(-1, RowLoc::new(1, 1)), None);
-            model.insert(-1, RowLoc::new(1, 1));
-            in_base.insert(-1, false);
-            if cap > 0 {
-                assert_eq!(idx.remove(0), Some(RowLoc::new(7, 7)));
-                assert_eq!(idx.insert(0, RowLoc::new(8, 8)), None);
-                model.insert(0, RowLoc::new(8, 8));
-                in_base.insert(0, false);
-                assert_eq!(idx.tier_lens(), (cap - 1, 2));
-            }
-            // Random traffic: moves of existing keys stay in their tier.
-            let mut rng = Rng(cap as u64);
-            let span = 3 * cap as u64 + 200;
-            for step in 0..20_000 {
-                let pk = rng.below(span) as i64 - 100;
-                let loc = RowLoc::new(rng.below(1 << 20) as u32, step);
-                match rng.below(3) {
-                    0 | 1 => {
-                        assert_eq!(idx.insert(pk, loc), model.insert(pk, loc), "insert {pk}");
-                        in_base.entry(pk).or_insert_with(|| {
-                            let base = entered_base < cap;
-                            entered_base += usize::from(base);
-                            base
-                        });
+            let mut rng = Rng(first as u64 ^ streams);
+            let mut next: Vec<i64> = (0..streams as i64).map(|s| first - s * 1_000_000).collect();
+            let mut slot = 0u64;
+            for _ in 0..20_000 {
+                let s = rng.below(streams) as usize;
+                let pk = match rng.below(256) {
+                    0 => {
+                        next[s] += 1 + rng.below(3) as i64;
+                        continue;
                     }
+                    1..=8 => next[s] - 1 - rng.below(500) as i64,
                     _ => {
-                        assert_eq!(idx.remove(pk), model.remove(&pk), "remove {pk}");
-                        // A removed key re-enters as a new key.
-                        in_base.remove(&pk);
+                        next[s] += 1;
+                        next[s] - 1
                     }
+                };
+                if let Some(loc) = model.remove(&pk) {
+                    assert_eq!(idx.remove(pk), Some(loc), "remove {pk}");
+                } else {
+                    assert_eq!(idx.insert(pk, at(slot)), None, "insert {pk}");
+                    model.insert(pk, at(slot));
+                    slot += 1;
                 }
                 assert_eq!(idx.get(pk), model.get(&pk).copied(), "get {pk}");
             }
-            for pk in -100..span as i64 {
-                assert_eq!(idx.get(pk), model.get(&pk).copied(), "final get {pk}");
-            }
-            let base = model.keys().filter(|pk| in_base.get(pk) == Some(&true)).count();
-            assert_eq!(idx.tier_lens(), (base, model.len() - base), "cap {cap}");
             assert_eq!(idx.len(), model.len());
+            for (&pk, &loc) in &model {
+                assert_eq!(idx.get(pk), Some(loc), "final get {pk}");
+            }
+            let (runs, outliers) = idx.tier_lens();
+            assert_eq!(runs + outliers, model.len());
+            if streams == 1 {
+                assert!(runs > 3 * outliers, "one stream: {runs} in runs, {outliers} outliers");
+            }
+            // Every run but the last covers at least `MIN_RUN` keys.
+            assert!(idx.runs.len() * MIN_RUN <= idx.bits + MIN_RUN, "{} runs", idx.runs.len());
         }
     }
 
-    /// A location that collides with a slot state is still stored, in the
-    /// delta, even when it moves a key out of the base.
+    /// Random inserts, moves and removes at random locations, against a
+    /// `HashMap`, with and without runs; then a reopen's pass, which feeds
+    /// a heap's live rows in slot order — tombstones leave gaps, and a
+    /// duplicate key returns the location it displaces (a ghost row).
     #[test]
-    fn reserved_locations_live_in_the_delta() {
-        let mut idx = HashPrimaryIndex::with_capacity(4);
-        assert_eq!(idx.insert(1, EMPTY), None);
-        assert_eq!(idx.insert(2, RowLoc::new(0, 2)), None);
-        assert_eq!(idx.insert(2, TOMBSTONE), Some(RowLoc::new(0, 2)));
-        assert_eq!((idx.get(1), idx.get(2)), (Some(EMPTY), Some(TOMBSTONE)));
-        assert_eq!(idx.tier_lens(), (0, 2));
-        assert_eq!(idx.insert(2, RowLoc::new(0, 3)), Some(TOMBSTONE));
-        assert_eq!(idx.tier_lens(), (0, 2), "a key in the delta does not also enter the base");
-        assert_eq!(idx.get(2), Some(RowLoc::new(0, 3)));
+    fn two_tiers_agree_with_a_hash_map() {
+        for runs in [false, true] {
+            let mut idx =
+                if runs { HashPrimaryIndex::with_runs(PER_PAGE) } else { HashPrimaryIndex::new() };
+            let mut model: HashMap<i64, RowLoc> = HashMap::new();
+            let mut rng = Rng(u64::from(runs));
+            for _ in 0..20_000 {
+                let pk = rng.below(3_000) as i64 - 100;
+                let loc = at(rng.below(1 << 30));
+                if rng.below(3) == 0 {
+                    assert_eq!(idx.remove(pk), model.remove(&pk), "remove {pk}");
+                } else {
+                    assert_eq!(idx.insert(pk, loc), model.insert(pk, loc), "insert {pk}");
+                }
+                assert_eq!(idx.get(pk), model.get(&pk).copied(), "get {pk}");
+            }
+            for pk in -100..3_000 {
+                assert_eq!(idx.get(pk), model.get(&pk).copied(), "final get {pk}");
+            }
+            assert_eq!(idx.len(), model.len());
+            if !runs {
+                assert_eq!(idx.tier_lens(), (0, model.len()));
+            }
+        }
+        let mut idx = HashPrimaryIndex::with_runs(PER_PAGE);
+        let mut ghosts = Vec::new();
+        // Slot 1000 i + 999 holds key 10 i again: a page that missed its
+        // delete. Every 7th other slot is a tombstone.
+        let key = |slot: u64| if slot % 1_000 == 999 { 10 * (slot / 1_000) } else { slot };
+        let tombstone = |slot: u64| slot % 7 == 4 && slot % 1_000 != 999;
+        for slot in (0..5_000u64).filter(|&s| !tombstone(s)) {
+            if let Some(old) = idx.insert(key(slot) as i64, at(slot)) {
+                ghosts.push(old);
+            }
+        }
+        assert_eq!(ghosts, (0..5).map(|i| at(10 * i)).collect::<Vec<_>>());
+        assert_eq!(idx.runs.len(), 1, "tombstones and duplicate keys do not break the run");
+        let tombstones = (0..5_000).filter(|&s| tombstone(s)).count();
+        assert_eq!(idx.tier_lens(), (5_000 - tombstones - 10, 5));
+        assert_eq!(idx.get(10), Some(at(1_999)));
+        assert_eq!(idx.get(4), None);
+        assert_eq!(idx.get(5), Some(at(5)));
+    }
+
+    /// A location off the slot grid — an offset past the page's slots, a
+    /// block no run near the others can reach — is still stored, as an
+    /// outlier or in a run of its own that the next key demotes, and the
+    /// run before it goes on.
+    #[test]
+    fn off_grid_locations_are_outliers() {
+        let mut idx = HashPrimaryIndex::with_runs(PER_PAGE);
+        for pk in 0..20 {
+            idx.insert(pk, at(pk as u64));
+        }
+        let far = RowLoc::new(u32::MAX, u32::from(PER_PAGE) - 1);
+        assert_eq!(idx.insert(20, RowLoc::new(0, u32::MAX)), None);
+        assert_eq!(idx.insert(21, far), None);
+        assert_eq!(idx.insert(22, at(22)), None);
+        assert_eq!((idx.get(20), idx.get(21)), (Some(RowLoc::new(0, u32::MAX)), Some(far)));
+        assert_eq!((idx.runs.len(), idx.tier_lens()), (1, (21, 2)));
+        assert_eq!(idx.insert(21, at(23)), Some(far));
+        assert_eq!(idx.get(22), Some(at(22)));
+        assert_eq!(idx.len(), 23);
     }
 }

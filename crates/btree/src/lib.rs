@@ -2,7 +2,7 @@
 //! # hermit-btree
 //!
 //! Index substrate for the Hermit reproduction: a memory-optimized B+-tree
-//! and a hash-based primary index.
+//! and a primary index.
 //!
 //! The paper's *Baseline* is "the standard B+-tree-based secondary indexing
 //! mechanism used in conventional RDBMSs" (§7.1), with in-memory nodes sized
@@ -17,8 +17,10 @@
 //! * **host index** — key = host column value, value = tid (what Hermit
 //!   probes after the TRS-Tree hop);
 //! * **primary index** — key = primary key, value = row location (used to
-//!   resolve logical tids; a hash variant, [`HashPrimaryIndex`], is also
-//!   provided since point-only primary access is a hash map's sweet spot).
+//!   resolve logical tids; [`HashPrimaryIndex`] is also provided, since
+//!   point-only primary access is a hash map's sweet spot — over a paged
+//!   heap it keeps runs of consecutive keys in consecutive slots instead,
+//!   with the keys that break them in the hash).
 
 pub mod hash_index;
 pub mod node;

@@ -14,6 +14,10 @@
 
 use crate::node::{Node, NodeId, MAX_KEYS, NIL};
 
+/// Leaves [`BPlusTree::bulk_load`] builds between two releases of its
+/// input's tail: 2 048 leaves copy 1 MiB of 16-byte entries.
+const SHRINK_EVERY: usize = 2_048;
+
 /// An arena-allocated B+-tree with duplicate-key support.
 ///
 /// `K` is the key type (use `hermit_storage::F64Key` for float keys), `V`
@@ -340,8 +344,14 @@ impl<K: Ord + Clone, V: Clone + PartialEq> BPlusTree<K, V> {
     /// Build a tree from entries sorted by key. Leaves are packed to
     /// `MAX_KEYS`, giving the dense layout a freshly-built index would have.
     ///
+    /// The input is consumed as the tree is built: its leaves are built
+    /// 2 048 at a time from its back, and after each stride the input
+    /// hands back the memory they copied, so the sorted input and the
+    /// finished tree are never resident side by side (a build's peak is the
+    /// tree plus one stride).
+    ///
     /// Panics in debug builds if the input is unsorted.
-    pub fn bulk_load(entries: Vec<(K, V)>) -> Self {
+    pub fn bulk_load(mut entries: Vec<(K, V)>) -> Self {
         debug_assert!(
             entries.windows(2).all(|w| w[0].0 <= w[1].0),
             "bulk_load requires key-sorted input"
@@ -350,25 +360,37 @@ impl<K: Ord + Clone, V: Clone + PartialEq> BPlusTree<K, V> {
             return Self::new();
         }
         let len = entries.len();
-        let mut tree = BPlusTree { arena: Vec::new(), root: 0, len, height: 1 };
+        let leaves = len.div_ceil(MAX_KEYS);
+        let (mut nodes, mut width) = (leaves, leaves);
+        while width > 1 {
+            width = width.div_ceil(MAX_KEYS + 1);
+            nodes += width;
+        }
+        let mut tree = BPlusTree { arena: Vec::with_capacity(nodes), root: 0, len, height: 1 };
 
-        // Level 0: packed leaves.
-        let mut level: Vec<(K, NodeId)> = Vec::new(); // (first key, node)
-        let mut iter = entries.into_iter().peekable();
-        let mut prev_leaf: Option<NodeId> = None;
-        while iter.peek().is_some() {
-            let chunk: Vec<(K, V)> = iter.by_ref().take(MAX_KEYS).collect();
-            let first_key = chunk[0].0.clone();
-            let (keys, values): (Vec<K>, Vec<V>) = chunk.into_iter().unzip();
-            let id = tree.alloc(Node::Leaf { keys, values, next: NIL });
-            if let Some(prev) = prev_leaf {
-                let Node::Leaf { next, .. } = &mut tree.arena[prev as usize] else {
-                    unreachable!()
-                };
-                *next = id;
+        // Level 0: packed leaves, one stride at a time from the back of the
+        // input, each stride's leaves allocated in key order (a range scan
+        // then walks memory upwards, the way the hardware prefetches), and
+        // the stride's entries released before the next stride is built.
+        let empty = || Node::Leaf { keys: Vec::new(), values: Vec::new(), next: NIL };
+        tree.arena.resize_with(leaves, empty);
+        let mut end = leaves;
+        while end > 0 {
+            let start = end.saturating_sub(SHRINK_EVERY);
+            for (i, chunk) in (start..).zip(entries[start * MAX_KEYS..].chunks(MAX_KEYS)) {
+                let keys = chunk.iter().map(|(k, _)| k.clone()).collect();
+                let values = chunk.iter().map(|(_, v)| v.clone()).collect();
+                let next = if i + 1 < leaves { (i + 1) as NodeId } else { NIL };
+                tree.arena[i] = Node::Leaf { keys, values, next };
             }
-            prev_leaf = Some(id);
-            level.push((first_key, id));
+            entries.truncate(start * MAX_KEYS);
+            entries.shrink_to_fit();
+            end = start;
+        }
+        let mut level: Vec<(K, NodeId)> = Vec::with_capacity(leaves);
+        for (id, node) in tree.arena.iter().enumerate() {
+            let Node::Leaf { keys, .. } = node else { unreachable!() };
+            level.push((keys[0].clone(), id as NodeId));
         }
 
         // Upper levels: group children MAX_KEYS+1 at a time.
@@ -626,6 +648,55 @@ mod tests {
         t.check_invariants().unwrap();
         assert_eq!(t.len(), 2000);
         assert_eq!(t.count_in_range(&0, &3999), 2000);
+    }
+
+    /// Each leaf's entries, in leaf-chain order from the leftmost leaf.
+    fn leaves(t: &BPlusTree<u64, u64>) -> Vec<Vec<(u64, u64)>> {
+        let mut id = t.root;
+        while let Node::Internal { children, .. } = &t.arena[id as usize] {
+            id = children[0];
+        }
+        let mut out = Vec::new();
+        while id != NIL {
+            let Node::Leaf { keys, values, next } = &t.arena[id as usize] else { unreachable!() };
+            out.push(keys.iter().copied().zip(values.iter().copied()).collect());
+            id = *next;
+        }
+        out
+    }
+
+    /// A bulk load holds what single inserts of the same entries hold: the
+    /// same leaf chain and the same range results, duplicates in input
+    /// order, at sizes around a leaf and past the input's shrink stride;
+    /// every leaf but the last is full.
+    #[test]
+    fn bulk_load_equals_single_inserts() {
+        for n in [0u64, 1, 31, 32, 33, (SHRINK_EVERY * MAX_KEYS + 1) as u64] {
+            for dup in [1u64, 3, 45] {
+                // Key i / dup: runs of `dup` equal keys; runs of 3 and of
+                // 45 cross leaf boundaries.
+                let entries: Vec<(u64, u64)> = (0..n).map(|i| (i / dup, i)).collect();
+                let bulk = BPlusTree::bulk_load(entries.clone());
+                let mut single = BPlusTree::new();
+                for &(k, v) in &entries {
+                    single.insert(k, v);
+                }
+                bulk.check_invariants().unwrap();
+                let chain = leaves(&bulk);
+                assert_eq!((bulk.len(), chain.concat()), (single.len(), leaves(&single).concat()));
+                assert_eq!(chain.concat(), entries, "n {n}, dup {dup}");
+                let top = n / dup + 1;
+                for (lb, ub) in [(0, top), (top / 3, top / 3), (top / 2, top / 2 + 7), (top, 0)] {
+                    let got: Vec<_> = bulk.range(lb, ub).map(|(&k, &v)| (k, v)).collect();
+                    let want: Vec<_> = single.range(lb, ub).map(|(&k, &v)| (k, v)).collect();
+                    assert_eq!(got, want, "n {n}, dup {dup}, [{lb}, {ub}]");
+                }
+                let lens: Vec<usize> = chain.iter().map(Vec::len).collect();
+                let full = lens.iter().rev().skip(1).all(|&l| l == MAX_KEYS);
+                assert!(full && lens.iter().all(|&l| l > 0 || n == 0), "n {n}: {lens:?}");
+                assert_eq!(bulk.arena.len(), bulk.arena.capacity(), "the arena is sized once");
+            }
+        }
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! * a heap — in-memory columnar ([`hermit_storage::Table`], the DBMS-X
 //!   substrate) or paged ([`hermit_storage::paged::PagedTable`], the
 //!   PostgreSQL substrate of §7.8);
-//! * a hash primary index (primary key → row location), used both for
-//!   uniqueness and to resolve logical tids;
+//! * a primary index (primary key → row location), used both for
+//!   uniqueness and to resolve logical tids: a hash map, or over the paged
+//!   heap a map of runs of consecutive keys in consecutive slots
+//!   ([`HashPrimaryIndex`]);
 //! * per-column secondary indexes, each a baseline B+-tree or a Hermit
 //!   TRS-Tree ([`SecondaryIndex`]).
 //!
@@ -297,14 +299,25 @@ impl Database {
     }
 
     /// Paged (disk-backed) database; always physical pointers, like
-    /// PostgreSQL. Its primary index keeps ascending keys in a run
-    /// ([`HashPrimaryIndex::with_run`]).
+    /// PostgreSQL. Its primary index keeps runs of consecutive keys in
+    /// consecutive slots ([`HashPrimaryIndex::with_runs`]).
     pub fn new_paged(table: PagedTable, pk_col: ColumnId) -> Self {
+        let primary = HashPrimaryIndex::with_runs(PagedTable::slots_per_page(table.schema()));
+        Self::with_paged_primary(table, pk_col, primary)
+    }
+
+    /// [`new_paged`](Self::new_paged) over a primary index already built
+    /// for `table` (recovery builds it in `PagedTable::reopen`'s scan).
+    pub(crate) fn with_paged_primary(
+        table: PagedTable,
+        pk_col: ColumnId,
+        primary: HashPrimaryIndex,
+    ) -> Self {
         Database {
             heap: Heap::Paged(table),
             scheme: TidScheme::Physical,
             pk_col,
-            primary: LatchedRwLock::new(latches::level(50), HashPrimaryIndex::with_run()),
+            primary: LatchedRwLock::new(latches::level(50), primary),
             secondary: BTreeMap::new(),
             composites: LatchedRwLock::new(latches::level(30), CompositeIndexes::new()),
             has_composites: false,

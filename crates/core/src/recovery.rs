@@ -18,9 +18,9 @@
 //!   transaction are written, not fsynced. **WAL before data** makes that
 //!   safe: the buffer pool forces the log before it writes a page back.
 //! * [`Database::open`] reattaches: pages via [`FilePageStore::open`], the
-//!   heap via `PagedTable::reopen` (live rows and `ColumnStats` recomputed
-//!   by scan), each baseline B+-tree and then the primary index rebuilt by
-//!   a heap scan of its own, Hermit indexes restored from their
+//!   heap via `PagedTable::reopen` (live rows, `ColumnStats` and the
+//!   primary index's runs recomputed by one scan), each baseline B+-tree
+//!   rebuilt by a heap scan of its own, Hermit indexes restored from their
 //!   epoch-named snapshots (or rebuilt from the heap when a snapshot is
 //!   missing/torn), and the WAL replayed through the ordinary DML path —
 //!   so every index is maintained by construction. A torn WAL tail is
@@ -752,7 +752,23 @@ impl Database {
         store.reset_watermark(catalog.next_page)?;
         let pool = config.open_pool(store);
         let page_ids: Vec<u64> = catalog.pages.iter().map(|e| e.page).collect();
-        let (table, observed) = PagedTable::reopen(catalog.schema.clone(), pool, page_ids)?;
+        // The primary index comes from the heap scan that reopens the table.
+        // Because the pool steals at page granularity, a lost delete
+        // tombstone (page never flushed) can coexist with a flushed
+        // re-insert of the same pk: two live heap rows for one key. The
+        // later one (pages scan in insert order) is the newer version; the
+        // earlier is a ghost whose tombstone the crash ate, and inserting
+        // the newer one returns it. It is deleted below, before any index
+        // is built, or replay's per-pk idempotence would leave it live.
+        let mut primary = HashPrimaryIndex::with_runs(PagedTable::slots_per_page(&catalog.schema));
+        let mut ghosts: Vec<RowLoc> = Vec::new();
+        let (table, observed) =
+            PagedTable::reopen(catalog.schema.clone(), pool, page_ids, |loc, row| {
+                let pk = row.value(catalog.pk_col).as_i64().unwrap_or(0);
+                if let Some(old) = primary.insert(pk, loc) {
+                    ghosts.push(old);
+                }
+            })?;
 
         // A stale-epoch WAL predates the catalog (its effects are inside
         // the checkpoint) and is safe to reset. So is a missing or
@@ -800,7 +816,10 @@ impl Database {
             }
         }
 
-        let mut db = Database::new_paged(table, catalog.pk_col);
+        for &ghost in &ghosts {
+            table.delete(ghost)?;
+        }
+        let mut db = Database::with_paged_primary(table, catalog.pk_col, primary);
         db.scheme = catalog.scheme;
         db.rebuild_indexes(&catalog, dir)?;
 
@@ -952,53 +971,17 @@ impl Database {
         }
     }
 
-    /// Rebuild the in-memory side from the recovered heap, one structure
-    /// per heap pass so that a restarted server's peak memory is its steady
-    /// state: first each baseline B+-tree (its `(key, tid)` buffer presized
-    /// to the heap, sorted, bulk-loaded and dropped before the next pass
-    /// starts — [`create_baseline_index`](Database::create_baseline_index)),
-    /// then the primary index, sized to the heap so every recovered key
-    /// lands in its compact base tier ([`HashPrimaryIndex`]). No sort
-    /// buffer is ever resident beside another one or beside the primary
-    /// index. Hermit indexes come from their epoch-named snapshots, falling
-    /// back to a fresh build from the heap (with the catalog's recorded
-    /// parameters) when a snapshot is missing or torn.
+    /// Rebuild the secondary indexes from the recovered heap, one per heap
+    /// pass, so that a restarted server's peak memory is its steady state:
+    /// each baseline B+-tree's `(key, tid)` buffer is presized to the heap,
+    /// sorted, and consumed by the bulk load that builds the tree from it
+    /// ([`create_baseline_index`](Database::create_baseline_index)). Hermit
+    /// indexes come from their epoch-named snapshots, falling back to a
+    /// fresh build from the heap (with the catalog's recorded parameters)
+    /// when a snapshot is missing or torn.
     fn rebuild_indexes(&mut self, catalog: &Catalog, dir: &Path) -> Result<(), CoreError> {
-        let pk_col = self.pk_col;
-        loop {
-            for def in &catalog.baselines {
-                self.create_baseline_index(def.column, def.existing)?;
-            }
-            // Because the pool steals at page granularity, a lost delete
-            // tombstone (page never flushed) can coexist with a flushed
-            // re-insert of the same pk: two live heap rows for one key.
-            // The later one (pages scan in insert order) is the newer
-            // version; the earlier is a ghost whose tombstone the crash
-            // ate. Tombstone it now, or replay's per-pk idempotence would
-            // leave it live forever.
-            let mut primary = HashPrimaryIndex::with_capacity(self.heap.len());
-            let mut ghosts: Vec<RowLoc> = Vec::new();
-            self.heap.for_each_live_row(|loc, row| {
-                let pk = row.value(pk_col).as_i64().unwrap_or(0);
-                if let Some(old) = primary.insert(pk, loc) {
-                    ghosts.push(old);
-                }
-                true
-            })?;
-            if ghosts.is_empty() {
-                self.primary = LatchedRwLock::new(latches::level(50), primary);
-                break;
-            }
-            // Rare path: drop the ghosts (fixing live counts and stats),
-            // then redo both passes over the now-clean heap — the trees
-            // built so far (the only secondary indexes yet) hold the ghost
-            // rows; cleared first, so no old tree is resident beside its
-            // rebuild.
-            self.secondary.clear();
-            let Heap::Paged(table) = &self.heap else { unreachable!("recovery is paged-only") };
-            for loc in ghosts {
-                table.delete(loc)?;
-            }
+        for def in &catalog.baselines {
+            self.create_baseline_index(def.column, def.existing)?;
         }
         for def in &catalog.hermits {
             let snapshot = dir.join(snapshot_name(def.target, catalog.wal_epoch));
@@ -1062,7 +1045,8 @@ mod tests {
     /// through the primary index under logical pointers.
     fn assert_holds(db: &Database, model: &BTreeMap<i64, f64>, step: &str) {
         assert_eq!(db.len(), model.len(), "{step}");
-        for pk in -1..=600 {
+        let streams = (0..2).flat_map(|s| 1_000_000 * (s + 1)..1_000_000 * (s + 1) + 80);
+        for pk in (-1..=600).chain(streams) {
             let want = model.get(&pk).map(|&m| tier_row(pk, m));
             let got = db.primary().get(pk).map(|loc| db.heap().get(loc).unwrap());
             assert_eq!(got, want, "{step}: pk {pk}");
@@ -1085,16 +1069,17 @@ mod tests {
         }
     }
 
-    /// Reopen → delete and re-insert base keys → checkpoint → reopen, on
-    /// both tid schemes: the reopened keys fill the primary index's base
-    /// tier, a base key that is deleted and comes back lands in the delta
-    /// (as does a new key), and the next reopen sizes the base to the rows
-    /// then live. The database matches a model after every step.
+    /// Reopen → delete and re-insert run keys, extend, interleave two
+    /// ascending streams → checkpoint → reopen, on both tid schemes. The
+    /// reopened keys form one run; a run key that is deleted and comes back
+    /// is an outlier, and so is a stream key that the other stream's rows
+    /// keep from continuing a run; the next reopen finds the same runs in
+    /// the heap. The database matches a model after every step.
     #[test]
-    fn primary_tiers_round_trip_through_reopen_and_checkpoint() {
+    fn primary_runs_round_trip_through_reopen_and_checkpoint() {
         for scheme in [TidScheme::Physical, TidScheme::Logical] {
-            let dir = std::env::temp_dir()
-                .join(format!("hermit-tiers-{scheme:?}-{}", std::process::id()));
+            let dir =
+                std::env::temp_dir().join(format!("hermit-runs-{scheme:?}-{}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
             let config = DurabilityConfig::default();
             let schema = Schema::new(vec![
@@ -1126,17 +1111,32 @@ mod tests {
                     model.insert(pk, pk as f64 + 0.25);
                 }
             }
+            // The re-inserts took the slots after key 499's: key 500 starts
+            // a new run.
             for pk in 500..520i64 {
                 db.insert(&tier_row(pk, pk as f64 - 450.0)).unwrap();
                 model.insert(pk, pk as f64 - 450.0);
             }
-            assert_eq!(db.primary().tier_lens(), (450, 45));
+            assert_eq!(db.primary().tier_lens(), (470, 25));
+            // Two streams, alternating row by row: no run survives but the
+            // last key's, which nothing has followed yet.
+            for i in 0..80i64 {
+                for pk in [1_000_000 + i, 2_000_000 + i] {
+                    db.insert(&tier_row(pk, (pk % 400) as f64)).unwrap();
+                    model.insert(pk, (pk % 400) as f64);
+                }
+            }
+            assert_eq!(db.primary().tier_lens(), (470 + 1, 25 + 159));
+            for pk in (1_000_000..1_000_080i64).step_by(3) {
+                db.delete_by_pk(pk).unwrap();
+                model.remove(&pk);
+            }
             assert_holds(&db, &model, "after churn");
             db.checkpoint(&dir).unwrap();
             drop(db);
 
             let db = Database::open(&dir, &config).unwrap();
-            assert_eq!(db.primary().tier_lens(), (model.len(), 0));
+            assert_eq!(db.primary().tier_lens(), (470 + 1, 25 + 159 - 27));
             assert_holds(&db, &model, "reopened after the checkpoint");
             drop(db);
             std::fs::remove_dir_all(&dir).ok();

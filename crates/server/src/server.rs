@@ -623,7 +623,7 @@ fn render_stats(inner: &Arc<Inner>) -> String {
     if let Some(bytes) = db.pool_bytes() {
         let _ = writeln!(out, "hermit_memory_bytes{{part=\"pool\"}} {bytes}");
     }
-    let (primary_bytes, (base_keys, delta_keys)) = {
+    let (primary_bytes, (run_keys, outlier_keys)) = {
         let primary = db.primary();
         (primary.memory_bytes(), primary.tier_lens())
     };
@@ -636,8 +636,8 @@ fn render_stats(inner: &Arc<Inner>) -> String {
                 writeln!(out, "hermit_memory_bytes{{part=\"{part}\",column=\"{col}\"}} {bytes}");
         }
     }
-    let _ = writeln!(out, "hermit_primary_keys{{tier=\"base\"}} {base_keys}");
-    let _ = writeln!(out, "hermit_primary_keys{{tier=\"delta\"}} {delta_keys}");
+    let _ = writeln!(out, "hermit_primary_keys{{tier=\"run\"}} {run_keys}");
+    let _ = writeln!(out, "hermit_primary_keys{{tier=\"outlier\"}} {outlier_keys}");
     if let Some((hits, misses, evictions)) = db.pool_counters() {
         let _ = writeln!(out, "hermit_pool_hits {hits}");
         let _ = writeln!(out, "hermit_pool_misses {misses}");

@@ -478,9 +478,10 @@ fn the_row_cap_follows_the_row_width() {
     server.stop();
 }
 
-/// A reopened database's primary keys sit in the base tier and the keys
-/// written since in the delta; the exporter shows both, and the memory of
-/// every structure, the primary's at under 19 B per reopened key.
+/// A reopened database's primary keys sit in one run, which the next
+/// insert extends, and a key re-inserted into the run's range is an
+/// outlier; the exporter shows both, and the memory of every structure,
+/// the primary's at under 1 B per key.
 #[test]
 fn a_reopened_server_reports_memory_by_structure() {
     let dir = std::env::temp_dir().join(format!("hermit-server-memory-{}", std::process::id()));
@@ -505,16 +506,17 @@ fn a_reopened_server_reports_memory_by_structure() {
     let mut c = connect(&server);
     c.insert(row_for(SEED_ROWS)).unwrap();
     c.delete(0).unwrap();
+    c.insert(row_for(0)).unwrap();
     let stats = c.stats().unwrap();
     let metric = |name: &str| -> usize {
         let line = stats.lines().find_map(|l| l.strip_prefix(name)).expect(name);
         line.trim().parse().unwrap()
     };
-    assert_eq!(metric("hermit_primary_keys{tier=\"base\"}"), SEED_ROWS as usize - 1);
-    assert_eq!(metric("hermit_primary_keys{tier=\"delta\"}"), 1);
+    assert_eq!(metric("hermit_primary_keys{tier=\"run\"}"), SEED_ROWS as usize);
+    assert_eq!(metric("hermit_primary_keys{tier=\"outlier\"}"), 1);
     let primary = metric("hermit_memory_bytes{part=\"primary\"}");
     assert_eq!(primary, server.db().db().primary().memory_bytes());
-    assert!(primary <= 19 * SEED_ROWS as usize + 4_096, "{primary} B for {SEED_ROWS} keys");
+    assert!(primary <= SEED_ROWS as usize + 256, "{primary} B for {SEED_ROWS} keys");
     assert!(metric("hermit_memory_bytes{part=\"baseline\",column=\"1\"}") > 0);
     assert!(metric("hermit_memory_bytes{part=\"hermit\",column=\"2\"}") > 0);
     assert!(metric("hermit_memory_bytes{part=\"pool\"}") > 0);

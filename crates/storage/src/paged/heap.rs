@@ -191,10 +191,15 @@ impl PagedTable {
     /// Returns the table plus each page's `(live rows, content CRC)` as
     /// observed by the same scan, so recovery's torn-checkpoint
     /// cross-check against the catalog does not have to re-read the heap.
+    /// The scan also hands every live row to `on_row`, in heap order, for
+    /// a structure the caller builds in the same pass (recovery's primary
+    /// index); `on_row` runs with the page pinned and must not re-enter the
+    /// pool.
     pub fn reopen(
         schema: Schema,
         pool: Arc<BufferPool>,
         page_ids: Vec<PageId>,
+        mut on_row: impl FnMut(RowLoc, RowRef<'_>),
     ) -> Result<(Self, Vec<(u32, u32)>)> {
         let record_width = (schema.width() * CELL_BYTES) as u16;
         let mut stats: Vec<ColumnStats> =
@@ -210,10 +215,11 @@ impl PagedTable {
                     )));
                 }
                 let mut count = 0u32;
-                for (_, bytes) in page.iter() {
+                for (slot, bytes) in page.iter() {
                     for (cid, stat) in stats.iter_mut().enumerate() {
                         stat.observe(&decode_cell(&bytes[cid * CELL_BYTES..]));
                     }
+                    on_row(RowLoc::new(pid as u32, u32::from(slot)), RowRef::Encoded { bytes });
                     count += 1;
                 }
                 summaries.note(pid, page.count(), count < u32::from(page.count()));
@@ -252,6 +258,12 @@ impl PagedTable {
     /// True if no live rows.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Row slots per heap page of a table of `schema`: a row's location is
+    /// slot `block × slots_per_page + offset` of the heap.
+    pub fn slots_per_page(schema: &Schema) -> u16 {
+        Page::capacity_for((schema.width() * CELL_BYTES) as u16)
     }
 
     /// Number of heap pages allocated.
@@ -778,8 +790,14 @@ mod tests {
         // rows, stats, and per-page counts + CRCs.
         let checkpoint_entries = t.page_checkpoint_entries().unwrap();
         let pool2 = Arc::new(BufferPool::new(store, 8));
-        let (r, observed) = PagedTable::reopen(schema, pool2, pages.clone()).unwrap();
+        let mut visited = Vec::new();
+        let (r, observed) = PagedTable::reopen(schema, pool2, pages.clone(), |loc, row| {
+            visited.push((loc, row.value(0)));
+        })
+        .unwrap();
         assert_eq!(r.len(), n - 2);
+        let scan: Vec<_> = t.scan().unwrap().into_iter().map(|(loc, row)| (loc, row[0])).collect();
+        assert_eq!(visited, scan, "reopen visits every live row, in heap order");
         assert_eq!(
             observed, checkpoint_entries,
             "reopen's (count, crc) scan must match the flushed table's"
@@ -809,7 +827,10 @@ mod tests {
         seed.insert(&[Value::Int(1), Value::Float(2.0)]).unwrap();
         pool3.flush().unwrap();
         let pool4 = Arc::new(BufferPool::new(store2, 8));
-        assert!(matches!(PagedTable::reopen(bad, pool4, seed.pages()), Err(StorageError::Io(_))));
+        assert!(matches!(
+            PagedTable::reopen(bad, pool4, seed.pages(), |_, _| {}),
+            Err(StorageError::Io(_))
+        ));
     }
 
     #[test]
@@ -883,7 +904,7 @@ mod tests {
         assert_eq!(validate_one(&t, victim), None, "a deleted row came back");
 
         let pool = Arc::new(BufferPool::new(store, 2));
-        let (r, _) = PagedTable::reopen(schema, Arc::clone(&pool), t.pages()).unwrap();
+        let (r, _) = PagedTable::reopen(schema, Arc::clone(&pool), t.pages(), |_, _| {}).unwrap();
         evict(&r);
         assert_eq!(validate_one(&r, victim), None, "a deleted row came back after reopen");
         evict(&r);

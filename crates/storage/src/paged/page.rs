@@ -109,8 +109,9 @@ impl Page {
         Self::capacity_for(self.record_width())
     }
 
+    /// Slots a page of `record_width`-byte records holds.
     #[inline]
-    fn capacity_for(record_width: u16) -> u16 {
+    pub fn capacity_for(record_width: u16) -> u16 {
         // Solve: HEADER + ceil(cap/8) + cap*w <= PAGE_SIZE. Use the
         // conservative bound with a full byte per 8 records.
         let usable = PAGE_SIZE - HEADER_BYTES;

@@ -14,7 +14,6 @@
 //! See the `examples/` directory for end-to-end usage.
 
 pub use hermit_btree as btree;
-pub use hermit_cm as cm;
 pub use hermit_core as core;
 pub use hermit_fault as fault;
 pub use hermit_server as server;
