@@ -411,7 +411,7 @@ mod tests {
              fn deep(&self) { let g = self.composites.write(); g.touch(); }\n\
              fn mid(&self) { self.deep(); }\n\
              fn top(&self) {\n\
-                 let t = self.heap.t.read();\n\
+                 let t = self.primary.read();\n\
                  self.mid();\n\
              }\n\
          }\n";
@@ -435,7 +435,7 @@ mod tests {
                  fn deep(&self) { let g = self.composites.write(); g.touch(); }\n\
                  fn mid(&self) { self.deep(); }\n\
                  fn top(&self) {\n\
-                     let t = self.heap.t.read();\n\
+                     let t = self.primary.read();\n\
                      drop(t);\n\
                      self.mid();\n\
                  }\n\
@@ -450,7 +450,7 @@ mod tests {
                  fn persist(&self) { self.file.sync_all(); }\n\
                  fn apply(&self) { self.persist(); }\n\
                  fn top(&self) {\n\
-                     let t = self.heap.t.write();\n\
+                     let t = self.primary.write();\n\
                      self.apply();\n\
                  }\n\
              }\n";
@@ -485,7 +485,7 @@ mod tests {
                  fn a(&self, d: u32) { if d > 0 { self.b(d - 1); } }\n\
                  fn b(&self, d: u32) { let g = self.composites.write(); self.a(d); }\n\
                  fn top(&self) {\n\
-                     let t = self.heap.t.read();\n\
+                     let t = self.primary.read();\n\
                      self.a(3);\n\
                  }\n\
              }\n";
@@ -520,7 +520,7 @@ mod tests {
         let src = "struct Db;\n\
              impl Db {\n\
                  fn top(&self) {\n\
-                     let t = self.heap.t.read();\n\
+                     let t = self.primary.read();\n\
                      std::fs::rename(a, b);\n\
                      unknown_external(t);\n\
                  }\n\

@@ -13,9 +13,9 @@ impl Db {
         self.persist();
     }
 
-    // BAD: heap latch (non-io_safe) held across a call that fsyncs.
+    // BAD: a per-index latch (non-io_safe) held across a call that fsyncs.
     fn bad_hold(&self) {
-        let t = self.table.write();
+        let t = self.tree.write();
         self.apply_all();
         t.len();
     }
@@ -30,7 +30,7 @@ impl Db {
 
     // GOOD: guard released before the I/O-reaching call.
     fn good_release_first(&self) {
-        let t = self.table.write();
+        let t = self.tree.write();
         t.len();
         drop(t);
         self.apply_all();

@@ -1,27 +1,27 @@
 // Fixture for the `latch-order` rule. Not compiled — lexed by the test
 // suite under a virtual `crates/core/src/` path.
 
-/// BAD: heap latch (rank 60) held while taking the primary index (rank 50).
+/// BAD: primary index (rank 50) held while taking a per-index latch (rank 40).
 fn out_of_order(db: &Db) {
-    let table = db.table.read();
     let primary = db.primary.read();
-    consume(table, primary);
+    let tree = db.tree.read();
+    consume(primary, tree);
 }
 
-/// GOOD: same latches, declared order (primary before heap).
+/// GOOD: same latches, declared order (per-index latch before primary).
 fn in_order(db: &Db) {
+    let tree = db.tree.read();
     let primary = db.primary.read();
-    let table = db.table.read();
-    consume(primary, table);
+    consume(tree, primary);
 }
 
 /// GOOD: dropping the outer guard before re-acquiring lower is legal.
 fn drop_then_reacquire(db: &Db) {
-    let table = db.table.read();
-    let n = table.len();
-    drop(table);
     let primary = db.primary.read();
-    consume(primary, n);
+    let n = primary.len();
+    drop(primary);
+    let tree = db.tree.read();
+    consume(tree, n);
 }
 
 /// BAD: guard-returning method while holding the primary index.

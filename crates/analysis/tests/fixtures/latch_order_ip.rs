@@ -15,9 +15,9 @@ impl Db {
         self.deep_acquire();
     }
 
-    // BAD: heap (rank 60) held across a call that reaches rank 30.
+    // BAD: primary index (rank 50) held across a call that reaches rank 30.
     fn bad_top(&self) {
-        let t = self.table.read();
+        let t = self.primary.read();
         self.middle();
         t.len();
     }
@@ -33,7 +33,7 @@ impl Db {
 
     // GOOD: the guard is dropped before the call.
     fn good_drops_first(&self) {
-        let t = self.table.read();
+        let t = self.primary.read();
         t.len();
         drop(t);
         self.middle();

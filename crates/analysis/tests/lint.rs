@@ -297,7 +297,7 @@ const SEEDED_INVERSION: &str = "
 fn seeded_deep(db: &Database) { let g = db.composites.write(); g.len(); }
 fn seeded_mid(db: &Database) { seeded_deep(db); }
 fn seeded_top(db: &Database) {
-    let t = db.table.read();
+    let t = db.primary.read();
     seeded_mid(db);
     t.len();
 }
@@ -374,7 +374,7 @@ fn seeding_transitive_io_under_a_data_latch_fails_the_lint() {
 fn io_deep(f: &File) { f.sync_all(); }
 fn io_mid(f: &File) { io_deep(f); }
 fn io_top(db: &Database, f: &File) {
-    let t = db.table.write();
+    let t = db.primary.write();
     io_mid(f);
     t.len();
 }
@@ -436,7 +436,7 @@ struct Db;
 impl Db {
     fn deep(&self) { let g = self.composites.write(); g.len(); }
     fn top(&self) {
-        let t = self.table.read();
+        let t = self.primary.read();
         self.deep_caller();
         t.len();
     }

@@ -225,6 +225,50 @@ fn bench_cold_fetch(c: &mut Criterion) {
     group.finish();
 }
 
+/// Range lookups per second of `readers` threads sharing `db` for
+/// `window`, each cycling through `queries` from its own offset.
+fn mem_read_rate(db: &Database, queries: &[(f64, f64)], readers: usize, window: Duration) -> f64 {
+    let start = Instant::now();
+    let lookups: u64 = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..readers)
+            .map(|r| {
+                s.spawn(move || {
+                    let mut done = 0u64;
+                    while start.elapsed() < window {
+                        let (lb, ub) = queries[(r * 97 + done as usize) % queries.len()];
+                        let pred = RangePredicate::range(cols::COL_C, lb, ub);
+                        std::hint::black_box(db.lookup_range(pred, None));
+                        done += 1;
+                    }
+                    done
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("mem_readers reader panicked")).sum()
+    });
+    lookups as f64 / start.elapsed().as_secs_f64()
+}
+
+/// Concurrent readers of one in-memory database: Hermit range lookups
+/// (0.5 %) from one reader vs two. The heap's pages sit in one buffer-pool
+/// shard, and a page-ordered validation batch visits them under that
+/// shard's read lock, so readers share it and a second reader must add
+/// throughput (ratio near 2 on two cores). A ratio near 1 means readers
+/// queue on the shard lock. Timed by hand, like `cold_fetch`.
+fn bench_mem_readers(c: &mut Criterion) {
+    let group = c.benchmark_group("mem_readers");
+    let quick = std::env::args().any(|a| a == "--quick");
+    let window = if quick { Duration::from_millis(400) } else { Duration::from_secs(2) };
+    let (hermit, _, cfg) = setup(CorrelationKind::Linear, TidScheme::Logical);
+    let queries = QueryGen::new(cfg.target_domain(), 0x5EAD).ranges(0.005, 256);
+    let one = mem_read_rate(&hermit, &queries, 1, window);
+    let two = mem_read_rate(&hermit, &queries, 2, window);
+    eprintln!("bench mem_readers/readers_1  {one:>10.0} lookups/s  ({} rows)", hermit.len());
+    eprintln!("bench mem_readers/readers_2  {two:>10.0} lookups/s");
+    eprintln!("bench mem_readers/scaling_2_over_1  {:.2}", two / one);
+    group.finish();
+}
+
 /// Auto-commit inserts per second from `committers` threads through one
 /// `SharedDatabase` for `window`, every insert its own commit point.
 fn commit_rate(
@@ -395,7 +439,7 @@ fn report_open(dir: &std::path::Path) {
     let field = |name| proc_status_bytes(name).unwrap_or(0);
     let (hwm, rss) = (field("VmHWM:"), field("VmRSS:"));
     let primary = db.primary().memory_bytes();
-    let pool = db.pool_bytes().unwrap_or(0);
+    let pool = db.pool_bytes();
     let secondary: usize =
         db.indexed_columns().iter().filter_map(|&c| db.index(c)).map(|i| i.memory_bytes()).sum();
     println!("{seconds} {hwm} {rss} {} {primary} {pool} {secondary}", db.len());
@@ -406,6 +450,7 @@ criterion_group!(
     bench_range,
     bench_point,
     bench_cold_fetch,
+    bench_mem_readers,
     bench_commit_scaling,
     bench_setup_phases
 );

@@ -101,20 +101,14 @@ pub fn fig27_30_cm_comparison(scale: Scale) {
 
             // CM variants share the Hermit database's base table & host
             // index; only the translation structure differs.
-            let pairs: Vec<(f64, f64, Tid)> = {
-                let hermit_core::Heap::Mem(table) = hermit.heap() else { unreachable!() };
-                table
-                    .read()
-                    .project_pairs(cols::COL_C, cols::COL_B)
-                    .unwrap()
-                    .into_iter()
-                    .map(|(m, n, loc)| (m, n, Tid::from_loc(loc)))
-                    .collect()
-            };
-            let host_domain = {
-                let hermit_core::Heap::Mem(table) = hermit.heap() else { unreachable!() };
-                table.read().stats(cols::COL_B).unwrap().range().unwrap()
-            };
+            let pairs: Vec<(f64, f64, Tid)> = hermit
+                .heap()
+                .project_pairs(cols::COL_C, cols::COL_B)
+                .unwrap()
+                .into_iter()
+                .map(|(m, n, loc)| (m, n, Tid::from_loc(loc)))
+                .collect();
+            let host_domain = hermit.heap().stats(cols::COL_B).unwrap().range().unwrap();
             for &tb in CM_TARGET_BUCKETS {
                 for &hb in CM_HOST_BUCKETS {
                     let cm = CorrelationMap::build(

@@ -77,10 +77,7 @@ pub fn fig24_disk_rdbms(scale: Scale) {
     baseline.create_baseline_index(target_b, false).unwrap();
 
     // Query domain from a fresh scan of the paged stats.
-    let domain = {
-        let hermit_core::Heap::Paged(t) = hermit.heap() else { unreachable!() };
-        t.stats(target).unwrap().range().unwrap()
-    };
+    let domain = hermit.heap().stats(target).unwrap().range().unwrap();
 
     for &sel in SELECTIVITIES {
         let mut gen = QueryGen::new(domain, 0xD15C);

@@ -19,8 +19,7 @@ fn stock_cfg(scale: Scale) -> StockConfig {
 
 /// Measure range throughput on one indexed column of `db`.
 fn range_throughput(db: &Database, col: usize, selectivity: f64, seed: u64) -> f64 {
-    let hermit_core::Heap::Mem(table) = db.heap() else { unreachable!() };
-    let Some(domain) = table.read().stats(col).unwrap().range() else { return 0.0 };
+    let Some(domain) = db.heap().stats(col).unwrap().range() else { return 0.0 };
     let mut gen = QueryGen::new(domain, seed);
     let queries = gen.ranges(selectivity, 512);
     measure_ops(|i| {

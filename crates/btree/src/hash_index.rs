@@ -296,7 +296,7 @@ mod tests {
     fn memory_scales() {
         let mut idx = HashPrimaryIndex::new();
         for i in 0..10_000 {
-            idx.insert(i, RowLoc::from_index(i as usize));
+            idx.insert(i, RowLoc::new(i as u32 / 256, i as u32 % 256));
         }
         assert!(idx.memory_bytes() >= 10_000 * 16);
     }

@@ -7,13 +7,14 @@
 //!   the composite box scan of [`crate::CompositeIndexes`];
 //! * **phases 3–4**, one tail, `batched_resolve_validate`: primary-index
 //!   resolution under logical pointers, then validation in page order
-//!   through [`crate::Heap::for_each_row_batch`] — each heap page pinned
-//!   once per query, its candidates validated and their projection written
-//!   under that one access. So an index plan's rows come back in ascending
-//!   [`RowLoc`] order, the order the seq scan emits them in too.
+//!   through [`hermit_storage::paged::PagedTable::for_each_row_batch`] —
+//!   each heap page pinned once per query, its candidates validated and
+//!   their projection written under that one access. So an index plan's
+//!   rows come back in ascending [`RowLoc`] order, the order the seq scan
+//!   emits them in too.
 //!
 //! Across a batch the TRS traversal scratch, the candidate and location
-//! vectors and the page-sort permutation are reused, not reallocated.
+//! vectors and the page-sort keys are reused, not reallocated.
 
 use crate::database::Database;
 use crate::executor::{QueryResult, RangePredicate};
@@ -43,8 +44,8 @@ pub(crate) struct BatchScratch {
     pub(crate) candidates: Vec<Tid>,
     /// Resolved row locations (phase 3).
     locs: Vec<RowLoc>,
-    /// Page-sort permutation for locality-aware validation (phase 4).
-    order: Vec<u32>,
+    /// Page-sort keys for locality-aware validation (phase 4).
+    order: Vec<u128>,
 }
 
 impl Database {
@@ -246,7 +247,7 @@ impl Database {
         // a pool shard lock and must not allocate. Matches land at
         // consecutive slots, in the order `rows` gets them in.
         let mut writer =
-            projection.map(|cols| BlockWriter::new(cols, self.heap().width(), locs.len()));
+            projection.map(|cols| BlockWriter::new(cols, self.heap().schema().width(), locs.len()));
         result.unreadable +=
             self.heap().for_each_row_batch(locs, &mut scratch.order, |i, row| match row {
                 None => result.unresolved += 1,

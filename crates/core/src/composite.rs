@@ -20,9 +20,10 @@
 
 use crate::batch::BatchScratch;
 use crate::breakdown::LookupBreakdown;
-use crate::database::{Database, Heap};
+use crate::database::Database;
 use crate::executor::{QueryResult, RangePredicate};
 use hermit_btree::BPlusTree;
+use hermit_storage::paged::PagedTable;
 use hermit_storage::{ColumnId, F64Key, Tid, TidScheme};
 use hermit_trs::{TrsParams, TrsTree};
 use std::time::Instant;
@@ -350,7 +351,7 @@ fn scan_box(
 /// the standalone registry's [`CompositeIndexes::create_baseline`] and the
 /// database-owned [`Database::create_composite_baseline`].
 pub(crate) fn build_composite_tree(
-    heap: &Heap,
+    heap: &PagedTable,
     scheme: TidScheme,
     pk_col: ColumnId,
     leading: ColumnId,
@@ -369,7 +370,7 @@ pub(crate) fn build_composite_tree(
 /// Shared by [`CompositeIndexes::create_hermit`] and
 /// [`Database::create_composite_hermit`].
 pub(crate) fn build_composite_trs(
-    heap: &Heap,
+    heap: &PagedTable,
     scheme: TidScheme,
     pk_col: ColumnId,
     target: ColumnId,
@@ -392,10 +393,10 @@ pub(crate) fn build_composite_trs(
 }
 
 /// Visit `(a, b, tid)` for every live row, skipping NULLs — one pass over
-/// either substrate. Split out at heap level so [`Database`]-owned composite
+/// the heap. Split out at heap level so [`Database`]-owned composite
 /// creation can run while the database is mutably borrowed.
 pub(crate) fn for_each_heap_pair(
-    heap: &Heap,
+    heap: &PagedTable,
     scheme: TidScheme,
     pk_col: ColumnId,
     a: ColumnId,
@@ -441,18 +442,15 @@ mod tests {
     }
 
     fn ground_truth(db: &Database, tl: f64, tu: f64, sl: f64, su: f64) -> usize {
-        let Heap::Mem(table) = db.heap() else { unreachable!() };
-        let table = table.read();
-        let time = table.column(0).unwrap();
-        let sp = table.column(2).unwrap();
-        table
-            .scan()
-            .filter(|loc| {
-                let i = loc.index();
-                time.get_f64(i).is_some_and(|t| t >= tl && t <= tu)
-                    && sp.get_f64(i).is_some_and(|s| s >= sl && s <= su)
+        let mut n = 0;
+        db.heap()
+            .for_each_live_row(|_, row| {
+                let inside = |cid, lb, ub| row.f64(cid).is_some_and(|v| v >= lb && v <= ub);
+                n += usize::from(inside(0, tl, tu) && inside(2, sl, su));
+                true
             })
-            .count()
+            .unwrap();
+        n
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! Fig. 25 taxonomy.
 
 use hermit_stats::{pearson, sampling, spearman};
-use hermit_storage::{ColumnId, Table};
+use hermit_storage::paged::PagedTable;
+use hermit_storage::{ColumnId, RowLoc};
 
 /// Configuration for correlation discovery.
 #[derive(Debug, Clone, Copy)]
@@ -50,36 +51,49 @@ impl CorrelationReport {
 /// Screen `target` against every column in `hosts`, returning qualifying
 /// candidates sorted best-first.
 ///
-/// Rows where either side is NULL are skipped (the Stock table's missing
-/// readings must not poison the coefficients).
+/// The sample is drawn from the heap's slots (`pages × slots per page`) and
+/// read through one batched visit — a page pinned once for all of its
+/// sampled slots, never a scan of the table. A slot that holds no live row
+/// (deleted, or past the last page's fill) drops out of the sample, as do
+/// rows where either side is NULL (the Stock table's missing readings must
+/// not poison the coefficients).
 pub fn discover_correlations(
-    table: &Table,
+    heap: &PagedTable,
     target: ColumnId,
     hosts: &[ColumnId],
     config: &DiscoveryConfig,
 ) -> Vec<CorrelationReport> {
+    let schema = heap.schema();
+    let hosts: Vec<ColumnId> =
+        hosts.iter().copied().filter(|&h| h != target && schema.column(h).is_ok()).collect();
+    if schema.column(target).is_err() || hosts.is_empty() {
+        return Vec::new();
+    }
+    let pages = heap.pages();
+    let per_page = usize::from(PagedTable::slots_per_page(schema));
     let mut rng = sampling::seeded_rng(config.seed);
-    let total = table.total_rows();
-    let sample = sampling::sample_indices(&mut rng, total, config.sample_size);
+    let locs: Vec<RowLoc> =
+        sampling::sample_indices(&mut rng, pages.len() * per_page, config.sample_size)
+            .into_iter()
+            .map(|i| RowLoc::new(pages[i / per_page] as u32, (i % per_page) as u32))
+            .collect();
 
-    let target_col = match table.column(target) {
-        Ok(c) => c,
-        Err(_) => return Vec::new(),
-    };
+    // Per live sampled row: the target cell, then one cell per host.
+    let stride = hosts.len() + 1;
+    let mut cells: Vec<Option<f64>> = Vec::with_capacity(locs.len() * stride);
+    heap.for_each_row_batch(&locs, &mut Vec::new(), |_, row| {
+        if let Some(row) = row {
+            cells.push(row.f64(target));
+            cells.extend(hosts.iter().map(|&h| row.f64(h)));
+        }
+    });
 
     let mut reports: Vec<CorrelationReport> = hosts
         .iter()
-        .filter(|&&h| h != target)
-        .filter_map(|&host| {
-            let host_col = table.column(host).ok()?;
-            let mut xs = Vec::with_capacity(sample.len());
-            let mut ys = Vec::with_capacity(sample.len());
-            for &i in &sample {
-                if let (Some(x), Some(y)) = (target_col.get_f64(i), host_col.get_f64(i)) {
-                    xs.push(x);
-                    ys.push(y);
-                }
-            }
+        .enumerate()
+        .filter_map(|(k, &host)| {
+            let (xs, ys): (Vec<f64>, Vec<f64>) =
+                cells.chunks_exact(stride).filter_map(|row| row[0].zip(row[k + 1])).unzip();
             if xs.len() < 2 {
                 return None;
             }
@@ -98,10 +112,17 @@ pub fn discover_correlations(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hermit_storage::paged::{BufferPool, SimulatedPageStore};
     use hermit_storage::{ColumnDef, Schema, Value};
+    use std::sync::Arc;
+
+    fn heap(schema: Schema) -> PagedTable {
+        let pool = BufferPool::new(Arc::new(SimulatedPageStore::new()), 1024);
+        PagedTable::new(schema, Arc::new(pool))
+    }
 
     /// Table with: pk | linear(host) | sigmoid(host) | sin(noise) | target
-    fn test_table(n: usize) -> Table {
+    fn test_table(n: usize) -> PagedTable {
         let schema = Schema::new(vec![
             ColumnDef::int("pk"),
             ColumnDef::float("linear"),
@@ -109,7 +130,7 @@ mod tests {
             ColumnDef::float("sin"),
             ColumnDef::float("target"),
         ]);
-        let mut t = Table::new(schema);
+        let t = heap(schema);
         for i in 0..n {
             let m = i as f64 / n as f64 * 20.0 - 10.0;
             t.insert(&[
@@ -160,7 +181,7 @@ mod tests {
     #[test]
     fn nulls_are_skipped() {
         let schema = Schema::new(vec![ColumnDef::float("a"), ColumnDef::float_null("b")]);
-        let mut t = Table::new(schema);
+        let t = heap(schema);
         for i in 0..1_000 {
             let b = if i % 3 == 0 { Value::Null } else { Value::Float(2.0 * i as f64) };
             t.insert(&[Value::Float(i as f64), b]).unwrap();
@@ -168,6 +189,31 @@ mod tests {
         let reports = discover_correlations(&t, 0, &[1], &DiscoveryConfig::default());
         assert_eq!(reports.len(), 1);
         assert!(reports[0].pearson > 0.99);
+    }
+
+    /// Deleted rows are not part of the sample: a correlated table that held
+    /// four times as many uncorrelated rows, all deleted, still finds its host.
+    #[test]
+    fn deleted_rows_do_not_count() {
+        let t = test_table(5_000);
+        let mut state = 7u64;
+        let mut draw = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            Value::Float((state >> 40) as f64)
+        };
+        let noise: Vec<RowLoc> = (0..20_000)
+            .map(|i| {
+                let row = [Value::Int(10_000 + i), draw(), draw(), draw(), draw()];
+                t.insert(&row).unwrap()
+            })
+            .collect();
+        assert!(discover_correlations(&t, 4, &[1], &DiscoveryConfig::default()).is_empty());
+        for loc in noise {
+            t.delete(loc).unwrap();
+        }
+        let reports = discover_correlations(&t, 4, &[1], &DiscoveryConfig::default());
+        assert_eq!(reports.len(), 1, "the linear host is found once the noise is deleted");
+        assert!(reports[0].pearson > 0.99, "{:?}", reports[0]);
     }
 
     #[test]

@@ -2,15 +2,19 @@
 //!
 //! This is the integration point of the whole system. A [`Database`] owns:
 //!
-//! * a heap — in-memory columnar ([`hermit_storage::Table`], the DBMS-X
-//!   substrate) or paged ([`hermit_storage::paged::PagedTable`], the
-//!   PostgreSQL substrate of §7.8);
+//! * a heap — a slotted-page [`PagedTable`] behind a buffer pool. An
+//!   in-memory database ([`Database::new`], the DBMS-X setting) keeps its
+//!   pages in a [`SimulatedPageStore`] behind a pool that holds every
+//!   laptop-scale figure table without eviction; a durable one
+//!   ([`Database::create_durable`]) keeps them in a file (the PostgreSQL
+//!   setting of §7.8);
 //! * a primary index (primary key → row location), used both for
-//!   uniqueness and to resolve logical tids: a hash map, or over the paged
-//!   heap a map of runs of consecutive keys in consecutive slots
-//!   ([`HashPrimaryIndex`]);
+//!   uniqueness and to resolve logical tids: a hash map, or on a
+//!   physical-pointer database from [`Database::new_paged`] a map of runs
+//!   of consecutive keys in consecutive slots ([`HashPrimaryIndex`]);
 //! * per-column secondary indexes, each a baseline B+-tree or a Hermit
-//!   TRS-Tree ([`SecondaryIndex`]).
+//!   TRS-Tree ([`SecondaryIndex`]), and composite `(leading, value)`
+//!   indexes on a non-durable database.
 //!
 //! The tuple-identifier scheme ([`TidScheme`]) is fixed per database, as in
 //! real systems (PostgreSQL = physical, MySQL = logical).
@@ -21,8 +25,8 @@
 //! latched, so reads and writes take `&self` and a database can be served
 //! from many threads at once through [`crate::shared::SharedDatabase`]:
 //!
-//! * the in-memory heap sits behind a coarse `RwLock` (the paged heap's
-//!   buffer pool is already internally synchronized);
+//! * the heap's buffer pool is internally synchronized (its shard locks are
+//!   leaves);
 //! * the primary index and the composite-index registry sit behind
 //!   `RwLock`s;
 //! * baseline secondary B+-trees each carry their own `RwLock`, and Hermit
@@ -47,171 +51,26 @@ use crate::error::CoreError;
 use crate::index::SecondaryIndex;
 use crate::latches::{self, LatchedRwLock, Witnessed};
 use hermit_btree::{BPlusTree, HashPrimaryIndex};
-use hermit_storage::paged::heap::encode_row;
-use hermit_storage::paged::{PagedTable, PAGE_SIZE};
+use hermit_storage::paged::{BufferPool, PagedTable, SimulatedPageStore, PAGE_SIZE};
 use hermit_storage::wal::WalRecord;
 use hermit_storage::{
-    ColumnId, ColumnStats, F64Key, RowLoc, RowRef, Schema, StorageError, Table, Tid, TidScheme,
-    Value,
+    ColumnId, F64Key, RowLoc, RowRef, Schema, StorageError, Tid, TidScheme, Value,
 };
 use hermit_trs::{ConcurrentTrsTree, PairSource, TrsParams, TrsTree};
 use hermit_txn::TxnManager;
 use parking_lot::RwLockReadGuard;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-/// The table heap backing a database: in-memory or paged.
-///
-/// The in-memory substrate carries a coarse reader-writer latch (appends
-/// and tombstones take the write side briefly; scans and fetches share the
-/// read side). The paged substrate needs none — its buffer pool and stats
-/// are already internally synchronized, so it is shared as-is.
-pub enum Heap {
-    /// In-memory columnar heap (DBMS-X substrate) behind a coarse latch.
-    Mem(LatchedRwLock<Table>),
-    /// Slotted-page heap behind a buffer pool (PostgreSQL substrate).
-    Paged(PagedTable),
-}
-
-impl Heap {
-    /// Live row count.
-    pub fn len(&self) -> usize {
-        match self {
-            Heap::Mem(t) => t.read().len(),
-            Heap::Paged(t) => t.len(),
-        }
-    }
-
-    /// True if no live rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Schema of the heap (cloned out from under the latch; schemas are a
-    /// handful of column definitions).
-    pub fn schema(&self) -> Schema {
-        match self {
-            Heap::Mem(t) => t.read().schema().clone(),
-            Heap::Paged(t) => t.schema().clone(),
-        }
-    }
-
-    /// Number of columns per row.
-    pub fn width(&self) -> usize {
-        match self {
-            Heap::Mem(t) => t.read().schema().width(),
-            Heap::Paged(t) => t.schema().width(),
-        }
-    }
-
-    /// Insert `row`. A paged heap stores `encoded`, the record
-    /// [`encode_row`](Self::encode_row) wrote for it, when the caller has
-    /// one, and encodes the row itself otherwise.
-    fn insert(&self, row: &[Value], encoded: Option<&[u8]>) -> hermit_storage::Result<RowLoc> {
-        match (self, encoded) {
-            (Heap::Mem(t), _) => t.write().insert(row),
-            (Heap::Paged(t), Some(encoded)) => t.insert_encoded(row, encoded),
-            (Heap::Paged(t), None) => t.insert(row),
-        }
-    }
-
-    /// Append `row`'s paged record to `out`, checked against the schema
-    /// ([`hermit_storage::paged::heap::encode_row`]).
-    pub(crate) fn encode_row(
-        &self,
-        row: &[Value],
-        out: &mut Vec<u8>,
-    ) -> hermit_storage::Result<()> {
-        match self {
-            Heap::Mem(t) => encode_row(t.read().schema(), row, out),
-            Heap::Paged(t) => t.encode_row(row, out),
-        }
-    }
-
-    /// Numeric cell access (`None` for NULL); the validation hot path.
-    pub fn value_f64(&self, loc: RowLoc, cid: ColumnId) -> hermit_storage::Result<Option<f64>> {
-        match self {
-            Heap::Mem(t) => t.read().value_f64(loc, cid),
-            Heap::Paged(t) => t.value_f64(loc, cid),
-        }
-    }
-
-    /// Batched row visitation for validation: the candidates are visited
-    /// in ascending [`RowLoc`] order, sorted through the reusable `order`
-    /// buffer — on the paged substrate each page is pinned once, in memory
-    /// one read-latch acquisition covers the batch. `f` gets each
-    /// candidate's index into `locs` and its row view (`None` for a deleted
-    /// row), and must not re-enter the heap.
-    ///
-    /// Returns the number of heap pages that could not be read (always 0 in
-    /// memory); their candidates were not visited, so a non-zero count means
-    /// the caller's answer is incomplete — see
-    /// [`PagedTable::for_each_row_batch`].
-    pub fn for_each_row_batch(
-        &self,
-        locs: &[RowLoc],
-        order: &mut Vec<u32>,
-        f: impl FnMut(usize, Option<RowRef<'_>>),
-    ) -> usize {
-        match self {
-            Heap::Mem(t) => {
-                t.read().for_each_row_batch(locs, order, f);
-                0
-            }
-            Heap::Paged(t) => t.for_each_row_batch(locs, order, f),
-        }
-    }
-
-    /// Full-row fetch.
-    pub fn get(&self, loc: RowLoc) -> hermit_storage::Result<Vec<Value>> {
-        match self {
-            Heap::Mem(t) => t.read().get(loc),
-            Heap::Paged(t) => t.get(loc),
-        }
-    }
-
-    /// Fetch-and-tombstone as one atomic heap operation (one latch
-    /// acquisition / one page access), returning the old row values.
-    fn delete_returning(&self, loc: RowLoc) -> hermit_storage::Result<Vec<Value>> {
-        match self {
-            Heap::Mem(t) => t.write().delete_returning(loc),
-            Heap::Paged(t) => t.delete_returning(loc),
-        }
-    }
-
-    /// Incrementally-maintained column statistics (the planner's
-    /// "optimizer statistics").
-    pub fn stats(&self, cid: ColumnId) -> hermit_storage::Result<ColumnStats> {
-        match self {
-            Heap::Mem(t) => t.read().stats(cid).cloned(),
-            Heap::Paged(t) => t.stats(cid),
-        }
-    }
-
-    /// Stream every live row through a `RowRef` visitor; the visitor
-    /// returns `false` to stop early. Page-sequential on the paged
-    /// substrate (one pool access per page); on the in-memory substrate the
-    /// read latch is held for the duration of the scan (writers wait, other
-    /// readers proceed). This is the seq-scan access path of the planner.
-    /// The paged scan stops with an error at the first unreadable page.
-    pub fn for_each_live_row(
-        &self,
-        f: impl FnMut(RowLoc, RowRef<'_>) -> bool,
-    ) -> hermit_storage::Result<bool> {
-        match self {
-            Heap::Mem(t) => Ok(t.read().for_each_live_row(f)),
-            Heap::Paged(t) => t.for_each_live_row(f),
-        }
-    }
-
-    /// Heap bytes (in-memory) or buffered bytes (paged heaps report zero —
-    /// their storage lives on the device, which is the point of §7.8).
-    pub fn memory_bytes(&self) -> usize {
-        match self {
-            Heap::Mem(t) => t.read().memory_bytes(),
-            Heap::Paged(_) => 0,
-        }
-    }
-}
+/// Frames of the buffer pool behind an in-memory database
+/// ([`Database::new`]): every scale-1 figure table stays resident with room
+/// to spare — the largest, Fig. 23's 1 M synthetic rows, fills ≈ 4.4 K
+/// pages, and 2 M such rows would fill ≈ 8.9 K. Frame bookkeeping is
+/// allocated up front (≈ 0.55 MiB for an empty database), page buffers only
+/// as the table grows into them. The pool has one shard, so a page-ordered
+/// validation batch takes its lock once — the read side, which concurrent
+/// readers share.
+pub const IN_MEMORY_POOL_PAGES: usize = 16 * 1024;
 
 /// Memory usage of one database, split the way the paper's space-breakdown
 /// figures (5b, 7b, 20b) report it.
@@ -232,7 +91,7 @@ impl MemoryReport {
     }
 }
 
-/// I/O-side counters of the paged substrate (see
+/// I/O-side counters of the buffer pool and its page store (see
 /// [`Database::pool_io_counters`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolIoCounters {
@@ -251,7 +110,7 @@ pub struct PoolIoCounters {
 
 /// A single-table database with Hermit support.
 pub struct Database {
-    pub(crate) heap: Heap,
+    pub(crate) heap: PagedTable,
     pub(crate) scheme: TidScheme,
     pub(crate) pk_col: ColumnId,
     pub(crate) primary: LatchedRwLock<HashPrimaryIndex>,
@@ -281,41 +140,36 @@ pub struct Database {
 }
 
 impl Database {
-    /// In-memory database.
+    /// In-memory database: a paged heap over an in-memory store, whose pool
+    /// ([`IN_MEMORY_POOL_PAGES`]) keeps the table resident, and a hash
+    /// primary index.
     pub fn new(schema: Schema, pk_col: ColumnId, scheme: TidScheme) -> Self {
-        Database {
-            heap: Heap::Mem(LatchedRwLock::new(latches::level(60), Table::new(schema))),
-            scheme,
-            pk_col,
-            primary: LatchedRwLock::new(latches::level(50), HashPrimaryIndex::new()),
-            secondary: BTreeMap::new(),
-            composites: LatchedRwLock::new(latches::level(30), CompositeIndexes::new()),
-            has_composites: false,
-            existing: Vec::new(),
-            trs_params: TrsParams::default(),
-            durability: None,
-            txns: TxnManager::new(),
-        }
+        let store = Arc::new(SimulatedPageStore::new());
+        let pool = BufferPool::new(store, IN_MEMORY_POOL_PAGES);
+        let table = PagedTable::new(schema, Arc::new(pool));
+        Self::from_parts(table, scheme, pk_col, HashPrimaryIndex::new())
     }
 
-    /// Paged (disk-backed) database; always physical pointers, like
-    /// PostgreSQL. Its primary index keeps runs of consecutive keys in
-    /// consecutive slots ([`HashPrimaryIndex::with_runs`]).
+    /// Paged database over a caller-built table (its own store and pool);
+    /// always physical pointers, like PostgreSQL. Its primary index keeps
+    /// runs of consecutive keys in consecutive slots
+    /// ([`HashPrimaryIndex::with_runs`]).
     pub fn new_paged(table: PagedTable, pk_col: ColumnId) -> Self {
         let primary = HashPrimaryIndex::with_runs(PagedTable::slots_per_page(table.schema()));
-        Self::with_paged_primary(table, pk_col, primary)
+        Self::from_parts(table, TidScheme::Physical, pk_col, primary)
     }
 
-    /// [`new_paged`](Self::new_paged) over a primary index already built
-    /// for `table` (recovery builds it in `PagedTable::reopen`'s scan).
-    pub(crate) fn with_paged_primary(
+    /// A database over `table` whose primary index is `primary`, already
+    /// built for it (recovery builds it in `PagedTable::reopen`'s scan).
+    pub(crate) fn from_parts(
         table: PagedTable,
+        scheme: TidScheme,
         pk_col: ColumnId,
         primary: HashPrimaryIndex,
     ) -> Self {
         Database {
-            heap: Heap::Paged(table),
-            scheme: TidScheme::Physical,
+            heap: table,
+            scheme,
             pk_col,
             primary: LatchedRwLock::new(latches::level(50), primary),
             secondary: BTreeMap::new(),
@@ -358,7 +212,7 @@ impl Database {
     }
 
     /// Borrow the heap.
-    pub fn heap(&self) -> &Heap {
+    pub fn heap(&self) -> &PagedTable {
         &self.heap
     }
 
@@ -477,7 +331,7 @@ impl Database {
     /// composite index maintenance. No conflict check, no WAL — the shared
     /// apply step of auto-commit inserts, transactional inserts, recovery
     /// replay, and rollback compensation. `encoded` is the row's record when
-    /// the caller already encoded it (see [`Heap::insert`]).
+    /// the caller already encoded it ([`PagedTable::encode_row`]).
     // hermit-lint: hot-path
     pub(crate) fn apply_insert(
         &self,
@@ -487,7 +341,10 @@ impl Database {
         mut timer: InsertTimer<'_>,
     ) -> hermit_storage::Result<Tid> {
         let t0 = timer.start();
-        let loc = self.heap.insert(row, encoded)?;
+        let loc = match encoded {
+            Some(encoded) => self.heap.insert_encoded(row, encoded)?,
+            None => self.heap.insert(row)?,
+        };
         self.primary.write().insert(pk, loc);
         timer.charge(t0, |b| &mut b.table);
         let tid = self.make_tid(pk, loc);
@@ -634,16 +491,14 @@ impl Database {
         Ok(())
     }
 
-    /// A database *owns* composite indexes only on the in-memory substrate:
-    /// the checkpoint catalog records none, so a durable database would lose
+    /// A database *owns* composite indexes only while it is not durable: the
+    /// checkpoint catalog records none, so a durable database would lose
     /// them at the next restart. (A standalone [`CompositeIndexes`] registry
-    /// can be built over either substrate; keeping it is its owner's job.)
-    fn require_mem_heap_for_composites(&self) -> hermit_storage::Result<()> {
-        match self.heap {
-            Heap::Mem(_) => Ok(()),
-            Heap::Paged(_) => Err(StorageError::Io(
-                "composite indexes are implemented for the in-memory substrate".into(),
-            )),
+    /// can be built over any database; keeping it is its owner's job.)
+    fn require_non_durable_for_composites(&self) -> Result<(), CoreError> {
+        match self.durability {
+            None => Ok(()),
+            Some(_) => Err(CoreError::CompositeOnDurable),
         }
     }
 
@@ -656,7 +511,7 @@ impl Database {
         leading: ColumnId,
         value: ColumnId,
     ) -> Result<usize, CoreError> {
-        self.require_mem_heap_for_composites()?;
+        self.require_non_durable_for_composites()?;
         let tree = build_composite_tree(&self.heap, self.scheme, self.pk_col, leading, value)?;
         self.has_composites = true;
         Ok(self.composites.get_mut().push_baseline(tree, leading, value))
@@ -673,7 +528,7 @@ impl Database {
         target: ColumnId,
         host: ColumnId,
     ) -> Result<usize, CoreError> {
-        self.require_mem_heap_for_composites()?;
+        self.require_non_durable_for_composites()?;
         if self.composites.read().companion_baseline(leading, host).is_none() {
             return Err(CoreError::MissingCompositeHost { leading, host });
         }
@@ -700,12 +555,7 @@ impl Database {
     ) -> Result<bool, CoreError> {
         let hosts: Vec<ColumnId> =
             self.secondary.iter().filter(|(_, idx)| !idx.is_hermit()).map(|(&c, _)| c).collect();
-        let candidates = match &self.heap {
-            Heap::Mem(t) => discover_correlations(&t.read(), target, &hosts, config),
-            // Discovery over paged heaps would scan pages; the disk
-            // experiment pre-declares its correlation instead.
-            Heap::Paged(_) => Vec::new(),
-        };
+        let candidates = discover_correlations(&self.heap, target, &hosts, config);
         if let Some(best) = candidates.first() {
             self.create_hermit_index(target, best.host)?;
             Ok(true)
@@ -733,46 +583,32 @@ impl Database {
         Ok(pairs)
     }
 
-    /// Buffer-pool counters of the paged substrate — `(hits, misses,
-    /// evictions)` since startup (or the pool's last reset). `None` for the
-    /// in-memory heap, which has no pool. The serving layer's `Stats`
-    /// exporter reads this.
+    /// Buffer-pool counters — `(hits, misses, evictions)` since startup (or
+    /// the pool's last reset). Always `Some`: every database has a pool.
+    /// The serving layer's `Stats` exporter reads this.
     pub fn pool_counters(&self) -> Option<(u64, u64, u64)> {
-        match &self.heap {
-            Heap::Mem(_) => None,
-            Heap::Paged(t) => {
-                let stats = t.pool().stats();
-                Some((stats.hits(), stats.misses(), stats.evictions()))
-            }
-        }
+        let stats = self.heap.pool().stats();
+        Some((stats.hits(), stats.misses(), stats.evictions()))
     }
 
     /// Bytes of page images the buffer pool holds (resident frames × page
     /// size), plus the heap's page summary that lets the pool read a cold
-    /// record through. `None` for the in-memory heap, which has no pool.
-    pub fn pool_bytes(&self) -> Option<usize> {
-        match &self.heap {
-            Heap::Mem(_) => None,
-            Heap::Paged(t) => Some(t.pool().frame_counts().0 * PAGE_SIZE + t.summary_bytes()),
-        }
+    /// record through.
+    pub fn pool_bytes(&self) -> usize {
+        self.heap.pool().frame_counts().0 * PAGE_SIZE + self.heap.summary_bytes()
     }
 
-    /// The paged substrate's I/O-side counters, next to
+    /// The pool's I/O-side counters, next to
     /// [`pool_counters`](Self::pool_counters): failed page loads and the
-    /// page store's own read/write counts. `None` for the in-memory heap.
-    pub fn pool_io_counters(&self) -> Option<PoolIoCounters> {
-        match &self.heap {
-            Heap::Mem(_) => None,
-            Heap::Paged(t) => {
-                let pool = t.pool();
-                let io = pool.store().stats();
-                Some(PoolIoCounters {
-                    read_errors: pool.stats().read_errors(),
-                    read_through: pool.stats().read_through(),
-                    store_reads: io.reads(),
-                    store_writes: io.writes(),
-                })
-            }
+    /// page store's own read/write counts.
+    pub fn pool_io_counters(&self) -> PoolIoCounters {
+        let pool = self.heap.pool();
+        let io = pool.store().stats();
+        PoolIoCounters {
+            read_errors: pool.stats().read_errors(),
+            read_through: pool.stats().read_through(),
+            store_reads: io.reads(),
+            store_writes: io.writes(),
         }
     }
 
@@ -789,7 +625,7 @@ impl Database {
     /// Memory report split the way the paper's breakdown figures are.
     pub fn memory_report(&self) -> MemoryReport {
         let mut report = MemoryReport {
-            table: self.heap.memory_bytes(),
+            table: self.heap.page_count() * PAGE_SIZE,
             existing_indexes: self.primary.read().memory_bytes(),
             new_indexes: 0,
         };
@@ -816,31 +652,22 @@ pub struct TablePairSource<'a> {
 }
 
 impl PairSource for TablePairSource<'_> {
+    /// One pass over the heap that keeps only the rows whose target lies in
+    /// `[lb, ub]`: nothing outside the range is projected. A heap page that
+    /// cannot be read yields no pairs at all.
     fn scan_range(&self, lb: f64, ub: f64) -> Vec<(f64, f64, Tid)> {
-        let raw = match &self.db.heap {
-            Heap::Mem(t) => {
-                t.read().project_pairs_in_range(self.target, self.host, lb, ub).unwrap_or_default()
+        let mut out = Vec::new();
+        let scanned = self.db.heap.for_each_live_row(|loc, row| {
+            if let Some(m) = row.f64(self.target).filter(|m| *m >= lb && *m <= ub) {
+                if let Some(n) = row.f64(self.host) {
+                    out.push((m, n, self.db.row_tid(loc, &row)));
+                }
             }
-            Heap::Paged(t) => t
-                .project_pairs(self.target, self.host)
-                .unwrap_or_default()
-                .into_iter()
-                .filter(|(m, _, _)| *m >= lb && *m <= ub)
-                .collect(),
-        };
-        match self.db.scheme {
-            TidScheme::Physical => {
-                raw.into_iter().map(|(m, n, loc)| (m, n, Tid::from_loc(loc))).collect()
-            }
-            TidScheme::Logical => raw
-                .into_iter()
-                .map(|(m, n, loc)| {
-                    let pk =
-                        self.db.heap.value_f64(loc, self.db.pk_col).ok().flatten().unwrap_or(0.0)
-                            as i64;
-                    (m, n, Tid::from_pk(pk))
-                })
-                .collect(),
+            true
+        });
+        match scanned {
+            Ok(_) => out,
+            Err(_) => Vec::new(),
         }
     }
 }
@@ -951,6 +778,76 @@ mod tests {
         assert!(!db.index(2).unwrap().is_hermit());
     }
 
+    /// A correlated table that held four times as many uncorrelated rows,
+    /// all deleted by now, still gets its Hermit index: the tombstoned rows
+    /// are not part of discovery's sample.
+    #[test]
+    fn auto_index_ignores_deleted_rows() {
+        let mut db = populated(TidScheme::Physical, 5_000);
+        let mut state = 1u64;
+        let mut noise = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            Value::Float((state >> 33) as f64)
+        };
+        for pk in 5_000..25_000 {
+            db.insert(&[Value::Int(pk), noise(), noise()]).unwrap();
+        }
+        for pk in 5_000..25_000 {
+            db.delete_by_pk(pk).unwrap();
+        }
+        db.create_baseline_index(1, true).unwrap();
+        assert!(db.create_index_auto(2, &DiscoveryConfig::default()).unwrap());
+    }
+
+    /// A non-durable paged database, over its own small pool.
+    fn paged(n: usize) -> Database {
+        let pool = BufferPool::new(Arc::new(SimulatedPageStore::new()), 64);
+        let db = Database::new_paged(PagedTable::new(schema(), Arc::new(pool)), 0);
+        for i in 0..n {
+            let m = i as f64;
+            db.insert(&[Value::Int(i as i64), Value::Float(2.0 * m), Value::Float(m)]).unwrap();
+        }
+        db
+    }
+
+    #[test]
+    fn auto_index_finds_the_host_on_a_paged_database() {
+        let mut db = paged(20_000);
+        db.create_baseline_index(1, true).unwrap();
+        assert!(db.create_index_auto(2, &DiscoveryConfig::default()).unwrap());
+        assert_eq!(db.index(2).unwrap().host_column(), Some(1));
+    }
+
+    /// Both composite kinds on both non-durable databases; a durable one
+    /// refuses either with a typed error and registers nothing.
+    #[test]
+    fn composites_are_refused_only_on_a_durable_database() {
+        for mut db in [populated(TidScheme::Logical, 5_000), paged(5_000)] {
+            let host = db.create_composite_baseline(0, 1).unwrap();
+            let hermit = db.create_composite_hermit(0, 2, 1).unwrap();
+            let direct = db.create_composite_baseline(0, 2).unwrap();
+            let registry = db.composites();
+            assert_eq!((host, hermit, direct, registry.len()), (0, 1, 2, 3));
+            let rows = |idx| {
+                let leading = crate::RangePredicate::range(0, 1_000.0, 3_000.0);
+                let value = crate::RangePredicate::range(2, 1_500.0, 2_000.0);
+                registry.lookup_box(&db, idx, leading, value).rows.len()
+            };
+            assert_eq!((rows(hermit), rows(direct)), (501, 501));
+        }
+
+        let dir = std::env::temp_dir().join(format!("hermit-dur-composite-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = crate::DurabilityConfig::default();
+        let mut db = Database::create_durable(schema(), 0, &dir, &config).unwrap();
+        db.insert(&[Value::Int(1), Value::Float(2.0), Value::Float(1.0)]).unwrap();
+        assert_eq!(db.create_composite_baseline(0, 1), Err(CoreError::CompositeOnDurable));
+        assert_eq!(db.create_composite_hermit(0, 2, 1), Err(CoreError::CompositeOnDurable));
+        assert_eq!(db.composites().len(), 0);
+        drop(db);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn delete_maintains_indexes() {
         let mut db = populated(TidScheme::Logical, 1_000);
@@ -972,6 +869,7 @@ mod tests {
         db.create_baseline_index(1, true).unwrap(); // existing (host)
         db.create_hermit_index(2, 1).unwrap(); // new
         let report = db.memory_report();
+        assert_eq!(report.table, db.heap().page_count() * PAGE_SIZE);
         assert!(report.table > 0);
         assert!(report.existing_indexes > 0);
         assert!(report.new_indexes > 0);

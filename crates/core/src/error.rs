@@ -29,9 +29,13 @@ pub enum CoreError {
         /// Host column of the missing `(leading, host)` baseline.
         host: ColumnId,
     },
+    /// Composite-index DDL on a durable database: the checkpoint catalog
+    /// records no composite index, so the index would be lost at the next
+    /// restart.
+    CompositeOnDurable,
     /// A durability operation (checkpoint, open, WAL commit) was requested
-    /// on a database that cannot support it — an in-memory heap, or a paged
-    /// heap whose store is not the directory's page file.
+    /// on a database that cannot support it — one whose heap store is not
+    /// the directory's page file (an in-memory database has no file at all).
     NotDurable {
         /// Why the database cannot be checkpointed / reopened.
         reason: &'static str,
@@ -69,6 +73,11 @@ impl fmt::Display for CoreError {
                 f,
                 "cannot build a composite Hermit index: no composite baseline index on \
                  (leading={leading}, host={host}) exists"
+            ),
+            CoreError::CompositeOnDurable => write!(
+                f,
+                "composite indexes are not supported on a durable database: the checkpoint \
+                 catalog does not record them"
             ),
             CoreError::NotDurable { reason } => write!(f, "database is not durable: {reason}"),
             CoreError::Recovery(what) => write!(f, "recovery failed: {what}"),

@@ -131,10 +131,10 @@ impl Database {
 
     /// Materialize the rows at `locs` — the columns in `cols`, or every
     /// column when `None` — visiting the heap grouped by page
-    /// ([`crate::Heap::for_each_row_batch`]): one page pin per distinct
-    /// page instead of one lock + lookup + fetch per row. The output is
-    /// aligned with `locs`; `None` marks a row that no longer exists
-    /// (deleted since the caller validated it). The second value is the
+    /// ([`hermit_storage::paged::PagedTable::for_each_row_batch`]): one page
+    /// pin per distinct page instead of one lock + lookup + fetch per row.
+    /// The output is aligned with `locs`; `None` marks a row that no longer
+    /// exists (deleted since the caller validated it). The second value is the
     /// number of pages that could not be read — when non-zero some `None`s
     /// are I/O errors rather than deletions, and the caller must report an
     /// error instead of the rows.
@@ -147,7 +147,7 @@ impl Database {
         locs: &[RowLoc],
         cols: Option<&[ColumnId]>,
     ) -> (Vec<Option<Vec<Value>>>, usize) {
-        let width = self.heap().width();
+        let width = self.heap().schema().width();
         let mut fetched = vec![None; locs.len()];
         let mut order = Vec::new();
         let unreadable = self.heap().for_each_row_batch(locs, &mut order, |i, row| {
@@ -193,8 +193,9 @@ impl Database {
         let pk_col = self.pk_col();
         // No more rows than the limit or the table; a row inserted while
         // the scan runs is the one case that grows the block.
-        let mut writer = projection
-            .map(|cols| BlockWriter::new(cols, self.heap().width(), limit.min(self.heap().len())));
+        let mut writer = projection.map(|cols| {
+            BlockWriter::new(cols, self.heap().schema().width(), limit.min(self.heap().len()))
+        });
         let rows = &mut result.rows;
         if limit > 0 {
             let scanned = self.heap().for_each_live_row(|loc, row| {

@@ -18,7 +18,9 @@
 //! | 30 | composite-index registry | `composites()`, `composites_mut()`, `composites.read()`, `composites.write()` | no |
 //! | 40 | per-index latch | `tree.read()`, `tree.write()`, `host_tree.read()` | no |
 //! | 50 | primary index | `primary()`, `primary.read()`, `primary.write()` | no |
-//! | 60 | heap latch | `t.read()`, `t.write()`, `table.read()` (the `Heap::Mem` table) | no |
+//!
+//! The heap has no rank: it is a paged table whose buffer-pool shard locks
+//! are leaves (below).
 //!
 //! A thread holding a latch of rank *r* may only acquire latches of rank
 //! strictly greater than *r*. The load-bearing nestings, for the record:
@@ -46,13 +48,12 @@
 //!   — the same top-of-hierarchy order as DML, which is exactly why the
 //!   two cannot deadlock.
 //! * **Composite reorganization** (`SharedDatabase::maintenance_pass`):
-//!   registry (write) → heap (read) — the rebuild scans the base table
-//!   under the registry latch so a racing insert cannot be erased.
+//!   the registry's write latch is held across the rebuild's heap scan so a
+//!   racing insert cannot be erased; the scan takes only pool shard locks.
 //! * **Query execution** (`Executor`): one latch at a time. Candidate
 //!   tids are copied out of the per-index guard, locations out of the
 //!   primary guard, and only then is the heap visited — which is why
-//!   `(40, 50)`, `(40, 60)` and `(50, 60)` are *not* declared in
-//!   [`LATCH_NESTING_EDGES`].
+//!   `(40, 50)` is *not* declared in [`LATCH_NESTING_EDGES`].
 //!
 //! Latches *internal* to one component (buffer-pool shards, the
 //! `ConcurrentTrsTree` node latches, the transaction-table mutex) are
@@ -161,7 +162,6 @@ pub const LATCH_HIERARCHY: &[LatchLevel] = &[
         methods: &["primary"],
         io_safe: false,
     },
-    LatchLevel { rank: 60, name: "heap", receivers: &["t", "table"], methods: &[], io_safe: false },
 ];
 
 /// Look up a hierarchy level by receiver name.
@@ -189,8 +189,8 @@ pub fn level(rank: u32) -> &'static LatchLevel {
 ///
 /// This is deliberately **not** the full upper-triangle of
 /// [`LATCH_HIERARCHY`] — some legal-by-rank nestings are unreachable by
-/// construction (composite indexes live only on the in-memory substrate,
-/// the per-index tree latch is never taken under the registry write latch,
+/// construction (a durable database owns no composite index, the per-index
+/// tree latch is never taken under the registry write latch,
 /// …). The runtime witness records every nesting it observes, and the
 /// `latch_witness` integration test asserts set equality both ways: an
 /// edge observed at runtime but missing here fails (undeclared nesting),
@@ -203,21 +203,18 @@ pub const LATCH_NESTING_EDGES: &[(u32, u32)] = &[
     (10, 50), // durable DML: primary-index maintenance under the brackets
     (20, 40), // same apply steps, seen from under the WAL guard
     (20, 50),
-    (30, 60), // composite reorganization: heap scan under the registry latch
-              // Absent on purpose, per the reconciliation test:
-              // * (10, 30) / (20, 30) — DML learns whether the registry holds
-              //   an index from a flag set under `&mut self`, not by probing
-              //   it, and a durable database can own no composite index (its
-              //   heap is paged), so durable DML never takes the registry.
-              // * (10, 60) / (20, 60) — the durable substrate is paged, and the
-              //   paged heap has no rank-60 latch (the buffer pool's shard locks
-              //   are leaves); the in-memory heap latch never sits under the
-              //   durability brackets because the mem substrate cannot checkpoint.
-              // * (40, 50) / (40, 60) / (50, 60) — the executor copies candidates
-              //   out of each index guard before taking the next latch, so
-              //   primary and heap acquisitions never nest under another data
-              //   latch, and a tree's writers never wait out a query's heap
-              //   validation.
+    // Absent on purpose, per the reconciliation test:
+    // * (10, 30) / (20, 30) — DML learns whether the registry holds an index
+    //   from a flag set under `&mut self`, not by probing it, and a durable
+    //   database owns no composite index, so durable DML never takes the
+    //   registry.
+    // * (30, 40) / (30, 50) — composite maintenance and reorganization touch
+    //   only the registry's own trees and the heap, whose pool shard locks
+    //   are leaves.
+    // * (40, 50) — the executor copies candidates out of each index guard
+    //   before taking the next latch, so primary acquisitions never nest
+    //   under another data latch, and a tree's writers never wait out a
+    //   query's heap validation.
 ];
 
 // ---------------------------------------------------------------------
@@ -514,23 +511,23 @@ mod tests {
             return;
         }
         let quiesce = LatchedRwLock::new(level(10), ());
-        let heap = LatchedRwLock::new(level(60), 0u32);
+        let primary = LatchedRwLock::new(level(50), 0u32);
         let wal = LatchedMutex::new(level(20), ());
         {
             let _q = quiesce.read();
             let _w = wal.lock();
-            let _h = heap.write();
+            let _p = primary.write();
         }
         let edges = observed_nesting_edges();
-        assert!(edges.contains(&(10, 20)) && edges.contains(&(10, 60)));
-        assert!(edges.contains(&(20, 60)));
+        assert!(edges.contains(&(10, 20)) && edges.contains(&(10, 50)));
+        assert!(edges.contains(&(20, 50)));
 
         // Inversion with panicking disabled: counted, not fatal.
         set_witness_panic(false);
         let before = witness_violations();
         {
-            let _h = heap.read();
-            let _q = quiesce.read(); // rank 10 under rank 60: violation
+            let _p = primary.read();
+            let _q = quiesce.read(); // rank 10 under rank 50: violation
         }
         assert_eq!(witness_violations(), before + 1);
         set_witness_panic(true);

@@ -4,7 +4,7 @@
 //! The **Hermit** secondary-indexing mechanism (§3/§5 of the paper), tying
 //! together the storage engine, the B+-tree substrate, and the TRS-Tree.
 //!
-//! A [`Database`] owns one table (in-memory or paged), a primary index, and
+//! A [`Database`] owns one paged table, a primary index, and
 //! a set of secondary indexes. Each secondary index is either:
 //!
 //! * a **baseline** index — a complete B+-tree on the column (what a
@@ -22,7 +22,7 @@
 //! screen candidate (target, host) pairs with Pearson/Spearman coefficients
 //! over a sample and recommend a host column whose index already exists.
 
-//! [`recovery`] makes the paged substrate restart-survivable:
+//! [`recovery`] makes a file-backed database restart-survivable:
 //! [`Database::checkpoint`] / [`Database::open`] pair a durable page flush
 //! and per-index TRS-Tree snapshots with an atomically-written catalog and
 //! a CRC-framed write-ahead log for the DML tail (§6 / §7.8).
@@ -56,13 +56,15 @@ pub mod query;
 pub mod recovery;
 pub mod rows;
 pub mod shared;
+#[cfg(test)]
+mod table;
 pub mod txn;
 
 pub use batch::BatchOptions;
 pub use breakdown::{InsertBreakdown, LookupBreakdown, Phase};
 pub use composite::{CompositeIndex, CompositeIndexes};
 pub use correlation::{discover_correlations, CorrelationReport, DiscoveryConfig};
-pub use database::{Database, Heap, MemoryReport, PoolIoCounters};
+pub use database::{Database, MemoryReport, PoolIoCounters, IN_MEMORY_POOL_PAGES};
 pub use error::CoreError;
 pub use executor::{QueryResult, RangePredicate};
 pub use hermit_txn::{TxnCounters, TxnError};

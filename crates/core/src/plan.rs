@@ -44,7 +44,7 @@ const COST_PROBE: f64 = 12.0;
 /// Cost per index entry walked during a range scan.
 const COST_ENTRY: f64 = 0.5;
 /// Cost per candidate resolved + fetched + validated (phases 3–4); the
-/// dominant term on the paged substrate, where it is a buffer-pool access.
+/// dominant term, a buffer-pool access.
 const COST_CANDIDATE: f64 = 4.0;
 /// Cost of one TRS-Tree traversal (phase 1).
 const COST_TRS: f64 = 8.0;
@@ -352,9 +352,9 @@ impl Database {
         let stats_of = |cid: ColumnId| self.heap().stats(cid).ok();
 
         // Per-conjunct selectivities, fetched once up front: `heap.stats`
-        // locks + clones on the paged substrate, and the composite loop
-        // below is O(conjuncts² × composites) — it indexes into this table
-        // instead of re-fetching.
+        // locks + clones, and the composite loop below is
+        // O(conjuncts² × composites) — it indexes into this table instead of
+        // re-fetching.
         let sels: Vec<f64> =
             conjuncts.iter().map(|p| selectivity(p, stats_of(p.column).as_ref(), n)).collect();
 

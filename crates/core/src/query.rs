@@ -95,8 +95,8 @@ impl Query {
 
     /// Return at most `n` rows: the `n` lowest row locations of the
     /// unlimited answer. Every plan emits its rows in ascending location
-    /// (heap) order on both substrates, so which rows survive does not
-    /// depend on the plan, the substrate or the entry point.
+    /// (heap) order, so which rows survive does not depend on the plan or
+    /// the entry point.
     pub fn limit(mut self, n: usize) -> Self {
         self.limit = Some(n);
         self

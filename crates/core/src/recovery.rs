@@ -141,10 +141,10 @@
 //! substrate, index reconstruction (primary, baseline, Hermit,
 //! `ColumnStats`), torn-tail WAL recovery, torn-checkpoint detection.
 //! Not covered: DDL logging (index definitions become durable at the next
-//! checkpoint, not through the WAL), and composite indexes (they are
-//! in-memory-substrate only, which the catalog reflects by never recording
-//! any). The in-memory substrate itself is rejected with a typed
-//! [`CoreError::NotDurable`].
+//! checkpoint, not through the WAL), and composite indexes (the catalog
+//! records none, so a durable database refuses them with a typed
+//! [`CoreError::CompositeOnDurable`]). An in-memory database — its pages in
+//! a store with no file — is rejected with a typed [`CoreError::NotDurable`].
 //!
 //! Durable databases assume **unique primary keys** (the same assumption
 //! `delete_by_pk` and the primary index already make): idempotent replay
@@ -154,7 +154,7 @@
 //! silently accepting statements that could never be recovered; a
 //! successful checkpoint clears the condition.
 
-use crate::database::{Database, Heap};
+use crate::database::Database;
 use crate::error::CoreError;
 use crate::index::SecondaryIndex;
 use crate::latches::{self, LatchedMutex, LatchedRwLock, Witnessed};
@@ -528,9 +528,7 @@ impl Database {
     /// Start logging into `writer` and put the buffer pool's write-backs
     /// behind that log.
     fn attach_durability(&mut self, dir: &Path, writer: WalWriter, config: &DurabilityConfig) {
-        if let Heap::Paged(table) = &self.heap {
-            table.pool().attach_wal(Arc::clone(writer.tail()));
-        }
+        self.heap.pool().attach_wal(Arc::clone(writer.tail()));
         self.durability = Some(Durability {
             dir: dir.to_path_buf(),
             quiesce: LatchedRwLock::new(latches::level(10), ()),
@@ -569,7 +567,7 @@ impl Database {
 
     /// Take a durable checkpoint of the whole database into `dir`.
     ///
-    /// Requires the paged substrate over a [`FilePageStore`] at
+    /// Requires a heap over a [`FilePageStore`] at
     /// `dir/pages.db` (typed [`CoreError::NotDurable`] otherwise). Writers
     /// are quiesced for the duration — the §4.4 background reorganization
     /// worker may keep running, since reorganization never changes index
@@ -588,11 +586,7 @@ impl Database {
     ///    loudly instead of logging into a generation recovery ignores);
     /// 5. garbage-collect snapshots and temp files of other epochs.
     pub fn checkpoint(&self, dir: &Path) -> Result<(), CoreError> {
-        let Heap::Paged(table) = &self.heap else {
-            return Err(CoreError::NotDurable {
-                reason: "the in-memory heap has no backing store; only paged databases checkpoint",
-            });
-        };
+        let table = &self.heap;
         if let Some(d) = &self.durability {
             if d.dir != dir {
                 return Err(CoreError::NotDurable {
@@ -819,8 +813,7 @@ impl Database {
         for &ghost in &ghosts {
             table.delete(ghost)?;
         }
-        let mut db = Database::with_paged_primary(table, catalog.pk_col, primary);
-        db.scheme = catalog.scheme;
+        let mut db = Database::from_parts(table, catalog.scheme, catalog.pk_col, primary);
         db.rebuild_indexes(&catalog, dir)?;
 
         // Replay the WAL tail through the ordinary DML path (durability not

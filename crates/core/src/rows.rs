@@ -141,7 +141,7 @@ mod tests {
         // writes them: at the next free slot.
         let kept = [&rows[0], &rows[1], &rows[3], &rows[4]];
         for (slot, row) in kept.iter().enumerate() {
-            w.emit(slot, &RowRef::Encoded { bytes: &record(row) });
+            w.emit(slot, &RowRef::new(&record(row)));
         }
         let block = w.finish(kept.len());
         assert_eq!(block.len(), 4);
@@ -156,8 +156,8 @@ mod tests {
         let cols = [1, 1, 0];
         let mut w = BlockWriter::new(&cols, 2, 1);
         assert!(!w.whole_row);
-        w.emit(0, &RowRef::Encoded { bytes: &bytes });
-        w.emit(1, &RowRef::Encoded { bytes: &bytes }); // past the sized block
+        w.emit(0, &RowRef::new(&bytes));
+        w.emit(1, &RowRef::new(&bytes)); // past the sized block
         let mut block = w.finish(2);
         let want = vec![Value::Float(1.5), Value::Float(1.5), Value::Int(9)];
         assert_eq!(block.to_rows(), vec![want.clone(), want.clone()]);
@@ -168,7 +168,7 @@ mod tests {
 
         // `select([])`: rows with no cells still count.
         let mut w = BlockWriter::new(&[], 2, 3);
-        w.emit(2, &RowRef::Encoded { bytes: &bytes });
+        w.emit(2, &RowRef::new(&bytes));
         let block = w.finish(3);
         assert_eq!((block.len(), block.as_bytes().len()), (3, 0));
         assert_eq!(block.to_rows(), vec![Vec::<Value>::new(); 3]);

@@ -316,8 +316,8 @@ impl SharedDatabase {
         }
     }
 
-    /// Buffer-pool `(hits, misses, evictions)` of the paged substrate;
-    /// `None` on the in-memory heap. See [`Database::pool_counters`].
+    /// Buffer-pool `(hits, misses, evictions)`; always `Some`. See
+    /// [`Database::pool_counters`].
     pub fn pool_counters(&self) -> Option<(u64, u64, u64)> {
         self.inner.pool_counters()
     }

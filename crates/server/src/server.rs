@@ -531,7 +531,7 @@ fn run_query(inner: &Arc<Inner>, query: Query, txn: Option<u64>) -> Result<RowBl
     let query = match query.projection() {
         Some(_) => query,
         None => {
-            let width = db.db().heap().width();
+            let width = db.db().heap().schema().width();
             query.select(0..width)
         }
     };
@@ -620,9 +620,7 @@ fn render_stats(inner: &Arc<Inner>) -> String {
     let _ = writeln!(out, "hermit_rows {}", db.len());
     // Memory by structure: with the binary and the connection buffers,
     // these parts are the server's resident set.
-    if let Some(bytes) = db.pool_bytes() {
-        let _ = writeln!(out, "hermit_memory_bytes{{part=\"pool\"}} {bytes}");
-    }
+    let _ = writeln!(out, "hermit_memory_bytes{{part=\"pool\"}} {}", db.pool_bytes());
     let (primary_bytes, (run_keys, outlier_keys)) = {
         let primary = db.primary();
         (primary.memory_bytes(), primary.tier_lens())
@@ -646,16 +644,15 @@ fn render_stats(inner: &Arc<Inner>) -> String {
         let rate = if total == 0 { 1.0 } else { hits as f64 / total as f64 };
         let _ = writeln!(out, "hermit_pool_hit_rate {rate:.6}");
     }
-    if let Some(io) = db.pool_io_counters() {
-        let _ = writeln!(out, "hermit_pool_read_errors {}", io.read_errors);
-        // Misses that read one record and installed nothing; they are
-        // counted in hermit_pool_misses too.
-        let _ = writeln!(out, "hermit_pool_read_through {}", io.read_through);
-        // Racing loads of one page, and re-reads of an image that went
-        // stale in flight, make store reads >= pool misses legal.
-        let _ = writeln!(out, "hermit_store_reads {}", io.store_reads);
-        let _ = writeln!(out, "hermit_store_writes {}", io.store_writes);
-    }
+    let io = db.pool_io_counters();
+    let _ = writeln!(out, "hermit_pool_read_errors {}", io.read_errors);
+    // Misses that read one record and installed nothing; they are counted
+    // in hermit_pool_misses too.
+    let _ = writeln!(out, "hermit_pool_read_through {}", io.read_through);
+    // Racing loads of one page, and re-reads of an image that went stale in
+    // flight, make store reads >= pool misses legal.
+    let _ = writeln!(out, "hermit_store_reads {}", io.store_reads);
+    let _ = writeln!(out, "hermit_store_writes {}", io.store_writes);
     if let Some(depth) = db.wal_depth() {
         let _ = writeln!(out, "hermit_wal_uncommitted {depth}");
     }

@@ -16,8 +16,12 @@
 //! # Sharding
 //!
 //! The pool is split into independent *shards* — inner pools keyed by
-//! `page_id % shards`, each behind its own mutex with its own clock hand —
-//! so hits on different pages do not queue on one lock.
+//! `page_id % shards`, each behind its own reader-writer lock with its own
+//! clock hand — so visits to different pages do not queue on one lock. A
+//! hit ([`BufferPool::read`], a [`ResidentReader`]) takes its shard's read
+//! side, so readers of one shard do not queue on each other either; a
+//! miss, a [`write`](BufferPool::write) and the clock sweep take the write
+//! side.
 //! [`BufferPool::new`] builds a single-shard pool (fully deterministic
 //! replacement, the right default for the small pools the experiments
 //! configure); [`BufferPool::new_sharded`] spreads the capacity across N
@@ -106,8 +110,8 @@ use super::page::{Page, PageId};
 use crate::hash::IntMap;
 use crate::wal::WalTail;
 use crate::Result;
-use parking_lot::{Mutex, MutexGuard};
-use std::sync::atomic::{AtomicU64, Ordering};
+use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Hit/miss/eviction counters for a buffer pool.
@@ -166,7 +170,10 @@ impl PoolStats {
 struct Frame {
     page_id: PageId,
     page: Page,
-    referenced: bool,
+    /// The clock's reference bit: set by every visit, a hit under the
+    /// shard's read lock included; cleared by the sweep, under its write
+    /// lock.
+    referenced: AtomicBool,
     dirty: bool,
 }
 
@@ -208,7 +215,10 @@ impl PoolInner {
     fn with_capacity(capacity: usize) -> Self {
         PoolInner {
             slots: (0..capacity).map(|_| Slot::Free(None)).collect(),
-            map: IntMap::with_capacity_and_hasher(capacity, Default::default()),
+            // Grown as pages become resident: presized to a large pool's
+            // capacity, a small table's few entries would scatter over a
+            // sparse bucket array, a cache miss per lookup.
+            map: IntMap::default(),
             // Reverse order so frames are handed out 0, 1, 2, ….
             free: (0..capacity).rev().collect(),
             clock_hand: 0,
@@ -236,8 +246,12 @@ impl PoolInner {
 
     /// Map `id` to the reserved slot `idx`, now holding `page`.
     fn publish(&mut self, idx: usize, id: PageId, page: Page) {
-        self.slots[idx] =
-            Slot::Resident(Frame { page_id: id, page, referenced: true, dirty: false });
+        self.slots[idx] = Slot::Resident(Frame {
+            page_id: id,
+            page,
+            referenced: AtomicBool::new(true),
+            dirty: false,
+        });
         self.map.insert(id, idx);
     }
 
@@ -246,6 +260,13 @@ impl PoolInner {
     fn release(&mut self, idx: usize, page: Page) {
         self.slots[idx] = Slot::Free(Some(page));
         self.free.push(idx);
+    }
+
+    fn frame(&self, idx: usize) -> &Frame {
+        match &self.slots[idx] {
+            Slot::Resident(frame) => frame,
+            _ => unreachable!("the page map only names resident slots"),
+        }
     }
 
     fn frame_mut(&mut self, idx: usize) -> &mut Frame {
@@ -268,7 +289,7 @@ pub enum RecordRead<T> {
 /// Sharded clock-replacement buffer pool.
 pub struct BufferPool {
     store: Arc<dyn PageStore>,
-    shards: Vec<Mutex<PoolInner>>,
+    shards: Vec<RwLock<PoolInner>>,
     capacity: usize,
     stats: PoolStats,
     /// The log whose records describe this pool's pages, once attached.
@@ -292,7 +313,7 @@ impl BufferPool {
         let base = capacity / shards;
         let extra = capacity % shards;
         let shards = (0..shards)
-            .map(|i| Mutex::new(PoolInner::with_capacity(base + usize::from(i < extra))))
+            .map(|i| RwLock::new(PoolInner::with_capacity(base + usize::from(i < extra))))
             .collect();
         BufferPool { store, shards, capacity, stats: PoolStats::default(), wal: OnceLock::new() }
     }
@@ -339,14 +360,20 @@ impl BufferPool {
     /// failed or lost a duplicate-load race must have returned its frame.
     pub fn frame_counts(&self) -> (usize, usize) {
         self.shards.iter().fold((0, 0), |(resident, free), shard| {
-            let inner = shard.lock();
+            let inner = shard.write();
             (resident + inner.map.len(), free + inner.free.len())
         })
     }
 
     #[inline]
-    fn shard(&self, id: PageId) -> &Mutex<PoolInner> {
-        &self.shards[(id % self.shards.len() as u64) as usize]
+    fn shard(&self, id: PageId) -> &RwLock<PoolInner> {
+        &self.shards[self.shard_index(id)]
+    }
+
+    /// `id`'s shard: `id % shards`.
+    #[inline]
+    fn shard_index(&self, id: PageId) -> usize {
+        (id % self.shards.len() as u64) as usize
     }
 
     /// `id`'s index among its shard's pages (`id / shards`).
@@ -361,11 +388,11 @@ impl BufferPool {
     pub fn allocate(&self, record_width: u16) -> Result<PageId> {
         let id = self.store.allocate();
         let shard = self.shard(id);
-        let (inner, idx, mut page) = self.reserve(shard, shard.lock())?;
+        let (inner, idx, mut page) = self.reserve(shard, shard.write())?;
         drop(inner);
         page.format(record_width);
         let written = self.store.write(id, &page);
-        let mut inner = shard.lock();
+        let mut inner = shard.write();
         match written {
             Ok(()) => inner.publish(idx, id, page),
             Err(_) => inner.release(idx, page),
@@ -374,15 +401,25 @@ impl BufferPool {
     }
 
     /// Visit a page through the pool: `f` runs against the cached frame
-    /// under the page's shard lock and its result is returned. On a miss the
-    /// page is loaded first, with the lock *released* for the store read
-    /// (see the module docs). `f` must not re-enter the pool. Batch callers
-    /// amortize the lock + map lookup by extracting many values under one
-    /// `f`.
+    /// under the page's shard lock and its result is returned. A hit holds
+    /// the lock's read side, so readers of one shard visit it side by side;
+    /// on a miss the page is loaded first, with the lock *released* for the
+    /// store read (see the module docs). `f` must not re-enter the pool.
+    /// Batch callers amortize the lock + map lookup by extracting many
+    /// values under one `f`.
     pub fn read<T>(&self, id: PageId, f: impl FnOnce(&Page) -> T) -> Result<T> {
+        {
+            let inner = self.shard(id).read();
+            if let Some(&idx) = inner.map.get(&id) {
+                self.stats.hits.fetch_add(1, Ordering::Relaxed);
+                let frame = inner.frame(idx);
+                frame.referenced.store(true, Ordering::Relaxed);
+                return Ok(f(&frame.page));
+            }
+        }
         let (mut inner, idx) = self.fetch(id)?;
         let frame = inner.frame_mut(idx);
-        frame.referenced = true;
+        frame.referenced.store(true, Ordering::Relaxed);
         Ok(f(&frame.page))
     }
 
@@ -391,7 +428,7 @@ impl BufferPool {
     pub fn write<T>(&self, id: PageId, f: impl FnOnce(&mut Page) -> T) -> Result<T> {
         let (mut inner, idx) = self.fetch(id)?;
         let frame = inner.frame_mut(idx);
-        frame.referenced = true;
+        frame.referenced.store(true, Ordering::Relaxed);
         frame.dirty = true;
         Ok(f(&mut frame.page))
     }
@@ -401,7 +438,7 @@ impl BufferPool {
     /// written pages could still sit in the OS page cache at a crash).
     pub fn flush(&self) -> Result<()> {
         for shard in &self.shards {
-            self.write_back_dirty(&mut shard.lock())?;
+            self.write_back_dirty(&mut shard.write())?;
         }
         self.store.sync()
     }
@@ -410,7 +447,7 @@ impl BufferPool {
     /// to start from a cold cache.
     pub fn clear(&self) -> Result<()> {
         for shard in &self.shards {
-            let mut inner = shard.lock();
+            let mut inner = shard.write();
             self.write_back_dirty(&mut inner)?;
             let inner = &mut *inner;
             inner.map.clear();
@@ -466,29 +503,31 @@ impl BufferPool {
         f: impl FnOnce(&Page) -> T,
     ) -> Result<RecordRead<T>> {
         let shard = self.shard(id);
-        let mut inner = shard.lock();
-        if inner.map.contains_key(&id) {
+        let mut inner = shard.write();
+        if let Some(&idx) = inner.map.get(&id) {
             self.stats.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.stats.misses.fetch_add(1, Ordering::Relaxed);
-            if !inner.admit(self.shard_page(id)) {
-                let epoch = inner.write_epoch;
-                drop(inner);
-                let read = locate().map(|offset| self.store.read_range(id, offset, record));
-                inner = shard.lock();
-                let fresh = inner.write_epoch == epoch && !inner.map.contains_key(&id);
-                match read {
-                    Some(Err(e)) => {
-                        self.stats.read_errors.fetch_add(1, Ordering::Relaxed);
-                        return Err(e);
-                    }
-                    Some(Ok(())) if fresh => {
-                        self.stats.read_through.fetch_add(1, Ordering::Relaxed);
-                        return Ok(RecordRead::ReadThrough);
-                    }
-                    // Declined, or the bytes may be stale: the frame path.
-                    _ => {}
+            let frame = inner.frame_mut(idx);
+            frame.referenced.store(true, Ordering::Relaxed);
+            return Ok(RecordRead::Page(f(&frame.page)));
+        }
+        self.stats.misses.fetch_add(1, Ordering::Relaxed);
+        if !inner.admit(self.shard_page(id)) {
+            let epoch = inner.write_epoch;
+            drop(inner);
+            let read = locate().map(|offset| self.store.read_range(id, offset, record));
+            inner = shard.write();
+            let fresh = inner.write_epoch == epoch && !inner.map.contains_key(&id);
+            match read {
+                Some(Err(e)) => {
+                    self.stats.read_errors.fetch_add(1, Ordering::Relaxed);
+                    return Err(e);
                 }
+                Some(Ok(())) if fresh => {
+                    self.stats.read_through.fetch_add(1, Ordering::Relaxed);
+                    return Ok(RecordRead::ReadThrough);
+                }
+                // Declined, or the bytes may be stale: the frame path.
+                _ => {}
             }
         }
         let (mut inner, idx) = match inner.map.get(&id).copied() {
@@ -496,15 +535,20 @@ impl BufferPool {
             None => self.load(shard, inner, id)?,
         };
         let frame = inner.frame_mut(idx);
-        frame.referenced = true;
+        frame.referenced.store(true, Ordering::Relaxed);
         Ok(RecordRead::Page(f(&frame.page)))
+    }
+
+    /// A [`ResidentReader`] over this pool, holding no lock yet.
+    pub(crate) fn resident_reader(&self) -> ResidentReader<'_> {
+        ResidentReader { pool: self, held: None, hits: 0 }
     }
 
     /// Lock `id`'s shard and return it with the index of the resident slot
     /// holding `id`, loading the page first if it is not cached.
-    fn fetch(&self, id: PageId) -> Result<(MutexGuard<'_, PoolInner>, usize)> {
+    fn fetch(&self, id: PageId) -> Result<(RwLockWriteGuard<'_, PoolInner>, usize)> {
         let shard = self.shard(id);
-        let mut inner = shard.lock();
+        let mut inner = shard.write();
         if let Some(&idx) = inner.map.get(&id) {
             self.stats.hits.fetch_add(1, Ordering::Relaxed);
             return Ok((inner, idx));
@@ -519,16 +563,16 @@ impl BufferPool {
     /// frame: read with the shard unlocked, then publish (module docs).
     fn load<'a>(
         &self,
-        shard: &'a Mutex<PoolInner>,
-        inner: MutexGuard<'a, PoolInner>,
+        shard: &'a RwLock<PoolInner>,
+        inner: RwLockWriteGuard<'a, PoolInner>,
         id: PageId,
-    ) -> Result<(MutexGuard<'a, PoolInner>, usize)> {
+    ) -> Result<(RwLockWriteGuard<'a, PoolInner>, usize)> {
         let (mut inner, idx, mut page) = self.reserve(shard, inner)?;
         loop {
             let epoch = inner.write_epoch;
             drop(inner);
             let loaded = self.store.read_into(id, &mut page);
-            inner = shard.lock();
+            inner = shard.write();
             if let Err(e) = loaded {
                 self.stats.read_errors.fetch_add(1, Ordering::Relaxed);
                 inner.release(idx, page);
@@ -556,16 +600,16 @@ impl BufferPool {
     /// store access, and none of their holders waits on this thread.
     fn reserve<'a>(
         &self,
-        shard: &'a Mutex<PoolInner>,
-        mut inner: MutexGuard<'a, PoolInner>,
-    ) -> Result<(MutexGuard<'a, PoolInner>, usize, Page)> {
+        shard: &'a RwLock<PoolInner>,
+        mut inner: RwLockWriteGuard<'a, PoolInner>,
+    ) -> Result<(RwLockWriteGuard<'a, PoolInner>, usize, Page)> {
         loop {
             if let Some((idx, page)) = self.try_reserve(&mut inner)? {
                 return Ok((inner, idx, page));
             }
             drop(inner);
             std::thread::yield_now();
-            inner = shard.lock();
+            inner = shard.write();
         }
     }
 
@@ -587,8 +631,8 @@ impl BufferPool {
             let idx = inner.clock_hand;
             inner.clock_hand = (idx + 1) % cap;
             let Slot::Resident(frame) = &mut inner.slots[idx] else { continue };
-            if frame.referenced {
-                frame.referenced = false;
+            if *frame.referenced.get_mut() {
+                *frame.referenced.get_mut() = false;
                 continue;
             }
             if frame.dirty {
@@ -606,6 +650,50 @@ impl BufferPool {
             return Ok(Some((idx, victim.page)));
         }
         Ok(None)
+    }
+}
+
+/// Page visits that stay on one shard lock while they can: a run of
+/// resident pages of the same shard is visited under one acquisition of
+/// its read side ([`BufferPool::resident_reader`]). With a single-shard
+/// pool that is one acquisition for a whole page-ordered batch; other
+/// readers share it, a writer of the shard waits for the run. A page that
+/// is not resident is left to the caller — the lock is released first, so
+/// the caller may take the ordinary [`BufferPool::read`] /
+/// [`BufferPool::read_record`] path.
+pub(crate) struct ResidentReader<'a> {
+    pool: &'a BufferPool,
+    held: Option<(usize, RwLockReadGuard<'a, PoolInner>)>,
+    /// Hits not yet added to the pool's counter (added on drop).
+    hits: u64,
+}
+
+impl ResidentReader<'_> {
+    /// Run `f` on page `id` if it is resident (a hit), under its shard's
+    /// lock — kept from the previous visit when that was the same shard.
+    /// `None`, with no lock held, when the page is not resident. As with
+    /// [`BufferPool::read`], `f` must not re-enter the pool.
+    pub(crate) fn read<T>(&mut self, id: PageId, f: impl FnOnce(&Page) -> T) -> Option<T> {
+        let shard = self.pool.shard_index(id);
+        if self.held.as_ref().is_none_or(|(held, _)| *held != shard) {
+            self.held = None;
+            self.held = Some((shard, self.pool.shards[shard].read()));
+        }
+        let (_, inner) = self.held.as_ref()?;
+        let Some(&idx) = inner.map.get(&id) else {
+            self.held = None;
+            return None;
+        };
+        self.hits += 1;
+        let frame = inner.frame(idx);
+        frame.referenced.store(true, Ordering::Relaxed);
+        Some(f(&frame.page))
+    }
+}
+
+impl Drop for ResidentReader<'_> {
+    fn drop(&mut self) {
+        self.pool.stats.hits.fetch_add(self.hits, Ordering::Relaxed);
     }
 }
 
@@ -648,6 +736,35 @@ mod tests {
         // allocate() installs the page, so both accesses were hits.
         assert_eq!(p.stats().misses(), 0);
         assert!(p.stats().hits() >= 2);
+    }
+
+    /// Hits on one shard share its lock: a reader inside a visit of a
+    /// page does not hold off another reader of the same page, whether
+    /// that one visits through `read` or a resident reader.
+    #[test]
+    fn hits_on_one_shard_run_side_by_side() {
+        let p = pool(4);
+        let id = p.allocate(8).unwrap();
+        p.write(id, |page| page.insert(&7u64.to_le_bytes()).unwrap()).unwrap();
+        let (inside, other_done) = (std::sync::Barrier::new(2), std::sync::mpsc::channel());
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                inside.wait();
+                let mut reader = p.resident_reader();
+                assert_eq!(reader.read(id, |page| page.count()), Some(1));
+                drop(reader);
+                p.read(id, |page| page.count()).unwrap();
+                other_done.0.send(()).unwrap();
+            });
+            p.read(id, |_| {
+                inside.wait();
+                // Still inside this visit: the other reader must get in.
+                let waited = other_done.1.recv_timeout(std::time::Duration::from_secs(10));
+                assert!(waited.is_ok(), "a second reader queued behind a hit");
+            })
+            .unwrap();
+        });
+        assert_eq!(p.stats().hits(), 4, "the write and three visits, all hits");
     }
 
     #[test]
@@ -738,7 +855,7 @@ mod tests {
         assert_eq!(p.capacity(), 10);
         assert_eq!(p.shard_count(), 4);
         // 10 frames over 4 shards → 3 + 3 + 2 + 2.
-        let sizes: Vec<usize> = p.shards.iter().map(|s| s.lock().slots.len()).collect();
+        let sizes: Vec<usize> = p.shards.iter().map(|s| s.read().slots.len()).collect();
         assert_eq!(sizes.iter().sum::<usize>(), 10);
         assert!(sizes.iter().all(|&s| s == 2 || s == 3));
     }

@@ -1,8 +1,7 @@
 //! A paged table heap of fixed-width numeric rows.
 //!
-//! Rows are the same `Value` rows as the in-memory [`crate::Table`], but
-//! serialized into 8 KiB pages behind a buffer pool. Row locations reuse
-//! [`RowLoc`]: `block` is the page id, `offset` is the slot.
+//! Rows are `Value` rows serialized into 8 KiB pages behind a buffer pool.
+//! A row's [`RowLoc`] is its page id (`block`) and slot (`offset`).
 //!
 //! Serialization: a record is its cells back to back, each the 9-byte image
 //! of [`crate::value::encode_cell`] — the same bytes the WAL logs and the
@@ -29,9 +28,9 @@ use super::buffer_pool::{BufferPool, RecordRead};
 use super::page::{Page, PageId};
 use crate::batch::RowRef;
 use crate::error::StorageError;
-use crate::schema::{ColumnId, Schema};
+use crate::schema::{ColumnId, ColumnType, Schema};
 use crate::stats::ColumnStats;
-use crate::table::RowLoc;
+use crate::tid::RowLoc;
 use crate::value::{self, encode_cell, Value, CELL_BYTES};
 use crate::Result;
 use parking_lot::Mutex;
@@ -39,15 +38,24 @@ use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Append `row`'s record — its cells in schema order — to `out`, after
-/// checking it against `schema` (arity, and no NULL in a non-nullable
-/// column). On an error `out` may hold a partial record.
+/// checking it against `schema`: arity, no NULL in a non-nullable column,
+/// and no float in an integer column (an integer in a float column is
+/// accepted — a client's literal `3` for a float column). On an error `out`
+/// may hold a partial record.
 pub fn encode_row(schema: &Schema, row: &[Value], out: &mut Vec<u8>) -> Result<()> {
     if row.len() != schema.width() {
         return Err(StorageError::ArityMismatch { got: row.len(), expected: schema.width() });
     }
     for (cid, v) in row.iter().enumerate() {
-        if v.is_null() && !schema.column(cid)?.nullable {
-            return Err(StorageError::UnexpectedNull { column: cid });
+        let def = schema.column(cid)?;
+        match (v, def.ty) {
+            (Value::Null, _) if !def.nullable => {
+                return Err(StorageError::UnexpectedNull { column: cid });
+            }
+            (Value::Float(_), ColumnType::Int) => {
+                return Err(StorageError::TypeMismatch { column: cid, expected: def.ty.name() });
+            }
+            _ => {}
         }
         out.extend_from_slice(&encode_cell(v));
     }
@@ -219,7 +227,7 @@ impl PagedTable {
                     for (cid, stat) in stats.iter_mut().enumerate() {
                         stat.observe(&decode_cell(&bytes[cid * CELL_BYTES..]));
                     }
-                    on_row(RowLoc::new(pid as u32, u32::from(slot)), RowRef::Encoded { bytes });
+                    on_row(RowLoc::new(pid as u32, u32::from(slot)), RowRef::new(bytes));
                     count += 1;
                 }
                 summaries.note(pid, page.count(), count < u32::from(page.count()));
@@ -390,7 +398,7 @@ impl PagedTable {
     }
 
     /// Visit a set of candidate rows grouped by page: candidates are sorted
-    /// by `(page, slot)` through the reusable `order` scratch buffer, each
+    /// by `(page, slot)` in the reusable `order` scratch buffer, each
     /// page is pinned once, and all of its candidates are visited under that
     /// single pool access. `f` receives the candidate's index into `locs`
     /// plus its row view (`None` when deleted).
@@ -404,9 +412,10 @@ impl PagedTable {
     /// Visitation order is ascending [`RowLoc`] order, not `locs` order —
     /// callers that care about the original position use the index argument.
     ///
-    /// A candidate alone on its page goes through
-    /// [`BufferPool::read_record`], so a cold one may cost one read of its
-    /// record rather than a load of its page (see the module docs).
+    /// Resident pages are visited through one resident reader of the pool,
+    /// so consecutive pages of one pool shard share a lock acquisition. A cold candidate alone on its page
+    /// goes through [`BufferPool::read_record`], so it may cost one read of
+    /// its record rather than a load of its page (see the module docs).
     ///
     /// `f` runs while the row's page is pinned (its pool shard locked), so
     /// it must not re-enter the buffer pool; read everything needed through
@@ -414,38 +423,47 @@ impl PagedTable {
     pub fn for_each_row_batch(
         &self,
         locs: &[RowLoc],
-        order: &mut Vec<u32>,
+        order: &mut Vec<u128>,
         mut f: impl FnMut(usize, Option<RowRef<'_>>),
     ) -> usize {
+        // Sort keys, not indices: a key is the candidate's location above
+        // its index, so the sort compares integers in place instead of
+        // looking both locations up at every comparison.
+        debug_assert!(u32::try_from(locs.len()).is_ok(), "an index takes 32 bits of a key");
         order.clear();
-        order.extend(0..locs.len() as u32);
-        order.sort_unstable_by_key(|&i| {
-            let loc = locs[i as usize];
-            (loc.block, loc.offset)
-        });
+        order.extend(
+            locs.iter().enumerate().map(|(i, loc)| u128::from(loc.encode()) << 32 | i as u128),
+        );
+        order.sort_unstable();
+        let index = |key: u128| key as u32 as usize;
+        let loc = |key: u128| RowLoc::decode((key >> 32) as u64);
         let mut record = Vec::new();
         let mut unreadable = 0usize;
+        let mut resident = self.pool.resident_reader();
         let mut start = 0usize;
         while start < order.len() {
-            let pid = locs[order[start] as usize].block as PageId;
+            let pid = loc(order[start]).block;
             let mut end = start + 1;
-            while end < order.len() && locs[order[end] as usize].block as PageId == pid {
+            while end < order.len() && loc(order[end]).block == pid {
                 end += 1;
             }
-            let visited = match order[start..end] {
-                [i] => self.visit_record(pid, locs[i as usize].offset as u16, &mut record, |row| {
-                    f(i as usize, row)
-                }),
-                ref run => self.pool.read(pid, |page| {
-                    for &i in run {
-                        let loc = locs[i as usize];
-                        let row =
-                            page.get(loc.offset as u16).ok().map(|bytes| RowRef::Encoded { bytes });
-                        f(i as usize, row);
-                    }
-                }),
+            let pid = PageId::from(pid);
+            let run = &order[start..end];
+            let mut visit_run = |page: &Page| {
+                for &key in run {
+                    let row = page.get(loc(key).offset as u16).ok().map(RowRef::new);
+                    f(index(key), row);
+                }
             };
-            unreadable += usize::from(visited.is_err());
+            if resident.read(pid, &mut visit_run).is_none() {
+                let visited = match *run {
+                    [key] => self.visit_record(pid, loc(key).offset as u16, &mut record, |row| {
+                        f(index(key), row)
+                    }),
+                    _ => self.pool.read(pid, visit_run),
+                };
+                unreadable += usize::from(visited.is_err());
+            }
             start = end;
         }
         unreadable
@@ -464,9 +482,9 @@ impl PagedTable {
         let locate = || {
             self.summaries.is_live(pid, slot).then(|| Page::slot_offset(self.record_width, slot))
         };
-        let visit = |page: &Page| f(page.get(slot).ok().map(|bytes| RowRef::Encoded { bytes }));
+        let visit = |page: &Page| f(page.get(slot).ok().map(RowRef::new));
         if self.pool.read_record(pid, record, locate, visit)? == RecordRead::ReadThrough {
-            f(Some(RowRef::Encoded { bytes: record }));
+            f(Some(RowRef::new(record)));
         }
         Ok(())
     }
@@ -529,7 +547,7 @@ impl PagedTable {
         for pid in pages {
             let keep_going = self.pool.read(pid, |page| {
                 page.iter().all(|(slot, bytes)| {
-                    f(RowLoc::new(pid as u32, slot as u32), RowRef::Encoded { bytes })
+                    f(RowLoc::new(pid as u32, slot as u32), RowRef::new(bytes))
                 })
             })?;
             if !keep_going {
@@ -569,7 +587,8 @@ impl PagedTable {
         self.summaries.memory_bytes()
     }
 
-    /// Column statistics (same contract as [`crate::Table::stats`]).
+    /// Incrementally maintained statistics of column `cid`: live counts
+    /// follow deletes, the min/max range is append-only (it never shrinks).
     pub fn stats(&self, cid: ColumnId) -> Result<ColumnStats> {
         self.schema.column(cid)?;
         Ok(self.stats.lock()[cid].clone())

@@ -274,8 +274,12 @@ impl PageStore for FilePageStore {
 
 /// An in-memory [`PageStore`] that charges a fixed latency per access,
 /// emulating an SSD's page-read cost deterministically.
+///
+/// A page image is kept without its zero tail (records fill a page from the
+/// front), so the formatted empty image a fresh page is persisted as costs a
+/// few bytes, not a second 8 KiB beside the pool's frame.
 pub struct SimulatedPageStore {
-    pages: Mutex<Vec<Option<Box<Page>>>>,
+    pages: Mutex<Vec<Option<Box<[u8]>>>>,
     read_latency: Duration,
     write_latency: Duration,
     stats: IoStats,
@@ -325,16 +329,7 @@ impl PageStore for SimulatedPageStore {
     }
 
     fn read_into(&self, id: PageId, page: &mut Page) -> Result<()> {
-        let pages = self.pages.lock();
-        let stored = pages
-            .get(id as usize)
-            .and_then(|p| p.as_ref())
-            .ok_or(StorageError::PageNotFound { page: id })?;
-        page.as_bytes_mut().copy_from_slice(stored.as_bytes());
-        drop(pages);
-        Self::charge(self.read_latency);
-        self.stats.record_read();
-        Ok(())
+        self.read_range(id, 0, page.as_bytes_mut())
     }
 
     /// Charges the read latency once, as a whole-page read does: the
@@ -344,9 +339,12 @@ impl PageStore for SimulatedPageStore {
         let pages = self.pages.lock();
         let stored = pages
             .get(id as usize)
-            .and_then(|p| p.as_ref())
+            .and_then(|p| p.as_deref())
             .ok_or(StorageError::PageNotFound { page: id })?;
-        buf.copy_from_slice(&stored.as_bytes()[offset..offset + buf.len()]);
+        let tail = stored.get(offset..).unwrap_or_default();
+        let held = tail.len().min(buf.len());
+        buf[..held].copy_from_slice(&tail[..held]);
+        buf[held..].fill(0);
         drop(pages);
         Self::charge(self.read_latency);
         self.stats.record_read();
@@ -354,9 +352,12 @@ impl PageStore for SimulatedPageStore {
     }
 
     fn write(&self, id: PageId, page: &Page) -> Result<()> {
+        let bytes = page.as_bytes();
+        let image: Box<[u8]> =
+            bytes[..bytes.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1)].into();
         let mut pages = self.pages.lock();
         let slot = pages.get_mut(id as usize).ok_or(StorageError::PageNotFound { page: id })?;
-        *slot = Some(Box::new(page.clone()));
+        *slot = Some(image);
         drop(pages);
         Self::charge(self.write_latency);
         self.stats.record_write();
@@ -392,15 +393,23 @@ mod tests {
         let mut p = Page::new(8);
         p.insert(&42u64.to_le_bytes()).unwrap();
         store.write(id, &p).unwrap();
-        let q = read(store, id).unwrap();
+        // Read into a buffer holding another image: every byte is replaced.
+        let mut q = Page::new(16);
+        q.as_bytes_mut().fill(0xFF);
+        store.read_into(id, &mut q).unwrap();
+        assert_eq!(q.as_bytes()[..], p.as_bytes()[..]);
         assert_eq!(q.get(0).unwrap(), &42u64.to_le_bytes());
         assert_eq!(store.stats().reads(), 1);
         assert_eq!(store.stats().writes(), 1);
-        // One record's bytes, read where the page layout puts them.
+        // One record's bytes, read where the page layout puts them; the
+        // empty slot after it reads as zeros.
         let mut record = [0u8; 8];
         store.read_range(id, Page::slot_offset(8, 0), &mut record).unwrap();
         assert_eq!(record, 42u64.to_le_bytes());
-        assert_eq!(store.stats().reads(), 2);
+        let mut empty = [0xFFu8; 8];
+        store.read_range(id, Page::slot_offset(8, 1), &mut empty).unwrap();
+        assert_eq!(empty, [0; 8]);
+        assert_eq!(store.stats().reads(), 3);
         assert!(store.read_range(id, PAGE_SIZE - 4, &mut record).is_err(), "past the page end");
         assert!(matches!(
             store.read_range(id + 1, 0, &mut record),

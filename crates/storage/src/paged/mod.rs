@@ -1,11 +1,13 @@
-//! Disk-based storage substrate (the "PostgreSQL" analog).
+//! The storage substrate: a slotted-page heap behind a buffer pool.
 //!
 //! §7.8 of the paper integrates Hermit into PostgreSQL and shows that when
 //! tuples live on secondary storage, (a) TRS-Tree lookup time is negligible
 //! next to host-index and heap accesses, and (b) false-positive validation
 //! takes a visible share of query time. Reproducing that regime requires a
 //! storage engine where fetching a tuple costs a page access through a
-//! buffer pool rather than a pointer dereference.
+//! buffer pool rather than a pointer dereference. The same heap over an
+//! in-memory store, behind a pool that holds the whole table, is the
+//! in-memory (DBMS-X) setting of the other experiments.
 //!
 //! This module provides exactly that substrate:
 //!

@@ -13,7 +13,8 @@ use crate::Result;
 /// Page size in bytes. Matches PostgreSQL's default 8 KiB block.
 pub const PAGE_SIZE: usize = 8192;
 
-/// Bytes reserved for the page header: `[record_width: u16][count: u16]`.
+/// Bytes reserved for the page header:
+/// `[record_width: u16][count: u16][capacity: u16]`.
 const HEADER_BYTES: usize = 8;
 
 /// Identifier of a page within a store.
@@ -25,7 +26,9 @@ pub type PageId = u64;
 /// ```text
 /// [0..2)   record width in bytes (u16 LE)
 /// [2..4)   record count (u16 LE)
-/// [4..8)   reserved
+/// [4..6)   capacity in records (u16 LE; 0 in an image written before it
+///          was kept — read as `capacity_for(width)`)
+/// [6..8)   reserved
 /// [8..8+B) delete bitmap, B = ceil(capacity/8) rounded to 8
 /// [.. ]    records, densely packed
 /// ```
@@ -70,6 +73,7 @@ impl Page {
         );
         self.buf.fill(0);
         self.buf[0..2].copy_from_slice(&record_width.to_le_bytes());
+        self.buf[4..6].copy_from_slice(&Self::capacity_for(record_width).to_le_bytes());
     }
 
     /// Rehydrate a page from raw bytes (as read from a store).
@@ -104,9 +108,14 @@ impl Page {
         self.buf[2..4].copy_from_slice(&n.to_le_bytes());
     }
 
-    /// Maximum number of records this page can hold.
+    /// Maximum number of records this page can hold: kept in the header,
+    /// so a record lookup divides nothing.
+    #[inline]
     pub fn capacity(&self) -> u16 {
-        Self::capacity_for(self.record_width())
+        match u16::from_le_bytes([self.buf[4], self.buf[5]]) {
+            0 => Self::capacity_for(self.record_width()),
+            capacity => capacity,
+        }
     }
 
     /// Slots a page of `record_width`-byte records holds.
@@ -129,7 +138,8 @@ impl Page {
 
     #[inline]
     fn record_offset(&self, slot: u16) -> usize {
-        Self::slot_offset(self.record_width(), slot)
+        let bitmap_bytes = (self.capacity() as usize).div_ceil(8);
+        HEADER_BYTES + bitmap_bytes + slot as usize * self.record_width() as usize
     }
 
     /// True if the slot holds a tombstoned record.
@@ -279,6 +289,25 @@ mod tests {
                 let off = Page::slot_offset(w, slot);
                 assert_eq!(&p.as_bytes()[off..off + w as usize], p.get(slot).unwrap());
             }
+        }
+    }
+
+    /// An image written before the header kept the capacity (zeros at
+    /// `[4..6)`) reads as one that keeps it.
+    #[test]
+    fn an_image_without_a_kept_capacity_reads_the_same() {
+        for w in [8u16, 27, 162] {
+            let mut p = Page::new(w);
+            for i in 0..5u8 {
+                p.insert(&vec![i + 1; w as usize]).unwrap();
+            }
+            p.delete(2).unwrap();
+            assert_eq!(p.capacity(), Page::capacity_for(w));
+            let mut old = *p.as_bytes();
+            old[4..6].fill(0);
+            let old = Page::from_bytes(&old);
+            assert_eq!(old.capacity(), p.capacity());
+            assert_eq!(old.iter().collect::<Vec<_>>(), p.iter().collect::<Vec<_>>());
         }
     }
 

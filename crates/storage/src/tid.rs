@@ -15,7 +15,35 @@
 //! (Figs. 10/11/14/15). We encode either flavor in a single `u64`-sized
 //! [`Tid`] so index structures are agnostic to the scheme in play.
 
-use crate::table::RowLoc;
+/// Physical row location: the heap page holding the row and its slot in
+/// that page — the paper's `blockID+offset` format.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct RowLoc {
+    /// Heap page containing the row.
+    pub block: u32,
+    /// Slot of the row within its page.
+    pub offset: u32,
+}
+
+impl RowLoc {
+    /// Construct from page and slot.
+    #[inline]
+    pub fn new(block: u32, offset: u32) -> Self {
+        RowLoc { block, offset }
+    }
+
+    /// Pack into a `u64` (for storage inside a [`Tid`]).
+    #[inline]
+    pub fn encode(&self) -> u64 {
+        ((self.block as u64) << 32) | self.offset as u64
+    }
+
+    /// Unpack from a `u64`.
+    #[inline]
+    pub fn decode(v: u64) -> Self {
+        RowLoc { block: (v >> 32) as u32, offset: v as u32 }
+    }
+}
 
 /// Which tuple-identifier scheme a database instance runs under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -73,6 +101,14 @@ impl Tid {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn rowloc_encoding_roundtrip() {
+        for (block, offset) in [(0, 0), (0, 1), (1, 0), (7, 300), (u32::MAX, u32::MAX)] {
+            let loc = RowLoc::new(block, offset);
+            assert_eq!(RowLoc::decode(loc.encode()), loc);
+        }
+    }
 
     #[test]
     fn physical_roundtrip() {

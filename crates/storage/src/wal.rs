@@ -423,13 +423,16 @@ impl WalTail {
                 rounds = self.round_over.wait(rounds).unwrap_or_else(PoisonError::into_inner);
             }
             rounds.parked -= 1;
-            if self.durable() >= pos {
-                return Ok(false);
-            }
+            // The failed round first: a later round's fsync may have
+            // finished before this thread woke, and it proves nothing about
+            // the pages of the round that failed.
             if let Some((round, target, error)) = &rounds.failed {
                 if *round == parked_behind && pos <= *target {
                     return Err(std::io::Error::other(error.clone()));
                 }
+            }
+            if self.durable() >= pos {
+                return Ok(false);
             }
         }
         if self.durable() >= pos {

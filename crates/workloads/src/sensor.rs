@@ -128,12 +128,9 @@ mod tests {
     fn sensors_monotone_in_average_but_nonlinear() {
         let cfg = SensorConfig { noise_amplitude: 0.0, ..small() };
         let db = build_sensor(&cfg, TidScheme::Physical);
-        let hermit_core::Heap::Mem(table) = db.heap() else { unreachable!() };
-        let table = table.read();
-        let sensor = table.column(cfg.sensor_col(3)).unwrap();
-        let avg = table.column(cfg.avg_col()).unwrap();
-        let xs: Vec<f64> = (0..table.total_rows()).map(|i| sensor.get_f64(i).unwrap()).collect();
-        let ys: Vec<f64> = (0..table.total_rows()).map(|i| avg.get_f64(i).unwrap()).collect();
+        let pairs = db.heap().project_pairs(cfg.sensor_col(3), cfg.avg_col()).unwrap();
+        assert_eq!(pairs.len(), db.len(), "no NULL readings");
+        let (xs, ys): (Vec<f64>, Vec<f64>) = pairs.into_iter().map(|(s, a, _)| (s, a)).unzip();
         let s = spearman(&xs, &ys);
         let p = pearson(&xs, &ys);
         assert!(s > 0.999, "noiseless response must be monotone in avg, spearman = {s}");
@@ -154,20 +151,20 @@ mod tests {
         let cfg = small();
         let mut db = build_sensor(&cfg, TidScheme::Physical);
         db.create_hermit_index(cfg.sensor_col(5), cfg.avg_col()).unwrap();
-        let hermit_core::Heap::Mem(table) = db.heap() else { unreachable!() };
-        let table = table.read();
-        let (lo, hi) = table.stats(cfg.sensor_col(5)).unwrap().range().unwrap();
+        let (lo, hi) = db.heap().stats(cfg.sensor_col(5)).unwrap().range().unwrap();
         let width = hi - lo;
         let (qlo, qhi) = (lo + 0.4 * width, lo + 0.45 * width);
-        drop(table); // release the heap latch before the query takes index latches
         let r = db.lookup_range(RangePredicate::range(cfg.sensor_col(5), qlo, qhi), None);
         // Exactness vs a scan.
-        let hermit_core::Heap::Mem(table) = db.heap() else { unreachable!() };
-        let table = table.read();
-        let col = table.column(cfg.sensor_col(5)).unwrap();
-        let expected = (0..table.total_rows())
-            .filter(|&i| col.get_f64(i).is_some_and(|v| (qlo..=qhi).contains(&v)))
-            .count();
+        let mut expected = 0;
+        db.heap()
+            .for_each_live_row(|_, row| {
+                expected += usize::from(
+                    row.f64(cfg.sensor_col(5)).is_some_and(|v| (qlo..=qhi).contains(&v)),
+                );
+                true
+            })
+            .unwrap();
         assert_eq!(r.rows.len(), expected);
         assert!(expected > 0, "the query band should not be empty");
     }

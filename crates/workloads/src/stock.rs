@@ -145,18 +145,8 @@ mod tests {
     fn high_low_strongly_correlated() {
         let cfg = small();
         let db = build_stock(&cfg, TidScheme::Physical);
-        let hermit_core::Heap::Mem(table) = db.heap() else { unreachable!() };
-        let table = table.read();
-        let lows = table.column(cfg.low_col(0)).unwrap();
-        let highs = table.column(cfg.high_col(0)).unwrap();
-        let mut xs = Vec::new();
-        let mut ys = Vec::new();
-        for i in 0..table.total_rows() {
-            if let (Some(l), Some(h)) = (lows.get_f64(i), highs.get_f64(i)) {
-                xs.push(l);
-                ys.push(h);
-            }
-        }
+        let pairs = db.heap().project_pairs(cfg.low_col(0), cfg.high_col(0)).unwrap();
+        let (xs, ys): (Vec<f64>, Vec<f64>) = pairs.into_iter().map(|(l, h, _)| (l, h)).unzip();
         assert!(xs.len() > 1_800, "most days have readings");
         let r = pearson(&xs, &ys);
         assert!(r > 0.95, "high/low must be near-linear, pearson = {r}");
@@ -166,18 +156,8 @@ mod tests {
     fn jumps_exist_and_decorrelate() {
         let cfg = StockConfig { stocks: 3, days: 10_000, jump_probability: 0.01, ..small() };
         let db = build_stock(&cfg, TidScheme::Physical);
-        let hermit_core::Heap::Mem(table) = db.heap() else { unreachable!() };
-        let table = table.read();
-        let lows = table.column(cfg.low_col(0)).unwrap();
-        let highs = table.column(cfg.high_col(0)).unwrap();
-        let mut jumps = 0;
-        for i in 0..table.total_rows() {
-            if let (Some(l), Some(h)) = (lows.get_f64(i), highs.get_f64(i)) {
-                if h > l * 1.5 {
-                    jumps += 1;
-                }
-            }
-        }
+        let pairs = db.heap().project_pairs(cfg.low_col(0), cfg.high_col(0)).unwrap();
+        let jumps = pairs.iter().filter(|&&(l, h, _)| h > l * 1.5).count();
         assert!(jumps > 20, "expected jump days, saw {jumps}");
     }
 
@@ -185,9 +165,7 @@ mod tests {
     fn nulls_present_at_configured_rate() {
         let cfg = StockConfig { null_probability: 0.1, ..small() };
         let db = build_stock(&cfg, TidScheme::Physical);
-        let hermit_core::Heap::Mem(table) = db.heap() else { unreachable!() };
-        let table = table.read();
-        let nulls = table.stats(cfg.low_col(0)).unwrap().null_count();
+        let nulls = db.heap().stats(cfg.low_col(0)).unwrap().null_count();
         let frac = nulls as f64 / 2_000.0;
         assert!((0.07..=0.13).contains(&frac), "null rate {frac}");
     }
@@ -199,20 +177,18 @@ mod tests {
         // Index high_0 through its low_0 host.
         db.create_hermit_index(cfg.high_col(0), cfg.low_col(0)).unwrap();
         // Query: days when high_0 is within a band around its median.
-        let hermit_core::Heap::Mem(table) = db.heap() else { unreachable!() };
-        let table = table.read();
-        let stats = table.stats(cfg.high_col(0)).unwrap().clone();
-        let (lo, hi) = stats.range().unwrap();
+        let (lo, hi) = db.heap().stats(cfg.high_col(0)).unwrap().range().unwrap();
         let mid = (lo + hi) / 2.0;
-        drop(table); // release the heap latch before the query takes index latches
         let r = db.lookup_range(RangePredicate::range(cfg.high_col(0), mid * 0.9, mid * 1.1), None);
         // Exactness check against a scan.
-        let hermit_core::Heap::Mem(table) = db.heap() else { unreachable!() };
-        let table = table.read();
-        let col = table.column(cfg.high_col(0)).unwrap();
-        let expected = (0..table.total_rows())
-            .filter(|&i| col.get_f64(i).is_some_and(|v| v >= mid * 0.9 && v <= mid * 1.1))
-            .count();
+        let mut expected = 0;
+        db.heap()
+            .for_each_live_row(|_, row| {
+                let v = row.f64(cfg.high_col(0));
+                expected += usize::from(v.is_some_and(|v| v >= mid * 0.9 && v <= mid * 1.1));
+                true
+            })
+            .unwrap();
         assert_eq!(r.rows.len(), expected, "Hermit must return exactly the scan's rows");
     }
 
@@ -221,10 +197,7 @@ mod tests {
         let cfg = small();
         let mut db = build_stock(&cfg, TidScheme::Physical);
         db.create_hermit_index(cfg.high_col(1), cfg.low_col(1)).unwrap();
-        let hermit_core::Heap::Mem(table) = db.heap() else { unreachable!() };
-        let table = table.read();
-        let (lo, hi) = table.stats(cfg.high_col(1)).unwrap().range().unwrap();
-        drop(table); // release the heap latch before the query takes index latches
+        let (lo, hi) = db.heap().stats(cfg.high_col(1)).unwrap().range().unwrap();
         let r = db.lookup_range(
             RangePredicate::range(cfg.high_col(1), lo, hi),
             Some(RangePredicate::range(0, 100.0, 199.0)),

@@ -213,14 +213,8 @@ mod tests {
     fn linear_correlation_holds_for_non_noise() {
         let cfg = SyntheticConfig { tuples: 2_000, noise_fraction: 0.0, ..Default::default() };
         let db = build_synthetic(&cfg, TidScheme::Physical);
-        let heap = db.heap();
         let mut checked = 0;
-        for loc in match heap {
-            hermit_core::Heap::Mem(t) => t.read().scan().collect::<Vec<_>>(),
-            _ => unreachable!(),
-        } {
-            let b = heap.value_f64(loc, cols::COL_B).unwrap().unwrap();
-            let c = heap.value_f64(loc, cols::COL_C).unwrap().unwrap();
+        for (b, c, _) in db.heap().project_pairs(cols::COL_B, cols::COL_C).unwrap() {
             assert!((b - (2.0 * c + 3.0)).abs() < 1e-9);
             checked += 1;
         }
@@ -245,18 +239,8 @@ mod tests {
     fn noise_fraction_roughly_respected() {
         let cfg = SyntheticConfig { tuples: 20_000, noise_fraction: 0.05, ..Default::default() };
         let db = build_synthetic(&cfg, TidScheme::Physical);
-        let heap = db.heap();
-        let mut noisy = 0;
-        for loc in match heap {
-            hermit_core::Heap::Mem(t) => t.read().scan().collect::<Vec<_>>(),
-            _ => unreachable!(),
-        } {
-            let b = heap.value_f64(loc, cols::COL_B).unwrap().unwrap();
-            let c = heap.value_f64(loc, cols::COL_C).unwrap().unwrap();
-            if (b - cfg.correlate(c)).abs() > 1e-6 {
-                noisy += 1;
-            }
-        }
+        let pairs = db.heap().project_pairs(cols::COL_B, cols::COL_C).unwrap();
+        let noisy = pairs.iter().filter(|&&(b, c, _)| (b - cfg.correlate(c)).abs() > 1e-6).count();
         let frac = noisy as f64 / 20_000.0;
         assert!((0.03..=0.07).contains(&frac), "expected ~5% noise, got {:.1}%", frac * 100.0);
     }
@@ -271,13 +255,7 @@ mod tests {
         };
         let db = build_synthetic(&cfg, TidScheme::Physical);
         assert_eq!(db.heap().schema().width(), 7);
-        let heap = db.heap();
-        let loc = match heap {
-            hermit_core::Heap::Mem(t) => t.read().scan().next().unwrap(),
-            _ => unreachable!(),
-        };
-        let b = heap.value_f64(loc, cols::COL_B).unwrap().unwrap();
-        let x0 = heap.value_f64(loc, cols::EXTRA_BASE).unwrap().unwrap();
+        let (b, x0, _) = db.heap().project_pairs(cols::COL_B, cols::EXTRA_BASE).unwrap()[0];
         assert!((x0 - b * 1.5).abs() < 1e-9);
     }
 
@@ -301,12 +279,6 @@ mod tests {
         let cfg = SyntheticConfig { tuples: 500, ..Default::default() };
         let a = build_synthetic(&cfg, TidScheme::Physical);
         let b = build_synthetic(&cfg, TidScheme::Physical);
-        let (ha, hb) = (a.heap(), b.heap());
-        for loc in match ha {
-            hermit_core::Heap::Mem(t) => t.read().scan().collect::<Vec<_>>(),
-            _ => unreachable!(),
-        } {
-            assert_eq!(ha.get(loc).unwrap(), hb.get(loc).unwrap());
-        }
+        assert_eq!(a.heap().scan().unwrap(), b.heap().scan().unwrap());
     }
 }

@@ -36,8 +36,7 @@ fn main() {
         db.insert(&[Value::Int(i), Value::Float(reading), Value::Float(1.25 * reading - 2.0)])
             .unwrap();
     }
-    let hermit::core::Heap::Paged(t) = db.heap() else { unreachable!() };
-    println!("heap: {} pages, pool capacity {} pages", t.page_count(), pool.capacity());
+    println!("heap: {} pages, pool capacity {} pages", db.heap().page_count(), pool.capacity());
 
     // Existing index on `reading`; Hermit index on `calibrated` routed
     // through it. Both index structures live in memory.

@@ -49,10 +49,8 @@ fn main() {
     }
 
     // Correlation check a DBA would run before recommending Hermit.
-    let hermit::core::Heap::Mem(table) = db.heap() else { unreachable!() };
-    let table = table.read();
-    let djs: Vec<f64> = table.column(DJ).unwrap().iter_f64().flatten().collect();
-    let sps: Vec<f64> = table.column(SP).unwrap().iter_f64().flatten().collect();
+    let (sps, djs): (Vec<f64>, Vec<f64>) =
+        db.heap().project_pairs(SP, DJ).unwrap().into_iter().map(|(sp, dj, _)| (sp, dj)).unzip();
     println!("pearson(SP, DJ) = {:.4}", pearson(&sps, &djs));
 
     // Existing composite index on (TIME, DJ); Hermit composite on

@@ -57,12 +57,13 @@ fn main() {
     );
 
     // Verify against a full scan.
-    let hermit::core::Heap::Mem(table) = db.heap() else { unreachable!() };
-    let table = table.read();
-    let col = table.column(2).unwrap();
-    let expected = (0..table.total_rows())
-        .filter(|&i| col.get_f64(i).is_some_and(|v| (500.0..=520.0).contains(&v)))
-        .count();
+    let mut expected = 0;
+    db.heap()
+        .for_each_live_row(|_, row| {
+            expected += usize::from(row.f64(2).is_some_and(|v| (500.0..=520.0).contains(&v)));
+            true
+        })
+        .unwrap();
     assert_eq!(result.rows.len(), expected, "Hermit must return exactly the scan's rows");
     println!("verified against a sequential scan ✓");
 }

@@ -37,8 +37,7 @@ fn main() {
     // sensor X fall between Y and Z?"
     let sensor = 7;
     let col = cfg.sensor_col(sensor);
-    let hermit::core::Heap::Mem(table) = db.heap() else { unreachable!() };
-    let domain = table.read().stats(col).unwrap().range().unwrap();
+    let domain = db.heap().stats(col).unwrap().range().unwrap();
     let mut gen = QueryGen::new(domain, 99);
 
     let mut total_rows = 0usize;

@@ -50,8 +50,7 @@ fn main() {
     // The paper's example query: "during which time periods does stock X's
     // highest price fall between Y and Z?" — a high-column range conjoined
     // with a TIME range, both validated at the base table.
-    let hermit::core::Heap::Mem(table) = db.heap() else { unreachable!() };
-    let (lo, hi) = table.read().stats(cfg.high_col(stock)).unwrap().range().unwrap();
+    let (lo, hi) = db.heap().stats(cfg.high_col(stock)).unwrap().range().unwrap();
     let band = (lo + (hi - lo) * 0.45, lo + (hi - lo) * 0.55);
     let result = db.lookup_range(
         RangePredicate::range(cfg.high_col(stock), band.0, band.1),

@@ -244,7 +244,7 @@ fn paged_batch_reduces_pool_traffic() {
     // a candidate exactly once, however many candidates it holds.
     let db = paged_hermit(20_000, 0, 256, 4);
     let pred = RangePredicate::range(TARGET, 5_000.0, 5_999.0);
-    let hermit::core::Heap::Paged(t) = db.heap() else { unreachable!() };
+    let t = db.heap();
 
     // The candidate pages, gathered by hand from the public index API: the
     // TRS-Tree's host ranges probed on the host B+-tree, plus its outliers.
@@ -282,7 +282,7 @@ fn scalar_extra_conjunct_is_single_fetch() {
     let db = paged_hermit(20_000, 0, 256, 1);
     let pred = RangePredicate::range(TARGET, 1_000.0, 1_499.0);
     let extra = Some(RangePredicate::range(OTHER, 0.0, f64::MAX));
-    let hermit::core::Heap::Paged(t) = db.heap() else { unreachable!() };
+    let t = db.heap();
 
     t.pool().stats().reset();
     let without = db.lookup_range(pred, None);
@@ -349,7 +349,7 @@ fn a_batch_of_n_equals_n_batches_of_one() {
 #[test]
 fn fetch_rows_matches_per_row_get_across_a_delete() {
     // The page-grouped materializer behind projections and the server's
-    // full-row responses must hand back what one `Heap::get` per row did:
+    // full-row responses must hand back what one `PagedTable::get` per row did:
     // same rows, same (validation) order, and a row deleted between
     // validation and fetch simply absent.
     let dbs = [

@@ -31,7 +31,6 @@
 
 use hermit::core::recovery::{DurabilityConfig, PAGES_FILE, WAL_FILE};
 use hermit::core::shared::SharedDatabase;
-use hermit::core::Heap;
 use hermit::core::{BatchOptions, CoreError, Database, PlanKind, Query, RangePredicate};
 use hermit::fault::FaultyPageStore;
 use hermit::storage::paged::{PageId, PageStore, PAGE_SIZE};
@@ -597,7 +596,7 @@ fn stolen_page_never_outruns_the_records_that_undo_it() {
         drop(db);
 
         let db = Database::open(&dir, &config).unwrap();
-        let Heap::Paged(table) = db.heap() else { panic!("paged database") };
+        let table = db.heap();
         let pages = table.pages();
         let last_page = *pages.last().unwrap();
         let tail = Arc::clone(db.wal_tail().unwrap());
@@ -704,7 +703,7 @@ fn a_page_stolen_under_buffered_auto_commit_records_reopens() {
             db.insert(&row(pk)).unwrap();
         }
         db.checkpoint(&dir).unwrap();
-        let Heap::Paged(table) = db.heap() else { panic!("paged database") };
+        let table = db.heap();
         let pages = table.pages();
         assert_eq!(pages.len(), 5, "four full pages and a partial fifth");
         for pk in 1_000..1_003 {

@@ -1,9 +1,10 @@
 //! End-to-end integration tests spanning all crates: the full Hermit
 //! pipeline against ground truth on every workload, both tuple-identifier
-//! schemes, both storage substrates, and through distribution shifts.
+//! schemes, in-memory and disk-like paged databases, and through
+//! distribution shifts.
 
 use hermit::core::database::TablePairSource;
-use hermit::core::{Database, DiscoveryConfig, Heap, RangePredicate, SecondaryIndex};
+use hermit::core::{Database, DiscoveryConfig, RangePredicate, SecondaryIndex};
 use hermit::storage::paged::{BufferPool, PagedTable, SimulatedPageStore};
 use hermit::storage::{ColumnDef, Schema, TidScheme, Value};
 use hermit::trs::PairSource;
@@ -15,7 +16,7 @@ use hermit::workloads::{
 };
 use std::sync::Arc;
 
-/// Ground truth by sequential scan over the in-memory heap.
+/// Ground truth by sequential scan over the heap.
 fn scan_count(
     db: &Database,
     col: usize,
@@ -23,20 +24,17 @@ fn scan_count(
     ub: f64,
     extra: Option<(usize, f64, f64)>,
 ) -> usize {
-    let Heap::Mem(table) = db.heap() else { unreachable!("mem heap expected") };
-    let table = table.read();
-    let c = table.column(col).unwrap();
-    table
-        .scan()
-        .filter(|loc| {
-            let i = loc.index();
-            let main = c.get_f64(i).is_some_and(|v| v >= lb && v <= ub);
-            let extra_ok = extra.is_none_or(|(ec, elb, eub)| {
-                table.column(ec).unwrap().get_f64(i).is_some_and(|v| v >= elb && v <= eub)
-            });
-            main && extra_ok
+    let mut n = 0;
+    db.heap()
+        .for_each_live_row(|_, row| {
+            let main = row.f64(col).is_some_and(|v| v >= lb && v <= ub);
+            let extra_ok = extra
+                .is_none_or(|(ec, elb, eub)| row.f64(ec).is_some_and(|v| v >= elb && v <= eub));
+            n += usize::from(main && extra_ok);
+            true
         })
-        .count()
+        .unwrap();
+    n
 }
 
 #[test]
@@ -75,8 +73,7 @@ fn stock_hermit_matches_scan_with_time_conjunct() {
     }
     for s in 0..cfg.stocks {
         let col = cfg.high_col(s);
-        let Heap::Mem(table) = db.heap() else { unreachable!() };
-        let (lo, hi) = table.read().stats(col).unwrap().range().unwrap();
+        let (lo, hi) = db.heap().stats(col).unwrap().range().unwrap();
         let band = (lo + (hi - lo) * 0.3, lo + (hi - lo) * 0.6);
         let got = db.lookup_range(
             RangePredicate::range(col, band.0, band.1),
@@ -96,8 +93,7 @@ fn sensor_hermit_matches_scan_on_every_sensor() {
     }
     for i in 0..cfg.sensors {
         let col = cfg.sensor_col(i);
-        let Heap::Mem(table) = db.heap() else { unreachable!() };
-        let (lo, hi) = table.read().stats(col).unwrap().range().unwrap();
+        let (lo, hi) = db.heap().stats(col).unwrap().range().unwrap();
         let band = (lo + (hi - lo) * 0.4, lo + (hi - lo) * 0.5);
         let got = db.lookup_range(RangePredicate::range(col, band.0, band.1), None);
         let want = scan_count(&db, col, band.0, band.1, None);

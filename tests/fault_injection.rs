@@ -15,8 +15,8 @@
 //!   rows come back and no buffer-pool frame has gone missing.
 
 use hermit::core::recovery::{DurabilityConfig, WAL_FILE};
+use hermit::core::SharedDatabase;
 use hermit::core::{CompositeIndexes, Database, Query, RangePredicate};
-use hermit::core::{Heap, SharedDatabase};
 use hermit::fault::{mangle_file, FaultPlan, FaultRates, FaultyPageStore};
 use hermit::server::{ClientError, ErrorCode, HermitClient, HermitServer, ServerConfig};
 use hermit::storage::paged::{BufferPool, PagedTable, SimulatedPageStore};
@@ -206,7 +206,7 @@ fn unreadable_pages_are_errors_not_deleted_rows() {
 
     // No frame leaked: every failed load handed its frame back, so the
     // quiescent pool still accounts for its whole capacity.
-    let Heap::Paged(table) = db.heap() else { panic!("paged database") };
+    let table = db.heap();
     let (resident, free) = table.pool().frame_counts();
     assert_eq!(resident + free, FRAMES);
 

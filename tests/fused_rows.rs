@@ -8,7 +8,7 @@
 //! and both executors; check that snapshot visibility governs cells exactly
 //! as it governs locations; and count the page visits.
 
-use hermit::core::{BatchOptions, Database, Heap, PlanKind, Query, QueryResult};
+use hermit::core::{BatchOptions, Database, PlanKind, Query, QueryResult};
 use hermit::storage::paged::{BufferPool, PagedTable, SimulatedPageStore};
 use hermit::storage::{ColumnDef, ColumnId, Schema, TidScheme, Value};
 use std::sync::Arc;
@@ -250,7 +250,7 @@ fn scattered_db(frames: usize) -> (Database, Arc<BufferPool>) {
 #[test]
 fn a_warm_range_visits_each_candidate_page_once() {
     let (db, pool) = scattered_db(512);
-    let Heap::Paged(table) = db.heap() else { panic!("paged database") };
+    let table = db.heap();
     assert!(table.page_count() < 512, "the whole heap stays resident");
 
     let q = Query::new().range(2, 20_000.0, 20_099.0).select([0, 1, 2]);

@@ -5,12 +5,12 @@
 //! * the benchmark's Synthetic table gives the TRS-Tree (and the index
 //!   bytes per row) the benchmark has always reported;
 //! * a baseline B+-tree bulk-loaded over a heap with deletes holds exactly
-//!   the `(key, tid)` entries an oracle reads back through `Heap::get`;
+//!   the `(key, tid)` entries an oracle reads back through `PagedTable::get`;
 //! * the host tree `Database::open` rebuilds equals a fresh
 //!   `create_baseline_index` over the same recovered heap;
 //! * the primary index `Database::open` rebuilds costs under 19 B a key.
 
-use hermit::core::{Database, DurabilityConfig, Heap, SecondaryIndex};
+use hermit::core::{Database, DurabilityConfig, SecondaryIndex};
 use hermit::storage::paged::{BufferPool, PagedTable, SimulatedPageStore};
 use hermit::storage::{ColumnDef, F64Key, Schema, Tid, TidScheme, Value};
 use hermit::workloads::synthetic::served_table;
@@ -85,7 +85,7 @@ fn load_with_deletes(db: &Database) -> Vec<(i64, Tid)> {
 }
 
 /// What the index on `col` must hold: each live row's key, read back
-/// through `Heap::get`, with its tid — in key order, equal keys in the
+/// through `PagedTable::get`, with its tid — in key order, equal keys in the
 /// order the rows were inserted.
 fn oracle(db: &Database, tids: &[(i64, Tid)], col: usize) -> Vec<(F64Key, Tid)> {
     let mut want: Vec<(F64Key, Tid)> = tids
@@ -116,7 +116,7 @@ fn baseline_bulk_load_over_a_heap_with_deletes_matches_the_oracle() {
         }
         assert!(db.create_baseline_index(9, false).is_err(), "unknown column is an error");
     }
-    let Heap::Paged(table) = on_pages.heap() else { panic!("paged heap") };
+    let table = on_pages.heap();
     assert!(table.pool().stats().evictions() > 0, "the heap should not fit the pool");
 }
 

@@ -2,8 +2,8 @@
 //!
 //! The static half of the same acceptance criterion lives in
 //! `crates/analysis/tests/lint.rs` (`seeding_a_cross_function_inversion_
-//! fails_the_lint`); this binary proves the dynamic half: holding the heap
-//! latch while a query takes the index latches contradicts
+//! fails_the_lint`); this binary proves the dynamic half: holding the
+//! primary-index latch while a query takes the index latches contradicts
 //! [`hermit::core::latches::LATCH_HIERARCHY`], and debug builds must
 //! refuse to execute it.
 //!
@@ -13,7 +13,7 @@
 //! reconciliation.
 
 use hermit::core::latches::{set_witness_panic, witness_violations};
-use hermit::core::{Database, Heap, Query, RangePredicate};
+use hermit::core::{Database, Query, RangePredicate};
 use hermit::storage::{ColumnDef, Schema, TidScheme, Value};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -33,12 +33,13 @@ fn build_db() -> Database {
     db
 }
 
-/// The inversion the PR 10 workload tests used to contain for real (heap
-/// guard held across `lookup_range`, which takes the host-tree latch):
-/// rank 40 under rank 60. In panic mode the witness aborts the query; in
-/// count mode it records the violation and lets execution continue.
+/// A guard held across `lookup_range`, which takes the host-tree latch:
+/// the primary index's read guard, so rank 40 under rank 50 (physical
+/// pointers: the query itself never takes the primary). In panic mode the
+/// witness aborts the query; in count mode it records the violation and
+/// lets execution continue.
 #[test]
-fn heap_guard_held_across_query_is_caught() {
+fn primary_guard_held_across_query_is_caught() {
     if !cfg!(debug_assertions) {
         // Release builds compile the witness out; nothing to assert.
         return;
@@ -46,8 +47,7 @@ fn heap_guard_held_across_query_is_caught() {
     let db = build_db();
 
     // Panic mode (the default): the acquisition itself must abort.
-    let Heap::Mem(table) = db.heap() else { unreachable!() };
-    let guard = table.read();
+    let guard = db.primary();
     let result = catch_unwind(AssertUnwindSafe(|| {
         db.lookup_range(RangePredicate::range(2, 100.0, 200.0), None)
     }));
@@ -59,7 +59,7 @@ fn heap_guard_held_across_query_is_caught() {
     // Count mode: same inversion, recorded instead of fatal.
     set_witness_panic(false);
     let before = witness_violations();
-    let guard = table.read();
+    let guard = db.primary();
     let r = db.lookup_range(RangePredicate::range(2, 100.0, 200.0), None);
     drop(guard);
     set_witness_panic(true);

@@ -1,10 +1,10 @@
-//! Property-based tests on the storage substrate: the in-memory table and
-//! the paged heap must agree with a reference model under arbitrary
-//! insert/delete/read sequences, and pages must round-trip through the
-//! buffer pool under arbitrary access orders.
+//! Property-based tests on the storage substrate: the paged heap must agree
+//! with a reference model under arbitrary insert/delete/read sequences,
+//! whatever the pool size, and pages must round-trip through the buffer pool
+//! under arbitrary access orders.
 
 use hermit::storage::paged::{BufferPool, PagedTable, SimulatedPageStore};
-use hermit::storage::{ColumnDef, RowLoc, Schema, Table, Value};
+use hermit::storage::{ColumnDef, RowLoc, Schema, Value};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -28,36 +28,34 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Apply the same op sequence to the in-memory table, the paged table, and
-/// a plain `Vec` model; all three must agree at every read.
-fn run_against_model(ops: Vec<Op>, pool_pages: usize) -> Result<(), TestCaseError> {
-    let mem = &mut Table::new(schema());
+fn paged(pool_pages: usize) -> PagedTable {
     let pool = Arc::new(BufferPool::new(Arc::new(SimulatedPageStore::new()), pool_pages));
-    let paged = PagedTable::new(schema(), pool);
-    // model: (loc_mem, loc_paged, row, live)
-    let mut model: Vec<(RowLoc, RowLoc, Vec<Value>, bool)> = Vec::new();
+    PagedTable::new(schema(), pool)
+}
+
+/// Apply an op sequence to the paged heap and to a plain model — one
+/// `Option<row>` per insert, `None` once deleted — which must agree at
+/// every read and in the final census.
+fn run_against_model(ops: Vec<Op>, pool_pages: usize) -> Result<(), TestCaseError> {
+    let heap = paged(pool_pages);
+    let mut model: Vec<Option<Vec<Value>>> = Vec::new();
+    let mut locs: Vec<RowLoc> = Vec::new();
 
     for op in ops {
         match op {
             Op::Insert { pk, a } => {
                 let row = vec![Value::Int(pk), a.map_or(Value::Null, Value::Float)];
-                let lm = mem.insert(&row).unwrap();
-                let lp = paged.insert(&row).unwrap();
-                model.push((lm, lp, row, true));
+                locs.push(heap.insert(&row).unwrap());
+                model.push(Some(row));
             }
             Op::Delete { victim } => {
                 if model.is_empty() {
                     continue;
                 }
                 let idx = victim % model.len();
-                let (lm, lp, _, live) = &mut model[idx];
-                if *live {
-                    mem.delete(*lm).unwrap();
-                    paged.delete(*lp).unwrap();
-                    *live = false;
-                } else {
-                    prop_assert!(mem.delete(*lm).is_err());
-                    prop_assert!(paged.delete(*lp).is_err());
+                match model[idx].take() {
+                    Some(row) => prop_assert_eq!(heap.delete_returning(locs[idx]).unwrap(), row),
+                    None => prop_assert!(heap.delete(locs[idx]).is_err()),
                 }
             }
             Op::Read { probe } => {
@@ -65,31 +63,26 @@ fn run_against_model(ops: Vec<Op>, pool_pages: usize) -> Result<(), TestCaseErro
                     continue;
                 }
                 let idx = probe % model.len();
-                let (lm, lp, row, live) = &model[idx];
-                if *live {
-                    prop_assert_eq!(&mem.get(*lm).unwrap(), row);
-                    prop_assert_eq!(&paged.get(*lp).unwrap(), row);
-                    prop_assert_eq!(
-                        mem.value_f64(*lm, 1).unwrap(),
-                        paged.value_f64(*lp, 1).unwrap()
-                    );
-                } else {
-                    prop_assert!(mem.get(*lm).is_err());
-                    prop_assert!(paged.get(*lp).is_err());
+                match &model[idx] {
+                    Some(row) => {
+                        prop_assert_eq!(&heap.get(locs[idx]).unwrap(), row);
+                        prop_assert_eq!(heap.value_f64(locs[idx], 1).unwrap(), row[1].as_f64());
+                    }
+                    None => prop_assert!(heap.get(locs[idx]).is_err()),
                 }
             }
         }
     }
 
-    // Final census.
-    let live = model.iter().filter(|(_, _, _, l)| *l).count();
-    prop_assert_eq!(mem.len(), live);
-    prop_assert_eq!(paged.len(), live);
-    // Scans agree with the model.
-    let mem_rows = mem.scan().count();
-    let paged_rows = paged.scan().unwrap().len();
-    prop_assert_eq!(mem_rows, live);
-    prop_assert_eq!(paged_rows, live);
+    // Final census: the scan returns exactly the model's live rows, at
+    // the locations their inserts returned.
+    let mut want: Vec<(RowLoc, Vec<Value>)> =
+        locs.into_iter().zip(model).filter_map(|(loc, row)| Some((loc, row?))).collect();
+    want.sort_by_key(|(loc, _)| *loc);
+    let mut got = heap.scan().unwrap();
+    got.sort_by_key(|(loc, _)| *loc);
+    prop_assert_eq!(heap.len(), want.len());
+    prop_assert_eq!(got, want);
     Ok(())
 }
 
@@ -111,21 +104,23 @@ proptest! {
             1..200,
         ),
     ) {
-        let mut mem = Table::new(schema());
-        let pool = Arc::new(BufferPool::new(Arc::new(SimulatedPageStore::new()), 4));
-        let paged = PagedTable::new(schema(), pool);
+        // A one-frame pool evicts on every new page; a large one never does.
+        let (cold, warm) = (paged(1), paged(64));
+        let mut want = Vec::new();
         for (pk, a) in &rows {
             let row = vec![Value::Int(*pk), a.map_or(Value::Null, Value::Float)];
-            mem.insert(&row).unwrap();
-            paged.insert(&row).unwrap();
+            cold.insert(&row).unwrap();
+            warm.insert(&row).unwrap();
+            if let Some(a) = a {
+                want.push((*pk as f64, *a));
+            }
         }
-        let mut pm: Vec<(f64, f64)> =
-            mem.project_pairs(0, 1).unwrap().iter().map(|(m, n, _)| (*m, *n)).collect();
-        let mut pp: Vec<(f64, f64)> =
-            paged.project_pairs(0, 1).unwrap().iter().map(|(m, n, _)| (*m, *n)).collect();
-        pm.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        pp.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        prop_assert_eq!(pm, pp);
+        let pairs = |t: &PagedTable| -> Vec<(f64, f64)> {
+            t.project_pairs(0, 1).unwrap().iter().map(|(m, n, _)| (*m, *n)).collect()
+        };
+        // Heap order is insertion order: no sort needed.
+        prop_assert_eq!(pairs(&cold), want.clone());
+        prop_assert_eq!(pairs(&warm), want);
     }
 
     #[test]
@@ -133,7 +128,8 @@ proptest! {
         values in proptest::collection::vec(-1.0e9f64..1.0e9, 1..500),
     ) {
         let schema = Schema::new(vec![ColumnDef::float("v")]);
-        let mut t = Table::new(schema);
+        let pool = Arc::new(BufferPool::new(Arc::new(SimulatedPageStore::new()), 4));
+        let t = PagedTable::new(schema, pool);
         for &v in &values {
             t.insert(&[Value::Float(v)]).unwrap();
         }
