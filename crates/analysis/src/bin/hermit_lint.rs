@@ -8,13 +8,12 @@
 //! The default `text` format prints stable `file:line: [rule-id] message`
 //! lines, sorted by file and line — byte-stable across releases so diffs
 //! and grep pipelines keep working. `--format json` emits one JSON object
-//! per line (`file`, `line`, `rule`, `message`, `chain`, and `allowed`
-//! when suppressed) for CI and tooling; the interprocedural rules' call
-//! chain comes through as a structured array instead of being fished out
-//! of the message. By default annotation-suppressed findings are hidden;
-//! `--verbose` shows them with their reasons. With `--deny-all` the exit
+//! per line (`file`, `line`, `rule`, `message`, and `allowed` when
+//! suppressed) for CI and tooling. By default annotation-suppressed
+//! findings are hidden; `--verbose` shows them with their reasons. With `--deny-all` the exit
 //! code is nonzero when any unannotated finding exists — that is the CI
 //! gate.
+#![warn(clippy::allow_attributes_without_reason)]
 
 use hermit_analysis::diag::Diagnostic;
 use std::path::PathBuf;
@@ -46,15 +45,12 @@ fn json_escape(s: &str) -> String {
 
 /// One finding as a single-line JSON object.
 fn json_line(d: &Diagnostic) -> String {
-    let chain =
-        d.chain.iter().map(|c| format!("\"{}\"", json_escape(c))).collect::<Vec<_>>().join(",");
     let mut line = format!(
-        "{{\"file\":\"{}\",\"line\":{},\"rule\":\"{}\",\"message\":\"{}\",\"chain\":[{}]",
+        "{{\"file\":\"{}\",\"line\":{},\"rule\":\"{}\",\"message\":\"{}\"",
         json_escape(&d.file),
         d.line,
         d.rule,
         json_escape(&d.message),
-        chain
     );
     if let Some(reason) = &d.allowed {
         line.push_str(&format!(",\"allowed\":\"{}\"", json_escape(reason)));

@@ -13,17 +13,6 @@ use std::fmt;
 /// Stable rule identifiers, used in diagnostics and annotations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RuleId {
-    /// Nested latch acquisition contradicting `hermit_core::latches`.
-    LatchOrder,
-    /// Data latch held across an fsync / WAL-append call.
-    LatchHoldIo,
-    /// A call made while holding a latch reaches an acquisition of an
-    /// equal-or-outer level somewhere down the call graph.
-    LatchOrderIp,
-    /// Non-`io_safe` latch held across a call that transitively fsyncs.
-    LatchHoldIoIp,
-    /// `Result` from a durability-path call discarded via `let _ =` / `.ok()`.
-    ErrorSwallow,
     /// Allocation constructor inside a `hermit-lint: hot-path` function.
     HotAlloc,
     /// Durability syscall without a `fault_point` in the same function.
@@ -32,12 +21,8 @@ pub enum RuleId {
     FaultUnique,
     /// Storage fault sites out of sync with `hermit_fault::CRASH_MATRIX_SITES`.
     FaultMatrix,
-    /// `unwrap`/`expect`/`panic!`/indexing on the hostile-input path.
-    PanicFree,
     /// `rename` without a preceding fsync in the same function.
     FsyncBeforeRename,
-    /// A crate on the unsafe-free roster missing `#![forbid(unsafe_code)]`.
-    ForbidUnsafe,
     /// A malformed `hermit-lint:` annotation (missing reason, unknown rule).
     BadAnnotation,
 }
@@ -46,18 +31,11 @@ impl RuleId {
     /// The stable string form used in output and in `allow(…)`.
     pub fn as_str(self) -> &'static str {
         match self {
-            RuleId::LatchOrder => "latch-order",
-            RuleId::LatchHoldIo => "latch-hold-io",
-            RuleId::LatchOrderIp => "latch-order-ip",
-            RuleId::LatchHoldIoIp => "latch-hold-io-ip",
-            RuleId::ErrorSwallow => "error-swallow",
             RuleId::HotAlloc => "hot-alloc",
             RuleId::FaultCoverage => "fault-coverage",
             RuleId::FaultUnique => "fault-unique",
             RuleId::FaultMatrix => "fault-matrix",
-            RuleId::PanicFree => "panic-free",
             RuleId::FsyncBeforeRename => "fsync-before-rename",
-            RuleId::ForbidUnsafe => "forbid-unsafe",
             RuleId::BadAnnotation => "bad-annotation",
         }
     }
@@ -65,18 +43,11 @@ impl RuleId {
     /// Parse the string form; `None` for unknown rules.
     pub fn parse(s: &str) -> Option<RuleId> {
         Some(match s {
-            "latch-order" => RuleId::LatchOrder,
-            "latch-hold-io" => RuleId::LatchHoldIo,
-            "latch-order-ip" => RuleId::LatchOrderIp,
-            "latch-hold-io-ip" => RuleId::LatchHoldIoIp,
-            "error-swallow" => RuleId::ErrorSwallow,
             "hot-alloc" => RuleId::HotAlloc,
             "fault-coverage" => RuleId::FaultCoverage,
             "fault-unique" => RuleId::FaultUnique,
             "fault-matrix" => RuleId::FaultMatrix,
-            "panic-free" => RuleId::PanicFree,
             "fsync-before-rename" => RuleId::FsyncBeforeRename,
-            "forbid-unsafe" => RuleId::ForbidUnsafe,
             _ => return None,
         })
     }
@@ -100,19 +71,14 @@ pub struct Diagnostic {
     pub rule: RuleId,
     /// Human-readable message.
     pub message: String,
-    /// Call chain for interprocedural findings (caller first, the function
-    /// performing the flagged acquisition / I/O last). Empty for
-    /// intraprocedural rules. Rendered in the message already; carried
-    /// structurally so `--format json` can emit it as an array.
-    pub chain: Vec<String>,
     /// `Some(reason)` when an inline annotation suppressed the finding.
     pub allowed: Option<String>,
 }
 
 impl Diagnostic {
-    /// A chain-less finding — the shape every intraprocedural rule emits.
+    /// An unsuppressed finding.
     pub fn new(file: &str, line: u32, rule: RuleId, message: String) -> Diagnostic {
-        Diagnostic { file: file.to_string(), line, rule, message, chain: Vec::new(), allowed: None }
+        Diagnostic { file: file.to_string(), line, rule, message, allowed: None }
     }
 }
 
@@ -200,8 +166,11 @@ pub fn collect_annotations(file: &str, tokens: &[Token]) -> (Vec<Annotation>, Ve
 /// Apply annotations to raw findings: a finding on line `L` is allowed by
 /// a matching annotation on `L` (trailing comment) or `L - 1` (the line
 /// above).
-pub fn apply_annotations(diags: &mut [Diagnostic], anns: &[Annotation]) {
-    for d in diags.iter_mut() {
+pub fn apply_annotations<'a>(
+    diags: impl IntoIterator<Item = &'a mut Diagnostic>,
+    anns: &[Annotation],
+) {
+    for d in diags {
         if d.allowed.is_some() {
             continue;
         }

@@ -1,58 +1,45 @@
-#![forbid(unsafe_code)]
 //! `hermit_analysis` — the workspace's own static analyzer, exposed as the
 //! `hermit-lint` binary.
 //!
-//! The engine's correctness arguments rest on invariants the compiler
-//! cannot see: the latch acquisition order that makes the concurrency
-//! story deadlock-free, the pairing of every durability syscall with a
-//! crash-injection point, panic-freedom on the byte-parsing path, and the
-//! write-new/fsync/rename recipe for atomic file replacement. This crate
-//! checks them on every CI run, with zero crates.io dependencies — a
-//! hand-rolled lexer ([`lexer`]) and a function-scope walker ([`scope`])
-//! instead of `syn`, per the workspace's offline-shim policy.
+//! It checks what neither the type system nor a clippy lint can state: the
+//! pairing of every durability syscall with a crash-injection point, the
+//! agreement of those points with the crash matrix, the
+//! write-new/fsync/rename recipe for atomic file replacement, and the
+//! allocation-free batch hot path. It runs on every CI run with zero
+//! crates.io dependencies — a hand-rolled lexer ([`lexer`]) and a
+//! function-scope walker ([`scope`]) instead of `syn`, per the workspace's
+//! offline-shim policy.
 //!
-//! # Rule families
+//! # Rules
 //!
 //! | rule id | scope | invariant |
 //! |---|---|---|
-//! | `latch-order` | `crates/core/src` | nested acquisitions follow [`hermit_core::latches::LATCH_HIERARCHY`] |
-//! | `latch-hold-io` | `crates/core/src` | only `io_safe` latches are held across fsync / WAL appends |
 //! | `fault-coverage` | `crates/storage/src` | every durability syscall has a `fault_point` in its function |
 //! | `fault-unique` | `crates/storage/src` | fault site names identify exactly one call site |
 //! | `fault-matrix` | `crates/storage/src` | site names equal [`hermit_fault::CRASH_MATRIX_SITES`] |
 //! | `fsync-before-rename` | `crates/storage/src` | `rename` is preceded by an fsync in the same function |
-//! | `panic-free` | proto/server/client + `crates/txn` | no `unwrap`/`expect`/panicking macros/direct indexing |
-//! | `forbid-unsafe` | roster crate roots | `#![forbid(unsafe_code)]` stays in place |
-//! | `latch-order-ip` | `crates/core/src` | no call while holding a latch transitively reaches an acquisition at ≤ its rank ([`summary`]) |
-//! | `latch-hold-io-ip` | `crates/core/src` | no non-`io_safe` latch held across a transitively-fsyncing call ([`summary`]) |
-//! | `error-swallow` | core + storage + server | durability `Result`s are not discarded via `let _ =` / `.ok()` |
 //! | `hot-alloc` | `// hermit-lint: hot-path` functions | no per-call allocation constructors on the batch hot path |
+//! | `bad-annotation` | everywhere | a `hermit-lint:` annotation names a known rule and gives a reason |
 //!
-//! The `-ip` rules run on a same-crate call graph ([`callgraph`]) with
-//! per-function latch/IO summaries propagated to a fixpoint over Tarjan
-//! SCCs ([`summary`]); unresolvable calls (chained receivers, cross-crate,
-//! macros) are recorded rather than guessed, so the analysis misses
-//! conservatively instead of inventing edges. Interprocedural findings
-//! carry the offending call chain in [`diag::Diagnostic::chain`].
+//! The guarantees the compiler can prove live there instead: the latch
+//! order and the I/O a latch may be held across are types in
+//! `hermit_core::latches`; `unsafe_code`, the panic lints on the serving
+//! path and the discarded-`Result` lints are workspace or crate lints,
+//! enforced by CI's clippy job.
 //!
 //! Suppression is per-line and reasoned: `// hermit-lint: allow(rule-id)
 //! why this one is fine` on the finding line or the line above. A missing
 //! reason is itself a finding (`bad-annotation`) and cannot be allowed.
+#![warn(clippy::allow_attributes_without_reason)]
 
-pub mod callgraph;
 pub mod diag;
 pub mod lexer;
 pub mod rules;
 pub mod scope;
-pub mod summary;
 
 use diag::{apply_annotations, collect_annotations, Diagnostic};
 use std::io;
 use std::path::Path;
-
-/// The serving-path files under the `panic-free` rule.
-const PANIC_FILES: &[&str] =
-    &["crates/server/src/client.rs", "crates/server/src/proto.rs", "crates/server/src/server.rs"];
 
 /// An in-memory view of the workspace's Rust sources.
 ///
@@ -138,18 +125,12 @@ pub fn analyze(ws: &Workspace) -> Vec<Diagnostic> {
         let (anns, bad) = collect_annotations(path, &tokens);
         all.extend(bad);
 
-        let in_latch = path.starts_with("crates/core/src/");
         let in_fault = path.starts_with("crates/storage/src/");
-        let in_panic = PANIC_FILES.contains(&path.as_str()) || path.starts_with("crates/txn/src/");
-        let in_swallow = in_latch || in_fault || path.starts_with("crates/server/src/");
         let hot_lines = diag::hot_path_lines(&anns);
-        if in_latch || in_fault || in_panic || in_swallow || !hot_lines.is_empty() {
+        if in_fault || !hot_lines.is_empty() {
             let funcs = scope::functions(&tokens);
             let mut file_diags: Vec<Diagnostic> = Vec::new();
             for f in funcs.iter().filter(|f| !f.is_test) {
-                if in_latch {
-                    rules::latch::check_function(path, &tokens, f, &mut file_diags);
-                }
                 if in_fault {
                     rules::fault::check_function(
                         path,
@@ -158,12 +139,6 @@ pub fn analyze(ws: &Workspace) -> Vec<Diagnostic> {
                         &mut fault_sites,
                         &mut file_diags,
                     );
-                }
-                if in_panic {
-                    rules::panic::check_function(path, &tokens, f, &mut file_diags);
-                }
-                if in_swallow {
-                    rules::swallow::check_function(path, &tokens, f, &mut file_diags);
                 }
                 // hot-alloc is marker-driven, so it runs wherever a
                 // `hermit-lint: hot-path` comment appears.
@@ -177,30 +152,12 @@ pub fn analyze(ws: &Workspace) -> Vec<Diagnostic> {
         }
     }
 
-    // Interprocedural pass: whole-workspace call graph, summaries to
-    // fixpoint, then the `-ip` latch rules. Runs before the final sort so
-    // its findings interleave per file/line with the per-file rules.
-    {
-        let graph = callgraph::build(&ws.files);
-        let summaries = summary::compute(&graph);
-        let mut ip: Vec<Diagnostic> = Vec::new();
-        summary::check(&graph, &summaries, &mut ip);
-        for (path, anns) in &annotations {
-            let mut in_file: Vec<&mut Diagnostic> =
-                ip.iter_mut().filter(|d| &d.file == path).collect();
-            apply_annotations_refs(&mut in_file, anns);
-        }
-        all.extend(ip);
-    }
-
-    // Global passes; their findings honor annotations in the anchor file.
+    // The global pass; its findings honor annotations in the anchor file.
     let mut global: Vec<Diagnostic> = Vec::new();
     rules::fault::check_global(&fault_sites, (&matrix_decl.0, matrix_decl.1), &mut global);
-    rules::unsafe_attr::check(&ws.files, &mut global);
     for (path, anns) in &annotations {
-        let mut in_file: Vec<&mut Diagnostic> =
-            global.iter_mut().filter(|d| &d.file == path).collect();
-        apply_annotations_refs(&mut in_file, anns);
+        let in_file = global.iter_mut().filter(|d| &d.file == path);
+        apply_annotations(in_file, anns);
     }
     all.extend(global);
 
@@ -208,21 +165,6 @@ pub fn analyze(ws: &Workspace) -> Vec<Diagnostic> {
         (&a.file, a.line, a.rule, &a.message).cmp(&(&b.file, b.line, b.rule, &b.message))
     });
     all
-}
-
-/// `apply_annotations` over a borrowed selection of diagnostics.
-fn apply_annotations_refs(diags: &mut [&mut Diagnostic], anns: &[diag::Annotation]) {
-    for d in diags.iter_mut() {
-        if d.allowed.is_some() {
-            continue;
-        }
-        for a in anns {
-            if a.rule == Some(d.rule) && (a.line == d.line || a.line + 1 == d.line) {
-                d.allowed = Some(a.reason.clone());
-                break;
-            }
-        }
-    }
 }
 
 /// The findings `--deny-all` counts: everything without an annotation.

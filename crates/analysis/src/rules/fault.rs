@@ -78,19 +78,17 @@ pub fn check_function(
             "rename" => {
                 io_calls.push(p);
                 if !sync_positions.iter().any(|&s| s < p) {
-                    out.push(Diagnostic {
-                        file: file.to_string(),
-                        line: t.line,
-                        rule: RuleId::FsyncBeforeRename,
-                        message: format!(
+                    out.push(Diagnostic::new(
+                        file,
+                        t.line,
+                        RuleId::FsyncBeforeRename,
+                        format!(
                             "fn `{}` calls `rename` with no preceding sync_all/sync_data/sync_dir \
                              in the same function; an unsynced rename can publish a torn file \
                              after a crash",
                             func.name
                         ),
-                        chain: Vec::new(),
-                        allowed: None,
-                    });
+                    ));
                 }
             }
             "write_all" => io_calls.push(p),
@@ -103,19 +101,17 @@ pub fn check_function(
 
     if fp_count == 0 {
         if let Some(&first) = io_calls.first() {
-            out.push(Diagnostic {
-                file: file.to_string(),
-                line: tok(first).line,
-                rule: RuleId::FaultCoverage,
-                message: format!(
+            out.push(Diagnostic::new(
+                file,
+                tok(first).line,
+                RuleId::FaultCoverage,
+                format!(
                     "fn `{}` performs durability I/O (`{}`) but declares no fault_point; the \
                      crash explorer cannot exercise this path",
                     func.name,
                     tok(first).text
                 ),
-                chain: Vec::new(),
-                allowed: None,
-            });
+            ));
         }
     }
 }
@@ -129,51 +125,45 @@ pub fn check_global(sites: &[FaultSite], matrix_decl: (&str, u32), out: &mut Vec
     // Uniqueness: every duplicate after the first occurrence is flagged.
     for (i, s) in sites.iter().enumerate() {
         if let Some(first) = sites[..i].iter().find(|t| t.name == s.name) {
-            out.push(Diagnostic {
-                file: s.file.clone(),
-                line: s.line,
-                rule: RuleId::FaultUnique,
-                message: format!(
+            out.push(Diagnostic::new(
+                &s.file,
+                s.line,
+                RuleId::FaultUnique,
+                format!(
                     "fault site \"{}\" already declared at {}:{}; site names must identify one \
                      call site so crash schedules are unambiguous",
                     s.name, first.file, first.line
                 ),
-                chain: Vec::new(),
-                allowed: None,
-            });
+            ));
         }
     }
 
     // Matrix reconciliation, both directions.
     for s in sites {
         if !CRASH_MATRIX_SITES.contains(&s.name.as_str()) {
-            out.push(Diagnostic {
-                file: s.file.clone(),
-                line: s.line,
-                rule: RuleId::FaultMatrix,
-                message: format!(
+            out.push(Diagnostic::new(
+                &s.file,
+                s.line,
+                RuleId::FaultMatrix,
+                format!(
                     "fault site \"{}\" is not listed in hermit_fault::CRASH_MATRIX_SITES; add it \
                      so the crash explorer covers it",
                     s.name
                 ),
-                chain: Vec::new(),
-                allowed: None,
-            });
+            ));
         }
     }
     for m in CRASH_MATRIX_SITES {
         if !sites.iter().any(|s| s.name == *m) {
-            out.push(Diagnostic {
-                file: matrix_decl.0.to_string(),
-                line: matrix_decl.1,
-                rule: RuleId::FaultMatrix,
-                message: format!(
+            out.push(Diagnostic::new(
+                matrix_decl.0,
+                matrix_decl.1,
+                RuleId::FaultMatrix,
+                format!(
                     "CRASH_MATRIX_SITES lists \"{m}\" but no fault_point(\"{m}\") exists in \
                      crates/storage; remove the stale entry or restore the site"
                 ),
-                chain: Vec::new(),
-                allowed: None,
-            });
+            ));
         }
     }
 }

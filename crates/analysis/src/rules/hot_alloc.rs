@@ -48,7 +48,7 @@ pub fn check_function(
     if !hot_lines.iter().any(|&m| marker_binds(m, func.line)) {
         return;
     }
-    let eff = super::latch::effective_indices(tokens, func);
+    let eff = crate::scope::effective_indices(tokens, func);
     let tok = |p: usize| -> &Token { &tokens[eff[p]] };
 
     for p in 0..eff.len() {

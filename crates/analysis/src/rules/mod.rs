@@ -1,11 +1,5 @@
 //! The rule families. Each module documents its own model; the dispatch
-//! (which files each family sees) lives in [`crate::analyze`]. The
-//! interprocedural latch rules live in [`crate::summary`] — they run over
-//! the whole-workspace call graph, not per file.
+//! (which files each family sees) lives in [`crate::analyze`].
 
 pub mod fault;
 pub mod hot_alloc;
-pub mod latch;
-pub mod panic;
-pub mod swallow;
-pub mod unsafe_attr;

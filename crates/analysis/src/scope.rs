@@ -1,8 +1,8 @@
 //! Function-scope walker: carve a lexed token stream into function bodies.
 //!
-//! Rules operate per function (`latch-order` tracks guards within one
-//! function's body; `fault-coverage` pairs syscalls with `fault_point`s in
-//! the same function), so this module finds every `fn` with a body,
+//! Rules operate per function (`fault-coverage` pairs syscalls with
+//! `fault_point`s in the same function; `hot-alloc` scans one marked
+//! body), so this module finds every `fn` with a body,
 //! matches its braces, and classifies it as production or test code.
 //! `#[cfg(test)] mod …` regions and `#[test]` functions are excluded from
 //! every rule — `unwrap` in a test is idiomatic, not a finding.
@@ -36,6 +36,14 @@ impl Func {
         (self.body_start + 1..self.body_end)
             .filter(move |i| !nested.iter().any(|&(s, e)| *i >= s && *i <= e))
     }
+}
+
+/// A function's effective token positions: body indices minus nested fns
+/// and comments.
+pub(crate) fn effective_indices(tokens: &[Token], func: &Func) -> Vec<usize> {
+    func.body_indices()
+        .filter(|&i| !matches!(tokens[i].kind, TokenKind::LineComment | TokenKind::BlockComment))
+        .collect()
 }
 
 /// Find the token index of the `}` matching the `{` at `open`. Comments

@@ -6,6 +6,7 @@
 //! figures --scale 10 fig19    # 10x larger data (toward paper scale)
 //! figures --list              # show available ids
 //! ```
+#![warn(clippy::allow_attributes_without_reason)]
 
 use hermit_bench::experiments;
 use hermit_bench::harness::Scale;

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # hermit-bench
 //!
 //! Benchmark harness regenerating every table and figure of the Hermit
@@ -12,6 +11,7 @@
 //! but the *shapes* — who wins, by what factor, where gaps open and close —
 //! are the reproduction target. Default sizes are laptop-scale; the
 //! `--scale` flag multiplies them back toward paper scale.
+#![warn(clippy::allow_attributes_without_reason)]
 
 pub mod cm;
 pub mod experiments;

@@ -19,6 +19,7 @@
 use crate::database::Database;
 use crate::executor::{QueryResult, RangePredicate};
 use crate::index::SecondaryIndex;
+use crate::latches::{self, Held, Visibility};
 use crate::plan::{AccessPath, QueryPlan};
 use crate::query::Query;
 use crate::rows::BlockWriter;
@@ -66,8 +67,9 @@ impl Database {
     }
 
     /// One plan through the pipeline, reusing `scratch` — the per-plan
-    /// function behind every entry point. Reads as transaction `txn`, or as
-    /// an auto-commit reader when `None` (see [`crate::txn`]).
+    /// function behind every entry point, where the latch chain starts.
+    /// Reads as transaction `txn`, or as an auto-commit reader when `None`
+    /// (see [`crate::txn`]).
     pub(crate) fn run_plan(
         &self,
         plan: &QueryPlan,
@@ -77,7 +79,8 @@ impl Database {
         // Shared visibility latch for the whole execution (see
         // `crate::txn`): the frozen view stays in lockstep with the heap
         // until the last row is validated.
-        let _vis = self.txns.read_visibility();
+        let mut root = Held::unlocked();
+        let mut vis = latches::read_visibility(&self.txns, &mut root);
         let view = self.txns.read_view(txn);
         let mut result = QueryResult::default();
         let projection = plan.projection.as_deref();
@@ -85,20 +88,20 @@ impl Database {
         let gathered = match &plan.access {
             AccessPath::Hermit { pred, host } => match self.index(pred.column) {
                 Some(SecondaryIndex::Hermit { trs, .. }) => {
-                    self.gather_hermit(trs, *host, *pred, scratch, &mut result)
+                    self.gather_hermit(trs, *host, *pred, scratch, &mut result, vis.held())
                 }
                 _ => false, // index dropped since planning
             },
             AccessPath::Baseline { pred } => match self.index(pred.column) {
                 Some(SecondaryIndex::Baseline(tree)) => {
-                    self.gather_baseline(&tree.read(), *pred, scratch, &mut result);
+                    self.gather_baseline(&tree.read_at(vis.held()), *pred, scratch, &mut result);
                     true
                 }
                 _ => false,
             },
             AccessPath::CompositeBaseline { index, leading, value }
             | AccessPath::CompositeHermit { index, leading, value, .. } => {
-                self.composites().gather_box_candidates(
+                self.composites(vis.held()).gather_box_candidates(
                     *index,
                     *leading,
                     *value,
@@ -112,7 +115,14 @@ impl Database {
             }
         };
         if gathered {
-            self.batched_resolve_validate(scratch, &plan.recheck, projection, &view, &mut result);
+            self.batched_resolve_validate(
+                scratch,
+                &plan.recheck,
+                projection,
+                &view,
+                &mut result,
+                vis.held(),
+            );
             // Rows are in heap order, so a limit keeps the lowest locations;
             // `rows` and the block are cut together and stay aligned.
             if let Some(n) = plan.limit {
@@ -137,6 +147,7 @@ impl Database {
         pred: RangePredicate,
         scratch: &mut BatchScratch,
         result: &mut QueryResult,
+        held: &mut Held<Visibility>,
     ) -> bool {
         // Phase 1: TRS-Tree search into reused buffers (read latch).
         let t0 = Instant::now();
@@ -150,7 +161,7 @@ impl Database {
         let Some(SecondaryIndex::Baseline(host_tree)) = self.index(host) else {
             return false;
         };
-        let host_tree = host_tree.read();
+        let host_tree = host_tree.read_at(held);
         let candidates = &mut scratch.candidates;
         candidates.extend_from_slice(&scratch.approx.tids);
         let had_outliers = !candidates.is_empty();
@@ -215,6 +226,7 @@ impl Database {
         projection: Option<&[ColumnId]>,
         view: &ReadView,
         result: &mut QueryResult,
+        held: &mut Held<Visibility>,
     ) {
         // Phase 3: primary-index resolution (logical scheme only).
         scratch.locs.clear();
@@ -224,7 +236,7 @@ impl Database {
             }
             TidScheme::Logical => {
                 let t2 = Instant::now();
-                let primary = self.primary();
+                let primary = self.primary.read_at(held);
                 for tid in &scratch.candidates {
                     match primary.get(tid.as_pk()) {
                         Some(loc) => scratch.locs.push(loc),

@@ -22,6 +22,7 @@ use crate::batch::BatchScratch;
 use crate::breakdown::LookupBreakdown;
 use crate::database::Database;
 use crate::executor::{QueryResult, RangePredicate};
+use crate::latches::{self, Held};
 use hermit_btree::BPlusTree;
 use hermit_storage::paged::PagedTable;
 use hermit_storage::{ColumnId, F64Key, Tid, TidScheme};
@@ -294,7 +295,8 @@ impl CompositeIndexes {
     /// probes the companion `(leading, host)` baseline with the box, and
     /// re-checks both conjuncts at the base table. Either way the
     /// candidates go through the executor's one validation tail, reading as
-    /// an auto-commit reader of `db`.
+    /// an auto-commit reader of `db`. An entry point: the caller holds no
+    /// latch of `db`'s.
     pub fn lookup_box(
         &self,
         db: &Database,
@@ -318,9 +320,10 @@ impl CompositeIndexes {
         let both = [leading_pred, value_pred];
         let recheck: &[RangePredicate] =
             if self.indexes.get(idx).is_some_and(CompositeIndex::is_hermit) { &both } else { &[] };
-        let _vis = db.txns.read_visibility();
+        let mut root = Held::unlocked();
+        let mut vis = latches::read_visibility(&db.txns, &mut root);
         let view = db.txns.read_view(None);
-        db.batched_resolve_validate(&mut scratch, recheck, None, &view, &mut result);
+        db.batched_resolve_validate(&mut scratch, recheck, None, &view, &mut result, vis.held());
         result
     }
 

@@ -35,10 +35,9 @@
 //!   reorganization.
 //!
 //! The order in which these latches may nest is **not** documented here:
-//! the canonical, machine-readable declaration is
-//! [`crate::latches::LATCH_HIERARCHY`], and the `hermit-lint` static
-//! analyzer (`crates/analysis`) checks every function in this crate
-//! against it. If you add a lock site, read that module first.
+//! the canonical declaration is [`crate::latches::LATCH_HIERARCHY`], and
+//! its rank types make every acquisition in this crate take a token that
+//! proves the order. If you add a lock site, read that module first.
 //!
 //! Structural DDL (creating indexes, changing TRS parameters) still takes
 //! `&mut self`: the index *registry* itself is not latched, which keeps
@@ -49,7 +48,10 @@ use crate::composite::{build_composite_tree, build_composite_trs, CompositeIndex
 use crate::correlation::{discover_correlations, DiscoveryConfig};
 use crate::error::CoreError;
 use crate::index::SecondaryIndex;
-use crate::latches::{self, LatchedRwLock, Witnessed};
+use crate::latches::{
+    Below, Held, LatchedRwLock, Primary, ReadGuard, Registry, Visibility, Witnessed, WriteGuard,
+};
+use crate::recovery::Bracket;
 use hermit_btree::{BPlusTree, HashPrimaryIndex};
 use hermit_storage::paged::{BufferPool, PagedTable, SimulatedPageStore, PAGE_SIZE};
 use hermit_storage::wal::WalRecord;
@@ -113,14 +115,14 @@ pub struct Database {
     pub(crate) heap: PagedTable,
     pub(crate) scheme: TidScheme,
     pub(crate) pk_col: ColumnId,
-    pub(crate) primary: LatchedRwLock<HashPrimaryIndex>,
+    pub(crate) primary: LatchedRwLock<Primary, HashPrimaryIndex>,
     /// Secondary indexes by indexed column. The map itself only changes
     /// under `&mut self` (DDL); each index is internally latched, so DML
     /// and queries share it latch-free.
     pub(crate) secondary: BTreeMap<ColumnId, SecondaryIndex>,
     /// Composite `(leading, value)` secondary indexes, maintained on insert
     /// and visible to the query planner.
-    pub(crate) composites: LatchedRwLock<CompositeIndexes>,
+    pub(crate) composites: LatchedRwLock<Registry, CompositeIndexes>,
     /// Whether `composites` holds an index. Registration takes `&mut self`,
     /// so DML reads this without the registry's latch.
     pub(crate) has_composites: bool,
@@ -171,9 +173,9 @@ impl Database {
             heap: table,
             scheme,
             pk_col,
-            primary: LatchedRwLock::new(latches::level(50), primary),
+            primary: LatchedRwLock::new(primary),
             secondary: BTreeMap::new(),
-            composites: LatchedRwLock::new(latches::level(30), CompositeIndexes::new()),
+            composites: LatchedRwLock::new(CompositeIndexes::new()),
             has_composites: false,
             existing: Vec::new(),
             trs_params: TrsParams::default(),
@@ -199,16 +201,20 @@ impl Database {
     }
 
     /// The composite-index registry the planner consults (read latch).
-    pub fn composites(&self) -> Witnessed<RwLockReadGuard<'_, CompositeIndexes>> {
-        self.composites.read()
+    pub fn composites<'t, H: Below<Registry>>(
+        &self,
+        held: &'t mut Held<H>,
+    ) -> ReadGuard<'t, '_, Registry, CompositeIndexes> {
+        self.composites.read_at(held)
     }
 
     /// Write latch over the composite registry (maintenance: composite
     /// Hermit reorganization runs under it).
-    pub(crate) fn composites_mut(
+    pub(crate) fn composites_mut<'t, H: Below<Registry>>(
         &self,
-    ) -> Witnessed<parking_lot::RwLockWriteGuard<'_, CompositeIndexes>> {
-        self.composites.write()
+        held: &'t mut Held<H>,
+    ) -> WriteGuard<'t, '_, Registry, CompositeIndexes> {
+        self.composites.write_at(held)
     }
 
     /// Borrow the heap.
@@ -241,7 +247,9 @@ impl Database {
         self.secondary.keys().copied().collect()
     }
 
-    /// The primary index (read latch).
+    /// The primary index (read latch), without a token: for callers
+    /// outside the engine, checked by the runtime witness only.
+    #[expect(clippy::disallowed_methods, reason = "the tokenless accessor itself")]
     pub fn primary(&self) -> Witnessed<RwLockReadGuard<'_, HashPrimaryIndex>> {
         self.primary.read()
     }
@@ -268,7 +276,7 @@ impl Database {
     pub fn resolve(&self, tid: Tid) -> Option<RowLoc> {
         match self.scheme {
             TidScheme::Physical => Some(tid.as_loc()),
-            TidScheme::Logical => self.primary.read().get(tid.as_pk()),
+            TidScheme::Logical => self.primary.read_at(&mut Held::unlocked()).get(tid.as_pk()),
         }
     }
 
@@ -304,7 +312,8 @@ impl Database {
         // apply order and log order identical across threads (same-pk
         // races would otherwise replay in the wrong order). See
         // `crate::recovery`.
-        let statement = self.durability.as_ref().map(|d| d.statement()).transpose()?;
+        let mut root = Held::unlocked();
+        let bracket = self.bracket(&mut root)?;
         let pk = row
             .get(self.pk_col)
             .and_then(|v| v.as_i64())
@@ -313,13 +322,17 @@ impl Database {
         // dirtied is off limits to auto-commit writers too.
         self.txns.check_unlocked(pk).map_err(|_| StorageError::WriteConflict { pk })?;
 
-        let Some(mut statement) = statement else {
-            return self.apply_insert(row, None, pk, timer);
+        let mut statement = match bracket {
+            Bracket::Logged(statement) => statement,
+            Bracket::Unlogged(root) => {
+                return self.apply_insert(row, None, pk, timer, root.weaken())
+            }
         };
         // The row is encoded once, into its log record, and checked against
         // the schema on the way; the heap stores the same cells.
-        statement.stage_insert(None, row.len(), |out| self.heap.encode_row(row, out))?;
-        let tid = self.apply_insert(row, Some(statement.staged_cells()), pk, timer)?;
+        let (log, held) = statement.split();
+        log.stage_insert(None, row.len(), |out| self.heap.encode_row(row, out))?;
+        let tid = self.apply_insert(row, Some(log.staged_cells()), pk, timer, held.weaken())?;
         // Log last: the WAL is a redo log of *applied* statements, so a
         // failed insert never leaves a record to replay. At a commit point
         // the guard is released before the wait for the fsync.
@@ -331,7 +344,9 @@ impl Database {
     /// composite index maintenance. No conflict check, no WAL — the shared
     /// apply step of auto-commit inserts, transactional inserts, recovery
     /// replay, and rollback compensation. `encoded` is the row's record when
-    /// the caller already encoded it ([`PagedTable::encode_row`]).
+    /// the caller already encoded it ([`PagedTable::encode_row`]). Runs at
+    /// the visibility rank: under a transaction's visibility latch, or
+    /// weakened from a statement's or a root token.
     // hermit-lint: hot-path
     pub(crate) fn apply_insert(
         &self,
@@ -339,13 +354,14 @@ impl Database {
         encoded: Option<&[u8]>,
         pk: i64,
         mut timer: InsertTimer<'_>,
+        held: &mut Held<Visibility>,
     ) -> hermit_storage::Result<Tid> {
         let t0 = timer.start();
         let loc = match encoded {
             Some(encoded) => self.heap.insert_encoded(row, encoded)?,
             None => self.heap.insert(row)?,
         };
-        self.primary.write().insert(pk, loc);
+        self.primary.write_at(held).insert(pk, loc);
         timer.charge(t0, |b| &mut b.table);
         let tid = self.make_tid(pk, loc);
 
@@ -355,7 +371,7 @@ impl Database {
             match index {
                 SecondaryIndex::Baseline(tree) => {
                     if let Some(key) = row[col].as_f64() {
-                        tree.write().insert(F64Key(key), tid);
+                        tree.write_at(held).insert(F64Key(key), tid);
                     }
                 }
                 SecondaryIndex::Hermit { trs, host } => {
@@ -376,7 +392,7 @@ impl Database {
         // Maintain database-owned composite indexes (charged as new).
         if self.has_composites {
             let t2 = timer.start();
-            self.composites.write().maintain_insert(row, tid);
+            self.composites.write_at(held).maintain_insert(row, tid);
             timer.charge(t2, |b| &mut b.new_indexes);
         }
         Ok(tid)
@@ -392,10 +408,11 @@ impl Database {
     /// concurrent reader that still finds the stale tid simply fails tid
     /// resolution / validation, exactly like any other dead candidate.
     pub fn delete_by_pk(&self, pk: i64) -> hermit_storage::Result<()> {
-        let statement = self.durability.as_ref().map(|d| d.statement()).transpose()?;
+        let mut root = Held::unlocked();
+        let mut bracket = self.bracket(&mut root)?;
         self.txns.check_unlocked(pk).map_err(|_| StorageError::WriteConflict { pk })?;
-        self.apply_delete(pk)?;
-        if let Some(statement) = statement {
+        self.apply_delete(pk, bracket.held().weaken())?;
+        if let Bracket::Logged(statement) = bracket {
             statement.commit_auto(&WalRecord::Delete { pk })?;
         }
         Ok(())
@@ -405,17 +422,22 @@ impl Database {
     /// then primary / secondary / composite index removal. No conflict
     /// check, no WAL — the shared apply step of auto-commit deletes,
     /// transactional deletes, recovery replay, and rollback compensation.
-    /// Returns the deleted row's pre-image.
-    pub(crate) fn apply_delete(&self, pk: i64) -> hermit_storage::Result<Vec<Value>> {
-        let loc = self.primary.read().get(pk).ok_or(StorageError::PkNotFound { pk })?;
+    /// Returns the deleted row's pre-image. Runs at the visibility rank,
+    /// like [`apply_insert`](Self::apply_insert).
+    pub(crate) fn apply_delete(
+        &self,
+        pk: i64,
+        held: &mut Held<Visibility>,
+    ) -> hermit_storage::Result<Vec<Value>> {
+        let loc = self.primary.read_at(held).get(pk).ok_or(StorageError::PkNotFound { pk })?;
         let row = self.heap.delete_returning(loc)?;
         let tid = self.make_tid(pk, loc);
-        self.primary.write().remove(pk);
+        self.primary.write_at(held).remove(pk);
         for (&col, index) in self.secondary.iter() {
             match index {
                 SecondaryIndex::Baseline(tree) => {
                     if let Some(key) = row[col].as_f64() {
-                        tree.write().remove(&F64Key(key), &tid);
+                        tree.write_at(held).remove(&F64Key(key), &tid);
                     }
                 }
                 SecondaryIndex::Hermit { trs, .. } => {
@@ -426,7 +448,7 @@ impl Database {
             }
         }
         if self.has_composites {
-            self.composites.write().maintain_delete(&row, tid);
+            self.composites.write_at(held).maintain_delete(&row, tid);
         }
         Ok(row)
     }
@@ -529,7 +551,7 @@ impl Database {
         host: ColumnId,
     ) -> Result<usize, CoreError> {
         self.require_non_durable_for_composites()?;
-        if self.composites.read().companion_baseline(leading, host).is_none() {
+        if self.composites.get_mut().companion_baseline(leading, host).is_none() {
             return Err(CoreError::MissingCompositeHost { leading, host });
         }
         let trs = build_composite_trs(
@@ -619,14 +641,14 @@ impl Database {
     /// calling it from a metrics scrape contends with durable DML exactly
     /// like one more statement would.
     pub fn wal_depth(&self) -> Option<usize> {
-        self.durability.as_ref().map(|d| d.wal_guard().uncommitted())
+        self.durability.as_ref().map(|d| d.wal_depth())
     }
 
     /// Memory report split the way the paper's breakdown figures are.
     pub fn memory_report(&self) -> MemoryReport {
         let mut report = MemoryReport {
             table: self.heap.page_count() * PAGE_SIZE,
-            existing_indexes: self.primary.read().memory_bytes(),
+            existing_indexes: self.primary.read_at(&mut Held::unlocked()).memory_bytes(),
             new_indexes: 0,
         };
         for (col, index) in &self.secondary {
@@ -673,6 +695,10 @@ impl PairSource for TablePairSource<'_> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests inspect the structures from outside, like any caller of the crate"
+)]
 mod tests {
     use super::*;
     use hermit_storage::ColumnDef;
@@ -826,7 +852,9 @@ mod tests {
             let host = db.create_composite_baseline(0, 1).unwrap();
             let hermit = db.create_composite_hermit(0, 2, 1).unwrap();
             let direct = db.create_composite_baseline(0, 2).unwrap();
-            let registry = db.composites();
+            // Out of its latch: a lookup takes the visibility latch, which
+            // ranks above the registry.
+            let registry = std::mem::take(db.composites.get_mut());
             assert_eq!((host, hermit, direct, registry.len()), (0, 1, 2, 3));
             let rows = |idx| {
                 let leading = crate::RangePredicate::range(0, 1_000.0, 3_000.0);
@@ -843,7 +871,7 @@ mod tests {
         db.insert(&[Value::Int(1), Value::Float(2.0), Value::Float(1.0)]).unwrap();
         assert_eq!(db.create_composite_baseline(0, 1), Err(CoreError::CompositeOnDurable));
         assert_eq!(db.create_composite_hermit(0, 2, 1), Err(CoreError::CompositeOnDurable));
-        assert_eq!(db.composites().len(), 0);
+        assert_eq!(db.composites(&mut Held::unlocked()).len(), 0);
         drop(db);
         std::fs::remove_dir_all(&dir).ok();
     }

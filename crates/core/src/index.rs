@@ -7,7 +7,7 @@
 //! [`ConcurrentTrsTree`], the Appendix-B wrapper whose writers divert to a
 //! side buffer during background reorganization.
 
-use crate::latches::{self, LatchedRwLock};
+use crate::latches::{Held, Index, LatchedRwLock};
 use hermit_btree::BPlusTree;
 use hermit_storage::{ColumnId, F64Key, Tid};
 use hermit_trs::ConcurrentTrsTree;
@@ -17,7 +17,7 @@ use hermit_trs::ConcurrentTrsTree;
 pub enum SecondaryIndex {
     /// Conventional complete index: target value → tid, behind a coarse
     /// reader-writer latch.
-    Baseline(LatchedRwLock<BPlusTree<F64Key, Tid>>),
+    Baseline(LatchedRwLock<Index, BPlusTree<F64Key, Tid>>),
     /// Hermit index: a TRS-Tree modeling the target→host correlation, plus
     /// the host column whose baseline index serves the second hop. The tree
     /// carries its own Appendix-B latch + side buffer.
@@ -32,7 +32,7 @@ pub enum SecondaryIndex {
 impl SecondaryIndex {
     /// Wrap a built baseline tree.
     pub fn baseline(tree: BPlusTree<F64Key, Tid>) -> Self {
-        SecondaryIndex::Baseline(LatchedRwLock::new(latches::level(40), tree))
+        SecondaryIndex::Baseline(LatchedRwLock::new(tree))
     }
 
     /// True for the Hermit variant.
@@ -51,7 +51,7 @@ impl SecondaryIndex {
     /// Heap bytes held by the index structure (takes the read latch).
     pub fn memory_bytes(&self) -> usize {
         match self {
-            SecondaryIndex::Baseline(tree) => tree.read().memory_bytes(),
+            SecondaryIndex::Baseline(tree) => tree.read_at(&mut Held::unlocked()).memory_bytes(),
             SecondaryIndex::Hermit { trs, .. } => trs.memory_bytes(),
         }
     }

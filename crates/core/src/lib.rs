@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # hermit-core
 //!
 //! The **Hermit** secondary-indexing mechanism (§3/§5 of the paper), tying
@@ -21,6 +20,8 @@
 //! [`correlation`] implements the discovery workflow of Appendix D.1:
 //! screen candidate (target, host) pairs with Pearson/Spearman coefficients
 //! over a sample and recommend a host column whose index already exists.
+#![warn(clippy::allow_attributes_without_reason)]
+#![cfg_attr(not(test), warn(clippy::let_underscore_must_use, clippy::unused_result_ok))]
 
 //! [`recovery`] makes a file-backed database restart-survivable:
 //! [`Database::checkpoint`] / [`Database::open`] pair a durable page flush

@@ -33,6 +33,7 @@ use crate::composite::CompositeIndex;
 use crate::database::Database;
 use crate::executor::RangePredicate;
 use crate::index::SecondaryIndex;
+use crate::latches::Held;
 use crate::query::Query;
 use hermit_storage::{ColumnId, ColumnStats, TidScheme};
 use std::fmt;
@@ -429,7 +430,8 @@ impl Database {
         // Composite paths are ordered conjunct pairs matching a registered
         // (leading, value) composite index; one read-latch acquisition
         // covers the whole enumeration.
-        let composites = (!forced_index).then(|| self.composites());
+        let mut root = Held::unlocked();
+        let composites = (!forced_index).then(|| self.composites(&mut root));
         if let Some(composites) = &composites {
             for (i, lead) in conjuncts.iter().enumerate() {
                 for (j, val) in conjuncts.iter().enumerate() {

@@ -69,6 +69,7 @@
 use crate::composite::CompositeIndex;
 use crate::database::{Database, TablePairSource};
 use crate::index::SecondaryIndex;
+use crate::latches::Held;
 use crate::query::Query;
 use crate::{BatchOptions, QueryResult};
 use hermit_storage::{Tid, Value};
@@ -247,7 +248,8 @@ impl SharedDatabase {
         // trigger. Targets are collected under the read latch first to skip
         // the write latch entirely when nothing is queued.
         let targets: Vec<(usize, usize, usize)> = {
-            let composites = db.composites();
+            let mut root = Held::unlocked();
+            let composites = db.composites(&mut root);
             (0..composites.len())
                 .filter_map(|i| match composites.get(i) {
                     Some(CompositeIndex::Hermit { trs, target, host, .. })
@@ -261,7 +263,8 @@ impl SharedDatabase {
         };
         for (i, target, host) in targets {
             let source = TablePairSource { db, target, host };
-            let mut composites = self.inner.composites_mut();
+            let mut root = Held::unlocked();
+            let mut composites = self.inner.composites_mut(&mut root);
             if let Some(CompositeIndex::Hermit { trs, .. }) = composites.get_mut_for_maintenance(i)
             {
                 let report = trs.reorganize_batch(&source, limit);
@@ -395,23 +398,28 @@ impl MaintenanceWorker {
     }
 
     /// Signal the thread and join it, returning the final counters as
-    /// `(sweeps, candidates)`.
+    /// `(sweeps, candidates)`. A pass that panicked panics here again, so
+    /// a broken reorganization is never reported as ordinary counters.
     pub fn stop(mut self) -> (u64, u64) {
-        self.shutdown();
+        if let Err(panic) = self.shutdown() {
+            std::panic::resume_unwind(panic);
+        }
         (self.stats.sweeps.load(Ordering::Relaxed), self.stats.candidates.load(Ordering::Relaxed))
     }
 
-    fn shutdown(&mut self) {
+    fn shutdown(&mut self) -> std::thread::Result<()> {
         self.stop.store(true, Ordering::Release);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
+        self.handle.take().map_or(Ok(()), JoinHandle::join)
     }
 }
 
 impl Drop for MaintenanceWorker {
     fn drop(&mut self) {
-        self.shutdown();
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "a destructor has nowhere to report a worker panic; `stop` re-raises it"
+        )]
+        let _ = self.shutdown();
     }
 }
 
@@ -435,6 +443,17 @@ mod tests {
         db.create_baseline_index(1, true).unwrap();
         db.create_hermit_index(2, 1).unwrap();
         SharedDatabase::new(db)
+    }
+
+    #[test]
+    #[should_panic(expected = "reorganization pass failed")]
+    fn stop_re_raises_a_worker_panic() {
+        let worker = MaintenanceWorker {
+            stop: Arc::new(AtomicBool::new(false)),
+            stats: Arc::new(WorkerStats::default()),
+            handle: Some(std::thread::spawn(|| panic!("reorganization pass failed"))),
+        };
+        worker.stop();
     }
 
     #[test]

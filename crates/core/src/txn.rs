@@ -107,8 +107,10 @@ use crate::breakdown::InsertTimer;
 use crate::database::Database;
 use crate::error::CoreError;
 use crate::executor::QueryResult;
+use crate::latches::{self, Held, Visibility};
 use crate::plan::QueryPlan;
 use crate::query::Query;
+use crate::recovery::Bracket;
 use hermit_storage::wal::WalRecord;
 use hermit_storage::{StorageError, Tid, Value};
 use hermit_txn::{DeleteMode, TxnCounters, TxnManager, Undo};
@@ -137,12 +139,16 @@ impl Database {
     /// propagates, so a transaction the caller never learned about cannot
     /// linger open.
     pub fn begin(&self) -> Result<u64, CoreError> {
-        let mut statement = self.durability.as_ref().map(|d| d.statement()).transpose()?;
+        let mut root = Held::unlocked();
+        let mut bracket = self.bracket(&mut root)?;
         let txn = self.txns.begin();
-        if let Some(statement) = statement.as_mut() {
-            if let Err(e) = statement.log_txn(&WalRecord::TxnBegin { txn }) {
-                let _ = self.txns.start_abort(txn);
-                let _ = self.txns.finish_abort(txn);
+        if let (Some(log), held) = bracket.split() {
+            if let Err(e) = log.log_txn(&WalRecord::TxnBegin { txn }, held) {
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "the id was opened above and no one else knows it, so closing it cannot fail"
+                )]
+                let _ = self.txns.start_abort(txn).and_then(|_| self.txns.finish_abort(txn));
                 return Err(e.into());
             }
         }
@@ -158,7 +164,8 @@ impl Database {
     /// The `TxnInsert` record is in the log file *before* the physical
     /// apply, and is not fsynced; see the module docs for why.
     pub fn insert_txn(&self, txn: u64, row: &[Value]) -> Result<Tid, CoreError> {
-        let mut statement = self.durability.as_ref().map(|d| d.statement()).transpose()?;
+        let mut root = Held::unlocked();
+        let mut bracket = self.bracket(&mut root)?;
         let pk = row
             .get(self.pk_col)
             .and_then(|v| v.as_i64())
@@ -167,15 +174,16 @@ impl Database {
         // and the heap copies those cells; a row that does not fit the
         // schema is refused here, before it is locked or logged.
         let mut unlogged = Vec::new();
-        match statement.as_mut() {
-            Some(statement) => statement
-                .stage_insert(Some(txn), row.len(), |out| self.heap.encode_row(row, out))?,
+        match bracket.split().0 {
+            Some(log) => {
+                log.stage_insert(Some(txn), row.len(), |out| self.heap.encode_row(row, out))?
+            }
             None => self.heap.encode_row(row, &mut unlogged)?,
         }
         if !self.txns.is_open(txn) {
             return Err(CoreError::UnknownTxn { txn });
         }
-        if self.primary.read().get(pk).is_some() {
+        if self.primary.read_at(bracket.held()).get(pk).is_some() {
             // Duplicate pk: the commit/rollback machinery keys everything
             // on pk uniqueness, so unlike the auto-commit path this is a
             // hard error, reported in the same retryable class as a lock
@@ -183,8 +191,8 @@ impl Database {
             return Err(StorageError::WriteConflict { pk }.into());
         }
         self.txns.note_insert(txn, pk)?;
-        if let Some(statement) = statement.as_mut() {
-            if let Err(e) = statement.log_staged() {
+        if let (Some(log), held) = bracket.split() {
+            if let Err(e) = log.log_staged(held) {
                 // Nothing was applied: unwind the lock and undo entry so
                 // the failed statement leaves no trace.
                 self.txns.forget_insert(txn, pk);
@@ -198,9 +206,10 @@ impl Database {
         // fails the undo entry stays: its delete-if-present compensation is
         // a no-op for a row that never landed, and recovery's redo-then-undo
         // converges on the same rolled-back state.
-        let _vis = self.txns.write_visibility();
-        let encoded = statement.as_ref().map_or(&unlogged[..], |s| s.staged_cells());
-        let tid = self.apply_insert(row, Some(encoded), pk, InsertTimer(None))?;
+        let (log, held) = bracket.split();
+        let encoded = log.map_or(&unlogged[..], |log| log.staged_cells());
+        let mut vis = latches::write_visibility(&self.txns, held);
+        let tid = self.apply_insert(row, Some(encoded), pk, InsertTimer(None), vis.held())?;
         Ok(tid)
     }
 
@@ -213,36 +222,42 @@ impl Database {
     /// transaction already deleted reports
     /// [`StorageError::PkNotFound`].
     pub fn delete_by_pk_txn(&self, txn: u64, pk: i64) -> Result<(), CoreError> {
-        let mut statement = self.durability.as_ref().map(|d| d.statement()).transpose()?;
+        let mut root = Held::unlocked();
+        let mut bracket = self.bracket(&mut root)?;
         if !self.txns.is_open(txn) {
             return Err(CoreError::UnknownTxn { txn });
         }
         if self.txns.has_pending_delete(txn, pk) {
             return Err(StorageError::PkNotFound { pk }.into());
         }
-        if self.primary.read().get(pk).is_none() {
+        if self.primary.read_at(bracket.held()).get(pk).is_none() {
             return Err(StorageError::PkNotFound { pk }.into());
         }
         // Exclusive visibility latch across lock + apply: `lock_delete`
         // flips an own-insert's lock kind to `Delete` (visible-to-others)
         // before the physical delete lands, and a view frozen inside that
         // gap would read a row no transaction ever committed.
-        let _vis = self.txns.write_visibility();
+        let (log, held) = bracket.split();
+        let mut vis = latches::write_visibility(&self.txns, held);
         match self.txns.lock_delete(txn, pk)? {
             DeleteMode::OwnInsert => {
                 // The row was this txn's own insert: no other reader ever
                 // saw it, so the physical delete applies now. Log first
                 // (pre-image included — the insert's page may be stolen
                 // before any commit/abort record lands).
-                let loc = self.primary.read().get(pk).ok_or(StorageError::PkNotFound { pk })?;
+                let loc = self
+                    .primary
+                    .read_at(vis.held())
+                    .get(pk)
+                    .ok_or(StorageError::PkNotFound { pk })?;
                 let row = self.heap.get(loc)?;
-                if let Some(statement) = statement.as_mut() {
+                if let Some(log) = log {
                     // On failure the WAL is poisoned: commit is impossible
                     // and rollback (which removes this row anyway) is the
                     // only exit, so the flipped lock needs no unwinding.
-                    statement.log_txn(&WalRecord::TxnDelete { txn, pk, row: row.clone() })?;
+                    log.log_txn(&WalRecord::TxnDelete { txn, pk, row: row.clone() }, vis.token())?;
                 }
-                let pre = self.apply_delete(pk)?;
+                let pre = self.apply_delete(pk, vis.held())?;
                 self.txns.note_applied_delete(txn, pk, pre)?;
             }
             DeleteMode::Deferred => {
@@ -250,7 +265,11 @@ impl Database {
                 // commit. (If a non-durable race deleted the row between
                 // the existence check and the lock, the dangling lock is
                 // released with the transaction — harmless.)
-                let loc = self.primary.read().get(pk).ok_or(StorageError::PkNotFound { pk })?;
+                let loc = self
+                    .primary
+                    .read_at(vis.held())
+                    .get(pk)
+                    .ok_or(StorageError::PkNotFound { pk })?;
                 let row = self.heap.get(loc)?;
                 self.txns.note_pending_delete(txn, pk, row)?;
             }
@@ -277,36 +296,39 @@ impl Database {
     /// even behind a poisoned WAL) or disconnect and let recovery roll it
     /// back.
     pub fn commit_txn(&self, txn: u64) -> Result<(), CoreError> {
-        let statement = self.durability.as_ref().map(|d| d.statement()).transpose()?;
+        let mut root = Held::unlocked();
+        let bracket = self.bracket(&mut root)?;
         let pending = self.txns.start_commit(txn)?;
-        let _quiesce = match statement {
-            Some(mut statement) => {
+        let mut quiesce = None;
+        let held = match bracket {
+            Bracket::Logged(mut statement) => {
+                let (log, held) = statement.split();
                 let logged = pending
                     .iter()
                     .try_for_each(|&(pk, ref row)| {
-                        statement.log_txn(&WalRecord::TxnDelete { txn, pk, row: row.clone() })
+                        log.log_txn(&WalRecord::TxnDelete { txn, pk, row: row.clone() }, held)
                     })
                     .and_then(|()| statement.force_commit(txn));
                 match logged {
-                    Ok(quiesce) => Some(quiesce),
+                    Ok(guard) => quiesce.insert(guard).held(),
                     Err(e) => {
                         self.txns.restore_pending(txn, pending);
                         return Err(e.into());
                     }
                 }
             }
-            None => None,
+            Bracket::Unlogged(root) => root.weaken(),
         };
         // Exclusive visibility latch across apply + publication: a reader
         // must see the whole commit (deferred deletes applied, locks gone)
         // or none of it, never a half-committed transaction.
-        let _vis = self.txns.write_visibility();
+        let mut vis = latches::write_visibility(&self.txns, held);
         for (pk, _) in pending {
             // The pk is locked by this txn, so the row is still live. The
             // commit record is already durable: if the heap refuses now, the
             // log and the memory image disagree until a restart replays the
             // log, so stop accepting statements.
-            let pre = self.apply_delete(pk).inspect_err(|_| {
+            let pre = self.apply_delete(pk, vis.held()).inspect_err(|_| {
                 if let Some(d) = &self.durability {
                     d.poison();
                 }
@@ -318,22 +340,25 @@ impl Database {
     }
 
     /// Roll back transaction `txn`: apply the undo list in reverse
-    /// (deferred deletes were never applied and simply evaporate), then
-    /// append the `TxnAbort` record when the WAL is healthy.
+    /// (deferred deletes were never applied and simply evaporate) and
+    /// publish, then append the `TxnAbort` record when the WAL is healthy.
+    /// The WAL guard is held throughout, so no record lands between the
+    /// rollback and its abort record.
     ///
     /// The in-memory rollback always completes — even behind a poisoned
     /// WAL — because releasing the locks must never be blocked on I/O and
     /// recovery rolls the loser back regardless. A WAL failure while
     /// logging the abort record is reported *after* the rollback finished.
     pub fn rollback_txn(&self, txn: u64) -> Result<(), CoreError> {
-        let mut statement = self.durability.as_ref().map(|d| d.statement_unchecked());
+        let mut root = Held::unlocked();
+        let mut bracket = self.bracket_unchecked(&mut root);
+        let (log, held) = bracket.split();
         // Exclusive visibility latch across undo + publication, for the
         // same all-or-nothing reason as commit.
-        let _vis = self.txns.write_visibility();
+        let mut vis = latches::write_visibility(&self.txns, held);
         let undo = self.txns.start_abort(txn)?;
-        self.apply_undo(&undo)?;
-        let logged = statement.as_mut().map_or(Ok(()), |statement| statement.log_txn_abort(txn));
-        drop(statement);
+        self.apply_undo(&undo, vis.held())?;
+        let logged = log.map_or(Ok(()), |log| log.log_txn_abort(txn, vis.token()));
         self.txns.finish_abort(txn)?;
         logged?;
         Ok(())
@@ -357,17 +382,21 @@ impl Database {
     /// idempotent — delete-if-present, insert-if-absent — so replaying the
     /// same undo after a crash mid-rollback re-converges. Shared by
     /// [`rollback_txn`](Self::rollback_txn) and recovery's loser rollback.
-    pub(crate) fn apply_undo(&self, undo: &[Undo]) -> Result<(), CoreError> {
+    pub(crate) fn apply_undo(
+        &self,
+        undo: &[Undo],
+        held: &mut Held<Visibility>,
+    ) -> Result<(), CoreError> {
         for u in undo.iter().rev() {
             match u {
                 Undo::Insert { pk } => {
-                    if self.primary.read().get(*pk).is_some() {
-                        self.apply_delete(*pk)?;
+                    if self.primary.read_at(held).get(*pk).is_some() {
+                        self.apply_delete(*pk, held)?;
                     }
                 }
                 Undo::Delete { pk, row } => {
-                    if self.primary.read().get(*pk).is_none() {
-                        self.apply_insert(row, None, *pk, InsertTimer(None))?;
+                    if self.primary.read_at(held).get(*pk).is_none() {
+                        self.apply_insert(row, None, *pk, InsertTimer(None), held)?;
                     }
                 }
             }

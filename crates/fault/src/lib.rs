@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # hermit_fault
 //!
 //! Deterministic fault injection and crash-schedule exploration for the
@@ -21,6 +20,7 @@
 //!   [`fault_point`](hermit_storage::fault_point) hooks in
 //!   `hermit_storage`), recover each snapshot, and compare query-for-query
 //!   against a statement-prefix oracle.
+#![warn(clippy::allow_attributes_without_reason)]
 
 pub mod explorer;
 pub mod mangle;

@@ -35,6 +35,8 @@
 //!
 //! Rows print one per line, tab-separated. Exit status 0 on success, 1 on
 //! a server-reported or transport error, 2 on a usage error.
+#![warn(clippy::allow_attributes_without_reason)]
+#![cfg_attr(not(test), warn(clippy::let_underscore_must_use, clippy::unused_result_ok))]
 
 use hermit_core::Query;
 use hermit_server::{ClientConfig, HermitClient};
@@ -193,7 +195,10 @@ fn run_txn_script(client: &mut HermitClient) {
             Ok(l) => l,
             Err(e) => {
                 eprintln!("hermit-cli: stdin: {e}");
-                // hermit-lint: allow(error-swallow) the script already failed and we are exiting nonzero; the server also rolls back on disconnect
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "the script already failed and we are exiting nonzero; the server also rolls back on disconnect"
+                )]
                 let _ = client.rollback();
                 std::process::exit(1);
             }
@@ -239,7 +244,10 @@ fn run_txn_script(client: &mut HermitClient) {
         if let Err(e) = outcome {
             eprintln!("hermit-cli: {e}");
             if !closed {
-                // hermit-lint: allow(error-swallow) best-effort cleanup on the error exit; the server rolls back open transactions on disconnect anyway
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "best-effort cleanup on the error exit; the server rolls back open transactions on disconnect anyway"
+                )]
                 let _ = client.rollback();
             }
             std::process::exit(1);
@@ -248,7 +256,10 @@ fn run_txn_script(client: &mut HermitClient) {
     if !closed {
         if let Err(e) = client.commit() {
             eprintln!("hermit-cli: commit failed: {e}");
-            // hermit-lint: allow(error-swallow) commit already failed and its error is what we report; the rollback is best-effort cleanup
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "commit already failed and its error is what we report; the rollback is best-effort cleanup"
+            )]
             let _ = client.rollback();
             std::process::exit(1);
         }
@@ -264,7 +275,10 @@ fn script_usage(client: &mut HermitClient, line: &str) -> ! {
         "hermit-cli: bad txn statement: `{line}` (expected insert/delete/query/point/\
          commit/rollback)"
     );
-    // hermit-lint: allow(error-swallow) usage error: exiting 2 regardless; the server rolls back open transactions on disconnect
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "usage error: exiting 2 regardless; the server rolls back open transactions on disconnect"
+    )]
     let _ = client.rollback();
     std::process::exit(2);
 }

@@ -21,6 +21,8 @@
 //!
 //! Prints `listening on ADDR` once serving (scripts bind port 0 and parse
 //! the line), then blocks until a client sends `Shutdown`.
+#![warn(clippy::allow_attributes_without_reason)]
+#![cfg_attr(not(test), warn(clippy::let_underscore_must_use, clippy::unused_result_ok))]
 
 use hermit_core::shared::{MaintenanceConfig, MaintenanceWorker, SharedDatabase};
 use hermit_core::{Database, DurabilityConfig};

@@ -163,7 +163,8 @@ impl HermitClient {
             Some(t) => TcpStream::connect_timeout(&peer, t)?,
             None => TcpStream::connect(peer)?,
         };
-        stream.set_nodelay(true).ok();
+        #[expect(clippy::let_underscore_must_use, reason = "Nagle costs latency, not correctness")]
+        let _ = stream.set_nodelay(true);
         stream.set_read_timeout(config.read_timeout)?;
         stream.set_write_timeout(config.write_timeout)?;
         Ok(stream)

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # hermit-server
 //!
 //! The wire-protocol serving front end: everything between a TCP socket
@@ -24,9 +23,38 @@
 //! The two binaries (`hermit-server`, `hermit-cli`) are thin argv shells
 //! over these layers; see the repository README's "Server & observability"
 //! section for the frame layout and a session transcript.
+#![warn(clippy::allow_attributes_without_reason)]
+#![cfg_attr(not(test), warn(clippy::let_underscore_must_use, clippy::unused_result_ok))]
 
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 pub mod client;
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 pub mod proto;
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 pub mod server;
 
 pub use client::{ClientConfig, ClientError, ClientResult, HermitClient};

@@ -212,6 +212,10 @@ impl HermitServer {
 
     fn join_accept(&mut self) {
         if let Some(handle) = self.accept.take() {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "a panicking accept thread has printed its panic; the drain it skipped cannot be redone here"
+            )]
             let _ = handle.join();
         }
     }
@@ -231,7 +235,10 @@ impl Inner {
     /// loopback connect, which the loop drops unadmitted.
     fn request_stop(&self) {
         self.stop.store(true, Ordering::Release);
-        // Refused once the listener is gone, i.e. once the loop has exited.
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "refused once the listener is gone, i.e. once the loop has exited"
+        )]
         let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
     }
 }
@@ -263,16 +270,12 @@ fn admit(inner: &Arc<Inner>, stream: TcpStream) {
         metrics.connections_rejected.fetch_add(1, Ordering::Relaxed);
         // One typed response, then close: the client learns *why* instead
         // of seeing a bare RST.
-        let mut scratch = Vec::new();
-        let _ = send_response(
-            &mut &stream,
-            &Response::Error {
-                code: ErrorCode::Capacity,
-                message: format!("server at max_connections={}", inner.config.max_connections),
-            },
-            &mut scratch,
+        let message = format!("server at max_connections={}", inner.config.max_connections);
+        send_goodbye(
+            &stream,
+            &Response::Error { code: ErrorCode::Capacity, message },
+            &mut Vec::new(),
         );
-        let _ = stream.shutdown(Shutdown::Both);
         return;
     }
     metrics.connections_accepted.fetch_add(1, Ordering::Relaxed);
@@ -282,11 +285,26 @@ fn admit(inner: &Arc<Inner>, stream: TcpStream) {
         inner.conns.lock().insert(id, clone);
     }
     let conn_inner = Arc::clone(inner);
-    let _ = std::thread::Builder::new().name(format!("hermit-conn-{id}")).spawn(move || {
+    let spawned = std::thread::Builder::new().name(format!("hermit-conn-{id}")).spawn(move || {
         serve_connection(&conn_inner, &stream);
         conn_inner.conns.lock().remove(&id);
         conn_inner.metrics.connections_active.fetch_sub(1, Ordering::Relaxed);
     });
+    if spawned.is_err() {
+        // No thread: the stream went down with the closure. Undo the
+        // admission, or the slot and the drain's clone would leak.
+        inner.conns.lock().remove(&id);
+        metrics.connections_active.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Best-effort typed goodbye, then close both directions: a dead peer won't
+/// read it, a live one learns why it was cut.
+fn send_goodbye(stream: &TcpStream, response: &Response, scratch: &mut Vec<u8>) {
+    #[expect(clippy::let_underscore_must_use, reason = "the connection is closed either way")]
+    let _ = send_response(&mut &*stream, response, scratch);
+    #[expect(clippy::let_underscore_must_use, reason = "the peer may already be gone")]
+    let _ = stream.shutdown(Shutdown::Both);
 }
 
 /// One connection's request loop plus transaction cleanup: whatever way the
@@ -298,7 +316,10 @@ fn serve_connection(inner: &Arc<Inner>, stream: &TcpStream) {
     let mut txn: Option<u64> = None;
     serve_requests(inner, stream, &mut txn);
     if let Some(t) = txn {
-        // hermit-lint: allow(error-swallow) the client is gone, so there is no one to report to; an already-closed txn id is the benign race here
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "the client is gone, so there is no one to report to; an already-closed txn id is the benign race here"
+        )]
         let _ = inner.db.rollback(t);
     }
 }
@@ -308,8 +329,13 @@ fn serve_connection(inner: &Arc<Inner>, stream: &TcpStream) {
 fn serve_requests(inner: &Arc<Inner>, stream: &TcpStream, txn: &mut Option<u64>) {
     // Idle reaping: a read that exceeds the configured timeout surfaces as
     // `ProtoError::TimedOut` below.
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "a socket that refuses a timeout is served without idle reaping"
+    )]
     let _ = stream.set_read_timeout(inner.config.read_timeout);
     // A response is one `write` of a whole frame: nothing for Nagle to wait for.
+    #[expect(clippy::let_underscore_must_use, reason = "Nagle costs latency, not correctness")]
     let _ = stream.set_nodelay(true);
     // One buffered reader, one request buffer and one response buffer for
     // the life of the connection.
@@ -328,31 +354,24 @@ fn serve_requests(inner: &Arc<Inner>, stream: &TcpStream, txn: &mut Option<u64>)
             // The stream can't be resynchronized: answer once, then close.
             Err(e @ (ProtoError::Oversized { .. } | ProtoError::CrcMismatch)) => {
                 inner.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                let _ = send_response(
-                    &mut writer,
-                    &Response::Error { code: ErrorCode::Protocol, message: e.to_string() },
-                    &mut scratch,
-                );
-                let _ = stream.shutdown(Shutdown::Both);
+                let response =
+                    Response::Error { code: ErrorCode::Protocol, message: e.to_string() };
+                send_goodbye(stream, &response, &mut scratch);
                 return;
             }
             // Idle past the read timeout: reap the connection so a stalled
-            // client cannot pin a slot. Best-effort typed goodbye — a truly
-            // dead peer won't read it, a slow one learns why it was cut.
+            // client cannot pin a slot.
             Err(ProtoError::TimedOut) => {
                 inner.metrics.connections_reaped.fetch_add(1, Ordering::Relaxed);
-                let _ = send_response(
-                    &mut writer,
-                    &Response::Error {
-                        code: ErrorCode::IdleTimeout,
-                        message: format!(
-                            "connection idle past the {:?} read timeout",
-                            inner.config.read_timeout.unwrap_or_default()
-                        ),
-                    },
+                let message = format!(
+                    "connection idle past the {:?} read timeout",
+                    inner.config.read_timeout.unwrap_or_default()
+                );
+                send_goodbye(
+                    stream,
+                    &Response::Error { code: ErrorCode::IdleTimeout, message },
                     &mut scratch,
                 );
-                let _ = stream.shutdown(Shutdown::Both);
                 return;
             }
             Err(ProtoError::Malformed(_)) | Err(ProtoError::Io(_)) => return,
@@ -377,6 +396,7 @@ fn serve_requests(inner: &Arc<Inner>, stream: &TcpStream, txn: &mut Option<u64>)
                 code: ErrorCode::ShuttingDown,
                 message: "server is draining".into(),
             };
+            #[expect(clippy::let_underscore_must_use, reason = "the connection closes either way")]
             let _ = send_response(&mut writer, &resp, &mut scratch);
             return;
         }
@@ -585,131 +605,163 @@ fn run_query(inner: &Arc<Inner>, query: Query, txn: Option<u64>) -> Result<RowBl
     Ok(block)
 }
 
+/// Append one formatted line of the stats report to `out`.
+fn line(out: &mut String, args: std::fmt::Arguments<'_>) {
+    use std::fmt::Write as _;
+    #[expect(clippy::let_underscore_must_use, reason = "writing into a `String` cannot fail")]
+    let _ = out.write_fmt(args);
+    out.push('\n');
+}
+
 /// Render every engine + serving counter as a stable text report: one
 /// `name value` per line, Prometheus-style `{label="..."}` selectors for
 /// per-column and per-plan metrics. Asserted by the test suite — treat the
 /// line format as an API.
 fn render_stats(inner: &Arc<Inner>) -> String {
-    use std::fmt::Write as _;
     let mut out = String::with_capacity(1024);
     let m = &inner.metrics;
     let db = inner.db.db();
 
-    let _ =
-        writeln!(out, "hermit_connections_active {}", m.connections_active.load(Ordering::Relaxed));
-    let _ = writeln!(
-        out,
-        "hermit_connections_accepted {}",
-        m.connections_accepted.load(Ordering::Relaxed)
+    line(
+        &mut out,
+        format_args!("hermit_connections_active {}", m.connections_active.load(Ordering::Relaxed)),
     );
-    let _ = writeln!(
-        out,
-        "hermit_connections_rejected {}",
-        m.connections_rejected.load(Ordering::Relaxed)
+    line(
+        &mut out,
+        format_args!(
+            "hermit_connections_accepted {}",
+            m.connections_accepted.load(Ordering::Relaxed)
+        ),
     );
-    let _ =
-        writeln!(out, "hermit_connections_reaped {}", m.connections_reaped.load(Ordering::Relaxed));
-    let _ = writeln!(out, "hermit_requests_total {}", m.requests.load(Ordering::Relaxed));
-    let _ = writeln!(out, "hermit_request_errors {}", m.errors.load(Ordering::Relaxed));
-    let _ = writeln!(
-        out,
-        "hermit_query_deadline_exceeded {}",
-        m.deadline_exceeded.load(Ordering::Relaxed)
+    line(
+        &mut out,
+        format_args!(
+            "hermit_connections_rejected {}",
+            m.connections_rejected.load(Ordering::Relaxed)
+        ),
+    );
+    line(
+        &mut out,
+        format_args!("hermit_connections_reaped {}", m.connections_reaped.load(Ordering::Relaxed)),
+    );
+    line(&mut out, format_args!("hermit_requests_total {}", m.requests.load(Ordering::Relaxed)));
+    line(&mut out, format_args!("hermit_request_errors {}", m.errors.load(Ordering::Relaxed)));
+    line(
+        &mut out,
+        format_args!(
+            "hermit_query_deadline_exceeded {}",
+            m.deadline_exceeded.load(Ordering::Relaxed)
+        ),
     );
 
-    let _ = writeln!(out, "hermit_rows {}", db.len());
+    line(&mut out, format_args!("hermit_rows {}", db.len()));
     // Memory by structure: with the binary and the connection buffers,
     // these parts are the server's resident set.
-    let _ = writeln!(out, "hermit_memory_bytes{{part=\"pool\"}} {}", db.pool_bytes());
+    line(&mut out, format_args!("hermit_memory_bytes{{part=\"pool\"}} {}", db.pool_bytes()));
     let (primary_bytes, (run_keys, outlier_keys)) = {
         let primary = db.primary();
         (primary.memory_bytes(), primary.tier_lens())
     };
-    let _ = writeln!(out, "hermit_memory_bytes{{part=\"primary\"}} {primary_bytes}");
+    line(&mut out, format_args!("hermit_memory_bytes{{part=\"primary\"}} {primary_bytes}"));
     for col in db.indexed_columns() {
         if let Some(index) = db.index(col) {
             let part = if index.is_hermit() { "hermit" } else { "baseline" };
             let bytes = index.memory_bytes();
-            let _ =
-                writeln!(out, "hermit_memory_bytes{{part=\"{part}\",column=\"{col}\"}} {bytes}");
+            line(
+                &mut out,
+                format_args!("hermit_memory_bytes{{part=\"{part}\",column=\"{col}\"}} {bytes}"),
+            );
         }
     }
-    let _ = writeln!(out, "hermit_primary_keys{{tier=\"run\"}} {run_keys}");
-    let _ = writeln!(out, "hermit_primary_keys{{tier=\"outlier\"}} {outlier_keys}");
+    line(&mut out, format_args!("hermit_primary_keys{{tier=\"run\"}} {run_keys}"));
+    line(&mut out, format_args!("hermit_primary_keys{{tier=\"outlier\"}} {outlier_keys}"));
     if let Some((hits, misses, evictions)) = db.pool_counters() {
-        let _ = writeln!(out, "hermit_pool_hits {hits}");
-        let _ = writeln!(out, "hermit_pool_misses {misses}");
-        let _ = writeln!(out, "hermit_pool_evictions {evictions}");
+        line(&mut out, format_args!("hermit_pool_hits {hits}"));
+        line(&mut out, format_args!("hermit_pool_misses {misses}"));
+        line(&mut out, format_args!("hermit_pool_evictions {evictions}"));
         let total = hits + misses;
         let rate = if total == 0 { 1.0 } else { hits as f64 / total as f64 };
-        let _ = writeln!(out, "hermit_pool_hit_rate {rate:.6}");
+        line(&mut out, format_args!("hermit_pool_hit_rate {rate:.6}"));
     }
     let io = db.pool_io_counters();
-    let _ = writeln!(out, "hermit_pool_read_errors {}", io.read_errors);
+    line(&mut out, format_args!("hermit_pool_read_errors {}", io.read_errors));
     // Misses that read one record and installed nothing; they are counted
     // in hermit_pool_misses too.
-    let _ = writeln!(out, "hermit_pool_read_through {}", io.read_through);
+    line(&mut out, format_args!("hermit_pool_read_through {}", io.read_through));
     // Racing loads of one page, and re-reads of an image that went stale in
     // flight, make store reads >= pool misses legal.
-    let _ = writeln!(out, "hermit_store_reads {}", io.store_reads);
-    let _ = writeln!(out, "hermit_store_writes {}", io.store_writes);
+    line(&mut out, format_args!("hermit_store_reads {}", io.store_reads));
+    line(&mut out, format_args!("hermit_store_writes {}", io.store_writes));
     if let Some(depth) = db.wal_depth() {
-        let _ = writeln!(out, "hermit_wal_uncommitted {depth}");
+        line(&mut out, format_args!("hermit_wal_uncommitted {depth}"));
     }
     if let Some(tail) = db.wal_tail() {
-        let _ = writeln!(out, "hermit_wal_records {}", tail.records());
-        let _ = writeln!(out, "hermit_wal_fsyncs {}", tail.fsyncs());
+        line(&mut out, format_args!("hermit_wal_records {}", tail.records()));
+        line(&mut out, format_args!("hermit_wal_fsyncs {}", tail.fsyncs()));
         // Commit points that waited for an fsync; over `hermit_wal_fsyncs`
         // it is the mean cohort one fsync served.
-        let _ = writeln!(out, "hermit_wal_commit_waits {}", tail.commit_waits());
-        let _ = writeln!(out, "hermit_wal_barrier_fsyncs {}", tail.barrier_fsyncs());
+        line(&mut out, format_args!("hermit_wal_commit_waits {}", tail.commit_waits()));
+        line(&mut out, format_args!("hermit_wal_barrier_fsyncs {}", tail.barrier_fsyncs()));
     }
 
     let txn = db.txn_counters();
-    let _ = writeln!(out, "hermit_txn_begins {}", txn.begins);
-    let _ = writeln!(out, "hermit_txn_commits {}", txn.commits);
-    let _ = writeln!(out, "hermit_txn_aborts {}", txn.aborts);
-    let _ = writeln!(out, "hermit_txn_conflicts {}", txn.conflicts);
-    let _ = writeln!(out, "hermit_txn_active {}", txn.active);
+    line(&mut out, format_args!("hermit_txn_begins {}", txn.begins));
+    line(&mut out, format_args!("hermit_txn_commits {}", txn.commits));
+    line(&mut out, format_args!("hermit_txn_aborts {}", txn.aborts));
+    line(&mut out, format_args!("hermit_txn_conflicts {}", txn.conflicts));
+    line(&mut out, format_args!("hermit_txn_active {}", txn.active));
 
-    let _ = writeln!(out, "hermit_reorg_passes {}", inner.db.reorg_passes());
-    let _ = writeln!(out, "hermit_reorg_queue_depth {}", inner.db.reorg_queue_len());
+    line(&mut out, format_args!("hermit_reorg_passes {}", inner.db.reorg_passes()));
+    line(&mut out, format_args!("hermit_reorg_queue_depth {}", inner.db.reorg_queue_len()));
     for col in db.indexed_columns() {
         if matches!(db.index(col), Some(SecondaryIndex::Hermit { .. })) {
             if let Some(share) = inner.db.outlier_share(col) {
-                let _ = writeln!(out, "hermit_outlier_share{{column=\"{col}\"}} {share:.6}");
+                line(&mut out, format_args!("hermit_outlier_share{{column=\"{col}\"}} {share:.6}"));
             }
         }
     }
     if let Some(worker) = inner.worker.lock().as_ref() {
         let stats = worker.stats();
-        let _ = writeln!(out, "hermit_worker_sweeps {}", stats.sweeps.load(Ordering::Relaxed));
-        let _ =
-            writeln!(out, "hermit_worker_candidates {}", stats.candidates.load(Ordering::Relaxed));
+        line(
+            &mut out,
+            format_args!("hermit_worker_sweeps {}", stats.sweeps.load(Ordering::Relaxed)),
+        );
+        line(
+            &mut out,
+            format_args!("hermit_worker_candidates {}", stats.candidates.load(Ordering::Relaxed)),
+        );
     }
 
     for (kind, hist) in m.query_latency.iter() {
         let plan = kind.key();
-        let _ = writeln!(out, "hermit_query_count{{plan=\"{plan}\"}} {}", hist.count());
+        line(&mut out, format_args!("hermit_query_count{{plan=\"{plan}\"}} {}", hist.count()));
         if hist.count() == 0 {
             continue;
         }
-        let _ = writeln!(
-            out,
-            "hermit_query_latency_us{{plan=\"{plan}\",quantile=\"0.5\"}} {}",
-            hist.quantile_us(0.5)
+        line(
+            &mut out,
+            format_args!(
+                "hermit_query_latency_us{{plan=\"{plan}\",quantile=\"0.5\"}} {}",
+                hist.quantile_us(0.5)
+            ),
         );
-        let _ = writeln!(
-            out,
-            "hermit_query_latency_us{{plan=\"{plan}\",quantile=\"0.99\"}} {}",
-            hist.quantile_us(0.99)
+        line(
+            &mut out,
+            format_args!(
+                "hermit_query_latency_us{{plan=\"{plan}\",quantile=\"0.99\"}} {}",
+                hist.quantile_us(0.99)
+            ),
         );
-        let _ =
-            writeln!(out, "hermit_query_latency_us_mean{{plan=\"{plan}\"}} {:.1}", hist.mean_us());
+        line(
+            &mut out,
+            format_args!("hermit_query_latency_us_mean{{plan=\"{plan}\"}} {:.1}", hist.mean_us()),
+        );
         for (le, cum) in hist.cumulative() {
             let le = if le == u64::MAX { "+Inf".to_string() } else { le.to_string() };
-            let _ =
-                writeln!(out, "hermit_query_latency_bucket{{plan=\"{plan}\",le=\"{le}\"}} {cum}");
+            line(
+                &mut out,
+                format_args!("hermit_query_latency_bucket{{plan=\"{plan}\",le=\"{le}\"}} {cum}"),
+            );
         }
     }
     out
@@ -725,6 +777,7 @@ fn drain(inner: &Arc<Inner>) {
     }
     // Force-close whatever is still blocked in a read.
     for (_, stream) in inner.conns.lock().drain() {
+        #[expect(clippy::let_underscore_must_use, reason = "the peer may already be gone")]
         let _ = stream.shutdown(Shutdown::Both);
     }
     let force_deadline = Instant::now() + Duration::from_secs(1);

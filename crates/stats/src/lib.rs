@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # hermit-stats
 //!
 //! Statistical / ML substrate for the Hermit reproduction:
@@ -14,6 +13,7 @@
 //!   why TRS-Tree leaves use OLS instead of heavier models.
 //! * [`sampling`] — random-subset helpers for the sampling-based outlier
 //!   pre-check of Appendix D.2.
+#![warn(clippy::allow_attributes_without_reason)]
 
 pub mod correlation;
 pub mod ols;

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # hermit-storage
 //!
 //! Storage-engine substrate for the Hermit reproduction.
@@ -24,6 +23,8 @@
 //! schemes discussed in §5.1 of the paper are [`Tid`] / [`TidScheme`]:
 //! *physical pointers* (row locations) and *logical pointers* (primary keys
 //! that must be resolved through a primary index).
+#![warn(clippy::allow_attributes_without_reason)]
+#![cfg_attr(not(test), warn(clippy::let_underscore_must_use, clippy::unused_result_ok))]
 
 pub mod batch;
 pub mod error;

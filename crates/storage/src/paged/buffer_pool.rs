@@ -18,7 +18,7 @@
 //! The pool is split into independent *shards* — inner pools keyed by
 //! `page_id % shards`, each behind its own reader-writer lock with its own
 //! clock hand — so visits to different pages do not queue on one lock. A
-//! hit ([`BufferPool::read`], a [`ResidentReader`]) takes its shard's read
+//! hit ([`BufferPool::read`], a `ResidentReader`) takes its shard's read
 //! side, so readers of one shard do not queue on each other either; a
 //! miss, a [`write`](BufferPool::write) and the clock sweep take the write
 //! side.
@@ -322,7 +322,7 @@ impl BufferPool {
     /// docs). A pool serves one log for its whole life; a second call is
     /// ignored.
     pub fn attach_wal(&self, tail: Arc<WalTail>) {
-        let _ = self.wal.set(tail);
+        self.wal.get_or_init(|| tail);
     }
 
     /// The WAL rule: before a dirty page goes to the store, the log is
@@ -706,7 +706,10 @@ impl Drop for ResidentReader<'_> {
 /// [`flush`](BufferPool::flush) explicitly and check the result.
 impl Drop for BufferPool {
     fn drop(&mut self) {
-        // hermit-lint: allow(error-swallow) destructors have nowhere to report; durable paths call flush() explicitly and check it (see the impl docs)
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "destructors have nowhere to report; durable paths call flush() explicitly and check it (see the impl docs)"
+        )]
         let _ = self.flush();
     }
 }

@@ -161,7 +161,10 @@ impl FilePageStore {
         // truncate(false): the pre-check above established the file is
         // empty or absent; truncating would mask a race with a concurrent
         // creator rather than surface it.
-        #[allow(clippy::suspicious_open_options)]
+        #[allow(
+            clippy::suspicious_open_options,
+            reason = "the pre-check above established the file is empty or absent"
+        )]
         let file = OpenOptions::new().read(true).write(true).create(true).open(path)?;
         Ok(FilePageStore {
             file,

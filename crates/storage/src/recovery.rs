@@ -152,8 +152,12 @@ pub fn write_file_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
 /// not every platform allows opening a directory for sync.
 pub fn sync_dir(dir: &Path) {
     if let Ok(d) = std::fs::File::open(dir) {
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "ignored by design: some platforms refuse to open directories for fsync, and rename durability is best-effort there"
+        )]
         // hermit-lint: allow(fault-coverage) best-effort directory sync: the result is ignored by design, so an injected fault would be indistinguishable from the platforms that refuse to fsync directories
-        let _ = d.sync_all(); // hermit-lint: allow(error-swallow) ignored by design: some platforms refuse to open directories for fsync, and rename durability is best-effort there
+        let _ = d.sync_all();
     }
 }
 

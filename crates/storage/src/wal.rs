@@ -508,7 +508,10 @@ impl WalWriter {
     /// sees an empty log of the given epoch.
     pub fn create(path: &Path, epoch: u64) -> Result<Self, RecoveryError> {
         // No `truncate` here: `reset` does it, behind the `wal.reset` site.
-        #[allow(clippy::suspicious_open_options)]
+        #[allow(
+            clippy::suspicious_open_options,
+            reason = "`reset` truncates, behind its fault site"
+        )]
         let file = OpenOptions::new().read(true).write(true).create(true).open(path)?;
         let mut writer = Self::over(file, path, epoch, 0);
         writer.reset(epoch)?;

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # hermit-trs
 //!
 //! The **Tiered Regression Search Tree** (TRS-Tree), the core data structure
@@ -35,6 +34,7 @@
 //! * [`maintain`] — Algorithm 3 plus reorg-candidate detection.
 //! * [`reorg`] — split/merge/batch reorganization against a [`PairSource`].
 //! * [`concurrent`] — the Appendix B online-reorganization wrapper.
+#![warn(clippy::allow_attributes_without_reason)]
 
 pub mod build;
 pub mod concurrent;

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Multi-statement transaction mechanism for the Hermit engine.
 //!
 //! This crate owns the *bookkeeping* of transactions — ids, the transaction
@@ -50,6 +49,16 @@
 //! The counters ([`TxnCounters`]) feed the server's `Stats` exporter as
 //! `hermit_txn_begins` / `hermit_txn_commits` / `hermit_txn_aborts` /
 //! `hermit_txn_conflicts` and the `hermit_txn_active` gauge.
+#![warn(clippy::allow_attributes_without_reason)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use hermit_storage::Value;
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # hermit-workloads
 //!
 //! The three applications of the Hermit evaluation (§7.1, Appendix A),
@@ -19,6 +18,7 @@
 //!
 //! All generators are seeded and deterministic; table sizes are parameters
 //! so benchmarks can run paper-scale or laptop-scale.
+#![warn(clippy::allow_attributes_without_reason)]
 
 pub mod queries;
 pub mod sensor;

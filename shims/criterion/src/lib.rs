@@ -10,6 +10,7 @@
 //! `measurement_time / sample_size`, and the mean/min/max per-iteration
 //! times are printed. There is no statistical analysis, plotting, or
 //! baseline comparison.
+#![warn(clippy::allow_attributes_without_reason)]
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};

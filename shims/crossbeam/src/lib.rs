@@ -10,6 +10,7 @@
 //! so the `Err` arm of the returned `Result` is never taken. Every call
 //! site in this repo immediately `.unwrap()`s the result, which makes the
 //! two behaviours equivalent in practice.
+#![warn(clippy::allow_attributes_without_reason)]
 
 pub mod thread {
     use std::any::Any;

@@ -5,6 +5,7 @@
 //! lock methods return guards directly (no `Result`). Poisoning is ignored —
 //! a poisoned std lock yields its inner guard, matching `parking_lot`'s
 //! no-poisoning semantics.
+#![warn(clippy::allow_attributes_without_reason)]
 
 use std::sync;
 

@@ -12,6 +12,7 @@
 //! run-to-run; there is **no shrinking** — a failing case reports the case
 //! number and assertion message only. Each `#[test]` inside `proptest!`
 //! runs `ProptestConfig::cases` generated cases (default 64).
+#![warn(clippy::allow_attributes_without_reason)]
 
 pub mod strategy;
 pub mod test_runner;

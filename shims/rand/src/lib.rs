@@ -10,6 +10,7 @@
 //! generators and experiments require. It is **not** cryptographically
 //! secure and makes no claim of statistical equivalence with upstream
 //! `StdRng` (seeds produce different streams than real `rand`).
+#![warn(clippy::allow_attributes_without_reason)]
 
 use std::ops::{Range, RangeInclusive};
 

@@ -1,11 +1,12 @@
 //! Seeded lock-order inversion, caught by the **runtime witness**.
 //!
-//! The static half of the same acceptance criterion lives in
-//! `crates/analysis/tests/lint.rs` (`seeding_a_cross_function_inversion_
-//! fails_the_lint`); this binary proves the dynamic half: holding the
-//! primary-index latch while a query takes the index latches contradicts
-//! [`hermit::core::latches::LATCH_HIERARCHY`], and debug builds must
-//! refuse to execute it.
+//! The static half of the same acceptance criterion is a `compile_fail`
+//! doctest on [`hermit::core::latches::Below`]: with rank tokens, taking an
+//! index latch under the primary index does not compile. This binary
+//! proves the dynamic half for code that holds a tokenless guard: holding
+//! the primary-index latch while a query takes the index latches
+//! contradicts [`hermit::core::latches::LATCH_HIERARCHY`], and debug builds
+//! must refuse to execute it.
 //!
 //! This is deliberately a **separate test binary** from `latch_witness`:
 //! the witness's observed-edge set is process-global, and the inverted
