@@ -87,9 +87,24 @@ fn bench_point(c: &mut Criterion) {
     group.finish();
 }
 
+/// What [`cold_fetch_rate`] measured.
+struct ColdFetch {
+    /// Requests per second, all readers together.
+    requests_per_s: f64,
+    /// Reader-thread µs per read-through record: the readers' time divided
+    /// by the records the pool read through. The requests' hits and loads
+    /// are charged to it too, so it is an upper bound — a close one on
+    /// uniform access, where most page visits are read-throughs.
+    read_through_us: f64,
+    /// Page-store reads per request, whole pages and records.
+    store_reads_per_request: f64,
+}
+
 /// Requests per second of `readers` threads, each materializing 200 random
-/// rows per request through `Database::fetch_rows` for `window`.
-fn cold_fetch_rate(db: &Database, locs: &[RowLoc], readers: usize, window: Duration) -> f64 {
+/// rows per request through `Database::fetch_rows` for `window`, and what
+/// the read-throughs among them cost.
+fn cold_fetch_rate(db: &Database, locs: &[RowLoc], readers: usize, window: Duration) -> ColdFetch {
+    let io = db.pool_io_counters();
     let start = Instant::now();
     let requests: u64 = std::thread::scope(|s| {
         let handles: Vec<_> = (0..readers)
@@ -117,7 +132,15 @@ fn cold_fetch_rate(db: &Database, locs: &[RowLoc], readers: usize, window: Durat
             .collect();
         handles.into_iter().map(|h| h.join().expect("cold_fetch reader panicked")).sum()
     });
-    requests as f64 / start.elapsed().as_secs_f64()
+    let elapsed = start.elapsed();
+    let after = db.pool_io_counters();
+    let read_throughs = (after.read_through - io.read_through).max(1);
+    ColdFetch {
+        requests_per_s: requests as f64 / elapsed.as_secs_f64(),
+        read_through_us: elapsed.as_secs_f64() * 1e6 * readers as f64 / read_throughs as f64,
+        store_reads_per_request: (after.store_reads - io.store_reads) as f64
+            / requests.max(1) as f64,
+    }
 }
 
 /// One reader's µs per 200-row request and the pool's hit share over
@@ -171,6 +194,10 @@ fn cold_fetch_profile(
 /// on a lock again. Timed by hand rather than through `Bencher::iter`: the
 /// figure of merit is aggregate throughput across threads.
 ///
+/// Each reader count also prints `cold_fetch/read_through_us_N`, the
+/// reader-thread µs per read-through record, with the store reads per
+/// request beside it.
+///
 /// Then one reader's µs per request and pool hit share, under uniform
 /// access and with 90 % of the rows drawn from 15 % of the pages: a cold
 /// row alone on its page is read through rather than loaded unless the
@@ -210,9 +237,19 @@ fn bench_cold_fetch(c: &mut Criterion) {
         .collect();
     let one = cold_fetch_rate(&db, &locs, 1, window);
     let two = cold_fetch_rate(&db, &locs, 2, window);
-    eprintln!("bench cold_fetch/readers_1  {one:>10.0} req/s  ({rows} rows, pool {} of {heap_pages} pages)", config.pool_pages);
-    eprintln!("bench cold_fetch/readers_2  {two:>10.0} req/s");
-    eprintln!("bench cold_fetch/scaling_2_over_1  {:.2}", two / one);
+    eprintln!(
+        "bench cold_fetch/readers_1  {:>10.0} req/s  ({rows} rows, pool {} of {heap_pages} pages)",
+        one.requests_per_s, config.pool_pages
+    );
+    eprintln!("bench cold_fetch/readers_2  {:>10.0} req/s", two.requests_per_s);
+    for (readers, run) in [(1, &one), (2, &two)] {
+        eprintln!(
+            "bench cold_fetch/read_through_us_{readers}  {:>8.2} µs per read-through record  \
+             ({:.1} store reads per request)",
+            run.read_through_us, run.store_reads_per_request
+        );
+    }
+    eprintln!("bench cold_fetch/scaling_2_over_1  {:.2}", two.requests_per_s / one.requests_per_s);
     let hot = &locs[..locs.len() * 15 / 100];
     for (label, hot_share) in [("uniform", 0.0), ("hot_pages", 0.9)] {
         let (us, hit_share) = cold_fetch_profile(&db, &locs, hot, hot_share, window);

@@ -8,13 +8,14 @@
 //! * **phases 3–4**, one tail, `batched_resolve_validate`: primary-index
 //!   resolution under logical pointers, then validation in page order
 //!   through [`hermit_storage::paged::PagedTable::for_each_row_batch`] —
-//!   each heap page pinned once per query, its candidates validated and
-//!   their projection written under that one access. So an index plan's
+//!   each heap page seen once per query, its candidates' records copied
+//!   out, and each candidate validated and its projection written from that
+//!   one copy. So an index plan's
 //!   rows come back in ascending [`RowLoc`] order, the order the seq scan
 //!   emits them in too.
 //!
 //! Across a batch the TRS traversal scratch, the candidate and location
-//! vectors and the page-sort keys are reused, not reallocated.
+//! vectors and the validation buffers are reused, not reallocated.
 
 use crate::database::Database;
 use crate::executor::{QueryResult, RangePredicate};
@@ -23,6 +24,7 @@ use crate::latches::{self, Held, Visibility};
 use crate::plan::{AccessPath, QueryPlan};
 use crate::query::Query;
 use crate::rows::BlockWriter;
+use hermit_storage::paged::BatchBuffers;
 use hermit_storage::{ColumnId, F64Key, RowLoc, Tid, TidScheme};
 use hermit_trs::{LookupScratch, TrsLookup};
 use hermit_txn::ReadView;
@@ -45,8 +47,8 @@ pub(crate) struct BatchScratch {
     pub(crate) candidates: Vec<Tid>,
     /// Resolved row locations (phase 3).
     locs: Vec<RowLoc>,
-    /// Page-sort keys for locality-aware validation (phase 4).
-    order: Vec<u128>,
+    /// Page-sort keys and record window of validation (phase 4).
+    rows: BatchBuffers,
 }
 
 impl Database {
@@ -248,20 +250,19 @@ impl Database {
         }
 
         // Phase 4: page-ordered base-table validation. Each heap page is
-        // pinned once; all of its candidates are validated under that one
-        // access, with every recheck column read from the same row view.
+        // seen once; all of its candidates are validated from that one
+        // visit, with every recheck column read from the same row view.
         let t3 = Instant::now();
         let locs = &scratch.locs;
         let filtering = view.is_filtering();
         let pk_col = self.pk_col();
         result.rows.reserve(locs.len());
-        // Sized for every candidate before the pass: the visitor runs under
-        // a pool shard lock and must not allocate. Matches land at
+        // Sized for every candidate before the pass. Matches land at
         // consecutive slots, in the order `rows` gets them in.
         let mut writer =
             projection.map(|cols| BlockWriter::new(cols, self.heap().schema().width(), locs.len()));
         result.unreadable +=
-            self.heap().for_each_row_batch(locs, &mut scratch.order, |i, row| match row {
+            self.heap().for_each_row_batch(locs, &mut scratch.rows, |i, row| match row {
                 None => result.unresolved += 1,
                 Some(row) => {
                     if filtering

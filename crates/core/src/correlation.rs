@@ -10,7 +10,7 @@
 //! Fig. 25 taxonomy.
 
 use hermit_stats::{pearson, sampling, spearman};
-use hermit_storage::paged::PagedTable;
+use hermit_storage::paged::{BatchBuffers, PagedTable};
 use hermit_storage::{ColumnId, RowLoc};
 
 /// Configuration for correlation discovery.
@@ -52,7 +52,7 @@ impl CorrelationReport {
 /// candidates sorted best-first.
 ///
 /// The sample is drawn from the heap's slots (`pages × slots per page`) and
-/// read through one batched visit — a page pinned once for all of its
+/// read through one batched visit — a page seen once for all of its
 /// sampled slots, never a scan of the table. A slot that holds no live row
 /// (deleted, or past the last page's fill) drops out of the sample, as do
 /// rows where either side is NULL (the Stock table's missing readings must
@@ -81,7 +81,7 @@ pub fn discover_correlations(
     // Per live sampled row: the target cell, then one cell per host.
     let stride = hosts.len() + 1;
     let mut cells: Vec<Option<f64>> = Vec::with_capacity(locs.len() * stride);
-    heap.for_each_row_batch(&locs, &mut Vec::new(), |_, row| {
+    heap.for_each_row_batch(&locs, &mut BatchBuffers::default(), |_, row| {
         if let Some(row) = row {
             cells.push(row.f64(target));
             cells.extend(hosts.iter().map(|&h| row.f64(h)));

@@ -24,9 +24,9 @@
 //! **Projection is emitted during validation.** The tuple phase 4 fetches
 //! to re-check the predicate *is* the answer, so a plan that carries a
 //! projection has each matching row's cells written into a
-//! [`RowBlock`] inside the validation visitor, while the row's page is
-//! pinned: one page visit per candidate page, and no row can change between
-//! being validated and being returned. [`Database::fetch_rows`] is not on
+//! [`RowBlock`] inside the validation visitor, from the same copy of the
+//! row the predicate was checked on: one page visit per candidate page, and
+//! no row can change between being validated and being returned. [`Database::fetch_rows`] is not on
 //! the query path; it serves callers that hold only row locations.
 
 use crate::batch::BatchScratch;
@@ -35,6 +35,7 @@ use crate::database::Database;
 use crate::plan::QueryPlan;
 use crate::query::Query;
 use crate::rows::{BlockWriter, RowBlock};
+use hermit_storage::paged::BatchBuffers;
 use hermit_storage::{ColumnId, RowLoc, Value};
 use hermit_txn::ReadView;
 use std::time::Instant;
@@ -132,7 +133,7 @@ impl Database {
     /// Materialize the rows at `locs` — the columns in `cols`, or every
     /// column when `None` — visiting the heap grouped by page
     /// ([`hermit_storage::paged::PagedTable::for_each_row_batch`]): one page
-    /// pin per distinct page instead of one lock + lookup + fetch per row.
+    /// visit per distinct page instead of one lock + lookup + fetch per row.
     /// The output is aligned with `locs`; `None` marks a row that no longer
     /// exists (deleted since the caller validated it). The second value is the
     /// number of pages that could not be read — when non-zero some `None`s
@@ -149,8 +150,8 @@ impl Database {
     ) -> (Vec<Option<Vec<Value>>>, usize) {
         let width = self.heap().schema().width();
         let mut fetched = vec![None; locs.len()];
-        let mut order = Vec::new();
-        let unreadable = self.heap().for_each_row_batch(locs, &mut order, |i, row| {
+        let mut buffers = BatchBuffers::default();
+        let unreadable = self.heap().for_each_row_batch(locs, &mut buffers, |i, row| {
             fetched[i] = row.map(|row| match cols {
                 Some(cols) => cols.iter().map(|&c| row.value(c)).collect(),
                 None => (0..width).map(|c| row.value(c)).collect(),

@@ -3,8 +3,8 @@
 //! The paper's lookup ends in base-table validation (§5.2, Fig. 3 phase 4):
 //! the tuple is fetched to re-check the predicate, and that fetched tuple
 //! *is* the answer. So the executor's validate stage writes each matching
-//! row's cells into a block while the row's page is pinned, and nothing
-//! visits the heap a second time. The cells are the 9-byte images of
+//! row's cells into a block from the copy it validated, and nothing visits
+//! the heap a second time. The cells are the 9-byte images of
 //! [`hermit_storage::encode_cell`] — what the page holds and what the wire
 //! ships — so a caller that wants bytes (the server) copies them on and a
 //! caller that wants [`Value`]s decodes them with [`RowBlock::row`].
@@ -74,9 +74,9 @@ impl RowBlock {
 }
 
 /// Fills a [`RowBlock`] from inside a heap visitor. The block is sized for
-/// every candidate before the pass, so [`emit`](Self::emit) — which runs
-/// under the visited page's pool shard lock — never allocates; matches are
-/// written at consecutive slots and the unused tail is cut off at the end.
+/// every candidate before the pass, so [`emit`](Self::emit) never
+/// allocates; matches are written at consecutive slots and the unused tail
+/// is cut off at the end.
 pub(crate) struct BlockWriter<'p> {
     cols: &'p [ColumnId],
     /// `cols` is `0..heap width`: rows are copied whole.

@@ -59,9 +59,10 @@ pub use store::FaultyPageStore;
 /// records: the canonical workload runs on a one-frame pool and ends with a
 /// transaction that overflows its first heap page, which steals that page
 /// once (the durability suite's steal test takes a crash image at every
-/// site of such a steal). `page.read_range` is a buffer-pool miss that
-/// reads one record instead of a page; the workload's last statements read
-/// one such row.
+/// site of such a steal). `page.read_range` is one span of a batch's
+/// read-throughs — a cold page's records read instead of the page, one site
+/// per span, so an ordinal names a single read; the workload's last
+/// statements read one such row.
 pub const CRASH_MATRIX_SITES: &[&str] = &[
     "atomic.rename",
     "atomic.write",

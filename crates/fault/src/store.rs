@@ -16,7 +16,9 @@
 //! so the checkpoint machinery treats it exactly like the inner store.
 
 use crate::plan::{FaultKind, FaultOp, FaultPlan};
-use hermit_storage::paged::{FilePageStore, IoStats, Page, PageId, PageStore, PAGE_SIZE};
+use hermit_storage::paged::{
+    FilePageStore, IoStats, Page, PageId, PageRange, PageStore, PAGE_SIZE,
+};
 use hermit_storage::StorageError;
 use parking_lot::Mutex;
 use std::collections::HashSet;
@@ -129,9 +131,13 @@ impl PageStore for FaultyPageStore {
         self.inner.read_into(id, page)
     }
 
-    fn read_range(&self, id: PageId, offset: usize, buf: &mut [u8]) -> hermit_storage::Result<()> {
-        self.read_fault()?;
-        self.inner.read_range(id, offset, buf)
+    /// One fault ordinal per range: a batch of record reads meets the
+    /// faults its reads would meet one by one.
+    fn read_ranges(&self, ranges: &[PageRange], buf: &mut [u8]) -> hermit_storage::Result<()> {
+        for _ in ranges {
+            self.read_fault()?;
+        }
+        self.inner.read_ranges(ranges, buf)
     }
 
     fn write(&self, id: PageId, page: &Page) -> hermit_storage::Result<()> {
@@ -257,7 +263,8 @@ mod tests {
 
     fn record(store: &FaultyPageStore, id: PageId) -> hermit_storage::Result<[u8; 16]> {
         let mut bytes = [0u8; 16];
-        store.read_range(id, Page::slot_offset(16, 0), &mut bytes)?;
+        let range = PageRange { page: id, offset: Page::slot_offset(16, 0), len: 16 };
+        store.read_ranges(&[range], &mut bytes)?;
         Ok(bytes)
     }
 

@@ -49,7 +49,7 @@
 //! codec lives next to [`Value`] in `hermit_storage` and this module only
 //! calls it. It is why a `Rows` payload — `0x81 | count u32 | count ×
 //! (width u16 | width × cell)` — can be written straight from a
-//! [`RowBlock`], whose cells were copied off the pinned page during
+//! [`RowBlock`], whose cells were copied out of the heap during
 //! validation ([`encode_rows`]); `Response::Rows(..).encode()` produces the
 //! same bytes from boxed values. Queries serialize their conjuncts,
 //! projection, and limit exactly as the [`hermit_core::Query`] builder

@@ -15,8 +15,8 @@
 //!   queries via the cost-based planner (plan once, execute, record the
 //!   latency under the plan's [`PlanKind`](hermit_core::PlanKind) histogram), DML via the same
 //!   concurrent write path every in-process thread uses. A query's rows are
-//!   written by the executor's validate stage, as cell images, while each
-//!   row's page is pinned ([`hermit_core::RowBlock`]); the `Rows` frame is
+//!   written by the executor's validate stage, as cell images, from the copy
+//!   of each row it validated ([`hermit_core::RowBlock`]); the `Rows` frame is
 //!   built from that block, so the handler never goes back to the heap and
 //!   never boxes a row. Requests are read through one buffered reader per
 //!   connection into a reused payload buffer, and every response leaves in

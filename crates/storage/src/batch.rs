@@ -4,7 +4,7 @@
 //! candidate rows. Doing that one `value_f64` call at a time costs a buffer
 //! pool lock + frame lookup *per cell*; the batch API
 //! ([`crate::paged::PagedTable::for_each_row_batch`]) instead visits
-//! candidates grouped by page, pinning each page once and handing the caller
+//! candidates grouped by page, seeing each page once and handing the caller
 //! a borrowed [`RowRef`] from which any number of cells can be read for free.
 
 use crate::schema::ColumnId;
@@ -12,7 +12,8 @@ use crate::value::{Value, CELL_BYTES};
 
 /// A borrowed view of one live row, valid only inside a heap visitor
 /// callback (a batch or a scan): the row's record — 9 bytes per cell, tag +
-/// payload — borrowed from its pinned page (or from a read-through buffer).
+/// payload — borrowed from its pinned page, or from the window of records a
+/// batch copied out of the pool.
 #[derive(Clone, Copy)]
 pub struct RowRef<'a> {
     bytes: &'a [u8],
@@ -50,11 +51,10 @@ impl<'a> RowRef<'a> {
 
     /// Write the row's cell images into `out`, `CELL_BYTES` per cell: the
     /// columns in `cols`, in that order, or the whole row when `None`. The
-    /// whole row is one copy of the record off its pinned page; a
-    /// projection goes cell by cell. An out-of-range column is written as
-    /// NULL. `out` is expected to be exactly as long as the cells asked for;
-    /// nothing is written past it. Allocates nothing, so it may run under a
-    /// pool shard lock.
+    /// whole row is one copy of the record; a projection goes cell by cell.
+    /// An out-of-range column is written as NULL. `out` is expected to be
+    /// exactly as long as the cells asked for; nothing is written past it.
+    /// Allocates nothing.
     // hermit-lint: hot-path
     #[inline]
     pub fn write_cells(&self, cols: Option<&[ColumnId]>, out: &mut [u8]) {

@@ -11,16 +11,18 @@
 //! [`BufferPool::write`] run a caller closure against the cached frame under
 //! the page's shard lock and return whatever the closure extracts. Nothing
 //! is copied out, no guard escapes, and the closure must not re-enter the
-//! pool — which is what keeps the pool trivially deadlock-free.
+//! pool — which is what keeps the pool trivially deadlock-free. A heap's
+//! candidate validation visits many pages at once through
+//! `BufferPool::read_batch` (below).
 //!
 //! # Sharding
 //!
 //! The pool is split into independent *shards* — inner pools keyed by
 //! `page_id % shards`, each behind its own reader-writer lock with its own
 //! clock hand — so visits to different pages do not queue on one lock. A
-//! hit ([`BufferPool::read`], a `ResidentReader`) takes its shard's read
-//! side, so readers of one shard do not queue on each other either; a
-//! miss, a [`write`](BufferPool::write) and the clock sweep take the write
+//! hit ([`BufferPool::read`], a batch's classify pass) takes its shard's
+//! read side, so readers of one shard do not queue on each other either; a
+//! load, a [`write`](BufferPool::write) and the clock sweep take the write
 //! side.
 //! [`BufferPool::new`] builds a single-shard pool (fully deterministic
 //! replacement, the right default for the small pools the experiments
@@ -29,8 +31,7 @@
 //!
 //! # The miss path: pin → unlocked I/O → publish
 //!
-//! A shard lock is never held across a store *read*. An admitted miss (see
-//! [below](#admission-load-the-page-or-read-the-record-through))
+//! A shard lock is never held across a store *read*. A load
 //!
 //! 1. under the shard lock picks a frame — a free one, else the clock
 //!    victim, written back first if dirty — unmaps it and takes its 8 KiB
@@ -60,39 +61,50 @@
 //! Victim write-back stays under the shard lock: the victim must not be
 //! re-readable from the store before its newest image is there.
 //!
-//! # Admission: load the page, or read the record through
+//! # Batches: classify → read → verify
 //!
 //! On a heap far larger than the pool, under access with no locality, most
 //! loaded pages are evicted before anyone visits them again — and a load
-//! copies 8 KiB to validate one record of a few dozen bytes. So a miss of
-//! [`BufferPool::read_record`] (a visit that wants one record) is only
-//! *admitted* — loaded and installed as above — when its shard has a free
-//! frame, or when the same page missed since the shard's doorkeeper was
-//! last cleared: one bit per page, cleared every time the shard has missed
-//! as many times as it has frames (TinyLFU's doorkeeper). Every other such
-//! miss is a **read-through**: one [`PageStore::read_range`] of the
-//! record's bytes into the caller's buffer, installing and evicting
-//! nothing. It still counts as a miss ([`PoolStats::misses`] means "not
-//! served from a frame"), and [`PoolStats::read_through`] counts it again.
+//! copies 8 KiB to validate a record of a few dozen bytes. So
+//! `BufferPool::read_batch` loads a missed page only when it is
+//! *admitted*: when its shard has a free frame not already claimed by the
+//! batch's own loads, or when the same page missed since the shard's
+//! doorkeeper was last cleared — one bit per page, cleared every time the
+//! shard has missed as many times as it has frames (TinyLFU's doorkeeper).
+//! Every other miss is a **read-through**: the caller names one byte span
+//! of the page — from its first to its last record the batch wants — and
+//! the pool reads just that, installing and evicting nothing. It still
+//! counts as a miss ([`PoolStats::misses`] means "not served from a
+//! frame"), and [`PoolStats::read_through`] counts it again.
 //! [`read`](BufferPool::read), [`write`](BufferPool::write) and
 //! [`allocate`](BufferPool::allocate) always install.
 //!
-//! A read-through is correct by the write epoch that guards loads:
+//! A batch's pages are grouped by shard, and each shard's group is served
+//! in three steps:
 //!
-//! 1. under the shard lock it finds the page unmapped and records the
-//!    epoch. An unmapped page's newest image is in the store — a dirty
-//!    frame leaves the pool only through a write-back under the same lock;
-//! 2. unlocked, it asks the caller where the record is (the caller's
-//!    liveness summary, read now, is at least as new as that image) and
-//!    reads the bytes;
-//! 3. relocks. If the page is still unmapped and the epoch has not moved,
-//!    no frame of this page was written in between: a write dirties a
-//!    frame, and that frame is either still mapped or was written back,
-//!    moving the epoch. So the bytes are the page's current record. If
-//!    not, they are discarded and the visit takes the frame path.
+//! 1. **classify**, under one acquisition of the shard's read lock: visit
+//!    every resident page, and for each missing one count the miss and
+//!    decide its admission — the doorkeeper's bits are atomics, so this
+//!    takes no write lock. Record the shard's write epoch. An unmapped
+//!    page's newest image is in the store: a dirty frame leaves the pool
+//!    only through a write-back under the shard's write lock;
+//! 2. **read**, unlocked: ask the caller where each unadmitted page's span
+//!    is (whatever the caller consults, read now, is at least as new as the
+//!    store's image; a caller that cannot tell declines and the page takes
+//!    the frame path), then read every span in one
+//!    [`PageStore::read_ranges`] call. A failed call leaves each of its
+//!    pages unreadable, and clears their doorkeeper bits: a page whose
+//!    read failed is not admitted on the strength of that miss;
+//! 3. **verify**, under the read lock again: if the epoch has not moved, no
+//!    frame of this shard was written back in between, so a page still
+//!    unmapped has had no write since step 1 — a write dirties a frame, and
+//!    that frame is either still mapped or was written back, moving the
+//!    epoch — and its bytes are current. Every other staged page, and every
+//!    admitted one, takes the frame path: it is loaded as above (or found
+//!    installed by another thread meanwhile) and visited in its frame.
 //!
-//! The caller declines (and the visit takes the frame path) whenever the
-//! record's liveness cannot be read off its summary.
+//! The counters a batch moves are added to [`PoolStats`] once, when it
+//! ends.
 //!
 //! # WAL before data
 //!
@@ -105,13 +117,13 @@
 //! otherwise one log fsync, taken under the shard lock that is about to
 //! write a page anyway.
 
-use super::io::PageStore;
+use super::io::{PageRange, PageStore};
 use super::page::{Page, PageId};
 use crate::hash::IntMap;
 use crate::wal::WalTail;
 use crate::Result;
-use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use parking_lot::{RwLock, RwLockWriteGuard};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Hit/miss/eviction counters for a buffer pool.
@@ -155,6 +167,20 @@ impl PoolStats {
     /// caller got the error).
     pub fn read_errors(&self) -> u64 {
         self.read_errors.load(Ordering::Relaxed)
+    }
+
+    /// Add a finished batch's counts.
+    fn add(&self, tally: &Tally) {
+        for (counter, n) in [
+            (&self.hits, tally.hits),
+            (&self.misses, tally.misses),
+            (&self.read_through, tally.read_through),
+            (&self.read_errors, tally.read_errors),
+        ] {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        }
     }
 
     /// Reset all counters.
@@ -205,10 +231,12 @@ struct PoolInner {
     /// has missed as many times as it has frames. One word per frame, so
     /// exactly one bit per page while the shard's share of the heap is at
     /// most 64 × its frames; past that, pages share bits and a few more
-    /// misses are admitted than the rule says.
-    doorkeeper: Vec<u64>,
+    /// misses are admitted than the rule says. Atomic, so a batch admits
+    /// under the read lock; misses racing there may see a bit a moment
+    /// early or late, which only moves one admission.
+    doorkeeper: Vec<AtomicU64>,
     /// Misses since the doorkeeper was last cleared.
-    window_misses: usize,
+    window_misses: AtomicUsize,
 }
 
 impl PoolInner {
@@ -223,25 +251,62 @@ impl PoolInner {
             free: (0..capacity).rev().collect(),
             clock_hand: 0,
             write_epoch: 0,
-            doorkeeper: vec![0; capacity],
-            window_misses: 0,
+            doorkeeper: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
+            window_misses: AtomicUsize::new(0),
         }
     }
 
-    /// Count a miss on the shard's `local`-th page and decide whether it is
-    /// admitted: a free frame admits any miss, the doorkeeper a page that
-    /// already missed since its last clear.
-    fn admit(&mut self, local: u64) -> bool {
-        if self.window_misses == self.slots.len() {
-            self.doorkeeper.fill(0);
-            self.window_misses = 0;
+    /// Count `n` misses toward the doorkeeper's window in one atomic step
+    /// and return the window's count before them, the position
+    /// [`admit`](Self::admit) walks from. Racing batches' misses land wholly
+    /// before or after these.
+    fn count_misses(&self, n: usize) -> usize {
+        let frames = self.slots.len();
+        // `admit`'s walk of `n` steps from `before`, in closed form.
+        let after = |before: usize| {
+            Some(if before + n <= frames {
+                before + n
+            } else {
+                (n - (frames - before) - 1) % frames + 1
+            })
+        };
+        let (Ok(before) | Err(before)) =
+            self.window_misses.fetch_update(Ordering::Relaxed, Ordering::Relaxed, after);
+        before
+    }
+
+    /// Decide whether the miss at window position `*at` — counted by
+    /// [`count_misses`](Self::count_misses) — on the shard's `local`-th page
+    /// is admitted, and step past it: a free frame admits any miss — one of
+    /// more than `claimed`, the frames the caller's own admitted misses will
+    /// take — and the doorkeeper a page that already missed since its last
+    /// clear.
+    fn admit(&self, at: &mut usize, local: u64, claimed: usize) -> bool {
+        if *at >= self.slots.len() {
+            // This miss opens the next window.
+            for word in &self.doorkeeper {
+                word.store(0, Ordering::Relaxed);
+            }
+            *at = 0;
         }
-        self.window_misses += 1;
+        *at += 1;
+        let (word, mask) = self.doorkeeper_bit(local);
+        let seen = word.fetch_or(mask, Ordering::Relaxed) & mask != 0;
+        seen || self.free.len() > claimed
+    }
+
+    /// Clear the doorkeeper's bit of the shard's `local`-th page: its read
+    /// failed, so its next miss is not admitted on the strength of this one
+    /// — a load would evict a frame for a read likely to fail again.
+    fn forget(&self, local: u64) {
+        let (word, mask) = self.doorkeeper_bit(local);
+        word.fetch_and(!mask, Ordering::Relaxed);
+    }
+
+    /// The doorkeeper word and bit of the shard's `local`-th page.
+    fn doorkeeper_bit(&self, local: u64) -> (&AtomicU64, u64) {
         let bit = local % (64 * self.doorkeeper.len() as u64);
-        let (word, mask) = ((bit / 64) as usize, 1u64 << (bit % 64));
-        let seen = self.doorkeeper[word] & mask != 0;
-        self.doorkeeper[word] |= mask;
-        seen || !self.free.is_empty()
+        (&self.doorkeeper[(bit / 64) as usize], 1u64 << (bit % 64))
     }
 
     /// Map `id` to the reserved slot `idx`, now holding `page`.
@@ -277,13 +342,43 @@ impl PoolInner {
     }
 }
 
-/// How [`BufferPool::read_record`] served a visit.
-#[derive(Debug, PartialEq, Eq)]
-pub enum RecordRead<T> {
-    /// The page was visited in a frame; the closure's result.
-    Page(T),
-    /// A read-through: the record's bytes are in the caller's buffer.
-    ReadThrough,
+/// How [`BufferPool::read_batch`] saw one page of its batch.
+#[derive(Clone, Copy)]
+pub(crate) enum Seen<'a> {
+    /// In a frame: a hit, or a miss the pool loaded.
+    Page(&'a Page),
+    /// Read through: the bytes of the span the caller located, verified to
+    /// be the page's current ones.
+    Bytes(&'a [u8]),
+    /// The page could not be read.
+    Unreadable,
+}
+
+/// Reusable buffers of [`BufferPool::read_batch`].
+#[derive(Debug, Default)]
+pub(crate) struct PoolBatch {
+    /// Each page's shard.
+    shard_of: Vec<usize>,
+    /// The batch's page indices grouped by shard, each group in batch
+    /// order, and where each shard's group ends.
+    by_shard: Vec<usize>,
+    ends: Vec<usize>,
+    /// Pages of the current shard that take the frame path.
+    loads: Vec<usize>,
+    /// Pages of the current shard read through, and their spans.
+    staged: Vec<usize>,
+    ranges: Vec<PageRange>,
+    /// The spans' bytes, back to back.
+    bytes: Vec<u8>,
+}
+
+/// What a batch adds to [`PoolStats`], once, when it ends.
+#[derive(Default)]
+struct Tally {
+    hits: u64,
+    misses: u64,
+    read_through: u64,
+    read_errors: u64,
 }
 
 /// Sharded clock-replacement buffer pool.
@@ -453,8 +548,10 @@ impl BufferPool {
             inner.map.clear();
             inner.free.clear();
             inner.clock_hand = 0;
-            inner.doorkeeper.fill(0);
-            inner.window_misses = 0;
+            for word in &mut inner.doorkeeper {
+                *word.get_mut() = 0;
+            }
+            *inner.window_misses.get_mut() = 0;
             // Slots out with a load stay out; everything else is free again,
             // handed out 0, 1, 2, … like a new pool.
             for (idx, slot) in inner.slots.iter_mut().enumerate().rev() {
@@ -485,77 +582,159 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Visit one record of page `id`, whose byte offset in the page
-    /// `locate` gives, or `None` when the page must be seen whole. A hit or
-    /// an admitted miss runs `f` against the frame, as [`read`](Self::read)
-    /// does. Any other miss is a *read-through*: `locate` is asked — after
-    /// the page was found unmapped, so whatever it consults is at least as
-    /// new as the store's image — and the record's bytes are read into
-    /// `record` with the shard unlocked, installing and evicting nothing.
-    /// The bytes are kept only if the page is still unmapped and the shard
-    /// wrote nothing back meanwhile; otherwise, or when `locate` declines,
-    /// the visit takes the frame path after all (see the module docs).
-    pub fn read_record<T>(
+    /// Visit every page of `pages` (distinct ids) once: `visit` gets each
+    /// page's index in `pages` and how the pool saw it — in a frame, as the
+    /// bytes of the span `locate` names for it, or unreadable. A hit or an
+    /// admitted miss is visited in its frame; any other miss is a
+    /// read-through, for which `locate` is asked — after the page was found
+    /// unmapped — for the `(offset, len)` span the caller needs, or `None`
+    /// to have the page loaded instead. Pages are taken shard by shard
+    /// through classify → read → verify (see the module docs), so `visit`
+    /// runs in no particular order, and for pages in frames under their
+    /// shard's lock: it must not re-enter the pool.
+    pub(crate) fn read_batch(
         &self,
-        id: PageId,
-        record: &mut [u8],
-        locate: impl FnOnce() -> Option<usize>,
-        f: impl FnOnce(&Page) -> T,
-    ) -> Result<RecordRead<T>> {
-        let shard = self.shard(id);
-        let mut inner = shard.write();
-        if let Some(&idx) = inner.map.get(&id) {
-            self.stats.hits.fetch_add(1, Ordering::Relaxed);
-            let frame = inner.frame_mut(idx);
-            frame.referenced.store(true, Ordering::Relaxed);
-            return Ok(RecordRead::Page(f(&frame.page)));
+        pages: &[PageId],
+        buffers: &mut PoolBatch,
+        mut locate: impl FnMut(usize) -> Option<(usize, usize)>,
+        mut visit: impl FnMut(usize, Seen<'_>),
+    ) {
+        let PoolBatch { shard_of, by_shard, ends, loads, staged, ranges, bytes } = buffers;
+        // Group the pages by shard, each group in batch order: a counting
+        // sort, `ends[s]` ending up where shard `s`'s group ends.
+        shard_of.clear();
+        shard_of.extend(pages.iter().map(|&id| self.shard_index(id)));
+        ends.clear();
+        ends.resize(self.shards.len(), 0);
+        for &s in shard_of.iter() {
+            ends[s] += 1;
         }
-        self.stats.misses.fetch_add(1, Ordering::Relaxed);
-        if !inner.admit(self.shard_page(id)) {
-            let epoch = inner.write_epoch;
-            drop(inner);
-            let read = locate().map(|offset| self.store.read_range(id, offset, record));
-            inner = shard.write();
-            let fresh = inner.write_epoch == epoch && !inner.map.contains_key(&id);
-            match read {
-                Some(Err(e)) => {
-                    self.stats.read_errors.fetch_add(1, Ordering::Relaxed);
-                    return Err(e);
+        let mut start = 0;
+        for end in ends.iter_mut() {
+            (start, *end) = (start + *end, start);
+        }
+        by_shard.clear();
+        by_shard.resize(pages.len(), 0);
+        for (i, &s) in shard_of.iter().enumerate() {
+            by_shard[ends[s]] = i;
+            ends[s] += 1;
+        }
+        let mut tally = Tally::default();
+        let mut start = 0;
+        for (shard, &end) in self.shards.iter().zip(ends.iter()) {
+            let group = &by_shard[start..end];
+            start = end;
+            if group.is_empty() {
+                continue;
+            }
+            loads.clear();
+            staged.clear();
+            ranges.clear();
+            // Classify, under one read lock.
+            let epoch = {
+                let inner = shard.read();
+                for &i in group {
+                    let id = pages[i];
+                    if let Some(&idx) = inner.map.get(&id) {
+                        tally.hits += 1;
+                        let frame = inner.frame(idx);
+                        frame.referenced.store(true, Ordering::Relaxed);
+                        visit(i, Seen::Page(&frame.page));
+                    } else {
+                        staged.push(i);
+                    }
                 }
-                Some(Ok(())) if fresh => {
-                    self.stats.read_through.fetch_add(1, Ordering::Relaxed);
-                    return Ok(RecordRead::ReadThrough);
+                if !staged.is_empty() {
+                    tally.misses += staged.len() as u64;
+                    let mut at = inner.count_misses(staged.len());
+                    staged.retain(|&i| {
+                        let local = self.shard_page(pages[i]);
+                        let admitted = inner.admit(&mut at, local, loads.len());
+                        if admitted {
+                            loads.push(i);
+                        }
+                        !admitted
+                    });
                 }
-                // Declined, or the bytes may be stale: the frame path.
-                _ => {}
+                inner.write_epoch
+            };
+            // Read, unlocked: every located span in one store call.
+            staged.retain(|&i| match locate(i) {
+                Some((offset, len)) => {
+                    ranges.push(PageRange { page: pages[i], offset, len });
+                    true
+                }
+                None => {
+                    loads.push(i);
+                    false
+                }
+            });
+            if !staged.is_empty() {
+                bytes.clear();
+                bytes.resize(ranges.iter().map(|r| r.len).sum(), 0);
+                match self.store.read_ranges(ranges, bytes) {
+                    Err(_) => {
+                        tally.read_errors += staged.len() as u64;
+                        let inner = shard.read();
+                        for &i in staged.iter() {
+                            inner.forget(self.shard_page(pages[i]));
+                            visit(i, Seen::Unreadable);
+                        }
+                    }
+                    // Verify, under the read lock again.
+                    Ok(()) => {
+                        let inner = shard.read();
+                        let quiet = inner.write_epoch == epoch;
+                        let mut spans = bytes.as_slice();
+                        for (&i, range) in staged.iter().zip(ranges.iter()) {
+                            let (span, rest) = spans.split_at(range.len);
+                            spans = rest;
+                            if quiet && !inner.map.contains_key(&range.page) {
+                                tally.read_through += 1;
+                                visit(i, Seen::Bytes(span));
+                            } else {
+                                loads.push(i);
+                            }
+                        }
+                    }
+                }
+            }
+            // The frame path.
+            for &i in loads.iter() {
+                if self.read_missed(pages[i], |page| visit(i, Seen::Page(page))).is_err() {
+                    visit(i, Seen::Unreadable);
+                }
             }
         }
+        self.stats.add(&tally);
+    }
+
+    /// Visit page `id`, whose miss the caller counted, in a frame: the one
+    /// another thread installed meanwhile, or one loaded now.
+    fn read_missed<T>(&self, id: PageId, f: impl FnOnce(&Page) -> T) -> Result<T> {
+        let shard = self.shard(id);
+        let inner = shard.write();
         let (mut inner, idx) = match inner.map.get(&id).copied() {
             Some(idx) => (inner, idx),
             None => self.load(shard, inner, id)?,
         };
         let frame = inner.frame_mut(idx);
         frame.referenced.store(true, Ordering::Relaxed);
-        Ok(RecordRead::Page(f(&frame.page)))
-    }
-
-    /// A [`ResidentReader`] over this pool, holding no lock yet.
-    pub(crate) fn resident_reader(&self) -> ResidentReader<'_> {
-        ResidentReader { pool: self, held: None, hits: 0 }
+        Ok(f(&frame.page))
     }
 
     /// Lock `id`'s shard and return it with the index of the resident slot
     /// holding `id`, loading the page first if it is not cached.
     fn fetch(&self, id: PageId) -> Result<(RwLockWriteGuard<'_, PoolInner>, usize)> {
         let shard = self.shard(id);
-        let mut inner = shard.write();
+        let inner = shard.write();
         if let Some(&idx) = inner.map.get(&id) {
             self.stats.hits.fetch_add(1, Ordering::Relaxed);
             return Ok((inner, idx));
         }
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
         // Every miss counts toward the doorkeeper; this one is loaded anyway.
-        inner.admit(self.shard_page(id));
+        inner.admit(&mut inner.count_misses(1), self.shard_page(id), 0);
         self.load(shard, inner, id)
     }
 
@@ -653,50 +832,6 @@ impl BufferPool {
     }
 }
 
-/// Page visits that stay on one shard lock while they can: a run of
-/// resident pages of the same shard is visited under one acquisition of
-/// its read side ([`BufferPool::resident_reader`]). With a single-shard
-/// pool that is one acquisition for a whole page-ordered batch; other
-/// readers share it, a writer of the shard waits for the run. A page that
-/// is not resident is left to the caller — the lock is released first, so
-/// the caller may take the ordinary [`BufferPool::read`] /
-/// [`BufferPool::read_record`] path.
-pub(crate) struct ResidentReader<'a> {
-    pool: &'a BufferPool,
-    held: Option<(usize, RwLockReadGuard<'a, PoolInner>)>,
-    /// Hits not yet added to the pool's counter (added on drop).
-    hits: u64,
-}
-
-impl ResidentReader<'_> {
-    /// Run `f` on page `id` if it is resident (a hit), under its shard's
-    /// lock — kept from the previous visit when that was the same shard.
-    /// `None`, with no lock held, when the page is not resident. As with
-    /// [`BufferPool::read`], `f` must not re-enter the pool.
-    pub(crate) fn read<T>(&mut self, id: PageId, f: impl FnOnce(&Page) -> T) -> Option<T> {
-        let shard = self.pool.shard_index(id);
-        if self.held.as_ref().is_none_or(|(held, _)| *held != shard) {
-            self.held = None;
-            self.held = Some((shard, self.pool.shards[shard].read()));
-        }
-        let (_, inner) = self.held.as_ref()?;
-        let Some(&idx) = inner.map.get(&id) else {
-            self.held = None;
-            return None;
-        };
-        self.hits += 1;
-        let frame = inner.frame(idx);
-        frame.referenced.store(true, Ordering::Relaxed);
-        Some(f(&frame.page))
-    }
-}
-
-impl Drop for ResidentReader<'_> {
-    fn drop(&mut self) {
-        self.pool.stats.hits.fetch_add(self.hits, Ordering::Relaxed);
-    }
-}
-
 /// Dropping the pool flushes dirty frames back to the store, best-effort.
 ///
 /// Without this, every dirty frame still resident at drop was silently
@@ -717,6 +852,7 @@ impl Drop for BufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::StorageError;
     use crate::paged::io::SimulatedPageStore;
 
     fn pool(cap: usize) -> BufferPool {
@@ -725,6 +861,58 @@ mod tests {
 
     fn sharded(cap: usize, shards: usize) -> BufferPool {
         BufferPool::new_sharded(Arc::new(SimulatedPageStore::new()), cap, shards)
+    }
+
+    /// How a one-record visit was served.
+    #[derive(Debug, PartialEq, Eq)]
+    enum RecordRead<T> {
+        /// The page was visited in a frame; the closure's result.
+        Page(T),
+        /// A read-through: the record's bytes are in the caller's buffer.
+        ReadThrough,
+    }
+
+    /// One record of one page as a batch of one page: `locate` gives the
+    /// record's offset (or declines), `f` visits the page if it is seen in
+    /// a frame, and a read-through leaves the bytes in `record`.
+    trait OneRecord {
+        fn read_record<T>(
+            &self,
+            id: PageId,
+            record: &mut [u8],
+            locate: impl FnOnce() -> Option<usize>,
+            f: impl FnOnce(&Page) -> T,
+        ) -> Result<RecordRead<T>>;
+    }
+
+    impl OneRecord for BufferPool {
+        fn read_record<T>(
+            &self,
+            id: PageId,
+            record: &mut [u8],
+            locate: impl FnOnce() -> Option<usize>,
+            f: impl FnOnce(&Page) -> T,
+        ) -> Result<RecordRead<T>> {
+            let (mut locate, mut f) = (Some(locate), Some(f));
+            let len = record.len();
+            let mut got = None;
+            self.read_batch(
+                &[id],
+                &mut PoolBatch::default(),
+                |_| locate.take().and_then(|locate| locate()).map(|offset| (offset, len)),
+                |_, seen| {
+                    got = Some(match seen {
+                        Seen::Page(page) => Ok(RecordRead::Page(f.take().unwrap()(page))),
+                        Seen::Bytes(bytes) => {
+                            record.copy_from_slice(bytes);
+                            Ok(RecordRead::ReadThrough)
+                        }
+                        Seen::Unreadable => Err(StorageError::Io("unreadable".into())),
+                    })
+                },
+            );
+            got.expect("a batch visits each of its pages")
+        }
     }
 
     #[test]
@@ -743,7 +931,7 @@ mod tests {
 
     /// Hits on one shard share its lock: a reader inside a visit of a
     /// page does not hold off another reader of the same page, whether
-    /// that one visits through `read` or a resident reader.
+    /// that one visits through `read` or a batch.
     #[test]
     fn hits_on_one_shard_run_side_by_side() {
         let p = pool(4);
@@ -753,9 +941,8 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(|| {
                 inside.wait();
-                let mut reader = p.resident_reader();
-                assert_eq!(reader.read(id, |page| page.count()), Some(1));
-                drop(reader);
+                let batch = p.read_record(id, &mut [], || None, |page| page.count());
+                assert_eq!(batch.unwrap(), RecordRead::Page(1));
                 p.read(id, |page| page.count()).unwrap();
                 other_done.0.send(()).unwrap();
             });
@@ -999,7 +1186,7 @@ mod tests {
     /// A store whose reads rendezvous: each `read_into` waits (bounded) until
     /// `parties` reads are inside the store at once, then all proceed.
     /// `met` records whether the rendezvous ever completed. With
-    /// `pause_ranges` set, a `read_range` that has read its bytes raises
+    /// `pause_ranges` set, a `read_ranges` that has read its bytes raises
     /// `range_read` and waits for `resume` before it returns.
     struct GatedStore {
         inner: SimulatedPageStore,
@@ -1050,8 +1237,8 @@ mod tests {
             self.inner.read_into(id, page)
         }
 
-        fn read_range(&self, id: PageId, offset: usize, buf: &mut [u8]) -> Result<()> {
-            self.inner.read_range(id, offset, buf)?;
+        fn read_ranges(&self, ranges: &[PageRange], buf: &mut [u8]) -> Result<()> {
+            self.inner.read_ranges(ranges, buf)?;
             if self.pause_ranges.load(Ordering::SeqCst) {
                 self.range_read.raise();
                 self.resume.wait();
@@ -1350,6 +1537,25 @@ mod tests {
     }
 
     #[test]
+    fn a_page_whose_read_through_failed_is_not_admitted_by_that_miss() {
+        let store = Arc::new(SimulatedPageStore::new());
+        let p = BufferPool::new(store.clone(), 2);
+        pages_of(&p, 3); // the last two are resident
+        p.stats().reset();
+        let ghost = store.allocate(); // never written: every read fails
+        let offset = || Some(Page::slot_offset(8, 0));
+        for _ in 0..2 {
+            assert!(p.read_record(ghost, &mut [0u8; 8], offset, counter).is_err());
+        }
+        // The second miss fell inside the first one's doorkeeper window;
+        // had the failed read taught the doorkeeper, it would have been
+        // admitted, evicting a resident page for a load that fails too.
+        let s = p.stats();
+        assert_eq!((s.misses(), s.read_errors(), s.evictions()), (2, 2, 0));
+        assert_eq!(p.frame_counts(), (2, 0));
+    }
+
+    #[test]
     fn a_read_through_racing_a_write_back_of_its_page_keeps_no_stale_bytes() {
         // A read-through of a page that, while its bytes are in flight, is
         // loaded, changed, written back and evicted again: an insert of the
@@ -1419,5 +1625,54 @@ mod tests {
 
     fn counter_at(page: &Page, slot: u16) -> u64 {
         u64::from_le_bytes(page.get(slot).unwrap().try_into().unwrap())
+    }
+
+    /// The batched twin of the race above. Two shards of one frame each,
+    /// a batch of two cold pages per shard, all read through. While shard
+    /// 0's spans are in flight, one page of shard `writer` is loaded,
+    /// changed, written back and evicted again. Only that shard's write
+    /// epoch moves, so exactly its staged pages take the frame path — and
+    /// see the change — while the other shard's are read through.
+    #[test]
+    fn a_batch_racing_a_write_back_sends_only_that_shards_pages_to_frames() {
+        for writer in [0u64, 1] {
+            let store = Arc::new(GatedStore::new(1));
+            let p = BufferPool::new_sharded(store.clone(), 2, 2);
+            // Pages 0..6, shard = id % 2; pages 4 and 5 stay resident.
+            let ids = pages_of(&p, 6);
+            p.flush().unwrap();
+            p.stats().reset();
+            store.pause_ranges.store(true, Ordering::SeqCst);
+            let batch = [ids[0], ids[1], ids[2], ids[3]];
+            let got = std::thread::scope(|s| {
+                let reader = s.spawn(|| {
+                    let mut got = [None; 4];
+                    let locate = |_| Some((Page::slot_offset(8, 0), 8));
+                    p.read_batch(&batch, &mut PoolBatch::default(), locate, |i, seen| {
+                        got[i] = Some(match seen {
+                            Seen::Page(page) => (counter(page), false),
+                            Seen::Bytes(b) => (u64::from_le_bytes(b.try_into().unwrap()), true),
+                            Seen::Unreadable => panic!("page {i} unreadable"),
+                        });
+                    });
+                    got
+                });
+                assert!(store.range_read.wait(), "shard 0's spans are in flight");
+                let changed = ids[writer as usize];
+                p.write(changed, |pg| pg.update(0, &100u64.to_le_bytes()).unwrap()).unwrap();
+                p.flush().unwrap();
+                p.read(ids[4 + writer as usize], |_| ()).unwrap(); // evicts `changed`
+                store.resume.raise();
+                reader.join().unwrap()
+            });
+            // Shard 1 is classified after the write, so it is never stale.
+            let framed = |k: u64| writer == 0 && k.is_multiple_of(2);
+            let want: Vec<_> =
+                (0..4u64).map(|k| Some((if k == writer { 100 } else { k }, !framed(k)))).collect();
+            assert_eq!(got.to_vec(), want, "writer shard {writer}");
+            let read_through = if writer == 0 { 2 } else { 4 };
+            let s = p.stats();
+            assert_eq!((s.misses(), s.read_through()), (4 + 2, read_through), "writer {writer}");
+        }
     }
 }

@@ -9,22 +9,22 @@
 //!
 //! # The page summary
 //!
-//! A candidate alone on its page is validated through
-//! [`BufferPool::read_record`], which may read just its record's bytes
-//! from the store instead of loading the page (a read-through). Those bytes
-//! carry no liveness — the slot count and the tombstones sit in the page
-//! header — so the table keeps, per heap page, the slot count and one bit
-//! saying whether any slot is tombstoned: four bytes, readable without a
-//! lock. A read-through is taken only for a slot below the count on a page
-//! with no tombstone; a page with a tombstone, or one the summary does not
-//! know, is loaded. The summary is written inside the `pool.write`
+//! Candidates are validated through `BufferPool::read_batch`, which may
+//! read just the span of a cold page's candidate records from the store
+//! instead of loading the page (a read-through). Those bytes carry no
+//! liveness — the slot count and the tombstones sit in the page header —
+//! so the table keeps, per heap page, the slot count and one bit saying
+//! whether any slot is tombstoned: four bytes, readable without a lock. A
+//! read-through is taken only for slots below the count on a page with no
+//! tombstone; a page with a tombstone, or one the summary does not know,
+//! is loaded. The summary is written inside the `pool.write`
 //! closures of [`insert`](PagedTable::insert) and
 //! [`delete_returning`](PagedTable::delete_returning), under the page's
 //! shard lock, so any write-back of the page comes after it and the pool
 //! reads it only after finding the page unmapped; [`reopen`](PagedTable::reopen)'s
 //! scan rebuilds it.
 
-use super::buffer_pool::{BufferPool, RecordRead};
+use super::buffer_pool::{BufferPool, PoolBatch, Seen};
 use super::page::{Page, PageId};
 use crate::batch::RowRef;
 use crate::error::StorageError;
@@ -161,6 +161,39 @@ impl PageSummaries {
         let entries: usize = self.segments.iter().filter_map(|s| s.get()).map(|s| s.len()).sum();
         entries * std::mem::size_of::<AtomicU32>()
     }
+}
+
+/// Candidates one pass of [`PagedTable::for_each_row_batch`] takes at a
+/// time, rounded up to the end of a page's run: enough that a query's cold
+/// pages make one store batch per pool shard, few enough that the window's
+/// records stay a few KiB.
+const WINDOW: usize = 256;
+
+/// What a window slot holds after its pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    /// The candidate's row is gone (deleted, or never there).
+    Absent,
+    /// The candidate's record is in the window buffer.
+    Live,
+    /// The candidate's page could not be read.
+    Unreadable,
+}
+
+/// Reusable buffers of [`PagedTable::for_each_row_batch`]: keep one across
+/// batches (a query pipeline's scratch), or pass a fresh `default()`.
+#[derive(Debug, Default)]
+pub struct BatchBuffers {
+    /// Sort keys: a candidate's location above its index.
+    order: Vec<u128>,
+    /// The window's pages, ascending, and where each page's run of
+    /// candidates starts in the window (one entry more than `pages`).
+    pages: Vec<PageId>,
+    runs: Vec<usize>,
+    /// One record slot per window candidate, and what each holds.
+    records: Vec<u8>,
+    slots: Vec<Slot>,
+    pool: PoolBatch,
 }
 
 /// A table heap stored in pages behind a buffer pool.
@@ -398,10 +431,10 @@ impl PagedTable {
     }
 
     /// Visit a set of candidate rows grouped by page: candidates are sorted
-    /// by `(page, slot)` in the reusable `order` scratch buffer, each
-    /// page is pinned once, and all of its candidates are visited under that
-    /// single pool access. `f` receives the candidate's index into `locs`
-    /// plus its row view (`None` when deleted).
+    /// by `(page, slot)` in `buffers`, taken in windows of about 256
+    /// candidates that never split a page's run, and each page is seen
+    /// once. `f` receives the candidate's index into `locs` plus its row
+    /// view (`None` when deleted).
     ///
     /// Returns the number of pages that could not be read. Their candidates
     /// are **not** visited: an unreadable page says nothing about whether
@@ -412,20 +445,20 @@ impl PagedTable {
     /// Visitation order is ascending [`RowLoc`] order, not `locs` order —
     /// callers that care about the original position use the index argument.
     ///
-    /// Resident pages are visited through one resident reader of the pool,
-    /// so consecutive pages of one pool shard share a lock acquisition. A cold candidate alone on its page
-    /// goes through [`BufferPool::read_record`], so it may cost one read of
-    /// its record rather than a load of its page (see the module docs).
-    ///
-    /// `f` runs while the row's page is pinned (its pool shard locked), so
-    /// it must not re-enter the buffer pool; read everything needed through
-    /// the provided [`RowRef`].
+    /// A window's pages go to the pool as one `BufferPool::read_batch`:
+    /// resident pages are copied from under one read lock per pool shard,
+    /// and the candidates of a cold page the pool does not admit are read
+    /// through as one span, from the first to the last of them, when the
+    /// page summary shows them all live (see the module docs). The records
+    /// land in the window's buffer, and `f` then runs over the window with
+    /// no pool lock held.
     pub fn for_each_row_batch(
         &self,
         locs: &[RowLoc],
-        order: &mut Vec<u128>,
+        buffers: &mut BatchBuffers,
         mut f: impl FnMut(usize, Option<RowRef<'_>>),
     ) -> usize {
+        let BatchBuffers { order, pages, runs, records, slots, pool } = buffers;
         // Sort keys, not indices: a key is the candidate's location above
         // its index, so the sort compares integers in place instead of
         // looking both locations up at every comparison.
@@ -437,56 +470,77 @@ impl PagedTable {
         order.sort_unstable();
         let index = |key: u128| key as u32 as usize;
         let loc = |key: u128| RowLoc::decode((key >> 32) as u64);
-        let mut record = Vec::new();
+        let slot = |key: u128| loc(key).offset as u16;
+        let width = usize::from(self.record_width);
         let mut unreadable = 0usize;
-        let mut resident = self.pool.resident_reader();
-        let mut start = 0usize;
-        while start < order.len() {
-            let pid = loc(order[start]).block;
-            let mut end = start + 1;
-            while end < order.len() && loc(order[end]).block == pid {
-                end += 1;
+        let mut rest = order.as_slice();
+        while !rest.is_empty() {
+            let last = loc(rest[rest.len().min(WINDOW) - 1]).block;
+            let end = rest.iter().position(|&key| loc(key).block > last).unwrap_or(rest.len());
+            let (window, tail) = rest.split_at(end);
+            rest = tail;
+            pages.clear();
+            runs.clear();
+            pages.reserve(window.len());
+            runs.reserve(window.len() + 1);
+            for (k, &key) in window.iter().enumerate() {
+                let pid = PageId::from(loc(key).block);
+                if pages.last() != Some(&pid) {
+                    pages.push(pid);
+                    runs.push(k);
+                }
             }
-            let pid = PageId::from(pid);
-            let run = &order[start..end];
-            let mut visit_run = |page: &Page| {
-                for &key in run {
-                    let row = page.get(loc(key).offset as u16).ok().map(RowRef::new);
-                    f(index(key), row);
+            runs.push(window.len());
+            records.resize(window.len() * width, 0);
+            slots.clear();
+            slots.resize(window.len(), Slot::Absent);
+            let run = |p: usize| &window[runs[p]..runs[p + 1]];
+            let locate = |p: usize| {
+                let (first, last) = (slot(run(p)[0]), slot(*run(p).last()?));
+                self.summaries.is_live(pages[p], last).then(|| {
+                    let len = usize::from(last - first + 1) * width;
+                    (Page::slot_offset(self.record_width, first), len)
+                })
+            };
+            let visit = |p: usize, seen: Seen<'_>| {
+                let span = runs[p]..runs[p + 1];
+                let first = slot(window[span.start]);
+                let mut keep = |k: usize, record: &[u8]| {
+                    records[k * width..][..width].copy_from_slice(record);
+                    slots[k] = Slot::Live;
+                };
+                match seen {
+                    Seen::Page(page) => {
+                        for k in span {
+                            if let Ok(record) = page.get(slot(window[k])) {
+                                keep(k, record);
+                            }
+                        }
+                    }
+                    Seen::Bytes(bytes) => {
+                        for k in span {
+                            let at = usize::from(slot(window[k]) - first) * width;
+                            keep(k, &bytes[at..][..width]);
+                        }
+                    }
+                    Seen::Unreadable => {
+                        slots[span].fill(Slot::Unreadable);
+                        unreadable += 1;
+                    }
                 }
             };
-            if resident.read(pid, &mut visit_run).is_none() {
-                let visited = match *run {
-                    [key] => self.visit_record(pid, loc(key).offset as u16, &mut record, |row| {
-                        f(index(key), row)
-                    }),
-                    _ => self.pool.read(pid, visit_run),
-                };
-                unreadable += usize::from(visited.is_err());
+            self.pool.read_batch(pages, pool, locate, visit);
+            for ((&key, slot), record) in
+                window.iter().zip(&*slots).zip(records.chunks_exact(width))
+            {
+                match slot {
+                    Slot::Live => f(index(key), Some(RowRef::new(record))),
+                    Slot::Absent => f(index(key), None),
+                    Slot::Unreadable => {}
+                }
             }
-            start = end;
         }
         unreadable
-    }
-
-    /// Visit `slot` of page `pid` through [`BufferPool::read_record`],
-    /// reading through into `record` when the summary shows the slot live.
-    fn visit_record(
-        &self,
-        pid: PageId,
-        slot: u16,
-        record: &mut Vec<u8>,
-        mut f: impl FnMut(Option<RowRef<'_>>),
-    ) -> Result<()> {
-        record.resize(self.record_width as usize, 0);
-        let locate = || {
-            self.summaries.is_live(pid, slot).then(|| Page::slot_offset(self.record_width, slot))
-        };
-        let visit = |page: &Page| f(page.get(slot).ok().map(RowRef::new));
-        if self.pool.read_record(pid, record, locate, visit)? == RecordRead::ReadThrough {
-            f(Some(RowRef::new(record)));
-        }
-        Ok(())
     }
 
     /// Tombstone a row. The old row is decoded under the same page access
@@ -711,10 +765,10 @@ mod tests {
     fn a_one_row_batch_reads_both_columns_in_one_visit() {
         let t = make_table(8);
         let loc = t.insert(&row(3, 1.5, Some(9.0))).unwrap();
-        let mut order = Vec::new();
+        let mut buffers = BatchBuffers::default();
         let mut read = |t: &PagedTable| {
             let mut seen = None;
-            let unreadable = t.for_each_row_batch(&[loc], &mut order, |_, r| {
+            let unreadable = t.for_each_row_batch(&[loc], &mut buffers, |_, r| {
                 seen = Some(r.map(|r| (r.f64(1), r.f64(2))));
             });
             assert_eq!(unreadable, 0);
@@ -741,8 +795,8 @@ mod tests {
         let cand: Vec<RowLoc> = (0..n).step_by(7).rev().map(|i| locs[i]).collect();
         t.pool().stats().reset();
         let mut got: Vec<Option<Option<f64>>> = vec![None; cand.len()];
-        let mut order = Vec::new();
-        let unreadable = t.for_each_row_batch(&cand, &mut order, |i, r| {
+        let mut buffers = BatchBuffers::default();
+        let unreadable = t.for_each_row_batch(&cand, &mut buffers, |i, r| {
             got[i] = Some(r.expect("all rows live").f64(1));
         });
         assert_eq!(unreadable, 0);
@@ -878,7 +932,7 @@ mod tests {
     /// One candidate alone: its first column, or `None` when deleted.
     fn validate_one(t: &PagedTable, loc: RowLoc) -> Option<i64> {
         let mut seen = None;
-        let unreadable = t.for_each_row_batch(&[loc], &mut Vec::new(), |_, r| {
+        let unreadable = t.for_each_row_batch(&[loc], &mut BatchBuffers::default(), |_, r| {
             seen = Some(r.and_then(|r| r.value(0).as_i64()));
         });
         assert_eq!(unreadable, 0);
@@ -953,13 +1007,64 @@ mod tests {
         let locs: Vec<RowLoc> =
             (0..10).map(|i| t.insert(&row(i, i as f64, None)).unwrap()).collect();
         t.delete(locs[4]).unwrap();
-        let mut order = Vec::new();
+        let mut buffers = BatchBuffers::default();
         let mut missing = Vec::new();
-        t.for_each_row_batch(&locs, &mut order, |i, r| {
+        t.for_each_row_batch(&locs, &mut buffers, |i, r| {
             if r.is_none() {
                 missing.push(i);
             }
         });
         assert_eq!(missing, vec![4]);
+    }
+
+    /// The exact counters of two batches on a 4-frame pool over an
+    /// in-memory store, 8 pages of `(pk, a)` rows starting cold. The first
+    /// batch loads pages 0–3 (each miss admitted by a free frame nobody in
+    /// the batch claimed yet) and reads page 4 through. The second hits
+    /// page 0, loads page 4 (the doorkeeper saw it miss) and reads pages 6
+    /// and 7 through — page 6's two candidates as one span. Loading a
+    /// two-candidate run whatever the doorkeeper said, as the per-record
+    /// read-through did, gave `(1, 8, 2, 2, 8)` after the second batch: one
+    /// read-through fewer and one eviction more.
+    #[test]
+    fn batch_counters_are_exact() {
+        let store = Arc::new(SimulatedPageStore::new());
+        let pool = Arc::new(BufferPool::new(Arc::clone(&store) as Arc<dyn PageStore>, 4));
+        let schema = Schema::new(vec![ColumnDef::int("pk"), ColumnDef::float("a")]);
+        let t = PagedTable::new(schema, Arc::clone(&pool));
+        let per_page = usize::from(PagedTable::slots_per_page(t.schema()));
+        for i in 0..(8 * per_page) as i64 {
+            t.insert(&[Value::Int(i), Value::Float(i as f64)]).unwrap();
+        }
+        let pages = t.pages();
+        assert_eq!(pages.len(), 8);
+        pool.clear().unwrap();
+        pool.stats().reset();
+        store.stats().reset();
+        let at = |page: usize, slot: u32| RowLoc::new(pages[page] as u32, slot);
+        let counters = || {
+            let s = pool.stats();
+            (s.hits(), s.misses(), s.read_through(), s.evictions(), store.stats().reads())
+        };
+        let mut buffers = BatchBuffers::default();
+        let mut validate = |locs: &[RowLoc]| {
+            let mut pks = vec![None; locs.len()];
+            let unreadable = t.for_each_row_batch(locs, &mut buffers, |i, row| {
+                pks[i] = row.and_then(|r| r.value(0).as_i64());
+            });
+            assert_eq!(unreadable, 0);
+            for (loc, pk) in locs.iter().zip(pks) {
+                let want = pages.iter().position(|&p| p == PageId::from(loc.block)).unwrap()
+                    * per_page
+                    + loc.offset as usize;
+                assert_eq!(pk, Some(want as i64), "{loc:?}");
+            }
+        };
+        let first =
+            [at(4, 0), at(3, 6), at(0, 5), at(1, 3), at(3, 2), at(2, 7), at(0, 1), at(3, 4)];
+        validate(&first);
+        assert_eq!(counters(), (0, 5, 1, 0, 5), "(hits, misses, read-throughs, evictions, reads)");
+        validate(&[at(7, 0), at(6, 2), at(4, 1), at(0, 9), at(6, 1)]);
+        assert_eq!(counters(), (1, 8, 3, 1, 8), "(hits, misses, read-throughs, evictions, reads)");
     }
 }

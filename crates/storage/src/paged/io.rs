@@ -5,9 +5,11 @@
 //! implementations:
 //!
 //! * [`FilePageStore`] — a real file; every read/write is one positional
-//!   syscall (`pread`/`pwrite`) on a shared descriptor, so concurrent
-//!   callers never queue behind a file cursor, and on a machine with a real
-//!   disk the cost structure is genuine.
+//!   syscall (`pread`/`pwrite`), so concurrent callers never queue behind a
+//!   file cursor, and on a machine with a real disk the cost structure is
+//!   genuine. A batch of record reads ([`PageStore::read_ranges`]) runs
+//!   through a read handle of its own for the whole batch: a separately
+//!   opened file description, so two readers' `pread`s do not share one.
 //! * [`SimulatedPageStore`] — an in-memory store that charges a configurable
 //!   busy-wait latency per access, so the "storage fetch dominates" regime
 //!   of Fig. 24 reproduces deterministically even on a RAM-backed CI box.
@@ -20,7 +22,7 @@ use crate::fault::{fault_point, injected_error, FaultAction};
 use crate::Result;
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
-use std::os::unix::fs::FileExt;
+use std::os::unix::fs::{FileExt, MetadataExt};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -49,13 +51,25 @@ impl IoStats {
         self.writes.store(0, Ordering::Relaxed);
     }
 
-    fn record_read(&self) {
-        self.reads.fetch_add(1, Ordering::Relaxed);
+    fn record_reads(&self, n: usize) {
+        self.reads.fetch_add(n as u64, Ordering::Relaxed);
     }
 
     fn record_write(&self) {
         self.writes.fetch_add(1, Ordering::Relaxed);
     }
+}
+
+/// `len` bytes of page `page`, starting `offset` bytes into it: one read of
+/// a [`PageStore::read_ranges`] batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PageRange {
+    /// The page read.
+    pub page: PageId,
+    /// First byte read, from the start of the page.
+    pub offset: usize,
+    /// Bytes read.
+    pub len: usize,
 }
 
 /// A device that stores pages by id.
@@ -69,12 +83,15 @@ pub trait PageStore: Send + Sync {
     /// then holds unspecified bytes and must not be used as a page image.
     fn read_into(&self, id: PageId, page: &mut Page) -> Result<()>;
 
-    /// Read `buf.len()` bytes of page `id` starting `offset` bytes into it:
-    /// one positional read of a record instead of its whole page (the
-    /// buffer pool's read-through miss). Errors like
-    /// [`read_into`](Self::read_into), and when the range passes the end
-    /// of the page.
-    fn read_range(&self, id: PageId, offset: usize, buf: &mut [u8]) -> Result<()>;
+    /// Read every range of `ranges` into `buf`, back to back in order, so
+    /// `buf` is exactly as long as the ranges together: one positional read
+    /// per range, of records instead of whole pages (the buffer pool's
+    /// read-throughs of one shard, batched; one record is a batch of one).
+    /// Errors like [`read_into`](Self::read_into), when a range passes the
+    /// end of its page, and when `buf` is not the ranges' total length; on
+    /// an error `buf` holds unspecified bytes. Each range is one read in
+    /// [`IoStats`], counted once the batch succeeded.
+    fn read_ranges(&self, ranges: &[PageRange], buf: &mut [u8]) -> Result<()>;
 
     /// Write a page.
     fn write(&self, id: PageId, page: &Page) -> Result<()>;
@@ -118,23 +135,57 @@ pub trait PageStore: Send + Sync {
     fn reset_watermark(&self, pages: u64) -> Result<()>;
 }
 
-/// The error for a [`PageStore::read_range`] that passes the end of page
-/// `id`.
-fn check_range(id: PageId, offset: usize, len: usize) -> Result<()> {
+/// The error for a [`PageRange`] that passes the end of its page.
+fn check_range(range: &PageRange) -> Result<()> {
+    let PageRange { page, offset, len } = *range;
     if offset.checked_add(len).is_some_and(|end| end <= PAGE_SIZE) {
         return Ok(());
     }
-    Err(StorageError::Io(format!("range {offset}+{len} passes the end of page {id}")))
+    Err(StorageError::Io(format!("range {offset}+{len} passes the end of page {page}")))
 }
+
+/// `buf` cut into one slice per range of `ranges`, in order — or the error
+/// when `buf` is not exactly their total length.
+fn split_ranges<'a>(
+    ranges: &'a [PageRange],
+    mut buf: &'a mut [u8],
+) -> Result<impl Iterator<Item = (&'a PageRange, &'a mut [u8])>> {
+    let total: usize = ranges.iter().map(|r| r.len).sum();
+    if total != buf.len() {
+        return Err(StorageError::Io(format!(
+            "{} ranges of {total} bytes into a {}-byte buffer",
+            ranges.len(),
+            buf.len()
+        )));
+    }
+    Ok(ranges.iter().map(move |range| {
+        let (head, tail) = std::mem::take(&mut buf).split_at_mut(range.len);
+        buf = tail;
+        (range, head)
+    }))
+}
+
+/// Read handles [`FilePageStore`] keeps for the next batches; a batch that
+/// returns one past this many closes it.
+const SPARE_READ_HANDLES: usize = 8;
 
 /// A [`PageStore`] backed by a real file.
 ///
 /// All I/O is positional (`read_exact_at` / `write_all_at`), which needs no
 /// cursor and therefore no lock: any number of threads read and write
-/// different pages through the one descriptor at once.
+/// different pages at once. Page loads and writes go through the store's
+/// own descriptor. A [`read_ranges`](PageStore::read_ranges) batch checks
+/// out a read handle for its whole run of `pread`s — a file description
+/// opened on the same file, not a `dup` of the descriptor, so concurrent
+/// batches share no kernel file object — and returns it to a free list of
+/// at most a few handles when it ends, failed or not. A handle is opened
+/// only when the list is empty, so `K` batches at once leave at most `K`
+/// handles behind.
 pub struct FilePageStore {
     file: File,
     path: PathBuf,
+    /// Read handles not checked out by a batch.
+    spare_readers: Mutex<Vec<File>>,
     next_page: AtomicU64,
     stats: IoStats,
 }
@@ -169,6 +220,7 @@ impl FilePageStore {
         Ok(FilePageStore {
             file,
             path: path.to_path_buf(),
+            spare_readers: Mutex::new(Vec::new()),
             next_page: AtomicU64::new(0),
             stats: IoStats::default(),
         })
@@ -184,9 +236,36 @@ impl FilePageStore {
         Ok(FilePageStore {
             file,
             path: path.to_path_buf(),
+            spare_readers: Mutex::new(Vec::new()),
             next_page: AtomicU64::new(pages),
             stats: IoStats::default(),
         })
+    }
+
+    /// A read handle for one batch: a spare one, or the store's file opened
+    /// again. A path that names another file by now (the store's was
+    /// replaced under it) is an error, never a read of the wrong file.
+    fn check_out_reader(&self) -> Result<File> {
+        if let Some(reader) = self.spare_readers.lock().pop() {
+            return Ok(reader);
+        }
+        let reader = File::open(&self.path)?;
+        let (opened, ours) = (reader.metadata()?, self.file.metadata()?);
+        if (opened.dev(), opened.ino()) != (ours.dev(), ours.ino()) {
+            return Err(StorageError::Io(format!(
+                "{} no longer names this page store's file",
+                self.path.display()
+            )));
+        }
+        Ok(reader)
+    }
+
+    /// Give a batch's read handle back, closing it if enough are spare.
+    fn check_in_reader(&self, reader: File) {
+        let mut spare = self.spare_readers.lock();
+        if spare.len() < SPARE_READ_HANDLES {
+            spare.push(reader);
+        }
     }
 }
 
@@ -205,20 +284,28 @@ impl PageStore for FilePageStore {
             return Err(StorageError::Io(injected_error("page.read")));
         }
         self.file.read_exact_at(page.as_bytes_mut(), id * PAGE_SIZE as u64)?;
-        self.stats.record_read();
+        self.stats.record_reads(1);
         Ok(())
     }
 
-    fn read_range(&self, id: PageId, offset: usize, buf: &mut [u8]) -> Result<()> {
-        if id >= self.next_page.load(Ordering::Relaxed) {
-            return Err(StorageError::PageNotFound { page: id });
-        }
-        check_range(id, offset, buf.len())?;
-        if fault_point("page.read_range") == FaultAction::Error {
-            return Err(StorageError::Io(injected_error("page.read_range")));
-        }
-        self.file.read_exact_at(buf, id * PAGE_SIZE as u64 + offset as u64)?;
-        self.stats.record_read();
+    fn read_ranges(&self, ranges: &[PageRange], buf: &mut [u8]) -> Result<()> {
+        let mut spans = split_ranges(ranges, buf)?;
+        let watermark = self.next_page.load(Ordering::Relaxed);
+        let reader = self.check_out_reader()?;
+        let read = spans.try_for_each(|(range, bytes)| {
+            if range.page >= watermark {
+                return Err(StorageError::PageNotFound { page: range.page });
+            }
+            check_range(range)?;
+            if fault_point("page.read_range") == FaultAction::Error {
+                return Err(StorageError::Io(injected_error("page.read_range")));
+            }
+            reader.read_exact_at(bytes, range.page * PAGE_SIZE as u64 + range.offset as u64)?;
+            Ok(())
+        });
+        self.check_in_reader(reader);
+        read?;
+        self.stats.record_reads(ranges.len());
         Ok(())
     }
 
@@ -332,25 +419,30 @@ impl PageStore for SimulatedPageStore {
     }
 
     fn read_into(&self, id: PageId, page: &mut Page) -> Result<()> {
-        self.read_range(id, 0, page.as_bytes_mut())
+        self.read_ranges(&[PageRange { page: id, offset: 0, len: PAGE_SIZE }], page.as_bytes_mut())
     }
 
-    /// Charges the read latency once, as a whole-page read does: the
-    /// simulated device's cost is per access, not per byte.
-    fn read_range(&self, id: PageId, offset: usize, buf: &mut [u8]) -> Result<()> {
-        check_range(id, offset, buf.len())?;
+    /// Charges the read latency once per range, as a whole-page read does:
+    /// the simulated device's cost is per access, not per byte.
+    fn read_ranges(&self, ranges: &[PageRange], buf: &mut [u8]) -> Result<()> {
+        let spans = split_ranges(ranges, buf)?;
         let pages = self.pages.lock();
-        let stored = pages
-            .get(id as usize)
-            .and_then(|p| p.as_deref())
-            .ok_or(StorageError::PageNotFound { page: id })?;
-        let tail = stored.get(offset..).unwrap_or_default();
-        let held = tail.len().min(buf.len());
-        buf[..held].copy_from_slice(&tail[..held]);
-        buf[held..].fill(0);
+        for (range, bytes) in spans {
+            check_range(range)?;
+            let stored = pages
+                .get(range.page as usize)
+                .and_then(|p| p.as_deref())
+                .ok_or(StorageError::PageNotFound { page: range.page })?;
+            let tail = stored.get(range.offset..).unwrap_or_default();
+            let held = tail.len().min(bytes.len());
+            bytes[..held].copy_from_slice(&tail[..held]);
+            bytes[held..].fill(0);
+        }
         drop(pages);
-        Self::charge(self.read_latency);
-        self.stats.record_read();
+        for _ in ranges {
+            Self::charge(self.read_latency);
+        }
+        self.stats.record_reads(ranges.len());
         Ok(())
     }
 
@@ -391,6 +483,11 @@ mod tests {
         Ok(page)
     }
 
+    /// `buf.len()` bytes of page `id` from `offset` on, as a batch of one.
+    fn read_range(store: &dyn PageStore, id: PageId, offset: usize, buf: &mut [u8]) -> Result<()> {
+        store.read_ranges(&[PageRange { page: id, offset, len: buf.len() }], buf)
+    }
+
     fn roundtrip(store: &dyn PageStore) {
         let id = store.allocate();
         let mut p = Page::new(8);
@@ -407,17 +504,35 @@ mod tests {
         // One record's bytes, read where the page layout puts them; the
         // empty slot after it reads as zeros.
         let mut record = [0u8; 8];
-        store.read_range(id, Page::slot_offset(8, 0), &mut record).unwrap();
+        read_range(store, id, Page::slot_offset(8, 0), &mut record).unwrap();
         assert_eq!(record, 42u64.to_le_bytes());
         let mut empty = [0xFFu8; 8];
-        store.read_range(id, Page::slot_offset(8, 1), &mut empty).unwrap();
+        read_range(store, id, Page::slot_offset(8, 1), &mut empty).unwrap();
         assert_eq!(empty, [0; 8]);
         assert_eq!(store.stats().reads(), 3);
-        assert!(store.read_range(id, PAGE_SIZE - 4, &mut record).is_err(), "past the page end");
+        assert!(read_range(store, id, PAGE_SIZE - 4, &mut record).is_err(), "past the page end");
         assert!(matches!(
-            store.read_range(id + 1, 0, &mut record),
+            read_range(store, id + 1, 0, &mut record),
             Err(StorageError::PageNotFound { .. })
         ));
+        // A batch lays its ranges back to back and counts one read each; a
+        // buffer that does not fit them exactly is refused.
+        let second = store.allocate();
+        let mut q = Page::new(8);
+        q.insert(&7u64.to_le_bytes()).unwrap();
+        store.write(second, &q).unwrap();
+        let ranges = [
+            PageRange { page: second, offset: Page::slot_offset(8, 0), len: 8 },
+            PageRange { page: id, offset: Page::slot_offset(8, 0), len: 16 },
+        ];
+        let mut both = [0xFFu8; 24];
+        store.read_ranges(&ranges, &mut both).unwrap();
+        assert_eq!(both[..8], 7u64.to_le_bytes());
+        assert_eq!(both[8..16], 42u64.to_le_bytes());
+        assert_eq!(both[16..], [0; 8]);
+        assert_eq!(store.stats().reads(), 5);
+        assert!(store.read_ranges(&ranges, &mut [0u8; 23]).is_err());
+        assert_eq!(store.stats().reads(), 5);
     }
 
     #[test]
@@ -501,9 +616,115 @@ mod tests {
         // A record read is an access like a page read: same charge.
         let start = Instant::now();
         for _ in 0..10 {
-            store.read_range(id, 0, &mut [0u8; 8]).unwrap();
+            read_range(&store, id, 0, &mut [0u8; 8]).unwrap();
         }
         assert!(start.elapsed() >= Duration::from_micros(2000));
+        // So is each range of a batch.
+        let start = Instant::now();
+        let ranges = [PageRange { page: id, offset: 0, len: 8 }; 10];
+        store.read_ranges(&ranges, &mut [0u8; 80]).unwrap();
+        assert!(start.elapsed() >= Duration::from_micros(2000));
+    }
+
+    /// A store of `pages` pages, page `i` holding `i` in slot 0.
+    fn file_store_of(name: &str, pages: u64) -> (PathBuf, FilePageStore) {
+        let dir = std::env::temp_dir().join(format!("hermit-io-{name}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let store = FilePageStore::create(&dir.join("pages.db")).unwrap();
+        for i in 0..pages {
+            let id = store.allocate();
+            let mut p = Page::new(8);
+            p.insert(&i.to_le_bytes()).unwrap();
+            store.write(id, &p).unwrap();
+        }
+        (dir, store)
+    }
+
+    fn slot_zero(pages: impl IntoIterator<Item = PageId>) -> Vec<PageRange> {
+        pages
+            .into_iter()
+            .map(|page| PageRange { page, offset: Page::slot_offset(8, 0), len: 8 })
+            .collect()
+    }
+
+    /// `K` batches inside the store at once each hold a read handle of
+    /// their own — the fault hook, called with the handle checked out,
+    /// holds them there until all `K` arrived — and leave exactly `K`
+    /// spare handles; later batches reuse them and open none.
+    #[test]
+    fn concurrent_batches_leave_at_most_one_spare_handle_each() {
+        const K: usize = 3;
+        let (dir, store) = file_store_of("handles", 4);
+        let inside = std::sync::Arc::new(std::sync::Barrier::new(K));
+        std::thread::scope(|s| {
+            for _ in 0..K {
+                let inside = std::sync::Arc::clone(&inside);
+                let store = &store;
+                s.spawn(move || {
+                    let mut first = true;
+                    let _hook = crate::fault::install_fault_hook(move |_| {
+                        if std::mem::take(&mut first) {
+                            inside.wait();
+                        }
+                        FaultAction::Continue
+                    });
+                    let mut bytes = [0u8; 32];
+                    store.read_ranges(&slot_zero(0..4), &mut bytes).unwrap();
+                    for (i, record) in bytes.chunks(8).enumerate() {
+                        assert_eq!(record, (i as u64).to_le_bytes());
+                    }
+                });
+            }
+        });
+        assert_eq!(store.spare_readers.lock().len(), K);
+        for _ in 0..10 {
+            store.read_ranges(&slot_zero([2, 1]), &mut [0u8; 16]).unwrap();
+        }
+        assert_eq!(store.spare_readers.lock().len(), K, "a spare handle is reused");
+        assert_eq!(store.stats().reads(), (4 * K + 20) as u64);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A batch whose second read fails returns its handle, counts no read,
+    /// and the next batch reads through that same handle.
+    #[test]
+    fn a_batch_failing_midway_returns_its_handle() {
+        let (dir, store) = file_store_of("handle-error", 3);
+        store.read_ranges(&slot_zero([0]), &mut [0u8; 8]).unwrap();
+        assert_eq!(store.spare_readers.lock().len(), 1);
+        let mut sites = 0;
+        let hook = crate::fault::install_fault_hook(move |site| {
+            assert_eq!(site, "page.read_range");
+            sites += 1;
+            if sites == 2 {
+                FaultAction::Error
+            } else {
+                FaultAction::Continue
+            }
+        });
+        let failed = store.read_ranges(&slot_zero(0..3), &mut [0u8; 24]);
+        drop(hook);
+        assert_eq!(failed, Err(StorageError::Io(injected_error("page.read_range"))));
+        assert_eq!(store.spare_readers.lock().len(), 1, "the handle came back");
+        assert_eq!(store.stats().reads(), 1, "a failed batch counts no reads");
+        let mut bytes = [0u8; 24];
+        store.read_ranges(&slot_zero(0..3), &mut bytes).unwrap();
+        assert_eq!(bytes[16..], 2u64.to_le_bytes());
+        assert_eq!(store.spare_readers.lock().len(), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A read handle is the store's own file, never whatever its path names
+    /// now.
+    #[test]
+    fn a_replaced_page_file_is_an_error_not_a_read_of_another_file() {
+        let (dir, store) = file_store_of("handle-replaced", 1);
+        let path = dir.join("pages.db");
+        std::fs::rename(&path, dir.join("moved.db")).unwrap();
+        std::fs::write(&path, vec![0xAB; PAGE_SIZE]).unwrap();
+        let read = store.read_ranges(&slot_zero([0]), &mut [0u8; 8]);
+        assert!(matches!(read, Err(StorageError::Io(msg)) if msg.contains("no longer names")));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

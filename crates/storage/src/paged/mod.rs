@@ -17,8 +17,8 @@
 //!   with a simulated per-miss latency ([`io::SimulatedPageStore`]) so the
 //!   disk experiment is reproducible on any machine.
 //! * [`buffer_pool::BufferPool`] — a clock-replacement buffer pool with hit
-//!   and miss accounting, whose one-record visits read a cold record
-//!   through instead of loading its page unless a doorkeeper admits it.
+//!   and miss accounting, whose batches read a cold page's records through
+//!   instead of loading the page unless a doorkeeper admits it.
 //! * [`heap::PagedTable`] — a slotted table heap storing fixed-width numeric
 //!   rows across pages.
 
@@ -27,7 +27,7 @@ pub mod heap;
 pub mod io;
 pub mod page;
 
-pub use buffer_pool::{BufferPool, PoolStats, RecordRead};
-pub use heap::PagedTable;
-pub use io::{FilePageStore, IoStats, PageStore, SimulatedPageStore};
+pub use buffer_pool::{BufferPool, PoolStats};
+pub use heap::{BatchBuffers, PagedTable};
+pub use io::{FilePageStore, IoStats, PageRange, PageStore, SimulatedPageStore};
 pub use page::{Page, PageId, PAGE_SIZE};
