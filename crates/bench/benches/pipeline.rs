@@ -385,8 +385,10 @@ fn bench_commit_scaling(c: &mut Criterion) {
 /// phase's resident-set peak, `setup/<phase>_hwm_mb`, with its rise over
 /// the phase's start. `open` runs in a process of its own, as a server's
 /// restart does; its rise is over the resident set it leaves (a build
-/// buffer resident beside what is built from it shows there), and
-/// `setup/open_parts_mb` itemizes what it leaves. 1.2 M static rows
+/// buffer resident beside what is built from it shows there),
+/// `setup/open_parts_mb` itemizes what it leaves, and
+/// `setup/host_tree_bytes_per_entry` is the host tree's `memory_bytes` a
+/// row. 1.2 M static rows
 /// (`read-cold`'s table), 60 K with `--quick`. Each index build is one pass
 /// over the heap plus a sort (B+-tree) or linear-time fitting (TRS-Tree),
 /// so after the load, which inserts row by row, every phase should stay a
@@ -434,7 +436,7 @@ fn bench_setup_phases(c: &mut Criterion) {
         .expect("run the open phase");
     let report = String::from_utf8_lossy(&child.stdout);
     let fields: Vec<f64> = report.split_whitespace().filter_map(|f| f.parse().ok()).collect();
-    let [seconds, hwm, rss, len, primary, pool, secondary] = fields[..] else {
+    let [seconds, hwm, rss, len, primary, pool, secondary, host] = fields[..] else {
         panic!("open phase: {report:?}")
     };
     assert_eq!(len as usize, rows.len());
@@ -457,6 +459,7 @@ fn bench_setup_phases(c: &mut Criterion) {
         "bench setup/open_parts_mb  primary {primary:.2} / pool {pool:.2} / \
          secondary indexes {secondary:.2}"
     );
+    eprintln!("bench setup/host_tree_bytes_per_entry  {:.2}", host / len);
     let _ = std::fs::remove_dir_all(&dir);
     group.finish();
 }
@@ -467,8 +470,9 @@ const OPEN_DIR_ENV: &str = "HERMIT_BENCH_OPEN_DIR";
 
 /// The restart of `bench_setup_phases`: open `dir` and print seconds,
 /// `VmHWM` and `VmRSS` right after (bytes, 0 where `/proc` is missing), the
-/// rows opened, and the bytes of the primary index, the buffer pool and
-/// the secondary indexes (`stats`' `hermit_memory_bytes` parts).
+/// rows opened, the bytes of the primary index, the buffer pool and the
+/// secondary indexes (`stats`' `hermit_memory_bytes` parts), and the bytes
+/// of the host tree alone.
 fn report_open(dir: &std::path::Path) {
     let start = Instant::now();
     let db = Database::open(dir, &DurabilityConfig::default()).expect("open setup db");
@@ -479,7 +483,8 @@ fn report_open(dir: &std::path::Path) {
     let pool = db.pool_bytes();
     let secondary: usize =
         db.indexed_columns().iter().filter_map(|&c| db.index(c)).map(|i| i.memory_bytes()).sum();
-    println!("{seconds} {hwm} {rss} {} {primary} {pool} {secondary}", db.len());
+    let host = db.index(1).map_or(0, |i| i.memory_bytes());
+    println!("{seconds} {hwm} {rss} {} {primary} {pool} {secondary} {host}", db.len());
 }
 
 criterion_group!(

@@ -7,47 +7,45 @@
 //!
 //! Deletion is "lazy" in the style of many production main-memory engines:
 //! entries are removed from their leaf but underfull leaves are not
-//! rebalanced (structural shrinking happens only when a leaf empties
-//! entirely, by unlinking it from scans implicitly — empty leaves are simply
-//! skipped). This keeps the concurrency story simple and matches the way
-//! the paper's experiments use the baseline (insert/lookup heavy).
+//! rebalanced, and a leaf that empties stays in the chain, where every walk
+//! steps over it. This keeps the concurrency story simple and matches the
+//! way the paper's experiments use the baseline (insert/lookup heavy).
 
-use crate::node::{Node, NodeId, MAX_KEYS, NIL};
+use crate::node::{Internal, Leaf, NodeId, CAP, NIL};
+use std::mem::size_of;
 
-/// Leaves [`BPlusTree::bulk_load`] builds between two releases of its
-/// input's tail: 2 048 leaves copy 1 MiB of 16-byte entries.
-const SHRINK_EVERY: usize = 2_048;
+/// Spare input [`BPlusTree::bulk_load`] lets pile up before it hands it
+/// back: 256 KiB, 64 leaves of `(F64Key, Tid)` entries.
+const RELEASE_BYTES: usize = 256 << 10;
 
-/// An arena-allocated B+-tree with duplicate-key support.
+/// A B+-tree of page-shaped nodes with duplicate-key support.
 ///
 /// `K` is the key type (use `hermit_storage::F64Key` for float keys), `V`
 /// the value type (typically `Tid` or `RowLoc`).
 #[derive(Debug, Clone)]
 pub struct BPlusTree<K, V> {
-    arena: Vec<Node<K, V>>,
+    /// Leaves, by id: one allocation each, so a new leaf moves no other.
+    leaves: Vec<Box<Leaf<K, V>>>,
+    /// Internal nodes, by id. A child id names a leaf on the lowest
+    /// internal level and an internal node above it.
+    internals: Vec<Box<Internal<K>>>,
+    /// A leaf id while `height == 1` ([`NIL`] before the first entry), an
+    /// internal node's above.
     root: NodeId,
     len: usize,
     height: usize,
 }
 
-impl<K: Ord + Clone, V: Clone + PartialEq> Default for BPlusTree<K, V> {
+impl<K: Ord + Copy, V: Copy + PartialEq> Default for BPlusTree<K, V> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-/// Result of inserting into a subtree: a split produces a separator key and
-/// the id of the new right sibling.
-struct Split<K> {
-    sep: K,
-    right: NodeId,
-}
-
-impl<K: Ord + Clone, V: Clone + PartialEq> BPlusTree<K, V> {
-    /// Empty tree (a single empty leaf).
+impl<K: Ord + Copy, V: Copy + PartialEq> BPlusTree<K, V> {
+    /// Empty tree (no node until the first insert).
     pub fn new() -> Self {
-        let arena = vec![Node::new_leaf()];
-        BPlusTree { arena, root: 0, len: 0, height: 1 }
+        BPlusTree { leaves: Vec::new(), internals: Vec::new(), root: NIL, len: 0, height: 1 }
     }
 
     /// Number of entries.
@@ -65,123 +63,101 @@ impl<K: Ord + Clone, V: Clone + PartialEq> BPlusTree<K, V> {
         self.height
     }
 
-    /// Total heap bytes held by the tree's nodes. This is the number the
-    /// paper's memory figures report for the baseline index.
+    /// Total heap bytes held by the tree's nodes and the tables of pointers
+    /// to them. This is the number the paper's memory figures report for
+    /// the baseline index.
     pub fn memory_bytes(&self) -> usize {
-        self.arena.iter().map(|n| n.memory_bytes()).sum::<usize>()
-            + self.arena.capacity() * std::mem::size_of::<Node<K, V>>()
+        self.leaves.len() * size_of::<Leaf<K, V>>()
+            + self.internals.len() * size_of::<Internal<K>>()
+            + (self.leaves.capacity() + self.internals.capacity()) * size_of::<usize>()
     }
 
-    fn alloc(&mut self, node: Node<K, V>) -> NodeId {
-        self.arena.push(node);
-        (self.arena.len() - 1) as NodeId
+    fn push_leaf(&mut self, leaf: Box<Leaf<K, V>>) -> NodeId {
+        self.leaves.push(leaf);
+        (self.leaves.len() - 1) as NodeId
+    }
+
+    fn push_internal(&mut self, node: Box<Internal<K>>) -> NodeId {
+        self.internals.push(node);
+        (self.internals.len() - 1) as NodeId
     }
 
     /// Insert an entry. Duplicates (same key, even same value) are allowed.
     pub fn insert(&mut self, key: K, value: V) {
-        if let Some(split) = self.insert_rec(self.root, key, value) {
+        self.len += 1;
+        if self.root == NIL {
+            self.root = self.push_leaf(Leaf::with_entries([(key, value)]));
+            return;
+        }
+        if let Some((sep, right)) = self.insert_rec(self.root, self.height - 1, key, value) {
             // Root split: grow a level.
-            let new_root = self.alloc(Node::Internal {
-                keys: vec![split.sep],
-                children: vec![self.root, split.right],
-            });
-            self.root = new_root;
+            let mut root = Internal::new(self.root, sep);
+            root.insert(0, sep, right);
+            self.root = self.push_internal(root);
             self.height += 1;
         }
-        self.len += 1;
     }
 
-    fn insert_rec(&mut self, node_id: NodeId, key: K, value: V) -> Option<Split<K>> {
-        match &self.arena[node_id as usize] {
-            Node::Leaf { .. } => self.insert_into_leaf(node_id, key, value),
-            Node::Internal { keys, .. } => {
-                // Route right on equality so duplicate runs extend rightwards.
-                let idx = keys.partition_point(|k| *k <= key);
-                let child = match &self.arena[node_id as usize] {
-                    Node::Internal { children, .. } => children[idx],
-                    _ => unreachable!(),
-                };
-                let split = self.insert_rec(child, key, value)?;
-                // Child split: install separator + new child here.
-                let full = {
-                    let Node::Internal { keys, children } = &mut self.arena[node_id as usize]
-                    else {
-                        unreachable!()
-                    };
-                    keys.insert(idx, split.sep);
-                    children.insert(idx + 1, split.right);
-                    keys.len() > MAX_KEYS
-                };
-                if full {
-                    Some(self.split_internal(node_id))
-                } else {
-                    None
-                }
-            }
+    /// Insert below node `id`, `levels` internal levels above the leaves. A
+    /// split returns the separator and the id of the new right sibling.
+    fn insert_rec(&mut self, id: NodeId, levels: usize, key: K, value: V) -> Option<(K, NodeId)> {
+        if levels == 0 {
+            return self.insert_into_leaf(id, key, value);
         }
-    }
-
-    fn insert_into_leaf(&mut self, leaf_id: NodeId, key: K, value: V) -> Option<Split<K>> {
-        let full = {
-            let Node::Leaf { keys, values, .. } = &mut self.arena[leaf_id as usize] else {
-                unreachable!()
-            };
-            let idx = keys.partition_point(|k| *k <= key);
-            keys.insert(idx, key);
-            values.insert(idx, value);
-            keys.len() > MAX_KEYS
-        };
-        if full {
-            Some(self.split_leaf(leaf_id))
+        let node = &self.internals[id as usize];
+        // Route right on equality so duplicate runs extend rightwards.
+        let idx = node.keys().partition_point(|k| *k <= key);
+        let (sep, child) = self.insert_rec(node.children()[idx], levels - 1, key, value)?;
+        let node = &mut self.internals[id as usize];
+        if !node.is_full() {
+            node.insert(idx, sep, child);
+            return None;
+        }
+        // Full: split around the middle separator, then install the child's
+        // split on the side it falls.
+        let mid = CAP / 2;
+        let (up, mut right) = node.split_off(mid);
+        if idx <= mid {
+            node.insert(idx, sep, child);
         } else {
-            None
+            right.insert(idx - mid - 1, sep, child);
         }
+        Some((up, self.push_internal(right)))
     }
 
-    fn split_leaf(&mut self, leaf_id: NodeId) -> Split<K> {
-        let (right_keys, right_values, old_next) = {
-            let Node::Leaf { keys, values, next } = &mut self.arena[leaf_id as usize] else {
-                unreachable!()
-            };
-            let mid = keys.len() / 2;
-            (keys.split_off(mid), values.split_off(mid), *next)
-        };
-        let sep = right_keys[0].clone();
-        let right =
-            self.alloc(Node::Leaf { keys: right_keys, values: right_values, next: old_next });
-        let Node::Leaf { next, .. } = &mut self.arena[leaf_id as usize] else { unreachable!() };
-        *next = right;
-        Split { sep, right }
+    fn insert_into_leaf(&mut self, id: NodeId, key: K, value: V) -> Option<(K, NodeId)> {
+        let right_id = self.leaves.len() as NodeId;
+        let leaf = &mut self.leaves[id as usize];
+        let idx = leaf.keys().partition_point(|k| *k <= key);
+        if !leaf.is_full() {
+            leaf.insert(idx, key, value);
+            return None;
+        }
+        // Full: move the upper half to a new right sibling, then insert on
+        // the side the entry falls.
+        let mid = CAP / 2;
+        let mut right = leaf.split_off(mid);
+        if idx < mid {
+            leaf.insert(idx, key, value);
+        } else {
+            right.insert(idx - mid, key, value);
+        }
+        leaf.next = right_id;
+        let sep = right.keys()[0];
+        self.leaves.push(right);
+        Some((sep, right_id))
     }
 
-    fn split_internal(&mut self, node_id: NodeId) -> Split<K> {
-        let (sep, right_keys, right_children) = {
-            let Node::Internal { keys, children } = &mut self.arena[node_id as usize] else {
-                unreachable!()
-            };
-            let mid = keys.len() / 2;
-            let right_keys = keys.split_off(mid + 1);
-            let sep = keys.pop().expect("mid key exists");
-            let right_children = children.split_off(mid + 1);
-            (sep, right_keys, right_children)
-        };
-        let right = self.alloc(Node::Internal { keys: right_keys, children: right_children });
-        Split { sep, right }
-    }
-
-    /// Leaf that may contain the *leftmost* occurrence of `key`.
+    /// Leaf that may contain the *leftmost* occurrence of `key` ([`NIL`] in
+    /// an empty tree).
     fn find_leaf(&self, key: &K) -> NodeId {
-        let mut node_id = self.root;
-        loop {
-            match &self.arena[node_id as usize] {
-                Node::Leaf { .. } => return node_id,
-                Node::Internal { keys, children } => {
-                    // Route left on equality to reach the first duplicate.
-                    let idx = keys.partition_point(|k| k < key);
-                    node_id = children[idx];
-                }
-            }
+        let mut id = self.root;
+        for _ in 1..self.height {
+            let node = &self.internals[id as usize];
+            // Route left on equality to reach the first duplicate.
+            id = node.children()[node.keys().partition_point(|k| k < key)];
         }
+        id
     }
 
     /// Visit every value stored under `key` without allocating.
@@ -190,24 +166,19 @@ impl<K: Ord + Clone, V: Clone + PartialEq> BPlusTree<K, V> {
     /// `Vec<V>` per call, `for_each_eq` walks the duplicate run in place
     /// (crossing leaf boundaries as needed) and hands each value to `f`.
     pub fn for_each_eq(&self, key: &K, mut f: impl FnMut(&V)) {
-        let mut leaf_id = self.find_leaf(key);
-        loop {
-            let Node::Leaf { keys, values, next } = &self.arena[leaf_id as usize] else {
-                unreachable!()
-            };
-            let start = keys.partition_point(|k| k < key);
-            for i in start..keys.len() {
-                if keys[i] != *key {
+        let mut id = self.find_leaf(key);
+        while id != NIL {
+            let leaf = &self.leaves[id as usize];
+            let start = leaf.keys().partition_point(|k| k < key);
+            for (k, v) in leaf.keys()[start..].iter().zip(&leaf.values()[start..]) {
+                if k != key {
                     return;
                 }
-                f(&values[i]);
+                f(v);
             }
             // The run may continue into the next leaf (long duplicate runs
             // span leaves; lazy deletion can also leave empty leaves).
-            if *next == NIL {
-                return;
-            }
-            leaf_id = *next;
+            id = leaf.next;
         }
     }
 
@@ -217,7 +188,7 @@ impl<K: Ord + Clone, V: Clone + PartialEq> BPlusTree<K, V> {
     /// [`Self::for_each_eq`].
     pub fn get(&self, key: &K) -> Vec<V> {
         let mut out = Vec::new();
-        self.for_each_eq(key, |v| out.push(v.clone()));
+        self.for_each_eq(key, |v| out.push(*v));
         out
     }
 
@@ -229,126 +200,56 @@ impl<K: Ord + Clone, V: Clone + PartialEq> BPlusTree<K, V> {
     }
 
     /// Visit every entry with `lb <= key <= ub` in key order.
-    ///
-    /// This closure-based scan is the hot path used by the executors; the
-    /// iterator API ([`Self::range`]) wraps the same traversal.
     pub fn for_each_in_range(&self, lb: &K, ub: &K, mut f: impl FnMut(&K, &V)) {
         if lb > ub {
             return;
         }
-        let mut leaf_id = self.find_leaf(lb);
-        loop {
-            let Node::Leaf { keys, values, next } = &self.arena[leaf_id as usize] else {
-                unreachable!()
-            };
-            let start = keys.partition_point(|k| k < lb);
-            for i in start..keys.len() {
-                if keys[i] > *ub {
+        let mut id = self.find_leaf(lb);
+        while id != NIL {
+            let leaf = &self.leaves[id as usize];
+            let start = leaf.keys().partition_point(|k| k < lb);
+            for (k, v) in leaf.keys()[start..].iter().zip(&leaf.values()[start..]) {
+                if k > ub {
                     return;
                 }
-                f(&keys[i], &values[i]);
+                f(k, v);
             }
-            if *next == NIL {
-                return;
-            }
-            leaf_id = *next;
+            id = leaf.next;
         }
-    }
-
-    /// Count entries in `[lb, ub]` without materializing them.
-    pub fn count_in_range(&self, lb: &K, ub: &K) -> usize {
-        let mut n = 0;
-        self.for_each_in_range(lb, ub, |_, _| n += 1);
-        n
-    }
-
-    /// Iterator over entries in `[lb, ub]`.
-    pub fn range(&self, lb: K, ub: K) -> RangeIter<'_, K, V> {
-        let leaf = if lb <= ub { self.find_leaf(&lb) } else { NIL };
-        let idx = if leaf != NIL {
-            let Node::Leaf { keys, .. } = &self.arena[leaf as usize] else { unreachable!() };
-            keys.partition_point(|k| *k < lb)
-        } else {
-            0
-        };
-        RangeIter { tree: self, leaf, idx, ub }
     }
 
     /// Remove one entry matching `(key, value)`. Returns true if removed.
     ///
     /// Lazy deletion: the leaf is not rebalanced.
     pub fn remove(&mut self, key: &K, value: &V) -> bool {
-        let mut leaf_id = self.find_leaf(key);
-        loop {
-            let Node::Leaf { keys, values, next } = &mut self.arena[leaf_id as usize] else {
-                unreachable!()
-            };
-            let start = keys.partition_point(|k| k < key);
-            let mut i = start;
-            while i < keys.len() && keys[i] == *key {
-                if values[i] == *value {
-                    keys.remove(i);
-                    values.remove(i);
-                    self.len -= 1;
-                    return true;
-                }
-                i += 1;
+        let mut id = self.find_leaf(key);
+        while id != NIL {
+            let leaf = &mut self.leaves[id as usize];
+            let start = leaf.keys().partition_point(|k| k < key);
+            let run = leaf.keys()[start..].iter().take_while(|k| *k == key).count();
+            if let Some(i) = leaf.values()[start..start + run].iter().position(|v| v == value) {
+                leaf.remove(start + i);
+                self.len -= 1;
+                return true;
             }
-            // Duplicates may spill into the next leaf.
-            if i == keys.len() && *next != NIL {
-                let next_id = *next;
-                let Node::Leaf { keys: nk, .. } = &self.arena[next_id as usize] else {
-                    unreachable!()
-                };
-                if nk.first().is_some_and(|k| k == key) || nk.is_empty() {
-                    leaf_id = next_id;
-                    continue;
-                }
+            if start + run < leaf.len() {
+                return false;
             }
-            return false;
+            // The run may continue into the next leaf, past emptied ones.
+            id = leaf.next;
         }
+        false
     }
 
-    /// Remove *all* entries under `key`; returns how many were removed.
-    pub fn remove_all(&mut self, key: &K) -> usize {
-        let mut removed = 0;
-        let mut leaf_id = self.find_leaf(key);
-        loop {
-            let Node::Leaf { keys, values, next } = &mut self.arena[leaf_id as usize] else {
-                unreachable!()
-            };
-            let start = keys.partition_point(|k| k < key);
-            let end = keys.partition_point(|k| k <= key);
-            if start < end {
-                keys.drain(start..end);
-                values.drain(start..end);
-                removed += end - start;
-            }
-            // Continue while the next leaf still starts with `key` (or is
-            // empty and must be skipped).
-            if *next == NIL {
-                break;
-            }
-            let next_id = *next;
-            let Node::Leaf { keys: nk, .. } = &self.arena[next_id as usize] else { unreachable!() };
-            if nk.first().is_some_and(|k| k <= key) {
-                leaf_id = next_id;
-            } else {
-                break;
-            }
-        }
-        self.len -= removed;
-        removed
-    }
-
-    /// Build a tree from entries sorted by key. Leaves are packed to
-    /// `MAX_KEYS`, giving the dense layout a freshly-built index would have.
+    /// Build a tree from entries sorted by key. Leaves are packed full
+    /// ([`CAP`] entries; the last one holds the rest), giving the dense
+    /// layout a freshly-built index would have.
     ///
-    /// The input is consumed as the tree is built: its leaves are built
-    /// 2 048 at a time from its back, and after each stride the input
-    /// hands back the memory they copied, so the sorted input and the
-    /// finished tree are never resident side by side (a build's peak is the
-    /// tree plus one stride).
+    /// The input is consumed as the tree is built: it is reversed once, and
+    /// each leaf, in key order, takes its entries off the input's back.
+    /// Whenever 256 KiB of the input is spent it is handed back, so the
+    /// sorted input and the finished tree are never resident side by side
+    /// (a build's peak is the tree plus one stride).
     ///
     /// Panics in debug builds if the input is unsorted.
     pub fn bulk_load(mut entries: Vec<(K, V)>) -> Self {
@@ -356,153 +257,132 @@ impl<K: Ord + Clone, V: Clone + PartialEq> BPlusTree<K, V> {
             entries.windows(2).all(|w| w[0].0 <= w[1].0),
             "bulk_load requires key-sorted input"
         );
+        let mut tree = Self::new();
         if entries.is_empty() {
-            return Self::new();
+            return tree;
         }
-        let len = entries.len();
-        let leaves = len.div_ceil(MAX_KEYS);
-        let (mut nodes, mut width) = (leaves, leaves);
+        tree.len = entries.len();
+        let leaves = entries.len().div_ceil(CAP);
+        let (mut internals, mut width) = (0, leaves);
         while width > 1 {
-            width = width.div_ceil(MAX_KEYS + 1);
-            nodes += width;
+            width = width.div_ceil(CAP + 1);
+            internals += width;
         }
-        let mut tree = BPlusTree { arena: Vec::with_capacity(nodes), root: 0, len, height: 1 };
+        tree.leaves.reserve_exact(leaves);
+        tree.internals.reserve_exact(internals);
 
-        // Level 0: packed leaves, one stride at a time from the back of the
-        // input, each stride's leaves allocated in key order (a range scan
-        // then walks memory upwards, the way the hardware prefetches), and
-        // the stride's entries released before the next stride is built.
-        let empty = || Node::Leaf { keys: Vec::new(), values: Vec::new(), next: NIL };
-        tree.arena.resize_with(leaves, empty);
-        let mut end = leaves;
-        while end > 0 {
-            let start = end.saturating_sub(SHRINK_EVERY);
-            for (i, chunk) in (start..).zip(entries[start * MAX_KEYS..].chunks(MAX_KEYS)) {
-                let keys = chunk.iter().map(|(k, _)| k.clone()).collect();
-                let values = chunk.iter().map(|(_, v)| v.clone()).collect();
-                let next = if i + 1 < leaves { (i + 1) as NodeId } else { NIL };
-                tree.arena[i] = Node::Leaf { keys, values, next };
+        // Level 0: full leaves in key order, so a range scan walks memory
+        // upwards the way the hardware prefetches.
+        let release = RELEASE_BYTES / size_of::<(K, V)>().max(1);
+        entries.reverse();
+        while !entries.is_empty() {
+            let at = entries.len().saturating_sub(CAP);
+            let id = tree.push_leaf(Leaf::with_entries(entries[at..].iter().rev().copied()));
+            if let Some(prev) = id.checked_sub(1) {
+                tree.leaves[prev as usize].next = id;
             }
-            entries.truncate(start * MAX_KEYS);
-            entries.shrink_to_fit();
-            end = start;
+            entries.truncate(at);
+            if entries.capacity() - entries.len() >= release {
+                entries.shrink_to_fit();
+            }
         }
-        let mut level: Vec<(K, NodeId)> = Vec::with_capacity(leaves);
-        for (id, node) in tree.arena.iter().enumerate() {
-            let Node::Leaf { keys, .. } = node else { unreachable!() };
-            level.push((keys[0].clone(), id as NodeId));
-        }
+        let mut level: Vec<(K, NodeId)> =
+            (0..).zip(&tree.leaves).map(|(id, leaf)| (leaf.keys()[0], id)).collect();
 
-        // Upper levels: group children MAX_KEYS+1 at a time.
+        // Upper levels: group children CAP + 1 at a time.
         while level.len() > 1 {
-            let mut next_level: Vec<(K, NodeId)> = Vec::new();
-            let mut i = 0;
-            while i < level.len() {
-                let group_end = (i + MAX_KEYS + 1).min(level.len());
-                let group = &level[i..group_end];
-                let first_key = group[0].0.clone();
-                let children: Vec<NodeId> = group.iter().map(|(_, id)| *id).collect();
-                let keys: Vec<K> = group[1..].iter().map(|(k, _)| k.clone()).collect();
-                let id = tree.alloc(Node::Internal { keys, children });
-                next_level.push((first_key, id));
-                i = group_end;
-            }
-            level = next_level;
+            level = level
+                .chunks(CAP + 1)
+                .map(|group| {
+                    let (first, child) = group[0];
+                    let mut node = Internal::new(child, first);
+                    for (i, &(key, child)) in group[1..].iter().enumerate() {
+                        node.insert(i, key, child);
+                    }
+                    (first, tree.push_internal(node))
+                })
+                .collect();
             tree.height += 1;
         }
         tree.root = level[0].1;
         tree
     }
 
-    /// Check structural invariants (tests / debugging): sorted leaves,
-    /// consistent separator routing, linked leaf chain covering all entries.
+    /// Check structural invariants (tests / debugging): separators that
+    /// bound their subtrees, sorted leaves, and a leaf chain that links
+    /// every leaf and covers all entries.
     pub fn check_invariants(&self) -> Result<(), String> {
-        // Walk the leaf chain from the leftmost leaf.
-        let mut node_id = self.root;
-        loop {
-            match &self.arena[node_id as usize] {
-                Node::Leaf { .. } => break,
-                Node::Internal { children, keys } => {
-                    if children.len() != keys.len() + 1 {
-                        return Err(format!(
-                            "internal node {node_id}: {} children for {} keys",
-                            children.len(),
-                            keys.len()
-                        ));
-                    }
-                    node_id = children[0];
-                }
-            }
+        if self.root == NIL {
+            return if self.len == 0 { Ok(()) } else { Err("no root but entries".into()) };
         }
-        let mut count = 0;
+        self.check_subtree(self.root, self.height - 1, None, None)?;
+        let mut id = self.root;
+        for _ in 1..self.height {
+            id = self.internals[id as usize].children()[0];
+        }
+        let (mut count, mut leaves) = (0, 0);
         let mut prev: Option<K> = None;
-        let mut leaf_id = node_id;
-        loop {
-            let Node::Leaf { keys, values, next } = &self.arena[leaf_id as usize] else {
-                return Err("leaf chain hit an internal node".into());
+        while id != NIL {
+            let Some(leaf) = self.leaves.get(id as usize).filter(|_| leaves < self.leaves.len())
+            else {
+                return Err(format!(
+                    "leaf chain runs past its {} leaves at {id}",
+                    self.leaves.len()
+                ));
             };
-            if keys.len() != values.len() {
-                return Err(format!("leaf {leaf_id}: key/value arity mismatch"));
-            }
-            for k in keys {
-                if let Some(p) = &prev {
-                    if p > k {
-                        return Err(format!("leaf {leaf_id}: keys out of order"));
-                    }
+            for &k in leaf.keys() {
+                if prev.is_some_and(|p| p > k) {
+                    return Err(format!("leaf {id}: keys out of order"));
                 }
-                prev = Some(k.clone());
-                count += 1;
+                prev = Some(k);
             }
-            if *next == NIL {
-                break;
-            }
-            leaf_id = *next;
+            count += leaf.len();
+            leaves += 1;
+            id = leaf.next;
+        }
+        if leaves != self.leaves.len() {
+            return Err(format!("leaf chain links {leaves} of {} leaves", self.leaves.len()));
         }
         if count != self.len {
             return Err(format!("leaf chain has {count} entries but len() = {}", self.len));
         }
         Ok(())
     }
-}
 
-/// Iterator over `[lb, ub]` produced by [`BPlusTree::range`].
-pub struct RangeIter<'a, K, V> {
-    tree: &'a BPlusTree<K, V>,
-    leaf: NodeId,
-    idx: usize,
-    ub: K,
-}
-
-impl<'a, K: Ord + Clone, V: Clone + PartialEq> Iterator for RangeIter<'a, K, V> {
-    type Item = (&'a K, &'a V);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if self.leaf == NIL {
-                return None;
+    /// Every key below node `id` (`levels` internal levels above the
+    /// leaves) lies within `[lo, hi]`, and every separator on the way is.
+    fn check_subtree(
+        &self,
+        id: NodeId,
+        levels: usize,
+        lo: Option<K>,
+        hi: Option<K>,
+    ) -> Result<(), String> {
+        let within = |k: &K| lo.is_none_or(|lo| lo <= *k) && hi.is_none_or(|hi| *k <= hi);
+        if levels == 0 {
+            let leaf = self.leaves.get(id as usize).ok_or(format!("no leaf {id}"))?;
+            if leaf.keys().iter().all(within) {
+                return Ok(());
             }
-            let Node::Leaf { keys, values, next } = &self.tree.arena[self.leaf as usize] else {
-                unreachable!()
-            };
-            if self.idx < keys.len() {
-                let k = &keys[self.idx];
-                if *k > self.ub {
-                    self.leaf = NIL;
-                    return None;
-                }
-                let v = &values[self.idx];
-                self.idx += 1;
-                return Some((k, v));
-            }
-            self.leaf = *next;
-            self.idx = 0;
+            return Err(format!("leaf {id}: a key outside its parent's separators"));
         }
+        let node = self.internals.get(id as usize).ok_or(format!("no internal node {id}"))?;
+        let keys = node.keys();
+        if !keys.iter().all(within) || keys.windows(2).any(|w| w[0] > w[1]) {
+            return Err(format!("internal node {id}: separators out of order"));
+        }
+        for (i, &child) in node.children().iter().enumerate() {
+            let lo = i.checked_sub(1).map(|j| keys[j]).or(lo);
+            self.check_subtree(child, levels - 1, lo, keys.get(i).copied().or(hi))?;
+        }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hermit_storage::{F64Key, Tid};
 
     fn tree_with(n: u64) -> BPlusTree<u64, u64> {
         let mut t = BPlusTree::new();
@@ -510,6 +390,13 @@ mod tests {
             t.insert(i, i * 10);
         }
         t
+    }
+
+    /// Entries in `[lb, ub]`, through the one range traversal.
+    fn range<K: Ord + Copy, V: Copy + PartialEq>(t: &BPlusTree<K, V>, lb: K, ub: K) -> Vec<(K, V)> {
+        let mut out = Vec::new();
+        t.for_each_in_range(&lb, &ub, |&k, &v| out.push((k, v)));
+        out
     }
 
     #[test]
@@ -530,7 +417,7 @@ mod tests {
             t.insert(i, i);
         }
         t.check_invariants().unwrap();
-        let all: Vec<u64> = t.range(0, 999).map(|(k, _)| *k).collect();
+        let all: Vec<u64> = range(&t, 0, 999).into_iter().map(|(k, _)| k).collect();
         assert_eq!(all.len(), 1000);
         assert!(all.windows(2).all(|w| w[0] < w[1]));
     }
@@ -541,21 +428,25 @@ mod tests {
         for i in 0..200u64 {
             t.insert(i, i);
         }
-        for v in 0..300u64 {
-            t.insert(77, 10_000 + v); // duplicate run spanning several leaves
+        let run = 2 * CAP as u64; // a duplicate run spanning several leaves
+        for v in 0..run {
+            t.insert(77, 10_000 + v);
         }
         let mut visited = Vec::new();
         t.for_each_eq(&77, |&v| visited.push(v));
         // Independent oracle: the range scan (get() delegates to
         // for_each_eq, so comparing against it would be circular).
-        let mut oracle = Vec::new();
-        t.for_each_in_range(&77, &77, |_, &v| oracle.push(v));
+        let oracle: Vec<u64> = range(&t, 77, 77).into_iter().map(|(_, v)| v).collect();
         assert_eq!(visited, oracle);
-        assert_eq!(visited.len(), 301);
+        assert_eq!(visited.len() as u64, run + 1);
         // Absent keys visit nothing, including past-the-end ones.
         let mut n = 0;
         t.for_each_eq(&999, |_| n += 1);
         t.for_each_eq(&1_000_000, |_| n += 1);
+        assert_eq!(n, 0);
+        // And an empty tree visits nothing at all.
+        BPlusTree::<u64, u64>::new().for_each_eq(&1, |_| n += 1);
+        BPlusTree::<u64, u64>::new().for_each_in_range(&0, &9, |_, _| n += 1);
         assert_eq!(n, 0);
     }
 
@@ -578,14 +469,13 @@ mod tests {
     #[test]
     fn range_scan_exact_bounds() {
         let t = tree_with(1000);
-        let hits: Vec<u64> = t.range(100, 199).map(|(k, _)| *k).collect();
+        let hits = range(&t, 100, 199);
         assert_eq!(hits.len(), 100);
-        assert_eq!(hits[0], 100);
-        assert_eq!(hits[99], 199);
+        assert_eq!(hits[0].0, 100);
+        assert_eq!(hits[99].0, 199);
         // Empty and inverted ranges.
-        assert_eq!(t.range(2000, 3000).count(), 0);
-        assert_eq!(t.range(10, 5).count(), 0);
-        assert_eq!(t.count_in_range(&100, &199), 100);
+        assert!(range(&t, 2000, 3000).is_empty());
+        assert!(range(&t, 10, 5).is_empty());
     }
 
     #[test]
@@ -611,19 +501,39 @@ mod tests {
         t.check_invariants().unwrap();
     }
 
+    /// Lazy deletion can empty a leaf in the middle of a duplicate run:
+    /// probes and removals walk past it to the rest of the run.
     #[test]
-    fn remove_all_duplicates_spanning_leaves() {
-        let mut t = BPlusTree::new();
-        for i in 0..100u64 {
-            t.insert(i, 0);
+    fn remove_and_for_each_eq_walk_past_an_emptied_leaf() {
+        // Key 1 fills the first leaf's tail, two whole leaves and part of a
+        // fourth.
+        let run = 3 * CAP as u64;
+        let entries: Vec<(u64, u64)> =
+            [(0, 0)].into_iter().chain((0..run).map(|v| (1, v))).chain([(2, 0)]).collect();
+        let mut t = BPlusTree::bulk_load(entries);
+        assert!(t.height() > 1);
+        let second = (CAP as u64 - 1)..(2 * CAP as u64 - 1);
+        for v in second.clone() {
+            assert!(t.remove(&1, &v));
         }
-        for v in 0..200u64 {
-            t.insert(50, 1000 + v); // long duplicate run spans several leaves
+        assert_eq!(leaves(&t)[1], vec![], "the second leaf is empty");
+        let mut visited = Vec::new();
+        t.for_each_eq(&1, |&v| visited.push(v));
+        let want: Vec<u64> = (0..run).filter(|v| !second.contains(v)).collect();
+        assert_eq!(visited, want);
+        // A removal of the run's last entry walks past the empty leaf.
+        assert!(t.remove(&1, &(run - 1)));
+        assert!(!t.remove(&1, &(run - 1)));
+        assert!(!t.remove(&1, &second.start), "an entry of the emptied leaf is gone");
+        // Empty the first leaf's part of the run too: the walk then starts
+        // on a leaf without the key and steps over the empty one.
+        for v in 0..CAP as u64 - 1 {
+            assert!(t.remove(&1, &v));
         }
-        let removed = t.remove_all(&50);
-        assert_eq!(removed, 201);
-        assert!(t.get(&50).is_empty());
-        assert_eq!(t.len(), 99);
+        let mut n = 0;
+        t.for_each_eq(&1, |_| n += 1);
+        assert_eq!(n, CAP, "the third leaf's part of the run is all that is left");
+        assert_eq!(t.get(&2), vec![0]);
         t.check_invariants().unwrap();
     }
 
@@ -634,7 +544,7 @@ mod tests {
         bulk.check_invariants().unwrap();
         assert_eq!(bulk.len(), 10_000);
         assert_eq!(bulk.get(&9_999), vec![29_997]);
-        let scan: Vec<u64> = bulk.range(5000, 5009).map(|(k, _)| *k).collect();
+        let scan: Vec<u64> = range(&bulk, 5000, 5009).into_iter().map(|(k, _)| k).collect();
         assert_eq!(scan, (5000..5010).collect::<Vec<_>>());
     }
 
@@ -647,34 +557,35 @@ mod tests {
         }
         t.check_invariants().unwrap();
         assert_eq!(t.len(), 2000);
-        assert_eq!(t.count_in_range(&0, &3999), 2000);
+        assert_eq!(range(&t, 0, 3999).len(), 2000);
     }
 
     /// Each leaf's entries, in leaf-chain order from the leftmost leaf.
     fn leaves(t: &BPlusTree<u64, u64>) -> Vec<Vec<(u64, u64)>> {
         let mut id = t.root;
-        while let Node::Internal { children, .. } = &t.arena[id as usize] {
-            id = children[0];
+        for _ in 1..t.height {
+            id = t.internals[id as usize].children()[0];
         }
         let mut out = Vec::new();
         while id != NIL {
-            let Node::Leaf { keys, values, next } = &t.arena[id as usize] else { unreachable!() };
-            out.push(keys.iter().copied().zip(values.iter().copied()).collect());
-            id = *next;
+            let leaf = &t.leaves[id as usize];
+            out.push(leaf.keys().iter().copied().zip(leaf.values().iter().copied()).collect());
+            id = leaf.next;
         }
         out
     }
 
     /// A bulk load holds what single inserts of the same entries hold: the
     /// same leaf chain and the same range results, duplicates in input
-    /// order, at sizes around a leaf and past the input's shrink stride;
+    /// order, at sizes around a leaf and past the input's release stride;
     /// every leaf but the last is full.
     #[test]
     fn bulk_load_equals_single_inserts() {
-        for n in [0u64, 1, 31, 32, 33, (SHRINK_EVERY * MAX_KEYS + 1) as u64] {
-            for dup in [1u64, 3, 45] {
-                // Key i / dup: runs of `dup` equal keys; runs of 3 and of
-                // 45 cross leaf boundaries.
+        let stride = RELEASE_BYTES / size_of::<(u64, u64)>();
+        for n in [0, 1, CAP - 1, CAP, CAP + 1, stride + 1].map(|n| n as u64) {
+            // Key i / dup: runs of `dup` equal keys. A leaf's CAP is odd, so
+            // pairs cross leaf boundaries; runs longer than a leaf span them.
+            for dup in [1, 2, CAP as u64 + 45] {
                 let entries: Vec<(u64, u64)> = (0..n).map(|i| (i / dup, i)).collect();
                 let bulk = BPlusTree::bulk_load(entries.clone());
                 let mut single = BPlusTree::new();
@@ -682,19 +593,27 @@ mod tests {
                     single.insert(k, v);
                 }
                 bulk.check_invariants().unwrap();
+                single.check_invariants().unwrap();
                 let chain = leaves(&bulk);
                 assert_eq!((bulk.len(), chain.concat()), (single.len(), leaves(&single).concat()));
                 assert_eq!(chain.concat(), entries, "n {n}, dup {dup}");
                 let top = n / dup + 1;
                 for (lb, ub) in [(0, top), (top / 3, top / 3), (top / 2, top / 2 + 7), (top, 0)] {
-                    let got: Vec<_> = bulk.range(lb, ub).map(|(&k, &v)| (k, v)).collect();
-                    let want: Vec<_> = single.range(lb, ub).map(|(&k, &v)| (k, v)).collect();
-                    assert_eq!(got, want, "n {n}, dup {dup}, [{lb}, {ub}]");
+                    assert_eq!(
+                        range(&bulk, lb, ub),
+                        range(&single, lb, ub),
+                        "n {n}, dup {dup}, [{lb}, {ub}]"
+                    );
                 }
                 let lens: Vec<usize> = chain.iter().map(Vec::len).collect();
-                let full = lens.iter().rev().skip(1).all(|&l| l == MAX_KEYS);
-                assert!(full && lens.iter().all(|&l| l > 0 || n == 0), "n {n}: {lens:?}");
-                assert_eq!(bulk.arena.len(), bulk.arena.capacity(), "the arena is sized once");
+                let full = lens.iter().rev().skip(1).all(|&l| l == CAP);
+                assert!(full && lens.iter().all(|&l| l > 0), "n {n}: {lens:?}");
+                assert_eq!(
+                    bulk.leaves.len(),
+                    bulk.leaves.capacity(),
+                    "the leaf table is sized once"
+                );
+                assert_eq!(bulk.internals.len(), bulk.internals.capacity());
             }
         }
     }
@@ -703,8 +622,42 @@ mod tests {
     fn bulk_load_empty_and_tiny() {
         let t: BPlusTree<u64, u64> = BPlusTree::bulk_load(vec![]);
         assert!(t.is_empty());
+        t.check_invariants().unwrap();
         let t = BPlusTree::bulk_load(vec![(1u64, 2u64)]);
         assert_eq!(t.get(&1), vec![2]);
+    }
+
+    /// A bulk-loaded host tree costs ≈ 16 bytes a 16-byte entry, and inserts
+    /// after the load grow it by the nodes they create and the pointers to
+    /// them — never by a copy of the tree.
+    #[test]
+    fn a_host_tree_costs_its_entries_and_grows_a_node_at_a_time() {
+        const N: u64 = 600_000;
+        let entries = (0..N).map(|i| (F64Key(i as f64), Tid(i))).collect();
+        let mut t = BPlusTree::bulk_load(entries);
+        let loaded = t.memory_bytes();
+        assert!(loaded as f64 / N as f64 <= 16.5, "{loaded} B for {N} entries");
+        let nodes = |t: &BPlusTree<F64Key, Tid>| (t.leaves.len(), t.internals.len());
+        let (leaves, internals) = nodes(&t);
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for i in 0..20_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            t.insert(F64Key((state % N) as f64 + 0.5), Tid(N + i));
+        }
+        t.check_invariants().unwrap();
+        let (new_leaves, new_internals) = nodes(&t);
+        assert!(new_leaves > leaves, "the inserts split leaves");
+        let created = (new_leaves - leaves) * size_of::<Leaf<F64Key, Tid>>()
+            + (new_internals - internals) * size_of::<Internal<F64Key>>();
+        // The pointer tables at most double: under two pointers a node.
+        let pointers = 2 * (new_leaves + new_internals) * size_of::<usize>();
+        let grown = t.memory_bytes() - loaded;
+        assert!(
+            created <= grown && grown <= created + pointers,
+            "grew {grown} B for {created} B of new nodes ({pointers} B of pointers allowed)"
+        );
     }
 
     #[test]
@@ -723,12 +676,12 @@ mod tests {
 
     #[test]
     fn float_keys_via_f64key() {
-        use hermit_storage::F64Key;
         let mut t: BPlusTree<F64Key, u64> = BPlusTree::new();
         for i in 0..100 {
             t.insert(F64Key(i as f64 * 0.5), i);
         }
-        let hits: Vec<u64> = t.range(F64Key(10.0), F64Key(12.0)).map(|(_, v)| *v).collect();
+        let hits: Vec<u64> =
+            range(&t, F64Key(10.0), F64Key(12.0)).into_iter().map(|(_, v)| v).collect();
         assert_eq!(hits, vec![20, 21, 22, 23, 24]);
     }
 

@@ -3,8 +3,9 @@
 //! * **TRS-Tree no-false-negative**: for arbitrary data and predicates,
 //!   every matching tuple is reachable through the returned host ranges or
 //!   the outlier tids.
-//! * **B+-tree multimap model**: arbitrary insert/remove/range sequences
-//!   behave like a reference `BTreeMap<K, Vec<V>>`.
+//! * **B+-tree multimap model**: arbitrary insert/remove/range/point
+//!   sequences on a bulk-loaded tree behave like a reference
+//!   `BTreeMap<K, Vec<V>>`, duplicates in the same order.
 //! * **Outlier-buffer layout equivalence**: the hash and sorted-vec
 //!   layouts answer identically.
 //! * **Range-union correctness**: `union_ranges` preserves coverage and
@@ -106,17 +107,27 @@ proptest! {
 
     #[test]
     fn btree_behaves_like_reference_multimap(
+        // A bulk-loaded start of 64 000-66 000 entries: 251-259 full leaves
+        // under one internal node that is full or nearly so, keys 0..200 in
+        // duplicate runs of ≈ 325, longer than a leaf. The ops then split
+        // leaves, the internal node, and walk runs across leaves.
+        n in 64_000u64..66_000,
         ops in proptest::collection::vec(
             prop_oneof![
                 (0u64..200, 0u64..1000).prop_map(|(k, v)| (0u8, k, v)), // insert
                 (0u64..200, 0u64..1000).prop_map(|(k, v)| (1u8, k, v)), // remove
-                (0u64..200, 0u64..200).prop_map(|(a, b)| (2u8, a, b)),  // range check
+                (0u64..200, 0u64..4).prop_map(|(a, w)| (2u8, a, a + w)), // range check
+                (0u64..200).prop_map(|k| (3u8, k, 0)),                  // point check
             ],
             1..500,
         ),
     ) {
-        let mut tree: BPlusTree<u64, u64> = BPlusTree::new();
+        let entries: Vec<(u64, u64)> = (0..n).map(|i| (i * 200 / n, i % 1000)).collect();
         let mut model: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+        for &(k, v) in &entries {
+            model.entry(k).or_default().push(v);
+        }
+        let mut tree: BPlusTree<u64, u64> = BPlusTree::bulk_load(entries);
         for (op, a, b) in ops {
             match op {
                 0 => {
@@ -133,22 +144,30 @@ proptest! {
                         model.remove(&a);
                     }
                 }
-                _ => {
-                    let (lb, ub) = (a.min(b), a.max(b));
-                    let mut got: Vec<(u64, u64)> =
-                        tree.range(lb, ub).map(|(k, v)| (*k, *v)).collect();
-                    got.sort_unstable();
-                    let mut want: Vec<(u64, u64)> = model
-                        .range(lb..=ub)
+                2 => {
+                    let mut got: Vec<(u64, u64)> = Vec::new();
+                    tree.for_each_in_range(&a, &b, |k, v| got.push((*k, *v)));
+                    let want: Vec<(u64, u64)> = model
+                        .range(a..=b)
                         .flat_map(|(k, vs)| vs.iter().map(move |v| (*k, *v)))
                         .collect();
-                    want.sort_unstable();
                     prop_assert_eq!(got, want);
+                }
+                _ => {
+                    let mut got: Vec<u64> = Vec::new();
+                    tree.for_each_eq(&a, |v| got.push(*v));
+                    prop_assert_eq!(got, model.get(&a).cloned().unwrap_or_default());
                 }
             }
         }
-        let total: usize = model.values().map(|v| v.len()).sum();
-        prop_assert_eq!(tree.len(), total);
+        // The whole tree in one scan: every entry, duplicates in the order
+        // they were loaded or inserted.
+        let mut got: Vec<(u64, u64)> = Vec::new();
+        tree.for_each_in_range(&0, &u64::MAX, |k, v| got.push((*k, *v)));
+        let want: Vec<(u64, u64)> =
+            model.iter().flat_map(|(k, vs)| vs.iter().map(move |v| (*k, *v))).collect();
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(tree.len(), want.len());
         tree.check_invariants().unwrap();
     }
 
