@@ -242,7 +242,7 @@ impl<K: Ord + Copy, V: Copy + PartialEq> BPlusTree<K, V> {
     }
 
     /// Build a tree from entries sorted by key. Leaves are packed full
-    /// ([`CAP`] entries; the last one holds the rest), giving the dense
+    /// (`CAP` entries; the last one holds the rest), giving the dense
     /// layout a freshly-built index would have.
     ///
     /// The input is consumed as the tree is built: it is reversed once, and

@@ -141,7 +141,6 @@ impl Database {
     /// candidates are approximate, so the plan re-checks `pred` at the base
     /// table. Returns `false` when the host index has dropped out from under
     /// the TRS-Tree — no results.
-    // hermit-lint: hot-path
     fn gather_hermit(
         &self,
         trs: &hermit_trs::ConcurrentTrsTree,
@@ -192,7 +191,6 @@ impl Database {
     /// figures line up across methods. The hits are exact on `pred`, so the
     /// plan re-checks only the residual conjuncts — but the tuples are
     /// fetched either way (a real query returns rows, not tids).
-    // hermit-lint: hot-path
     fn gather_baseline(
         &self,
         tree: &hermit_btree::BPlusTree<F64Key, Tid>,
@@ -220,7 +218,6 @@ impl Database {
     /// `unresolved`; a row invisible to `view` is skipped silently (no
     /// match, no false positive, no cells); a page that cannot be read
     /// counts in `unreadable` and its candidates in nothing else.
-    // hermit-lint: hot-path
     pub(crate) fn batched_resolve_validate(
         &self,
         scratch: &mut BatchScratch,
@@ -382,6 +379,48 @@ mod tests {
     fn empty_batch_is_empty() {
         let db = hermit_db(TidScheme::Physical, 100, 0);
         assert!(batch(&db, &[]).is_empty());
+    }
+
+    /// The scratch-reuse contract: the same plans run a second time through
+    /// one [`BatchScratch`] neither grow nor replace any of its buffers — after
+    /// every plan of the second run each holds what the first run left — on
+    /// the Hermit and the baseline routes, ranges and points, under both tid
+    /// schemes.
+    #[test]
+    fn a_second_run_of_the_same_plans_grows_no_scratch_buffer() {
+        for scheme in [TidScheme::Logical, TidScheme::Physical] {
+            let db = hermit_db(scheme, 10_000, 97);
+            let plans: Vec<QueryPlan> = [
+                RangePredicate::range(2, 500.5, 700.25),
+                RangePredicate::point(2, 123.0),
+                RangePredicate::range(1, 1_000.0, 1_600.0),
+                RangePredicate::point(1, 246.0),
+            ]
+            .into_iter()
+            .map(|pred| db.index_plan(pred, None).unwrap())
+            .collect();
+            assert!(matches!(plans[0].access, AccessPath::Hermit { .. }));
+            assert!(matches!(plans[2].access, AccessPath::Baseline { .. }));
+            let capacities = |s: &BatchScratch| {
+                [
+                    s.approx.ranges.capacity(),
+                    s.approx.tids.capacity(),
+                    s.candidates.capacity(),
+                    s.locs.capacity(),
+                    s.rows.capacity_bytes(),
+                ]
+            };
+            let mut scratch = BatchScratch::default();
+            for plan in &plans {
+                assert!(!db.run_plan(plan, None, &mut scratch).rows.is_empty());
+            }
+            let first = capacities(&scratch);
+            assert!(first.iter().all(|&c| c > 0), "{scheme:?}: {first:?}");
+            for plan in &plans {
+                db.run_plan(plan, None, &mut scratch);
+                assert_eq!(capacities(&scratch), first, "{scheme:?}: {:?}", plan.access);
+            }
+        }
     }
 
     #[test]

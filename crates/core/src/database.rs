@@ -303,7 +303,6 @@ impl Database {
         self.insert_with(row, InsertTimer(Some(breakdown)))
     }
 
-    // hermit-lint: hot-path
     fn insert_with(&self, row: &[Value], timer: InsertTimer<'_>) -> hermit_storage::Result<Tid> {
         // Durable databases: refuse up front while the WAL is poisoned,
         // then hold the quiesce latch (shared side) and the WAL guard
@@ -347,7 +346,6 @@ impl Database {
     /// the caller already encoded it ([`PagedTable::encode_row`]). Runs at
     /// the visibility rank: under a transaction's visibility latch, or
     /// weakened from a statement's or a root token.
-    // hermit-lint: hot-path
     pub(crate) fn apply_insert(
         &self,
         row: &[Value],

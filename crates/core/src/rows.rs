@@ -100,7 +100,6 @@ impl<'p> BlockWriter<'p> {
 
     /// Write `row`'s cells at `slot`. A slot past the sized block grows it —
     /// only a scan that meets rows inserted after it was sized gets there.
-    // hermit-lint: hot-path
     #[inline]
     pub(crate) fn emit(&mut self, slot: usize, row: &RowRef<'_>) {
         let stride = self.cols.len() * CELL_BYTES;

@@ -9,7 +9,9 @@
 //!
 //! 1. runs a **canonical workload** (inserts, deletes, index builds,
 //!    checkpoints, committed and aborted multi-statement transactions)
-//!    once with a counting hook to learn the site schedule;
+//!    once with a counting hook to learn the site schedule, and checks that
+//!    each [`Site`] it passes is one source location and that it passes
+//!    every site but the two only a reopen reaches;
 //! 2. re-runs it once per chosen site *i*, snapshotting the durability
 //!    directory the instant site *i* is reached — the `kill -9` image:
 //!    everything `write(2)` produced is on "disk", everything buffered in
@@ -33,19 +35,26 @@
 
 use hermit_core::recovery::{DurabilityConfig, CATALOG_FILE};
 use hermit_core::{Database, Query, RangePredicate};
-use hermit_storage::{ColumnDef, FaultAction, Schema, TidScheme, Value};
+use hermit_storage::{ColumnDef, FaultAction, Schema, Site, TidScheme, Value};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::panic::Location;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
+
+/// The sites only a reopen passes — a log's torn tail truncated, the page
+/// file trimmed to the catalog's watermark. The canonical workload creates
+/// its database and never reopens it, so it reaches every site but these;
+/// `hermit_storage`'s fault tests reach them.
+const REOPEN_ONLY: [Site; 2] = [Site::WalReopen, Site::PageTrim];
 
 /// One site whose recovery failed the oracle check.
 #[derive(Debug)]
 pub struct SiteFailure {
     /// Global site index in the canonical schedule.
     pub site: usize,
-    /// Site name (`wal.append`, `page.write`, …).
-    pub name: String,
+    /// The site (`wal.append`, `page.write`, …).
+    pub name: Site,
     /// Human-readable mismatch description.
     pub detail: String,
 }
@@ -56,7 +65,7 @@ pub struct ExplorerReport {
     /// Total crash sites the canonical workload passes through.
     pub total_sites: usize,
     /// Per-site-name occurrence counts across the schedule.
-    pub site_names: BTreeMap<String, usize>,
+    pub site_names: BTreeMap<Site, usize>,
     /// Site indices actually explored (all of them, or a strided sample
     /// when a budget is set).
     pub explored: Vec<usize>,
@@ -253,7 +262,9 @@ fn copy_dir(from: &Path, to: &Path) {
 
 struct HookState {
     count: usize,
-    names: Vec<&'static str>,
+    names: Vec<Site>,
+    /// Where each site's fault point was passed (counting pass only).
+    locations: BTreeMap<Site, BTreeSet<&'static Location<'static>>>,
     record_names: bool,
     crash_at: Option<usize>,
     source: PathBuf,
@@ -273,12 +284,13 @@ fn run_workload(
     state: &Rc<RefCell<HookState>>,
 ) -> (Vec<usize>, usize, usize) {
     let hook_state = Rc::clone(state);
-    let _guard = hermit_storage::install_fault_hook(move |name| {
+    let _guard = hermit_storage::install_fault_hook(move |site, at| {
         let mut s = hook_state.borrow_mut();
         let i = s.count;
         s.count += 1;
         if s.record_names {
-            s.names.push(name);
+            s.names.push(site);
+            s.locations.entry(site).or_default().insert(at);
         }
         if s.crash_at == Some(i) {
             let to = s.snapshot_to.clone().expect("crash passes set a snapshot path");
@@ -440,6 +452,7 @@ pub fn explore(root: &Path, budget: Option<usize>) -> ExplorerReport {
     let state = Rc::new(RefCell::new(HookState {
         count: 0,
         names: Vec::new(),
+        locations: BTreeMap::new(),
         record_names: true,
         crash_at: None,
         source: work.clone(),
@@ -448,10 +461,21 @@ pub fn explore(root: &Path, budget: Option<usize>) -> ExplorerReport {
     }));
     let (starts, drop_start, total) = run_workload(&work, &config, &state);
     let names = std::mem::take(&mut state.borrow_mut().names);
-    let mut site_names: BTreeMap<String, usize> = BTreeMap::new();
-    for n in &names {
-        *site_names.entry((*n).to_string()).or_insert(0) += 1;
+    let mut site_names: BTreeMap<Site, usize> = BTreeMap::new();
+    for &n in &names {
+        *site_names.entry(n).or_insert(0) += 1;
     }
+    // A schedule ordinal names one call site, and the workload reaches the
+    // whole matrix but the reopen path.
+    for (site, at) in &state.borrow().locations {
+        assert!(at.len() == 1, "fault site {site} is passed at {} places: {at:?}", at.len());
+    }
+    let unreached: Vec<Site> = Site::ALL
+        .iter()
+        .copied()
+        .filter(|site| !site_names.contains_key(site) && !REOPEN_ONLY.contains(site))
+        .collect();
+    assert!(unreached.is_empty(), "the canonical workload never reached {unreached:?}");
 
     // Logical statement-prefix states.
     let stmts = statements();
@@ -490,6 +514,7 @@ pub fn explore(root: &Path, budget: Option<usize>) -> ExplorerReport {
         let state = Rc::new(RefCell::new(HookState {
             count: 0,
             names: Vec::new(),
+            locations: BTreeMap::new(),
             record_names: false,
             crash_at: Some(site),
             source: run_dir.clone(),
@@ -497,7 +522,7 @@ pub fn explore(root: &Path, budget: Option<usize>) -> ExplorerReport {
             snapped: false,
         }));
         run_workload(&run_dir, &config, &state);
-        let name = names.get(site).copied().unwrap_or("?").to_string();
+        let name = names[site];
         if !state.borrow().snapped {
             failures.push(SiteFailure {
                 site,
@@ -524,46 +549,20 @@ pub fn explore(root: &Path, budget: Option<usize>) -> ExplorerReport {
 mod tests {
     use super::*;
 
-    /// Dynamic half of the fault-site contract (the static half is
-    /// `hermit-lint`'s `fault-matrix` rule): every site the canonical
-    /// workload's schedule passes through must be declared in
-    /// [`crate::CRASH_MATRIX_SITES`], and the workload must actually reach
-    /// the durability core of the matrix. A budget of 0 runs only the
-    /// counting pass — no crash snapshots, one workload execution.
+    /// The counting pass alone (a budget of 0: no crash snapshots, one
+    /// workload execution). `explore` itself asserts that each site the
+    /// schedule passes is one source location and that the workload
+    /// reaches every [`Site`] but [`REOPEN_ONLY`]; this checks the report
+    /// agrees.
     #[test]
     fn crash_matrix_reconciles_with_the_explorer() {
         let root = std::env::temp_dir().join(format!("hermit-matrix-{}", std::process::id()));
         let report = explore(&root, Some(0));
         assert!(report.failures.is_empty(), "{:?}", report.failures);
-        for name in report.site_names.keys() {
-            assert!(
-                crate::CRASH_MATRIX_SITES.contains(&name.as_str()),
-                "schedule passed through site {name} which is not in CRASH_MATRIX_SITES"
-            );
-        }
-        for site in [
-            "wal.reset",
-            "wal.header",
-            "wal.append",
-            "wal.commit",
-            "wal.reserve",
-            "wal.txn_commit",
-            "wal.txn_abort",
-            "atomic.write",
-            "atomic.rename",
-            "page.write",
-            "page.sync",
-            "page.read_range",
-            "wal.barrier",
-        ] {
-            assert!(
-                report.site_names.contains_key(site),
-                "canonical workload never reached {site}"
-            );
-        }
-        assert!(
-            crate::CRASH_MATRIX_SITES.windows(2).all(|w| w[0] < w[1]),
-            "CRASH_MATRIX_SITES must stay sorted and deduplicated"
-        );
+        let reached: Vec<Site> = report.site_names.keys().copied().collect();
+        let expected: Vec<Site> =
+            Site::ALL.iter().copied().filter(|site| !REOPEN_ONLY.contains(site)).collect();
+        assert_eq!(reached, expected);
+        assert_eq!(report.site_names.values().sum::<usize>(), report.total_sites);
     }
 }

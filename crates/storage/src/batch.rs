@@ -55,7 +55,6 @@ impl<'a> RowRef<'a> {
     /// An out-of-range column is written as NULL. `out` is expected to be
     /// exactly as long as the cells asked for; nothing is written past it.
     /// Allocates nothing.
-    // hermit-lint: hot-path
     #[inline]
     pub fn write_cells(&self, cols: Option<&[ColumnId]>, out: &mut [u8]) {
         match cols {

@@ -40,7 +40,7 @@ pub mod wal;
 
 pub use batch::RowRef;
 pub use error::StorageError;
-pub use fault::{fault_point, install_fault_hook, FaultAction, FaultHookGuard};
+pub use fault::{fault_point, install_fault_hook, FaultAction, FaultHookGuard, Io, Site};
 pub use recovery::{BaselineDef, Catalog, HermitDef, PageEntry, RecoveryError};
 pub use schema::{ColumnDef, ColumnId, ColumnType, Schema};
 pub use stats::ColumnStats;

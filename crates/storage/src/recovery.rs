@@ -36,11 +36,13 @@
 //! crc32 u32
 //! ```
 
+use crate::fault::{fault_point, Io, Site};
 use crate::schema::{ColumnDef, ColumnId, ColumnType, Schema};
 use crate::tid::TidScheme;
 use std::fmt;
-use std::io::{self, Write};
-use std::path::Path;
+use std::fs::File;
+use std::io;
+use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"HMTC";
 const VERSION: u32 = 1;
@@ -126,37 +128,56 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// fsync the parent directory so the rename itself is durable. Used for the
 /// catalog and for TRS-Tree snapshot files.
 pub fn write_file_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    use crate::fault::{fault_point, injected_error, FaultAction};
     // Fault site before the temp write (crash leaves the old file intact,
     // possibly next to a stale `.tmp`)…
-    if fault_point("atomic.write") == FaultAction::Error {
-        return Err(io::Error::other(injected_error("atomic.write")));
+    let Some(io) = fault_point(Site::AtomicWrite)? else {
+        return Ok(());
+    };
+    SyncedTemp::write(path, bytes, &io)?.rename_into_place()
+}
+
+/// A temp sibling of `path` whose bytes are on the device — the only file
+/// [`rename_into_place`](Self::rename_into_place) publishes, so a rename
+/// cannot precede the fsync that makes it safe.
+struct SyncedTemp<'p> {
+    tmp: PathBuf,
+    path: &'p Path,
+}
+
+impl<'p> SyncedTemp<'p> {
+    /// Write `bytes` to `path`'s temp sibling and fsync it.
+    fn write(path: &'p Path, bytes: &[u8], io: &Io) -> io::Result<Self> {
+        let tmp = path.with_extension("tmp");
+        let mut file = File::create(&tmp)?;
+        io.write_all(&mut file, bytes)?;
+        io.sync_all(&file)?;
+        Ok(SyncedTemp { tmp, path })
     }
-    let tmp = path.with_extension("tmp");
-    {
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(bytes)?;
-        file.sync_all()?;
+
+    /// Rename the temp file over `path` and fsync the directory. The fault
+    /// site sits before the rename: a crash there leaves a complete but
+    /// unpublished temp sibling, since the commit point is the rename
+    /// itself.
+    fn rename_into_place(self) -> io::Result<()> {
+        fault_point(Site::AtomicRename)?;
+        #[expect(clippy::disallowed_methods, reason = "the rename of a synced temp file")]
+        std::fs::rename(&self.tmp, self.path)?;
+        sync_dir(self.path.parent().unwrap_or_else(|| Path::new(".")));
+        Ok(())
     }
-    // …and before the rename (crash leaves a complete-but-unpublished temp
-    // sibling; the commit point is the rename itself).
-    if fault_point("atomic.rename") == FaultAction::Error {
-        return Err(io::Error::other(injected_error("atomic.rename")));
-    }
-    std::fs::rename(&tmp, path)?;
-    sync_dir(path.parent().unwrap_or_else(|| Path::new(".")));
-    Ok(())
 }
 
 /// fsync a directory so a rename inside it survives a crash. Best-effort:
 /// not every platform allows opening a directory for sync.
 pub fn sync_dir(dir: &Path) {
-    if let Ok(d) = std::fs::File::open(dir) {
+    if let Ok(d) = File::open(dir) {
         #[expect(
             clippy::let_underscore_must_use,
-            reason = "ignored by design: some platforms refuse to open directories for fsync, and rename durability is best-effort there"
+            clippy::disallowed_methods,
+            reason = "best-effort directory sync, no fault site: the result is ignored by design, \
+                      since some platforms refuse to open directories for fsync, so an injected \
+                      fault would look like one of them"
         )]
-        // hermit-lint: allow(fault-coverage) best-effort directory sync: the result is ignored by design, so an injected fault would be indistinguishable from the platforms that refuse to fsync directories
         let _ = d.sync_all();
     }
 }

@@ -90,7 +90,7 @@
 //! that saw a statement, so an older reader stops there: downgrade after
 //! a checkpoint, or lose the generation's whole log.
 
-use crate::fault::{fault_point, injected_error, FaultAction};
+use crate::fault::{fault_point, Site};
 use crate::recovery::{crc32, sync_dir, RecoveryError};
 use crate::value::{self, encode_cell, Value, CELL_BYTES};
 use std::fs::{File, OpenOptions};
@@ -399,11 +399,10 @@ impl WalTail {
         if self.durable() >= target {
             return Ok(());
         }
-        match fault_point("wal.barrier") {
-            FaultAction::Error => return Err(std::io::Error::other(injected_error("wal.barrier"))),
-            // Lying fsync: the page goes out believing the log is down.
-            FaultAction::Skip => return Ok(()),
-            FaultAction::Continue => {}
+        // A skip is a lying fsync: the page goes out believing the log is
+        // down.
+        if fault_point(Site::WalBarrier)?.is_none() {
+            return Ok(());
         }
         if self.sync_to(target)? {
             self.barrier_fsyncs.fetch_add(1, Ordering::Relaxed);
@@ -458,13 +457,12 @@ impl WalTail {
         synced.map(|()| true)
     }
 
-    /// The log's one commit-path fsync, behind the `wal.commit` site.
+    /// The log's one commit-path fsync, behind the `wal.commit` site. A
+    /// skip is a lying fsync: the whole cohort is told its records are down.
     fn sync_file(&self) -> std::io::Result<()> {
-        match fault_point("wal.commit") {
-            FaultAction::Error => Err(std::io::Error::other(injected_error("wal.commit"))),
-            // Lying fsync: the whole cohort is told its records are down.
-            FaultAction::Skip => Ok(()),
-            FaultAction::Continue => self.file.sync_data(),
+        match fault_point(Site::WalCommit)? {
+            Some(io) => io.sync_data(&self.file),
+            None => Ok(()),
         }
     }
 
@@ -526,12 +524,12 @@ impl WalWriter {
         // Site before the truncating reopen: a crash here leaves the torn
         // tail on disk for the *next* recovery to discard again — the
         // operation must be idempotent.
-        if fault_point("wal.reopen") == FaultAction::Error {
-            return Err(RecoveryError::Io(std::io::Error::other(injected_error("wal.reopen"))));
-        }
+        let io = fault_point(Site::WalReopen)?;
         let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-        file.set_len(valid_len)?;
-        file.sync_all()?;
+        if let Some(io) = io {
+            io.set_len(&file, valid_len)?;
+            io.sync_all(&file)?;
+        }
         file.seek(SeekFrom::Start(valid_len))?;
         Ok(Self::over(file, path, epoch, valid_len))
     }
@@ -580,20 +578,18 @@ impl WalWriter {
         // Crash/fault site *before* the truncation: a snapshot here models a
         // crash between "new catalog renamed" and "WAL reset" — the
         // stale-epoch WAL the epoch fence exists for.
-        if fault_point("wal.reset") == FaultAction::Error {
-            return Err(RecoveryError::Io(std::io::Error::other(injected_error("wal.reset"))));
+        if let Some(io) = fault_point(Site::WalReset)? {
+            io.set_len(&file, 0)?;
         }
-        file.set_len(0)?;
         file.seek(SeekFrom::Start(0))?;
         // Site between truncation and the header write: a snapshot here is
         // a header-torn (empty) WAL, which recovery must treat as benign.
-        if fault_point("wal.header") == FaultAction::Error {
-            return Err(RecoveryError::Io(std::io::Error::other(injected_error("wal.header"))));
+        if let Some(io) = fault_point(Site::WalHeader)? {
+            io.write_all(&mut file, MAGIC)?;
+            io.write_all(&mut file, &VERSION.to_le_bytes())?;
+            io.write_all(&mut file, &epoch.to_le_bytes())?;
+            io.sync_all(&file)?;
         }
-        file.write_all(MAGIC)?;
-        file.write_all(&VERSION.to_le_bytes())?;
-        file.write_all(&epoch.to_le_bytes())?;
-        file.sync_all()?;
         sync_dir(&self.dir);
         self.epoch = epoch;
         self.file_end = HEADER_LEN;
@@ -635,7 +631,6 @@ impl WalWriter {
     /// the row a durable insert makes: the heap stores these bytes, and
     /// [`append_staged`](Self::append_staged) logs them. The next
     /// `stage_insert` or [`append`](Self::append) replaces it.
-    // hermit-lint: hot-path
     pub fn stage_insert<E>(
         &mut self,
         txn: Option<u64>,
@@ -660,7 +655,6 @@ impl WalWriter {
     }
 
     /// Append the staged record, like [`append`](Self::append).
-    // hermit-lint: hot-path
     pub fn append_staged(&mut self) -> Result<usize, RecoveryError> {
         let scratch = std::mem::take(&mut self.scratch);
         let buffered = self.append_frame(&scratch);
@@ -676,17 +670,13 @@ impl WalWriter {
     /// `Ok(false)` is a silently dropped append (a `Skip` fault): the caller
     /// is told the frame is in the log, but no bytes were written.
     fn append_frame(&mut self, payload: &[u8]) -> Result<bool, RecoveryError> {
-        match fault_point("wal.append") {
-            FaultAction::Error => {
-                return Err(RecoveryError::Io(std::io::Error::other(injected_error("wal.append"))));
-            }
-            FaultAction::Skip => return Ok(false),
-            FaultAction::Continue => {}
-        }
+        let Some(io) = fault_point(Site::WalAppend)? else {
+            return Ok(false);
+        };
         let res = (|| -> Result<(), RecoveryError> {
-            self.out.write_all(&(payload.len() as u32).to_le_bytes())?;
-            self.out.write_all(&crc32(payload).to_le_bytes())?;
-            self.out.write_all(payload)?;
+            io.write_all(&mut self.out, &(payload.len() as u32).to_le_bytes())?;
+            io.write_all(&mut self.out, &crc32(payload).to_le_bytes())?;
+            io.write_all(&mut self.out, payload)?;
             Ok(())
         })();
         self.appended += 8 + payload.len() as u64;
@@ -718,19 +708,11 @@ impl WalWriter {
     /// (the transaction must then recover as a loser). The generic
     /// `wal.append` site still fires inside the inner [`append`](Self::append).
     pub fn append_txn_commit(&mut self, txn: u64) -> Result<usize, RecoveryError> {
-        match fault_point("wal.txn_commit") {
-            FaultAction::Error => {
-                return Err(RecoveryError::Io(std::io::Error::other(injected_error(
-                    "wal.txn_commit",
-                ))));
-            }
-            FaultAction::Skip => {
-                // Dropped commit record: the caller believes the txn is
-                // logged as a winner, but the log never says so.
-                self.uncommitted += 1;
-                return Ok(self.uncommitted);
-            }
-            FaultAction::Continue => {}
+        if fault_point(Site::WalTxnCommit)?.is_none() {
+            // Dropped commit record: the caller believes the txn is logged
+            // as a winner, but the log never says so.
+            self.uncommitted += 1;
+            return Ok(self.uncommitted);
         }
         self.append(&WalRecord::TxnCommit { txn })
     }
@@ -741,17 +723,9 @@ impl WalWriter {
     /// rolls back any open txn without a commit record anyway — but the
     /// site proves that.
     pub fn append_txn_abort(&mut self, txn: u64) -> Result<usize, RecoveryError> {
-        match fault_point("wal.txn_abort") {
-            FaultAction::Error => {
-                return Err(RecoveryError::Io(std::io::Error::other(injected_error(
-                    "wal.txn_abort",
-                ))));
-            }
-            FaultAction::Skip => {
-                self.uncommitted += 1;
-                return Ok(self.uncommitted);
-            }
-            FaultAction::Continue => {}
+        if fault_point(Site::WalTxnAbort)?.is_none() {
+            self.uncommitted += 1;
+            return Ok(self.uncommitted);
         }
         self.append(&WalRecord::TxnAbort { txn })
     }
@@ -764,19 +738,12 @@ impl WalWriter {
     /// up to there change no file size.
     pub fn flush(&mut self) -> Result<(), RecoveryError> {
         if self.file_end > self.reserved {
-            match fault_point("wal.reserve") {
-                FaultAction::Error => {
-                    return Err(RecoveryError::Io(std::io::Error::other(injected_error(
-                        "wal.reserve",
-                    ))));
-                }
-                // A reserve that never happened: the `write` grows the file.
-                FaultAction::Skip => {}
-                FaultAction::Continue => {
-                    let reserved = self.file_end + RESERVE_BYTES;
-                    self.tail.file.set_len(reserved)?;
-                    self.reserved = reserved;
-                }
+            // A skip is a reserve that never happened: the `write` grows
+            // the file.
+            if let Some(io) = fault_point(Site::WalReserve)? {
+                let reserved = self.file_end + RESERVE_BYTES;
+                io.set_len(&self.tail.file, reserved)?;
+                self.reserved = reserved;
             }
         }
         self.out.flush()?;
@@ -886,6 +853,7 @@ pub fn read_wal(path: &Path) -> Result<WalReplay, RecoveryError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultAction;
     use std::cell::RefCell;
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -1090,6 +1058,7 @@ mod tests {
         // Simulate a crash mid-append: garbage tail.
         {
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+            #[expect(clippy::disallowed_methods, reason = "the test tears the log by hand")]
             f.write_all(&[0xAB; 7]).unwrap();
         }
         let replay = read_wal(&path).unwrap();
@@ -1138,7 +1107,7 @@ mod tests {
         let seen = std::rc::Rc::new(RefCell::new(Vec::new()));
         {
             let seen = std::rc::Rc::clone(&seen);
-            let _guard = crate::fault::install_fault_hook(move |site| {
+            let _guard = crate::fault::install_fault_hook(move |site, _| {
                 seen.borrow_mut().push(site);
                 FaultAction::Continue
             });
@@ -1148,8 +1117,8 @@ mod tests {
             w.commit().unwrap();
         }
         let sites = seen.borrow();
-        assert!(sites.contains(&"wal.txn_commit"));
-        assert!(sites.contains(&"wal.txn_abort"));
+        assert!(sites.contains(&Site::WalTxnCommit));
+        assert!(sites.contains(&Site::WalTxnAbort));
         let replay = read_wal(&path).unwrap();
         assert_eq!(
             replay.records,
@@ -1161,8 +1130,8 @@ mod tests {
     #[test]
     fn dropped_txn_commit_record_leaves_no_bytes() {
         let path = tmp("txn-skip.wal");
-        let _guard = crate::fault::install_fault_hook(|site| {
-            if site == "wal.txn_commit" {
+        let _guard = crate::fault::install_fault_hook(|site, _| {
+            if site == Site::WalTxnCommit {
                 FaultAction::Skip
             } else {
                 FaultAction::Continue
@@ -1279,8 +1248,8 @@ mod tests {
             let leader = s.spawn(|| {
                 // Held inside the fsync until the follower has parked.
                 let gate = Arc::clone(&tail);
-                let _hook = crate::fault::install_fault_hook(move |site| {
-                    assert_eq!(site, "wal.commit");
+                let _hook = crate::fault::install_fault_hook(move |site, _| {
+                    assert_eq!(site, Site::WalCommit);
                     assert!(eventually(|| gate.parked() == 1), "nobody parked behind the leader");
                     FaultAction::Continue
                 });
@@ -1307,7 +1276,7 @@ mod tests {
         std::thread::scope(|s| {
             let leader = s.spawn(|| {
                 let gate = Arc::clone(&tail);
-                let _hook = crate::fault::install_fault_hook(move |_| {
+                let _hook = crate::fault::install_fault_hook(move |_, _| {
                     assert!(eventually(|| gate.parked() == 2), "the cohort never formed");
                     FaultAction::Error
                 });
@@ -1342,8 +1311,8 @@ mod tests {
     fn a_lying_fsync_acknowledges_without_syncing() {
         let path = tmp("cohort-lie.wal");
         let mut w = WalWriter::create(&path, 1).unwrap();
-        let _hook = crate::fault::install_fault_hook(|site| match site {
-            "wal.commit" => FaultAction::Skip,
+        let _hook = crate::fault::install_fault_hook(|site, _| match site {
+            Site::WalCommit => FaultAction::Skip,
             _ => FaultAction::Continue,
         });
         w.append(&WalRecord::Delete { pk: 1 }).unwrap();
@@ -1407,5 +1376,28 @@ mod tests {
         assert_eq!(log(&staged).1.len(), 3);
         std::fs::remove_file(&staged).ok();
         std::fs::remove_file(&appended).ok();
+    }
+
+    /// A durable insert stages its record in the writer's one frame buffer:
+    /// a second insert of the same width neither grows nor replaces it.
+    #[test]
+    fn a_second_staged_insert_of_one_width_grows_no_buffer() {
+        let path = tmp("staging.wal");
+        let cells: Vec<u8> =
+            [Value::Int(1), Value::Float(2.5), Value::Null].iter().flat_map(encode_cell).collect();
+        let mut w = WalWriter::create(&path, 1).unwrap();
+        let mut insert = || {
+            let staged = w.stage_insert(None, 3, |out| {
+                out.extend_from_slice(&cells);
+                Ok::<_, ()>(())
+            });
+            staged.unwrap();
+            w.append_staged().unwrap();
+            w.scratch.capacity()
+        };
+        let first = insert();
+        assert!(first >= cells.len());
+        assert_eq!(insert(), first);
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -38,7 +38,7 @@ fn read_handles_leave_no_descriptor_behind() {
                 let (inside, store, ranges) = (Arc::clone(&inside), &store, &ranges);
                 s.spawn(move || {
                     let mut first = true;
-                    let _hook = install_fault_hook(move |_| {
+                    let _hook = install_fault_hook(move |_, _| {
                         if std::mem::take(&mut first) {
                             inside.wait();
                         }
@@ -55,7 +55,7 @@ fn read_handles_leave_no_descriptor_behind() {
         // A batch failing at its second read returns its handle: nothing
         // opened, nothing leaked.
         let mut reads = 0;
-        let hook = install_fault_hook(move |_| {
+        let hook = install_fault_hook(move |_, _| {
             reads += 1;
             if reads == 2 {
                 FaultAction::Error

@@ -341,29 +341,6 @@ impl TrsTree {
         }
     }
 
-    /// Checkpoint to a file, atomically *and durably*: the snapshot is
-    /// written to a temp sibling, **fsynced**, renamed over the target, and
-    /// the parent directory is fsynced so the rename itself survives a
-    /// crash. The previous implementation skipped the fsyncs — a crash
-    /// shortly after `checkpoint` returned could leave a torn snapshot at
-    /// `path` (the rename was durable before the data was), which
-    /// [`restore`](TrsTree::restore) would then half-parse and reject.
-    pub fn checkpoint(&mut self, path: &std::path::Path) -> Result<(), PersistError> {
-        let tmp = path.with_extension("tmp");
-        {
-            let file = std::fs::File::create(&tmp)?;
-            let mut buf = std::io::BufWriter::new(file);
-            self.snapshot_to(&mut buf)?;
-            buf.flush()?;
-            buf.get_ref().sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        if let Some(dir) = path.parent() {
-            hermit_storage::recovery::sync_dir(dir);
-        }
-        Ok(())
-    }
-
     /// Restore from a checkpoint file.
     pub fn restore(path: &std::path::Path) -> Result<TrsTree, PersistError> {
         let file = std::fs::File::open(path)?;
@@ -375,6 +352,7 @@ impl TrsTree {
 mod tests {
     use super::*;
     use crate::TrsParams;
+    use hermit_storage::recovery::write_file_atomic;
 
     /// Structural equality modulo memory accounting (vector capacities
     /// differ between bulk construction and incremental restore).
@@ -468,7 +446,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("tree.trst");
         let mut tree = sample_tree(8_000);
-        tree.checkpoint(&path).unwrap();
+        write_file_atomic(&path, &tree.snapshot_bytes().unwrap()).unwrap();
         let restored = TrsTree::restore(&path).unwrap();
         assert_stats_match(&tree, &restored);
         std::fs::remove_dir_all(&dir).ok();
@@ -545,7 +523,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("tree.trst");
         let mut tree = sample_tree(8_000);
-        tree.checkpoint(&path).unwrap();
+        write_file_atomic(&path, &tree.snapshot_bytes().unwrap()).unwrap();
         let full = std::fs::metadata(&path).unwrap().len();
         // A crash mid-write tears the snapshot at an arbitrary byte; every
         // truncation point must produce a typed error, never a tree built

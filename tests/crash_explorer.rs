@@ -13,6 +13,7 @@
 //! of the workload; CI's `chaos-smoke` job raises it in release.
 
 use hermit_fault::explore;
+use hermit_storage::Site;
 use std::path::PathBuf;
 
 fn budget() -> Option<usize> {
@@ -49,9 +50,9 @@ fn every_explored_crash_site_recovers_to_a_statement_prefix() {
     // The transactional tail of the canonical workload must register its
     // commit and abort WAL appends as crash sites — losing these classes
     // means the atomicity contract is no longer under test.
-    for class in ["wal.txn_commit", "wal.txn_abort"] {
+    for class in [Site::WalTxnCommit, Site::WalTxnAbort] {
         assert!(
-            report.site_names.contains_key(class),
+            report.site_names.contains_key(&class),
             "site class `{class}` missing from the schedule: {:?}",
             report.site_names
         );

@@ -36,7 +36,8 @@ use hermit::fault::FaultyPageStore;
 use hermit::storage::paged::{PageId, PageStore, PAGE_SIZE};
 use hermit::storage::wal::read_wal;
 use hermit::storage::{
-    install_fault_hook, ColumnDef, FaultAction, FaultHookGuard, RowLoc, Schema, TidScheme, Value,
+    install_fault_hook, ColumnDef, FaultAction, FaultHookGuard, RowLoc, Schema, Site, TidScheme,
+    Value,
 };
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -607,12 +608,12 @@ fn stolen_page_never_outruns_the_records_that_undo_it() {
         let seen: Rc<RefCell<Vec<CrashImage>>> = Rc::default();
         let hook = {
             let (seen, tail, dir) = (Rc::clone(&seen), Arc::clone(&tail), dir.clone());
-            install_fault_hook(move |site| {
-                if !matches!(site, "page.read" | "page.read_range") {
+            install_fault_hook(move |site, _| {
+                if !matches!(site, Site::PageRead | Site::PageReadRange) {
                     let mut seen = seen.borrow_mut();
                     let image = fresh_dir(&format!("steal-{sync_every}-image-{}", seen.len()));
                     copy_dir(&dir, &image);
-                    seen.push((site, tail.durable(), image));
+                    seen.push((site.name(), tail.durable(), image));
                 }
                 FaultAction::Continue
             })
@@ -644,7 +645,7 @@ fn stolen_page_never_outruns_the_records_that_undo_it() {
 
         let seen = seen.take();
         let steals: Vec<u64> =
-            seen.iter().filter(|(site, ..)| *site == "page.write").map(|s| s.1).collect();
+            seen.iter().filter(|(site, ..)| *site == Site::PageWrite.name()).map(|s| s.1).collect();
         assert!(!steals.is_empty(), "sync_every {sync_every}: the dirty page was never stolen");
         for durable in steals {
             assert!(
@@ -654,7 +655,7 @@ fn stolen_page_never_outruns_the_records_that_undo_it() {
             );
         }
         assert!(tail.barrier_fsyncs() >= 1, "the steal must have forced the log");
-        assert!(seen.iter().any(|(site, ..)| *site == "wal.barrier"));
+        assert!(seen.iter().any(|(site, ..)| *site == Site::WalBarrier.name()));
 
         for (site, _, image) in &seen {
             let back = Database::open(image, &config).unwrap_or_else(|e| {
@@ -842,8 +843,8 @@ struct FsyncGate {
 impl FsyncGate {
     fn install(self: &Arc<Self>) -> FaultHookGuard {
         let gate = Arc::clone(self);
-        install_fault_hook(move |site| {
-            if site == "wal.commit" && !gate.entered.swap(true, Ordering::SeqCst) {
+        install_fault_hook(move |site, _| {
+            if site == Site::WalCommit && !gate.entered.swap(true, Ordering::SeqCst) {
                 let met = eventually(|| gate.done.load(Ordering::SeqCst));
                 gate.met.store(met, Ordering::SeqCst);
             }
@@ -946,8 +947,8 @@ fn four_committers_share_fsyncs_and_every_ack_is_in_the_image() {
                 s.spawn(move || {
                     // A leader lingers (briefly, bounded) for company, so that
                     // cohorts form on any device, however fast its fsync.
-                    let _hook = install_fault_hook(move |site| {
-                        if site == "wal.commit" {
+                    let _hook = install_fault_hook(move |site, _| {
+                        if site == Site::WalCommit {
                             let until = Instant::now() + Duration::from_micros(500);
                             while tail.parked() == 0 && Instant::now() < until {
                                 std::thread::yield_now();
@@ -1071,8 +1072,8 @@ fn a_failed_commit_wait_leaves_the_transaction_open_and_sound() {
     db.insert_txn(t, &row(50, 50.0)).unwrap();
     db.delete_by_pk_txn(t, 2).unwrap();
 
-    let hook = install_fault_hook(|site| match site {
-        "wal.commit" => FaultAction::Error,
+    let hook = install_fault_hook(|site, _| match site {
+        Site::WalCommit => FaultAction::Error,
         _ => FaultAction::Continue,
     });
     let err = db.commit_txn(t).unwrap_err();
