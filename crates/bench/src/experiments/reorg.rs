@@ -10,7 +10,7 @@
 
 use crate::harness::{self, measure_ops_with, Scale};
 use hermit_storage::Tid;
-use hermit_trs::{TrsParams, TrsTree, VecPairSource};
+use hermit_trs::{ConcurrentTrsTree, TrsParams, TrsTree, VecPairSource};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
@@ -54,6 +54,9 @@ pub fn fig23_reorg_trace(scale: Scale) {
         all_pairs.push(p);
     }
     let source = VecPairSource(all_pairs);
+    // From here on the tree is served and reorganized online, through the
+    // same Appendix-B driver the database's maintenance worker uses.
+    let tree = ConcurrentTrsTree::new(tree);
 
     // Trace: alternate measurement ticks and partial reorganizations of
     // two first-level subtrees per tick (1/4 of the structure at fanout 8).
@@ -79,7 +82,7 @@ pub fn fig23_reorg_trace(scale: Scale) {
             let did = tree.reorganize_first_level_subtree(subtree, &source)
                 && tree.reorganize_first_level_subtree(subtree + 1, &source);
             if !did {
-                tree.reorganize_batch(&source, 4);
+                tree.reorganize_pass(&source, 4);
             }
             subtree = (subtree + 2) % 8;
         }

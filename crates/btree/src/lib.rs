@@ -23,11 +23,15 @@
 //! * **baseline secondary index** — key = target column value, value = tid;
 //! * **host index** — key = host column value, value = tid (what Hermit
 //!   probes after the TRS-Tree hop);
-//! * **primary index** — key = primary key, value = row location (used to
-//!   resolve logical tids; [`HashPrimaryIndex`] is also provided, since
-//!   point-only primary access is a hash map's sweet spot — over a paged
-//!   heap it keeps runs of consecutive keys in consecutive slots instead,
-//!   with the keys that break them in the hash).
+//! * **composite index** — key = a `(leading, value)` pair, value = tid
+//!   (the box scans of §3's multi-column case, baseline or as a composite
+//!   Hermit index's host).
+//!
+//! The primary index (primary key → row location, which resolves logical
+//! tids) is not this tree but [`HashPrimaryIndex`]: point-only access is a
+//! hash map's sweet spot, and over a paged heap it keeps runs of
+//! consecutive keys in consecutive slots, with the keys that break them in
+//! the hash.
 #![warn(clippy::allow_attributes_without_reason)]
 
 pub mod hash_index;

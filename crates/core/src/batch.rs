@@ -4,7 +4,7 @@
 //!
 //! * **phases 1–2**, one candidate function per route: `gather_hermit`
 //!   (TRS-Tree translation, then host-index probes), `gather_baseline`, and
-//!   the composite box scan of [`crate::CompositeIndexes`];
+//!   the composite box scan of the database's [`crate::CompositeIndexes`];
 //! * **phases 3–4**, one tail, `batched_resolve_validate`: primary-index
 //!   resolution under logical pointers, then validation in page order
 //!   through [`hermit_storage::paged::PagedTable::for_each_row_batch`] —
@@ -17,6 +17,7 @@
 //! Across a batch the TRS traversal scratch, the candidate and location
 //! vectors and the validation buffers are reused, not reallocated.
 
+use crate::composite::CompositeIndex;
 use crate::database::Database;
 use crate::executor::{QueryResult, RangePredicate};
 use crate::index::SecondaryIndex;
@@ -103,12 +104,13 @@ impl Database {
             },
             AccessPath::CompositeBaseline { index, leading, value }
             | AccessPath::CompositeHermit { index, leading, value, .. } => {
-                self.composites(vis.held()).gather_box_candidates(
+                self.composites.gather_box_candidates(
                     *index,
                     *leading,
                     *value,
                     &mut result.breakdown,
                     &mut scratch.candidates,
+                    vis.held(),
                 )
             }
             AccessPath::SeqScan => {
@@ -133,6 +135,49 @@ impl Database {
                     block.truncate(n);
                 }
             }
+        }
+        result
+    }
+
+    /// Execute a box query — `leading ∈ [lb, ub] AND value ∈ [lb, ub]` —
+    /// on the composite index at `idx`: the forced composite route, as
+    /// [`lookup_range`](Self::lookup_range) is the forced single-column
+    /// one. A baseline index answers from its tree; a Hermit index
+    /// translates the value predicate through its TRS-Tree, box-scans the
+    /// companion `(leading, host)` baseline, and re-checks both conjuncts
+    /// at the base table. Empty when `idx` names no composite index.
+    pub fn lookup_box(
+        &self,
+        idx: usize,
+        leading: RangePredicate,
+        value: RangePredicate,
+    ) -> QueryResult {
+        let mut root = Held::unlocked();
+        let mut vis = latches::read_visibility(&self.txns, &mut root);
+        let view = self.txns.read_view(None);
+        let mut result = QueryResult::default();
+        let mut scratch = BatchScratch::default();
+        if self.composites.gather_box_candidates(
+            idx,
+            leading,
+            value,
+            &mut result.breakdown,
+            &mut scratch.candidates,
+            vis.held(),
+        ) {
+            // The planner's recheck rule: a box scan is exact, a translated
+            // one is not.
+            let both = [leading, value];
+            let hermit = self.composites.get(idx).is_some_and(CompositeIndex::is_hermit);
+            let recheck: &[RangePredicate] = if hermit { &both } else { &[] };
+            self.batched_resolve_validate(
+                &mut scratch,
+                recheck,
+                None,
+                &view,
+                &mut result,
+                vis.held(),
+            );
         }
         result
     }

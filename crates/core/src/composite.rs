@@ -13,43 +13,48 @@
 //! composite baseline index or through the TRS-Tree + composite host
 //! pipeline.
 //!
+//! Composite indexes are ordinary indexes of the [`crate::Database`]: it
+//! creates them (`create_composite_baseline` / `create_composite_hermit`),
+//! maintains them on insert and delete, plans box queries onto them, and
+//! its maintenance worker reorganizes their TRS-Trees through the same
+//! Appendix-B protocol as single-column ones.
+//!
 //! Key layout: lexicographic `(leading, value)` pairs. A box query scans
 //! the leading range and filters the second dimension in-index, which is
 //! exactly what a conventional RDBMS does with a composite B+-tree when
 //! the leading predicate is the more selective one.
 
-use crate::batch::BatchScratch;
 use crate::breakdown::LookupBreakdown;
-use crate::database::Database;
-use crate::executor::{QueryResult, RangePredicate};
-use crate::latches::{self, Held};
+use crate::executor::RangePredicate;
+use crate::latches::{Held, Index, LatchedRwLock, Visibility};
 use hermit_btree::BPlusTree;
-use hermit_storage::paged::PagedTable;
-use hermit_storage::{ColumnId, F64Key, Tid, TidScheme};
-use hermit_trs::{TrsParams, TrsTree};
+use hermit_storage::{ColumnId, F64Key, Tid, Value};
+use hermit_trs::ConcurrentTrsTree;
 use std::time::Instant;
 
 /// A composite key: (leading column value, second column value), ordered
 /// lexicographically (derived `Ord` on the tuple).
 pub type CompositeKey = (F64Key, F64Key);
 
-/// A two-column secondary index.
+/// A two-column secondary index. Each carries its own latch, as a
+/// single-column [`crate::SecondaryIndex`] does.
 pub enum CompositeIndex {
     /// Complete composite B+-tree on `(leading, value)`.
     Baseline {
-        /// The tree, keyed lexicographically.
-        tree: BPlusTree<CompositeKey, Tid>,
+        /// The tree, keyed lexicographically, behind its per-index latch.
+        tree: LatchedRwLock<Index, BPlusTree<CompositeKey, Tid>>,
         /// Leading column id.
         leading: ColumnId,
         /// Second (value) column id.
         value: ColumnId,
     },
-    /// Hermit composite index: a TRS-Tree on `target → host` plus the name
-    /// of a composite baseline index on `(leading, host)` that serves the
-    /// translated probes.
+    /// Hermit composite index: a TRS-Tree on `target → host`, routed
+    /// through the composite baseline index on `(leading, host)` that
+    /// serves the translated probes.
     Hermit {
-        /// Correlation structure from the target column to the host column.
-        trs: TrsTree,
+        /// Correlation structure from the target column to the host column,
+        /// with its Appendix-B latch and side buffer.
+        trs: ConcurrentTrsTree,
         /// Leading column id (shared with the host index).
         leading: ColumnId,
         /// Target (indexed) column id.
@@ -60,10 +65,12 @@ pub enum CompositeIndex {
 }
 
 impl CompositeIndex {
-    /// Heap bytes held by the index structure.
+    /// Heap bytes held by the index structure (takes the read latch).
     pub fn memory_bytes(&self) -> usize {
         match self {
-            CompositeIndex::Baseline { tree, .. } => tree.memory_bytes(),
+            CompositeIndex::Baseline { tree, .. } => {
+                tree.read_at(&mut Held::unlocked()).memory_bytes()
+            }
             CompositeIndex::Hermit { trs, .. } => trs.memory_bytes(),
         }
     }
@@ -74,26 +81,16 @@ impl CompositeIndex {
     }
 }
 
-/// Composite-index registry and executor, layered over [`Database`].
-///
-/// Kept separate from the single-column path so the core executor stays
-/// exactly the paper's Fig. 3 pipeline; a composite database wraps the two.
+/// The composite indexes of a [`crate::Database`], by registry position.
+/// Like the database's single-column map, the registry itself changes only
+/// under `&mut Database` (DDL); each index latches itself, so DML and
+/// queries share the registry latch-free.
+#[derive(Default)]
 pub struct CompositeIndexes {
     indexes: Vec<CompositeIndex>,
 }
 
-impl Default for CompositeIndexes {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl CompositeIndexes {
-    /// Empty registry.
-    pub fn new() -> Self {
-        CompositeIndexes { indexes: Vec::new() }
-    }
-
     /// Number of composite indexes.
     pub fn len(&self) -> usize {
         self.indexes.len()
@@ -109,10 +106,9 @@ impl CompositeIndexes {
         self.indexes.get(i)
     }
 
-    /// Mutable access for background maintenance (composite Hermit
-    /// reorganization under the registry write latch).
-    pub(crate) fn get_mut_for_maintenance(&mut self, i: usize) -> Option<&mut CompositeIndex> {
-        self.indexes.get_mut(i)
+    /// The composite indexes in registry order.
+    pub fn iter(&self) -> impl Iterator<Item = &CompositeIndex> {
+        self.indexes.iter()
     }
 
     /// Registry position of the composite baseline index on
@@ -128,76 +124,20 @@ impl CompositeIndexes {
         })
     }
 
-    /// Build a composite baseline index on `(leading, value)` over the
-    /// current contents of `db`. Returns its registry position.
-    pub fn create_baseline(
-        &mut self,
-        db: &Database,
-        leading: ColumnId,
-        value: ColumnId,
-    ) -> hermit_storage::Result<usize> {
-        let tree = build_composite_tree(db.heap(), db.scheme(), db.pk_col(), leading, value)?;
-        Ok(self.push_baseline(tree, leading, value))
-    }
-
-    /// Register a built composite baseline tree; returns its position.
-    pub(crate) fn push_baseline(
-        &mut self,
-        tree: BPlusTree<CompositeKey, Tid>,
-        leading: ColumnId,
-        value: ColumnId,
-    ) -> usize {
-        self.indexes.push(CompositeIndex::Baseline { tree, leading, value });
+    /// Register a built index; returns its position.
+    pub(crate) fn push(&mut self, index: CompositeIndex) -> usize {
+        self.indexes.push(index);
         self.indexes.len() - 1
     }
 
-    /// Register a built composite Hermit index; returns its position.
-    pub(crate) fn push_hermit(
-        &mut self,
-        trs: TrsTree,
-        leading: ColumnId,
-        target: ColumnId,
-        host: ColumnId,
-    ) -> usize {
-        self.indexes.push(CompositeIndex::Hermit { trs, leading, target, host });
-        self.indexes.len() - 1
-    }
-
-    /// Build a composite Hermit index on `(leading, target)` routed through
-    /// the host column: requires that a composite baseline on
-    /// `(leading, host)` already exists in this registry (the paper's
-    /// precondition, composite form). Returns its registry position.
-    pub fn create_hermit(
-        &mut self,
-        db: &Database,
-        leading: ColumnId,
-        target: ColumnId,
-        host: ColumnId,
-        params: TrsParams,
-    ) -> hermit_storage::Result<usize> {
-        assert!(
-            self.companion_baseline(leading, host).is_some(),
-            "a composite baseline index on (leading={leading}, host={host}) must exist first"
-        );
-        let trs = build_composite_trs(db.heap(), db.scheme(), db.pk_col(), target, host, params)?;
-        Ok(self.push_hermit(trs, leading, target, host))
-    }
-
-    /// Maintain all composite indexes for a newly-inserted row.
-    pub fn insert_row(&mut self, db: &Database, row: &[hermit_storage::Value], tid: Tid) {
-        let _ = db;
-        self.maintain_insert(row, tid);
-    }
-
-    /// Maintain all composite indexes for a newly-inserted row (the
-    /// database-agnostic core of [`insert_row`](Self::insert_row); called
-    /// by [`Database::insert_timed`] for the registry the database owns).
-    pub fn maintain_insert(&mut self, row: &[hermit_storage::Value], tid: Tid) {
-        for index in &mut self.indexes {
+    /// Maintain every composite index for a newly inserted row, latching
+    /// one tree at a time.
+    pub(crate) fn maintain_insert(&self, row: &[Value], tid: Tid, held: &mut Held<Visibility>) {
+        for index in &self.indexes {
             match index {
                 CompositeIndex::Baseline { tree, leading, value } => {
                     if let (Some(l), Some(v)) = (row[*leading].as_f64(), row[*value].as_f64()) {
-                        tree.insert((F64Key(l), F64Key(v)), tid);
+                        tree.write_at(held).insert((F64Key(l), F64Key(v)), tid);
                     }
                 }
                 CompositeIndex::Hermit { trs, target, host, .. } => {
@@ -209,16 +149,16 @@ impl CompositeIndexes {
         }
     }
 
-    /// Maintain all composite indexes for a row being deleted: exact key
-    /// removal on baselines, TRS-Tree tombstoning on Hermit indexes (the
-    /// same contract as the single-column indexes in
-    /// [`Database::delete_by_pk`]).
-    pub fn maintain_delete(&mut self, row: &[hermit_storage::Value], tid: Tid) {
-        for index in &mut self.indexes {
+    /// Maintain every composite index for a deleted row: exact key removal
+    /// on baselines, TRS-Tree tombstoning on Hermit indexes (the same
+    /// contract as the single-column indexes in
+    /// [`crate::Database::delete_by_pk`]).
+    pub(crate) fn maintain_delete(&self, row: &[Value], tid: Tid, held: &mut Held<Visibility>) {
+        for index in &self.indexes {
             match index {
                 CompositeIndex::Baseline { tree, leading, value } => {
                     if let (Some(l), Some(v)) = (row[*leading].as_f64(), row[*value].as_f64()) {
-                        tree.remove(&(F64Key(l), F64Key(v)), &tid);
+                        tree.write_at(held).remove(&(F64Key(l), F64Key(v)), &tid);
                     }
                 }
                 CompositeIndex::Hermit { trs, target, .. } => {
@@ -239,8 +179,8 @@ impl CompositeIndexes {
     /// Returns `false` when `idx` does not exist or a Hermit index's
     /// companion baseline is missing — the caller treats that as an empty
     /// candidate set. This is the composite route's one candidate phase:
-    /// planned box queries and [`lookup_box`](Self::lookup_box) both
-    /// gather through it.
+    /// planned box queries and [`crate::Database::lookup_box`] both gather
+    /// through it.
     pub(crate) fn gather_box_candidates(
         &self,
         idx: usize,
@@ -248,12 +188,14 @@ impl CompositeIndexes {
         value_pred: RangePredicate,
         breakdown: &mut LookupBreakdown,
         candidates: &mut Vec<Tid>,
+        held: &mut Held<Visibility>,
     ) -> bool {
         let Some(index) = self.indexes.get(idx) else { return false };
         match index {
             CompositeIndex::Baseline { tree, .. } => {
                 let t0 = Instant::now();
-                scan_box(tree, &leading_pred, &value_pred, |tid| candidates.push(tid));
+                let tree = tree.read_at(held);
+                scan_box(&tree, &leading_pred, &value_pred, |tid| candidates.push(tid));
                 breakdown.host_index += t0.elapsed();
             }
             CompositeIndex::Hermit { trs, leading, host, .. } => {
@@ -264,18 +206,18 @@ impl CompositeIndexes {
 
                 // Phase 2: box probes on the (leading, host) baseline.
                 let t1 = Instant::now();
-                let Some(companion) = self.companion_baseline(*leading, *host) else {
-                    return false;
-                };
-                let Some(CompositeIndex::Baseline { tree, .. }) = self.indexes.get(companion)
+                let companion = self.companion_baseline(*leading, *host);
+                let Some(CompositeIndex::Baseline { tree, .. }) =
+                    companion.and_then(|c| self.indexes.get(c))
                 else {
                     return false;
                 };
                 candidates.extend_from_slice(&approx.tids);
                 let had_outliers = !candidates.is_empty();
+                let tree = tree.read_at(held);
                 for (lo, hi) in &approx.ranges {
                     let host_pred = RangePredicate { column: *host, lb: *lo, ub: *hi };
-                    scan_box(tree, &leading_pred, &host_pred, |tid| candidates.push(tid));
+                    scan_box(&tree, &leading_pred, &host_pred, |tid| candidates.push(tid));
                 }
                 if had_outliers {
                     candidates.sort_unstable();
@@ -287,49 +229,9 @@ impl CompositeIndexes {
         true
     }
 
-    /// Execute a box query — `leading ∈ [l.lb, l.ub] AND value ∈ [v.lb,
-    /// v.ub]` — against the composite index at `idx`, over `db`'s heap.
-    ///
-    /// The baseline path answers from the composite tree directly; the
-    /// Hermit path translates the value predicate through the TRS-Tree,
-    /// probes the companion `(leading, host)` baseline with the box, and
-    /// re-checks both conjuncts at the base table. Either way the
-    /// candidates go through the executor's one validation tail, reading as
-    /// an auto-commit reader of `db`. An entry point: the caller holds no
-    /// latch of `db`'s.
-    pub fn lookup_box(
-        &self,
-        db: &Database,
-        idx: usize,
-        leading_pred: RangePredicate,
-        value_pred: RangePredicate,
-    ) -> QueryResult {
-        let mut result = QueryResult::default();
-        let mut scratch = BatchScratch::default();
-        if !self.gather_box_candidates(
-            idx,
-            leading_pred,
-            value_pred,
-            &mut result.breakdown,
-            &mut scratch.candidates,
-        ) {
-            return result;
-        }
-        // The same recheck rule as the planner's composite paths: a box
-        // scan is exact, a translated one is not.
-        let both = [leading_pred, value_pred];
-        let recheck: &[RangePredicate] =
-            if self.indexes.get(idx).is_some_and(CompositeIndex::is_hermit) { &both } else { &[] };
-        let mut root = Held::unlocked();
-        let mut vis = latches::read_visibility(&db.txns, &mut root);
-        let view = db.txns.read_view(None);
-        db.batched_resolve_validate(&mut scratch, recheck, None, &view, &mut result, vis.held());
-        result
-    }
-
     /// Total heap bytes across all composite indexes.
     pub fn memory_bytes(&self) -> usize {
-        self.indexes.iter().map(|i| i.memory_bytes()).sum()
+        self.indexes.iter().map(CompositeIndex::memory_bytes).sum()
     }
 }
 
@@ -350,82 +252,11 @@ fn scan_box(
     });
 }
 
-/// Bulk-load a composite `(leading, value)` B+-tree from a heap. Shared by
-/// the standalone registry's [`CompositeIndexes::create_baseline`] and the
-/// database-owned [`Database::create_composite_baseline`].
-pub(crate) fn build_composite_tree(
-    heap: &PagedTable,
-    scheme: TidScheme,
-    pk_col: ColumnId,
-    leading: ColumnId,
-    value: ColumnId,
-) -> hermit_storage::Result<BPlusTree<CompositeKey, Tid>> {
-    let mut entries: Vec<(CompositeKey, Tid)> = Vec::with_capacity(heap.len());
-    for_each_heap_pair(heap, scheme, pk_col, leading, value, |lead, val, tid| {
-        entries.push(((F64Key(lead), F64Key(val)), tid));
-    })?;
-    entries.sort_by_key(|e| e.0);
-    Ok(BPlusTree::bulk_load(entries))
-}
-
-/// Build the TRS-Tree of a composite Hermit index over `target → host`
-/// pairs (the leading column plays no role in the correlation itself).
-/// Shared by [`CompositeIndexes::create_hermit`] and
-/// [`Database::create_composite_hermit`].
-pub(crate) fn build_composite_trs(
-    heap: &PagedTable,
-    scheme: TidScheme,
-    pk_col: ColumnId,
-    target: ColumnId,
-    host: ColumnId,
-    params: TrsParams,
-) -> hermit_storage::Result<TrsTree> {
-    let mut pairs: Vec<(f64, f64, Tid)> = Vec::with_capacity(heap.len());
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    for_each_heap_pair(heap, scheme, pk_col, target, host, |t, h, tid| {
-        lo = lo.min(t);
-        hi = hi.max(t);
-        pairs.push((t, h, tid));
-    })?;
-    if pairs.is_empty() {
-        lo = 0.0;
-        hi = 0.0;
-    }
-    Ok(TrsTree::build(params, (lo, hi), pairs))
-}
-
-/// Visit `(a, b, tid)` for every live row, skipping NULLs — one pass over
-/// the heap. Split out at heap level so [`Database`]-owned composite
-/// creation can run while the database is mutably borrowed.
-pub(crate) fn for_each_heap_pair(
-    heap: &PagedTable,
-    scheme: TidScheme,
-    pk_col: ColumnId,
-    a: ColumnId,
-    b: ColumnId,
-    mut f: impl FnMut(f64, f64, Tid),
-) -> hermit_storage::Result<()> {
-    let schema = heap.schema();
-    schema.column(a)?;
-    schema.column(b)?;
-    heap.for_each_live_row(|loc, row| {
-        if let (Some(x), Some(y)) = (row.f64(a), row.f64(b)) {
-            let tid = match scheme {
-                TidScheme::Physical => Tid::from_loc(loc),
-                TidScheme::Logical => Tid::from_pk(row.value(pk_col).as_i64().unwrap_or(0)),
-            };
-            f(x, y, tid);
-        }
-        true
-    })?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hermit_storage::{ColumnDef, Schema, Value};
+    use crate::{CoreError, Database};
+    use hermit_storage::{ColumnDef, Schema, TidScheme};
 
     /// Stock-like table: time (pk), dj (host), sp (target, ≈ dj/8).
     fn stock_db(scheme: TidScheme, n: usize) -> Database {
@@ -458,11 +289,9 @@ mod tests {
 
     #[test]
     fn composite_baseline_box_query_exact() {
-        let db = stock_db(TidScheme::Physical, 20_000);
-        let mut comp = CompositeIndexes::new();
-        let idx = comp.create_baseline(&db, 0, 2).unwrap();
-        let r = comp.lookup_box(
-            &db,
+        let mut db = stock_db(TidScheme::Physical, 20_000);
+        let idx = db.create_composite_baseline(0, 2).unwrap();
+        let r = db.lookup_box(
             idx,
             RangePredicate::range(0, 5_000.0, 10_000.0),
             RangePredicate::range(2, 700.0, 800.0),
@@ -474,12 +303,11 @@ mod tests {
     #[test]
     fn composite_hermit_matches_composite_baseline() {
         for scheme in [TidScheme::Physical, TidScheme::Logical] {
-            let db = stock_db(scheme, 20_000);
-            let mut comp = CompositeIndexes::new();
+            let mut db = stock_db(scheme, 20_000);
             // Host: (time, dj). Direct: (time, sp). Hermit: sp → dj via host.
-            comp.create_baseline(&db, 0, 1).unwrap();
-            let direct = comp.create_baseline(&db, 0, 2).unwrap();
-            let hermit = comp.create_hermit(&db, 0, 2, 1, TrsParams::default()).unwrap();
+            db.create_composite_baseline(0, 1).unwrap();
+            let direct = db.create_composite_baseline(0, 2).unwrap();
+            let hermit = db.create_composite_hermit(0, 2, 1).unwrap();
 
             for (tl, tu, sl, su) in [
                 (1_000.0, 4_000.0, 500.0, 600.0),
@@ -487,20 +315,10 @@ mod tests {
                 (15_000.0, 16_000.0, 0.0, 10_000.0),
                 (7.0, 7.0, 0.0, 10_000.0),
             ] {
-                let a = comp.lookup_box(
-                    &db,
-                    direct,
-                    RangePredicate::range(0, tl, tu),
-                    RangePredicate::range(2, sl, su),
-                );
-                let b = comp.lookup_box(
-                    &db,
-                    hermit,
-                    RangePredicate::range(0, tl, tu),
-                    RangePredicate::range(2, sl, su),
-                );
-                let mut ra = a.rows.clone();
-                let mut rb = b.rows.clone();
+                let leading = RangePredicate::range(0, tl, tu);
+                let value = RangePredicate::range(2, sl, su);
+                let mut ra = db.lookup_box(direct, leading, value).rows;
+                let mut rb = db.lookup_box(hermit, leading, value).rows;
                 ra.sort();
                 rb.sort();
                 assert_eq!(ra, rb, "{scheme:?} box ([{tl},{tu}] × [{sl},{su}])");
@@ -510,13 +328,12 @@ mod tests {
 
     #[test]
     fn composite_hermit_is_succinct() {
-        let db = stock_db(TidScheme::Physical, 20_000);
-        let mut comp = CompositeIndexes::new();
-        comp.create_baseline(&db, 0, 1).unwrap();
-        let direct = comp.create_baseline(&db, 0, 2).unwrap();
-        let hermit = comp.create_hermit(&db, 0, 2, 1, TrsParams::default()).unwrap();
-        let direct_bytes = comp.get(direct).unwrap().memory_bytes();
-        let hermit_bytes = comp.get(hermit).unwrap().memory_bytes();
+        let mut db = stock_db(TidScheme::Physical, 20_000);
+        db.create_composite_baseline(0, 1).unwrap();
+        let direct = db.create_composite_baseline(0, 2).unwrap();
+        let hermit = db.create_composite_hermit(0, 2, 1).unwrap();
+        let direct_bytes = db.composites().get(direct).unwrap().memory_bytes();
+        let hermit_bytes = db.composites().get(hermit).unwrap().memory_bytes();
         assert!(
             hermit_bytes * 5 < direct_bytes,
             "composite TRS-Tree ({hermit_bytes}) must be ≪ composite B+-tree ({direct_bytes})"
@@ -525,16 +342,13 @@ mod tests {
 
     #[test]
     fn composite_insert_maintenance() {
-        let db = stock_db(TidScheme::Physical, 5_000);
-        let mut comp = CompositeIndexes::new();
-        comp.create_baseline(&db, 0, 1).unwrap();
-        let hermit = comp.create_hermit(&db, 0, 2, 1, TrsParams::default()).unwrap();
-        // Insert a fresh row with an off-model sp (outlier).
-        let row = vec![Value::Int(5_000), Value::Float(6_000.0), Value::Float(123_456.0)];
-        let tid = db.insert(&row).unwrap();
-        comp.insert_row(&db, &row, tid);
-        let r = comp.lookup_box(
-            &db,
+        let mut db = stock_db(TidScheme::Physical, 5_000);
+        db.create_composite_baseline(0, 1).unwrap();
+        let hermit = db.create_composite_hermit(0, 2, 1).unwrap();
+        // Insert a fresh row with an off-model sp (outlier): the database
+        // maintains its composite indexes on insert.
+        db.insert(&[Value::Int(5_000), Value::Float(6_000.0), Value::Float(123_456.0)]).unwrap();
+        let r = db.lookup_box(
             hermit,
             RangePredicate::range(0, 4_999.0, 5_001.0),
             RangePredicate::range(2, 123_000.0, 124_000.0),
@@ -544,12 +358,12 @@ mod tests {
 
     #[test]
     fn hermit_requires_matching_host() {
-        let db = stock_db(TidScheme::Physical, 100);
-        let mut comp = CompositeIndexes::new();
-        // No composite baseline on (0, 1) yet → must panic.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            comp.create_hermit(&db, 0, 2, 1, TrsParams::default()).unwrap();
-        }));
-        assert!(result.is_err());
+        let mut db = stock_db(TidScheme::Physical, 100);
+        // No composite baseline on (0, 1) yet: a typed error, nothing built.
+        assert_eq!(
+            db.create_composite_hermit(0, 2, 1),
+            Err(CoreError::MissingCompositeHost { leading: 0, host: 1 })
+        );
+        assert!(db.composites().is_empty());
     }
 }

@@ -27,12 +27,11 @@
 //!
 //! * the heap's buffer pool is internally synchronized (its shard locks are
 //!   leaves);
-//! * the primary index and the composite-index registry sit behind
-//!   `RwLock`s;
-//! * baseline secondary B+-trees each carry their own `RwLock`, and Hermit
-//!   indexes use [`hermit_trs::ConcurrentTrsTree`] — the Appendix-B
-//!   protocol with a side buffer for writes that race a background
-//!   reorganization.
+//! * the primary index sits behind an `RwLock`;
+//! * baseline B+-trees, single-column and composite, each carry their own
+//!   `RwLock`, and Hermit indexes, single-column and composite, use
+//!   [`hermit_trs::ConcurrentTrsTree`] — the Appendix-B protocol with a
+//!   side buffer for writes that race a background reorganization.
 //!
 //! The order in which these latches may nest is **not** documented here:
 //! the canonical declaration is [`crate::latches::LATCH_HIERARCHY`], and
@@ -40,17 +39,16 @@
 //! proves the order. If you add a lock site, read that module first.
 //!
 //! Structural DDL (creating indexes, changing TRS parameters) still takes
-//! `&mut self`: the index *registry* itself is not latched, which keeps
-//! every per-query lookup latch-free. Build the schema first, then share.
+//! `&mut self`: the index *registries*, single-column and composite, are
+//! not latched, which keeps every per-query lookup latch-free. Build the
+//! schema first, then share.
 
 use crate::breakdown::{InsertBreakdown, InsertTimer};
-use crate::composite::{build_composite_tree, build_composite_trs, CompositeIndexes};
+use crate::composite::{CompositeIndex, CompositeIndexes};
 use crate::correlation::{discover_correlations, DiscoveryConfig};
 use crate::error::CoreError;
 use crate::index::SecondaryIndex;
-use crate::latches::{
-    Below, Held, LatchedRwLock, Primary, ReadGuard, Registry, Visibility, Witnessed, WriteGuard,
-};
+use crate::latches::{Held, LatchedRwLock, Primary, Visibility, Witnessed};
 use crate::recovery::Bracket;
 use hermit_btree::{BPlusTree, HashPrimaryIndex};
 use hermit_storage::paged::{BufferPool, PagedTable, SimulatedPageStore, PAGE_SIZE};
@@ -120,12 +118,10 @@ pub struct Database {
     /// under `&mut self` (DDL); each index is internally latched, so DML
     /// and queries share it latch-free.
     pub(crate) secondary: BTreeMap<ColumnId, SecondaryIndex>,
-    /// Composite `(leading, value)` secondary indexes, maintained on insert
-    /// and visible to the query planner.
-    pub(crate) composites: LatchedRwLock<Registry, CompositeIndexes>,
-    /// Whether `composites` holds an index. Registration takes `&mut self`,
-    /// so DML reads this without the registry's latch.
-    pub(crate) has_composites: bool,
+    /// Composite `(leading, value)` secondary indexes, maintained by DML
+    /// and visible to the query planner. Like `secondary`, the registry
+    /// changes only under `&mut self` and each index latches itself.
+    pub(crate) composites: CompositeIndexes,
     /// Columns whose indexes existed before the experiment began; their
     /// maintenance cost is charged to "existing indexes" in breakdowns.
     pub(crate) existing: Vec<ColumnId>,
@@ -175,8 +171,7 @@ impl Database {
             pk_col,
             primary: LatchedRwLock::new(primary),
             secondary: BTreeMap::new(),
-            composites: LatchedRwLock::new(CompositeIndexes::new()),
-            has_composites: false,
+            composites: CompositeIndexes::default(),
             existing: Vec::new(),
             trs_params: TrsParams::default(),
             durability: None,
@@ -200,21 +195,9 @@ impl Database {
         self.pk_col
     }
 
-    /// The composite-index registry the planner consults (read latch).
-    pub fn composites<'t, H: Below<Registry>>(
-        &self,
-        held: &'t mut Held<H>,
-    ) -> ReadGuard<'t, '_, Registry, CompositeIndexes> {
-        self.composites.read_at(held)
-    }
-
-    /// Write latch over the composite registry (maintenance: composite
-    /// Hermit reorganization runs under it).
-    pub(crate) fn composites_mut<'t, H: Below<Registry>>(
-        &self,
-        held: &'t mut Held<H>,
-    ) -> WriteGuard<'t, '_, Registry, CompositeIndexes> {
-        self.composites.write_at(held)
+    /// The composite indexes the planner consults.
+    pub fn composites(&self) -> &CompositeIndexes {
+        &self.composites
     }
 
     /// Borrow the heap.
@@ -235,11 +218,6 @@ impl Database {
     /// Borrow a secondary index.
     pub fn index(&self, col: ColumnId) -> Option<&SecondaryIndex> {
         self.secondary.get(&col)
-    }
-
-    /// Mutable access to a secondary index (reorganization driver).
-    pub fn index_mut(&mut self, col: ColumnId) -> Option<&mut SecondaryIndex> {
-        self.secondary.get_mut(&col)
     }
 
     /// Columns with secondary indexes, in column order.
@@ -387,10 +365,10 @@ impl Database {
             });
         }
 
-        // Maintain database-owned composite indexes (charged as new).
-        if self.has_composites {
+        // Maintain composite indexes (charged as new).
+        if !self.composites.is_empty() {
             let t2 = timer.start();
-            self.composites.write_at(held).maintain_insert(row, tid);
+            self.composites.maintain_insert(row, tid, held);
             timer.charge(t2, |b| &mut b.new_indexes);
         }
         Ok(tid)
@@ -445,8 +423,8 @@ impl Database {
                 }
             }
         }
-        if self.has_composites {
-            self.composites.write_at(held).maintain_delete(&row, tid);
+        if !self.composites.is_empty() {
+            self.composites.maintain_delete(&row, tid, held);
         }
         Ok(row)
     }
@@ -462,19 +440,7 @@ impl Database {
     ) -> hermit_storage::Result<()> {
         // An unknown column is a typed error, not an empty index.
         self.heap.stats(col)?;
-        // Bulk load: project (key, tid) in one pass over the heap, no row
-        // boxed. Sorting the pairs is the stable sort by key whenever scan
-        // order has tids ascending, as it always does under physical
-        // pointers.
-        let mut entries: Vec<(F64Key, Tid)> = Vec::with_capacity(self.heap.len());
-        self.heap.for_each_live_row(|loc, row| {
-            if let Some(k) = row.f64(col) {
-                entries.push((F64Key(k), self.row_tid(loc, &row)));
-            }
-            true
-        })?;
-        entries.sort_unstable();
-        let tree = BPlusTree::bulk_load(entries);
+        let tree = self.bulk_load(|row| row.f64(col).map(F64Key))?;
         self.secondary.insert(col, SecondaryIndex::baseline(tree));
         if existing && !self.existing.contains(&col) {
             self.existing.push(col);
@@ -503,18 +469,53 @@ impl Database {
         host: ColumnId,
     ) -> Result<(), CoreError> {
         self.require_host_index(target, host)?;
-        let range = self.heap.stats(target)?.range().unwrap_or((0.0, 0.0));
-        let pairs = self.project_tid_pairs(target, host)?;
-        let trs = TrsTree::build(self.trs_params, range, pairs);
-        self.secondary
-            .insert(target, SecondaryIndex::Hermit { trs: ConcurrentTrsTree::new(trs), host });
+        let trs = self.build_trs(target, host)?;
+        self.secondary.insert(target, SecondaryIndex::Hermit { trs, host });
         Ok(())
     }
 
-    /// A database *owns* composite indexes only while it is not durable: the
+    /// Bulk-load a B+-tree keyed by `key` in one pass over the heap, no row
+    /// boxed; rows `key` maps to `None` are left out. Sorting the pairs is
+    /// the stable sort by key whenever scan order has tids ascending, as it
+    /// always does under physical pointers.
+    fn bulk_load<K: Ord + Copy>(
+        &self,
+        key: impl Fn(&RowRef<'_>) -> Option<K>,
+    ) -> hermit_storage::Result<BPlusTree<K, Tid>> {
+        let mut entries: Vec<(K, Tid)> = Vec::with_capacity(self.heap.len());
+        self.heap.for_each_live_row(|loc, row| {
+            if let Some(k) = key(&row) {
+                entries.push((k, self.row_tid(loc, &row)));
+            }
+            true
+        })?;
+        entries.sort_unstable();
+        Ok(BPlusTree::bulk_load(entries))
+    }
+
+    /// Build a TRS-Tree on `target → host` from Algorithm 1's temporary
+    /// table: `(target, host, tid)` projected in one pass over the heap,
+    /// skipping rows where either side is NULL. The caller has checked the
+    /// host column.
+    fn build_trs(
+        &self,
+        target: ColumnId,
+        host: ColumnId,
+    ) -> hermit_storage::Result<ConcurrentTrsTree> {
+        let range = self.heap.stats(target)?.range().unwrap_or((0.0, 0.0));
+        let mut pairs = Vec::with_capacity(self.heap.len());
+        self.heap.for_each_live_row(|loc, row| {
+            if let (Some(m), Some(n)) = (row.f64(target), row.f64(host)) {
+                pairs.push((m, n, self.row_tid(loc, &row)));
+            }
+            true
+        })?;
+        Ok(ConcurrentTrsTree::new(TrsTree::build(self.trs_params, range, pairs)))
+    }
+
+    /// A database owns composite indexes only while it is not durable: the
     /// checkpoint catalog records none, so a durable database would lose
-    /// them at the next restart. (A standalone [`CompositeIndexes`] registry
-    /// can be built over any database; keeping it is its owner's job.)
+    /// them at the next restart.
     fn require_non_durable_for_composites(&self) -> Result<(), CoreError> {
         match self.durability {
             None => Ok(()),
@@ -532,9 +533,12 @@ impl Database {
         value: ColumnId,
     ) -> Result<usize, CoreError> {
         self.require_non_durable_for_composites()?;
-        let tree = build_composite_tree(&self.heap, self.scheme, self.pk_col, leading, value)?;
-        self.has_composites = true;
-        Ok(self.composites.get_mut().push_baseline(tree, leading, value))
+        self.heap.stats(leading)?;
+        self.heap.stats(value)?;
+        let tree =
+            self.bulk_load(|row| Some((F64Key(row.f64(leading)?), F64Key(row.f64(value)?))))?;
+        let tree = LatchedRwLock::new(tree);
+        Ok(self.composites.push(CompositeIndex::Baseline { tree, leading, value }))
     }
 
     /// Create a composite Hermit index on `(leading, target)` routed
@@ -549,19 +553,11 @@ impl Database {
         host: ColumnId,
     ) -> Result<usize, CoreError> {
         self.require_non_durable_for_composites()?;
-        if self.composites.get_mut().companion_baseline(leading, host).is_none() {
+        if self.composites.companion_baseline(leading, host).is_none() {
             return Err(CoreError::MissingCompositeHost { leading, host });
         }
-        let trs = build_composite_trs(
-            &self.heap,
-            self.scheme,
-            self.pk_col,
-            target,
-            host,
-            self.trs_params,
-        )?;
-        self.has_composites = true;
-        Ok(self.composites.get_mut().push_hermit(trs, leading, target, host))
+        let trs = self.build_trs(target, host)?;
+        Ok(self.composites.push(CompositeIndex::Hermit { trs, leading, target, host }))
     }
 
     /// The paper's index-creation flow (§3): on `CREATE INDEX`, check the
@@ -583,24 +579,6 @@ impl Database {
             self.create_baseline_index(target, false)?;
             Ok(false)
         }
-    }
-
-    /// Project `(target, host, tid)` pairs for TRS-Tree construction
-    /// (Algorithm 1's temporary table) in one pass over the heap, skipping
-    /// rows where either side is NULL. The caller has checked both columns.
-    fn project_tid_pairs(
-        &self,
-        target: ColumnId,
-        host: ColumnId,
-    ) -> hermit_storage::Result<Vec<(f64, f64, Tid)>> {
-        let mut pairs = Vec::with_capacity(self.heap.len());
-        self.heap.for_each_live_row(|loc, row| {
-            if let (Some(m), Some(n)) = (row.f64(target), row.f64(host)) {
-                pairs.push((m, n, self.row_tid(loc, &row)));
-            }
-            true
-        })?;
-        Ok(pairs)
     }
 
     /// Buffer-pool counters — `(hits, misses, evictions)` since startup (or
@@ -674,21 +652,18 @@ pub struct TablePairSource<'a> {
 impl PairSource for TablePairSource<'_> {
     /// One pass over the heap that keeps only the rows whose target lies in
     /// `[lb, ub]`: nothing outside the range is projected. A heap page that
-    /// cannot be read yields no pairs at all.
-    fn scan_range(&self, lb: f64, ub: f64) -> Vec<(f64, f64, Tid)> {
+    /// cannot be read fails the whole scan.
+    fn scan_range(&self, lb: f64, ub: f64) -> hermit_storage::Result<Vec<(f64, f64, Tid)>> {
         let mut out = Vec::new();
-        let scanned = self.db.heap.for_each_live_row(|loc, row| {
+        self.db.heap.for_each_live_row(|loc, row| {
             if let Some(m) = row.f64(self.target).filter(|m| *m >= lb && *m <= ub) {
                 if let Some(n) = row.f64(self.host) {
                     out.push((m, n, self.db.row_tid(loc, &row)));
                 }
             }
             true
-        });
-        match scanned {
-            Ok(_) => out,
-            Err(_) => Vec::new(),
-        }
+        })?;
+        Ok(out)
     }
 }
 
@@ -850,14 +825,11 @@ mod tests {
             let host = db.create_composite_baseline(0, 1).unwrap();
             let hermit = db.create_composite_hermit(0, 2, 1).unwrap();
             let direct = db.create_composite_baseline(0, 2).unwrap();
-            // Out of its latch: a lookup takes the visibility latch, which
-            // ranks above the registry.
-            let registry = std::mem::take(db.composites.get_mut());
-            assert_eq!((host, hermit, direct, registry.len()), (0, 1, 2, 3));
+            assert_eq!((host, hermit, direct, db.composites().len()), (0, 1, 2, 3));
             let rows = |idx| {
                 let leading = crate::RangePredicate::range(0, 1_000.0, 3_000.0);
                 let value = crate::RangePredicate::range(2, 1_500.0, 2_000.0);
-                registry.lookup_box(&db, idx, leading, value).rows.len()
+                db.lookup_box(idx, leading, value).rows.len()
             };
             assert_eq!((rows(hermit), rows(direct)), (501, 501));
         }
@@ -869,7 +841,7 @@ mod tests {
         db.insert(&[Value::Int(1), Value::Float(2.0), Value::Float(1.0)]).unwrap();
         assert_eq!(db.create_composite_baseline(0, 1), Err(CoreError::CompositeOnDurable));
         assert_eq!(db.create_composite_hermit(0, 2, 1), Err(CoreError::CompositeOnDurable));
-        assert_eq!(db.composites(&mut Held::unlocked()).len(), 0);
+        assert!(db.composites().is_empty());
         drop(db);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -910,7 +882,7 @@ mod tests {
     fn table_pair_source_scans_ranges() {
         let db = populated(TidScheme::Physical, 1_000);
         let src = TablePairSource { db: &db, target: 2, host: 1 };
-        let pairs = src.scan_range(100.0, 110.0);
+        let pairs = src.scan_range(100.0, 110.0).unwrap();
         assert_eq!(pairs.len(), 11);
         assert!(pairs.iter().all(|(m, n, _)| *n == 2.0 * *m));
     }

@@ -11,8 +11,7 @@
 //! | 10 | durability quiesce | [`Quiesce`] | `quiesce.read_at()`, `quiesce.write_at()` | yes — the commit wait included |
 //! | 20 | WAL guard | [`WalGuard`] | `wal.lock_at()`, inside `Durability::statement` | across the `write`, never across a commit wait |
 //! | — | transaction visibility | [`Visibility`] | `read_visibility`, `write_visibility` | across the `write`, never across a commit wait |
-//! | 30 | composite-index registry | [`Registry`] | `Database::composites`, `composites_mut` | no |
-//! | 40 | per-index latch | [`Index`] | `tree.read_at()`, `tree.write_at()` | no |
+//! | 40 | per-index latch, single-column and composite | [`Index`] | `tree.read_at()`, `tree.write_at()` | no |
 //! | 50 | primary index | [`Primary`] | `primary.read_at()`, `primary.write_at()` | no |
 //!
 //! The heap has no rank: it is a paged table whose buffer-pool shard locks
@@ -26,8 +25,9 @@
 //! * **DML** (`Database::insert`, `delete_by_pk`, the `_txn`
 //!   variants): quiesce (read) → WAL guard (`Durability::statement`), both
 //!   held across the heap apply + WAL append; the apply step then takes
-//!   heap / primary / per-index latches transiently, and the registry latch
-//!   only on a database that owns a composite index. The WAL
+//!   the primary latch and each per-index latch — composite trees included —
+//!   transiently, one at a time. The index registries change only under
+//!   `&mut Database` and have no latch. The WAL
 //!   guard sits *above* the data latches deliberately — apply order and log
 //!   order must be the same total order (see `Durability::statement` in
 //!   [`crate::recovery`]), so the guard is taken before the first heap
@@ -45,9 +45,11 @@
 //! * **Checkpoint** (`Database::checkpoint`): quiesce (write) → WAL guard
 //!   — the same top-of-hierarchy order as DML, which is exactly why the
 //!   two cannot deadlock.
-//! * **Composite reorganization** (`SharedDatabase::maintenance_pass`):
-//!   the registry's write latch is held across the rebuild's heap scan so a
-//!   racing insert cannot be erased; the scan takes only pool shard locks.
+//! * **Reorganization** (`SharedDatabase::maintenance_pass`): every
+//!   Hermit tree, single-column or composite, runs the one Appendix-B
+//!   protocol inside `ConcurrentTrsTree`; its tree latch and side-buffer
+//!   mutex are leaves, and the rebuild's heap scan holds neither — a
+//!   racing insert lands in the side buffer, not in a tree being rebuilt.
 //! * **Query execution** (`Executor`): one latch at a time under the
 //!   visibility latch. Candidate tids are copied out of the per-index
 //!   guard, locations out of the primary guard, and only then is the heap
@@ -141,22 +143,20 @@ pub struct LatchLevel {
 
 const QUIESCE: LatchLevel = LatchLevel { rank: 10, name: "durability-quiesce", io_safe: true };
 const WAL_GUARD: LatchLevel = LatchLevel { rank: 20, name: "wal-guard", io_safe: true };
-const REGISTRY: LatchLevel = LatchLevel { rank: 30, name: "composite-registry", io_safe: false };
 const INDEX: LatchLevel = LatchLevel { rank: 40, name: "secondary-index", io_safe: false };
 const PRIMARY: LatchLevel = LatchLevel { rank: 50, name: "primary-index", io_safe: false };
 
 /// The engine-wide latch hierarchy, outermost first. See the module docs
 /// for the derivation; the rank types carry these levels.
-pub const LATCH_HIERARCHY: &[LatchLevel] = &[QUIESCE, WAL_GUARD, REGISTRY, INDEX, PRIMARY];
+pub const LATCH_HIERARCHY: &[LatchLevel] = &[QUIESCE, WAL_GUARD, INDEX, PRIMARY];
 
 /// The nesting edges `(outer rank, inner rank)` the engine actually
 /// exercises: acquiring the inner latch while the outer one is held.
 ///
 /// This is deliberately **not** the full upper-triangle of
-/// [`LATCH_HIERARCHY`] — some legal-by-rank nestings are unreachable by
-/// construction (a durable database owns no composite index, the per-index
-/// tree latch is never taken under the registry write latch,
-/// …). The runtime witness records every nesting it observes, and the
+/// [`LATCH_HIERARCHY`] — a legal-by-rank nesting can be unreachable by
+/// construction (no primary acquisition under a per-index latch). The
+/// runtime witness records every nesting it observes, and the
 /// `latch_witness` integration test asserts set equality both ways: an
 /// edge observed at runtime but missing here fails (undeclared nesting),
 /// and an edge declared here but never observed fails (the stress
@@ -169,13 +169,6 @@ pub const LATCH_NESTING_EDGES: &[(u32, u32)] = &[
     (20, 40), // same apply steps, seen from under the WAL guard
     (20, 50),
     // Absent on purpose, per the reconciliation test:
-    // * (10, 30) / (20, 30) — DML learns whether the registry holds an index
-    //   from a flag set under `&mut self`, not by probing it, and a durable
-    //   database owns no composite index, so durable DML never takes the
-    //   registry.
-    // * (30, 40) / (30, 50) — composite maintenance and reorganization touch
-    //   only the registry's own trees and the heap, whose pool shard locks
-    //   are leaves.
     // * (40, 50) — the executor copies candidates out of each index guard
     //   before taking the next latch, so primary acquisitions never nest
     //   under another data latch, and a tree's writers never wait out a
@@ -206,12 +199,9 @@ pub struct Quiesce;
 #[derive(Debug)]
 pub struct WalGuard;
 /// The transaction manager's visibility latch: ordered between the WAL
-/// guard and the registry, not witnessed.
+/// guard and the per-index latches, not witnessed.
 #[derive(Debug)]
 pub struct Visibility;
-/// Rank 30, the composite-index registry.
-#[derive(Debug)]
-pub struct Registry;
 /// Rank 40, a per-index latch.
 #[derive(Debug)]
 pub struct Index;
@@ -223,7 +213,6 @@ impl sealed::Sealed for Unlocked {}
 impl sealed::Sealed for Quiesce {}
 impl sealed::Sealed for WalGuard {}
 impl sealed::Sealed for Visibility {}
-impl sealed::Sealed for Registry {}
 impl sealed::Sealed for Index {}
 impl sealed::Sealed for Primary {}
 
@@ -232,9 +221,6 @@ impl Rank for Quiesce {
 }
 impl Rank for WalGuard {
     const LEVEL: &'static LatchLevel = &WAL_GUARD;
-}
-impl Rank for Registry {
-    const LEVEL: &'static LatchLevel = &REGISTRY;
 }
 impl Rank for Index {
     const LEVEL: &'static LatchLevel = &INDEX;
@@ -251,8 +237,8 @@ impl Rank for Primary {
 /// compile (rank 40 under rank 50):
 ///
 /// ```compile_fail,E0277
-/// # use hermit_core::latches::{Held, Index, LatchedRwLock, Primary, Registry};
-/// # let registry = LatchedRwLock::<Registry, u32>::new(0);
+/// # use hermit_core::latches::{Held, Index, LatchedRwLock, Primary, Quiesce};
+/// # let quiesce = LatchedRwLock::<Quiesce, u32>::new(0);
 /// # let index = LatchedRwLock::<Index, u32>::new(0);
 /// # let primary = LatchedRwLock::<Primary, u32>::new(0);
 /// let mut root = Held::unlocked();
@@ -260,15 +246,15 @@ impl Rank for Primary {
 /// let inner = index.read_at(outer.held());
 /// ```
 ///
-/// The same nesting under the registry (rank 30) does:
+/// The same nesting under the quiesce latch (rank 10) does:
 ///
 /// ```
-/// # use hermit_core::latches::{Held, Index, LatchedRwLock, Primary, Registry};
-/// # let registry = LatchedRwLock::<Registry, u32>::new(0);
+/// # use hermit_core::latches::{Held, Index, LatchedRwLock, Primary, Quiesce};
+/// # let quiesce = LatchedRwLock::<Quiesce, u32>::new(0);
 /// # let index = LatchedRwLock::<Index, u32>::new(0);
 /// # let primary = LatchedRwLock::<Primary, u32>::new(0);
 /// let mut root = Held::unlocked();
-/// let mut outer = registry.read_at(&mut root);
+/// let mut outer = quiesce.read_at(&mut root);
 /// let inner = index.read_at(outer.held());
 /// ```
 pub trait Below<R>: sealed::Sealed {}
@@ -279,9 +265,8 @@ macro_rules! below {
 below!(Quiesce: Unlocked);
 below!(WalGuard: Unlocked, Quiesce);
 below!(Visibility: Unlocked, Quiesce, WalGuard);
-below!(Registry: Unlocked, Quiesce, WalGuard, Visibility);
-below!(Index: Unlocked, Quiesce, WalGuard, Visibility, Registry);
-below!(Primary: Unlocked, Quiesce, WalGuard, Visibility, Registry, Index);
+below!(Index: Unlocked, Quiesce, WalGuard, Visibility);
+below!(Primary: Unlocked, Quiesce, WalGuard, Visibility, Index);
 
 /// Ranks that may be held across a log `write`: nothing, the quiesce latch,
 /// the WAL guard and the visibility latch — the ranks whose
@@ -321,33 +306,33 @@ impl IoSafe for Visibility {}
 /// A token: the innermost latch the holder may hold ranks at `R`. Zero
 /// sized; only [`Held::unlocked`] and latch acquisition make one.
 ///
-/// A call that re-acquires the registry while the registry is held does
-/// not compile, however far down the call is:
+/// A call that re-acquires a per-index latch while one is held does not
+/// compile, however far down the call is:
 ///
 /// ```compile_fail,E0277
-/// # use hermit_core::latches::{Below, Held, LatchedRwLock, Quiesce, Registry};
+/// # use hermit_core::latches::{Below, Held, Index, LatchedRwLock, Quiesce};
 /// # let quiesce = LatchedRwLock::<Quiesce, ()>::new(());
-/// # let registry = LatchedRwLock::<Registry, Vec<u32>>::new(Vec::new());
-/// fn rebuild<H: Below<Registry>>(registry: &LatchedRwLock<Registry, Vec<u32>>, held: &mut Held<H>) {
-///     registry.write_at(held).push(1);
+/// # let index = LatchedRwLock::<Index, Vec<u32>>::new(Vec::new());
+/// fn maintain<H: Below<Index>>(index: &LatchedRwLock<Index, Vec<u32>>, held: &mut Held<H>) {
+///     index.write_at(held).push(1);
 /// }
 /// let mut root = Held::unlocked();
-/// let mut outer = registry.write_at(&mut root);
-/// rebuild(&registry, outer.held());
+/// let mut outer = index.write_at(&mut root);
+/// maintain(&index, outer.held());
 /// ```
 ///
 /// Holding the quiesce latch, an outer rank, across the same call does:
 ///
 /// ```
-/// # use hermit_core::latches::{Below, Held, LatchedRwLock, Quiesce, Registry};
+/// # use hermit_core::latches::{Below, Held, Index, LatchedRwLock, Quiesce};
 /// # let quiesce = LatchedRwLock::<Quiesce, ()>::new(());
-/// # let registry = LatchedRwLock::<Registry, Vec<u32>>::new(Vec::new());
-/// fn rebuild<H: Below<Registry>>(registry: &LatchedRwLock<Registry, Vec<u32>>, held: &mut Held<H>) {
-///     registry.write_at(held).push(1);
+/// # let index = LatchedRwLock::<Index, Vec<u32>>::new(Vec::new());
+/// fn maintain<H: Below<Index>>(index: &LatchedRwLock<Index, Vec<u32>>, held: &mut Held<H>) {
+///     index.write_at(held).push(1);
 /// }
 /// let mut root = Held::unlocked();
 /// let mut outer = quiesce.read_at(&mut root);
-/// rebuild(&registry, outer.held());
+/// maintain(&index, outer.held());
 /// ```
 #[derive(Debug)]
 pub struct Held<R>(PhantomData<R>);
@@ -822,8 +807,7 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), LATCH_HIERARCHY.len());
-        let typed =
-            [Quiesce::LEVEL, WalGuard::LEVEL, Registry::LEVEL, Index::LEVEL, Primary::LEVEL];
+        let typed = [Quiesce::LEVEL, WalGuard::LEVEL, Index::LEVEL, Primary::LEVEL];
         assert!(typed.iter().copied().eq(LATCH_HIERARCHY), "rank types follow the declaration");
     }
 

@@ -33,7 +33,6 @@ use crate::composite::CompositeIndex;
 use crate::database::Database;
 use crate::executor::RangePredicate;
 use crate::index::SecondaryIndex;
-use crate::latches::Held;
 use crate::query::Query;
 use hermit_storage::{ColumnId, ColumnStats, TidScheme};
 use std::fmt;
@@ -428,18 +427,15 @@ impl Database {
 
         // In a free choice, composite box paths and the scan compete too.
         // Composite paths are ordered conjunct pairs matching a registered
-        // (leading, value) composite index; one read-latch acquisition
-        // covers the whole enumeration.
-        let mut root = Held::unlocked();
-        let composites = (!forced_index).then(|| self.composites(&mut root));
-        if let Some(composites) = &composites {
+        // (leading, value) composite index.
+        if !forced_index {
+            let composites = &self.composites;
             for (i, lead) in conjuncts.iter().enumerate() {
                 for (j, val) in conjuncts.iter().enumerate() {
                     if i == j {
                         continue;
                     }
-                    for idx in 0..composites.len() {
-                        let Some(ci) = composites.get(idx) else { continue };
+                    for (idx, ci) in composites.iter().enumerate() {
                         let lead_sel = sels[i];
                         match ci {
                             CompositeIndex::Baseline { leading, value, .. }

@@ -22,7 +22,7 @@
 //!   through [`TablePairSource`], so Algorithm-3 insert/delete triggers
 //!   actually produce splits/merges under sustained churn instead of
 //!   letting outlier buffers grow without bound. Composite Hermit indexes
-//!   are reorganized too (under the registry latch).
+//!   are reorganized by the same pass, through the same protocol.
 //!
 //! # Mapping to Appendix B
 //!
@@ -37,7 +37,9 @@
 //! Writers insert into the base table *first* and the indexes second (see
 //! [`Database::insert_timed`]), so a rebuild scan always observes at least
 //! the tuples the index knows about — the no-false-negative contract
-//! survives the race between a writer and the worker.
+//! survives the race between a writer and the worker. A rebuild scan that
+//! cannot read the heap installs nothing: its candidate goes back on the
+//! tree's queue for a later pass.
 //!
 //! # Example
 //!
@@ -69,10 +71,10 @@
 use crate::composite::CompositeIndex;
 use crate::database::{Database, TablePairSource};
 use crate::index::SecondaryIndex;
-use crate::latches::Held;
 use crate::query::Query;
 use crate::{BatchOptions, QueryResult};
-use hermit_storage::{Tid, Value};
+use hermit_storage::{ColumnId, Tid, Value};
+use hermit_trs::ConcurrentTrsTree;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -215,89 +217,36 @@ impl SharedDatabase {
         self.inner.wal_commit()
     }
 
-    /// Run one synchronous maintenance sweep: for every Hermit index whose
-    /// reorganization queue is non-empty, execute one Appendix-B
-    /// [`hermit_trs::ConcurrentTrsTree::reorganize_pass`] over up to `limit` queued
-    /// candidates, re-scanning the base table through [`TablePairSource`];
-    /// then reorganize queued candidates of composite Hermit indexes under
-    /// the registry latch. Returns the number of candidates processed.
+    /// Run one synchronous maintenance sweep: for every Hermit index —
+    /// single-column or composite — whose reorganization queue is
+    /// non-empty, execute one Appendix-B
+    /// [`hermit_trs::ConcurrentTrsTree::reorganize_pass`] over up to `limit`
+    /// queued candidates, re-scanning the base table through
+    /// [`TablePairSource`]. Returns the number of candidates whose subtree
+    /// was replaced.
     ///
     /// [`MaintenanceWorker`] calls this in a loop; tests call it directly
     /// for deterministic reorganization.
     pub fn maintenance_pass(&self, limit: usize) -> usize {
         let db = &*self.inner;
-        let mut processed = 0;
-
-        // Single-column Hermit indexes: the Appendix-B pass proper.
-        for col in db.indexed_columns() {
-            let Some(SecondaryIndex::Hermit { trs, host }) = db.index(col) else { continue };
-            if trs.reorg_queue_len() == 0 {
-                continue;
-            }
-            let source = TablePairSource { db, target: col, host: *host };
-            processed += trs.reorganize_pass(&source, limit);
-        }
-
-        // Composite Hermit indexes share the registry latch, so their
-        // rebuild runs entirely under it — including the base-table scan.
-        // Coarser than the single-column path, but necessary: scanning
-        // outside the latch would let a racing insert land in both the heap
-        // and the composite tree *between* snapshot and rebuild, and the
-        // rebuild would then erase it from the rebuilt leaf (a false
-        // negative). Composite reorganization is as rare as any other §4.4
-        // trigger. Targets are collected under the read latch first to skip
-        // the write latch entirely when nothing is queued.
-        let targets: Vec<(usize, usize, usize)> = {
-            let mut root = Held::unlocked();
-            let composites = db.composites(&mut root);
-            (0..composites.len())
-                .filter_map(|i| match composites.get(i) {
-                    Some(CompositeIndex::Hermit { trs, target, host, .. })
-                        if trs.reorg_queue_len() > 0 =>
-                    {
-                        Some((i, *target, *host))
-                    }
-                    _ => None,
-                })
-                .collect()
-        };
-        for (i, target, host) in targets {
-            let source = TablePairSource { db, target, host };
-            let mut root = Held::unlocked();
-            let mut composites = self.inner.composites_mut(&mut root);
-            if let Some(CompositeIndex::Hermit { trs, .. }) = composites.get_mut_for_maintenance(i)
-            {
-                let report = trs.reorganize_batch(&source, limit);
-                processed += report.splits + report.merges;
-            }
-        }
-        processed
+        hermit_trees(db)
+            .filter(|(trs, ..)| trs.reorg_queue_len() > 0)
+            .map(|(trs, target, host)| {
+                trs.reorganize_pass(&TablePairSource { db, target, host }, limit)
+            })
+            .sum()
     }
 
-    /// Total completed background reorganization passes across all
-    /// single-column Hermit indexes (the §4.4 observability counter).
+    /// Total completed background reorganization passes across all Hermit
+    /// indexes (the §4.4 observability counter).
     pub fn reorg_passes(&self) -> u64 {
-        let db = &*self.inner;
-        db.indexed_columns()
-            .into_iter()
-            .filter_map(|col| match db.index(col) {
-                Some(SecondaryIndex::Hermit { trs, .. }) => Some(trs.reorg_passes()),
-                _ => None,
-            })
-            .sum()
+        hermit_trees(&self.inner).map(|(trs, ..)| trs.reorg_passes()).sum()
     }
 
-    /// Queued-but-undrained reorganization candidates across all
-    /// single-column Hermit indexes.
+    /// Queued-but-undrained reorganization candidates across all Hermit
+    /// indexes.
     pub fn reorg_queue_len(&self) -> usize {
-        let db = &*self.inner;
-        db.indexed_columns()
-            .into_iter()
-            .filter_map(|col| match db.index(col) {
-                Some(SecondaryIndex::Hermit { trs, .. }) => Some(trs.reorg_queue_len()),
-                _ => None,
-            })
-            .sum()
+        hermit_trees(&self.inner).map(|(trs, ..)| trs.reorg_queue_len()).sum()
     }
 
     /// Share of outlier-buffered tuples in a Hermit index on `col`
@@ -330,6 +279,20 @@ impl SharedDatabase {
     pub fn wal_depth(&self) -> Option<usize> {
         self.inner.wal_depth()
     }
+}
+
+/// Every Hermit tree of `db`, single-column and composite, with the
+/// `(target, host)` columns its rebuild scans read.
+fn hermit_trees(db: &Database) -> impl Iterator<Item = (&ConcurrentTrsTree, ColumnId, ColumnId)> {
+    let single = db.secondary.iter().filter_map(|(&target, index)| match index {
+        SecondaryIndex::Hermit { trs, host } => Some((trs, target, *host)),
+        SecondaryIndex::Baseline(_) => None,
+    });
+    let composite = db.composites.iter().filter_map(|index| match index {
+        CompositeIndex::Hermit { trs, target, host, .. } => Some((trs, *target, *host)),
+        CompositeIndex::Baseline { .. } => None,
+    });
+    single.chain(composite)
 }
 
 /// Knobs for the background maintenance worker.

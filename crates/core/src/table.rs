@@ -120,7 +120,7 @@ mod tests {
         for i in 0..10 {
             db.insert(&row(i, i as f64, Some(i as f64 * 2.0))).unwrap();
         }
-        let pairs = TablePairSource { db: &db, target: 1, host: 2 }.scan_range(3.0, 6.0);
+        let pairs = TablePairSource { db: &db, target: 1, host: 2 }.scan_range(3.0, 6.0).unwrap();
         let targets: Vec<f64> = pairs.iter().map(|p| p.0).collect();
         assert_eq!(targets, vec![3.0, 4.0, 5.0, 6.0]);
         assert!(pairs.iter().all(|(m, n, _)| *n == 2.0 * *m));

@@ -29,9 +29,12 @@
 //! exercises its real Hermit/baseline plans) on every query shape.
 //!
 //! Snapshots happen *before* the instrumented I/O executes, so page and
-//! WAL writes are atomic in this model; sub-write tearing is covered
-//! separately by [`FaultyPageStore`](crate::FaultyPageStore) torn-write
-//! plans and the WAL mangler proptests.
+//! WAL writes are atomic in this model. Sub-write tearing is covered
+//! separately: a checkpoint page write torn by a
+//! [`FaultyPageStore`](crate::FaultyPageStore) torn-write plan by the
+//! durability suite's `torn_checkpoint_page_is_reported_at_open`, a torn
+//! log by its `torn_wal_tail_recovers_to_last_complete_record` and the
+//! fault-injection suite's WAL mangler proptest.
 
 use hermit_core::recovery::{DurabilityConfig, CATALOG_FILE};
 use hermit_core::{Database, Query, RangePredicate};

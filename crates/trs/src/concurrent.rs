@@ -17,9 +17,14 @@
 //! install-and-replay step. While the flag is up they also return the
 //! side buffer's inserts, so a write acknowledged mid-reorganization is
 //! found by the next lookup, not only after the replay.
+//!
+//! This wrapper is the only driver of reorganization: a queued split/merge
+//! pass, one first-level subtree (§7.7) and a full rebuild differ only in
+//! the nodes they pick, and all run the same private protocol body. A scan
+//! that fails installs nothing and re-queues its candidate.
 
-use crate::maintain::ReorgKind;
-use crate::node::TrsTree;
+use crate::maintain::{ReorgCandidate, ReorgKind};
+use crate::node::{NodeId, NodeKind, TrsTree};
 use crate::{PairSource, TrsLookup};
 use hermit_storage::Tid;
 use parking_lot::{Mutex, RwLock};
@@ -30,6 +35,18 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 enum SideOp {
     Insert { m: f64, n: f64, tid: Tid },
     Delete { m: f64, tid: Tid },
+}
+
+/// The nodes one reorganization rebuilds; the protocol around them is the
+/// same whichever is chosen.
+#[derive(Debug, Clone, Copy)]
+enum Targets {
+    /// Up to this many queued split/merge candidates (the §4.4 pass).
+    Queued(usize),
+    /// The `i`-th first-level subtree (the §7.7 trace).
+    FirstLevel(usize),
+    /// The whole tree.
+    Root,
 }
 
 /// Thread-safe TRS-Tree with online reorganization (Appendix B).
@@ -192,121 +209,99 @@ impl ConcurrentTrsTree {
 
     /// Run one background reorganization pass over up to `limit` queued
     /// candidates (the Appendix B protocol; see module docs). Returns the
-    /// number of candidates processed.
+    /// number of candidates whose subtree was replaced.
     ///
     /// Intended to be called from a dedicated thread; concurrent lookups
     /// proceed under the read latch except during the brief install step.
     pub fn reorganize_pass(&self, source: &dyn PairSource, limit: usize) -> usize {
-        // Phase 1: raise the flag — writers start buffering.
-        self.begin_reorg();
-
-        // Phase 2: pop the candidates under a brief write latch.
-        let candidates: Vec<(crate::node::NodeId, ReorgKind)> = {
-            let mut tree = self.tree.write();
-            let mut v = Vec::new();
-            for _ in 0..limit {
-                match tree.next_reorg_candidate() {
-                    Some(c) => v.push((c.node, c.kind)),
-                    None => break,
-                }
-            }
-            v
-        };
-
-        let mut processed = 0;
-        for (node, kind) in candidates {
-            // Snapshot the rebuild inputs under the read latch.
-            let spec = {
-                let tree = self.tree.read();
-                let valid = (node as usize) < tree.arena.len()
-                    && match kind {
-                        ReorgKind::Split => tree.node(node).is_leaf(),
-                        ReorgKind::Merge => !tree.node(node).is_leaf(),
-                    };
-                valid.then(|| tree.replacement_spec(node))
-            };
-            let Some(spec) = spec else { continue };
-
-            // Phase 3: scan + build *offline* — no tree latch held, so
-            // lookups and writers proceed during the expensive part...
-            let sub = spec.build(source);
-
-            // ...and install under the coarse latch (the brief step).
-            {
-                let mut tree = self.tree.write();
-                // Defensive re-check: with several maintenance drivers the
-                // slot could have been re-grafted since the snapshot.
-                if (spec.node as usize) < tree.arena.len() && {
-                    let r = tree.node(spec.node).range;
-                    (r.lb, r.ub) == spec.range()
-                } {
-                    tree.graft_subtree(spec.node, sub);
-                    processed += 1;
-                }
-            }
-        }
-
-        // Phase 4: replay the side buffer under the latch, then drop the
-        // flag. New writers go straight to the tree again.
-        {
-            let mut tree = self.tree.write();
-            self.finish_reorg(&mut tree);
-        }
-        self.reorg_passes.fetch_add(1, Ordering::Relaxed);
-        processed
+        self.reorganize(source, Targets::Queued(limit))
     }
 
     /// Reorganize the `i`-th first-level subtree online (the §7.7 trace
-    /// driver). Follows the same flag / side-buffer / offline-build
-    /// protocol as [`reorganize_pass`](Self::reorganize_pass).
+    /// driver). False when the root is a leaf (nothing to partially
+    /// reorganize) or the scan failed.
     pub fn reorganize_first_level_subtree(&self, i: usize, source: &dyn PairSource) -> bool {
-        self.begin_reorg();
-        let spec = {
-            let tree = self.tree.read();
-            match &tree.node(tree.root()).kind {
-                crate::node::NodeKind::Internal { children } if !children.is_empty() => {
-                    Some(tree.replacement_spec(children[i % children.len()]))
-                }
-                _ => None,
-            }
-        };
-        let ok = match spec {
-            Some(spec) => {
-                let sub = spec.build(source);
-                self.tree.write().graft_subtree(spec.node, sub);
-                true
-            }
-            None => false,
-        };
-        {
-            let mut tree = self.tree.write();
-            self.finish_reorg(&mut tree);
-        }
-        if ok {
-            self.reorg_passes.fetch_add(1, Ordering::Relaxed);
-        }
-        ok
+        self.reorganize(source, Targets::FirstLevel(i)) > 0
     }
 
-    /// Rebuild the whole tree from fresh data (the §4.4 limit case),
-    /// following the same flag / side-buffer / offline-build protocol as
-    /// the partial reorganizations.
-    pub fn rebuild(&self, source: &dyn PairSource) {
+    /// Rebuild the whole tree from fresh data (the §4.4 limit case). The
+    /// root is both domain edges at once, so the open-ended scan also
+    /// re-domains the tree over whatever the source now holds. False when
+    /// the scan failed and the tree was left as it was.
+    pub fn rebuild(&self, source: &dyn PairSource) -> bool {
+        self.reorganize(source, Targets::Root) > 0
+    }
+
+    /// The one Appendix-B body behind every reorganization: raise the flag,
+    /// pick the nodes, and for each one snapshot its replacement spec under
+    /// the read latch, scan and build it with no latch held, and graft it
+    /// under the write latch; then replay the side buffer and drop the
+    /// flag. A node whose scan fails keeps its subtree — one built from
+    /// nothing would drop every tuple under it — and a queued candidate
+    /// goes back on the queue for a later pass. Returns the number of
+    /// subtrees grafted.
+    fn reorganize(&self, source: &dyn PairSource, targets: Targets) -> usize {
         self.begin_reorg();
-        let spec = {
-            let tree = self.tree.read();
-            tree.replacement_spec(tree.root())
-        };
-        let fresh = spec.build(source);
-        {
+        // `Some(kind)` for a queued candidate, which must still have the
+        // role it was queued for; `None` for a node picked by position.
+        let picked: Vec<(NodeId, Option<ReorgKind>)> = {
             let mut tree = self.tree.write();
-            let root = tree.root();
-            tree.graft_subtree(root, fresh);
-            // Every queued candidate refers to pre-rebuild structure.
-            while tree.next_reorg_candidate().is_some() {}
-            self.finish_reorg(&mut tree);
+            match targets {
+                Targets::Queued(limit) => std::iter::from_fn(|| tree.next_reorg_candidate())
+                    .take(limit)
+                    .map(|c| (c.node, Some(c.kind)))
+                    .collect(),
+                Targets::FirstLevel(i) => match &tree.node(tree.root()).kind {
+                    NodeKind::Internal { children } if !children.is_empty() => {
+                        vec![(children[i % children.len()], None)]
+                    }
+                    _ => Vec::new(),
+                },
+                Targets::Root => vec![(tree.root(), None)],
+            }
+        };
+
+        let mut grafted = 0;
+        for (node, kind) in picked {
+            let spec = {
+                let tree = self.tree.read();
+                let live = (node as usize) < tree.arena.len()
+                    && kind.is_none_or(|k| tree.node(node).is_leaf() == (k == ReorgKind::Split));
+                live.then(|| tree.replacement_spec(node))
+            };
+            let Some(spec) = spec else { continue };
+            // The expensive part, offline: lookups and writers proceed.
+            let built = spec.build(source);
+            let mut tree = self.tree.write();
+            match built {
+                // A compaction or another driver may have moved the slot
+                // since the snapshot: install only over the same range.
+                Ok(sub)
+                    if tree
+                        .arena
+                        .get(node as usize)
+                        .is_some_and(|n| (n.range.lb, n.range.ub) == spec.range()) =>
+                {
+                    tree.graft_subtree(node, sub);
+                    grafted += 1;
+                }
+                Ok(_) => {}
+                Err(_) => {
+                    if let Some(kind) = kind {
+                        tree.enqueue_reorg(ReorgCandidate { node, kind });
+                    }
+                }
+            }
         }
+
+        let mut tree = self.tree.write();
+        if matches!(targets, Targets::Root) && grafted > 0 {
+            // Every queued candidate refers to pre-rebuild structure.
+            tree.reorg_queue.clear();
+        }
+        self.finish_reorg(&mut tree);
         self.reorg_passes.fetch_add(1, Ordering::Relaxed);
+        grafted
     }
 
     /// Serialize a checkpoint of the tree under the write latch (the
@@ -399,8 +394,8 @@ mod tests {
     struct SharedSource(parking_lot::Mutex<Vec<(f64, f64, Tid)>>);
 
     impl crate::PairSource for SharedSource {
-        fn scan_range(&self, lb: f64, ub: f64) -> Vec<(f64, f64, Tid)> {
-            self.0.lock().iter().filter(|(m, _, _)| *m >= lb && *m <= ub).copied().collect()
+        fn scan_range(&self, lb: f64, ub: f64) -> hermit_storage::Result<Vec<(f64, f64, Tid)>> {
+            Ok(self.0.lock().iter().filter(|(m, _, _)| *m >= lb && *m <= ub).copied().collect())
         }
     }
 
@@ -480,6 +475,47 @@ mod tests {
         assert!(!tree.lookup(6.0, 7.0).tids.contains(&Tid(42)), "only inside the predicate");
         tree.finish_reorg(&mut tree.tree.write());
         assert!(tree.lookup_point(5.0).tids.contains(&Tid(42)), "replayed into the tree");
+    }
+
+    /// A source whose scan fails, as a heap with an unreadable page does.
+    struct FailingSource;
+
+    impl crate::PairSource for FailingSource {
+        fn scan_range(&self, _: f64, _: f64) -> hermit_storage::Result<Vec<(f64, f64, Tid)>> {
+            Err(hermit_storage::StorageError::Io("unreadable page".into()))
+        }
+    }
+
+    /// A failed scan installs nothing: the subtree keeps its tuples, the
+    /// candidate waits on the queue for the next pass, and the flag still
+    /// drops with the side buffer replayed.
+    #[test]
+    fn a_failed_scan_keeps_the_subtree_and_requeues_its_candidate() {
+        let pairs: Vec<(f64, f64, Tid)> =
+            (0..5_000).map(|i| (i as f64, 2.0 * i as f64, Tid(i as u64))).collect();
+        let mut flooded = TrsTree::build(TrsParams::default(), (0.0, 4_999.0), pairs.clone());
+        for i in 0..2_000u64 {
+            flooded.insert(2_500.0, -1.0e9, Tid(1_000_000 + i));
+        }
+        let tree = ConcurrentTrsTree::new(flooded);
+        let (queued, before) = (tree.reorg_queue_len(), tree.stats());
+        assert!(queued > 0, "the flood must queue a split");
+
+        assert_eq!(tree.reorganize_pass(&FailingSource, 64), 0);
+        assert!(!tree.rebuild(&FailingSource));
+        assert!(!tree.reorganize_first_level_subtree(0, &FailingSource));
+        assert_eq!(tree.reorg_queue_len(), queued, "the candidate is back on the queue");
+        let after = tree.stats();
+        assert_eq!(
+            (after.leaves, after.outliers, after.covered),
+            (before.leaves, before.outliers, before.covered)
+        );
+        assert_eq!(tree.lookup_point(2_500.0).tids.len(), 2_000, "no buffered tuple lost");
+        tree.insert(10.0, -3.0, Tid(7));
+        assert!(tree.lookup_point(10.0).tids.contains(&Tid(7)), "the flag is down again");
+
+        // Once the source reads again, the same candidate is served.
+        assert!(tree.reorganize_pass(&VecPairSource(pairs), 64) > 0);
     }
 
     #[test]

@@ -32,8 +32,10 @@
 //!   (Appendix D.2) and multi-threaded construction.
 //! * [`lookup`] — Algorithm 2.
 //! * [`maintain`] — Algorithm 3 plus reorg-candidate detection.
-//! * [`reorg`] — split/merge/batch reorganization against a [`PairSource`].
-//! * [`concurrent`] — the Appendix B online-reorganization wrapper.
+//! * [`reorg`] — the reorganization steps against a [`PairSource`]:
+//!   replacement spec, offline subtree build, graft, arena compaction.
+//! * [`concurrent`] — the Appendix B wrapper, and the one driver of those
+//!   steps: queued split/merge passes, first-level subtrees, full rebuilds.
 #![warn(clippy::allow_attributes_without_reason)]
 
 pub mod build;
@@ -61,15 +63,17 @@ use hermit_storage::Tid;
 /// wrap a storage-engine table (see `hermit-core`) or an in-memory vector
 /// (tests, benchmarks).
 pub trait PairSource {
-    /// All live pairs whose *target* value lies in `[lb, ub]`.
-    fn scan_range(&self, lb: f64, ub: f64) -> Vec<(f64, f64, Tid)>;
+    /// All live pairs whose *target* value lies in `[lb, ub]`, or the error
+    /// that kept the scan from seeing all of them: a partial answer would
+    /// rebuild a subtree without the tuples it missed.
+    fn scan_range(&self, lb: f64, ub: f64) -> hermit_storage::Result<Vec<(f64, f64, Tid)>>;
 }
 
 /// A [`PairSource`] over a plain slice of pairs (testing / benchmarking).
 pub struct VecPairSource(pub Vec<(f64, f64, Tid)>);
 
 impl PairSource for VecPairSource {
-    fn scan_range(&self, lb: f64, ub: f64) -> Vec<(f64, f64, Tid)> {
-        self.0.iter().filter(|(m, _, _)| *m >= lb && *m <= ub).copied().collect()
+    fn scan_range(&self, lb: f64, ub: f64) -> hermit_storage::Result<Vec<(f64, f64, Tid)>> {
+        Ok(self.0.iter().filter(|(m, _, _)| *m >= lb && *m <= ub).copied().collect())
     }
 }

@@ -137,7 +137,7 @@ impl TrsTree {
         }
     }
 
-    fn enqueue_reorg(&mut self, cand: ReorgCandidate) {
+    pub(crate) fn enqueue_reorg(&mut self, cand: ReorgCandidate) {
         // De-duplicate: a hot leaf would otherwise flood the queue.
         if !self.reorg_queue.contains(&cand) {
             self.reorg_queue.push_back(cand);

@@ -473,27 +473,30 @@ mod tests {
         // serialized queue must match it.
         let expected = tree.reorg_queue_len();
         assert!(expected > 0);
-        let mut restored = TrsTree::restore_from(bytes.as_slice()).unwrap();
+        let restored = TrsTree::restore_from(bytes.as_slice()).unwrap();
         assert_eq!(restored.reorg_queue_len(), expected, "queue lost across checkpoint");
         // The restored candidates are live: draining them reorganizes the
         // flooded leaf and shrinks the outlier buffers.
         let outliers_before = restored.stats().outliers;
         let fresh: Vec<(f64, f64, Tid)> =
             (0..5_000).map(|i| (i as f64, 2.0 * i as f64, Tid(i as u64))).collect();
-        let report = restored.reorganize_batch(&crate::VecPairSource(fresh), 16);
-        assert!(report.splits >= 1, "restored candidate must drive a split, got {report:?}");
-        restored.compact(); // stats() counts arena garbage until compaction
+        let online = crate::ConcurrentTrsTree::new(restored);
+        let grafted = online.reorganize_pass(&crate::VecPairSource(fresh), 16);
+        assert!(grafted >= 1, "restored candidate must drive a split");
+        let mut restored = online.into_inner();
+        restored.compact();
         assert!(restored.stats().outliers < outliers_before);
         restored.check_invariants().unwrap();
     }
 
     #[test]
     fn compact_remaps_queued_candidates() {
-        let mut tree = tree_with_queued_split();
         // Force garbage + id churn, then compact.
         let fresh: Vec<(f64, f64, Tid)> =
             (0..5_000).map(|i| (i as f64, 2.0 * i as f64, Tid(i as u64))).collect();
-        tree.reorganize_first_level_subtree(0, &crate::VecPairSource(fresh));
+        let online = crate::ConcurrentTrsTree::new(tree_with_queued_split());
+        online.reorganize_first_level_subtree(0, &crate::VecPairSource(fresh));
+        let mut tree = online.into_inner();
         tree.compact();
         // Every surviving candidate must point at a node whose role matches.
         while let Some(cand) = tree.next_reorg_candidate() {

@@ -1,4 +1,4 @@
-//! Structure reorganization (§4.4 of the paper).
+//! Structure reorganization (§4.4 of the paper): the primitives.
 //!
 //! Reorganization re-optimizes the tree against the *current* data: the
 //! worker re-scans the affected target range from a [`PairSource`] (the
@@ -11,24 +11,14 @@
 //!   root; if the surviving data fits one model, the subtree collapses back
 //!   to a single leaf.
 //!
-//! Batch reorganization processes several queued candidates in one pass
-//! (the paper's background thread reorganizes "several candidate nodes in
-//! one scan").
+//! This module holds the steps — [`TrsTree::replacement_spec`],
+//! [`ReplacementSpec::build`], [`TrsTree::graft_subtree`] — and arena
+//! compaction. The one driver that sequences them, several candidate nodes
+//! per pass, is [`crate::ConcurrentTrsTree`]'s Appendix-B protocol.
 
-use crate::maintain::{ReorgCandidate, ReorgKind};
+use crate::maintain::ReorgCandidate;
 use crate::node::{NodeId, NodeKind, TrsTree};
 use crate::PairSource;
-
-/// Outcome counters for a reorganization pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReorgReport {
-    /// Leaf splits executed.
-    pub splits: usize,
-    /// Subtree merges executed.
-    pub merges: usize,
-    /// Candidates skipped (stale node ids, already-reorganized ranges).
-    pub skipped: usize,
-}
 
 /// Everything an *offline* rebuild of one subtree needs, snapshotted under
 /// a read latch: the node's range, the depth-adjusted parameters, and the
@@ -55,23 +45,24 @@ pub struct ReplacementSpec {
 
 impl ReplacementSpec {
     /// Scan the affected range from `source` and build the replacement
-    /// subtree. No latch is required; this is the expensive part.
+    /// subtree. No latch is required; this is the expensive part. A failed
+    /// scan is the source's error: there is no replacement to install.
     ///
     /// For an edge node the scan is open-ended on the boundary side(s)
     /// and the replacement's range widens to hug the data actually found,
     /// so out-of-domain tuples become modeled (or properly buffered)
     /// members of the new subtree instead of being lost.
-    pub fn build(&self, source: &dyn PairSource) -> TrsTree {
+    pub fn build(&self, source: &dyn PairSource) -> hermit_storage::Result<TrsTree> {
         let scan_lb = if self.at_lower_edge { f64::NEG_INFINITY } else { self.range.lb };
         let scan_ub = if self.at_upper_edge { f64::INFINITY } else { self.range.ub };
-        let pairs = source.scan_range(scan_lb, scan_ub);
+        let pairs = source.scan_range(scan_lb, scan_ub)?;
         let mut lb = self.range.lb;
         let mut ub = self.range.ub;
         for (m, _, _) in &pairs {
             lb = lb.min(*m);
             ub = ub.max(*m);
         }
-        TrsTree::build_with_buffer(self.sub_params, self.buffer_kind, (lb, ub), pairs)
+        Ok(TrsTree::build_with_buffer(self.sub_params, self.buffer_kind, (lb, ub), pairs))
     }
 
     /// The range the replacement was built for (install-time validity
@@ -130,19 +121,6 @@ impl TrsTree {
         leaves
     }
 
-    /// Rebuild the subtree rooted at `node` from fresh base-table data.
-    ///
-    /// This is the shared implementation of split and merge: construction
-    /// itself decides the right shape for the new data
-    /// ([`replacement_spec`](Self::replacement_spec) +
-    /// [`graft_subtree`](Self::graft_subtree) in one exclusive step — the
-    /// concurrent wrapper interleaves them to keep the scan latch-free).
-    /// Returns the number of leaves in the new subtree.
-    pub fn reorganize_node(&mut self, node: NodeId, source: &dyn PairSource) -> usize {
-        let sub = self.replacement_spec(node).build(source);
-        self.graft_subtree(node, sub)
-    }
-
     fn depth_of(&self, node: NodeId) -> usize {
         // Walk from the root toward the node's range midpoint, counting
         // levels until we hit it. Falls back to 1 for stale ids.
@@ -171,67 +149,6 @@ impl TrsTree {
                 }
             }
         }
-    }
-
-    /// Process up to `limit` queued candidates against `source`
-    /// (batch reorganization, §4.4).
-    pub fn reorganize_batch(&mut self, source: &dyn PairSource, limit: usize) -> ReorgReport {
-        let mut report = ReorgReport::default();
-        for _ in 0..limit {
-            let Some(cand) = self.next_reorg_candidate() else { break };
-            if !self.candidate_still_valid(&cand) {
-                report.skipped += 1;
-                continue;
-            }
-            self.reorganize_node(cand.node, source);
-            match cand.kind {
-                ReorgKind::Split => report.splits += 1,
-                ReorgKind::Merge => report.merges += 1,
-            }
-        }
-        report
-    }
-
-    /// A candidate is stale when the node id no longer matches its queued
-    /// role (e.g. the leaf was already rebuilt into an internal node).
-    fn candidate_still_valid(&self, cand: &ReorgCandidate) -> bool {
-        if cand.node as usize >= self.arena.len() {
-            return false;
-        }
-        match cand.kind {
-            ReorgKind::Split => self.node(cand.node).is_leaf(),
-            ReorgKind::Merge => !self.node(cand.node).is_leaf(),
-        }
-    }
-
-    /// Rebuild the entire tree from fresh data — the "reorganize entire
-    /// subtree at once" response to drastic workload change (§4.4 / §7.7
-    /// reorganizes first-level subtrees; rebuilding from the root is the
-    /// limit case and also compacts the arena).
-    pub fn rebuild(&mut self, source: &dyn PairSource) {
-        // The root is both domain edges at once, so the spec's open-ended
-        // scan also re-domains the tree over whatever the table now holds.
-        let fresh = self.replacement_spec(self.root).build(source);
-        self.arena = fresh.arena;
-        self.root = fresh.root;
-        self.reorg_queue.clear();
-    }
-
-    /// Rebuild the `i`-th first-level subtree (used by the §7.7 trace,
-    /// which reorganizes 1/4 of the structure every 5 seconds). Returns
-    /// false if the root is a leaf (nothing to partially reorganize).
-    pub fn reorganize_first_level_subtree(&mut self, i: usize, source: &dyn PairSource) -> bool {
-        let child = {
-            let NodeKind::Internal { children } = &self.node(self.root).kind else {
-                return false;
-            };
-            if children.is_empty() {
-                return false;
-            }
-            children[i % children.len()]
-        };
-        self.reorganize_node(child, source);
-        true
     }
 
     /// Compact the arena after reorganizations left garbage nodes behind:
@@ -296,8 +213,9 @@ impl TrsTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::maintain::ReorgKind;
     use crate::params::TrsParams;
-    use crate::VecPairSource;
+    use crate::{ConcurrentTrsTree, VecPairSource};
     use hermit_storage::Tid;
 
     fn sigmoid_pairs(n: usize) -> Vec<(f64, f64, Tid)> {
@@ -307,6 +225,17 @@ mod tests {
                 (m, 1000.0 / (1.0 + (-m).exp()), Tid(i as u64))
             })
             .collect()
+    }
+
+    /// Run `reorganize` on `tree` through the Appendix-B driver, then hand
+    /// the tree back compacted and checked.
+    fn reorganized(tree: TrsTree, reorganize: impl FnOnce(&ConcurrentTrsTree)) -> TrsTree {
+        let online = ConcurrentTrsTree::new(tree);
+        reorganize(&online);
+        let mut tree = online.into_inner();
+        tree.compact();
+        tree.check_invariants().unwrap();
+        tree
     }
 
     #[test]
@@ -334,10 +263,7 @@ mod tests {
         assert!(tree.reorg_queue_len() > 0);
 
         let source = VecPairSource(pairs);
-        let report = tree.reorganize_batch(&source, 10);
-        assert!(report.splits >= 1);
-        tree.compact();
-        tree.check_invariants().unwrap();
+        let tree = reorganized(tree, |t| assert!(t.reorganize_pass(&source, 10) >= 1));
         let outliers_after = tree.stats().outliers;
         assert!(
             outliers_after < outliers_before / 5,
@@ -366,9 +292,9 @@ mod tests {
             tree.delete(*m, *tid);
         }
         let source = VecPairSource(surviving);
-        tree.reorganize_batch(&source, 64);
-        tree.compact();
-        tree.check_invariants().unwrap();
+        let tree = reorganized(tree, |t| {
+            t.reorganize_pass(&source, 64);
+        });
         assert!(
             tree.stats().leaves < leaves_before,
             "merge should shrink: {} -> {}",
@@ -385,7 +311,7 @@ mod tests {
             tree.insert(0.0, 1.0e9, Tid(100_000 + i));
         }
         assert!(tree.stats().outliers >= 5_000);
-        tree.rebuild(&VecPairSource(pairs));
+        let tree = reorganized(tree, |t| assert!(t.rebuild(&VecPairSource(pairs))));
         // Fresh sigmoid data may legitimately keep a few build-time
         // outliers (< outlier_ratio per leaf); the injected flood is gone.
         assert!(
@@ -394,34 +320,35 @@ mod tests {
             tree.stats().outliers
         );
         assert_eq!(tree.reorg_queue_len(), 0);
-        tree.check_invariants().unwrap();
     }
 
     #[test]
     fn first_level_subtree_reorg() {
         let pairs = sigmoid_pairs(30_000);
-        let mut tree = TrsTree::build(TrsParams::default(), (-10.0, 10.0), pairs.clone());
+        let tree = TrsTree::build(TrsParams::default(), (-10.0, 10.0), pairs.clone());
         assert!(tree.stats().internals > 0);
         let source = VecPairSource(pairs);
-        for i in 0..8 {
-            assert!(tree.reorganize_first_level_subtree(i, &source));
-        }
-        tree.compact();
-        tree.check_invariants().unwrap();
+        reorganized(tree, |t| {
+            for i in 0..8 {
+                assert!(t.reorganize_first_level_subtree(i, &source));
+            }
+        });
         // Single-leaf tree: partial reorg is a no-op.
-        let mut flat = TrsTree::build(TrsParams::default(), (0.0, 9.0), vec![(1.0, 1.0, Tid(0))]);
-        assert!(!flat.reorganize_first_level_subtree(0, &source));
+        let flat = TrsTree::build(TrsParams::default(), (0.0, 9.0), vec![(1.0, 1.0, Tid(0))]);
+        reorganized(flat, |t| assert!(!t.reorganize_first_level_subtree(0, &source)));
     }
 
     #[test]
     fn compact_reclaims_garbage() {
         let pairs = sigmoid_pairs(30_000);
-        let mut tree = TrsTree::build(TrsParams::default(), (-10.0, 10.0), pairs.clone());
+        let tree = TrsTree::build(TrsParams::default(), (-10.0, 10.0), pairs.clone());
         let source = VecPairSource(pairs);
         let before_nodes = tree.arena.len();
+        let online = ConcurrentTrsTree::new(tree);
         for i in 0..8 {
-            tree.reorganize_first_level_subtree(i, &source);
+            online.reorganize_first_level_subtree(i, &source);
         }
+        let mut tree = online.into_inner();
         assert!(tree.arena.len() > before_nodes, "reorg leaves garbage");
         tree.compact();
         tree.check_invariants().unwrap();
@@ -449,9 +376,9 @@ mod tests {
         assert!(tree.reorg_queue_len() > 0, "the flood must queue a split");
 
         let source = VecPairSource(pairs);
-        tree.reorganize_batch(&source, 16);
-        tree.compact();
-        tree.check_invariants().unwrap();
+        let tree = reorganized(tree, |t| {
+            t.reorganize_pass(&source, 16);
+        });
 
         // Every out-of-domain tuple is still reachable: either a model
         // band over its new home covers the true host value, or the tuple
@@ -477,7 +404,9 @@ mod tests {
         );
         // Manually enqueue a merge candidate pointing at a leaf (invalid).
         tree.reorg_queue.push_back(ReorgCandidate { node: tree.root(), kind: ReorgKind::Merge });
-        let report = tree.reorganize_batch(&VecPairSource(vec![]), 10);
-        assert_eq!(report, ReorgReport { splits: 0, merges: 0, skipped: 1 });
+        let tree = reorganized(tree, |t| {
+            assert_eq!(t.reorganize_pass(&VecPairSource(vec![]), 10), 0);
+        });
+        assert_eq!(tree.reorg_queue_len(), 0, "a stale candidate is dropped, not requeued");
     }
 }

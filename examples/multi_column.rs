@@ -14,11 +14,9 @@
 //! cargo run --release --example multi_column
 //! ```
 
-use hermit::core::composite::CompositeIndexes;
 use hermit::core::{Database, RangePredicate};
 use hermit::stats::pearson;
 use hermit::storage::{ColumnDef, Schema, TidScheme, Value};
-use hermit::trs::TrsParams;
 
 const TIME: usize = 0;
 const DJ: usize = 1;
@@ -32,7 +30,7 @@ fn main() {
         ColumnDef::float("sp"),
         ColumnDef::float("vol"),
     ]);
-    let db = Database::new(schema, TIME, TidScheme::Physical);
+    let mut db = Database::new(schema, TIME, TidScheme::Physical);
 
     // 60 years of trading days: DJ drifts upward; SP tracks DJ at roughly
     // 1/8 scale with its own wiggle (the Fig. 26 relationship).
@@ -54,14 +52,13 @@ fn main() {
     println!("pearson(SP, DJ) = {:.4}", pearson(&sps, &djs));
 
     // Existing composite index on (TIME, DJ); Hermit composite on
-    // (TIME, SP) routed through DJ.
-    let mut comp = CompositeIndexes::new();
-    let host = comp.create_baseline(&db, TIME, DJ).unwrap();
-    let hermit_idx = comp.create_hermit(&db, TIME, SP, DJ, TrsParams::default()).unwrap();
+    // (TIME, SP) routed through DJ. The database owns and maintains both.
+    let host = db.create_composite_baseline(TIME, DJ).unwrap();
+    let hermit_idx = db.create_composite_hermit(TIME, SP, DJ).unwrap();
     println!(
         "index sizes: (TIME,DJ) host = {:.1} KB | (TIME,SP) Hermit = {:.2} KB",
-        comp.get(host).unwrap().memory_bytes() as f64 / 1024.0,
-        comp.get(hermit_idx).unwrap().memory_bytes() as f64 / 1024.0,
+        db.composites().get(host).unwrap().memory_bytes() as f64 / 1024.0,
+        db.composites().get(hermit_idx).unwrap().memory_bytes() as f64 / 1024.0,
     );
 
     // The paper's box query: a TIME window AND an SP band.
@@ -69,8 +66,7 @@ fn main() {
         let mid = djs[10_000] / 8.0;
         (mid - 5.0, mid + 5.0)
     };
-    let result = comp.lookup_box(
-        &db,
+    let result = db.lookup_box(
         hermit_idx,
         RangePredicate::range(TIME, 8_000.0, 12_000.0),
         RangePredicate::range(SP, sp_lo, sp_hi),
@@ -82,9 +78,8 @@ fn main() {
     );
 
     // Cross-check against a direct composite baseline on (TIME, SP).
-    let direct = comp.create_baseline(&db, TIME, SP).unwrap();
-    let expected = comp.lookup_box(
-        &db,
+    let direct = db.create_composite_baseline(TIME, SP).unwrap();
+    let expected = db.lookup_box(
         direct,
         RangePredicate::range(TIME, 8_000.0, 12_000.0),
         RangePredicate::range(SP, sp_lo, sp_hi),

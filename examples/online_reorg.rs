@@ -17,8 +17,8 @@ use std::sync::Arc;
 struct SharedTable(Mutex<Vec<(f64, f64, Tid)>>);
 
 impl PairSource for SharedTable {
-    fn scan_range(&self, lb: f64, ub: f64) -> Vec<(f64, f64, Tid)> {
-        self.0.lock().iter().filter(|(m, _, _)| *m >= lb && *m <= ub).copied().collect()
+    fn scan_range(&self, lb: f64, ub: f64) -> hermit::storage::Result<Vec<(f64, f64, Tid)>> {
+        Ok(self.0.lock().iter().filter(|(m, _, _)| *m >= lb && *m <= ub).copied().collect())
     }
 }
 
@@ -53,7 +53,7 @@ fn main() {
             }
         }
     }
-    for (m, nv, tid) in table.scan_range(60_000.0, 130_000.0) {
+    for (m, nv, tid) in table.scan_range(60_000.0, 130_000.0).expect("an in-memory scan") {
         tree.insert(m, nv, tid);
     }
     let s = tree.stats();

@@ -12,8 +12,8 @@ use std::sync::Arc;
 struct SharedTable(Mutex<Vec<(f64, f64, Tid)>>);
 
 impl PairSource for SharedTable {
-    fn scan_range(&self, lb: f64, ub: f64) -> Vec<(f64, f64, Tid)> {
-        self.0.lock().iter().filter(|(m, _, _)| *m >= lb && *m <= ub).copied().collect()
+    fn scan_range(&self, lb: f64, ub: f64) -> hermit::storage::Result<Vec<(f64, f64, Tid)>> {
+        Ok(self.0.lock().iter().filter(|(m, _, _)| *m >= lb && *m <= ub).copied().collect())
     }
 }
 

@@ -14,7 +14,8 @@
 //!   checkpoint fail cleanly (recovery then lands on the *previous*
 //!   durable state); a device that *lies* (accepts writes and fsync but
 //!   drops the data) is detected at open and reported as corruption rather
-//!   than serving wrong rows.
+//!   than serving wrong rows, and so is a checkpoint page write torn
+//!   part-way through the page.
 //! * **Typed rejection**: the in-memory substrate cannot checkpoint.
 //! * **Force at commit**: the log is fsynced once per auto-commit statement
 //!   batch and once per transaction commit, and nowhere else — counted
@@ -32,8 +33,8 @@
 use hermit::core::recovery::{DurabilityConfig, PAGES_FILE, WAL_FILE};
 use hermit::core::shared::SharedDatabase;
 use hermit::core::{BatchOptions, CoreError, Database, PlanKind, Query, RangePredicate};
-use hermit::fault::FaultyPageStore;
-use hermit::storage::paged::{PageId, PageStore, PAGE_SIZE};
+use hermit::fault::{FaultKind, FaultOp, FaultPlan, FaultyPageStore, PlannedFault};
+use hermit::storage::paged::{FilePageStore, PageId, PageStore, PAGE_SIZE};
 use hermit::storage::wal::read_wal;
 use hermit::storage::{
     install_fault_hook, ColumnDef, FaultAction, FaultHookGuard, RowLoc, Schema, Site, TidScheme,
@@ -404,6 +405,49 @@ fn lying_device_detected_even_when_live_counts_are_unchanged() {
         err.map(|db| db.len())
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A torn page write — only the first `keep` bytes of the new image reach
+/// the device, the rest keeps the old one — in the middle of a checkpoint.
+/// The checkpoint cannot see it (the write "succeeded"); `open` must report
+/// it as corruption or, where the tear happened to keep every changed byte,
+/// serve exactly the checkpointed rows — never other ones. Tears at the
+/// head, the middle and the tail of the page.
+#[test]
+fn torn_checkpoint_page_is_reported_at_open() {
+    for keep in [8, PAGE_SIZE / 2, PAGE_SIZE - 8] {
+        let dir = fresh_dir(&format!("torn-page-{keep}"));
+        let config = DurabilityConfig::default();
+        let db = build(&dir, &config);
+        db.checkpoint(&dir).unwrap();
+        drop(db);
+
+        // The next page write after the reopen tears.
+        let tear = PlannedFault { op: FaultOp::Write, nth: 0, kind: FaultKind::Torn { keep } };
+        let file = FilePageStore::open(&dir.join(PAGES_FILE)).unwrap();
+        let store =
+            Arc::new(FaultyPageStore::with_plan(Arc::new(file), FaultPlan::explicit(vec![tear])));
+        let db = Database::open_with_store(&dir, Arc::clone(&store) as Arc<dyn PageStore>, &config)
+            .unwrap();
+        assert_eq!(store.injected(), 0, "open writes no page");
+        // Dirty a checkpointed page, then checkpoint: its write is the torn one.
+        db.delete_by_pk(2).unwrap();
+        let expected = snapshot_results(&db);
+        let len = db.len();
+        db.checkpoint(&dir).expect("a torn write cannot be observed at checkpoint time");
+        assert_eq!(store.injected(), 1, "keep {keep}: the checkpoint's page write tore");
+        drop(db);
+
+        match Database::open(&dir, &config) {
+            Err(CoreError::Recovery(_)) | Err(CoreError::Storage(_)) => {}
+            Err(other) => panic!("keep {keep}: untyped failure {other:?}"),
+            Ok(back) => {
+                assert_eq!(back.len(), len, "keep {keep}");
+                assert_matches_oracle(&back, &expected, &format!("torn page, keep {keep}"));
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 /// The pool steals at page granularity, so a crash can persist a

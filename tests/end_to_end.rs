@@ -7,7 +7,6 @@ use hermit::core::database::TablePairSource;
 use hermit::core::{Database, DiscoveryConfig, RangePredicate, SecondaryIndex};
 use hermit::storage::paged::{BufferPool, PagedTable, SimulatedPageStore};
 use hermit::storage::{ColumnDef, Schema, TidScheme, Value};
-use hermit::trs::PairSource;
 use hermit::trs::TrsParams;
 use hermit::workloads::synthetic::cols;
 use hermit::workloads::{
@@ -169,14 +168,10 @@ fn reorganization_through_database_pair_source() {
     };
     assert!(before > 1_000, "regime shift should buffer outliers, got {before}");
 
-    // Reorganize via the TablePairSource adapter. Split borrow: snapshot
-    // the pairs first, then rebuild the tree.
-    let pairs = TablePairSource { db: &db, target: cols::COL_C, host: cols::COL_B }
-        .scan_range(f64::NEG_INFINITY, f64::INFINITY);
-    let Some(SecondaryIndex::Hermit { trs, .. }) = db.index_mut(cols::COL_C) else {
-        unreachable!()
-    };
-    trs.rebuild(&hermit::trs::VecPairSource(pairs));
+    // Rebuild online, re-scanning the base table through the
+    // TablePairSource adapter.
+    let Some(SecondaryIndex::Hermit { trs, .. }) = db.index(cols::COL_C) else { unreachable!() };
+    assert!(trs.rebuild(&TablePairSource { db: &db, target: cols::COL_C, host: cols::COL_B }));
     let after = trs.stats().outliers;
     assert!(after * 5 < before, "reorg should shrink buffers: {before} -> {after}");
 

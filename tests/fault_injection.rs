@@ -12,11 +12,12 @@
 //! * **An unreadable page is not a deleted row**: while heap reads fail,
 //!   every access path — the composite box routes included — reports an
 //!   error instead of a shorter answer; once the device heals the exact
-//!   rows come back and no buffer-pool frame has gone missing.
+//!   rows come back and no buffer-pool frame has gone missing. A
+//!   reorganization that cannot read the heap installs nothing.
 
 use hermit::core::recovery::{DurabilityConfig, WAL_FILE};
 use hermit::core::SharedDatabase;
-use hermit::core::{CompositeIndexes, Database, Query, RangePredicate};
+use hermit::core::{Database, PlanKind, Query, RangePredicate};
 use hermit::fault::{mangle_file, FaultPlan, FaultRates, FaultyPageStore};
 use hermit::server::{ClientError, ErrorCode, HermitClient, HermitServer, ServerConfig};
 use hermit::storage::paged::{BufferPool, PagedTable, SimulatedPageStore};
@@ -254,27 +255,26 @@ fn composite_routes_report_unreadable_pages_not_shorter_answers() {
     const FRAMES: usize = 4;
     let store = Arc::new(FaultyPageStore::new(Arc::new(SimulatedPageStore::new())));
     let pool = Arc::new(BufferPool::new_sharded(Arc::<FaultyPageStore>::clone(&store), FRAMES, 2));
-    let db = Database::new_paged(PagedTable::new(schema(), Arc::clone(&pool)), 0);
+    let mut db = Database::new_paged(PagedTable::new(schema(), Arc::clone(&pool)), 0);
     for i in 0..ROWS {
         db.insert(&row(i, ((i * 7) % ROWS) as f64)).unwrap();
     }
-    // A registry of its own over the paged heap: (pk, target) directly, and
+    // Composite indexes over the paged heap: (pk, target) directly, and
     // target -> host through the (pk, host) companion.
-    let mut composites = CompositeIndexes::new();
-    composites.create_baseline(&db, 0, 1).unwrap();
-    let direct = composites.create_baseline(&db, 0, 2).unwrap();
-    let hermit = composites.create_hermit(&db, 0, 2, 1, Default::default()).unwrap();
+    db.create_composite_baseline(0, 1).unwrap();
+    let direct = db.create_composite_baseline(0, 2).unwrap();
+    let hermit = db.create_composite_hermit(0, 2, 1).unwrap();
     pool.flush().unwrap();
 
     let leading = RangePredicate::range(0, 0.0, ROWS as f64);
     let value = RangePredicate::range(2, 100.0, 699.0);
     for idx in [direct, hermit] {
-        let healthy = composites.lookup_box(&db, idx, leading, value);
+        let healthy = db.lookup_box(idx, leading, value);
         assert_eq!((healthy.rows.len(), healthy.unreadable, healthy.unresolved), (600, 0, 0));
         let candidates = healthy.rows.len() + healthy.false_positives;
 
         let before = pool.stats().hits() + pool.stats().misses();
-        composites.lookup_box(&db, idx, leading, value);
+        db.lookup_box(idx, leading, value);
         let visits = pool.stats().hits() + pool.stats().misses() - before;
         let mut pages: Vec<u32> = healthy.rows.iter().map(|loc| loc.block).collect();
         pages.dedup(); // rows come back in heap order
@@ -282,7 +282,7 @@ fn composite_routes_report_unreadable_pages_not_shorter_answers() {
         assert!(visits >= pages.len() as u64, "index {idx}: every page with a match visited");
 
         store.set_fail_reads(true);
-        let poisoned = composites.lookup_box(&db, idx, leading, value);
+        let poisoned = db.lookup_box(idx, leading, value);
         store.set_fail_reads(false);
         assert!(poisoned.unreadable > 0, "index {idx}: the failed loads must be reported");
         assert_eq!(poisoned.unresolved, 0, "index {idx}: an unreadable page is not a deleted row");
@@ -295,7 +295,50 @@ fn composite_routes_report_unreadable_pages_not_shorter_answers() {
         assert!(poisoned.rows.len() + poisoned.false_positives < candidates, "index {idx}");
         assert!(poisoned.false_positives <= healthy.false_positives, "index {idx}");
 
-        let healed = composites.lookup_box(&db, idx, leading, value);
+        let healed = db.lookup_box(idx, leading, value);
         assert_eq!((healed.rows, healed.unreadable), (healthy.rows, 0));
     }
+}
+
+/// A reorganization whose rebuild scan cannot read the heap installs
+/// nothing: a subtree built from a partial scan would lose the tuples the
+/// scan missed, and queries would answer short with `unreadable` 0 — the
+/// lost tuples are no longer candidates at all. The candidate stays queued
+/// until the heap reads again.
+#[test]
+fn a_reorganization_that_cannot_read_the_heap_keeps_its_subtree() {
+    const FRAMES: usize = 4;
+    let store = Arc::new(FaultyPageStore::new(Arc::new(SimulatedPageStore::new())));
+    let pool = Arc::new(BufferPool::new(Arc::<FaultyPageStore>::clone(&store), FRAMES));
+    let mut db = Database::new_paged(PagedTable::new(schema(), Arc::clone(&pool)), 0);
+    for i in 0..4_000i64 {
+        db.insert(&row(i, i as f64)).unwrap(); // host = 2 · target
+    }
+    db.create_baseline_index(1, true).unwrap();
+    db.create_hermit_index(2, 1).unwrap();
+    for j in 0..2_000i64 {
+        // Off the model: buffered as outliers, which queues a split.
+        db.insert(&[Value::Int(4_000 + j), Value::Float(-1.0e9), Value::Float(j as f64)]).unwrap();
+    }
+    let point = Query::new().point(2, 1_234.0);
+    assert_eq!(db.plan(&point).kind(), PlanKind::Hermit);
+    let answer = |db: &Database| {
+        let r = db.execute(&point);
+        (r.rows.len(), r.unreadable)
+    };
+    assert_eq!(answer(&db), (2, 0), "the on-model row and its off-model twin");
+
+    let shared = SharedDatabase::new(db);
+    let queued = shared.reorg_queue_len();
+    assert!(queued > 0, "the flood must queue a split");
+    store.set_fail_reads(true);
+    let rebuilt = shared.maintenance_pass(64);
+    store.set_fail_reads(false);
+    assert_eq!(answer(shared.db()), (2, 0), "the pass must not drop the subtree's tuples");
+    assert_eq!(rebuilt, 0, "nothing rebuilt from an unreadable heap");
+    assert_eq!(shared.reorg_queue_len(), queued, "the candidate waits for a later pass");
+
+    // The healed heap serves the same candidate.
+    assert!(shared.maintenance_pass(64) > 0);
+    assert_eq!(answer(shared.db()), (2, 0));
 }

@@ -2,8 +2,8 @@
 //!
 //! `hermit_core::latches::LATCH_NESTING_EDGES` claims to be the exact set
 //! of nestings the engine exercises. This binary drives every workload
-//! family — in-memory DML, every query plan shape, composite
-//! reorganization, transactions, durable DML with WAL commits and
+//! family — in-memory DML, every query plan shape, reorganization,
+//! transactions, durable DML with WAL commits and
 //! checkpoints — then asserts **set equality both ways** against what the
 //! runtime witness actually recorded:
 //!
@@ -53,8 +53,8 @@ fn queries() -> Vec<Query> {
     ]
 }
 
-/// In-memory substrate: heap-latched DML, every plan shape, transactions,
-/// and the §4.4 composite reorganization (registry → heap).
+/// In-memory substrate: DML, every plan shape, transactions, and the §4.4
+/// reorganization of single-column and composite Hermit trees.
 fn mem_workload() {
     let mut db = Database::new(schema(), 0, TidScheme::Physical);
     for pk in 0..3_000i64 {
@@ -63,6 +63,8 @@ fn mem_workload() {
     db.create_baseline_index(1, true).unwrap();
     db.create_hermit_index(2, 1).unwrap();
     db.create_composite_baseline(0, 3).unwrap();
+    db.create_composite_baseline(0, 1).unwrap();
+    db.create_composite_hermit(0, 2, 1).unwrap();
 
     let shared = SharedDatabase::new(db);
     for pk in 3_000..3_200i64 {
@@ -85,7 +87,7 @@ fn mem_workload() {
     let loser = shared.begin().unwrap();
     shared.insert_txn(loser, &row(20_000)).unwrap();
     shared.rollback(loser).unwrap();
-    // Composite reorganization until the queue drains.
+    // Reorganization until every queue drains.
     while shared.maintenance_pass(64) > 0 {}
     for q in queries() {
         shared.execute(&q);

@@ -6,7 +6,9 @@
 //! single-threaded [`Database`] holding the same logical contents. Every
 //! plan kind is exercised (Hermit route, baseline index range scan,
 //! composite box scan on the in-memory substrate, seq scan), on both tuple
-//! schemes and both storage substrates.
+//! schemes and both storage substrates. On the in-memory substrate the
+//! worker also reorganizes a composite Hermit tree while the writers
+//! insert, and its box route is held to the oracle afterwards.
 //!
 //! The workload is deterministic *in its final state*: each writer owns a
 //! disjoint pk range for inserts and a disjoint slice of the seed rows for
@@ -14,9 +16,10 @@
 //! known and the oracle can be replayed sequentially.
 
 use hermit::core::shared::{MaintenanceConfig, MaintenanceWorker, SharedDatabase};
-use hermit::core::{BatchOptions, Database, Query, QueryResult};
+use hermit::core::{BatchOptions, CompositeIndex, Database, Query, QueryResult, RangePredicate};
 use hermit::storage::paged::{BufferPool, PagedTable, SimulatedPageStore};
 use hermit::storage::{ColumnDef, Schema, TidScheme, Value};
+use hermit::trs::TrsParams;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -28,6 +31,9 @@ const READERS: usize = 2;
 const READER_QUERIES: usize = 120;
 /// pk base for writer-inserted rows, far above every seed pk.
 const INSERT_BASE: i64 = 1_000_000;
+/// Registry position of the composite Hermit index on `(pk, target)`,
+/// routed through the `(pk, host)` baseline.
+const COMPOSITE_HERMIT: usize = 2;
 
 fn schema() -> Schema {
     Schema::new(vec![
@@ -80,6 +86,12 @@ fn build_db(substrate: &Substrate, scheme: TidScheme, with_composite: bool) -> D
     db.create_hermit_index(2, 1).unwrap();
     if with_composite {
         db.create_composite_baseline(0, 2).unwrap();
+        db.create_composite_baseline(0, 1).unwrap();
+        // A split trigger below the 1-in-17 outlier share: every buffered
+        // insert queues work, so the worker reorganizes this tree while
+        // the writers run.
+        db.set_trs_params(TrsParams { split_trigger_ratio: 0.05, ..TrsParams::default() });
+        assert_eq!(db.create_composite_hermit(0, 2, 1).unwrap(), COMPOSITE_HERMIT);
     }
     db
 }
@@ -183,6 +195,27 @@ fn run_stress(substrate: Substrate, scheme: TidScheme) {
         }
     }
     assert_eq!(shared.db().len(), oracle.len(), "live row counts diverged");
+
+    if with_composite {
+        // The composite Hermit tree took the writers' inserts and deletes
+        // while the worker reorganized it: its forced box route must give
+        // the oracle's rows, deleted seeds and new inserts alike.
+        let Some(CompositeIndex::Hermit { trs, .. }) =
+            shared.db().composites().get(COMPOSITE_HERMIT)
+        else {
+            panic!("composite Hermit index missing")
+        };
+        assert!(trs.reorg_passes() > 0, "the worker must have reorganized the composite tree");
+        let (leading, value) = (
+            RangePredicate::range(0, 0.0, 2.0 * INSERT_BASE as f64),
+            RangePredicate::range(2, 500.0, 3_500.0),
+        );
+        let want = result_pks(&oracle, &oracle.execute(&Query::filter(leading).and(value)));
+        assert!(want.len() > 3_000, "the box spans seeds and inserts: {}", want.len());
+        let got =
+            result_pks(shared.db(), &shared.db().lookup_box(COMPOSITE_HERMIT, leading, value));
+        assert_eq!(got, want, "composite Hermit box route diverged from the oracle");
+    }
 
     // Every panel query agrees with the oracle, executed alone and as one
     // batch.
