@@ -3,8 +3,11 @@
 //! batch of one. Each phase of §5.2 / Fig. 3 is written once:
 //!
 //! * **phases 1–2**, one candidate function per route: `gather_hermit`
-//!   (TRS-Tree translation, then host-index probes), `gather_baseline`, and
-//!   the composite box scan of the database's [`crate::CompositeIndexes`];
+//!   (TRS-Tree translation, then host-index probes unioned with the outlier
+//!   tids) and `gather_index` (an exact index scan). Neither knows how many
+//!   columns its index has: the one thing that differs by key is the
+//!   probe, `Probe` — `for_each_eq` / `for_each_in_range` on one column,
+//!   a box scan on two;
 //! * **phases 3–4**, one tail, `batched_resolve_validate`: primary-index
 //!   resolution under logical pointers, then validation in page order
 //!   through [`hermit_storage::paged::PagedTable::for_each_row_batch`] —
@@ -17,14 +20,15 @@
 //! Across a batch the TRS traversal scratch, the candidate and location
 //! vectors and the validation buffers are reused, not reallocated.
 
-use crate::composite::CompositeIndex;
+use crate::composite::{scan_box, CompositeKey};
 use crate::database::Database;
 use crate::executor::{QueryResult, RangePredicate};
-use crate::index::SecondaryIndex;
-use crate::latches::{self, Held, Visibility};
+use crate::index::{IndexKey, SecondaryIndex};
+use crate::latches::{self, Held, Index, ReadGuard, Visibility};
 use crate::plan::{AccessPath, QueryPlan};
 use crate::query::Query;
 use crate::rows::BlockWriter;
+use hermit_btree::BPlusTree;
 use hermit_storage::paged::BatchBuffers;
 use hermit_storage::{ColumnId, F64Key, RowLoc, Tid, TidScheme};
 use hermit_trs::{LookupScratch, TrsLookup};
@@ -50,6 +54,25 @@ pub(crate) struct BatchScratch {
     locs: Vec<RowLoc>,
     /// Page-sort keys and record window of validation (phase 4).
     rows: BatchBuffers,
+}
+
+/// A baseline index read-latched for probing: one column, or a composite
+/// one with the leading conjunct that bounds its box.
+enum Probe<'t, 'l> {
+    One(ReadGuard<'t, 'l, Index, BPlusTree<F64Key, Tid>>),
+    Two(ReadGuard<'t, 'l, Index, BPlusTree<CompositeKey, Tid>>, RangePredicate),
+}
+
+impl Probe<'_, '_> {
+    /// Every tid whose (second) key lies in `[lo, hi]`; a point takes the
+    /// equality path of a one-column tree.
+    fn for_each(&self, lo: f64, hi: f64, mut f: impl FnMut(Tid)) {
+        match self {
+            Probe::One(tree) if lo == hi => tree.for_each_eq(&F64Key(lo), |tid| f(*tid)),
+            Probe::One(tree) => tree.for_each_in_range(&F64Key(lo), &F64Key(hi), |_, tid| f(*tid)),
+            Probe::Two(tree, leading) => scan_box(tree, leading, lo, hi, f),
+        }
+    }
 }
 
 impl Database {
@@ -89,29 +112,11 @@ impl Database {
         let projection = plan.projection.as_deref();
         scratch.candidates.clear();
         let gathered = match &plan.access {
-            AccessPath::Hermit { pred, host } => match self.index(pred.column) {
-                Some(SecondaryIndex::Hermit { trs, .. }) => {
-                    self.gather_hermit(trs, *host, *pred, scratch, &mut result, vis.held())
-                }
-                _ => false, // index dropped since planning
-            },
-            AccessPath::Baseline { pred } => match self.index(pred.column) {
-                Some(SecondaryIndex::Baseline(tree)) => {
-                    self.gather_baseline(&tree.read_at(vis.held()), *pred, scratch, &mut result);
-                    true
-                }
-                _ => false,
-            },
-            AccessPath::CompositeBaseline { index, leading, value }
-            | AccessPath::CompositeHermit { index, leading, value, .. } => {
-                self.composites.gather_box_candidates(
-                    *index,
-                    *leading,
-                    *value,
-                    &mut result.breakdown,
-                    &mut scratch.candidates,
-                    vis.held(),
-                )
+            AccessPath::Index { leading, pred } => {
+                self.gather_index(*leading, *pred, scratch, &mut result, vis.held())
+            }
+            AccessPath::Hermit { leading, pred, host } => {
+                self.gather_hermit(*leading, *pred, *host, scratch, &mut result, vis.held())
             }
             AccessPath::SeqScan => {
                 self.run_scan_into(&plan.recheck, plan.limit, projection, &view, &mut result);
@@ -140,61 +145,58 @@ impl Database {
     }
 
     /// Execute a box query — `leading ∈ [lb, ub] AND value ∈ [lb, ub]` —
-    /// on the composite index at `idx`: the forced composite route, as
-    /// [`lookup_range`](Self::lookup_range) is the forced single-column
-    /// one. A baseline index answers from its tree; a Hermit index
-    /// translates the value predicate through its TRS-Tree, box-scans the
-    /// companion `(leading, host)` baseline, and re-checks both conjuncts
-    /// at the base table. Empty when `idx` names no composite index.
+    /// through the composite index at `key`, as an auto-commit reader: the
+    /// forced composite route, as [`lookup_range`](Self::lookup_range) is
+    /// the forced single-column one, planned by the same branch. Empty when
+    /// `key` names no routable index on the two predicates' columns.
     pub fn lookup_box(
         &self,
-        idx: usize,
+        key: IndexKey,
         leading: RangePredicate,
         value: RangePredicate,
     ) -> QueryResult {
-        let mut root = Held::unlocked();
-        let mut vis = latches::read_visibility(&self.txns, &mut root);
-        let view = self.txns.read_view(None);
-        let mut result = QueryResult::default();
-        let mut scratch = BatchScratch::default();
-        if self.composites.gather_box_candidates(
-            idx,
-            leading,
-            value,
-            &mut result.breakdown,
-            &mut scratch.candidates,
-            vis.held(),
-        ) {
-            // The planner's recheck rule: a box scan is exact, a translated
-            // one is not.
-            let both = [leading, value];
-            let hermit = self.composites.get(idx).is_some_and(CompositeIndex::is_hermit);
-            let recheck: &[RangePredicate] = if hermit { &both } else { &[] };
-            self.batched_resolve_validate(
-                &mut scratch,
-                recheck,
-                None,
-                &view,
-                &mut result,
-                vis.held(),
-            );
-        }
-        result
+        self.index_plan(key, &Query::filter(value).and(leading))
+            .map_or_else(QueryResult::default, |plan| self.execute_plan(&plan))
     }
 
-    /// Phases 1–2 of the Hermit route into `scratch.candidates`. The
-    /// candidates are approximate, so the plan re-checks `pred` at the base
-    /// table. Returns `false` when the host index has dropped out from under
-    /// the TRS-Tree — no results.
+    /// The baseline index at `(leading, column)` read-latched as a
+    /// [`Probe`]; `None` when it is missing or not a baseline of that
+    /// shape (dropped or replaced since planning).
+    fn probe<'t>(
+        &self,
+        leading: Option<RangePredicate>,
+        column: ColumnId,
+        held: &'t mut Held<Visibility>,
+    ) -> Option<Probe<'t, '_>> {
+        let key = IndexKey { leading: leading.map(|l| l.column), column };
+        match (self.indexes.get(&key)?, leading) {
+            (SecondaryIndex::Baseline(tree), None) => Some(Probe::One(tree.read_at(held))),
+            (SecondaryIndex::Composite(tree), Some(lead)) => {
+                Some(Probe::Two(tree.read_at(held), lead))
+            }
+            _ => None,
+        }
+    }
+
+    /// Phases 1–2 of the Hermit route into `scratch.candidates`: translate
+    /// `pred` through the TRS-Tree, probe the host's baseline index (at
+    /// the same leading column) with each range, and union the outlier
+    /// tids. The candidates are approximate, so the plan re-checks `pred`
+    /// (and `leading`) at the base table. Returns `false` when the TRS-Tree
+    /// or its host index has dropped out since planning — no results.
     fn gather_hermit(
         &self,
-        trs: &hermit_trs::ConcurrentTrsTree,
-        host: ColumnId,
+        leading: Option<RangePredicate>,
         pred: RangePredicate,
+        host: ColumnId,
         scratch: &mut BatchScratch,
         result: &mut QueryResult,
         held: &mut Held<Visibility>,
     ) -> bool {
+        let key = IndexKey { leading: leading.map(|l| l.column), column: pred.column };
+        let Some(SecondaryIndex::Hermit { trs, .. }) = self.indexes.get(&key) else {
+            return false;
+        };
         // Phase 1: TRS-Tree search into reused buffers (read latch).
         let t0 = Instant::now();
         trs.lookup_into(pred.lb, pred.ub, &mut scratch.trs, &mut scratch.approx);
@@ -204,23 +206,17 @@ impl Database {
         // with the outlier tids (which bypass the host index entirely,
         // §4.3).
         let t1 = Instant::now();
-        let Some(SecondaryIndex::Baseline(host_tree)) = self.index(host) else {
+        let Some(probe) = self.probe(leading, host, held) else {
             return false;
         };
-        let host_tree = host_tree.read_at(held);
         let candidates = &mut scratch.candidates;
         candidates.extend_from_slice(&scratch.approx.tids);
         let had_outliers = !candidates.is_empty();
         for &(lo, hi) in &scratch.approx.ranges {
-            if lo == hi {
-                host_tree.for_each_eq(&F64Key(lo), |tid| candidates.push(*tid));
-            } else {
-                host_tree
-                    .for_each_in_range(&F64Key(lo), &F64Key(hi), |_, tid| candidates.push(*tid));
-            }
+            probe.for_each(lo, hi, |tid| candidates.push(tid));
         }
         // Release the tree latch before resolution and validation.
-        drop(host_tree);
+        drop(probe);
         // The unioned ranges are disjoint, so duplicates only arise between
         // outlier tids and range results.
         if had_outliers {
@@ -231,28 +227,29 @@ impl Database {
         true
     }
 
-    /// Phase 2 of the baseline route into `scratch.candidates`: an exact
-    /// index range scan, charged to the host-index phase so the breakdown
-    /// figures line up across methods. The hits are exact on `pred`, so the
-    /// plan re-checks only the residual conjuncts — but the tuples are
-    /// fetched either way (a real query returns rows, not tids).
-    fn gather_baseline(
+    /// Phase 2 of the exact index route into `scratch.candidates`: a range
+    /// scan (or a box scan behind `leading`), charged to the host-index
+    /// phase so the breakdown figures line up across methods. The hits are
+    /// exact, so the plan re-checks only the residual conjuncts — but the
+    /// tuples are fetched either way (a real query returns rows, not tids).
+    /// Returns `false` when the index has dropped out since planning.
+    fn gather_index(
         &self,
-        tree: &hermit_btree::BPlusTree<F64Key, Tid>,
+        leading: Option<RangePredicate>,
         pred: RangePredicate,
         scratch: &mut BatchScratch,
         result: &mut QueryResult,
-    ) {
+        held: &mut Held<Visibility>,
+    ) -> bool {
+        let Some(probe) = self.probe(leading, pred.column, held) else {
+            return false;
+        };
         let t0 = Instant::now();
         let candidates = &mut scratch.candidates;
-        if pred.lb == pred.ub {
-            tree.for_each_eq(&F64Key(pred.lb), |tid| candidates.push(*tid));
-        } else {
-            tree.for_each_in_range(&F64Key(pred.lb), &F64Key(pred.ub), |_, tid| {
-                candidates.push(*tid)
-            });
-        }
+        probe.for_each(pred.lb, pred.ub, |tid| candidates.push(tid));
+        drop(probe);
         result.breakdown.host_index += t0.elapsed();
+        true
     }
 
     /// Phases 3–4, the one tail of every index route: resolve
@@ -442,10 +439,10 @@ mod tests {
                 RangePredicate::point(1, 246.0),
             ]
             .into_iter()
-            .map(|pred| db.index_plan(pred, None).unwrap())
+            .map(|pred| db.index_plan(IndexKey::single(pred.column), &Query::filter(pred)).unwrap())
             .collect();
             assert!(matches!(plans[0].access, AccessPath::Hermit { .. }));
-            assert!(matches!(plans[2].access, AccessPath::Baseline { .. }));
+            assert!(matches!(plans[2].access, AccessPath::Index { .. }));
             let capacities = |s: &BatchScratch| {
                 [
                     s.approx.ranges.capacity(),

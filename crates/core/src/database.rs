@@ -12,9 +12,10 @@
 //!   uniqueness and to resolve logical tids: a hash map, or on a
 //!   physical-pointer database from [`Database::new_paged`] a map of runs
 //!   of consecutive keys in consecutive slots ([`HashPrimaryIndex`]);
-//! * per-column secondary indexes, each a baseline B+-tree or a Hermit
-//!   TRS-Tree ([`SecondaryIndex`]), and composite `(leading, value)`
-//!   indexes on a non-durable database.
+//! * secondary indexes in one registry, each named by an [`IndexKey`] — a
+//!   column behind an optional leading column — and each a baseline
+//!   B+-tree on one column or two, or a Hermit TRS-Tree
+//!   ([`SecondaryIndex`]).
 //!
 //! The tuple-identifier scheme ([`TidScheme`]) is fixed per database, as in
 //! real systems (PostgreSQL = physical, MySQL = logical).
@@ -39,15 +40,14 @@
 //! proves the order. If you add a lock site, read that module first.
 //!
 //! Structural DDL (creating indexes, changing TRS parameters) still takes
-//! `&mut self`: the index *registries*, single-column and composite, are
-//! not latched, which keeps every per-query lookup latch-free. Build the
-//! schema first, then share.
+//! `&mut self`: the index registry is not latched, which keeps every
+//! per-query lookup latch-free. Build the schema first, then share.
 
 use crate::breakdown::{InsertBreakdown, InsertTimer};
-use crate::composite::{CompositeIndex, CompositeIndexes};
+use crate::composite::CompositeKey;
 use crate::correlation::{discover_correlations, DiscoveryConfig};
 use crate::error::CoreError;
-use crate::index::SecondaryIndex;
+use crate::index::{IndexKey, SecondaryIndex};
 use crate::latches::{Held, LatchedRwLock, Primary, Visibility, Witnessed};
 use crate::recovery::Bracket;
 use hermit_btree::{BPlusTree, HashPrimaryIndex};
@@ -114,17 +114,13 @@ pub struct Database {
     pub(crate) scheme: TidScheme,
     pub(crate) pk_col: ColumnId,
     pub(crate) primary: LatchedRwLock<Primary, HashPrimaryIndex>,
-    /// Secondary indexes by indexed column. The map itself only changes
-    /// under `&mut self` (DDL); each index is internally latched, so DML
-    /// and queries share it latch-free.
-    pub(crate) secondary: BTreeMap<ColumnId, SecondaryIndex>,
-    /// Composite `(leading, value)` secondary indexes, maintained by DML
-    /// and visible to the query planner. Like `secondary`, the registry
-    /// changes only under `&mut self` and each index latches itself.
-    pub(crate) composites: CompositeIndexes,
-    /// Columns whose indexes existed before the experiment began; their
-    /// maintenance cost is charged to "existing indexes" in breakdowns.
-    pub(crate) existing: Vec<ColumnId>,
+    /// Every secondary index, single-column and composite, by key. The map
+    /// itself only changes under `&mut self` (DDL); each index is
+    /// internally latched, so DML and queries share it latch-free.
+    pub(crate) indexes: BTreeMap<IndexKey, SecondaryIndex>,
+    /// Indexes that existed before the experiment began; their maintenance
+    /// cost and memory are charged to "existing indexes" in breakdowns.
+    pub(crate) existing: Vec<IndexKey>,
     pub(crate) trs_params: TrsParams,
     /// Checkpoint/WAL state for restart-survivable databases (see
     /// [`crate::recovery`]); `None` for ephemeral ones. DML holds its
@@ -170,8 +166,7 @@ impl Database {
             scheme,
             pk_col,
             primary: LatchedRwLock::new(primary),
-            secondary: BTreeMap::new(),
-            composites: CompositeIndexes::default(),
+            indexes: BTreeMap::new(),
             existing: Vec::new(),
             trs_params: TrsParams::default(),
             durability: None,
@@ -195,11 +190,6 @@ impl Database {
         self.pk_col
     }
 
-    /// The composite indexes the planner consults.
-    pub fn composites(&self) -> &CompositeIndexes {
-        &self.composites
-    }
-
     /// Borrow the heap.
     pub fn heap(&self) -> &PagedTable {
         &self.heap
@@ -215,14 +205,38 @@ impl Database {
         self.heap.is_empty()
     }
 
-    /// Borrow a secondary index.
+    /// Borrow the single-column secondary index on `col`.
     pub fn index(&self, col: ColumnId) -> Option<&SecondaryIndex> {
-        self.secondary.get(&col)
+        self.indexes.get(&IndexKey::single(col))
     }
 
-    /// Columns with secondary indexes, in column order.
+    /// Borrow the secondary index named `key`, single-column or composite.
+    pub fn index_at(&self, key: IndexKey) -> Option<&SecondaryIndex> {
+        self.indexes.get(&key)
+    }
+
+    /// Every secondary index, in key order: single-column ones by column,
+    /// then composites by `(leading, column)`.
+    pub fn indexes(&self) -> impl Iterator<Item = (IndexKey, &SecondaryIndex)> {
+        self.indexes.iter().map(|(&key, index)| (key, index))
+    }
+
+    /// The baseline index a Hermit index at `key` routes its translated
+    /// probes through: the one at `(key.leading, host)`, if that is a
+    /// baseline of the matching shape.
+    pub(crate) fn host_index(&self, key: IndexKey, host: ColumnId) -> Option<&SecondaryIndex> {
+        let index = self.indexes.get(&key.host(host))?;
+        match (index, key.leading) {
+            (SecondaryIndex::Baseline(_), None) | (SecondaryIndex::Composite(_), Some(_)) => {
+                Some(index)
+            }
+            _ => None,
+        }
+    }
+
+    /// Columns with single-column secondary indexes, in column order.
     pub fn indexed_columns(&self) -> Vec<ColumnId> {
-        self.secondary.keys().copied().collect()
+        self.indexes.keys().filter(|key| key.leading.is_none()).map(|key| key.column).collect()
     }
 
     /// The primary index (read latch), without a token: for callers
@@ -317,8 +331,8 @@ impl Database {
         Ok(tid)
     }
 
-    /// Physically apply an insert: heap, primary index, secondary and
-    /// composite index maintenance. No conflict check, no WAL — the shared
+    /// Physically apply an insert: heap, primary index, secondary index
+    /// maintenance. No conflict check, no WAL — the shared
     /// apply step of auto-commit inserts, transactional inserts, recovery
     /// replay, and rollback compensation. `encoded` is the row's record when
     /// the caller already encoded it ([`PagedTable::encode_row`]). Runs at
@@ -341,35 +355,33 @@ impl Database {
         timer.charge(t0, |b| &mut b.table);
         let tid = self.make_tid(pk, loc);
 
-        // Maintain secondary indexes, charging existing vs new separately.
-        for (&col, index) in self.secondary.iter() {
+        // Maintain every index, charging existing vs new separately.
+        for (key, index) in &self.indexes {
             let t1 = timer.start();
             match index {
                 SecondaryIndex::Baseline(tree) => {
-                    if let Some(key) = row[col].as_f64() {
-                        tree.write_at(held).insert(F64Key(key), tid);
+                    if let Some(v) = row[key.column].as_f64() {
+                        tree.write_at(held).insert(F64Key(v), tid);
+                    }
+                }
+                SecondaryIndex::Composite(tree) => {
+                    if let Some(k) = composite_key(*key, row) {
+                        tree.write_at(held).insert(k, tid);
                     }
                 }
                 SecondaryIndex::Hermit { trs, host } => {
-                    if let (Some(m), Some(n)) = (row[col].as_f64(), row[*host].as_f64()) {
+                    if let (Some(m), Some(n)) = (row[key.column].as_f64(), row[*host].as_f64()) {
                         trs.insert(m, n, tid);
                     }
                 }
             }
             timer.charge(t1, |b| {
-                if self.existing.contains(&col) {
+                if self.existing.contains(key) {
                     &mut b.existing_indexes
                 } else {
                     &mut b.new_indexes
                 }
             });
-        }
-
-        // Maintain composite indexes (charged as new).
-        if !self.composites.is_empty() {
-            let t2 = timer.start();
-            self.composites.maintain_insert(row, tid, held);
-            timer.charge(t2, |b| &mut b.new_indexes);
         }
         Ok(tid)
     }
@@ -378,8 +390,8 @@ impl Database {
     ///
     /// The heap delete happens *first*, as one atomic fetch-and-tombstone:
     /// if it fails, no index has been touched and the database stays
-    /// consistent (previously the secondary and composite indexes were
-    /// updated before the heap, so a failing heap delete left them
+    /// consistent (previously the secondary indexes were updated before
+    /// the heap, so a failing heap delete left them
     /// disagreeing with the base table). Index entries are removed after; a
     /// concurrent reader that still finds the stale tid simply fails tid
     /// resolution / validation, exactly like any other dead candidate.
@@ -395,7 +407,7 @@ impl Database {
     }
 
     /// Physically apply a delete by pk: heap fetch-and-tombstone first,
-    /// then primary / secondary / composite index removal. No conflict
+    /// then primary and secondary index removal. No conflict
     /// check, no WAL — the shared apply step of auto-commit deletes,
     /// transactional deletes, recovery replay, and rollback compensation.
     /// Returns the deleted row's pre-image. Runs at the visibility rank,
@@ -409,22 +421,24 @@ impl Database {
         let row = self.heap.delete_returning(loc)?;
         let tid = self.make_tid(pk, loc);
         self.primary.write_at(held).remove(pk);
-        for (&col, index) in self.secondary.iter() {
+        for (key, index) in &self.indexes {
             match index {
                 SecondaryIndex::Baseline(tree) => {
-                    if let Some(key) = row[col].as_f64() {
-                        tree.write_at(held).remove(&F64Key(key), &tid);
+                    if let Some(v) = row[key.column].as_f64() {
+                        tree.write_at(held).remove(&F64Key(v), &tid);
+                    }
+                }
+                SecondaryIndex::Composite(tree) => {
+                    if let Some(k) = composite_key(*key, &row) {
+                        tree.write_at(held).remove(&k, &tid);
                     }
                 }
                 SecondaryIndex::Hermit { trs, .. } => {
-                    if let Some(m) = row[col].as_f64() {
+                    if let Some(m) = row[key.column].as_f64() {
                         trs.delete(m, tid);
                     }
                 }
             }
-        }
-        if !self.composites.is_empty() {
-            self.composites.maintain_delete(&row, tid, held);
         }
         Ok(row)
     }
@@ -438,25 +452,7 @@ impl Database {
         col: ColumnId,
         existing: bool,
     ) -> hermit_storage::Result<()> {
-        // An unknown column is a typed error, not an empty index.
-        self.heap.stats(col)?;
-        let tree = self.bulk_load(|row| row.f64(col).map(F64Key))?;
-        self.secondary.insert(col, SecondaryIndex::baseline(tree));
-        if existing && !self.existing.contains(&col) {
-            self.existing.push(col);
-        }
-        Ok(())
-    }
-
-    /// The paper's precondition for a Hermit index: the host column must
-    /// already carry a complete baseline index for the TRS-Tree's second
-    /// hop to probe.
-    fn require_host_index(&self, target: ColumnId, host: ColumnId) -> Result<(), CoreError> {
-        if matches!(self.secondary.get(&host), Some(SecondaryIndex::Baseline(_))) {
-            Ok(())
-        } else {
-            Err(CoreError::MissingHostIndex { target, host })
-        }
+        self.create_baseline_at(IndexKey::single(col), existing)
     }
 
     /// Create a Hermit index on `target` routed through `host`, whose
@@ -468,10 +464,91 @@ impl Database {
         target: ColumnId,
         host: ColumnId,
     ) -> Result<(), CoreError> {
-        self.require_host_index(target, host)?;
-        let trs = self.build_trs(target, host)?;
-        self.secondary.insert(target, SecondaryIndex::Hermit { trs, host });
+        self.create_hermit_at(IndexKey::single(target), host)
+    }
+
+    /// Create a composite baseline B+-tree on `(leading, value)`,
+    /// bulk-loaded from the current table contents: subsequent DML
+    /// maintains it and the query planner can choose it for box queries.
+    /// Returns its key.
+    pub fn create_composite_baseline(
+        &mut self,
+        leading: ColumnId,
+        value: ColumnId,
+    ) -> Result<IndexKey, CoreError> {
+        let key = IndexKey::composite(leading, value);
+        self.create_baseline_at(key, false)?;
+        Ok(key)
+    }
+
+    /// Bulk-load a complete baseline B+-tree at `key` — on one column, or
+    /// on `(leading, column)` — from the current table contents.
+    /// `existing` charges it to the existing indexes.
+    pub(crate) fn create_baseline_at(
+        &mut self,
+        key: IndexKey,
+        existing: bool,
+    ) -> hermit_storage::Result<()> {
+        // An unknown column is a typed error, not an empty index.
+        if let Some(leading) = key.leading {
+            self.heap.stats(leading)?;
+        }
+        self.heap.stats(key.column)?;
+        let index = match key.leading {
+            None => {
+                SecondaryIndex::baseline(self.bulk_load(|row| row.f64(key.column).map(F64Key))?)
+            }
+            Some(leading) => {
+                SecondaryIndex::Composite(LatchedRwLock::new(self.bulk_load(|row| {
+                    Some((F64Key(row.f64(leading)?), F64Key(row.f64(key.column)?)))
+                })?))
+            }
+        };
+        self.register(key, index, existing);
         Ok(())
+    }
+
+    /// Create a composite Hermit index on `(leading, target)` routed
+    /// through `host`: requires a composite baseline on `(leading, host)`
+    /// (typed [`CoreError::MissingHostIndex`] otherwise). Returns its key.
+    pub fn create_composite_hermit(
+        &mut self,
+        leading: ColumnId,
+        target: ColumnId,
+        host: ColumnId,
+    ) -> Result<IndexKey, CoreError> {
+        let key = IndexKey::composite(leading, target);
+        self.create_hermit_at(key, host)?;
+        Ok(key)
+    }
+
+    /// Build a Hermit index at `key` on `key.column → host`. The paper's
+    /// precondition: the baseline at `(key.leading, host)` must already
+    /// exist for the TRS-Tree's second hop to probe.
+    pub(crate) fn create_hermit_at(
+        &mut self,
+        key: IndexKey,
+        host: ColumnId,
+    ) -> Result<(), CoreError> {
+        if self.host_index(key, host).is_none() {
+            return Err(CoreError::MissingHostIndex {
+                leading: key.leading,
+                target: key.column,
+                host,
+            });
+        }
+        let trs = self.build_trs(key.column, host)?;
+        self.register(key, SecondaryIndex::Hermit { trs, host }, false);
+        Ok(())
+    }
+
+    /// Put `index` into the registry at `key`, replacing whatever was
+    /// there; `existing` charges it to the existing indexes.
+    pub(crate) fn register(&mut self, key: IndexKey, index: SecondaryIndex, existing: bool) {
+        self.indexes.insert(key, index);
+        if existing && !self.existing.contains(&key) {
+            self.existing.push(key);
+        }
     }
 
     /// Bulk-load a B+-tree keyed by `key` in one pass over the heap, no row
@@ -513,53 +590,6 @@ impl Database {
         Ok(ConcurrentTrsTree::new(TrsTree::build(self.trs_params, range, pairs)))
     }
 
-    /// A database owns composite indexes only while it is not durable: the
-    /// checkpoint catalog records none, so a durable database would lose
-    /// them at the next restart.
-    fn require_non_durable_for_composites(&self) -> Result<(), CoreError> {
-        match self.durability {
-            None => Ok(()),
-            Some(_) => Err(CoreError::CompositeOnDurable),
-        }
-    }
-
-    /// Create a composite baseline B+-tree on `(leading, value)`,
-    /// bulk-loaded from the current table contents and owned by this
-    /// database: subsequent inserts maintain it and the query planner can
-    /// choose it for 2-conjunct box queries. Returns its registry position.
-    pub fn create_composite_baseline(
-        &mut self,
-        leading: ColumnId,
-        value: ColumnId,
-    ) -> Result<usize, CoreError> {
-        self.require_non_durable_for_composites()?;
-        self.heap.stats(leading)?;
-        self.heap.stats(value)?;
-        let tree =
-            self.bulk_load(|row| Some((F64Key(row.f64(leading)?), F64Key(row.f64(value)?))))?;
-        let tree = LatchedRwLock::new(tree);
-        Ok(self.composites.push(CompositeIndex::Baseline { tree, leading, value }))
-    }
-
-    /// Create a composite Hermit index on `(leading, target)` routed
-    /// through `host`: requires a composite baseline on `(leading, host)`
-    /// in this database's registry (typed
-    /// [`CoreError::MissingCompositeHost`] otherwise). Returns its
-    /// registry position.
-    pub fn create_composite_hermit(
-        &mut self,
-        leading: ColumnId,
-        target: ColumnId,
-        host: ColumnId,
-    ) -> Result<usize, CoreError> {
-        self.require_non_durable_for_composites()?;
-        if self.composites.companion_baseline(leading, host).is_none() {
-            return Err(CoreError::MissingCompositeHost { leading, host });
-        }
-        let trs = self.build_trs(target, host)?;
-        Ok(self.composites.push(CompositeIndex::Hermit { trs, leading, target, host }))
-    }
-
     /// The paper's index-creation flow (§3): on `CREATE INDEX`, check the
     /// correlation registry for a qualifying host column that already has
     /// an index; build a Hermit index if one exists, otherwise fall back to
@@ -569,8 +599,14 @@ impl Database {
         target: ColumnId,
         config: &DiscoveryConfig,
     ) -> Result<bool, CoreError> {
-        let hosts: Vec<ColumnId> =
-            self.secondary.iter().filter(|(_, idx)| !idx.is_hermit()).map(|(&c, _)| c).collect();
+        let hosts: Vec<ColumnId> = self
+            .indexes
+            .iter()
+            .filter(|(key, idx)| {
+                matches!(idx, SecondaryIndex::Baseline(_)) && key.leading.is_none()
+            })
+            .map(|(key, _)| key.column)
+            .collect();
         let candidates = discover_correlations(&self.heap, target, &hosts, config);
         if let Some(best) = candidates.first() {
             self.create_hermit_index(target, best.host)?;
@@ -627,8 +663,8 @@ impl Database {
             existing_indexes: self.primary.read_at(&mut Held::unlocked()).memory_bytes(),
             new_indexes: 0,
         };
-        for (col, index) in &self.secondary {
-            if self.existing.contains(col) {
+        for (key, index) in &self.indexes {
+            if self.existing.contains(key) {
                 report.existing_indexes += index.memory_bytes();
             } else {
                 report.new_indexes += index.memory_bytes();
@@ -636,6 +672,12 @@ impl Database {
         }
         report
     }
+}
+
+/// The two-column key of `row` in the composite index at `key`; `None`
+/// when either cell is NULL (or `key` names one column).
+pub(crate) fn composite_key(key: IndexKey, row: &[Value]) -> Option<CompositeKey> {
+    Some((F64Key(row[key.leading?].as_f64()?), F64Key(row[key.column].as_f64()?)))
 }
 
 /// [`PairSource`] adapter so TRS-Tree reorganization can re-scan a
@@ -721,7 +763,7 @@ mod tests {
         let mut db = populated(TidScheme::Physical, 100);
         assert_eq!(
             db.create_hermit_index(2, 1),
-            Err(CoreError::MissingHostIndex { target: 2, host: 1 }),
+            Err(CoreError::MissingHostIndex { leading: None, target: 2, host: 1 }),
             "missing host index must be a typed error, not a panic"
         );
         // A Hermit index on the host does not satisfy it either.
@@ -729,7 +771,7 @@ mod tests {
         db.create_hermit_index(2, 1).unwrap();
         assert_eq!(
             db.create_hermit_index(3, 2),
-            Err(CoreError::MissingHostIndex { target: 3, host: 2 }),
+            Err(CoreError::MissingHostIndex { leading: None, target: 3, host: 2 }),
             "a TRS-Tree cannot serve as a host index"
         );
     }
@@ -817,33 +859,28 @@ mod tests {
         assert_eq!(db.index(2).unwrap().host_column(), Some(1));
     }
 
-    /// Both composite kinds on both non-durable databases; a durable one
-    /// refuses either with a typed error and registers nothing.
+    /// Both composite kinds on both non-durable databases. (A durable one
+    /// keeps them too, across a restart: `tests/durability.rs`.)
     #[test]
     fn composites_are_refused_only_on_a_durable_database() {
         for mut db in [populated(TidScheme::Logical, 5_000), paged(5_000)] {
-            let host = db.create_composite_baseline(0, 1).unwrap();
-            let hermit = db.create_composite_hermit(0, 2, 1).unwrap();
-            let direct = db.create_composite_baseline(0, 2).unwrap();
-            assert_eq!((host, hermit, direct, db.composites().len()), (0, 1, 2, 3));
-            let rows = |idx| {
+            let rows = |db: &Database, key| {
                 let leading = crate::RangePredicate::range(0, 1_000.0, 3_000.0);
                 let value = crate::RangePredicate::range(2, 1_500.0, 2_000.0);
-                db.lookup_box(idx, leading, value).rows.len()
+                db.lookup_box(key, leading, value).rows.len()
             };
-            assert_eq!((rows(hermit), rows(direct)), (501, 501));
+            let host = db.create_composite_baseline(0, 1).unwrap();
+            let hermit = db.create_composite_hermit(0, 2, 1).unwrap();
+            let hermit_rows = rows(&db, hermit);
+            // The direct baseline takes the Hermit index's key.
+            let direct = db.create_composite_baseline(0, 2).unwrap();
+            let composites = db.indexes().filter(|(key, _)| key.leading.is_some()).count();
+            assert_eq!(
+                (host, hermit, direct, composites),
+                (IndexKey::composite(0, 1), IndexKey::composite(0, 2), hermit, 2)
+            );
+            assert_eq!((hermit_rows, rows(&db, direct)), (501, 501));
         }
-
-        let dir = std::env::temp_dir().join(format!("hermit-dur-composite-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let config = crate::DurabilityConfig::default();
-        let mut db = Database::create_durable(schema(), 0, &dir, &config).unwrap();
-        db.insert(&[Value::Int(1), Value::Float(2.0), Value::Float(1.0)]).unwrap();
-        assert_eq!(db.create_composite_baseline(0, 1), Err(CoreError::CompositeOnDurable));
-        assert_eq!(db.create_composite_hermit(0, 2, 1), Err(CoreError::CompositeOnDurable));
-        assert!(db.composites().is_empty());
-        drop(db);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -876,6 +913,17 @@ mod tests {
             "Hermit new-index share must be small: {report:?}"
         );
         assert_eq!(report.total(), report.table + report.existing_indexes + report.new_indexes);
+
+        // A composite baseline and the composite Hermit index routed
+        // through it count once each, as new indexes.
+        let host = db.create_composite_baseline(0, 1).unwrap();
+        let hermit = db.create_composite_hermit(0, 2, 1).unwrap();
+        let composite_bytes: usize =
+            [host, hermit].iter().map(|&key| db.index_at(key).unwrap().memory_bytes()).sum();
+        assert!(composite_bytes > 0);
+        let after = db.memory_report();
+        assert_eq!(after.existing_indexes, report.existing_indexes);
+        assert_eq!(after.new_indexes, report.new_indexes + composite_bytes);
     }
 
     #[test]

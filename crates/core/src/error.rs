@@ -11,28 +11,18 @@ use std::fmt;
 /// Errors produced by [`crate::Database`] operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CoreError {
-    /// A Hermit index was requested on `target` routed through `host`, but
-    /// `host` carries no baseline B+-tree (the paper's precondition: the
-    /// TRS-Tree's second hop needs a complete index to probe).
+    /// A Hermit index was requested on `target` (behind `leading`, for a
+    /// composite) routed through `host`, but no baseline B+-tree exists at
+    /// `(leading, host)` (the paper's precondition: the TRS-Tree's second
+    /// hop needs a complete index to probe).
     MissingHostIndex {
+        /// Leading column of the requested index; `None` for one column.
+        leading: Option<ColumnId>,
         /// Column the Hermit index was requested on.
         target: ColumnId,
         /// Host column that lacks a baseline index.
         host: ColumnId,
     },
-    /// A composite Hermit index on `(leading, target)` was requested, but
-    /// no composite baseline index on `(leading, host)` exists to serve the
-    /// translated box probes.
-    MissingCompositeHost {
-        /// Shared leading column.
-        leading: ColumnId,
-        /// Host column of the missing `(leading, host)` baseline.
-        host: ColumnId,
-    },
-    /// Composite-index DDL on a durable database: the checkpoint catalog
-    /// records no composite index, so the index would be lost at the next
-    /// restart.
-    CompositeOnDurable,
     /// A durability operation (checkpoint, open, WAL commit) was requested
     /// on a database that cannot support it — one whose heap store is not
     /// the directory's page file (an in-memory database has no file at all).
@@ -64,20 +54,15 @@ pub enum CoreError {
 impl fmt::Display for CoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CoreError::MissingHostIndex { target, host } => write!(
+            CoreError::MissingHostIndex { leading: None, target, host } => write!(
                 f,
                 "cannot build a Hermit index on column {target}: host column {host} has no \
                  baseline index to route through"
             ),
-            CoreError::MissingCompositeHost { leading, host } => write!(
+            CoreError::MissingHostIndex { leading: Some(leading), target, host } => write!(
                 f,
-                "cannot build a composite Hermit index: no composite baseline index on \
-                 (leading={leading}, host={host}) exists"
-            ),
-            CoreError::CompositeOnDurable => write!(
-                f,
-                "composite indexes are not supported on a durable database: the checkpoint \
-                 catalog does not record them"
+                "cannot build a Hermit index on (leading={leading}, {target}): no composite \
+                 baseline index on (leading={leading}, host={host}) to route through"
             ),
             CoreError::NotDurable { reason } => write!(f, "database is not durable: {reason}"),
             CoreError::Recovery(what) => write!(f, "recovery failed: {what}"),
@@ -136,7 +121,11 @@ mod tests {
 
     #[test]
     fn display_and_conversion() {
-        let e = CoreError::MissingHostIndex { target: 2, host: 1 };
+        let e = CoreError::MissingHostIndex { leading: None, target: 2, host: 1 };
+        assert!(e.to_string().contains("host column 1"));
+        let e = CoreError::MissingHostIndex { leading: Some(0), target: 2, host: 1 };
+        assert!(e.to_string().contains("(leading=0, host=1)"));
+        let e = CoreError::MissingHostIndex { leading: None, target: 2, host: 1 };
         assert!(e.to_string().contains("host column 1"));
         let e: CoreError = StorageError::PageFull.into();
         assert!(matches!(e, CoreError::Storage(StorageError::PageFull)));

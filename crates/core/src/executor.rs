@@ -32,6 +32,7 @@
 use crate::batch::BatchScratch;
 use crate::breakdown::LookupBreakdown;
 use crate::database::Database;
+use crate::index::IndexKey;
 use crate::plan::QueryPlan;
 use crate::query::Query;
 use crate::rows::{BlockWriter, RowBlock};
@@ -170,7 +171,8 @@ impl Database {
     /// result. `extra` is a second conjunct validated at the base table
     /// (the Stock workload's `TIME BETWEEN ? AND ?`).
     pub fn lookup_range(&self, pred: RangePredicate, extra: Option<RangePredicate>) -> QueryResult {
-        self.index_plan(pred, extra)
+        let query = extra.into_iter().fold(Query::filter(pred), Query::and);
+        self.index_plan(IndexKey::single(pred.column), &query)
             .map_or_else(QueryResult::default, |plan| self.execute_plan(&plan))
     }
 

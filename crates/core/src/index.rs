@@ -1,26 +1,65 @@
-//! Secondary-index kinds managed by a [`crate::Database`].
+//! Secondary-index kinds managed by a [`crate::Database`], and the key
+//! that names each of them in its one registry.
 //!
-//! Both kinds are shareable across threads (the concurrent serving layer of
+//! Every kind is shareable across threads (the concurrent serving layer of
 //! [`crate::shared`]): a baseline B+-tree sits behind a coarse
 //! `parking_lot::RwLock` — point/range maintenance takes the write side
 //! briefly, probes take the read side — while a Hermit index uses
 //! [`ConcurrentTrsTree`], the Appendix-B wrapper whose writers divert to a
 //! side buffer during background reorganization.
 
+use crate::composite::CompositeKey;
 use crate::latches::{Held, Index, LatchedRwLock};
 use hermit_btree::BPlusTree;
 use hermit_storage::{ColumnId, F64Key, Tid};
 use hermit_trs::ConcurrentTrsTree;
 
-/// A secondary index on one column: either a complete baseline B+-tree or a
-/// succinct Hermit TRS-Tree routed through a host column.
+/// The name of a secondary index: the column it indexes, behind an optional
+/// leading column (§3's index on `(A, M)` has `leading = A`, `column = M`).
+/// A single-column index is the case with no leading column.
+///
+/// The derived order puts every single-column index (`leading: None`)
+/// first, by column, then the composites by `(leading, column)`: the order
+/// in which DML maintains them and the catalog lists them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct IndexKey {
+    /// Leading column of a composite index; `None` for a single column.
+    pub leading: Option<ColumnId>,
+    /// The indexed column: a baseline's key, a Hermit index's target.
+    pub column: ColumnId,
+}
+
+impl IndexKey {
+    /// The key of a single-column index on `column`.
+    pub const fn single(column: ColumnId) -> Self {
+        IndexKey { leading: None, column }
+    }
+
+    /// The key of a composite index on `(leading, column)`.
+    pub const fn composite(leading: ColumnId, column: ColumnId) -> Self {
+        IndexKey { leading: Some(leading), column }
+    }
+
+    /// The key of the baseline index a Hermit index at this key routes
+    /// through: the same leading column, on `host`.
+    pub const fn host(self, host: ColumnId) -> Self {
+        IndexKey { leading: self.leading, column: host }
+    }
+}
+
+/// A secondary index: a complete baseline B+-tree on one column or on two,
+/// or a succinct Hermit TRS-Tree routed through a host column's baseline.
 pub enum SecondaryIndex {
-    /// Conventional complete index: target value → tid, behind a coarse
-    /// reader-writer latch.
+    /// Conventional complete index on one column: value → tid, behind a
+    /// coarse reader-writer latch.
     Baseline(LatchedRwLock<Index, BPlusTree<F64Key, Tid>>),
+    /// Complete composite index on `(leading, column)`, keyed
+    /// lexicographically, behind its own latch.
+    Composite(LatchedRwLock<Index, BPlusTree<CompositeKey, Tid>>),
     /// Hermit index: a TRS-Tree modeling the target→host correlation, plus
-    /// the host column whose baseline index serves the second hop. The tree
-    /// carries its own Appendix-B latch + side buffer.
+    /// the host column whose baseline index — at the same leading column —
+    /// serves the second hop. The tree carries its own Appendix-B latch +
+    /// side buffer.
     Hermit {
         /// The succinct correlation structure.
         trs: ConcurrentTrsTree,
@@ -44,7 +83,7 @@ impl SecondaryIndex {
     pub fn host_column(&self) -> Option<ColumnId> {
         match self {
             SecondaryIndex::Hermit { host, .. } => Some(*host),
-            SecondaryIndex::Baseline(_) => None,
+            SecondaryIndex::Baseline(_) | SecondaryIndex::Composite(_) => None,
         }
     }
 
@@ -52,6 +91,7 @@ impl SecondaryIndex {
     pub fn memory_bytes(&self) -> usize {
         match self {
             SecondaryIndex::Baseline(tree) => tree.read_at(&mut Held::unlocked()).memory_bytes(),
+            SecondaryIndex::Composite(tree) => tree.read_at(&mut Held::unlocked()).memory_bytes(),
             SecondaryIndex::Hermit { trs, .. } => trs.memory_bytes(),
         }
     }
@@ -73,5 +113,27 @@ mod tests {
         assert!(hermit.is_hermit());
         assert_eq!(hermit.host_column(), Some(3));
         assert!(hermit.memory_bytes() > 0);
+    }
+
+    #[test]
+    fn single_column_keys_sort_first_and_a_host_keeps_the_leading_column() {
+        let mut keys = [
+            IndexKey::composite(0, 1),
+            IndexKey::single(5),
+            IndexKey::composite(0, 0),
+            IndexKey::single(2),
+        ];
+        keys.sort();
+        assert_eq!(
+            keys,
+            [
+                IndexKey::single(2),
+                IndexKey::single(5),
+                IndexKey::composite(0, 0),
+                IndexKey::composite(0, 1)
+            ]
+        );
+        assert_eq!(IndexKey::composite(0, 2).host(1), IndexKey::composite(0, 1));
+        assert_eq!(IndexKey::single(2).host(1), IndexKey::single(1));
     }
 }

@@ -26,8 +26,8 @@
 //!   variants): quiesce (read) → WAL guard (`Durability::statement`), both
 //!   held across the heap apply + WAL append; the apply step then takes
 //!   the primary latch and each per-index latch — composite trees included —
-//!   transiently, one at a time. The index registries change only under
-//!   `&mut Database` and have no latch. The WAL
+//!   transiently, one at a time. The index registry changes only under
+//!   `&mut Database` and has no latch. The WAL
 //!   guard sits *above* the data latches deliberately — apply order and log
 //!   order must be the same total order (see `Durability::statement` in
 //!   [`crate::recovery`]), so the guard is taken before the first heap

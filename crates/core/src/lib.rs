@@ -30,8 +30,9 @@
 //!
 //! [`query`] and [`plan`] form the unified query surface: a declarative
 //! [`Query`] of arbitrary conjuncts is turned into an inspectable, costed
-//! [`QueryPlan`] (EXPLAIN via `Display`) choosing among the Hermit route, a
-//! baseline index, a composite box scan, or a sequential-scan fallback.
+//! [`QueryPlan`] (EXPLAIN via `Display`) choosing among the indexes of one
+//! registry — each a baseline or Hermit index on one column or, behind a
+//! leading column, on two ([`IndexKey`]) — or a sequential-scan fallback.
 //! [`Database::execute`] and [`Database::execute_batch`] run plans through
 //! one pipeline ([`batch`]): a single query is a batch of one. A projection
 //! comes back as a [`RowBlock`] written during base-table validation
@@ -63,13 +64,13 @@ pub mod txn;
 
 pub use batch::BatchOptions;
 pub use breakdown::{InsertBreakdown, LookupBreakdown, Phase};
-pub use composite::{CompositeIndex, CompositeIndexes};
+pub use composite::CompositeKey;
 pub use correlation::{discover_correlations, CorrelationReport, DiscoveryConfig};
 pub use database::{Database, MemoryReport, PoolIoCounters, IN_MEMORY_POOL_PAGES};
 pub use error::CoreError;
 pub use executor::{QueryResult, RangePredicate};
 pub use hermit_txn::{TxnCounters, TxnError};
-pub use index::SecondaryIndex;
+pub use index::{IndexKey, SecondaryIndex};
 pub use metrics::{LatencyHistogram, PlanLatencies};
 pub use plan::{AccessPath, PlanKind, QueryPlan};
 pub use query::Query;

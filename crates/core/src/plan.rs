@@ -7,13 +7,13 @@
 //! planner enumerates every access path the database's indexes support for
 //! the query's conjuncts —
 //!
-//! * **Hermit route** — the conjunct's column carries a TRS-Tree whose
-//!   host column has a baseline B+-tree (Fig. 3 phases 1–2);
-//! * **index range scan** — the conjunct's column carries a complete
-//!   baseline B+-tree;
-//! * **composite box scan** — two conjuncts match a composite
-//!   `(leading, value)` index (§3's multi-column case), baseline or
-//!   Hermit-routed;
+//! * **index scan** — the conjunct's column carries a complete baseline
+//!   B+-tree: a range scan on one column, or a *box scan* when a second
+//!   conjunct matches the leading column of a composite `(leading, column)`
+//!   index (§3's multi-column case);
+//! * **Hermit route** — the conjunct's column carries a TRS-Tree whose host
+//!   has a baseline B+-tree at the same leading column (Fig. 3 phases 1–2),
+//!   with or without a leading conjunct;
 //! * **seq scan** — the always-available fallback: stream the heap and
 //!   validate every conjunct (this is what makes queries over unindexed
 //!   columns return rows instead of silently nothing);
@@ -29,10 +29,9 @@
 //! [`QueryPlan`]'s `Display` is the stable EXPLAIN format asserted in the
 //! test suite and shown by `examples/query_plans.rs`.
 
-use crate::composite::CompositeIndex;
 use crate::database::Database;
 use crate::executor::RangePredicate;
-use crate::index::SecondaryIndex;
+use crate::index::{IndexKey, SecondaryIndex};
 use crate::query::Query;
 use hermit_storage::{ColumnId, ColumnStats, TidScheme};
 use std::fmt;
@@ -49,42 +48,28 @@ const COST_CANDIDATE: f64 = 4.0;
 /// Cost of one TRS-Tree traversal (phase 1).
 const COST_TRS: f64 = 8.0;
 
-/// The structure that drives phases 1–2 of a plan.
+/// The structure that drives phases 1–2 of a plan. An index path names its
+/// index by the columns of its conjuncts: `leading` is set exactly when the
+/// index is a composite one on `(leading.column, pred.column)`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AccessPath {
-    /// Hermit route: TRS-Tree on the predicate's column translates it into
-    /// ranges on `host`, whose baseline B+-tree serves the probes.
+    /// Complete baseline B+-tree: a range scan on `pred`'s column, or a box
+    /// scan of the composite index behind `leading`. Exact on both.
+    Index {
+        /// Conjunct on the leading column of a composite index.
+        leading: Option<RangePredicate>,
+        /// The driving conjunct.
+        pred: RangePredicate,
+    },
+    /// Hermit route: the TRS-Tree on `pred`'s column translates it into
+    /// ranges on `host`, whose baseline B+-tree at the same leading column
+    /// serves the probes.
     Hermit {
+        /// Conjunct on the leading column of a composite index.
+        leading: Option<RangePredicate>,
         /// The driving conjunct (answered approximately).
         pred: RangePredicate,
         /// Host column whose complete index is probed.
-        host: ColumnId,
-    },
-    /// Complete baseline B+-tree range scan on the predicate's column.
-    Baseline {
-        /// The driving conjunct (answered exactly).
-        pred: RangePredicate,
-    },
-    /// Box scan on a composite `(leading, value)` baseline B+-tree.
-    CompositeBaseline {
-        /// Registry position of the composite index.
-        index: usize,
-        /// Conjunct on the leading column.
-        leading: RangePredicate,
-        /// Conjunct on the value column.
-        value: RangePredicate,
-    },
-    /// Composite Hermit route: the value conjunct is translated through a
-    /// TRS-Tree into host ranges, box-scanned on the companion
-    /// `(leading, host)` composite baseline.
-    CompositeHermit {
-        /// Registry position of the composite Hermit index.
-        index: usize,
-        /// Conjunct on the leading column.
-        leading: RangePredicate,
-        /// Conjunct on the target (value) column.
-        value: RangePredicate,
-        /// Host column of the TRS-Tree.
         host: ColumnId,
     },
     /// Full heap scan; every conjunct is validated in-scan.
@@ -95,11 +80,11 @@ pub enum AccessPath {
 /// and the benchmark's plan counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlanKind {
-    /// TRS-Tree route (single-column or composite).
+    /// Single-column TRS-Tree route.
     Hermit,
     /// Complete single-column baseline index.
     Baseline,
-    /// Composite `(leading, value)` box scan.
+    /// Composite `(leading, column)` box scan, baseline or Hermit-routed.
     Composite,
     /// Full heap scan.
     Scan,
@@ -166,11 +151,10 @@ impl QueryPlan {
     /// Coarse classification of the access path.
     pub fn kind(&self) -> PlanKind {
         match self.access {
+            AccessPath::Index { leading: Some(_), .. }
+            | AccessPath::Hermit { leading: Some(_), .. } => PlanKind::Composite,
             AccessPath::Hermit { .. } => PlanKind::Hermit,
-            AccessPath::Baseline { .. } => PlanKind::Baseline,
-            AccessPath::CompositeBaseline { .. } | AccessPath::CompositeHermit { .. } => {
-                PlanKind::Composite
-            }
+            AccessPath::Index { .. } => PlanKind::Baseline,
             AccessPath::SeqScan => PlanKind::Scan,
         }
     }
@@ -203,43 +187,35 @@ impl fmt::Display for QueryPlan {
             self.heap_rows
         )?;
         match &self.access {
-            AccessPath::Hermit { pred, host } => {
+            AccessPath::Index { leading: None, pred } => writeln!(
+                f,
+                "  phase 2: range scan baseline B+-tree on {} (exact)",
+                self.pred_str(pred)
+            )?,
+            AccessPath::Index { leading: Some(lead), pred } => writeln!(
+                f,
+                "  phase 2: box scan composite B+-tree on ({}, {})",
+                self.pred_str(lead),
+                self.pred_str(pred)
+            )?,
+            AccessPath::Hermit { leading, pred, host } => {
                 writeln!(
                     f,
                     "  phase 1: TRS-Tree translate {} -> ranges on {}",
                     self.pred_str(pred),
                     self.col_str(*host)
                 )?;
-                writeln!(f, "  phase 2: probe baseline B+-tree on {}", self.col_str(*host))?;
-            }
-            AccessPath::Baseline { pred } => {
-                writeln!(
-                    f,
-                    "  phase 2: range scan baseline B+-tree on {} (exact)",
-                    self.pred_str(pred)
-                )?;
-            }
-            AccessPath::CompositeBaseline { index, leading, value } => {
-                writeln!(
-                    f,
-                    "  phase 2: box scan composite B+-tree #{index} on ({}, {})",
-                    self.pred_str(leading),
-                    self.pred_str(value)
-                )?;
-            }
-            AccessPath::CompositeHermit { index, leading, value, host } => {
-                writeln!(
-                    f,
-                    "  phase 1: TRS-Tree translate {} -> ranges on {}",
-                    self.pred_str(value),
-                    self.col_str(*host)
-                )?;
-                writeln!(
-                    f,
-                    "  phase 2: box scan composite B+-tree #{index} on ({}, {} ranges)",
-                    self.pred_str(leading),
-                    self.col_str(*host)
-                )?;
+                match leading {
+                    None => {
+                        writeln!(f, "  phase 2: probe baseline B+-tree on {}", self.col_str(*host))?
+                    }
+                    Some(lead) => writeln!(
+                        f,
+                        "  phase 2: box scan composite B+-tree on ({}, {} ranges)",
+                        self.pred_str(lead),
+                        self.col_str(*host)
+                    )?,
+                }
             }
             AccessPath::SeqScan => {
                 writeln!(f, "  phase 2: seq scan heap ({} rows)", self.heap_rows)?;
@@ -309,12 +285,18 @@ fn selectivity(pred: &RangePredicate, stats: Option<&ColumnStats>, n_rows: usize
     overlap.max(floor).min(1.0)
 }
 
-/// One enumerated access-path candidate during planning.
+/// The cheapest access-path candidate found so far during planning.
 struct Candidate {
     access: AccessPath,
-    recheck: Vec<RangePredicate>,
+    /// Positions of the conjuncts the path drives: the leading one, if
+    /// any, and the driving one. The rest are residuals.
+    driven: (Option<usize>, usize),
     cost: f64,
     candidates: f64,
+    /// Enumeration rank that breaks cost ties: single-column paths by
+    /// driving conjunct, then composite paths by (leading, driving)
+    /// conjunct, then the scan.
+    rank: (u8, usize, usize),
 }
 
 impl Database {
@@ -322,39 +304,34 @@ impl Database {
     /// support, cost them from column statistics, and return the cheapest
     /// as an executable [`QueryPlan`].
     pub fn plan(&self, query: &Query) -> QueryPlan {
-        self.plan_among(query, false).expect("seq scan is always a candidate")
+        self.plan_among(query, None).expect("seq scan is always a candidate")
     }
 
-    /// The plan that forces `pred`'s own single-column index — the Hermit
-    /// route or the baseline B+-tree, whichever its column carries — with
-    /// `extra` as a residual conjunct: the plan behind
-    /// [`lookup_range`](Database::lookup_range). `None` when the column has
-    /// no routable index.
-    pub(crate) fn index_plan(
-        &self,
-        pred: RangePredicate,
-        extra: Option<RangePredicate>,
-    ) -> Option<QueryPlan> {
-        let query = extra.into_iter().fold(Query::filter(pred), Query::and);
-        self.plan_among(&query, true)
+    /// The plan that forces the index at `key`, driven by `query`'s first
+    /// conjunct (and, for a composite, a conjunct on its leading column),
+    /// with every other conjunct as a residual: the plan behind
+    /// [`lookup_range`](Database::lookup_range) and
+    /// [`lookup_box`](Database::lookup_box). `None` when the index is
+    /// missing, unroutable, or does not match the conjuncts' columns.
+    pub(crate) fn index_plan(&self, key: IndexKey, query: &Query) -> Option<QueryPlan> {
+        self.plan_among(query, Some(key))
     }
 
-    /// Enumerate and cost `query`'s access paths and build the cheapest
-    /// into a plan. With `forced_index` the only path enumerated is the
-    /// first conjunct's single-column index, so the planner and
-    /// [`index_plan`](Self::index_plan) share that branch — and its recheck
-    /// rule: a Hermit route re-checks its driving conjunct, a baseline
-    /// index only the residuals.
-    fn plan_among(&self, query: &Query, forced_index: bool) -> Option<QueryPlan> {
+    /// Enumerate and cost `query`'s access paths — one pass over the index
+    /// registry, then the scan — and build the cheapest into a plan. With
+    /// `forced` the only path enumerated is that index driven by the first
+    /// conjunct, so the planner and [`index_plan`](Self::index_plan) share
+    /// one branch — and its recheck rule: a Hermit route re-checks the
+    /// conjuncts it drives, an exact index only the residuals.
+    fn plan_among(&self, query: &Query, forced: Option<IndexKey>) -> Option<QueryPlan> {
         let n = self.len();
         let nf = n as f64;
         let conjuncts = query.conjuncts();
         let stats_of = |cid: ColumnId| self.heap().stats(cid).ok();
 
         // Per-conjunct selectivities, fetched once up front: `heap.stats`
-        // locks + clones, and the composite loop below is
-        // O(conjuncts² × composites) — it indexes into this table instead of
-        // re-fetching.
+        // locks + clones, and a composite index is costed for every pair of
+        // conjuncts on its columns.
         let sels: Vec<f64> =
             conjuncts.iter().map(|p| selectivity(p, stats_of(p.column).as_ref(), n)).collect();
 
@@ -380,147 +357,114 @@ impl Database {
             width.map_or(0.0, |w| 2.0 * error_bound / w)
         };
 
-        let residual = |skip: &[usize]| -> Vec<RangePredicate> {
+        let mut best: Option<Candidate> = None;
+        let mut offer = |c: Candidate| {
+            let wins = best.as_ref().is_none_or(|b| {
+                c.cost.total_cmp(&b.cost).then(c.rank.cmp(&b.rank)) == std::cmp::Ordering::Less
+            });
+            if wins {
+                best = Some(c);
+            }
+        };
+
+        let (entries, driving) = match forced {
+            Some(key) => (self.indexes.range(key..=key), &conjuncts[..1]),
+            None => (self.indexes.range(..), conjuncts),
+        };
+        for (key, index) in entries {
+            // A Hermit index is routable only while its host's complete
+            // index exists.
+            let hermit = match index {
+                SecondaryIndex::Hermit { trs, host } => match self.host_index(*key, *host) {
+                    Some(_) => Some((trs, *host)),
+                    None => continue,
+                },
+                SecondaryIndex::Baseline(_) | SecondaryIndex::Composite(_) => None,
+            };
+            for (j, pred) in driving.iter().enumerate().filter(|(_, p)| p.column == key.column) {
+                // The driving conjunct's selectivity as the index sees it:
+                // a TRS-Tree widens it by its error bound.
+                let (trs_cost, sel) = match hermit {
+                    Some((trs, host)) => (
+                        COST_TRS,
+                        (sels[j] + trs_inflation(trs.params().error_bound, host)).min(1.0),
+                    ),
+                    None => (0.0, sels[j]),
+                };
+                let access = |leading| match hermit {
+                    Some((_, host)) => AccessPath::Hermit { leading, pred: *pred, host },
+                    None => AccessPath::Index { leading, pred: *pred },
+                };
+                let Some(leading_col) = key.leading else {
+                    let cand = sel * nf;
+                    offer(Candidate {
+                        access: access(None),
+                        driven: (None, j),
+                        cost: trs_cost + COST_PROBE + cand * (COST_ENTRY + COST_CANDIDATE),
+                        candidates: cand,
+                        rank: (0, j, 0),
+                    });
+                    continue;
+                };
+                // A composite index: every other conjunct on its leading
+                // column bounds the box. The scan walks the leading range
+                // and filters the second dimension in-index.
+                for (i, lead) in conjuncts.iter().enumerate() {
+                    if i == j || lead.column != leading_col {
+                        continue;
+                    }
+                    let cand = sels[i] * sel * nf;
+                    offer(Candidate {
+                        access: access(Some(*lead)),
+                        driven: (Some(i), j),
+                        cost: trs_cost
+                            + COST_PROBE
+                            + sels[i] * nf * COST_ENTRY
+                            + cand * COST_CANDIDATE,
+                        candidates: cand,
+                        rank: (1, i, j),
+                    });
+                }
+            }
+        }
+
+        // In a free choice the scan competes too: the fallback that is
+        // always available, validating everything in-scan.
+        if forced.is_none() {
+            offer(Candidate {
+                access: AccessPath::SeqScan,
+                driven: (None, usize::MAX),
+                cost: nf * COST_SEQ_ROW,
+                candidates: nf,
+                rank: (2, 0, 0),
+            });
+        }
+        let best = best?;
+
+        // Phase-4 re-checks: every conjunct the path does not answer
+        // exactly. A Hermit route answers its driving conjunct only
+        // approximately, and the TRS-Tree's outlier tids join the
+        // candidates *without* passing through the box scan, so it re-checks
+        // the leading conjunct too; an exact index re-checks the residuals
+        // only, and the scan validates everything in-scan.
+        let (lead, drive) = best.driven;
+        let mut recheck = Vec::with_capacity(conjuncts.len());
+        if matches!(best.access, AccessPath::Hermit { .. }) {
+            recheck.extend(lead.map(|i| conjuncts[i]));
+            recheck.push(conjuncts[drive]);
+        }
+        recheck.extend(
             conjuncts
                 .iter()
                 .enumerate()
-                .filter(|(i, _)| !skip.contains(i))
-                .map(|(_, p)| *p)
-                .collect()
-        };
-
-        let mut paths: Vec<Candidate> = Vec::new();
-
-        // Single-column index paths, one per conjunct whose column is
-        // indexed.
-        let driving = if forced_index { &conjuncts[..1] } else { conjuncts };
-        for (i, pred) in driving.iter().enumerate() {
-            match self.index(pred.column) {
-                Some(SecondaryIndex::Baseline(_)) => {
-                    let cand = sels[i] * nf;
-                    paths.push(Candidate {
-                        access: AccessPath::Baseline { pred: *pred },
-                        recheck: residual(&[i]),
-                        cost: COST_PROBE + cand * (COST_ENTRY + COST_CANDIDATE),
-                        candidates: cand,
-                    });
-                }
-                Some(SecondaryIndex::Hermit { trs, host }) => {
-                    // Routable only while the host's complete index exists.
-                    if matches!(self.index(*host), Some(SecondaryIndex::Baseline(_))) {
-                        let sel =
-                            (sels[i] + trs_inflation(trs.params().error_bound, *host)).min(1.0);
-                        let cand = sel * nf;
-                        let mut recheck = vec![*pred];
-                        recheck.extend(residual(&[i]));
-                        paths.push(Candidate {
-                            access: AccessPath::Hermit { pred: *pred, host: *host },
-                            recheck,
-                            cost: COST_TRS + COST_PROBE + cand * (COST_ENTRY + COST_CANDIDATE),
-                            candidates: cand,
-                        });
-                    }
-                }
-                None => {}
-            }
-        }
-
-        // In a free choice, composite box paths and the scan compete too.
-        // Composite paths are ordered conjunct pairs matching a registered
-        // (leading, value) composite index.
-        if !forced_index {
-            let composites = &self.composites;
-            for (i, lead) in conjuncts.iter().enumerate() {
-                for (j, val) in conjuncts.iter().enumerate() {
-                    if i == j {
-                        continue;
-                    }
-                    for (idx, ci) in composites.iter().enumerate() {
-                        let lead_sel = sels[i];
-                        match ci {
-                            CompositeIndex::Baseline { leading, value, .. }
-                                if *leading == lead.column && *value == val.column =>
-                            {
-                                let cand = lead_sel * sels[j] * nf;
-                                paths.push(Candidate {
-                                    access: AccessPath::CompositeBaseline {
-                                        index: idx,
-                                        leading: *lead,
-                                        value: *val,
-                                    },
-                                    // The box scan filters both keys exactly
-                                    // in-index, so only the residual conjuncts
-                                    // need phase-4 validation.
-                                    recheck: residual(&[i, j]),
-                                    cost: COST_PROBE
-                                        + lead_sel * nf * COST_ENTRY
-                                        + cand * COST_CANDIDATE,
-                                    candidates: cand,
-                                });
-                            }
-                            CompositeIndex::Hermit { trs, leading, target, host }
-                                if *leading == lead.column
-                                    && *target == val.column
-                                    && composites.companion_baseline(*leading, *host).is_some() =>
-                            {
-                                let vsel = (sels[j]
-                                    + trs_inflation(trs.params().error_bound, *host))
-                                .min(1.0);
-                                let cand = lead_sel * vsel * nf;
-                                // Both box conjuncts must be re-checked: the
-                                // value conjunct was translated approximately,
-                                // and the TRS-Tree's outlier tids join the
-                                // candidate set *without* passing through the
-                                // box scan, so even the leading conjunct can be
-                                // violated by an outlier row.
-                                let mut recheck = vec![*lead, *val];
-                                recheck.extend(residual(&[i, j]));
-                                paths.push(Candidate {
-                                    access: AccessPath::CompositeHermit {
-                                        index: idx,
-                                        leading: *lead,
-                                        value: *val,
-                                        host: *host,
-                                    },
-                                    recheck,
-                                    cost: COST_TRS
-                                        + COST_PROBE
-                                        + lead_sel * nf * COST_ENTRY
-                                        + cand * COST_CANDIDATE,
-                                    candidates: cand,
-                                });
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-            }
-
-            // The fallback that is always available: scan the heap, validate
-            // everything in-scan.
-            paths.push(Candidate {
-                access: AccessPath::SeqScan,
-                recheck: conjuncts.to_vec(),
-                cost: nf * COST_SEQ_ROW,
-                candidates: nf,
-            });
-        }
-
-        // Cheapest wins; earlier enumeration order breaks ties (indexes
-        // before composites before the scan).
-        let best = paths
-            .into_iter()
-            .enumerate()
-            .min_by(|(ia, a), (ib, b)| a.cost.total_cmp(&b.cost).then(ia.cmp(ib)))
-            .map(|(_, c)| c)?;
+                .filter(|&(k, _)| k != drive && Some(k) != lead)
+                .map(|(_, p)| *p),
+        );
 
         // Column labels for EXPLAIN: every column the plan mentions.
         let mut mentioned: Vec<ColumnId> = conjuncts.iter().map(|p| p.column).collect();
-        match &best.access {
-            AccessPath::Hermit { host, .. } | AccessPath::CompositeHermit { host, .. } => {
-                mentioned.push(*host)
-            }
-            _ => {}
+        if let AccessPath::Hermit { host, .. } = &best.access {
+            mentioned.push(*host);
         }
         if let Some(cols) = query.projection() {
             mentioned.extend_from_slice(cols);
@@ -535,7 +479,7 @@ impl Database {
 
         Some(QueryPlan {
             access: best.access,
-            recheck: best.recheck,
+            recheck,
             limit: query.limit_rows(),
             projection: query.projection().map(<[ColumnId]>::to_vec),
             est_cost: best.cost,

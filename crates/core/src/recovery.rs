@@ -138,12 +138,16 @@
 //!
 //! Covered: durability of auto-commit insert/delete and of multi-statement
 //! transactions (redo, then undo of losers — [`crate::txn`]) on the paged
-//! substrate, index reconstruction (primary, baseline, Hermit,
-//! `ColumnStats`), torn-tail WAL recovery, torn-checkpoint detection.
+//! substrate, index reconstruction (primary, baseline, Hermit — on one
+//! column or, behind a leading column, on two — and `ColumnStats`),
+//! torn-tail WAL recovery, torn-checkpoint detection. A composite index is a
+//! registry entry like any other: the catalog lists each definition with
+//! its leading column, and a composite Hermit index snapshots under a name
+//! that carries it (`snapshot_name`), so the checkpoint's stale-snapshot
+//! sweep covers it too. A version-1 catalog, written before composites were
+//! catalogued, still opens.
 //! Not covered: DDL logging (index definitions become durable at the next
-//! checkpoint, not through the WAL), and composite indexes (the catalog
-//! records none, so a durable database refuses them with a typed
-//! [`CoreError::CompositeOnDurable`]). An in-memory database — its pages in
+//! checkpoint, not through the WAL). An in-memory database — its pages in
 //! a store with no file — is rejected with a typed [`CoreError::NotDurable`].
 //!
 //! Durable databases assume **unique primary keys** (the same assumption
@@ -156,7 +160,7 @@
 
 use crate::database::Database;
 use crate::error::CoreError;
-use crate::index::SecondaryIndex;
+use crate::index::{IndexKey, SecondaryIndex};
 use crate::latches::{
     self, Held, IoSafe, LatchedMutex, LatchedRwLock, Quiesce, ReadGuard, Unlocked, WalGuard,
     Witnessed,
@@ -178,12 +182,17 @@ pub const CATALOG_FILE: &str = "catalog.bin";
 /// File holding the write-ahead log.
 pub const WAL_FILE: &str = "wal.log";
 
-/// Name of a Hermit index's snapshot inside the directory: epoch-suffixed
-/// so a snapshot can never be paired with the wrong catalog (a crash
-/// between "snapshot written" and "catalog renamed" leaves a file the old
-/// catalog simply does not reference).
-pub(crate) fn snapshot_name(target: ColumnId, epoch: u64) -> String {
-    format!("trs_{target}.e{epoch}.trst")
+/// Name of the snapshot of the Hermit index at `key` inside the directory:
+/// `trs_{target}.e{epoch}.trst`, or `trs_{leading}-{target}.e{epoch}.trst`
+/// for a composite. Epoch-suffixed so a snapshot can never be paired with
+/// the wrong catalog (a crash between "snapshot written" and "catalog
+/// renamed" leaves a file the old catalog simply does not reference), and
+/// `trs_`-prefixed so the checkpoint's stale-snapshot sweep finds it.
+pub(crate) fn snapshot_name(key: IndexKey, epoch: u64) -> String {
+    match key.leading {
+        None => format!("trs_{}.e{epoch}.trst", key.column),
+        Some(leading) => format!("trs_{leading}-{}.e{epoch}.trst", key.column),
+    }
 }
 
 /// Knobs for opening / creating a durable database.
@@ -728,18 +737,20 @@ impl Database {
 
         let mut baselines = Vec::new();
         let mut hermits = Vec::new();
-        for (&col, index) in self.secondary.iter() {
+        for (&key, index) in &self.indexes {
+            let IndexKey { leading, column } = key;
             match index {
-                SecondaryIndex::Baseline(_) => baselines
-                    .push(BaselineDef { column: col, existing: self.existing.contains(&col) }),
+                SecondaryIndex::Baseline(_) | SecondaryIndex::Composite(_) => baselines
+                    .push(BaselineDef { leading, column, existing: self.existing.contains(&key) }),
                 SecondaryIndex::Hermit { trs, host } => {
                     let bytes = trs.snapshot_bytes().map_err(|e| {
-                        CoreError::Recovery(format!("snapshot of column {col}: {e}"))
+                        CoreError::Recovery(format!("snapshot of index {key:?}: {e}"))
                     })?;
-                    write_file_atomic(&dir.join(snapshot_name(col, epoch)), &bytes)
+                    write_file_atomic(&dir.join(snapshot_name(key, epoch)), &bytes)
                         .map_err(StorageError::from)?;
                     hermits.push(HermitDef {
-                        target: col,
+                        leading,
+                        target: column,
                         host: *host,
                         params: encode_params(&trs.params()),
                     });
@@ -1047,9 +1058,9 @@ impl Database {
             TidScheme::Physical => Tid::from_loc(loc),
             TidScheme::Logical => Tid::from_pk(pk),
         };
-        for (&col, index) in self.secondary.iter() {
+        for (key, index) in &self.indexes {
             if let SecondaryIndex::Hermit { trs, host } = index {
-                if let (Some(m), Some(n)) = (row[col].as_f64(), row[*host].as_f64()) {
+                if let (Some(m), Some(n)) = (row[key.column].as_f64(), row[*host].as_f64()) {
                     trs.insert(m, n, tid);
                 }
             }
@@ -1060,32 +1071,29 @@ impl Database {
     /// pass, so that a restarted server's peak memory is its steady state:
     /// each baseline B+-tree's `(key, tid)` buffer is presized to the heap,
     /// sorted, and consumed by the bulk load that builds the tree from it
-    /// ([`create_baseline_index`](Database::create_baseline_index)). Hermit
+    /// (`create_baseline_at`). Hermit
     /// indexes come from their epoch-named snapshots, falling back to a
     /// fresh build from the heap (with the catalog's recorded parameters)
     /// when a snapshot is missing or torn.
     fn rebuild_indexes(&mut self, catalog: &Catalog, dir: &Path) -> Result<(), CoreError> {
         for def in &catalog.baselines {
-            self.create_baseline_index(def.column, def.existing)?;
+            let key = IndexKey { leading: def.leading, column: def.column };
+            self.create_baseline_at(key, def.existing)?;
         }
         for def in &catalog.hermits {
-            let snapshot = dir.join(snapshot_name(def.target, catalog.wal_epoch));
+            let key = IndexKey { leading: def.leading, column: def.target };
+            let snapshot = dir.join(snapshot_name(key, catalog.wal_epoch));
             match TrsTree::restore(&snapshot) {
                 Ok(tree) => {
-                    self.secondary.insert(
-                        def.target,
-                        SecondaryIndex::Hermit {
-                            trs: ConcurrentTrsTree::new(tree),
-                            host: def.host,
-                        },
-                    );
+                    let trs = ConcurrentTrsTree::new(tree);
+                    self.register(key, SecondaryIndex::Hermit { trs, host: def.host }, false);
                 }
                 Err(_) => {
                     // Missing or torn snapshot: rebuild from the recovered
                     // heap, with the parameters the index was created with.
                     let saved = self.trs_params;
                     self.trs_params = decode_params(&def.params).unwrap_or_default();
-                    let built = self.create_hermit_index(def.target, def.host);
+                    let built = self.create_hermit_at(key, def.host);
                     self.trs_params = saved;
                     built?;
                 }

@@ -68,7 +68,6 @@
 //! worker.stop();
 //! ```
 
-use crate::composite::CompositeIndex;
 use crate::database::{Database, TablePairSource};
 use crate::index::SecondaryIndex;
 use crate::query::Query;
@@ -264,7 +263,7 @@ impl SharedDatabase {
                 let stats = trs.stats();
                 Some(stats.outliers as f64 / stats.covered.max(1) as f64)
             }
-            SecondaryIndex::Baseline(_) => None,
+            SecondaryIndex::Baseline(_) | SecondaryIndex::Composite(_) => None,
         }
     }
 
@@ -284,21 +283,24 @@ impl SharedDatabase {
 /// Every Hermit tree of `db`, single-column and composite, with the
 /// `(target, host)` columns its rebuild scans read.
 fn hermit_trees(db: &Database) -> impl Iterator<Item = (&ConcurrentTrsTree, ColumnId, ColumnId)> {
-    let single = db.secondary.iter().filter_map(|(&target, index)| match index {
-        SecondaryIndex::Hermit { trs, host } => Some((trs, target, *host)),
-        SecondaryIndex::Baseline(_) => None,
-    });
-    let composite = db.composites.iter().filter_map(|index| match index {
-        CompositeIndex::Hermit { trs, target, host, .. } => Some((trs, *target, *host)),
-        CompositeIndex::Baseline { .. } => None,
-    });
-    single.chain(composite)
+    db.indexes.iter().filter_map(|(key, index)| match index {
+        SecondaryIndex::Hermit { trs, host } => Some((trs, key.column, *host)),
+        SecondaryIndex::Baseline(_) | SecondaryIndex::Composite(_) => None,
+    })
 }
+
+/// Longest sleep of a [`MaintenanceWorker`] whose sweeps leave queued
+/// reorganization candidates undone (a heap it cannot read): from
+/// `idle_sleep` the sleep doubles per stalled sweep up to this, and any
+/// progress — or an empty queue — resets it. It also bounds how long
+/// [`MaintenanceWorker::stop`] waits on a stalled worker.
+pub const STALLED_SLEEP_CAP: Duration = Duration::from_millis(128);
 
 /// Knobs for the background maintenance worker.
 #[derive(Debug, Clone, Copy)]
 pub struct MaintenanceConfig {
-    /// Sleep between sweeps when the queues were empty.
+    /// Sleep between sweeps when the queues were empty (the first sleep
+    /// after a sweep that made no progress; see [`STALLED_SLEEP_CAP`]).
     pub idle_sleep: Duration,
     /// Maximum queued candidates drained per Hermit index per sweep (the
     /// paper's "several candidate nodes in one scan").
@@ -342,13 +344,25 @@ impl MaintenanceWorker {
         let handle = std::thread::Builder::new()
             .name("hermit-maintenance".into())
             .spawn(move || {
+                let cap = STALLED_SLEEP_CAP.max(config.idle_sleep);
+                let mut sleep = config.idle_sleep;
                 while !thread_stop.load(Ordering::Acquire) {
                     let processed = db.maintenance_pass(config.pass_limit);
                     thread_stats.sweeps.fetch_add(1, Ordering::Relaxed);
                     thread_stats.candidates.fetch_add(processed as u64, Ordering::Relaxed);
-                    if processed == 0 {
-                        std::thread::sleep(config.idle_sleep);
+                    if processed > 0 {
+                        sleep = config.idle_sleep;
+                        continue;
                     }
+                    std::thread::sleep(sleep);
+                    // Queued work that a sweep could not do (its rebuild
+                    // scans cannot read the heap) backs off: each stalled
+                    // sweep doubles the sleep, up to the cap.
+                    sleep = if db.reorg_queue_len() > 0 {
+                        (sleep * 2).min(cap)
+                    } else {
+                        config.idle_sleep
+                    };
                 }
             })
             .expect("spawn maintenance worker");

@@ -7,8 +7,8 @@
 //! WAL append/commit/reset, atomic catalog/snapshot writes) passes a
 //! [`fault_point`](hermit_storage::fault_point) hook; the explorer
 //!
-//! 1. runs a **canonical workload** (inserts, deletes, index builds,
-//!    checkpoints, committed and aborted multi-statement transactions)
+//! 1. runs a **canonical workload** (inserts, deletes, index builds —
+//!    single-column and composite — checkpoints, committed and aborted multi-statement transactions)
 //!    once with a counting hook to learn the site schedule, and checks that
 //!    each [`Site`] it passes is one source location and that it passes
 //!    every site but the two only a reopen reaches;
@@ -37,7 +37,7 @@
 //! fault-injection suite's WAL mangler proptest.
 
 use hermit_core::recovery::{DurabilityConfig, CATALOG_FILE};
-use hermit_core::{Database, Query, RangePredicate};
+use hermit_core::{Database, IndexKey, Query, QueryResult, RangePredicate};
 use hermit_storage::{ColumnDef, FaultAction, Schema, Site, TidScheme, Value};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -98,10 +98,13 @@ enum Stmt {
     Insert(i64, f64, f64),
     /// Delete by primary key.
     Delete(i64),
-    /// Build the baseline index on `host`.
-    Baseline,
-    /// Build the Hermit index `target → host`.
-    Hermit,
+    /// Build the baseline index on `host`, or with `Some(pk column)` the
+    /// composite one on `(pk, host)`.
+    Baseline(Option<usize>),
+    /// Build the Hermit index `target → host` through the baseline at the
+    /// same leading column: `None`, or `Some(pk column)` for the composite
+    /// index on `(pk, target)`.
+    Hermit(Option<usize>),
     /// Explicit WAL commit.
     Commit,
     /// Full checkpoint.
@@ -135,8 +138,10 @@ fn statements() -> Vec<Stmt> {
         let m = (10 + i) as f64;
         s.push(Stmt::Insert(i, 2.0 * m, m));
     }
-    s.push(Stmt::Baseline);
-    s.push(Stmt::Hermit);
+    s.push(Stmt::Baseline(None));
+    s.push(Stmt::Hermit(None));
+    s.push(Stmt::Baseline(Some(0)));
+    s.push(Stmt::Hermit(Some(0)));
     s.push(Stmt::Checkpoint);
     for i in 0..20i64 {
         let m = (60 + i) as f64;
@@ -233,7 +238,8 @@ fn apply_logical(state: &mut RowMap, stmt: &Stmt) {
 }
 
 /// Query shapes the oracle enumerates: Hermit route + point (incl. an
-/// outlier), baseline range, seq scan, multi-conjunct, wide fallback.
+/// outlier), baseline range, seq scan, multi-conjunct, a `(pk, target)`
+/// box, wide fallback.
 /// Deliberately no `limit`: limited results are order-dependent and two
 /// correct databases may legally pick different subsets.
 fn queries() -> Vec<Query> {
@@ -243,13 +249,25 @@ fn queries() -> Vec<Query> {
         Query::filter(RangePredicate::range(1, 40.0, 160.0)),
         Query::filter(RangePredicate::range(0, 5.0, 305.0)),
         Query::new().range(2, 0.0, 95.0).range(1, 30.0, 190.0),
+        Query::new().range(0, 5.0, 305.0).range(2, 12.0, 130.0),
         Query::filter(RangePredicate::range(2, 0.0, 1.0e9)),
     ]
 }
 
+/// The box the recovered composite Hermit index is held to, forced
+/// through [`Database::lookup_box`]: `(leading, target)` conjuncts.
+fn composite_box() -> (RangePredicate, RangePredicate) {
+    (RangePredicate::range(0, 0.0, 1.0e6), RangePredicate::range(2, 12.0, 200.0))
+}
+
 fn rows_of(db: &Database, q: &Query) -> Vec<Vec<Value>> {
+    sorted_rows(db, &db.execute(q))
+}
+
+/// A result's rows, by pk.
+fn sorted_rows(db: &Database, result: &QueryResult) -> Vec<Vec<Value>> {
     let mut rows: Vec<Vec<Value>> =
-        db.execute(q).rows.iter().map(|&loc| db.heap().get(loc).unwrap()).collect();
+        result.rows.iter().map(|&loc| db.heap().get(loc).unwrap()).collect();
     rows.sort_by_key(|r| r[0].as_i64());
     rows
 }
@@ -326,11 +344,17 @@ fn run_workload(
             Stmt::Delete(pk) => {
                 db.delete_by_pk(*pk).expect("delete");
             }
-            Stmt::Baseline => {
+            Stmt::Baseline(None) => {
                 db.create_baseline_index(1, true).expect("baseline index");
             }
-            Stmt::Hermit => {
+            Stmt::Baseline(Some(leading)) => {
+                db.create_composite_baseline(*leading, 1).expect("composite baseline index");
+            }
+            Stmt::Hermit(None) => {
                 db.create_hermit_index(2, 1).expect("hermit index");
+            }
+            Stmt::Hermit(Some(leading)) => {
+                db.create_composite_hermit(*leading, 2, 1).expect("composite hermit index");
             }
             Stmt::Commit => {
                 db.wal_commit().expect("wal commit");
@@ -433,6 +457,21 @@ fn verify_snapshot(
         if want != got {
             return Err(format!(
                 "query {q:?} diverged at prefix {k}: oracle {} rows, recovered {} rows",
+                want.len(),
+                got.len()
+            ));
+        }
+    }
+    // Once a checkpoint has catalogued the composite Hermit index, its
+    // forced box route answers like the scan.
+    let key = IndexKey::composite(0, 2);
+    if recovered.index_at(key).is_some() {
+        let (leading, value) = composite_box();
+        let want = rows_of(&oracle, &Query::filter(leading).and(value));
+        let got = sorted_rows(&recovered, &recovered.lookup_box(key, leading, value));
+        if want != got {
+            return Err(format!(
+                "composite box diverged at prefix {k}: oracle {} rows, recovered {} rows",
                 want.len(),
                 got.len()
             ));

@@ -13,9 +13,10 @@
 //!   serving stale data;
 //! * the page-allocation watermark (`next_page`), so recovery never hands
 //!   out a page id a torn checkpoint may already have written;
-//! * the secondary-index definitions (baseline columns with their
-//!   "existing" accounting flag; Hermit `target → host` pairs with an
-//!   opaque parameter blob the core layer encodes);
+//! * the secondary-index definitions, each behind an optional leading
+//!   column (a composite index on `(leading, column)`): baseline columns
+//!   with their "existing" accounting flag, Hermit `target → host` pairs
+//!   with an opaque parameter blob the core layer encodes;
 //! * the WAL epoch — the fence that pairs a catalog with exactly one WAL
 //!   generation (see [`crate::wal`]).
 //!
@@ -24,17 +25,22 @@
 //! either the old complete catalog or the new complete catalog, never a
 //! torn one; a bit-flip is caught by the trailing CRC.
 //!
-//! Format (little-endian; CRC-32/IEEE over everything after the magic):
+//! Format, version 2 (little-endian; CRC-32/IEEE over everything after the
+//! magic):
 //!
 //! ```text
 //! magic "HMTC" | version u32 |
 //! scheme u8 | pk_col u32 | wal_epoch u64 | next_page u64 |
 //! ncols u16   | (ty u8, nullable u8, name_len u16, name bytes)* |
 //! npages u32  | (page_id u64, live_rows u32, page_crc u32)* |
-//! nbase u16   | (column u32, existing u8)* |
-//! nhermit u16 | (target u32, host u32, blob_len u16, blob bytes)* |
+//! nbase u16   | (leading u32, column u32, existing u8)* |
+//! nhermit u16 | (leading u32, target u32, host u32, blob_len u16, blob bytes)* |
 //! crc32 u32
 //! ```
+//!
+//! `leading` is `u32::MAX` for a single-column index. Version 1 — written
+//! before composite indexes were catalogued — has no `leading` fields and
+//! still decodes, every definition with `leading: None`.
 
 use crate::fault::{fault_point, Io, Site};
 use crate::schema::{ColumnDef, ColumnId, ColumnType, Schema};
@@ -45,7 +51,11 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"HMTC";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
+/// The version without `leading` fields: still read, never written.
+const VERSION_SINGLE_COLUMN: u32 = 1;
+/// The `leading` of a single-column index on disk.
+const NO_LEADING: u32 = u32::MAX;
 
 /// Errors produced by catalog and WAL encode/decode.
 #[derive(Debug)]
@@ -198,6 +208,9 @@ pub struct PageEntry {
 /// A baseline B+-tree index definition recorded in the catalog.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BaselineDef {
+    /// Leading column of a composite `(leading, column)` index; `None` for
+    /// a single-column one.
+    pub leading: Option<ColumnId>,
     /// Indexed column.
     pub column: ColumnId,
     /// Whether the index is charged to "existing indexes" in breakdowns.
@@ -210,6 +223,9 @@ pub struct BaselineDef {
 /// from a heap scan when the snapshot is missing or torn.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HermitDef {
+    /// Leading column of a composite `(leading, target)` index, shared with
+    /// its `(leading, host)` baseline; `None` for a single-column one.
+    pub leading: Option<ColumnId>,
     /// Indexed (target) column.
     pub target: ColumnId,
     /// Host column whose baseline index serves the second hop.
@@ -257,6 +273,9 @@ impl Enc {
     fn u64(&mut self, v: u64) {
         self.0.extend_from_slice(&v.to_le_bytes());
     }
+    fn leading(&mut self, leading: Option<ColumnId>) {
+        self.u32(leading.map_or(NO_LEADING, |c| c as u32));
+    }
 }
 
 struct Dec<'a> {
@@ -284,6 +303,16 @@ impl<'a> Dec<'a> {
     }
     fn u64(&mut self) -> Result<u64, RecoveryError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    }
+    /// A definition's leading column: absent from a version-1 catalog.
+    fn leading(&mut self, version: u32) -> Result<Option<ColumnId>, RecoveryError> {
+        if version == VERSION_SINGLE_COLUMN {
+            return Ok(None);
+        }
+        Ok(match self.u32()? {
+            NO_LEADING => None,
+            c => Some(c as ColumnId),
+        })
     }
 }
 
@@ -317,11 +346,13 @@ impl Catalog {
         }
         e.u16(self.baselines.len() as u16);
         for b in &self.baselines {
+            e.leading(b.leading);
             e.u32(b.column as u32);
             e.u8(u8::from(b.existing));
         }
         e.u16(self.hermits.len() as u16);
         for h in &self.hermits {
+            e.leading(h.leading);
             e.u32(h.target as u32);
             e.u32(h.host as u32);
             e.u16(h.params.len() as u16);
@@ -350,7 +381,7 @@ impl Catalog {
         }
         let mut d = Dec { buf: body, pos: 0 };
         let version = d.u32()?;
-        if version != VERSION {
+        if version != VERSION && version != VERSION_SINGLE_COLUMN {
             return Err(RecoveryError::UnsupportedVersion(version));
         }
         let scheme = match d.u8()? {
@@ -391,23 +422,27 @@ impl Catalog {
         }
         let nbase = d.u16()? as usize;
         let mut baselines = Vec::with_capacity(nbase);
+        let in_schema = |c: &ColumnId| *c < schema.width();
         for _ in 0..nbase {
+            let leading = d.leading(version)?;
             let column = d.u32()? as ColumnId;
-            if column >= schema.width() {
+            if !in_schema(&column) || !leading.is_none_or(|l| in_schema(&l)) {
                 return Err(RecoveryError::Corrupt("baseline column out of range"));
             }
-            baselines.push(BaselineDef { column, existing: d.u8()? != 0 });
+            baselines.push(BaselineDef { leading, column, existing: d.u8()? != 0 });
         }
         let nhermit = d.u16()? as usize;
         let mut hermits = Vec::with_capacity(nhermit);
         for _ in 0..nhermit {
+            let leading = d.leading(version)?;
             let target = d.u32()? as ColumnId;
             let host = d.u32()? as ColumnId;
-            if target >= schema.width() || host >= schema.width() {
+            if !in_schema(&target) || !in_schema(&host) || !leading.is_none_or(|l| in_schema(&l)) {
                 return Err(RecoveryError::Corrupt("hermit column out of range"));
             }
             let blob_len = d.u16()? as usize;
-            hermits.push(HermitDef { target, host, params: d.take(blob_len)?.to_vec() });
+            let params = d.take(blob_len)?.to_vec();
+            hermits.push(HermitDef { leading, target, host, params });
         }
         if d.pos != body.len() {
             return Err(RecoveryError::Corrupt("trailing bytes after catalog body"));
@@ -448,9 +483,79 @@ mod tests {
                 PageEntry { page: 1, live_rows: 290, crc: 0x1234_5678 },
                 PageEntry { page: 2, live_rows: 17, crc: 0 },
             ],
-            baselines: vec![BaselineDef { column: 1, existing: true }],
-            hermits: vec![HermitDef { target: 2, host: 1, params: vec![1, 2, 3, 4] }],
+            baselines: vec![
+                BaselineDef { leading: None, column: 1, existing: true },
+                BaselineDef { leading: Some(0), column: 1, existing: false },
+            ],
+            hermits: vec![
+                HermitDef { leading: None, target: 2, host: 1, params: vec![1, 2, 3, 4] },
+                HermitDef { leading: Some(0), target: 2, host: 1, params: vec![5, 6] },
+            ],
         }
+    }
+
+    /// `body` (everything between the magic and the CRC) framed as a
+    /// catalog file.
+    fn framed(body: &[u8]) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        out.extend_from_slice(body);
+        out.extend_from_slice(&crc32(body).to_le_bytes());
+        out
+    }
+
+    /// A version-1 catalog — written by hand, field by field, as a build
+    /// before composite indexes wrote it — decodes with `leading: None` on
+    /// every definition. Version 3 is still refused.
+    #[test]
+    fn a_version_1_catalog_decodes_to_single_column_definitions() {
+        let mut e = Enc(Vec::new());
+        e.u32(1); // version
+        e.u8(1); // physical
+        e.u32(0); // pk_col
+        e.u64(7); // wal_epoch
+        e.u64(3); // next_page
+        e.u16(3);
+        for (ty, name) in [(0u8, "pk"), (1, "host"), (1, "target")] {
+            e.u8(ty);
+            e.u8(0);
+            e.u16(name.len() as u16);
+            e.0.extend_from_slice(name.as_bytes());
+        }
+        e.u32(1);
+        e.u64(2); // page 2
+        e.u32(17);
+        e.u32(0xABCD);
+        e.u16(2); // two baselines: (column, existing)
+        e.u32(1);
+        e.u8(1);
+        e.u32(2);
+        e.u8(0);
+        e.u16(1); // one Hermit index: (target, host, blob)
+        e.u32(2);
+        e.u32(1);
+        e.u16(2);
+        e.0.extend_from_slice(&[9, 8]);
+        let catalog = Catalog::from_bytes(&framed(&e.0)).unwrap();
+        assert_eq!(
+            catalog.baselines,
+            [
+                BaselineDef { leading: None, column: 1, existing: true },
+                BaselineDef { leading: None, column: 2, existing: false },
+            ]
+        );
+        assert_eq!(
+            catalog.hermits,
+            [HermitDef { leading: None, target: 2, host: 1, params: vec![9, 8] }]
+        );
+        assert_eq!((catalog.wal_epoch, catalog.next_page, catalog.schema.width()), (7, 3, 3));
+        assert_eq!(catalog.pages, [PageEntry { page: 2, live_rows: 17, crc: 0xABCD }]);
+
+        let mut v3 = e.0.clone();
+        v3[..4].copy_from_slice(&3u32.to_le_bytes());
+        assert!(matches!(
+            Catalog::from_bytes(&framed(&v3)),
+            Err(RecoveryError::UnsupportedVersion(3))
+        ));
     }
 
     #[test]

@@ -57,8 +57,8 @@ fn main() {
     let hermit_idx = db.create_composite_hermit(TIME, SP, DJ).unwrap();
     println!(
         "index sizes: (TIME,DJ) host = {:.1} KB | (TIME,SP) Hermit = {:.2} KB",
-        db.composites().get(host).unwrap().memory_bytes() as f64 / 1024.0,
-        db.composites().get(hermit_idx).unwrap().memory_bytes() as f64 / 1024.0,
+        db.index_at(host).unwrap().memory_bytes() as f64 / 1024.0,
+        db.index_at(hermit_idx).unwrap().memory_bytes() as f64 / 1024.0,
     );
 
     // The paper's box query: a TIME window AND an SP band.
@@ -77,7 +77,8 @@ fn main() {
         result.false_positives
     );
 
-    // Cross-check against a direct composite baseline on (TIME, SP).
+    // Cross-check against a direct composite baseline on (TIME, SP), which
+    // takes the Hermit index's place at that key.
     let direct = db.create_composite_baseline(TIME, SP).unwrap();
     let expected = db.lookup_box(
         direct,

@@ -17,6 +17,9 @@
 //!   than serving wrong rows, and so is a checkpoint page write torn
 //!   part-way through the page.
 //! * **Typed rejection**: the in-memory substrate cannot checkpoint.
+//! * **Composites and old catalogs**: composite indexes come back from a
+//!   crash (their Hermit snapshot, or a rebuild without it), and a
+//!   version-1 catalog still opens.
 //! * **Force at commit**: the log is fsynced once per auto-commit statement
 //!   batch and once per transaction commit, and nowhere else — counted
 //!   exactly.
@@ -30,15 +33,16 @@
 //!   fsyncs; a failed fsync acknowledges nobody; the log file's reserve is
 //!   invisible to recovery.
 
-use hermit::core::recovery::{DurabilityConfig, PAGES_FILE, WAL_FILE};
+use hermit::core::recovery::{DurabilityConfig, CATALOG_FILE, PAGES_FILE, WAL_FILE};
 use hermit::core::shared::SharedDatabase;
-use hermit::core::{BatchOptions, CoreError, Database, PlanKind, Query, RangePredicate};
+use hermit::core::{BatchOptions, CoreError, Database, IndexKey, PlanKind, Query, RangePredicate};
 use hermit::fault::{FaultKind, FaultOp, FaultPlan, FaultyPageStore, PlannedFault};
 use hermit::storage::paged::{FilePageStore, PageId, PageStore, PAGE_SIZE};
+use hermit::storage::recovery::crc32;
 use hermit::storage::wal::read_wal;
 use hermit::storage::{
-    install_fault_hook, ColumnDef, FaultAction, FaultHookGuard, RowLoc, Schema, Site, TidScheme,
-    Value,
+    install_fault_hook, Catalog, ColumnDef, ColumnType, FaultAction, FaultHookGuard, RowLoc,
+    Schema, Site, TidScheme, Value,
 };
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -75,8 +79,7 @@ fn copy_dir(from: &Path, to: &Path) {
 
 /// The query shapes the acceptance contract enumerates. With data on
 /// pk/host/target and indexes host=baseline, target=Hermit, these exercise
-/// every plan kind reachable on the paged substrate (composites are
-/// in-memory-only and cannot exist here).
+/// every single-column plan kind (composites have their own test below).
 fn queries() -> Vec<Query> {
     vec![
         Query::filter(RangePredicate::range(2, 100.0, 180.0)), // Hermit route
@@ -1177,5 +1180,202 @@ fn the_reserve_is_invisible_to_recovery_and_gone_after_a_checkpoint() {
     db.checkpoint(&dir).unwrap();
     assert_eq!(wal_len(&dir), 16, "after a checkpoint the log is its header");
     drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The pks of `model`'s rows inside the box `leading × value`, ascending.
+fn box_oracle(
+    model: &BTreeMap<i64, Vec<Value>>,
+    leading: RangePredicate,
+    value: RangePredicate,
+) -> Vec<i64> {
+    let inside = |r: &[Value], p: &RangePredicate| p.matches(r[p.column].as_f64());
+    model
+        .iter()
+        .filter(|(_, r)| inside(r, &leading) && inside(r, &value))
+        .map(|(&pk, _)| pk)
+        .collect()
+}
+
+/// The pks a box query through the index at `key` returns, ascending.
+fn box_pks(
+    db: &Database,
+    key: IndexKey,
+    leading: RangePredicate,
+    value: RangePredicate,
+) -> Vec<i64> {
+    rows_of(db, &db.lookup_box(key, leading, value))
+        .iter()
+        .map(|r| r[0].as_i64().unwrap())
+        .collect()
+}
+
+/// Composite indexes are durable like single-column ones: a composite
+/// baseline and the composite Hermit index routed through it survive a
+/// checkpoint, post-checkpoint DML and a `kill -9`, and answer box queries
+/// like a model of the rows. Without its snapshot the composite Hermit
+/// index is rebuilt from the heap.
+#[test]
+fn composite_indexes_survive_a_crash_and_a_lost_snapshot() {
+    let dir = fresh_dir("composite");
+    let config = DurabilityConfig::default();
+    let mut db = Database::create_durable(schema(), 0, &dir, &config).unwrap();
+    let mut model = BTreeMap::new();
+    for i in 0..3_000i64 {
+        let r = row(i, i as f64);
+        db.insert(&r).unwrap();
+        model.insert(i, r);
+    }
+    let host = db.create_composite_baseline(0, 1).unwrap();
+    let hermit = db.create_composite_hermit(0, 2, 1).unwrap();
+    assert_eq!((host, hermit), (IndexKey::composite(0, 1), IndexKey::composite(0, 2)));
+    db.checkpoint(&dir).unwrap();
+    let snapshots = |dir: &Path| -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .filter(|n| n.starts_with("trs_0-2.") && n.ends_with(".trst"))
+            .collect();
+        names.sort();
+        names
+    };
+    assert_eq!(snapshots(&dir).len(), 1, "one composite snapshot, named with its leading column");
+
+    // Post-checkpoint DML only the WAL carries: rows on and off the model,
+    // and deletes of old and new ones.
+    for i in 0..400i64 {
+        let pk = 10_000 + i;
+        let r = if i % 10 == 0 {
+            vec![Value::Int(pk), Value::Float(-7.0e8), Value::Float(500.0 + i as f64)]
+        } else {
+            row(pk, 3_000.0 + i as f64)
+        };
+        db.insert(&r).unwrap();
+        model.insert(pk, r);
+    }
+    for pk in (0..3_000i64).step_by(11).chain((10_000..10_400).step_by(13)) {
+        db.delete_by_pk(pk).unwrap();
+        model.remove(&pk);
+    }
+    db.wal_commit().unwrap();
+    let boxes = [
+        (RangePredicate::range(0, 0.0, 20_000.0), RangePredicate::range(2, 400.0, 900.0)),
+        (RangePredicate::range(0, 10_000.0, 10_200.0), RangePredicate::range(2, 0.0, 1.0e9)),
+        (RangePredicate::range(0, 1_000.0, 2_000.0), RangePredicate::point(2, 1_500.0)),
+    ];
+    for (leading, value) in boxes {
+        assert_eq!(box_pks(&db, hermit, leading, value), box_oracle(&model, leading, value));
+    }
+
+    // kill -9: the image is what the device holds now.
+    let image = fresh_dir("composite-image");
+    copy_dir(&dir, &image);
+    drop(db);
+    let torn = fresh_dir("composite-torn");
+    copy_dir(&image, &torn);
+
+    for (name, dir) in [("reopened", &image), ("snapshot lost", &torn)] {
+        if name == "snapshot lost" {
+            let lost = snapshots(dir);
+            assert_eq!(lost.len(), 1);
+            std::fs::remove_file(dir.join(&lost[0])).unwrap();
+        }
+        let back = Database::open(dir, &config).unwrap();
+        assert_eq!(back.len(), model.len(), "{name}");
+        assert!(back.index_at(host).is_some_and(|i| !i.is_hermit()), "{name}: host baseline");
+        assert_eq!(back.index_at(hermit).and_then(|i| i.host_column()), Some(1), "{name}");
+        for (leading, value) in boxes {
+            let want = box_oracle(&model, leading, value);
+            assert_eq!(
+                box_pks(&back, hermit, leading, value),
+                want,
+                "{name}: {leading:?} × {value:?}"
+            );
+            let any_host = RangePredicate::range(1, -1.0e15, 1.0e15);
+            let want_host = box_oracle(&model, leading, any_host);
+            assert_eq!(box_pks(&back, host, leading, any_host), want_host, "{name}: host box");
+            let planned = back.execute(&Query::filter(leading).and(value));
+            assert_eq!(rows_of(&back, &planned).len(), want.len(), "{name}: planned");
+        }
+        // The reopened database keeps composites through its own checkpoint.
+        back.checkpoint(dir).unwrap();
+        assert_eq!(snapshots(dir).len(), 1, "{name}: the rebuilt index snapshots again");
+        drop(back);
+        let again = Database::open(dir, &config).unwrap();
+        let (leading, value) = boxes[0];
+        assert_eq!(box_pks(&again, hermit, leading, value), box_oracle(&model, leading, value));
+    }
+    for dir in [&dir, &image, &torn] {
+        std::fs::remove_dir_all(dir).ok();
+    }
+}
+
+/// `catalog`'s bytes in the version-1 layout, which had no leading
+/// columns: what a build before composite indexes were catalogued wrote.
+fn catalog_v1_bytes(catalog: &Catalog) -> Vec<u8> {
+    let mut b = 1u32.to_le_bytes().to_vec();
+    b.push(match catalog.scheme {
+        TidScheme::Logical => 0,
+        TidScheme::Physical => 1,
+    });
+    b.extend_from_slice(&(catalog.pk_col as u32).to_le_bytes());
+    b.extend_from_slice(&catalog.wal_epoch.to_le_bytes());
+    b.extend_from_slice(&catalog.next_page.to_le_bytes());
+    b.extend_from_slice(&(catalog.schema.width() as u16).to_le_bytes());
+    for col in catalog.schema.columns() {
+        b.push(u8::from(col.ty == ColumnType::Float));
+        b.push(u8::from(col.nullable));
+        b.extend_from_slice(&(col.name.len() as u16).to_le_bytes());
+        b.extend_from_slice(col.name.as_bytes());
+    }
+    b.extend_from_slice(&(catalog.pages.len() as u32).to_le_bytes());
+    for p in &catalog.pages {
+        b.extend_from_slice(&p.page.to_le_bytes());
+        b.extend_from_slice(&p.live_rows.to_le_bytes());
+        b.extend_from_slice(&p.crc.to_le_bytes());
+    }
+    b.extend_from_slice(&(catalog.baselines.len() as u16).to_le_bytes());
+    for d in &catalog.baselines {
+        b.extend_from_slice(&(d.column as u32).to_le_bytes());
+        b.push(u8::from(d.existing));
+    }
+    b.extend_from_slice(&(catalog.hermits.len() as u16).to_le_bytes());
+    for d in &catalog.hermits {
+        b.extend_from_slice(&(d.target as u32).to_le_bytes());
+        b.extend_from_slice(&(d.host as u32).to_le_bytes());
+        b.extend_from_slice(&(d.params.len() as u16).to_le_bytes());
+        b.extend_from_slice(&d.params);
+    }
+    let mut out = b"HMTC".to_vec();
+    out.extend_from_slice(&b);
+    out.extend_from_slice(&crc32(&b).to_le_bytes());
+    out
+}
+
+/// A directory whose catalog was written in version 1 opens, with every
+/// index back and every query answered as before the restart, and the
+/// next checkpoint writes the current version.
+#[test]
+fn a_directory_with_a_version_1_catalog_opens() {
+    let dir = fresh_dir("catalog-v1");
+    let config = DurabilityConfig::default();
+    let db = build(&dir, &config);
+    db.checkpoint(&dir).unwrap();
+    let expected = snapshot_results(&db);
+    drop(db);
+
+    let path = dir.join(CATALOG_FILE);
+    let catalog = Catalog::read(&path).unwrap();
+    assert!(catalog.baselines.iter().all(|d| d.leading.is_none()));
+    std::fs::write(&path, catalog_v1_bytes(&catalog)).unwrap();
+    assert_eq!(Catalog::read(&path).unwrap(), catalog, "v1 decodes to the same definitions");
+    assert_eq!(u32::from_le_bytes(std::fs::read(&path).unwrap()[4..8].try_into().unwrap()), 1);
+
+    let back = Database::open(&dir, &config).unwrap();
+    assert_matches_oracle(&back, &expected, "v1 catalog");
+    back.checkpoint(&dir).unwrap();
+    assert_eq!(u32::from_le_bytes(std::fs::read(&path).unwrap()[4..8].try_into().unwrap()), 2);
+    drop(back);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -16,7 +16,7 @@
 //!   reorganization that cannot read the heap installs nothing.
 
 use hermit::core::recovery::{DurabilityConfig, WAL_FILE};
-use hermit::core::SharedDatabase;
+use hermit::core::shared::{MaintenanceConfig, MaintenanceWorker, SharedDatabase};
 use hermit::core::{Database, PlanKind, Query, RangePredicate};
 use hermit::fault::{mangle_file, FaultPlan, FaultRates, FaultyPageStore};
 use hermit::server::{ClientError, ErrorCode, HermitClient, HermitServer, ServerConfig};
@@ -24,7 +24,54 @@ use hermit::storage::paged::{BufferPool, PagedTable, SimulatedPageStore};
 use hermit::storage::{ColumnDef, Schema, Value};
 use proptest::prelude::*;
 use std::path::PathBuf;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// A maintenance worker whose rebuild scans cannot read the heap backs
+/// off: each sweep that leaves the queue as it was doubles its sleep, so in
+/// a fixed window it runs far fewer sweeps than one per `idle_sleep`. Once
+/// the heap reads again it drains the queue.
+#[test]
+fn a_worker_facing_an_unreadable_heap_backs_off_and_drains_once_healed() {
+    const FRAMES: usize = 4;
+    let store = Arc::new(FaultyPageStore::new(Arc::new(SimulatedPageStore::new())));
+    let pool = Arc::new(BufferPool::new(Arc::<FaultyPageStore>::clone(&store), FRAMES));
+    let mut db = Database::new_paged(PagedTable::new(schema(), Arc::clone(&pool)), 0);
+    for i in 0..4_000i64 {
+        db.insert(&row(i, i as f64)).unwrap();
+    }
+    db.create_baseline_index(1, true).unwrap();
+    db.create_hermit_index(2, 1).unwrap();
+    for j in 0..2_000i64 {
+        db.insert(&[Value::Int(4_000 + j), Value::Float(-1.0e9), Value::Float(j as f64)]).unwrap();
+    }
+    let shared = SharedDatabase::new(db);
+    assert!(shared.reorg_queue_len() > 0, "the flood must queue a split");
+
+    store.set_fail_reads(true);
+    let config = MaintenanceConfig { idle_sleep: Duration::from_millis(2), pass_limit: 8 };
+    let worker = MaintenanceWorker::start(shared.clone(), config);
+    let window = Duration::from_millis(400);
+    std::thread::sleep(window);
+    let sweeps = worker.stats().sweeps.load(Ordering::Relaxed);
+    let unthrottled = (window.as_millis() / config.idle_sleep.as_millis()) as u64;
+    assert!(shared.reorg_queue_len() > 0, "nothing can be done on an unreadable heap");
+    assert!(
+        (1..=unthrottled / 8).contains(&sweeps),
+        "{sweeps} sweeps in {window:?}: a stalled worker must back off (one per idle_sleep \
+         would be {unthrottled})"
+    );
+
+    store.set_fail_reads(false);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while shared.reorg_queue_len() > 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let (_, candidates) = worker.stop();
+    assert_eq!(shared.reorg_queue_len(), 0, "the healed heap lets the worker drain the queue");
+    assert!(candidates > 0);
+}
 
 fn schema() -> Schema {
     Schema::new(vec![ColumnDef::int("pk"), ColumnDef::float("host"), ColumnDef::float("target")])
@@ -259,22 +306,21 @@ fn composite_routes_report_unreadable_pages_not_shorter_answers() {
     for i in 0..ROWS {
         db.insert(&row(i, ((i * 7) % ROWS) as f64)).unwrap();
     }
-    // Composite indexes over the paged heap: (pk, target) directly, and
-    // target -> host through the (pk, host) companion.
+    // Composite indexes over the paged heap: (pk, target) directly, then —
+    // at the same key — target -> host through the (pk, host) companion.
     db.create_composite_baseline(0, 1).unwrap();
-    let direct = db.create_composite_baseline(0, 2).unwrap();
-    let hermit = db.create_composite_hermit(0, 2, 1).unwrap();
+    let key = db.create_composite_baseline(0, 2).unwrap();
     pool.flush().unwrap();
 
     let leading = RangePredicate::range(0, 0.0, ROWS as f64);
     let value = RangePredicate::range(2, 100.0, 699.0);
-    for idx in [direct, hermit] {
-        let healthy = db.lookup_box(idx, leading, value);
+    let check = |db: &Database, idx: &str| {
+        let healthy = db.lookup_box(key, leading, value);
         assert_eq!((healthy.rows.len(), healthy.unreadable, healthy.unresolved), (600, 0, 0));
         let candidates = healthy.rows.len() + healthy.false_positives;
 
         let before = pool.stats().hits() + pool.stats().misses();
-        db.lookup_box(idx, leading, value);
+        db.lookup_box(key, leading, value);
         let visits = pool.stats().hits() + pool.stats().misses() - before;
         let mut pages: Vec<u32> = healthy.rows.iter().map(|loc| loc.block).collect();
         pages.dedup(); // rows come back in heap order
@@ -282,7 +328,7 @@ fn composite_routes_report_unreadable_pages_not_shorter_answers() {
         assert!(visits >= pages.len() as u64, "index {idx}: every page with a match visited");
 
         store.set_fail_reads(true);
-        let poisoned = db.lookup_box(idx, leading, value);
+        let poisoned = db.lookup_box(key, leading, value);
         store.set_fail_reads(false);
         assert!(poisoned.unreadable > 0, "index {idx}: the failed loads must be reported");
         assert_eq!(poisoned.unresolved, 0, "index {idx}: an unreadable page is not a deleted row");
@@ -295,9 +341,12 @@ fn composite_routes_report_unreadable_pages_not_shorter_answers() {
         assert!(poisoned.rows.len() + poisoned.false_positives < candidates, "index {idx}");
         assert!(poisoned.false_positives <= healthy.false_positives, "index {idx}");
 
-        let healed = db.lookup_box(idx, leading, value);
+        let healed = db.lookup_box(key, leading, value);
         assert_eq!((healed.rows, healed.unreadable), (healthy.rows, 0));
-    }
+    };
+    check(&db, "direct");
+    assert_eq!(db.create_composite_hermit(0, 2, 1).unwrap(), key);
+    check(&db, "hermit");
 }
 
 /// A reorganization whose rebuild scan cannot read the heap installs

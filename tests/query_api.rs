@@ -103,7 +103,7 @@ fn explain_composite_box_is_stable() {
         plan.to_string(),
         "Query Plan [composite box scan] (cost=4113.9, candidates~398, rows~396, heap_rows=20000)\n\
          \x20 phase 1: TRS-Tree translate sp#2 in [700, 800] -> ranges on dj#1\n\
-         \x20 phase 2: box scan composite B+-tree #1 on (time#0 in [5000, 10000], dj#1 ranges)\n\
+         \x20 phase 2: box scan composite B+-tree on (time#0 in [5000, 10000], dj#1 ranges)\n\
          \x20 phase 3: resolve tids (physical tids: direct)\n\
          \x20 phase 4: validate time#0 in [5000, 10000] AND sp#2 in [700, 800]\n"
     );
@@ -237,7 +237,7 @@ fn composite_baseline_plan_is_exact() {
     let q = Query::new().and(preds[0]).and(preds[1]);
     let plan = db.plan(&q);
     assert!(
-        matches!(plan.access, AccessPath::CompositeBaseline { .. }),
+        matches!(plan.access, AccessPath::Index { leading: Some(_), .. }),
         "expected the composite baseline box, got: {plan}"
     );
     let r = db.execute_plan(&plan);

@@ -16,7 +16,9 @@
 //! known and the oracle can be replayed sequentially.
 
 use hermit::core::shared::{MaintenanceConfig, MaintenanceWorker, SharedDatabase};
-use hermit::core::{BatchOptions, CompositeIndex, Database, Query, QueryResult, RangePredicate};
+use hermit::core::{
+    BatchOptions, Database, IndexKey, Query, QueryResult, RangePredicate, SecondaryIndex,
+};
 use hermit::storage::paged::{BufferPool, PagedTable, SimulatedPageStore};
 use hermit::storage::{ColumnDef, Schema, TidScheme, Value};
 use hermit::trs::TrsParams;
@@ -31,9 +33,9 @@ const READERS: usize = 2;
 const READER_QUERIES: usize = 120;
 /// pk base for writer-inserted rows, far above every seed pk.
 const INSERT_BASE: i64 = 1_000_000;
-/// Registry position of the composite Hermit index on `(pk, target)`,
-/// routed through the `(pk, host)` baseline.
-const COMPOSITE_HERMIT: usize = 2;
+/// Key of the composite Hermit index on `(pk, target)`, routed through the
+/// `(pk, host)` baseline.
+const COMPOSITE_HERMIT: IndexKey = IndexKey::composite(0, 2);
 
 fn schema() -> Schema {
     Schema::new(vec![
@@ -85,7 +87,7 @@ fn build_db(substrate: &Substrate, scheme: TidScheme, with_composite: bool) -> D
     db.create_baseline_index(1, true).unwrap();
     db.create_hermit_index(2, 1).unwrap();
     if with_composite {
-        db.create_composite_baseline(0, 2).unwrap();
+        db.create_composite_baseline(0, 3).unwrap();
         db.create_composite_baseline(0, 1).unwrap();
         // A split trigger below the 1-in-17 outlier share: every buffered
         // insert queues work, so the worker reorganizes this tree while
@@ -112,8 +114,10 @@ fn query_panel(with_composite: bool) -> Vec<Query> {
         Query::new().range(3, 55_000.0, 56_000.0),
     ];
     if with_composite {
-        // Composite (pk, target) box scan.
+        // Composite (pk, target) box through the composite Hermit index.
         panel.push(Query::new().range(0, 3_000.0, 6_000.0).range(2, 3_100.0, 5_900.0));
+        // Composite (pk, other) baseline box scan.
+        panel.push(Query::new().range(0, 3_000.0, 6_000.0).range(3, 31_000.0, 59_000.0));
     }
     panel
 }
@@ -200,8 +204,7 @@ fn run_stress(substrate: Substrate, scheme: TidScheme) {
         // The composite Hermit tree took the writers' inserts and deletes
         // while the worker reorganized it: its forced box route must give
         // the oracle's rows, deleted seeds and new inserts alike.
-        let Some(CompositeIndex::Hermit { trs, .. }) =
-            shared.db().composites().get(COMPOSITE_HERMIT)
+        let Some(SecondaryIndex::Hermit { trs, .. }) = shared.db().index_at(COMPOSITE_HERMIT)
         else {
             panic!("composite Hermit index missing")
         };
