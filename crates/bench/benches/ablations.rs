@@ -1,13 +1,12 @@
-//! Ablation benchmarks for the design choices DESIGN.md calls out:
+//! Ablation benchmarks for the TRS-Tree's tunable design choices:
 //!
-//! * outlier-buffer layout (hash vs sorted-vec) under range collection,
 //! * node fanout sensitivity,
 //! * the Appendix D.2 sampling pre-check during construction,
 //! * error_bound's effect on end-to-end range lookup cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hermit_storage::Tid;
-use hermit_trs::{OutlierBufferKind, TrsParams, TrsTree};
+use hermit_trs::{TrsParams, TrsTree};
 use std::time::Duration;
 
 fn noisy_linear(n: usize, noise_every: usize) -> Vec<(f64, f64, Tid)> {
@@ -28,31 +27,6 @@ fn sigmoid(n: usize) -> Vec<(f64, f64, Tid)> {
             (m, 1.0e6 / (1.0 + (-(m - mid) / (n as f64 / 20.0)).exp()), Tid(i as u64))
         })
         .collect()
-}
-
-/// Hash vs sorted-vec outlier buffers: range lookups over a tree whose
-/// buffers hold ~2% of the data. Hash must scan whole buffers; sorted-vec
-/// binary-searches.
-fn bench_outlier_buffer(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_outlier_buffer");
-    group.sample_size(30).measurement_time(Duration::from_secs(2));
-    let data = noisy_linear(100_000, 50);
-    for kind in [OutlierBufferKind::Hash, OutlierBufferKind::SortedVec] {
-        let tree =
-            TrsTree::build_with_buffer(TrsParams::default(), kind, (0.0, 100_000.0), data.clone());
-        let label = match kind {
-            OutlierBufferKind::Hash => "hash",
-            OutlierBufferKind::SortedVec => "sorted_vec",
-        };
-        group.bench_function(BenchmarkId::new("range_lookup", label), |b| {
-            let mut i = 0u64;
-            b.iter(|| {
-                i = (i * 1103515245 + 12345) % 99_000;
-                std::hint::black_box(tree.lookup(i as f64, i as f64 + 100.0))
-            })
-        });
-    }
-    group.finish();
 }
 
 /// Fanout sensitivity: the paper fixes node_fanout = 8; sweep 4/8/16 on
@@ -114,5 +88,5 @@ fn bench_error_bound(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_outlier_buffer, bench_fanout, bench_sampling, bench_error_bound);
+criterion_group!(benches, bench_fanout, bench_sampling, bench_error_bound);
 criterion_main!(benches);

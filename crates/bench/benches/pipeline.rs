@@ -481,8 +481,7 @@ fn report_open(dir: &std::path::Path) {
     let (hwm, rss) = (field("VmHWM:"), field("VmRSS:"));
     let primary = db.primary().memory_bytes();
     let pool = db.pool_bytes();
-    let secondary: usize =
-        db.indexed_columns().iter().filter_map(|&c| db.index(c)).map(|i| i.memory_bytes()).sum();
+    let secondary: usize = db.indexes().map(|(_, index)| index.memory_bytes()).sum();
     let host = db.index(1).map_or(0, |i| i.memory_bytes());
     println!("{seconds} {hwm} {rss} {} {primary} {pool} {secondary} {host}", db.len());
 }

@@ -234,11 +234,6 @@ impl Database {
         }
     }
 
-    /// Columns with single-column secondary indexes, in column order.
-    pub fn indexed_columns(&self) -> Vec<ColumnId> {
-        self.indexes.keys().filter(|key| key.leading.is_none()).map(|key| key.column).collect()
-    }
-
     /// The primary index (read latch), without a token: for callers
     /// outside the engine, checked by the runtime witness only.
     #[expect(clippy::disallowed_methods, reason = "the tokenless accessor itself")]

@@ -562,42 +562,6 @@ impl Database {
     }
 }
 
-/// Encode [`TrsParams`] as the catalog's opaque blob (so a Hermit index
-/// whose snapshot is lost is rebuilt with the parameters it was created
-/// with, not the defaults).
-fn encode_params(p: &TrsParams) -> Vec<u8> {
-    let mut out = Vec::with_capacity(56);
-    out.extend_from_slice(&(p.node_fanout as u32).to_le_bytes());
-    out.extend_from_slice(&(p.max_height as u32).to_le_bytes());
-    out.extend_from_slice(&p.outlier_ratio.to_le_bytes());
-    out.extend_from_slice(&p.error_bound.to_le_bytes());
-    out.extend_from_slice(&p.sampling_fraction.unwrap_or(-1.0).to_le_bytes());
-    out.extend_from_slice(&p.split_trigger_ratio.to_le_bytes());
-    out.extend_from_slice(&p.merge_trigger_ratio.to_le_bytes());
-    out.extend_from_slice(&p.seed.to_le_bytes());
-    out
-}
-
-fn decode_params(blob: &[u8]) -> Option<TrsParams> {
-    if blob.len() != 56 {
-        return None;
-    }
-    let u32_at = |i: usize| u32::from_le_bytes(blob[i..i + 4].try_into().unwrap());
-    let f64_at = |i: usize| f64::from_le_bytes(blob[i..i + 8].try_into().unwrap());
-    let sampling = f64_at(24);
-    let params = TrsParams {
-        node_fanout: u32_at(0) as usize,
-        max_height: u32_at(4) as usize,
-        outlier_ratio: f64_at(8),
-        error_bound: f64_at(16),
-        sampling_fraction: (sampling >= 0.0).then_some(sampling),
-        split_trigger_ratio: f64_at(32),
-        merge_trigger_ratio: f64_at(40),
-        seed: u64::from_le_bytes(blob[48..56].try_into().unwrap()),
-    };
-    params.validate().ok().map(|()| params)
-}
-
 impl Database {
     /// Create a restart-survivable paged database rooted at `dir`
     /// (`pages.db`, `catalog.bin`, `wal.log`, and one snapshot per Hermit
@@ -752,7 +716,7 @@ impl Database {
                         leading,
                         target: column,
                         host: *host,
-                        params: encode_params(&trs.params()),
+                        params: trs.params().to_bytes(),
                     });
                 }
             }
@@ -1092,7 +1056,7 @@ impl Database {
                     // Missing or torn snapshot: rebuild from the recovered
                     // heap, with the parameters the index was created with.
                     let saved = self.trs_params;
-                    self.trs_params = decode_params(&def.params).unwrap_or_default();
+                    self.trs_params = TrsParams::from_bytes(&def.params).unwrap_or_default();
                     let built = self.create_hermit_at(key, def.host);
                     self.trs_params = saved;
                     built?;
@@ -1124,13 +1088,13 @@ mod tests {
             seed: 42,
             ..Default::default()
         };
-        assert_eq!(decode_params(&encode_params(&p)), Some(p));
+        assert_eq!(TrsParams::from_bytes(&p.to_bytes()), Some(p));
         let none = TrsParams { sampling_fraction: None, ..Default::default() };
-        assert_eq!(decode_params(&encode_params(&none)), Some(none));
-        assert_eq!(decode_params(&[1, 2, 3]), None, "short blob rejected");
-        let mut bad = encode_params(&TrsParams::default());
+        assert_eq!(TrsParams::from_bytes(&none.to_bytes()), Some(none));
+        assert_eq!(TrsParams::from_bytes(&[1, 2, 3]), None, "short blob rejected");
+        let mut bad = TrsParams::default().to_bytes();
         bad[0] = 0; // node_fanout = 0 fails validation
-        assert_eq!(decode_params(&bad), None);
+        assert_eq!(TrsParams::from_bytes(&bad), None);
     }
 
     fn tier_row(pk: i64, m: f64) -> Vec<Value> {

@@ -259,10 +259,7 @@ impl SharedDatabase {
     /// multiple rows per key, so the two denominators diverge under churn.
     pub fn outlier_share(&self, col: hermit_storage::ColumnId) -> Option<f64> {
         match self.inner.index(col)? {
-            SecondaryIndex::Hermit { trs, .. } => {
-                let stats = trs.stats();
-                Some(stats.outliers as f64 / stats.covered.max(1) as f64)
-            }
+            SecondaryIndex::Hermit { trs, .. } => Some(trs.stats().outlier_share()),
             SecondaryIndex::Baseline(_) | SecondaryIndex::Composite(_) => None,
         }
     }

@@ -49,7 +49,7 @@ use crate::proto::{
     Response,
 };
 use hermit_core::shared::{MaintenanceWorker, SharedDatabase};
-use hermit_core::{CoreError, PlanLatencies, Query, RowBlock, SecondaryIndex};
+use hermit_core::{CoreError, IndexKey, PlanLatencies, Query, RowBlock, SecondaryIndex};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::BufReader;
@@ -605,6 +605,15 @@ fn run_query(inner: &Arc<Inner>, query: Query, txn: Option<u64>) -> Result<RowBl
     Ok(block)
 }
 
+/// The selector labels of an index's stats lines: `column="c"`, preceded
+/// by `leading="l",` on a composite index.
+fn index_labels(key: IndexKey) -> String {
+    match key.leading {
+        Some(leading) => format!("leading=\"{leading}\",column=\"{}\"", key.column),
+        None => format!("column=\"{}\"", key.column),
+    }
+}
+
 /// Append one formatted line of the stats report to `out`.
 fn line(out: &mut String, args: std::fmt::Arguments<'_>) {
     use std::fmt::Write as _;
@@ -663,15 +672,10 @@ fn render_stats(inner: &Arc<Inner>) -> String {
         (primary.memory_bytes(), primary.tier_lens())
     };
     line(&mut out, format_args!("hermit_memory_bytes{{part=\"primary\"}} {primary_bytes}"));
-    for col in db.indexed_columns() {
-        if let Some(index) = db.index(col) {
-            let part = if index.is_hermit() { "hermit" } else { "baseline" };
-            let bytes = index.memory_bytes();
-            line(
-                &mut out,
-                format_args!("hermit_memory_bytes{{part=\"{part}\",column=\"{col}\"}} {bytes}"),
-            );
-        }
+    for (key, index) in db.indexes() {
+        let part = if index.is_hermit() { "hermit" } else { "baseline" };
+        let (labels, bytes) = (index_labels(key), index.memory_bytes());
+        line(&mut out, format_args!("hermit_memory_bytes{{part=\"{part}\",{labels}}} {bytes}"));
     }
     line(&mut out, format_args!("hermit_primary_keys{{tier=\"run\"}} {run_keys}"));
     line(&mut out, format_args!("hermit_primary_keys{{tier=\"outlier\"}} {outlier_keys}"));
@@ -713,11 +717,10 @@ fn render_stats(inner: &Arc<Inner>) -> String {
 
     line(&mut out, format_args!("hermit_reorg_passes {}", inner.db.reorg_passes()));
     line(&mut out, format_args!("hermit_reorg_queue_depth {}", inner.db.reorg_queue_len()));
-    for col in db.indexed_columns() {
-        if matches!(db.index(col), Some(SecondaryIndex::Hermit { .. })) {
-            if let Some(share) = inner.db.outlier_share(col) {
-                line(&mut out, format_args!("hermit_outlier_share{{column=\"{col}\"}} {share:.6}"));
-            }
+    for (key, index) in db.indexes() {
+        if let SecondaryIndex::Hermit { trs, .. } = index {
+            let (labels, share) = (index_labels(key), trs.stats().outlier_share());
+            line(&mut out, format_args!("hermit_outlier_share{{{labels}}} {share:.6}"));
         }
     }
     if let Some(worker) = inner.worker.lock().as_ref() {

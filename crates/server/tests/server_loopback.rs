@@ -11,7 +11,7 @@
 //! row cap, and the memory exporter of a reopened database.
 
 use hermit_core::shared::{MaintenanceConfig, MaintenanceWorker, SharedDatabase};
-use hermit_core::{Database, DurabilityConfig, Query};
+use hermit_core::{Database, DurabilityConfig, IndexKey, Query};
 use hermit_server::proto::{read_frame, write_frame};
 use hermit_server::{
     ClientError, ErrorCode, HermitClient, HermitServer, Request, Response, ServerConfig, MAX_FRAME,
@@ -522,6 +522,58 @@ fn a_reopened_server_reports_memory_by_structure() {
     assert!(metric("hermit_memory_bytes{part=\"pool\"}") > 0);
     server.stop();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Composite indexes are exported beside single-column ones: their
+/// `hermit_memory_bytes` and `hermit_outlier_share` lines carry a `leading`
+/// label, and every line reads what the engine reports for that index.
+#[test]
+fn composite_indexes_appear_in_stats() {
+    let mut db = seeded_db();
+    db.create_composite_baseline(0, 1).unwrap();
+    let composite = db.create_composite_hermit(0, 2, 1).unwrap();
+    let server =
+        HermitServer::start(SharedDatabase::new(db), None, ServerConfig::default(), "127.0.0.1:0")
+            .unwrap();
+    let mut c = connect(&server);
+    // Off-model rows land in both Hermit trees' outlier buffers.
+    for pk in SEED_ROWS..SEED_ROWS + 20 {
+        c.insert(vec![Value::Int(pk), Value::Float(1.0e9), Value::Float(pk as f64)]).unwrap();
+    }
+    let stats = c.stats().unwrap();
+    let value = |name: &str| -> &str {
+        let line = stats.lines().find_map(|l| l.strip_prefix(name)).expect(name);
+        line.trim()
+    };
+    let engine = server.db().db();
+    let bytes = |key| engine.index_at(key).unwrap().memory_bytes().to_string();
+    let share = |key| match engine.index_at(key).unwrap() {
+        hermit_core::SecondaryIndex::Hermit { trs, .. } => {
+            format!("{:.6}", trs.stats().outlier_share())
+        }
+        _ => panic!("not a Hermit index"),
+    };
+    let single = IndexKey::single(2);
+    assert_eq!(
+        value("hermit_memory_bytes{part=\"baseline\",column=\"1\"} "),
+        bytes(IndexKey::single(1))
+    );
+    assert_eq!(value("hermit_memory_bytes{part=\"hermit\",column=\"2\"} "), bytes(single));
+    assert_eq!(
+        value("hermit_memory_bytes{part=\"baseline\",leading=\"0\",column=\"1\"} "),
+        bytes(IndexKey::composite(0, 1))
+    );
+    assert_eq!(
+        value("hermit_memory_bytes{part=\"hermit\",leading=\"0\",column=\"2\"} "),
+        bytes(composite)
+    );
+    assert_eq!(value("hermit_outlier_share{column=\"2\"} "), share(single));
+    let composite_share = value("hermit_outlier_share{leading=\"0\",column=\"2\"} ");
+    assert_eq!(composite_share, share(composite));
+    assert!(composite_share.parse::<f64>().unwrap() > 0.0, "the off-model rows are buffered");
+    assert_eq!(stats.matches("hermit_outlier_share").count(), 2, "one line per Hermit index");
+    c.shutdown().unwrap();
+    server.wait();
 }
 
 /// `MAX_FRAME` is part of the public contract both sides size against.

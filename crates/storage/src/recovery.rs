@@ -230,8 +230,9 @@ pub struct HermitDef {
     pub target: ColumnId,
     /// Host column whose baseline index serves the second hop.
     pub host: ColumnId,
-    /// Opaque TRS parameter encoding (owned by the core layer; the catalog
-    /// only round-trips it).
+    /// Opaque TRS parameter encoding (`TrsParams::to_bytes`, owned by the
+    /// TRS layer; the catalog only round-trips it), so an index whose
+    /// snapshot is lost is rebuilt with the parameters it was created with.
     pub params: Vec<u8>,
 }
 

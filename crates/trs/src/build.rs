@@ -177,13 +177,7 @@ fn sample_says_split(
 ///
 /// `fit` is the node's [`compute_and_validate`] result when the split
 /// decision already computed it.
-fn make_leaf(
-    params: &TrsParams,
-    kind: crate::OutlierBufferKind,
-    range: ValueRange,
-    pairs: &[Pair],
-    fit: Option<Fit>,
-) -> Node {
+fn make_leaf(params: &TrsParams, range: ValueRange, pairs: &[Pair], fit: Option<Fit>) -> Node {
     let fit = fit.unwrap_or_else(|| compute_and_validate(params, &range, pairs));
     let (model, mut eps) = (fit.model, fit.eps);
     if fit.overflows(params, pairs.len()) {
@@ -194,13 +188,18 @@ fn make_leaf(
         // genuine outliers — still land in the buffer.
         eps = eps.max(residual_rank(&model, pairs, keep - 1) * 1.5);
     }
-    let mut leaf = LeafData::new(model, eps, pairs.len(), kind);
+    let mut leaf = LeafData::new(model, eps, pairs.len());
     for (m, n, tid) in pairs {
         if !leaf.covers(*m, *n) {
             leaf.outliers.add(*m, *tid);
         }
     }
     Node { range, kind: NodeKind::Leaf(leaf) }
+}
+
+/// What a node slot holds until construction finalizes it: an empty leaf.
+fn placeholder(range: ValueRange) -> Node {
+    Node { range, kind: NodeKind::Leaf(LeafData::new(LinearModel::constant(0.0), MIN_EPS, 0)) }
 }
 
 /// A split must shrink the (weighted) median absolute residual of the
@@ -310,40 +309,16 @@ impl TrsTree {
     /// (Algorithm 1). `range` normally comes from optimizer statistics
     /// ([`hermit_storage::ColumnStats::range`]).
     pub fn build(params: TrsParams, range: (f64, f64), pairs: Vec<Pair>) -> Self {
-        Self::build_with_buffer(params, crate::OutlierBufferKind::default(), range, pairs)
-    }
-
-    /// [`TrsTree::build`] with an explicit outlier-buffer layout.
-    pub fn build_with_buffer(
-        params: TrsParams,
-        buffer_kind: crate::OutlierBufferKind,
-        range: (f64, f64),
-        pairs: Vec<Pair>,
-    ) -> Self {
         params.validate().expect("invalid TrsParams");
         let root_range = ValueRange::new(range.0, range.1);
-        let mut tree = TrsTree {
-            arena: Vec::new(),
-            root: 0,
-            params,
-            buffer_kind,
-            reorg_queue: VecDeque::new(),
-        };
+        let mut tree = TrsTree { arena: Vec::new(), root: 0, params, reorg_queue: VecDeque::new() };
         let mut rng = sampling::seeded_rng(params.seed);
 
         // FIFO work list of (node slot, depth, pairs, the node's fit if its
         // parent's lookahead made one). Node slots are pre-allocated so
         // parents can reference children by id before the children are
         // finalized.
-        tree.arena.push(Node {
-            range: root_range,
-            kind: NodeKind::Leaf(LeafData::new(
-                LinearModel::constant(0.0),
-                MIN_EPS,
-                0,
-                buffer_kind,
-            )),
-        });
+        tree.arena.push(placeholder(root_range));
         let mut queue: VecDeque<(NodeId, usize, Vec<Pair>, Option<Fit>)> = VecDeque::new();
         queue.push_back((0, 1, pairs, None));
 
@@ -354,23 +329,14 @@ impl TrsTree {
                     let subs = range.split(tree.params.node_fanout);
                     let mut children = Vec::with_capacity(subs.len());
                     for (sub, (bucket, fit)) in subs.into_iter().zip(buckets) {
-                        let child = tree.alloc(Node {
-                            range: sub,
-                            kind: NodeKind::Leaf(LeafData::new(
-                                LinearModel::constant(0.0),
-                                MIN_EPS,
-                                0,
-                                buffer_kind,
-                            )),
-                        });
+                        let child = tree.alloc(placeholder(sub));
                         queue.push_back((child, depth + 1, bucket, fit));
                         children.push(child);
                     }
                     tree.arena[slot as usize].kind = NodeKind::Internal { children };
                 }
                 Decision::Leaf(fit) => {
-                    tree.arena[slot as usize] =
-                        make_leaf(&tree.params, buffer_kind, range, &node_pairs, fit);
+                    tree.arena[slot as usize] = make_leaf(&tree.params, range, &node_pairs, fit);
                 }
             }
         }
@@ -442,34 +408,11 @@ pub fn build_parallel(
     })
     .expect("thread scope");
 
-    // Stitch: new arena with root internal node, then graft each subtree by
-    // offsetting its node ids.
-    let mut tree = TrsTree {
-        arena: Vec::new(),
-        root: 0,
-        params,
-        buffer_kind: crate::OutlierBufferKind::default(),
-        reorg_queue: VecDeque::new(),
-    };
-    tree.arena.push(Node { range: root_range, kind: NodeKind::Internal { children: Vec::new() } });
-    let mut children = Vec::new();
-    for sub in subtrees.into_iter().map(|s| s.expect("built")) {
-        let offset = tree.arena.len() as NodeId;
-        let sub_root = sub.root;
-        for mut node in sub.arena {
-            if let NodeKind::Internal { children } = &mut node.kind {
-                for c in children.iter_mut() {
-                    *c += offset;
-                }
-            }
-            tree.arena.push(node);
-        }
-        children.push(offset + sub_root);
-    }
-    let NodeKind::Internal { children: root_children } = &mut tree.arena[0].kind else {
-        unreachable!()
-    };
-    *root_children = children;
+    // Stitch: the root router in slot 0, then every subtree appended.
+    let root = Node { range: root_range, kind: NodeKind::Internal { children: Vec::new() } };
+    let mut tree = TrsTree { arena: vec![root], root: 0, params, reorg_queue: VecDeque::new() };
+    let children = subtrees.into_iter().map(|s| tree.append_subtree(s.expect("built"))).collect();
+    tree.arena[0].kind = NodeKind::Internal { children };
     tree
 }
 
@@ -667,19 +610,19 @@ mod tests {
         let cases = [
             (
                 TrsTree::build(TrsParams::default(), (-10.0, 10.0), sigmoid_pairs(50_000)),
-                stats(512, 73, 4, 0, 50_000, 182_544),
+                stats(512, 73, 4, 0, 50_000, 84_256),
             ),
             (
                 TrsTree::build(sampled, (-10.0, 10.0), sigmoid_pairs(40_000)),
-                stats(456, 65, 4, 70, 40_000, 177_168),
+                stats(456, 65, 4, 70, 40_000, 86_048),
             ),
             (
                 TrsTree::build(TrsParams::default(), (0.0, 9_999.0), noisy),
-                stats(1, 0, 1, 200, 10_000, 4_656),
+                stats(1, 0, 1, 200, 10_000, 4_416),
             ),
             (
                 TrsTree::build(TrsParams::default(), (-10.0, 10.0), wild),
-                stats(204, 29, 5, 1_696, 50_000, 101_264),
+                stats(204, 29, 5, 1_696, 50_000, 66_976),
             ),
         ];
         for (i, (tree, want)) in cases.iter().enumerate() {

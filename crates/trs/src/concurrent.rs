@@ -312,13 +312,6 @@ impl ConcurrentTrsTree {
         self.tree.write().snapshot_bytes()
     }
 
-    /// Run a closure against the inner tree under the read latch (escape
-    /// hatch for read-only inspection that has no dedicated delegate, e.g.
-    /// invariant checks in tests).
-    pub fn with_tree<T>(&self, f: impl FnOnce(&TrsTree) -> T) -> T {
-        f(&self.tree.read())
-    }
-
     /// Consume the wrapper, returning the inner tree.
     pub fn into_inner(self) -> TrsTree {
         self.tree.into_inner()

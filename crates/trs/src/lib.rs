@@ -26,8 +26,8 @@
 //!
 //! * [`params`] — `node_fanout`, `max_height`, `outlier_ratio`,
 //!   `error_bound` (§4.5) and the reorganization triggers.
-//! * [`node`] — arena nodes, leaf models, outlier buffers (hash or
-//!   sorted-vec layout).
+//! * [`node`] — arena nodes, leaf models, outlier buffers (sorted
+//!   `(key, tid)` vectors).
 //! * [`build`] — Algorithm 1, including the sampling-based pre-check
 //!   (Appendix D.2) and multi-threaded construction.
 //! * [`lookup`] — Algorithm 2.
@@ -50,7 +50,7 @@ pub mod reorg;
 pub use build::build_parallel;
 pub use concurrent::ConcurrentTrsTree;
 pub use lookup::{LookupScratch, TrsLookup};
-pub use node::{OutlierBufferKind, TrsTree, TrsTreeStats};
+pub use node::{TrsTree, TrsTreeStats};
 pub use params::TrsParams;
 
 use hermit_storage::Tid;

@@ -61,9 +61,7 @@ impl TrsTree {
             };
             // Detection offloaded to the operation (§4.4): queue a split
             // when the buffer share crosses the trigger.
-            let candidate = buffered
-                && leaf.outliers.len() as f64
-                    > params.split_trigger_ratio * leaf.covered.max(1) as f64;
+            let candidate = buffered && leaf.wants_split(&params);
             (buffered, candidate)
         };
         if candidate {
@@ -86,8 +84,7 @@ impl TrsTree {
             let removed = leaf.outliers.remove(m, tid);
             leaf.deletes += 1;
             leaf.covered = leaf.covered.saturating_sub(1);
-            let candidate =
-                leaf.deletes as f64 > params.merge_trigger_ratio * leaf.covered.max(1) as f64;
+            let candidate = leaf.wants_merge(&params);
             (removed, candidate)
         };
         if candidate {
@@ -97,12 +94,6 @@ impl TrsTree {
             }
         }
         removed
-    }
-
-    /// Update a tuple's target/host values: delete old, insert new.
-    pub fn update(&mut self, old_m: f64, new_m: f64, new_n: f64, tid: Tid) {
-        self.delete(old_m, tid);
-        self.insert(new_m, new_n, tid);
     }
 
     /// Find the parent of `node` by walking from the root (the arena stores
@@ -201,11 +192,13 @@ mod tests {
         assert!(!tree.delete(100.0, Tid(100)));
     }
 
+    /// An update is a delete at the old home and an insert at the new.
     #[test]
     fn update_moves_tuple() {
         let mut tree = linear_tree(10_000);
         tree.insert(500.0, 9.9e6, Tid(7)); // outlier at 500
-        tree.update(500.0, 800.0, 8.8e6, Tid(7)); // still an outlier, new home
+        tree.delete(500.0, Tid(7));
+        tree.insert(800.0, 8.8e6, Tid(7)); // still an outlier, new home
         assert!(!tree.lookup_point(500.0).tids.contains(&Tid(7)));
         assert!(tree.lookup_point(800.0).tids.contains(&Tid(7)));
     }

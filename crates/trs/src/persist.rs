@@ -12,13 +12,17 @@
 //! Format (little-endian throughout):
 //!
 //! ```text
-//! magic "TRST" | version u32 | params | buffer_kind u8 | root u32 |
+//! magic "TRST" | version u32 | params (56 bytes) | layout u8 | root u32 |
 //! node_count u32 | nodes... | queue_len u32 | queue...      (v2)
+//! params := TrsParams::to_bytes
+//! layout := 1 (a sorted buffer) is written; 0 (a hash buffer, which
+//!           older builds could write) is read as well: the entries do
+//!           not depend on it
 //! node := range(lb f64, ub f64) | tag u8 |
 //!         tag 0 (internal): child_count u32, children u32...
 //!         tag 1 (leaf):     beta f64, alpha f64, eps f64, covered u64,
 //!                           deletes u64, outlier_count u32,
-//!                           (m f64, tid u64)...
+//!                           (m f64, tid u64)... (in key order)
 //! queue entry := node u32 | kind u8 (0 = split, 1 = merge)
 //! ```
 //!
@@ -28,7 +32,7 @@
 //! per-leaf outlier/delete counters against the trigger ratios.
 
 use crate::maintain::{ReorgCandidate, ReorgKind};
-use crate::node::{LeafData, Node, NodeKind, OutlierBufferKind, TrsTree, ValueRange};
+use crate::node::{LeafData, Node, NodeKind, TrsTree, ValueRange};
 use crate::params::TrsParams;
 use hermit_stats::LinearModel;
 use hermit_storage::Tid;
@@ -38,6 +42,10 @@ use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 4] = b"TRST";
 const VERSION: u32 = 2;
+/// The outlier-buffer layout byte every snapshot is written with.
+const SORTED_LAYOUT: u8 = 1;
+/// The byte older builds wrote for a hash-table buffer; accepted on read.
+const HASH_LAYOUT: u8 = 0;
 
 /// Errors produced by snapshot encode/decode.
 #[derive(Debug)]
@@ -127,19 +135,8 @@ impl TrsTree {
         let mut w = Writer { out };
         w.out.write_all(MAGIC)?;
         w.u32(VERSION)?;
-        // Params.
-        w.u32(self.params.node_fanout as u32)?;
-        w.u32(self.params.max_height as u32)?;
-        w.f64(self.params.outlier_ratio)?;
-        w.f64(self.params.error_bound)?;
-        w.f64(self.params.sampling_fraction.unwrap_or(-1.0))?;
-        w.f64(self.params.split_trigger_ratio)?;
-        w.f64(self.params.merge_trigger_ratio)?;
-        w.u64(self.params.seed)?;
-        w.u8(match self.buffer_kind {
-            OutlierBufferKind::Hash => 0,
-            OutlierBufferKind::SortedVec => 1,
-        })?;
+        w.out.write_all(&self.params.to_bytes())?;
+        w.u8(SORTED_LAYOUT)?;
         w.u32(self.root)?;
         w.u32(self.arena.len() as u32)?;
         for node in &self.arena {
@@ -160,11 +157,8 @@ impl TrsTree {
                     w.f64(leaf.eps)?;
                     w.u64(leaf.covered as u64)?;
                     w.u64(leaf.deletes as u64)?;
-                    // Collect outliers in a layout-independent order.
-                    let mut entries: Vec<(f64, Tid)> = Vec::with_capacity(leaf.outliers.len());
-                    leaf.outliers.for_each_entry(|m, tid| entries.push((m, tid)));
-                    w.u32(entries.len() as u32)?;
-                    for (m, tid) in entries {
+                    w.u32(leaf.outliers.len() as u32)?;
+                    for (m, tid) in leaf.outliers.entries() {
                         w.f64(m)?;
                         w.u64(tid.0)?;
                     }
@@ -205,30 +199,13 @@ impl TrsTree {
         if !(1..=VERSION).contains(&version) {
             return Err(PersistError::UnsupportedVersion(version));
         }
-        let node_fanout = r.u32()? as usize;
-        let max_height = r.u32()? as usize;
-        let outlier_ratio = r.f64()?;
-        let error_bound = r.f64()?;
-        let sampling_raw = r.f64()?;
-        let split_trigger_ratio = r.f64()?;
-        let merge_trigger_ratio = r.f64()?;
-        let seed = r.u64()?;
-        let params = TrsParams {
-            node_fanout,
-            max_height,
-            outlier_ratio,
-            error_bound,
-            sampling_fraction: (sampling_raw >= 0.0).then_some(sampling_raw),
-            split_trigger_ratio,
-            merge_trigger_ratio,
-            seed,
-        };
-        params.validate().map_err(|_| PersistError::Corrupt("invalid params"))?;
-        let buffer_kind = match r.u8()? {
-            0 => OutlierBufferKind::Hash,
-            1 => OutlierBufferKind::SortedVec,
-            _ => return Err(PersistError::Corrupt("bad buffer kind")),
-        };
+        let mut params = [0u8; TrsParams::ENCODED_LEN];
+        r.inp.read_exact(&mut params)?;
+        let params =
+            TrsParams::from_bytes(&params).ok_or(PersistError::Corrupt("invalid params"))?;
+        if !matches!(r.u8()?, SORTED_LAYOUT | HASH_LAYOUT) {
+            return Err(PersistError::Corrupt("bad buffer kind"));
+        }
         let root = r.u32()?;
         let count = r.u32()? as usize;
         if count == 0 || root as usize >= count {
@@ -269,8 +246,7 @@ impl TrsTree {
                     let covered = r.u64()? as usize;
                     let deletes = r.u64()? as usize;
                     let n = r.u32()? as usize;
-                    let mut leaf =
-                        LeafData::new(LinearModel { beta, alpha }, eps, covered, buffer_kind);
+                    let mut leaf = LeafData::new(LinearModel { beta, alpha }, eps, covered);
                     leaf.deletes = deletes;
                     for _ in 0..n {
                         let m = r.f64()?;
@@ -308,7 +284,7 @@ impl TrsTree {
                 queue
             }
         };
-        let mut tree = TrsTree { arena, root, params, buffer_kind, reorg_queue };
+        let mut tree = TrsTree { arena, root, params, reorg_queue };
         tree.check_invariants().map_err(|_| PersistError::Corrupt("invariant violation"))?;
         if version == 1 {
             tree.rederive_reorg_queue();
@@ -324,11 +300,10 @@ impl TrsTree {
         let mut candidates = Vec::new();
         for (id, node) in self.arena.iter().enumerate() {
             let NodeKind::Leaf(leaf) = &node.kind else { continue };
-            let covered = leaf.covered.max(1) as f64;
-            if leaf.outliers.len() as f64 > params.split_trigger_ratio * covered {
+            if leaf.wants_split(&params) {
                 candidates.push(ReorgCandidate { node: id as u32, kind: ReorgKind::Split });
             }
-            if leaf.deletes as f64 > params.merge_trigger_ratio * covered {
+            if leaf.wants_merge(&params) {
                 if let Some(parent) = self.parent_of(id as u32) {
                     candidates.push(ReorgCandidate { node: parent, kind: ReorgKind::Merge });
                 }
@@ -395,7 +370,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_roundtrips_params_and_buffer_kind() {
+    fn snapshot_roundtrips_params() {
         let params = TrsParams {
             node_fanout: 4,
             max_height: 6,
@@ -404,11 +379,37 @@ mod tests {
             ..Default::default()
         };
         let pairs = (0..5_000).map(|i| (i as f64, 3.0 * i as f64, Tid(i))).collect();
-        let mut tree =
-            TrsTree::build_with_buffer(params, OutlierBufferKind::Hash, (0.0, 5_000.0), pairs);
+        let mut tree = TrsTree::build(params, (0.0, 5_000.0), pairs);
         let bytes = tree.snapshot_bytes().unwrap();
         let restored = TrsTree::restore_from(bytes.as_slice()).unwrap();
         assert_eq!(*restored.params(), params);
+    }
+
+    /// Offset of the layout byte: magic, version, then the params.
+    const LAYOUT_AT: usize = 8 + TrsParams::ENCODED_LEN;
+
+    /// A snapshot an older build wrote for a hash-table buffer carries
+    /// layout byte 0 and the same entries: it restores to the same lookups.
+    /// Any other byte is still refused.
+    #[test]
+    fn a_hash_layout_snapshot_restores_and_an_unknown_layout_is_refused() {
+        let mut tree = sample_tree(30_000);
+        let mut bytes = tree.snapshot_bytes().unwrap();
+        assert_eq!(bytes[LAYOUT_AT], SORTED_LAYOUT);
+        bytes[LAYOUT_AT] = HASH_LAYOUT;
+        let restored = TrsTree::restore_from(bytes.as_slice()).unwrap();
+        assert_stats_match(&tree, &restored);
+        assert!(tree.stats().outliers > 0, "the sample buffers its spikes");
+        for i in 0..100 {
+            let m = -10.0 + i as f64 * 0.2;
+            let (a, b) = (tree.lookup(m, m + 0.3), restored.lookup(m, m + 0.3));
+            assert_eq!((a.ranges, a.tids), (b.ranges, b.tids), "lookup diverged at m={m}");
+        }
+        bytes[LAYOUT_AT] = 2;
+        assert!(matches!(
+            TrsTree::restore_from(bytes.as_slice()),
+            Err(PersistError::Corrupt("bad buffer kind"))
+        ));
     }
 
     #[test]

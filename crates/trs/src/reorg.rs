@@ -21,8 +21,8 @@ use crate::node::{NodeId, NodeKind, TrsTree};
 use crate::PairSource;
 
 /// Everything an *offline* rebuild of one subtree needs, snapshotted under
-/// a read latch: the node's range, the depth-adjusted parameters, and the
-/// buffer layout. [`ReplacementSpec::build`] then scans and constructs the
+/// a read latch: the node's range and the depth-adjusted parameters.
+/// [`ReplacementSpec::build`] then scans and constructs the
 /// replacement without any tree latch held, and
 /// [`TrsTree::graft_subtree`] installs it under the coarse write latch —
 /// the Appendix-B "build off-line, install briefly" split.
@@ -32,7 +32,6 @@ pub struct ReplacementSpec {
     pub node: NodeId,
     range: crate::node::ValueRange,
     sub_params: crate::TrsParams,
-    buffer_kind: crate::node::OutlierBufferKind,
     /// The node covers the tree's lower/upper domain boundary. An edge
     /// node is where `traverse` clamps out-of-domain keys, so its buffers
     /// may hold tuples *outside* `range` — the rebuild scan must look past
@@ -62,7 +61,7 @@ impl ReplacementSpec {
             lb = lb.min(*m);
             ub = ub.max(*m);
         }
-        Ok(TrsTree::build_with_buffer(self.sub_params, self.buffer_kind, (lb, ub), pairs))
+        Ok(TrsTree::build(self.sub_params, (lb, ub), pairs))
     }
 
     /// The range the replacement was built for (install-time validity
@@ -88,7 +87,6 @@ impl TrsTree {
             node,
             range,
             sub_params,
-            buffer_kind: self.buffer_kind,
             at_lower_edge: range.lb <= root_range.lb,
             at_upper_edge: range.ub >= root_range.ub,
         }
@@ -96,29 +94,16 @@ impl TrsTree {
 
     /// Install a replacement subtree into `node`'s slot (the brief
     /// write-latched step). The node id is preserved, so parents need no
-    /// update. Returns the number of leaves in the new subtree.
+    /// update.
     ///
     /// Old subtree nodes become garbage in the arena; `compact` reclaims
     /// them.
-    pub fn graft_subtree(&mut self, node: NodeId, sub: TrsTree) -> usize {
-        let leaves = sub.stats().leaves;
-        // Graft: copy the sub-arena in, fixing child ids, then overwrite
-        // the old slot with the sub-root.
-        let offset = self.arena.len() as NodeId;
-        let sub_root_local = sub.root;
-        for mut n in sub.arena {
-            if let NodeKind::Internal { children } = &mut n.kind {
-                for c in children.iter_mut() {
-                    *c += offset;
-                }
-            }
-            self.arena.push(n);
-        }
-        let sub_root = offset + sub_root_local;
+    pub fn graft_subtree(&mut self, node: NodeId, sub: TrsTree) {
+        // Append the sub-arena, then swap the sub-root into the old slot. A
+        // grafted router's child ids stay valid: they point into the
+        // appended region.
+        let sub_root = self.append_subtree(sub);
         self.arena.swap(node as usize, sub_root as usize);
-        // If the grafted root was internal, its children ids are still
-        // valid after the swap (they point into the appended region).
-        leaves
     }
 
     fn depth_of(&self, node: NodeId) -> usize {

@@ -6,15 +6,15 @@
 //! * **B+-tree multimap model**: arbitrary insert/remove/range/point
 //!   sequences on a bulk-loaded tree behave like a reference
 //!   `BTreeMap<K, Vec<V>>`, duplicates in the same order.
-//! * **Outlier-buffer layout equivalence**: the hash and sorted-vec
-//!   layouts answer identically.
+//! * **Outlier-buffer model**: the sorted buffer answers adds, removes
+//!   and range collection like a plain `Vec<(f64, Tid)>` scanned linearly.
 //! * **Range-union correctness**: `union_ranges` preserves coverage and
 //!   produces disjoint output.
 
 use hermit::btree::BPlusTree;
 use hermit::storage::{F64Key, Tid};
 use hermit::trs::lookup::union_ranges;
-use hermit::trs::node::{OutlierBuffer, OutlierBufferKind};
+use hermit::trs::node::OutlierBuffer;
 use hermit::trs::{TrsParams, TrsTree};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -177,27 +177,29 @@ proptest! {
         removes in proptest::collection::vec((0.0f64..100.0, 0u64..50), 0..30),
         query in (0.0f64..100.0, 0.0f64..50.0),
     ) {
-        let mut hash = OutlierBuffer::new(OutlierBufferKind::Hash);
-        let mut vec = OutlierBuffer::new(OutlierBufferKind::SortedVec);
+        // Keys from a coarse grid as well, so duplicate keys are common.
+        let grid = |m: f64| if m < 50.0 { (m / 10.0).floor() } else { m };
+        let mut model: Vec<(f64, Tid)> = Vec::new();
+        let mut buffer = OutlierBuffer::new();
         for &(m, t) in &entries {
-            hash.add(m, Tid(t));
-            vec.add(m, Tid(t));
+            model.push((grid(m), Tid(t)));
+            buffer.add(grid(m), Tid(t));
         }
         for &(m, t) in &removes {
-            let a = hash.remove(m, Tid(t));
-            let b = vec.remove(m, Tid(t));
-            prop_assert_eq!(a, b, "remove({}, {}) diverged", m, t);
+            let pos = model.iter().position(|&e| e == (grid(m), Tid(t)));
+            let want = pos.map(|i| model.remove(i)).is_some();
+            prop_assert_eq!(buffer.remove(grid(m), Tid(t)), want, "remove({}, {}) diverged", m, t);
         }
-        prop_assert_eq!(hash.len(), vec.len());
+        prop_assert_eq!(buffer.len(), model.len());
         let (lb, w) = query;
         let ub = lb + w;
-        let mut got_h = Vec::new();
-        let mut got_v = Vec::new();
-        hash.collect_range(lb, ub, &mut got_h);
-        vec.collect_range(lb, ub, &mut got_v);
-        got_h.sort_unstable();
-        got_v.sort_unstable();
-        prop_assert_eq!(got_h, got_v);
+        let mut got = Vec::new();
+        buffer.collect_range(lb, ub, &mut got);
+        let mut want: Vec<Tid> =
+            model.iter().filter(|(m, _)| *m >= lb && *m <= ub).map(|(_, t)| *t).collect();
+        got.sort_unstable();
+        want.sort_unstable();
+        prop_assert_eq!(got, want);
     }
 
     #[test]
