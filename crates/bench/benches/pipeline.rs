@@ -359,7 +359,7 @@ fn bench_commit_scaling(c: &mut Criterion) {
     let config = DurabilityConfig { wal_sync_every: 1, ..Default::default() };
     let db = Database::create_durable(schema, 0, &dir, &config).expect("create commit_scaling db");
     let db = SharedDatabase::new(db);
-    let tail = Arc::clone(db.db().wal_tail().expect("durable database"));
+    let tail = Arc::clone(db.wal_tail().expect("durable database"));
     let next_pk = AtomicI64::new(0);
     let mut rates = Vec::new();
     for committers in [1usize, 2, 4, 8] {

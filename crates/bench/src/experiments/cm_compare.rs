@@ -101,13 +101,16 @@ pub fn fig27_30_cm_comparison(scale: Scale) {
 
             // CM variants share the Hermit database's base table & host
             // index; only the translation structure differs.
-            let pairs: Vec<(f64, f64, Tid)> = hermit
+            let mut pairs: Vec<(f64, f64, Tid)> = Vec::new();
+            hermit
                 .heap()
-                .project_pairs(cols::COL_C, cols::COL_B)
-                .unwrap()
-                .into_iter()
-                .map(|(m, n, loc)| (m, n, Tid::from_loc(loc)))
-                .collect();
+                .for_each_live_row(|loc, row| {
+                    if let (Some(m), Some(n)) = (row.f64(cols::COL_C), row.f64(cols::COL_B)) {
+                        pairs.push((m, n, Tid::from_loc(loc)));
+                    }
+                    true
+                })
+                .unwrap();
             let host_domain = hermit.heap().stats(cols::COL_B).unwrap().range().unwrap();
             for &tb in CM_TARGET_BUCKETS {
                 for &hb in CM_HOST_BUCKETS {

@@ -23,8 +23,10 @@
 //! # Concurrency
 //!
 //! Every component a query or a DML statement touches is individually
-//! latched, so reads and writes take `&self` and a database can be served
-//! from many threads at once through [`crate::shared::SharedDatabase`]:
+//! latched, so reads, writes, transactions, checkpoints and maintenance
+//! sweeps all take `&self`, and a database is served from many threads at
+//! once through [`crate::shared::SharedDatabase`] — an `Arc` handle that
+//! dereferences to it and adds no method of its own:
 //!
 //! * the heap's buffer pool is internally synchronized (its shard locks are
 //!   leaves);

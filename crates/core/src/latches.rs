@@ -45,7 +45,7 @@
 //! * **Checkpoint** (`Database::checkpoint`): quiesce (write) → WAL guard
 //!   — the same top-of-hierarchy order as DML, which is exactly why the
 //!   two cannot deadlock.
-//! * **Reorganization** (`SharedDatabase::maintenance_pass`): every
+//! * **Reorganization** (`Database::maintenance_pass`): every
 //!   Hermit tree, single-column or composite, runs the one Appendix-B
 //!   protocol inside `ConcurrentTrsTree`; its tree latch and side-buffer
 //!   mutex are leaves, and the rebuild's heap scan holds neither — a

@@ -40,8 +40,8 @@
 //!
 //! [`txn`] adds multi-statement transactions on top: snapshot-isolation
 //! reads, first-writer-wins write locks, WAL commit records, and loser
-//! rollback on recovery ([`Database::begin`] / [`Database::commit_txn`] /
-//! [`Database::rollback_txn`]).
+//! rollback on recovery ([`Database::begin`] / [`Database::commit`] /
+//! [`Database::rollback`]).
 
 pub mod batch;
 pub mod breakdown;

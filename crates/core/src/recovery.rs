@@ -32,7 +32,7 @@
 //!                 under the WAL guard          nothing held but quiesce
 //!               ┌─────────────────────┐      ┌────────────────────────────┐
 //! auto-commit:  apply · append · write ─────▶ wait_durable(pos) ─▶ ack
-//! commit_txn:   append TxnDelete…TxnCommit · write
+//! txn commit:   append TxnDelete…TxnCommit · write
 //!                                      ─────▶ wait_durable(pos) ─▶ apply deferred
 //!                                                                  deletes · publish ─▶ ack
 //!                                             first arrival leads one fsync
@@ -62,14 +62,14 @@
 //!   deletes are logged with the commit record, not applied with it: their
 //!   pks are locked by the transaction, so nobody can write them before the
 //!   apply. The wait holds neither the guard nor the transaction manager's
-//!   visibility latch; only afterwards does `commit_txn` take the
+//!   visibility latch; only afterwards does [`Database::commit`] take the
 //!   visibility latch (exclusive) to apply the deletes and release the
 //!   locks in one step. Readers therefore never stall for an fsync, and
 //!   still see a commit whole or not at all.
 //! * **Nobody is acknowledged by a failed fsync.** An error goes to the
 //!   leader *and* to every follower parked at or below the leader's target;
-//!   each of them poisons the WAL (see below). A `commit_txn` that fails
-//!   here has applied nothing: it parks its deferred deletes again and
+//!   each of them poisons the WAL (see below). A transaction commit that
+//!   fails here has applied nothing: it parks its deferred deletes again and
 //!   leaves the transaction open with a sound undo list.
 //! * `TxnBegin`, `TxnInsert`, `TxnDelete` and `TxnAbort` are appended and
 //!   handed to the file with one `write` *before* the change they describe
@@ -627,8 +627,10 @@ impl Database {
 
     /// Take a durable checkpoint of the whole database into `dir`.
     ///
-    /// Requires a heap over a [`FilePageStore`] at
-    /// `dir/pages.db` (typed [`CoreError::NotDurable`] otherwise). Writers
+    /// Requires an attached durability directory `dir` (from
+    /// [`create_durable`](Database::create_durable) or
+    /// [`open`](Database::open)) and a heap over a [`FilePageStore`] at
+    /// `dir/pages.db`: typed [`CoreError::NotDurable`] otherwise. Writers
     /// are quiesced for the duration — the §4.4 background reorganization
     /// worker may keep running, since reorganization never changes index
     /// *membership*. Sequence (each step durable before the next):
@@ -647,12 +649,15 @@ impl Database {
     /// 5. garbage-collect snapshots and temp files of other epochs.
     pub fn checkpoint(&self, dir: &Path) -> Result<(), CoreError> {
         let table = &self.heap;
-        if let Some(d) = &self.durability {
-            if d.dir != dir {
-                return Err(CoreError::NotDurable {
-                    reason: "checkpoint directory does not match the attached durability directory",
-                });
-            }
+        let Some(d) = &self.durability else {
+            return Err(CoreError::NotDurable {
+                reason: "database has no attached durability directory",
+            });
+        };
+        if d.dir != dir {
+            return Err(CoreError::NotDurable {
+                reason: "checkpoint directory does not match the attached durability directory",
+            });
         }
         let pages_path = dir.join(PAGES_FILE);
         if table.pool().store().file_path() != Some(pages_path.as_path()) {
@@ -662,7 +667,7 @@ impl Database {
         }
 
         let mut root = Held::unlocked();
-        let mut quiesced = self.durability.as_ref().map(|d| (d, d.quiesce.write_at(&mut root)));
+        let mut quiesce = d.quiesce.write_at(&mut root);
 
         // Open transactions hold physically-applied-but-uncommitted writes;
         // a checkpoint would bake them into the new epoch and then discard
@@ -686,18 +691,11 @@ impl Database {
         // catalog + old WAL still consistent. Skipped while poisoned (the
         // writer is known broken; the heap state being checkpointed is the
         // truth, and a successful reset below un-poisons).
-        if let Some((d, quiesce)) = &mut quiesced {
-            if !d.wal_poisoned.load(Ordering::Acquire) {
-                d.force_log(quiesce.held())?;
-            }
+        if !d.wal_poisoned.load(Ordering::Acquire) {
+            d.force_log(quiesce.held())?;
         }
 
-        let epoch = match &self.durability {
-            Some(d) => d.epoch.load(Ordering::Acquire) + 1,
-            // Checkpointing a hand-built database: continue the directory's
-            // epoch sequence if a catalog exists.
-            None => Catalog::read(&dir.join(CATALOG_FILE)).map(|c| c.wal_epoch + 1).unwrap_or(1),
-        };
+        let epoch = d.epoch.load(Ordering::Acquire) + 1;
 
         let mut baselines = Vec::new();
         let mut hermits = Vec::new();
@@ -740,31 +738,23 @@ impl Database {
         };
         catalog.write_atomic(&dir.join(CATALOG_FILE))?;
 
-        match &mut quiesced {
-            Some((d, quiesce)) => {
-                // The catalog is committed; the old-epoch WAL is now dead
-                // weight (its records are inside the checkpoint). If the
-                // reset fails, the live writer would keep logging into a
-                // generation recovery ignores — poison instead, so every
-                // later statement is rejected before it applies.
-                // `reset` drops whatever a poisoned writer still buffers;
-                // flushed, those frames would land in the new generation.
-                match d.wal.lock_at(quiesce.held()).reset(epoch) {
-                    Ok(()) => {
-                        d.epoch.store(epoch, Ordering::Release);
-                        d.wal_poisoned.store(false, Ordering::Release);
-                    }
-                    Err(e) => {
-                        d.wal_poisoned.store(true, Ordering::Release);
-                        return Err(CoreError::Recovery(format!(
-                            "checkpoint committed (epoch {epoch}) but the WAL could not be \
-                             reset ({e}); DML is rejected until a checkpoint succeeds"
-                        )));
-                    }
-                }
+        // The catalog is committed; the old-epoch WAL is now dead weight
+        // (its records are inside the checkpoint). If the reset fails, the
+        // live writer would keep logging into a generation recovery
+        // ignores — poison instead, so every later statement is rejected
+        // before it applies. `reset` drops whatever a poisoned writer still
+        // buffers; flushed, those frames would land in the new generation.
+        match d.wal.lock_at(quiesce.held()).reset(epoch) {
+            Ok(()) => {
+                d.epoch.store(epoch, Ordering::Release);
+                d.wal_poisoned.store(false, Ordering::Release);
             }
-            None => {
-                WalWriter::create(&dir.join(WAL_FILE), epoch)?;
+            Err(e) => {
+                d.wal_poisoned.store(true, Ordering::Release);
+                return Err(CoreError::Recovery(format!(
+                    "checkpoint committed (epoch {epoch}) but the WAL could not be \
+                     reset ({e}); DML is rejected until a checkpoint succeeds"
+                )));
             }
         }
 

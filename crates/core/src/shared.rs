@@ -10,14 +10,17 @@
 //! and [`hermit_trs::ConcurrentTrsTree`] implements it. This module wires
 //! all of that into the database:
 //!
-//! * [`SharedDatabase`] is a cheap cloneable handle (an `Arc` around
-//!   [`Database`]) whose entire query surface — planner-driven
-//!   [`Database::execute`] / [`Database::execute_batch`], all plan kinds —
-//!   plus [`Database::insert`] / [`Database::delete_by_pk`] take `&self`.
-//!   Every underlying structure is individually latched (see
-//!   [`crate::database`] module docs for the latch map).
+//! * [`SharedDatabase`] is a cheap cloneable handle — an `Arc` around
+//!   [`Database`] that dereferences to it. Nothing is forwarded: every
+//!   method a server calls — [`Database::execute`],
+//!   [`Database::execute_batch`], [`Database::insert`] /
+//!   [`Database::delete_by_pk`], [`Database::begin`] /
+//!   [`Database::commit`], [`Database::checkpoint`] — already takes
+//!   `&self`, because every underlying structure is individually latched
+//!   (see [`crate::database`] module docs for the latch map).
 //! * [`MaintenanceWorker`] is the §4.4 background thread: it periodically
-//!   drains each Hermit index's reorganization queue via
+//!   calls [`Database::maintenance_pass`], which drains each Hermit index's
+//!   reorganization queue via
 //!   [`hermit_trs::ConcurrentTrsTree::reorganize_pass`], re-scanning the base table
 //!   through [`TablePairSource`], so Algorithm-3 insert/delete triggers
 //!   actually produce splits/merges under sustained churn instead of
@@ -61,19 +64,20 @@
 //!
 //! let shared = SharedDatabase::new(db);
 //! let worker = MaintenanceWorker::start(shared.clone(), MaintenanceConfig::default());
-//! // Any number of threads may now clone `shared` and call
-//! // `execute` / `insert` / `delete_by_pk` concurrently.
+//! // Any number of threads may now clone `shared` and call any `&self`
+//! // method of `Database` on it (`execute`, `insert`, `delete_by_pk`, …).
+//! let writer = shared.clone();
+//! std::thread::spawn(move || writer.delete_by_pk(150).unwrap()).join().unwrap();
 //! let r = shared.execute(&Query::new().range(2, 100.0, 199.0));
-//! assert_eq!(r.rows.len(), 100);
+//! assert_eq!(r.rows.len(), 99);
 //! worker.stop();
 //! ```
 
 use crate::database::{Database, TablePairSource};
 use crate::index::SecondaryIndex;
-use crate::query::Query;
-use crate::{BatchOptions, QueryResult};
-use hermit_storage::{ColumnId, Tid, Value};
+use hermit_storage::ColumnId;
 use hermit_trs::ConcurrentTrsTree;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -88,22 +92,24 @@ fn _assert_database_is_shareable() {
 
 /// A cheap cloneable handle serving one [`Database`] from many threads.
 ///
-/// All methods take `&self`; clones share the same database. The handle
-/// exposes the write path and maintenance hooks directly and everything
-/// else through [`db`](Self::db) — the full `&self` query surface of
-/// [`Database`] (`execute`, `execute_batch`, `plan`, `lookup_range`, …) is
-/// available on the shared reference.
+/// Clones share the same database, and the handle dereferences to it:
+/// every `&self` method of [`Database`] — the query surface, the write
+/// path, transactions, checkpoints and the maintenance hooks — is called
+/// on the handle directly and is safe from any thread.
 ///
 /// Structural DDL (`create_*_index`) takes `&mut Database`, so build the
 /// schema and indexes *before* wrapping; [`into_inner`](Self::into_inner)
 /// hands the database back once every clone is dropped.
+#[derive(Clone)]
 pub struct SharedDatabase {
     inner: Arc<Database>,
 }
 
-impl Clone for SharedDatabase {
-    fn clone(&self) -> Self {
-        SharedDatabase { inner: Arc::clone(&self.inner) }
+impl Deref for SharedDatabase {
+    type Target = Database;
+
+    fn deref(&self) -> &Database {
+        &self.inner
     }
 }
 
@@ -113,78 +119,9 @@ impl SharedDatabase {
         SharedDatabase { inner: Arc::new(db) }
     }
 
-    /// The shared database; every `&self` method (the whole query surface)
-    /// is safe to call from any thread.
+    /// The shared database (what the handle dereferences to).
     pub fn db(&self) -> &Database {
         &self.inner
-    }
-
-    /// Plan and execute a query (a batch of one).
-    pub fn execute(&self, query: &Query) -> QueryResult {
-        self.inner.execute(query)
-    }
-
-    /// Plan and execute a batch of queries with one reused scratch.
-    pub fn execute_batch(&self, queries: &[Query], opts: &BatchOptions) -> Vec<QueryResult> {
-        self.inner.execute_batch(queries, opts)
-    }
-
-    /// Insert a row, maintaining every index (concurrent-writer safe).
-    pub fn insert(&self, row: &[Value]) -> hermit_storage::Result<Tid> {
-        self.inner.insert(row)
-    }
-
-    /// Delete a row by primary key, maintaining every index.
-    pub fn delete_by_pk(&self, pk: i64) -> hermit_storage::Result<()> {
-        self.inner.delete_by_pk(pk)
-    }
-
-    /// Open a multi-statement transaction (see [`crate::txn`]). The id is
-    /// valid on any clone of this handle until committed or rolled back.
-    pub fn begin(&self) -> Result<u64, crate::CoreError> {
-        self.inner.begin()
-    }
-
-    /// Commit an open transaction: apply its deferred deletes, make its
-    /// writes visible to snapshot readers, and force the WAL commit record
-    /// durable (on durable databases).
-    pub fn commit(&self, txn: u64) -> Result<(), crate::CoreError> {
-        self.inner.commit_txn(txn)
-    }
-
-    /// Roll back an open transaction, restoring the exact pre-transaction
-    /// state across the heap and every index.
-    pub fn rollback(&self, txn: u64) -> Result<(), crate::CoreError> {
-        self.inner.rollback_txn(txn)
-    }
-
-    /// Insert a row inside an open transaction (invisible to other readers
-    /// until commit).
-    pub fn insert_txn(&self, txn: u64, row: &[Value]) -> Result<Tid, crate::CoreError> {
-        self.inner.insert_txn(txn, row)
-    }
-
-    /// Delete a row by primary key inside an open transaction (other
-    /// readers keep seeing the row until commit).
-    pub fn delete_by_pk_txn(&self, txn: u64, pk: i64) -> Result<(), crate::CoreError> {
-        self.inner.delete_by_pk_txn(txn, pk)
-    }
-
-    /// Plan and execute a query reading *as* an open transaction: its own
-    /// uncommitted writes are visible, its pending deletes are not.
-    pub fn execute_for_txn(&self, query: &Query, txn: u64) -> QueryResult {
-        self.inner.execute_for_txn(query, txn)
-    }
-
-    /// Cumulative transaction counters (begins/commits/aborts/conflicts)
-    /// plus the active-transaction gauge, for the stats exporter.
-    pub fn txn_counters(&self) -> hermit_txn::TxnCounters {
-        self.inner.txn_counters()
-    }
-
-    /// Number of currently open transactions.
-    pub fn txn_active(&self) -> usize {
-        self.inner.txn_active()
     }
 
     /// Unwrap the handle, returning the database once this is the last
@@ -192,30 +129,9 @@ impl SharedDatabase {
     pub fn into_inner(self) -> Result<Database, SharedDatabase> {
         Arc::try_unwrap(self.inner).map_err(|inner| SharedDatabase { inner })
     }
+}
 
-    /// Take a live checkpoint of a durable database (see
-    /// [`crate::recovery`]): writers are quiesced for the duration via the
-    /// durability latch — concurrent `insert`/`delete_by_pk` calls block
-    /// briefly, readers and the background maintenance worker keep running.
-    /// Typed [`crate::CoreError::NotDurable`] when the database was not
-    /// opened/created through the durability API.
-    pub fn checkpoint(&self) -> Result<(), crate::CoreError> {
-        let dir = self
-            .inner
-            .durability_dir()
-            .ok_or(crate::CoreError::NotDurable {
-                reason: "database has no attached durability directory",
-            })?
-            .to_path_buf();
-        self.inner.checkpoint(&dir)
-    }
-
-    /// Force the WAL commit boundary: every statement executed so far
-    /// survives a crash. No-op for non-durable databases.
-    pub fn wal_commit(&self) -> hermit_storage::Result<()> {
-        self.inner.wal_commit()
-    }
-
+impl Database {
     /// Run one synchronous maintenance sweep: for every Hermit index —
     /// single-column or composite — whose reorganization queue is
     /// non-empty, execute one Appendix-B
@@ -227,11 +143,10 @@ impl SharedDatabase {
     /// [`MaintenanceWorker`] calls this in a loop; tests call it directly
     /// for deterministic reorganization.
     pub fn maintenance_pass(&self, limit: usize) -> usize {
-        let db = &*self.inner;
-        hermit_trees(db)
+        self.hermit_trees()
             .filter(|(trs, ..)| trs.reorg_queue_len() > 0)
             .map(|(trs, target, host)| {
-                trs.reorganize_pass(&TablePairSource { db, target, host }, limit)
+                trs.reorganize_pass(&TablePairSource { db: self, target, host }, limit)
             })
             .sum()
     }
@@ -239,13 +154,13 @@ impl SharedDatabase {
     /// Total completed background reorganization passes across all Hermit
     /// indexes (the §4.4 observability counter).
     pub fn reorg_passes(&self) -> u64 {
-        hermit_trees(&self.inner).map(|(trs, ..)| trs.reorg_passes()).sum()
+        self.hermit_trees().map(|(trs, ..)| trs.reorg_passes()).sum()
     }
 
     /// Queued-but-undrained reorganization candidates across all Hermit
     /// indexes.
     pub fn reorg_queue_len(&self) -> usize {
-        hermit_trees(&self.inner).map(|(trs, ..)| trs.reorg_queue_len()).sum()
+        self.hermit_trees().map(|(trs, ..)| trs.reorg_queue_len()).sum()
     }
 
     /// Share of outlier-buffered tuples in a Hermit index on `col`
@@ -257,58 +172,44 @@ impl SharedDatabase {
     /// tuples), **not** the table's row count — rows with a NULL in the
     /// target or host column never enter the index, and the heap can hold
     /// multiple rows per key, so the two denominators diverge under churn.
-    pub fn outlier_share(&self, col: hermit_storage::ColumnId) -> Option<f64> {
-        match self.inner.index(col)? {
+    pub fn outlier_share(&self, col: ColumnId) -> Option<f64> {
+        match self.index(col)? {
             SecondaryIndex::Hermit { trs, .. } => Some(trs.stats().outlier_share()),
             SecondaryIndex::Baseline(_) | SecondaryIndex::Composite(_) => None,
         }
     }
 
-    /// Buffer-pool `(hits, misses, evictions)`; always `Some`. See
-    /// [`Database::pool_counters`].
-    pub fn pool_counters(&self) -> Option<(u64, u64, u64)> {
-        self.inner.pool_counters()
-    }
-
-    /// Not-yet-durable WAL tail depth; `None` for non-durable databases.
-    /// See [`Database::wal_depth`].
-    pub fn wal_depth(&self) -> Option<usize> {
-        self.inner.wal_depth()
+    /// Every Hermit tree, single-column and composite, with the
+    /// `(target, host)` columns its rebuild scans read.
+    fn hermit_trees(&self) -> impl Iterator<Item = (&ConcurrentTrsTree, ColumnId, ColumnId)> {
+        self.indexes.iter().filter_map(|(key, index)| match index {
+            SecondaryIndex::Hermit { trs, host } => Some((trs, key.column, *host)),
+            SecondaryIndex::Baseline(_) | SecondaryIndex::Composite(_) => None,
+        })
     }
 }
 
-/// Every Hermit tree of `db`, single-column and composite, with the
-/// `(target, host)` columns its rebuild scans read.
-fn hermit_trees(db: &Database) -> impl Iterator<Item = (&ConcurrentTrsTree, ColumnId, ColumnId)> {
-    db.indexes.iter().filter_map(|(key, index)| match index {
-        SecondaryIndex::Hermit { trs, host } => Some((trs, key.column, *host)),
-        SecondaryIndex::Baseline(_) | SecondaryIndex::Composite(_) => None,
-    })
-}
+/// Sleep of a [`MaintenanceWorker`] between sweeps when the queues were
+/// empty (the first sleep after a sweep that made no progress; see
+/// [`STALLED_SLEEP_CAP`]).
+pub const IDLE_SLEEP: Duration = Duration::from_millis(2);
+
+/// Most queued candidates a [`MaintenanceWorker`] drains per Hermit index
+/// per sweep (the paper's "several candidate nodes in one scan").
+pub const PASS_LIMIT: usize = 8;
 
 /// Longest sleep of a [`MaintenanceWorker`] whose sweeps leave queued
 /// reorganization candidates undone (a heap it cannot read): from
-/// `idle_sleep` the sleep doubles per stalled sweep up to this, and any
+/// [`IDLE_SLEEP`] the sleep doubles per stalled sweep up to this, and any
 /// progress — or an empty queue — resets it. It also bounds how long
 /// [`MaintenanceWorker::stop`] waits on a stalled worker.
 pub const STALLED_SLEEP_CAP: Duration = Duration::from_millis(128);
 
-/// Knobs for the background maintenance worker.
-#[derive(Debug, Clone, Copy)]
-pub struct MaintenanceConfig {
-    /// Sleep between sweeps when the queues were empty (the first sleep
-    /// after a sweep that made no progress; see [`STALLED_SLEEP_CAP`]).
-    pub idle_sleep: Duration,
-    /// Maximum queued candidates drained per Hermit index per sweep (the
-    /// paper's "several candidate nodes in one scan").
-    pub pass_limit: usize,
-}
-
-impl Default for MaintenanceConfig {
-    fn default() -> Self {
-        MaintenanceConfig { idle_sleep: Duration::from_millis(2), pass_limit: 8 }
-    }
-}
+/// Options of the background maintenance worker. It has none: the worker
+/// sleeps [`IDLE_SLEEP`] between idle sweeps and drains at most
+/// [`PASS_LIMIT`] candidates per index per sweep.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MaintenanceConfig {}
 
 /// Cumulative counters published by a [`MaintenanceWorker`].
 #[derive(Debug, Default)]
@@ -321,7 +222,7 @@ pub struct WorkerStats {
 
 /// The §4.4 background reorganization thread.
 ///
-/// Runs [`SharedDatabase::maintenance_pass`] in a loop until
+/// Runs [`Database::maintenance_pass`] in a loop until
 /// [`stop`](Self::stop) is called (or the worker is dropped). Foreground
 /// writers racing a pass follow the Appendix-B side-buffer protocol inside
 /// [`hermit_trs::ConcurrentTrsTree`]; readers only block for the brief install step.
@@ -333,7 +234,7 @@ pub struct MaintenanceWorker {
 
 impl MaintenanceWorker {
     /// Spawn the worker thread over a shared handle.
-    pub fn start(db: SharedDatabase, config: MaintenanceConfig) -> Self {
+    pub fn start(db: SharedDatabase, _config: MaintenanceConfig) -> Self {
         let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(WorkerStats::default());
         let thread_stop = Arc::clone(&stop);
@@ -341,14 +242,13 @@ impl MaintenanceWorker {
         let handle = std::thread::Builder::new()
             .name("hermit-maintenance".into())
             .spawn(move || {
-                let cap = STALLED_SLEEP_CAP.max(config.idle_sleep);
-                let mut sleep = config.idle_sleep;
+                let mut sleep = IDLE_SLEEP;
                 while !thread_stop.load(Ordering::Acquire) {
-                    let processed = db.maintenance_pass(config.pass_limit);
+                    let processed = db.maintenance_pass(PASS_LIMIT);
                     thread_stats.sweeps.fetch_add(1, Ordering::Relaxed);
                     thread_stats.candidates.fetch_add(processed as u64, Ordering::Relaxed);
                     if processed > 0 {
-                        sleep = config.idle_sleep;
+                        sleep = IDLE_SLEEP;
                         continue;
                     }
                     std::thread::sleep(sleep);
@@ -356,9 +256,9 @@ impl MaintenanceWorker {
                     // scans cannot read the heap) backs off: each stalled
                     // sweep doubles the sleep, up to the cap.
                     sleep = if db.reorg_queue_len() > 0 {
-                        (sleep * 2).min(cap)
+                        (sleep * 2).min(STALLED_SLEEP_CAP)
                     } else {
-                        config.idle_sleep
+                        IDLE_SLEEP
                     };
                 }
             })
@@ -401,7 +301,8 @@ impl Drop for MaintenanceWorker {
 mod tests {
     use super::*;
     use crate::executor::RangePredicate;
-    use hermit_storage::{ColumnDef, Schema, TidScheme};
+    use crate::query::Query;
+    use hermit_storage::{ColumnDef, Schema, TidScheme, Value};
 
     fn shared_db(n: usize) -> SharedDatabase {
         let schema = Schema::new(vec![
@@ -479,10 +380,7 @@ mod tests {
     #[test]
     fn worker_runs_and_stops() {
         let shared = shared_db(2_000);
-        let worker = MaintenanceWorker::start(
-            shared.clone(),
-            MaintenanceConfig { idle_sleep: Duration::from_micros(100), pass_limit: 4 },
-        );
+        let worker = MaintenanceWorker::start(shared.clone(), MaintenanceConfig::default());
         for i in 0..3_000u64 {
             shared
                 .insert(&[Value::Int(500_000 + i as i64), Value::Float(9.0e9), Value::Float(777.0)])

@@ -1,6 +1,6 @@
 //! Tests of a database's base table: the contract its heap owes callers —
 //! row checks on insert, tombstoning deletes, live-row scans, per-column
-//! statistics and the (target, host) projections TRS-Tree builds read.
+//! statistics and the (target, host) projections TRS-Tree rebuilds read.
 
 mod tests {
     use crate::database::{Database, TablePairSource};
@@ -101,6 +101,8 @@ mod tests {
         assert_eq!(t.stats(2).unwrap().null_count(), 1);
     }
 
+    /// The projection reorganization rebuilds from: rows with a NULL on
+    /// either side and deleted rows stay out.
     #[test]
     fn project_pairs_skips_nulls_and_deleted() {
         let db = table();
@@ -109,7 +111,9 @@ mod tests {
         t.insert(&row(2, 2.0, None)).unwrap(); // NULL host → skipped
         let l3 = t.insert(&row(3, 3.0, Some(30.0))).unwrap();
         t.delete(l3).unwrap();
-        let pairs = t.project_pairs(1, 2).unwrap();
+        let pairs = TablePairSource { db: &db, target: 1, host: 2 }
+            .scan_range(f64::NEG_INFINITY, f64::INFINITY)
+            .unwrap();
         assert_eq!(pairs.len(), 1);
         assert_eq!((pairs[0].0, pairs[0].1), (1.0, 10.0));
     }
@@ -132,9 +136,12 @@ mod tests {
         let t = db.heap();
         let locs: Vec<_> = (0..5).map(|i| t.insert(&row(i, i as f64, None)).unwrap()).collect();
         t.delete(locs[2]).unwrap();
-        let scanned: Vec<_> = t.scan().unwrap().into_iter().map(|(loc, _)| loc).collect();
-        assert_eq!(scanned.len(), 4);
-        assert!(!scanned.contains(&locs[2]));
+        let mut scanned = Vec::new();
+        t.for_each_live_row(|loc, _| {
+            scanned.push(loc);
+            true
+        })
+        .unwrap();
         let live: Vec<_> = locs.iter().copied().filter(|l| *l != locs[2]).collect();
         assert_eq!(scanned, live, "live rows come back in insertion order");
     }

@@ -292,10 +292,10 @@ impl Database {
     ///
     /// A failure in steps 1–2 leaves the transaction open with a sound undo
     /// list and its deferred deletes parked again, nothing of them applied
-    /// — the caller should [`rollback_txn`](Self::rollback_txn) (which works
+    /// — the caller should [`rollback`](Self::rollback) (which works
     /// even behind a poisoned WAL) or disconnect and let recovery roll it
     /// back.
-    pub fn commit_txn(&self, txn: u64) -> Result<(), CoreError> {
+    pub fn commit(&self, txn: u64) -> Result<(), CoreError> {
         let mut root = Held::unlocked();
         let bracket = self.bracket(&mut root)?;
         let pending = self.txns.start_commit(txn)?;
@@ -349,7 +349,7 @@ impl Database {
     /// WAL — because releasing the locks must never be blocked on I/O and
     /// recovery rolls the loser back regardless. A WAL failure while
     /// logging the abort record is reported *after* the rollback finished.
-    pub fn rollback_txn(&self, txn: u64) -> Result<(), CoreError> {
+    pub fn rollback(&self, txn: u64) -> Result<(), CoreError> {
         let mut root = Held::unlocked();
         let mut bracket = self.bracket_unchecked(&mut root);
         let (log, held) = bracket.split();
@@ -381,7 +381,7 @@ impl Database {
     /// Apply an undo list in reverse order. Both compensations are
     /// idempotent — delete-if-present, insert-if-absent — so replaying the
     /// same undo after a crash mid-rollback re-converges. Shared by
-    /// [`rollback_txn`](Self::rollback_txn) and recovery's loser rollback.
+    /// [`rollback`](Self::rollback) and recovery's loser rollback.
     pub(crate) fn apply_undo(
         &self,
         undo: &[Undo],
@@ -448,7 +448,7 @@ mod tests {
         assert_eq!(own.rows.len(), 1);
         let own = db.execute_for_txn(&Query::filter(RangePredicate::point(2, 50.0)), t);
         assert!(own.rows.is_empty(), "owner must not see its own pending delete");
-        db.commit_txn(t).unwrap();
+        db.commit(t).unwrap();
         assert_eq!(count(&db, 200.0, 201.0), 1);
         assert_eq!(count(&db, 50.0, 50.0), 0);
         assert_eq!(db.len(), 100);
@@ -465,7 +465,7 @@ mod tests {
         db.delete_by_pk_txn(t, 10).unwrap();
         db.delete_by_pk_txn(t, 500).unwrap(); // delete own insert
         db.delete_by_pk_txn(t, 20).unwrap();
-        db.rollback_txn(t).unwrap();
+        db.rollback(t).unwrap();
         assert_eq!(count(&db, 0.0, 1_000.0), before);
         assert_eq!(db.len(), 100);
         assert_eq!(count(&db, 10.0, 10.0), 1, "deferred delete undone");
@@ -490,17 +490,17 @@ mod tests {
             db.insert_txn(b, &[Value::Int(7), Value::Float(0.0), Value::Float(0.0)]),
             Err(CoreError::Storage(StorageError::WriteConflict { pk: 7 }))
         ));
-        db.rollback_txn(a).unwrap();
+        db.rollback(a).unwrap();
         db.delete_by_pk_txn(b, 7).unwrap();
-        db.commit_txn(b).unwrap();
+        db.commit(b).unwrap();
         assert_eq!(count(&db, 7.0, 7.0), 0);
     }
 
     #[test]
     fn unknown_txn_is_typed() {
         let db = indexed_db(10);
-        assert!(matches!(db.commit_txn(99), Err(CoreError::UnknownTxn { txn: 99 })));
-        assert!(matches!(db.rollback_txn(99), Err(CoreError::UnknownTxn { txn: 99 })));
+        assert!(matches!(db.commit(99), Err(CoreError::UnknownTxn { txn: 99 })));
+        assert!(matches!(db.rollback(99), Err(CoreError::UnknownTxn { txn: 99 })));
         assert!(matches!(
             db.insert_txn(99, &[Value::Int(77), Value::Float(0.0), Value::Float(0.0)]),
             Err(CoreError::UnknownTxn { txn: 99 })
@@ -517,7 +517,7 @@ mod tests {
             db.delete_by_pk_txn(t, 3),
             Err(CoreError::Storage(StorageError::PkNotFound { pk: 3 }))
         ));
-        db.rollback_txn(t).unwrap();
+        db.rollback(t).unwrap();
         assert_eq!(count(&db, 3.0, 3.0), 1);
     }
 
@@ -533,7 +533,7 @@ mod tests {
         assert_eq!(auto.rows.len(), 20, "scan: insert hidden, pending delete visible");
         let own = db.execute_for_txn(&q, t);
         assert_eq!(own.rows.len(), 20, "scan: owner sees insert, not its delete");
-        db.rollback_txn(t).unwrap();
+        db.rollback(t).unwrap();
         assert_eq!(db.execute(&q).rows.len(), 20);
     }
 }

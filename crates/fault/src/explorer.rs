@@ -383,9 +383,9 @@ fn run_workload(
                     }
                 }
                 if *commit {
-                    db.commit_txn(t).expect("txn commit");
+                    db.commit(t).expect("txn commit");
                 } else {
-                    db.rollback_txn(t).expect("txn rollback");
+                    db.rollback(t).expect("txn rollback");
                 }
             }
         }

@@ -49,7 +49,7 @@ use crate::proto::{
     Response,
 };
 use hermit_core::shared::{MaintenanceWorker, SharedDatabase};
-use hermit_core::{CoreError, IndexKey, PlanLatencies, Query, RowBlock, SecondaryIndex};
+use hermit_core::{CoreError, Database, IndexKey, PlanLatencies, Query, RowBlock, SecondaryIndex};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::BufReader;
@@ -450,6 +450,13 @@ fn storage_error(e: hermit_storage::StorageError) -> Response {
     Response::Error { code, message: e.to_string() }
 }
 
+/// Checkpoint into the database's own durability directory; a database
+/// without one answers [`CoreError::NotDurable`].
+fn checkpoint(db: &Database) -> Result<(), CoreError> {
+    let reason = "database has no attached durability directory";
+    db.checkpoint(db.durability_dir().ok_or(CoreError::NotDurable { reason })?)
+}
+
 /// What a request handler hands the connection loop to put on the wire: a
 /// query's rows stay the block of cell images validation wrote, every other
 /// answer is a [`Response`] value.
@@ -478,14 +485,8 @@ fn handle_request(inner: &Arc<Inner>, request: Request, txn: &mut Option<u64>) -
             },
         },
         Request::Delete { pk } => match *txn {
-            Some(t) => match db.delete_by_pk_txn(t, pk) {
-                Ok(()) => Response::Deleted,
-                Err(e) => core_error(e),
-            },
-            None => match db.delete_by_pk(pk) {
-                Ok(()) => Response::Deleted,
-                Err(e) => storage_error(e),
-            },
+            Some(t) => db.delete_by_pk_txn(t, pk).map_or_else(core_error, |()| Response::Deleted),
+            None => db.delete_by_pk(pk).map_or_else(storage_error, |()| Response::Deleted),
         },
         Request::Begin if txn.is_some() => Response::Error {
             code: ErrorCode::BadRequest,
@@ -528,14 +529,8 @@ fn handle_request(inner: &Arc<Inner>, request: Request, txn: &mut Option<u64>) -
                 Err(e) => core_error(e),
             },
         },
-        Request::Explain(query) => Response::Explain(db.db().plan(&query).to_string()),
-        Request::Checkpoint => match db.checkpoint() {
-            Ok(()) => Response::Ok,
-            Err(e @ CoreError::NotDurable { .. }) => {
-                Response::Error { code: ErrorCode::NotDurable, message: e.to_string() }
-            }
-            Err(e) => Response::Error { code: ErrorCode::Storage, message: e.to_string() },
-        },
+        Request::Explain(query) => Response::Explain(db.plan(&query).to_string()),
+        Request::Checkpoint => checkpoint(db).map_or_else(core_error, |()| Response::Ok),
         Request::Stats => Response::Stats(render_stats(inner)),
         Request::Shutdown => Response::Ok,
     })
@@ -551,17 +546,17 @@ fn run_query(inner: &Arc<Inner>, query: Query, txn: Option<u64>) -> Result<RowBl
     let query = match query.projection() {
         Some(_) => query,
         None => {
-            let width = db.db().heap().schema().width();
+            let width = db.heap().schema().width();
             query.select(0..width)
         }
     };
     // Planned once: the plan executed is the plan whose kind is recorded.
-    let plan = db.db().plan(&query);
+    let plan = db.plan(&query);
     let kind = plan.kind();
     let t0 = Instant::now();
     let result = match txn {
-        Some(t) => db.db().execute_plan_for_txn(&plan, t),
-        None => db.db().execute_plan(&plan),
+        Some(t) => db.execute_plan_for_txn(&plan, t),
+        None => db.execute_plan(&plan),
     };
     let elapsed = t0.elapsed();
     inner.metrics.query_latency.record(kind, elapsed);
@@ -629,7 +624,7 @@ fn line(out: &mut String, args: std::fmt::Arguments<'_>) {
 fn render_stats(inner: &Arc<Inner>) -> String {
     let mut out = String::with_capacity(1024);
     let m = &inner.metrics;
-    let db = inner.db.db();
+    let db = &inner.db;
 
     line(
         &mut out,
@@ -715,8 +710,8 @@ fn render_stats(inner: &Arc<Inner>) -> String {
     line(&mut out, format_args!("hermit_txn_conflicts {}", txn.conflicts));
     line(&mut out, format_args!("hermit_txn_active {}", txn.active));
 
-    line(&mut out, format_args!("hermit_reorg_passes {}", inner.db.reorg_passes()));
-    line(&mut out, format_args!("hermit_reorg_queue_depth {}", inner.db.reorg_queue_len()));
+    line(&mut out, format_args!("hermit_reorg_passes {}", db.reorg_passes()));
+    line(&mut out, format_args!("hermit_reorg_queue_depth {}", db.reorg_queue_len()));
     for (key, index) in db.indexes() {
         if let SecondaryIndex::Hermit { trs, .. } = index {
             let (labels, share) = (index_labels(key), trs.stats().outlier_share());
@@ -795,7 +790,7 @@ fn drain(inner: &Arc<Inner>) {
     // A clean stop leaves nothing for WAL replay. In-memory databases have
     // nothing to checkpoint; every other failure is already recorded in the
     // WAL and survives through ordinary recovery, so best-effort is right.
-    match inner.db.checkpoint() {
+    match checkpoint(&inner.db) {
         Ok(()) | Err(CoreError::NotDurable { .. }) => {}
         Err(e) => eprintln!("hermit-server: final checkpoint failed: {e}"),
     }

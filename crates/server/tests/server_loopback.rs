@@ -79,7 +79,7 @@ fn oracle_pks(shared: &SharedDatabase, q: &Query) -> Vec<i64> {
     let mut pks: Vec<i64> = result
         .rows
         .iter()
-        .map(|&loc| shared.db().heap().value_f64(loc, 0).unwrap().unwrap() as i64)
+        .map(|&loc| shared.heap().value_f64(loc, 0).unwrap().unwrap() as i64)
         .collect();
     pks.sort_unstable();
     pks
@@ -205,7 +205,7 @@ fn racing_clients_agree_with_oracle() {
     let all = Query::new().range(2, -1.0, (BASE + CLIENTS * REGION) as f64);
     let got = tcp_pks(&c.query(&all).unwrap());
     assert_eq!(got, oracle_pks(&shared, &all));
-    assert_eq!(got.len(), shared.db().len());
+    assert_eq!(got.len(), shared.len());
 
     c.shutdown().unwrap();
     server.wait();
@@ -216,7 +216,7 @@ fn racing_clients_agree_with_oracle() {
 #[test]
 fn midframe_disconnect_is_harmless() {
     let (server, shared) = boot(ServerConfig::default());
-    let before = shared.db().len();
+    let before = shared.len();
     {
         let mut raw = TcpStream::connect(server.local_addr()).unwrap();
         // Declare a 100-byte insert, deliver 10, vanish.
@@ -228,7 +228,7 @@ fn midframe_disconnect_is_harmless() {
       // The server keeps serving new clients, and nothing was applied.
     let mut c = connect(&server);
     assert_eq!(c.query(&Query::new().point(2, 1.0)).unwrap().len(), 1);
-    assert_eq!(shared.db().len(), before, "a torn frame must not mutate the database");
+    assert_eq!(shared.len(), before, "a torn frame must not mutate the database");
     c.shutdown().unwrap();
     server.wait();
 }
@@ -515,7 +515,7 @@ fn a_reopened_server_reports_memory_by_structure() {
     assert_eq!(metric("hermit_primary_keys{tier=\"run\"}"), SEED_ROWS as usize);
     assert_eq!(metric("hermit_primary_keys{tier=\"outlier\"}"), 1);
     let primary = metric("hermit_memory_bytes{part=\"primary\"}");
-    assert_eq!(primary, server.db().db().primary().memory_bytes());
+    assert_eq!(primary, server.db().primary().memory_bytes());
     assert!(primary <= SEED_ROWS as usize + 256, "{primary} B for {SEED_ROWS} keys");
     assert!(metric("hermit_memory_bytes{part=\"baseline\",column=\"1\"}") > 0);
     assert!(metric("hermit_memory_bytes{part=\"hermit\",column=\"2\"}") > 0);

@@ -583,21 +583,6 @@ impl PagedTable {
         Ok(row)
     }
 
-    /// Scan all live rows, yielding `(RowLoc, row)`.
-    pub fn scan(&self) -> Result<Vec<(RowLoc, Vec<Value>)>> {
-        let pages = self.pages.lock().clone();
-        let width = self.schema.width();
-        let mut out = Vec::new();
-        for pid in pages {
-            self.pool.read(pid, |page| {
-                for (slot, bytes) in page.iter() {
-                    out.push((RowLoc::new(pid as u32, slot as u32), decode_row(bytes, width)));
-                }
-            })?;
-        }
-        Ok(out)
-    }
-
     /// Stream every live row through a [`RowRef`] visitor, page by page in
     /// allocation order: each heap page is pinned once and all of its live
     /// rows are visited under that single pool access. The visitor returns
@@ -620,31 +605,6 @@ impl PagedTable {
             }
         }
         Ok(true)
-    }
-
-    /// Project two numeric columns over all live rows (Algorithm 1's
-    /// temporary table), skipping NULLs.
-    pub fn project_pairs(
-        &self,
-        target: ColumnId,
-        host: ColumnId,
-    ) -> Result<Vec<(f64, f64, RowLoc)>> {
-        self.schema.column(target)?;
-        self.schema.column(host)?;
-        let pages = self.pages.lock().clone();
-        let mut out = Vec::new();
-        for pid in pages {
-            self.pool.read(pid, |page| {
-                for (slot, bytes) in page.iter() {
-                    let t = decode_cell(&bytes[target * CELL_BYTES..]).as_f64();
-                    let h = decode_cell(&bytes[host * CELL_BYTES..]).as_f64();
-                    if let (Some(t), Some(h)) = (t, h) {
-                        out.push((t, h, RowLoc::new(pid as u32, slot as u32)));
-                    }
-                }
-            })?;
-        }
-        Ok(out)
     }
 
     /// Bytes the page summary holds (see the module docs).
@@ -739,21 +699,19 @@ mod tests {
         let _l1 = t.insert(&row(2, 2.0, None)).unwrap();
         t.delete(l0).unwrap();
         assert_eq!(t.len(), 1);
-        let scan = t.scan().unwrap();
-        assert_eq!(scan.len(), 1);
-        assert_eq!(scan[0].1[0], Value::Int(2));
+        assert_eq!(live_pks(&t), vec![Value::Int(2)]);
         assert!(t.get(l0).is_err());
     }
 
-    #[test]
-    fn project_pairs_skips_nulls() {
-        let t = make_table(8);
-        t.insert(&row(1, 1.0, Some(10.0))).unwrap();
-        t.insert(&row(2, 2.0, None)).unwrap();
-        t.insert(&row(3, 3.0, Some(30.0))).unwrap();
-        let pairs = t.project_pairs(1, 2).unwrap();
-        assert_eq!(pairs.len(), 2);
-        assert_eq!(pairs[1].1, 30.0);
+    /// The first cell of every live row, in scan order.
+    fn live_pks(t: &PagedTable) -> Vec<Value> {
+        let mut pks = Vec::new();
+        t.for_each_live_row(|_, row| {
+            pks.push(row.value(0));
+            true
+        })
+        .unwrap();
+        pks
     }
 
     #[test]
@@ -880,7 +838,12 @@ mod tests {
         })
         .unwrap();
         assert_eq!(r.len(), n - 2);
-        let scan: Vec<_> = t.scan().unwrap().into_iter().map(|(loc, row)| (loc, row[0])).collect();
+        let mut scan = Vec::new();
+        t.for_each_live_row(|loc, row| {
+            scan.push((loc, row.value(0)));
+            true
+        })
+        .unwrap();
         assert_eq!(visited, scan, "reopen visits every live row, in heap order");
         assert_eq!(
             observed, checkpoint_entries,
@@ -937,7 +900,7 @@ mod tests {
             }
         });
         assert_eq!(t.len(), threads * per_thread);
-        assert_eq!(t.scan().unwrap().len(), threads * per_thread);
+        assert_eq!(live_pks(&t).len(), threads * per_thread);
     }
 
     /// One candidate alone: its first column, or `None` when deleted.

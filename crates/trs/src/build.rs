@@ -22,11 +22,11 @@
 //! once: the split decision hands its fit to the leaf it builds, and a
 //! split hands every child the bucket and fit its lookahead already made.
 
-use crate::node::{LeafData, Node, NodeId, NodeKind, TrsTree, ValueRange};
+use crate::node::{LeafData, Node, NodeId, NodeKind, OutlierBuffer, TrsTree, ValueRange};
 use crate::params::TrsParams;
 use hermit_stats::sampling;
 use hermit_stats::LinearModel;
-use hermit_storage::Tid;
+use hermit_storage::{F64Key, Tid};
 use rand::Rng;
 use std::cmp::Ordering;
 use std::collections::VecDeque;
@@ -189,11 +189,14 @@ fn make_leaf(params: &TrsParams, range: ValueRange, pairs: &[Pair], fit: Option<
         eps = eps.max(residual_rank(&model, pairs, keep - 1) * 1.5);
     }
     let mut leaf = LeafData::new(model, eps, pairs.len());
+    // The pairs come in heap order: collect the outliers, then sort once.
+    let mut outliers = Vec::new();
     for (m, n, tid) in pairs {
         if !leaf.covers(*m, *n) {
-            leaf.outliers.add(*m, *tid);
+            outliers.push((F64Key(*m), *tid));
         }
     }
+    leaf.outliers = OutlierBuffer::from_entries(outliers);
     Node { range, kind: NodeKind::Leaf(leaf) }
 }
 
@@ -340,6 +343,8 @@ impl TrsTree {
                 }
             }
         }
+        // A built tree keeps no growth slack: `memory_bytes` counts slots.
+        tree.arena.shrink_to_fit();
         tree
     }
 }
@@ -413,6 +418,7 @@ pub fn build_parallel(
     let mut tree = TrsTree { arena: vec![root], root: 0, params, reorg_queue: VecDeque::new() };
     let children = subtrees.into_iter().map(|s| tree.append_subtree(s.expect("built"))).collect();
     tree.arena[0].kind = NodeKind::Internal { children };
+    tree.arena.shrink_to_fit();
     tree
 }
 
@@ -560,9 +566,11 @@ mod tests {
     fn parallel_build_equivalent_to_serial() {
         let pairs = sigmoid_pairs(30_000);
         let serial = TrsTree::build(TrsParams::default(), (-10.0, 10.0), pairs.clone());
+        assert_eq!(serial.arena.capacity(), serial.arena.len(), "a built arena keeps no slack");
         for threads in [2, 4, 8] {
             let par = build_parallel(TrsParams::default(), (-10.0, 10.0), pairs.clone(), threads);
             par.check_invariants().unwrap();
+            assert_eq!(par.arena.capacity(), par.arena.len(), "{threads} threads");
             // Same lookup behavior on a probe grid.
             for i in 0..40 {
                 let m = -10.0 + i as f64 * 0.5;
@@ -574,6 +582,32 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Outliers reach a leaf in heap order: collecting them and sorting
+    /// once must give the buffer that `add`ing them one by one gave, equal
+    /// keys in arrival order.
+    #[test]
+    fn a_leaf_buffers_its_outliers_as_adding_them_one_by_one_did() {
+        let mut pairs = linear_pairs(4_000);
+        // Every 25th pair is far off the model, on one of 16 keys.
+        for (i, p) in pairs.iter_mut().enumerate().step_by(25) {
+            p.0 = (i % 16) as f64;
+            p.1 = 1.0e6 + i as f64;
+        }
+        // A fixed shuffle, as a heap hands rows to the build.
+        pairs.sort_by_key(|p| p.2 .0 * 2_647 % 4_001);
+        let node = make_leaf(&TrsParams::default(), ValueRange::new(0.0, 3_999.0), &pairs, None);
+        let NodeKind::Leaf(leaf) = node.kind else { panic!("make_leaf built a router") };
+        let mut one_by_one = LeafData::new(leaf.model, leaf.eps, pairs.len());
+        for &(m, n, tid) in &pairs {
+            if !one_by_one.covers(m, n) {
+                one_by_one.outliers.add(m, tid);
+            }
+        }
+        assert_eq!(leaf.outliers.len(), 160);
+        let got: Vec<(f64, Tid)> = leaf.outliers.entries().collect();
+        assert_eq!(got, one_by_one.outliers.entries().collect::<Vec<_>>());
     }
 
     #[test]
@@ -588,6 +622,8 @@ mod tests {
     /// node's residuals, every leaf was fitted twice), pinned: selecting
     /// instead of sorting and fitting each node once must build them
     /// unchanged — splits, trimmed refits in many nodes, sampling included.
+    /// `memory_bytes` counts no unused arena slots since a build shrinks
+    /// its arena (80 bytes a slot left each figure then, nothing else).
     #[test]
     fn built_trees_match_the_sort_based_construction() {
         let stats = |leaves, internals, height, outliers, covered, memory_bytes| TrsTreeStats {
@@ -610,19 +646,19 @@ mod tests {
         let cases = [
             (
                 TrsTree::build(TrsParams::default(), (-10.0, 10.0), sigmoid_pairs(50_000)),
-                stats(512, 73, 4, 0, 50_000, 84_256),
+                stats(512, 73, 4, 0, 50_000, 49_136),
             ),
             (
                 TrsTree::build(sampled, (-10.0, 10.0), sigmoid_pairs(40_000)),
-                stats(456, 65, 4, 70, 40_000, 86_048),
+                stats(456, 65, 4, 70, 40_000, 45_808),
             ),
             (
                 TrsTree::build(TrsParams::default(), (0.0, 9_999.0), noisy),
-                stats(1, 0, 1, 200, 10_000, 4_416),
+                stats(1, 0, 1, 200, 10_000, 4_176),
             ),
             (
                 TrsTree::build(TrsParams::default(), (-10.0, 10.0), wild),
-                stats(204, 29, 5, 1_696, 50_000, 66_976),
+                stats(204, 29, 5, 1_696, 50_000, 65_136),
             ),
         ];
         for (i, (tree, want)) in cases.iter().enumerate() {

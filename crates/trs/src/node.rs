@@ -101,6 +101,14 @@ impl OutlierBuffer {
         self.0.is_empty()
     }
 
+    /// A buffer of `entries` given in any order: one stable sort by key
+    /// puts them where [`add`](Self::add)ing them one by one, in that
+    /// order, would (equal keys keep their order).
+    pub(crate) fn from_entries(mut entries: Vec<(F64Key, Tid)>) -> Self {
+        entries.sort_by_key(|&(k, _)| k);
+        Self(entries)
+    }
+
     /// Register an outlier.
     pub fn add(&mut self, m: f64, tid: Tid) {
         let idx = self.0.partition_point(|(k, _)| *k <= F64Key(m));

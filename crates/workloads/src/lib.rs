@@ -29,3 +29,23 @@ pub use queries::QueryGen;
 pub use sensor::{build_sensor, SensorConfig};
 pub use stock::{build_stock, StockConfig};
 pub use synthetic::{build_synthetic, CorrelationKind, SyntheticConfig};
+
+/// The `(a, b)` cells of every live row where neither is NULL, in heap
+/// order: what the tests check a generated correlation on.
+#[cfg(test)]
+fn live_pairs(
+    db: &hermit_core::Database,
+    a: hermit_storage::ColumnId,
+    b: hermit_storage::ColumnId,
+) -> Vec<(f64, f64)> {
+    let mut pairs = Vec::new();
+    db.heap()
+        .for_each_live_row(|_, row| {
+            if let (Some(x), Some(y)) = (row.f64(a), row.f64(b)) {
+                pairs.push((x, y));
+            }
+            true
+        })
+        .unwrap();
+    pairs
+}

@@ -128,9 +128,9 @@ mod tests {
     fn sensors_monotone_in_average_but_nonlinear() {
         let cfg = SensorConfig { noise_amplitude: 0.0, ..small() };
         let db = build_sensor(&cfg, TidScheme::Physical);
-        let pairs = db.heap().project_pairs(cfg.sensor_col(3), cfg.avg_col()).unwrap();
+        let pairs = crate::live_pairs(&db, cfg.sensor_col(3), cfg.avg_col());
         assert_eq!(pairs.len(), db.len(), "no NULL readings");
-        let (xs, ys): (Vec<f64>, Vec<f64>) = pairs.into_iter().map(|(s, a, _)| (s, a)).unzip();
+        let (xs, ys): (Vec<f64>, Vec<f64>) = pairs.into_iter().unzip();
         let s = spearman(&xs, &ys);
         let p = pearson(&xs, &ys);
         assert!(s > 0.999, "noiseless response must be monotone in avg, spearman = {s}");

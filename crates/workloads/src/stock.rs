@@ -145,8 +145,8 @@ mod tests {
     fn high_low_strongly_correlated() {
         let cfg = small();
         let db = build_stock(&cfg, TidScheme::Physical);
-        let pairs = db.heap().project_pairs(cfg.low_col(0), cfg.high_col(0)).unwrap();
-        let (xs, ys): (Vec<f64>, Vec<f64>) = pairs.into_iter().map(|(l, h, _)| (l, h)).unzip();
+        let (xs, ys): (Vec<f64>, Vec<f64>) =
+            crate::live_pairs(&db, cfg.low_col(0), cfg.high_col(0)).into_iter().unzip();
         assert!(xs.len() > 1_800, "most days have readings");
         let r = pearson(&xs, &ys);
         assert!(r > 0.95, "high/low must be near-linear, pearson = {r}");
@@ -156,8 +156,8 @@ mod tests {
     fn jumps_exist_and_decorrelate() {
         let cfg = StockConfig { stocks: 3, days: 10_000, jump_probability: 0.01, ..small() };
         let db = build_stock(&cfg, TidScheme::Physical);
-        let pairs = db.heap().project_pairs(cfg.low_col(0), cfg.high_col(0)).unwrap();
-        let jumps = pairs.iter().filter(|&&(l, h, _)| h > l * 1.5).count();
+        let pairs = crate::live_pairs(&db, cfg.low_col(0), cfg.high_col(0));
+        let jumps = pairs.iter().filter(|&&(l, h)| h > l * 1.5).count();
         assert!(jumps > 20, "expected jump days, saw {jumps}");
     }
 

@@ -214,7 +214,7 @@ mod tests {
         let cfg = SyntheticConfig { tuples: 2_000, noise_fraction: 0.0, ..Default::default() };
         let db = build_synthetic(&cfg, TidScheme::Physical);
         let mut checked = 0;
-        for (b, c, _) in db.heap().project_pairs(cols::COL_B, cols::COL_C).unwrap() {
+        for (b, c) in crate::live_pairs(&db, cols::COL_B, cols::COL_C) {
             assert!((b - (2.0 * c + 3.0)).abs() < 1e-9);
             checked += 1;
         }
@@ -239,8 +239,8 @@ mod tests {
     fn noise_fraction_roughly_respected() {
         let cfg = SyntheticConfig { tuples: 20_000, noise_fraction: 0.05, ..Default::default() };
         let db = build_synthetic(&cfg, TidScheme::Physical);
-        let pairs = db.heap().project_pairs(cols::COL_B, cols::COL_C).unwrap();
-        let noisy = pairs.iter().filter(|&&(b, c, _)| (b - cfg.correlate(c)).abs() > 1e-6).count();
+        let pairs = crate::live_pairs(&db, cols::COL_B, cols::COL_C);
+        let noisy = pairs.iter().filter(|&&(b, c)| (b - cfg.correlate(c)).abs() > 1e-6).count();
         let frac = noisy as f64 / 20_000.0;
         assert!((0.03..=0.07).contains(&frac), "expected ~5% noise, got {:.1}%", frac * 100.0);
     }
@@ -255,7 +255,7 @@ mod tests {
         };
         let db = build_synthetic(&cfg, TidScheme::Physical);
         assert_eq!(db.heap().schema().width(), 7);
-        let (b, x0, _) = db.heap().project_pairs(cols::COL_B, cols::EXTRA_BASE).unwrap()[0];
+        let (b, x0) = crate::live_pairs(&db, cols::COL_B, cols::EXTRA_BASE)[0];
         assert!((x0 - b * 1.5).abs() < 1e-9);
     }
 
@@ -279,6 +279,17 @@ mod tests {
         let cfg = SyntheticConfig { tuples: 500, ..Default::default() };
         let a = build_synthetic(&cfg, TidScheme::Physical);
         let b = build_synthetic(&cfg, TidScheme::Physical);
-        assert_eq!(a.heap().scan().unwrap(), b.heap().scan().unwrap());
+        let rows = |db: &Database| {
+            let width = db.heap().schema().width();
+            let mut rows = Vec::new();
+            db.heap()
+                .for_each_live_row(|loc, row| {
+                    rows.push((loc, (0..width).map(|c| row.value(c)).collect::<Vec<_>>()));
+                    true
+                })
+                .unwrap();
+            rows
+        };
+        assert_eq!(rows(&a), rows(&b));
     }
 }

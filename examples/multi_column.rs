@@ -47,8 +47,16 @@ fn main() {
     }
 
     // Correlation check a DBA would run before recommending Hermit.
-    let (sps, djs): (Vec<f64>, Vec<f64>) =
-        db.heap().project_pairs(SP, DJ).unwrap().into_iter().map(|(sp, dj, _)| (sp, dj)).unzip();
+    let (mut sps, mut djs) = (Vec::new(), Vec::new());
+    db.heap()
+        .for_each_live_row(|_, row| {
+            if let (Some(sp), Some(dj)) = (row.f64(SP), row.f64(DJ)) {
+                sps.push(sp);
+                djs.push(dj);
+            }
+            true
+        })
+        .unwrap();
     println!("pearson(SP, DJ) = {:.4}", pearson(&sps, &djs));
 
     // Existing composite index on (TIME, DJ); Hermit composite on

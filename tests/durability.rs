@@ -37,7 +37,7 @@ use hermit::core::recovery::{DurabilityConfig, CATALOG_FILE, PAGES_FILE, WAL_FIL
 use hermit::core::shared::SharedDatabase;
 use hermit::core::{BatchOptions, CoreError, Database, IndexKey, PlanKind, Query, RangePredicate};
 use hermit::fault::{FaultKind, FaultOp, FaultPlan, FaultyPageStore, PlannedFault};
-use hermit::storage::paged::{FilePageStore, PageId, PageStore, PAGE_SIZE};
+use hermit::storage::paged::{BufferPool, FilePageStore, PageId, PageStore, PagedTable, PAGE_SIZE};
 use hermit::storage::recovery::crc32;
 use hermit::storage::wal::read_wal;
 use hermit::storage::{
@@ -144,9 +144,27 @@ fn mem_substrate_rejected_with_typed_error() {
     let dir = fresh_dir("mem");
     let db = Database::new(schema(), 0, TidScheme::Physical);
     assert!(matches!(db.checkpoint(&dir), Err(CoreError::NotDurable { .. })));
-    let shared = SharedDatabase::new(db);
-    assert!(matches!(shared.checkpoint(), Err(CoreError::NotDurable { .. })));
-    shared.wal_commit().unwrap(); // no-op, not an error
+    db.wal_commit().unwrap(); // no-op, not an error
+}
+
+/// A database hand-built over a file store has no WAL, so a checkpoint
+/// could never be recovered from: it is refused before anything is
+/// written, even with the page file where a durable database keeps it.
+#[test]
+fn a_checkpoint_needs_an_attached_durability() {
+    let dir = fresh_dir("unattached");
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = Arc::new(FilePageStore::create(&dir.join(PAGES_FILE)).unwrap());
+    let table = PagedTable::new(schema(), Arc::new(BufferPool::new(store, 64)));
+    let db = Database::new_paged(table, 0);
+    for i in 0..100i64 {
+        db.insert(&row(i, i as f64)).unwrap();
+    }
+    assert!(matches!(db.checkpoint(&dir), Err(CoreError::NotDurable { .. })));
+    assert!(!dir.join(CATALOG_FILE).exists(), "a refused checkpoint wrote a catalog");
+    assert!(!dir.join(WAL_FILE).exists(), "a refused checkpoint created a log");
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A durable insert encodes its row once, into its log record, and the
@@ -197,7 +215,7 @@ fn refuse_then_insert(db: &Database) {
     // The refused rows' keys were never locked.
     db.insert_txn(txn, &row(2, 2.0)).unwrap();
     db.insert_txn(txn, &row(3, 3.0)).unwrap();
-    db.commit_txn(txn).unwrap();
+    db.commit(txn).unwrap();
 }
 
 #[test]
@@ -518,9 +536,10 @@ fn live_checkpoint_under_concurrent_writers_loses_nothing() {
         }
         // Live checkpoints racing the writers: each briefly quiesces them.
         let shared = shared.clone();
+        let dir = dir.as_path();
         s.spawn(move || {
             for _ in 0..5 {
-                shared.checkpoint().unwrap();
+                shared.checkpoint(dir).unwrap();
                 std::thread::yield_now();
             }
         });
@@ -572,7 +591,7 @@ fn log_is_forced_at_commit_points_and_nowhere_else() {
         for i in 0..4i64 {
             db.insert_txn(t, &row(i, i as f64)).unwrap();
         }
-        db.commit_txn(t).unwrap();
+        db.commit(t).unwrap();
     });
     assert_eq!(committed, (6, 1, 0), "begin + 4 inserts + commit: six records, one fsync");
 
@@ -587,7 +606,7 @@ fn log_is_forced_at_commit_points_and_nowhere_else() {
         let t = db.begin().unwrap();
         db.insert_txn(t, &row(20, 20.0)).unwrap();
         db.insert_txn(t, &row(21, 21.0)).unwrap();
-        db.rollback_txn(t).unwrap();
+        db.rollback(t).unwrap();
     });
     assert_eq!(rolled_back, (4, 0, 0), "a rolled-back transaction owes no fsync");
     assert_eq!(db.wal_depth(), Some(4), "its records are written, not yet durable");
@@ -611,7 +630,7 @@ fn log_is_forced_at_commit_points_and_nowhere_else() {
     let committed = wal_delta(&db, || {
         let t = db.begin().unwrap();
         db.insert_txn(t, &row(100, 100.0)).unwrap();
-        db.commit_txn(t).unwrap();
+        db.commit(t).unwrap();
     });
     assert_eq!(committed, (3, 1, 0));
     drop(db);
@@ -715,7 +734,7 @@ fn stolen_page_never_outruns_the_records_that_undo_it() {
             drop(back);
             std::fs::remove_dir_all(image).ok();
         }
-        db.rollback_txn(t).unwrap();
+        db.rollback(t).unwrap();
         assert_eq!(db.len(), rows as usize);
         drop(db);
         std::fs::remove_dir_all(&dir).ok();
@@ -803,10 +822,10 @@ fn churn(db: &Database, model: &mut BTreeMap<i64, Vec<Value>>, cycle: i64) {
     }
     db.delete_by_pk_txn(t, base + 1).unwrap();
     model.remove(&(base + 1));
-    db.commit_txn(t).unwrap();
+    db.commit(t).unwrap();
     let t = db.begin().unwrap();
     db.insert_txn(t, &row(base + 9_000, 1.0)).unwrap();
-    db.rollback_txn(t).unwrap();
+    db.rollback(t).unwrap();
     db.wal_commit().unwrap();
 }
 
@@ -924,12 +943,12 @@ fn a_committer_inside_its_fsync_does_not_hold_the_wal_guard() {
         gate.met.load(Ordering::SeqCst),
         "a statement that owes no fsync waited out another committer's"
     );
-    db.rollback_txn(other).unwrap();
+    db.rollback(other).unwrap();
     drop(db);
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// While a `commit_txn` waits for its commit record to become durable, a
+/// While a `commit` waits for its commit record to become durable, a
 /// query runs — and sees none of the commit: publication comes after the
 /// wait, whole. (When the fsync was paid under the exclusive visibility
 /// latch, every reader stalled for it.)
@@ -955,7 +974,7 @@ fn readers_do_not_wait_out_a_commit() {
             db.insert_txn(t, &row(100, 100.0)).unwrap();
             db.delete_by_pk_txn(t, 3).unwrap();
             let _hook = gate.install();
-            db.commit_txn(t)
+            db.commit(t)
         });
         assert!(eventually(|| gate.entered.load(Ordering::SeqCst)), "no fsync was ever led");
         assert_eq!(pks(&db), (0..10).collect::<Vec<i64>>(), "a commit shows whole, or not at all");
@@ -1050,6 +1069,7 @@ fn a_commit_racing_a_checkpoint_never_waits_on_the_abandoned_generation() {
     let shared = SharedDatabase::new(Database::create_durable(schema(), 0, &dir, &config).unwrap());
     let (finished, outcome) = std::sync::mpsc::channel();
     let racers = shared.clone();
+    let racers_dir = dir.clone();
     // Detached on purpose: if the property breaks, the racers hang, and
     // the test must still fail.
     std::thread::spawn(move || {
@@ -1073,7 +1093,7 @@ fn a_commit_racing_a_checkpoint_never_waits_on_the_abandoned_generation() {
             let checkpointer = s.spawn(|| {
                 let mut taken = 0u32;
                 while writing.load(Ordering::SeqCst) {
-                    match racers.checkpoint() {
+                    match racers.checkpoint(&racers_dir) {
                         Ok(()) => taken += 1,
                         Err(CoreError::OpenTransactions { .. }) => {}
                         Err(e) => panic!("checkpoint failed: {e}"),
@@ -1093,9 +1113,9 @@ fn a_commit_racing_a_checkpoint_never_waits_on_the_abandoned_generation() {
         .recv_timeout(Duration::from_secs(60))
         .expect("a commit point never came back from its wait across a checkpoint");
     assert!(checkpoints > 0, "no checkpoint ran beside the writers");
-    let tail = Arc::clone(shared.db().wal_tail().unwrap());
+    let tail = Arc::clone(shared.wal_tail().unwrap());
     assert_eq!(tail.durable(), tail.written());
-    let len = shared.db().len();
+    let len = shared.len();
     assert_eq!(len, 2 * 330);
     drop(shared);
     let back = Database::open(&dir, &config).unwrap();
@@ -1123,7 +1143,7 @@ fn a_failed_commit_wait_leaves_the_transaction_open_and_sound() {
         Site::WalCommit => FaultAction::Error,
         _ => FaultAction::Continue,
     });
-    let err = db.commit_txn(t).unwrap_err();
+    let err = db.commit(t).unwrap_err();
     drop(hook);
     assert!(err.to_string().contains("wal.commit"), "{err}");
 
@@ -1134,7 +1154,7 @@ fn a_failed_commit_wait_leaves_the_transaction_open_and_sound() {
     assert!(db.execute(&point(50.0)).rows.is_empty(), "nothing was published");
     assert!(db.insert(&row(60, 60.0)).is_err(), "the log is poisoned until a checkpoint");
 
-    db.rollback_txn(t).unwrap();
+    db.rollback(t).unwrap();
     assert_eq!(db.len(), 5);
     assert_eq!(db.execute(&point(2.0)).rows.len(), 1);
     db.checkpoint(&dir).unwrap();

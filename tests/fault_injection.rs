@@ -16,7 +16,7 @@
 //!   reorganization that cannot read the heap installs nothing.
 
 use hermit::core::recovery::{DurabilityConfig, WAL_FILE};
-use hermit::core::shared::{MaintenanceConfig, MaintenanceWorker, SharedDatabase};
+use hermit::core::shared::{MaintenanceConfig, MaintenanceWorker, SharedDatabase, IDLE_SLEEP};
 use hermit::core::{Database, PlanKind, Query, RangePredicate};
 use hermit::fault::{mangle_file, FaultPlan, FaultRates, FaultyPageStore};
 use hermit::server::{ClientError, ErrorCode, HermitClient, HermitServer, ServerConfig};
@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 
 /// A maintenance worker whose rebuild scans cannot read the heap backs
 /// off: each sweep that leaves the queue as it was doubles its sleep, so in
-/// a fixed window it runs far fewer sweeps than one per `idle_sleep`. Once
+/// a fixed window it runs far fewer sweeps than one per `IDLE_SLEEP`. Once
 /// the heap reads again it drains the queue.
 #[test]
 fn a_worker_facing_an_unreadable_heap_backs_off_and_drains_once_healed() {
@@ -50,16 +50,15 @@ fn a_worker_facing_an_unreadable_heap_backs_off_and_drains_once_healed() {
     assert!(shared.reorg_queue_len() > 0, "the flood must queue a split");
 
     store.set_fail_reads(true);
-    let config = MaintenanceConfig { idle_sleep: Duration::from_millis(2), pass_limit: 8 };
-    let worker = MaintenanceWorker::start(shared.clone(), config);
+    let worker = MaintenanceWorker::start(shared.clone(), MaintenanceConfig::default());
     let window = Duration::from_millis(400);
     std::thread::sleep(window);
     let sweeps = worker.stats().sweeps.load(Ordering::Relaxed);
-    let unthrottled = (window.as_millis() / config.idle_sleep.as_millis()) as u64;
+    let unthrottled = (window.as_millis() / IDLE_SLEEP.as_millis()) as u64;
     assert!(shared.reorg_queue_len() > 0, "nothing can be done on an unreadable heap");
     assert!(
         (1..=unthrottled / 8).contains(&sweeps),
-        "{sweeps} sweeps in {window:?}: a stalled worker must back off (one per idle_sleep \
+        "{sweeps} sweeps in {window:?}: a stalled worker must back off (one per IDLE_SLEEP \
          would be {unthrottled})"
     );
 

@@ -211,14 +211,14 @@ fn an_invisible_row_contributes_neither_a_location_nor_cells() {
             let plain = check(db.execute(q), false, true, "auto-commit");
             let foreign = check(db.execute_for_txn(q, other), false, true, "other txn");
             let own = check(db.execute_for_txn(q, writer), true, false, "writer");
-            db.rollback_txn(other).unwrap();
+            db.rollback(other).unwrap();
             assert_eq!(plain, foreign, "{name}");
             assert_eq!(own, plain, "{name}: one row in, one row out");
             if std::ptr::eq(q, &everything) {
                 assert_eq!(plain, before, "{name}");
             }
         }
-        db.rollback_txn(writer).unwrap();
+        db.rollback(writer).unwrap();
         assert_eq!(db.execute(&everything).rows.len(), before, "{name}: rolled back");
     }
 }

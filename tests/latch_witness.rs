@@ -125,7 +125,7 @@ fn durable_workload() {
     for q in queries() {
         shared.execute(&q);
     }
-    shared.checkpoint().unwrap();
+    shared.checkpoint(&dir).unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
 

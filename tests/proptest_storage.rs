@@ -79,7 +79,12 @@ fn run_against_model(ops: Vec<Op>, pool_pages: usize) -> Result<(), TestCaseErro
     let mut want: Vec<(RowLoc, Vec<Value>)> =
         locs.into_iter().zip(model).filter_map(|(loc, row)| Some((loc, row?))).collect();
     want.sort_by_key(|(loc, _)| *loc);
-    let mut got = heap.scan().unwrap();
+    let mut got = Vec::new();
+    heap.for_each_live_row(|loc, row| {
+        got.push((loc, vec![row.value(0), row.value(1)]));
+        true
+    })
+    .unwrap();
     got.sort_by_key(|(loc, _)| *loc);
     prop_assert_eq!(heap.len(), want.len());
     prop_assert_eq!(got, want);
@@ -98,7 +103,7 @@ proptest! {
     }
 
     #[test]
-    fn project_pairs_agree_between_heaps(
+    fn scans_agree_between_heaps(
         rows in proptest::collection::vec(
             (any::<i64>(), proptest::option::of(-1.0e3f64..1.0e3)),
             1..200,
@@ -116,7 +121,15 @@ proptest! {
             }
         }
         let pairs = |t: &PagedTable| -> Vec<(f64, f64)> {
-            t.project_pairs(0, 1).unwrap().iter().map(|(m, n, _)| (*m, *n)).collect()
+            let mut pairs = Vec::new();
+            t.for_each_live_row(|_, row| {
+                if let (Some(m), Some(n)) = (row.f64(0), row.f64(1)) {
+                    pairs.push((m, n));
+                }
+                true
+            })
+            .unwrap();
+            pairs
         };
         // Heap order is insertion order: no sort needed.
         prop_assert_eq!(pairs(&cold), want.clone());

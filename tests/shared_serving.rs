@@ -198,14 +198,13 @@ fn run_stress(substrate: Substrate, scheme: TidScheme) {
             oracle.delete_by_pk(pk).unwrap();
         }
     }
-    assert_eq!(shared.db().len(), oracle.len(), "live row counts diverged");
+    assert_eq!(shared.len(), oracle.len(), "live row counts diverged");
 
     if with_composite {
         // The composite Hermit tree took the writers' inserts and deletes
         // while the worker reorganized it: its forced box route must give
         // the oracle's rows, deleted seeds and new inserts alike.
-        let Some(SecondaryIndex::Hermit { trs, .. }) = shared.db().index_at(COMPOSITE_HERMIT)
-        else {
+        let Some(SecondaryIndex::Hermit { trs, .. }) = shared.index_at(COMPOSITE_HERMIT) else {
             panic!("composite Hermit index missing")
         };
         assert!(trs.reorg_passes() > 0, "the worker must have reorganized the composite tree");
@@ -215,14 +214,13 @@ fn run_stress(substrate: Substrate, scheme: TidScheme) {
         );
         let want = result_pks(&oracle, &oracle.execute(&Query::filter(leading).and(value)));
         assert!(want.len() > 3_000, "the box spans seeds and inserts: {}", want.len());
-        let got =
-            result_pks(shared.db(), &shared.db().lookup_box(COMPOSITE_HERMIT, leading, value));
+        let got = result_pks(shared.db(), &shared.lookup_box(COMPOSITE_HERMIT, leading, value));
         assert_eq!(got, want, "composite Hermit box route diverged from the oracle");
     }
 
     // Every panel query agrees with the oracle, executed alone and as one
     // batch.
-    let batched = shared.db().execute_batch(&panel, &BatchOptions::default());
+    let batched = shared.execute_batch(&panel, &BatchOptions::default());
     for (i, q) in panel.iter().enumerate() {
         let want = result_pks(&oracle, &oracle.execute(q));
         assert!(!want.is_empty(), "panel query {i} must select something");
@@ -258,7 +256,7 @@ fn stress_paged_physical() {
     run_stress(Substrate::Paged, TidScheme::Physical);
 }
 
-/// Regression: `SharedDatabase::outlier_share` is documented as *buffered
+/// Regression: `Database::outlier_share` is documented as *buffered
 /// outliers over the tuples the index accounts for* (model-covered +
 /// buffered). It used to divide by the table's total row count instead,
 /// which silently deflates the ratio whenever the table holds rows the
@@ -292,7 +290,7 @@ fn outlier_share_denominator_is_index_covered_not_table_len() {
     for i in 0..500i64 {
         shared.insert(&[Value::Int(20_000 + i), Value::Float(1.0), Value::Null]).unwrap();
     }
-    assert_eq!(shared.db().len(), 1_500);
+    assert_eq!(shared.len(), 1_500);
     let share = shared.outlier_share(2).unwrap();
     let want = 200.0 / 1_000.0; // outliers / (modeled + buffered)
     assert!(
@@ -321,12 +319,8 @@ fn outlier_share_denominator_is_index_covered_not_table_len() {
 fn churn_with_worker_shrinks_outlier_share() {
     let run = |with_worker: bool| -> (f64, u64, u64) {
         let shared = SharedDatabase::new(build_db(&Substrate::Mem, TidScheme::Physical, false));
-        let worker = with_worker.then(|| {
-            MaintenanceWorker::start(
-                shared.clone(),
-                MaintenanceConfig { pass_limit: 8, ..Default::default() },
-            )
-        });
+        let worker = with_worker
+            .then(|| MaintenanceWorker::start(shared.clone(), MaintenanceConfig::default()));
         // Regime change under load: vacate [2000, 6000), then refill the
         // region with a different (locally linear) correlation. Every new
         // row is an outlier under the stale model; reorganization refits.

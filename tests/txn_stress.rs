@@ -157,7 +157,7 @@ fn committed_transactions_publish_atomically_to_readers() {
     let got = result_pks(shared.db(), &shared.execute(&band_query));
     assert_eq!(got, expected, "final band contents diverged from the committed-txn oracle");
     let batched =
-        &shared.db().execute_batch(std::slice::from_ref(&band_query), &BatchOptions::default())[0];
+        &shared.execute_batch(std::slice::from_ref(&band_query), &BatchOptions::default())[0];
     assert_eq!(result_pks(shared.db(), batched), expected, "batched executor diverged");
 
     let c = shared.txn_counters();
@@ -257,7 +257,7 @@ fn contended_read_modify_write_loses_no_updates() {
     assert_eq!(c.commits, CONTESTED as u64);
     assert_eq!(c.begins, c.commits + c.aborts);
     assert_eq!(c.active, 0);
-    assert_eq!(shared.db().len(), CONTESTED as usize);
+    assert_eq!(shared.len(), CONTESTED as usize);
 }
 
 enum Substrate {
@@ -340,7 +340,7 @@ fn abort_restores_exact_state_across_all_index_kinds() {
             if with_composite { "mem" } else { "paged" }
         );
 
-        db.rollback_txn(txn).unwrap();
+        db.rollback(txn).unwrap();
 
         assert_eq!(db.len(), len_before);
         assert_eq!(
@@ -383,12 +383,12 @@ fn loser_transaction_rolls_back_on_reopen() {
         db.insert_txn(t1, &row_for(1_000)).unwrap();
         db.insert_txn(t1, &row_for(1_001)).unwrap();
         db.delete_by_pk_txn(t1, 5).unwrap();
-        db.commit_txn(t1).unwrap();
+        db.commit(t1).unwrap();
 
         // An explicitly rolled-back transaction: no trace.
         let t2 = db.begin().unwrap();
         db.insert_txn(t2, &row_for(2_000)).unwrap();
-        db.rollback_txn(t2).unwrap();
+        db.rollback(t2).unwrap();
 
         // The loser: still open at "crash" time.
         let t3 = db.begin().unwrap();
