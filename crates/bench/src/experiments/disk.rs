@@ -3,14 +3,15 @@
 //! The paper integrates Hermit into PostgreSQL (physical pointers, pages
 //! behind a buffer pool) and measures Sensor range lookups. We reproduce
 //! the regime with the paged storage substrate: a slotted-page heap over a
-//! simulated SSD (fixed per-page read latency) behind a small buffer pool,
+//! simulated SSD (the in-memory store behind a small buffer pool whose
+//! fault hook busy-waits a fixed latency per page access),
 //! indexes fully in memory — exactly the paper's configuration ("we still
 //! keep Hermit's TRS-Tree in memory", B+-tree fully cached).
 
 use crate::harness::{self, measure_ops_with, Scale};
 use hermit_core::{Database, LookupBreakdown, RangePredicate};
 use hermit_storage::paged::{BufferPool, PagedTable, SimulatedPageStore};
-use hermit_storage::{ColumnDef, Schema, Value};
+use hermit_storage::{ColumnDef, FaultAction, FaultHook, Schema, Site, Value};
 use hermit_workloads::QueryGen;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -31,13 +32,17 @@ fn build_paged_sensor(tuples: usize) -> (Database, usize, usize) {
     defs.push(ColumnDef::float("avg"));
     let schema = Schema::new(defs);
 
-    // Simulated SSD: 20 µs page reads; pool of 256 pages (2 MiB) so heap
-    // fetches miss regularly while the (in-memory) indexes never pay I/O.
-    let store = Arc::new(SimulatedPageStore::with_latency(
-        Duration::from_micros(20),
-        Duration::from_micros(20),
-    ));
-    let pool = Arc::new(BufferPool::new(store, 256));
+    // Simulated SSD: 20 µs per page read or write, and per record read
+    // through; pool of 256 pages (2 MiB) so heap fetches miss regularly
+    // while the (in-memory) indexes never pay I/O.
+    let ssd = FaultHook::new(|call| match call.site {
+        Site::PageRead | Site::PageReadRange | Site::PageWrite => {
+            FaultAction::Delay(Duration::from_micros(20))
+        }
+        _ => FaultAction::Continue,
+    });
+    let pool = BufferPool::new(Arc::new(SimulatedPageStore::new()), 256).with_fault_hook(Some(ssd));
+    let pool = Arc::new(pool);
     let table = PagedTable::new(schema, pool);
     let mut db = Database::new_paged(table, 0);
 

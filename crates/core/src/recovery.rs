@@ -169,6 +169,7 @@ use hermit_btree::HashPrimaryIndex;
 use hermit_storage::paged::{BufferPool, FilePageStore, PageStore, PagedTable};
 use hermit_storage::recovery::{write_file_atomic, BaselineDef, Catalog, HermitDef, PageEntry};
 use hermit_storage::wal::{read_wal, WalRecord, WalTail, WalWriter};
+use hermit_storage::FaultHook;
 use hermit_storage::{ColumnId, RowLoc, Schema, StorageError, Tid, TidScheme, Value};
 use hermit_trs::{ConcurrentTrsTree, TrsParams, TrsTree};
 use std::path::{Path, PathBuf};
@@ -196,7 +197,7 @@ pub(crate) fn snapshot_name(key: IndexKey, epoch: u64) -> String {
 }
 
 /// Knobs for opening / creating a durable database.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct DurabilityConfig {
     /// Buffer-pool capacity in pages.
     pub pool_pages: usize,
@@ -212,19 +213,24 @@ pub struct DurabilityConfig {
     /// transaction never do on their own — their durability point is the
     /// commit. [`Database::wal_commit`] forces the boundary early.
     pub wal_sync_every: usize,
+    /// The fault hook the database's I/O consults — its buffer pool's, its
+    /// log's and its atomic file writes' sites, on whichever thread does
+    /// the I/O ([`hermit_storage::fault`]). `None` outside fault tests.
+    pub fault_hook: Option<FaultHook>,
 }
 
 impl DurabilityConfig {
     /// The buffer pool this configuration describes, over `store`.
     fn open_pool(&self, store: Arc<dyn PageStore>) -> Arc<BufferPool> {
         let shards = self.pool_shards.min(self.pool_pages);
-        Arc::new(BufferPool::new_sharded(store, self.pool_pages, shards))
+        let pool = BufferPool::new_sharded(store, self.pool_pages, shards);
+        Arc::new(pool.with_fault_hook(self.fault_hook.clone()))
     }
 }
 
 impl Default for DurabilityConfig {
     fn default() -> Self {
-        DurabilityConfig { pool_pages: 1024, pool_shards: 16, wal_sync_every: 64 }
+        DurabilityConfig { pool_pages: 1024, pool_shards: 16, wal_sync_every: 64, fault_hook: None }
     }
 }
 
@@ -250,6 +256,8 @@ pub(crate) struct Durability {
     /// success and then vanish at recovery. A successful checkpoint clears
     /// it (the new catalog captures the heap, and a fresh WAL takes over).
     wal_poisoned: AtomicBool,
+    /// The fault hook of the checkpoint's atomic file writes.
+    hook: Option<FaultHook>,
 }
 
 fn wal_err(e: hermit_storage::RecoveryError) -> StorageError {
@@ -580,7 +588,9 @@ impl Database {
         let store = Arc::new(FilePageStore::create(&dir.join(PAGES_FILE))?);
         let table = PagedTable::new(schema, config.open_pool(store));
         let mut db = Database::new_paged(table, pk_col);
-        db.attach_durability(dir, WalWriter::create(&dir.join(WAL_FILE), 0)?, config);
+        let writer =
+            WalWriter::create_with_hook(&dir.join(WAL_FILE), 0, config.fault_hook.clone())?;
+        db.attach_durability(dir, writer, config);
         db.checkpoint(dir)?;
         Ok(db)
     }
@@ -597,6 +607,7 @@ impl Database {
             wal: LatchedMutex::new(writer),
             sync_every: config.wal_sync_every.max(1),
             wal_poisoned: AtomicBool::new(false),
+            hook: config.fault_hook.clone(),
         });
     }
 
@@ -708,8 +719,12 @@ impl Database {
                     let bytes = trs.snapshot_bytes().map_err(|e| {
                         CoreError::Recovery(format!("snapshot of index {key:?}: {e}"))
                     })?;
-                    write_file_atomic(&dir.join(snapshot_name(key, epoch)), &bytes)
-                        .map_err(StorageError::from)?;
+                    write_file_atomic(
+                        &dir.join(snapshot_name(key, epoch)),
+                        &bytes,
+                        d.hook.as_ref(),
+                    )
+                    .map_err(StorageError::from)?;
                     hermits.push(HermitDef {
                         leading,
                         target: column,
@@ -736,7 +751,7 @@ impl Database {
             baselines,
             hermits,
         };
-        catalog.write_atomic(&dir.join(CATALOG_FILE))?;
+        catalog.write_atomic(&dir.join(CATALOG_FILE), d.hook.as_ref())?;
 
         // The catalog is committed; the old-epoch WAL is now dead weight
         // (its records are inside the checkpoint). If the reset fails, the
@@ -783,25 +798,13 @@ impl Database {
     /// See the module docs for the recovery sequence and guarantees.
     pub fn open(dir: &Path, config: &DurabilityConfig) -> Result<Database, CoreError> {
         let store = Arc::new(FilePageStore::open(&dir.join(PAGES_FILE))?);
-        Self::open_with_store(dir, store, config)
-    }
-
-    /// [`open`](Database::open) with an injected page store (recovery tests
-    /// substitute fault-injecting stores). The store must present the same
-    /// pages `dir/pages.db` holds; its allocation watermark is set to the
-    /// catalog's via [`PageStore::reset_watermark`].
-    pub fn open_with_store(
-        dir: &Path,
-        store: Arc<dyn PageStore>,
-        config: &DurabilityConfig,
-    ) -> Result<Database, CoreError> {
         let catalog = Catalog::read(&dir.join(CATALOG_FILE))?;
+        let pool = config.open_pool(store);
         // Pages behind the catalog's watermark were allocated after the
         // checkpoint: the catalog lists none of them, so the heap cannot
         // reach them, and every row they held is in the WAL or was never
         // acknowledged. Give them back, or each crash leaks them.
-        store.reset_watermark(catalog.next_page)?;
-        let pool = config.open_pool(store);
+        pool.reset_watermark(catalog.next_page)?;
         let page_ids: Vec<u64> = catalog.pages.iter().map(|e| e.page).collect();
         // The primary index comes from the heap scan that reopens the table.
         // Because the pool steals at page granularity, a lost delete
@@ -994,9 +997,14 @@ impl Database {
                 // Never reuse an id that still appears in this log
                 // generation.
                 db.txns().seed_next_id(max_txn + 1);
-                WalWriter::open_append(&wal_path, replay.epoch, replay.valid_len)?
+                let hook = config.fault_hook.clone();
+                WalWriter::open_append(&wal_path, replay.epoch, replay.valid_len, hook)?
             }
-            None => WalWriter::create(&wal_path, catalog.wal_epoch)?,
+            None => WalWriter::create_with_hook(
+                &wal_path,
+                catalog.wal_epoch,
+                config.fault_hook.clone(),
+            )?,
         };
 
         db.attach_durability(dir, writer, config);
@@ -1006,7 +1014,7 @@ impl Database {
     /// Index-only redo for a WAL insert whose row already reached the heap
     /// before the crash: push the entry into every Hermit index, keyed to
     /// the existing row's location. See the replay loop in
-    /// [`open_with_store`](Database::open_with_store).
+    /// [`open`](Database::open).
     fn reapply_hermit_insert(&self, row: &[Value], pk: i64, loc: hermit_storage::RowLoc) {
         let tid = match self.scheme {
             TidScheme::Physical => Tid::from_loc(loc),

@@ -5,7 +5,8 @@
 //! check a handful of schedules; this module enumerates them. Every
 //! durability-relevant I/O in `hermit_storage` (page write, page fsync,
 //! WAL append/commit/reset, atomic catalog/snapshot writes) passes a
-//! [`fault_point`](hermit_storage::fault_point) hook; the explorer
+//! [`fault_point`](hermit_storage::fault_point), which consults the fault
+//! hook the database was given in its `DurabilityConfig`; the explorer
 //!
 //! 1. runs a **canonical workload** (inserts, deletes, index builds —
 //!    single-column and composite — checkpoints, committed and aborted multi-statement transactions)
@@ -30,20 +31,20 @@
 //!
 //! Snapshots happen *before* the instrumented I/O executes, so page and
 //! WAL writes are atomic in this model. Sub-write tearing is covered
-//! separately: a checkpoint page write torn by a
-//! [`FaultyPageStore`](crate::FaultyPageStore) torn-write plan by the
-//! durability suite's `torn_checkpoint_page_is_reported_at_open`, a torn
-//! log by its `torn_wal_tail_recovers_to_last_complete_record` and the
+//! separately: a checkpoint page write torn by the hook's
+//! [`Torn`](hermit_storage::FaultAction::Torn) action by the durability
+//! suite's `torn_checkpoint_page_is_reported_at_open`, a torn log by its
+//! `torn_wal_tail_recovers_to_last_complete_record` and the
 //! fault-injection suite's WAL mangler proptest.
 
 use hermit_core::recovery::{DurabilityConfig, CATALOG_FILE};
 use hermit_core::{Database, IndexKey, Query, QueryResult, RangePredicate};
-use hermit_storage::{ColumnDef, FaultAction, Schema, Site, TidScheme, Value};
-use std::cell::RefCell;
+use hermit_storage::{ColumnDef, FaultAction, FaultHook, Schema, Site, TidScheme, Value};
+use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::Location;
 use std::path::{Path, PathBuf};
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// The sites only a reopen passes — a log's torn tail truncated, the page
 /// file trimmed to the catalog's watermark. The canonical workload creates
@@ -208,10 +209,15 @@ fn statements() -> Vec<Stmt> {
 
 type RowMap = BTreeMap<i64, Vec<Value>>;
 
+/// The row `[pk, host, target]`.
+fn row(pk: i64, host: f64, target: f64) -> Vec<Value> {
+    vec![Value::Int(pk), Value::Float(host), Value::Float(target)]
+}
+
 fn apply_logical(state: &mut RowMap, stmt: &Stmt) {
     match stmt {
         Stmt::Insert(pk, host, target) => {
-            state.insert(*pk, vec![Value::Int(*pk), Value::Float(*host), Value::Float(*target)]);
+            state.insert(*pk, row(*pk, *host, *target));
         }
         Stmt::Delete(pk) => {
             state.remove(pk);
@@ -222,10 +228,7 @@ fn apply_logical(state: &mut RowMap, stmt: &Stmt) {
             for op in ops {
                 match op {
                     TxnOp::Insert(pk, host, target) => {
-                        state.insert(
-                            *pk,
-                            vec![Value::Int(*pk), Value::Float(*host), Value::Float(*target)],
-                        );
+                        state.insert(*pk, row(*pk, *host, *target));
                     }
                     TxnOp::Delete(pk) => {
                         state.remove(pk);
@@ -281,19 +284,18 @@ fn copy_dir(from: &Path, to: &Path) {
     }
 }
 
+#[derive(Default)]
 struct HookState {
     count: usize,
+    /// The counting pass: each site passed, and where its fault point is.
     names: Vec<Site>,
-    /// Where each site's fault point was passed (counting pass only).
     locations: BTreeMap<Site, BTreeSet<&'static Location<'static>>>,
-    record_names: bool,
-    crash_at: Option<usize>,
-    source: PathBuf,
-    snapshot_to: Option<PathBuf>,
+    /// A crash pass: the site to snapshot the directory at, and where to.
+    crash: Option<(usize, PathBuf)>,
     snapped: bool,
 }
 
-/// Run the canonical workload in `dir` with the hook installed. Returns
+/// Run the canonical workload in `dir` on a database given the hook. Returns
 /// `(stmt_starts, drop_start, total)`: the site index each statement began
 /// at, the index where the end-of-run drop-flush began, and the grand
 /// total. Crash passes stop executing statements once the snapshot is
@@ -302,44 +304,41 @@ struct HookState {
 fn run_workload(
     dir: &Path,
     config: &DurabilityConfig,
-    state: &Rc<RefCell<HookState>>,
+    state: &Arc<Mutex<HookState>>,
 ) -> (Vec<usize>, usize, usize) {
-    let hook_state = Rc::clone(state);
-    let _guard = hermit_storage::install_fault_hook(move |site, at| {
-        let mut s = hook_state.borrow_mut();
+    let (hook_state, source) = (Arc::clone(state), dir.to_path_buf());
+    let hook = FaultHook::new(move |call| {
+        let mut s = hook_state.lock();
         let i = s.count;
         s.count += 1;
-        if s.record_names {
-            s.names.push(site);
-            s.locations.entry(site).or_default().insert(at);
-        }
-        if s.crash_at == Some(i) {
-            let to = s.snapshot_to.clone().expect("crash passes set a snapshot path");
-            copy_dir(&s.source, &to);
-            s.snapped = true;
+        match s.crash.clone() {
+            None => {
+                s.names.push(call.site);
+                s.locations.entry(call.site).or_default().insert(call.at);
+            }
+            Some((at, to)) if at == i => {
+                copy_dir(&source, &to);
+                s.snapped = true;
+            }
+            Some(_) => {}
         }
         FaultAction::Continue
     });
 
     let stmts = statements();
     let mut starts = Vec::with_capacity(stmts.len());
-    starts.push(state.borrow().count);
-    let mut db = Database::create_durable(schema(), 0, dir, config).expect("create_durable");
+    starts.push(state.lock().count);
+    let config = DurabilityConfig { fault_hook: Some(hook), ..config.clone() };
+    let mut db = Database::create_durable(schema(), 0, dir, &config).expect("create_durable");
     for stmt in &stmts[1..] {
-        if state.borrow().snapped {
-            // Pad the remaining boundaries so the vector stays aligned
-            // (only the counting pass consumes them, and it never snaps).
-            while starts.len() < stmts.len() {
-                starts.push(state.borrow().count);
-            }
+        if state.lock().snapped {
             break;
         }
-        starts.push(state.borrow().count);
+        starts.push(state.lock().count);
         match stmt {
             Stmt::Create => unreachable!("Create is statement 0"),
             Stmt::Insert(pk, host, target) => {
-                db.insert(&[Value::Int(*pk), Value::Float(*host), Value::Float(*target)])
-                    .expect("insert");
+                db.insert(&row(*pk, *host, *target)).expect("insert");
             }
             Stmt::Delete(pk) => {
                 db.delete_by_pk(*pk).expect("delete");
@@ -371,11 +370,7 @@ fn run_workload(
                 for op in ops {
                     match op {
                         TxnOp::Insert(pk, host, target) => {
-                            db.insert_txn(
-                                t,
-                                &[Value::Int(*pk), Value::Float(*host), Value::Float(*target)],
-                            )
-                            .expect("txn insert");
+                            db.insert_txn(t, &row(*pk, *host, *target)).expect("txn insert");
                         }
                         TxnOp::Delete(pk) => {
                             db.delete_by_pk_txn(t, *pk).expect("txn delete");
@@ -390,12 +385,14 @@ fn run_workload(
             }
         }
     }
+    // Pad the boundaries a crash pass never reached, so the vector stays
+    // aligned (only the counting pass consumes them, and it never snaps).
     while starts.len() < stmts.len() {
-        starts.push(state.borrow().count);
+        starts.push(state.lock().count);
     }
-    let drop_start = state.borrow().count;
+    let drop_start = state.lock().count;
     drop(db); // drop-flush I/O is part of the schedule
-    let total = state.borrow().count;
+    let total = state.lock().count;
     (starts, drop_start, total)
 }
 
@@ -487,29 +484,21 @@ pub fn explore(root: &Path, budget: Option<usize>) -> ExplorerReport {
     let _ = std::fs::remove_dir_all(root);
     std::fs::create_dir_all(root).expect("create explorer root");
     // One frame: the workload's second heap page pushes the first out.
-    let config = DurabilityConfig { wal_sync_every: 1, pool_pages: 1, pool_shards: 1 };
+    let config =
+        DurabilityConfig { wal_sync_every: 1, pool_pages: 1, pool_shards: 1, fault_hook: None };
 
     // Pass 1: count the sites and learn each statement's site window.
     let work = root.join("count");
-    let state = Rc::new(RefCell::new(HookState {
-        count: 0,
-        names: Vec::new(),
-        locations: BTreeMap::new(),
-        record_names: true,
-        crash_at: None,
-        source: work.clone(),
-        snapshot_to: None,
-        snapped: false,
-    }));
+    let state = Arc::new(Mutex::new(HookState::default()));
     let (starts, drop_start, total) = run_workload(&work, &config, &state);
-    let names = std::mem::take(&mut state.borrow_mut().names);
+    let names = std::mem::take(&mut state.lock().names);
     let mut site_names: BTreeMap<Site, usize> = BTreeMap::new();
     for &n in &names {
         *site_names.entry(n).or_insert(0) += 1;
     }
     // A schedule ordinal names one call site, and the workload reaches the
     // whole matrix but the reopen path.
-    for (site, at) in &state.borrow().locations {
+    for (site, at) in &state.lock().locations {
         assert!(at.len() == 1, "fault site {site} is passed at {} places: {at:?}", at.len());
     }
     let unreached: Vec<Site> = Site::ALL
@@ -553,19 +542,11 @@ pub fn explore(root: &Path, budget: Option<usize>) -> ExplorerReport {
     for &site in &explored {
         let run_dir = root.join(format!("run-{site}"));
         let snap_dir = root.join(format!("snap-{site}"));
-        let state = Rc::new(RefCell::new(HookState {
-            count: 0,
-            names: Vec::new(),
-            locations: BTreeMap::new(),
-            record_names: false,
-            crash_at: Some(site),
-            source: run_dir.clone(),
-            snapshot_to: Some(snap_dir.clone()),
-            snapped: false,
-        }));
+        let crash = Some((site, snap_dir.clone()));
+        let state = Arc::new(Mutex::new(HookState { crash, ..HookState::default() }));
         run_workload(&run_dir, &config, &state);
         let name = names[site];
-        if !state.borrow().snapped {
+        if !state.lock().snapped {
             failures.push(SiteFailure {
                 site,
                 name,

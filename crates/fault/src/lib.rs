@@ -9,17 +9,17 @@
 //! corrupt, never panic, never hang. This crate supplies the machinery to
 //! *enumerate* failures instead of hand-picking them:
 //!
-//! * [`FaultyPageStore`] — wraps any [`PageStore`](hermit_storage::paged::PageStore)
-//!   with injectable EIO, dropped, and torn writes, failing/lying fsync,
-//!   poisoned reads, and page-granular drops, driven by a [`FaultPlan`]
-//!   (explicit site list or seeded schedule — replayable from one `u64`).
+//! * [`StoreFaults`] — a fault hook, for the pool or durable database in
+//!   front of a page store, with injectable EIO, dropped and torn writes,
+//!   failing/lying fsync, poisoned reads, and page-granular drops, driven by
+//!   a [`FaultPlan`] (explicit site list or seeded schedule — replayable
+//!   from one `u64`), on every thread doing that instance's I/O.
 //! * [`mangle`] — seed-deterministic byte-level corruption of on-disk
 //!   artifacts (the WAL proptests).
 //! * [`explorer`] — the crash-schedule explorer: crash the canonical
-//!   workload at every durability I/O site (via the
-//!   [`fault_point`](hermit_storage::fault_point) hooks in
-//!   `hermit_storage`), recover each snapshot, and compare query-for-query
-//!   against a statement-prefix oracle.
+//!   workload at every durability I/O site (via the database's
+//!   [`FaultHook`](hermit_storage::FaultHook)), recover each snapshot, and
+//!   compare query-for-query against a statement-prefix oracle.
 //!
 //! The crash-schedule matrix is [`Site::ALL`](hermit_storage::Site::ALL).
 //! It lives in `hermit_storage`, beside the fault points, because this
@@ -38,4 +38,4 @@ pub mod store;
 pub use explorer::{explore, ExplorerReport, SiteFailure};
 pub use mangle::{mangle_bytes, mangle_file};
 pub use plan::{FaultKind, FaultOp, FaultPlan, FaultRates, PlannedFault};
-pub use store::FaultyPageStore;
+pub use store::StoreFaults;

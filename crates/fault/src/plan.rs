@@ -1,8 +1,8 @@
 //! Fault plans: *what* to inject and *when*, replayable from a seed.
 //!
-//! A [`FaultPlan`] answers one question for every I/O operation a
-//! [`FaultyPageStore`](crate::FaultyPageStore) forwards: should this, the
-//! `nth` operation of its kind, fail — and how? Two modes:
+//! A [`FaultPlan`] answers one question for every page I/O a
+//! [`StoreFaults`](crate::StoreFaults) hook sees: should this, the `nth`
+//! operation of its kind, fail — and how? Two modes:
 //!
 //! * **Explicit** — a list of [`PlannedFault`]s naming exact (operation,
 //!   ordinal) sites. Deterministic by construction; used for pinpoint
@@ -79,6 +79,12 @@ enum Mode {
 /// Decides, deterministically, whether each forwarded operation fails.
 pub struct FaultPlan {
     mode: Mode,
+}
+
+impl Default for FaultPlan {
+    fn default() -> Self {
+        Self::none()
+    }
 }
 
 impl FaultPlan {

@@ -1,7 +1,5 @@
-//! [`FaultyPageStore`]: a fault-injecting wrapper around any [`PageStore`].
-//!
-//! Replaces the ad-hoc test doubles the durability and write-path suites
-//! used to carry: one shared implementation that models
+//! [`StoreFaults`]: the faults a page store shows through the fault hook of
+//! the buffer pool (or durable database) in front of it, which models
 //!
 //! * **dying** devices — writes and fsyncs return EIO;
 //! * **lying** devices — writes and fsyncs report success but drop the
@@ -12,23 +10,20 @@
 //! * **planned faults** — EIO / dropped / torn writes at exact operation
 //!   ordinals or from a seeded schedule, via [`FaultPlan`].
 //!
-//! All toggles compose; the wrapper forwards `file_path`/`reset_watermark`/`stats`
-//! so the checkpoint machinery treats it exactly like the inner store.
+//! All toggles compose. Only page sites are decided; the log's and the
+//! atomic file writes' continue.
 
 use crate::plan::{FaultKind, FaultOp, FaultPlan};
-use hermit_storage::paged::{
-    FilePageStore, IoStats, Page, PageId, PageRange, PageStore, PAGE_SIZE,
-};
-use hermit_storage::StorageError;
+use hermit_storage::paged::PageId;
+use hermit_storage::{FaultAction, FaultCall, FaultHook, Site};
 use parking_lot::Mutex;
 use std::collections::HashSet;
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Fault-injecting [`PageStore`] wrapper. See the module docs.
-pub struct FaultyPageStore {
-    inner: Arc<dyn PageStore>,
+/// A page store's failure modes, as a fault hook ([`hook`](Self::hook)).
+#[derive(Default)]
+pub struct StoreFaults {
     plan: Mutex<FaultPlan>,
     reads: AtomicU64,
     writes: AtomicU64,
@@ -40,37 +35,23 @@ pub struct FaultyPageStore {
     drop_pages: Mutex<HashSet<PageId>>,
 }
 
-impl FaultyPageStore {
-    /// Wrap `inner` with no faults armed.
-    pub fn new(inner: Arc<dyn PageStore>) -> Self {
-        Self::with_plan(inner, FaultPlan::none())
+impl StoreFaults {
+    /// No faults armed.
+    pub fn new() -> Arc<Self> {
+        Arc::default()
     }
 
-    /// Wrap `inner` with a [`FaultPlan`] deciding per-operation faults.
-    pub fn with_plan(inner: Arc<dyn PageStore>, plan: FaultPlan) -> Self {
-        FaultyPageStore {
-            inner,
-            plan: Mutex::new(plan),
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-            syncs: AtomicU64::new(0),
-            injected: AtomicU64::new(0),
-            dying: AtomicBool::new(false),
-            lying: AtomicBool::new(false),
-            fail_reads: AtomicBool::new(false),
-            drop_pages: Mutex::new(HashSet::new()),
-        }
+    /// A [`FaultPlan`] deciding per-operation faults: the `nth` read (a page
+    /// load or a record read through, which share one ordinal), write or
+    /// fsync of the store.
+    pub fn with_plan(plan: FaultPlan) -> Arc<Self> {
+        Arc::new(StoreFaults { plan: Mutex::new(plan), ..Default::default() })
     }
 
-    /// Convenience: wrap the [`FilePageStore`] at `path` (the page file of
-    /// an existing durable database directory).
-    pub fn open(path: &Path) -> hermit_storage::Result<Self> {
-        Ok(Self::new(Arc::new(FilePageStore::open(path)?)))
-    }
-
-    /// Replace the fault plan.
-    pub fn set_plan(&self, plan: FaultPlan) {
-        *self.plan.lock() = plan;
+    /// The hook to give the pool or database in front of the store.
+    pub fn hook(self: &Arc<Self>) -> FaultHook {
+        let faults = Arc::clone(self);
+        FaultHook::new(move |call| faults.decide(call))
     }
 
     /// Dying device: writes and fsyncs start returning EIO.
@@ -98,113 +79,48 @@ impl FaultyPageStore {
         self.injected.load(Ordering::SeqCst)
     }
 
-    fn inject(&self) {
-        self.injected.fetch_add(1, Ordering::SeqCst);
+    /// The plan's fault for the next operation of class `op`.
+    fn planned(&self, op: FaultOp, ordinal: &AtomicU64) -> Option<FaultKind> {
+        let nth = ordinal.fetch_add(1, Ordering::SeqCst);
+        self.plan.lock().decide(op, nth)
     }
 
-    fn eio(&self, what: &str) -> StorageError {
-        self.inject();
-        StorageError::Io(format!("injected {what} fault"))
-    }
-
-    /// The faults a read can meet, whole page or record range alike: they
-    /// share one ordinal in the plan.
-    fn read_fault(&self) -> hermit_storage::Result<()> {
-        let nth = self.reads.fetch_add(1, Ordering::SeqCst);
-        if self.fail_reads.load(Ordering::SeqCst) {
-            return Err(self.eio("read"));
-        }
-        if let Some(FaultKind::Eio) = self.plan.lock().decide(FaultOp::Read, nth) {
-            return Err(self.eio("read"));
-        }
-        Ok(())
-    }
-}
-
-impl PageStore for FaultyPageStore {
-    fn allocate(&self) -> PageId {
-        self.inner.allocate()
-    }
-
-    fn read_into(&self, id: PageId, page: &mut Page) -> hermit_storage::Result<()> {
-        self.read_fault()?;
-        self.inner.read_into(id, page)
-    }
-
-    /// One fault ordinal per range: a batch of record reads meets the
-    /// faults its reads would meet one by one.
-    fn read_ranges(&self, ranges: &[PageRange], buf: &mut [u8]) -> hermit_storage::Result<()> {
-        for _ in ranges {
-            self.read_fault()?;
-        }
-        self.inner.read_ranges(ranges, buf)
-    }
-
-    fn write(&self, id: PageId, page: &Page) -> hermit_storage::Result<()> {
-        let nth = self.writes.fetch_add(1, Ordering::SeqCst);
-        if self.dying.load(Ordering::SeqCst) {
-            return Err(self.eio("write"));
-        }
-        if self.lying.load(Ordering::SeqCst) || self.drop_pages.lock().contains(&id) {
-            self.inject();
-            return Ok(()); // accepted, silently dropped
-        }
-        match self.plan.lock().decide(FaultOp::Write, nth) {
-            Some(FaultKind::Eio) => Err(self.eio("write")),
-            Some(FaultKind::Drop) => {
-                self.inject();
-                Ok(())
-            }
-            Some(FaultKind::Torn { keep }) => {
-                self.inject();
-                // First `keep` bytes of the new image land; the rest keeps
-                // whatever the device held before (zeros for a fresh page).
-                let keep = keep.min(PAGE_SIZE);
-                let mut torn = Page::zeroed();
-                if self.inner.read_into(id, &mut torn).is_err() {
-                    torn.as_bytes_mut().fill(0);
+    fn decide(&self, call: &FaultCall) -> FaultAction {
+        let (dying, lying) = (self.dying.load(Ordering::SeqCst), self.lying.load(Ordering::SeqCst));
+        let action = match call.site {
+            Site::PageRead | Site::PageReadRange => {
+                match self.planned(FaultOp::Read, &self.reads) {
+                    _ if self.fail_reads.load(Ordering::SeqCst) => FaultAction::Error,
+                    Some(FaultKind::Eio) => FaultAction::Error,
+                    _ => FaultAction::Continue,
                 }
-                torn.as_bytes_mut()[..keep].copy_from_slice(&page.as_bytes()[..keep]);
-                self.inner.write(id, &torn)
             }
-            None => self.inner.write(id, page),
-        }
-    }
-
-    fn page_count(&self) -> u64 {
-        self.inner.page_count()
-    }
-
-    fn stats(&self) -> &IoStats {
-        self.inner.stats()
-    }
-
-    fn sync(&self) -> hermit_storage::Result<()> {
-        let nth = self.syncs.fetch_add(1, Ordering::SeqCst);
-        if self.dying.load(Ordering::SeqCst) {
-            return Err(self.eio("sync"));
-        }
-        if self.lying.load(Ordering::SeqCst) {
-            self.inject();
-            return Ok(());
-        }
-        match self.plan.lock().decide(FaultOp::Sync, nth) {
-            // A torn "sync" has no sensible meaning; treat it as EIO too.
-            Some(FaultKind::Eio) | Some(FaultKind::Torn { .. }) => Err(self.eio("sync")),
-            Some(FaultKind::Drop) => {
-                self.inject();
-                Ok(()) // lying fsync
+            Site::PageWrite => {
+                let planned = self.planned(FaultOp::Write, &self.writes);
+                let dropped = call.page.is_some_and(|page| self.drop_pages.lock().contains(&page));
+                match planned {
+                    _ if dying => FaultAction::Error,
+                    _ if lying || dropped => FaultAction::Skip,
+                    Some(FaultKind::Eio) => FaultAction::Error,
+                    Some(FaultKind::Drop) => FaultAction::Skip,
+                    Some(FaultKind::Torn { keep }) => FaultAction::Torn { keep },
+                    None => FaultAction::Continue,
+                }
             }
-            None => self.inner.sync(),
+            Site::PageSync => match self.planned(FaultOp::Sync, &self.syncs) {
+                _ if dying => FaultAction::Error,
+                _ if lying => FaultAction::Skip,
+                // A torn "sync" has no sensible meaning; treat it as EIO too.
+                Some(FaultKind::Eio | FaultKind::Torn { .. }) => FaultAction::Error,
+                Some(FaultKind::Drop) => FaultAction::Skip,
+                None => FaultAction::Continue,
+            },
+            _ => FaultAction::Continue,
+        };
+        if !matches!(action, FaultAction::Continue) {
+            self.injected.fetch_add(1, Ordering::SeqCst);
         }
-    }
-
-    fn file_path(&self) -> Option<&Path> {
-        self.inner.file_path()
-    }
-
-    fn reset_watermark(&self, pages: u64) -> hermit_storage::Result<()> {
-        self.inner.reset_watermark(pages)
+        action
     }
 }
 
@@ -212,118 +128,144 @@ impl PageStore for FaultyPageStore {
 mod tests {
     use super::*;
     use crate::plan::PlannedFault;
-    use hermit_storage::paged::SimulatedPageStore;
+    use hermit_storage::paged::buffer_pool::{PoolBatch, Seen};
+    use hermit_storage::paged::{BufferPool, Page, PageStore, SimulatedPageStore};
 
-    fn read(store: &FaultyPageStore, id: PageId) -> hermit_storage::Result<Page> {
-        let mut page = Page::zeroed();
-        store.read_into(id, &mut page)?;
-        Ok(page)
+    /// A one-frame pool over an in-memory store, behind `faults`.
+    fn pool(faults: &Arc<StoreFaults>) -> (BufferPool, Arc<SimulatedPageStore>) {
+        let store = Arc::new(SimulatedPageStore::new());
+        let pool = BufferPool::new(Arc::clone(&store) as _, 1).with_fault_hook(Some(faults.hook()));
+        (pool, store)
     }
 
-    fn page_of(byte: u8) -> Page {
-        let mut p = Page::new(16);
-        p.insert(&[byte; 16]).unwrap();
-        p
+    /// Slot 0 of `id` set to `[byte; 16]` in the pool, and written back.
+    fn write(pool: &BufferPool, id: PageId, byte: u8) -> hermit_storage::Result<()> {
+        pool.write(id, |page| match page.count() {
+            0 => page.insert(&[byte; 16]).map(drop),
+            _ => page.update(0, &[byte; 16]),
+        })??;
+        pool.flush()
+    }
+
+    /// Slot 0 of `id`, loaded into the pool's frame.
+    fn read(pool: &BufferPool, id: PageId) -> hermit_storage::Result<[u8; 16]> {
+        pool.clear()?;
+        pool.read(id, |page| page.get(0).map(|r| r.try_into().unwrap()))?
+    }
+
+    /// Slot 0 of `id` as a record read, or `None` if it was unreadable: a
+    /// fresh page takes the pool's one frame, so a one-page batch reads the
+    /// slot's span through.
+    fn record(pool: &BufferPool, id: PageId) -> Option<[u8; 16]> {
+        pool.clear().unwrap();
+        pool.allocate(16).unwrap();
+        let through = pool.stats().read_through();
+        let mut bytes = None;
+        let locate = |_| Some((Page::slot_offset(16, 0), 16));
+        pool.read_batch(&[id], &mut PoolBatch::default(), locate, |_, seen| match seen {
+            Seen::Bytes(span) => bytes = Some(span.try_into().unwrap()),
+            Seen::Unreadable => {}
+            Seen::Page(_) => panic!("page {id} was loaded, not read through"),
+        });
+        assert_eq!(pool.stats().read_through(), through + u64::from(bytes.is_some()));
+        bytes
     }
 
     #[test]
     fn forwards_when_no_faults_armed() {
-        let store = FaultyPageStore::new(Arc::new(SimulatedPageStore::new()));
-        let id = store.allocate();
-        store.write(id, &page_of(7)).unwrap();
-        assert_eq!(read(&store, id).unwrap().get(0).unwrap(), &[7u8; 16]);
-        store.sync().unwrap();
-        assert_eq!(store.injected(), 0);
+        let faults = StoreFaults::new();
+        let (pool, _) = pool(&faults);
+        let id = pool.allocate(16).unwrap();
+        write(&pool, id, 7).unwrap();
+        assert_eq!(read(&pool, id).unwrap(), [7u8; 16]);
+        pool.flush().unwrap();
+        assert_eq!(faults.injected(), 0);
     }
 
     #[test]
     fn dying_lying_and_poisoned_toggles() {
-        let store = FaultyPageStore::new(Arc::new(SimulatedPageStore::new()));
-        let id = store.allocate();
-        store.write(id, &page_of(1)).unwrap();
+        let faults = StoreFaults::new();
+        let (pool, store) = pool(&faults);
+        let id = pool.allocate(16).unwrap();
+        write(&pool, id, 1).unwrap();
 
-        store.set_dying(true);
-        assert!(store.write(id, &page_of(2)).is_err());
-        assert!(store.sync().is_err());
-        store.set_dying(false);
+        faults.set_dying(true);
+        assert!(pool.flush().is_err(), "no frame is dirty: the fsync fails");
+        assert!(write(&pool, id, 2).is_err());
+        faults.set_dying(false);
 
-        store.set_lying(true);
-        store.write(id, &page_of(3)).unwrap();
-        store.sync().unwrap();
-        store.set_lying(false);
-        assert_eq!(read(&store, id).unwrap().get(0).unwrap(), &[1u8; 16], "lying write dropped");
+        faults.set_lying(true);
+        let writes = store.stats().writes();
+        write(&pool, id, 3).unwrap();
+        pool.flush().unwrap();
+        faults.set_lying(false);
+        assert_eq!(store.stats().writes(), writes + 1, "the dropped write is counted");
+        assert_eq!(read(&pool, id).unwrap(), [1u8; 16], "lying write dropped");
 
-        store.set_fail_reads(true);
-        assert!(read(&store, id).is_err());
-        assert!(record(&store, id).is_err(), "a record read is a read");
-        store.set_fail_reads(false);
-        assert_eq!(record(&store, id).unwrap(), [1u8; 16]);
-        assert!(store.injected() >= 5);
-    }
-
-    fn record(store: &FaultyPageStore, id: PageId) -> hermit_storage::Result<[u8; 16]> {
-        let mut bytes = [0u8; 16];
-        let range = PageRange { page: id, offset: Page::slot_offset(16, 0), len: 16 };
-        store.read_ranges(&[range], &mut bytes)?;
-        Ok(bytes)
+        faults.set_fail_reads(true);
+        assert!(read(&pool, id).is_err());
+        assert!(record(&pool, id).is_none(), "a record read is a read");
+        faults.set_fail_reads(false);
+        assert_eq!(record(&pool, id), Some([1u8; 16]));
+        assert!(faults.injected() >= 5);
     }
 
     #[test]
     fn per_page_drops_only_hit_the_victim() {
-        let store = FaultyPageStore::new(Arc::new(SimulatedPageStore::new()));
-        let a = store.allocate();
-        let b = store.allocate();
-        store.write(a, &page_of(1)).unwrap();
-        store.write(b, &page_of(1)).unwrap();
-        store.drop_page(a);
-        store.write(a, &page_of(9)).unwrap();
-        store.write(b, &page_of(9)).unwrap();
-        assert_eq!(read(&store, a).unwrap().get(0).unwrap(), &[1u8; 16]);
-        assert_eq!(read(&store, b).unwrap().get(0).unwrap(), &[9u8; 16]);
+        let faults = StoreFaults::new();
+        let (pool, _) = pool(&faults);
+        let a = pool.allocate(16).unwrap();
+        let b = pool.allocate(16).unwrap();
+        write(&pool, a, 1).unwrap();
+        write(&pool, b, 1).unwrap();
+        faults.drop_page(a);
+        write(&pool, a, 9).unwrap();
+        write(&pool, b, 9).unwrap();
+        assert_eq!(read(&pool, a).unwrap(), [1u8; 16]);
+        assert_eq!(read(&pool, b).unwrap(), [9u8; 16]);
         // A record read sees what a page read sees: the dropped write never landed.
-        assert_eq!(record(&store, a).unwrap(), [1u8; 16]);
-        assert_eq!(record(&store, b).unwrap(), [9u8; 16]);
+        assert_eq!(record(&pool, a), Some([1u8; 16]));
+        assert_eq!(record(&pool, b), Some([9u8; 16]));
     }
 
     #[test]
     fn planned_read_faults_count_record_reads() {
-        let store = FaultyPageStore::with_plan(
-            Arc::new(SimulatedPageStore::new()),
-            FaultPlan::explicit(vec![PlannedFault {
-                op: FaultOp::Read,
-                nth: 1,
-                kind: FaultKind::Eio,
-            }]),
-        );
-        let id = store.allocate();
-        store.write(id, &page_of(4)).unwrap();
-        assert!(read(&store, id).is_ok()); // read 0
-        assert!(record(&store, id).is_err(), "read 1 is planned to fail");
-        assert_eq!(record(&store, id).unwrap(), [4u8; 16]);
-        assert_eq!(store.injected(), 1);
+        let faults = StoreFaults::with_plan(FaultPlan::explicit(vec![PlannedFault {
+            op: FaultOp::Read,
+            nth: 1,
+            kind: FaultKind::Eio,
+        }]));
+        let (pool, _) = pool(&faults);
+        let id = pool.allocate(16).unwrap();
+        write(&pool, id, 4).unwrap();
+        assert!(read(&pool, id).is_ok()); // read 0
+        assert!(record(&pool, id).is_none(), "read 1 is planned to fail");
+        assert_eq!(record(&pool, id), Some([4u8; 16]));
+        assert_eq!(faults.injected(), 1);
     }
 
     #[test]
     fn planned_torn_write_keeps_a_prefix() {
         const KEEP: usize = 64;
-        let store = FaultyPageStore::with_plan(
-            Arc::new(SimulatedPageStore::new()),
-            FaultPlan::explicit(vec![PlannedFault {
-                op: FaultOp::Write,
-                nth: 1,
-                kind: FaultKind::Torn { keep: KEEP },
-            }]),
-        );
-        let id = store.allocate();
-        let old = page_of(1);
-        let new = page_of(2);
-        store.write(id, &old).unwrap(); // write 0: clean
-        store.write(id, &new).unwrap(); // write 1: torn after KEEP bytes
-                                        // Exactly the first KEEP bytes of the new image land; the rest is
-                                        // the previous device content, byte for byte.
+        let faults = StoreFaults::with_plan(FaultPlan::explicit(vec![PlannedFault {
+            op: FaultOp::Write,
+            nth: 1,
+            kind: FaultKind::Torn { keep: KEEP },
+        }]));
+        let (pool, store) = pool(&faults);
+        let id = pool.allocate(16).unwrap(); // write 0: clean
+        let mut old = Page::zeroed();
+        store.read_into(id, &mut old).unwrap();
+        write(&pool, id, 2).unwrap(); // write 1: torn after KEEP bytes
+        let new = pool.read(id, |page| *page.as_bytes()).unwrap();
+        // Exactly the first KEEP bytes of the new image land; the rest is
+        // the previous device content, byte for byte.
         let mut expected = *old.as_bytes();
-        expected[..KEEP].copy_from_slice(&new.as_bytes()[..KEEP]);
-        assert_eq!(read(&store, id).unwrap().as_bytes(), &expected);
-        assert_eq!(store.injected(), 1);
+        expected[..KEEP].copy_from_slice(&new[..KEEP]);
+        let mut landed = Page::zeroed();
+        store.read_into(id, &mut landed).unwrap();
+        assert_eq!(landed.as_bytes(), &expected);
+        assert_ne!(landed.as_bytes(), &new, "the write tore");
+        assert_eq!(faults.injected(), 1);
     }
 }

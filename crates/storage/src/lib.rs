@@ -10,9 +10,9 @@
 //!   store and a sharded clock-replacement buffer pool, with I/O accounting.
 //!   Over an in-memory store ([`paged::SimulatedPageStore`]) with a pool that
 //!   holds the whole table it is the "DBMS-X" setting; over a file
-//!   ([`paged::FilePageStore`]), or a store with simulated device latency
-//!   behind a small pool, it is the "PostgreSQL" one of the disk-based
-//!   experiment (Fig. 24).
+//!   ([`paged::FilePageStore`]), or the in-memory store behind a small pool
+//!   whose fault hook charges a device's latency per read, it is the
+//!   "PostgreSQL" one of the disk-based experiment (Fig. 24).
 //!
 //! The file-backed heap is restart-survivable: [`recovery`] provides the
 //! versioned checkpoint catalog (written atomically) and [`wal`] the
@@ -40,7 +40,7 @@ pub mod wal;
 
 pub use batch::RowRef;
 pub use error::StorageError;
-pub use fault::{fault_point, install_fault_hook, FaultAction, FaultHookGuard, Io, Site};
+pub use fault::{fault_point, page_fault_point, FaultAction, FaultCall, FaultHook, Gate, Io, Site};
 pub use recovery::{BaselineDef, Catalog, HermitDef, PageEntry, RecoveryError};
 pub use schema::{ColumnDef, ColumnId, ColumnType, Schema};
 pub use stats::ColumnStats;

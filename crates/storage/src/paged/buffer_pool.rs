@@ -3,7 +3,9 @@
 //! The disk experiment (§7.8) reconfigures PostgreSQL's buffer pool so the
 //! B+-tree fits in memory while heap fetches still pay for page access; our
 //! pool exposes the same knob (capacity in pages) plus hit/miss counters so
-//! the benchmark harness can report the breakdown.
+//! the benchmark harness can report the breakdown. Every store is called
+//! from here, so the pool passes the `page.*` fault sites, each at one
+//! place, with its [hook](BufferPool::with_fault_hook).
 //!
 //! # Access
 //!
@@ -37,9 +39,8 @@
 //!    victim, written back first if dirty — unmaps it and takes its 8 KiB
 //!    buffer, leaving the slot marked as loading;
 //! 2. **unlocks** and issues one [`PageStore::read_into`] straight into that
-//!    recycled buffer, on the calling thread (fault hooks are thread-local);
-//!    readers missing on other pages of the shard do the same concurrently,
-//!    and hits proceed;
+//!    recycled buffer, on the calling thread; readers missing on other pages
+//!    of the shard do the same concurrently, and hits proceed;
 //! 3. relocks and publishes the frame.
 //!
 //! [`BufferPool::allocate`] and write-misses take the same path, so in
@@ -119,6 +120,7 @@
 
 use super::io::{PageRange, PageStore};
 use super::page::{Page, PageId};
+use crate::fault::{fault_point, page_fault_point, FaultHook, Site};
 use crate::hash::IntMap;
 use crate::wal::WalTail;
 use crate::Result;
@@ -344,7 +346,7 @@ impl PoolInner {
 
 /// How [`BufferPool::read_batch`] saw one page of its batch.
 #[derive(Clone, Copy)]
-pub(crate) enum Seen<'a> {
+pub enum Seen<'a> {
     /// In a frame: a hit, or a miss the pool loaded.
     Page(&'a Page),
     /// Read through: the bytes of the span the caller located, verified to
@@ -356,7 +358,7 @@ pub(crate) enum Seen<'a> {
 
 /// Reusable buffers of [`BufferPool::read_batch`].
 #[derive(Debug, Default)]
-pub(crate) struct PoolBatch {
+pub struct PoolBatch {
     /// Each page's shard.
     shard_of: Vec<usize>,
     /// The batch's page indices grouped by shard, each group in batch
@@ -403,6 +405,8 @@ pub struct BufferPool {
     stats: PoolStats,
     /// The log whose records describe this pool's pages, once attached.
     wal: OnceLock<Arc<WalTail>>,
+    /// Consulted at every page site (see the module docs).
+    hook: Option<FaultHook>,
 }
 
 impl BufferPool {
@@ -424,7 +428,14 @@ impl BufferPool {
         let shards = (0..shards)
             .map(|i| RwLock::new(PoolInner::with_capacity(base + usize::from(i < extra))))
             .collect();
-        BufferPool { store, shards, capacity, stats: PoolStats::default(), wal: OnceLock::new() }
+        let stats = PoolStats::default();
+        BufferPool { store, shards, capacity, stats, wal: OnceLock::new(), hook: None }
+    }
+
+    /// This pool with `hook` consulted at its page sites (module docs).
+    pub fn with_fault_hook(mut self, hook: Option<FaultHook>) -> Self {
+        self.hook = hook;
+        self
     }
 
     /// Put this pool's write-backs behind `tail`'s log (see the module
@@ -500,7 +511,7 @@ impl BufferPool {
         let (inner, idx, mut page) = self.reserve(shard, shard.write())?;
         drop(inner);
         page.format(record_width);
-        let written = self.store.write(id, &page);
+        let written = self.write_page(id, &page);
         let mut inner = shard.write();
         match written {
             Ok(()) => inner.publish(idx, id, page),
@@ -549,7 +560,7 @@ impl BufferPool {
         for shard in &self.shards {
             self.write_back_dirty(&mut shard.write())?;
         }
-        self.store.sync()
+        self.sync_store()
     }
 
     /// Drop every cached frame (writing dirty ones back). Used by benchmarks
@@ -578,7 +589,33 @@ impl BufferPool {
                 }
             }
         }
-        self.store.sync()
+        self.sync_store()
+    }
+
+    /// [`PageStore::reset_watermark`], for a pool that holds no page yet
+    /// (recovery, before the first read). A file store that cuts its file
+    /// back passes the `page.trim` site first.
+    pub fn reset_watermark(&self, pages: u64) -> Result<()> {
+        self.store.reset_watermark(pages, &|| fault_point(self.hook.as_ref(), Site::PageTrim))
+    }
+
+    /// Write `page`'s image to the store as page `id`, behind the
+    /// `page.write` site. A skip is a dropped write the store never sees,
+    /// counted as written, so I/O accounting cannot reveal the lie.
+    fn write_page(&self, id: PageId, page: &Page) -> Result<()> {
+        match page_fault_point(self.hook.as_ref(), Site::PageWrite, id)? {
+            Some(io) => self.store.write(id, page, &io),
+            None => {
+                self.store.stats().record_write();
+                Ok(())
+            }
+        }
+    }
+
+    /// The store's fsync, behind the `page.sync` site (a skip lies).
+    fn sync_store(&self) -> Result<()> {
+        let io = fault_point(self.hook.as_ref(), Site::PageSync)?;
+        io.map_or(Ok(()), |io| self.store.sync(&io))
     }
 
     /// Write every dirty frame of one shard back to the store.
@@ -587,7 +624,7 @@ impl BufferPool {
             if let Slot::Resident(frame) = slot {
                 if frame.dirty {
                     self.wal_before_data()?;
-                    self.store.write(frame.page_id, &frame.page)?;
+                    self.write_page(frame.page_id, &frame.page)?;
                     frame.dirty = false;
                     inner.write_epoch += 1;
                 }
@@ -606,7 +643,7 @@ impl BufferPool {
     /// through classify → read → verify (see the module docs), so `visit`
     /// runs in no particular order, and for pages in frames under their
     /// shard's lock: it must not re-enter the pool.
-    pub(crate) fn read_batch(
+    pub fn read_batch(
         &self,
         pages: &[PageId],
         buffers: &mut PoolBatch,
@@ -686,7 +723,12 @@ impl BufferPool {
             if !staged.is_empty() {
                 bytes.clear();
                 bytes.resize(ranges.iter().map(|r| r.len).sum(), 0);
-                match self.store.read_ranges(ranges, bytes) {
+                let hook = self.hook.as_ref();
+                let mut before = |range: &PageRange| {
+                    page_fault_point(hook, Site::PageReadRange, range.page)?;
+                    Ok(())
+                };
+                match self.store.read_ranges(ranges, bytes, &mut before) {
                     Err(_) => {
                         tally.read_errors += staged.len() as u64;
                         let inner = shard.read();
@@ -764,7 +806,9 @@ impl BufferPool {
         loop {
             let epoch = inner.write_epoch;
             drop(inner);
-            let loaded = self.store.read_into(id, &mut page);
+            let loaded = page_fault_point(self.hook.as_ref(), Site::PageRead, id)
+                .map_err(Into::into)
+                .and_then(|_| self.store.read_into(id, &mut page));
             inner = shard.write();
             if let Err(e) = loaded {
                 self.stats.read_errors.fetch_add(1, Ordering::Relaxed);
@@ -830,7 +874,7 @@ impl BufferPool {
             }
             if frame.dirty {
                 self.wal_before_data()?;
-                self.store.write(frame.page_id, &frame.page)?;
+                self.write_page(frame.page_id, &frame.page)?;
                 frame.dirty = false;
                 inner.write_epoch += 1;
             }
@@ -867,6 +911,7 @@ impl Drop for BufferPool {
 mod tests {
     use super::*;
     use crate::error::StorageError;
+    use crate::fault::{FaultAction, Gate};
     use crate::paged::io::SimulatedPageStore;
 
     fn pool(cap: usize) -> BufferPool {
@@ -1197,84 +1242,37 @@ mod tests {
         }
     }
 
-    /// A store whose reads rendezvous: each `read_into` waits (bounded) until
-    /// `parties` reads are inside the store at once, then all proceed.
-    /// `met` records whether the rendezvous ever completed. With
-    /// `pause_ranges` set, a `read_ranges` that has read its bytes raises
-    /// `range_read` and waits for `resume` before it returns.
-    struct GatedStore {
-        inner: SimulatedPageStore,
-        parties: usize,
-        inside: std::sync::Mutex<usize>,
-        arrived: std::sync::Condvar,
-        met: std::sync::atomic::AtomicBool,
-        pause_ranges: std::sync::atomic::AtomicBool,
-        range_read: Signal,
-        resume: Signal,
+    /// A hook under which page loads rendezvous: each waits at the store
+    /// until `parties` loads are inside it at once, then all proceed. The
+    /// flag records whether the rendezvous ever completed.
+    fn rendezvous(parties: usize) -> (FaultHook, Arc<AtomicBool>) {
+        let (gate, arrived) = (Arc::new(Gate::default()), AtomicUsize::new(0));
+        let met = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&met);
+        let hook = FaultHook::new(move |call| {
+            if call.site != Site::PageRead {
+                return FaultAction::Continue;
+            }
+            if arrived.fetch_add(1, Ordering::SeqCst) + 1 < parties {
+                return FaultAction::Gate(Arc::clone(&gate));
+            }
+            flag.store(gate.wait_parked(parties - 1), Ordering::SeqCst);
+            gate.open();
+            FaultAction::Continue
+        });
+        (hook, met)
     }
 
-    impl GatedStore {
-        fn new(parties: usize) -> Self {
-            GatedStore {
-                inner: SimulatedPageStore::new(),
-                parties,
-                inside: std::sync::Mutex::new(0),
-                arrived: std::sync::Condvar::new(),
-                met: std::sync::atomic::AtomicBool::new(false),
-                pause_ranges: std::sync::atomic::AtomicBool::new(false),
-                range_read: Signal::default(),
-                resume: Signal::default(),
-            }
-        }
-
-        fn met(&self) -> bool {
-            self.met.load(Ordering::SeqCst)
-        }
-    }
-
-    impl PageStore for GatedStore {
-        fn allocate(&self) -> PageId {
-            self.inner.allocate()
-        }
-
-        fn read_into(&self, id: PageId, page: &mut Page) -> Result<()> {
-            let mut inside = self.inside.lock().unwrap();
-            *inside += 1;
-            self.arrived.notify_all();
-            let deadline = std::time::Duration::from_secs(5);
-            let (guard, _) =
-                self.arrived.wait_timeout_while(inside, deadline, |n| *n < self.parties).unwrap();
-            if *guard >= self.parties {
-                self.met.store(true, Ordering::SeqCst);
-            }
-            drop(guard);
-            self.inner.read_into(id, page)
-        }
-
-        fn read_ranges(&self, ranges: &[PageRange], buf: &mut [u8]) -> Result<()> {
-            self.inner.read_ranges(ranges, buf)?;
-            if self.pause_ranges.load(Ordering::SeqCst) {
-                self.range_read.raise();
-                self.resume.wait();
-            }
-            Ok(())
-        }
-
-        fn write(&self, id: PageId, page: &Page) -> Result<()> {
-            self.inner.write(id, page)
-        }
-
-        fn page_count(&self) -> u64 {
-            self.inner.page_count()
-        }
-
-        fn stats(&self) -> &crate::paged::io::IoStats {
-            self.inner.stats()
-        }
-
-        fn reset_watermark(&self, pages: u64) -> Result<()> {
-            self.inner.reset_watermark(pages)
-        }
+    /// A hook that parks the read-through span of `page` until the returned
+    /// gate opens: every span of its batch ahead of it has been read.
+    fn park_span_of(page: PageId) -> (FaultHook, Arc<Gate>) {
+        let gate = Arc::new(Gate::default());
+        let parked = Arc::clone(&gate);
+        let hook = FaultHook::new(move |call| match (call.site, call.page) {
+            (Site::PageReadRange, Some(p)) if p == page => FaultAction::Gate(Arc::clone(&parked)),
+            _ => FaultAction::Continue,
+        });
+        (hook, gate)
     }
 
     fn counter(page: &Page) -> u64 {
@@ -1287,8 +1285,8 @@ mod tests {
         // complete if that lock is released for the store read. Holding it
         // across the read (the old design) leaves the second reader queued
         // on the mutex and the first alone in the store until the timeout.
-        let store = Arc::new(GatedStore::new(2));
-        let p = BufferPool::new(store.clone(), 4);
+        let (hook, met) = rendezvous(2);
+        let p = BufferPool::new(Arc::new(SimulatedPageStore::new()), 4).with_fault_hook(Some(hook));
         let a = p.allocate(8).unwrap();
         let b = p.allocate(8).unwrap();
         p.write(a, |page| page.insert(&1u64.to_le_bytes()).unwrap()).unwrap();
@@ -1300,15 +1298,19 @@ mod tests {
             (ra.join().unwrap(), rb.join().unwrap())
         });
         assert_eq!((va, vb), (1, 2));
-        assert!(store.met(), "two cold readers were never inside the store together");
+        assert!(
+            met.load(Ordering::SeqCst),
+            "two cold readers were never inside the store together"
+        );
         assert_eq!(p.frame_counts(), (2, 2));
     }
 
     #[test]
     fn racing_loads_of_one_page_map_exactly_one_frame() {
         const READERS: usize = 4;
-        let store = Arc::new(GatedStore::new(READERS));
-        let p = BufferPool::new(store.clone(), 6);
+        let store = Arc::new(SimulatedPageStore::new());
+        let (hook, met) = rendezvous(READERS);
+        let p = BufferPool::new(store.clone(), 6).with_fault_hook(Some(hook));
         let id = p.allocate(8).unwrap();
         p.write(id, |page| page.insert(&77u64.to_le_bytes()).unwrap()).unwrap();
         p.clear().unwrap();
@@ -1322,7 +1324,7 @@ mod tests {
         // Every reader missed and read the page (the gate holds them all
         // inside the store at once); one image was published, and the
         // losers' reserved frames went back to the free list.
-        assert!(store.met());
+        assert!(met.load(Ordering::SeqCst));
         assert_eq!(p.stats().misses(), READERS as u64);
         assert_eq!(store.stats().reads(), READERS as u64);
         assert_eq!(p.frame_counts(), (1, 5), "one mapped frame, the rest free again");
@@ -1343,11 +1345,15 @@ mod tests {
         const WRITERS: usize = 3;
         const ROUNDS: usize = 400;
         for (frames, shards) in [(2, 1), (3, 1), (4, 2)] {
-            let store = Arc::new(SimulatedPageStore::with_latency(
-                Duration::from_micros(20),
-                Duration::from_micros(5),
-            ));
-            let p = BufferPool::new_sharded(store, frames, shards);
+            let slow = FaultHook::new(|call| match call.site {
+                Site::PageRead | Site::PageReadRange => {
+                    FaultAction::Delay(Duration::from_micros(20))
+                }
+                Site::PageWrite => FaultAction::Delay(Duration::from_micros(5)),
+                _ => FaultAction::Continue,
+            });
+            let store = Arc::new(SimulatedPageStore::new());
+            let p = BufferPool::new_sharded(store, frames, shards).with_fault_hook(Some(slow));
             let ids: Vec<PageId> = (0..PAGES).map(|_| p.allocate(8).unwrap()).collect();
             for &id in &ids {
                 p.write(id, |page| page.insert(&0u64.to_le_bytes()).unwrap()).unwrap();
@@ -1576,12 +1582,17 @@ mod tests {
         // slot it reads (so the bytes it read are zeros), or a delete that a
         // reader sees before the read-through returns. Either way the page
         // is unmapped when the read-through relocks, and only the moved
-        // write epoch tells it the bytes are stale.
+        // write epoch tells it the bytes are stale. The batch reads a second
+        // cold page's span after the page's, and parks there: the page's
+        // bytes are read, the batch not done.
         for delete in [false, true] {
-            let store = Arc::new(GatedStore::new(1));
-            let p = BufferPool::new(store.clone(), 1);
-            let ids = pages_of(&p, 2);
-            let (page, other) = (ids[0], ids[1]);
+            let ids_ahead = [0, 1, 2];
+            let (hook, gate) = park_span_of(ids_ahead[1]);
+            let p =
+                BufferPool::new(Arc::new(SimulatedPageStore::new()), 1).with_fault_hook(Some(hook));
+            let ids = pages_of(&p, 3);
+            assert_eq!(ids, ids_ahead);
+            let (page, spare, other) = (ids[0], ids[1], ids[2]);
             // Clean frames: only the race writes pages back.
             p.flush().unwrap();
             // The heap's summary of `page`: slot count, and a tombstone.
@@ -1589,22 +1600,29 @@ mod tests {
             let tombstone = std::sync::atomic::AtomicBool::new(false);
             let slot = if delete { 0 } else { 1 };
             let (checked, written) = (Signal::default(), Signal::default());
-            store.pause_ranges.store(true, Ordering::SeqCst);
             let got = std::thread::scope(|s| {
                 let reader = s.spawn(|| {
-                    let mut bytes = [0u8; 8];
-                    let locate = || {
+                    let mut got = None;
+                    let locate = |i: usize| {
+                        if i == 1 {
+                            return Some((Page::slot_offset(8, 0), 8));
+                        }
                         checked.raise();
                         written.wait();
                         let live = !tombstone.load(Ordering::SeqCst)
                             && slot < count.load(Ordering::SeqCst);
-                        live.then(|| Page::slot_offset(8, slot))
+                        live.then(|| (Page::slot_offset(8, slot), 8))
                     };
-                    let visit = |page: &Page| page.get(slot).ok().map(|_| counter_at(page, slot));
-                    match p.read_record(page, &mut bytes, locate, visit).unwrap() {
-                        RecordRead::Page(v) => v,
-                        RecordRead::ReadThrough => Some(u64::from_le_bytes(bytes)),
-                    }
+                    p.read_batch(&[page, spare], &mut PoolBatch::default(), locate, |i, seen| {
+                        if i == 0 {
+                            got = Some(match seen {
+                                Seen::Page(pg) => pg.get(slot).ok().map(|_| counter_at(pg, slot)),
+                                Seen::Bytes(b) => Some(u64::from_le_bytes(b.try_into().unwrap())),
+                                Seen::Unreadable => panic!("the page is readable"),
+                            });
+                        }
+                    });
+                    got.expect("a batch visits each of its pages")
                 });
                 assert!(checked.wait(), "the reader found the page unmapped");
                 if !delete {
@@ -1615,7 +1633,7 @@ mod tests {
                     .unwrap();
                 }
                 written.raise();
-                assert!(store.range_read.wait(), "the reader read through");
+                assert!(gate.wait_parked(1), "the reader read through");
                 if delete {
                     p.write(page, |pg| {
                         pg.delete(0).unwrap();
@@ -1626,7 +1644,7 @@ mod tests {
                 }
                 p.flush().unwrap();
                 p.read(other, |_| ()).unwrap(); // evicts `page`
-                store.resume.raise();
+                gate.open();
                 reader.join().unwrap()
             });
             let want = if delete { None } else { Some(42) };
@@ -1643,20 +1661,22 @@ mod tests {
 
     /// The batched twin of the race above. Two shards of one frame each,
     /// a batch of two cold pages per shard, all read through. While shard
-    /// 0's spans are in flight, one page of shard `writer` is loaded,
-    /// changed, written back and evicted again. Only that shard's write
+    /// 0's spans are in flight — the first read, the batch parked before
+    /// the second — one page of shard `writer` is loaded, changed, written
+    /// back and evicted again. Only that shard's write
     /// epoch moves, so exactly its staged pages take the frame path — and
     /// see the change — while the other shard's are read through.
     #[test]
     fn a_batch_racing_a_write_back_sends_only_that_shards_pages_to_frames() {
         for writer in [0u64, 1] {
-            let store = Arc::new(GatedStore::new(1));
-            let p = BufferPool::new_sharded(store.clone(), 2, 2);
+            let (hook, gate) = park_span_of(2);
+            let store = Arc::new(SimulatedPageStore::new());
+            let p = BufferPool::new_sharded(store, 2, 2).with_fault_hook(Some(hook));
             // Pages 0..6, shard = id % 2; pages 4 and 5 stay resident.
             let ids = pages_of(&p, 6);
+            assert_eq!(ids[2], 2);
             p.flush().unwrap();
             p.stats().reset();
-            store.pause_ranges.store(true, Ordering::SeqCst);
             let batch = [ids[0], ids[1], ids[2], ids[3]];
             let got = std::thread::scope(|s| {
                 let reader = s.spawn(|| {
@@ -1671,12 +1691,12 @@ mod tests {
                     });
                     got
                 });
-                assert!(store.range_read.wait(), "shard 0's spans are in flight");
+                assert!(gate.wait_parked(1), "shard 0's spans are in flight");
                 let changed = ids[writer as usize];
                 p.write(changed, |pg| pg.update(0, &100u64.to_le_bytes()).unwrap()).unwrap();
                 p.flush().unwrap();
                 p.read(ids[4 + writer as usize], |_| ()).unwrap(); // evicts `changed`
-                store.resume.raise();
+                gate.open();
                 reader.join().unwrap()
             });
             // Shard 1 is classified after the write, so it is never stale.

@@ -10,22 +10,22 @@
 //!   genuine. A batch of record reads ([`PageStore::read_ranges`]) runs
 //!   through a read handle of its own for the whole batch: a separately
 //!   opened file description, so two readers' `pread`s do not share one.
-//! * [`SimulatedPageStore`] — an in-memory store that charges a configurable
-//!   busy-wait latency per access, so the "storage fetch dominates" regime
-//!   of Fig. 24 reproduces deterministically even on a RAM-backed CI box.
+//! * [`SimulatedPageStore`] — an in-memory store; behind a pool whose fault
+//!   hook delays each read, the "storage fetch dominates" regime of Fig. 24
+//!   reproduces deterministically even on a RAM-backed CI box.
 //!
 //! Both count reads and writes in [`IoStats`] for the harness to report.
+//! Their one caller, the buffer pool, passes their fault points.
 
 use super::page::{Page, PageId, PAGE_SIZE};
 use crate::error::StorageError;
-use crate::fault::{fault_point, Site};
+use crate::fault::{Io, Pass};
 use crate::Result;
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::{FileExt, MetadataExt};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
 
 /// Counters for page-level I/O.
 #[derive(Debug, Default)]
@@ -55,7 +55,7 @@ impl IoStats {
         self.reads.fetch_add(n as u64, Ordering::Relaxed);
     }
 
-    fn record_write(&self) {
+    pub(crate) fn record_write(&self) {
         self.writes.fetch_add(1, Ordering::Relaxed);
     }
 }
@@ -72,6 +72,9 @@ pub struct PageRange {
     pub len: usize,
 }
 
+/// What [`PageStore::read_ranges`] calls before each range.
+pub type OnSpan<'a> = dyn FnMut(&PageRange) -> Result<()> + 'a;
+
 /// A device that stores pages by id.
 pub trait PageStore: Send + Sync {
     /// Allocate a fresh page id.
@@ -87,14 +90,17 @@ pub trait PageStore: Send + Sync {
     /// `buf` is exactly as long as the ranges together: one positional read
     /// per range, of records instead of whole pages (the buffer pool's
     /// read-throughs of one shard, batched; one record is a batch of one).
-    /// Errors like [`read_into`](Self::read_into), when a range passes the
-    /// end of its page, and when `buf` is not the ranges' total length; on
-    /// an error `buf` holds unspecified bytes. Each range is one read in
+    /// `before` (the pool's fault point) runs just before each range is
+    /// read; its error ends the batch. Errors like
+    /// [`read_into`](Self::read_into), when a range passes the end of its
+    /// page, and when `buf` is not the ranges' total length; on an error
+    /// `buf` holds unspecified bytes. Each range is one read in
     /// [`IoStats`], counted once the batch succeeded.
-    fn read_ranges(&self, ranges: &[PageRange], buf: &mut [u8]) -> Result<()>;
+    fn read_ranges(&self, ranges: &[PageRange], buf: &mut [u8], before: &mut OnSpan) -> Result<()>;
 
-    /// Write a page.
-    fn write(&self, id: PageId, page: &Page) -> Result<()>;
+    /// Write a page — all of it, or the prefix a torn write's [`Io`] lands,
+    /// over what the page held.
+    fn write(&self, id: PageId, page: &Page, io: &Io) -> Result<()>;
 
     /// Number of pages allocated so far.
     fn page_count(&self) -> u64;
@@ -108,16 +114,15 @@ pub trait PageStore: Send + Sync {
     /// survives a crash; callers that need durability (buffer-pool flush,
     /// checkpointing) must follow their writes with `sync`. The default is
     /// a no-op, correct for stores with no volatile buffer between `write`
-    /// and the medium ([`SimulatedPageStore`], test fault injectors).
-    fn sync(&self) -> Result<()> {
+    /// and the medium ([`SimulatedPageStore`]).
+    fn sync(&self, _io: &Io) -> Result<()> {
         Ok(())
     }
 
     /// Path of the backing file for file-backed stores, `None` otherwise.
     ///
     /// The checkpoint machinery uses this to verify a database's pages
-    /// actually live where the catalog will claim they do. Wrapper stores
-    /// (fault injectors) should forward it.
+    /// actually live where the catalog will claim they do.
     fn file_path(&self) -> Option<&Path> {
         None
     }
@@ -130,9 +135,10 @@ pub trait PageStore: Send + Sync {
     /// there is regenerated from the WAL into newly allocated pages — so
     /// leaving it allocated would leak it for good. A store shorter than
     /// `pages` keeps its length: the catalog wins, and the next allocation
-    /// still cannot collide with an id the checkpoint handed out. Wrapper
-    /// stores must forward.
-    fn reset_watermark(&self, pages: u64) -> Result<()>;
+    /// still cannot collide with an id the checkpoint handed out. A file
+    /// store calls `trim` (the pool's fault point) just before it cuts the
+    /// file back, and only then.
+    fn reset_watermark(&self, pages: u64, trim: &dyn Fn() -> Pass) -> Result<()>;
 }
 
 /// The error for a [`PageRange`] that passes the end of its page.
@@ -278,15 +284,12 @@ impl PageStore for FilePageStore {
         if id >= self.next_page.load(Ordering::Relaxed) {
             return Err(StorageError::PageNotFound { page: id });
         }
-        // Skip is meaningless for a read (there is nothing to lie about),
-        // so only Error is honored here.
-        fault_point(Site::PageRead)?;
         self.file.read_exact_at(page.as_bytes_mut(), id * PAGE_SIZE as u64)?;
         self.stats.record_reads(1);
         Ok(())
     }
 
-    fn read_ranges(&self, ranges: &[PageRange], buf: &mut [u8]) -> Result<()> {
+    fn read_ranges(&self, ranges: &[PageRange], buf: &mut [u8], before: &mut OnSpan) -> Result<()> {
         let mut spans = split_ranges(ranges, buf)?;
         let watermark = self.next_page.load(Ordering::Relaxed);
         let reader = self.check_out_reader()?;
@@ -295,7 +298,7 @@ impl PageStore for FilePageStore {
                 return Err(StorageError::PageNotFound { page: range.page });
             }
             check_range(range)?;
-            fault_point(Site::PageReadRange)?;
+            before(range)?;
             reader.read_exact_at(bytes, range.page * PAGE_SIZE as u64 + range.offset as u64)?;
             Ok(())
         });
@@ -305,15 +308,11 @@ impl PageStore for FilePageStore {
         Ok(())
     }
 
-    fn write(&self, id: PageId, page: &Page) -> Result<()> {
+    fn write(&self, id: PageId, page: &Page, io: &Io) -> Result<()> {
         if id >= self.next_page.load(Ordering::Relaxed) {
             return Err(StorageError::PageNotFound { page: id });
         }
-        // A skip is a silently dropped write: reported as done, and
-        // counted, so I/O accounting cannot reveal the lie.
-        if let Some(io) = fault_point(Site::PageWrite)? {
-            io.write_all_at(&self.file, page.as_bytes(), id * PAGE_SIZE as u64)?;
-        }
+        io.write_all_at(&self.file, page.as_bytes(), id * PAGE_SIZE as u64)?;
         self.stats.record_write();
         Ok(())
     }
@@ -326,22 +325,18 @@ impl PageStore for FilePageStore {
         &self.stats
     }
 
-    fn sync(&self) -> Result<()> {
-        // A skip is a lying fsync: durability reported, never asked for.
-        if let Some(io) = fault_point(Site::PageSync)? {
-            io.sync_all(&self.file)?;
-        }
-        Ok(())
+    fn sync(&self, io: &Io) -> Result<()> {
+        Ok(io.sync_all(&self.file)?)
     }
 
     fn file_path(&self) -> Option<&Path> {
         Some(&self.path)
     }
 
-    fn reset_watermark(&self, pages: u64) -> Result<()> {
+    fn reset_watermark(&self, pages: u64, trim: &dyn Fn() -> Pass) -> Result<()> {
         let len = pages * PAGE_SIZE as u64;
         if self.file.metadata()?.len() > len {
-            if let Some(io) = fault_point(Site::PageTrim)? {
+            if let Some(io) = trim()? {
                 io.set_len(&self.file, len)?;
             }
         }
@@ -350,52 +345,21 @@ impl PageStore for FilePageStore {
     }
 }
 
-/// An in-memory [`PageStore`] that charges a fixed latency per access,
-/// emulating an SSD's page-read cost deterministically.
+/// An in-memory [`PageStore`].
 ///
 /// A page image is kept without its zero tail (records fill a page from the
 /// front), so the formatted empty image a fresh page is persisted as costs a
 /// few bytes, not a second 8 KiB beside the pool's frame.
+#[derive(Default)]
 pub struct SimulatedPageStore {
     pages: Mutex<Vec<Option<Box<[u8]>>>>,
-    read_latency: Duration,
-    write_latency: Duration,
     stats: IoStats,
 }
 
 impl SimulatedPageStore {
-    /// Store with zero latency (pure accounting).
+    /// An empty store.
     pub fn new() -> Self {
-        Self::with_latency(Duration::ZERO, Duration::ZERO)
-    }
-
-    /// Store charging the given busy-wait latencies per read/write. An NVMe
-    /// SSD page read is on the order of 10–100 µs.
-    pub fn with_latency(read_latency: Duration, write_latency: Duration) -> Self {
-        SimulatedPageStore {
-            pages: Mutex::new(Vec::new()),
-            read_latency,
-            write_latency,
-            stats: IoStats::default(),
-        }
-    }
-
-    fn charge(latency: Duration) {
-        if latency.is_zero() {
-            return;
-        }
-        // Busy-wait: sleeping is too coarse at microsecond scale and would
-        // distort throughput measurements.
-        let start = Instant::now();
-        while start.elapsed() < latency {
-            std::hint::spin_loop();
-        }
-    }
-}
-
-impl Default for SimulatedPageStore {
-    fn default() -> Self {
-        Self::new()
+        Self::default()
     }
 }
 
@@ -407,16 +371,16 @@ impl PageStore for SimulatedPageStore {
     }
 
     fn read_into(&self, id: PageId, page: &mut Page) -> Result<()> {
-        self.read_ranges(&[PageRange { page: id, offset: 0, len: PAGE_SIZE }], page.as_bytes_mut())
+        let whole = [PageRange { page: id, offset: 0, len: PAGE_SIZE }];
+        self.read_ranges(&whole, page.as_bytes_mut(), &mut |_| Ok(()))
     }
 
-    /// Charges the read latency once per range, as a whole-page read does:
-    /// the simulated device's cost is per access, not per byte.
-    fn read_ranges(&self, ranges: &[PageRange], buf: &mut [u8]) -> Result<()> {
-        let spans = split_ranges(ranges, buf)?;
-        let pages = self.pages.lock();
-        for (range, bytes) in spans {
+    /// Locks once per range, after `before`: a delayed read holds no one up.
+    fn read_ranges(&self, ranges: &[PageRange], buf: &mut [u8], before: &mut OnSpan) -> Result<()> {
+        for (range, bytes) in split_ranges(ranges, buf)? {
             check_range(range)?;
+            before(range)?;
+            let pages = self.pages.lock();
             let stored = pages
                 .get(range.page as usize)
                 .and_then(|p| p.as_deref())
@@ -426,23 +390,27 @@ impl PageStore for SimulatedPageStore {
             bytes[..held].copy_from_slice(&tail[..held]);
             bytes[held..].fill(0);
         }
-        drop(pages);
-        for _ in ranges {
-            Self::charge(self.read_latency);
-        }
         self.stats.record_reads(ranges.len());
         Ok(())
     }
 
-    fn write(&self, id: PageId, page: &Page) -> Result<()> {
+    fn write(&self, id: PageId, page: &Page, io: &Io) -> Result<()> {
         let bytes = page.as_bytes();
         let image: Box<[u8]> =
             bytes[..bytes.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1)].into();
+        let landed = io.landed(bytes);
         let mut pages = self.pages.lock();
         let slot = pages.get_mut(id as usize).ok_or(StorageError::PageNotFound { page: id })?;
-        *slot = Some(image);
+        *slot = Some(if landed.len() == bytes.len() {
+            image
+        } else {
+            // A torn write lands over the old image, whose tail it keeps.
+            let mut merged = Vec::from(slot.take().unwrap_or_default());
+            merged.resize(merged.len().max(landed.len()), 0);
+            merged[..landed.len()].copy_from_slice(landed);
+            merged.into()
+        });
         drop(pages);
-        Self::charge(self.write_latency);
         self.stats.record_write();
         Ok(())
     }
@@ -455,7 +423,8 @@ impl PageStore for SimulatedPageStore {
         &self.stats
     }
 
-    fn reset_watermark(&self, pages: u64) -> Result<()> {
+    /// Holds no file to cut back, so passes no `page.trim` site.
+    fn reset_watermark(&self, pages: u64, _trim: &dyn Fn() -> Pass) -> Result<()> {
         self.pages.lock().resize_with(pages as usize, || None);
         Ok(())
     }
@@ -464,7 +433,25 @@ impl PageStore for SimulatedPageStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultAction;
+    use crate::fault::{fault_point, FaultAction, FaultHook, Site};
+    use crate::paged::BufferPool;
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    /// The token a write or sync needs: a fault point with no hook.
+    fn io() -> Io {
+        fault_point(None, Site::PageWrite).unwrap().unwrap()
+    }
+
+    /// What a trim passes first: a fault point with no hook.
+    fn trim() -> Pass {
+        fault_point(None, Site::PageTrim)
+    }
+
+    /// `store.read_ranges` with nothing to do before each range.
+    fn read_ranges(store: &dyn PageStore, ranges: &[PageRange], buf: &mut [u8]) -> Result<()> {
+        store.read_ranges(ranges, buf, &mut |_| Ok(()))
+    }
 
     fn read(store: &dyn PageStore, id: PageId) -> Result<Page> {
         let mut page = Page::zeroed();
@@ -474,14 +461,14 @@ mod tests {
 
     /// `buf.len()` bytes of page `id` from `offset` on, as a batch of one.
     fn read_range(store: &dyn PageStore, id: PageId, offset: usize, buf: &mut [u8]) -> Result<()> {
-        store.read_ranges(&[PageRange { page: id, offset, len: buf.len() }], buf)
+        read_ranges(store, &[PageRange { page: id, offset, len: buf.len() }], buf)
     }
 
     fn roundtrip(store: &dyn PageStore) {
         let id = store.allocate();
         let mut p = Page::new(8);
         p.insert(&42u64.to_le_bytes()).unwrap();
-        store.write(id, &p).unwrap();
+        store.write(id, &p, &io()).unwrap();
         // Read into a buffer holding another image: every byte is replaced.
         let mut q = Page::new(16);
         q.as_bytes_mut().fill(0xFF);
@@ -509,18 +496,18 @@ mod tests {
         let second = store.allocate();
         let mut q = Page::new(8);
         q.insert(&7u64.to_le_bytes()).unwrap();
-        store.write(second, &q).unwrap();
+        store.write(second, &q, &io()).unwrap();
         let ranges = [
             PageRange { page: second, offset: Page::slot_offset(8, 0), len: 8 },
             PageRange { page: id, offset: Page::slot_offset(8, 0), len: 16 },
         ];
         let mut both = [0xFFu8; 24];
-        store.read_ranges(&ranges, &mut both).unwrap();
+        read_ranges(store, &ranges, &mut both).unwrap();
         assert_eq!(both[..8], 7u64.to_le_bytes());
         assert_eq!(both[8..16], 42u64.to_le_bytes());
         assert_eq!(both[16..], [0; 8]);
         assert_eq!(store.stats().reads(), 5);
-        assert!(store.read_ranges(&ranges, &mut [0u8; 23]).is_err());
+        assert!(read_ranges(store, &ranges, &mut [0u8; 23]).is_err());
         assert_eq!(store.stats().reads(), 5);
     }
 
@@ -550,9 +537,9 @@ mod tests {
                 let id = store.allocate();
                 let mut p = Page::new(8);
                 p.insert(&i.to_le_bytes()).unwrap();
-                store.write(id, &p).unwrap();
+                store.write(id, &p, &io()).unwrap();
             }
-            store.sync().unwrap();
+            store.sync(&io()).unwrap();
         }
         // `create` over the now non-empty file must refuse rather than
         // truncate (the old behavior silently destroyed the database).
@@ -572,11 +559,11 @@ mod tests {
         assert_eq!(store.page_count(), 3, "partial trailing page must not count");
         // …`reset_watermark` can push the watermark past the file (catalog
         // wins) without growing it…
-        store.reset_watermark(10).unwrap();
+        store.reset_watermark(10, &trim).unwrap();
         assert_eq!(store.page_count(), 10);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 3 * PAGE_SIZE as u64 + 100);
         // …and pulls it back, returning the pages behind it to the file system.
-        store.reset_watermark(2).unwrap();
+        store.reset_watermark(2, &trim).unwrap();
         assert_eq!(store.page_count(), 2);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 2 * PAGE_SIZE as u64);
         assert!(matches!(read(&store, 2), Err(StorageError::PageNotFound { page: 2 })));
@@ -593,26 +580,30 @@ mod tests {
         assert!(read(&store, id).is_err());
     }
 
+    /// A pool whose hook delays every read charges the delay per access:
+    /// a page load, and each range of a batch of record reads alike.
     #[test]
     fn latency_is_charged() {
-        let store = SimulatedPageStore::with_latency(Duration::from_micros(200), Duration::ZERO);
-        let id = store.allocate();
-        store.write(id, &Page::new(8)).unwrap();
+        let slow = FaultHook::new(|call| match call.site {
+            Site::PageRead | Site::PageReadRange => FaultAction::Delay(Duration::from_micros(200)),
+            _ => FaultAction::Continue,
+        });
+        let pool =
+            BufferPool::new(Arc::new(SimulatedPageStore::new()), 1).with_fault_hook(Some(slow));
+        let ids: Vec<PageId> = (0..10).map(|_| pool.allocate(8).unwrap()).collect();
         let start = Instant::now();
         for _ in 0..10 {
-            read(&store, id).unwrap();
+            pool.clear().unwrap();
+            pool.read(ids[0], |_| ()).unwrap();
         }
         assert!(start.elapsed() >= Duration::from_micros(2000));
-        // A record read is an access like a page read: same charge.
+        // So is each page of a batch, loaded or read through.
+        pool.clear().unwrap();
         let start = Instant::now();
-        for _ in 0..10 {
-            read_range(&store, id, 0, &mut [0u8; 8]).unwrap();
-        }
-        assert!(start.elapsed() >= Duration::from_micros(2000));
-        // So is each range of a batch.
-        let start = Instant::now();
-        let ranges = [PageRange { page: id, offset: 0, len: 8 }; 10];
-        store.read_ranges(&ranges, &mut [0u8; 80]).unwrap();
+        let mut seen = 0;
+        let locate = |_| Some((Page::slot_offset(8, 0), 8));
+        pool.read_batch(&ids, &mut Default::default(), locate, |_, _| seen += 1);
+        assert_eq!((seen, pool.stats().read_through()), (10, 9));
         assert!(start.elapsed() >= Duration::from_micros(2000));
     }
 
@@ -625,7 +616,7 @@ mod tests {
             let id = store.allocate();
             let mut p = Page::new(8);
             p.insert(&i.to_le_bytes()).unwrap();
-            store.write(id, &p).unwrap();
+            store.write(id, &p, &io()).unwrap();
         }
         (dir, store)
     }
@@ -638,8 +629,8 @@ mod tests {
     }
 
     /// `K` batches inside the store at once each hold a read handle of
-    /// their own — the fault hook, called with the handle checked out,
-    /// holds them there until all `K` arrived — and leave exactly `K`
+    /// their own — the call before a range, made with the handle checked
+    /// out, holds them there until all `K` arrived — and leave exactly `K`
     /// spare handles; later batches reuse them and open none.
     #[test]
     fn concurrent_batches_leave_at_most_one_spare_handle_each() {
@@ -652,14 +643,14 @@ mod tests {
                 let store = &store;
                 s.spawn(move || {
                     let mut first = true;
-                    let _hook = crate::fault::install_fault_hook(move |_, _| {
+                    let mut before = move |_: &PageRange| {
                         if std::mem::take(&mut first) {
                             inside.wait();
                         }
-                        FaultAction::Continue
-                    });
+                        Ok(())
+                    };
                     let mut bytes = [0u8; 32];
-                    store.read_ranges(&slot_zero(0..4), &mut bytes).unwrap();
+                    store.read_ranges(&slot_zero(0..4), &mut bytes, &mut before).unwrap();
                     for (i, record) in bytes.chunks(8).enumerate() {
                         assert_eq!(record, (i as u64).to_le_bytes());
                     }
@@ -668,7 +659,7 @@ mod tests {
         });
         assert_eq!(store.spare_readers.lock().len(), K);
         for _ in 0..10 {
-            store.read_ranges(&slot_zero([2, 1]), &mut [0u8; 16]).unwrap();
+            read_ranges(&store, &slot_zero([2, 1]), &mut [0u8; 16]).unwrap();
         }
         assert_eq!(store.spare_readers.lock().len(), K, "a spare handle is reused");
         assert_eq!(store.stats().reads(), (4 * K + 20) as u64);
@@ -680,25 +671,23 @@ mod tests {
     #[test]
     fn a_batch_failing_midway_returns_its_handle() {
         let (dir, store) = file_store_of("handle-error", 3);
-        store.read_ranges(&slot_zero([0]), &mut [0u8; 8]).unwrap();
+        read_ranges(&store, &slot_zero([0]), &mut [0u8; 8]).unwrap();
         assert_eq!(store.spare_readers.lock().len(), 1);
-        let mut sites = 0;
-        let hook = crate::fault::install_fault_hook(move |site, _| {
-            assert_eq!(site, Site::PageReadRange);
-            sites += 1;
-            if sites == 2 {
-                FaultAction::Error
-            } else {
-                FaultAction::Continue
-            }
+        // The pool's fault point fails the second range.
+        let hook = FaultHook::new(|call| match call.page {
+            Some(1) => FaultAction::Error,
+            _ => FaultAction::Continue,
         });
-        let failed = store.read_ranges(&slot_zero(0..3), &mut [0u8; 24]);
-        drop(hook);
+        let mut before = |range: &PageRange| {
+            crate::fault::page_fault_point(Some(&hook), Site::PageReadRange, range.page)?;
+            Ok(())
+        };
+        let failed = store.read_ranges(&slot_zero(0..3), &mut [0u8; 24], &mut before);
         assert_eq!(failed, Err(StorageError::Io("injected fault at page.read_range".into())));
         assert_eq!(store.spare_readers.lock().len(), 1, "the handle came back");
         assert_eq!(store.stats().reads(), 1, "a failed batch counts no reads");
         let mut bytes = [0u8; 24];
-        store.read_ranges(&slot_zero(0..3), &mut bytes).unwrap();
+        read_ranges(&store, &slot_zero(0..3), &mut bytes).unwrap();
         assert_eq!(bytes[16..], 2u64.to_le_bytes());
         assert_eq!(store.spare_readers.lock().len(), 1);
         std::fs::remove_dir_all(&dir).ok();
@@ -713,7 +702,7 @@ mod tests {
         #[expect(clippy::disallowed_methods, reason = "the test moves the file by hand")]
         std::fs::rename(&path, dir.join("moved.db")).unwrap();
         std::fs::write(&path, vec![0xAB; PAGE_SIZE]).unwrap();
-        let read = store.read_ranges(&slot_zero([0]), &mut [0u8; 8]);
+        let read = read_ranges(&store, &slot_zero([0]), &mut [0u8; 8]);
         assert!(matches!(read, Err(StorageError::Io(msg)) if msg.contains("no longer names")));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -722,7 +711,7 @@ mod tests {
     fn stats_reset() {
         let store = SimulatedPageStore::new();
         let id = store.allocate();
-        store.write(id, &Page::new(8)).unwrap();
+        store.write(id, &Page::new(8), &io()).unwrap();
         read(&store, id).unwrap();
         store.stats().reset();
         assert_eq!(store.stats().reads(), 0);

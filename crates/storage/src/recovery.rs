@@ -42,7 +42,7 @@
 //! before composite indexes were catalogued — has no `leading` fields and
 //! still decodes, every definition with `leading: None`.
 
-use crate::fault::{fault_point, Io, Site};
+use crate::fault::{fault_point, FaultHook, Io, Site};
 use crate::schema::{ColumnDef, ColumnId, ColumnType, Schema};
 use crate::tid::TidScheme;
 use std::fmt;
@@ -136,14 +136,14 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 /// Write `bytes` to `path` atomically: temp sibling, fsync, rename, then
 /// fsync the parent directory so the rename itself is durable. Used for the
-/// catalog and for TRS-Tree snapshot files.
-pub fn write_file_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+/// catalog and for TRS-Tree snapshot files, behind `hook`'s two sites.
+pub fn write_file_atomic(path: &Path, bytes: &[u8], hook: Option<&FaultHook>) -> io::Result<()> {
     // Fault site before the temp write (crash leaves the old file intact,
     // possibly next to a stale `.tmp`)…
-    let Some(io) = fault_point(Site::AtomicWrite)? else {
+    let Some(io) = fault_point(hook, Site::AtomicWrite)? else {
         return Ok(());
     };
-    SyncedTemp::write(path, bytes, &io)?.rename_into_place()
+    SyncedTemp::write(path, bytes, &io)?.rename_into_place(hook)
 }
 
 /// A temp sibling of `path` whose bytes are on the device — the only file
@@ -168,8 +168,8 @@ impl<'p> SyncedTemp<'p> {
     /// site sits before the rename: a crash there leaves a complete but
     /// unpublished temp sibling, since the commit point is the rename
     /// itself.
-    fn rename_into_place(self) -> io::Result<()> {
-        fault_point(Site::AtomicRename)?;
+    fn rename_into_place(self, hook: Option<&FaultHook>) -> io::Result<()> {
+        fault_point(hook, Site::AtomicRename)?;
         #[expect(clippy::disallowed_methods, reason = "the rename of a synced temp file")]
         std::fs::rename(&self.tmp, self.path)?;
         sync_dir(self.path.parent().unwrap_or_else(|| Path::new(".")));
@@ -453,8 +453,8 @@ impl Catalog {
 
     /// Write the catalog to `path` atomically (temp + fsync + rename +
     /// directory fsync).
-    pub fn write_atomic(&self, path: &Path) -> Result<(), RecoveryError> {
-        write_file_atomic(path, &self.to_bytes())?;
+    pub fn write_atomic(&self, path: &Path, hook: Option<&FaultHook>) -> Result<(), RecoveryError> {
+        write_file_atomic(path, &self.to_bytes(), hook)?;
         Ok(())
     }
 
@@ -572,7 +572,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("catalog.bin");
         let c = sample();
-        c.write_atomic(&path).unwrap();
+        c.write_atomic(&path, None).unwrap();
         // A leftover torn temp sibling (crash mid-write of a *later*
         // checkpoint) must not affect reads of the committed catalog.
         std::fs::write(path.with_extension("tmp"), b"garbage").unwrap();

@@ -90,7 +90,7 @@
 //! that saw a statement, so an older reader stops there: downgrade after
 //! a checkpoint, or lose the generation's whole log.
 
-use crate::fault::{fault_point, Site};
+use crate::fault::{fault_point, FaultHook, Site};
 use crate::recovery::{crc32, sync_dir, RecoveryError};
 use crate::value::{self, encode_cell, Value, CELL_BYTES};
 use std::fs::{File, OpenOptions};
@@ -306,6 +306,8 @@ pub struct WalTail {
     fsyncs: AtomicU64,
     barrier_fsyncs: AtomicU64,
     commit_waits: AtomicU64,
+    /// The fault hook of the writer's sites and of the fsyncs led here.
+    hook: Option<FaultHook>,
 }
 
 /// Leader/follower state of the log's fsync. A *round* is one leader's
@@ -401,7 +403,7 @@ impl WalTail {
         }
         // A skip is a lying fsync: the page goes out believing the log is
         // down.
-        if fault_point(Site::WalBarrier)?.is_none() {
+        if fault_point(self.hook.as_ref(), Site::WalBarrier)?.is_none() {
             return Ok(());
         }
         if self.sync_to(target)? {
@@ -460,7 +462,7 @@ impl WalTail {
     /// The log's one commit-path fsync, behind the `wal.commit` site. A
     /// skip is a lying fsync: the whole cohort is told its records are down.
     fn sync_file(&self) -> std::io::Result<()> {
-        match fault_point(Site::WalCommit)? {
+        match fault_point(self.hook.as_ref(), Site::WalCommit)? {
             Some(io) => io.sync_data(&self.file),
             None => Ok(()),
         }
@@ -505,13 +507,22 @@ impl WalWriter {
     /// the header, fsyncs file and directory. After this returns, a reader
     /// sees an empty log of the given epoch.
     pub fn create(path: &Path, epoch: u64) -> Result<Self, RecoveryError> {
+        Self::create_with_hook(path, epoch, None)
+    }
+
+    /// [`create`](Self::create) behind `hook`'s fault sites.
+    pub fn create_with_hook(
+        path: &Path,
+        epoch: u64,
+        hook: Option<FaultHook>,
+    ) -> Result<Self, RecoveryError> {
         // No `truncate` here: `reset` does it, behind the `wal.reset` site.
         #[allow(
             clippy::suspicious_open_options,
             reason = "`reset` truncates, behind its fault site"
         )]
         let file = OpenOptions::new().read(true).write(true).create(true).open(path)?;
-        let mut writer = Self::over(file, path, epoch, 0);
+        let mut writer = Self::over(file, path, epoch, 0, hook);
         writer.reset(epoch)?;
         Ok(writer)
     }
@@ -519,24 +530,29 @@ impl WalWriter {
     /// Reopen an existing WAL for appending after recovery: the file is
     /// truncated to `valid_len` (discarding a torn tail or the crashed
     /// writer's reserve, so fresh appends never land after garbage) and the
-    /// writer positions itself there.
-    pub fn open_append(path: &Path, epoch: u64, valid_len: u64) -> Result<Self, RecoveryError> {
+    /// writer positions itself there. Its fault sites consult `hook`.
+    pub fn open_append(
+        path: &Path,
+        epoch: u64,
+        valid_len: u64,
+        hook: Option<FaultHook>,
+    ) -> Result<Self, RecoveryError> {
         // Site before the truncating reopen: a crash here leaves the torn
         // tail on disk for the *next* recovery to discard again — the
         // operation must be idempotent.
-        let io = fault_point(Site::WalReopen)?;
+        let io = fault_point(hook.as_ref(), Site::WalReopen)?;
         let mut file = OpenOptions::new().read(true).write(true).open(path)?;
         if let Some(io) = io {
             io.set_len(&file, valid_len)?;
             io.sync_all(&file)?;
         }
         file.seek(SeekFrom::Start(valid_len))?;
-        Ok(Self::over(file, path, epoch, valid_len))
+        Ok(Self::over(file, path, epoch, valid_len, hook))
     }
 
     /// A writer over `file` (at `path`), which holds `len` durable bytes and
     /// whose cursor sits behind them.
-    fn over(file: File, path: &Path, epoch: u64, len: u64) -> Self {
+    fn over(file: File, path: &Path, epoch: u64, len: u64, hook: Option<FaultHook>) -> Self {
         let file = Arc::new(file);
         let tail = Arc::new(WalTail {
             file: Arc::clone(&file),
@@ -548,6 +564,7 @@ impl WalWriter {
             fsyncs: AtomicU64::new(0),
             barrier_fsyncs: AtomicU64::new(0),
             commit_waits: AtomicU64::new(0),
+            hook,
         });
         WalWriter {
             out: BufWriter::new(file),
@@ -578,13 +595,14 @@ impl WalWriter {
         // Crash/fault site *before* the truncation: a snapshot here models a
         // crash between "new catalog renamed" and "WAL reset" — the
         // stale-epoch WAL the epoch fence exists for.
-        if let Some(io) = fault_point(Site::WalReset)? {
+        let hook = self.tail.hook.as_ref();
+        if let Some(io) = fault_point(hook, Site::WalReset)? {
             io.set_len(&file, 0)?;
         }
         file.seek(SeekFrom::Start(0))?;
         // Site between truncation and the header write: a snapshot here is
         // a header-torn (empty) WAL, which recovery must treat as benign.
-        if let Some(io) = fault_point(Site::WalHeader)? {
+        if let Some(io) = fault_point(hook, Site::WalHeader)? {
             io.write_all(&mut file, MAGIC)?;
             io.write_all(&mut file, &VERSION.to_le_bytes())?;
             io.write_all(&mut file, &epoch.to_le_bytes())?;
@@ -670,7 +688,7 @@ impl WalWriter {
     /// `Ok(false)` is a silently dropped append (a `Skip` fault): the caller
     /// is told the frame is in the log, but no bytes were written.
     fn append_frame(&mut self, payload: &[u8]) -> Result<bool, RecoveryError> {
-        let Some(io) = fault_point(Site::WalAppend)? else {
+        let Some(io) = fault_point(self.tail.hook.as_ref(), Site::WalAppend)? else {
             return Ok(false);
         };
         let res = (|| -> Result<(), RecoveryError> {
@@ -708,7 +726,7 @@ impl WalWriter {
     /// (the transaction must then recover as a loser). The generic
     /// `wal.append` site still fires inside the inner [`append`](Self::append).
     pub fn append_txn_commit(&mut self, txn: u64) -> Result<usize, RecoveryError> {
-        if fault_point(Site::WalTxnCommit)?.is_none() {
+        if fault_point(self.tail.hook.as_ref(), Site::WalTxnCommit)?.is_none() {
             // Dropped commit record: the caller believes the txn is logged
             // as a winner, but the log never says so.
             self.uncommitted += 1;
@@ -723,7 +741,7 @@ impl WalWriter {
     /// rolls back any open txn without a commit record anyway — but the
     /// site proves that.
     pub fn append_txn_abort(&mut self, txn: u64) -> Result<usize, RecoveryError> {
-        if fault_point(Site::WalTxnAbort)?.is_none() {
+        if fault_point(self.tail.hook.as_ref(), Site::WalTxnAbort)?.is_none() {
             self.uncommitted += 1;
             return Ok(self.uncommitted);
         }
@@ -740,7 +758,7 @@ impl WalWriter {
         if self.file_end > self.reserved {
             // A skip is a reserve that never happened: the `write` grows
             // the file.
-            if let Some(io) = fault_point(Site::WalReserve)? {
+            if let Some(io) = fault_point(self.tail.hook.as_ref(), Site::WalReserve)? {
                 let reserved = self.file_end + RESERVE_BYTES;
                 io.set_len(&self.tail.file, reserved)?;
                 self.reserved = reserved;
@@ -854,7 +872,7 @@ pub fn read_wal(path: &Path) -> Result<WalReplay, RecoveryError> {
 mod tests {
     use super::*;
     use crate::fault::FaultAction;
-    use std::cell::RefCell;
+    use std::sync::OnceLock;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("hermit-wal-{}", std::process::id()));
@@ -1009,7 +1027,7 @@ mod tests {
         assert_eq!(replay.records, vec![WalRecord::Delete { pk: 1 }, WalRecord::Delete { pk: 2 }]);
         assert_eq!((replay.valid_len, replay.torn_tail), (two, false));
 
-        let mut w = WalWriter::open_append(&image, replay.epoch, replay.valid_len).unwrap();
+        let mut w = WalWriter::open_append(&image, replay.epoch, replay.valid_len, None).unwrap();
         assert_eq!(std::fs::metadata(&image).unwrap().len(), two, "the old reserve is cut off");
         w.append(&WalRecord::Delete { pk: 4 }).unwrap();
         w.commit().unwrap();
@@ -1063,7 +1081,7 @@ mod tests {
         }
         let replay = read_wal(&path).unwrap();
         assert!(replay.torn_tail);
-        let mut w = WalWriter::open_append(&path, replay.epoch, replay.valid_len).unwrap();
+        let mut w = WalWriter::open_append(&path, replay.epoch, replay.valid_len, None).unwrap();
         w.append(&WalRecord::Delete { pk: 11 }).unwrap();
         w.commit().unwrap();
         let replay = read_wal(&path).unwrap();
@@ -1104,19 +1122,19 @@ mod tests {
     #[test]
     fn txn_commit_abort_helpers_hit_their_fault_sites() {
         let path = tmp("txn-sites.wal");
-        let seen = std::rc::Rc::new(RefCell::new(Vec::new()));
+        let seen = Arc::new(Mutex::new(Vec::new()));
         {
-            let seen = std::rc::Rc::clone(&seen);
-            let _guard = crate::fault::install_fault_hook(move |site, _| {
-                seen.borrow_mut().push(site);
+            let seen = Arc::clone(&seen);
+            let hook = FaultHook::new(move |call| {
+                seen.lock().unwrap().push(call.site);
                 FaultAction::Continue
             });
-            let mut w = WalWriter::create(&path, 1).unwrap();
+            let mut w = WalWriter::create_with_hook(&path, 1, Some(hook)).unwrap();
             w.append_txn_commit(11).unwrap();
             w.append_txn_abort(12).unwrap();
             w.commit().unwrap();
         }
-        let sites = seen.borrow();
+        let sites = seen.lock().unwrap();
         assert!(sites.contains(&Site::WalTxnCommit));
         assert!(sites.contains(&Site::WalTxnAbort));
         let replay = read_wal(&path).unwrap();
@@ -1130,14 +1148,14 @@ mod tests {
     #[test]
     fn dropped_txn_commit_record_leaves_no_bytes() {
         let path = tmp("txn-skip.wal");
-        let _guard = crate::fault::install_fault_hook(|site, _| {
-            if site == Site::WalTxnCommit {
+        let hook = FaultHook::new(|call| {
+            if call.site == Site::WalTxnCommit {
                 FaultAction::Skip
             } else {
                 FaultAction::Continue
             }
         });
-        let mut w = WalWriter::create(&path, 1).unwrap();
+        let mut w = WalWriter::create_with_hook(&path, 1, Some(hook)).unwrap();
         w.append(&WalRecord::TxnBegin { txn: 1 }).unwrap();
         w.append_txn_commit(1).unwrap();
         w.commit().unwrap();
@@ -1235,26 +1253,42 @@ mod tests {
         true
     }
 
+    /// A log whose first fsync runs `first` (the leader's thread holds the
+    /// round while it runs), then fails if `first` says so.
+    fn log_with_first_fsync(
+        path: &Path,
+        first: impl Fn(&WalTail) -> bool + Send + Sync + 'static,
+    ) -> WalWriter {
+        let tail: Arc<OnceLock<Arc<WalTail>>> = Arc::default();
+        let seen = Arc::clone(&tail);
+        let led = std::sync::atomic::AtomicBool::new(false);
+        let hook = FaultHook::new(move |call| {
+            let firstly = call.site == Site::WalCommit && !led.swap(true, Ordering::SeqCst);
+            match seen.get() {
+                Some(tail) if firstly && first(tail) => FaultAction::Error,
+                _ => FaultAction::Continue,
+            }
+        });
+        let w = WalWriter::create_with_hook(path, 1, Some(hook)).unwrap();
+        tail.set(Arc::clone(w.tail())).unwrap();
+        w
+    }
+
     #[test]
     fn one_fsync_serves_everyone_at_or_below_its_target() {
         let path = tmp("cohort.wal");
-        let mut w = WalWriter::create(&path, 1).unwrap();
+        // The leader is held inside the fsync until the follower has parked.
+        let mut w = log_with_first_fsync(&path, |tail| {
+            assert!(eventually(|| tail.parked() == 1), "nobody parked behind the leader");
+            false
+        });
         let tail = Arc::clone(w.tail());
         w.append(&WalRecord::Delete { pk: 1 }).unwrap();
         let first = w.commit_point().unwrap();
         w.append(&WalRecord::Delete { pk: 2 }).unwrap();
         let second = w.commit_point().unwrap();
         std::thread::scope(|s| {
-            let leader = s.spawn(|| {
-                // Held inside the fsync until the follower has parked.
-                let gate = Arc::clone(&tail);
-                let _hook = crate::fault::install_fault_hook(move |site, _| {
-                    assert_eq!(site, Site::WalCommit);
-                    assert!(eventually(|| gate.parked() == 1), "nobody parked behind the leader");
-                    FaultAction::Continue
-                });
-                tail.wait_durable(first)
-            });
+            let leader = s.spawn(|| tail.wait_durable(first));
             assert!(eventually(|| tail.rounds().leading));
             let follower = s.spawn(|| tail.wait_durable(second));
             leader.join().unwrap().unwrap();
@@ -1269,19 +1303,15 @@ mod tests {
     #[test]
     fn a_failed_fsync_fails_its_cohort_and_nobody_above_it() {
         let path = tmp("cohort-error.wal");
-        let mut w = WalWriter::create(&path, 1).unwrap();
+        let mut w = log_with_first_fsync(&path, |tail| {
+            assert!(eventually(|| tail.parked() == 2), "the cohort never formed");
+            true
+        });
         let tail = Arc::clone(w.tail());
         w.append(&WalRecord::Delete { pk: 1 }).unwrap();
         let covered = w.commit_point().unwrap();
         std::thread::scope(|s| {
-            let leader = s.spawn(|| {
-                let gate = Arc::clone(&tail);
-                let _hook = crate::fault::install_fault_hook(move |_, _| {
-                    assert!(eventually(|| gate.parked() == 2), "the cohort never formed");
-                    FaultAction::Error
-                });
-                tail.wait_durable(covered)
-            });
+            let leader = s.spawn(|| tail.wait_durable(covered));
             assert!(eventually(|| tail.rounds().leading));
             // Written after the leader read its target: not its to fail.
             w.append(&WalRecord::Delete { pk: 2 }).unwrap();
@@ -1310,11 +1340,11 @@ mod tests {
     #[test]
     fn a_lying_fsync_acknowledges_without_syncing() {
         let path = tmp("cohort-lie.wal");
-        let mut w = WalWriter::create(&path, 1).unwrap();
-        let _hook = crate::fault::install_fault_hook(|site, _| match site {
+        let hook = FaultHook::new(|call| match call.site {
             Site::WalCommit => FaultAction::Skip,
             _ => FaultAction::Continue,
         });
+        let mut w = WalWriter::create_with_hook(&path, 1, Some(hook)).unwrap();
         w.append(&WalRecord::Delete { pk: 1 }).unwrap();
         w.commit().unwrap();
         assert_eq!(w.tail().durable(), w.tail().written());

@@ -5,7 +5,7 @@
 //! descriptors while it counts them.
 
 use hermit_storage::paged::{FilePageStore, Page, PageRange, PageStore};
-use hermit_storage::{install_fault_hook, FaultAction};
+use hermit_storage::{fault_point, page_fault_point, FaultAction, FaultHook, Site};
 use std::sync::{Arc, Barrier};
 
 /// Open descriptors of this process, where the platform lists them.
@@ -21,30 +21,32 @@ fn read_handles_leave_no_descriptor_behind() {
     let before = open_fds();
     {
         let store = FilePageStore::create(&dir.join("pages.db")).unwrap();
+        let io = fault_point(None, Site::PageWrite).unwrap().unwrap();
         for i in 0..4u64 {
             let id = store.allocate();
             let mut page = Page::new(8);
             page.insert(&i.to_le_bytes()).unwrap();
-            store.write(id, &page).unwrap();
+            store.write(id, &page, &io).unwrap();
         }
         let ranges: Vec<PageRange> = (0..4)
             .map(|page| PageRange { page, offset: Page::slot_offset(8, 0), len: 8 })
             .collect();
-        // Three batches inside the store at once: the hook, consulted with
-        // each batch's handle checked out, holds them until all arrived.
+        // Three batches inside the store at once: the call before a range,
+        // made with each batch's handle checked out, holds them until all
+        // arrived.
         let inside = Arc::new(Barrier::new(READERS));
         std::thread::scope(|s| {
             for _ in 0..READERS {
                 let (inside, store, ranges) = (Arc::clone(&inside), &store, &ranges);
                 s.spawn(move || {
                     let mut first = true;
-                    let _hook = install_fault_hook(move |_, _| {
+                    let mut before = move |_: &PageRange| {
                         if std::mem::take(&mut first) {
                             inside.wait();
                         }
-                        FaultAction::Continue
-                    });
-                    store.read_ranges(ranges, &mut [0u8; 32]).unwrap();
+                        Ok(())
+                    };
+                    store.read_ranges(ranges, &mut [0u8; 32], &mut before).unwrap();
                 });
             }
         });
@@ -52,20 +54,18 @@ fn read_handles_leave_no_descriptor_behind() {
         if let (Some(before), Some(now)) = (before, with_spares) {
             assert_eq!(now, before + 1 + READERS, "the store's file and one spare per batch");
         }
-        // A batch failing at its second read returns its handle: nothing
-        // opened, nothing leaked.
-        let mut reads = 0;
-        let hook = install_fault_hook(move |_, _| {
-            reads += 1;
-            if reads == 2 {
-                FaultAction::Error
-            } else {
-                FaultAction::Continue
-            }
+        // A batch failing at its second read — a buffer pool's fault point
+        // failing it — returns its handle: nothing opened, nothing leaked.
+        let hook = FaultHook::new(|call| match call.page {
+            Some(1) => FaultAction::Error,
+            _ => FaultAction::Continue,
         });
-        assert!(store.read_ranges(&ranges, &mut [0u8; 32]).is_err());
-        drop(hook);
-        store.read_ranges(&ranges, &mut [0u8; 32]).unwrap();
+        let mut before = |range: &PageRange| {
+            page_fault_point(Some(&hook), Site::PageReadRange, range.page)?;
+            Ok(())
+        };
+        assert!(store.read_ranges(&ranges, &mut [0u8; 32], &mut before).is_err());
+        store.read_ranges(&ranges, &mut [0u8; 32], &mut |_| Ok(())).unwrap();
         assert_eq!(open_fds(), with_spares);
     }
     assert_eq!(open_fds(), before, "dropping the store closes every handle");

@@ -610,6 +610,33 @@ mod tests {
         assert_eq!(got, one_by_one.outliers.entries().collect::<Vec<_>>());
     }
 
+    /// Every leaf buffer of a built tree — serial or parallel — is exactly
+    /// as large as its outliers: `memory_bytes` counts no growth slack.
+    #[test]
+    fn a_built_leaf_buffer_keeps_no_slack() {
+        let mut wild = sigmoid_pairs(50_000);
+        for i in (0..wild.len()).step_by(37) {
+            wild[i].1 = (i % 1000) as f64 * 7.0;
+        }
+        let entry = std::mem::size_of::<(F64Key, Tid)>();
+        let serial = TrsTree::build(TrsParams::default(), (-10.0, 10.0), wild.clone());
+        let parallel = build_parallel(TrsParams::default(), (-10.0, 10.0), wild, 4);
+        for tree in [serial, parallel] {
+            let leaves: Vec<&LeafData> = tree
+                .arena
+                .iter()
+                .filter_map(|node| match &node.kind {
+                    NodeKind::Leaf(leaf) => Some(leaf),
+                    NodeKind::Internal { .. } => None,
+                })
+                .collect();
+            assert!(leaves.iter().any(|leaf| leaf.outliers.len() > 2), "the tree buffers outliers");
+            for leaf in leaves {
+                assert_eq!(leaf.outliers.memory_bytes(), leaf.outliers.len() * entry);
+            }
+        }
+    }
+
     #[test]
     fn parallel_build_single_leaf_case() {
         // Root that never splits: parallel must fall back gracefully.
@@ -623,7 +650,9 @@ mod tests {
     /// instead of sorting and fitting each node once must build them
     /// unchanged — splits, trimmed refits in many nodes, sampling included.
     /// `memory_bytes` counts no unused arena slots since a build shrinks
-    /// its arena (80 bytes a slot left each figure then, nothing else).
+    /// its arena (80 bytes a slot left each figure then, nothing else), and
+    /// no unused outlier-buffer entries since a leaf's buffer is built
+    /// exactly sized (16 bytes an entry left cases 1–3).
     #[test]
     fn built_trees_match_the_sort_based_construction() {
         let stats = |leaves, internals, height, outliers, covered, memory_bytes| TrsTreeStats {
@@ -650,15 +679,15 @@ mod tests {
             ),
             (
                 TrsTree::build(sampled, (-10.0, 10.0), sigmoid_pairs(40_000)),
-                stats(456, 65, 4, 70, 40_000, 45_808),
+                stats(456, 65, 4, 70, 40_000, 44_880),
             ),
             (
                 TrsTree::build(TrsParams::default(), (0.0, 9_999.0), noisy),
-                stats(1, 0, 1, 200, 10_000, 4_176),
+                stats(1, 0, 1, 200, 10_000, 3_280),
             ),
             (
                 TrsTree::build(TrsParams::default(), (-10.0, 10.0), wild),
-                stats(204, 29, 5, 1_696, 50_000, 65_136),
+                stats(204, 29, 5, 1_696, 50_000, 46_704),
             ),
         ];
         for (i, (tree, want)) in cases.iter().enumerate() {

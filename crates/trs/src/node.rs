@@ -106,6 +106,8 @@ impl OutlierBuffer {
     /// order, would (equal keys keep their order).
     pub(crate) fn from_entries(mut entries: Vec<(F64Key, Tid)>) -> Self {
         entries.sort_by_key(|&(k, _)| k);
+        // A built buffer keeps no growth slack: `memory_bytes` counts it.
+        entries.shrink_to_fit();
         Self(entries)
     }
 

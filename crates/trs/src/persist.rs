@@ -447,7 +447,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("tree.trst");
         let mut tree = sample_tree(8_000);
-        write_file_atomic(&path, &tree.snapshot_bytes().unwrap()).unwrap();
+        write_file_atomic(&path, &tree.snapshot_bytes().unwrap(), None).unwrap();
         let restored = TrsTree::restore(&path).unwrap();
         assert_stats_match(&tree, &restored);
         std::fs::remove_dir_all(&dir).ok();
@@ -527,7 +527,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("tree.trst");
         let mut tree = sample_tree(8_000);
-        write_file_atomic(&path, &tree.snapshot_bytes().unwrap()).unwrap();
+        write_file_atomic(&path, &tree.snapshot_bytes().unwrap(), None).unwrap();
         let full = std::fs::metadata(&path).unwrap().len();
         // A crash mid-write tears the snapshot at an arbitrary byte; every
         // truncation point must produce a typed error, never a tree built

@@ -10,17 +10,21 @@
 
 use hermit::core::{Database, RangePredicate};
 use hermit::storage::paged::{BufferPool, PagedTable, SimulatedPageStore};
-use hermit::storage::{ColumnDef, Schema, Value};
+use hermit::storage::{ColumnDef, FaultAction, FaultHook, Schema, Site, Value};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn main() {
-    // Simulated SSD: 20 µs per page access, 128-page (1 MiB) buffer pool.
-    let store = Arc::new(SimulatedPageStore::with_latency(
-        Duration::from_micros(20),
-        Duration::from_micros(20),
-    ));
-    let pool = Arc::new(BufferPool::new(store, 128));
+    // Simulated SSD: the pool's fault hook charges 20 µs per page access;
+    // 128-page (1 MiB) buffer pool.
+    let ssd = FaultHook::new(|call| match call.site {
+        Site::PageRead | Site::PageReadRange | Site::PageWrite => {
+            FaultAction::Delay(Duration::from_micros(20))
+        }
+        _ => FaultAction::Continue,
+    });
+    let pool = BufferPool::new(Arc::new(SimulatedPageStore::new()), 128).with_fault_hook(Some(ssd));
+    let pool = Arc::new(pool);
 
     let schema = Schema::new(vec![
         ColumnDef::int("id"),

@@ -36,20 +36,18 @@
 use hermit::core::recovery::{DurabilityConfig, CATALOG_FILE, PAGES_FILE, WAL_FILE};
 use hermit::core::shared::SharedDatabase;
 use hermit::core::{BatchOptions, CoreError, Database, IndexKey, PlanKind, Query, RangePredicate};
-use hermit::fault::{FaultKind, FaultOp, FaultPlan, FaultyPageStore, PlannedFault};
-use hermit::storage::paged::{BufferPool, FilePageStore, PageId, PageStore, PagedTable, PAGE_SIZE};
+use hermit::fault::{FaultKind, FaultOp, FaultPlan, PlannedFault, StoreFaults};
+use hermit::storage::paged::{BufferPool, FilePageStore, PageId, PagedTable, PAGE_SIZE};
 use hermit::storage::recovery::crc32;
-use hermit::storage::wal::read_wal;
+use hermit::storage::wal::{read_wal, WalTail};
 use hermit::storage::{
-    install_fault_hook, Catalog, ColumnDef, ColumnType, FaultAction, FaultHookGuard, RowLoc,
-    Schema, Site, TidScheme, Value,
+    Catalog, ColumnDef, ColumnType, FaultAction, FaultHook, Gate, RowLoc, Schema, Site, TidScheme,
+    Value,
 };
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
-use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 fn schema() -> Schema {
@@ -331,8 +329,13 @@ fn torn_wal_tail_recovers_to_last_complete_record() {
 }
 
 // Device failure modes (dying / lying / page-granular drops) come from the
-// shared `hermit_fault::FaultyPageStore` wrapper — the same double the
-// crash-schedule explorer and the fault-injection suite use.
+// shared `hermit_fault::StoreFaults` hook — the one the fault-injection
+// suite uses — given to the reopened database in its `DurabilityConfig`.
+
+/// `config` with `faults`' hook: the reopened database's page I/O sees them.
+fn faulty(config: &DurabilityConfig, faults: &Arc<StoreFaults>) -> DurabilityConfig {
+    DurabilityConfig { fault_hook: Some(faults.hook()), ..config.clone() }
+}
 
 #[test]
 fn dying_device_fails_checkpoint_and_recovery_lands_on_previous_state() {
@@ -342,10 +345,9 @@ fn dying_device_fails_checkpoint_and_recovery_lands_on_previous_state() {
     db.checkpoint(&dir).unwrap();
     drop(db);
 
-    // Reopen through a store that will start failing after N more ops.
-    let store = Arc::new(FaultyPageStore::open(&dir.join(PAGES_FILE)).unwrap());
-    let db =
-        Database::open_with_store(&dir, Arc::clone(&store) as Arc<dyn PageStore>, &config).unwrap();
+    // Reopen over a device that will start failing after N more ops.
+    let store = StoreFaults::new();
+    let db = Database::open(&dir, &faulty(&config, &store)).unwrap();
     for i in 0..200i64 {
         db.insert(&row(600_000 + i, 7_000.0 + i as f64)).unwrap();
     }
@@ -373,9 +375,8 @@ fn lying_device_is_detected_at_open_instead_of_serving_wrong_rows() {
     db.checkpoint(&dir).unwrap();
     drop(db);
 
-    let store = Arc::new(FaultyPageStore::open(&dir.join(PAGES_FILE)).unwrap());
-    let db =
-        Database::open_with_store(&dir, Arc::clone(&store) as Arc<dyn PageStore>, &config).unwrap();
+    let store = StoreFaults::new();
+    let db = Database::open(&dir, &faulty(&config, &store)).unwrap();
     // Mutate a checkpointed page (tombstone), then checkpoint through the
     // now-lying device: every write "succeeds" but nothing reaches disk,
     // so the new catalog's live counts disagree with the durable pages.
@@ -405,9 +406,8 @@ fn lying_device_detected_even_when_live_counts_are_unchanged() {
     db.checkpoint(&dir).unwrap();
     drop(db);
 
-    let store = Arc::new(FaultyPageStore::open(&dir.join(PAGES_FILE)).unwrap());
-    let db =
-        Database::open_with_store(&dir, Arc::clone(&store) as Arc<dyn PageStore>, &config).unwrap();
+    let store = StoreFaults::new();
+    let db = Database::open(&dir, &faulty(&config, &store)).unwrap();
     // pk 100_049 is the last-inserted outlier: it lives on the last page,
     // where the replacement insert will also land.
     let victim_page = db.primary().get(100_049).expect("outlier row is live").block;
@@ -445,11 +445,8 @@ fn torn_checkpoint_page_is_reported_at_open() {
 
         // The next page write after the reopen tears.
         let tear = PlannedFault { op: FaultOp::Write, nth: 0, kind: FaultKind::Torn { keep } };
-        let file = FilePageStore::open(&dir.join(PAGES_FILE)).unwrap();
-        let store =
-            Arc::new(FaultyPageStore::with_plan(Arc::new(file), FaultPlan::explicit(vec![tear])));
-        let db = Database::open_with_store(&dir, Arc::clone(&store) as Arc<dyn PageStore>, &config)
-            .unwrap();
+        let store = StoreFaults::with_plan(FaultPlan::explicit(vec![tear]));
+        let db = Database::open(&dir, &faulty(&config, &store)).unwrap();
         assert_eq!(store.injected(), 0, "open writes no page");
         // Dirty a checkpointed page, then checkpoint: its write is the torn one.
         db.delete_by_pk(2).unwrap();
@@ -484,9 +481,8 @@ fn lost_tombstone_page_plus_flushed_reinsert_leaves_no_ghost_row() {
     db.checkpoint(&dir).unwrap();
     drop(db);
 
-    let store = Arc::new(FaultyPageStore::open(&dir.join(PAGES_FILE)).unwrap());
-    let db =
-        Database::open_with_store(&dir, Arc::clone(&store) as Arc<dyn PageStore>, &config).unwrap();
+    let store = StoreFaults::new();
+    let db = Database::open(&dir, &faulty(&config, &store)).unwrap();
     let victim_page = db.primary().get(5).expect("pk 5 is live").block as PageId;
     db.delete_by_pk(5).unwrap(); // tombstone dirties the victim page
     db.insert(&row(5, 777.5)).unwrap(); // re-insert lands on the last page
@@ -651,7 +647,30 @@ type CrashImage = (&'static str, u64, PathBuf);
 fn stolen_page_never_outruns_the_records_that_undo_it() {
     for sync_every in [1usize, 64] {
         let dir = fresh_dir(&format!("steal-{sync_every}"));
-        let config = DurabilityConfig { pool_pages: 3, pool_shards: 1, wal_sync_every: sync_every };
+        // Every instrumented I/O but a page or record read, once the log is
+        // known below, leaves an image behind, with the log's durable
+        // position at that instant.
+        let seen: Arc<Mutex<Vec<CrashImage>>> = Arc::default();
+        let durable: Arc<OnceLock<Arc<WalTail>>> = Arc::default();
+        let hook = {
+            let (seen, durable, dir) = (Arc::clone(&seen), Arc::clone(&durable), dir.clone());
+            FaultHook::new(move |call| {
+                let Some(log) = durable.get() else { return FaultAction::Continue };
+                if !matches!(call.site, Site::PageRead | Site::PageReadRange) {
+                    let mut seen = seen.lock().unwrap();
+                    let image = fresh_dir(&format!("steal-{sync_every}-image-{}", seen.len()));
+                    copy_dir(&dir, &image);
+                    seen.push((call.site.name(), log.durable(), image));
+                }
+                FaultAction::Continue
+            })
+        };
+        let config = DurabilityConfig {
+            pool_pages: 3,
+            pool_shards: 1,
+            wal_sync_every: sync_every,
+            fault_hook: Some(hook.clone()),
+        };
         // Four full pages and a half-full fifth.
         let per_page = PAGE_SIZE / (3 * 9);
         let rows = (4 * per_page + per_page / 2) as i64;
@@ -667,23 +686,8 @@ fn stolen_page_never_outruns_the_records_that_undo_it() {
         let pages = table.pages();
         let last_page = *pages.last().unwrap();
         let tail = Arc::clone(db.wal_tail().unwrap());
-
-        // From here on, every instrumented I/O but a page or record read
-        // leaves an image behind, with the log's durable position at that
-        // instant.
-        let seen: Rc<RefCell<Vec<CrashImage>>> = Rc::default();
-        let hook = {
-            let (seen, tail, dir) = (Rc::clone(&seen), Arc::clone(&tail), dir.clone());
-            install_fault_hook(move |site, _| {
-                if !matches!(site, Site::PageRead | Site::PageReadRange) {
-                    let mut seen = seen.borrow_mut();
-                    let image = fresh_dir(&format!("steal-{sync_every}-image-{}", seen.len()));
-                    copy_dir(&dir, &image);
-                    seen.push((site.name(), tail.durable(), image));
-                }
-                FaultAction::Continue
-            })
-        };
+        // From here on, images are taken.
+        durable.set(Arc::clone(&tail)).unwrap();
 
         let t = db.begin().unwrap();
         let loser_pks: Vec<i64> = (0..5).map(|i| 1_000_000 + i).collect();
@@ -702,14 +706,14 @@ fn stolen_page_never_outruns_the_records_that_undo_it() {
                 db.heap().get(loc).unwrap();
             }
         }
-        drop(hook);
+        hook.detach();
         // The sites fire before their I/O, so the image that holds the
         // stolen page itself is the one taken now.
         let image = fresh_dir(&format!("steal-{sync_every}-image-final"));
         copy_dir(&dir, &image);
-        seen.borrow_mut().push(("the end of the steal", tail.durable(), image));
+        seen.lock().unwrap().push(("the end of the steal", tail.durable(), image));
 
-        let seen = seen.take();
+        let seen = std::mem::take(&mut *seen.lock().unwrap());
         let steals: Vec<u64> =
             seen.iter().filter(|(site, ..)| *site == Site::PageWrite.name()).map(|s| s.1).collect();
         assert!(!steals.is_empty(), "sync_every {sync_every}: the dirty page was never stolen");
@@ -764,7 +768,12 @@ fn a_page_stolen_under_buffered_auto_commit_records_reopens() {
     };
     for sync_every in [1usize, 64] {
         let dir = fresh_dir(&format!("phantom-{sync_every}"));
-        let config = DurabilityConfig { pool_pages: 4, pool_shards: 1, wal_sync_every: sync_every };
+        let config = DurabilityConfig {
+            pool_pages: 4,
+            pool_shards: 1,
+            wal_sync_every: sync_every,
+            ..Default::default()
+        };
         let db = Database::create_durable(schema.clone(), 0, &dir, &config).unwrap();
         for pk in 0..1_000 {
             db.insert(&row(pk)).unwrap();
@@ -840,7 +849,8 @@ fn all_rows(db: &Database) -> BTreeMap<i64, Vec<Value>> {
 /// behind the catalog's watermark instead of orphaning it.
 #[test]
 fn recovery_does_not_leak_the_pages_behind_the_watermark() {
-    let config = DurabilityConfig { pool_pages: 8, pool_shards: 1, wal_sync_every: 64 };
+    let config =
+        DurabilityConfig { pool_pages: 8, pool_shards: 1, wal_sync_every: 64, fault_hook: None };
     let pages_len = |dir: &Path| std::fs::metadata(dir.join(PAGES_FILE)).unwrap().len();
 
     let clean = fresh_dir("leak-clean");
@@ -883,39 +893,45 @@ fn recovery_does_not_leak_the_pages_behind_the_watermark() {
 // The commit wait: leader/follower group commit over a reserved log
 // ---------------------------------------------------------------------
 
-/// Spin (yielding) until `cond` holds; false after five seconds, so a
-/// broken property fails its test instead of hanging it.
-fn eventually(cond: impl Fn() -> bool) -> bool {
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while !cond() {
-        if Instant::now() > deadline {
-            return false;
-        }
-        std::thread::yield_now();
-    }
-    true
-}
-
-/// A gate that holds its thread inside the log's fsync (the `wal.commit`
-/// site) until the rest of the test has done what it must be able to do
-/// meanwhile — or five seconds have passed, and `met` stays false.
+/// Holds the first log fsync after [`arm`](Self::arm) — its committer
+/// inside the `wal.commit` site — at a gate, until the rest of the test has
+/// done what it must be able to do meanwhile.
 #[derive(Default)]
 struct FsyncGate {
-    entered: AtomicBool,
-    done: AtomicBool,
-    met: AtomicBool,
+    armed: AtomicBool,
+    gate: Arc<Gate>,
 }
 
 impl FsyncGate {
-    fn install(self: &Arc<Self>) -> FaultHookGuard {
-        let gate = Arc::clone(self);
-        install_fault_hook(move |site, _| {
-            if site == Site::WalCommit && !gate.entered.swap(true, Ordering::SeqCst) {
-                let met = eventually(|| gate.done.load(Ordering::SeqCst));
-                gate.met.store(met, Ordering::SeqCst);
+    /// `config` with this gate as the database's fault hook.
+    fn config(self: &Arc<Self>, config: DurabilityConfig) -> DurabilityConfig {
+        let this = Arc::clone(self);
+        let hook = FaultHook::new(move |call| {
+            if call.site == Site::WalCommit && this.armed.swap(false, Ordering::SeqCst) {
+                FaultAction::Gate(Arc::clone(&this.gate))
+            } else {
+                FaultAction::Continue
             }
-            FaultAction::Continue
-        })
+        });
+        DurabilityConfig { fault_hook: Some(hook), ..config }
+    }
+
+    fn arm(&self) {
+        self.armed.store(true, Ordering::SeqCst);
+    }
+
+    /// Whether the committer is parked inside its fsync (waiting for it to
+    /// get there, at most 10 s).
+    fn entered(&self) -> bool {
+        self.gate.wait_parked(1)
+    }
+
+    /// Let the committer go; whether it was still parked, i.e. the test
+    /// did what it had to before the gate gave up on it.
+    fn release(&self) -> bool {
+        let met = self.entered();
+        self.gate.open();
+        met
     }
 }
 
@@ -925,24 +941,22 @@ impl FsyncGate {
 #[test]
 fn a_committer_inside_its_fsync_does_not_hold_the_wal_guard() {
     let dir = fresh_dir("gate-guard");
-    let config = DurabilityConfig { wal_sync_every: 1, ..Default::default() };
+    let gate = Arc::new(FsyncGate::default());
+    let config = gate.config(DurabilityConfig { wal_sync_every: 1, ..Default::default() });
     let db = Database::create_durable(schema(), 0, &dir, &config).unwrap();
     let other = db.begin().unwrap();
-    let gate = Arc::new(FsyncGate::default());
-    std::thread::scope(|s| {
+    let met = std::thread::scope(|s| {
         let committer = s.spawn(|| {
-            let _hook = gate.install();
+            gate.arm();
             db.insert(&row(1, 1.0))
         });
-        assert!(eventually(|| gate.entered.load(Ordering::SeqCst)), "no fsync was ever led");
+        assert!(gate.entered(), "no fsync was ever led");
         db.insert_txn(other, &row(2, 2.0)).unwrap();
-        gate.done.store(true, Ordering::SeqCst);
+        let met = gate.release();
         committer.join().unwrap().unwrap();
+        met
     });
-    assert!(
-        gate.met.load(Ordering::SeqCst),
-        "a statement that owes no fsync waited out another committer's"
-    );
+    assert!(met, "a statement that owes no fsync waited out another committer's");
     db.rollback(other).unwrap();
     drop(db);
     std::fs::remove_dir_all(&dir).ok();
@@ -955,7 +969,8 @@ fn a_committer_inside_its_fsync_does_not_hold_the_wal_guard() {
 #[test]
 fn readers_do_not_wait_out_a_commit() {
     let dir = fresh_dir("gate-vis");
-    let config = DurabilityConfig { wal_sync_every: 1, ..Default::default() };
+    let gate = Arc::new(FsyncGate::default());
+    let config = gate.config(DurabilityConfig { wal_sync_every: 1, ..Default::default() });
     let db = Database::create_durable(schema(), 0, &dir, &config).unwrap();
     for pk in 0..10i64 {
         db.insert(&row(pk, pk as f64)).unwrap();
@@ -967,21 +982,21 @@ fn readers_do_not_wait_out_a_commit() {
         pks.sort_unstable();
         pks
     };
-    let gate = Arc::new(FsyncGate::default());
-    std::thread::scope(|s| {
+    let met = std::thread::scope(|s| {
         let committer = s.spawn(|| {
             let t = db.begin().unwrap();
             db.insert_txn(t, &row(100, 100.0)).unwrap();
             db.delete_by_pk_txn(t, 3).unwrap();
-            let _hook = gate.install();
+            gate.arm();
             db.commit(t)
         });
-        assert!(eventually(|| gate.entered.load(Ordering::SeqCst)), "no fsync was ever led");
+        assert!(gate.entered(), "no fsync was ever led");
         assert_eq!(pks(&db), (0..10).collect::<Vec<i64>>(), "a commit shows whole, or not at all");
-        gate.done.store(true, Ordering::SeqCst);
+        let met = gate.release();
         committer.join().unwrap().unwrap();
+        met
     });
-    assert!(gate.met.load(Ordering::SeqCst), "a reader waited out a commit's fsync");
+    assert!(met, "a reader waited out a commit's fsync");
     let after: Vec<i64> = (0..10).filter(|&pk| pk != 3).chain([100]).collect();
     assert_eq!(pks(&db), after);
     drop(db);
@@ -1000,28 +1015,34 @@ fn four_committers_share_fsyncs_and_every_ack_is_in_the_image() {
     const THREADS: i64 = 4;
     const PER_THREAD: i64 = 500;
     let dir = fresh_dir("cohort");
-    let config = DurabilityConfig { wal_sync_every: 1, ..Default::default() };
+    // A leader lingers (briefly, bounded) for company, so that cohorts form
+    // on any device, however fast its fsync.
+    let log: Arc<OnceLock<Arc<WalTail>>> = Arc::default();
+    let linger = {
+        let log = Arc::clone(&log);
+        FaultHook::new(move |call| {
+            if let (Site::WalCommit, Some(tail)) = (call.site, log.get()) {
+                let until = Instant::now() + Duration::from_micros(500);
+                while tail.parked() == 0 && Instant::now() < until {
+                    std::thread::yield_now();
+                }
+            }
+            FaultAction::Continue
+        })
+    };
+    let config =
+        DurabilityConfig { wal_sync_every: 1, fault_hook: Some(linger), ..Default::default() };
     let db = Database::create_durable(schema(), 0, &dir, &config).unwrap();
     let tail = Arc::clone(db.wal_tail().unwrap());
+    log.set(Arc::clone(&tail)).unwrap();
     let (f0, w0) = (tail.fsyncs(), tail.commit_waits());
 
     // (image directory, pks acknowledged before the copy began)
     let images: Vec<(PathBuf, Vec<i64>)> = std::thread::scope(|s| {
         let workers: Vec<_> = (0..THREADS)
             .map(|t| {
-                let (db, dir, tail) = (&db, &dir, Arc::clone(&tail));
+                let (db, dir) = (&db, &dir);
                 s.spawn(move || {
-                    // A leader lingers (briefly, bounded) for company, so that
-                    // cohorts form on any device, however fast its fsync.
-                    let _hook = install_fault_hook(move |site, _| {
-                        if site == Site::WalCommit {
-                            let until = Instant::now() + Duration::from_micros(500);
-                            while tail.parked() == 0 && Instant::now() < until {
-                                std::thread::yield_now();
-                            }
-                        }
-                        FaultAction::Continue
-                    });
                     let mut acked = Vec::new();
                     let mut images = Vec::new();
                     for i in 0..PER_THREAD {
@@ -1130,7 +1151,17 @@ fn a_commit_racing_a_checkpoint_never_waits_on_the_abandoned_generation() {
 #[test]
 fn a_failed_commit_wait_leaves_the_transaction_open_and_sound() {
     let dir = fresh_dir("commit-fails");
-    let config = DurabilityConfig { wal_sync_every: 1, ..Default::default() };
+    let failing = Arc::new(AtomicBool::new(false));
+    let fails = Arc::clone(&failing);
+    let hook = FaultHook::new(move |call| match call.site {
+        Site::WalCommit if fails.load(Ordering::SeqCst) => FaultAction::Error,
+        _ => FaultAction::Continue,
+    });
+    let config = DurabilityConfig {
+        wal_sync_every: 1,
+        fault_hook: Some(hook.clone()),
+        ..Default::default()
+    };
     let db = Database::create_durable(schema(), 0, &dir, &config).unwrap();
     for pk in 0..5i64 {
         db.insert(&row(pk, pk as f64)).unwrap();
@@ -1139,12 +1170,9 @@ fn a_failed_commit_wait_leaves_the_transaction_open_and_sound() {
     db.insert_txn(t, &row(50, 50.0)).unwrap();
     db.delete_by_pk_txn(t, 2).unwrap();
 
-    let hook = install_fault_hook(|site, _| match site {
-        Site::WalCommit => FaultAction::Error,
-        _ => FaultAction::Continue,
-    });
+    failing.store(true, Ordering::SeqCst);
     let err = db.commit(t).unwrap_err();
-    drop(hook);
+    hook.detach();
     assert!(err.to_string().contains("wal.commit"), "{err}");
 
     assert_eq!(db.txn_active(), 1, "the transaction stays open");

@@ -14,18 +14,21 @@
 //!   error instead of a shorter answer; once the device heals the exact
 //!   rows come back and no buffer-pool frame has gone missing. A
 //!   reorganization that cannot read the heap installs nothing.
+//! * **A fault hook is the database's**: it reaches every thread doing that
+//!   database's I/O — the maintenance worker, a server connection — on a
+//!   durable database over its real page file, and no other database's.
 
 use hermit::core::recovery::{DurabilityConfig, WAL_FILE};
 use hermit::core::shared::{MaintenanceConfig, MaintenanceWorker, SharedDatabase, IDLE_SLEEP};
 use hermit::core::{Database, PlanKind, Query, RangePredicate};
-use hermit::fault::{mangle_file, FaultPlan, FaultRates, FaultyPageStore};
+use hermit::fault::{mangle_file, FaultPlan, FaultRates, StoreFaults};
 use hermit::server::{ClientError, ErrorCode, HermitClient, HermitServer, ServerConfig};
 use hermit::storage::paged::{BufferPool, PagedTable, SimulatedPageStore};
-use hermit::storage::{ColumnDef, Schema, Value};
+use hermit::storage::{ColumnDef, FaultAction, FaultHook, Schema, Site, Value};
 use proptest::prelude::*;
 use std::path::PathBuf;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// A maintenance worker whose rebuild scans cannot read the heap backs
@@ -35,8 +38,11 @@ use std::time::{Duration, Instant};
 #[test]
 fn a_worker_facing_an_unreadable_heap_backs_off_and_drains_once_healed() {
     const FRAMES: usize = 4;
-    let store = Arc::new(FaultyPageStore::new(Arc::new(SimulatedPageStore::new())));
-    let pool = Arc::new(BufferPool::new(Arc::<FaultyPageStore>::clone(&store), FRAMES));
+    let store = StoreFaults::new();
+    let pool = Arc::new(
+        BufferPool::new(Arc::new(SimulatedPageStore::new()), FRAMES)
+            .with_fault_hook(Some(store.hook())),
+    );
     let mut db = Database::new_paged(PagedTable::new(schema(), Arc::clone(&pool)), 0);
     for i in 0..4_000i64 {
         db.insert(&row(i, i as f64)).unwrap();
@@ -70,6 +76,157 @@ fn a_worker_facing_an_unreadable_heap_backs_off_and_drains_once_healed() {
     let (_, candidates) = worker.stop();
     assert_eq!(shared.reorg_queue_len(), 0, "the healed heap lets the worker drain the queue");
     assert!(candidates > 0);
+}
+
+/// The same on a durable database over its real page file, through the
+/// fault hook its configuration hands its buffer pool: the page reads that
+/// fail are the worker's own — nothing else runs meanwhile — and the
+/// subtree they could not rebuild keeps answering once they heal.
+#[test]
+fn a_durable_worker_whose_page_reads_fail_backs_off_and_drains_once_healed() {
+    let dir = fresh_dir("worker-durable");
+    let store = StoreFaults::new();
+    let config = DurabilityConfig {
+        pool_pages: 4,
+        pool_shards: 1,
+        fault_hook: Some(store.hook()),
+        ..Default::default()
+    };
+    let mut db = Database::create_durable(schema(), 0, &dir, &config).unwrap();
+    for i in 0..4_000i64 {
+        db.insert(&row(i, i as f64)).unwrap();
+    }
+    db.create_baseline_index(1, true).unwrap();
+    db.create_hermit_index(2, 1).unwrap();
+    for j in 0..2_000i64 {
+        db.insert(&[Value::Int(4_000 + j), Value::Float(-1.0e9), Value::Float(j as f64)]).unwrap();
+    }
+    let shared = SharedDatabase::new(db);
+    assert!(shared.reorg_queue_len() > 0, "the flood must queue a split");
+    let probe = Query::filter(RangePredicate::point(2, 1_234.0));
+    assert_eq!(shared.execute(&probe).rows.len(), 2);
+
+    store.set_fail_reads(true);
+    let injected = store.injected();
+    let worker = MaintenanceWorker::start(shared.clone(), MaintenanceConfig::default());
+    let window = Duration::from_millis(400);
+    std::thread::sleep(window);
+    let sweeps = worker.stats().sweeps.load(Ordering::Relaxed);
+    let unthrottled = (window.as_millis() / IDLE_SLEEP.as_millis()) as u64;
+    assert!(store.injected() > injected, "the worker's page reads met the hook");
+    assert!(shared.reorg_queue_len() > 0, "nothing can be done on an unreadable heap");
+    assert!(
+        (1..=unthrottled / 8).contains(&sweeps),
+        "{sweeps} sweeps in {window:?}: a stalled worker must back off (one per IDLE_SLEEP \
+         would be {unthrottled})"
+    );
+
+    store.set_fail_reads(false);
+    assert_eq!(shared.execute(&probe).rows.len(), 2, "the subtree was kept");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while shared.reorg_queue_len() > 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let (_, candidates) = worker.stop();
+    assert_eq!(shared.reorg_queue_len(), 0, "the healed heap lets the worker drain the queue");
+    assert!(candidates > 0);
+    assert_eq!(shared.execute(&probe).rows.len(), 2);
+    drop(shared);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Page reads that fail on a server connection's thread — and on no other
+/// — reach the client as a typed storage error, while the server keeps
+/// serving: other requests on that connection, the same query in process,
+/// and the query again once the reads heal.
+#[test]
+fn a_page_read_failing_inside_a_server_connection_is_a_typed_error() {
+    let dir = fresh_dir("connection");
+    let (armed, test_thread) = (Arc::new(AtomicBool::new(false)), std::thread::current().id());
+    let hook = {
+        let armed = Arc::clone(&armed);
+        FaultHook::new(move |call| {
+            let read = matches!(call.site, Site::PageRead | Site::PageReadRange);
+            let elsewhere = std::thread::current().id() != test_thread;
+            if read && elsewhere && armed.load(Ordering::SeqCst) {
+                FaultAction::Error
+            } else {
+                FaultAction::Continue
+            }
+        })
+    };
+    let config = DurabilityConfig {
+        pool_pages: 4,
+        pool_shards: 1,
+        fault_hook: Some(hook),
+        ..Default::default()
+    };
+    let mut db = Database::create_durable(schema(), 0, &dir, &config).unwrap();
+    for i in 0..4_000i64 {
+        db.insert(&row(i, ((i * 7) % 4_000) as f64)).unwrap();
+    }
+    db.create_baseline_index(1, true).unwrap();
+    db.create_hermit_index(2, 1).unwrap();
+    db.checkpoint(&dir).unwrap();
+    let indexed = Query::new().range(2, 100.0, 699.0);
+    let shared = SharedDatabase::new(db);
+    let want = shared.execute(&indexed);
+    assert_eq!((want.rows.len(), want.unreadable), (600, 0));
+    let server =
+        HermitServer::start(shared.clone(), None, ServerConfig::default(), "127.0.0.1:0").unwrap();
+    let mut client = HermitClient::connect(server.local_addr()).unwrap();
+    let healthy = client.query(&indexed).unwrap();
+    assert_eq!(healthy.len(), 600);
+
+    armed.store(true, Ordering::SeqCst);
+    match client.query(&indexed) {
+        Err(ClientError::Server { code: ErrorCode::Storage, .. }) => {}
+        other => panic!("a failed page read must answer ErrorCode::Storage, got {other:?}"),
+    }
+    assert!(client.stats().unwrap().contains("hermit_pool_read_errors "), "still serving");
+    let here = shared.execute(&indexed);
+    assert_eq!((here.rows, here.unreadable), (want.rows, 0), "only the connection's reads fail");
+
+    armed.store(false, Ordering::SeqCst);
+    assert_eq!(client.query(&indexed).unwrap(), healthy);
+    client.shutdown().unwrap();
+    server.wait();
+    drop(shared);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A fault hook belongs to the database it was given to: two durable
+/// databases driven from one thread each see their own sites and none of
+/// the other's.
+#[test]
+fn two_databases_on_one_thread_see_only_their_own_sites() {
+    let open = |name: &str| {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let record = Arc::clone(&seen);
+        let hook = FaultHook::new(move |call| {
+            record.lock().unwrap().push(call.site);
+            FaultAction::Continue
+        });
+        let dir = fresh_dir(name);
+        let config =
+            DurabilityConfig { wal_sync_every: 1, fault_hook: Some(hook), ..Default::default() };
+        let db = Database::create_durable(schema(), 0, &dir, &config).unwrap();
+        seen.lock().unwrap().clear();
+        (db, dir, seen)
+    };
+    let (a, dir_a, seen_a) = open("own-a");
+    let (b, dir_b, seen_b) = open("own-b");
+    a.insert(&row(1, 1.0)).unwrap();
+    assert!(seen_a.lock().unwrap().contains(&Site::WalCommit), "a's insert is a's");
+    assert!(seen_b.lock().unwrap().is_empty(), "b saw a's insert");
+    seen_a.lock().unwrap().clear();
+    b.checkpoint(&dir_b).unwrap();
+    assert!(seen_b.lock().unwrap().contains(&Site::AtomicRename), "b's checkpoint is b's");
+    assert!(seen_a.lock().unwrap().is_empty(), "a saw b's checkpoint");
+    drop((a, b));
+    for dir in [dir_a, dir_b] {
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 fn schema() -> Schema {
@@ -148,13 +305,13 @@ fn seeded_fault_plan_replays_identically() {
         // Append-only inserts only reach the device on eviction, so the
         // op count is modest — a generous rate keeps the schedule dense.
         let rates = FaultRates { eio: 0.2, ..FaultRates::NONE };
-        let store = Arc::new(FaultyPageStore::with_plan(
-            Arc::new(SimulatedPageStore::new()),
-            FaultPlan::seeded(seed, rates),
-        ));
+        let store = StoreFaults::with_plan(FaultPlan::seeded(seed, rates));
         // A 2-frame pool forces evictions (and so store reads/writes) from
         // early on; an all-in-pool workload would never reach the device.
-        let pool = Arc::new(BufferPool::new(Arc::<FaultyPageStore>::clone(&store), 2));
+        let pool = Arc::new(
+            BufferPool::new(Arc::new(SimulatedPageStore::new()), 2)
+                .with_fault_hook(Some(store.hook())),
+        );
         let db = Database::new_paged(PagedTable::new(schema(), Arc::clone(&pool)), 0);
         let mut outcomes = Vec::new();
         for i in 0..2_000i64 {
@@ -180,8 +337,11 @@ fn seeded_fault_plan_replays_identically() {
 fn unreadable_pages_are_errors_not_deleted_rows() {
     const ROWS: i64 = 4_000; // ≈ 14 heap pages of 27-byte records
     const FRAMES: usize = 4;
-    let store = Arc::new(FaultyPageStore::new(Arc::new(SimulatedPageStore::new())));
-    let pool = Arc::new(BufferPool::new_sharded(Arc::<FaultyPageStore>::clone(&store), FRAMES, 2));
+    let store = StoreFaults::new();
+    let pool = Arc::new(
+        BufferPool::new_sharded(Arc::new(SimulatedPageStore::new()), FRAMES, 2)
+            .with_fault_hook(Some(store.hook())),
+    );
     let mut db = Database::new_paged(PagedTable::new(schema(), Arc::clone(&pool)), 0);
     for i in 0..ROWS {
         // Scatter targets over the heap so a range touches many pages.
@@ -299,8 +459,11 @@ fn unreadable_pages_are_errors_not_deleted_rows() {
 fn composite_routes_report_unreadable_pages_not_shorter_answers() {
     const ROWS: i64 = 4_000;
     const FRAMES: usize = 4;
-    let store = Arc::new(FaultyPageStore::new(Arc::new(SimulatedPageStore::new())));
-    let pool = Arc::new(BufferPool::new_sharded(Arc::<FaultyPageStore>::clone(&store), FRAMES, 2));
+    let store = StoreFaults::new();
+    let pool = Arc::new(
+        BufferPool::new_sharded(Arc::new(SimulatedPageStore::new()), FRAMES, 2)
+            .with_fault_hook(Some(store.hook())),
+    );
     let mut db = Database::new_paged(PagedTable::new(schema(), Arc::clone(&pool)), 0);
     for i in 0..ROWS {
         db.insert(&row(i, ((i * 7) % ROWS) as f64)).unwrap();
@@ -356,8 +519,11 @@ fn composite_routes_report_unreadable_pages_not_shorter_answers() {
 #[test]
 fn a_reorganization_that_cannot_read_the_heap_keeps_its_subtree() {
     const FRAMES: usize = 4;
-    let store = Arc::new(FaultyPageStore::new(Arc::new(SimulatedPageStore::new())));
-    let pool = Arc::new(BufferPool::new(Arc::<FaultyPageStore>::clone(&store), FRAMES));
+    let store = StoreFaults::new();
+    let pool = Arc::new(
+        BufferPool::new(Arc::new(SimulatedPageStore::new()), FRAMES)
+            .with_fault_hook(Some(store.hook())),
+    );
     let mut db = Database::new_paged(PagedTable::new(schema(), Arc::clone(&pool)), 0);
     for i in 0..4_000i64 {
         db.insert(&row(i, i as f64)).unwrap(); // host = 2 · target

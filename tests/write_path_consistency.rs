@@ -2,13 +2,13 @@
 //!
 //! * `delete_by_pk` must touch the base table *before* any index: a failing
 //!   heap delete leaves every index, the primary map, and the heap exactly
-//!   as they were (exercised with a fault-injecting `PageStore`).
+//!   as they were (exercised with a fault-injecting pool hook).
 //! * The planner must cost table cardinality from the live `heap.len()` and
 //!   live per-column counts, not the append-only observed stats — after
 //!   heavy deletion the seq-scan fallback stays correctly priced.
 
 use hermit::core::{Database, PlanKind, Query, RangePredicate, SecondaryIndex};
-use hermit::fault::FaultyPageStore;
+use hermit::fault::StoreFaults;
 use hermit::storage::paged::{BufferPool, PagedTable, SimulatedPageStore};
 use hermit::storage::{ColumnDef, F64Key, Schema, StorageError, TidScheme, Value};
 use std::sync::Arc;
@@ -19,10 +19,11 @@ fn schema() -> Schema {
 
 #[test]
 fn failed_heap_delete_leaves_indexes_consistent() {
-    // The shared fault-injection wrapper (poisoned reads are the
+    // The shared fault-injection hook (poisoned reads are the
     // deterministic stand-in for a device error mid-statement).
-    let store = Arc::new(FaultyPageStore::new(Arc::new(SimulatedPageStore::new())));
-    let pool = Arc::new(BufferPool::new(Arc::<FaultyPageStore>::clone(&store), 8));
+    let store = StoreFaults::new();
+    let pool = BufferPool::new(Arc::new(SimulatedPageStore::new()), 8);
+    let pool = Arc::new(pool.with_fault_hook(Some(store.hook())));
     let table = PagedTable::new(schema(), Arc::clone(&pool));
     let mut db = Database::new_paged(table, 0);
     for i in 0..2_000i64 {
