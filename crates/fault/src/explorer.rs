@@ -1,45 +1,39 @@
 //! Crash-schedule explorer: crash at *every* durability I/O site, recover,
-//! and compare query-for-query against a clean oracle.
+//! and compare query-for-query against the reference model.
 //!
-//! The durability suite's hand-picked crash cases ("kill mid-WAL-append")
-//! check a handful of schedules; this module enumerates them. Every
-//! durability-relevant I/O in `hermit_storage` (page write, page fsync,
-//! WAL append/commit/reset, atomic catalog/snapshot writes) passes a
+//! Every durability-relevant I/O in `hermit_storage` (page write, page
+//! fsync, WAL append/commit/reset, atomic catalog/snapshot writes) passes a
 //! [`fault_point`](hermit_storage::fault_point), which consults the fault
-//! hook the database was given in its `DurabilityConfig`; the explorer
+//! hook the database was given in its `DurabilityConfig`. The explorer
 //!
-//! 1. runs a **canonical workload** (inserts, deletes, index builds —
-//!    single-column and composite — checkpoints, committed and aborted multi-statement transactions)
-//!    once with a counting hook to learn the site schedule, and checks that
-//!    each [`Site`] it passes is one source location and that it passes
-//!    every site but the two only a reopen reaches;
+//! 1. runs a **canonical workload** (inserts, deletes, single-column and
+//!    composite index builds, checkpoints, committed and aborted
+//!    transactions) once with a counting hook to learn the site schedule,
+//!    checking that each [`Site`] it passes is one source location and that
+//!    it passes every site but the two only a reopen reaches. Each statement
+//!    runs through a [`Mirror`], and the [`Model`] after each is kept;
 //! 2. re-runs it once per chosen site *i*, snapshotting the durability
 //!    directory the instant site *i* is reached — the `kill -9` image:
 //!    everything `write(2)` produced is on "disk", everything buffered in
 //!    user space is lost;
-//! 3. recovers each snapshot via [`Database::open`] and checks the result
-//!    against a **statement-prefix oracle**.
-//!
-//! The workload runs with `wal_sync_every = 1`, so every DML statement is
-//! WAL-durable the moment it returns. A crash during statement *j* must
-//! therefore recover to exactly `states[j]` (statement in flight lost) or
-//! `states[j + 1]` (statement's WAL record reached the device) — nothing
-//! else is legal. The matched state is then re-checked query-for-query: a
-//! scratch in-memory database holding those rows (no secondary indexes —
-//! it answers by scan) must agree with the recovered database (which
-//! exercises its real Hermit/baseline plans) on every query shape.
+//! 3. recovers each snapshot via [`Database::open`]. With `wal_sync_every
+//!    = 1` every DML statement is durable when it returns, so a crash during
+//!    statement *j* must recover to the model before it or after it —
+//!    nothing else — and then answer every query shape (its real plans,
+//!    scalar and batched) and the forced composite box like that model.
 //!
 //! Snapshots happen *before* the instrumented I/O executes, so page and
-//! WAL writes are atomic in this model. Sub-write tearing is covered
-//! separately: a checkpoint page write torn by the hook's
+//! WAL writes are atomic here. Sub-write tearing is covered separately: a
+//! checkpoint page write torn by the hook's
 //! [`Torn`](hermit_storage::FaultAction::Torn) action by the durability
 //! suite's `torn_checkpoint_page_is_reported_at_open`, a torn log by its
 //! `torn_wal_tail_recovers_to_last_complete_record` and the
 //! fault-injection suite's WAL mangler proptest.
 
+use crate::model::{Mirror, Model};
 use hermit_core::recovery::{DurabilityConfig, CATALOG_FILE};
-use hermit_core::{Database, IndexKey, Query, QueryResult, RangePredicate};
-use hermit_storage::{ColumnDef, FaultAction, FaultHook, Schema, Site, TidScheme, Value};
+use hermit_core::{Database, IndexKey, Query, RangePredicate};
+use hermit_storage::{ColumnDef, FaultAction, FaultHook, Schema, Site, Value};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::Location;
@@ -52,7 +46,7 @@ use std::sync::Arc;
 /// `hermit_storage`'s fault tests reach them.
 const REOPEN_ONLY: [Site; 2] = [Site::WalReopen, Site::PageTrim];
 
-/// One site whose recovery failed the oracle check.
+/// One site whose recovery disagreed with the model.
 #[derive(Debug)]
 pub struct SiteFailure {
     /// Global site index in the canonical schedule.
@@ -73,7 +67,7 @@ pub struct ExplorerReport {
     /// Site indices actually explored (all of them, or a strided sample
     /// when a budget is set).
     pub explored: Vec<usize>,
-    /// Sites whose recovery diverged from the oracle. Empty = pass.
+    /// Sites whose recovery diverged from the model. Empty = pass.
     pub failures: Vec<SiteFailure>,
 }
 
@@ -207,44 +201,14 @@ fn statements() -> Vec<Stmt> {
     s
 }
 
-type RowMap = BTreeMap<i64, Vec<Value>>;
-
 /// The row `[pk, host, target]`.
 fn row(pk: i64, host: f64, target: f64) -> Vec<Value> {
     vec![Value::Int(pk), Value::Float(host), Value::Float(target)]
 }
 
-fn apply_logical(state: &mut RowMap, stmt: &Stmt) {
-    match stmt {
-        Stmt::Insert(pk, host, target) => {
-            state.insert(*pk, row(*pk, *host, *target));
-        }
-        Stmt::Delete(pk) => {
-            state.remove(pk);
-        }
-        // A committed transaction applies all of its ops; an aborted one
-        // applies nothing — atomicity is the oracle.
-        Stmt::Txn { ops, commit: true } => {
-            for op in ops {
-                match op {
-                    TxnOp::Insert(pk, host, target) => {
-                        state.insert(*pk, row(*pk, *host, *target));
-                    }
-                    TxnOp::Delete(pk) => {
-                        state.remove(pk);
-                    }
-                }
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Query shapes the oracle enumerates: Hermit route + point (incl. an
-/// outlier), baseline range, seq scan, multi-conjunct, a `(pk, target)`
-/// box, wide fallback.
-/// Deliberately no `limit`: limited results are order-dependent and two
-/// correct databases may legally pick different subsets.
+/// Query shapes the model checks: Hermit route + point (incl. an outlier),
+/// baseline range, seq scan, multi-conjunct, a `(pk, target)` box, wide
+/// fallback, and a projection under a limit.
 fn queries() -> Vec<Query> {
     vec![
         Query::filter(RangePredicate::range(2, 12.0, 35.0)),
@@ -254,25 +218,8 @@ fn queries() -> Vec<Query> {
         Query::new().range(2, 0.0, 95.0).range(1, 30.0, 190.0),
         Query::new().range(0, 5.0, 305.0).range(2, 12.0, 130.0),
         Query::filter(RangePredicate::range(2, 0.0, 1.0e9)),
+        Query::filter(RangePredicate::range(2, 12.0, 130.0)).select([0, 2]).limit(7),
     ]
-}
-
-/// The box the recovered composite Hermit index is held to, forced
-/// through [`Database::lookup_box`]: `(leading, target)` conjuncts.
-fn composite_box() -> (RangePredicate, RangePredicate) {
-    (RangePredicate::range(0, 0.0, 1.0e6), RangePredicate::range(2, 12.0, 200.0))
-}
-
-fn rows_of(db: &Database, q: &Query) -> Vec<Vec<Value>> {
-    sorted_rows(db, &db.execute(q))
-}
-
-/// A result's rows, by pk.
-fn sorted_rows(db: &Database, result: &QueryResult) -> Vec<Vec<Value>> {
-    let mut rows: Vec<Vec<Value>> =
-        result.rows.iter().map(|&loc| db.heap().get(loc).unwrap()).collect();
-    rows.sort_by_key(|r| r[0].as_i64());
-    rows
 }
 
 /// Snapshot the durable state of a database directory — what `kill -9`
@@ -295,17 +242,16 @@ struct HookState {
     snapped: bool,
 }
 
-/// Run the canonical workload in `dir` on a database given the hook. Returns
-/// `(stmt_starts, drop_start, total)`: the site index each statement began
-/// at, the index where the end-of-run drop-flush began, and the grand
-/// total. Crash passes stop executing statements once the snapshot is
-/// taken (the schedule prefix up to the crash site is identical by
-/// construction, and nothing after it matters).
-fn run_workload(
-    dir: &Path,
-    config: &DurabilityConfig,
-    state: &Arc<Mutex<HookState>>,
-) -> (Vec<usize>, usize, usize) {
+/// The site index each statement began at, the index where the end-of-run
+/// drop-flush began, the grand total, and the model before each statement.
+type Schedule = (Vec<usize>, usize, usize, Vec<Model>);
+
+/// Run the canonical workload in `dir` on a database given the hook, each
+/// statement through a [`Mirror`]. Crash passes stop executing statements
+/// once the snapshot is taken (the schedule prefix up to the crash site is
+/// identical by construction, and nothing after it matters); only the
+/// counting pass's schedule is used.
+fn run_workload(dir: &Path, config: &DurabilityConfig, state: &Arc<Mutex<HookState>>) -> Schedule {
     let (hook_state, source) = (Arc::clone(state), dir.to_path_buf());
     let hook = FaultHook::new(move |call| {
         let mut s = hook_state.lock();
@@ -326,74 +272,61 @@ fn run_workload(
     });
 
     let stmts = statements();
-    let mut starts = Vec::with_capacity(stmts.len());
-    starts.push(state.lock().count);
+    let mut starts = vec![state.lock().count];
     let config = DurabilityConfig { fault_hook: Some(hook), ..config.clone() };
     let mut db = Database::create_durable(schema(), 0, dir, &config).expect("create_durable");
+    let mut model = Model::new(0);
+    let mut states = vec![model.clone(); 2];
     for stmt in &stmts[1..] {
         if state.lock().snapped {
             break;
         }
         starts.push(state.lock().count);
+        let mut mirror = Mirror::new(&db, &mut model);
         match stmt {
             Stmt::Create => unreachable!("Create is statement 0"),
             Stmt::Insert(pk, host, target) => {
-                db.insert(&row(*pk, *host, *target)).expect("insert");
+                mirror.insert(&row(*pk, *host, *target)).expect("insert")
             }
-            Stmt::Delete(pk) => {
-                db.delete_by_pk(*pk).expect("delete");
-            }
-            Stmt::Baseline(None) => {
-                db.create_baseline_index(1, true).expect("baseline index");
-            }
+            Stmt::Delete(pk) => mirror.delete(*pk).expect("delete"),
+            Stmt::Baseline(None) => db.create_baseline_index(1, true).expect("baseline index"),
             Stmt::Baseline(Some(leading)) => {
                 db.create_composite_baseline(*leading, 1).expect("composite baseline index");
             }
-            Stmt::Hermit(None) => {
-                db.create_hermit_index(2, 1).expect("hermit index");
-            }
+            Stmt::Hermit(None) => db.create_hermit_index(2, 1).expect("hermit index"),
             Stmt::Hermit(Some(leading)) => {
                 db.create_composite_hermit(*leading, 2, 1).expect("composite hermit index");
             }
-            Stmt::Commit => {
-                db.wal_commit().expect("wal commit");
-            }
-            Stmt::Checkpoint => {
-                db.checkpoint(dir).expect("checkpoint");
-            }
+            Stmt::Commit => db.wal_commit().expect("wal commit"),
+            Stmt::Checkpoint => db.checkpoint(dir).expect("checkpoint"),
             Stmt::ColdRead(host) => {
                 let found = db.execute(&Query::filter(RangePredicate::point(1, *host)));
                 assert_eq!((found.rows.len(), found.unreadable), (1, 0), "cold read");
             }
             Stmt::Txn { ops, commit } => {
-                let t = db.begin().expect("begin");
+                let t = mirror.begin();
                 for op in ops {
                     match op {
                         TxnOp::Insert(pk, host, target) => {
-                            db.insert_txn(t, &row(*pk, *host, *target)).expect("txn insert");
+                            mirror.insert_txn(t, &row(*pk, *host, *target))
                         }
-                        TxnOp::Delete(pk) => {
-                            db.delete_by_pk_txn(t, *pk).expect("txn delete");
-                        }
+                        TxnOp::Delete(pk) => mirror.delete_txn(t, *pk),
                     }
+                    .expect("txn statement");
                 }
                 if *commit {
-                    db.commit(t).expect("txn commit");
+                    mirror.commit(t)
                 } else {
-                    db.rollback(t).expect("txn rollback");
+                    mirror.rollback(t)
                 }
             }
         }
-    }
-    // Pad the boundaries a crash pass never reached, so the vector stays
-    // aligned (only the counting pass consumes them, and it never snaps).
-    while starts.len() < stmts.len() {
-        starts.push(state.lock().count);
+        states.push(model.clone());
     }
     let drop_start = state.lock().count;
     drop(db); // drop-flush I/O is part of the schedule
     let total = state.lock().count;
-    (starts, drop_start, total)
+    (starts, drop_start, total, states)
 }
 
 /// Recover `snapshot` and verify it against the statement-prefix window
@@ -401,7 +334,7 @@ fn run_workload(
 fn verify_snapshot(
     snapshot: &Path,
     config: &DurabilityConfig,
-    states: &[RowMap],
+    states: &[Model],
     lo: usize,
     hi: usize,
 ) -> Result<(), String> {
@@ -417,64 +350,32 @@ fn verify_snapshot(
         }
     };
 
-    // Which legal statement prefix did recovery land on?
-    let mut got: RowMap = BTreeMap::new();
-    for row in rows_of(&recovered, &Query::filter(RangePredicate::range(0, -1.0e15, 1.0e15))) {
-        let pk = row[0].as_i64().ok_or("recovered row with non-int pk")?;
-        if got.insert(pk, row).is_some() {
-            return Err(format!("recovered two live rows for pk {pk}"));
-        }
-    }
-    if recovered.len() != got.len() {
-        return Err(format!(
-            "len() = {} but the full scan returned {} rows",
-            recovered.len(),
-            got.len()
-        ));
-    }
-    let Some(k) = (lo..=hi).find(|&k| states[k] == got) else {
+    // Which legal statement prefix did recovery land on? The one whose
+    // model the full scan (and the row count) agrees with.
+    let everything = [Query::filter(RangePredicate::range(0, -1.0e15, 1.0e15))];
+    let Some(k) = (lo..=hi).find(|&k| states[k].verify(&recovered, &everything, None).is_ok())
+    else {
         return Err(format!(
             "recovered {} rows matching no statement prefix in [{lo}, {hi}] \
              (prefix sizes {:?})",
-            got.len(),
-            (lo..=hi).map(|k| states[k].len()).collect::<Vec<_>>(),
+            recovered.len(),
+            (lo..=hi).map(|k| states[k].rows().len()).collect::<Vec<_>>(),
         ));
     };
 
-    // Query-for-query oracle: a clean in-memory database holding the same
-    // rows (scan-only — no secondary indexes) must agree with the
-    // recovered database's real plans on every shape.
-    let oracle = Database::new(schema(), 0, TidScheme::Physical);
-    for row in states[k].values() {
-        oracle.insert(row).map_err(|e| format!("oracle insert: {e}"))?;
-    }
-    for q in queries() {
-        let want = rows_of(&oracle, &q);
-        let got = rows_of(&recovered, &q);
-        if want != got {
-            return Err(format!(
-                "query {q:?} diverged at prefix {k}: oracle {} rows, recovered {} rows",
-                want.len(),
-                got.len()
-            ));
-        }
-    }
-    // Once a checkpoint has catalogued the composite Hermit index, its
-    // forced box route answers like the scan.
+    // Every shape through the recovered database's real plans, and — once a
+    // checkpoint has catalogued the composite Hermit index — its forced box
+    // route on `(pk, target)`.
     let key = IndexKey::composite(0, 2);
-    if recovered.index_at(key).is_some() {
-        let (leading, value) = composite_box();
-        let want = rows_of(&oracle, &Query::filter(leading).and(value));
-        let got = sorted_rows(&recovered, &recovered.lookup_box(key, leading, value));
-        if want != got {
-            return Err(format!(
-                "composite box diverged at prefix {k}: oracle {} rows, recovered {} rows",
-                want.len(),
-                got.len()
-            ));
-        }
-    }
-    Ok(())
+    let (leading, value) =
+        (RangePredicate::range(0, 0.0, 1.0e6), RangePredicate::range(2, 12.0, 200.0));
+    states[k]
+        .verify(&recovered, &queries(), None)
+        .and_then(|()| match recovered.index_at(key) {
+            Some(_) => states[k].verify_box(&recovered, key, leading, value),
+            None => Ok(()),
+        })
+        .map_err(|e| format!("prefix {k}: {e}"))
 }
 
 /// Run the crash-schedule explorer under `root` (created fresh, removed on
@@ -490,7 +391,7 @@ pub fn explore(root: &Path, budget: Option<usize>) -> ExplorerReport {
     // Pass 1: count the sites and learn each statement's site window.
     let work = root.join("count");
     let state = Arc::new(Mutex::new(HookState::default()));
-    let (starts, drop_start, total) = run_workload(&work, &config, &state);
+    let (starts, drop_start, total, states) = run_workload(&work, &config, &state);
     let names = std::mem::take(&mut state.lock().names);
     let mut site_names: BTreeMap<Site, usize> = BTreeMap::new();
     for &n in &names {
@@ -508,15 +409,7 @@ pub fn explore(root: &Path, budget: Option<usize>) -> ExplorerReport {
         .collect();
     assert!(unreached.is_empty(), "the canonical workload never reached {unreached:?}");
 
-    // Logical statement-prefix states.
-    let stmts = statements();
-    let mut states: Vec<RowMap> = vec![BTreeMap::new()];
-    for stmt in &stmts {
-        let mut next = states.last().unwrap().clone();
-        apply_logical(&mut next, stmt);
-        states.push(next);
-    }
-    let last = stmts.len();
+    let last = statements().len();
     // A crash at site i during statement j (or the final drop-flush) may
     // recover the pre- or post-statement prefix, nothing else.
     let window = |site: usize| -> (usize, usize) {

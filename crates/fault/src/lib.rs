@@ -1,14 +1,23 @@
 //! # hermit_fault
 //!
-//! Deterministic fault injection and crash-schedule exploration for the
-//! Hermit durability and serving stack.
+//! Deterministic fault injection, crash-schedule exploration and the
+//! reference model for the Hermit durability and serving stack.
 //!
 //! The durability contract (checkpoint + WAL, `hermit_core::recovery`)
 //! and the TCP front end both promise graceful behavior under failure:
-//! recover to an oracle-equal state, or fail with a typed error — never
+//! recover to a state the model allows, or fail with a typed error — never
 //! corrupt, never panic, never hang. This crate supplies the machinery to
-//! *enumerate* failures instead of hand-picking them:
+//! *enumerate* failures instead of hand-picking them, and the one answer
+//! every suite checks against:
 //!
+//! * [`model`] — the reference model: a pk-keyed table with auto-commit
+//!   DML and first-writer-wins transactions that answers any
+//!   [`Query`](hermit_core::Query) by filtering its rows. [`Mirror`] runs
+//!   each statement on a database and on the model and holds their
+//!   outcomes to each other; [`Model::verify`] holds a database's answers
+//!   (scalar, batched, as a transaction) to it, [`Model::verify_box`] a
+//!   forced composite box. The crash explorer and the durability,
+//!   transaction, serving and query-plan suites all check against it.
 //! * [`StoreFaults`] — a fault hook, for the pool or durable database in
 //!   front of a page store, with injectable EIO, dropped and torn writes,
 //!   failing/lying fsync, poisoned reads, and page-granular drops, driven by
@@ -19,7 +28,7 @@
 //! * [`explorer`] — the crash-schedule explorer: crash the canonical
 //!   workload at every durability I/O site (via the database's
 //!   [`FaultHook`](hermit_storage::FaultHook)), recover each snapshot, and
-//!   compare query-for-query against a statement-prefix oracle.
+//!   compare query-for-query against the model of a statement prefix.
 //!
 //! The crash-schedule matrix is [`Site::ALL`](hermit_storage::Site::ALL).
 //! It lives in `hermit_storage`, beside the fault points, because this
@@ -32,10 +41,12 @@
 
 pub mod explorer;
 pub mod mangle;
+pub mod model;
 pub mod plan;
 pub mod store;
 
 pub use explorer::{explore, ExplorerReport, SiteFailure};
 pub use mangle::{mangle_bytes, mangle_file};
+pub use model::{Mirror, Model, Refusal};
 pub use plan::{FaultKind, FaultOp, FaultPlan, FaultRates, PlannedFault};
 pub use store::StoreFaults;

@@ -874,10 +874,10 @@ mod tests {
     use crate::fault::FaultAction;
     use std::sync::OnceLock;
 
+    /// A per-process path in the temporary directory; each test removes
+    /// the files it makes.
     fn tmp(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("hermit-wal-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+        std::env::temp_dir().join(format!("hermit-wal-{}-{name}", std::process::id()))
     }
 
     fn sample_records() -> Vec<WalRecord> {
@@ -933,6 +933,7 @@ mod tests {
             );
             assert!(replay.valid_len <= end - cut);
             assert_eq!(replay.torn_tail, replay.valid_len < end - cut, "cut {cut}");
+            std::fs::remove_file(&torn_path).ok();
         }
         std::fs::remove_file(&path).ok();
     }

@@ -12,12 +12,9 @@
 //! Format (little-endian throughout):
 //!
 //! ```text
-//! magic "TRST" | version u32 | params (56 bytes) | layout u8 | root u32 |
-//! node_count u32 | nodes... | queue_len u32 | queue...      (v2)
+//! magic "TRST" | version u32 (2) | params (56 bytes) | layout u8 (1) |
+//! root u32 | node_count u32 | nodes... | queue_len u32 | queue...
 //! params := TrsParams::to_bytes
-//! layout := 1 (a sorted buffer) is written; 0 (a hash buffer, which
-//!           older builds could write) is read as well: the entries do
-//!           not depend on it
 //! node := range(lb f64, ub f64) | tag u8 |
 //!         tag 0 (internal): child_count u32, children u32...
 //!         tag 1 (leaf):     beta f64, alpha f64, eps f64, covered u64,
@@ -26,10 +23,11 @@
 //! queue entry := node u32 | kind u8 (0 = split, 1 = merge)
 //! ```
 //!
-//! Version 2 adds the pending reorganization queue, so split/merge
-//! candidates detected before a checkpoint survive recovery. Version-1
-//! snapshots are still read; their queue is re-derived from the restored
-//! per-leaf outlier/delete counters against the trigger ratios.
+//! The pending reorganization queue is saved, so split/merge candidates
+//! detected before a checkpoint survive recovery. Only what this build
+//! writes is read: any other version or layout byte is refused. A snapshot
+//! is a cache of the heap, and recovery rebuilds an index whose snapshot
+//! it cannot restore.
 
 use crate::maintain::{ReorgCandidate, ReorgKind};
 use crate::node::{LeafData, Node, NodeKind, TrsTree, ValueRange};
@@ -42,10 +40,9 @@ use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 4] = b"TRST";
 const VERSION: u32 = 2;
-/// The outlier-buffer layout byte every snapshot is written with.
+/// The outlier-buffer layout byte every snapshot is written with (a sorted
+/// buffer).
 const SORTED_LAYOUT: u8 = 1;
-/// The byte older builds wrote for a hash-table buffer; accepted on read.
-const HASH_LAYOUT: u8 = 0;
 
 /// Errors produced by snapshot encode/decode.
 #[derive(Debug)]
@@ -165,8 +162,8 @@ impl TrsTree {
                 }
             }
         }
-        // v2: the pending reorganization queue (compact() above remapped
-        // its node ids into the compacted arena).
+        // The pending reorganization queue (compact() above remapped its
+        // node ids into the compacted arena).
         w.u32(self.reorg_queue.len() as u32)?;
         for cand in &self.reorg_queue {
             w.u32(cand.node)?;
@@ -196,14 +193,14 @@ impl TrsTree {
             return Err(PersistError::BadMagic);
         }
         let version = r.u32()?;
-        if !(1..=VERSION).contains(&version) {
+        if version != VERSION {
             return Err(PersistError::UnsupportedVersion(version));
         }
         let mut params = [0u8; TrsParams::ENCODED_LEN];
         r.inp.read_exact(&mut params)?;
         let params =
             TrsParams::from_bytes(&params).ok_or(PersistError::Corrupt("invalid params"))?;
-        if !matches!(r.u8()?, SORTED_LAYOUT | HASH_LAYOUT) {
+        if r.u8()? != SORTED_LAYOUT {
             return Err(PersistError::Corrupt("bad buffer kind"));
         }
         let root = r.u32()?;
@@ -259,61 +256,26 @@ impl TrsTree {
             };
             arena.push(Node { range, kind });
         }
-        let reorg_queue = match version {
-            // v1 snapshots predate queue persistence: re-derive candidates
-            // from the restored per-leaf counters.
-            1 => VecDeque::new(),
-            _ => {
-                let n = r.u32()? as usize;
-                if n > count.saturating_mul(2) {
-                    return Err(PersistError::Corrupt("oversized reorg queue"));
-                }
-                let mut queue = VecDeque::with_capacity(n);
-                for _ in 0..n {
-                    let node = r.u32()?;
-                    if node as usize >= count {
-                        return Err(PersistError::Corrupt("reorg candidate out of range"));
-                    }
-                    let kind = match r.u8()? {
-                        0 => ReorgKind::Split,
-                        1 => ReorgKind::Merge,
-                        _ => return Err(PersistError::Corrupt("bad reorg kind")),
-                    };
-                    queue.push_back(ReorgCandidate { node, kind });
-                }
-                queue
+        let n = r.u32()? as usize;
+        if n > count.saturating_mul(2) {
+            return Err(PersistError::Corrupt("oversized reorg queue"));
+        }
+        let mut reorg_queue = VecDeque::with_capacity(n);
+        for _ in 0..n {
+            let node = r.u32()?;
+            if node as usize >= count {
+                return Err(PersistError::Corrupt("reorg candidate out of range"));
             }
-        };
-        let mut tree = TrsTree { arena, root, params, reorg_queue };
+            let kind = match r.u8()? {
+                0 => ReorgKind::Split,
+                1 => ReorgKind::Merge,
+                _ => return Err(PersistError::Corrupt("bad reorg kind")),
+            };
+            reorg_queue.push_back(ReorgCandidate { node, kind });
+        }
+        let tree = TrsTree { arena, root, params, reorg_queue };
         tree.check_invariants().map_err(|_| PersistError::Corrupt("invariant violation"))?;
-        if version == 1 {
-            tree.rederive_reorg_queue();
-        }
         Ok(tree)
-    }
-
-    /// Rebuild the reorganization queue from per-leaf outlier/delete
-    /// counters, using the same trigger ratios Algorithm 3 applies online.
-    /// Used when restoring v1 snapshots, which did not persist the queue.
-    fn rederive_reorg_queue(&mut self) {
-        let params = self.params;
-        let mut candidates = Vec::new();
-        for (id, node) in self.arena.iter().enumerate() {
-            let NodeKind::Leaf(leaf) = &node.kind else { continue };
-            if leaf.wants_split(&params) {
-                candidates.push(ReorgCandidate { node: id as u32, kind: ReorgKind::Split });
-            }
-            if leaf.wants_merge(&params) {
-                if let Some(parent) = self.parent_of(id as u32) {
-                    candidates.push(ReorgCandidate { node: parent, kind: ReorgKind::Merge });
-                }
-            }
-        }
-        for cand in candidates {
-            if !self.reorg_queue.contains(&cand) {
-                self.reorg_queue.push_back(cand);
-            }
-        }
     }
 
     /// Restore from a checkpoint file.
@@ -385,33 +347,6 @@ mod tests {
         assert_eq!(*restored.params(), params);
     }
 
-    /// Offset of the layout byte: magic, version, then the params.
-    const LAYOUT_AT: usize = 8 + TrsParams::ENCODED_LEN;
-
-    /// A snapshot an older build wrote for a hash-table buffer carries
-    /// layout byte 0 and the same entries: it restores to the same lookups.
-    /// Any other byte is still refused.
-    #[test]
-    fn a_hash_layout_snapshot_restores_and_an_unknown_layout_is_refused() {
-        let mut tree = sample_tree(30_000);
-        let mut bytes = tree.snapshot_bytes().unwrap();
-        assert_eq!(bytes[LAYOUT_AT], SORTED_LAYOUT);
-        bytes[LAYOUT_AT] = HASH_LAYOUT;
-        let restored = TrsTree::restore_from(bytes.as_slice()).unwrap();
-        assert_stats_match(&tree, &restored);
-        assert!(tree.stats().outliers > 0, "the sample buffers its spikes");
-        for i in 0..100 {
-            let m = -10.0 + i as f64 * 0.2;
-            let (a, b) = (tree.lookup(m, m + 0.3), restored.lookup(m, m + 0.3));
-            assert_eq!((a.ranges, a.tids), (b.ranges, b.tids), "lookup diverged at m={m}");
-        }
-        bytes[LAYOUT_AT] = 2;
-        assert!(matches!(
-            TrsTree::restore_from(bytes.as_slice()),
-            Err(PersistError::Corrupt("bad buffer kind"))
-        ));
-    }
-
     #[test]
     fn restored_tree_supports_maintenance() {
         let mut tree = sample_tree(10_000);
@@ -430,12 +365,26 @@ mod tests {
         ));
         let mut tree = sample_tree(1_000);
         let mut bytes = tree.snapshot_bytes().unwrap();
-        // Bad version.
+        // Bad version, including the retired version 1.
         bytes[4] = 0xFF;
         assert!(matches!(
             TrsTree::restore_from(bytes.as_slice()),
             Err(PersistError::UnsupportedVersion(_))
         ));
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        assert!(matches!(
+            TrsTree::restore_from(bytes.as_slice()),
+            Err(PersistError::UnsupportedVersion(1))
+        ));
+        // A layout byte other than the sorted buffer's (0 was a hash one).
+        let mut bytes = tree.snapshot_bytes().unwrap();
+        for layout in [0, 2] {
+            bytes[8 + TrsParams::ENCODED_LEN] = layout;
+            assert!(matches!(
+                TrsTree::restore_from(bytes.as_slice()),
+                Err(PersistError::Corrupt("bad buffer kind"))
+            ));
+        }
         // Truncation.
         let bytes = tree.snapshot_bytes().unwrap();
         assert!(TrsTree::restore_from(&bytes[..bytes.len() / 2]).is_err());
@@ -503,22 +452,6 @@ mod tests {
         while let Some(cand) = tree.next_reorg_candidate() {
             assert!((cand.node as usize) < tree.arena.len(), "candidate id out of arena");
         }
-    }
-
-    #[test]
-    fn v1_snapshot_rederives_queue_from_counters() {
-        let mut tree = tree_with_queued_split();
-        let bytes = tree.snapshot_bytes().unwrap();
-        // Rewrite as a v1 snapshot: patch the version field and drop the
-        // trailing queue section (4-byte length + 5 bytes per entry).
-        let tail = 4 + 5 * tree.reorg_queue_len();
-        let mut v1 = bytes[..bytes.len() - tail].to_vec();
-        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
-        let restored = TrsTree::restore_from(v1.as_slice()).unwrap();
-        assert!(
-            restored.reorg_queue_len() > 0,
-            "v1 restore must re-derive candidates from leaf counters"
-        );
     }
 
     #[test]

@@ -1,16 +1,16 @@
 //! Crash-schedule explorer acceptance test.
 //!
-//! Runs the canonical DML+checkpoint workload, crashing (`kill -9` model:
+//! Runs the canonical DML+checkpoint workload, crashing (`kill -9`:
 //! directory snapshot at the instant of an instrumented I/O site) at every
 //! chosen site, recovering via `Database::open`, and comparing
-//! query-for-query against a statement-prefix oracle. See
-//! `hermit_fault::explorer` for the model.
+//! query-for-query against the reference model of a statement prefix
+//! (`hermit_fault::model`). See `hermit_fault::explorer`.
 //!
-//! Site budget: `HERMIT_CRASH_SITES=all` explores the full matrix (a few
-//! hundred sites, seconds in release); `HERMIT_CRASH_SITES=<n>` explores
-//! an evenly-strided sample of `n`. Unset defaults to 64 so the tier-1
-//! debug run stays fast while still landing inside the transactional tail
-//! of the workload; CI's `chaos-smoke` job raises it in release.
+//! Site budget: `HERMIT_CRASH_SITES=all` explores the full matrix (479
+//! sites, seconds in release); `HERMIT_CRASH_SITES=<n>` explores an
+//! evenly-strided sample of `n`. Unset defaults to 64 so the tier-1 debug
+//! run stays fast while still landing inside the transactional tail of the
+//! workload; CI's `chaos-smoke` job runs every site in release.
 
 use hermit_fault::explore;
 use hermit_storage::Site;
@@ -62,6 +62,6 @@ fn every_explored_crash_site_recovers_to_a_statement_prefix() {
         for f in &report.failures {
             eprintln!("site {} ({}): {}", f.site, f.name, f.detail);
         }
-        panic!("{} crash sites failed the recovery oracle", report.failures.len());
+        panic!("{} crash sites failed the recovery check", report.failures.len());
     }
 }

@@ -4,8 +4,8 @@
 //!
 //! * **Checkpoint-only**: a checkpointed database, dropped and reopened,
 //!   answers every query-API shape (Hermit route, baseline range, seq
-//!   scan, multi-conjunct, projection/limit; scalar and batched) exactly
-//!   like the pre-crash database did.
+//!   scan, multi-conjunct, projection/limit; scalar and batched) like the
+//!   reference model (`hermit_fault::model`) of the statements it ran.
 //! * **Checkpoint + WAL replay**: DML after the last checkpoint survives a
 //!   crash as long as it was WAL-committed.
 //! * **Torn WAL tail**: a crash mid-append recovers to the last complete
@@ -18,8 +18,9 @@
 //!   part-way through the page.
 //! * **Typed rejection**: the in-memory substrate cannot checkpoint.
 //! * **Composites and old catalogs**: composite indexes come back from a
-//!   crash (their Hermit snapshot, or a rebuild without it), and a
-//!   version-1 catalog still opens.
+//!   crash (their Hermit snapshot, or a rebuild without it), a version-1
+//!   catalog still opens, and a snapshot in a format no build writes is
+//!   rebuilt from the heap.
 //! * **Force at commit**: the log is fsynced once per auto-commit statement
 //!   batch and once per transaction commit, and nowhere else — counted
 //!   exactly.
@@ -35,8 +36,10 @@
 
 use hermit::core::recovery::{DurabilityConfig, CATALOG_FILE, PAGES_FILE, WAL_FILE};
 use hermit::core::shared::SharedDatabase;
-use hermit::core::{BatchOptions, CoreError, Database, IndexKey, PlanKind, Query, RangePredicate};
-use hermit::fault::{FaultKind, FaultOp, FaultPlan, PlannedFault, StoreFaults};
+use hermit::core::{
+    CoreError, Database, IndexKey, PlanKind, Query, RangePredicate, SecondaryIndex,
+};
+use hermit::fault::{FaultKind, FaultOp, FaultPlan, Mirror, Model, PlannedFault, StoreFaults};
 use hermit::storage::paged::{BufferPool, FilePageStore, PageId, PagedTable, PAGE_SIZE};
 use hermit::storage::recovery::crc32;
 use hermit::storage::wal::{read_wal, WalTail};
@@ -44,7 +47,7 @@ use hermit::storage::{
     Catalog, ColumnDef, ColumnType, FaultAction, FaultHook, Gate, RowLoc, Schema, Site, TidScheme,
     Value,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -90,51 +93,32 @@ fn queries() -> Vec<Query> {
     ]
 }
 
-/// Materialize a query result as full rows keyed by pk (row locations are
-/// an implementation detail; contents are the contract).
-fn rows_of(db: &Database, result: &hermit::core::QueryResult) -> Vec<Vec<Value>> {
-    let mut rows: Vec<Vec<Value>> =
-        result.rows.iter().map(|&loc| db.heap().get(loc).unwrap()).collect();
-    rows.sort_by_key(|r| r[0].as_i64());
-    rows
+/// [`queries`] plus `extra`.
+fn queries_and(extra: impl IntoIterator<Item = Query>) -> Vec<Query> {
+    queries().into_iter().chain(extra).collect()
 }
 
-fn snapshot_results(db: &Database) -> Vec<Vec<Vec<Value>>> {
-    queries().iter().map(|q| rows_of(db, &db.execute(q))).collect()
-}
-
-/// Assert `db` answers every query shape — one at a time and as one batch —
-/// exactly as `expected` (captured pre-crash).
-fn assert_matches_oracle(db: &Database, expected: &[Vec<Vec<Value>>], ctx: &str) {
-    let qs = queries();
-    for (q, want) in qs.iter().zip(expected) {
-        let got = rows_of(db, &db.execute(q));
-        assert_eq!(&got, want, "{ctx}: scalar result diverged for {q:?}");
-    }
-    let batched = db.execute_batch(&qs, &BatchOptions::default());
-    for ((q, want), r) in qs.iter().zip(expected).zip(&batched) {
-        let got = rows_of(db, r);
-        assert_eq!(&got, want, "{ctx}: batched result diverged for {q:?}");
-    }
-}
-
-/// 4000 rows, host baseline + target Hermit, a few deletes and outliers.
-fn build(dir: &Path, config: &DurabilityConfig) -> Database {
+/// 4000 rows, host baseline + target Hermit, a few deletes and outliers;
+/// and the model of them.
+fn build(dir: &Path, config: &DurabilityConfig) -> (Database, Model) {
     let mut db = Database::create_durable(schema(), 0, dir, config).unwrap();
+    let mut model = Model::new(0);
+    let mut m = Mirror::new(&db, &mut model);
     for i in 0..4_000i64 {
-        db.insert(&row(i, i as f64)).unwrap();
+        m.insert(&row(i, i as f64)).unwrap();
     }
     db.create_baseline_index(1, true).unwrap();
     db.create_hermit_index(2, 1).unwrap();
+    let mut m = Mirror::new(&db, &mut model);
     for pk in (0..4_000i64).step_by(17) {
-        db.delete_by_pk(pk).unwrap();
+        m.delete(pk).unwrap();
     }
     // Off-model outliers land in the TRS outlier buffers.
     for i in 0..50i64 {
-        db.insert(&[Value::Int(100_000 + i), Value::Float(9.0e8), Value::Float(150.0 + i as f64)])
+        m.insert(&[Value::Int(100_000 + i), Value::Float(9.0e8), Value::Float(150.0 + i as f64)])
             .unwrap();
     }
-    db
+    (db, model)
 }
 
 #[test]
@@ -178,27 +162,24 @@ fn a_refused_row_is_neither_applied_nor_logged_and_the_database_reopens() {
     let db = Database::create_durable(schema(), 0, &dir, &config).unwrap();
     db.insert(&row(1, 1.0)).unwrap();
     let records = db.wal_tail().unwrap().records();
-    refuse_then_insert(&db);
+    let model = refuse_then_insert(&db);
     // Begin, two inserts, commit: nothing for the refused rows.
     assert_eq!(db.wal_tail().unwrap().records(), records + 4);
-    let expected = all_rows(&db);
-    assert_eq!(expected.keys().copied().collect::<Vec<_>>(), [1, 2, 3]);
     drop(db);
-    let back = Database::open(&dir, &config).unwrap();
-    assert_eq!(all_rows(&back), expected);
+    model.check(&Database::open(&dir, &config).unwrap(), &queries());
     std::fs::remove_dir_all(&dir).ok();
 
     // A database without a log refuses the same rows before locking them.
     let mem = Database::new(schema(), 0, TidScheme::Logical);
     mem.insert(&row(1, 1.0)).unwrap();
     refuse_then_insert(&mem);
-    assert_eq!(all_rows(&mem).keys().copied().collect::<Vec<_>>(), [1, 2, 3]);
 }
 
 /// Offer rows the schema refuses — a NULL in a non-nullable column, a row
-/// one cell short — on the auto-commit and the transactional path, then
-/// insert and commit keys 2 and 3 in the same transaction.
-fn refuse_then_insert(db: &Database) {
+/// one cell short — to a database holding key 1, on the auto-commit and the
+/// transactional path, then insert and commit keys 2 and 3 in the same
+/// transaction. Returns the model of keys 1 to 3, which `db` must match.
+fn refuse_then_insert(db: &Database) -> Model {
     let refused = [
         vec![Value::Int(2), Value::Null, Value::Float(2.0)],
         vec![Value::Int(3), Value::Float(6.0)],
@@ -206,43 +187,44 @@ fn refuse_then_insert(db: &Database) {
     for bad in &refused {
         assert!(db.insert(bad).is_err(), "{bad:?}");
     }
-    let txn = db.begin().unwrap();
+    let mut model = Model::new(0);
+    model.insert(&row(1, 1.0)).unwrap();
+    let mut m = Mirror::new(db, &mut model);
+    let txn = m.begin();
     for bad in &refused {
         assert!(db.insert_txn(txn, bad).is_err(), "{bad:?}");
     }
     // The refused rows' keys were never locked.
-    db.insert_txn(txn, &row(2, 2.0)).unwrap();
-    db.insert_txn(txn, &row(3, 3.0)).unwrap();
-    db.commit(txn).unwrap();
+    m.insert_txn(txn, &row(2, 2.0)).unwrap();
+    m.insert_txn(txn, &row(3, 3.0)).unwrap();
+    m.commit(txn);
+    model.check(db, &queries());
+    model
 }
 
 #[test]
 fn checkpoint_only_restart_matches_oracle() {
     let dir = fresh_dir("ckpt");
     let config = DurabilityConfig::default();
-    let db = build(&dir, &config);
+    let (db, mut model) = build(&dir, &config);
     db.checkpoint(&dir).unwrap();
-    let expected = snapshot_results(&db);
-    let len = db.len();
 
     // All plan kinds reachable on the paged substrate must actually be
-    // exercised by the oracle set, or "identical results" proves little.
+    // exercised by the query set, or "identical results" proves little.
     let kinds: BTreeSet<&'static str> =
         queries().iter().map(|q| db.plan(q).kind().label()).collect();
     for kind in [PlanKind::Hermit, PlanKind::Baseline, PlanKind::Scan] {
-        assert!(kinds.contains(kind.label()), "oracle set misses plan kind {kind:?}: {kinds:?}");
+        assert!(kinds.contains(kind.label()), "query set misses plan kind {kind:?}: {kinds:?}");
     }
 
     drop(db); // process "restart": everything in memory is gone
     let back = Database::open(&dir, &config).unwrap();
-    assert_eq!(back.len(), len);
-    assert_matches_oracle(&back, &expected, "checkpoint-only");
+    model.check(&back, &queries());
 
     // The recovered database keeps serving writes (and stays recoverable).
-    back.insert(&row(500_000, 77.5)).unwrap();
+    Mirror::new(&back, &mut model).insert(&row(500_000, 77.5)).unwrap();
     back.wal_commit().unwrap();
-    let r = back.execute(&Query::filter(RangePredicate::point(2, 77.5)));
-    assert_eq!(r.rows.len(), 1);
+    model.check(&back, &queries_and([Query::filter(RangePredicate::point(2, 77.5))]));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -250,30 +232,26 @@ fn checkpoint_only_restart_matches_oracle() {
 fn wal_replay_recovers_post_checkpoint_dml() {
     let dir = fresh_dir("wal");
     let config = DurabilityConfig::default();
-    let db = build(&dir, &config);
+    let (db, mut model) = build(&dir, &config);
     db.checkpoint(&dir).unwrap();
 
     // Post-checkpoint churn: inserts (some off-model), deletes of both old
     // and new rows. Only the WAL can carry these across the "crash".
+    let mut m = Mirror::new(&db, &mut model);
     for i in 0..600i64 {
-        db.insert(&row(200_000 + i, 4_100.0 + i as f64)).unwrap();
+        m.insert(&row(200_000 + i, 4_100.0 + i as f64)).unwrap();
     }
-    db.insert(&[Value::Int(300_000), Value::Float(-5.0e8), Value::Float(123.25)]).unwrap();
+    m.insert(&[Value::Int(300_000), Value::Float(-5.0e8), Value::Float(123.25)]).unwrap();
     for pk in (200_000..200_600i64).step_by(7) {
-        db.delete_by_pk(pk).unwrap();
+        m.delete(pk).unwrap();
     }
-    db.delete_by_pk(1_001).unwrap();
+    m.delete(1_001).unwrap();
     db.wal_commit().unwrap();
-    let expected = snapshot_results(&db);
-    let len = db.len();
 
     drop(db);
-    let back = Database::open(&dir, &config).unwrap();
-    assert_eq!(back.len(), len, "WAL replay must restore the exact live row count");
-    assert_matches_oracle(&back, &expected, "checkpoint+wal");
     // The off-model insert must be reachable through the Hermit route.
-    let r = back.execute(&Query::filter(RangePredicate::point(2, 123.25)));
-    assert_eq!(r.rows.len(), 1, "outlier inserted after the checkpoint lost in recovery");
+    let outlier = Query::filter(RangePredicate::point(2, 123.25));
+    model.check(&Database::open(&dir, &config).unwrap(), &queries_and([outlier]));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -283,48 +261,40 @@ fn torn_wal_tail_recovers_to_last_complete_record() {
     // Commit batch of 1: every append is fsynced, so every frame boundary
     // is a valid crash point.
     let config = DurabilityConfig { wal_sync_every: 1, ..Default::default() };
-    let db = build(&dir, &config);
+    let (db, mut model) = build(&dir, &config);
     db.checkpoint(&dir).unwrap();
     // The log's logical end after each insert (the file itself is reserved
     // ahead of it).
     let mut wal_len_after = Vec::new();
     for i in 0..10i64 {
-        db.insert(&row(400_000 + i, 5_000.0 + i as f64)).unwrap();
+        Mirror::new(&db, &mut model).insert(&row(400_000 + i, 5_000.0 + i as f64)).unwrap();
         wal_len_after.push(read_wal(&dir.join(WAL_FILE)).unwrap().valid_len);
     }
-    let base_len = db.len();
     // `kill -9` now: capture the durable state before drop can flush the
     // dirty heap pages, then tear the copy's WAL mid-append of record #10
     // (keep 9 complete frames plus a few bytes of the tenth).
     let crash = fresh_dir("torn-crash");
     copy_dir(&dir, &crash);
     drop(db);
+    std::fs::remove_dir_all(&dir).ok();
     let dir = crash;
     let bytes = std::fs::read(dir.join(WAL_FILE)).unwrap();
     std::fs::write(dir.join(WAL_FILE), &bytes[..wal_len_after[8] as usize + 5]).unwrap();
 
-    // Recovery must land on exactly the 9 committed records, without error.
+    // Recovery must land on exactly the 9 committed records, without error;
+    // the torn one must not resurface.
+    model.delete(400_009).unwrap();
+    let points: Vec<Query> =
+        (0..10).map(|i| Query::filter(RangePredicate::point(2, 5_000.0 + i as f64))).collect();
     let back = Database::open(&dir, &config).unwrap();
-    assert_eq!(back.len(), base_len - 1, "exactly the torn record must be missing");
-    for i in 0..9i64 {
-        let r = back.execute(&Query::filter(RangePredicate::point(2, 5_000.0 + i as f64)));
-        assert_eq!(r.rows.len(), 1, "committed record {i} lost");
-    }
-    let r = back.execute(&Query::filter(RangePredicate::point(2, 5_009.0)));
-    assert!(r.rows.is_empty(), "torn record must not resurface");
+    model.check(&back, &queries_and(points.clone()));
 
-    // Appends continue cleanly after the truncated tear.
-    back.insert(&row(400_009, 5_009.0)).unwrap();
+    // Appends continue cleanly after the truncated tear, and survive the
+    // next restart.
+    Mirror::new(&back, &mut model).insert(&row(400_009, 5_009.0)).unwrap();
     back.wal_commit().unwrap();
-    let len = back.len();
     drop(back);
-    let again = Database::open(&dir, &config).unwrap();
-    assert_eq!(again.len(), len);
-    assert_eq!(
-        again.execute(&Query::filter(RangePredicate::point(2, 5_009.0))).rows.len(),
-        1,
-        "append after tear must survive the next restart"
-    );
+    model.check(&Database::open(&dir, &config).unwrap(), &queries_and(points));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -341,19 +311,18 @@ fn faulty(config: &DurabilityConfig, faults: &Arc<StoreFaults>) -> DurabilityCon
 fn dying_device_fails_checkpoint_and_recovery_lands_on_previous_state() {
     let dir = fresh_dir("dying");
     let config = DurabilityConfig::default();
-    let db = build(&dir, &config);
+    let (db, mut model) = build(&dir, &config);
     db.checkpoint(&dir).unwrap();
     drop(db);
 
     // Reopen over a device that will start failing after N more ops.
     let store = StoreFaults::new();
     let db = Database::open(&dir, &faulty(&config, &store)).unwrap();
+    let mut m = Mirror::new(&db, &mut model);
     for i in 0..200i64 {
-        db.insert(&row(600_000 + i, 7_000.0 + i as f64)).unwrap();
+        m.insert(&row(600_000 + i, 7_000.0 + i as f64)).unwrap();
     }
     db.wal_commit().unwrap();
-    let expected = snapshot_results(&db);
-    let len = db.len();
 
     // Device dies; the checkpoint must fail cleanly, leaving the previous
     // catalog + committed WAL as the durable truth.
@@ -361,9 +330,8 @@ fn dying_device_fails_checkpoint_and_recovery_lands_on_previous_state() {
     assert!(db.checkpoint(&dir).is_err(), "flush through a dead device cannot succeed");
     drop(db); // Drop-flush also fails; it is best-effort by design.
 
-    let back = Database::open(&dir, &config).unwrap();
-    assert_eq!(back.len(), len, "previous checkpoint + committed WAL must fully recover");
-    assert_matches_oracle(&back, &expected, "dying-device");
+    // The previous checkpoint and the committed WAL recover in full.
+    model.check(&Database::open(&dir, &config).unwrap(), &queries());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -371,7 +339,7 @@ fn dying_device_fails_checkpoint_and_recovery_lands_on_previous_state() {
 fn lying_device_is_detected_at_open_instead_of_serving_wrong_rows() {
     let dir = fresh_dir("lying");
     let config = DurabilityConfig::default();
-    let db = build(&dir, &config);
+    let (db, _) = build(&dir, &config);
     db.checkpoint(&dir).unwrap();
     drop(db);
 
@@ -402,7 +370,7 @@ fn lying_device_is_detected_at_open_instead_of_serving_wrong_rows() {
 fn lying_device_detected_even_when_live_counts_are_unchanged() {
     let dir = fresh_dir("lying-crc");
     let config = DurabilityConfig::default();
-    let db = build(&dir, &config);
+    let (db, _) = build(&dir, &config);
     db.checkpoint(&dir).unwrap();
     drop(db);
 
@@ -439,7 +407,7 @@ fn torn_checkpoint_page_is_reported_at_open() {
     for keep in [8, PAGE_SIZE / 2, PAGE_SIZE - 8] {
         let dir = fresh_dir(&format!("torn-page-{keep}"));
         let config = DurabilityConfig::default();
-        let db = build(&dir, &config);
+        let (db, mut model) = build(&dir, &config);
         db.checkpoint(&dir).unwrap();
         drop(db);
 
@@ -449,9 +417,7 @@ fn torn_checkpoint_page_is_reported_at_open() {
         let db = Database::open(&dir, &faulty(&config, &store)).unwrap();
         assert_eq!(store.injected(), 0, "open writes no page");
         // Dirty a checkpointed page, then checkpoint: its write is the torn one.
-        db.delete_by_pk(2).unwrap();
-        let expected = snapshot_results(&db);
-        let len = db.len();
+        Mirror::new(&db, &mut model).delete(2).unwrap();
         db.checkpoint(&dir).expect("a torn write cannot be observed at checkpoint time");
         assert_eq!(store.injected(), 1, "keep {keep}: the checkpoint's page write tore");
         drop(db);
@@ -460,8 +426,7 @@ fn torn_checkpoint_page_is_reported_at_open() {
             Err(CoreError::Recovery(_)) | Err(CoreError::Storage(_)) => {}
             Err(other) => panic!("keep {keep}: untyped failure {other:?}"),
             Ok(back) => {
-                assert_eq!(back.len(), len, "keep {keep}");
-                assert_matches_oracle(&back, &expected, &format!("torn page, keep {keep}"));
+                model.verify(&back, &queries(), None).unwrap_or_else(|e| panic!("keep {keep}: {e}"))
             }
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -477,34 +442,29 @@ fn torn_checkpoint_page_is_reported_at_open() {
 fn lost_tombstone_page_plus_flushed_reinsert_leaves_no_ghost_row() {
     let dir = fresh_dir("ghost");
     let config = DurabilityConfig::default();
-    let db = build(&dir, &config);
+    let (db, mut model) = build(&dir, &config);
     db.checkpoint(&dir).unwrap();
     drop(db);
 
     let store = StoreFaults::new();
     let db = Database::open(&dir, &faulty(&config, &store)).unwrap();
     let victim_page = db.primary().get(5).expect("pk 5 is live").block as PageId;
-    db.delete_by_pk(5).unwrap(); // tombstone dirties the victim page
-    db.insert(&row(5, 777.5)).unwrap(); // re-insert lands on the last page
+    let mut m = Mirror::new(&db, &mut model);
+    m.delete(5).unwrap(); // tombstone dirties the victim page
+    m.insert(&row(5, 777.5)).unwrap(); // re-insert lands on the last page
     let reinsert_page = db.primary().get(5).unwrap().block as PageId;
     assert_ne!(victim_page, reinsert_page, "scenario needs the copies on different pages");
     db.wal_commit().unwrap();
-    let expected = snapshot_results(&db);
-    let len = db.len();
 
     // Crash: the re-insert's page reaches the device, the tombstone's
     // page does not.
     store.drop_page(victim_page);
     drop(db);
 
-    let back = Database::open(&dir, &config).unwrap();
-    assert_eq!(back.len(), len, "ghost duplicate row survived recovery");
-    let r = back.execute(&Query::filter(RangePredicate::point(0, 5.0)));
-    assert_eq!(r.rows.len(), 1, "exactly one live row for pk 5");
-    assert_eq!(back.heap().get(r.rows[0]).unwrap(), row(5, 777.5), "the newer version wins");
-    let old = back.execute(&Query::filter(RangePredicate::point(2, 5.0)));
-    assert!(old.rows.is_empty(), "the pre-delete version must not resurface");
-    assert_matches_oracle(&back, &expected, "ghost-dedup");
+    // Exactly one live row for pk 5, the newer version; the pre-delete one
+    // must not resurface.
+    let pk5 = [RangePredicate::point(0, 5.0), RangePredicate::point(2, 5.0)].map(Query::filter);
+    model.check(&Database::open(&dir, &config).unwrap(), &queries_and(pk5));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -512,7 +472,7 @@ fn lost_tombstone_page_plus_flushed_reinsert_leaves_no_ghost_row() {
 fn live_checkpoint_under_concurrent_writers_loses_nothing() {
     let dir = fresh_dir("live");
     let config = DurabilityConfig::default();
-    let db = build(&dir, &config);
+    let (db, mut model) = build(&dir, &config);
     let shared = SharedDatabase::new(db);
 
     let writers = 4;
@@ -542,21 +502,23 @@ fn live_checkpoint_under_concurrent_writers_loses_nothing() {
     });
     shared.wal_commit().unwrap();
     let db = shared.into_inner().ok().expect("all clones dropped");
-    let expected = snapshot_results(&db);
-    let len = db.len();
-    let dir2 = db.durability_dir().unwrap().to_path_buf();
-    assert_eq!(dir2, dir);
+    assert_eq!(db.durability_dir(), Some(dir.as_path()));
     drop(db);
 
-    let back = Database::open(&dir, &config).unwrap();
-    assert_eq!(back.len(), len, "row lost or duplicated across live checkpoint + restart");
-    assert_matches_oracle(&back, &expected, "live-checkpoint");
-    // Spot-check: every surviving writer pk is present exactly once.
+    // Each writer's pks are its own, so the order they ran in does not
+    // matter: no row may be lost or duplicated across the live checkpoints
+    // and the restart.
     for w in 0..writers {
-        let pk = 700_000 + w as i64 * per_writer; // i = 0 survives (only i%5==4 deleted)
-        let r = back.execute(&Query::filter(RangePredicate::range(0, pk as f64, pk as f64)));
-        assert_eq!(r.rows.len(), 1, "writer {w}'s first row missing after recovery");
+        for i in 0..per_writer {
+            let pk = 700_000 + w as i64 * per_writer + i;
+            model.insert(&row(pk, 8_000.0 + pk as f64 / 100.0)).unwrap();
+            if i % 5 == 4 {
+                model.delete(pk).unwrap();
+            }
+        }
     }
+    let writes = Query::filter(RangePredicate::range(0, 700_000.0, 710_000.0));
+    model.check(&Database::open(&dir, &config).unwrap(), &queries_and([writes]));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -675,8 +637,10 @@ fn stolen_page_never_outruns_the_records_that_undo_it() {
         let per_page = PAGE_SIZE / (3 * 9);
         let rows = (4 * per_page + per_page / 2) as i64;
         let db = Database::create_durable(schema(), 0, &dir, &config).unwrap();
+        let mut model = Model::new(0);
+        let mut m = Mirror::new(&db, &mut model);
         for i in 0..rows {
-            db.insert(&row(i, i as f64)).unwrap();
+            m.insert(&row(i, i as f64)).unwrap();
         }
         db.checkpoint(&dir).unwrap();
         drop(db);
@@ -690,8 +654,7 @@ fn stolen_page_never_outruns_the_records_that_undo_it() {
         durable.set(Arc::clone(&tail)).unwrap();
 
         let t = db.begin().unwrap();
-        let loser_pks: Vec<i64> = (0..5).map(|i| 1_000_000 + i).collect();
-        for &pk in &loser_pks {
+        for pk in 1_000_000..1_000_005 {
             db.insert_txn(t, &row(pk, 9_000.0 + pk as f64)).unwrap();
             assert_eq!(db.primary().get(pk).unwrap().block as PageId, last_page);
         }
@@ -728,13 +691,13 @@ fn stolen_page_never_outruns_the_records_that_undo_it() {
         assert!(seen.iter().any(|(site, ..)| *site == Site::WalBarrier.name()));
 
         for (site, _, image) in &seen {
+            // Without the loser's rows.
             let back = Database::open(image, &config).unwrap_or_else(|e| {
                 panic!("sync_every {sync_every}: image at {site} does not recover: {e}")
             });
-            assert_eq!(back.len(), rows as usize, "sync_every {sync_every}: image at {site}");
-            for &pk in &loser_pks {
-                assert!(back.primary().get(pk).is_none(), "loser row {pk} survived at {site}");
-            }
+            model
+                .verify(&back, &queries(), None)
+                .unwrap_or_else(|e| panic!("sync_every {sync_every}: image at {site}: {e}"));
             drop(back);
             std::fs::remove_dir_all(image).ok();
         }
@@ -775,15 +738,17 @@ fn a_page_stolen_under_buffered_auto_commit_records_reopens() {
             ..Default::default()
         };
         let db = Database::create_durable(schema.clone(), 0, &dir, &config).unwrap();
+        let mut model = Model::new(0);
+        let mut m = Mirror::new(&db, &mut model);
         for pk in 0..1_000 {
-            db.insert(&row(pk)).unwrap();
+            m.insert(&row(pk)).unwrap();
         }
         db.checkpoint(&dir).unwrap();
         let table = db.heap();
         let pages = table.pages();
         assert_eq!(pages.len(), 5, "four full pages and a partial fifth");
         for pk in 1_000..1_003 {
-            db.insert(&row(pk)).unwrap();
+            m.insert(&row(pk)).unwrap();
             assert_eq!(db.primary().get(pk).unwrap().block as PageId, pages[4]);
         }
         let evictions = table.pool().stats().evictions();
@@ -798,49 +763,37 @@ fn a_page_stolen_under_buffered_auto_commit_records_reopens() {
         let back = Database::open(&image, &config).unwrap_or_else(|e| {
             panic!("sync_every {sync_every}: the kill image does not open: {e}")
         });
-        assert_eq!(back.len(), 1_003, "sync_every {sync_every}");
-        for pk in 1_000..1_003 {
-            let hit = back.execute(&Query::filter(RangePredicate::point(0, pk as f64)));
-            assert_eq!(hit.rows.len(), 1, "sync_every {sync_every}: pk {pk}");
-        }
+        model
+            .verify(&back, &queries(), None)
+            .unwrap_or_else(|e| panic!("sync_every {sync_every}: {e}"));
         drop(back);
         std::fs::remove_dir_all(&image).ok();
         std::fs::remove_dir_all(&dir).ok();
     }
 }
 
-/// One cycle of insert-heavy DML: ≈ 10 pages of inserts, deletes of old
-/// and new rows, a committed and a rolled-back transaction. Applies the
-/// same statements to `model`.
-fn churn(db: &Database, model: &mut BTreeMap<i64, Vec<Value>>, cycle: i64) {
+/// One cycle of insert-heavy DML, on `db` and `model`: ≈ 10 pages of
+/// inserts, deletes of old and new rows, a committed and a rolled-back
+/// transaction.
+fn churn(db: &Database, model: &mut Model, cycle: i64) {
     let base = 10_000 * (cycle + 1);
+    let mut m = Mirror::new(db, model);
     for i in 0..3_000i64 {
-        let r = row(base + i, (base + i) as f64);
-        db.insert(&r).unwrap();
-        model.insert(base + i, r);
+        m.insert(&row(base + i, (base + i) as f64)).unwrap();
     }
     for pk in (base..base + 3_000).step_by(9) {
-        db.delete_by_pk(pk).unwrap();
-        model.remove(&pk);
+        m.delete(pk).unwrap();
     }
-    let t = db.begin().unwrap();
+    let t = m.begin();
     for i in 0..40i64 {
-        let r = row(base + 5_000 + i, 0.5 + (base + i) as f64);
-        db.insert_txn(t, &r).unwrap();
-        model.insert(base + 5_000 + i, r);
+        m.insert_txn(t, &row(base + 5_000 + i, 0.5 + (base + i) as f64)).unwrap();
     }
-    db.delete_by_pk_txn(t, base + 1).unwrap();
-    model.remove(&(base + 1));
-    db.commit(t).unwrap();
-    let t = db.begin().unwrap();
-    db.insert_txn(t, &row(base + 9_000, 1.0)).unwrap();
-    db.rollback(t).unwrap();
+    m.delete_txn(t, base + 1).unwrap();
+    m.commit(t);
+    let t = m.begin();
+    m.insert_txn(t, &row(base + 9_000, 1.0)).unwrap();
+    m.rollback(t);
     db.wal_commit().unwrap();
-}
-
-fn all_rows(db: &Database) -> BTreeMap<i64, Vec<Value>> {
-    let all = db.execute(&Query::filter(RangePredicate::range(0, -1.0e15, 1.0e15)));
-    rows_of(db, &all).into_iter().map(|r| (r[0].as_i64().unwrap(), r)).collect()
 }
 
 /// Three crash → recover → checkpoint cycles through a pool small enough
@@ -855,18 +808,18 @@ fn recovery_does_not_leak_the_pages_behind_the_watermark() {
 
     let clean = fresh_dir("leak-clean");
     let db = Database::create_durable(schema(), 0, &clean, &config).unwrap();
-    let mut model = BTreeMap::new();
+    let mut model = Model::new(0);
     for cycle in 0..3 {
         churn(&db, &mut model, cycle);
         db.checkpoint(&clean).unwrap();
     }
-    assert_eq!(all_rows(&db), model);
+    model.check(&db, &queries());
     drop(db);
     let clean_len = pages_len(&clean);
 
     let mut dir = fresh_dir("leak-crash-0");
     let mut db = Database::create_durable(schema(), 0, &dir, &config).unwrap();
-    let mut model = BTreeMap::new();
+    let mut model = Model::new(0);
     for cycle in 0..3 {
         churn(&db, &mut model, cycle);
         // kill -9: what the files hold now is all that survives.
@@ -876,7 +829,7 @@ fn recovery_does_not_leak_the_pages_behind_the_watermark() {
         std::fs::remove_dir_all(&dir).ok();
         dir = image;
         db = Database::open(&dir, &config).unwrap();
-        assert_eq!(all_rows(&db), model, "cycle {cycle}: recovered rows differ from the oracle");
+        model.verify(&db, &queries(), None).unwrap_or_else(|e| panic!("cycle {cycle}: {e}"));
         db.checkpoint(&dir).unwrap();
     }
     drop(db);
@@ -972,37 +925,31 @@ fn readers_do_not_wait_out_a_commit() {
     let gate = Arc::new(FsyncGate::default());
     let config = gate.config(DurabilityConfig { wal_sync_every: 1, ..Default::default() });
     let db = Database::create_durable(schema(), 0, &dir, &config).unwrap();
+    let mut model = Model::new(0);
+    let mut m = Mirror::new(&db, &mut model);
     for pk in 0..10i64 {
-        db.insert(&row(pk, pk as f64)).unwrap();
+        m.insert(&row(pk, pk as f64)).unwrap();
     }
-    let everything = Query::filter(RangePredicate::range(0, -1.0, 1.0e6));
-    let pks = |db: &Database| -> Vec<i64> {
-        let mut pks: Vec<i64> =
-            rows_of(db, &db.execute(&everything)).iter().map(|r| r[0].as_i64().unwrap()).collect();
-        pks.sort_unstable();
-        pks
-    };
+    let t = m.begin();
+    m.insert_txn(t, &row(100, 100.0)).unwrap();
+    m.delete_txn(t, 3).unwrap();
     let met = std::thread::scope(|s| {
         let committer = s.spawn(|| {
-            let t = db.begin().unwrap();
-            db.insert_txn(t, &row(100, 100.0)).unwrap();
-            db.delete_by_pk_txn(t, 3).unwrap();
             gate.arm();
             db.commit(t)
         });
         assert!(gate.entered(), "no fsync was ever led");
-        assert_eq!(pks(&db), (0..10).collect::<Vec<i64>>(), "a commit shows whole, or not at all");
+        // A commit shows whole, or not at all.
+        model.verify(&db, &queries(), None).unwrap();
         let met = gate.release();
         committer.join().unwrap().unwrap();
         met
     });
     assert!(met, "a reader waited out a commit's fsync");
-    let after: Vec<i64> = (0..10).filter(|&pk| pk != 3).chain([100]).collect();
-    assert_eq!(pks(&db), after);
+    model.commit(t);
+    model.check(&db, &queries());
     drop(db);
-    let back = Database::open(&dir, &config).unwrap();
-    assert_eq!(pks(&back), after);
-    drop(back);
+    model.check(&Database::open(&dir, &config).unwrap(), &queries());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -1163,35 +1110,33 @@ fn a_failed_commit_wait_leaves_the_transaction_open_and_sound() {
         ..Default::default()
     };
     let db = Database::create_durable(schema(), 0, &dir, &config).unwrap();
+    let mut model = Model::new(0);
+    let mut m = Mirror::new(&db, &mut model);
     for pk in 0..5i64 {
-        db.insert(&row(pk, pk as f64)).unwrap();
+        m.insert(&row(pk, pk as f64)).unwrap();
     }
-    let t = db.begin().unwrap();
-    db.insert_txn(t, &row(50, 50.0)).unwrap();
-    db.delete_by_pk_txn(t, 2).unwrap();
+    let t = m.begin();
+    m.insert_txn(t, &row(50, 50.0)).unwrap();
+    m.delete_txn(t, 2).unwrap();
 
     failing.store(true, Ordering::SeqCst);
     let err = db.commit(t).unwrap_err();
     hook.detach();
     assert!(err.to_string().contains("wal.commit"), "{err}");
 
-    assert_eq!(db.txn_active(), 1, "the transaction stays open");
-    let point = |m: f64| Query::filter(RangePredicate::point(2, m));
-    assert_eq!(db.execute(&point(2.0)).rows.len(), 1, "the deferred delete was not applied");
-    assert!(db.execute_for_txn(&point(2.0), t).rows.is_empty(), "and is still pending");
-    assert!(db.execute(&point(50.0)).rows.is_empty(), "nothing was published");
+    // The transaction stays open: nothing was published, the deferred
+    // delete is still pending.
+    assert_eq!(db.txn_active(), 1);
+    let all = queries();
+    model.verify(&db, &all, None).and_then(|()| model.verify(&db, &all, Some(t))).unwrap();
     assert!(db.insert(&row(60, 60.0)).is_err(), "the log is poisoned until a checkpoint");
 
-    db.rollback(t).unwrap();
-    assert_eq!(db.len(), 5);
-    assert_eq!(db.execute(&point(2.0)).rows.len(), 1);
+    Mirror::new(&db, &mut model).rollback(t);
+    model.check(&db, &all);
     db.checkpoint(&dir).unwrap();
-    db.insert(&row(60, 60.0)).unwrap();
+    Mirror::new(&db, &mut model).insert(&row(60, 60.0)).unwrap();
     drop(db);
-    let back = Database::open(&dir, &config).unwrap();
-    assert_eq!(back.len(), 6);
-    assert!(back.primary().get(50).is_none() && back.primary().get(2).is_some());
-    drop(back);
+    model.check(&Database::open(&dir, &config).unwrap(), &all);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -1231,33 +1176,6 @@ fn the_reserve_is_invisible_to_recovery_and_gone_after_a_checkpoint() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The pks of `model`'s rows inside the box `leading × value`, ascending.
-fn box_oracle(
-    model: &BTreeMap<i64, Vec<Value>>,
-    leading: RangePredicate,
-    value: RangePredicate,
-) -> Vec<i64> {
-    let inside = |r: &[Value], p: &RangePredicate| p.matches(r[p.column].as_f64());
-    model
-        .iter()
-        .filter(|(_, r)| inside(r, &leading) && inside(r, &value))
-        .map(|(&pk, _)| pk)
-        .collect()
-}
-
-/// The pks a box query through the index at `key` returns, ascending.
-fn box_pks(
-    db: &Database,
-    key: IndexKey,
-    leading: RangePredicate,
-    value: RangePredicate,
-) -> Vec<i64> {
-    rows_of(db, &db.lookup_box(key, leading, value))
-        .iter()
-        .map(|r| r[0].as_i64().unwrap())
-        .collect()
-}
-
 /// Composite indexes are durable like single-column ones: a composite
 /// baseline and the composite Hermit index routed through it survive a
 /// checkpoint, post-checkpoint DML and a `kill -9`, and answer box queries
@@ -1268,11 +1186,10 @@ fn composite_indexes_survive_a_crash_and_a_lost_snapshot() {
     let dir = fresh_dir("composite");
     let config = DurabilityConfig::default();
     let mut db = Database::create_durable(schema(), 0, &dir, &config).unwrap();
-    let mut model = BTreeMap::new();
+    let mut model = Model::new(0);
+    let mut m = Mirror::new(&db, &mut model);
     for i in 0..3_000i64 {
-        let r = row(i, i as f64);
-        db.insert(&r).unwrap();
-        model.insert(i, r);
+        m.insert(&row(i, i as f64)).unwrap();
     }
     let host = db.create_composite_baseline(0, 1).unwrap();
     let hermit = db.create_composite_hermit(0, 2, 1).unwrap();
@@ -1292,6 +1209,7 @@ fn composite_indexes_survive_a_crash_and_a_lost_snapshot() {
 
     // Post-checkpoint DML only the WAL carries: rows on and off the model,
     // and deletes of old and new ones.
+    let mut m = Mirror::new(&db, &mut model);
     for i in 0..400i64 {
         let pk = 10_000 + i;
         let r = if i % 10 == 0 {
@@ -1299,12 +1217,10 @@ fn composite_indexes_survive_a_crash_and_a_lost_snapshot() {
         } else {
             row(pk, 3_000.0 + i as f64)
         };
-        db.insert(&r).unwrap();
-        model.insert(pk, r);
+        m.insert(&r).unwrap();
     }
     for pk in (0..3_000i64).step_by(11).chain((10_000..10_400).step_by(13)) {
-        db.delete_by_pk(pk).unwrap();
-        model.remove(&pk);
+        m.delete(pk).unwrap();
     }
     db.wal_commit().unwrap();
     let boxes = [
@@ -1312,9 +1228,19 @@ fn composite_indexes_survive_a_crash_and_a_lost_snapshot() {
         (RangePredicate::range(0, 10_000.0, 10_200.0), RangePredicate::range(2, 0.0, 1.0e9)),
         (RangePredicate::range(0, 1_000.0, 2_000.0), RangePredicate::point(2, 1_500.0)),
     ];
-    for (leading, value) in boxes {
-        assert_eq!(box_pks(&db, hermit, leading, value), box_oracle(&model, leading, value));
-    }
+    // Each box through the composite Hermit index and through its host, and
+    // as a query the planner routes.
+    let check_boxes = |db: &Database, name: &str| {
+        let any_host = RangePredicate::range(1, -1.0e15, 1.0e15);
+        for (leading, value) in boxes {
+            let forced = model
+                .verify_box(db, hermit, leading, value)
+                .and_then(|()| model.verify_box(db, host, leading, any_host));
+            forced.unwrap_or_else(|e| panic!("{name}: {e}"));
+        }
+        model.check(db, &boxes.map(|(leading, value)| Query::filter(leading).and(value)));
+    };
+    check_boxes(&db, "before the crash");
 
     // kill -9: the image is what the device holds now.
     let image = fresh_dir("composite-image");
@@ -1330,33 +1256,51 @@ fn composite_indexes_survive_a_crash_and_a_lost_snapshot() {
             std::fs::remove_file(dir.join(&lost[0])).unwrap();
         }
         let back = Database::open(dir, &config).unwrap();
-        assert_eq!(back.len(), model.len(), "{name}");
         assert!(back.index_at(host).is_some_and(|i| !i.is_hermit()), "{name}: host baseline");
         assert_eq!(back.index_at(hermit).and_then(|i| i.host_column()), Some(1), "{name}");
-        for (leading, value) in boxes {
-            let want = box_oracle(&model, leading, value);
-            assert_eq!(
-                box_pks(&back, hermit, leading, value),
-                want,
-                "{name}: {leading:?} × {value:?}"
-            );
-            let any_host = RangePredicate::range(1, -1.0e15, 1.0e15);
-            let want_host = box_oracle(&model, leading, any_host);
-            assert_eq!(box_pks(&back, host, leading, any_host), want_host, "{name}: host box");
-            let planned = back.execute(&Query::filter(leading).and(value));
-            assert_eq!(rows_of(&back, &planned).len(), want.len(), "{name}: planned");
-        }
+        check_boxes(&back, name);
         // The reopened database keeps composites through its own checkpoint.
         back.checkpoint(dir).unwrap();
         assert_eq!(snapshots(dir).len(), 1, "{name}: the rebuilt index snapshots again");
         drop(back);
-        let again = Database::open(dir, &config).unwrap();
-        let (leading, value) = boxes[0];
-        assert_eq!(box_pks(&again, hermit, leading, value), box_oracle(&model, leading, value));
+        check_boxes(&Database::open(dir, &config).unwrap(), name);
     }
     for dir in [&dir, &image, &torn] {
         std::fs::remove_dir_all(dir).ok();
     }
+}
+
+/// A TRS-Tree snapshot is a cache of the heap: one in a format no build
+/// writes (version 1) is refused, and `open` rebuilds the index from the
+/// heap — the queued reorganization is gone, the answers are the model's.
+#[test]
+fn a_snapshot_in_a_retired_format_is_rebuilt_from_the_heap() {
+    let dir = fresh_dir("snapshot-v1");
+    let config = DurabilityConfig::default();
+    let (db, mut model) = build(&dir, &config);
+    let mut m = Mirror::new(&db, &mut model);
+    for i in 0..2_000i64 {
+        m.insert(&[Value::Int(900_000 + i), Value::Float(-1.0e9), Value::Float(2_500.0)]).unwrap();
+    }
+    db.checkpoint(&dir).unwrap();
+    let queued = |db: &Database| match db.index(2) {
+        Some(SecondaryIndex::Hermit { trs, .. }) => trs.reorg_queue_len(),
+        _ => panic!("no Hermit index on column 2"),
+    };
+    assert!(queued(&db) > 0, "the flood must queue a reorganization");
+    drop(db);
+    assert!(queued(&Database::open(&dir, &config).unwrap()) > 0, "a snapshot keeps its queue");
+
+    let mut paths = std::fs::read_dir(&dir).unwrap().flatten().map(|e| e.path());
+    let snapshot = paths.find(|p| p.to_string_lossy().contains("trs_2.")).unwrap();
+    let mut bytes = std::fs::read(&snapshot).unwrap();
+    bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&snapshot, bytes).unwrap();
+    let back = Database::open(&dir, &config).unwrap();
+    assert_eq!(queued(&back), 0, "the index was restored from a version-1 snapshot");
+    model.check(&back, &queries_and([Query::filter(RangePredicate::point(2, 2_500.0))]));
+    drop(back);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `catalog`'s bytes in the version-1 layout, which had no leading
@@ -1408,9 +1352,8 @@ fn catalog_v1_bytes(catalog: &Catalog) -> Vec<u8> {
 fn a_directory_with_a_version_1_catalog_opens() {
     let dir = fresh_dir("catalog-v1");
     let config = DurabilityConfig::default();
-    let db = build(&dir, &config);
+    let (db, model) = build(&dir, &config);
     db.checkpoint(&dir).unwrap();
-    let expected = snapshot_results(&db);
     drop(db);
 
     let path = dir.join(CATALOG_FILE);
@@ -1421,7 +1364,7 @@ fn a_directory_with_a_version_1_catalog_opens() {
     assert_eq!(u32::from_le_bytes(std::fs::read(&path).unwrap()[4..8].try_into().unwrap()), 1);
 
     let back = Database::open(&dir, &config).unwrap();
-    assert_matches_oracle(&back, &expected, "v1 catalog");
+    model.check(&back, &queries());
     back.checkpoint(&dir).unwrap();
     assert_eq!(u32::from_le_bytes(std::fs::read(&path).unwrap()[4..8].try_into().unwrap()), 2);
     drop(back);

@@ -1,6 +1,7 @@
 //! Integration tests for the unified Query API: the cost-based planner,
 //! the stable EXPLAIN format, the seq-scan fallback, `LIMIT` order, and
-//! agreement between one query and a batch.
+//! agreement between one query and a batch. Answers are held to the
+//! reference model (`hermit_fault::model`) of the rows inserted.
 //!
 //! The EXPLAIN assertions pin the exact `Display` output for all four plan
 //! shapes (hermit route, index range scan, composite box scan, seq scan) —
@@ -8,66 +9,61 @@
 //! must not drift silently.
 
 use hermit::core::{AccessPath, BatchOptions, Database, PlanKind, Query, RangePredicate};
-use hermit::storage::{ColumnDef, RowLoc, Schema, TidScheme, Value};
+use hermit::fault::{Mirror, Model};
+use hermit::storage::paged::{BufferPool, PagedTable, SimulatedPageStore};
+use hermit::storage::{ColumnDef, Schema, TidScheme, Value};
+use std::sync::Arc;
 
 const TIME: usize = 0;
 const DJ: usize = 1;
 const SP: usize = 2;
 const VOL: usize = 3;
 
-/// The `examples/query_plans.rs` fixture: every index kind the planner
-/// knows, plus the deliberately-unindexed VOL column.
-fn stock_db(scheme: TidScheme, days: usize) -> Database {
-    let schema = Schema::new(vec![
+fn schema() -> Schema {
+    Schema::new(vec![
         ColumnDef::int("time"),
         ColumnDef::float("dj"),
         ColumnDef::float("sp"),
         ColumnDef::float("vol"),
-    ]);
-    let mut db = Database::new(schema, TIME, scheme);
+    ])
+}
+
+/// `days` rows of the stock fixture with the DJ baseline and SP Hermit
+/// indexes, and the model of the rows.
+fn load(mut db: Database, days: usize) -> (Database, Model) {
+    let mut model = Model::new(TIME);
+    let mut m = Mirror::new(&db, &mut model);
     for t in 0..days {
-        let (dj, sp, vol) = stock_row(t);
-        db.insert(&[Value::Int(t as i64), Value::Float(dj), Value::Float(sp), Value::Float(vol)])
+        let dj = 3_000.0 + t as f64 * 0.5 + ((t % 97) as f64 - 48.0);
+        let sp = dj / 8.0 + ((t % 13) as f64 - 6.0) * 0.05;
+        let vol = 1.0e6 + ((t * 7_919) % 100_000) as f64;
+        m.insert(&[Value::Int(t as i64), Value::Float(dj), Value::Float(sp), Value::Float(vol)])
             .unwrap();
     }
     db.create_baseline_index(DJ, true).unwrap();
     db.create_hermit_index(SP, DJ).unwrap();
+    (db, model)
+}
+
+/// The `examples/query_plans.rs` fixture: every index kind the planner
+/// knows, plus the deliberately-unindexed VOL column.
+fn stock_db(scheme: TidScheme, days: usize) -> (Database, Model) {
+    let (mut db, model) = load(Database::new(schema(), TIME, scheme), days);
     db.create_composite_baseline(TIME, DJ).unwrap();
     db.create_composite_hermit(TIME, SP, DJ).unwrap();
-    db
+    (db, model)
 }
 
-fn stock_row(t: usize) -> (f64, f64, f64) {
-    let dj = 3_000.0 + t as f64 * 0.5 + ((t % 97) as f64 - 48.0);
-    let sp = dj / 8.0 + ((t % 13) as f64 - 6.0) * 0.05;
-    let vol = 1.0e6 + ((t * 7_919) % 100_000) as f64;
-    (dj, sp, vol)
-}
-
-/// Independent full-scan oracle: recompute every row from the generator
-/// formula and filter with plain comparisons.
-fn oracle_rows(db: &Database, days: usize, preds: &[RangePredicate]) -> Vec<RowLoc> {
-    let mut out = Vec::new();
-    for t in 0..days {
-        let (dj, sp, vol) = stock_row(t);
-        let vals = [t as f64, dj, sp, vol];
-        if preds.iter().all(|p| vals[p.column] >= p.lb && vals[p.column] <= p.ub) {
-            out.push(db.primary().get(t as i64).expect("row is live"));
-        }
-    }
-    out.sort_unstable();
-    out
-}
-
-fn sorted(rows: &[RowLoc]) -> Vec<RowLoc> {
-    let mut v = rows.to_vec();
-    v.sort_unstable();
-    v
+/// Paged twin of [`stock_db`] (physical tids only, no composite indexes:
+/// the paged substrate supports neither).
+fn paged_stock_db(days: usize) -> (Database, Model) {
+    let pool = Arc::new(BufferPool::new_sharded(Arc::new(SimulatedPageStore::new()), 16, 2));
+    load(Database::new_paged(PagedTable::new(schema(), pool), TIME), days)
 }
 
 #[test]
 fn explain_hermit_route_is_stable() {
-    let db = stock_db(TidScheme::Physical, 20_000);
+    let (db, _) = stock_db(TidScheme::Physical, 20_000);
     let plan = db.plan(&Query::new().range(SP, 700.0, 710.0));
     assert_eq!(plan.kind(), PlanKind::Hermit);
     assert_eq!(
@@ -82,7 +78,7 @@ fn explain_hermit_route_is_stable() {
 
 #[test]
 fn explain_baseline_is_stable() {
-    let db = stock_db(TidScheme::Physical, 20_000);
+    let (db, _) = stock_db(TidScheme::Physical, 20_000);
     let plan = db.plan(&Query::new().range(DJ, 5_600.0, 5_680.0));
     assert_eq!(plan.kind(), PlanKind::Baseline);
     assert_eq!(
@@ -96,7 +92,7 @@ fn explain_baseline_is_stable() {
 
 #[test]
 fn explain_composite_box_is_stable() {
-    let db = stock_db(TidScheme::Physical, 20_000);
+    let (db, _) = stock_db(TidScheme::Physical, 20_000);
     let plan = db.plan(&Query::new().range(TIME, 5_000.0, 10_000.0).range(SP, 700.0, 800.0));
     assert_eq!(plan.kind(), PlanKind::Composite);
     assert_eq!(
@@ -111,7 +107,7 @@ fn explain_composite_box_is_stable() {
 
 #[test]
 fn explain_seq_scan_is_stable() {
-    let db = stock_db(TidScheme::Physical, 20_000);
+    let (db, _) = stock_db(TidScheme::Physical, 20_000);
     let q = Query::new().range(VOL, 1_000_000.0, 1_002_000.0).select([TIME, VOL]).limit(3);
     let plan = db.plan(&q);
     assert_eq!(plan.kind(), PlanKind::Scan);
@@ -128,15 +124,15 @@ fn explain_seq_scan_is_stable() {
 #[test]
 fn unindexed_column_scans_instead_of_silent_empty() {
     for scheme in [TidScheme::Physical, TidScheme::Logical] {
-        let db = stock_db(scheme, 5_000);
+        let (db, model) = stock_db(scheme, 5_000);
         let pred = RangePredicate::range(VOL, 1_000_000.0, 1_010_000.0);
         // The forced-index entry keeps its contract: no index, no rows.
         assert!(db.lookup_range(pred, None).rows.is_empty(), "forced-index contract preserved");
         // The Query surface returns the actual rows via the scan plan.
-        let r = db.execute(&Query::filter(pred));
-        let expect = oracle_rows(&db, 5_000, &[pred]);
-        assert!(!expect.is_empty(), "fixture must produce matches");
-        assert_eq!(sorted(&r.rows), expect, "{scheme:?}");
+        let q = Query::filter(pred);
+        assert!(!model.answer(&q, None).is_empty(), "fixture must produce matches");
+        let r = db.execute(&q);
+        model.check_result(&db, &q, &r, None).unwrap();
         assert_eq!(r.false_positives, 0, "a scan fetches no speculative candidates");
     }
 }
@@ -144,14 +140,14 @@ fn unindexed_column_scans_instead_of_silent_empty() {
 #[test]
 fn execute_agrees_with_legacy_wrappers_on_indexed_paths() {
     for scheme in [TidScheme::Physical, TidScheme::Logical] {
-        let db = stock_db(scheme, 10_000);
+        let (db, _) = stock_db(scheme, 10_000);
         for pred in
             [RangePredicate::range(SP, 700.0, 705.0), RangePredicate::range(DJ, 5_600.0, 5_650.0)]
         {
             let legacy = db.lookup_range(pred, None);
             let plan = db.plan(&Query::filter(pred));
             let via_plan = db.execute_plan(&plan);
-            assert_eq!(sorted(&legacy.rows), sorted(&via_plan.rows), "{scheme:?} {pred:?}");
+            assert_eq!(legacy.rows, via_plan.rows, "{scheme:?} {pred:?}");
             assert_eq!(legacy.false_positives, via_plan.false_positives);
             assert_eq!(legacy.unresolved, via_plan.unresolved);
         }
@@ -160,7 +156,7 @@ fn execute_agrees_with_legacy_wrappers_on_indexed_paths() {
 
 #[test]
 fn wide_predicate_on_hermit_column_prefers_scan() {
-    let db = stock_db(TidScheme::Physical, 10_000);
+    let (db, _) = stock_db(TidScheme::Physical, 10_000);
     // Selectivity ~1: fetching every candidate through the index estate
     // costs more than streaming the heap once.
     let plan = db.plan(&Query::new().range(SP, 0.0, 1.0e9));
@@ -171,21 +167,18 @@ fn wide_predicate_on_hermit_column_prefers_scan() {
 
 #[test]
 fn multi_conjunct_residuals_validate_at_base_table() {
-    let db = stock_db(TidScheme::Physical, 20_000);
-    let preds = [
-        RangePredicate::range(SP, 700.0, 800.0),
-        RangePredicate::range(VOL, 1_000_000.0, 1_050_000.0),
-        RangePredicate::range(TIME, 0.0, 15_000.0),
-    ];
-    let q = Query::new().and(preds[0]).and(preds[1]).and(preds[2]);
-    let r = db.execute(&q);
-    assert_eq!(sorted(&r.rows), oracle_rows(&db, 20_000, &preds));
+    let (db, model) = stock_db(TidScheme::Physical, 20_000);
+    let q = Query::new()
+        .range(SP, 700.0, 800.0)
+        .range(VOL, 1_000_000.0, 1_050_000.0)
+        .range(TIME, 0.0, 15_000.0);
+    model.check_result(&db, &q, &db.execute(&q), None).unwrap();
 }
 
 #[test]
 fn execute_batch_matches_execute_across_plan_shapes() {
     for scheme in [TidScheme::Physical, TidScheme::Logical] {
-        let db = stock_db(scheme, 10_000);
+        let (db, _) = stock_db(scheme, 10_000);
         let queries = vec![
             Query::new().range(SP, 700.0, 710.0),
             Query::new().range(DJ, 5_600.0, 5_680.0),
@@ -207,98 +200,58 @@ fn execute_batch_matches_execute_across_plan_shapes() {
 #[test]
 fn composite_box_query_matches_oracle() {
     for scheme in [TidScheme::Physical, TidScheme::Logical] {
-        let db = stock_db(scheme, 20_000);
-        let preds = [
-            RangePredicate::range(TIME, 5_000.0, 10_000.0),
-            RangePredicate::range(SP, 700.0, 800.0),
-        ];
-        let q = Query::new().and(preds[0]).and(preds[1]);
+        let (db, model) = stock_db(scheme, 20_000);
+        let q = Query::new().range(TIME, 5_000.0, 10_000.0).range(SP, 700.0, 800.0);
         let plan = db.plan(&q);
         assert_eq!(plan.kind(), PlanKind::Composite, "{scheme:?}");
         let r = db.execute_plan(&plan);
-        assert_eq!(sorted(&r.rows), oracle_rows(&db, 20_000, &preds), "{scheme:?}");
+        model.check_result(&db, &q, &r, None).unwrap();
         // Batched path produces the same result through the page-ordered
         // validator.
         let b = &db.execute_plans(std::slice::from_ref(&plan), &BatchOptions::default())[0];
-        assert_eq!(sorted(&b.rows), sorted(&r.rows), "{scheme:?}");
+        assert_eq!(b.rows, r.rows, "{scheme:?}");
         assert_eq!(b.false_positives, r.false_positives, "{scheme:?}");
     }
 }
 
 #[test]
 fn composite_baseline_plan_is_exact() {
-    let db = stock_db(TidScheme::Physical, 20_000);
+    let (db, model) = stock_db(TidScheme::Physical, 20_000);
     // Narrow TIME, wide-ish DJ: the (time, dj) composite baseline beats
     // both the single-column DJ index and the scan.
-    let preds = [
-        RangePredicate::range(TIME, 5_000.0, 5_500.0),
-        RangePredicate::range(DJ, 5_400.0, 6_600.0),
-    ];
-    let q = Query::new().and(preds[0]).and(preds[1]);
+    let q = Query::new().range(TIME, 5_000.0, 5_500.0).range(DJ, 5_400.0, 6_600.0);
     let plan = db.plan(&q);
     assert!(
         matches!(plan.access, AccessPath::Index { leading: Some(_), .. }),
         "expected the composite baseline box, got: {plan}"
     );
     let r = db.execute_plan(&plan);
-    assert_eq!(sorted(&r.rows), oracle_rows(&db, 20_000, &preds));
+    model.check_result(&db, &q, &r, None).unwrap();
     assert_eq!(r.false_positives, 0, "the box scan is exact; nothing to validate away");
     let b = &db.execute_batch(std::slice::from_ref(&q), &BatchOptions::default())[0];
-    assert_eq!(sorted(&b.rows), sorted(&r.rows));
+    assert_eq!(b.rows, r.rows);
     assert_eq!(b.false_positives, 0);
 }
 
 #[test]
 fn limit_truncates_and_projection_materializes() {
-    let db = stock_db(TidScheme::Physical, 5_000);
+    let (db, model) = stock_db(TidScheme::Physical, 5_000);
     let full = db.execute(&Query::new().range(SP, 650.0, 700.0));
     assert!(full.rows.len() > 10);
     assert!(full.projected.is_none(), "no projection requested, none paid for");
 
+    // The projected cells are the rows' own, aligned with the locations.
     let q = Query::new().range(SP, 650.0, 700.0).select([TIME, SP]).limit(7);
     let r = db.execute(&q);
     assert_eq!(r.rows, full.rows[..7], "the limit keeps the lowest row locations");
-    let projected = r.projected.as_ref().expect("projection materialized");
-    assert_eq!((projected.len(), projected.cells_per_row()), (7, 2));
-    for (loc, row) in r.rows.iter().zip(projected.iter()) {
-        assert_eq!(row[0], db.heap().get(*loc).unwrap()[TIME], "aligned with the locations");
-        assert_eq!(row.len(), 2);
-        let Value::Int(t) = row[0] else { panic!("projected time must be Int") };
-        let (_, sp, _) = stock_row(t as usize);
-        assert_eq!(row[1], Value::Float(sp), "projection reads the right cells");
-    }
+    assert_eq!(r.projected.as_ref().map(|p| p.cells_per_row()), Some(2));
+    model.check_result(&db, &q, &r, None).unwrap();
 
     // Limit on the scan plan stops the scan early, at the same prefix.
-    let q = Query::new().range(VOL, 1_000_000.0, 1_050_000.0).limit(5);
-    let r = db.execute(&q);
-    let oracle = oracle_rows(&db, 5_000, &[RangePredicate::range(VOL, 1_000_000.0, 1_050_000.0)]);
-    assert_eq!(r.rows, oracle[..5]);
-}
-
-/// Paged twin of [`stock_db`] (physical tids only, no composite indexes:
-/// the paged substrate supports neither).
-fn paged_stock_db(days: usize) -> Database {
-    use hermit::storage::paged::{BufferPool, PagedTable, SimulatedPageStore};
-    let schema = Schema::new(vec![
-        ColumnDef::int("time"),
-        ColumnDef::float("dj"),
-        ColumnDef::float("sp"),
-        ColumnDef::float("vol"),
-    ]);
-    let pool = std::sync::Arc::new(BufferPool::new_sharded(
-        std::sync::Arc::new(SimulatedPageStore::new()),
-        16,
-        2,
-    ));
-    let mut db = Database::new_paged(PagedTable::new(schema, pool), TIME);
-    for t in 0..days {
-        let (dj, sp, vol) = stock_row(t);
-        db.insert(&[Value::Int(t as i64), Value::Float(dj), Value::Float(sp), Value::Float(vol)])
-            .unwrap();
-    }
-    db.create_baseline_index(DJ, true).unwrap();
-    db.create_hermit_index(SP, DJ).unwrap();
-    db
+    let all = Query::new().range(VOL, 1_000_000.0, 1_050_000.0);
+    let full = db.execute(&all);
+    model.check_result(&db, &all, &full, None).unwrap();
+    assert_eq!(db.execute(&all.limit(5)).rows, full.rows[..5]);
 }
 
 /// `LIMIT n` keeps the `n` lowest row locations of the unlimited answer —
@@ -312,10 +265,12 @@ fn limit_keeps_the_lowest_row_locations_on_every_plan() {
         ("mem/logical", stock_db(TidScheme::Logical, DAYS)),
         ("paged", paged_stock_db(DAYS)),
     ];
-    for (name, db) in &dbs {
+    for (name, (db, model)) in dbs {
         // Deletions leave holes the answer must skip, not count.
+        let mut model = model;
+        let mut m = Mirror::new(&db, &mut model);
         for pk in (0..DAYS as i64).step_by(7) {
-            db.delete_by_pk(pk).unwrap();
+            m.delete(pk).unwrap();
         }
         let mut kinds = Vec::new();
         for base in [
@@ -326,6 +281,7 @@ fn limit_keeps_the_lowest_row_locations_on_every_plan() {
             Query::new().range(VOL, 1_000_000.0, 1_030_000.0),
         ] {
             let full = db.execute(&base);
+            model.check_result(&db, &base, &full, None).unwrap();
             let kind = db.plan(&base).kind();
             kinds.push(kind);
             assert!(full.rows.windows(2).all(|w| w[0] < w[1]), "{name} {kind:?}: heap order");
@@ -334,14 +290,11 @@ fn limit_keeps_the_lowest_row_locations_on_every_plan() {
                 let q = base.clone().limit(n).select([TIME]);
                 let want = &full.rows[..n.min(full.rows.len())];
                 let alone = db.execute(&q);
-                let batched = &db.execute_batch(&[q.clone(), q], &BatchOptions::default())[1];
+                let batched =
+                    &db.execute_batch(&[q.clone(), q.clone()], &BatchOptions::default())[1];
                 for (how, r) in [("execute", &alone), ("execute_batch", batched)] {
-                    let ctx = format!("{name} {kind:?} limit {n} {how}");
-                    assert_eq!(r.rows, want, "{ctx}");
-                    let cells = r.projected.as_ref().expect("projected").to_rows();
-                    let times: Vec<Vec<Value>> =
-                        want.iter().map(|&loc| vec![db.heap().get(loc).unwrap()[TIME]]).collect();
-                    assert_eq!(cells, times, "{ctx}: cells follow the rows");
+                    assert_eq!(r.rows, want, "{name} {kind:?} limit {n} {how}");
+                    model.check_result(&db, &q, r, None).unwrap(); // the cells follow the rows
                 }
             }
         }
@@ -354,7 +307,7 @@ fn limit_keeps_the_lowest_row_locations_on_every_plan() {
 
 #[test]
 fn empty_query_scans_every_row() {
-    let db = stock_db(TidScheme::Physical, 2_000);
+    let (db, _) = stock_db(TidScheme::Physical, 2_000);
     let r = db.execute(&Query::new());
     assert_eq!(r.rows.len(), 2_000);
     let plan = db.plan(&Query::new());
@@ -363,7 +316,7 @@ fn empty_query_scans_every_row() {
 
 #[test]
 fn inverted_and_out_of_domain_queries_are_empty_everywhere() {
-    let db = stock_db(TidScheme::Physical, 2_000);
+    let (db, _) = stock_db(TidScheme::Physical, 2_000);
     for q in [
         Query::new().range(SP, 800.0, 700.0),  // inverted, hermit column
         Query::new().range(VOL, 500.0, 400.0), // inverted, unindexed column
@@ -380,52 +333,35 @@ fn inverted_and_out_of_domain_queries_are_empty_everywhere() {
 #[test]
 fn composite_indexes_are_maintained_across_delete_and_reinsert() {
     for scheme in [TidScheme::Physical, TidScheme::Logical] {
-        let db = stock_db(scheme, 10_000);
+        let (db, mut model) = stock_db(scheme, 10_000);
         // Delete rows inside the box, then re-insert one of them with its
         // original values: without delete-side composite maintenance the
         // stale entry and the fresh one both qualify and (under logical
         // tids) resolve to the same row — a duplicate.
+        let reinsert = model.rows()[&5_200].clone();
+        let mut m = Mirror::new(&db, &mut model);
         for pk in [5_100i64, 5_200, 5_300] {
-            db.delete_by_pk(pk).unwrap();
+            m.delete(pk).unwrap();
         }
-        let (dj, sp, vol) = stock_row(5_200);
-        db.insert(&[Value::Int(5_200), Value::Float(dj), Value::Float(sp), Value::Float(vol)])
-            .unwrap();
+        m.insert(&reinsert).unwrap();
 
-        let preds = [
-            RangePredicate::range(TIME, 5_000.0, 10_000.0),
-            RangePredicate::range(SP, 700.0, 800.0),
-        ];
-        let q = Query::new().and(preds[0]).and(preds[1]);
+        let q = Query::new().range(TIME, 5_000.0, 10_000.0).range(SP, 700.0, 800.0);
+        assert!(model.answer(&q, None).contains(&(5_200, reinsert)), "re-insert is in the box");
         let plan = db.plan(&q);
         assert_eq!(plan.kind(), PlanKind::Composite, "{scheme:?}");
         let r = db.execute_plan(&plan);
-
-        let rows = sorted(&r.rows);
-        let mut deduped = rows.clone();
-        deduped.dedup();
-        assert_eq!(rows.len(), deduped.len(), "{scheme:?}: duplicate rows from stale entries");
+        model.check_result(&db, &q, &r, None).unwrap();
         assert_eq!(r.unresolved, 0, "{scheme:?}: deleted entries must leave the composite tree");
-
-        let expect: Vec<RowLoc> = (5_000..10_000usize)
-            .filter(|t| ![5_100, 5_300].contains(t))
-            .filter(|&t| {
-                let (_, sp, _) = stock_row(t);
-                (700.0..=800.0).contains(&sp)
-            })
-            .map(|t| db.primary().get(t as i64).expect("live row"))
-            .collect();
-        assert!(expect.contains(&db.primary().get(5_200).unwrap()), "re-insert is in the box");
-        assert_eq!(rows, sorted(&expect), "{scheme:?}");
     }
 }
 
 #[test]
 fn deleted_rows_never_resurface_through_any_plan() {
     for scheme in [TidScheme::Physical, TidScheme::Logical] {
-        let db = stock_db(scheme, 5_000);
+        let (db, mut model) = stock_db(scheme, 5_000);
+        let mut m = Mirror::new(&db, &mut model);
         for pk in (0..5_000).step_by(10) {
-            db.delete_by_pk(pk).unwrap();
+            m.delete(pk).unwrap();
         }
         for q in [
             Query::new().range(SP, 650.0, 700.0),
@@ -433,11 +369,7 @@ fn deleted_rows_never_resurface_through_any_plan() {
             Query::new().range(VOL, 1_000_000.0, 1_020_000.0),
             Query::new().range(TIME, 1_000.0, 2_000.0).range(SP, 0.0, 1.0e9),
         ] {
-            let r = db.execute(&q);
-            for &loc in &r.rows {
-                let t = db.heap().value_f64(loc, TIME).unwrap().unwrap() as i64;
-                assert!(t % 10 != 0, "{scheme:?} {q:?}: deleted pk {t} resurfaced");
-            }
+            model.check_result(&db, &q, &db.execute(&q), None).unwrap();
         }
     }
 }

@@ -2,27 +2,25 @@
 //!
 //! Readers, writers, and the §4.4 background reorganization worker hammer
 //! one [`SharedDatabase`] simultaneously; afterwards the survivors are
-//! compared query-for-query against a *quiesced scalar oracle* — a fresh
-//! single-threaded [`Database`] holding the same logical contents. Every
-//! plan kind is exercised (Hermit route, baseline index range scan,
-//! composite box scan on the in-memory substrate, seq scan), on both tuple
-//! schemes and both storage substrates. On the in-memory substrate the
-//! worker also reorganizes a composite Hermit tree while the writers
-//! insert, and its box route is held to the oracle afterwards.
+//! compared query-for-query against the reference model
+//! (`hermit_fault::model`) of the same statements. Every plan kind is
+//! exercised (Hermit route, baseline index range scan, composite box scan on
+//! the in-memory substrate, seq scan), on both tuple schemes and both
+//! storage substrates. On the in-memory substrate the worker also
+//! reorganizes a composite Hermit tree while the writers insert, and its box
+//! route is held to the model afterwards.
 //!
 //! The workload is deterministic *in its final state*: each writer owns a
 //! disjoint pk range for inserts and a disjoint slice of the seed rows for
-//! deletes, so whatever the interleaving, the surviving logical rows are
-//! known and the oracle can be replayed sequentially.
+//! deletes, so whatever the interleaving, the model can replay the writes
+//! one writer after the other.
 
 use hermit::core::shared::{MaintenanceConfig, MaintenanceWorker, SharedDatabase};
-use hermit::core::{
-    BatchOptions, Database, IndexKey, Query, QueryResult, RangePredicate, SecondaryIndex,
-};
+use hermit::core::{BatchOptions, Database, IndexKey, Query, RangePredicate, SecondaryIndex};
+use hermit::fault::{Mirror, Model};
 use hermit::storage::paged::{BufferPool, PagedTable, SimulatedPageStore};
 use hermit::storage::{ColumnDef, Schema, TidScheme, Value};
 use hermit::trs::TrsParams;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 const SEED_ROWS: i64 = 10_000;
@@ -46,8 +44,7 @@ fn schema() -> Schema {
     ])
 }
 
-/// The one deterministic row shape: everything derives from the pk, so the
-/// shared run and the oracle replay agree cell-for-cell.
+/// The one deterministic row shape: everything derives from the pk.
 fn row_for(pk: i64) -> Vec<Value> {
     let m = (pk % 50_000) as f64 + if pk >= INSERT_BASE { 0.25 } else { 0.0 };
     // Every 17th row is an outlier (host off the 2·m model).
@@ -70,8 +67,8 @@ enum Substrate {
     Paged,
 }
 
-/// Build an indexed database over the seed rows.
-fn build_db(substrate: &Substrate, scheme: TidScheme, with_composite: bool) -> Database {
+/// Build an indexed database over the seed rows, and the model of them.
+fn build_db(substrate: &Substrate, scheme: TidScheme, with_composite: bool) -> (Database, Model) {
     let mut db = match substrate {
         Substrate::Mem => Database::new(schema(), 0, scheme),
         Substrate::Paged => {
@@ -81,8 +78,10 @@ fn build_db(substrate: &Substrate, scheme: TidScheme, with_composite: bool) -> D
             Database::new_paged(PagedTable::new(schema(), pool), 0)
         }
     };
+    let mut model = Model::new(0);
+    let mut m = Mirror::new(&db, &mut model);
     for pk in 0..SEED_ROWS {
-        db.insert(&row_for(pk)).unwrap();
+        m.insert(&row_for(pk)).unwrap();
     }
     db.create_baseline_index(1, true).unwrap();
     db.create_hermit_index(2, 1).unwrap();
@@ -95,7 +94,7 @@ fn build_db(substrate: &Substrate, scheme: TidScheme, with_composite: bool) -> D
         db.set_trs_params(TrsParams { split_trigger_ratio: 0.05, ..TrsParams::default() });
         assert_eq!(db.create_composite_hermit(0, 2, 1).unwrap(), COMPOSITE_HERMIT);
     }
-    db
+    (db, model)
 }
 
 /// The query panel: one query per plan kind the database supports.
@@ -122,20 +121,12 @@ fn query_panel(with_composite: bool) -> Vec<Query> {
     panel
 }
 
-/// Sorted surviving pks of a result (fetched from the heap the result came
-/// from, so the comparison is location-scheme agnostic).
-fn result_pks(db: &Database, r: &QueryResult) -> Vec<i64> {
-    let mut pks: Vec<i64> =
-        r.rows.iter().map(|&loc| db.heap().value_f64(loc, 0).unwrap().unwrap() as i64).collect();
-    pks.sort_unstable();
-    pks
-}
-
 /// Run the mixed readers/writers/worker stress over one configuration and
-/// compare the quiesced database against the scalar oracle.
+/// compare the quiesced database against the model.
 fn run_stress(substrate: Substrate, scheme: TidScheme) {
     let with_composite = matches!(substrate, Substrate::Mem);
-    let shared = SharedDatabase::new(build_db(&substrate, scheme, with_composite));
+    let (db, mut model) = build_db(&substrate, scheme, with_composite);
+    let shared = SharedDatabase::new(db);
     let worker = MaintenanceWorker::start(shared.clone(), MaintenanceConfig::default());
     let panel = query_panel(with_composite);
 
@@ -188,22 +179,20 @@ fn run_stress(substrate: Substrate, scheme: TidScheme) {
     assert!(sweeps > 0, "worker must have run");
     assert_eq!(shared.reorg_queue_len(), 0, "worker failed to drain the reorg queue in time");
 
-    // The scalar oracle: same logical contents, built sequentially.
-    let oracle = build_db(&substrate, scheme, with_composite);
+    // The model replays the writers one after the other.
     for w in 0..WRITERS {
         for pk in inserted_pks(w) {
-            oracle.insert(&row_for(pk)).unwrap();
+            model.insert(&row_for(pk)).unwrap();
         }
         for pk in deleted_pks(w) {
-            oracle.delete_by_pk(pk).unwrap();
+            model.delete(pk).unwrap();
         }
     }
-    assert_eq!(shared.len(), oracle.len(), "live row counts diverged");
 
     if with_composite {
         // The composite Hermit tree took the writers' inserts and deletes
         // while the worker reorganized it: its forced box route must give
-        // the oracle's rows, deleted seeds and new inserts alike.
+        // the model's rows, deleted seeds and new inserts alike.
         let Some(SecondaryIndex::Hermit { trs, .. }) = shared.index_at(COMPOSITE_HERMIT) else {
             panic!("composite Hermit index missing")
         };
@@ -212,32 +201,18 @@ fn run_stress(substrate: Substrate, scheme: TidScheme) {
             RangePredicate::range(0, 0.0, 2.0 * INSERT_BASE as f64),
             RangePredicate::range(2, 500.0, 3_500.0),
         );
-        let want = result_pks(&oracle, &oracle.execute(&Query::filter(leading).and(value)));
-        assert!(want.len() > 3_000, "the box spans seeds and inserts: {}", want.len());
-        let got = result_pks(shared.db(), &shared.lookup_box(COMPOSITE_HERMIT, leading, value));
-        assert_eq!(got, want, "composite Hermit box route diverged from the oracle");
+        let spanned = model.answer(&Query::filter(leading).and(value), None).len();
+        assert!(spanned > 3_000, "the box spans seeds and inserts: {spanned}");
+        model.verify_box(&shared, COMPOSITE_HERMIT, leading, value).unwrap();
     }
 
-    // Every panel query agrees with the oracle, executed alone and as one
-    // batch.
-    let batched = shared.execute_batch(&panel, &BatchOptions::default());
-    for (i, q) in panel.iter().enumerate() {
-        let want = result_pks(&oracle, &oracle.execute(q));
-        assert!(!want.is_empty(), "panel query {i} must select something");
-        let got_scalar = result_pks(shared.db(), &shared.execute(q));
-        assert_eq!(got_scalar, want, "execute diverged from oracle on panel query {i}");
-        let got_batched = result_pks(shared.db(), &batched[i]);
-        assert_eq!(got_batched, want, "execute_batch diverged from oracle on panel query {i}");
+    // Every panel query selects something and agrees with the model,
+    // executed alone and as one batch; so does the Hermit route over every
+    // row, which must have no false negatives across reorganizations.
+    for q in &panel {
+        assert!(!model.answer(q, None).is_empty(), "panel query {q:?} must select something");
     }
-
-    // Spot-check membership semantics: deleted seed pks are gone, inserted
-    // pks are present (via the Hermit route, which must have no false
-    // negatives across reorganizations).
-    let all = Query::new().range(2, 0.0, 60_000.0);
-    let survivors: BTreeSet<i64> =
-        result_pks(shared.db(), &shared.execute(&all)).into_iter().collect();
-    assert!(deleted_pks(0).all(|pk| !survivors.contains(&pk)));
-    assert!(inserted_pks(WRITERS - 1).all(|pk| survivors.contains(&pk)));
+    model.check(&shared, &[panel, vec![Query::new().range(2, 0.0, 60_000.0)]].concat());
 }
 
 #[test]
@@ -318,7 +293,7 @@ fn outlier_share_denominator_is_index_covered_not_table_len() {
 #[test]
 fn churn_with_worker_shrinks_outlier_share() {
     let run = |with_worker: bool| -> (f64, u64, u64) {
-        let shared = SharedDatabase::new(build_db(&Substrate::Mem, TidScheme::Physical, false));
+        let shared = SharedDatabase::new(build_db(&Substrate::Mem, TidScheme::Physical, false).0);
         let worker = with_worker
             .then(|| MaintenanceWorker::start(shared.clone(), MaintenanceConfig::default()));
         // Regime change under load: vacate [2000, 6000), then refill the

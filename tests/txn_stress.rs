@@ -1,5 +1,5 @@
 //! Concurrent multi-statement transaction stress suite, checked against
-//! oracles.
+//! the reference model (`hermit_fault::model`).
 //!
 //! The properties under test are the transaction subsystem's contract
 //! (see `hermit_core::txn`):
@@ -10,7 +10,8 @@
 //!   latch keeps the frozen overlay in lockstep with the heap).
 //! * **No lost updates** — contended writes are first-writer-wins; every
 //!   contested row is consumed exactly once and every winner's write
-//!   survives.
+//!   survives. Writers replay each committed transaction into one shared
+//!   model, in commit order, and the database must end up matching it.
 //! * **Abort restores the exact pre-transaction state** across the heap,
 //!   the primary index, baseline B+-trees, Hermit TRS-trees, and composite
 //!   indexes, on both storage substrates and both tid schemes.
@@ -21,11 +22,11 @@
 //!   leaves no trace.
 
 use hermit::core::shared::SharedDatabase;
-use hermit::core::{BatchOptions, CoreError, Database, DurabilityConfig, Query, QueryResult};
+use hermit::core::{CoreError, Database, DurabilityConfig, Query};
+use hermit::fault::{Mirror, Model};
 use hermit::storage::paged::{BufferPool, PagedTable, SimulatedPageStore};
 use hermit::storage::{ColumnDef, Schema, StorageError, TidScheme, Value};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -48,22 +49,14 @@ fn row_for(pk: i64) -> Vec<Value> {
     vec![Value::Int(pk), Value::Float(host), Value::Float(m), Value::Float(10.0 * m)]
 }
 
-fn seed_db(rows: i64) -> Database {
-    let mut db = Database::new(schema(), 0, TidScheme::Logical);
-    for pk in 0..rows {
-        db.insert(&row_for(pk)).unwrap();
-    }
-    db.create_baseline_index(1, true).unwrap();
-    db.create_hermit_index(2, 1).unwrap();
-    db
+/// The row `[pk, 2m, m, 10m]`: on the model, in the target band `m`.
+fn band_row(pk: i64, m: f64) -> Vec<Value> {
+    vec![Value::Int(pk), Value::Float(2.0 * m), Value::Float(m), Value::Float(10.0 * m)]
 }
 
-/// Sorted pks of a result, fetched from the heap the result came from.
-fn result_pks(db: &Database, r: &QueryResult) -> Vec<i64> {
-    let mut pks: Vec<i64> =
-        r.rows.iter().map(|&loc| db.heap().value_f64(loc, 0).unwrap().unwrap() as i64).collect();
-    pks.sort_unstable();
-    pks
+fn seed_db(rows: i64) -> (SharedDatabase, Mutex<Model>) {
+    let (db, model) = build_substrate(&Substrate::Mem, rows);
+    (SharedDatabase::new(db), Mutex::new(model))
 }
 
 /// Join the writers, raise `done` for the readers that spin on it, and only
@@ -91,34 +84,28 @@ fn committed_transactions_publish_atomically_to_readers() {
     const ROWS_PER_TXN: i64 = 8;
     const BAND: f64 = 100_000.0;
 
-    let shared = SharedDatabase::new(seed_db(4_000));
+    let (shared, model) = seed_db(4_000);
     let done = AtomicBool::new(false);
     let band_query = Query::new().range(2, BAND, BAND + 100_000.0);
 
     crossbeam::thread::scope(|s| {
         let mut writers = Vec::new();
         for w in 0..WRITERS {
-            let shared = shared.clone();
+            let (shared, model) = (shared.clone(), &model);
             writers.push(s.spawn(move |_| {
                 for j in 0..TXNS_PER_WRITER {
                     let txn = shared.begin().unwrap();
                     let base = (w * TXNS_PER_WRITER + j) * ROWS_PER_TXN;
-                    for k in 0..ROWS_PER_TXN {
-                        let m = BAND + (base + k) as f64;
-                        shared
-                            .insert_txn(
-                                txn,
-                                &[
-                                    Value::Int(1_000_000 + base + k),
-                                    Value::Float(2.0 * m),
-                                    Value::Float(m),
-                                    Value::Float(10.0 * m),
-                                ],
-                            )
-                            .unwrap();
+                    let rows: Vec<Vec<Value>> = (base..base + ROWS_PER_TXN)
+                        .map(|k| band_row(1_000_000 + k, BAND + k as f64))
+                        .collect();
+                    for row in &rows {
+                        shared.insert_txn(txn, row).unwrap();
                     }
                     if j % 2 == 0 {
                         shared.commit(txn).unwrap();
+                        let mut model = model.lock();
+                        rows.iter().for_each(|row| model.insert(row).unwrap());
                     } else {
                         shared.rollback(txn).unwrap();
                     }
@@ -146,19 +133,7 @@ fn committed_transactions_publish_atomically_to_readers() {
     .unwrap();
 
     // Final state: exactly the committed transactions' rows.
-    let mut expected = Vec::new();
-    for w in 0..WRITERS {
-        for j in (0..TXNS_PER_WRITER).step_by(2) {
-            let base = (w * TXNS_PER_WRITER + j) * ROWS_PER_TXN;
-            expected.extend((0..ROWS_PER_TXN).map(|k| 1_000_000 + base + k));
-        }
-    }
-    expected.sort_unstable();
-    let got = result_pks(shared.db(), &shared.execute(&band_query));
-    assert_eq!(got, expected, "final band contents diverged from the committed-txn oracle");
-    let batched =
-        &shared.execute_batch(std::slice::from_ref(&band_query), &BatchOptions::default())[0];
-    assert_eq!(result_pks(shared.db(), batched), expected, "batched executor diverged");
+    model.into_inner().check(&shared, &[band_query]);
 
     let c = shared.txn_counters();
     assert_eq!(c.begins, (WRITERS * TXNS_PER_WRITER) as u64);
@@ -178,8 +153,7 @@ fn contended_read_modify_write_loses_no_updates() {
     const CONTESTED: i64 = 256;
     const REPL_BAND: f64 = 500_000.0;
 
-    let shared = SharedDatabase::new(seed_db(CONTESTED));
-    let winners: Mutex<HashMap<i64, usize>> = Mutex::new(HashMap::new());
+    let (shared, model) = seed_db(CONTESTED);
     let done = AtomicBool::new(false);
     // One query spanning originals and replacements: each snapshot must see
     // exactly one row per contested pk, whatever the interleaving.
@@ -187,30 +161,20 @@ fn contended_read_modify_write_loses_no_updates() {
 
     crossbeam::thread::scope(|s| {
         let mut writers = Vec::new();
-        for t in 0..4usize {
-            let shared = shared.clone();
-            let winners = &winners;
+        for t in 0..4i64 {
+            let (shared, model) = (shared.clone(), &model);
             writers.push(s.spawn(move |_| {
                 for i in 0..CONTESTED {
-                    let pk = (i + t as i64 * 64) % CONTESTED;
+                    let pk = (i + t * 64) % CONTESTED;
                     let txn = shared.begin().unwrap();
                     match shared.delete_by_pk_txn(txn, pk) {
                         Ok(()) => {
-                            let m = REPL_BAND + pk as f64;
-                            shared
-                                .insert_txn(
-                                    txn,
-                                    &[
-                                        Value::Int(1_000_000 + pk),
-                                        Value::Float(2.0 * m),
-                                        Value::Float(m),
-                                        Value::Float(10.0 * m),
-                                    ],
-                                )
-                                .unwrap();
+                            let replacement = band_row(1_000_000 + pk, REPL_BAND + pk as f64);
+                            shared.insert_txn(txn, &replacement).unwrap();
                             shared.commit(txn).unwrap();
-                            let prev = winners.lock().insert(pk, t);
-                            assert_eq!(prev, None, "pk {pk} consumed twice (by {prev:?} and {t})");
+                            let mut model = model.lock();
+                            assert_eq!(model.delete(pk), Ok(()), "pk {pk} consumed twice");
+                            model.insert(&replacement).unwrap();
                         }
                         Err(CoreError::Storage(
                             StorageError::WriteConflict { .. } | StorageError::PkNotFound { .. },
@@ -243,21 +207,13 @@ fn contended_read_modify_write_loses_no_updates() {
     })
     .unwrap();
 
-    let winners = winners.into_inner();
-    assert_eq!(winners.len() as i64, CONTESTED, "every contested pk must be consumed once");
-    // No lost updates: every winner's replacement row is present, every
-    // original is gone.
-    for pk in 0..CONTESTED {
-        let orig = shared.execute(&Query::new().point(2, pk as f64));
-        assert!(orig.rows.is_empty(), "original row {pk} survived its committed delete");
-        let repl = shared.execute(&Query::new().point(2, REPL_BAND + pk as f64));
-        assert_eq!(repl.rows.len(), 1, "replacement row for pk {pk} was lost");
-    }
+    // Every contested pk was consumed once, and no winner's write is lost:
+    // each replacement row is present, each original gone.
+    model.into_inner().check(&shared, &[span_query]);
     let c = shared.txn_counters();
     assert_eq!(c.commits, CONTESTED as u64);
     assert_eq!(c.begins, c.commits + c.aborts);
     assert_eq!(c.active, 0);
-    assert_eq!(shared.len(), CONTESTED as usize);
 }
 
 enum Substrate {
@@ -265,7 +221,8 @@ enum Substrate {
     Paged,
 }
 
-fn build_substrate(substrate: &Substrate, rows: i64) -> Database {
+/// An indexed database over `rows` seed rows, and the model of them.
+fn build_substrate(substrate: &Substrate, rows: i64) -> (Database, Model) {
     let mut db = match substrate {
         Substrate::Mem => Database::new(schema(), 0, TidScheme::Logical),
         Substrate::Paged => {
@@ -274,15 +231,17 @@ fn build_substrate(substrate: &Substrate, rows: i64) -> Database {
             Database::new_paged(PagedTable::new(schema(), pool), 0)
         }
     };
+    let mut model = Model::new(0);
+    let mut m = Mirror::new(&db, &mut model);
     for pk in 0..rows {
-        db.insert(&row_for(pk)).unwrap();
+        m.insert(&row_for(pk)).unwrap();
     }
     db.create_baseline_index(1, true).unwrap();
     db.create_hermit_index(2, 1).unwrap();
     if matches!(substrate, Substrate::Mem) {
         db.create_composite_baseline(0, 2).unwrap();
     }
-    db
+    (db, model)
 }
 
 /// One query per plan kind the database supports.
@@ -293,15 +252,12 @@ fn query_panel(with_composite: bool) -> Vec<Query> {
         Query::new().range(1, 1_000.0, 1_500.0), // baseline index scan
         Query::new().range(2, 200.0, 900.0).range(3, 2_500.0, 6_000.0), // residual conjunct
         Query::new().range(3, 5_000.0, 6_000.0), // unindexed: seq scan
+        Query::new().range(0, -1.0e9, 1.0e9),    // every row
     ];
     if with_composite {
         panel.push(Query::new().range(0, 300.0, 600.0).range(2, 310.0, 590.0));
     }
     panel
-}
-
-fn panel_snapshot(db: &Database, panel: &[Query]) -> Vec<Vec<i64>> {
-    panel.iter().map(|q| result_pks(db, &db.execute(q))).collect()
 }
 
 /// Abort must restore the exact pre-transaction state across every index
@@ -310,53 +266,34 @@ fn panel_snapshot(db: &Database, panel: &[Query]) -> Vec<Vec<i64>> {
 #[test]
 fn abort_restores_exact_state_across_all_index_kinds() {
     for substrate in [Substrate::Mem, Substrate::Paged] {
-        let with_composite = matches!(substrate, Substrate::Mem);
-        let db = build_substrate(&substrate, 1_000);
-        let panel = query_panel(with_composite);
-        let before = panel_snapshot(&db, &panel);
-        let len_before = db.len();
+        let (db, mut model) = build_substrate(&substrate, 1_000);
+        let panel = query_panel(matches!(substrate, Substrate::Mem));
+        let mut m = Mirror::new(&db, &mut model);
 
-        let txn = db.begin().unwrap();
+        let txn = m.begin();
         // On-model inserts, an off-model outlier insert, deferred deletes of
         // seed rows (one an outlier row), and a delete of the txn's own
         // insert.
-        db.insert_txn(txn, &row_for(5_000)).unwrap();
-        db.insert_txn(
+        m.insert_txn(txn, &row_for(5_000)).unwrap();
+        m.insert_txn(
             txn,
             &[Value::Int(5_001), Value::Float(-9.0e8), Value::Float(350.5), Value::Float(1.0)],
         )
         .unwrap();
-        db.delete_by_pk_txn(txn, 123).unwrap();
-        db.delete_by_pk_txn(txn, 170).unwrap(); // 170 % 17 == 0: outlier row
-        db.delete_by_pk_txn(txn, 777).unwrap();
-        db.insert_txn(txn, &row_for(5_002)).unwrap();
-        db.delete_by_pk_txn(txn, 5_002).unwrap(); // own insert, applied immediately
+        m.delete_txn(txn, 123).unwrap();
+        m.delete_txn(txn, 170).unwrap(); // 170 % 17 == 0: outlier row
+        m.delete_txn(txn, 777).unwrap();
+        m.insert_txn(txn, &row_for(5_002)).unwrap();
+        m.delete_txn(txn, 5_002).unwrap(); // own insert, applied immediately
 
-        // Mid-transaction, auto-commit readers still see the pre-state.
-        assert_eq!(
-            panel_snapshot(&db, &panel),
-            before,
-            "{}: open transaction leaked into auto-commit snapshots",
-            if with_composite { "mem" } else { "paged" }
-        );
+        // Mid-transaction, auto-commit readers still see the pre-state, and
+        // the transaction sees its own writes.
+        model.check(&db, &panel);
+        model.verify(&db, &panel, Some(txn)).unwrap();
 
-        db.rollback(txn).unwrap();
-
-        assert_eq!(db.len(), len_before);
-        assert_eq!(
-            panel_snapshot(&db, &panel),
-            before,
-            "{}: abort failed to restore the panel state",
-            if with_composite { "mem" } else { "paged" }
-        );
-        let batched = db.execute_batch(&panel, &BatchOptions::default());
-        for (i, r) in batched.iter().enumerate() {
-            assert_eq!(
-                result_pks(&db, r),
-                before[i],
-                "batched executor diverged after abort on panel query {i}"
-            );
-        }
+        // Abort restores it: scalar and batched, row count included.
+        Mirror::new(&db, &mut model).rollback(txn);
+        model.check(&db, &panel);
         assert_eq!(db.txn_counters().active, 0);
     }
 }
@@ -369,34 +306,36 @@ fn loser_transaction_rolls_back_on_reopen() {
     let dir = std::env::temp_dir().join(format!("hermit-txn-stress-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let config = DurabilityConfig { wal_sync_every: 1, ..Default::default() };
-    let highest_id;
+    let mut model = Model::new(0);
+    let loser;
     {
         let mut db = Database::create_durable(schema(), 0, &dir, &config).unwrap();
+        let mut m = Mirror::new(&db, &mut model);
         for pk in 0..300 {
-            db.insert(&row_for(pk)).unwrap();
+            m.insert(&row_for(pk)).unwrap();
         }
         db.create_baseline_index(1, true).unwrap();
         db.create_hermit_index(2, 1).unwrap();
+        let mut m = Mirror::new(&db, &mut model);
 
         // A committed transaction: survives.
-        let t1 = db.begin().unwrap();
-        db.insert_txn(t1, &row_for(1_000)).unwrap();
-        db.insert_txn(t1, &row_for(1_001)).unwrap();
-        db.delete_by_pk_txn(t1, 5).unwrap();
-        db.commit(t1).unwrap();
+        let t1 = m.begin();
+        m.insert_txn(t1, &row_for(1_000)).unwrap();
+        m.insert_txn(t1, &row_for(1_001)).unwrap();
+        m.delete_txn(t1, 5).unwrap();
+        m.commit(t1);
 
         // An explicitly rolled-back transaction: no trace.
-        let t2 = db.begin().unwrap();
-        db.insert_txn(t2, &row_for(2_000)).unwrap();
-        db.rollback(t2).unwrap();
+        let t2 = m.begin();
+        m.insert_txn(t2, &row_for(2_000)).unwrap();
+        m.rollback(t2);
 
         // The loser: still open at "crash" time.
-        let t3 = db.begin().unwrap();
-        db.insert_txn(t3, &row_for(3_000)).unwrap();
-        db.insert_txn(t3, &row_for(3_001)).unwrap();
-        db.delete_by_pk_txn(t3, 7).unwrap(); // deferred, never applied
-        db.delete_by_pk_txn(t3, 3_000).unwrap(); // own insert, applied + logged
-        highest_id = t3;
+        loser = m.begin();
+        m.insert_txn(loser, &row_for(3_000)).unwrap();
+        m.insert_txn(loser, &row_for(3_001)).unwrap();
+        m.delete_txn(loser, 7).unwrap(); // deferred, never applied
+        m.delete_txn(loser, 3_000).unwrap(); // own insert, applied + logged
 
         // Checkpointing around an open transaction would bake its applied
         // writes into the new epoch while discarding their undo records.
@@ -405,19 +344,13 @@ fn loser_transaction_rolls_back_on_reopen() {
         // was fsynced via wal_sync_every=1).
     }
 
+    // Committed transactions survive recovery; the loser is rolled back.
     let db = Database::open(&dir, &config).unwrap();
-    // Seed 300 − committed delete of 5 + committed inserts 1000/1001; the
-    // loser's 3000/3001 and its deferred delete of 7 are rolled back.
-    assert_eq!(db.len(), 301);
-    let present = |pk: i64| !db.execute(&Query::new().point(2, pk as f64)).rows.is_empty();
-    assert!(!present(5), "committed delete must survive recovery");
-    assert!(present(1_000) && present(1_001), "committed inserts must survive recovery");
-    assert!(!present(2_000), "rolled-back insert resurrected");
-    assert!(!present(3_000) && !present(3_001), "loser inserts must be undone");
-    assert!(present(7), "loser's deferred delete must leave the row alone");
+    model.rollback(loser);
+    model.check(&db, &query_panel(false));
     assert_eq!(db.txn_active(), 0);
     // Ids never rewind past ids in the replayed log.
-    assert!(db.begin().unwrap() > highest_id, "txn ids must be reseeded past the WAL's maximum");
+    assert!(db.begin().unwrap() > loser, "txn ids must be reseeded past the WAL's maximum");
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -428,7 +361,7 @@ fn loser_transaction_rolls_back_on_reopen() {
 fn server_disconnect_mid_transaction_leaves_no_trace() {
     use hermit::server::{HermitClient, HermitServer, ServerConfig};
 
-    let shared = SharedDatabase::new(seed_db(500));
+    let (shared, model) = seed_db(500);
     let server = HermitServer::start(shared.clone(), None, ServerConfig::default(), "127.0.0.1:0")
         .expect("bind loopback server");
     let addr = server.local_addr();
@@ -455,12 +388,9 @@ fn server_disconnect_mid_transaction_leaves_no_trace() {
         std::thread::sleep(Duration::from_millis(5));
     }
 
-    let mut client = HermitClient::connect(addr).unwrap();
-    let ghost = client.query(&Query::new().point(2, 123_456.5)).unwrap();
-    assert!(ghost.is_empty(), "disconnected transaction's insert leaked");
-    let survivor = client.query(&Query::new().point(2, 3.0)).unwrap();
-    assert_eq!(survivor.len(), 1, "disconnected transaction's deferred delete was applied");
-    let stats = client.stats().unwrap();
+    // Neither the insert nor the deferred delete left a trace.
+    model.into_inner().check(&shared, &query_panel(true));
+    let stats = HermitClient::connect(addr).unwrap().stats().unwrap();
     assert!(
         stats.lines().any(|l| l == "hermit_txn_aborts 1"),
         "abort-on-disconnect missing from the exporter:\n{stats}"
