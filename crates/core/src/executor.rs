@@ -222,11 +222,11 @@ impl Database {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use hermit_storage::{ColumnDef, Schema, TidScheme, Value};
 
-    fn schema() -> Schema {
+    pub(crate) fn schema() -> Schema {
         Schema::new(vec![
             ColumnDef::int("pk"),
             ColumnDef::float("host"),
@@ -257,7 +257,7 @@ mod tests {
         db
     }
 
-    fn hermit_db(scheme: TidScheme, n: usize, noise_every: usize) -> Database {
+    pub(crate) fn hermit_db(scheme: TidScheme, n: usize, noise_every: usize) -> Database {
         let mut db = populated(scheme, n, noise_every);
         db.create_baseline_index(1, true).unwrap();
         db.create_hermit_index(2, 1).unwrap();
@@ -270,7 +270,8 @@ mod tests {
         db
     }
 
-    fn row_targets(db: &Database, result: &QueryResult) -> Vec<f64> {
+    /// The target values of `result`'s rows, ascending.
+    pub(crate) fn row_targets(db: &Database, result: &QueryResult) -> Vec<f64> {
         let mut v: Vec<f64> =
             result.rows.iter().map(|&loc| db.heap().value_f64(loc, 2).unwrap().unwrap()).collect();
         v.sort_by(|a, b| a.total_cmp(b));

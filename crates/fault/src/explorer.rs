@@ -20,7 +20,8 @@
 //!    = 1` every DML statement is durable when it returns, so a crash during
 //!    statement *j* must recover to the model before it or after it —
 //!    nothing else — and then answer every query shape (its real plans,
-//!    scalar and batched) and the forced composite box like that model.
+//!    scalar and batched) and the forced composite box like that model:
+//!    its rows in the recovered heap's order, a limit's exact prefix.
 //!
 //! Snapshots happen *before* the instrumented I/O executes, so page and
 //! WAL writes are atomic here. Sub-write tearing is covered separately: a
@@ -208,7 +209,8 @@ fn row(pk: i64, host: f64, target: f64) -> Vec<Value> {
 
 /// Query shapes the model checks: Hermit route + point (incl. an outlier),
 /// baseline range, seq scan, multi-conjunct, a `(pk, target)` box, wide
-/// fallback, and a projection under a limit.
+/// fallback, and a projection under a limit (which rows it keeps is
+/// checked too).
 fn queries() -> Vec<Query> {
     vec![
         Query::filter(RangePredicate::range(2, 12.0, 35.0)),

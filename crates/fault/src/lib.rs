@@ -12,12 +12,14 @@
 //!
 //! * [`model`] — the reference model: a pk-keyed table with auto-commit
 //!   DML and first-writer-wins transactions that answers any
-//!   [`Query`](hermit_core::Query) by filtering its rows. [`Mirror`] runs
+//!   [`Query`](hermit_core::Query) by filtering its rows, in the order the
+//!   rows sit in the database's heap. [`Mirror`] runs
 //!   each statement on a database and on the model and holds their
 //!   outcomes to each other; [`Model::verify`] holds a database's answers
 //!   (scalar, batched, as a transaction) to it, [`Model::verify_box`] a
-//!   forced composite box. The crash explorer and the durability,
-//!   transaction, serving and query-plan suites all check against it.
+//!   forced composite box. The crash explorer and the executor,
+//!   durability, transaction, serving, end-to-end and query-plan suites
+//!   all check against it.
 //! * [`StoreFaults`] — a fault hook, for the pool or durable database in
 //!   front of a page store, with injectable EIO, dropped and torn writes,
 //!   failing/lying fsync, poisoned reads, and page-granular drops, driven by

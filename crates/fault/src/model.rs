@@ -7,14 +7,19 @@
 //! the pk is physically present (live, pending another transaction's
 //! delete, or another's uncommitted insert); a reader sees the committed
 //! rows, a transaction also its own writes; commit publishes whole,
-//! rollback leaves no trace.
+//! rollback leaves no trace. [`Model::new`] starts empty and follows the
+//! statements it is given; [`Model::of`] starts from the rows a database
+//! already holds (a table the workload generators built).
 //!
 //! A query is answered from the rows alone: every conjunct is
 //! [`RangePredicate::matches`] over [`Value::as_f64`], then the projection
-//! (a missing column reads as NULL), in pk order. No index, plan or heap is
+//! (a missing column reads as NULL). No index, plan or executor is
 //! involved, so a bug the engine's structures share cannot hide in the
-//! answer. The model cannot know row locations, so a `LIMIT n` answer is
-//! held to "min(n, |answer|) rows, each in the model's answer".
+//! answer. What the model takes from the database is where each row
+//! lives: one pass over the heap's live rows maps every pk to its
+//! location. Every plan emits rows in ascending location order, so an
+//! engine answer must be exactly the model's rows in that order, and a
+//! `LIMIT n` answer exactly the first `n` of them.
 //!
 //! [`Model::verify`] checks a database's answers to a query panel against
 //! the model; a [`Mirror`] runs each statement on a database and on the
@@ -23,8 +28,8 @@
 use hermit_core::{
     BatchOptions, CoreError, Database, IndexKey, Query, QueryResult, RangePredicate,
 };
-use hermit_storage::{StorageError, Value};
-use std::collections::{BTreeMap, BTreeSet};
+use hermit_storage::{RowLoc, StorageError, Value};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Why a statement was refused (a typed refusal, not a failure).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,6 +63,26 @@ impl Model {
     /// An empty table whose primary key is column `pk_col`.
     pub fn new(pk_col: usize) -> Self {
         Model { pk_col, committed: BTreeMap::new(), txns: BTreeMap::new(), locks: BTreeMap::new() }
+    }
+
+    /// A model of the rows `db` holds, read in one pass over its heap: for
+    /// a table built by other means than statements the model saw.
+    ///
+    /// # Panics
+    /// If the heap cannot be read or holds a pk twice. Every row must be
+    /// committed: the heap does not say which rows an open transaction
+    /// wrote.
+    pub fn of(db: &Database) -> Self {
+        let width = db.heap().schema().width();
+        let mut model = Model::new(db.pk_col());
+        db.heap()
+            .for_each_live_row(|_, row| {
+                let row: Vec<Value> = (0..width).map(|c| row.value(c)).collect();
+                model.insert(&row).expect("no transaction is open");
+                true
+            })
+            .expect("a readable heap");
+        model
     }
 
     /// The committed rows, by pk.
@@ -174,13 +199,38 @@ impl Model {
         out
     }
 
+    /// Where every row of `db` lives, pk → location, from one pass over the
+    /// heap's live rows (committed or not).
+    fn placement(&self, db: &Database) -> Result<HashMap<i64, RowLoc>, String> {
+        let mut at = HashMap::with_capacity(db.len());
+        db.heap()
+            .for_each_live_row(|loc, row| {
+                at.extend(row.value(self.pk_col).as_i64().map(|pk| (pk, loc)));
+                true
+            })
+            .map_err(|e| format!("heap scan: {e}"))?;
+        Ok(at)
+    }
+
     /// Check one engine result for `q`, executed on `db` as `reader`,
-    /// against the model: the same rows (by content, not location), the
-    /// projection aligned with them, and under a `LIMIT n` exactly
-    /// min(n, |answer|) distinct rows of the answer.
+    /// against the model: exactly the model's rows, in ascending heap
+    /// location, the first `n` of them under a `LIMIT n`, with a projection
+    /// aligned with the rows and only where one was asked for.
     pub fn check_result(
         &self,
         db: &Database,
+        q: &Query,
+        r: &QueryResult,
+        reader: Option<u64>,
+    ) -> Result<(), String> {
+        self.check_placed(db, &self.placement(db)?, q, r, reader)
+    }
+
+    /// [`check_result`](Self::check_result) against a known placement.
+    fn check_placed(
+        &self,
+        db: &Database,
+        at: &HashMap<i64, RowLoc>,
         q: &Query,
         r: &QueryResult,
         reader: Option<u64>,
@@ -189,35 +239,28 @@ impl Model {
             return Err(format!("{q:?}: {} heap pages unreadable", r.unreadable));
         }
         let projected = r.projected.as_ref().filter(|block| block.len() == r.rows.len());
-        if q.projection().is_some() && projected.is_none() {
-            return Err(format!("{q:?}: projection missing or misaligned"));
+        if q.projection().is_some() != projected.is_some() {
+            return Err(format!("{q:?}: projection unasked, missing or misaligned"));
         }
+        let mut want = Vec::new();
+        for (pk, cells) in self.answer(q, reader) {
+            let loc = at.get(&pk).ok_or_else(|| format!("{q:?}: pk {pk} is not in the heap"))?;
+            want.push((*loc, cells));
+        }
+        want.sort_by_key(|&(loc, _)| loc);
+        want.truncate(q.limit_rows().unwrap_or(usize::MAX));
         let mut got = Vec::with_capacity(r.rows.len());
         for (i, &loc) in r.rows.iter().enumerate() {
             let row = db.heap().get(loc).map_err(|e| format!("{q:?}: row at {loc:?}: {e}"))?;
-            let pk = row.get(self.pk_col).and_then(Value::as_i64);
-            let pk = pk.ok_or_else(|| format!("{q:?}: row at {loc:?} has no integer pk"))?;
             let cells = project(&row, q.projection());
             if projected.is_some_and(|block| block.row(i) != cells) {
-                return Err(format!("{q:?}: projected cells of pk {pk} are not its row's"));
+                return Err(format!("{q:?}: projected cells at {loc:?} are not its row's"));
             }
-            got.push((pk, cells));
+            got.push((loc, cells));
         }
-        got.sort_by_key(|&(pk, _)| pk);
-        let want = self.answer(q, reader);
-        let agree = match q.limit_rows() {
-            None => got == want,
-            Some(n) => {
-                got.len() == n.min(want.len())
-                    && got.windows(2).all(|w| w[0].0 < w[1].0)
-                    && got.iter().all(|g| {
-                        want.binary_search_by_key(&g.0, |w| w.0).is_ok_and(|i| want[i] == *g)
-                    })
-            }
-        };
-        let at = got.iter().zip(&want).take_while(|(g, w)| g == w).count();
-        let (g, w, n, m) = (got.get(at), want.get(at), got.len(), want.len());
-        agree.then_some(()).ok_or_else(|| {
+        let same = got.iter().zip(&want).take_while(|(g, w)| g == w).count();
+        let (g, w, n, m) = (got.get(same), want.get(same), got.len(), want.len());
+        (got == want).then_some(()).ok_or_else(|| {
             format!("{q:?}: engine {n} rows, model {m}; first difference {g:?} / {w:?}")
         })
     }
@@ -236,15 +279,17 @@ impl Model {
         if self.txns.is_empty() && engine != model {
             return Err(format!("engine holds {engine} rows, the model {model}"));
         }
+        let at = self.placement(db)?;
         let batched = match reader {
             None => db.execute_batch(panel, &BatchOptions::default()),
             Some(_) => Vec::new(),
         };
         for (i, q) in panel.iter().enumerate() {
             let alone = reader.map_or_else(|| db.execute(q), |txn| db.execute_for_txn(q, txn));
-            self.check_result(db, q, &alone, reader).map_err(|e| format!("{reader:?}: {e}"))?;
+            self.check_placed(db, &at, q, &alone, reader)
+                .map_err(|e| format!("{reader:?}: {e}"))?;
             if let Some(b) = batched.get(i) {
-                self.check_result(db, q, b, None).map_err(|e| format!("batched: {e}"))?;
+                self.check_placed(db, &at, q, b, None).map_err(|e| format!("batched: {e}"))?;
             }
         }
         Ok(())

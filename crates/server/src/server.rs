@@ -28,8 +28,9 @@
 //!   rather than what the server may *spend* (the honest contract for a
 //!   cooperative executor);
 //! * graceful shutdown (a [`Request::Shutdown`] frame or
-//!   [`HermitServer::stop`]): stop admitting, drain in-flight connections
-//!   (late requests get [`ErrorCode::ShuttingDown`]), force-close laggards
+//!   [`HermitServer::stop`]): stop admitting, close idle connections, drain
+//!   requests in flight (late requests get [`ErrorCode::ShuttingDown`] or a
+//!   closed socket), force-close laggards
 //!   after [`ServerConfig::drain_timeout`], stop the §4.4
 //!   [`MaintenanceWorker`], and take a final checkpoint on durable
 //!   databases so a clean stop never needs WAL replay.
@@ -69,8 +70,8 @@ pub struct ServerConfig {
     /// at completion (see the module docs), and also used as the socket
     /// read timeout granularity during shutdown drain.
     pub query_deadline: Option<Duration>,
-    /// How long shutdown waits for in-flight connections to finish before
-    /// force-closing their sockets.
+    /// How long shutdown waits for requests in flight to finish before
+    /// force-closing their sockets (idle connections are closed at once).
     pub drain_timeout: Duration,
     /// Per-connection idle read timeout: a connection that sends no frame
     /// for this long is reaped — counted in
@@ -197,8 +198,9 @@ impl HermitServer {
         self.inner.stop.load(Ordering::Acquire)
     }
 
-    /// Request graceful shutdown and block until the drain (connections,
-    /// worker, final checkpoint) completes.
+    /// Request graceful shutdown and block until the drain (requests in
+    /// flight, worker, final checkpoint) completes. Idle connections are
+    /// closed, not waited for.
     pub fn stop(mut self) {
         self.inner.request_stop();
         self.join_accept();
@@ -767,7 +769,17 @@ fn render_stats(inner: &Arc<Inner>) -> String {
 
 /// Stop admitting, drain, force-close laggards, stop the worker, and take
 /// the final checkpoint. Runs on the accept thread after its loop exits.
+///
+/// The drain waits for requests in flight, not for idle clients: it first
+/// closes every connection's read side, so a connection blocked in
+/// `read_frame_into` between requests sees the end of its stream and exits
+/// at once, while one inside a request still writes its response and then
+/// sees the same end.
 fn drain(inner: &Arc<Inner>) {
+    for stream in inner.conns.lock().values() {
+        #[expect(clippy::let_underscore_must_use, reason = "the peer may already be gone")]
+        let _ = stream.shutdown(Shutdown::Read);
+    }
     let deadline = Instant::now() + inner.config.drain_timeout;
     while inner.metrics.connections_active.load(Ordering::Acquire) > 0 && Instant::now() < deadline
     {

@@ -4,7 +4,7 @@
 //!
 //! Covers the serving loop end to end — queries against the planner,
 //! DML through the concurrent write path, a multi-client race checked
-//! against the in-process [`SharedDatabase`] oracle — and every
+//! against the reference model (`hermit_fault::model`) — and every
 //! robustness case the wire can throw: mid-frame disconnects, hostile
 //! lengths, CRC damage, structural garbage, admission overload, query
 //! deadlines, graceful shutdown with a final checkpoint, the per-response
@@ -12,6 +12,7 @@
 
 use hermit_core::shared::{MaintenanceConfig, MaintenanceWorker, SharedDatabase};
 use hermit_core::{Database, DurabilityConfig, IndexKey, Query};
+use hermit_fault::Model;
 use hermit_server::proto::{read_frame, write_frame};
 use hermit_server::{
     ClientError, ErrorCode, HermitClient, HermitServer, Request, Response, ServerConfig, MAX_FRAME,
@@ -19,7 +20,7 @@ use hermit_server::{
 use hermit_storage::{ColumnDef, Schema, TidScheme, Value};
 use std::io::Write as _;
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const SEED_ROWS: i64 = 1_000;
 
@@ -68,18 +69,6 @@ fn tcp_pks(rows: &[Vec<Value>]) -> Vec<i64> {
             Value::Int(pk) => pk,
             ref other => panic!("pk column came back as {other:?}"),
         })
-        .collect();
-    pks.sort_unstable();
-    pks
-}
-
-/// Sorted pks of a direct (in-process) execution — the oracle side.
-fn oracle_pks(shared: &SharedDatabase, q: &Query) -> Vec<i64> {
-    let result = shared.execute(q);
-    let mut pks: Vec<i64> = result
-        .rows
-        .iter()
-        .map(|&loc| shared.heap().value_f64(loc, 0).unwrap().unwrap() as i64)
         .collect();
     pks.sort_unstable();
     pks
@@ -144,7 +133,8 @@ fn single_session_full_command_set() {
 /// Four clients race inserts, deletes, and queries over TCP in disjoint
 /// pk regions while the §4.4 worker reorganizes underneath; every
 /// client's view of its own region stays exact at every step, and the
-/// final state matches the in-process oracle query-for-query.
+/// final state matches the reference model of the clients' histories,
+/// query for query, in process and over TCP.
 #[test]
 fn racing_clients_agree_with_oracle() {
     const CLIENTS: i64 = 4;
@@ -152,16 +142,19 @@ fn racing_clients_agree_with_oracle() {
     const BASE: i64 = 100_000;
     const REGION: i64 = 10_000;
 
-    let shared = SharedDatabase::new(seeded_db());
+    let db = seeded_db();
+    let mut model = Model::of(&db);
+    let shared = SharedDatabase::new(db);
     let worker = MaintenanceWorker::start(shared.clone(), MaintenanceConfig::default());
     let server =
         HermitServer::start(shared.clone(), Some(worker), ServerConfig::default(), "127.0.0.1:0")
             .expect("bind");
 
-    crossbeam::thread::scope(|s| {
-        for t in 0..CLIENTS {
-            let server = &server;
-            s.spawn(move |_| {
+    let survivors = crossbeam::thread::scope(|s| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|t| {
+                let server = &server;
+                s.spawn(move |_| {
                 let mut c = connect(server);
                 let base = BASE + t * REGION;
                 let mut live: Vec<i64> = Vec::new();
@@ -189,23 +182,33 @@ fn racing_clients_agree_with_oracle() {
                         );
                     }
                 }
-            });
-        }
+                live
+            })
+            })
+            .collect();
+        clients.into_iter().flat_map(|c| c.join().unwrap()).collect::<Vec<i64>>()
     })
     .unwrap();
 
-    // Quiesced: the server's view over TCP equals the in-process oracle
-    // for every region and for the full table.
-    let mut c = connect(&server);
-    for t in 0..CLIENTS {
-        let base = BASE + t * REGION;
-        let q = Query::new().range(2, base as f64 - 0.5, (base + REGION) as f64 - 0.5);
-        assert_eq!(tcp_pks(&c.query(&q).unwrap()), oracle_pks(&shared, &q));
+    // Quiesced: the database holds the seed rows and each client's
+    // survivors, for every region and the full table, in process and over
+    // TCP.
+    for pk in survivors {
+        model.insert(&row_for(pk)).unwrap();
     }
-    let all = Query::new().range(2, -1.0, (BASE + CLIENTS * REGION) as f64);
-    let got = tcp_pks(&c.query(&all).unwrap());
-    assert_eq!(got, oracle_pks(&shared, &all));
-    assert_eq!(got.len(), shared.len());
+    let mut panel: Vec<Query> = (0..CLIENTS)
+        .map(|t| {
+            let base = BASE + t * REGION;
+            Query::new().range(2, base as f64 - 0.5, (base + REGION) as f64 - 0.5)
+        })
+        .collect();
+    panel.push(Query::new().range(2, -1.0, (BASE + CLIENTS * REGION) as f64));
+    model.check(&shared, &panel);
+    let mut c = connect(&server);
+    for q in &panel {
+        let want: Vec<i64> = model.answer(q, None).into_iter().map(|(pk, _)| pk).collect();
+        assert_eq!(tcp_pks(&c.query(q).unwrap()), want, "{q:?}");
+    }
 
     c.shutdown().unwrap();
     server.wait();
@@ -374,6 +377,20 @@ fn drain_reports_shutting_down_to_late_requests() {
     assert!(TcpStream::connect(addr).is_err());
 }
 
+/// A client connected but idle between requests does not hold a stop up:
+/// the drain closes its connection and waits only for requests in flight.
+#[test]
+fn stop_does_not_wait_for_an_idle_client() {
+    let (server, _shared) = boot(ServerConfig::default());
+    let mut idle = connect(&server);
+    idle.stats().unwrap(); // admitted, then idle at a frame boundary
+    let start = Instant::now();
+    server.stop();
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(1), "stop waited {took:?} for an idle client");
+    assert!(idle.stats().is_err(), "the idle connection is closed");
+}
+
 /// Durable serving end to end: rows inserted over TCP survive a
 /// graceful shutdown (drain → worker stop → final checkpoint) and come
 /// back through the ordinary recovery path — with nothing left in the
@@ -430,16 +447,11 @@ fn graceful_shutdown_checkpoints_durable_state() {
 
     // Reopen: recovery sees the final checkpoint; the WAL holds nothing.
     let reopened = Database::open(&dir, &config).unwrap();
-    assert_eq!(reopened.len(), 59);
-    let q = Query::new().range(2, -0.5, 59.5);
-    let result = reopened.execute(&q);
-    let mut pks: Vec<i64> = result
-        .rows
-        .iter()
-        .map(|&loc| reopened.heap().value_f64(loc, 0).unwrap().unwrap() as i64)
-        .collect();
-    pks.sort_unstable();
-    assert_eq!(pks, (0..49).chain(50..60).collect::<Vec<i64>>());
+    let mut model = Model::new(0);
+    for pk in (0..49).chain(50..60) {
+        model.insert(&row_for(pk)).unwrap();
+    }
+    model.check(&reopened, &[Query::new().range(2, -0.5, 59.5), Query::new().point(2, 49.0)]);
     assert_eq!(reopened.wal_depth(), Some(0), "clean stop leaves nothing unreplayed");
     drop(reopened);
     let _ = std::fs::remove_dir_all(&dir);

@@ -1,10 +1,12 @@
 //! End-to-end integration tests spanning all crates: the full Hermit
-//! pipeline against ground truth on every workload, both tuple-identifier
+//! pipeline against the reference model (`hermit_fault::model`) of the
+//! generated tables on every workload, both tuple-identifier
 //! schemes, in-memory and disk-like paged databases, and through
 //! distribution shifts.
 
 use hermit::core::database::TablePairSource;
-use hermit::core::{Database, DiscoveryConfig, RangePredicate, SecondaryIndex};
+use hermit::core::{Database, DiscoveryConfig, Query, RangePredicate, SecondaryIndex};
+use hermit::fault::{Mirror, Model};
 use hermit::storage::paged::{BufferPool, PagedTable, SimulatedPageStore};
 use hermit::storage::{ColumnDef, Schema, TidScheme, Value};
 use hermit::trs::TrsParams;
@@ -15,25 +17,12 @@ use hermit::workloads::{
 };
 use std::sync::Arc;
 
-/// Ground truth by sequential scan over the heap.
-fn scan_count(
-    db: &Database,
-    col: usize,
-    lb: f64,
-    ub: f64,
-    extra: Option<(usize, f64, f64)>,
-) -> usize {
-    let mut n = 0;
-    db.heap()
-        .for_each_live_row(|_, row| {
-            let main = row.f64(col).is_some_and(|v| v >= lb && v <= ub);
-            let extra_ok = extra
-                .is_none_or(|(ec, elb, eub)| row.f64(ec).is_some_and(|v| v >= elb && v <= eub));
-            n += usize::from(main && extra_ok);
-            true
-        })
-        .unwrap();
-    n
+/// Hold the forced Hermit route — `lookup_range(pred, extra)` — to `model`.
+fn assert_exact(db: &Database, model: &Model, pred: RangePredicate, extra: Option<RangePredicate>) {
+    let q = extra.into_iter().fold(Query::filter(pred), Query::and);
+    if let Err(e) = model.check_result(db, &q, &db.lookup_range(pred, extra), None) {
+        panic!("{e}");
+    }
 }
 
 #[test]
@@ -48,16 +37,13 @@ fn synthetic_hermit_matches_scan_all_configs() {
             };
             let mut db = build_synthetic(&cfg, scheme);
             db.create_hermit_index(cols::COL_C, cols::COL_B).unwrap();
+            let model = Model::of(&db);
             let mut gen = QueryGen::new(cfg.target_domain(), 0xE2E);
             for (lb, ub) in gen.ranges(0.005, 20) {
-                let got = db.lookup_range(RangePredicate::range(cols::COL_C, lb, ub), None);
-                let want = scan_count(&db, cols::COL_C, lb, ub, None);
-                assert_eq!(got.rows.len(), want, "{kind:?}/{scheme:?} on [{lb}, {ub}]");
+                assert_exact(&db, &model, RangePredicate::range(cols::COL_C, lb, ub), None);
             }
             for p in gen.points(20) {
-                let got = db.lookup_range(RangePredicate::point(cols::COL_C, p), None);
-                let want = scan_count(&db, cols::COL_C, p, p, None);
-                assert_eq!(got.rows.len(), want, "{kind:?}/{scheme:?} point {p}");
+                assert_exact(&db, &model, RangePredicate::point(cols::COL_C, p), None);
             }
         }
     }
@@ -70,16 +56,12 @@ fn stock_hermit_matches_scan_with_time_conjunct() {
     for s in 0..cfg.stocks {
         db.create_hermit_index(cfg.high_col(s), cfg.low_col(s)).unwrap();
     }
+    let model = Model::of(&db);
     for s in 0..cfg.stocks {
         let col = cfg.high_col(s);
         let (lo, hi) = db.heap().stats(col).unwrap().range().unwrap();
-        let band = (lo + (hi - lo) * 0.3, lo + (hi - lo) * 0.6);
-        let got = db.lookup_range(
-            RangePredicate::range(col, band.0, band.1),
-            Some(RangePredicate::range(0, 1_000.0, 3_000.0)),
-        );
-        let want = scan_count(&db, col, band.0, band.1, Some((0, 1_000.0, 3_000.0)));
-        assert_eq!(got.rows.len(), want, "stock {s}");
+        let band = RangePredicate::range(col, lo + (hi - lo) * 0.3, lo + (hi - lo) * 0.6);
+        assert_exact(&db, &model, band, Some(RangePredicate::range(0, 1_000.0, 3_000.0)));
     }
 }
 
@@ -90,13 +72,12 @@ fn sensor_hermit_matches_scan_on_every_sensor() {
     for i in 0..cfg.sensors {
         db.create_hermit_index(cfg.sensor_col(i), cfg.avg_col()).unwrap();
     }
+    let model = Model::of(&db);
     for i in 0..cfg.sensors {
         let col = cfg.sensor_col(i);
         let (lo, hi) = db.heap().stats(col).unwrap().range().unwrap();
-        let band = (lo + (hi - lo) * 0.4, lo + (hi - lo) * 0.5);
-        let got = db.lookup_range(RangePredicate::range(col, band.0, band.1), None);
-        let want = scan_count(&db, col, band.0, band.1, None);
-        assert_eq!(got.rows.len(), want, "sensor {i}");
+        let band = RangePredicate::range(col, lo + (hi - lo) * 0.4, lo + (hi - lo) * 0.5);
+        assert_exact(&db, &model, band, None);
     }
 }
 
@@ -108,13 +89,12 @@ fn hermit_equals_baseline_row_sets() {
     let mut baseline = build_synthetic(&cfg, TidScheme::Physical);
     baseline.create_baseline_index(cols::COL_C, false).unwrap();
 
+    let model = Model::of(&hermit);
     let mut gen = QueryGen::new(cfg.target_domain(), 7);
     for (lb, ub) in gen.ranges(0.01, 25) {
-        let mut h = hermit.lookup_range(RangePredicate::range(cols::COL_C, lb, ub), None).rows;
-        let mut b = baseline.lookup_range(RangePredicate::range(cols::COL_C, lb, ub), None).rows;
-        h.sort();
-        b.sort();
-        assert_eq!(h, b, "row sets must be identical on [{lb}, {ub}]");
+        let pred = RangePredicate::range(cols::COL_C, lb, ub);
+        assert_exact(&hermit, &model, pred, None);
+        assert_exact(&baseline, &model, pred, None);
     }
 }
 
@@ -124,23 +104,23 @@ fn inserts_deletes_stay_consistent() {
     let mut db = build_synthetic(&cfg, TidScheme::Logical);
     db.create_hermit_index(cols::COL_C, cols::COL_B).unwrap();
 
+    let mut model = Model::of(&db);
+    let mut m = Mirror::new(&db, &mut model);
     // Insert new rows, some on-model, some as outliers.
     for i in 0..2_000i64 {
         let c = 500.0 + i as f64 * 0.25;
         let b = if i % 10 == 0 { -9.9e7 } else { cfg.correlate(c) };
-        db.insert(&[Value::Int(10_000 + i), Value::Float(b), Value::Float(c), Value::Float(0.0)])
+        m.insert(&[Value::Int(10_000 + i), Value::Float(b), Value::Float(c), Value::Float(0.0)])
             .unwrap();
     }
     // Delete a slice of original rows.
     for pk in 100..200 {
-        db.delete_by_pk(pk).unwrap();
+        m.delete(pk).unwrap();
     }
-    // Hermit results still exactly match the scan.
+    // Hermit results still hold to the model.
     let mut gen = QueryGen::new((400.0, 1_200.0), 3);
     for (lb, ub) in gen.ranges(0.05, 15) {
-        let got = db.lookup_range(RangePredicate::range(cols::COL_C, lb, ub), None);
-        let want = scan_count(&db, cols::COL_C, lb, ub, None);
-        assert_eq!(got.rows.len(), want, "after churn on [{lb}, {ub}]");
+        assert_exact(&db, &model, RangePredicate::range(cols::COL_C, lb, ub), None);
     }
 }
 
@@ -176,9 +156,7 @@ fn reorganization_through_database_pair_source() {
     assert!(after * 5 < before, "reorg should shrink buffers: {before} -> {after}");
 
     // Queries remain exact.
-    let got = db.lookup_range(RangePredicate::range(cols::COL_C, 2_100.0, 2_200.0), None);
-    let want = scan_count(&db, cols::COL_C, 2_100.0, 2_200.0, None);
-    assert_eq!(got.rows.len(), want);
+    assert_exact(&db, &Model::of(&db), RangePredicate::range(cols::COL_C, 2_100.0, 2_200.0), None);
 }
 
 #[test]
@@ -199,12 +177,9 @@ fn paged_database_full_pipeline() {
     db.create_baseline_index(1, true).unwrap();
     db.create_hermit_index(2, 1).unwrap();
 
-    let r = db.lookup_range(RangePredicate::range(2, 5_000.0, 5_099.0), None);
-    assert_eq!(r.rows.len(), 100);
-    for &loc in &r.rows {
-        let v = db.heap().value_f64(loc, 2).unwrap().unwrap();
-        assert!((5_000.0..=5_099.0).contains(&v));
-    }
+    let pred = RangePredicate::range(2, 5_000.0, 5_099.0);
+    assert_eq!(db.lookup_range(pred, None).rows.len(), 100);
+    assert_exact(&db, &Model::of(&db), pred, None);
 }
 
 #[test]
@@ -269,8 +244,7 @@ fn error_bound_zero_and_huge_both_stay_exact() {
         let mut db = build_synthetic(&cfg, TidScheme::Physical);
         db.set_trs_params(TrsParams::with_error_bound(eb));
         db.create_hermit_index(cols::COL_C, cols::COL_B).unwrap();
-        let got = db.lookup_range(RangePredicate::range(cols::COL_C, 1_000.0, 1_500.0), None);
-        let want = scan_count(&db, cols::COL_C, 1_000.0, 1_500.0, None);
-        assert_eq!(got.rows.len(), want, "error_bound = {eb}");
+        let pred = RangePredicate::range(cols::COL_C, 1_000.0, 1_500.0);
+        assert_exact(&db, &Model::of(&db), pred, None);
     }
 }

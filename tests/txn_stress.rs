@@ -159,6 +159,27 @@ fn contended_read_modify_write_loses_no_updates() {
     // exactly one row per contested pk, whatever the interleaving.
     let span_query = Query::new().range(2, 0.0, REPL_BAND + CONTESTED as f64);
 
+    // One scripted swap before the race, so that a reader sees a swap in
+    // flight on every run: while it is open, an auto-commit reader still
+    // sees the original and not the replacement, the swapping transaction
+    // the reverse, and both count one row per contested pk.
+    {
+        let mut model = model.lock();
+        let mut m = Mirror::new(&shared, &mut model);
+        let txn = m.begin();
+        m.delete_txn(txn, 0).unwrap();
+        m.insert_txn(txn, &band_row(1_000_000, REPL_BAND)).unwrap();
+        for reader in [None, Some(txn)] {
+            let seen = match reader {
+                None => shared.execute(&span_query),
+                Some(txn) => shared.execute_for_txn(&span_query, txn),
+            };
+            assert_eq!(seen.rows.len() as i64, CONTESTED, "{reader:?}: a swap in flight");
+            model.verify(&shared, std::slice::from_ref(&span_query), reader).unwrap();
+        }
+        Mirror::new(&shared, &mut model).commit(txn);
+    }
+
     crossbeam::thread::scope(|s| {
         let mut writers = Vec::new();
         for t in 0..4i64 {
