@@ -326,43 +326,86 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::tests::{hermit_db, row_targets, schema};
+    use hermit_storage::{ColumnDef, Schema, Value};
+
+    fn schema() -> Schema {
+        Schema::new(vec![
+            ColumnDef::int("pk"),
+            ColumnDef::float("host"),
+            ColumnDef::float("target"),
+            ColumnDef::float("other"),
+        ])
+    }
+
+    fn hermit_db(scheme: TidScheme, n: usize, noise_every: usize) -> Database {
+        let mut db = Database::new(schema(), 0, scheme);
+        for i in 0..n {
+            let m = i as f64;
+            let host = if noise_every > 0 && i % noise_every == 0 { -5.0e6 } else { 2.0 * m };
+            db.insert(&[
+                Value::Int(i as i64),
+                Value::Float(host),
+                Value::Float(m),
+                Value::Float(m * 10.0),
+            ])
+            .unwrap();
+        }
+        db.create_baseline_index(1, true).unwrap();
+        db.create_hermit_index(2, 1).unwrap();
+        db
+    }
+
+    /// Brute-force reference: every live row matching all of `preds`, in
+    /// heap order.
+    fn reference(db: &Database, preds: &[RangePredicate]) -> Vec<RowLoc> {
+        let mut rows = Vec::new();
+        db.heap()
+            .for_each_live_row(|loc, row| {
+                if preds.iter().all(|p| row.f64(p.column).is_some_and(|v| v >= p.lb && v <= p.ub)) {
+                    rows.push(loc);
+                }
+                true
+            })
+            .unwrap();
+        rows
+    }
 
     fn batch(db: &Database, queries: &[Query]) -> Vec<QueryResult> {
         db.execute_batch(queries, &BatchOptions::default())
     }
 
-    /// The targets `lo..=hi`, as `row_targets` reports them.
-    fn targets(lo: i32, hi: i32) -> Vec<f64> {
-        (lo..=hi).map(f64::from).collect()
+    fn assert_exact(db: &Database, r: &QueryResult, preds: &[RangePredicate], ctx: &str) {
+        assert_eq!(r.rows, reference(db, preds), "{ctx}: rows, in heap order");
+        assert_eq!((r.unresolved, r.unreadable), (0, 0), "{ctx}: counts");
     }
 
     #[test]
     fn batch_matches_scalar_on_hermit_ranges() {
         for scheme in [TidScheme::Logical, TidScheme::Physical] {
             let db = hermit_db(scheme, 10_000, 97);
-            let queries: Vec<Query> = [(0.0, 50.0), (500.5, 700.25), (9_990.0, 20_000.0)]
+            let preds: Vec<RangePredicate> = [(0.0, 50.0), (500.5, 700.25), (9_990.0, 20_000.0)]
                 .iter()
-                .map(|&(lb, ub)| Query::new().range(2, lb, ub))
+                .map(|&(lb, ub)| RangePredicate::range(2, lb, ub))
                 .collect();
-            let want = [targets(0, 50), targets(501, 700), targets(9_990, 9_999)];
+            let queries: Vec<Query> = preds.iter().map(|&p| Query::filter(p)).collect();
             let batched = batch(&db, &queries);
-            assert_eq!(batched.len(), queries.len());
-            for ((q, b), want) in queries.iter().zip(&batched).zip(want) {
-                assert_eq!(row_targets(&db, b), want, "{scheme:?} {q:?}");
+            assert_eq!(batched.len(), preds.len());
+            for (pred, b) in preds.iter().zip(&batched) {
+                assert_exact(&db, b, &[*pred], &format!("{scheme:?} [{}, {}]", pred.lb, pred.ub));
             }
         }
     }
 
     #[test]
     fn batch_point_probes_use_equality_path() {
-        // Every 50th row is an outlier only the TRS-Tree's buffer finds.
         let db = hermit_db(TidScheme::Physical, 5_000, 50);
-        let points = [0, 50, 123, 4_950, 9_999];
-        let queries: Vec<Query> = points.iter().map(|&v| Query::new().point(2, v.into())).collect();
-        for (v, b) in points.into_iter().zip(batch(&db, &queries)) {
-            let want = if v < 5_000 { targets(v, v) } else { Vec::new() };
-            assert_eq!(row_targets(&db, &b), want, "point {v}");
+        let preds: Vec<RangePredicate> = [0.0, 50.0, 123.0, 4_950.0, 9_999.0]
+            .iter()
+            .map(|&v| RangePredicate::point(2, v))
+            .collect();
+        let queries: Vec<Query> = preds.iter().map(|&p| Query::filter(p)).collect();
+        for (pred, b) in preds.iter().zip(batch(&db, &queries)) {
+            assert_exact(&db, &b, &[*pred], &format!("point {}", pred.lb));
         }
     }
 
@@ -426,8 +469,10 @@ mod tests {
     fn batch_with_extra_conjunct() {
         let db = hermit_db(TidScheme::Physical, 10_000, 0);
         // other = 10 * target; constrain other ∈ [1500, 1590] → target ∈ [150, 159].
-        let b = &batch(&db, &[Query::new().range(2, 100.0, 199.0).range(3, 1_500.0, 1_590.0)])[0];
-        assert_eq!(row_targets(&db, b), targets(150, 159));
+        let preds =
+            [RangePredicate::range(2, 100.0, 199.0), RangePredicate::range(3, 1_500.0, 1_590.0)];
+        let b = &batch(&db, &[Query::new().and(preds[0]).and(preds[1])])[0];
+        assert_exact(&db, b, &preds, "extra conjunct");
         assert!(b.false_positives >= 90);
     }
 }

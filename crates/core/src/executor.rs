@@ -222,11 +222,11 @@ impl Database {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use hermit_storage::{ColumnDef, Schema, TidScheme, Value};
 
-    pub(crate) fn schema() -> Schema {
+    fn schema() -> Schema {
         Schema::new(vec![
             ColumnDef::int("pk"),
             ColumnDef::float("host"),
@@ -257,7 +257,7 @@ pub(crate) mod tests {
         db
     }
 
-    pub(crate) fn hermit_db(scheme: TidScheme, n: usize, noise_every: usize) -> Database {
+    fn hermit_db(scheme: TidScheme, n: usize, noise_every: usize) -> Database {
         let mut db = populated(scheme, n, noise_every);
         db.create_baseline_index(1, true).unwrap();
         db.create_hermit_index(2, 1).unwrap();
@@ -270,8 +270,7 @@ pub(crate) mod tests {
         db
     }
 
-    /// The target values of `result`'s rows, ascending.
-    pub(crate) fn row_targets(db: &Database, result: &QueryResult) -> Vec<f64> {
+    fn row_targets(db: &Database, result: &QueryResult) -> Vec<f64> {
         let mut v: Vec<f64> =
             result.rows.iter().map(|&loc| db.heap().value_f64(loc, 2).unwrap().unwrap()).collect();
         v.sort_by(|a, b| a.total_cmp(b));

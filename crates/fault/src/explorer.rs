@@ -394,6 +394,7 @@ pub fn explore(root: &Path, budget: Option<usize>) -> ExplorerReport {
     let work = root.join("count");
     let state = Arc::new(Mutex::new(HookState::default()));
     let (starts, drop_start, total, states) = run_workload(&work, &config, &state);
+    let states: Vec<Model> = states.into_iter().map(Model::recovered).collect();
     let names = std::mem::take(&mut state.lock().names);
     let mut site_names: BTreeMap<Site, usize> = BTreeMap::new();
     for &n in &names {

@@ -151,10 +151,10 @@ fn racing_clients_agree_with_oracle() {
             .expect("bind");
 
     let survivors = crossbeam::thread::scope(|s| {
-        let clients: Vec<_> = (0..CLIENTS)
-            .map(|t| {
-                let server = &server;
-                s.spawn(move |_| {
+        let mut clients = Vec::new();
+        for t in 0..CLIENTS {
+            let server = &server;
+            clients.push(s.spawn(move |_| {
                 let mut c = connect(server);
                 let base = BASE + t * REGION;
                 let mut live: Vec<i64> = Vec::new();
@@ -183,9 +183,8 @@ fn racing_clients_agree_with_oracle() {
                     }
                 }
                 live
-            })
-            })
-            .collect();
+            }));
+        }
         clients.into_iter().flat_map(|c| c.join().unwrap()).collect::<Vec<i64>>()
     })
     .unwrap();
